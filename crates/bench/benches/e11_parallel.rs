@@ -19,8 +19,9 @@
 //!   inert on impure code.
 //!
 //! Custom harness (no Criterion): medians over fixed repetitions, a
-//! human-readable table on stdout, and machine-readable
-//! `BENCH_parallel.json` for EXPERIMENTS.md.
+//! human-readable table on stdout, and the machine-readable `parallel`
+//! section of the canonical `BENCH.json` (the PR-3 baseline e12 and e13
+//! compare against; other sections are preserved).
 
 use std::time::Instant;
 use xmarkgen::Scale;
@@ -70,9 +71,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|n| n.get())
         .unwrap_or(1);
     let scale = Scale::join_sides(150, 75);
-    let mut json = String::from("{\n  \"experiment\": \"e11_parallel\",\n");
-    json.push_str(&format!("  \"cores\": {cores},\n"));
-    json.push_str("  \"scale\": {\"persons\": 150, \"closed_auctions\": 75},\n");
+    let mut json = String::from("{\n    \"experiment\": \"e11_parallel\",\n");
+    json.push_str(&format!("    \"cores\": {cores},\n"));
+    json.push_str("    \"scale\": {\"persons\": 150, \"closed_auctions\": 75},\n");
 
     // The pure variant must carry the par marker on the compiled plan…
     let probe = q8_engine(&scale, true, 8);
@@ -93,7 +94,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for &compile in &[false, true] {
         let name = if compile { "compiled" } else { "interpreted" };
         let mut base = 0.0;
-        json.push_str(&format!("  \"q8_pure_{name}\": {{"));
+        json.push_str(&format!("    \"q8_pure_{name}\": {{"));
         for (i, &threads) in THREADS.iter().enumerate() {
             let (t, value, par_regions) = time_q8(&scale, compile, threads, Q8_PURE_VARIANT);
             if threads == 1 {
@@ -126,7 +127,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         json.push_str("},\n");
     }
     json.push_str(&format!(
-        "  \"interpreted_speedup_at_4_threads\": {interpreted_speedup_4:.3},\n"
+        "    \"interpreted_speedup_at_4_threads\": {interpreted_speedup_4:.3},\n"
     ));
     // The speedup claim is a statement about parallel hardware; on a
     // single-core host the same run instead demonstrates that the
@@ -158,7 +159,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         t_snap * 1e3
     );
     json.push_str(&format!(
-        "  \"q8_snap_8threads\": {{\"seconds\": {t_snap:.6}, \"par_regions\": 0, \"explain_has_par\": false}},\n"
+        "    \"q8_snap_8threads\": {{\"seconds\": {t_snap:.6}, \"par_regions\": 0, \"explain_has_par\": false}},\n"
     ));
 
     // --- E3 logging workload: thread knob inert on impure code ---------
@@ -166,7 +167,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let log_query = format!(
         "for $i in 1 to {n} return snap insert {{ <entry n=\"{{$i}}\"/> }} into {{ $logdoc/log }}"
     );
-    json.push_str("  \"e3_logging\": {");
+    json.push_str("    \"e3_logging\": {");
     println!("\nE3 logging workload ({n} per-item snaps):");
     for (i, &threads) in [1usize, 4].iter().enumerate() {
         let mut times = Vec::with_capacity(REPS);
@@ -193,9 +194,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         json.push_str(&format!("\"{threads}\": {t:.6}"));
     }
-    json.push_str(", \"par_regions\": 0}\n}\n");
+    json.push_str(", \"par_regions\": 0}\n  }");
 
-    std::fs::write("BENCH_parallel.json", &json)?;
-    println!("\nwrote BENCH_parallel.json");
+    xqbench::splice_bench_section("parallel", &json)?;
     Ok(())
 }

@@ -8,8 +8,8 @@
 //!   hot path as a single branch on `Evaluator::profiling()`, and the
 //!   engine metrics flush is a handful of relaxed atomics per *run*.
 //!   A plain `Engine::run` today is compared against the committed
-//!   PR-3 baselines in `BENCH_parallel.json` (generated on the same
-//!   container class before the hooks existed): the ratio is the
+//!   PR-3 baselines in `BENCH.json`'s `parallel` section (generated on
+//!   the same container class before the hooks existed): the ratio is the
 //!   end-to-end price of having the subsystem in the binary. Target
 //!   ≤ 1.02 (recorded, not asserted — the committed BENCH.json value
 //!   is the gate; a re-run on different hardware only re-reports).
@@ -18,10 +18,8 @@
 //!   accounting). Reported for scale; there is no target, profiling is
 //!   explicit opt-in.
 //!
-//! Output: a table on stdout and the canonical top-level `BENCH.json`,
-//! which also splices in the raw `BENCH_pipeline.json` (PR 2) and
-//! `BENCH_parallel.json` (PR 3) so the whole bench trajectory is
-//! machine-readable from one file.
+//! Output: a table on stdout and the `obs_overhead` section of the
+//! canonical top-level `BENCH.json` (other sections are preserved).
 
 use std::time::Instant;
 use xmarkgen::Scale;
@@ -68,7 +66,8 @@ fn time_pair(scale: &Scale, compile: bool, query: &str) -> (f64, f64) {
 }
 
 /// Pull `"q8_pure_<mode>": {"1": <seconds>, …}` out of the committed
-/// BENCH_parallel.json without a JSON parser (the shape is ours).
+/// `parallel` section of BENCH.json without a JSON parser (the shape is
+/// ours).
 fn committed_baseline(parallel_json: Option<&str>, mode: &str) -> Option<f64> {
     let text = parallel_json?;
     let key = format!("\"q8_pure_{mode}\"");
@@ -76,15 +75,6 @@ fn committed_baseline(parallel_json: Option<&str>, mode: &str) -> Option<f64> {
     let one = &obj[obj.find("\"1\":")? + 4..];
     let end = one.find([',', '}'])?;
     one[..end].trim().parse().ok()
-}
-
-/// The workspace root — `cargo bench` runs with the package dir
-/// (`crates/bench`) as cwd, but the BENCH files live at the top level.
-fn repo_root() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .expect("workspace root")
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -120,8 +110,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Disabled-path cost vs the committed PR-3 baselines.
-    let root = repo_root();
-    let parallel = std::fs::read_to_string(root.join("BENCH_parallel.json")).ok();
+    let parallel = xqbench::bench_section("parallel");
     obs.push_str("    \"disabled_vs_pr3_baseline\": {");
     println!("\ndisabled-path cost vs committed PR-3 baselines (target ≤ 1.02):");
     for (i, (mode, now)) in [
@@ -156,23 +145,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     obs.push_str("}\n  }");
 
-    // Canonical merged bench file: raw per-experiment JSON spliced in.
-    let splice = |name: &str| {
-        std::fs::read_to_string(root.join(name))
-            .map(|s| {
-                // Indent the raw text so the merged file stays readable.
-                s.trim_end().lines().collect::<Vec<_>>().join("\n  ")
-            })
-            .unwrap_or_else(|_| "null".to_string())
-    };
-    let merged = format!(
-        "{{\n  \"schema\": \"xquery-bang-bench/1\",\n  \"generated_by\": \"e12_obs_overhead\",\n  \
-         \"pipeline\": {},\n  \"parallel\": {},\n  \"obs_overhead\": {}\n}}\n",
-        splice("BENCH_pipeline.json"),
-        splice("BENCH_parallel.json"),
-        obs
-    );
-    std::fs::write(root.join("BENCH.json"), merged)?;
-    println!("\nwrote BENCH.json");
+    xqbench::splice_bench_section("obs_overhead", &obs)?;
     Ok(())
 }

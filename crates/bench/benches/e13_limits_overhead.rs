@@ -7,9 +7,9 @@
 //! * **Disabled cost** — with no fuel/deadline/memory armed,
 //!   `LimitGuard::tick()` is a single branch on an inline bool. A plain
 //!   run today is compared against the committed PR-3 baselines in
-//!   `BENCH_parallel.json` (recorded, not asserted — those baselines were
-//!   produced on a different container class; the committed BENCH.json
-//!   value is the gate).
+//!   `BENCH.json`'s `parallel` section (recorded, not asserted — those
+//!   baselines were produced on a different container class; the
+//!   committed BENCH.json value is the gate).
 //! * **Armed cost** — the same run with generous-but-armed limits (the
 //!   fuel/memory atomics and periodic deadline poll actually execute).
 //!   Target ≤ 2% over the disabled run. The assertion is self-gating: it
@@ -17,9 +17,8 @@
 //!   against each other) is itself under 2%, so a noisy container cannot
 //!   produce a spurious failure.
 //!
-//! Output: a table on stdout, `BENCH_limits.json`, and the canonical
-//! `BENCH.json` updated in place (the `limits_overhead` section is
-//! replaced; the e12 sections are preserved).
+//! Output: a table on stdout and the `limits_overhead` section of the
+//! canonical `BENCH.json` (other sections are preserved).
 
 use std::time::Instant;
 use xmarkgen::Scale;
@@ -72,7 +71,8 @@ fn armed_limits() -> Limits {
 }
 
 /// Pull `"q8_pure_<mode>": {"1": <seconds>, …}` out of the committed
-/// BENCH_parallel.json without a JSON parser (the shape is ours).
+/// `parallel` section of BENCH.json without a JSON parser (the shape is
+/// ours).
 fn committed_baseline(parallel_json: Option<&str>, mode: &str) -> Option<f64> {
     let text = parallel_json?;
     let key = format!("\"q8_pure_{mode}\"");
@@ -82,18 +82,10 @@ fn committed_baseline(parallel_json: Option<&str>, mode: &str) -> Option<f64> {
     one[..end].trim().parse().ok()
 }
 
-fn repo_root() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .expect("workspace root")
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     xqalg::install();
     let scale = Scale::join_sides(150, 75);
-    let root = repo_root();
-    let parallel = std::fs::read_to_string(root.join("BENCH_parallel.json")).ok();
+    let parallel = xqbench::bench_section("parallel");
 
     println!("E13: limit-guard overhead on XMark Q8 pure, median of {REPS} runs (1 thread)");
     println!(
@@ -162,28 +154,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     section.push_str("\n  }");
 
-    std::fs::write(
-        root.join("BENCH_limits.json"),
-        format!("{{\n  \"experiment\": \"e13_limits_overhead\",\n  \"limits_overhead\": {section}\n}}\n"),
-    )?;
-
-    // Update the canonical BENCH.json in place: drop any previous
-    // limits_overhead section, then splice the new one before the final
-    // closing brace. The e12-generated sections are untouched.
-    let bench_path = root.join("BENCH.json");
-    if let Ok(mut bench) = std::fs::read_to_string(&bench_path) {
-        if let Some(at) = bench.find(",\n  \"limits_overhead\"") {
-            bench.truncate(at);
-            bench.push_str("\n}\n");
-        }
-        if let Some(end) = bench.rfind('}') {
-            let mut merged = bench[..end].trim_end().to_string();
-            merged.push_str(&format!(",\n  \"limits_overhead\": {section}\n}}\n"));
-            std::fs::write(&bench_path, merged)?;
-            println!("\nwrote BENCH_limits.json and updated BENCH.json");
-            return Ok(());
-        }
-    }
-    println!("\nwrote BENCH_limits.json (no BENCH.json to update)");
+    xqbench::splice_bench_section("limits_overhead", &section)?;
     Ok(())
 }

@@ -14,9 +14,8 @@
 //! After the `always` stream the store is re-opened and its fingerprint
 //! checked against the live engine — a recovery smoke on every bench run.
 //!
-//! Output: a table on stdout, `BENCH_durability.json`, and the canonical
-//! `BENCH.json` updated in place (the `durability` section is replaced;
-//! earlier experiments' sections are preserved).
+//! Output: a table on stdout and the `durability` section of the
+//! canonical `BENCH.json` (other sections are preserved).
 
 use std::time::Instant;
 use xqcore::Engine;
@@ -28,13 +27,6 @@ const COMMITS: usize = 100;
 fn median(mut v: Vec<f64>) -> f64 {
     v.sort_by(|a, b| a.partial_cmp(b).unwrap());
     v[v.len() / 2]
-}
-
-fn repo_root() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .expect("workspace root")
 }
 
 fn temp_dir(tag: &str, rep: usize) -> std::path::PathBuf {
@@ -79,7 +71,6 @@ fn time_stream(sync: Option<SyncMode>, tag: &str) -> (f64, Option<(u64, u64)>) {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     xqalg::install();
-    let root = repo_root();
 
     println!("E14: per-commit latency, {COMMITS} single-insert commits, median of {REPS} streams");
     println!("{:<10} {:>14} {:>10}", "sync", "per-commit", "vs none");
@@ -115,28 +106,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     section.push_str("\n  }");
 
-    std::fs::write(
-        root.join("BENCH_durability.json"),
-        format!("{{\n  \"experiment\": \"e14_durability\",\n  \"durability\": {section}\n}}\n"),
-    )?;
-
-    // Update the canonical BENCH.json in place: drop any previous
-    // durability section, then splice the new one before the final
-    // closing brace. Earlier experiments' sections are untouched.
-    let bench_path = root.join("BENCH.json");
-    if let Ok(mut bench) = std::fs::read_to_string(&bench_path) {
-        if let Some(at) = bench.find(",\n  \"durability\"") {
-            bench.truncate(at);
-            bench.push_str("\n}\n");
-        }
-        if let Some(end) = bench.rfind('}') {
-            let mut merged = bench[..end].trim_end().to_string();
-            merged.push_str(&format!(",\n  \"durability\": {section}\n}}\n"));
-            std::fs::write(&bench_path, merged)?;
-            println!("\nwrote BENCH_durability.json and updated BENCH.json");
-            return Ok(());
-        }
-    }
-    println!("\nwrote BENCH_durability.json (no BENCH.json to update)");
+    xqbench::splice_bench_section("durability", &section)?;
     Ok(())
 }

@@ -13,9 +13,8 @@
 //!   PR-6 row (`engine_s` 0.022494, BENCH.json history): the PR 7
 //!   acceptance line is ≥2× on this row.
 //!
-//! Output: a table on stdout, `BENCH_data_model.json`, and the canonical
-//! `BENCH.json` updated in place (the `data_model` section is replaced;
-//! earlier experiments' sections are preserved).
+//! Output: a table on stdout and the `data_model` section of the
+//! canonical `BENCH.json` (other sections are preserved).
 
 use std::time::Instant;
 use xmarkgen::{Scale, XmarkGen};
@@ -36,13 +35,6 @@ fn median(mut v: Vec<f64>) -> f64 {
     v[v.len() / 2]
 }
 
-fn repo_root() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .expect("workspace root")
-}
-
 fn q8_engine(scale: &Scale) -> Engine {
     let mut e = Engine::new();
     let auction = XmarkGen::new(8)
@@ -56,7 +48,6 @@ fn q8_engine(scale: &Scale) -> Engine {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     xqalg::install();
-    let root = repo_root();
 
     // --- parse / serialize throughput -------------------------------
     let scale = Scale::join_sides(800, 400);
@@ -113,28 +104,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          {{\"persons\": 800, \"closed_auctions\": 400, \"engine_s\": {q8:.6}, \
          \"pr6_engine_s\": {PR6_Q8_800_S}, \"speedup\": {speedup:.2}}}\n  }}"
     );
-    std::fs::write(
-        root.join("BENCH_data_model.json"),
-        format!("{{\n  \"experiment\": \"e15_data_model\",\n  \"data_model\": {section}\n}}\n"),
-    )?;
-
-    // Update the canonical BENCH.json in place: drop any previous
-    // data_model section, then splice the new one before the final
-    // closing brace. Earlier experiments' sections are untouched.
-    let bench_path = root.join("BENCH.json");
-    if let Ok(mut bench) = std::fs::read_to_string(&bench_path) {
-        if let Some(at) = bench.find(",\n  \"data_model\"") {
-            bench.truncate(at);
-            bench.push_str("\n}\n");
-        }
-        if let Some(end) = bench.rfind('}') {
-            let mut merged = bench[..end].trim_end().to_string();
-            merged.push_str(&format!(",\n  \"data_model\": {section}\n}}\n"));
-            std::fs::write(&bench_path, merged)?;
-            println!("\nwrote BENCH_data_model.json and updated BENCH.json");
-            return Ok(());
-        }
-    }
-    println!("\nwrote BENCH_data_model.json (no BENCH.json to update)");
+    xqbench::splice_bench_section("data_model", &section)?;
     Ok(())
 }

@@ -17,9 +17,8 @@
 //!   serialize through the durable commit path while reads keep pinning
 //!   snapshots; reported separately as read/write p50/p99.
 //!
-//! Output: a table on stdout, `BENCH_e16_server.json`, and the canonical
-//! `BENCH.json` updated in place (the `server` section is replaced;
-//! earlier experiments' sections are preserved).
+//! Output: a table on stdout and the `server` section of the
+//! canonical `BENCH.json` (other sections are preserved).
 
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -120,13 +119,6 @@ fn drive(server: &Server, sessions: usize, requests: usize, write_every: usize) 
     }
 }
 
-fn repo_root() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .expect("workspace root")
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     xqalg::install();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -214,28 +206,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         read4 / read1
     ));
 
-    let root = repo_root();
-    std::fs::write(
-        root.join("BENCH_e16_server.json"),
-        format!("{{\n  \"experiment\": \"e16_server\",\n  \"server\": {section}\n}}\n"),
-    )?;
-
-    // Update the canonical BENCH.json in place: drop any previous server
-    // section, then splice the new one before the final closing brace.
-    let bench_path = root.join("BENCH.json");
-    if let Ok(mut bench) = std::fs::read_to_string(&bench_path) {
-        if let Some(at) = bench.find(",\n  \"server\"") {
-            bench.truncate(at);
-            bench.push_str("\n}\n");
-        }
-        if let Some(end) = bench.rfind('}') {
-            let mut merged = bench[..end].trim_end().to_string();
-            merged.push_str(&format!(",\n  \"server\": {section}\n}}\n"));
-            std::fs::write(&bench_path, merged)?;
-            println!("\nwrote BENCH_e16_server.json and updated BENCH.json");
-            return Ok(());
-        }
-    }
-    println!("\nwrote BENCH_e16_server.json (no BENCH.json to update)");
+    xqbench::splice_bench_section("server", &section)?;
     Ok(())
 }

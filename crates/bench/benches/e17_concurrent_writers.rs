@@ -19,9 +19,8 @@
 //! `occ_writers: false` (the PR-8 fully-serialized path), so the table
 //! shows the conflict-rate sweep *and* the occ-vs-lock delta.
 //!
-//! Output: a table on stdout, `BENCH_e17_concurrency.json`, and the
-//! canonical `BENCH.json` updated in place (the `concurrency` section is
-//! replaced; earlier experiments' sections are preserved).
+//! Output: a table on stdout and the `concurrency` section of the
+//! canonical `BENCH.json` (other sections are preserved).
 
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -116,13 +115,6 @@ fn counter_of(server: &Server) -> u64 {
         .expect("numeric counter")
 }
 
-fn repo_root() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .expect("workspace root")
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     xqalg::install();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -208,31 +200,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     section.push_str("\n  }");
 
-    let root = repo_root();
-    std::fs::write(
-        root.join("BENCH_e17_concurrency.json"),
-        format!(
-            "{{\n  \"experiment\": \"e17_concurrent_writers\",\n  \"concurrency\": {section}\n}}\n"
-        ),
-    )?;
-
-    // Update the canonical BENCH.json in place: drop any previous
-    // concurrency section, then splice the new one before the final
-    // closing brace.
-    let bench_path = root.join("BENCH.json");
-    if let Ok(mut bench) = std::fs::read_to_string(&bench_path) {
-        if let Some(at) = bench.find(",\n  \"concurrency\"") {
-            bench.truncate(at);
-            bench.push_str("\n}\n");
-        }
-        if let Some(end) = bench.rfind('}') {
-            let mut merged = bench[..end].trim_end().to_string();
-            merged.push_str(&format!(",\n  \"concurrency\": {section}\n}}\n"));
-            std::fs::write(&bench_path, merged)?;
-            println!("\nwrote BENCH_e17_concurrency.json and updated BENCH.json");
-            return Ok(());
-        }
-    }
-    println!("\nwrote BENCH_e17_concurrency.json (no BENCH.json to update)");
+    xqbench::splice_bench_section("concurrency", &section)?;
     Ok(())
 }

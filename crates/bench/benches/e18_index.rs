@@ -17,9 +17,8 @@
 //! is ~100% of the element population keeps the batch kernels even with
 //! the index available (idx hint present, zero idx scans at runtime).
 //!
-//! Output: a table on stdout, `BENCH_index.json`, and the canonical
-//! `BENCH.json` updated in place (the `index` section is replaced;
-//! earlier experiments' sections are preserved).
+//! Output: a table on stdout and the `index` section of the
+//! canonical `BENCH.json` (other sections are preserved).
 
 use std::time::Instant;
 use xmarkgen::{Scale, XmarkGen};
@@ -40,13 +39,6 @@ const LOOKUP: &str = r#"$auction//person[@id = "person7"]"#;
 fn median(mut v: Vec<f64>) -> f64 {
     v.sort_by(|a, b| a.partial_cmp(b).unwrap());
     v[v.len() / 2]
-}
-
-fn repo_root() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .expect("workspace root")
 }
 
 /// An engine holding an XMark document at `scale`, configured for one
@@ -82,7 +74,6 @@ fn time_query(e: &mut Engine, program: &xqsyn::CoreProgram, expect_rows: usize) 
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     xqalg::install();
-    let root = repo_root();
     let program = xqsyn::compile(LOOKUP).expect("parse lookup");
 
     println!("E18: index selectivity crossover, {REPS}×{ITERS} runs per cell");
@@ -172,27 +163,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         LOOKUP.replace('"', "\\\""),
         rows_json.join(",\n      ")
     );
-    std::fs::write(
-        root.join("BENCH_index.json"),
-        format!("{{\n  \"experiment\": \"e18_index\",\n  \"index\": {section}\n}}\n"),
-    )?;
-
-    // Update the canonical BENCH.json in place: drop any previous index
-    // section, then splice the new one before the final closing brace.
-    let bench_path = root.join("BENCH.json");
-    if let Ok(mut bench) = std::fs::read_to_string(&bench_path) {
-        if let Some(at) = bench.find(",\n  \"index\"") {
-            bench.truncate(at);
-            bench.push_str("\n}\n");
-        }
-        if let Some(end) = bench.rfind('}') {
-            let mut merged = bench[..end].trim_end().to_string();
-            merged.push_str(&format!(",\n  \"index\": {section}\n}}\n"));
-            std::fs::write(&bench_path, merged)?;
-            println!("\nwrote BENCH_index.json and updated BENCH.json");
-            return Ok(());
-        }
-    }
-    println!("\nwrote BENCH_index.json (no BENCH.json to update)");
+    xqbench::splice_bench_section("index", &section)?;
     Ok(())
 }

@@ -143,6 +143,64 @@ pub fn element_tree(store: &mut Store, n: usize) -> XdmResult<NodeId> {
     Ok(root)
 }
 
+// ----------------------------------------------------------------------
+// BENCH.json: the one committed results file. Each experiment owns one
+// top-level section and replaces only that.
+// ----------------------------------------------------------------------
+
+fn bench_json_path() -> std::path::PathBuf {
+    // `cargo bench` runs with the package dir as cwd; the file lives at
+    // the workspace root.
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH.json")
+}
+
+/// The top-level members of BENCH.json, in file order, as raw text. No
+/// JSON parser: the layout is ours — every top-level member starts its
+/// own line at two-space indent, nested lines are indented further.
+fn bench_members(text: &str) -> Vec<(String, String)> {
+    let inner = text.trim().trim_start_matches('{').trim_end_matches('}');
+    inner
+        .split("\n  \"")
+        .skip(1)
+        .filter_map(|member| {
+            let (key, value) = member.split_once("\": ")?;
+            let value = value.trim_end().trim_end_matches(',');
+            Some((key.to_string(), value.to_string()))
+        })
+        .collect()
+}
+
+/// The committed raw text of BENCH.json's top-level section `key`.
+pub fn bench_section(key: &str) -> Option<String> {
+    let text = std::fs::read_to_string(bench_json_path()).ok()?;
+    let section = bench_members(&text).into_iter().find(|(k, _)| k == key)?;
+    Some(section.1)
+}
+
+/// Replace BENCH.json's top-level section `key` with `section` (appended
+/// when new; the file is created when missing). `section` is a JSON
+/// value whose continuation lines are already indented for a top-level
+/// member. Every other section is left as it is.
+pub fn splice_bench_section(key: &str, section: &str) -> std::io::Result<()> {
+    let path = bench_json_path();
+    let mut members = match std::fs::read_to_string(&path) {
+        Ok(text) => bench_members(&text),
+        Err(_) => vec![("schema".to_string(), "\"xquery-bang-bench/1\"".to_string())],
+    };
+    let section = section.trim_end().to_string();
+    match members.iter_mut().find(|(k, _)| k == key) {
+        Some(member) => member.1 = section,
+        None => members.push((key.to_string(), section)),
+    }
+    let body: Vec<String> = members
+        .iter()
+        .map(|(k, v)| format!("  \"{k}\": {v}"))
+        .collect();
+    std::fs::write(&path, format!("{{\n{}\n}}\n", body.join(",\n")))?;
+    println!("\nupdated BENCH.json section \"{key}\"");
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,5 +248,16 @@ mod tests {
             .filter(|&n| store.name(n).unwrap().is_some())
             .count();
         assert_eq!(elems + 1, 100); // +1 for the root itself
+    }
+
+    #[test]
+    fn members_split_at_top_level_only() {
+        let text = "{\n  \"schema\": \"s/1\",\n  \"a\": {\n    \"x\": {\"1\": 2},\n    \"y\": 3\n  },\n  \"b\": {\n    \"x\": 4\n  }\n}\n";
+        let members = super::bench_members(text);
+        let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["schema", "a", "b"]);
+        assert_eq!(members[0].1, "\"s/1\"");
+        assert_eq!(members[1].1, "{\n    \"x\": {\"1\": 2},\n    \"y\": 3\n  }");
+        assert_eq!(members[2].1, "{\n    \"x\": 4\n  }");
     }
 }

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xqdm::item::{Item, Sequence};
 use xqdm::seq;
-use xqdm::{CapturedDelta, NodeId, RecoveryReport, Store, SyncMode, XdmResult};
+use xqdm::{CapturedDelta, Footprint, NodeId, RecoveryReport, Store, SyncMode, XdmResult};
 use xqsyn::cursor::ParseError;
 use xqsyn::CoreProgram;
 
@@ -899,6 +899,12 @@ impl Engine {
     /// [`Store::take_capture`]).
     pub fn take_capture(&mut self) -> Option<CapturedDelta> {
         self.store.take_capture()
+    }
+
+    /// Drain only the write footprint of the attached capture (see
+    /// [`Store::take_write_footprint`]).
+    pub fn take_write_footprint(&mut self) -> Option<Footprint> {
+        self.store.take_write_footprint()
     }
 
     /// The snap counter (per-run deterministic seed stream position;

@@ -408,10 +408,7 @@ impl Server {
         // functions included, which footprints don't cover — so its ring
         // entry is globally conflicting: every Δ in flight across it
         // revalidates from a fresh snapshot.
-        let mut writes = engine
-            .take_capture()
-            .map(|d| d.writes().clone())
-            .unwrap_or_default();
+        let mut writes = engine.take_write_footprint().unwrap_or_default();
         writes.set_global();
         let epoch = self.inner.versions.publish(engine.snapshot_state());
         self.inner
@@ -732,10 +729,7 @@ impl Session {
             return Err(aspect::ALL);
         }
         engine.advance_snap_counter(fork_snaps);
-        let live_writes = engine
-            .take_capture()
-            .map(|d| d.writes().clone())
-            .unwrap_or_default();
+        let live_writes = engine.take_write_footprint().unwrap_or_default();
         Ok(self.publish_commit(inner, &mut engine, query, outcome, live_writes))
     }
 
@@ -754,10 +748,7 @@ impl Session {
             Ok(value) => engine.serialize(&value).map_err(Error::Eval),
             Err(e) => Err(Error::Eval(e)),
         };
-        let live_writes = engine
-            .take_capture()
-            .map(|d| d.writes().clone())
-            .unwrap_or_default();
+        let live_writes = engine.take_write_footprint().unwrap_or_default();
         self.publish_commit(inner, &mut engine, query, outcome, live_writes)
     }
 

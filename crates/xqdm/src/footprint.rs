@@ -6,8 +6,9 @@
 //! same idea across transactions: while a session evaluates against its
 //! pinned base snapshot, the forked store records
 //!
-//! * the **redo ops** of every mutation (the same [`RedoOp`]s the WAL
-//!   logs), so a validated Δ can be replayed onto the live store;
+//! * the **forward ops** of every mutation, encoded exactly as the WAL
+//!   logs them ([`RedoBuf`]), so a validated Δ can be replayed onto the
+//!   live store;
 //! * a **write footprint** — `(node, aspects)` pairs for every mutated
 //!   base-snapshot node (writes to nodes the Δ itself allocated are
 //!   excluded: no committed transaction can have observed them);
@@ -16,15 +17,16 @@
 //!
 //! Commit-time validation is classic backward OCC: transaction T
 //! conflicts iff T's *read* footprint intersects the *write* footprint of
-//! some Δ committed after T's base epoch. Mutator-internal reads (splice
-//! index search, precondition checks) are deliberately *not* traced:
+//! some Δ committed after T's base epoch. The reads `Store::apply` makes
+//! itself (splice index search, precondition checks) are deliberately
+//! *not* traced:
 //! replaying the ops re-validates every precondition against the live
 //! store and recomputes positions, so only reads that shaped the op
 //! stream or the response body need validation. That is what lets two
 //! blind appends into the same container commute.
 
 use crate::node::NodeId;
-use crate::wal::RedoOp;
+use crate::wal::RedoBuf;
 use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
 
@@ -45,6 +47,11 @@ pub mod aspect {
     pub const PARENT: u8 = 1 << 4;
     /// Every aspect.
     pub const ALL: u8 = NAME | VALUE | CHILDREN | ATTRS | PARENT;
+    /// Write-mark only, never stored in a [`super::Footprint`]: a
+    /// whole-store effect. Kept among the marks so that an op that fails
+    /// and a frame that rolls back forget it like any other mark; becomes
+    /// [`super::Footprint::set_global`] when the marks are taken.
+    pub(crate) const WHOLE_STORE: u8 = 1 << 7;
 }
 
 /// A set of `(node, aspects)` marks, plus a *global* flag for the rare
@@ -133,9 +140,9 @@ impl Footprint {
 /// and the server's commit-time validator.
 #[derive(Debug, Clone, Default)]
 pub struct CapturedDelta {
-    /// The forward ops, in application order (fork-local node ids; the
-    /// replay remaps them onto live allocations).
-    pub(crate) ops: Vec<RedoOp>,
+    /// The forward ops, encoded, in application order (fork-local node
+    /// ids; the replay remaps them onto live allocations).
+    pub(crate) ops: RedoBuf,
     pub(crate) reads: Footprint,
     pub(crate) writes: Footprint,
 }
@@ -153,7 +160,7 @@ impl CapturedDelta {
 
     /// True when the run mutated nothing.
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.ops.len() == 0
     }
 
     /// Number of recorded redo ops.
@@ -162,22 +169,17 @@ impl CapturedDelta {
     }
 }
 
-/// The in-store recorder (one per capturing [`crate::Store`]). Mirrors
-/// the WAL's pending-ops discipline — frame marks, rollback truncation —
-/// and adds the footprints. Reads go through a mutex because effect-free
+/// The in-store recorder (one per capturing [`crate::Store`]): what a Δ
+/// capture needs beyond the store's own forward buffer and write marks
+/// (see `Store::apply`) — the fresh-node filter and the read footprint. Reads go through a mutex because effect-free
 /// parallel regions share `&Store` across worker threads; the disabled
 /// path costs one pointer check per accessor.
 #[derive(Debug, Default)]
 pub(crate) struct Capture {
-    pub(crate) ops: Vec<RedoOp>,
-    op_marks: Vec<usize>,
-    writes: Vec<(NodeId, u8)>,
-    write_marks: Vec<usize>,
     /// Nodes allocated during this capture: their reads and writes are
     /// fork-private, invisible to any committed transaction, and so
     /// excluded from both footprints.
     fresh: HashSet<NodeId>,
-    global: bool,
     reads: Mutex<HashMap<NodeId, u8>>,
     trace_reads: bool,
 }
@@ -204,13 +206,6 @@ impl Capture {
         }
     }
 
-    #[inline]
-    pub(crate) fn record_write(&mut self, id: NodeId, aspects: u8) {
-        if !self.fresh.contains(&id) {
-            self.writes.push((id, aspects));
-        }
-    }
-
     pub(crate) fn note_fresh(&mut self, id: NodeId) {
         self.fresh.insert(id);
     }
@@ -219,45 +214,16 @@ impl Capture {
         self.fresh.contains(&id)
     }
 
-    pub(crate) fn set_global(&mut self) {
-        self.global = true;
-    }
-
-    pub(crate) fn note_begin_frame(&mut self) {
-        self.op_marks.push(self.ops.len());
-        self.write_marks.push(self.writes.len());
-    }
-
-    pub(crate) fn note_commit_frame(&mut self) {
-        self.op_marks.pop();
-        self.write_marks.pop();
-    }
-
-    /// Rolled-back ops and write marks are dropped (they never happened);
-    /// reads are kept — a rolled-back branch still influenced control
-    /// flow, so its reads must stay validated. Conservative and sound.
-    pub(crate) fn note_rollback_frame(&mut self) {
-        if let Some(mark) = self.op_marks.pop() {
-            self.ops.truncate(mark);
-        }
-        if let Some(mark) = self.write_marks.pop() {
-            self.writes.truncate(mark);
-        }
-    }
-
-    /// Drain everything recorded since the last take into a
-    /// [`CapturedDelta`], resetting the recorder for the next
-    /// transaction (the fresh set included: after a commit those nodes
-    /// are base-visible to everyone).
-    pub(crate) fn take(&mut self) -> CapturedDelta {
-        let ops = std::mem::take(&mut self.ops);
-        let mut writes = Footprint::new();
-        for (id, aspects) in self.writes.drain(..) {
-            writes.record(id, aspects);
-        }
-        if self.global {
-            writes.set_global();
-        }
+    /// Assemble a [`CapturedDelta`] from the drained forward `ops` and
+    /// write marks plus the reads recorded here, resetting the recorder
+    /// for the next transaction. Reads of a rolled-back branch are kept —
+    /// it still influenced control flow, so they must stay validated.
+    /// Conservative and sound.
+    pub(crate) fn take(
+        &mut self,
+        ops: RedoBuf,
+        marks: impl Iterator<Item = (NodeId, u8)>,
+    ) -> CapturedDelta {
         let mut reads = Footprint::new();
         let drained = std::mem::take(&mut *self.reads.lock().unwrap_or_else(|e| e.into_inner()));
         for (id, aspects) in drained {
@@ -265,11 +231,23 @@ impl Capture {
                 reads.record(id, aspects);
             }
         }
-        self.fresh.clear();
-        self.global = false;
-        self.op_marks.clear();
-        self.write_marks.clear();
+        let writes = self.take_writes(marks);
         CapturedDelta { ops, reads, writes }
+    }
+
+    /// The write footprint of the drained `marks`; forgets the fresh set
+    /// (after a commit those nodes are base-visible to everyone).
+    pub(crate) fn take_writes(&mut self, marks: impl Iterator<Item = (NodeId, u8)>) -> Footprint {
+        let mut writes = Footprint::new();
+        for (id, aspects) in marks {
+            if aspects & aspect::WHOLE_STORE != 0 {
+                writes.set_global();
+            } else {
+                writes.record(id, aspects);
+            }
+        }
+        self.fresh.clear();
+        writes
     }
 }
 
@@ -300,38 +278,5 @@ mod tests {
         assert_eq!(g.conflict_aspects(&Footprint::new()), aspect::ALL);
         assert!(!g.is_empty());
         assert_eq!(g.aspects(NodeId(77)), aspect::ALL);
-    }
-
-    #[test]
-    fn capture_rollback_drops_ops_and_writes_keeps_reads() {
-        let mut c = Capture::new(true);
-        c.trace_read(NodeId(1), aspect::NAME);
-        c.note_begin_frame();
-        c.ops.push(RedoOp::Detach { node: NodeId(2) });
-        c.record_write(NodeId(2), aspect::PARENT);
-        c.trace_read(NodeId(3), aspect::VALUE);
-        c.note_rollback_frame();
-        let delta = c.take();
-        assert!(delta.is_empty());
-        assert!(delta.writes().is_empty());
-        assert_eq!(delta.reads().aspects(NodeId(1)), aspect::NAME);
-        assert_eq!(delta.reads().aspects(NodeId(3)), aspect::VALUE);
-    }
-
-    #[test]
-    fn fresh_nodes_stay_out_of_footprints() {
-        let mut c = Capture::new(true);
-        c.note_fresh(NodeId(9));
-        c.record_write(NodeId(9), aspect::CHILDREN);
-        c.trace_read(NodeId(9), aspect::CHILDREN);
-        c.record_write(NodeId(1), aspect::CHILDREN);
-        let delta = c.take();
-        assert_eq!(delta.writes().aspects(NodeId(9)), 0);
-        assert_eq!(delta.reads().aspects(NodeId(9)), 0);
-        assert_eq!(delta.writes().aspects(NodeId(1)), aspect::CHILDREN);
-        // After take, the fresh set resets: the next transaction's write
-        // to node 9 (now base-visible) is footprinted again.
-        c.record_write(NodeId(9), aspect::VALUE);
-        assert_eq!(c.take().writes().aspects(NodeId(9)), aspect::VALUE);
     }
 }

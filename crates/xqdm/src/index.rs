@@ -1,10 +1,11 @@
 //! Secondary indexes over the node store (DESIGN.md §17).
 //!
-//! The [`IndexPlane`] is derived state maintained *inside* the paper's
-//! update semantics: every mutator that changes a node's name, value or
-//! liveness updates it in the same call, and every undo-journal replay
-//! mirrors the inverse, so the plane is exact across snap rollback, OCC
-//! retry and crash recovery (replay re-runs the same mutators; checkpoint
+//! The [`IndexPlane`] is derived state maintained *underneath* the
+//! paper's update semantics: the store's raw slot writers
+//! (`store/slots.rs`) that change a node's name, value or liveness move
+//! its entries in the same call, and forward execution, undo-journal
+//! replay and log replay all write slots through them, so the plane is
+//! exact across snap rollback, OCC retry and crash recovery (checkpoint
 //! load rebuilds from the slots).
 //!
 //! Three components:
@@ -251,26 +252,6 @@ mod tests {
         s.detach(b).unwrap();
         s.collect_garbage(&[a]).unwrap();
         assert!(s.index_verify());
-    }
-
-    #[test]
-    fn rollback_restores_the_plane_exactly() {
-        let mut s = Store::new();
-        let a = s.new_element(QName::local("a"));
-        let x = s.new_attribute(QName::local("x"), "1");
-        s.attach_attribute(a, x).unwrap();
-        let before = (s.index_name_len_lexical("a"), s.index_name_len_lexical("b"));
-        s.begin_frame();
-        let b = s.new_element(QName::local("b"));
-        s.append_child(a, b).unwrap();
-        s.apply_rename(a, QName::local("z")).unwrap();
-        s.set_attribute_value(x, "9").unwrap();
-        s.detach(b).unwrap();
-        s.collect_garbage(&[a]).unwrap();
-        s.rollback_frame();
-        assert!(s.index_verify());
-        let after = (s.index_name_len_lexical("a"), s.index_name_len_lexical("b"));
-        assert_eq!(before, after);
     }
 
     #[test]

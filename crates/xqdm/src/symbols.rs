@@ -111,12 +111,18 @@ impl Symbols {
 
     /// Intern both parts of a qualified name.
     pub fn intern_qname(&mut self, q: &QName) -> QNameId {
+        self.intern_parts(q.prefix.as_deref(), &q.local)
+    }
+
+    /// [`Symbols::intern_qname`] from borrowed parts (the decoders read
+    /// names straight out of their byte buffers).
+    pub fn intern_parts(&mut self, prefix: Option<&str>, local: &str) -> QNameId {
         QNameId {
-            prefix: match &q.prefix {
+            prefix: match prefix {
                 Some(p) => self.intern(p),
                 None => SymbolId::NONE,
             },
-            local: self.intern(&q.local),
+            local: self.intern(local),
         }
     }
 

@@ -2,14 +2,15 @@
 //!
 //! The paper's snap semantics gives every update a well-defined atomic
 //! commit point; this module persists exactly those committed transitions.
-//! While a durable store is attached, every successful mutation primitive
-//! appends one logical [`RedoOp`] to an in-memory buffer; at each engine
-//! commit point the buffer is flushed to `wal.log` as length-prefixed,
-//! CRC32-checksummed records followed by a commit marker, optionally
-//! fsynced ([`SyncMode`]). Rollback of an undo frame truncates the buffer
-//! — nothing uncommitted ever reaches the file as a committed batch.
+//! While a durable store is attached, `Store::apply` encodes every
+//! successful mutation's logical [`RedoOp`] into the store's forward
+//! buffer ([`RedoBuf`]); at each engine commit point the buffer is
+//! flushed to `wal.log` as length-prefixed, CRC32-checksummed records
+//! followed by a commit marker, optionally fsynced ([`SyncMode`]).
+//! Rollback of an undo frame truncates the buffer — nothing uncommitted
+//! ever reaches the file as a committed batch.
 //!
-//! Recovery replays the log through the very same store mutators, so
+//! Recovery replays the log through the very same `Store::apply`, so
 //! order-key assignment, free-list reuse and hence every [`NodeId`] are
 //! reproduced bit-for-bit; anything after the last valid commit marker
 //! (a torn record, a failed checksum, trailing unmarked ops) is dropped
@@ -18,9 +19,10 @@
 //! bounded by data size, not history length.
 
 use crate::error::{XdmError, XdmResult};
-use crate::node::NodeId;
-use crate::qname::QName;
+use crate::node::{NodeId, NodeKind};
 use crate::store::{InsertAnchor, Store};
+use crate::symbols::{QNameId, Symbols};
+use std::borrow::Cow;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -73,51 +75,42 @@ impl std::fmt::Display for SyncMode {
     }
 }
 
-/// One logical redo operation: the forward image of a successful store
-/// mutation, at the same granularity as the undo journal. Order keys are
-/// deliberately *not* logged — replay goes through the real mutators,
-/// which recompute them (and the free list, and therefore every node id)
-/// deterministically from the same history.
+/// One logical forward operation: the request [`Store::apply`] executes
+/// and, encoded, the record the redo log and a [`crate::CapturedDelta`]
+/// carry. In memory it is transient and store-relative — names are
+/// interned ids of the applying store, id lists may be borrowed — so a
+/// mutation with no consumer attached builds nothing. It becomes
+/// store-independent at the byte boundary: [`RedoOp::encode`] resolves
+/// names lexically into the pinned `wal_v1` record format and
+/// [`RedoOp::decode`] interns them into the replaying store. Order keys
+/// are deliberately *not* part of an op — replay goes through `apply`,
+/// which recomputes them (and the free list, and therefore every node
+/// id) deterministically from the same history.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum RedoOp {
-    /// A slot was allocated (`kind` is the at-birth payload: containers
-    /// are always born empty).
-    Alloc { id: NodeId, kind: BirthKind },
-    /// `seq` was spliced into `parent` at `anchor`.
+pub(crate) enum RedoOp<'a> {
+    /// Slot `id` comes alive with the at-birth payload `kind` (containers
+    /// are born empty). `id` must be the store's next free slot: trivially
+    /// true going forward, the corruption check on log replay.
+    Alloc { id: NodeId, kind: NodeKind },
+    /// `seq` is spliced into `parent` at `anchor`.
     Insert {
-        seq: Vec<NodeId>,
+        seq: Cow<'a, [NodeId]>,
         parent: NodeId,
         anchor: InsertAnchor,
     },
-    /// `attr` was pushed onto `element`'s attribute list.
+    /// `attr` is pushed onto `element`'s attribute list.
     AttachAttr { element: NodeId, attr: NodeId },
-    /// `node` was detached from its parent.
+    /// `node` is detached from its parent.
     Detach { node: NodeId },
-    /// `node` was renamed to `name`.
-    Rename { node: NodeId, name: QName },
-    /// A text node's content was replaced.
+    /// `node` is renamed to `name`.
+    Rename { node: NodeId, name: QNameId },
+    /// A text node's content is replaced.
     SetText { node: NodeId, content: String },
-    /// An attribute node's value was replaced.
+    /// An attribute node's value is replaced.
     SetAttrValue { node: NodeId, value: String },
-    /// Garbage collection reclaimed exactly these slots, in this order
-    /// (the order fixes the free list, hence future allocation).
-    Collect { ids: Vec<NodeId> },
-}
-
-/// The *lexical* at-birth payload of an allocated node. Node slots store
-/// interned [`crate::symbols::SymbolId`]s, but the log must stay readable
-/// without any interner state (and bit-compatible with logs written
-/// before interning existed), so the store resolves names when recording
-/// an alloc and re-interns them when replaying one. Encodes to exactly
-/// the bytes the pre-interning `NodeKind` encoding produced.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum BirthKind {
-    Document,
-    Element { name: QName },
-    Attribute { name: QName, value: String },
-    Text { content: String },
-    Comment { content: String },
-    Pi { target: String, content: String },
+    /// Exactly these slots are reclaimed, in this order (the order fixes
+    /// the free list, hence future allocation).
+    Collect { ids: Cow<'a, [NodeId]> },
 }
 
 // ----------------------------------------------------------------------
@@ -203,15 +196,17 @@ pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-pub(crate) fn put_qname(out: &mut Vec<u8>, q: &QName) {
-    match &q.prefix {
+/// A name crosses the byte boundary lexically (see [`RedoOp`]).
+pub(crate) fn put_qname(out: &mut Vec<u8>, symbols: &Symbols, q: QNameId) {
+    let (prefix, local) = symbols.qname_parts(q);
+    match prefix {
         Some(p) => {
             out.push(1);
             put_str(out, p);
         }
         None => out.push(0),
     }
-    put_str(out, &q.local);
+    put_str(out, local);
 }
 
 /// A bounds-checked little-endian reader over a record payload.
@@ -253,22 +248,36 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(b.try_into().unwrap()))
     }
 
-    pub(crate) fn str(&mut self) -> XdmResult<String> {
+    /// A length-prefixed byte string, borrowed from the buffer.
+    fn bytes(&mut self) -> XdmResult<&'a [u8]> {
         let len = self.u32()? as usize;
         let end = self.pos.checked_add(len).ok_or_else(Self::corrupt)?;
         let b = self.buf.get(self.pos..end).ok_or_else(Self::corrupt)?;
         self.pos = end;
-        String::from_utf8(b.to_vec()).map_err(|_| Self::corrupt())
+        Ok(b)
     }
 
-    pub(crate) fn qname(&mut self) -> XdmResult<QName> {
+    fn str_ref(&mut self) -> XdmResult<&'a str> {
+        std::str::from_utf8(self.bytes()?).map_err(|_| Self::corrupt())
+    }
+
+    pub(crate) fn str(&mut self) -> XdmResult<String> {
+        self.str_ref().map(str::to_string)
+    }
+
+    /// A lexical name, interned into `symbols` as it is read.
+    pub(crate) fn symbol(&mut self, symbols: &mut Symbols) -> XdmResult<crate::SymbolId> {
+        Ok(symbols.intern(self.str_ref()?))
+    }
+
+    /// A lexical qualified name, interned into `symbols` as it is read.
+    pub(crate) fn qname(&mut self, symbols: &mut Symbols) -> XdmResult<QNameId> {
         let prefix = if self.u8()? == 1 {
-            Some(self.str()?)
+            Some(self.str_ref()?)
         } else {
             None
         };
-        let local = self.str()?;
-        Ok(QName { prefix, local })
+        Ok(symbols.intern_parts(prefix, self.str_ref()?))
     }
 
     pub(crate) fn node(&mut self) -> XdmResult<NodeId> {
@@ -314,7 +323,7 @@ const OP_COLLECT: u8 = 8;
 
 // At-birth node kind tags (containers are born empty, so Alloc never
 // serializes child/attribute lists; the checkpoint format has its own
-// full encoding in store.rs).
+// full encoding in store/durable.rs).
 const KIND_DOCUMENT: u8 = 0;
 const KIND_ELEMENT: u8 = 1;
 const KIND_ATTRIBUTE: u8 = 2;
@@ -322,34 +331,36 @@ const KIND_TEXT: u8 = 3;
 const KIND_COMMENT: u8 = 4;
 const KIND_PI: u8 = 5;
 
-impl RedoOp {
-    fn encode(&self, out: &mut Vec<u8>) {
+impl RedoOp<'_> {
+    /// Append the `wal_v1` encoding of this op, resolving its names
+    /// through `symbols` (the table of the store it was built against).
+    fn encode(&self, out: &mut Vec<u8>, symbols: &Symbols) {
         match self {
             RedoOp::Alloc { id, kind } => {
                 out.push(OP_ALLOC);
                 put_u32(out, id.0);
                 match kind {
-                    BirthKind::Document => out.push(KIND_DOCUMENT),
-                    BirthKind::Element { name } => {
+                    NodeKind::Document { .. } => out.push(KIND_DOCUMENT),
+                    NodeKind::Element { name, .. } => {
                         out.push(KIND_ELEMENT);
-                        put_qname(out, name);
+                        put_qname(out, symbols, *name);
                     }
-                    BirthKind::Attribute { name, value } => {
+                    NodeKind::Attribute { name, value } => {
                         out.push(KIND_ATTRIBUTE);
-                        put_qname(out, name);
+                        put_qname(out, symbols, *name);
                         put_str(out, value);
                     }
-                    BirthKind::Text { content } => {
+                    NodeKind::Text { content } => {
                         out.push(KIND_TEXT);
                         put_str(out, content);
                     }
-                    BirthKind::Comment { content } => {
+                    NodeKind::Comment { content } => {
                         out.push(KIND_COMMENT);
                         put_str(out, content);
                     }
-                    BirthKind::Pi { target, content } => {
+                    NodeKind::Pi { target, content } => {
                         out.push(KIND_PI);
-                        put_str(out, target);
+                        put_str(out, symbols.resolve(*target));
                         put_str(out, content);
                     }
                 }
@@ -383,7 +394,7 @@ impl RedoOp {
             RedoOp::Rename { node, name } => {
                 out.push(OP_RENAME);
                 put_u32(out, node.0);
-                put_qname(out, name);
+                put_qname(out, symbols, *name);
             }
             RedoOp::SetText { node, content } => {
                 out.push(OP_SET_TEXT);
@@ -402,21 +413,32 @@ impl RedoOp {
         }
     }
 
-    fn decode(c: &mut Cursor<'_>) -> XdmResult<RedoOp> {
+    /// Decode the payload of one [`RedoBuf`] or log record, interning
+    /// its names into `symbols` (the table of the store that will apply
+    /// it).
+    pub(crate) fn decode(payload: &[u8], symbols: &mut Symbols) -> XdmResult<RedoOp<'static>> {
+        let c = &mut Cursor::new(payload);
+        if c.u8()? != TAG_OP {
+            return Err(Cursor::corrupt());
+        }
         let op = match c.u8()? {
             OP_ALLOC => {
                 let id = c.node()?;
                 let kind = match c.u8()? {
-                    KIND_DOCUMENT => BirthKind::Document,
-                    KIND_ELEMENT => BirthKind::Element { name: c.qname()? },
-                    KIND_ATTRIBUTE => BirthKind::Attribute {
-                        name: c.qname()?,
+                    KIND_DOCUMENT => NodeKind::Document { children: vec![] },
+                    KIND_ELEMENT => NodeKind::Element {
+                        name: c.qname(symbols)?,
+                        attributes: vec![],
+                        children: vec![],
+                    },
+                    KIND_ATTRIBUTE => NodeKind::Attribute {
+                        name: c.qname(symbols)?,
                         value: c.str()?,
                     },
-                    KIND_TEXT => BirthKind::Text { content: c.str()? },
-                    KIND_COMMENT => BirthKind::Comment { content: c.str()? },
-                    KIND_PI => BirthKind::Pi {
-                        target: c.str()?,
+                    KIND_TEXT => NodeKind::Text { content: c.str()? },
+                    KIND_COMMENT => NodeKind::Comment { content: c.str()? },
+                    KIND_PI => NodeKind::Pi {
+                        target: c.symbol(symbols)?,
                         content: c.str()?,
                     },
                     _ => return Err(Cursor::corrupt()),
@@ -434,7 +456,7 @@ impl RedoOp {
                 RedoOp::Insert {
                     parent,
                     anchor,
-                    seq: c.nodes()?,
+                    seq: c.nodes()?.into(),
                 }
             }
             OP_ATTACH_ATTR => RedoOp::AttachAttr {
@@ -444,7 +466,7 @@ impl RedoOp {
             OP_DETACH => RedoOp::Detach { node: c.node()? },
             OP_RENAME => RedoOp::Rename {
                 node: c.node()?,
-                name: c.qname()?,
+                name: c.qname(symbols)?,
             },
             OP_SET_TEXT => RedoOp::SetText {
                 node: c.node()?,
@@ -454,10 +476,91 @@ impl RedoOp {
                 node: c.node()?,
                 value: c.str()?,
             },
-            OP_COLLECT => RedoOp::Collect { ids: c.nodes()? },
+            OP_COLLECT => RedoOp::Collect {
+                ids: c.nodes()?.into(),
+            },
             _ => return Err(Cursor::corrupt()),
         };
+        if !c.done() {
+            return Err(Cursor::corrupt());
+        }
         Ok(op)
+    }
+
+    /// Rewrite every node id the op mentions through `f` (Δ rebase).
+    pub(crate) fn remap(&mut self, f: impl Fn(NodeId) -> NodeId) {
+        match self {
+            RedoOp::Alloc { id, .. } => *id = f(*id),
+            RedoOp::Insert {
+                seq,
+                parent,
+                anchor,
+            } => {
+                seq.to_mut().iter_mut().for_each(|n| *n = f(*n));
+                *parent = f(*parent);
+                if let InsertAnchor::After(n) = anchor {
+                    *n = f(*n);
+                }
+            }
+            RedoOp::AttachAttr { element, attr } => {
+                *element = f(*element);
+                *attr = f(*attr);
+            }
+            RedoOp::Detach { node }
+            | RedoOp::Rename { node, .. }
+            | RedoOp::SetText { node, .. }
+            | RedoOp::SetAttrValue { node, .. } => *node = f(*node),
+            RedoOp::Collect { ids } => ids.to_mut().iter_mut().for_each(|n| *n = f(*n)),
+        }
+    }
+}
+
+/// Encoded forward ops awaiting a consumer: the store's forward buffer
+/// and the op stream of a [`crate::CapturedDelta`]. Each record is a
+/// little-endian `u32` length followed by that many payload bytes —
+/// exactly the payload a log record carries, so a commit only adds the
+/// checksum framing.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RedoBuf {
+    bytes: Vec<u8>,
+    ops: usize,
+}
+
+impl RedoBuf {
+    pub(crate) fn push(&mut self, op: &RedoOp<'_>, symbols: &Symbols) {
+        let start = self.bytes.len();
+        self.bytes.extend_from_slice(&[0, 0, 0, 0, TAG_OP]);
+        op.encode(&mut self.bytes, symbols);
+        let len = (self.bytes.len() - start - 4) as u32;
+        self.bytes[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        self.ops += 1;
+    }
+
+    /// Number of ops held.
+    pub(crate) fn len(&self) -> usize {
+        self.ops
+    }
+
+    /// A position [`RedoBuf::truncate`] can cut back to.
+    pub(crate) fn mark(&self) -> (usize, usize) {
+        (self.bytes.len(), self.ops)
+    }
+
+    /// Drop everything pushed since `mark` was taken.
+    pub(crate) fn truncate(&mut self, mark: (usize, usize)) {
+        self.bytes.truncate(mark.0);
+        self.ops = self.ops.min(mark.1);
+    }
+
+    /// The record payloads, in push order.
+    pub(crate) fn records(&self) -> impl Iterator<Item = &[u8]> {
+        let mut rest = &self.bytes[..];
+        std::iter::from_fn(move || {
+            let (len, tail) = rest.split_first_chunk::<4>()?;
+            let (payload, tail) = tail.split_at(u32::from_le_bytes(*len) as usize);
+            rest = tail;
+            Some(payload)
+        })
     }
 }
 
@@ -507,13 +610,9 @@ pub struct Wal {
     sync: SyncMode,
     /// LSN of the last commit marker written.
     lsn: u64,
-    /// Ops recorded since the last flushed commit marker.
-    pending: Vec<RedoOp>,
     /// Committer info `(session, base_epoch)` to stamp onto the next
     /// commit (set by the server before a concurrent-writer commit).
     pending_info: Option<(u64, u64)>,
-    /// `pending.len()` at each open undo frame; rollback truncates.
-    marks: Vec<usize>,
     commits_since_sync: u64,
     commits_since_checkpoint: u64,
     /// Checkpoint after this many commits (`XQB_CHECKPOINT_EVERY`;
@@ -606,9 +705,7 @@ impl Wal {
             file,
             sync,
             lsn: existing_lsn,
-            pending: Vec::new(),
             pending_info: None,
-            marks: Vec::new(),
             commits_since_sync: 0,
             commits_since_checkpoint: 0,
             checkpoint_every,
@@ -636,27 +733,9 @@ impl Wal {
         self.sync
     }
 
-    pub(crate) fn record(&mut self, op: RedoOp) {
-        self.pending.push(op);
-    }
-
     /// Stamp the next commit with an interleaved-committer info record.
     pub(crate) fn note_committer(&mut self, session: u64, base_epoch: u64) {
         self.pending_info = Some((session, base_epoch));
-    }
-
-    pub(crate) fn note_begin_frame(&mut self) {
-        self.marks.push(self.pending.len());
-    }
-
-    pub(crate) fn note_commit_frame(&mut self) {
-        self.marks.pop();
-    }
-
-    pub(crate) fn note_rollback_frame(&mut self) {
-        if let Some(mark) = self.marks.pop() {
-            self.pending.truncate(mark);
-        }
     }
 
     /// Has anything been appended since this log was opened? (Gates the
@@ -689,16 +768,13 @@ impl Wal {
         Ok(())
     }
 
-    /// Flush pending ops and a commit marker; fsync per the sync mode.
-    /// A no-op (returns `None`) when nothing was recorded since the last
-    /// marker — read-only runs cost nothing.
-    pub(crate) fn commit_pending(&mut self) -> XdmResult<Option<CommitReceipt>> {
-        debug_assert!(self.marks.is_empty(), "wal commit inside an open frame");
-        if self.pending.is_empty() {
+    /// Append `ops` and a commit marker; fsync per the sync mode. A no-op
+    /// (returns `None`) when `ops` is empty — read-only runs cost nothing.
+    pub(crate) fn commit(&mut self, ops: &RedoBuf) -> XdmResult<Option<CommitReceipt>> {
+        if ops.len() == 0 {
             self.pending_info = None;
             return Ok(None);
         }
-        let ops = std::mem::take(&mut self.pending);
         let before = self.bytes_written;
         if let Some((session, base_epoch)) = self.pending_info.take() {
             let mut payload = vec![TAG_INFO];
@@ -706,10 +782,8 @@ impl Wal {
             put_u64(&mut payload, base_epoch);
             self.write_record(&payload)?;
         }
-        for op in &ops {
-            let mut payload = vec![TAG_OP];
-            op.encode(&mut payload);
-            self.write_record(&payload)?;
+        for payload in ops.records() {
+            self.write_record(payload)?;
         }
         self.lsn += 1;
         let mut marker = vec![TAG_COMMIT];
@@ -737,7 +811,6 @@ impl Wal {
     /// Append a seal record carrying the store fingerprint (written on
     /// clean shutdown; recovery verifies it when present).
     pub(crate) fn seal(&mut self, fingerprint: u64) -> XdmResult<()> {
-        debug_assert!(self.pending.is_empty(), "seal with pending ops");
         let mut payload = vec![TAG_SEAL];
         put_u64(&mut payload, fingerprint);
         self.write_record(&payload)?;
@@ -758,7 +831,6 @@ impl Wal {
     /// truncation is safe: replay skips commits with `lsn ≤` the
     /// snapshot's, so nothing is applied twice.
     pub(crate) fn install_checkpoint(&mut self, snapshot: &[u8]) -> XdmResult<()> {
-        debug_assert!(self.pending.is_empty(), "checkpoint with pending ops");
         let tmp = self.dir.join("checkpoint.tmp");
         {
             let mut f = File::create(&tmp).map_err(|e| io_err("create checkpoint.tmp", e))?;
@@ -803,8 +875,8 @@ impl Wal {
 // ----------------------------------------------------------------------
 
 /// Rebuild a store from `dir`: load `checkpoint.bin` if present (its
-/// CRC and fingerprint are verified), then replay `wal.log` through the
-/// real store mutators, applying each batch only when a valid commit
+/// CRC and fingerprint are verified), then replay `wal.log` through
+/// [`Store::replay`], applying each batch only when a valid commit
 /// marker follows it. A corrupt tail — torn record, failed checksum,
 /// trailing ops with no marker — is dropped with a warning and counted,
 /// never an abort. Returns the store (log re-attached for appending),
@@ -865,9 +937,9 @@ fn replay_log(
     let mut pos = LOG_MAGIC.len();
     let mut valid_len = pos as u64;
     let mut last_lsn = base_lsn;
-    // Ops seen since the last commit marker, with the count of records
-    // they span (for the warning message).
-    let mut batch: Vec<RedoOp> = Vec::new();
+    // Op record payloads seen since the last commit marker; decoded
+    // when the marker arrives and the batch is applied.
+    let mut batch: Vec<&[u8]> = Vec::new();
 
     loop {
         if pos == bytes.len() {
@@ -908,13 +980,7 @@ fn replay_log(
             }
         };
         match tag {
-            TAG_OP => match RedoOp::decode(&mut c) {
-                Ok(op) if c.done() => batch.push(op),
-                _ => {
-                    drop_tail(report, format!("undecodable redo op at offset {pos}"));
-                    break;
-                }
-            },
+            TAG_OP => batch.push(payload),
             TAG_COMMIT => {
                 let lsn = match c.u64() {
                     Ok(l) if c.done() => l,
@@ -929,23 +995,18 @@ fn replay_log(
                     // already contains it.
                     batch.clear();
                 } else {
+                    // Inside an undo frame, so a batch that fails to
+                    // decode or apply rolls back exactly.
                     store.begin_frame();
                     let n = batch.len() as u64;
-                    let mut failed = None;
-                    for op in batch.drain(..) {
-                        if let Err(e) = store.apply_redo(&op) {
-                            failed = Some(e);
-                            break;
-                        }
-                    }
-                    match failed {
-                        None => {
+                    match store.replay(batch.drain(..), false) {
+                        Ok(()) => {
                             store.commit_frame();
                             report.replayed_commits += 1;
                             report.replayed_records += n;
                             last_lsn = lsn;
                         }
-                        Some(e) => {
+                        Err(e) => {
                             store.rollback_frame();
                             drop_tail(
                                 report,
@@ -1037,22 +1098,26 @@ mod tests {
 
     #[test]
     fn redo_op_encoding_roundtrip() {
+        use crate::qname::QName;
+        let mut syms = Symbols::new();
         let ops = vec![
             RedoOp::Alloc {
                 id: NodeId(7),
-                kind: BirthKind::Element {
-                    name: QName::prefixed("p", "x"),
+                kind: NodeKind::Element {
+                    name: syms.intern_qname(&QName::prefixed("p", "x")),
+                    attributes: vec![],
+                    children: vec![],
                 },
             },
             RedoOp::Alloc {
                 id: NodeId(8),
-                kind: BirthKind::Pi {
-                    target: "t".into(),
+                kind: NodeKind::Pi {
+                    target: syms.intern("t"),
                     content: "c".into(),
                 },
             },
             RedoOp::Insert {
-                seq: vec![NodeId(1), NodeId(2)],
+                seq: vec![NodeId(1), NodeId(2)].into(),
                 parent: NodeId(0),
                 anchor: InsertAnchor::After(NodeId(9)),
             },
@@ -1063,7 +1128,7 @@ mod tests {
             RedoOp::Detach { node: NodeId(5) },
             RedoOp::Rename {
                 node: NodeId(6),
-                name: QName::local("renamed"),
+                name: syms.intern_qname(&QName::local("renamed")),
             },
             RedoOp::SetText {
                 node: NodeId(1),
@@ -1074,31 +1139,52 @@ mod tests {
                 value: String::new(),
             },
             RedoOp::Collect {
-                ids: vec![NodeId(2), NodeId(1)],
+                ids: vec![NodeId(2), NodeId(1)].into(),
             },
         ];
+        let mut buf = RedoBuf::default();
         for op in &ops {
-            let mut buf = Vec::new();
-            op.encode(&mut buf);
-            let mut c = Cursor::new(&buf);
-            let back = RedoOp::decode(&mut c).unwrap();
-            assert!(c.done());
-            assert_eq!(&back, op);
+            buf.push(op, &syms);
         }
+        assert_eq!(buf.len(), ops.len());
+        // Decoding into the same table gives the same ids back; a fresh
+        // table interns the same lexical names.
+        for (payload, op) in buf.records().zip(&ops) {
+            assert_eq!(&RedoOp::decode(payload, &mut syms).unwrap(), op);
+        }
+        let mut other = Symbols::new();
+        let renamed = buf
+            .records()
+            .map(|p| RedoOp::decode(p, &mut other).unwrap())
+            .find_map(|op| match op {
+                RedoOp::Rename { name, .. } => Some(name),
+                _ => None,
+            });
+        assert_eq!(other.qname_string(renamed.unwrap()), "renamed");
+        // A mark cuts the buffer back exactly.
+        let mark = buf.mark();
+        buf.push(&ops[4], &syms);
+        buf.truncate(mark);
+        assert_eq!((buf.len(), buf.records().count()), (ops.len(), ops.len()));
     }
 
     #[test]
-    fn cursor_rejects_truncation() {
-        let mut buf = Vec::new();
-        RedoOp::SetText {
+    fn decode_rejects_truncation() {
+        let mut syms = Symbols::new();
+        let mut buf = RedoBuf::default();
+        let op = RedoOp::SetText {
             node: NodeId(1),
             content: "abcdef".into(),
+        };
+        buf.push(&op, &syms);
+        let payload = buf.records().next().unwrap();
+        for cut in 0..payload.len() {
+            assert!(
+                RedoOp::decode(&payload[..cut], &mut syms).is_err(),
+                "cut at {cut}"
+            );
         }
-        .encode(&mut buf);
-        for cut in 0..buf.len() {
-            let mut c = Cursor::new(&buf[..cut]);
-            assert!(RedoOp::decode(&mut c).is_err() || !c.done(), "cut at {cut}");
-        }
+        assert_eq!(RedoOp::decode(payload, &mut syms).unwrap(), op);
     }
 
     #[test]

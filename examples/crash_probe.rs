@@ -150,9 +150,14 @@ const OCC_ROUNDS: usize = 8;
 /// commit atomically bumps the counter (an explicit snap, so the Δ
 /// carries a value-aspect read-modify-write that *conflicts* with every
 /// other writer — retries and interleaved-committer WAL records are
-/// guaranteed) and appends one `<tick/>`. `XQB_WAL_CRASH_AT` aborts the
-/// process mid-commit with validation, rebase, and retry genuinely in
-/// flight on other threads.
+/// guaranteed) and appends one `<tick/>`. Every third request of writer 0
+/// constructs nodes, commits the same pair inside a closed snap, then
+/// calls `fn:error()`: the snap persists (paper §2.3), the engine sweeps
+/// the constructed orphans, and the rebased batch carries that `Collect`
+/// into the log — a collection missing there would replay every later
+/// allocation onto the wrong slot. `XQB_WAL_CRASH_AT` aborts the process
+/// mid-commit with validation, rebase, and retry genuinely in flight on
+/// other threads.
 fn occ_child(dir: &str) -> ExitCode {
     let mut e = Engine::new();
     if let Err(err) = e.open_store(dir) {
@@ -171,18 +176,26 @@ fn occ_child(dir: &str) -> ExitCode {
                 let session = server.open_session().unwrap();
                 start.wait();
                 for n in 0..OCC_ROUNDS {
-                    let q = format!(
-                        "(snap replace value of {{ $doc/site/c/text() }} \
-                           with {{ $doc/site/c + 1 }}, \
-                          insert {{ <tick s=\"{s}\" n=\"{n}\"/> }} \
-                           into {{ $doc/site/ticks }})"
+                    let bump = "replace value of { $doc/site/c/text() } with { $doc/site/c + 1 }";
+                    let tick = format!(
+                        "insert {{ <tick s=\"{s}\" n=\"{n}\"/> }} into {{ $doc/site/ticks }}"
                     );
+                    let errored = s == 0 && n % 3 == 2;
+                    let q = if errored {
+                        format!("(<junk><k/><k/></junk>, snap {{ ({bump}, {tick}) }}, fn:error())")
+                    } else {
+                        format!("(snap {bump}, {tick})")
+                    };
                     // XQB0052 after exhausted retries is retryable by
                     // contract; the crash abort can also kill us mid-call.
                     loop {
                         match session.execute(&q) {
                             Ok(_) => break,
                             Err(xquery_bang::Error::Eval(e)) if e.code == "XQB0052" => {}
+                            // The scripted failure: its snap is committed.
+                            Err(xquery_bang::Error::Eval(e)) if errored && e.code == "FOER0000" => {
+                                break
+                            }
                             Err(err) => {
                                 eprintln!("occ-child: {err}");
                                 return;
@@ -364,6 +377,14 @@ impl Probe {
             }
         };
         self.tails_dropped += report.tail_dropped;
+        if expect_complete && report.tail_dropped != 0 {
+            self.failures += 1;
+            eprintln!(
+                "  FAIL: {what} -> clean run dropped a log tail: {:?}",
+                report.warnings
+            );
+            return;
+        }
         if e.store.document_roots().is_empty() {
             if expect_complete {
                 self.failures += 1;

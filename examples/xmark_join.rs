@@ -10,7 +10,8 @@
 //!   including plan-cache first-run (miss) vs cached-run (hit) timing.
 //!
 //! A nested-in-snap variant shows the join compiling *inside* an
-//! explicit snap body. Results are written to `BENCH_pipeline.json`.
+//! explicit snap body. Results go to the `pipeline` section of
+//! `BENCH.json`.
 //!
 //! Run with: `cargo run --release --example xmark_join`
 
@@ -121,7 +122,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             t_naive.as_secs_f64() / t_engine.as_secs_f64().max(1e-9),
         );
         rows.push(format!(
-            r#"    {{"persons": {}, "closed_auctions": {}, "naive_s": {:.6}, "run_optimized_s": {:.6}, "engine_s": {:.6}}}"#,
+            r#"      {{"persons": {}, "closed_auctions": {}, "naive_s": {:.6}, "run_optimized_s": {:.6}, "engine_s": {:.6}}}"#,
             scale.persons,
             scale.closed_auctions,
             t_naive.as_secs_f64(),
@@ -164,10 +165,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"xmark_q8_pipeline\",\n  \"rows\": [\n{}\n  ],\n  \
+        "{{\n    \"bench\": \"xmark_q8_pipeline\",\n    \"rows\": [\n{}\n    ],\n    \
          \"plan_cache\": {{\"first_run_s\": {:.6}, \"cached_run_s\": {:.6}, \
-         \"hits\": {hits}, \"misses\": {misses}}},\n  \
-         \"snap_variant\": {{\"persons\": {}, \"compiled_s\": {:.6}, \"interpreted_s\": {:.6}}}\n}}\n",
+         \"hits\": {hits}, \"misses\": {misses}}},\n    \
+         \"snap_variant\": {{\"persons\": {}, \"compiled_s\": {:.6}, \"interpreted_s\": {:.6}}}\n  }}",
         rows.join(",\n"),
         t_first.as_secs_f64(),
         t_cached.as_secs_f64(),
@@ -175,8 +176,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         t_snap_compiled.as_secs_f64(),
         t_snap_interp.as_secs_f64(),
     );
-    std::fs::write("BENCH_pipeline.json", &json)?;
-    println!("\nwrote BENCH_pipeline.json");
+    xqbench::splice_bench_section("pipeline", &json)?;
 
     println!(
         "\nNaive is O(|person| * |closed_auction|); the outer-join/group-by\n\

@@ -249,6 +249,55 @@ fn undo_journal_capacity_stays_bounded_across_10k_commits() {
     );
 }
 
+/// The regression behind ISSUE 13: an errored write on a durable server
+/// allocates nodes, commits a snap, then fails, so the engine sweeps the
+/// orphans with a `Collect`. Both writer paths must log that op like any
+/// other, or the next allocation replays onto a different slot and the
+/// log forks from the store: acknowledged commits are lost on restart.
+fn errored_write_stays_replayable(occ_writers: bool) {
+    use xquery_bang::ServerConfig;
+    let dir = temp_dir(if occ_writers { "occ_err" } else { "lock_err" });
+    let live = {
+        let mut engine = Engine::new();
+        engine.open_store(&dir).unwrap();
+        engine.load_document("doc", "<site/>").unwrap();
+        let server = engine.into_server(ServerConfig {
+            occ_writers,
+            ..ServerConfig::default()
+        });
+        let session = server.open_session().unwrap();
+        let errored = session.execute(
+            "(snap { insert { <a/> } into { $doc/site } }, <junk><k/><k/></junk>, fn:error())",
+        );
+        assert!(errored.is_err(), "the request must fail: {errored:?}");
+        for k in 0..2 {
+            session
+                .execute(&format!("insert {{ <b{k}/> }} into {{ $doc/site }}"))
+                .unwrap();
+        }
+        let live = server.fingerprint();
+        drop(session);
+        // A kill, not a shutdown: no final commit, no seal.
+        std::mem::forget(server);
+        live
+    };
+    let (store, report) = Store::open_durable(&dir, SyncMode::Always).unwrap();
+    assert_eq!(report.tail_dropped, 0, "report: {report:?}");
+    assert_eq!(store.fingerprint(), live, "report: {report:?}");
+    drop(store);
+    cleanup(&dir);
+}
+
+#[test]
+fn errored_occ_write_stays_replayable() {
+    errored_write_stays_replayable(true);
+}
+
+#[test]
+fn errored_serialized_write_stays_replayable() {
+    errored_write_stays_replayable(false);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -10,26 +10,60 @@
 //! * deep copies are structurally equal but disjoint in identity;
 //! * reachability accounting adds up;
 //! * a Δ containing a failing request leaves the store byte-identical
-//!   (rollback exactness) in all three snap modes.
+//!   (rollback exactness) in all three snap modes;
+//! * one random script of every mutation form under random nested frames
+//!   round-trips: rolled back it leaves no trace, run durably it reopens
+//!   to the same store, captured on a fork it rebases onto the base as if
+//!   run there and replays from the base's log.
 
 use proptest::prelude::*;
 use xquery_bang::xqdm::item::deep_equal_nodes;
 use xquery_bang::xqdm::store::InsertAnchor;
-use xquery_bang::xqdm::{NodeId, QName, Store};
+use xquery_bang::xqdm::{NodeId, QName, Store, SyncMode};
 
 /// One scripted operation, with indices resolved modulo the live node set.
 #[derive(Debug, Clone)]
 enum Op {
     NewElement(u8),
     NewText(String),
-    NewAttr { name: u8, value: u8 },
-    AppendChild { parent: usize, child: usize },
-    AttachAttr { owner: usize, attr: usize },
-    SetAttrValue { node: usize, value: u8 },
+    NewAttr {
+        name: u8,
+        value: u8,
+    },
+    AppendChild {
+        parent: usize,
+        child: usize,
+    },
+    AttachAttr {
+        owner: usize,
+        attr: usize,
+    },
+    SetAttrValue {
+        node: usize,
+        value: u8,
+    },
+    SetText {
+        node: usize,
+        text: u8,
+    },
     Detach(usize),
-    Rename { node: usize, name: u8 },
+    Rename {
+        node: usize,
+        name: u8,
+    },
     DeepCopy(usize),
-    MoveAfter { node: usize, anchor: usize },
+    MoveAfter {
+        node: usize,
+        anchor: usize,
+    },
+    /// Collect everything unreachable from the picked roots (and slot 0,
+    /// so the script never runs out of live nodes).
+    CollectGarbage(Vec<usize>),
+    /// Reclaim the picked candidates if unreachable from the picked root.
+    ReclaimUnreachable {
+        candidates: Vec<usize>,
+        root: usize,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -41,10 +75,27 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             .prop_map(|(parent, child)| Op::AppendChild { parent, child }),
         (any::<usize>(), any::<usize>()).prop_map(|(owner, attr)| Op::AttachAttr { owner, attr }),
         (any::<usize>(), 0u8..8).prop_map(|(node, value)| Op::SetAttrValue { node, value }),
+        (any::<usize>(), 0u8..8).prop_map(|(node, text)| Op::SetText { node, text }),
         any::<usize>().prop_map(Op::Detach),
         (any::<usize>(), 0u8..20).prop_map(|(node, name)| Op::Rename { node, name }),
         any::<usize>().prop_map(Op::DeepCopy),
         (any::<usize>(), any::<usize>()).prop_map(|(node, anchor)| Op::MoveAfter { node, anchor }),
+    ]
+}
+
+/// [`op_strategy`] plus the two collections. Scripts drawn from this
+/// one retire nodes, so the pool they leave behind holds dangling ids.
+fn gc_op_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        op_strategy(),
+        op_strategy(),
+        op_strategy(),
+        proptest::collection::vec(any::<usize>(), 0..4).prop_map(Op::CollectGarbage),
+        (
+            proptest::collection::vec(any::<usize>(), 0..6),
+            any::<usize>()
+        )
+            .prop_map(|(candidates, root)| Op::ReclaimUnreachable { candidates, root }),
     ]
 }
 
@@ -54,6 +105,15 @@ fn run_script(ops: &[Op]) -> (Store, Vec<NodeId>) {
     let mut store = Store::new();
     let mut nodes: Vec<NodeId> = vec![store.new_element(QName::local("root"))];
     for op in ops {
+        run_op(&mut store, &mut nodes, op);
+    }
+    (store, nodes)
+}
+
+/// Execute one scripted operation against `store`, growing the pool
+/// `nodes` with whatever it allocates.
+fn run_op(store: &mut Store, nodes: &mut Vec<NodeId>, op: &Op) {
+    {
         let pick = |i: usize| nodes[i % nodes.len()];
         match op {
             Op::NewElement(n) => nodes.push(store.new_element(QName::local(format!("e{n}")))),
@@ -73,6 +133,9 @@ fn run_script(ops: &[Op]) -> (Store, Vec<NodeId>) {
             }
             Op::SetAttrValue { node, value } => {
                 let _ = store.set_attribute_value(pick(*node), format!("v{value}"));
+            }
+            Op::SetText { node, text } => {
+                let _ = store.set_text(pick(*node), format!("t{text}"));
             }
             Op::Detach(n) => {
                 let _ = store.detach(pick(*n));
@@ -94,9 +157,91 @@ fn run_script(ops: &[Op]) -> (Store, Vec<NodeId>) {
                     }
                 }
             }
+            Op::CollectGarbage(roots) => {
+                let roots: Vec<NodeId> = roots.iter().map(|&r| pick(r)).chain([nodes[0]]).collect();
+                let _ = store.collect_garbage(&roots);
+            }
+            Op::ReclaimUnreachable { candidates, root } => {
+                let candidates: Vec<NodeId> = candidates.iter().map(|&c| pick(c)).collect();
+                let _ = store.reclaim_unreachable(&candidates, &[pick(*root), nodes[0]]);
+            }
         }
     }
-    (store, nodes)
+}
+
+/// One step of a framed script: an operation, or a frame boundary.
+#[derive(Debug, Clone)]
+enum Step {
+    Op(Op),
+    Begin,
+    Commit,
+    Rollback,
+    /// A durable commit point (`wal_commit`; nothing on a plain store).
+    Sync,
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    (0u8..12, gc_op_strategy()).prop_map(|(pick, op)| match pick {
+        0 | 1 => Step::Begin,
+        2 => Step::Commit,
+        3 => Step::Rollback,
+        4 => Step::Sync,
+        _ => Step::Op(op),
+    })
+}
+
+/// Execute a framed script. Closing steps with no frame open are
+/// skipped; frames still open at the end commit.
+fn run_steps(store: &mut Store, nodes: &mut Vec<NodeId>, steps: &[Step]) {
+    let base = store.frame_depth();
+    for step in steps {
+        match step {
+            Step::Op(op) => run_op(store, nodes, op),
+            Step::Begin => store.begin_frame(),
+            Step::Commit if store.frame_depth() > base => store.commit_frame(),
+            Step::Rollback if store.frame_depth() > base => store.rollback_frame(),
+            Step::Commit | Step::Rollback => {}
+            Step::Sync => {
+                store.wal_commit().unwrap();
+            }
+        }
+    }
+    while store.frame_depth() > base {
+        store.commit_frame();
+    }
+}
+
+/// The alive pool nodes in document order: equal sequences on two stores
+/// mean the order keys agree wherever they are observable.
+fn doc_order(store: &Store, nodes: &[NodeId]) -> Vec<NodeId> {
+    let mut alive: Vec<NodeId> = nodes
+        .iter()
+        .copied()
+        .filter(|&n| store.is_alive(n))
+        .collect();
+    store.sort_and_dedup(&mut alive).unwrap();
+    alive
+}
+
+/// A fresh directory for one durable case.
+fn temp_dir(tag: &str) -> std::path::PathBuf {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static SEQ: AtomicUsize = AtomicUsize::new(0);
+    let n = SEQ.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("xqb_pstore_{}_{tag}_{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Reopen the durable store at `dir` (removing it afterwards): the log
+/// must replay whole.
+fn reopened_fingerprint(dir: &std::path::Path) -> u64 {
+    let (store, report) = Store::open_durable(dir, SyncMode::Off).unwrap();
+    assert_eq!(report.tail_dropped, 0, "report: {report:?}");
+    let fp = store.fingerprint();
+    drop(store);
+    let _ = std::fs::remove_dir_all(dir);
+    fp
 }
 
 /// Every node is alive, and parent/child links agree both ways.
@@ -152,7 +297,7 @@ proptest! {
     // the incrementally-maintained index plane holds exactly the
     // entries a from-scratch rebuild would.
     #[test]
-    fn index_matches_from_scratch_rebuild(ops in proptest::collection::vec(op_strategy(), 0..80)) {
+    fn index_matches_from_scratch_rebuild(ops in proptest::collection::vec(gc_op_strategy(), 0..80)) {
         let (store, _) = run_script(&ops);
         prop_assert!(store.index_verify(), "index diverged from rebuild");
     }
@@ -187,6 +332,71 @@ proptest! {
         // outcome must leave the index rebuild-equivalent.
         let _ = apply_delta(&mut store, delta, mode, 7);
         prop_assert!(store.index_verify(), "index diverged after Δ in {mode:?}");
+    }
+
+    // The mutation chokepoint's contract, for every op form at once: one
+    // random script under random nested frames is (a) undone exactly by a
+    // rollback, (b) reproduced by its redo log, and (c) reproduced by
+    // rebasing its captured Δ — onto a durable base, whose own log then
+    // reproduces the rebase.
+    #[test]
+    fn scripts_round_trip_through_undo_log_and_capture(
+        prefix in proptest::collection::vec(gc_op_strategy(), 0..40),
+        steps in proptest::collection::vec(step_strategy(), 0..80),
+    ) {
+        let (base, pool) = run_script(&prefix);
+
+        // Direct application: the reference outcome.
+        let mut direct = base.clone();
+        let mut direct_pool = pool.clone();
+        run_steps(&mut direct, &mut direct_pool, &steps);
+        prop_assert!(direct.index_verify(), "index diverged on direct application");
+
+        // (a) The whole script inside one frame, rolled back. The
+        // fingerprint covers the free list; the next allocation and the
+        // document order of the survivors pin what it does not.
+        let mut undone = base.clone();
+        undone.begin_frame();
+        run_steps(&mut undone, &mut pool.clone(), &steps);
+        undone.rollback_frame();
+        prop_assert_eq!(undone.fingerprint(), base.fingerprint());
+        prop_assert!(undone.index_verify(), "index diverged after rollback");
+        prop_assert_eq!(doc_order(&undone, &pool), doc_order(&base, &pool));
+        prop_assert_eq!(undone.new_text("probe"), base.clone().new_text("probe"));
+
+        // (b) The same prefix and script on a durable store.
+        let dir = temp_dir("direct");
+        let (mut durable, _) = Store::open_durable(&dir, SyncMode::Off).unwrap();
+        let mut durable_pool = vec![durable.new_element(QName::local("root"))];
+        for op in &prefix {
+            run_op(&mut durable, &mut durable_pool, op);
+        }
+        run_steps(&mut durable, &mut durable_pool, &steps);
+        prop_assert_eq!(durable.fingerprint(), direct.fingerprint());
+        drop(durable);
+        prop_assert_eq!(reopened_fingerprint(&dir), direct.fingerprint());
+
+        // (c) The script captured on a fork of a durable base, then
+        // rebased onto that base.
+        let dir = temp_dir("rebase");
+        let (mut live, _) = Store::open_durable(&dir, SyncMode::Off).unwrap();
+        let mut live_pool = vec![live.new_element(QName::local("root"))];
+        for op in &prefix {
+            run_op(&mut live, &mut live_pool, op);
+        }
+        live.wal_commit().unwrap();
+        let mut fork = live.snapshot();
+        fork.begin_capture(true);
+        run_steps(&mut fork, &mut live_pool, &steps);
+        let delta = fork.take_capture().unwrap();
+        prop_assert_eq!(fork.fingerprint(), direct.fingerprint());
+        live.begin_frame();
+        live.apply_captured(&delta).unwrap();
+        live.commit_frame();
+        prop_assert_eq!(live.fingerprint(), direct.fingerprint());
+        prop_assert!(live.index_verify(), "index diverged after rebase");
+        drop(live);
+        prop_assert_eq!(reopened_fingerprint(&dir), direct.fingerprint());
     }
 
     #[test]

@@ -62,8 +62,8 @@ fn run_mixed_workload(sessions: usize, rounds: usize) -> Server {
                 start.wait();
                 for query in session_script(s, rounds) {
                     // Errored writes are part of the workload; everything
-                    // else must succeed.
-                    let result = session.execute(&query);
+                    // else must succeed, resubmitting on XQB0052.
+                    let result = execute_with_retry(&session, &query);
                     if query.contains("1 div 0") {
                         assert!(result.is_err(), "scripted failure must fail: {query}");
                     } else {
@@ -247,12 +247,16 @@ fn template(t: usize, s: usize, n: usize) -> String {
 /// `replace` on a missing target (template 3 before the session's first
 /// append) fails with a precondition error; both that and XQB0052-after-
 /// exhausted-retries are legitimate schedule outcomes. Re-submitting on
-/// conflict is the documented client contract.
-fn execute_with_retry(session: &xquery_bang::Session, query: &str) {
+/// conflict is the documented client contract: returns the first reply
+/// that is not XQB0052, and panics after 64 of them in a row.
+fn execute_with_retry(
+    session: &xquery_bang::Session,
+    query: &str,
+) -> Result<xquery_bang::Response, Error> {
     for _ in 0..64 {
         match session.execute(query) {
             Err(Error::Eval(e)) if e.code == "XQB0052" => continue,
-            _ => return,
+            other => return other,
         }
     }
     panic!("64 client retries exhausted for {query}");
@@ -271,7 +275,7 @@ fn run_scripted_schedule(scripts: Vec<Vec<usize>>) -> Server {
                 let session = server.open_session().unwrap();
                 start.wait();
                 for (n, t) in script.into_iter().enumerate() {
-                    execute_with_retry(&session, &template(t, s, n));
+                    let _ = execute_with_retry(&session, &template(t, s, n));
                 }
             })
         })
