@@ -947,13 +947,16 @@ impl Engine {
         }
     }
 
-    /// Would `program` run with no store effect at all? True iff the body
-    /// *and* every prolog variable initializer pass the `par_safe`
-    /// judgment (DESIGN.md §9) under this engine's module functions —
-    /// `Effect::Pure` plus transitive structural transparency, which also
-    /// rejects `snap`, tracing, and the par-opaque builtins. This is the
-    /// server's snapshot-read gate: a query that passes may execute
-    /// against a pinned snapshot instead of the serialized writer.
+    /// Would `program` leave the committed store as it found it? True iff
+    /// the body *and* every prolog variable initializer pass the
+    /// [`crate::par::within_ceiling`] judgment (DESIGN.md §9) at
+    /// [`Effect::Alloc`](crate::Effect::Alloc) under this engine's module
+    /// functions: no update request is emitted or applied, and the
+    /// transitive transparency walk finds no `snap`, tracing or par-opaque
+    /// builtin. Node construction is allowed — this is the server's
+    /// snapshot-read gate, and a query that passes executes on a private
+    /// COW fork of a pinned snapshot, where the nodes it allocates die
+    /// with the fork instead of being committed.
     pub fn is_read_only(&self, program: &CoreProgram) -> bool {
         read_only_with(&self.module_functions, program)
     }
@@ -993,8 +996,9 @@ impl EngineSnapshot {
     /// the snapshotted store, bindings, and module functions; it carries
     /// no WAL (reads are never durable events) and a fresh plan cache —
     /// install a [`planner::SharedPlanCache`] to share plans across
-    /// forks. Pure queries leave the forked store untouched; even a
-    /// mutating run could only ever touch the fork's private pages.
+    /// forks. Pure queries leave the forked store untouched; a
+    /// constructing or mutating run only ever touches the fork's private
+    /// pages, which are dropped with it.
     pub fn reader(&self) -> Engine {
         Engine {
             store: self.store.snapshot(),
@@ -1074,8 +1078,8 @@ impl EngineSnapshot {
 
 /// The shared body of the two `is_read_only` entry points: augment the
 /// program with `modules` (minus shadowed declarations, as
-/// [`Engine::augment`] does) and require `par_safe` of the body and every
-/// prolog variable initializer.
+/// [`Engine::augment`] does) and require the body and every prolog
+/// variable initializer to stay within the `Alloc` ceiling.
 fn read_only_with(modules: &[xqsyn::CoreFunction], program: &CoreProgram) -> bool {
     let mut functions: HashMap<(String, usize), xqsyn::CoreFunction> = modules
         .iter()
@@ -1085,11 +1089,10 @@ fn read_only_with(modules: &[xqsyn::CoreFunction], program: &CoreProgram) -> boo
         functions.insert((f.name.clone(), f.params.len()), f.clone());
     }
     let analysis = crate::effects::EffectAnalysis::for_functions(functions.values());
-    crate::par::par_safe(&program.body, &analysis, &functions)
-        && program
-            .variables
-            .iter()
-            .all(|(_, init)| crate::par::par_safe(init, &analysis, &functions))
+    let reads_only = |e: &xqsyn::Core| {
+        crate::par::within_ceiling(crate::effects::Effect::Alloc, e, &analysis, &functions)
+    };
+    reads_only(&program.body) && program.variables.iter().all(|(_, init)| reads_only(init))
 }
 
 /// Label a planning outcome for the slow-query log and EXPLAIN ANALYZE

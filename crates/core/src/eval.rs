@@ -1017,9 +1017,11 @@ impl Evaluator {
             Core::Call(name, args) => self.eval_call(store, env, name, args),
             Core::ElemCtor { name, content } => {
                 let qname = self.eval_ctor_name(store, env, name)?;
-                let content = self.eval(store, env, content)?;
-                let node = construct_element(store, qname, &content)?;
-                Ok(seq![Item::Node(node)])
+                let mut items = Vec::new();
+                self.eval_content(store, env, content, &mut items)?;
+                let elem = store.new_element(qname);
+                append_content(store, elem, &items, /*allow_attrs=*/ true)?;
+                Ok(seq![Item::Node(elem)])
             }
             Core::AttrCtor { name, content } => {
                 let qname = self.eval_ctor_name(store, env, name)?;
@@ -1044,9 +1046,10 @@ impl Evaluator {
                 Ok(seq![Item::Node(t)])
             }
             Core::DocCtor(content) => {
-                let v = self.eval(store, env, content)?;
+                let mut items = Vec::new();
+                self.eval_content(store, env, content, &mut items)?;
                 let doc = store.new_document();
-                append_content(store, doc, &v, /*allow_attrs=*/ false)?;
+                append_content(store, doc, &items, /*allow_attrs=*/ false)?;
                 Ok(seq![Item::Node(doc)])
             }
             // ---------------- update operators (Appendix B) ----------------
@@ -1158,6 +1161,11 @@ impl Evaluator {
             }
             Core::Copy(e) => {
                 let v = self.eval(store, env, e)?;
+                // A fresh operand already is the parentless tree nobody
+                // else can reach that the copy would produce.
+                if yields_fresh(e) {
+                    return Ok(v);
+                }
                 let mut out = Sequence::with_capacity(v.len());
                 for it in v {
                     out.push(match it {
@@ -1285,6 +1293,34 @@ impl Evaluator {
             .ok_or_else(|| XdmError::value("XQDY0074", format!("invalid QName \"{s}\"")))
     }
 
+    /// Evaluate constructor content, pairing every item with whether the
+    /// sub-expression that produced it [`yields_fresh`] — the items
+    /// [`append_content`] may adopt instead of copying. Sequences are
+    /// flattened however deeply they nest and freshness is judged per
+    /// leaf member, so `<a>{$x, <b/>}</a>` copies `$x` and adopts `<b/>`
+    /// whether the enclosed expression arrives as a nested `Seq` (the
+    /// interpreter) or spliced into the content (the plan rewriter).
+    /// Members evaluate left to right and are charged against the memory
+    /// budget as `Core::Seq` charges its own.
+    fn eval_content(
+        &mut self,
+        store: &mut Store,
+        env: &mut DynEnv,
+        content: &Core,
+        out: &mut Vec<(Item, bool)>,
+    ) -> XdmResult<()> {
+        if let Core::Seq(members) = content {
+            return members
+                .iter()
+                .try_for_each(|e| self.eval_content(store, env, e, out));
+        }
+        let fresh = yields_fresh(content);
+        let v = self.eval(store, env, content)?;
+        self.guard.charge(v.len() as u64)?;
+        out.extend(v.into_iter().map(|it| (it, fresh)));
+        Ok(())
+    }
+
     /// Positional predicate filtering (XPath semantics): a numeric
     /// predicate value tests the context position; anything else is an
     /// effective-boolean-value test.
@@ -1331,8 +1367,9 @@ impl Evaluator {
 }
 
 /// Turn an insert/replace source sequence into parentless nodes: node items
-/// pass through (they are fresh copies — normalization wrapped the source
-/// in `copy`), and atomic items become text nodes with adjacent atomics
+/// pass through (they are fresh — normalization wrapped the source in
+/// `copy`, which copies whatever [`yields_fresh`] does not vouch for), and
+/// atomic items become text nodes with adjacent atomics
 /// space-joined, mirroring element-construction content semantics. The
 /// paper's §2.5 counter relies on this: `replace {$d/text()} with {$d + 1}`
 /// replaces a text node with the *number* `$d + 1`.
@@ -1550,20 +1587,40 @@ pub(crate) fn resolve_test(store: &Store, test: &NodeTest) -> KernelTest {
     }
 }
 
-/// XQuery 1.0 element-construction semantics for a content sequence:
-/// attribute nodes (which must precede other content) are copied and
-/// attached; nodes are deep-copied in; adjacent atomics become a single
-/// space-separated text node.
-fn construct_element(store: &mut Store, name: QName, content: &[Item]) -> XdmResult<NodeId> {
-    let elem = store.new_element(name);
-    append_content(store, elem, content, /*allow_attrs=*/ true)?;
-    Ok(elem)
+/// Is every node `e` evaluates to **fresh**: allocated by this very
+/// evaluation, parentless, and denoted by no variable, path or Δ entry —
+/// so that attaching it somewhere is indistinguishable from attaching a
+/// deep copy of it (DESIGN.md §15)? Judged by syntax alone: element,
+/// attribute and text constructors and `copy {}` are fresh; a sequence, a
+/// `for`/`let` body and a conditional (hence a `where`) are fresh when all
+/// their value positions are. A variable, path step or function call never
+/// is — its nodes may be reachable under another name — and neither is a
+/// document constructor, whose node contributes its *children* to
+/// enclosing content. The only two consumers are `Core::Copy` and
+/// [`append_content`].
+fn yields_fresh(e: &Core) -> bool {
+    match e {
+        Core::ElemCtor { .. } | Core::AttrCtor { .. } | Core::TextCtor(_) | Core::Copy(_) => true,
+        Core::Seq(members) => members.iter().all(yields_fresh),
+        Core::For { body, .. } | Core::SortedFor { body, .. } | Core::Let { body, .. } => {
+            yields_fresh(body)
+        }
+        Core::If(_, then, els) => yields_fresh(then) && yields_fresh(els),
+        _ => false,
+    }
 }
 
+/// XQuery 1.0 construction semantics for a content sequence: attribute
+/// nodes (which must precede other content) are attached; other nodes
+/// become children, a document node contributing its children; adjacent
+/// atomics become a single space-separated text node. Every node goes in
+/// as a deep copy — the implicit copy that keeps trees single-parented —
+/// except those flagged fresh ([`yields_fresh`]), which are adopted as
+/// they are: a constructed tree of *n* nodes costs *n* allocations.
 fn append_content(
     store: &mut Store,
     parent: NodeId,
-    content: &[Item],
+    content: &[(Item, bool)],
     allow_attrs: bool,
 ) -> XdmResult<()> {
     let mut text_acc: Vec<String> = Vec::new();
@@ -1577,12 +1634,19 @@ fn append_content(
         }
         Ok(())
     };
-    for it in content {
+    let own = |store: &mut Store, n: NodeId, fresh: bool| -> XdmResult<NodeId> {
+        if fresh {
+            Ok(n)
+        } else {
+            store.deep_copy(n)
+        }
+    };
+    for (it, fresh) in content {
         match it {
             Item::Atomic(a) => text_acc.push(a.string_value()),
             Item::Node(n) => {
                 flush(store, &mut text_acc, &mut seen_content)?;
-                match store.kind(*n)?.clone() {
+                match store.kind(*n)? {
                     NodeKind::Attribute { .. } => {
                         if !allow_attrs {
                             return Err(XdmError::type_error("attribute node in document content"));
@@ -1593,20 +1657,22 @@ fn append_content(
                                 "attribute constructor after non-attribute content",
                             ));
                         }
-                        let copy = store.deep_copy(*n)?;
-                        store.attach_attribute(parent, copy)?;
+                        let attr = own(store, *n, *fresh)?;
+                        store.attach_attribute(parent, attr)?;
                     }
                     NodeKind::Document { children } => {
-                        // A document node contributes its children.
-                        for c in children {
+                        // A document node contributes its children, always
+                        // as copies: adopting them would mean detaching
+                        // them from their document first.
+                        for c in children.clone() {
                             let copy = store.deep_copy(c)?;
                             store.append_child(parent, copy)?;
                         }
                         seen_content = true;
                     }
                     _ => {
-                        let copy = store.deep_copy(*n)?;
-                        store.append_child(parent, copy)?;
+                        let child = own(store, *n, *fresh)?;
+                        store.append_child(parent, child)?;
                         seen_content = true;
                     }
                 }

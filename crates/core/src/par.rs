@@ -6,12 +6,14 @@
 //! parallelism. This module supplies the three pieces the evaluator and
 //! the plan executor share:
 //!
-//! * the **gate** ([`par_safe`]): a loop body may fan out only when the
-//!   effect lattice rates it `Pure` *and* a structural walk (transitive
-//!   through called functions) finds no construct the rating hides —
-//!   `fn:parse-xml` allocates store nodes behind its read-only rating,
-//!   `fn:trace` has observable output order, and a `snap` over pure code
-//!   draws seeds and bumps snap statistics;
+//! * the **gate** ([`within_ceiling`]; [`par_safe`] is its `Pure`
+//!   instance): a loop body may fan out only when the effect lattice rates
+//!   it `Pure` *and* a structural walk (transitive through called
+//!   functions) finds no construct the rating hides — `fn:parse-xml`
+//!   allocates store nodes behind its read-only rating, `fn:trace` has
+//!   observable output order, and a `snap` over pure code draws seeds and
+//!   bumps snap statistics. The server's snapshot-read gate is the same
+//!   judgment with the ceiling at `Alloc`;
 //! * the **pure evaluator** ([`eval_pure`]): the `Pure` subset of the
 //!   dynamic semantics over a *shared* `&Store`, so workers need no store
 //!   locking at all (the store has no interior mutability; see the
@@ -66,23 +68,41 @@ pub fn threads_from_env() -> usize {
         .unwrap_or(1)
 }
 
-/// May `body` be evaluated by parallel workers sharing `&Store`? Requires
-/// the effect rating `Pure` (so the body neither allocates, nor appends
-/// update requests, nor applies them) **and** structural transparency
-/// ([`par_transparent`]) transitively through every user function the body
-/// can call. This is the single safety judgment every layer (interpreter
-/// loop, plan executor, join sides) consults — the E8 purity guard,
-/// reused and sharpened.
+/// The one safety judgment every gate consults (the E8 purity guard,
+/// reused and sharpened): `body`'s effect rating is at most `ceiling`
+/// **and** it is structurally transparent ([`par_transparent`])
+/// transitively through every user function it can call. Two ceilings are
+/// in use:
+///
+/// * [`Effect::Pure`] — worker fan-out ([`par_safe`]): workers share
+///   `&Store`, so the body may not even allocate;
+/// * [`Effect::Alloc`] — the server's snapshot-read gate
+///   (`Engine::is_read_only`): the request owns a private COW fork, so
+///   constructing nodes is harmless — they die with the fork — while
+///   emitting or applying update requests is still a write.
+pub fn within_ceiling(
+    ceiling: Effect,
+    body: &Core,
+    analysis: &EffectAnalysis,
+    funcs: &HashMap<(String, usize), CoreFunction>,
+) -> bool {
+    if analysis.effect(body) > ceiling {
+        return false;
+    }
+    let mut visited: HashSet<(String, usize)> = HashSet::new();
+    transparent_rec(body, funcs, &mut visited)
+}
+
+/// May `body` be evaluated by parallel workers sharing `&Store`?
+/// [`within_ceiling`] at [`Effect::Pure`]: the body neither allocates, nor
+/// appends update requests, nor applies them. Every fan-out layer
+/// (interpreter loop, plan executor, join sides) asks this.
 pub fn par_safe(
     body: &Core,
     analysis: &EffectAnalysis,
     funcs: &HashMap<(String, usize), CoreFunction>,
 ) -> bool {
-    if analysis.effect(body) != Effect::Pure {
-        return false;
-    }
-    let mut visited: HashSet<(String, usize)> = HashSet::new();
-    transparent_rec(body, funcs, &mut visited)
+    within_ceiling(Effect::Pure, body, analysis, funcs)
 }
 
 fn transparent_rec(
@@ -106,7 +126,7 @@ fn transparent_rec(
             }
         }
         // Unknown non-builtins were already rated Effectful by the
-        // analysis, so par_safe rejected them before reaching here.
+        // analysis, so the ceiling rejected them before reaching here.
     }
     true
 }
@@ -115,7 +135,7 @@ fn transparent_rec(
 /// ([`functions::is_par_opaque`]) and no `snap` (even over pure code a
 /// snap draws an application seed and counts toward the snap statistics,
 /// which must match the sequential run exactly). Does **not** chase user
-/// function calls — [`par_safe`] does.
+/// function calls — [`within_ceiling`] does.
 pub fn par_transparent(expr: &Core) -> bool {
     let mut ok = true;
     expr.walk(&mut |e| match e {
@@ -650,6 +670,10 @@ mod tests {
     use xqsyn::compile;
 
     fn gate(src: &str) -> bool {
+        gate_at(Effect::Pure, src)
+    }
+
+    fn gate_at(ceiling: Effect, src: &str) -> bool {
         let prog = compile(src).expect("compile");
         let analysis = EffectAnalysis::new(&prog);
         let funcs: HashMap<(String, usize), CoreFunction> = prog
@@ -658,7 +682,29 @@ mod tests {
             .map(|f| ((f.name.clone(), f.params.len()), f.clone()))
             .collect();
         // Gate judged on the whole body expression, as a loop body would be.
-        par_safe(&prog.body, &analysis, &funcs)
+        within_ceiling(ceiling, &prog.body, &analysis, &funcs)
+    }
+
+    #[test]
+    fn alloc_ceiling_admits_construction_and_nothing_more() {
+        let alloc = |src| gate_at(Effect::Alloc, src);
+        assert!(alloc("$x/a[@id = 3] + count($y)"));
+        assert!(alloc(
+            "for $p in $s return <item n=\"{$p/@n}\">{ count($p/*) }</item>"
+        ));
+        assert!(alloc("copy { $x }"));
+        assert!(alloc("declare function mk($n) { <e>{$n}</e> }; mk(1)"));
+        // Pending and Effectful stay above the ceiling, constructor or not.
+        assert!(!alloc("insert { <a/> } into { $x }"));
+        assert!(!alloc("(<a/>, snap { delete { $x } })"));
+        // The transparency walk is the same one: snap, tracing and the
+        // par-opaque built-ins are rejected at either ceiling, also behind
+        // a constructor in a function body.
+        assert!(!alloc("snap { <a/> }"));
+        assert!(!alloc("<a>{ parse-xml(\"<b/>\") }</a>"));
+        assert!(!alloc(
+            "declare function mk() { <a>{ snap { 1 } }</a> }; mk()"
+        ));
     }
 
     #[test]

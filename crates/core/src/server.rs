@@ -22,12 +22,14 @@
 //!   conflict-detection snaps, par-opaque builtins) fall back to the
 //!   fully serialized pessimistic path, as does the whole server when
 //!   [`ServerConfig::occ_writers`] is off.
-//! * **Reads run concurrently.** A query proven effect-free by the PR-3
-//!   purity judgment ([`Engine::is_read_only`]) pins the latest epoch and
-//!   executes against a private fork of that snapshot — it never takes
-//!   the engine lock, and commits landing meanwhile cannot move the data
-//!   under it. The pin is released when the request finishes; superseded
-//!   epochs retire as soon as their last pin drops.
+//! * **Reads run concurrently.** A query the PR-3 effect judgment rates
+//!   `Pure` or `Alloc` ([`Engine::is_read_only`]: it emits and applies no
+//!   update request, though it may construct nodes) pins the latest epoch
+//!   and executes against a private fork of that snapshot — it never
+//!   takes the engine lock, commits landing meanwhile cannot move the
+//!   data under it, and whatever it allocated is dropped with the fork.
+//!   The pin is released when the request finishes; superseded epochs
+//!   retire as soon as their last pin drops.
 //! * **Admission is bounded.** Opening a session past `max_sessions` is
 //!   rejected with `XQB0050`; a request past `max_inflight` concurrent
 //!   requests is rejected with `XQB0051` (backpressure — the client
@@ -138,9 +140,10 @@ impl Default for ServerConfig {
 /// How a request was routed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestKind {
-    /// Proven pure: ran against a pinned snapshot, engine lock untouched.
+    /// Proven to request no update (`Pure` or `Alloc`): ran against a
+    /// pinned snapshot, engine lock untouched, nothing committed.
     Read,
-    /// Possibly effectful: serialized through the engine mutex + WAL.
+    /// May emit or apply updates: committed through the engine mutex + WAL.
     Write,
 }
 
@@ -549,12 +552,13 @@ impl Session {
 
     /// Parse, route, and run one query.
     ///
-    /// Routing: a query whose body and prolog initializers are provably
-    /// pure executes as a [`RequestKind::Read`] against the pinned latest
-    /// snapshot, concurrently with other reads and with the writer.
-    /// Anything else executes as a [`RequestKind::Write`] under the
-    /// engine mutex and publishes a new epoch — even when it returns an
-    /// error, since snaps closed before an error are commitment (§2.3).
+    /// Routing: a query whose body and prolog initializers provably
+    /// request no update — node construction included, allocation alone
+    /// is not a commit — executes as a [`RequestKind::Read`] against the
+    /// pinned latest snapshot, concurrently with other reads and with the
+    /// writer. Anything else executes as a [`RequestKind::Write`] and
+    /// publishes a new epoch — even when it returns an error, since snaps
+    /// closed before an error are commitment (§2.3).
     pub fn execute(&self, query: &str) -> Result<Response, Error> {
         let _slot = InflightSlot::admit(&self.inner)?;
         let program = {
@@ -564,7 +568,7 @@ impl Session {
         };
         // Classify against the latest snapshot's module functions — no
         // engine lock. A commit between classification and execution is
-        // harmless: purity depends only on the function bodies, and
+        // harmless: the rating depends only on the function bodies, and
         // module registration goes through `with_engine` (the writer).
         let pin = self.inner.versions.pin_latest();
         self.inner
@@ -936,24 +940,135 @@ mod tests {
         }
     }
 
+    // `stats_reflect_traffic` lives in tests/server_stats.rs: the counters
+    // are process-global, so the exact before/after deltas it pins need a
+    // process in which no sibling test runs a server.
+
+    // -----------------------------------------------------------------
+    // Routing by effect ceiling (DESIGN.md §9, §15)
+    // -----------------------------------------------------------------
+
+    /// A server over a fresh durable store at a unique temp directory,
+    /// `$doc` bound to `xml`.
+    fn durable_server(tag: &str, xml: &str) -> (Server, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("xqb_srv_{}_{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut e = Engine::new();
+        e.open_store(&dir).unwrap();
+        e.load_document("doc", xml).unwrap();
+        (Server::new(e), dir)
+    }
+
+    fn wal_len(dir: &std::path::Path) -> u64 {
+        std::fs::metadata(dir.join("wal.log")).unwrap().len()
+    }
+
+    /// Everything a commit would move: epoch, live node count, live
+    /// fingerprint, log size.
+    fn committed_state(server: &Server, dir: &std::path::Path) -> (u64, usize, u64, u64) {
+        let engine = server.inner.engine.lock().unwrap();
+        (
+            server.epoch(),
+            engine.store.len(),
+            engine.store.fingerprint(),
+            wal_len(dir),
+        )
+    }
+
+    const CONSTRUCT: &str =
+        "for $e in $doc/log/e return <item n=\"{$e/@n}\">{ count($e/*) }</item>";
+
     #[test]
-    fn stats_reflect_traffic() {
-        let server = server_with_doc();
-        let before = server.stats();
+    fn alloc_programs_are_snapshot_reads() {
+        let (server, dir) = durable_server("alloc", "<log><e n=\"1\"/><e n=\"2\"><x/></e></log>");
         let s = server.open_session().unwrap();
-        s.execute("1 + 1").unwrap();
-        s.execute("insert { <e/> } into { $doc/log }").unwrap();
-        let after = server.stats();
-        assert_eq!(after.reads, before.reads + 1);
-        assert_eq!(after.writes, before.writes + 1);
-        assert_eq!(after.inflight, 0);
-        assert_eq!(after.snapshot_pins, 0);
-        assert!(after.epoch > before.epoch);
-        let json = after.to_json();
-        assert!(json.starts_with("{\"epoch\":"));
-        assert!(json.contains("\"read_p50_ns\":"));
-        assert!(json.contains("\"conflicts\":"));
-        assert!(json.contains("\"retries\":"));
+        let before = committed_state(&server, &dir);
+        let r = s.execute(CONSTRUCT).unwrap();
+        assert_eq!(r.kind, RequestKind::Read);
+        assert_eq!(r.epoch, before.0);
+        assert_eq!(r.body, "<item n=\"1\">0</item> <item n=\"2\">1</item>");
+        // The constructed nodes died with the reader's fork: no epoch, no
+        // live node, no log byte.
+        assert_eq!(committed_state(&server, &dir), before);
+        assert!(server.commit_log().is_empty());
+
+        // No writer lock either: the same query answers while it is held.
+        let held = server.inner.engine.lock().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = {
+            let server = server.clone();
+            std::thread::spawn(move || {
+                let s = server.open_session().unwrap();
+                tx.send(s.execute(CONSTRUCT).map(|r| r.kind)).unwrap();
+            })
+        };
+        let kind = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("an Alloc program waited for the writer lock");
+        assert_eq!(kind.unwrap(), RequestKind::Read);
+        drop(held);
+        reader.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn constructing_programs_above_the_ceiling_stay_writes() {
+        let server = server_with_doc();
+        // The snap sits in a *module* function and applies nothing, so
+        // the lattice rates `stamp()` Alloc; only the transparency walk,
+        // chasing the call, sees it.
+        server.with_engine(|e| {
+            e.load_module("declare function stamp() { <at>{ snap { 1 } }</at> };")
+                .unwrap()
+        });
+        let s = server.open_session().unwrap();
+        for (why, query) in [
+            ("Pending", "(insert { <e/> } into { $doc/log }, <ack/>)"),
+            (
+                "Effectful",
+                "(snap insert { <e/> } into { $doc/log }, <ack/>)",
+            ),
+            ("snap behind a constructor", "<r>{ stamp() }</r>"),
+            ("par-opaque builtin", "<r>{ parse-xml(\"<b/>\") }</r>"),
+        ] {
+            let epoch = server.epoch();
+            let r = s.execute(query).unwrap();
+            assert_eq!(r.kind, RequestKind::Write, "{why}: {query}");
+            assert_eq!(r.epoch, epoch + 1, "{why}: {query}");
+        }
+        assert_eq!(s.execute("count($doc/log/e)").unwrap().body, "2");
+    }
+
+    /// The paper's §2 logging call, as `xqbench`'s `log_commit` sends it.
+    #[test]
+    fn logging_commits_leave_no_garbage() {
+        let (server, dir) = durable_server("log", "<log next=\"0\"/>");
+        let s = server.open_session().unwrap();
+        let wal_before = wal_len(&dir);
+        for n in 0..200 {
+            let r = s
+                .execute(&format!(
+                    "let $l := $doc/log let $n := xs:integer($l/@next) return \
+                     (replace value of {{ $l/@next }} with {{ $n + 1 }}, \
+                     insert {{ <entry id=\"{{$n}}\" user=\"person{}\"/> }} into {{ $l }}, $n)",
+                    n % 64
+                ))
+                .unwrap();
+            assert_eq!((r.kind, r.body), (RequestKind::Write, n.to_string()));
+        }
+        let engine = server.inner.engine.lock().unwrap();
+        let doc = engine.binding("doc").unwrap()[0].as_node().unwrap();
+        let stats = engine.store.stats(&[doc]).unwrap();
+        // Document, <log>, @next, then element + two attributes per call.
+        // The deep-copying evaluator left 1 603 alive, 1 000 of them
+        // orphans of the implicit copies.
+        assert_eq!((stats.alive, stats.garbage), (3 + 3 * 200, 0));
+        drop(engine);
+        // Orphans were logged allocations: 400 B per commit before, and
+        // the acceptance line is 40 % under that.
+        let per_commit = (wal_len(&dir) - wal_before) / 200;
+        assert!(per_commit <= 240, "{per_commit} WAL bytes per commit");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     // -----------------------------------------------------------------

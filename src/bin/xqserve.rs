@@ -1,8 +1,9 @@
 //! `xqserve` — the multi-session XQuery! server (docs/SERVER.md).
 //!
-//! One durable store, many concurrent TCP sessions: queries proven pure
-//! run concurrently against a pinned snapshot; everything else serializes
-//! through the engine's undo-journal + WAL commit path.
+//! One durable store, many concurrent TCP sessions: queries proven to
+//! request no update (they may construct nodes) run concurrently against
+//! a pinned snapshot; everything else commits through the engine's
+//! undo-journal + WAL path.
 //!
 //! ```console
 //! $ xqserve --addr 127.0.0.1:7878 --store /var/lib/xqb
@@ -22,14 +23,24 @@
 //! | `PING\n`                      | `OK pong <epoch> 0\n`               |
 //! | `QUIT\n`                      | `BYE 0\n`, connection closes        |
 //! | `SHUTDOWN\n`                  | `BYE 0\n`, whole server stops       |
+//!
+//! A command line longer than [`MAX_LINE_BYTES`] or a `QUERY` body longer
+//! than [`MAX_QUERY_BYTES`] is answered `ERR XQB-PROTO` and the connection
+//! closes: the unread tail cannot be resynchronised.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use xquery_bang::xqcore::Limits;
 use xquery_bang::{ConflictPolicy, Engine, Error, Server, ServerConfig};
+
+/// Longest command line accepted, newline included (`QUERY <len>` needs
+/// under 30 bytes).
+const MAX_LINE_BYTES: usize = 4 << 10;
+/// Largest `QUERY` body accepted.
+const MAX_QUERY_BYTES: usize = 16 << 20;
 
 fn usage() -> &'static str {
     "usage: xqserve [OPTIONS]\n\
@@ -206,8 +217,16 @@ fn handle_connection(
     let mut line = String::new();
     loop {
         line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        // Both reads below are bounded by what the peer may legitimately
+        // send, never by what it claims or withholds.
+        let got = (&mut reader)
+            .take(MAX_LINE_BYTES as u64)
+            .read_line(&mut line)?;
+        if got == 0 {
             return Ok(()); // client hung up
+        }
+        if got == MAX_LINE_BYTES && !line.ends_with('\n') {
+            return frame(&mut stream, "ERR XQB-PROTO", "command line too long");
         }
         let line = line.trim_end();
         if let Some(len) = line.strip_prefix("QUERY ") {
@@ -218,8 +237,15 @@ fn handle_connection(
                     continue;
                 }
             };
-            let mut buf = vec![0u8; len];
-            reader.read_exact(&mut buf)?;
+            if len > MAX_QUERY_BYTES {
+                return frame(&mut stream, "ERR XQB-PROTO", "QUERY body too long");
+            }
+            // The buffer grows with the bytes that actually arrive.
+            let mut buf = Vec::new();
+            (&mut reader).take(len as u64).read_to_end(&mut buf)?;
+            if buf.len() < len {
+                return Err(std::io::ErrorKind::UnexpectedEof.into());
+            }
             let query = match String::from_utf8(buf) {
                 Ok(q) => q,
                 Err(_) => {
@@ -266,9 +292,28 @@ fn handle_connection(
     }
 }
 
+/// Most handler `JoinHandle`s the accept loop has held at once. Bounded by
+/// the connections open at the same time, not by those ever accepted;
+/// `--self-test` checks that after churning connections.
+static PEAK_RETAINED_HANDLES: AtomicUsize = AtomicUsize::new(0);
+
+/// Join, in place, every handler that has already returned.
+fn reap_finished(handles: &mut Vec<std::thread::JoinHandle<()>>) {
+    let mut i = 0;
+    while i < handles.len() {
+        if handles[i].is_finished() {
+            let _ = handles.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
+    }
+}
+
 /// The accept loop: one thread per connection, until `SHUTDOWN` (the
 /// flag is re-checked after every accepted connection; the shutting-down
-/// handler wakes the loop by connecting once).
+/// handler wakes the loop by connecting once). Handlers that have finished
+/// are joined at every accept, so the handles retained are those of live
+/// connections.
 fn serve(listener: TcpListener, server: Server) -> std::io::Result<()> {
     let shutdown = Arc::new(AtomicBool::new(false));
     let addr = listener.local_addr()?;
@@ -278,6 +323,7 @@ fn serve(listener: TcpListener, server: Server) -> std::io::Result<()> {
             break;
         }
         let stream = stream?;
+        reap_finished(&mut handles);
         let server = server.clone();
         let shutdown = shutdown.clone();
         let wake_addr = addr;
@@ -294,6 +340,7 @@ fn serve(listener: TcpListener, server: Server) -> std::io::Result<()> {
                 let _ = TcpStream::connect(wake_addr);
             }
         }));
+        PEAK_RETAINED_HANDLES.fetch_max(handles.len(), Ordering::Relaxed);
     }
     for h in handles {
         let _ = h.join();
@@ -440,7 +487,37 @@ fn self_test(opts: &Options) -> Result<(), String> {
         "connection survives error",
     )?;
 
-    // 4. stats and shutdown.
+    // 4. hostile framing: a length no honest client sends, and a command
+    //    line that never ends. Each is refused with XQB-PROTO and only that
+    //    connection closes; the first session keeps answering.
+    let oversized_line = "A".repeat(MAX_LINE_BYTES);
+    for hostile in ["QUERY 99999999999999\n", oversized_line.as_str()] {
+        let mut h = Client::connect(addr)?;
+        h.stream
+            .write_all(hostile.as_bytes())
+            .map_err(|e| format!("write: {e}"))?;
+        let mut reply = String::new();
+        h.reader
+            .read_to_string(&mut reply)
+            .map_err(|e| format!("hostile connection not closed cleanly: {e}"))?;
+        expect(
+            reply.starts_with("ERR XQB-PROTO "),
+            "hostile framing refused with XQB-PROTO, then closed",
+        )?;
+        let (head, body) = c.query("count($doc/log/e)")?;
+        expect(
+            head[..2] == ["OK", "read"] && body == "11",
+            "other sessions survive hostile framing",
+        )?;
+    }
+
+    // 5. connection churn: handler threads are joined as they finish.
+    for _ in 0..1000 {
+        let (head, _) = Client::connect(addr)?.request("QUIT", None)?;
+        expect(head == ["BYE"], "churned connection quits")?;
+    }
+
+    // 6. stats and shutdown.
     let (head, body) = c.request("STATS", None)?;
     expect(head[..2] == ["OK", "stats"], "stats frame")?;
     expect(
@@ -453,6 +530,11 @@ fn self_test(opts: &Options) -> Result<(), String> {
         .join()
         .map_err(|_| "accept loop panicked")?
         .map_err(|e| e.to_string())?;
+    let peak_retained = PEAK_RETAINED_HANDLES.load(Ordering::Relaxed);
+    expect(
+        peak_retained <= 16,
+        &format!("accept loop retained {peak_retained} thread handles"),
+    )?;
     println!("xqserve self-test: PASS");
     Ok(())
 }

@@ -283,6 +283,54 @@ fn updates_agree_in_all_snap_modes() {
     }
 }
 
+/// ISSUE 14: constructor content and insert/replace sources adopt fresh
+/// trees instead of copying them. Every strategy runs the same evaluator
+/// for constructors, so what this row pins is that adoption composes with
+/// each of them — plan nodes around `Iterate` leaves, index scans feeding
+/// constructor content, worker fan-out of the pure parts — in all three
+/// snap modes (inserts target distinct parents, so conflict-detection
+/// accepts them).
+#[test]
+fn constructors_agree_in_all_snap_modes() {
+    let people: String = std::iter::once("<site>".to_string())
+        .chain(
+            (0..6).map(|i| format!("<person id=\"p{i}\"><name>n{i}</name><age>{i}</age></person>")),
+        )
+        .chain(std::iter::once("</site>".to_string()))
+        .collect();
+    for mode in ["ordered ", "nondeterministic ", "conflict-detection "] {
+        differential(
+            &[("doc", &people)],
+            &["declare function mk($n) { <made n=\"{$n}\">{ for $i in 1 to $n return <i/> }</made> };"],
+            &[
+                // Returned: nested, attributes, text, atomics, copied paths.
+                "for $p in $doc//person
+                 return <row id=\"{$p/@id}\"><n>{ string($p/name) }</n>{ $p/age }</row>",
+                "<a>{ for $i in 1 to 5 where $i mod 2 = 1 return <b n=\"{$i}\">{ $i, $i + 1 }</b> }</a>",
+                "<hit>{ $doc/site/person[@id = \"p3\"]/name }</hit>",
+                // Named nodes are copied, fresh ones adopted, side by side.
+                "let $x := <b/> let $a := <a>{ $x, <c/>, copy { $x }, mk(2) }</a>
+                 return ($a, count($a/b), $a/b[1] is $x, empty($x/..))",
+                // Inserted and replaced.
+                &format!(
+                    "snap {mode}{{
+                       for $p in $doc//person
+                       return insert {{ <seen by=\"{{$p/@id}}\"><n>{{ string($p/name) }}</n></seen> }}
+                              into {{ $p }} }}"
+                ),
+                // (`replace` is insert-after + delete of one node, which only
+                // the ordered mode accepts.)
+                "replace { $doc/site/person[1]/seen }
+                 with { <first>{ $doc/site/person[1]/seen/n }</first> }",
+                "$doc",
+                // Errors raised on adopted content.
+                "<a><b/>{ attribute x { 1 } }</a>",
+                "<a x=\"1\">{ attribute x { 2 } }</a>",
+            ],
+        );
+    }
+}
+
 #[test]
 fn join_inside_snap_agrees() {
     let left = r#"<left><e n="l0" k="k1"/><e n="l1" k="k2"/><e n="l2" k="k1"/></left>"#;

@@ -198,15 +198,16 @@ fn same_script_twice_yields_identical_commit_effects() {
 // Random multi-writer schedules (ISSUE 9): proptest over per-session
 // scripts drawn from a template pool engineered to collide — shared
 // counter read-modify-writes, renames of one node, blind appends,
-// structural replaces, errored commits, and pessimistically-routed
-// nondeterministic snaps. Whatever the interleaving and however many
+// structural replaces, errored commits, pessimistically-routed
+// nondeterministic snaps, and (ISSUE 14) constructors inserted, returned
+// by a write, and returned by a read. Whatever the interleaving and however many
 // OCC retries it forces, the commit log must replay serially.
 // ---------------------------------------------------------------------
 
 /// Query templates; `s`/`n` discriminate the writer and its step so
 /// replay equality is discriminating.
 fn template(t: usize, s: usize, n: usize) -> String {
-    match t % 8 {
+    match t % 11 {
         // Shared-counter increment: reads the counter value every other
         // writer sets — the canonical conflict.
         0 => "replace value of { $doc/site/counter/text() } \
@@ -238,6 +239,22 @@ fn template(t: usize, s: usize, n: usize) -> String {
         // conflicts with appends *and* increments.
         6 => "replace value of { $doc/site/counter/text() } \
               with { $doc/site/counter + count($doc/site/items/item) }"
+            .to_string(),
+        // Constructor-inserting write: a nested fresh tree goes in without
+        // a copy, and its content reads the list every appender writes.
+        7 => format!(
+            "insert {{ <item s=\"{s}\" n=\"{n}\"><seen>{{ count($doc/site/items/item) }}</seen></item> }} \
+             into {{ $doc/site/items }}"
+        ),
+        // A write that also *returns* a constructed tree: the reply's
+        // nodes are committed on the server and the replica alike.
+        8 => format!(
+            "(insert {{ <p s=\"{s}\" n=\"{n}\"/> }} into {{ $doc/site/log }}, \
+             <ack s=\"{s}\">{{ count($doc/site/log/p) }}</ack>)"
+        ),
+        // Constructor-returning query: allocates, so it used to commit;
+        // now a snapshot read that must leave no trace in the log.
+        9 => "for $i in $doc/site/items/item return <row s=\"{$i/@s}\">{ string($i/@n) }</row>"
             .to_string(),
         // Interleaved read (never commits, pins a snapshot mid-schedule).
         _ => "count($doc/site/items/item)".to_string(),
@@ -292,7 +309,7 @@ proptest! {
     #[test]
     fn random_multi_writer_schedules_replay_serially(
         scripts in proptest::collection::vec(
-            proptest::collection::vec(0usize..8, 4..10),
+            proptest::collection::vec(0usize..11, 4..10),
             2..5,
         )
     ) {
@@ -315,6 +332,12 @@ fn read_only_sessions_never_commit() {
     for _ in 0..5 {
         let r = s.execute("count($doc/site/items/item)").unwrap();
         assert_eq!(r.kind, RequestKind::Read);
+        let r = s.execute(&template(9, 0, 0)).unwrap();
+        assert_eq!(
+            r.kind,
+            RequestKind::Read,
+            "construction alone is not a commit"
+        );
     }
     assert_eq!(server.commit_log().len(), 0);
     assert_eq!(server.epoch(), 0);
