@@ -65,6 +65,7 @@ impl Effect {
 
 /// Effect analysis over a program: computes per-function effects by
 /// fixpoint, then answers queries about arbitrary expressions.
+#[derive(Clone)]
 pub struct EffectAnalysis {
     functions: HashMap<(String, usize), Effect>,
 }

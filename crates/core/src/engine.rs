@@ -5,12 +5,11 @@
 //! XQuery! programs (each with its implicit top-level snap), and inspect or
 //! serialize the resulting store.
 
-use crate::env::DynEnv;
+use crate::env::{DynEnv, ProgramEnv, Scope};
 use crate::eval::Evaluator;
 use crate::limits::Limits;
 use crate::obs;
-use crate::planner::{self, CompiledProgram};
-use std::collections::HashMap;
+use crate::planner::{self, CompiledProgram, SharedPlanCache};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -54,52 +53,23 @@ impl From<xqdm::XdmError> for Error {
 
 pub use crate::eval::EvalStats;
 
-/// The most plans the cache keeps before it is wholesale cleared — query
-/// workloads repeat a handful of programs; an unbounded cache would leak
-/// under ad-hoc query streams.
-const PLAN_CACHE_CAP: usize = 32;
-
 /// The XQuery! engine.
 pub struct Engine {
     /// The node store. Public: hosts may construct data directly.
     pub store: Store,
-    bindings: Vec<(String, Sequence)>,
-    /// Functions registered by [`Engine::load_module`], visible to every
-    /// subsequent query (the paper's §2.2 "service calls implemented as
-    /// XQuery functions organized in a module").
-    module_functions: Vec<xqsyn::CoreFunction>,
-    seed: u64,
+    /// Module functions, host bindings and run policy (DESIGN.md §19):
+    /// shared with every snapshot, fork and evaluator made from this
+    /// engine, and edited here — copy-on-write — and nowhere else.
+    env: Arc<ProgramEnv>,
     /// Per-snap seed counter, persisted across runs so nondeterministic
     /// application orders are never replayed between successive queries.
     snap_counter: u64,
-    last_stats: Option<EvalStats>,
-    /// Compile programs through the installed planner (default). Off via
-    /// [`Engine::set_compile`] or the `XQB_INTERPRET` env var.
-    compile_enabled: bool,
-    /// Compiled plans keyed by a fingerprint of the (module-augmented)
-    /// program, so repeated `run` of the same text recompiles nothing.
-    plan_cache: HashMap<(u64, u64), Arc<dyn CompiledProgram>>,
-    /// A cross-session plan cache (ISSUE 8). When installed, it is
-    /// consulted *instead of* the per-engine `plan_cache`, so every
-    /// session sharing it sees every other session's plans.
-    shared_cache: Option<Arc<planner::SharedPlanCache>>,
+    /// Compiled plans by [`Engine::plan_key`]. This engine's own until
+    /// [`Engine::set_shared_plan_cache`] installs another; forks share it.
+    plans: Arc<SharedPlanCache>,
     cache_hits: u64,
     cache_misses: u64,
-    /// Worker-thread budget for effect-free regions (1 = sequential).
-    /// Defaults to `XQB_THREADS`; override with [`Engine::set_threads`].
-    threads: usize,
-    /// Resource limits applied to every run, parse, and document load
-    /// (DESIGN.md §12). Defaults from the `XQB_MAX_DEPTH` / `XQB_FUEL` /
-    /// `XQB_DEADLINE_MS` / `XQB_MEMORY_ITEMS` env vars; override with
-    /// [`Engine::set_limits`].
-    limits: Limits,
-    /// Pre-resolved global-registry handles for the per-run metrics flush.
-    metrics: obs::EngineMetrics,
-    /// Trace-span sink (from `XQB_TRACE` or [`Engine::set_trace`]).
-    trace: Option<Arc<obs::TraceSink>>,
-    /// Slow-query threshold in milliseconds (from `XQB_SLOW_MS` or
-    /// [`Engine::set_slow_query_threshold`]); `None` disables the log.
-    slow_ms: Option<f64>,
+    last_stats: Option<EvalStats>,
     /// Per-node profile of the most recent `explain_analyze` run.
     last_profile: Option<obs::Profile>,
     /// The plan the most recent `explain_analyze` executed (for profile
@@ -122,40 +92,35 @@ impl Default for Engine {
     }
 }
 
+/// What planning a program came to: the plan to execute (`None` means
+/// interpret), the cache key when one was computed, and the outcome token
+/// for the slow-query log and the EXPLAIN ANALYZE totals.
+struct Planned {
+    plan: Option<Arc<dyn CompiledProgram>>,
+    key: Option<(u64, u64)>,
+    cache: &'static str,
+}
+
 impl Engine {
-    /// A fresh engine with an empty store. With `XQB_STORE_PATH` set, the
-    /// durable store at that directory is recovered and attached (a
-    /// failure warns and falls back to in-memory — a bad store file must
-    /// not brick the engine).
+    /// A fresh engine with an empty store. The one place the process
+    /// environment is read: `XQB_THREADS`, the `Limits` variables,
+    /// `XQB_TRACE`, `XQB_SLOW_MS`, `XQB_DURABILITY`, and `XQB_STORE_PATH` —
+    /// with which the durable store at that directory is recovered and
+    /// attached (a failure warns and falls back to in-memory — a bad
+    /// store file must not brick the engine).
     pub fn new() -> Self {
-        let mut engine = Engine {
-            store: Store::new(),
-            bindings: Vec::new(),
-            module_functions: Vec::new(),
-            seed: 0x5eed,
-            snap_counter: 0,
-            last_stats: None,
-            compile_enabled: std::env::var_os("XQB_INTERPRET").is_none(),
-            plan_cache: HashMap::new(),
-            shared_cache: None,
-            cache_hits: 0,
-            cache_misses: 0,
-            threads: crate::par::threads_from_env(),
-            limits: Limits::from_env(),
-            metrics: obs::EngineMetrics::from_global(),
-            trace: obs::TraceSink::from_env(),
-            slow_ms: std::env::var("XQB_SLOW_MS")
-                .ok()
-                .and_then(|v| v.parse().ok()),
-            last_profile: None,
-            last_plan: None,
-            last_run_ns: None,
-            durability: std::env::var("XQB_DURABILITY")
-                .ok()
-                .and_then(|v| SyncMode::parse(&v))
-                .unwrap_or_default(),
-            last_wal: None,
-        };
+        let mut env = ProgramEnv::default();
+        env.limits = Limits::from_env();
+        env.threads = crate::par::threads_from_env();
+        env.trace = obs::TraceSink::from_env();
+        env.slow_ms = std::env::var("XQB_SLOW_MS")
+            .ok()
+            .and_then(|v| v.parse().ok());
+        let mut engine = Engine::over(Store::new(), Arc::new(env), 0, SharedPlanCache::new());
+        engine.durability = std::env::var("XQB_DURABILITY")
+            .ok()
+            .and_then(|v| SyncMode::parse(&v))
+            .unwrap_or_default();
         if let Ok(path) = std::env::var("XQB_STORE_PATH") {
             if !path.is_empty() {
                 if let Err(e) = engine.open_store(&path) {
@@ -169,6 +134,37 @@ impl Engine {
         engine
     }
 
+    /// An engine over `store` with nothing run yet: the shared shape of a
+    /// fresh engine and of a fork ([`EngineSnapshot::reader`]).
+    fn over(
+        store: Store,
+        env: Arc<ProgramEnv>,
+        snap_counter: u64,
+        plans: Arc<SharedPlanCache>,
+    ) -> Engine {
+        Engine {
+            store,
+            env,
+            snap_counter,
+            plans,
+            cache_hits: 0,
+            cache_misses: 0,
+            last_stats: None,
+            last_profile: None,
+            last_plan: None,
+            last_run_ns: None,
+            durability: SyncMode::default(),
+            last_wal: None,
+        }
+    }
+
+    /// The environment, for editing. Copies it first if a snapshot, a fork
+    /// or a running evaluator still shares the current one — they keep
+    /// what they started with.
+    fn env_mut(&mut self) -> &mut ProgramEnv {
+        Arc::make_mut(&mut self.env)
+    }
+
     /// Recover (or create) the durable store at `dir` and attach it: every
     /// subsequent run's committed snaps are flushed to its redo log. The
     /// recovered document roots are bound to `$doc`, `$doc2`, `$doc3`, …
@@ -177,17 +173,19 @@ impl Engine {
     pub fn open_store(&mut self, dir: impl AsRef<Path>) -> XdmResult<RecoveryReport> {
         let (store, report) = Store::open_durable(dir, self.durability)?;
         self.store = store;
-        self.bindings.clear();
-        for (i, root) in self.store.document_roots().into_iter().enumerate() {
+        let roots = self.store.document_roots();
+        let env = self.env_mut();
+        env.clear_bindings();
+        for (i, root) in roots.into_iter().enumerate() {
             let name = if i == 0 {
                 "doc".to_string()
             } else {
                 format!("doc{}", i + 1)
             };
-            self.bindings.push((name, seq![Item::Node(root)]));
+            env.bind(&name, seq![Item::Node(root)]);
         }
-        self.metrics.wal_replayed.add(report.replayed_commits);
-        self.metrics.wal_tail_dropped.add(report.tail_dropped);
+        env.metrics.wal_replayed.add(report.replayed_commits);
+        env.metrics.wal_tail_dropped.add(report.tail_dropped);
         for w in &report.warnings {
             eprintln!("warning: durable store recovery: {w}");
         }
@@ -224,18 +222,16 @@ impl Engine {
         if !self.store.has_wal() || self.store.frame_depth() != 0 {
             return Ok(());
         }
-        let span = self
-            .trace
-            .as_ref()
-            .map(|sink| sink.begin("wal_commit", None));
+        let trace = self.env.trace.as_ref();
+        let span = trace.map(|sink| sink.begin("wal_commit", None));
         let started = Instant::now();
         let committed = self.store.wal_commit();
-        if let (Some(sink), Some(id)) = (&self.trace, span) {
+        if let (Some(sink), Some(id)) = (trace, span) {
             sink.end(id);
         }
         match committed? {
             Some(receipt) => {
-                let m = &self.metrics;
+                let m = &self.env.metrics;
                 m.wal_commits.add(1);
                 m.wal_records.add(receipt.records);
                 m.wal_bytes.add(receipt.bytes);
@@ -247,7 +243,7 @@ impl Engine {
                 self.last_wal = Some((receipt.records, receipt.bytes));
                 if self.store.checkpoint_due() {
                     self.store.checkpoint()?;
-                    self.metrics.wal_checkpoints.add(1);
+                    m.wal_checkpoints.add(1);
                 }
             }
             None => self.last_wal = Some((0, 0)),
@@ -258,55 +254,55 @@ impl Engine {
     /// Attach a trace-span sink (normally set from `XQB_TRACE` at
     /// construction; tests and hosts may install one directly).
     pub fn set_trace(&mut self, sink: Arc<obs::TraceSink>) {
-        self.trace = Some(sink);
+        self.env_mut().trace = Some(sink);
     }
 
     /// Set (or with `None` disable) the slow-query threshold in
     /// milliseconds. Runs at or above it are recorded in the global
     /// registry's slow-query ring and logged as JSON to stderr.
     pub fn set_slow_query_threshold(&mut self, millis: Option<f64>) {
-        self.slow_ms = millis;
+        self.env_mut().slow_ms = millis;
     }
 
     /// Set the worker-thread budget for effect-free regions (see
     /// DESIGN.md §9); 1 disables parallelism. Clamped to
     /// [`crate::par::MAX_THREADS`].
     pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.clamp(1, crate::par::MAX_THREADS);
+        self.env_mut().threads = threads.clamp(1, crate::par::MAX_THREADS);
     }
 
     /// The configured worker-thread budget.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.env.threads
     }
 
     /// Install resource limits (depth, fuel, deadline, memory; DESIGN.md
     /// §12). They apply to every subsequent run, parse, and document load.
     pub fn set_limits(&mut self, limits: Limits) {
-        self.limits = limits;
+        self.env_mut().limits = limits;
     }
 
     /// Builder form of [`Engine::set_limits`].
     pub fn with_limits(mut self, limits: Limits) -> Self {
-        self.limits = limits;
+        self.set_limits(limits);
         self
     }
 
     /// The resource limits in force.
     pub fn limits(&self) -> &Limits {
-        &self.limits
+        &self.env.limits
     }
 
     /// Parse a query under this engine's expression-nesting limit.
     fn compile_source(&self, query: &str) -> Result<CoreProgram, Error> {
-        match xqsyn::compile_with_limit(query, self.limits.max_parse_depth) {
+        match xqsyn::compile_with_limit(query, self.env.limits.max_parse_depth) {
             Ok(p) => Ok(p),
             Err(e) => {
                 // A parser depth trip is a resource-governance event like
                 // any other; the code is embedded in the message because
                 // ParseError carries no code field.
                 if e.message.contains("XQB0040") {
-                    self.metrics.limit_depth.add(1);
+                    self.env.metrics.limit_depth.add(1);
                 }
                 Err(Error::Parse(e))
             }
@@ -325,49 +321,45 @@ impl Engine {
     /// bindings are restored, so no half-loaded module is ever visible.
     pub fn load_module(&mut self, source: &str) -> Result<(), Error> {
         let program = self.compile_source(source)?;
-        let saved_functions = self.module_functions.len();
-        let saved_bindings = self.bindings.clone();
+        let before = self.env.clone();
         // Functions first, so variable initializers may call them (and
         // functions from earlier modules).
-        self.module_functions
-            .extend(program.functions.iter().cloned());
-        let mut evaluator = self.evaluator_for(&program);
+        self.env_mut().declare(&program.functions);
+        let (mut evaluator, _) = self.evaluator(&program);
         let depth = self.store.frame_depth();
         self.store.begin_frame();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut values = Vec::with_capacity(program.variables.len());
             for (name, init) in &program.variables {
                 let mut env = DynEnv::new();
                 let value = evaluator.eval_query(&mut self.store, &mut env, init)?;
                 evaluator.bind_global(name.clone(), value.clone());
-                self.bind(name, value);
+                values.push(value);
             }
-            Ok(())
+            Ok(values)
         }));
         self.snap_counter = evaluator.snap_counter();
-        match outcome {
-            Ok(Ok(())) => {
+        drop(evaluator);
+        let failed = match outcome {
+            Ok(Ok(values)) => {
                 self.store.commit_frame();
+                let env = self.env_mut();
+                for ((name, _), value) in program.variables.iter().zip(values) {
+                    env.bind(name, value);
+                }
                 // Module loads are engine commit points too (their
                 // variable initializers may have updated the store).
-                self.commit_wal().map_err(Error::Eval)?;
-                Ok(())
+                return self.commit_wal().map_err(Error::Eval);
             }
-            Ok(Err(e)) => {
-                self.unwind_frames_to(depth);
-                self.module_functions.truncate(saved_functions);
-                self.bindings = saved_bindings;
-                Err(e)
-            }
-            Err(_panic) => {
-                self.unwind_frames_to(depth);
-                self.module_functions.truncate(saved_functions);
-                self.bindings = saved_bindings;
-                Err(Error::Eval(xqdm::XdmError::new(
-                    "XQB0030",
-                    "evaluation panicked; store rolled back to the pre-load state",
-                )))
-            }
-        }
+            Ok(Err(e)) => e,
+            Err(_panic) => Error::Eval(xqdm::XdmError::new(
+                "XQB0030",
+                "evaluation panicked; store rolled back to the pre-load state",
+            )),
+        };
+        self.unwind_frames_to(depth);
+        self.env = before;
+        Err(failed)
     }
 
     /// Roll back every frame opened at or above `depth` (the innermost
@@ -383,15 +375,10 @@ impl Engine {
     /// Node roots currently referenced by host bindings: the liveness root
     /// set for sweeping orphaned construction nodes after a failed run.
     fn binding_roots(&self) -> Vec<NodeId> {
-        let mut roots = Vec::new();
-        for (_, seq) in &self.bindings {
-            for item in seq {
-                if let Item::Node(n) = item {
-                    roots.push(*n);
-                }
-            }
-        }
-        roots
+        self.env
+            .bindings()
+            .flat_map(|(_, seq)| seq.iter().filter_map(Item::as_node))
+            .collect()
     }
 
     /// Statistics from the most recent successful [`Engine::run`] /
@@ -403,16 +390,19 @@ impl Engine {
 
     /// Fix the seed used for nondeterministic snap application.
     pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.env_mut().seed = seed;
         self
     }
 
     /// Parse an XML document into the store and bind its document node to
     /// `$name`. Returns the document node.
     pub fn load_document(&mut self, name: &str, xml: &str) -> XdmResult<NodeId> {
-        let parsed =
-            xqdm::xml::parse_document_with_limit(&mut self.store, xml, self.limits.max_xml_depth)
-                .inspect_err(|e| self.metrics.note_limit_trip(e.code));
+        let parsed = xqdm::xml::parse_document_with_limit(
+            &mut self.store,
+            xml,
+            self.env.limits.max_xml_depth,
+        )
+        .inspect_err(|e| self.env.metrics.note_limit_trip(e.code));
         // Loading a document is an engine commit point: flush its nodes
         // to the redo log even when the parse failed partway, so a
         // recovered store always matches the in-memory one.
@@ -425,16 +415,12 @@ impl Engine {
 
     /// Bind `$name` to a host-supplied value for subsequent queries.
     pub fn bind(&mut self, name: &str, value: Sequence) {
-        self.bindings.retain(|(n, _)| n != name);
-        self.bindings.push((name.to_string(), value));
+        self.env_mut().bind(name, value);
     }
 
     /// Look up a host binding.
     pub fn binding(&self, name: &str) -> Option<&Sequence> {
-        self.bindings
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v)
+        self.env.binding(name)
     }
 
     /// Parse, normalize and run an XQuery! program against the store.
@@ -457,10 +443,8 @@ impl Engine {
     /// `XQB0030` error is returned: a store that a panicking evaluation was
     /// mutating is not trusted as commitment.
     pub fn run_program(&mut self, program: &CoreProgram) -> XdmResult<Sequence> {
-        let hits_before = self.cache_hits;
-        let compiled = self.plan_for(program);
-        let cache = cache_outcome(&compiled, self.cache_hits > hits_before);
-        self.execute_program(compiled, program, false, cache)
+        let planned = self.plan_for(program);
+        self.execute_program(planned, program, false)
     }
 
     /// Run `program` inside the PR-1 panic/undo frame, flushing run
@@ -470,14 +454,19 @@ impl Engine {
     /// and [`Engine::explain_analyze`].
     fn execute_program(
         &mut self,
-        compiled: Option<Arc<dyn CompiledProgram>>,
+        planned: Planned,
         program: &CoreProgram,
         profile: bool,
-        cache: &'static str,
     ) -> XdmResult<Sequence> {
-        let mut evaluator = self.evaluator_for(program);
-        let run_span = self.trace.as_ref().map(|sink| sink.begin("run", None));
-        if let Some(sink) = &self.trace {
+        let Planned {
+            plan: compiled,
+            key,
+            cache,
+        } = planned;
+        let (mut evaluator, _) = self.evaluator(program);
+        let trace = self.env.trace.clone();
+        let run_span = trace.as_ref().map(|sink| sink.begin("run", None));
+        if let Some(sink) = &trace {
             evaluator.set_trace(sink.clone(), run_span);
         }
         if profile {
@@ -496,7 +485,7 @@ impl Engine {
             }
         }));
         let elapsed = started.elapsed();
-        if let (Some(sink), Some(id)) = (&self.trace, run_span) {
+        if let (Some(sink), Some(id)) = (&trace, run_span) {
             sink.end(id);
             sink.flush();
         }
@@ -557,9 +546,9 @@ impl Engine {
         if let Err(e) = &result {
             // Resource-governance trips get their own counters on top of
             // the generic engine.errors bump in finish_run.
-            self.metrics.note_limit_trip(e.code);
+            self.env.metrics.note_limit_trip(e.code);
         }
-        self.finish_run(program, run_stats, elapsed, result.is_err(), cache);
+        self.finish_run(program, key, cache, run_stats, elapsed, result.is_err());
         result
     }
 
@@ -570,14 +559,15 @@ impl Engine {
     fn finish_run(
         &mut self,
         program: &CoreProgram,
+        key: Option<(u64, u64)>,
+        cache: &'static str,
         stats: Option<EvalStats>,
         elapsed: Duration,
         errored: bool,
-        cache: &'static str,
     ) {
         let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
         self.last_run_ns = Some(ns);
-        let m = &self.metrics;
+        let m = &self.env.metrics;
         m.runs.add(1);
         if errored {
             m.errors.add(1);
@@ -597,20 +587,24 @@ impl Engine {
             m.idx_hits.add(s.idx_hits);
         }
         let millis = elapsed.as_secs_f64() * 1e3;
-        if let Some(threshold) = self.slow_ms {
-            if millis >= threshold {
-                // The fingerprint is only computed on this (rare) path.
-                let (h1, h2) = fingerprint(&self.augment(program.clone()));
-                obs::global().record_slow(obs::SlowQuery {
-                    fingerprint: format!("{h1:016x}{h2:016x}"),
-                    millis,
-                    cache,
-                    snap_mode: "ordered",
-                    threads: self.threads,
-                    snaps_closed: stats.map_or(0, |s| s.snaps_closed),
-                    requests_applied: stats.map_or(0, |s| s.requests_applied),
-                });
-            }
+        if self
+            .env
+            .slow_ms
+            .is_some_and(|threshold| millis >= threshold)
+        {
+            // An interpreted run looked nothing up, so it has no key yet;
+            // it is only computed on this (rare) path.
+            let (h1, h2) = key.unwrap_or_else(|| self.plan_key(program));
+            m.slow_queries.add(1);
+            obs::global().record_slow(obs::SlowQuery {
+                fingerprint: format!("{h1:016x}{h2:016x}"),
+                millis,
+                cache,
+                snap_mode: "ordered",
+                threads: self.env.threads,
+                snaps_closed: stats.map_or(0, |s| s.snaps_closed),
+                requests_applied: stats.map_or(0, |s| s.requests_applied),
+            });
         }
     }
 
@@ -628,28 +622,26 @@ impl Engine {
         let program = self.compile_source(query)?;
         self.last_profile = None;
         self.last_plan = None;
-        let (compiled, cache) = if self.compile_enabled {
-            let hits_before = self.cache_hits;
-            let plan = self.plan_for(&program);
-            (
-                plan.clone(),
-                cache_outcome(&plan, self.cache_hits > hits_before),
-            )
+        let planned = if self.env.compile {
+            self.plan_for(&program)
         } else {
-            let plan = planner::default_planner()
-                .map(|p| p.plan_structural(&self.augment(program.clone())));
-            (plan, "uncompiled")
+            Planned {
+                plan: planner::default_planner().map(|p| p.plan_structural(&self.linked(&program))),
+                key: None,
+                cache: "uncompiled",
+            }
         };
-        let mode = match (&compiled, self.compile_enabled) {
+        let mode = match (&planned.plan, self.env.compile) {
             (Some(_), true) => "compiled",
             (Some(_), false) => "interpreted",
             (None, _) => "uninstrumented",
         };
-        let value = self.execute_program(compiled, &program, true, cache)?;
+        let cache = planned.cache;
+        let value = self.execute_program(planned, &program, true)?;
         let profile = self.last_profile.clone().unwrap_or_default();
         let tree = match &self.last_plan {
             Some(plan) => plan.explain_analyzed(&profile),
-            None => planner::render_unoptimized(&self.augment(program.clone())),
+            None => planner::render_unoptimized(&program),
         };
         let stats = self.last_stats.unwrap_or_default();
         let mut totals = format!(
@@ -664,7 +656,7 @@ impl Engine {
             stats.joins_executed,
             stats.par_regions,
             stats.par_items,
-            self.threads,
+            self.env.threads,
         );
         // Index scans only show when the executor actually chose one, so
         // index-free runs keep their historical totals line.
@@ -699,76 +691,90 @@ impl Engine {
     }
 
     /// Plan `program` through the installed planner, consulting the plan
-    /// cache first. `None` means "interpret": compilation disabled, or no
+    /// cache first. No plan means "interpret": compilation disabled, or no
     /// planner installed (bare `xqcore` without the facade).
-    fn plan_for(&mut self, program: &CoreProgram) -> Option<Arc<dyn CompiledProgram>> {
-        if !self.compile_enabled {
-            return None;
-        }
-        let planner = planner::default_planner()?;
-        let augmented = self.augment(program.clone());
-        let opts = planner::PlanOptions {
-            index_available: self.store.index_enabled(),
+    fn plan_for(&mut self, program: &CoreProgram) -> Planned {
+        let Some(planner) = planner::default_planner().filter(|_| self.env.compile) else {
+            return Planned {
+                plan: None,
+                key: None,
+                cache: "uncompiled",
+            };
         };
-        let key = plan_key(fingerprint(&augmented), &opts, self.store.index_epoch());
-        // The shared cross-session cache, when installed, replaces the
-        // per-engine map entirely (one cache, one source of truth — the
-        // hit/miss counters of both layers stay coherent).
-        if let Some(shared) = &self.shared_cache {
-            if let Some(plan) = shared.get(key) {
+        let key = self.plan_key(program);
+        let (plan, cache) = match self.plans.get(key) {
+            Some(plan) => {
                 self.cache_hits += 1;
-                self.metrics.cache_hits.add(1);
-                return Some(plan);
+                self.env.metrics.cache_hits.add(1);
+                (plan, "hit")
             }
-        } else if let Some(plan) = self.plan_cache.get(&key) {
-            self.cache_hits += 1;
-            self.metrics.cache_hits.add(1);
-            return Some(plan.clone());
-        }
-        self.cache_misses += 1;
-        self.metrics.cache_misses.add(1);
-        let span = self.trace.as_ref().map(|sink| sink.begin("plan", None));
-        let plan = planner.plan_opts(&augmented, &opts);
-        if let (Some(sink), Some(id)) = (&self.trace, span) {
-            sink.end(id);
-        }
-        match &self.shared_cache {
-            Some(shared) => shared.insert(key, plan.clone()),
             None => {
-                if self.plan_cache.len() >= PLAN_CACHE_CAP {
-                    self.plan_cache.clear();
+                self.cache_misses += 1;
+                self.env.metrics.cache_misses.add(1);
+                let trace = self.env.trace.as_ref();
+                let span = trace.map(|sink| sink.begin("plan", None));
+                // Only a miss pays for the closed program the planner
+                // needs; a hit never copies a module function.
+                let plan = planner.plan(&self.linked(program), &self.plan_options());
+                if let (Some(sink), Some(id)) = (trace, span) {
+                    sink.end(id);
                 }
-                self.plan_cache.insert(key, plan.clone());
+                self.plans.insert(key, plan.clone());
+                (plan, "miss")
             }
+        };
+        Planned {
+            plan: Some(plan),
+            key: Some(key),
+            cache,
         }
-        Some(plan)
     }
 
-    /// Extend a program with this engine's module functions (minus those
-    /// the program shadows), so planning and checking see the same world
-    /// the evaluator does.
-    fn augment(&self, mut program: CoreProgram) -> CoreProgram {
-        for f in &self.module_functions {
-            if !program
-                .functions
-                .iter()
-                .any(|g| g.name == f.name && g.params.len() == f.params.len())
-            {
-                program.functions.push(f.clone());
-            }
-        }
-        program
+    /// `program` closed under the module functions it can reach: what the
+    /// planner and the checker are given.
+    fn linked(&self, program: &CoreProgram) -> CoreProgram {
+        Scope::new(self.env.clone(), program).link(program)
     }
 
-    /// Enable or disable compiled execution (enabled by default unless the
-    /// `XQB_INTERPRET` environment variable is set at engine construction).
+    /// The store facts a plan may depend on.
+    fn plan_options(&self) -> planner::PlanOptions {
+        planner::PlanOptions {
+            index_available: self.store.index_enabled(),
+        }
+    }
+
+    /// The plan-cache key of `program` on this engine: its fingerprint
+    /// and the module table's (so loading a module invalidates), folded
+    /// with the plan options and the store's index epoch — a plan compiled
+    /// with the index available (or for an earlier epoch) must never
+    /// satisfy a lookup made without it, or the cache, shared across
+    /// sessions, would serve stale `,idx` plans after a toggle. A program
+    /// that shadows a module function differs from one that does not in
+    /// its own fingerprint, so the two never share an entry.
+    fn plan_key(&self, program: &CoreProgram) -> (u64, u64) {
+        let (p1, p2) = planner::program_fingerprint(program);
+        let (m1, m2) = self.env.fingerprint();
+        let avail = u64::from(self.store.index_enabled());
+        (
+            p1 ^ m1.rotate_left(1) ^ avail.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            p2 ^ m2.rotate_left(1)
+                ^ self
+                    .store
+                    .index_epoch()
+                    .wrapping_add(avail)
+                    .wrapping_mul(0x2545_f491_4f6c_dd1d),
+        )
+    }
+
+    /// Enable or disable compiled execution (enabled by default;
+    /// `set_compile(false)` selects the reference interpreter).
     pub fn set_compile(&mut self, enabled: bool) {
-        self.compile_enabled = enabled;
+        self.env_mut().compile = enabled;
     }
 
     /// Is compiled execution currently enabled?
     pub fn compile_enabled(&self) -> bool {
-        self.compile_enabled
+        self.env.compile
     }
 
     /// Plan-cache hits and misses since construction.
@@ -776,17 +782,11 @@ impl Engine {
         (self.cache_hits, self.cache_misses)
     }
 
-    /// Install a cross-session plan cache (see
-    /// [`planner::SharedPlanCache`]): this engine plans into and hits
-    /// from `cache` instead of its private map, so plans compiled here
-    /// are visible to every other session holding the same cache.
-    pub fn set_shared_plan_cache(&mut self, cache: Arc<planner::SharedPlanCache>) {
-        self.shared_cache = Some(cache);
-    }
-
-    /// The installed cross-session plan cache, if any.
-    pub fn shared_plan_cache(&self) -> Option<&Arc<planner::SharedPlanCache>> {
-        self.shared_cache.as_ref()
+    /// Plan into and hit from `cache` instead of this engine's own, so
+    /// plans compiled here are visible to every other engine holding the
+    /// same cache. Snapshots and forks taken afterwards inherit it.
+    pub fn set_shared_plan_cache(&mut self, cache: Arc<SharedPlanCache>) {
+        self.plans = cache;
     }
 
     /// The paper-style compiled plan for `query` (with effect
@@ -794,12 +794,11 @@ impl Engine {
     /// functions participate as they would in [`Engine::run`]. With no
     /// planner installed the whole program is one `Iterate` node.
     pub fn explain(&self, query: &str) -> Result<String, Error> {
-        let program = self.augment(self.compile_source(query)?);
-        let opts = planner::PlanOptions {
-            index_available: self.store.index_enabled(),
-        };
+        let program = self.compile_source(query)?;
         Ok(match planner::default_planner() {
-            Some(planner) => planner.plan_opts(&program, &opts).explain(),
+            Some(planner) => planner
+                .plan(&self.linked(&program), &self.plan_options())
+                .explain(),
             None => planner::render_unoptimized(&program),
         })
     }
@@ -812,22 +811,6 @@ impl Engine {
         self.store.set_indexing(enabled);
     }
 
-    /// An evaluator seeded with this engine's modules and bindings.
-    fn evaluator_for(&self, program: &CoreProgram) -> Evaluator {
-        let mut evaluator = Evaluator::new(program)
-            .with_seed(self.seed)
-            .with_snap_counter(self.snap_counter)
-            .with_threads(self.threads)
-            .with_limits(self.limits);
-        for f in &self.module_functions {
-            evaluator.register_function(f.clone());
-        }
-        for (name, value) in &self.bindings {
-            evaluator.bind_global(name.clone(), value.clone());
-        }
-        evaluator
-    }
-
     /// Compile a query without running it (for repeated execution).
     pub fn compile(&self, query: &str) -> Result<CoreProgram, Error> {
         self.compile_source(query)
@@ -837,11 +820,13 @@ impl Engine {
     /// variables/functions, duplicate declarations, and the effect lints
     /// (see [`crate::check`]). Module functions count as declared.
     pub fn check(&self, query: &str) -> Result<Vec<crate::check::Diagnostic>, Error> {
-        // Module functions participate exactly as program-level ones do
-        // (minus shadowing, which register_function already resolves).
-        let program = self.augment(self.compile_source(query)?);
-        let host_vars: Vec<&str> = self.bindings.iter().map(|(n, _)| n.as_str()).collect();
-        Ok(crate::check::check_program(&program, &host_vars))
+        // Module functions participate exactly as program-level ones do.
+        let program = self.compile_source(query)?;
+        let host_vars: Vec<&str> = self.env.bindings().map(|(n, _)| n).collect();
+        Ok(crate::check::check_program(
+            &self.linked(&program),
+            &host_vars,
+        ))
     }
 
     /// Serialize an item the way a query shell would: nodes as XML, atomics
@@ -863,21 +848,17 @@ impl Engine {
     }
 
     /// A point-in-time snapshot of this engine's queryable state: the
-    /// COW-forked store plus the session-visible bindings and module
-    /// functions (DESIGN.md §15). Taking one costs O(pages) `Arc` bumps,
-    /// not a deep copy; the snapshot is immutable and `Send + Sync`, so a
-    /// server can publish it to concurrent readers. Must be called
-    /// between runs (no open undo frame).
+    /// COW-forked store plus the environment — bindings, module functions
+    /// and run policy (DESIGN.md §15, §19). Taking one costs O(pages) +
+    /// two `Arc` bumps, not a deep copy; the snapshot is immutable and
+    /// `Send + Sync`, so a server can publish it to concurrent readers.
+    /// Must be called between runs (no open undo frame).
     pub fn snapshot_state(&self) -> EngineSnapshot {
         EngineSnapshot {
             store: self.store.snapshot(),
-            bindings: self.bindings.clone(),
-            module_functions: self.module_functions.clone(),
-            seed: self.seed,
+            env: self.env.clone(),
             snap_counter: self.snap_counter,
-            threads: self.threads,
-            limits: self.limits,
-            compile_enabled: self.compile_enabled,
+            plans: self.plans.clone(),
         }
     }
 
@@ -958,20 +939,15 @@ impl Engine {
     /// COW fork of a pinned snapshot, where the nodes it allocates die
     /// with the fork instead of being committed.
     pub fn is_read_only(&self, program: &CoreProgram) -> bool {
-        read_only_with(&self.module_functions, program)
+        read_only(&self.env, program)
     }
 
-    /// Create a fresh evaluator + environment pair for expression-level
-    /// work (tests, tools). Bindings are installed as globals.
+    /// A fresh evaluator + environment pair for `program`, as a run of it
+    /// here would start with: this engine's module functions, bindings,
+    /// policy and seed position. Every run goes through this; tests and
+    /// tools use it for expression-level work.
     pub fn evaluator(&self, program: &CoreProgram) -> (Evaluator, DynEnv) {
-        let mut ev = Evaluator::new(program)
-            .with_seed(self.seed)
-            .with_snap_counter(self.snap_counter)
-            .with_threads(self.threads)
-            .with_limits(self.limits);
-        for (name, value) in &self.bindings {
-            ev.bind_global(name.clone(), value.clone());
-        }
+        let ev = Evaluator::new(self.env.clone(), program).with_snap_counter(self.snap_counter);
         (ev, DynEnv::new())
     }
 }
@@ -982,47 +958,27 @@ impl Engine {
 /// COW pages make both the snapshot and each fork cheap.
 pub struct EngineSnapshot {
     store: Store,
-    bindings: Vec<(String, Sequence)>,
-    module_functions: Vec<xqsyn::CoreFunction>,
-    seed: u64,
+    env: Arc<ProgramEnv>,
     snap_counter: u64,
-    threads: usize,
-    limits: Limits,
-    compile_enabled: bool,
+    plans: Arc<SharedPlanCache>,
 }
 
 impl EngineSnapshot {
     /// Fork a private engine over this snapshot. The fork sees exactly
-    /// the snapshotted store, bindings, and module functions; it carries
-    /// no WAL (reads are never durable events) and a fresh plan cache —
-    /// install a [`planner::SharedPlanCache`] to share plans across
-    /// forks. Pure queries leave the forked store untouched; a
-    /// constructing or mutating run only ever touches the fork's private
-    /// pages, which are dropped with it.
+    /// the snapshotted store and environment — bindings, module functions,
+    /// limits, and the slow-query threshold and trace sink too, so forked
+    /// runs are logged like any other — shares the plan cache, and
+    /// carries no WAL (reads are never durable events). Pure queries
+    /// leave the forked store untouched; a constructing or mutating run
+    /// only ever touches the fork's private pages, which are dropped with
+    /// it.
     pub fn reader(&self) -> Engine {
-        Engine {
-            store: self.store.snapshot(),
-            bindings: self.bindings.clone(),
-            module_functions: self.module_functions.clone(),
-            seed: self.seed,
-            snap_counter: self.snap_counter,
-            last_stats: None,
-            compile_enabled: self.compile_enabled,
-            plan_cache: HashMap::new(),
-            shared_cache: None,
-            cache_hits: 0,
-            cache_misses: 0,
-            threads: self.threads,
-            limits: self.limits,
-            metrics: obs::EngineMetrics::from_global(),
-            trace: None,
-            slow_ms: None,
-            last_profile: None,
-            last_plan: None,
-            last_run_ns: None,
-            durability: SyncMode::default(),
-            last_wal: None,
-        }
+        Engine::over(
+            self.store.snapshot(),
+            self.env.clone(),
+            self.snap_counter,
+            self.plans.clone(),
+        )
     }
 
     /// The snapshotted store (for fingerprinting in isolation tests).
@@ -1033,7 +989,7 @@ impl EngineSnapshot {
     /// [`Engine::is_read_only`], judged against the snapshot's module
     /// functions — so classification needs no engine lock.
     pub fn is_read_only(&self, program: &CoreProgram) -> bool {
-        read_only_with(&self.module_functions, program)
+        read_only(&self.env, program)
     }
 
     /// The snapshotted snap counter (the OCC commit pipeline uses the
@@ -1069,58 +1025,22 @@ impl EngineSnapshot {
         for (_, init) in &program.variables {
             init.walk(&mut check);
         }
-        for f in program.functions.iter().chain(&self.module_functions) {
+        let scope = Scope::new(self.env.clone(), program);
+        for f in program.functions.iter().chain(scope.module_functions()) {
             f.body.walk(&mut check);
         }
         ok
     }
 }
 
-/// The shared body of the two `is_read_only` entry points: augment the
-/// program with `modules` (minus shadowed declarations, as
-/// [`Engine::augment`] does) and require the body and every prolog
-/// variable initializer to stay within the `Alloc` ceiling.
-fn read_only_with(modules: &[xqsyn::CoreFunction], program: &CoreProgram) -> bool {
-    let mut functions: HashMap<(String, usize), xqsyn::CoreFunction> = modules
-        .iter()
-        .map(|f| ((f.name.clone(), f.params.len()), f.clone()))
-        .collect();
-    for f in &program.functions {
-        functions.insert((f.name.clone(), f.params.len()), f.clone());
-    }
-    let analysis = crate::effects::EffectAnalysis::for_functions(functions.values());
-    let reads_only = |e: &xqsyn::Core| {
-        crate::par::within_ceiling(crate::effects::Effect::Alloc, e, &analysis, &functions)
-    };
+/// The shared body of the two `is_read_only` entry points: the body and
+/// every prolog variable initializer stay within the `Alloc` ceiling, with
+/// calls resolved as a run of `program` under `env` resolves them.
+fn read_only(env: &Arc<ProgramEnv>, program: &CoreProgram) -> bool {
+    let scope = Scope::new(env.clone(), program);
+    let reads_only =
+        |e: &xqsyn::Core| crate::par::within_ceiling(crate::effects::Effect::Alloc, e, &scope);
     reads_only(&program.body) && program.variables.iter().all(|(_, init)| reads_only(init))
-}
-
-/// Label a planning outcome for the slow-query log and EXPLAIN ANALYZE
-/// totals: `"uncompiled"` when no plan ran, else whether the plan cache
-/// hit.
-fn cache_outcome(plan: &Option<Arc<dyn CompiledProgram>>, hit: bool) -> &'static str {
-    match (plan, hit) {
-        (None, _) => "uncompiled",
-        (Some(_), true) => "hit",
-        (Some(_), false) => "miss",
-    }
-}
-
-use crate::planner::program_fingerprint as fingerprint;
-
-/// Fold the plan options and the store's index epoch into a program
-/// fingerprint: a plan compiled with the index available (or for an
-/// earlier epoch) must never satisfy a lookup made without it — the
-/// shared cross-session cache in particular would otherwise serve stale
-/// `,idx` plans after a toggle (ISSUE 10 satellite).
-fn plan_key((h1, h2): (u64, u64), opts: &planner::PlanOptions, index_epoch: u64) -> (u64, u64) {
-    let avail = u64::from(opts.index_available);
-    (
-        h1 ^ avail.wrapping_mul(0x9e37_79b9_7f4a_7c15),
-        h2 ^ index_epoch
-            .wrapping_add(avail)
-            .wrapping_mul(0x2545_f491_4f6c_dd1d),
-    )
 }
 
 #[cfg(test)]

@@ -1,12 +1,219 @@
-//! The dynamic context (`dynEnv` in the paper's judgment).
+//! The dynamic context (`dynEnv` in the paper's judgment), in three
+//! layers from longest- to shortest-lived (DESIGN.md §19):
 //!
-//! Holds variable bindings and the evaluation focus (context item, position,
-//! size). Bindings use a scoped stack: `push`/`pop` around the evaluation of
-//! a binder's body, with lookup walking backwards so inner bindings shadow
-//! outer ones — the standard environment discipline for a big-step
-//! evaluator.
+//! * [`ProgramEnv`] — what every program run by one engine shares: module
+//!   functions, host bindings, the effect analysis over those functions and
+//!   the run policy. Built once, shared by `Arc`, edited copy-on-write.
+//! * [`Scope`] — one program's own declarations laid over a `ProgramEnv`.
+//!   The only place that says "program-local wins".
+//! * [`DynEnv`] — the binder stack and focus of one evaluation: `push`/`pop`
+//!   around a binder's body, lookup walking backwards so inner bindings
+//!   shadow outer ones.
 
+use crate::effects::EffectAnalysis;
+use crate::limits::Limits;
+use crate::obs::{EngineMetrics, TraceSink};
+use std::collections::hash_map::{Entry, HashMap};
+use std::sync::{Arc, OnceLock};
 use xqdm::{Item, Sequence, XdmError, XdmResult};
+use xqsyn::core::{CoreFunction, CoreProgram};
+
+/// A declared function's identity: name and arity.
+pub type FnKey = (String, usize);
+
+fn key_of(f: &CoreFunction) -> FnKey {
+    (f.name.clone(), f.params.len())
+}
+
+/// Everything the programs run by one engine have in common. Immutable
+/// once shared: an [`Engine`](crate::Engine) holds it in an `Arc` and
+/// edits it through `Arc::make_mut`, so a published snapshot, a reader
+/// fork and a running evaluator keep the environment they started with
+/// and sharing it costs a reference count.
+#[derive(Clone)]
+pub struct ProgramEnv {
+    /// Module functions in load order (EXPLAIN lists them so), indexed by
+    /// `(name, arity)`. The first declaration of a key wins.
+    functions: Vec<CoreFunction>,
+    index: HashMap<FnKey, usize>,
+    /// Effect ratings of `functions`, recomputed when the table changes.
+    effects: EffectAnalysis,
+    /// Fingerprint of `functions`, `(0, 0)` while empty: the table's share
+    /// of a plan-cache key, so loading a module invalidates cached plans.
+    fingerprint: (u64, u64),
+    /// Host bindings (`bind`, `load_document`, module variables).
+    bindings: HashMap<String, Sequence>,
+    /// Base seed of the nondeterministic snap application order.
+    pub seed: u64,
+    /// Resource limits for every run, parse and document load.
+    pub limits: Limits,
+    /// Worker-thread budget for effect-free regions (1 = sequential).
+    pub threads: usize,
+    /// Compile programs through the installed planner?
+    pub compile: bool,
+    /// Slow-query threshold in milliseconds; `None` disables the log.
+    pub slow_ms: Option<f64>,
+    /// Trace-span sink.
+    pub trace: Option<Arc<TraceSink>>,
+    /// Pre-resolved global-registry handles for the per-run flush.
+    pub metrics: EngineMetrics,
+}
+
+impl Default for ProgramEnv {
+    /// No functions, no bindings, default policy. Reads no environment
+    /// variable — [`Engine::new`](crate::Engine::new) is the one place
+    /// that does.
+    fn default() -> Self {
+        ProgramEnv {
+            functions: Vec::new(),
+            index: HashMap::new(),
+            effects: EffectAnalysis::empty(),
+            fingerprint: (0, 0),
+            bindings: HashMap::new(),
+            seed: 0x5eed,
+            limits: Limits::default(),
+            threads: 1,
+            compile: true,
+            slow_ms: None,
+            trace: None,
+            metrics: EngineMetrics::from_global(),
+        }
+    }
+}
+
+impl ProgramEnv {
+    /// Builder form of setting [`ProgramEnv::seed`].
+    pub fn with_seed(mut self, seed: u64) -> Self {
+        self.seed = seed;
+        self
+    }
+
+    /// Add a module's functions and bring the effect analysis and the
+    /// table fingerprint up to date.
+    pub fn declare(&mut self, functions: &[CoreFunction]) {
+        if functions.is_empty() {
+            return;
+        }
+        for f in functions {
+            if let Entry::Vacant(slot) = self.index.entry(key_of(f)) {
+                slot.insert(self.functions.len());
+                self.functions.push(f.clone());
+            }
+        }
+        self.effects = EffectAnalysis::for_functions(&self.functions);
+        self.fingerprint = crate::planner::fingerprint_of(&self.functions);
+    }
+
+    /// The module function `key` names.
+    pub fn function(&self, key: &FnKey) -> Option<&CoreFunction> {
+        self.index.get(key).map(|&i| &self.functions[i])
+    }
+
+    /// The module table's share of a plan-cache key.
+    pub fn fingerprint(&self) -> (u64, u64) {
+        self.fingerprint
+    }
+
+    /// Bind `$name` for every later program.
+    pub fn bind(&mut self, name: &str, value: Sequence) {
+        self.bindings.insert(name.to_string(), value);
+    }
+
+    /// Look up a host binding.
+    pub fn binding(&self, name: &str) -> Option<&Sequence> {
+        self.bindings.get(name)
+    }
+
+    /// Every host binding, in no particular order.
+    pub fn bindings(&self) -> impl Iterator<Item = (&str, &Sequence)> {
+        self.bindings.iter().map(|(n, v)| (n.as_str(), v))
+    }
+
+    /// Drop every host binding (a store was replaced under them).
+    pub fn clear_bindings(&mut self) {
+        self.bindings.clear();
+    }
+}
+
+/// What one running program can name: its own `declare function`s and
+/// prolog variables over the shared [`ProgramEnv`]. Both lookups try the
+/// program's own table first, and [`Scope::module_functions`] hides what
+/// they would not find — the shadowing rule lives in these three methods
+/// and nowhere else, so routing, planning, the parallel gate and
+/// evaluation cannot disagree about which `f` a call means.
+pub struct Scope {
+    env: Arc<ProgramEnv>,
+    functions: HashMap<FnKey, CoreFunction>,
+    globals: HashMap<String, Sequence>,
+    /// The analysis over own + visible module functions, computed on
+    /// first use when the program declares any function; a program that
+    /// declares none is judged by the environment's analysis as it is.
+    effects: OnceLock<EffectAnalysis>,
+}
+
+impl Scope {
+    /// `program`'s declarations over `env`.
+    pub fn new(env: Arc<ProgramEnv>, program: &CoreProgram) -> Scope {
+        Scope {
+            env,
+            functions: program
+                .functions
+                .iter()
+                .map(|f| (key_of(f), f.clone()))
+                .collect(),
+            globals: HashMap::new(),
+            effects: OnceLock::new(),
+        }
+    }
+
+    /// The shared environment underneath.
+    pub fn env(&self) -> &ProgramEnv {
+        &self.env
+    }
+
+    /// The function a call to `name` with `arity` arguments means.
+    pub fn function(&self, name: &str, arity: usize) -> Option<&CoreFunction> {
+        let key = (name.to_string(), arity);
+        self.functions.get(&key).or_else(|| self.env.function(&key))
+    }
+
+    /// The module functions a call can still reach (load order).
+    pub fn module_functions(&self) -> impl Iterator<Item = &CoreFunction> {
+        self.env
+            .functions
+            .iter()
+            .filter(|f| self.functions.is_empty() || !self.functions.contains_key(&key_of(f)))
+    }
+
+    /// The value of global `$name`: a prolog variable of this program, or
+    /// else a host binding.
+    pub fn global(&self, name: &str) -> Option<&Sequence> {
+        self.globals.get(name).or_else(|| self.env.binding(name))
+    }
+
+    /// Define a prolog variable of this program.
+    pub fn bind_global(&mut self, name: impl Into<String>, value: Sequence) {
+        self.globals.insert(name.into(), value);
+    }
+
+    /// Effect ratings of every function [`Scope::function`] can return.
+    pub fn effects(&self) -> &EffectAnalysis {
+        if self.functions.is_empty() {
+            return &self.env.effects;
+        }
+        self.effects.get_or_init(|| {
+            EffectAnalysis::for_functions(self.functions.values().chain(self.module_functions()))
+        })
+    }
+
+    /// `program` with the module functions it can reach appended — the
+    /// closed program a planner or checker needs.
+    pub fn link(&self, program: &CoreProgram) -> CoreProgram {
+        let mut linked = program.clone();
+        linked.functions.extend(self.module_functions().cloned());
+        linked
+    }
+}
 
 /// The evaluation focus: context item, 1-based position, and size.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,7 +226,7 @@ pub struct Focus {
     pub size: usize,
 }
 
-/// The dynamic environment.
+/// The binder stack and focus of one evaluation.
 #[derive(Debug, Clone, Default)]
 pub struct DynEnv {
     vars: Vec<(String, Sequence)>,

@@ -19,13 +19,12 @@
 //! sub-expressions evaluates the first before the second.
 
 use crate::apply::apply_delta;
-use crate::env::{DynEnv, Focus};
+use crate::env::{DynEnv, Focus, ProgramEnv, Scope};
 use crate::functions;
-use crate::limits::{self, LimitGuard, Limits, TripKind};
+use crate::limits::{self, LimitGuard, TripKind};
 use crate::obs;
 use crate::planner::FunctionExecutor;
 use crate::update::{Delta, UpdateRequest};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 use xqdm::atomic::{arithmetic, negate, value_compare, Atomic, CompareOp};
@@ -34,11 +33,11 @@ use xqdm::seq;
 use xqdm::store::InsertAnchor;
 use xqdm::{KernelTest, NodeId, NodeKind, QName, Scratch, Store, XdmError, XdmResult};
 use xqsyn::ast::{Axis, NodeCompOp, NodeTest, Quantifier, SnapMode};
-use xqsyn::core::{Core, CoreFunction, CoreInsertLoc, CoreName, CoreProgram};
+use xqsyn::core::{Core, CoreInsertLoc, CoreName, CoreProgram};
 
 /// Stack size for the evaluation thread. User functions may recurse, and
 /// a runaway recursion should surface as an error (`XQB0040`), not a stack
-/// overflow: the configurable depth limit ([`Limits::max_depth`], default
+/// overflow: the configurable depth limit ([`limits::Limits::max_depth`], default
 /// [`limits::DEFAULT_MAX_DEPTH`]) counts `eval` nesting, and
 /// [`Evaluator::eval_program`] / [`Evaluator::eval_query`] run on a
 /// dedicated thread whose stack comfortably fits the default depth even
@@ -101,32 +100,27 @@ pub struct EvalStats {
     pub idx_hits: u64,
 }
 
-/// The evaluator: function table, globals, and the Δ stack.
+/// The evaluator: one program's [`Scope`] over the engine's shared
+/// [`ProgramEnv`], and the Δ stack.
 pub struct Evaluator {
-    functions: HashMap<(String, usize), CoreFunction>,
-    globals: HashMap<String, Sequence>,
+    /// What the program can name, and under it the run policy (seed,
+    /// limits, thread budget).
+    scope: Scope,
     delta_stack: Vec<Delta>,
     /// Per-snap seed counter for the nondeterministic application order.
     snap_counter: u64,
-    base_seed: u64,
     depth: usize,
     stats: EvalStats,
     /// Hook running calls to functions whose bodies compiled to a plan
     /// (installed by a `CompiledProgram` for the duration of its run).
     function_executor: Option<Arc<dyn FunctionExecutor>>,
-    /// Worker-thread budget for effect-free regions; 1 = sequential.
-    threads: usize,
-    /// Lazily computed effect analysis over the registered functions,
-    /// backing the parallel gate. Invalidated when functions change.
-    effects: Option<crate::effects::EffectAnalysis>,
     /// Observability state (trace spans, per-node profiling). `None` — the
     /// default — is the zero-cost-when-off fast path: every hook below is
     /// a single `Option` discriminant check.
     obs: Option<Box<EvalObs>>,
-    /// Resource limits in force (DESIGN.md §12). `guard` is the armed
-    /// runtime check, re-armed at each program-scope entry so fuel and
-    /// deadline measure one run.
-    limits: Limits,
+    /// The armed runtime check of the environment's limits (DESIGN.md
+    /// §12), re-armed at each program-scope entry so fuel and deadline
+    /// measure one run.
     guard: LimitGuard,
     /// Reusable buffers for document-order sorting and the batch step
     /// kernels (DESIGN.md §14): one arena per evaluation, threaded into
@@ -182,49 +176,20 @@ impl EvalObs {
 }
 
 impl Evaluator {
-    /// Build an evaluator for a program's function declarations.
-    pub fn new(program: &CoreProgram) -> Self {
-        let mut functions = HashMap::new();
-        for f in &program.functions {
-            functions.insert((f.name.clone(), f.params.len()), f.clone());
-        }
-        let limits = Limits::from_env();
+    /// An evaluator for `program` under `env`: the program's own function
+    /// declarations shadow the environment's module functions, and its
+    /// prolog variables (bound as they are evaluated) its host bindings.
+    pub fn new(env: Arc<ProgramEnv>, program: &CoreProgram) -> Self {
+        let guard = LimitGuard::new(&env.limits);
         Evaluator {
-            functions,
-            globals: HashMap::new(),
+            scope: Scope::new(env, program),
             delta_stack: Vec::new(),
             snap_counter: 0,
-            base_seed: 0x5eed,
             depth: 0,
             stats: EvalStats::default(),
             function_executor: None,
-            threads: crate::par::threads_from_env(),
-            effects: None,
             obs: None,
-            limits,
-            guard: LimitGuard::new(&limits),
-            scratch: Scratch::new(),
-        }
-    }
-
-    /// An evaluator with no user functions (for direct expression
-    /// evaluation in tests and tools).
-    pub fn bare() -> Self {
-        let limits = Limits::from_env();
-        Evaluator {
-            functions: HashMap::new(),
-            globals: HashMap::new(),
-            delta_stack: Vec::new(),
-            snap_counter: 0,
-            base_seed: 0x5eed,
-            depth: 0,
-            stats: EvalStats::default(),
-            function_executor: None,
-            threads: crate::par::threads_from_env(),
-            effects: None,
-            obs: None,
-            limits,
-            guard: LimitGuard::new(&limits),
+            guard,
             scratch: Scratch::new(),
         }
     }
@@ -233,39 +198,6 @@ impl Evaluator {
     /// applied, deepest snap nesting).
     pub fn stats(&self) -> EvalStats {
         self.stats
-    }
-
-    /// Fix the seed driving nondeterministic-mode permutations.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.base_seed = seed;
-        self
-    }
-
-    /// Set the worker-thread budget for effect-free regions (1 =
-    /// sequential; clamped to [`crate::par::MAX_THREADS`]). The default
-    /// comes from `XQB_THREADS` ([`crate::par::threads_from_env`]).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.clamp(1, crate::par::MAX_THREADS);
-        self
-    }
-
-    /// The configured worker-thread budget.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Install resource limits (DESIGN.md §12) and arm a fresh guard. The
-    /// default comes from `XQB_MAX_DEPTH` / `XQB_FUEL` / `XQB_DEADLINE_MS`
-    /// / `XQB_MEMORY_ITEMS` ([`Limits::from_env`]).
-    pub fn with_limits(mut self, limits: Limits) -> Self {
-        self.limits = limits;
-        self.guard = LimitGuard::new(&limits);
-        self
-    }
-
-    /// The resource limits in force.
-    pub fn limits(&self) -> &Limits {
-        &self.limits
     }
 
     /// The armed cooperative limit guard (shared with parallel workers).
@@ -285,10 +217,8 @@ impl Evaluator {
     /// The read-only context parallel workers evaluate under.
     pub fn pure_ctx(&self) -> crate::par::PureCtx<'_> {
         crate::par::PureCtx {
-            functions: &self.functions,
-            globals: &self.globals,
+            scope: &self.scope,
             guard: &self.guard,
-            max_depth: self.limits.max_depth,
         }
     }
 
@@ -306,20 +236,10 @@ impl Evaluator {
     }
 
     /// The parallel gate: is fan-out enabled (threads ≥ 2) *and* is `body`
-    /// provably safe to evaluate on workers sharing `&Store`? Consults the
-    /// lazily-cached effect analysis over the registered functions; see
+    /// provably safe to evaluate on workers sharing `&Store`? See
     /// [`crate::par::par_safe`] for the judgment itself.
-    pub fn par_candidate(&mut self, body: &Core) -> bool {
-        if self.threads < 2 {
-            return false;
-        }
-        if self.effects.is_none() {
-            self.effects = Some(crate::effects::EffectAnalysis::for_functions(
-                self.functions.values(),
-            ));
-        }
-        let analysis = self.effects.as_ref().expect("just computed");
-        crate::par::par_safe(body, analysis, &self.functions)
+    pub fn par_candidate(&self, body: &Core) -> bool {
+        self.scope.env().threads >= 2 && crate::par::par_safe(body, &self.scope)
     }
 
     /// Resume the per-snap seed counter from a previous evaluation. The
@@ -337,25 +257,15 @@ impl Evaluator {
         self.snap_counter
     }
 
-    /// Define a global variable (module prolog or host binding).
+    /// Define a global variable of this run (a prolog variable, or a
+    /// binding a test installs by hand); shadows a host binding.
     pub fn bind_global(&mut self, name: impl Into<String>, value: Sequence) {
-        self.globals.insert(name.into(), value);
+        self.scope.bind_global(name, value);
     }
 
-    /// Read a global (used by tests and the engine facade).
+    /// Read a global: this run's own, else the environment's host binding.
     pub fn global(&self, name: &str) -> Option<&Sequence> {
-        self.globals.get(name)
-    }
-
-    /// Register an additional function (e.g. from a host-loaded module).
-    /// Does not override a same-name/arity function already present —
-    /// program-local declarations take precedence over module ones.
-    pub fn register_function(&mut self, func: CoreFunction) {
-        // The function table feeds the parallel gate's effect analysis.
-        self.effects = None;
-        self.functions
-            .entry((func.name.clone(), func.params.len()))
-            .or_insert(func);
+        self.scope.global(name)
     }
 
     /// Evaluate a whole program: globals in order, then the body inside the
@@ -369,7 +279,7 @@ impl Evaluator {
         self.run_in_program_scope(store, move |ev, store, env| {
             for (name, init) in &program.variables {
                 let v = ev.eval(store, env, init)?;
-                ev.globals.insert(name.clone(), v);
+                ev.bind_global(name.clone(), v);
             }
             ev.eval(store, env, &program.body)
         })
@@ -389,7 +299,7 @@ impl Evaluator {
         // Re-arm the guard so fuel, memory, and the wall-clock deadline
         // measure this run alone (and a trip from a previous run on the
         // same evaluator does not leak into this one).
-        self.guard = LimitGuard::new(&self.limits);
+        self.guard = LimitGuard::new(&self.scope.env().limits);
         with_eval_stack(move || {
             // The implicit snap also covers prolog variable initializers, so
             // side-effecting initializers behave like the body. It is not
@@ -418,7 +328,7 @@ impl Evaluator {
         env: &mut DynEnv,
         expr: &Core,
     ) -> XdmResult<Sequence> {
-        self.guard = LimitGuard::new(&self.limits);
+        self.guard = LimitGuard::new(&self.scope.env().limits);
         with_eval_stack(move || {
             self.delta_stack.push(Delta::new());
             self.obs_span_begin("snap:implicit");
@@ -480,10 +390,11 @@ impl Evaluator {
     /// recursion limit. Pair with [`Evaluator::exit_nested`] on success.
     pub fn enter_nested(&mut self) -> XdmResult<()> {
         self.depth += 1;
-        if self.depth > self.limits.max_depth {
+        let max_depth = self.scope.env().limits.max_depth;
+        if self.depth > max_depth {
             self.depth -= 1;
             self.guard.note_trip(TripKind::Depth);
-            return Err(limits::depth_error(self.limits.max_depth));
+            return Err(limits::depth_error(max_depth));
         }
         Ok(())
     }
@@ -663,7 +574,9 @@ impl Evaluator {
 
     fn next_seed(&mut self) -> u64 {
         self.snap_counter += 1;
-        self.base_seed
+        self.scope
+            .env()
+            .seed
             .wrapping_mul(0x9e3779b97f4a7c15)
             .wrapping_add(self.snap_counter)
     }
@@ -691,10 +604,11 @@ impl Evaluator {
         expr: &Core,
     ) -> XdmResult<Sequence> {
         self.depth += 1;
-        if self.depth > self.limits.max_depth {
+        let max_depth = self.scope.env().limits.max_depth;
+        if self.depth > max_depth {
             self.depth -= 1;
             self.guard.note_trip(TripKind::Depth);
-            return Err(limits::depth_error(self.limits.max_depth));
+            return Err(limits::depth_error(max_depth));
         }
         if let Err(e) = self.guard.tick() {
             self.depth -= 1;
@@ -715,7 +629,7 @@ impl Evaluator {
             Core::Const(a) => Ok(seq![Item::Atomic(a.clone())]),
             Core::Var(name) => match env.var(name) {
                 Ok(v) => Ok(v.clone()),
-                Err(e) => self.globals.get(name).cloned().ok_or(e),
+                Err(e) => self.scope.global(name).cloned().ok_or(e),
             },
             Core::ContextItem => Ok(seq![env.focus()?.item.clone()]),
             // The paper's sequence rule: e1 fully evaluated before e2,
@@ -1211,14 +1125,8 @@ impl Evaluator {
     ) -> XdmResult<Sequence> {
         self.note_par_region(src.len());
         let depth = self.depth;
-        let threads = self.threads;
-        let ctx = crate::par::PureCtx {
-            functions: &self.functions,
-            globals: &self.globals,
-            guard: &self.guard,
-            max_depth: self.limits.max_depth,
-        };
-        let results = crate::par::par_map(threads, env, src, |wenv, i, it| {
+        let ctx = self.pure_ctx();
+        let results = crate::par::par_map(&ctx, env, src, |wenv, i, it| {
             wenv.push_var(var.to_string(), seq![it.clone()]);
             if let Some(p) = position {
                 wenv.push_var(p.to_string(), seq![Item::integer((i + 1) as i64)]);
@@ -1257,8 +1165,7 @@ impl Evaluator {
                 Err(returned) => values = returned,
             }
         }
-        let key = (name.to_string(), args.len());
-        let func = match self.functions.get(&key) {
+        let func = match self.scope.function(name, args.len()) {
             Some(f) => f.clone(),
             None => {
                 return Err(XdmError::new(
@@ -1783,7 +1690,7 @@ mod tests {
 
     #[test]
     fn snap_scope_api_balance() {
-        let mut ev = Evaluator::bare();
+        let mut ev = Evaluator::new(Arc::default(), &xqsyn::compile("()").unwrap());
         ev.begin_snap_scope();
         ev.begin_snap_scope();
         assert!(ev.end_snap_scope().is_empty());

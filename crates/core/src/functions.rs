@@ -588,7 +588,9 @@ fn dispatch_prefixed(name: &str, args: &[Sequence], store: &Store) -> Option<Xdm
                 XdmError::new("XQB0040", format!("xqb:explain: cannot parse query: {e}"))
             })?;
             let text = match crate::planner::default_planner() {
-                Some(planner) => planner.plan(&program).explain(),
+                Some(planner) => planner
+                    .plan(&program, &crate::planner::PlanOptions::default())
+                    .explain(),
                 None => crate::planner::render_unoptimized(&program),
             };
             Ok(seq![Item::string(text)])

@@ -54,7 +54,7 @@ pub use check::{check_program, Diagnostic, Severity};
 pub use conflict::verify_conflict_free;
 pub use effects::{Effect, EffectAnalysis};
 pub use engine::{Engine, EngineSnapshot, Error};
-pub use env::{DynEnv, Focus};
+pub use env::{DynEnv, Focus, ProgramEnv, Scope};
 pub use eval::{EvalStats, Evaluator};
 pub use limits::{LimitGuard, Limits, TripKind};
 pub use obs::{Gauge, MetricsSnapshot, NodeStats, Profile, Registry, TraceSink};

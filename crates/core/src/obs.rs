@@ -234,8 +234,6 @@ impl Registry {
             ring.pop_front();
         }
         ring.push_back(entry);
-        drop(ring);
-        self.counter("engine.slow_queries").add(1);
     }
 
     /// The retained slow-query records, oldest first.
@@ -369,7 +367,9 @@ pub fn global() -> &'static Registry {
 }
 
 /// Pre-resolved handles for the engine's per-run flush: one relaxed
-/// atomic add per field per run, no map lookups on the hot path.
+/// atomic add per field per run, no map lookups on the hot path. Resolved
+/// once per [`ProgramEnv`](crate::env::ProgramEnv) and shared with it.
+#[derive(Clone)]
 pub struct EngineMetrics {
     /// `engine.runs` — runs started (successful or not).
     pub runs: Arc<Counter>,
@@ -413,6 +413,11 @@ pub struct EngineMetrics {
     /// `engine.limit_trips.memory` — runs stopped by the memory budget
     /// (`XQB0043`).
     pub limit_memory: Arc<Counter>,
+    /// `engine.par_spawn_fallback` — worker-thread spawns the OS refused
+    /// (the chunk ran inline instead; docs/LIMITS.md).
+    pub par_spawn_fallback: Arc<Counter>,
+    /// `engine.slow_queries` — slow-query log entries recorded.
+    pub slow_queries: Arc<Counter>,
     /// `engine.run_ns` — per-run wall time histogram (nanoseconds).
     pub run_ns: Arc<Histogram>,
     /// `engine.wal.commits` — durable commits flushed to the redo log
@@ -460,6 +465,8 @@ impl EngineMetrics {
             limit_fuel: g.counter("engine.limit_trips.fuel"),
             limit_deadline: g.counter("engine.limit_trips.deadline"),
             limit_memory: g.counter("engine.limit_trips.memory"),
+            par_spawn_fallback: g.counter("engine.par_spawn_fallback"),
+            slow_queries: g.counter("engine.slow_queries"),
             run_ns: g.histogram("engine.run_ns"),
             wal_commits: g.counter("engine.wal.commits"),
             wal_records: g.counter("engine.wal.records"),
@@ -493,8 +500,10 @@ impl EngineMetrics {
 /// `Engine::set_slow_query_threshold`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlowQuery {
-    /// 128-bit plan-cache fingerprint of the module-augmented program,
-    /// rendered as hex — stable across runs of the same query text.
+    /// The run's 128-bit plan-cache key, rendered as hex: the program's
+    /// fingerprint folded with the module table's, index availability and
+    /// the index epoch — stable across runs of the same query text until
+    /// one of those changes.
     pub fingerprint: String,
     /// Wall time in milliseconds.
     pub millis: f64,

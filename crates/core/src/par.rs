@@ -31,17 +31,17 @@
 //! trace).
 
 use crate::effects::{Effect, EffectAnalysis};
-use crate::env::{DynEnv, Focus};
+use crate::env::{DynEnv, FnKey, Focus, Scope};
 use crate::eval::{cmp_keys, gather_axis, require_node};
 use crate::functions;
 use crate::limits::{self, LimitGuard, TripKind};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use xqdm::atomic::{arithmetic, negate, value_compare, Atomic};
 use xqdm::item::{self, Item, Sequence};
 use xqdm::seq;
 use xqdm::{Store, XdmError, XdmResult};
 use xqsyn::ast::{NodeCompOp, Quantifier};
-use xqsyn::core::{Core, CoreFunction};
+use xqsyn::core::Core;
 
 /// Fewest source items worth fanning out — below this, spawn cost
 /// dominates any conceivable body.
@@ -58,8 +58,8 @@ const PAR_STACK_BYTES: usize = 64 << 20;
 pub const MAX_THREADS: usize = 64;
 
 /// The thread count the `XQB_THREADS` environment variable requests, or 1
-/// (sequential) when unset or unparsable. Read at engine/evaluator
-/// construction; override per engine with `Engine::set_threads`.
+/// (sequential) when unset or unparsable. Read at engine construction;
+/// override per engine with `Engine::set_threads`.
 pub fn threads_from_env() -> usize {
     std::env::var("XQB_THREADS")
         .ok()
@@ -71,8 +71,8 @@ pub fn threads_from_env() -> usize {
 /// The one safety judgment every gate consults (the E8 purity guard,
 /// reused and sharpened): `body`'s effect rating is at most `ceiling`
 /// **and** it is structurally transparent ([`par_transparent`])
-/// transitively through every user function it can call. Two ceilings are
-/// in use:
+/// transitively through every user function it can call, as `scope`
+/// resolves them. Two ceilings are in use:
 ///
 /// * [`Effect::Pure`] — worker fan-out ([`par_safe`]): workers share
 ///   `&Store`, so the body may not even allocate;
@@ -80,48 +80,34 @@ pub fn threads_from_env() -> usize {
 ///   (`Engine::is_read_only`): the request owns a private COW fork, so
 ///   constructing nodes is harmless — they die with the fork — while
 ///   emitting or applying update requests is still a write.
-pub fn within_ceiling(
-    ceiling: Effect,
-    body: &Core,
-    analysis: &EffectAnalysis,
-    funcs: &HashMap<(String, usize), CoreFunction>,
-) -> bool {
-    if analysis.effect(body) > ceiling {
+pub fn within_ceiling(ceiling: Effect, body: &Core, scope: &Scope) -> bool {
+    if scope.effects().effect(body) > ceiling {
         return false;
     }
-    let mut visited: HashSet<(String, usize)> = HashSet::new();
-    transparent_rec(body, funcs, &mut visited)
+    transparent_rec(body, scope, &mut HashSet::new())
 }
 
 /// May `body` be evaluated by parallel workers sharing `&Store`?
 /// [`within_ceiling`] at [`Effect::Pure`]: the body neither allocates, nor
 /// appends update requests, nor applies them. Every fan-out layer
 /// (interpreter loop, plan executor, join sides) asks this.
-pub fn par_safe(
-    body: &Core,
-    analysis: &EffectAnalysis,
-    funcs: &HashMap<(String, usize), CoreFunction>,
-) -> bool {
-    within_ceiling(Effect::Pure, body, analysis, funcs)
+pub fn par_safe(body: &Core, scope: &Scope) -> bool {
+    within_ceiling(Effect::Pure, body, scope)
 }
 
-fn transparent_rec(
-    expr: &Core,
-    funcs: &HashMap<(String, usize), CoreFunction>,
-    visited: &mut HashSet<(String, usize)>,
-) -> bool {
+fn transparent_rec(expr: &Core, scope: &Scope, visited: &mut HashSet<FnKey>) -> bool {
     if !par_transparent(expr) {
         return false;
     }
-    let mut callees: Vec<(String, usize)> = Vec::new();
+    let mut callees: Vec<FnKey> = Vec::new();
     expr.walk(&mut |e| {
         if let Core::Call(name, args) = e {
             callees.push((name.clone(), args.len()));
         }
     });
     for key in callees {
-        if let Some(f) = funcs.get(&key) {
-            if visited.insert(key) && !transparent_rec(&f.body, funcs, visited) {
+        if let Some(f) = scope.function(&key.0, key.1) {
+            if visited.insert(key) && !transparent_rec(&f.body, scope, visited) {
                 return false;
             }
         }
@@ -169,28 +155,24 @@ pub fn marks_par_loop(core: &Core, analysis: &EffectAnalysis) -> bool {
     found
 }
 
-/// The read-only slice of an `Evaluator` that pure workers need: the
-/// function table and the globals. Obtain one from
-/// `Evaluator::pure_ctx()`.
+/// The read-only slice of an `Evaluator` that pure workers need. Obtain
+/// one from `Evaluator::pure_ctx()`.
 #[derive(Clone, Copy)]
 pub struct PureCtx<'a> {
-    /// Registered user functions (program + modules).
-    pub functions: &'a HashMap<(String, usize), CoreFunction>,
-    /// Global variable bindings.
-    pub globals: &'a HashMap<String, Sequence>,
+    /// The functions and globals the program can name, and under them the
+    /// run policy (thread budget, depth limit, metric handles).
+    pub scope: &'a Scope,
     /// The evaluator's armed limit guard, shared by every worker: the
     /// first worker to exceed a limit trips it and every sibling's next
     /// tick unwinds with the same error class (DESIGN.md §12).
     pub guard: &'a LimitGuard,
-    /// The evaluator's recursion-depth limit (`XQB0040`).
-    pub max_depth: usize,
 }
 
-/// Fan `items` out over at most `threads` scoped workers and collect the
-/// per-item results **in input order**. Each worker receives a clone of
-/// `env` (workers never see each other's bindings) and processes one
-/// contiguous chunk, so within-chunk evaluation order equals sequential
-/// order. A panicking worker propagates its panic to the caller after the
+/// Fan `items` out over at most `ctx`'s thread budget of scoped workers
+/// and collect the per-item results **in input order**. Each worker
+/// receives a clone of `env` (workers never see each other's bindings)
+/// and processes one contiguous chunk, so within-chunk evaluation order
+/// equals sequential order. A panicking worker propagates its panic to the caller after the
 /// scope joins every thread — identical blast radius to a panic in a
 /// sequential loop (the engine's catch/rollback sees the same thing).
 ///
@@ -199,13 +181,13 @@ pub struct PureCtx<'a> {
 /// sequentially on the calling thread after the spawned workers join, and
 /// the `engine.par_spawn_fallback` counter records the event. A pure body
 /// cannot observe the difference.
-pub fn par_map<T, F>(threads: usize, env: &DynEnv, items: &[T], f: F) -> Vec<XdmResult<Sequence>>
+pub fn par_map<T, F>(ctx: &PureCtx<'_>, env: &DynEnv, items: &[T], f: F) -> Vec<XdmResult<Sequence>>
 where
     T: Sync,
     F: Fn(&mut DynEnv, usize, &T) -> XdmResult<Sequence> + Sync,
 {
     let n = items.len();
-    let workers = threads.clamp(1, MAX_THREADS).min(n);
+    let workers = ctx.scope.env().threads.clamp(1, MAX_THREADS).min(n);
     if workers <= 1 {
         let mut env = env.clone();
         return items
@@ -254,9 +236,7 @@ where
         }
     });
     if spawn_failed {
-        crate::obs::global()
-            .counter("engine.par_spawn_fallback")
-            .add(1);
+        ctx.scope.env().metrics.par_spawn_fallback.add(1);
         let mut fenv = env.clone();
         for (i, slot) in results.iter_mut().enumerate() {
             if slot.is_none() {
@@ -309,16 +289,17 @@ pub fn eval_pure(
     expr: &Core,
 ) -> XdmResult<Sequence> {
     let depth = depth + 1;
-    if depth > ctx.max_depth {
+    let max_depth = ctx.scope.env().limits.max_depth;
+    if depth > max_depth {
         ctx.guard.note_trip(TripKind::Depth);
-        return Err(limits::depth_error(ctx.max_depth));
+        return Err(limits::depth_error(max_depth));
     }
     ctx.guard.tick()?;
     match expr {
         Core::Const(a) => Ok(seq![Item::Atomic(a.clone())]),
         Core::Var(name) => match env.var(name) {
             Ok(v) => Ok(v.clone()),
-            Err(e) => ctx.globals.get(name).cloned().ok_or(e),
+            Err(e) => ctx.scope.global(name).cloned().ok_or(e),
         },
         Core::ContextItem => Ok(seq![env.focus()?.item.clone()]),
         Core::Seq(items) => {
@@ -594,8 +575,7 @@ pub fn eval_pure(
             if let Some(result) = functions::dispatch_readonly(name, values.clone(), store, env) {
                 return result;
             }
-            let key = (name.to_string(), args.len());
-            let Some(func) = ctx.functions.get(&key) else {
+            let Some(func) = ctx.scope.function(name, args.len()) else {
                 return Err(XdmError::new(
                     "XPST0017",
                     format!("undefined function {name}#{}", args.len()),
@@ -666,7 +646,9 @@ fn filter_positional_pure(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::env::ProgramEnv;
     use crate::eval::Evaluator;
+    use std::sync::Arc;
     use xqsyn::compile;
 
     fn gate(src: &str) -> bool {
@@ -675,14 +657,15 @@ mod tests {
 
     fn gate_at(ceiling: Effect, src: &str) -> bool {
         let prog = compile(src).expect("compile");
-        let analysis = EffectAnalysis::new(&prog);
-        let funcs: HashMap<(String, usize), CoreFunction> = prog
-            .functions
-            .iter()
-            .map(|f| ((f.name.clone(), f.params.len()), f.clone()))
-            .collect();
         // Gate judged on the whole body expression, as a loop body would be.
-        within_ceiling(ceiling, &prog.body, &analysis, &funcs)
+        within_ceiling(ceiling, &prog.body, &Scope::new(Arc::default(), &prog))
+    }
+
+    /// An evaluator with a budget of `threads` workers, for its `pure_ctx`.
+    fn evaluator_with_threads(threads: usize) -> Evaluator {
+        let mut env = ProgramEnv::default();
+        env.threads = threads;
+        Evaluator::new(Arc::new(env), &compile("()").unwrap())
     }
 
     #[test]
@@ -743,7 +726,9 @@ mod tests {
     fn par_map_preserves_input_order_and_first_error() {
         let env = DynEnv::new();
         let items: Vec<i64> = (0..100).collect();
-        let results = par_map(8, &env, &items, |_env, i, it| {
+        let ev = evaluator_with_threads(8);
+        let ctx = ev.pure_ctx();
+        let results = par_map(&ctx, &env, &items, |_env, i, it| {
             assert_eq!(*it as usize, i);
             Ok(seq![Item::integer(*it * 2)])
         });
@@ -752,7 +737,7 @@ mod tests {
         assert_eq!(merged[41], Item::integer(82));
 
         // Two failing items: the earlier one's error surfaces.
-        let results = par_map(8, &env, &items, |_env, _i, it| {
+        let results = par_map(&ctx, &env, &items, |_env, _i, it| {
             if *it == 97 {
                 Err(XdmError::new("E-LATE", "late"))
             } else if *it == 13 {
@@ -774,7 +759,7 @@ mod tests {
             "for $e in $doc//e order by -number($e/@k) return concat(\"k\", string($e/@k))",
         )
         .unwrap();
-        let mut ev = Evaluator::new(&prog);
+        let mut ev = Evaluator::new(Arc::default(), &prog);
         ev.bind_global("doc", seq![Item::Node(doc)]);
         let mut env = DynEnv::new();
         let sequential = ev.eval_query(&mut store, &mut env, &prog.body).unwrap();
@@ -788,7 +773,7 @@ mod tests {
     #[test]
     fn eval_pure_rejects_non_pure_operators_defensively() {
         let prog = compile("insert { <a/> } into { $x }").unwrap();
-        let ev = Evaluator::new(&prog);
+        let ev = Evaluator::new(Arc::default(), &prog);
         let ctx = ev.pure_ctx();
         let store = Store::new();
         let mut env = DynEnv::new();
@@ -802,7 +787,8 @@ mod tests {
         // just the clamp logic via par_map worker counts.
         let env = DynEnv::new();
         let items = [1i64, 2, 3];
-        let r = par_map(usize::MAX, &env, &items, |_e, _i, it| {
+        let ev = evaluator_with_threads(usize::MAX);
+        let r = par_map(&ev.pure_ctx(), &env, &items, |_e, _i, it| {
             Ok(seq![Item::integer(*it)])
         });
         assert_eq!(merge_in_order(r).unwrap().len(), 3);

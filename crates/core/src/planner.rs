@@ -67,25 +67,15 @@ pub struct PlanOptions {
 
 /// A plan compiler: turns a core program into an executable plan.
 pub trait Planner: Send + Sync {
-    /// Compile `program` (including its declared functions) to a plan.
-    fn plan(&self, program: &CoreProgram) -> Arc<dyn CompiledProgram>;
-
-    /// Compile `program` under explicit [`PlanOptions`]. The default —
-    /// for planners predating the index plane — ignores the options.
-    fn plan_opts(&self, program: &CoreProgram, opts: &PlanOptions) -> Arc<dyn CompiledProgram> {
-        let _ = opts;
-        self.plan(program)
-    }
+    /// Compile `program` (including its declared functions) to a plan
+    /// under `opts`.
+    fn plan(&self, program: &CoreProgram, opts: &PlanOptions) -> Arc<dyn CompiledProgram>;
 
     /// Compile `program` to a *structural* plan: the operator tree mirrors
     /// the interpreter's evaluation shape one-for-one (no join recognition,
     /// no rewrites), so an analyzed interpreted run reports per-node
     /// counters for exactly the operators interpretation would execute.
-    /// The default — for planners predating observability — returns the
-    /// optimized plan.
-    fn plan_structural(&self, program: &CoreProgram) -> Arc<dyn CompiledProgram> {
-        self.plan(program)
-    }
+    fn plan_structural(&self, program: &CoreProgram) -> Arc<dyn CompiledProgram>;
 }
 
 /// Executes calls to user-declared functions whose bodies compiled to an
@@ -104,12 +94,18 @@ pub trait FunctionExecutor: Send + Sync {
     ) -> Result<XdmResult<Sequence>, Vec<Sequence>>;
 }
 
-/// Fingerprint a program for the plan caches by streaming its debug
+/// Fingerprint a program for the plan cache by streaming its debug
 /// representation through two independently-seeded hashers — no
 /// allocation of the full repr, and 128 bits make accidental collisions
 /// (which would silently run the wrong plan) implausible. `Core` holds
 /// `f64` literals, so it cannot derive `Hash` directly.
 pub fn program_fingerprint(program: &CoreProgram) -> (u64, u64) {
+    fingerprint_of(program)
+}
+
+/// [`program_fingerprint`] for any part of a program (the environment
+/// fingerprints its module table with it).
+pub(crate) fn fingerprint_of(value: &impl std::fmt::Debug) -> (u64, u64) {
     use std::collections::hash_map::DefaultHasher;
     use std::fmt::Write as _;
     use std::hash::Hasher as _;
@@ -125,23 +121,24 @@ pub fn program_fingerprint(program: &CoreProgram) -> (u64, u64) {
     let mut h1 = DefaultHasher::new();
     let mut h2 = DefaultHasher::new();
     h2.write_u64(0x9e37_79b9_7f4a_7c15);
-    let _ = write!(HashWriter(&mut h1), "{program:?}");
-    let _ = write!(HashWriter(&mut h2), "{program:?}");
+    let _ = write!(HashWriter(&mut h1), "{value:?}");
+    let _ = write!(HashWriter(&mut h2), "{value:?}");
     (h1.finish(), h2.finish())
 }
 
 /// The most plans a [`SharedPlanCache`] keeps before it is wholesale
-/// cleared. A server's query workload repeats a bounded set of programs;
-/// an unbounded cache would leak under ad-hoc query streams. Larger than
-/// the per-engine cap because many sessions share this one.
+/// cleared. A query workload repeats a bounded set of programs; an
+/// unbounded cache would leak under ad-hoc query streams.
 pub const SHARED_PLAN_CACHE_CAP: usize = 256;
 
-/// A thread-safe, fingerprint-keyed plan cache shared across sessions
-/// (ISSUE 8): every session — the serialized write path and each
-/// concurrent snapshot reader — consults the same map, so a query planned
-/// by one session is a cache hit for every other. Plans are immutable
-/// (`Arc<dyn CompiledProgram>`, `Send + Sync`), so sharing them across
-/// threads is free of locking beyond the map probe itself.
+/// The plan cache: thread-safe and fingerprint-keyed. Every engine holds
+/// one — its own until [`Engine::set_shared_plan_cache`](crate::Engine::set_shared_plan_cache)
+/// installs another — and every fork of an engine holds its parent's, so
+/// on a server the write path and each concurrent snapshot reader consult
+/// the same map and a query planned by one session is a cache hit for
+/// every other. Plans are immutable (`Arc<dyn CompiledProgram>`,
+/// `Send + Sync`), so sharing them across threads is free of locking
+/// beyond the map probe itself.
 #[derive(Default)]
 pub struct SharedPlanCache {
     plans: std::sync::Mutex<std::collections::HashMap<(u64, u64), Arc<dyn CompiledProgram>>>,

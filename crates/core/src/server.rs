@@ -35,11 +35,14 @@
 //!   requests is rejected with `XQB0051` (backpressure — the client
 //!   retries, the server never queues unboundedly).
 //!
-//! Sessions share one fingerprint-keyed [`SharedPlanCache`], so a query
-//! planned by any session is a plan-cache hit for every other. Request
-//! accounting lands in the global metrics registry under `server.*`
-//! (counters, gauges, latency histograms); [`Server::stats`] reads them
-//! back as one struct.
+//! Sessions share one fingerprint-keyed [`SharedPlanCache`] — installed in
+//! the hosted engine, inherited by every snapshot and fork of it — so a
+//! query planned by any session is a plan-cache hit for every other. They
+//! also share the engine's one [`ProgramEnv`](crate::env::ProgramEnv): a
+//! fork runs under the same limits, thread budget, slow-query threshold
+//! and trace sink as the writer. Request accounting lands in the global
+//! metrics registry under `server.*` (counters, gauges, latency
+//! histograms); [`Server::stats`] reads them back as one struct.
 
 use crate::engine::{Engine, EngineSnapshot, Error};
 use crate::limits::Limits;
@@ -296,7 +299,7 @@ struct Inner {
     /// the engine mutex is held (commit) or for a read-only scan
     /// (validation), never the other way around.
     ring: Mutex<FootprintRing>,
-    /// The cross-session plan cache (also installed into `engine`).
+    /// The cross-session plan cache (the one installed into `engine`).
     cache: Arc<SharedPlanCache>,
     config: ServerConfig,
     sessions: AtomicUsize,
@@ -321,8 +324,9 @@ impl Server {
     }
 
     /// Host `engine` behind `config`. The engine's limits, thread budget,
-    /// and plan cache are taken over by the server so that the writer
-    /// path and every reader fork run under one policy.
+    /// and plan cache are taken over by the server; everything else in
+    /// its environment (modules, bindings, slow-query threshold, trace
+    /// sink) is kept, and the writer path and every reader fork share it.
     pub fn with_config(mut engine: Engine, config: ServerConfig) -> Server {
         let cache = SharedPlanCache::new();
         engine.set_shared_plan_cache(cache.clone());
@@ -600,7 +604,6 @@ impl Session {
     ) -> Result<Response, Error> {
         let inner = &self.inner;
         let mut reader = pin.reader();
-        reader.set_shared_plan_cache(inner.cache.clone());
         let started = Instant::now();
         let result = reader.run_program(program);
         let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -687,7 +690,6 @@ impl Session {
         let inner = &self.inner;
         let base_epoch = pin.epoch();
         let mut fork = pin.reader();
-        fork.set_shared_plan_cache(inner.cache.clone());
         fork.begin_capture(true);
         let result = fork.run_program(program);
         // Serialize on the fork, *before* draining the capture: the
@@ -1069,6 +1071,40 @@ mod tests {
         let per_commit = (wal_len(&dir) - wal_before) / 200;
         assert!(per_commit <= 240, "{per_commit} WAL bytes per commit");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // -----------------------------------------------------------------
+    // One program environment (DESIGN.md §19)
+    // -----------------------------------------------------------------
+
+    #[test]
+    fn environment_edits_reach_neither_forks_nor_pinned_snapshots() {
+        let server = server_with_doc();
+        let pin = server.inner.versions.pin_latest();
+        let mut forked_before = pin.reader();
+        server.with_engine(|e| {
+            e.load_module("declare function greet() { \"hello\" };")
+                .unwrap();
+            e.bind("who", xqdm::seq![xqdm::Item::string("world")]);
+        });
+        // The edit copied the environment; the fork made before it, and a
+        // fork made now from the snapshot pinned before it, keep the old.
+        for old in [&mut forked_before, &mut pin.reader()] {
+            assert!(old.binding("who").is_none());
+            assert!(old.binding("doc").is_some());
+            match old.run("greet()") {
+                Err(Error::Eval(e)) => assert_eq!(e.code, "XPST0017"),
+                other => panic!("the old environment has no greet(): {other:?}"),
+            }
+        }
+        // Whatever is forked from the snapshot published after it — a
+        // session's request — sees the new one.
+        let s = server.open_session().unwrap();
+        let r = s.execute("concat(greet(), \" \", $who)").unwrap();
+        assert_eq!(
+            (r.kind, r.body.as_str()),
+            (RequestKind::Read, "hello world")
+        );
     }
 
     // -----------------------------------------------------------------

@@ -683,9 +683,8 @@ fn par_plan_for(
 ) -> XdmResult<Sequence> {
     evaluator.note_par_region(src.len());
     let depth = evaluator.nesting_depth();
-    let threads = evaluator.threads();
     let ctx = evaluator.pure_ctx();
-    let results = par_map(threads, env, src, |wenv, i, it| {
+    let results = par_map(&ctx, env, src, |wenv, i, it| {
         wenv.push_var(var.to_string(), seq![it.clone()]);
         if let Some(p) = position {
             wenv.push_var(p.to_string(), seq![Item::integer((i + 1) as i64)]);
@@ -802,9 +801,8 @@ fn par_hash_join(
         .collect();
     evaluator.note_par_region(pairs.len());
     let depth = evaluator.nesting_depth();
-    let threads = evaluator.threads();
     let ctx = evaluator.pure_ctx();
-    let results = par_map(threads, env, &pairs, |wenv, _i, (o, inn)| {
+    let results = par_map(&ctx, env, &pairs, |wenv, _i, (o, inn)| {
         wenv.push_var(join.outer_var.clone(), seq![(*o).clone()]);
         wenv.push_var(join.inner_var.clone(), seq![(*inn).clone()]);
         let r = eval_pure(&ctx, store, wenv, depth, &join.body);
@@ -833,9 +831,8 @@ fn par_group_by(
     let store: &Store = store;
     evaluator.note_par_region(rows.len());
     let depth = evaluator.nesting_depth();
-    let threads = evaluator.threads();
     let ctx = evaluator.pure_ctx();
-    let results = par_map(threads, env, &rows, |wenv, _i, row| {
+    let results = par_map(&ctx, env, &rows, |wenv, _i, row| {
         wenv.push_var(join.outer_var.clone(), seq![row.outer.clone()]);
         let r = (|wenv: &mut DynEnv| {
             let mut grouped = Sequence::new();

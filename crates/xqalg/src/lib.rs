@@ -39,7 +39,7 @@ pub use rewrite::simplify;
 
 use std::sync::Arc;
 use xqcore::planner::CompiledProgram;
-use xqcore::Evaluator;
+use xqcore::{Evaluator, ProgramEnv};
 use xqdm::item::Sequence;
 use xqdm::{Store, XdmResult};
 use xqsyn::CoreProgram;
@@ -49,6 +49,11 @@ use xqsyn::CoreProgram;
 /// the facade crate calls this from `Engine::new()`.
 pub fn install() {
     xqcore::planner::install(Arc::new(AlgPlanner));
+}
+
+/// The default environment with a fixed seed.
+fn seeded(seed: u64) -> Arc<ProgramEnv> {
+    Arc::new(ProgramEnv::default().with_seed(seed))
 }
 
 /// One-call convenience: compile a whole program (body, prolog variables,
@@ -65,7 +70,7 @@ pub fn run_optimized(
     seed: u64,
 ) -> XdmResult<(Sequence, bool)> {
     let planned = compile_program(program);
-    let mut evaluator = Evaluator::new(program).with_seed(seed);
+    let mut evaluator = Evaluator::new(seeded(seed), program);
     for (name, value) in bindings {
         evaluator.bind_global(name.clone(), value.clone());
     }
@@ -82,7 +87,7 @@ pub fn run_naive(
     bindings: &[(String, Sequence)],
     seed: u64,
 ) -> XdmResult<Sequence> {
-    let mut evaluator = Evaluator::new(program).with_seed(seed);
+    let mut evaluator = Evaluator::new(seeded(seed), program);
     for (name, value) in bindings {
         evaluator.bind_global(name.clone(), value.clone());
     }

@@ -277,11 +277,7 @@ fn assemble(
 pub struct AlgPlanner;
 
 impl Planner for AlgPlanner {
-    fn plan(&self, program: &CoreProgram) -> Arc<dyn CompiledProgram> {
-        Arc::new(compile_program(program))
-    }
-
-    fn plan_opts(&self, program: &CoreProgram, opts: &PlanOptions) -> Arc<dyn CompiledProgram> {
+    fn plan(&self, program: &CoreProgram, opts: &PlanOptions) -> Arc<dyn CompiledProgram> {
         Arc::new(compile_program_opts(program, opts))
     }
 

@@ -52,7 +52,7 @@ return insert { <m/> } into { ($d//out)[1] }"#;
     assert!(matches!(plan, QueryPlan::HashJoin(_)));
 
     let (mut store, bindings) = two_sided_store();
-    let mut ev = Evaluator::new(&program);
+    let mut ev = Evaluator::new(Default::default(), &program);
     for (n, v) in &bindings {
         ev.bind_global(n.clone(), v.clone());
     }
@@ -82,7 +82,7 @@ fn compiled_plan_is_reusable_across_stores() {
     let plan = Compiler::new(&program).compile(&program.body);
     for _ in 0..3 {
         let (mut store, bindings) = two_sided_store();
-        let mut ev = Evaluator::new(&program);
+        let mut ev = Evaluator::new(Default::default(), &program);
         for (n, v) in &bindings {
             ev.bind_global(n.clone(), v.clone());
         }

@@ -5,7 +5,8 @@
 //! guarded rewritings.
 
 use proptest::prelude::*;
-use xqcore::{DynEnv, EffectAnalysis, Evaluator};
+use std::sync::Arc;
+use xqcore::{DynEnv, EffectAnalysis, Evaluator, ProgramEnv};
 use xqdm::item::Item;
 use xqdm::{QName, Store};
 use xqsyn::core::CoreProgram;
@@ -52,7 +53,7 @@ fn run_body(program: &CoreProgram, body: &xqsyn::core::Core, keys: &[u8]) -> (St
     let mut store = Store::new();
     let data = build_data(&mut store, keys);
     let out = store.new_element(QName::local("out"));
-    let mut ev = Evaluator::new(program).with_seed(7);
+    let mut ev = Evaluator::new(Arc::new(ProgramEnv::default().with_seed(7)), program);
     ev.bind_global("data", xqdm::seq![Item::Node(data)]);
     ev.bind_global("out", xqdm::seq![Item::Node(out)]);
     let mut env = DynEnv::new();

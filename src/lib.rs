@@ -52,8 +52,7 @@ pub use xqdm::{Atomic, CapturedDelta, Footprint, Item, RecoveryReport, Sequence,
 /// process-wide default, so `run`/`run_program` compile queries to plans
 /// (joins, structural nodes) with per-subtree interpretation fallback.
 /// Derefs to [`xqcore::Engine`] — every engine method is available
-/// directly. Set the `XQB_INTERPRET` env var (or call
-/// `set_compile(false)`) to force pure interpretation.
+/// directly. Call `set_compile(false)` to force pure interpretation.
 pub struct Engine(pub xqcore::Engine);
 
 impl Engine {

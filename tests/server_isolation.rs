@@ -252,6 +252,55 @@ fn plan_cache_misses_when_index_availability_changes() {
     );
 }
 
+#[test]
+fn shadowing_agrees_across_routing_planning_and_evaluation() {
+    // "A program's own `f` wins over a module's `f`" has one statement
+    // (`xqcore::Scope`); routing, the OCC gate, the plan cache and the
+    // evaluator all ask it, so they cannot disagree about which `f` a
+    // call means.
+    const MODULE: &str = "declare function pure() { count($doc/log/e) };
+         declare function upd() { insert { <e/> } into { $doc/log } };";
+    let mut e = Engine::new();
+    e.load_document("doc", "<log/>").unwrap();
+    e.load_module(MODULE).unwrap();
+    let server = Server::new(e.0);
+    let s = server.open_session().unwrap();
+    let misses = || server.plan_cache().stats().1;
+
+    // Unshadowed: the module's ratings route.
+    assert_eq!(s.execute("pure()").unwrap().kind, RequestKind::Read);
+    assert_eq!(s.execute("upd()").unwrap().kind, RequestKind::Write);
+    let planned = misses();
+    // Module `pure` is pure, the program's own `pure` updates: a write.
+    let w = s
+        .execute("declare function pure() { insert { <e/> } into { $doc/log } }; pure()")
+        .unwrap();
+    assert_eq!(w.kind, RequestKind::Write);
+    // Module `upd` updates, the program's own `upd` is pure: a read.
+    let r = s
+        .execute("declare function upd() { count($doc/log/e) }; upd()")
+        .unwrap();
+    assert_eq!((r.kind, r.body.as_str()), (RequestKind::Read, "2"));
+    // Each was planned on its own: neither shares a cache entry with the
+    // unshadowed call of the same name.
+    assert_eq!(misses(), planned + 2);
+    // And the unshadowed calls still hit theirs.
+    assert_eq!(s.execute("pure()").unwrap().body, "2");
+    assert_eq!(misses(), planned + 2);
+
+    // `Engine::evaluator` is how a run gets its evaluator, so it sees the
+    // module functions (and the shadowing) exactly as `run` does.
+    let mut e = Engine::new();
+    e.load_document("doc", "<log><e/></log>").unwrap();
+    e.load_module(MODULE).unwrap();
+    for query in ["pure()", "declare function pure() { \"own\" }; pure()"] {
+        let program = e.compile(query).unwrap();
+        let (mut ev, _) = e.evaluator(&program);
+        let direct = ev.eval_program(&mut e.0.store, &program).unwrap();
+        assert_eq!(direct, e.run(query).unwrap(), "{query}");
+    }
+}
+
 // ----------------------------------------------------------------------
 // 4. proptest: random read/write interleavings
 // ----------------------------------------------------------------------
