@@ -11,11 +11,14 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 use xmarkgen::Scale;
-use xqalg::{run_naive, run_optimized};
-use xqbench::{xmark_fixture, Q8_VARIANT};
+use xqalg::{compile_program, run_naive};
+use xqbench::{run_planned, xmark_fixture, Q8_VARIANT};
+use xqcore::CompiledProgram as _;
 
 fn bench_q8(c: &mut Criterion) {
     let program = xqsyn::compile(Q8_VARIANT).expect("compile Q8");
+    let planned = compile_program(&program);
+    assert!(planned.is_optimized());
     let mut group = c.benchmark_group("e1_xmark_q8");
     group
         .sample_size(10)
@@ -36,12 +39,7 @@ fn bench_q8(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("optimized", n), &scale, |b, scale| {
             b.iter_batched(
                 || xmark_fixture(8, scale),
-                |(mut store, bindings)| {
-                    let (v, opt) =
-                        run_optimized(&program, &mut store, &bindings, 0).expect("optimized");
-                    assert!(opt);
-                    v
-                },
+                |(mut store, bindings)| run_planned(&planned, &program, &mut store, &bindings),
                 criterion::BatchSize::LargeInput,
             );
         });
@@ -52,9 +50,7 @@ fn bench_q8(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("optimized", n), &scale, |b, scale| {
             b.iter_batched(
                 || xmark_fixture(8, scale),
-                |(mut store, bindings)| {
-                    run_optimized(&program, &mut store, &bindings, 0).expect("optimized")
-                },
+                |(mut store, bindings)| run_planned(&planned, &program, &mut store, &bindings),
                 criterion::BatchSize::LargeInput,
             );
         });

@@ -14,8 +14,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 use xmarkgen::Scale;
-use xqalg::{run_optimized, Compiler, QueryPlan};
-use xqbench::{xmark_fixture, Q8_SNAP_VARIANT, Q8_VARIANT};
+use xqalg::{compile_program, Compiler, QueryPlan};
+use xqbench::{run_planned, xmark_fixture, Q8_SNAP_VARIANT, Q8_VARIANT};
+use xqcore::CompiledProgram as _;
 
 fn bench_guard(c: &mut Criterion) {
     let plain = xqsyn::compile(Q8_VARIANT).expect("compile plain");
@@ -30,6 +31,9 @@ fn bench_guard(c: &mut Criterion) {
         Compiler::new(&snapped).compile(&snapped.body),
         QueryPlan::Iterate(_)
     ));
+    let plain_plan = compile_program(&plain);
+    let snapped_plan = compile_program(&snapped);
+    assert!(plain_plan.is_optimized() && !snapped_plan.is_optimized());
 
     let mut group = c.benchmark_group("e8_purity_guard");
     group
@@ -45,12 +49,7 @@ fn bench_guard(c: &mut Criterion) {
             |b, scale| {
                 b.iter_batched(
                     || xmark_fixture(8, scale),
-                    |(mut store, bindings)| {
-                        let (v, optimized) =
-                            run_optimized(&plain, &mut store, &bindings, 0).expect("plain");
-                        assert!(optimized);
-                        v
-                    },
+                    |(mut store, bindings)| run_planned(&plain_plan, &plain, &mut store, &bindings),
                     criterion::BatchSize::LargeInput,
                 );
             },
@@ -62,10 +61,7 @@ fn bench_guard(c: &mut Criterion) {
                 b.iter_batched(
                     || xmark_fixture(8, scale),
                     |(mut store, bindings)| {
-                        let (v, optimized) =
-                            run_optimized(&snapped, &mut store, &bindings, 0).expect("snapped");
-                        assert!(!optimized);
-                        v
+                        run_planned(&snapped_plan, &snapped, &mut store, &bindings)
                     },
                     criterion::BatchSize::LargeInput,
                 );

@@ -50,7 +50,7 @@ let $a :=
 return <item person="{ $p/name }">{ count($a) }</item>"#;
 
 /// Build an XMark store plus a fresh `purchasers` element; returns
-/// `(store, bindings)` ready for `xqalg::run_naive`/`run_optimized`.
+/// `(store, bindings)` ready for `xqalg::run_naive`/[`run_planned`].
 pub fn xmark_fixture(seed: u64, scale: &Scale) -> (Store, Vec<(String, Sequence)>) {
     let mut store = Store::new();
     let auction = XmarkGen::new(seed)
@@ -64,6 +64,25 @@ pub fn xmark_fixture(seed: u64, scale: &Scale) -> (Store, Vec<(String, Sequence)
             ("purchasers".to_string(), xqdm::seq![Item::Node(purchasers)]),
         ],
     )
+}
+
+/// Execute `planned` — `program` through `xqalg::compile_program` — with
+/// the given host bindings: the compiled counterpart of
+/// `xqalg::run_naive`, with the plan built outside the timed region.
+pub fn run_planned(
+    planned: &xqalg::PlannedProgram,
+    program: &xqsyn::CoreProgram,
+    store: &mut Store,
+    bindings: &[(String, Sequence)],
+) -> Sequence {
+    use xqcore::CompiledProgram as _;
+    let mut evaluator = xqcore::Evaluator::new(Default::default(), program);
+    for (name, value) in bindings {
+        evaluator.bind_global(name.clone(), value.clone());
+    }
+    planned
+        .execute(&mut evaluator, store)
+        .expect("compiled run")
 }
 
 /// A conflict-free Δ of `k` rename requests over `k` fresh nodes.

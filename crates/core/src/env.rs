@@ -34,7 +34,7 @@ fn key_of(f: &CoreFunction) -> FnKey {
 pub struct ProgramEnv {
     /// Module functions in load order (EXPLAIN lists them so), indexed by
     /// `(name, arity)`. The first declaration of a key wins.
-    functions: Vec<CoreFunction>,
+    functions: Vec<Arc<CoreFunction>>,
     index: HashMap<FnKey, usize>,
     /// Effect ratings of `functions`, recomputed when the table changes.
     effects: EffectAnalysis,
@@ -97,15 +97,15 @@ impl ProgramEnv {
         for f in functions {
             if let Entry::Vacant(slot) = self.index.entry(key_of(f)) {
                 slot.insert(self.functions.len());
-                self.functions.push(f.clone());
+                self.functions.push(Arc::new(f.clone()));
             }
         }
-        self.effects = EffectAnalysis::for_functions(&self.functions);
+        self.effects = EffectAnalysis::for_functions(self.functions.iter().map(|f| &**f));
         self.fingerprint = crate::planner::fingerprint_of(&self.functions);
     }
 
     /// The module function `key` names.
-    pub fn function(&self, key: &FnKey) -> Option<&CoreFunction> {
+    pub fn function(&self, key: &FnKey) -> Option<&Arc<CoreFunction>> {
         self.index.get(key).map(|&i| &self.functions[i])
     }
 
@@ -143,7 +143,7 @@ impl ProgramEnv {
 /// evaluation cannot disagree about which `f` a call means.
 pub struct Scope {
     env: Arc<ProgramEnv>,
-    functions: HashMap<FnKey, CoreFunction>,
+    functions: HashMap<FnKey, Arc<CoreFunction>>,
     globals: HashMap<String, Sequence>,
     /// The analysis over own + visible module functions, computed on
     /// first use when the program declares any function; a program that
@@ -159,7 +159,7 @@ impl Scope {
             functions: program
                 .functions
                 .iter()
-                .map(|f| (key_of(f), f.clone()))
+                .map(|f| (key_of(f), Arc::new(f.clone())))
                 .collect(),
             globals: HashMap::new(),
             effects: OnceLock::new(),
@@ -171,8 +171,9 @@ impl Scope {
         &self.env
     }
 
-    /// The function a call to `name` with `arity` arguments means.
-    pub fn function(&self, name: &str, arity: usize) -> Option<&CoreFunction> {
+    /// The function a call to `name` with `arity` arguments means — behind
+    /// an `Arc`, so a caller can keep the body while it evaluates it.
+    pub fn function(&self, name: &str, arity: usize) -> Option<&Arc<CoreFunction>> {
         let key = (name.to_string(), arity);
         self.functions.get(&key).or_else(|| self.env.function(&key))
     }
@@ -182,6 +183,7 @@ impl Scope {
         self.env
             .functions
             .iter()
+            .map(|f| &**f)
             .filter(|f| self.functions.is_empty() || !self.functions.contains_key(&key_of(f)))
     }
 
@@ -202,7 +204,8 @@ impl Scope {
             return &self.env.effects;
         }
         self.effects.get_or_init(|| {
-            EffectAnalysis::for_functions(self.functions.values().chain(self.module_functions()))
+            let own = self.functions.values().map(|f| &**f);
+            EffectAnalysis::for_functions(own.chain(self.module_functions()))
         })
     }
 

@@ -23,6 +23,7 @@ use crate::env::{DynEnv, Focus, ProgramEnv, Scope};
 use crate::functions;
 use crate::limits::{self, LimitGuard, TripKind};
 use crate::obs;
+use crate::par::{self, PureCtx, Worker, PAR_MIN_ITEMS};
 use crate::planner::FunctionExecutor;
 use crate::update::{Delta, UpdateRequest};
 use std::sync::Arc;
@@ -214,32 +215,81 @@ impl Evaluator {
         self.guard.tick()
     }
 
-    /// The read-only context parallel workers evaluate under.
-    pub fn pure_ctx(&self) -> crate::par::PureCtx<'_> {
-        crate::par::PureCtx {
+    /// Fan `items` out over the worker pool (DESIGN.md §9): `f` runs once
+    /// per item on a [`Worker`] — the same evaluation rules over `&Store`,
+    /// starting at this evaluator's nesting depth and sharing its limit
+    /// guard — with a private clone of `env`. Values come back in input
+    /// order and the first failing item's error wins: what a sequential
+    /// loop over a pure `f` would have produced. The caller guarantees
+    /// [`Evaluator::par_candidate`] admitted everything `f` evaluates.
+    pub fn fan_out<T, F>(
+        &mut self,
+        store: &Store,
+        env: &DynEnv,
+        items: &[T],
+        f: F,
+    ) -> XdmResult<Sequence>
+    where
+        T: Sync,
+        F: Fn(&mut Worker<'_>, &mut DynEnv, usize, &T) -> XdmResult<Sequence> + Sync,
+    {
+        self.stats.par_regions += 1;
+        self.stats.par_items += items.len() as u64;
+        let ctx = PureCtx {
             scope: &self.scope,
             guard: &self.guard,
+            store,
+            depth: self.depth,
+        };
+        par::merge_in_order(par::par_map(ctx, env, items, f))
+    }
+
+    /// The `for` loop's fan-out, for the interpreter's `Core::For` rule and
+    /// the compiled plan `For` alike: `None` when `src` is too short or the
+    /// gate rejects `body` (the caller then loops sequentially). Each
+    /// iteration costs the limit guard what the sequential loop it replaces
+    /// would have, so limit thresholds do not depend on the thread count:
+    /// the interpreter's loop charges every iteration's value against the
+    /// memory budget, while a plan loop (`plan_body`) charges nothing but
+    /// enters the body's plan node — one tick — per iteration.
+    pub fn par_for(
+        &mut self,
+        store: &Store,
+        env: &DynEnv,
+        (var, position): (&str, Option<&str>),
+        src: &[Item],
+        body: &Core,
+        plan_body: bool,
+    ) -> Option<XdmResult<Sequence>> {
+        if src.len() < PAR_MIN_ITEMS || !self.par_candidate(body) {
+            return None;
         }
-    }
-
-    /// The current `eval` nesting depth — parallel workers start their
-    /// recursion counter here so the XQB0040 limit fires at the same
-    /// nesting a sequential evaluation would report.
-    pub fn nesting_depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Record one fanned-out region of `items` iterations.
-    pub fn note_par_region(&mut self, items: usize) {
-        self.stats.par_regions += 1;
-        self.stats.par_items += items as u64;
+        Some(self.fan_out(store, env, src, |worker, wenv, i, it| {
+            if plan_body {
+                worker.guard().tick()?;
+            }
+            wenv.push_var(var, seq![it.clone()]);
+            if let Some(p) = position {
+                wenv.push_var(p, seq![Item::integer((i + 1) as i64)]);
+            }
+            let r = worker.eval(wenv, body);
+            if position.is_some() {
+                wenv.pop_var();
+            }
+            wenv.pop_var();
+            let v = r?;
+            if !plan_body {
+                worker.guard().charge(v.len() as u64)?;
+            }
+            Ok(v)
+        }))
     }
 
     /// The parallel gate: is fan-out enabled (threads ≥ 2) *and* is `body`
     /// provably safe to evaluate on workers sharing `&Store`? See
     /// [`crate::par::par_safe`] for the judgment itself.
     pub fn par_candidate(&self, body: &Core) -> bool {
-        self.scope.env().threads >= 2 && crate::par::par_safe(body, &self.scope)
+        self.scope.env().threads >= 2 && par::par_safe(body, &self.scope)
     }
 
     /// Resume the per-snap seed counter from a previous evaluation. The
@@ -596,339 +646,28 @@ impl Evaluator {
         Ok(())
     }
 
-    /// The core judgment. Left-to-right, store-threading, Δ-appending.
+    /// The core judgment. Left-to-right, store-threading, Δ-appending: the
+    /// shared rules ([`EvalCtx::eval`]) instantiated with `&mut Store`.
     pub fn eval(
         &mut self,
         store: &mut Store,
         env: &mut DynEnv,
         expr: &Core,
     ) -> XdmResult<Sequence> {
-        self.depth += 1;
-        let max_depth = self.scope.env().limits.max_depth;
-        if self.depth > max_depth {
-            self.depth -= 1;
-            self.guard.note_trip(TripKind::Depth);
-            return Err(limits::depth_error(max_depth));
-        }
-        if let Err(e) = self.guard.tick() {
-            self.depth -= 1;
-            return Err(e);
-        }
-        let r = self.eval_inner(store, env, expr);
-        self.depth -= 1;
-        r
+        Full { ev: self, store }.eval(env, expr)
     }
 
-    fn eval_inner(
+    /// The rules only this evaluator can run: they allocate in the store
+    /// (constructors, `copy`), append to Δ (the update operators of
+    /// Appendix B) or apply it (`snap`). [`rule`] routes exactly these
+    /// operators here.
+    fn eval_effectful(
         &mut self,
         store: &mut Store,
         env: &mut DynEnv,
         expr: &Core,
     ) -> XdmResult<Sequence> {
         match expr {
-            Core::Const(a) => Ok(seq![Item::Atomic(a.clone())]),
-            Core::Var(name) => match env.var(name) {
-                Ok(v) => Ok(v.clone()),
-                Err(e) => self.scope.global(name).cloned().ok_or(e),
-            },
-            Core::ContextItem => Ok(seq![env.focus()?.item.clone()]),
-            // The paper's sequence rule: e1 fully evaluated before e2,
-            // values and Δs concatenated in order.
-            Core::Seq(items) => {
-                let mut out = Sequence::new();
-                for e in items {
-                    let v = self.eval(store, env, e)?;
-                    self.guard.charge(v.len() as u64)?;
-                    out.extend(v);
-                }
-                Ok(out)
-            }
-            Core::For {
-                var,
-                position,
-                source,
-                body,
-            } => {
-                let src = self.eval(store, env, source)?;
-                // Parallel fan-out for effect-free bodies (DESIGN.md §9):
-                // the source was evaluated sequentially above (it may have
-                // effects); the body runs on workers sharing `&Store` only
-                // when the purity gate proves that indistinguishable.
-                if src.len() >= crate::par::PAR_MIN_ITEMS && self.par_candidate(body) {
-                    return self.par_for(store, env, var, position.as_deref(), &src, body);
-                }
-                let mut out = Sequence::new();
-                for (i, it) in src.into_iter().enumerate() {
-                    env.push_var(var.clone(), seq![it]);
-                    if let Some(p) = position {
-                        env.push_var(p.clone(), seq![Item::integer((i + 1) as i64)]);
-                    }
-                    let r = self.eval(store, env, body);
-                    if position.is_some() {
-                        env.pop_var();
-                    }
-                    env.pop_var();
-                    let v = r?;
-                    self.guard.charge(v.len() as u64)?;
-                    out.extend(v);
-                }
-                Ok(out)
-            }
-            Core::Let { var, value, body } => {
-                let v = self.eval(store, env, value)?;
-                env.push_var(var.clone(), v);
-                let r = self.eval(store, env, body);
-                env.pop_var();
-                r
-            }
-            Core::If(cond, then, els) => {
-                let c = self.eval(store, env, cond)?;
-                if item::effective_boolean(&c, store)? {
-                    self.eval(store, env, then)
-                } else {
-                    self.eval(store, env, els)
-                }
-            }
-            Core::Quantified {
-                quantifier,
-                var,
-                source,
-                satisfies,
-            } => {
-                let src = self.eval(store, env, source)?;
-                let mut result = matches!(quantifier, Quantifier::Every);
-                for it in src {
-                    env.push_var(var.clone(), seq![it]);
-                    let s = self.eval(store, env, satisfies);
-                    env.pop_var();
-                    let holds = item::effective_boolean(&s?, store)?;
-                    match quantifier {
-                        Quantifier::Some if holds => {
-                            result = true;
-                            break;
-                        }
-                        Quantifier::Every if !holds => {
-                            result = false;
-                            break;
-                        }
-                        _ => {}
-                    }
-                }
-                Ok(seq![Item::boolean(result)])
-            }
-            Core::SortedFor {
-                var,
-                source,
-                keys,
-                body,
-            } => {
-                let src = self.eval(store, env, source)?;
-                // Compute sort keys per binding (left-to-right, so key
-                // expressions may have effects like any other expression).
-                let mut keyed: Vec<(Vec<Option<Atomic>>, Item)> = Vec::with_capacity(src.len());
-                for it in src {
-                    env.push_var(var.clone(), seq![it.clone()]);
-                    let mut ks = Vec::with_capacity(keys.len());
-                    for k in keys {
-                        let kv = self.eval(store, env, &k.key);
-                        match kv {
-                            Ok(kv) => {
-                                let a = match item::zero_or_one(kv) {
-                                    Ok(a) => a,
-                                    Err(e) => {
-                                        env.pop_var();
-                                        return Err(e);
-                                    }
-                                };
-                                let a = match a.map(|x| x.atomize(store)).transpose() {
-                                    Ok(a) => a,
-                                    Err(e) => {
-                                        env.pop_var();
-                                        return Err(e);
-                                    }
-                                };
-                                ks.push(a);
-                            }
-                            Err(e) => {
-                                env.pop_var();
-                                return Err(e);
-                            }
-                        }
-                    }
-                    env.pop_var();
-                    keyed.push((ks, it));
-                }
-                keyed.sort_by(|(ka, _), (kb, _)| {
-                    for (i, (a, b)) in ka.iter().zip(kb).enumerate() {
-                        let ord = cmp_keys(a, b);
-                        let ord = if keys[i].ascending {
-                            ord
-                        } else {
-                            ord.reverse()
-                        };
-                        if ord != std::cmp::Ordering::Equal {
-                            return ord;
-                        }
-                    }
-                    std::cmp::Ordering::Equal
-                });
-                let mut out = Sequence::new();
-                for (_, it) in keyed {
-                    env.push_var(var.clone(), seq![it]);
-                    let r = self.eval(store, env, body);
-                    env.pop_var();
-                    out.extend(r?);
-                }
-                Ok(out)
-            }
-            Core::Arith(op, l, r) => {
-                let lv = self.eval(store, env, l)?;
-                let rv = self.eval(store, env, r)?;
-                let la = item::zero_or_one(lv)?
-                    .map(|x| x.atomize(store))
-                    .transpose()?;
-                let ra = item::zero_or_one(rv)?
-                    .map(|x| x.atomize(store))
-                    .transpose()?;
-                match (la, ra) {
-                    (Some(a), Some(b)) => Ok(seq![Item::Atomic(arithmetic(*op, &a, &b)?)]),
-                    _ => Ok(seq![]),
-                }
-            }
-            Core::Neg(e) => {
-                let v = self.eval(store, env, e)?;
-                match item::zero_or_one(v)?
-                    .map(|x| x.atomize(store))
-                    .transpose()?
-                {
-                    Some(a) => Ok(seq![Item::Atomic(negate(&a)?)]),
-                    None => Ok(seq![]),
-                }
-            }
-            Core::GeneralComp(op, l, r) => {
-                let lv = self.eval(store, env, l)?;
-                let rv = self.eval(store, env, r)?;
-                Ok(seq![Item::boolean(item::general_compare_seqs(
-                    *op, &lv, &rv, store,
-                )?)])
-            }
-            Core::ValueComp(op, l, r) => {
-                let lv = self.eval(store, env, l)?;
-                let rv = self.eval(store, env, r)?;
-                let la = item::zero_or_one(lv)?
-                    .map(|x| x.atomize(store))
-                    .transpose()?;
-                let ra = item::zero_or_one(rv)?
-                    .map(|x| x.atomize(store))
-                    .transpose()?;
-                match (la, ra) {
-                    (Some(a), Some(b)) => Ok(seq![Item::boolean(value_compare(*op, &a, &b)?)]),
-                    _ => Ok(seq![]),
-                }
-            }
-            Core::NodeComp(op, l, r) => {
-                let lv = self.eval(store, env, l)?;
-                let rv = self.eval(store, env, r)?;
-                let ln = item::zero_or_one(lv)?;
-                let rn = item::zero_or_one(rv)?;
-                match (ln, rn) {
-                    (Some(a), Some(b)) => {
-                        let (a, b) = (require_node(a)?, require_node(b)?);
-                        let res = match op {
-                            NodeCompOp::Is => a == b,
-                            NodeCompOp::Precedes => {
-                                store.cmp_doc_order(a, b)? == std::cmp::Ordering::Less
-                            }
-                            NodeCompOp::Follows => {
-                                store.cmp_doc_order(a, b)? == std::cmp::Ordering::Greater
-                            }
-                        };
-                        Ok(seq![Item::boolean(res)])
-                    }
-                    _ => Ok(seq![]),
-                }
-            }
-            Core::And(l, r) => {
-                let lv = self.eval(store, env, l)?;
-                if !item::effective_boolean(&lv, store)? {
-                    return Ok(seq![Item::boolean(false)]);
-                }
-                let rv = self.eval(store, env, r)?;
-                Ok(seq![Item::boolean(item::effective_boolean(&rv, store)?)])
-            }
-            Core::Or(l, r) => {
-                let lv = self.eval(store, env, l)?;
-                if item::effective_boolean(&lv, store)? {
-                    return Ok(seq![Item::boolean(true)]);
-                }
-                let rv = self.eval(store, env, r)?;
-                Ok(seq![Item::boolean(item::effective_boolean(&rv, store)?)])
-            }
-            Core::Union(l, r) => {
-                let mut lv = self.eval(store, env, l)?;
-                let rv = self.eval(store, env, r)?;
-                lv.extend(rv);
-                let mut nodes = item::all_nodes(&lv)?;
-                store.sort_and_dedup_with(&mut nodes, &mut self.scratch)?;
-                Ok(nodes.into_iter().map(Item::Node).collect())
-            }
-            Core::Range(l, r) => {
-                let lv = self.eval(store, env, l)?;
-                let rv = self.eval(store, env, r)?;
-                let la = item::zero_or_one(lv)?
-                    .map(|x| x.atomize(store))
-                    .transpose()?;
-                let ra = item::zero_or_one(rv)?
-                    .map(|x| x.atomize(store))
-                    .transpose()?;
-                match (la, ra) {
-                    (Some(a), Some(b)) => {
-                        let (a, b) = (a.to_integer()?, b.to_integer()?);
-                        // Pre-charge the span before materializing: `1 to
-                        // 10000000000` must trip XQB0043, not exhaust RAM.
-                        let span = b
-                            .checked_sub(a)
-                            .and_then(|d| d.checked_add(1))
-                            .unwrap_or(i64::MAX)
-                            .max(0) as u64;
-                        self.guard.charge(span)?;
-                        Ok((a..=b).map(Item::integer).collect())
-                    }
-                    _ => Ok(seq![]),
-                }
-            }
-            Core::MapStep {
-                base,
-                axis,
-                test,
-                predicates,
-            } => {
-                let origins = self.eval(store, env, base)?;
-                let mut out = Sequence::new();
-                for origin in &origins {
-                    let n = require_node(origin.clone())?;
-                    let axis_nodes = gather_axis(store, n, *axis, test)?;
-                    let mut items: Sequence = axis_nodes.into_iter().map(Item::Node).collect();
-                    for pred in predicates {
-                        items = self.filter_positional(store, env, items, pred)?;
-                    }
-                    out.extend(items);
-                }
-                let mut nodes = item::all_nodes(&out)?;
-                store.sort_and_dedup_with(&mut nodes, &mut self.scratch)?;
-                Ok(nodes.into_iter().map(Item::Node).collect())
-            }
-            Core::DocOrder(e) => {
-                let v = self.eval(store, env, e)?;
-                let mut nodes = item::all_nodes(&v)?;
-                store.sort_and_dedup_with(&mut nodes, &mut self.scratch)?;
-                Ok(nodes.into_iter().map(Item::Node).collect())
-            }
-            Core::Predicate { base, pred } => {
-                let v = self.eval(store, env, base)?;
-                self.filter_positional(store, env, v, pred)
-            }
-            Core::Call(name, args) => self.eval_call(store, env, name, args),
             Core::ElemCtor { name, content } => {
                 let qname = self.eval_ctor_name(store, env, name)?;
                 let mut items = Vec::new();
@@ -1105,82 +844,8 @@ impl Evaluator {
                     }
                 }
             }
+            _ => unreachable!("rule() evaluates the pure operators itself"),
         }
-    }
-
-    /// Fan a pure `for` body out over the worker pool. Caller guarantees
-    /// [`Evaluator::par_candidate`] admitted `body`. Values come back in
-    /// input order ([`crate::par::par_map`]) and the first failing
-    /// iteration's error wins ([`crate::par::merge_in_order`]) — exactly
-    /// the sequential loop's observable behavior, since a pure body can
-    /// leave no other trace.
-    fn par_for(
-        &mut self,
-        store: &Store,
-        env: &DynEnv,
-        var: &str,
-        position: Option<&str>,
-        src: &[Item],
-        body: &Core,
-    ) -> XdmResult<Sequence> {
-        self.note_par_region(src.len());
-        let depth = self.depth;
-        let ctx = self.pure_ctx();
-        let results = crate::par::par_map(&ctx, env, src, |wenv, i, it| {
-            wenv.push_var(var.to_string(), seq![it.clone()]);
-            if let Some(p) = position {
-                wenv.push_var(p.to_string(), seq![Item::integer((i + 1) as i64)]);
-            }
-            let r = crate::par::eval_pure(&ctx, store, wenv, depth, body);
-            if position.is_some() {
-                wenv.pop_var();
-            }
-            wenv.pop_var();
-            r
-        });
-        crate::par::merge_in_order(results)
-    }
-
-    fn eval_call(
-        &mut self,
-        store: &mut Store,
-        env: &mut DynEnv,
-        name: &str,
-        args: &[Core],
-    ) -> XdmResult<Sequence> {
-        // Arguments evaluate left to right (Appendix B's function rule),
-        // regardless of whether the target is built-in or user-declared.
-        let mut values = Vec::with_capacity(args.len());
-        for a in args {
-            values.push(self.eval(store, env, a)?);
-        }
-        if let Some(result) = functions::dispatch(name, values.clone(), store, env) {
-            return result;
-        }
-        // Compiled function bodies run through the installed executor; a
-        // miss hands the evaluated arguments back for interpretation.
-        if let Some(executor) = self.function_executor.clone() {
-            match executor.try_call(self, store, name, values) {
-                Ok(result) => return result,
-                Err(returned) => values = returned,
-            }
-        }
-        let func = match self.scope.function(name, args.len()) {
-            Some(f) => f.clone(),
-            None => {
-                return Err(XdmError::new(
-                    "XPST0017",
-                    format!("undefined function {name}#{}", args.len()),
-                ))
-            }
-        };
-        // Function bodies see only their parameters and globals — build a
-        // fresh environment rather than exposing the caller's locals.
-        let mut fenv = DynEnv::new();
-        for (p, v) in func.params.iter().zip(values) {
-            fenv.push_var(p.clone(), v);
-        }
-        self.eval(store, &mut fenv, &func.body)
     }
 
     fn eval_ctor_name(
@@ -1227,50 +892,488 @@ impl Evaluator {
         out.extend(v.into_iter().map(|it| (it, fresh)));
         Ok(())
     }
+}
 
-    /// Positional predicate filtering (XPath semantics): a numeric
-    /// predicate value tests the context position; anything else is an
-    /// effective-boolean-value test.
-    fn filter_positional(
+/// What the evaluation rules need from whoever runs them. Every operator
+/// has one rule ([`rule`]), written against this context and instantiated
+/// twice (DESIGN.md §9): by [`Full`] — an [`Evaluator`] with the
+/// `&mut Store` it may write — and by the parallel [`Worker`], which holds
+/// `&Store` only. The required methods are the whole difference between
+/// the two.
+pub(crate) trait EvalCtx: Sized {
+    /// The store, for reading.
+    fn store(&self) -> &Store;
+    /// The functions and globals the program can name.
+    fn scope(&self) -> &Scope;
+    /// The run's armed limit guard.
+    fn guard(&self) -> &LimitGuard;
+    /// The current `eval` nesting depth.
+    fn depth_mut(&mut self) -> &mut usize;
+    /// Sort `nodes` into document order and deduplicate, reusing the
+    /// context's scratch buffers.
+    fn doc_order(&mut self, nodes: &mut Vec<NodeId>) -> XdmResult<()>;
+    /// A `for` loop over `src` offers itself for fan-out; `None` declines
+    /// and the rule loops sequentially.
+    fn par_for(
         &mut self,
-        store: &mut Store,
-        env: &mut DynEnv,
-        items: Sequence,
-        pred: &Core,
-    ) -> XdmResult<Sequence> {
-        // Fast path: a constant numeric predicate ([1], [2]...) needs no
-        // per-item evaluation.
-        if let Core::Const(a) = pred {
-            if a.is_numeric() {
-                let wanted = a.to_double()?;
-                let idx = wanted as usize;
-                if wanted.fract() == 0.0 && idx >= 1 && idx <= items.len() {
-                    return Ok(seq![items[idx - 1].clone()]);
-                }
-                return Ok(seq![]);
-            }
-        }
-        let size = items.len();
-        let mut out = Sequence::new();
-        for (i, it) in items.into_iter().enumerate() {
-            env.push_focus(Focus {
-                item: it.clone(),
-                position: i + 1,
-                size,
-            });
-            let v = self.eval(store, env, pred);
-            env.pop_focus();
-            let v = v?;
-            let keep = match v.as_slice() {
-                [Item::Atomic(a)] if a.is_numeric() => a.to_double()? == (i + 1) as f64,
-                other => item::effective_boolean(other, store)?,
-            };
-            if keep {
-                out.push(it);
-            }
-        }
-        Ok(out)
+        env: &DynEnv,
+        binders: (&str, Option<&str>),
+        src: &[Item],
+        body: &Core,
+    ) -> Option<XdmResult<Sequence>>;
+    /// The half of the call rule that needs more than `&Store`:
+    /// `fn:parse-xml` and compiled function bodies. `Err(args)` hands the
+    /// arguments back for the declared body to be interpreted.
+    fn call_unshared(
+        &mut self,
+        name: &str,
+        args: Vec<Sequence>,
+    ) -> Result<XdmResult<Sequence>, Vec<Sequence>>;
+    /// Constructors, `copy`, update operators and `snap`.
+    fn effectful(&mut self, env: &mut DynEnv, expr: &Core) -> XdmResult<Sequence>;
+
+    /// One step of the judgment: the recursion-depth check (`XQB0040`),
+    /// one tick of the limit guard, then `expr`'s rule.
+    fn eval(&mut self, env: &mut DynEnv, expr: &Core) -> XdmResult<Sequence> {
+        let max_depth = self.scope().env().limits.max_depth;
+        *self.depth_mut() += 1;
+        let r = if *self.depth_mut() > max_depth {
+            self.guard().note_trip(TripKind::Depth);
+            Err(limits::depth_error(max_depth))
+        } else {
+            self.guard().tick().and_then(|()| rule(self, env, expr))
+        };
+        *self.depth_mut() -= 1;
+        r
     }
+}
+
+/// The full instantiation of the rules: an evaluator and the store it
+/// reads, allocates in and applies Δ to.
+struct Full<'a> {
+    ev: &'a mut Evaluator,
+    store: &'a mut Store,
+}
+
+impl EvalCtx for Full<'_> {
+    fn store(&self) -> &Store {
+        self.store
+    }
+
+    fn scope(&self) -> &Scope {
+        &self.ev.scope
+    }
+
+    fn guard(&self) -> &LimitGuard {
+        &self.ev.guard
+    }
+
+    fn depth_mut(&mut self) -> &mut usize {
+        &mut self.ev.depth
+    }
+
+    fn doc_order(&mut self, nodes: &mut Vec<NodeId>) -> XdmResult<()> {
+        self.store.sort_and_dedup_with(nodes, &mut self.ev.scratch)
+    }
+
+    fn par_for(
+        &mut self,
+        env: &DynEnv,
+        binders: (&str, Option<&str>),
+        src: &[Item],
+        body: &Core,
+    ) -> Option<XdmResult<Sequence>> {
+        self.ev.par_for(self.store, env, binders, src, body, false)
+    }
+
+    fn call_unshared(
+        &mut self,
+        name: &str,
+        args: Vec<Sequence>,
+    ) -> Result<XdmResult<Sequence>, Vec<Sequence>> {
+        if functions::is_parse_xml(name) {
+            return Ok(functions::parse_xml(self.store, args));
+        }
+        match self.ev.function_executor.clone() {
+            Some(executor) => executor.try_call(self.ev, self.store, name, args),
+            None => Err(args),
+        }
+    }
+
+    fn effectful(&mut self, env: &mut DynEnv, expr: &Core) -> XdmResult<Sequence> {
+        self.ev.eval_effectful(self.store, env, expr)
+    }
+}
+
+/// Atomize an operand that must be empty or a single item.
+fn optional_atom(v: Sequence, store: &Store) -> XdmResult<Option<Atomic>> {
+    item::zero_or_one(v)?.map(|x| x.atomize(store)).transpose()
+}
+
+/// The rule of each operator — the paper's
+/// `store0; dynEnv ⊢ Expr ⇒ value; Δ; store1`, one arm per operator.
+/// Sub-expressions evaluate strictly left to right through `cx.eval`.
+/// The operators that can run over `&Store` are spelled out here, once,
+/// for both instantiations; the rest go to [`EvalCtx::effectful`]. The
+/// match has no wildcard, so a new `Core` variant has to pick a side.
+fn rule<C: EvalCtx>(cx: &mut C, env: &mut DynEnv, expr: &Core) -> XdmResult<Sequence> {
+    match expr {
+        Core::Const(a) => Ok(seq![Item::Atomic(a.clone())]),
+        Core::Var(name) => match env.var(name) {
+            Ok(v) => Ok(v.clone()),
+            Err(e) => cx.scope().global(name).cloned().ok_or(e),
+        },
+        Core::ContextItem => Ok(seq![env.focus()?.item.clone()]),
+        // The paper's sequence rule: e1 fully evaluated before e2,
+        // values and Δs concatenated in order.
+        Core::Seq(items) => {
+            let mut out = Sequence::new();
+            for e in items {
+                let v = cx.eval(env, e)?;
+                cx.guard().charge(v.len() as u64)?;
+                out.extend(v);
+            }
+            Ok(out)
+        }
+        Core::For {
+            var,
+            position,
+            source,
+            body,
+        } => {
+            // The source evaluates sequentially (it may have effects); an
+            // effect-free body may then fan out (DESIGN.md §9).
+            let src = cx.eval(env, source)?;
+            if let Some(r) = cx.par_for(env, (var, position.as_deref()), &src, body) {
+                return r;
+            }
+            let mut out = Sequence::new();
+            for (i, it) in src.into_iter().enumerate() {
+                env.push_var(var.clone(), seq![it]);
+                if let Some(p) = position {
+                    env.push_var(p.clone(), seq![Item::integer((i + 1) as i64)]);
+                }
+                let r = cx.eval(env, body);
+                if position.is_some() {
+                    env.pop_var();
+                }
+                env.pop_var();
+                let v = r?;
+                cx.guard().charge(v.len() as u64)?;
+                out.extend(v);
+            }
+            Ok(out)
+        }
+        Core::Let { var, value, body } => {
+            let v = cx.eval(env, value)?;
+            env.push_var(var.clone(), v);
+            let r = cx.eval(env, body);
+            env.pop_var();
+            r
+        }
+        Core::If(cond, then, els) => {
+            let c = cx.eval(env, cond)?;
+            if item::effective_boolean(&c, cx.store())? {
+                cx.eval(env, then)
+            } else {
+                cx.eval(env, els)
+            }
+        }
+        Core::Quantified {
+            quantifier,
+            var,
+            source,
+            satisfies,
+        } => {
+            let src = cx.eval(env, source)?;
+            let mut result = matches!(quantifier, Quantifier::Every);
+            for it in src {
+                env.push_var(var.clone(), seq![it]);
+                let s = cx.eval(env, satisfies);
+                env.pop_var();
+                let holds = item::effective_boolean(&s?, cx.store())?;
+                match quantifier {
+                    Quantifier::Some if holds => {
+                        result = true;
+                        break;
+                    }
+                    Quantifier::Every if !holds => {
+                        result = false;
+                        break;
+                    }
+                    _ => {}
+                }
+            }
+            Ok(seq![Item::boolean(result)])
+        }
+        Core::SortedFor {
+            var,
+            source,
+            keys,
+            body,
+        } => {
+            let src = cx.eval(env, source)?;
+            // Compute sort keys per binding (left-to-right, so key
+            // expressions may have effects like any other expression).
+            let mut keyed: Vec<(Vec<Option<Atomic>>, Item)> = Vec::with_capacity(src.len());
+            for it in src {
+                env.push_var(var.clone(), seq![it.clone()]);
+                let ks = keys
+                    .iter()
+                    .map(|k| optional_atom(cx.eval(env, &k.key)?, cx.store()))
+                    .collect::<XdmResult<Vec<_>>>();
+                env.pop_var();
+                keyed.push((ks?, it));
+            }
+            keyed.sort_by(|(ka, _), (kb, _)| {
+                for (i, (a, b)) in ka.iter().zip(kb).enumerate() {
+                    let ord = cmp_keys(a, b);
+                    let ord = if keys[i].ascending {
+                        ord
+                    } else {
+                        ord.reverse()
+                    };
+                    if ord != std::cmp::Ordering::Equal {
+                        return ord;
+                    }
+                }
+                std::cmp::Ordering::Equal
+            });
+            let mut out = Sequence::new();
+            for (_, it) in keyed {
+                env.push_var(var.clone(), seq![it]);
+                let r = cx.eval(env, body);
+                env.pop_var();
+                out.extend(r?);
+            }
+            Ok(out)
+        }
+        Core::Arith(op, l, r) => {
+            let lv = cx.eval(env, l)?;
+            let rv = cx.eval(env, r)?;
+            let la = optional_atom(lv, cx.store())?;
+            let ra = optional_atom(rv, cx.store())?;
+            match (la, ra) {
+                (Some(a), Some(b)) => Ok(seq![Item::Atomic(arithmetic(*op, &a, &b)?)]),
+                _ => Ok(seq![]),
+            }
+        }
+        Core::Neg(e) => {
+            let v = cx.eval(env, e)?;
+            match optional_atom(v, cx.store())? {
+                Some(a) => Ok(seq![Item::Atomic(negate(&a)?)]),
+                None => Ok(seq![]),
+            }
+        }
+        Core::GeneralComp(op, l, r) => {
+            let lv = cx.eval(env, l)?;
+            let rv = cx.eval(env, r)?;
+            Ok(seq![Item::boolean(item::general_compare_seqs(
+                *op,
+                &lv,
+                &rv,
+                cx.store(),
+            )?)])
+        }
+        Core::ValueComp(op, l, r) => {
+            let lv = cx.eval(env, l)?;
+            let rv = cx.eval(env, r)?;
+            let la = optional_atom(lv, cx.store())?;
+            let ra = optional_atom(rv, cx.store())?;
+            match (la, ra) {
+                (Some(a), Some(b)) => Ok(seq![Item::boolean(value_compare(*op, &a, &b)?)]),
+                _ => Ok(seq![]),
+            }
+        }
+        Core::NodeComp(op, l, r) => {
+            let lv = cx.eval(env, l)?;
+            let rv = cx.eval(env, r)?;
+            let ln = item::zero_or_one(lv)?;
+            let rn = item::zero_or_one(rv)?;
+            match (ln, rn) {
+                (Some(a), Some(b)) => {
+                    let (a, b) = (require_node(a)?, require_node(b)?);
+                    let res = match op {
+                        NodeCompOp::Is => a == b,
+                        NodeCompOp::Precedes => {
+                            cx.store().cmp_doc_order(a, b)? == std::cmp::Ordering::Less
+                        }
+                        NodeCompOp::Follows => {
+                            cx.store().cmp_doc_order(a, b)? == std::cmp::Ordering::Greater
+                        }
+                    };
+                    Ok(seq![Item::boolean(res)])
+                }
+                _ => Ok(seq![]),
+            }
+        }
+        Core::And(l, r) => {
+            let lv = cx.eval(env, l)?;
+            if !item::effective_boolean(&lv, cx.store())? {
+                return Ok(seq![Item::boolean(false)]);
+            }
+            let rv = cx.eval(env, r)?;
+            Ok(seq![Item::boolean(item::effective_boolean(
+                &rv,
+                cx.store()
+            )?)])
+        }
+        Core::Or(l, r) => {
+            let lv = cx.eval(env, l)?;
+            if item::effective_boolean(&lv, cx.store())? {
+                return Ok(seq![Item::boolean(true)]);
+            }
+            let rv = cx.eval(env, r)?;
+            Ok(seq![Item::boolean(item::effective_boolean(
+                &rv,
+                cx.store()
+            )?)])
+        }
+        Core::Union(l, r) => {
+            let mut lv = cx.eval(env, l)?;
+            let rv = cx.eval(env, r)?;
+            lv.extend(rv);
+            doc_ordered(cx, &lv)
+        }
+        Core::Range(l, r) => {
+            let lv = cx.eval(env, l)?;
+            let rv = cx.eval(env, r)?;
+            let la = optional_atom(lv, cx.store())?;
+            let ra = optional_atom(rv, cx.store())?;
+            match (la, ra) {
+                (Some(a), Some(b)) => {
+                    let (a, b) = (a.to_integer()?, b.to_integer()?);
+                    // Pre-charge the span before materializing: `1 to
+                    // 10000000000` must trip XQB0043, not exhaust RAM.
+                    let span = b
+                        .checked_sub(a)
+                        .and_then(|d| d.checked_add(1))
+                        .unwrap_or(i64::MAX)
+                        .max(0) as u64;
+                    cx.guard().charge(span)?;
+                    Ok((a..=b).map(Item::integer).collect())
+                }
+                _ => Ok(seq![]),
+            }
+        }
+        Core::MapStep {
+            base,
+            axis,
+            test,
+            predicates,
+        } => {
+            let origins = cx.eval(env, base)?;
+            let mut out = Sequence::new();
+            for origin in &origins {
+                let n = require_node(origin.clone())?;
+                let axis_nodes = gather_axis(cx.store(), n, *axis, test)?;
+                let mut items: Sequence = axis_nodes.into_iter().map(Item::Node).collect();
+                for pred in predicates {
+                    items = filter_positional(cx, env, items, pred)?;
+                }
+                out.extend(items);
+            }
+            doc_ordered(cx, &out)
+        }
+        Core::DocOrder(e) => {
+            let v = cx.eval(env, e)?;
+            doc_ordered(cx, &v)
+        }
+        Core::Predicate { base, pred } => {
+            let v = cx.eval(env, base)?;
+            filter_positional(cx, env, v, pred)
+        }
+        Core::Call(name, args) => {
+            // Arguments evaluate left to right (Appendix B's function
+            // rule), whether the target is built-in or user-declared.
+            let mut values = Vec::with_capacity(args.len());
+            for a in args {
+                values.push(cx.eval(env, a)?);
+            }
+            if let Some(result) = functions::dispatch(name, values.clone(), cx.store(), env) {
+                return result;
+            }
+            let values = match cx.call_unshared(name, values) {
+                Ok(result) => return result,
+                Err(values) => values,
+            };
+            let Some(func) = cx.scope().function(name, args.len()).cloned() else {
+                return Err(XdmError::new(
+                    "XPST0017",
+                    format!("undefined function {name}#{}", args.len()),
+                ));
+            };
+            // Function bodies see only their parameters and globals —
+            // build a fresh environment rather than exposing the
+            // caller's locals.
+            let mut fenv = DynEnv::new();
+            for (p, v) in func.params.iter().zip(values) {
+                fenv.push_var(p.clone(), v);
+            }
+            cx.eval(&mut fenv, &func.body)
+        }
+        Core::ElemCtor { .. }
+        | Core::AttrCtor { .. }
+        | Core::TextCtor(_)
+        | Core::DocCtor(_)
+        | Core::Copy(_)
+        | Core::Insert { .. }
+        | Core::Delete(_)
+        | Core::Replace(..)
+        | Core::ReplaceValue(..)
+        | Core::Rename(..)
+        | Core::Snap(..) => cx.effectful(env, expr),
+    }
+}
+
+/// The nodes of `items` in document order, duplicates removed (`ddo`).
+fn doc_ordered<C: EvalCtx>(cx: &mut C, items: &[Item]) -> XdmResult<Sequence> {
+    let mut nodes = item::all_nodes(items)?;
+    cx.doc_order(&mut nodes)?;
+    Ok(nodes.into_iter().map(Item::Node).collect())
+}
+
+/// Positional predicate filtering (XPath semantics): a numeric
+/// predicate value tests the context position; anything else is an
+/// effective-boolean-value test.
+fn filter_positional<C: EvalCtx>(
+    cx: &mut C,
+    env: &mut DynEnv,
+    items: Sequence,
+    pred: &Core,
+) -> XdmResult<Sequence> {
+    // Fast path: a constant numeric predicate ([1], [2]...) needs no
+    // per-item evaluation.
+    if let Core::Const(a) = pred {
+        if a.is_numeric() {
+            let wanted = a.to_double()?;
+            let idx = wanted as usize;
+            if wanted.fract() == 0.0 && idx >= 1 && idx <= items.len() {
+                return Ok(seq![items[idx - 1].clone()]);
+            }
+            return Ok(seq![]);
+        }
+    }
+    let size = items.len();
+    let mut out = Sequence::new();
+    for (i, it) in items.into_iter().enumerate() {
+        env.push_focus(Focus {
+            item: it.clone(),
+            position: i + 1,
+            size,
+        });
+        let v = cx.eval(env, pred);
+        env.pop_focus();
+        let v = v?;
+        let keep = match v.as_slice() {
+            [Item::Atomic(a)] if a.is_numeric() => a.to_double()? == (i + 1) as f64,
+            other => item::effective_boolean(other, cx.store())?,
+        };
+        if keep {
+            out.push(it);
+        }
+    }
+    Ok(out)
 }
 
 /// Turn an insert/replace source sequence into parentless nodes: node items
@@ -1301,14 +1404,14 @@ fn content_to_nodes(store: &mut Store, seq: &[Item]) -> XdmResult<Vec<NodeId>> {
     Ok(out)
 }
 
-pub(crate) fn require_node(it: Item) -> XdmResult<NodeId> {
+fn require_node(it: Item) -> XdmResult<NodeId> {
     it.as_node()
         .ok_or_else(|| XdmError::type_error("expected a node, got an atomic value"))
 }
 
 /// Compare order-by keys: the empty sequence sorts least ("empty least"
 /// default); NaN sorts just above empty; otherwise value comparison.
-pub(crate) fn cmp_keys(a: &Option<Atomic>, b: &Option<Atomic>) -> std::cmp::Ordering {
+fn cmp_keys(a: &Option<Atomic>, b: &Option<Atomic>) -> std::cmp::Ordering {
     use std::cmp::Ordering;
     match (a, b) {
         (None, None) => Ordering::Equal,
@@ -1478,9 +1581,10 @@ pub fn gather_axis(
 }
 
 /// Resolve a syntactic [`NodeTest`] to a [`KernelTest`] against `store`'s
-/// interner. Valid only for that store; an interner miss on a name test
-/// yields `Name(None)`, which matches nothing.
-pub(crate) fn resolve_test(store: &Store, test: &NodeTest) -> KernelTest {
+/// interner: one hash lookup per *step*, integer compares per *node*.
+/// Valid only for that store; an interner miss on a name test yields
+/// `Name(None)`, which matches nothing.
+pub fn resolve_test(store: &Store, test: &NodeTest) -> KernelTest {
     match test {
         NodeTest::Name(wanted) => KernelTest::name(store.symbols(), wanted),
         NodeTest::Wildcard => KernelTest::Wildcard,

@@ -13,38 +13,13 @@ use xqdm::item::{self, Item, Sequence};
 use xqdm::seq;
 use xqdm::{Store, XdmError, XdmResult};
 
-/// Dispatch a built-in call. Returns `None` when `name` is not a built-in
-/// (the evaluator then looks for a user-declared function).
+/// Dispatch a built-in call. Every built-in served here merely reads the
+/// store, so the full evaluator and the parallel workers share this one
+/// entry point. Returns `None` when `name` is not such a built-in: a
+/// user-declared function, or [`is_parse_xml`] — the one built-in that
+/// needs `&mut Store`, which only the full evaluator can run
+/// ([`parse_xml`]).
 pub fn dispatch(
-    name: &str,
-    args: Vec<Sequence>,
-    store: &mut Store,
-    env: &DynEnv,
-) -> Option<XdmResult<Sequence>> {
-    // `fn:parse-xml` is the one built-in that needs `&mut Store` (the
-    // parsed document's nodes are allocated in it); everything else lives
-    // in the shared read-only table below.
-    if name.strip_prefix("fn:").unwrap_or(name) == "parse-xml" {
-        let mut it = args.into_iter();
-        return Some(if it.len() == 1 {
-            (|| {
-                let s = opt_string(it.next().unwrap(), store)?;
-                let doc = xqdm::xml::parse_document(store, &s)?;
-                Ok(seq![Item::Node(doc)])
-            })()
-        } else {
-            Err(wrong_arity("parse-xml", it.len()))
-        });
-    }
-    dispatch_readonly(name, args, store, env)
-}
-
-/// Dispatch a built-in call through shared (`&Store`) access only — the
-/// entry point parallel workers use (every built-in except `fn:parse-xml`
-/// merely reads the store). `fn:parse-xml` reports `XQB0050` here: the
-/// parallel gate excludes it statically, so reaching that error indicates
-/// a gate bug rather than a user mistake.
-pub fn dispatch_readonly(
     name: &str,
     args: Vec<Sequence>,
     store: &Store,
@@ -55,16 +30,26 @@ pub fn dispatch_readonly(
         return Some(r);
     }
     let local = name.strip_prefix("fn:").unwrap_or(name);
-    if !is_builtin_local(local) {
+    if !is_builtin_local(local) || local == "parse-xml" {
         return None;
     }
-    if local == "parse-xml" {
-        return Some(Err(XdmError::new(
-            "XQB0050",
-            "fn:parse-xml mutates the store and cannot run in a parallel region",
-        )));
-    }
     Some(call(local, args, store, env))
+}
+
+/// Does `name` call `fn:parse-xml`?
+pub fn is_parse_xml(name: &str) -> bool {
+    name.strip_prefix("fn:").unwrap_or(name) == "parse-xml"
+}
+
+/// `fn:parse-xml`: the parsed document's nodes are allocated in `store`.
+pub fn parse_xml(store: &mut Store, args: Vec<Sequence>) -> XdmResult<Sequence> {
+    let mut it = args.into_iter();
+    if it.len() != 1 {
+        return Err(wrong_arity("parse-xml", it.len()));
+    }
+    let s = opt_string(it.next().expect("one argument"), store)?;
+    let doc = xqdm::xml::parse_document(store, &s)?;
+    Ok(seq![Item::Node(doc)])
 }
 
 /// Built-ins the effect lattice rates `Pure` but which the parallel gate

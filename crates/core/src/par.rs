@@ -14,13 +14,16 @@
 //!   observable output order, and a `snap` over pure code draws seeds and
 //!   bumps snap statistics. The server's snapshot-read gate is the same
 //!   judgment with the ceiling at `Alloc`;
-//! * the **pure evaluator** ([`eval_pure`]): the `Pure` subset of the
-//!   dynamic semantics over a *shared* `&Store`, so workers need no store
-//!   locking at all (the store has no interior mutability; see the
-//!   `Send + Sync` assertions in `xqdm`);
+//! * the **worker** ([`Worker`]): the evaluator's own rules
+//!   (`eval::EvalCtx`) instantiated over a *shared* `&Store`, so workers
+//!   need no store locking at all (the store has no interior mutability;
+//!   see the `Send + Sync` assertions in `xqdm`) and cannot write by
+//!   construction. There is no second interpreter: a worker differs from
+//!   the full evaluator only in refusing the operators that need
+//!   `&mut Store` ([`GATE_BUG`]);
 //! * the **fan-out driver** ([`par_map`]): contiguous chunks over a scoped
-//!   worker pool (`std::thread::scope`, no dependencies), per-item results
-//!   collected in input order.
+//!   worker pool (`std::thread::scope`, no dependencies), one [`Worker`]
+//!   per chunk, per-item results collected in input order.
 //!
 //! Sequential semantics are preserved bit-for-bit: values and their order
 //! (chunks are contiguous and reassembled in input order), Δ statistics
@@ -31,16 +34,13 @@
 //! trace).
 
 use crate::effects::{Effect, EffectAnalysis};
-use crate::env::{DynEnv, FnKey, Focus, Scope};
-use crate::eval::{cmp_keys, gather_axis, require_node};
+use crate::env::{DynEnv, FnKey, Scope};
+use crate::eval::EvalCtx;
 use crate::functions;
-use crate::limits::{self, LimitGuard, TripKind};
+use crate::limits::LimitGuard;
 use std::collections::HashSet;
-use xqdm::atomic::{arithmetic, negate, value_compare, Atomic};
-use xqdm::item::{self, Item, Sequence};
-use xqdm::seq;
-use xqdm::{Store, XdmError, XdmResult};
-use xqsyn::ast::{NodeCompOp, Quantifier};
+use xqdm::item::{Item, Sequence};
+use xqdm::{NodeId, Scratch, Store, XdmError, XdmResult};
 use xqsyn::core::Core;
 
 /// Fewest source items worth fanning out — below this, spawn cost
@@ -155,45 +155,146 @@ pub fn marks_par_loop(core: &Core, analysis: &EffectAnalysis) -> bool {
     found
 }
 
-/// The read-only slice of an `Evaluator` that pure workers need. Obtain
-/// one from `Evaluator::pure_ctx()`.
+/// What a fan-out hands every worker, by copy: the read-only slice of the
+/// `Evaluator` that started it, and the store — shared, so a worker cannot
+/// write. `Evaluator::fan_out` builds one.
 #[derive(Clone, Copy)]
-pub struct PureCtx<'a> {
+pub(crate) struct PureCtx<'a> {
     /// The functions and globals the program can name, and under them the
     /// run policy (thread budget, depth limit, metric handles).
-    pub scope: &'a Scope,
+    pub(crate) scope: &'a Scope,
     /// The evaluator's armed limit guard, shared by every worker: the
     /// first worker to exceed a limit trips it and every sibling's next
     /// tick unwinds with the same error class (DESIGN.md §12).
-    pub guard: &'a LimitGuard,
+    pub(crate) guard: &'a LimitGuard,
+    /// The store the region reads.
+    pub(crate) store: &'a Store,
+    /// The evaluator's `eval` nesting depth at the fan-out point: workers
+    /// count on from here, so the `XQB0040` recursion limit fires at the
+    /// nesting the sequential evaluation would have reported.
+    pub(crate) depth: usize,
+}
+
+/// The worker instantiation of the evaluation rules: a [`PureCtx`] (its
+/// `depth` now this worker's own counter) and a private doc-order scratch.
+/// Holding `&Store` and nothing more is the compile-time proof that a
+/// fan-out cannot write.
+pub struct Worker<'a> {
+    ctx: PureCtx<'a>,
+    scratch: Scratch,
+}
+
+impl<'a> Worker<'a> {
+    fn new(ctx: PureCtx<'a>) -> Self {
+        Worker {
+            ctx,
+            scratch: Scratch::new(),
+        }
+    }
+
+    /// Evaluate `expr` by the evaluator's rules. Every step ticks the
+    /// shared [`LimitGuard`], so fuel/deadline trips cancel sibling
+    /// workers cooperatively. The gate admits only `Pure` expressions;
+    /// anything else is refused with [`GATE_BUG`].
+    pub fn eval(&mut self, env: &mut DynEnv, expr: &Core) -> XdmResult<Sequence> {
+        EvalCtx::eval(self, env, expr)
+    }
+}
+
+impl EvalCtx for Worker<'_> {
+    fn store(&self) -> &Store {
+        self.ctx.store
+    }
+
+    fn scope(&self) -> &Scope {
+        self.ctx.scope
+    }
+
+    fn guard(&self) -> &LimitGuard {
+        self.ctx.guard
+    }
+
+    fn depth_mut(&mut self) -> &mut usize {
+        &mut self.ctx.depth
+    }
+
+    fn doc_order(&mut self, nodes: &mut Vec<NodeId>) -> XdmResult<()> {
+        self.ctx.store.sort_and_dedup_with(nodes, &mut self.scratch)
+    }
+
+    /// Sequential inside a worker: one level of fan-out is enough, and
+    /// nesting scoped pools would multiply thread counts.
+    fn par_for(
+        &mut self,
+        _env: &DynEnv,
+        _binders: (&str, Option<&str>),
+        _src: &[Item],
+        _body: &Core,
+    ) -> Option<XdmResult<Sequence>> {
+        None
+    }
+
+    fn call_unshared(
+        &mut self,
+        name: &str,
+        args: Vec<Sequence>,
+    ) -> Result<XdmResult<Sequence>, Vec<Sequence>> {
+        if functions::is_parse_xml(name) {
+            return Ok(Err(gate_bug("fn:parse-xml")));
+        }
+        Err(args)
+    }
+
+    fn effectful(&mut self, _env: &mut DynEnv, expr: &Core) -> XdmResult<Sequence> {
+        Err(gate_bug(&expr.to_string()))
+    }
+}
+
+/// The internal error a worker raises on reaching something that needs
+/// `&mut Store`. The gate excludes all of it statically, so this is a gate
+/// bug, never a user error — hence a code of its own next to `XQB0030`,
+/// not one a client could mistake for a server admission reply.
+pub const GATE_BUG: &str = "XQB0031";
+
+fn gate_bug(what: &str) -> XdmError {
+    XdmError::new(
+        GATE_BUG,
+        format!("internal: parallel worker reached a non-pure operator ({what})"),
+    )
 }
 
 /// Fan `items` out over at most `ctx`'s thread budget of scoped workers
-/// and collect the per-item results **in input order**. Each worker
-/// receives a clone of `env` (workers never see each other's bindings)
-/// and processes one contiguous chunk, so within-chunk evaluation order
-/// equals sequential order. A panicking worker propagates its panic to the caller after the
-/// scope joins every thread — identical blast radius to a panic in a
-/// sequential loop (the engine's catch/rollback sees the same thing).
+/// and collect the per-item results **in input order**. Each thread runs
+/// one [`Worker`] over one contiguous chunk with a clone of `env` (workers
+/// never see each other's bindings), so within-chunk evaluation order
+/// equals sequential order. A panicking worker propagates its panic to
+/// the caller after the scope joins every thread — identical blast radius
+/// to a panic in a sequential loop (the engine's catch/rollback sees the
+/// same thing).
 ///
 /// Thread-spawn failure (an OS resource limit, not a query error) degrades
 /// gracefully: chunks whose worker could not be spawned are evaluated
 /// sequentially on the calling thread after the spawned workers join, and
 /// the `engine.par_spawn_fallback` counter records the event. A pure body
 /// cannot observe the difference.
-pub fn par_map<T, F>(ctx: &PureCtx<'_>, env: &DynEnv, items: &[T], f: F) -> Vec<XdmResult<Sequence>>
+pub(crate) fn par_map<T, F>(
+    ctx: PureCtx<'_>,
+    env: &DynEnv,
+    items: &[T],
+    f: F,
+) -> Vec<XdmResult<Sequence>>
 where
     T: Sync,
-    F: Fn(&mut DynEnv, usize, &T) -> XdmResult<Sequence> + Sync,
+    F: Fn(&mut Worker<'_>, &mut DynEnv, usize, &T) -> XdmResult<Sequence> + Sync,
 {
     let n = items.len();
     let workers = ctx.scope.env().threads.clamp(1, MAX_THREADS).min(n);
     if workers <= 1 {
-        let mut env = env.clone();
+        let (mut worker, mut env) = (Worker::new(ctx), env.clone());
         return items
             .iter()
             .enumerate()
-            .map(|(i, it)| f(&mut env, i, it))
+            .map(|(i, it)| f(&mut worker, &mut env, i, it))
             .collect();
     }
     let chunk = n.div_ceil(workers);
@@ -217,8 +318,9 @@ where
                 .name(format!("xqb-par-{w}"))
                 .stack_size(PAR_STACK_BYTES)
                 .spawn_scoped(scope, move || {
+                    let mut worker = Worker::new(ctx);
                     for (j, it) in chunk_items.iter().enumerate() {
-                        slot[j] = Some(f(&mut wenv, lo + j, it));
+                        slot[j] = Some(f(&mut worker, &mut wenv, lo + j, it));
                     }
                 });
             match spawned {
@@ -237,10 +339,10 @@ where
     });
     if spawn_failed {
         ctx.scope.env().metrics.par_spawn_fallback.add(1);
-        let mut fenv = env.clone();
+        let (mut worker, mut fenv) = (Worker::new(ctx), env.clone());
         for (i, slot) in results.iter_mut().enumerate() {
             if slot.is_none() {
-                *slot = Some(f(&mut fenv, i, &items[i]));
+                *slot = Some(f(&mut worker, &mut fenv, i, &items[i]));
             }
         }
     }
@@ -258,387 +360,10 @@ where
 
 /// Concatenate per-item results in input order; the first error — the one
 /// the sequential loop would have raised — wins.
-pub fn merge_in_order(results: Vec<XdmResult<Sequence>>) -> XdmResult<Sequence> {
+pub(crate) fn merge_in_order(results: Vec<XdmResult<Sequence>>) -> XdmResult<Sequence> {
     let mut out = Sequence::new();
     for r in results {
         out.extend(r?);
-    }
-    Ok(out)
-}
-
-fn non_pure(what: &str) -> XdmError {
-    XdmError::new(
-        "XQB0051",
-        format!("internal: parallel worker reached a non-pure operator ({what})"),
-    )
-}
-
-/// The `Pure` subset of the dynamic semantics over a shared `&Store`.
-/// `depth` is the evaluator's recursion depth at the fan-out point, so the
-/// `XQB0040` recursion limit fires at exactly the nesting the sequential
-/// evaluation would have reported. Every step ticks the shared
-/// [`LimitGuard`], so fuel/deadline trips cancel sibling workers
-/// cooperatively. Operators outside the subset (updates, constructors,
-/// `copy`, `snap`) report `XQB0051`: the gate excludes them statically, so
-/// reaching one is a gate bug, never a user error.
-pub fn eval_pure(
-    ctx: &PureCtx<'_>,
-    store: &Store,
-    env: &mut DynEnv,
-    depth: usize,
-    expr: &Core,
-) -> XdmResult<Sequence> {
-    let depth = depth + 1;
-    let max_depth = ctx.scope.env().limits.max_depth;
-    if depth > max_depth {
-        ctx.guard.note_trip(TripKind::Depth);
-        return Err(limits::depth_error(max_depth));
-    }
-    ctx.guard.tick()?;
-    match expr {
-        Core::Const(a) => Ok(seq![Item::Atomic(a.clone())]),
-        Core::Var(name) => match env.var(name) {
-            Ok(v) => Ok(v.clone()),
-            Err(e) => ctx.scope.global(name).cloned().ok_or(e),
-        },
-        Core::ContextItem => Ok(seq![env.focus()?.item.clone()]),
-        Core::Seq(items) => {
-            let mut out = Sequence::new();
-            for e in items {
-                out.extend(eval_pure(ctx, store, env, depth, e)?);
-            }
-            Ok(out)
-        }
-        Core::For {
-            var,
-            position,
-            source,
-            body,
-        } => {
-            // Sequential inside a worker: one level of fan-out is enough,
-            // and nesting scoped pools would multiply thread counts.
-            let src = eval_pure(ctx, store, env, depth, source)?;
-            let mut out = Sequence::new();
-            for (i, it) in src.into_iter().enumerate() {
-                env.push_var(var.clone(), seq![it]);
-                if let Some(p) = position {
-                    env.push_var(p.clone(), seq![Item::integer((i + 1) as i64)]);
-                }
-                let r = eval_pure(ctx, store, env, depth, body);
-                if position.is_some() {
-                    env.pop_var();
-                }
-                env.pop_var();
-                out.extend(r?);
-            }
-            Ok(out)
-        }
-        Core::Let { var, value, body } => {
-            let v = eval_pure(ctx, store, env, depth, value)?;
-            env.push_var(var.clone(), v);
-            let r = eval_pure(ctx, store, env, depth, body);
-            env.pop_var();
-            r
-        }
-        Core::If(cond, then, els) => {
-            let c = eval_pure(ctx, store, env, depth, cond)?;
-            if item::effective_boolean(&c, store)? {
-                eval_pure(ctx, store, env, depth, then)
-            } else {
-                eval_pure(ctx, store, env, depth, els)
-            }
-        }
-        Core::Quantified {
-            quantifier,
-            var,
-            source,
-            satisfies,
-        } => {
-            let src = eval_pure(ctx, store, env, depth, source)?;
-            let mut result = matches!(quantifier, Quantifier::Every);
-            for it in src {
-                env.push_var(var.clone(), seq![it]);
-                let s = eval_pure(ctx, store, env, depth, satisfies);
-                env.pop_var();
-                let holds = item::effective_boolean(&s?, store)?;
-                match quantifier {
-                    Quantifier::Some if holds => {
-                        result = true;
-                        break;
-                    }
-                    Quantifier::Every if !holds => {
-                        result = false;
-                        break;
-                    }
-                    _ => {}
-                }
-            }
-            Ok(seq![Item::boolean(result)])
-        }
-        Core::SortedFor {
-            var,
-            source,
-            keys,
-            body,
-        } => {
-            let src = eval_pure(ctx, store, env, depth, source)?;
-            let mut keyed: Vec<(Vec<Option<Atomic>>, Item)> = Vec::with_capacity(src.len());
-            for it in src {
-                env.push_var(var.clone(), seq![it.clone()]);
-                let ks = (|env: &mut DynEnv| {
-                    let mut ks = Vec::with_capacity(keys.len());
-                    for k in keys {
-                        let kv = eval_pure(ctx, store, env, depth, &k.key)?;
-                        let a = item::zero_or_one(kv)?
-                            .map(|x| x.atomize(store))
-                            .transpose()?;
-                        ks.push(a);
-                    }
-                    Ok(ks)
-                })(env);
-                env.pop_var();
-                keyed.push((ks?, it));
-            }
-            keyed.sort_by(|(ka, _), (kb, _)| {
-                for (i, (a, b)) in ka.iter().zip(kb).enumerate() {
-                    let ord = cmp_keys(a, b);
-                    let ord = if keys[i].ascending {
-                        ord
-                    } else {
-                        ord.reverse()
-                    };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-            let mut out = Sequence::new();
-            for (_, it) in keyed {
-                env.push_var(var.clone(), seq![it]);
-                let r = eval_pure(ctx, store, env, depth, body);
-                env.pop_var();
-                out.extend(r?);
-            }
-            Ok(out)
-        }
-        Core::Arith(op, l, r) => {
-            let lv = eval_pure(ctx, store, env, depth, l)?;
-            let rv = eval_pure(ctx, store, env, depth, r)?;
-            let la = item::zero_or_one(lv)?
-                .map(|x| x.atomize(store))
-                .transpose()?;
-            let ra = item::zero_or_one(rv)?
-                .map(|x| x.atomize(store))
-                .transpose()?;
-            match (la, ra) {
-                (Some(a), Some(b)) => Ok(seq![Item::Atomic(arithmetic(*op, &a, &b)?)]),
-                _ => Ok(seq![]),
-            }
-        }
-        Core::Neg(e) => {
-            let v = eval_pure(ctx, store, env, depth, e)?;
-            match item::zero_or_one(v)?
-                .map(|x| x.atomize(store))
-                .transpose()?
-            {
-                Some(a) => Ok(seq![Item::Atomic(negate(&a)?)]),
-                None => Ok(seq![]),
-            }
-        }
-        Core::GeneralComp(op, l, r) => {
-            let lv = eval_pure(ctx, store, env, depth, l)?;
-            let rv = eval_pure(ctx, store, env, depth, r)?;
-            Ok(seq![Item::boolean(item::general_compare_seqs(
-                *op, &lv, &rv, store,
-            )?)])
-        }
-        Core::ValueComp(op, l, r) => {
-            let lv = eval_pure(ctx, store, env, depth, l)?;
-            let rv = eval_pure(ctx, store, env, depth, r)?;
-            let la = item::zero_or_one(lv)?
-                .map(|x| x.atomize(store))
-                .transpose()?;
-            let ra = item::zero_or_one(rv)?
-                .map(|x| x.atomize(store))
-                .transpose()?;
-            match (la, ra) {
-                (Some(a), Some(b)) => Ok(seq![Item::boolean(value_compare(*op, &a, &b)?)]),
-                _ => Ok(seq![]),
-            }
-        }
-        Core::NodeComp(op, l, r) => {
-            let lv = eval_pure(ctx, store, env, depth, l)?;
-            let rv = eval_pure(ctx, store, env, depth, r)?;
-            let ln = item::zero_or_one(lv)?;
-            let rn = item::zero_or_one(rv)?;
-            match (ln, rn) {
-                (Some(a), Some(b)) => {
-                    let (a, b) = (require_node(a)?, require_node(b)?);
-                    let res = match op {
-                        NodeCompOp::Is => a == b,
-                        NodeCompOp::Precedes => {
-                            store.cmp_doc_order(a, b)? == std::cmp::Ordering::Less
-                        }
-                        NodeCompOp::Follows => {
-                            store.cmp_doc_order(a, b)? == std::cmp::Ordering::Greater
-                        }
-                    };
-                    Ok(seq![Item::boolean(res)])
-                }
-                _ => Ok(seq![]),
-            }
-        }
-        Core::And(l, r) => {
-            let lv = eval_pure(ctx, store, env, depth, l)?;
-            if !item::effective_boolean(&lv, store)? {
-                return Ok(seq![Item::boolean(false)]);
-            }
-            let rv = eval_pure(ctx, store, env, depth, r)?;
-            Ok(seq![Item::boolean(item::effective_boolean(&rv, store)?)])
-        }
-        Core::Or(l, r) => {
-            let lv = eval_pure(ctx, store, env, depth, l)?;
-            if item::effective_boolean(&lv, store)? {
-                return Ok(seq![Item::boolean(true)]);
-            }
-            let rv = eval_pure(ctx, store, env, depth, r)?;
-            Ok(seq![Item::boolean(item::effective_boolean(&rv, store)?)])
-        }
-        Core::Union(l, r) => {
-            let mut lv = eval_pure(ctx, store, env, depth, l)?;
-            let rv = eval_pure(ctx, store, env, depth, r)?;
-            lv.extend(rv);
-            let mut nodes = item::all_nodes(&lv)?;
-            store.sort_and_dedup(&mut nodes)?;
-            Ok(nodes.into_iter().map(Item::Node).collect())
-        }
-        Core::Range(l, r) => {
-            let lv = eval_pure(ctx, store, env, depth, l)?;
-            let rv = eval_pure(ctx, store, env, depth, r)?;
-            let la = item::zero_or_one(lv)?
-                .map(|x| x.atomize(store))
-                .transpose()?;
-            let ra = item::zero_or_one(rv)?
-                .map(|x| x.atomize(store))
-                .transpose()?;
-            match (la, ra) {
-                (Some(a), Some(b)) => {
-                    let (a, b) = (a.to_integer()?, b.to_integer()?);
-                    let span = b
-                        .checked_sub(a)
-                        .and_then(|d| d.checked_add(1))
-                        .unwrap_or(i64::MAX)
-                        .max(0) as u64;
-                    ctx.guard.charge(span)?;
-                    Ok((a..=b).map(Item::integer).collect())
-                }
-                _ => Ok(seq![]),
-            }
-        }
-        Core::MapStep {
-            base,
-            axis,
-            test,
-            predicates,
-        } => {
-            let origins = eval_pure(ctx, store, env, depth, base)?;
-            let mut out = Sequence::new();
-            for origin in &origins {
-                let n = require_node(origin.clone())?;
-                let axis_nodes = gather_axis(store, n, *axis, test)?;
-                let mut items: Sequence = axis_nodes.into_iter().map(Item::Node).collect();
-                for pred in predicates {
-                    items = filter_positional_pure(ctx, store, env, depth, items, pred)?;
-                }
-                out.extend(items);
-            }
-            let mut nodes = item::all_nodes(&out)?;
-            store.sort_and_dedup(&mut nodes)?;
-            Ok(nodes.into_iter().map(Item::Node).collect())
-        }
-        Core::DocOrder(e) => {
-            let v = eval_pure(ctx, store, env, depth, e)?;
-            let mut nodes = item::all_nodes(&v)?;
-            store.sort_and_dedup(&mut nodes)?;
-            Ok(nodes.into_iter().map(Item::Node).collect())
-        }
-        Core::Predicate { base, pred } => {
-            let v = eval_pure(ctx, store, env, depth, base)?;
-            filter_positional_pure(ctx, store, env, depth, v, pred)
-        }
-        Core::Call(name, args) => {
-            let mut values = Vec::with_capacity(args.len());
-            for a in args {
-                values.push(eval_pure(ctx, store, env, depth, a)?);
-            }
-            if let Some(result) = functions::dispatch_readonly(name, values.clone(), store, env) {
-                return result;
-            }
-            let Some(func) = ctx.scope.function(name, args.len()) else {
-                return Err(XdmError::new(
-                    "XPST0017",
-                    format!("undefined function {name}#{}", args.len()),
-                ));
-            };
-            // Function bodies see only their parameters and globals.
-            let mut fenv = DynEnv::new();
-            for (p, v) in func.params.iter().zip(values) {
-                fenv.push_var(p.clone(), v);
-            }
-            eval_pure(ctx, store, &mut fenv, depth, &func.body)
-        }
-        Core::ElemCtor { .. }
-        | Core::AttrCtor { .. }
-        | Core::TextCtor(_)
-        | Core::DocCtor(_)
-        | Core::Copy(_) => Err(non_pure("node constructor")),
-        Core::Insert { .. }
-        | Core::Delete(_)
-        | Core::Replace(..)
-        | Core::ReplaceValue(..)
-        | Core::Rename(..) => Err(non_pure("update operator")),
-        Core::Snap(..) => Err(non_pure("snap")),
-    }
-}
-
-/// Positional predicate filtering — the pure twin of the evaluator's rule.
-fn filter_positional_pure(
-    ctx: &PureCtx<'_>,
-    store: &Store,
-    env: &mut DynEnv,
-    depth: usize,
-    items: Sequence,
-    pred: &Core,
-) -> XdmResult<Sequence> {
-    if let Core::Const(a) = pred {
-        if a.is_numeric() {
-            let wanted = a.to_double()?;
-            let idx = wanted as usize;
-            if wanted.fract() == 0.0 && idx >= 1 && idx <= items.len() {
-                return Ok(seq![items[idx - 1].clone()]);
-            }
-            return Ok(seq![]);
-        }
-    }
-    let size = items.len();
-    let mut out = Sequence::new();
-    for (i, it) in items.into_iter().enumerate() {
-        env.push_focus(Focus {
-            item: it.clone(),
-            position: i + 1,
-            size,
-        });
-        let v = eval_pure(ctx, store, env, depth, pred);
-        env.pop_focus();
-        let v = v?;
-        let keep = match v.as_slice() {
-            [Item::Atomic(a)] if a.is_numeric() => a.to_double()? == (i + 1) as f64,
-            other => item::effective_boolean(other, store)?,
-        };
-        if keep {
-            out.push(it);
-        }
     }
     Ok(out)
 }
@@ -649,6 +374,7 @@ mod tests {
     use crate::env::ProgramEnv;
     use crate::eval::Evaluator;
     use std::sync::Arc;
+    use xqdm::seq;
     use xqsyn::compile;
 
     fn gate(src: &str) -> bool {
@@ -661,7 +387,7 @@ mod tests {
         within_ceiling(ceiling, &prog.body, &Scope::new(Arc::default(), &prog))
     }
 
-    /// An evaluator with a budget of `threads` workers, for its `pure_ctx`.
+    /// An evaluator with a budget of `threads` workers.
     fn evaluator_with_threads(threads: usize) -> Evaluator {
         let mut env = ProgramEnv::default();
         env.threads = threads;
@@ -723,74 +449,175 @@ mod tests {
     }
 
     #[test]
-    fn par_map_preserves_input_order_and_first_error() {
-        let env = DynEnv::new();
+    fn fan_out_preserves_input_order_and_first_error() {
+        let (store, env) = (Store::new(), DynEnv::new());
         let items: Vec<i64> = (0..100).collect();
-        let ev = evaluator_with_threads(8);
-        let ctx = ev.pure_ctx();
-        let results = par_map(&ctx, &env, &items, |_env, i, it| {
-            assert_eq!(*it as usize, i);
-            Ok(seq![Item::integer(*it * 2)])
-        });
-        let merged = merge_in_order(results).unwrap();
+        let mut ev = evaluator_with_threads(8);
+        let merged = ev
+            .fan_out(&store, &env, &items, |_worker, _env, i, it| {
+                assert_eq!(*it as usize, i);
+                Ok(seq![Item::integer(*it * 2)])
+            })
+            .unwrap();
         assert_eq!(merged.len(), 100);
         assert_eq!(merged[41], Item::integer(82));
 
         // Two failing items: the earlier one's error surfaces.
-        let results = par_map(&ctx, &env, &items, |_env, _i, it| {
-            if *it == 97 {
-                Err(XdmError::new("E-LATE", "late"))
-            } else if *it == 13 {
-                Err(XdmError::new("E-EARLY", "early"))
-            } else {
-                Ok(seq![])
-            }
-        });
-        assert_eq!(merge_in_order(results).unwrap_err().code, "E-EARLY");
+        let err = ev
+            .fan_out(&store, &env, &items, |_worker, _env, _i, it| match *it {
+                97 => Err(XdmError::new("E-LATE", "late")),
+                13 => Err(XdmError::new("E-EARLY", "early")),
+                _ => Ok(seq![]),
+            })
+            .unwrap_err();
+        assert_eq!(err.code, "E-EARLY");
     }
 
+    /// `c`'s position in [`worker_and_evaluator_split_every_core_variant`]'s
+    /// tally. No wildcard: a new `Core` variant stops this compiling, and
+    /// once it has a number the test wants a row that decides its side.
+    fn variant(c: &Core) -> usize {
+        match c {
+            Core::Const(_) => 0,
+            Core::Var(_) => 1,
+            Core::ContextItem => 2,
+            Core::Seq(_) => 3,
+            Core::For { .. } => 4,
+            Core::Let { .. } => 5,
+            Core::If(..) => 6,
+            Core::Quantified { .. } => 7,
+            Core::SortedFor { .. } => 8,
+            Core::Arith(..) => 9,
+            Core::Neg(_) => 10,
+            Core::GeneralComp(..) => 11,
+            Core::ValueComp(..) => 12,
+            Core::NodeComp(..) => 13,
+            Core::And(..) => 14,
+            Core::Or(..) => 15,
+            Core::Union(..) => 16,
+            Core::Range(..) => 17,
+            Core::MapStep { .. } => 18,
+            Core::DocOrder(_) => 19,
+            Core::Predicate { .. } => 20,
+            Core::Call(..) => 21,
+            Core::ElemCtor { .. } => 22,
+            Core::AttrCtor { .. } => 23,
+            Core::TextCtor(_) => 24,
+            Core::DocCtor(_) => 25,
+            Core::Copy(_) => 26,
+            Core::Insert { .. } => 27,
+            Core::Delete(_) => 28,
+            Core::Replace(..) => 29,
+            Core::ReplaceValue(..) => 30,
+            Core::Rename(..) => 31,
+            Core::Snap(..) => 32,
+        }
+    }
+    const VARIANTS: usize = 33;
+
+    /// The worker instantiation, driven directly, over every `Core`
+    /// variant: whatever the gate admits evaluates to the full evaluator's
+    /// value, and every operator it refuses is refused by the worker too,
+    /// with the internal code — each variant on exactly one side.
     #[test]
-    fn eval_pure_matches_sequential_evaluator() {
+    fn worker_and_evaluator_split_every_core_variant() {
+        use xqsyn::ast::SnapMode;
+        use xqsyn::core::{CoreInsertLoc, CoreName};
+
         let mut store = Store::new();
-        let doc =
-            xqdm::xml::parse_document(&mut store, "<r><e k=\"1\"/><e k=\"2\"/><e k=\"3\"/></r>")
-                .unwrap();
-        let prog = compile(
+        let xml = "<r><e k=\"1\">a</e><e k=\"2\"/><e k=\"3\"/></r>";
+        let doc = seq![Item::Node(
+            xqdm::xml::parse_document(&mut store, xml).unwrap()
+        )];
+
+        let pure = [
+            "(1, 2.5, \"s\")",
+            "for $e at $i in $doc//e return $i * 2",
+            "let $x := count($doc//e) return -$x",
+            "if ($doc//e[@k = 2]) then 1 to 3 else ()",
+            "some $e in $doc//e satisfies $e/@k eq \"2\"",
+            "every $e in $doc//e satisfies $e/@k = 2 or $e/@k = 1 and true()",
             "for $e in $doc//e order by -number($e/@k) return concat(\"k\", string($e/@k))",
-        )
-        .unwrap();
-        let mut ev = Evaluator::new(Arc::default(), &prog);
-        ev.bind_global("doc", seq![Item::Node(doc)]);
-        let mut env = DynEnv::new();
-        let sequential = ev.eval_query(&mut store, &mut env, &prog.body).unwrap();
+            "($doc//e)[2] is $doc/r/e[2], $doc//e[1] << $doc//e[3]",
+            "$doc//e[3] | $doc//e[1] | $doc/r",
+            "$doc//e[string(.) = \"a\"]/@k",
+            "declare function f($n) { $n * 2 }; f(count($doc//e))",
+        ];
+        let target = || Core::Var("doc".into()).boxed();
+        let fixed = || CoreName::Fixed("n".into());
+        // What normalization never emits, or never without a constructor
+        // inside: built by hand over pure operands.
+        let built = [
+            Core::DocOrder(target()),
+            Core::ElemCtor {
+                name: fixed(),
+                content: Core::empty().boxed(),
+            },
+            Core::AttrCtor {
+                name: fixed(),
+                content: Core::empty().boxed(),
+            },
+            Core::TextCtor(Core::empty().boxed()),
+            Core::DocCtor(Core::empty().boxed()),
+            Core::Copy(target()),
+            Core::Insert {
+                source: Core::empty().boxed(),
+                location: CoreInsertLoc::Last(target()),
+            },
+            Core::Delete(target()),
+            Core::Replace(target(), Core::empty().boxed()),
+            Core::ReplaceValue(target(), Core::empty().boxed()),
+            Core::Rename(target(), Core::empty().boxed()),
+            Core::Snap(SnapMode::Ordered, Core::empty().boxed()),
+        ];
+        let mut rows: Vec<_> = pure.iter().map(|src| compile(src).unwrap()).collect();
+        rows.extend(built.into_iter().map(|body| {
+            let mut prog = compile("()").unwrap();
+            prog.body = body;
+            prog
+        }));
 
-        let ctx = ev.pure_ctx();
-        let mut penv = DynEnv::new();
-        let parallel_path = eval_pure(&ctx, &store, &mut penv, 0, &prog.body).unwrap();
-        assert_eq!(sequential, parallel_path);
+        let (mut evaluated, mut rejected) = ([false; VARIANTS], [false; VARIANTS]);
+        for prog in &rows {
+            let mut scope = Scope::new(Arc::default(), prog);
+            scope.bind_global("doc", doc.clone());
+            let guard = LimitGuard::unlimited();
+            let mut worker = Worker::new(PureCtx {
+                scope: &scope,
+                guard: &guard,
+                store: &store,
+                depth: 0,
+            });
+            let got = worker.eval(&mut DynEnv::new(), &prog.body);
+            if par_safe(&prog.body, &scope) {
+                let mut ev = Evaluator::new(Arc::default(), prog);
+                ev.bind_global("doc", doc.clone());
+                let want = ev.eval_query(&mut store, &mut DynEnv::new(), &prog.body);
+                assert_eq!(got.unwrap(), want.unwrap(), "{:?}", prog.body);
+                prog.body.walk(&mut |c| evaluated[variant(c)] = true);
+            } else {
+                assert_eq!(got.unwrap_err().code, GATE_BUG, "{:?}", prog.body);
+                rejected[variant(&prog.body)] = true;
+            }
+        }
+        for i in 0..VARIANTS {
+            assert!(
+                evaluated[i] != rejected[i],
+                "Core variant #{i}: evaluated by a worker {}, refused {}",
+                evaluated[i],
+                rejected[i]
+            );
+        }
     }
 
     #[test]
-    fn eval_pure_rejects_non_pure_operators_defensively() {
-        let prog = compile("insert { <a/> } into { $x }").unwrap();
-        let ev = Evaluator::new(Arc::default(), &prog);
-        let ctx = ev.pure_ctx();
-        let store = Store::new();
-        let mut env = DynEnv::new();
-        let err = eval_pure(&ctx, &store, &mut env, 0, &prog.body).unwrap_err();
-        assert_eq!(err.code, "XQB0051");
-    }
-
-    #[test]
-    fn threads_env_parsing_is_defensive() {
-        // Not asserting on the live environment (tests run concurrently);
-        // just the clamp logic via par_map worker counts.
-        let env = DynEnv::new();
+    fn worker_count_is_clamped() {
+        let (store, env) = (Store::new(), DynEnv::new());
         let items = [1i64, 2, 3];
-        let ev = evaluator_with_threads(usize::MAX);
-        let r = par_map(&ev.pure_ctx(), &env, &items, |_e, _i, it| {
+        let mut ev = evaluator_with_threads(usize::MAX);
+        let r = ev.fan_out(&store, &env, &items, |_w, _e, _i, it| {
             Ok(seq![Item::integer(*it)])
         });
-        assert_eq!(merge_in_order(r).unwrap().len(), 3);
+        assert_eq!(r.unwrap().len(), 3);
     }
 }

@@ -20,13 +20,13 @@
 
 use crate::plan::{BatchFilter, BatchPathPlan, BatchStep, GroupByPlan, JoinPlan, QueryPlan};
 use std::collections::{HashMap, HashSet};
-use xqcore::par::{eval_pure, merge_in_order, par_map, PAR_MIN_ITEMS};
+use xqcore::eval::resolve_test;
 use xqcore::{DynEnv, Evaluator};
 use xqdm::item::{self, Item, Sequence};
 use xqdm::seq;
 use xqdm::{KernelTest, NodeId, Store, XdmError, XdmResult};
 use xqsyn::ast::{Axis, NodeTest};
-use xqsyn::core::{Core, CoreProgram};
+use xqsyn::core::Core;
 
 /// Execute a plan inside the caller's current Δ scope. Pending updates the
 /// plan body produces are appended to the evaluator's current scope,
@@ -133,22 +133,16 @@ fn run_node(
             let body_id = source_id + source.node_count();
             let src = execute_at(source, source_id, evaluator, store, env)?;
             evaluator.note_input(src.len() as u64);
-            // Pure bodies fan out like the interpreter's `Core::For` rule
-            // (they collapsed to an `Iterate` leaf at compile time, so the
-            // same gate applies to the same core expression). Fanned-out
-            // iterations attribute to *this* node's profile frame: the
-            // body node records no calls, exactly as in the interpreter.
+            // Pure bodies fan out through the interpreter's own `Core::For`
+            // helper (they collapsed to an `Iterate` leaf at compile time,
+            // so the same gate applies to the same core expression).
+            // Fanned-out iterations attribute to *this* node's profile
+            // frame: the body node records no calls, but each iteration
+            // still pays its `limit_tick`.
             if let QueryPlan::Iterate(core) = body.as_ref() {
-                if src.len() >= PAR_MIN_ITEMS && evaluator.par_candidate(core) {
-                    return par_plan_for(
-                        evaluator,
-                        store,
-                        env,
-                        var,
-                        position.as_deref(),
-                        &src,
-                        core,
-                    );
+                let binders = (var.as_str(), position.as_deref());
+                if let Some(r) = evaluator.par_for(store, env, binders, &src, core, true) {
+                    return r;
                 }
             }
             let mut out = Sequence::new();
@@ -196,25 +190,6 @@ fn run_node(
     }
 }
 
-/// Run a compiled plan as a full query: prolog variables first, then the
-/// plan body, all inside the implicit top-level snap. The plan-level
-/// counterpart of `Evaluator::eval_program`, built on the same
-/// program-scope harness.
-pub fn run_plan(
-    plan: &QueryPlan,
-    program: &CoreProgram,
-    evaluator: &mut Evaluator,
-    store: &mut Store,
-) -> XdmResult<Sequence> {
-    evaluator.run_in_program_scope(store, move |ev, store, env| {
-        for (name, init) in &program.variables {
-            let v = ev.eval(store, env, init)?;
-            ev.bind_global(name.clone(), v);
-        }
-        execute(plan, ev, store, env)
-    })
-}
-
 /// Execute a batched path chain: evaluate the input once, then map the
 /// whole node batch through one store kernel per step, doc-order sorting
 /// and deduplicating after each — the exact per-step `ddo` the
@@ -245,22 +220,6 @@ fn exec_batch_path(
     Ok(cur.into_iter().map(Item::Node).collect())
 }
 
-/// Resolve a syntactic node test against the store's interner: one hash
-/// lookup per *step*, integer compares per *node*.
-fn kernel_test(store: &Store, test: &NodeTest) -> KernelTest {
-    match test {
-        NodeTest::Name(wanted) => KernelTest::name(store.symbols(), wanted),
-        NodeTest::Wildcard => KernelTest::Wildcard,
-        NodeTest::Text => KernelTest::Text,
-        NodeTest::AnyKind => KernelTest::AnyKind,
-        NodeTest::Comment => KernelTest::Comment,
-        NodeTest::Pi => KernelTest::Pi,
-        NodeTest::Element => KernelTest::Element,
-        NodeTest::AttributeTest => KernelTest::AttributeTest,
-        NodeTest::Document => KernelTest::Document,
-    }
-}
-
 /// Drive a step chain over `cur` in place, using `next` as the step
 /// output buffer (both are caller-owned so key probes can recycle them).
 /// When `allow_idx` is set (the planner saw an index-eligible step with
@@ -284,7 +243,7 @@ fn run_batch_steps(
         // Index buckets hash in arbitrary order: always sort.)
         let sorted = !used_idx && cur.len() <= 1;
         if !used_idx {
-            let test = kernel_test(store, &step.test);
+            let test = resolve_test(store, &step.test);
             match step.axis {
                 Axis::Child => store.batch_children_into(cur, test, next)?,
                 Axis::Descendant => {
@@ -417,7 +376,7 @@ fn try_index_scan(
         }
         let mut owners = Vec::new();
         store.index_attr_nodes(qid, value, &mut owners);
-        let test = kernel_test(store, &step.test);
+        let test = resolve_test(store, &step.test);
         let mut memo = HashMap::new();
         let origins: HashSet<NodeId> = cur.iter().copied().collect();
         for attr in owners {
@@ -669,114 +628,41 @@ fn drive_join(
     Ok(())
 }
 
-/// Parallel twin of the plan-level `For` execution, for pure `Iterate`
-/// bodies. Mirrors the interpreter's fan-out: input-order results, first
-/// failing iteration's error, workers share `&Store`.
-fn par_plan_for(
-    evaluator: &mut Evaluator,
-    store: &Store,
-    env: &DynEnv,
-    var: &str,
-    position: Option<&str>,
-    src: &[Item],
-    body: &Core,
-) -> XdmResult<Sequence> {
-    evaluator.note_par_region(src.len());
-    let depth = evaluator.nesting_depth();
-    let ctx = evaluator.pure_ctx();
-    let results = par_map(&ctx, env, src, |wenv, i, it| {
-        wenv.push_var(var.to_string(), seq![it.clone()]);
-        if let Some(p) = position {
-            wenv.push_var(p.to_string(), seq![Item::integer((i + 1) as i64)]);
-        }
-        let r = eval_pure(&ctx, store, wenv, depth, body);
-        if position.is_some() {
-            wenv.pop_var();
-        }
-        wenv.pop_var();
-        r
-    });
-    merge_in_order(results)
-}
-
-/// One outer binding's probe result, collected before fan-out.
+/// One outer binding with its inner matches in nested-loop order,
+/// collected before fan-out.
 struct ProbeRow {
     outer: Item,
-    /// Sorted, deduplicated inner match indices (nested-loop order).
-    matches: Vec<usize>,
+    matches: Vec<Item>,
 }
 
-/// Evaluate both join sides, hash the inner side, and probe — stopping at
-/// the first outer-key error. The rows collected *precede* that error in
-/// the sequential evaluation order, so running their (pure) bodies first
-/// and surfacing the key error only if every body succeeds reproduces the
-/// sequential first-error exactly. Inner-key errors surface immediately:
-/// sequentially, the whole build finishes before any probe body runs.
+/// [`drive_join`] with the match rows collected instead of consumed, for
+/// the parallel joins. The error, if any, is handed back beside the rows
+/// that *precede* it in the sequential evaluation order, so running their
+/// (pure) bodies first and surfacing it only if every body succeeds
+/// reproduces the sequential first-error exactly. (A source or inner-key
+/// error precedes every row: sequentially, the whole build finishes
+/// before any probe body runs.)
 fn probe_rows(
     join: &JoinPlan,
     evaluator: &mut Evaluator,
     store: &mut Store,
     env: &mut DynEnv,
-) -> XdmResult<(Vec<ProbeRow>, Sequence, Option<XdmError>)> {
-    let outer = eval_join_source(
-        &join.outer_source,
-        join.outer_batch.as_ref(),
+) -> (Vec<ProbeRow>, XdmResult<()>) {
+    let mut rows = Vec::new();
+    let probed = drive_join(
+        join,
         evaluator,
         store,
         env,
-    )?;
-    let inner = eval_join_source(
-        &join.inner_source,
-        join.inner_batch.as_ref(),
-        evaluator,
-        store,
-        env,
-    )?;
-    evaluator.note_input(outer.len() as u64);
-    let mut table: HashMap<String, Vec<usize>> = HashMap::new();
-    for (idx, it) in inner.iter().enumerate() {
-        let keys = eval_key(
-            evaluator,
-            store,
-            env,
-            &join.inner_var,
-            it,
-            &join.inner_key,
-            join.inner_key_steps.as_deref(),
-        )?;
-        for k in keys {
-            table.entry(k).or_default().push(idx);
-        }
-    }
-    let mut rows = Vec::with_capacity(outer.len());
-    let mut key_err = None;
-    for o in outer {
-        let keys = match eval_key(
-            evaluator,
-            store,
-            env,
-            &join.outer_var,
-            &o,
-            &join.outer_key,
-            join.outer_key_steps.as_deref(),
-        ) {
-            Ok(keys) => keys,
-            Err(e) => {
-                key_err = Some(e);
-                break;
-            }
-        };
-        let mut matches: Vec<usize> = Vec::new();
-        for k in &keys {
-            if let Some(idxs) = table.get(k) {
-                matches.extend_from_slice(idxs);
-            }
-        }
-        matches.sort_unstable();
-        matches.dedup();
-        rows.push(ProbeRow { outer: o, matches });
-    }
-    Ok((rows, inner, key_err))
+        |_, _, _, outer, matches, inner| {
+            rows.push(ProbeRow {
+                outer: outer.clone(),
+                matches: matches.iter().map(|&idx| inner[idx].clone()).collect(),
+            });
+            Ok(())
+        },
+    );
+    (rows, probed)
 }
 
 /// Hash join with a pure body: probe rows collected sequentially (key
@@ -789,32 +675,20 @@ fn par_hash_join(
     store: &mut Store,
     env: &mut DynEnv,
 ) -> XdmResult<Sequence> {
-    let (rows, inner, key_err) = probe_rows(join, evaluator, store, env)?;
-    let store: &Store = store;
-    let inner = &inner;
+    let (rows, probed) = probe_rows(join, evaluator, store, env);
     let pairs: Vec<(&Item, &Item)> = rows
         .iter()
-        .flat_map(|row| {
-            let outer = &row.outer;
-            row.matches.iter().map(move |&idx| (outer, &inner[idx]))
-        })
+        .flat_map(|row| row.matches.iter().map(move |inner| (&row.outer, inner)))
         .collect();
-    evaluator.note_par_region(pairs.len());
-    let depth = evaluator.nesting_depth();
-    let ctx = evaluator.pure_ctx();
-    let results = par_map(&ctx, env, &pairs, |wenv, _i, (o, inn)| {
-        wenv.push_var(join.outer_var.clone(), seq![(*o).clone()]);
-        wenv.push_var(join.inner_var.clone(), seq![(*inn).clone()]);
-        let r = eval_pure(&ctx, store, wenv, depth, &join.body);
+    let merged = evaluator.fan_out(store, env, &pairs, |worker, wenv, _i, (outer, inner)| {
+        wenv.push_var(join.outer_var.clone(), seq![(*outer).clone()]);
+        wenv.push_var(join.inner_var.clone(), seq![(*inner).clone()]);
+        let r = worker.eval(wenv, &join.body);
         wenv.pop_var();
         wenv.pop_var();
         r
-    });
-    let merged = merge_in_order(results)?;
-    match key_err {
-        Some(e) => Err(e),
-        None => Ok(merged),
-    }
+    })?;
+    probed.map(|()| merged)
 }
 
 /// Outer-join/group-by with pure body *and* return: one worker task per
@@ -827,34 +701,26 @@ fn par_group_by(
     env: &mut DynEnv,
 ) -> XdmResult<Sequence> {
     let join = &group.join;
-    let (rows, inner, key_err) = probe_rows(join, evaluator, store, env)?;
-    let store: &Store = store;
-    evaluator.note_par_region(rows.len());
-    let depth = evaluator.nesting_depth();
-    let ctx = evaluator.pure_ctx();
-    let results = par_map(&ctx, env, &rows, |wenv, _i, row| {
+    let (rows, probed) = probe_rows(join, evaluator, store, env);
+    let merged = evaluator.fan_out(store, env, &rows, |worker, wenv, _i, row| {
         wenv.push_var(join.outer_var.clone(), seq![row.outer.clone()]);
-        let r = (|wenv: &mut DynEnv| {
+        let r = (|| {
             let mut grouped = Sequence::new();
-            for &idx in &row.matches {
-                wenv.push_var(join.inner_var.clone(), seq![inner[idx].clone()]);
-                let v = eval_pure(&ctx, store, wenv, depth, &join.body);
+            for inner in &row.matches {
+                wenv.push_var(join.inner_var.clone(), seq![inner.clone()]);
+                let v = worker.eval(wenv, &join.body);
                 wenv.pop_var();
                 grouped.extend(v?);
             }
             wenv.push_var(group.group_var.clone(), grouped);
-            let v = eval_pure(&ctx, store, wenv, depth, &group.ret);
+            let v = worker.eval(wenv, &group.ret);
             wenv.pop_var();
             v
-        })(wenv);
+        })();
         wenv.pop_var();
         r
-    });
-    let merged = merge_in_order(results)?;
-    match key_err {
-        Some(e) => Err(e),
-        None => Ok(merged),
-    }
+    })?;
+    probed.map(|()| merged)
 }
 
 /// Evaluate a join key for one binding: the atomized string values.

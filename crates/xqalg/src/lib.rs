@@ -32,13 +32,12 @@ pub mod plan;
 pub mod rewrite;
 
 pub use compile::Compiler;
-pub use exec::{execute, run_plan};
+pub use exec::execute;
 pub use pipeline::{compile_program, AlgPlanner, PlannedProgram};
 pub use plan::{GroupByPlan, JoinPlan, QueryPlan};
 pub use rewrite::simplify;
 
 use std::sync::Arc;
-use xqcore::planner::CompiledProgram;
 use xqcore::{Evaluator, ProgramEnv};
 use xqdm::item::Sequence;
 use xqdm::{Store, XdmResult};
@@ -56,31 +55,9 @@ fn seeded(seed: u64) -> Arc<ProgramEnv> {
     Arc::new(ProgramEnv::default().with_seed(seed))
 }
 
-/// One-call convenience: compile a whole program (body, prolog variables,
-/// declared functions) and run it with the given host bindings. Returns
-/// the value sequence and whether the optimizer rewrote anything.
-///
-/// This is a thin wrapper over the [`pipeline`] the engine uses by
-/// default — kept for benchmarks and tests that need an explicit
-/// compiled-vs-naive comparison with a fixed seed.
-pub fn run_optimized(
-    program: &CoreProgram,
-    store: &mut Store,
-    bindings: &[(String, Sequence)],
-    seed: u64,
-) -> XdmResult<(Sequence, bool)> {
-    let planned = compile_program(program);
-    let mut evaluator = Evaluator::new(seeded(seed), program);
-    for (name, value) in bindings {
-        evaluator.bind_global(name.clone(), value.clone());
-    }
-    let optimized = planned.is_optimized();
-    let value = planned.execute(&mut evaluator, store)?;
-    Ok((value, optimized))
-}
-
-/// The unoptimized twin of [`run_optimized`]: strict nested-loop
-/// evaluation of the same program (the baseline in experiment E1).
+/// Strict nested-loop evaluation of `program` with the given host bindings
+/// and a fixed seed, no compiler involved: the baseline of experiment E1
+/// and the reference the optimizer's tests compare compiled runs against.
 pub fn run_naive(
     program: &CoreProgram,
     store: &mut Store,

@@ -3,8 +3,11 @@
 //! nested-loop evaluation — including the order of pending updates (we run
 //! under the default ordered snap semantics, the strictest case).
 
+mod common;
+
+use common::run_compiled;
 use xmarkgen::{Scale, XmarkGen};
-use xqalg::{run_naive, run_optimized, Compiler};
+use xqalg::{run_naive, Compiler};
 use xqdm::item::{Item, Sequence};
 use xqdm::{NodeId, Store};
 use xqsyn::CoreProgram;
@@ -72,7 +75,7 @@ fn check_equivalence(query: &str, expect_optimized: bool) {
         let value_n = run_naive(&program, &mut store_n, &bindings_n, 0).unwrap();
 
         let (mut store_o, bindings_o, purch_o) = setup(seed, &scale);
-        let (value_o, optimized) = run_optimized(&program, &mut store_o, &bindings_o, 0).unwrap();
+        let (value_o, optimized) = run_compiled(&program, &mut store_o, &bindings_o);
         assert_eq!(
             optimized, expect_optimized,
             "optimizer decision for {query}"
@@ -147,7 +150,7 @@ fn outer_join_keeps_unmatched_outers() {
     let (mut store_n, bindings_n, _) = setup(3, &scale);
     let value_n = run_naive(&program, &mut store_n, &bindings_n, 0).unwrap();
     let (mut store_o, bindings_o, _) = setup(3, &scale);
-    let (value_o, optimized) = run_optimized(&program, &mut store_o, &bindings_o, 0).unwrap();
+    let (value_o, optimized) = run_compiled(&program, &mut store_o, &bindings_o);
     assert!(optimized);
     assert_eq!(value_n.len(), 50);
     assert_eq!(value_o.len(), 50);
@@ -195,7 +198,7 @@ return <m/>"#;
     assert!(plan.is_optimized());
     let mut store2 = store.clone();
     let naive = run_naive(&program, &mut store2, &bindings, 0).unwrap();
-    let (opt, _) = run_optimized(&program, &mut store, &bindings, 0).unwrap();
+    let (opt, _) = run_compiled(&program, &mut store, &bindings);
     assert_eq!(naive.len(), 2, "e matches both f nodes, each once");
     assert_eq!(opt.len(), 2);
 }
@@ -208,7 +211,7 @@ fn join_handles_empty_sides() {
     let bindings = vec![("d".to_string(), xqdm::seq![Item::Node(doc)])];
     let q = "for $x in $d//left/e for $y in $d//right/f where $x/@k = $y/@k return <m/>";
     let program = compile(q);
-    let (v, optimized) = run_optimized(&program, &mut store, &bindings, 0).unwrap();
+    let (v, optimized) = run_compiled(&program, &mut store, &bindings);
     assert!(optimized);
     assert!(v.is_empty());
 }

@@ -1,7 +1,10 @@
 //! Plan-executor specifics not covered by the equivalence suites: prolog
 //! variables, explicit snap-scope driving, and plan reuse.
 
-use xqalg::{execute, run_naive, run_optimized, Compiler, QueryPlan};
+mod common;
+
+use common::run_compiled;
+use xqalg::{execute, run_naive, Compiler, QueryPlan};
 use xqcore::{apply_delta, DynEnv, Evaluator, SnapMode};
 use xqdm::item::Item;
 use xqdm::Store;
@@ -32,7 +35,7 @@ return if (xs:integer($y/@k) >= $limit) then <m k="{$y/@k}"/> else ()"#;
     let (mut s1, b1) = two_sided_store();
     let naive = run_naive(&program, &mut s1, &b1, 0).unwrap();
     let (mut s2, b2) = two_sided_store();
-    let (opt, optimized) = run_optimized(&program, &mut s2, &b2, 0).unwrap();
+    let (opt, optimized) = run_compiled(&program, &mut s2, &b2);
     assert!(optimized, "join should be recognized despite the prolog");
     assert_eq!(naive.len(), 3);
     assert_eq!(opt.len(), 3);
@@ -101,7 +104,7 @@ fn iterate_plan_matches_direct_evaluation() {
     let plan = Compiler::new(&program).compile(&program.body);
     assert!(matches!(plan, QueryPlan::Iterate(_)));
     let (mut store, bindings) = two_sided_store();
-    let (v, optimized) = run_optimized(&program, &mut store, &bindings, 0).unwrap();
+    let (v, optimized) = run_compiled(&program, &mut store, &bindings);
     assert!(!optimized);
     assert_eq!(v, vec![Item::integer(6)]);
 }

@@ -3,8 +3,11 @@
 //! same value and the same final store as naive nested-loop evaluation.
 //! This generalizes the hand-picked queries in `equivalence_tests.rs`.
 
+mod common;
+
+use common::run_compiled;
 use proptest::prelude::*;
-use xqalg::{run_naive, run_optimized, Compiler};
+use xqalg::{run_naive, Compiler};
 use xqdm::item::Item;
 use xqdm::{QName, Store};
 
@@ -90,7 +93,7 @@ fn check(query: &str, left: &SideSpec, right: &SideSpec) -> Result<(), TestCaseE
     let (mut s1, b1, out1) = setup(left, right);
     let v1 = run_naive(&program, &mut s1, &b1, 0).expect("naive run");
     let (mut s2, b2, out2) = setup(left, right);
-    let (v2, _) = run_optimized(&program, &mut s2, &b2, 0).expect("optimized run");
+    let (v2, _) = run_compiled(&program, &mut s2, &b2);
 
     let ser = |store: &Store, items: &[Item]| -> String {
         items

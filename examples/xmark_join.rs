@@ -1,23 +1,22 @@
 //! The §4.3 XMark Query-8 variant as a scaling benchmark: shows the
 //! optimizer recognizing the outer-join/group-by shape *despite* the
 //! embedded insert (pending updates are effect-free), prints the
-//! paper-style annotated plan, and compares three execution paths at
+//! paper-style annotated plan, and compares two execution paths at
 //! growing scales:
 //!
 //! * **naive** — strict nested-loop interpretation (`run_naive`);
-//! * **run_optimized** — the old opt-in compiled entry point;
 //! * **engine** — the engine-default compiled pipeline (`Engine::run`),
 //!   including plan-cache first-run (miss) vs cached-run (hit) timing.
 //!
 //! A nested-in-snap variant shows the join compiling *inside* an
 //! explicit snap body. Results go to the `pipeline` section of
-//! `BENCH.json`.
+//! `BENCH.json`, stamped with the host's core count and the commit.
 //!
 //! Run with: `cargo run --release --example xmark_join`
 
 use std::time::Instant;
 use xmarkgen::{Scale, XmarkGen};
-use xquery_bang::xqalg::{run_naive, run_optimized};
+use xquery_bang::xqalg::run_naive;
 use xquery_bang::{Engine, Item, Store};
 
 const Q8_VARIANT: &str = r#"
@@ -85,8 +84,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!(
-        "{:>10} {:>10} {:>12} {:>12} {:>12} {:>8}",
-        "persons", "closed", "naive", "run_opt", "engine", "speedup"
+        "{:>10} {:>10} {:>12} {:>12} {:>8}",
+        "persons", "closed", "naive", "engine", "speedup"
     );
     let mut rows = Vec::new();
     for n in [50usize, 100, 200, 400, 800] {
@@ -97,36 +96,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let naive = run_naive(&program, &mut s1, &b1, 0)?;
         let t_naive = t0.elapsed();
 
-        let (mut s2, b2) = setup(&scale);
-        let t0 = Instant::now();
-        let (opt, was_optimized) = run_optimized(&program, &mut s2, &b2, 0)?;
-        let t_opt = t0.elapsed();
-
         // The engine-default path: compile (plan-cache miss) + execute.
         let mut engine = setup_engine(&scale);
         let t0 = Instant::now();
         let via_engine = engine.run(Q8_VARIANT)?;
         let t_engine = t0.elapsed();
 
-        assert!(was_optimized);
-        assert_eq!(naive.len(), opt.len());
         assert_eq!(naive.len(), via_engine.len());
         assert!(engine.last_stats().unwrap().joins_executed > 0);
         println!(
-            "{:>10} {:>10} {:>12} {:>12} {:>12} {:>7.1}x",
+            "{:>10} {:>10} {:>12} {:>12} {:>7.1}x",
             scale.persons,
             scale.closed_auctions,
             format!("{t_naive:.2?}"),
-            format!("{t_opt:.2?}"),
             format!("{t_engine:.2?}"),
             t_naive.as_secs_f64() / t_engine.as_secs_f64().max(1e-9),
         );
         rows.push(format!(
-            r#"      {{"persons": {}, "closed_auctions": {}, "naive_s": {:.6}, "run_optimized_s": {:.6}, "engine_s": {:.6}}}"#,
+            r#"      {{"persons": {}, "closed_auctions": {}, "naive_s": {:.6}, "engine_s": {:.6}}}"#,
             scale.persons,
             scale.closed_auctions,
             t_naive.as_secs_f64(),
-            t_opt.as_secs_f64(),
             t_engine.as_secs_f64(),
         ));
     }
@@ -164,8 +154,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          interpreted {t_snap_interp:.2?}"
     );
 
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let commit = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map_or_else(
+            || "unknown".to_string(),
+            |o| String::from_utf8_lossy(&o.stdout).trim().to_string(),
+        );
     let json = format!(
-        "{{\n    \"bench\": \"xmark_q8_pipeline\",\n    \"rows\": [\n{}\n    ],\n    \
+        "{{\n    \"bench\": \"xmark_q8_pipeline\",\n    \"cores\": {cores},\n    \
+         \"commit\": \"{commit}\",\n    \"rows\": [\n{}\n    ],\n    \
          \"plan_cache\": {{\"first_run_s\": {:.6}, \"cached_run_s\": {:.6}, \
          \"hits\": {hits}, \"misses\": {misses}}},\n    \
          \"snap_variant\": {{\"persons\": {}, \"compiled_s\": {:.6}, \"interpreted_s\": {:.6}}}\n  }}",

@@ -2,7 +2,8 @@
 //! optimizer → updates → serialization, on XMark-shaped data.
 
 use xquery_bang::xmarkgen::{Scale, XmarkGen};
-use xquery_bang::xqalg::{run_naive, run_optimized, Compiler};
+use xquery_bang::xqalg::{compile_program, run_naive, Compiler};
+use xquery_bang::xqcore::CompiledProgram;
 use xquery_bang::{Engine, Item};
 
 /// Full pipeline: generate XMark as *text*, parse it through the XML
@@ -112,10 +113,11 @@ return <item person="{ $p/name }">{ count($a) }</item>"#;
 
     let (mut s2, b2, p2) = setup();
     let t = std::time::Instant::now();
-    let (v2, optimized) = run_optimized(&program, &mut s2, &b2, 0).unwrap();
+    let planned = compile_program(&program);
+    let v2 = xqbench::run_planned(&planned, &program, &mut s2, &b2);
     let opt_time = t.elapsed();
 
-    assert!(optimized);
+    assert!(planned.is_optimized());
     assert_eq!(v1.len(), v2.len());
     assert_eq!(
         xquery_bang::xqdm::xml::serialize(&s1, p1).unwrap(),

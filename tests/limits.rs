@@ -174,6 +174,83 @@ fn parallel_workers_cancel_with_the_same_class() {
     assert_eq!(codes[0], codes[1], "thread count changed the limit class");
 }
 
+/// Arms one limit with a budget.
+type Knob = fn(u64) -> Limits;
+
+/// The smallest budget of `knob` under which `query` succeeds: fuel and
+/// memory are totals over the run (every tick and charge comes off one
+/// shared counter), so success is monotone in the budget and a binary
+/// search finds the threshold.
+fn smallest_sufficient(knob: Knob, query: &str, doc: &str, threads: usize, compiled: bool) -> u64 {
+    let succeeds = |budget: u64| {
+        let mut e = Engine::new();
+        e.set_threads(threads);
+        e.set_compile(compiled);
+        e.set_limits(knob(budget));
+        e.load_document("doc", doc).unwrap();
+        e.run(query).is_ok()
+    };
+    let (mut lo, mut hi) = (0u64, 1 << 20);
+    assert!(succeeds(hi), "{query}: no budget up to {hi} suffices");
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if succeeds(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    hi
+}
+
+/// A limit is a property of the query, not of the thread count: the
+/// fanned-out loop costs the guard exactly what the sequential loop does
+/// (DESIGN.md §9), so the smallest sufficient fuel and memory budgets are
+/// the same at 1 and 8 threads, compiled and interpreted. Every query
+/// fans out (≥ `PAR_MIN_ITEMS` source items, pure body) and materializes
+/// its results through `Seq`/`For`/path steps, which is where a worker
+/// that skipped a charge or a tick would show.
+#[test]
+fn limit_thresholds_do_not_depend_on_the_thread_count() {
+    let doc = format!(
+        "<r>{}</r>",
+        (0..50)
+            .map(|k| format!("<x k=\"{k}\"><y/><y/></x>"))
+            .collect::<String>()
+    );
+    let queries = [
+        "count(for $i in (1, 2, 3, 4, 5, 6, 7, 8) return for $j in $doc//x return $j)",
+        "for $x in $doc//x return
+           if (some $y in $x/y satisfies true()) then ($x/@k + 1) else ()",
+        "for $x in $doc//x return ($x/@k, $x/y, count($x/y))",
+        "for $x at $i in $doc//x return for $y in $x/y return ($i, $y)",
+        "declare function ys($x) { for $y in $x/y return $y };
+         for $x in $doc//x return count(ys($x))",
+    ];
+    let knobs: [(&str, Knob); 2] = [
+        ("fuel", |n| Limits {
+            fuel: Some(n),
+            ..Limits::default()
+        }),
+        ("memory_items", |n| Limits {
+            memory_items: Some(n),
+            ..Limits::default()
+        }),
+    ];
+    for query in queries {
+        for (name, knob) in knobs {
+            for compiled in [true, false] {
+                let at = |threads| smallest_sufficient(knob, query, &doc, threads, compiled);
+                assert_eq!(
+                    at(1),
+                    at(8),
+                    "smallest sufficient {name} at 1 vs 8 threads (compiled={compiled}): {query}"
+                );
+            }
+        }
+    }
+}
+
 /// Hostile *query* input: 100k nesting levels must be a reported parse
 /// error (XQB0040 in the message), never a process abort.
 #[test]
