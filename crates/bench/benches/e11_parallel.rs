@@ -66,7 +66,6 @@ fn time_q8(scale: &Scale, compile: bool, threads: usize, query: &str) -> (f64, S
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    xqalg::install();
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);

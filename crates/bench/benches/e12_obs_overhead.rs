@@ -78,7 +78,6 @@ fn committed_baseline(parallel_json: Option<&str>, mode: &str) -> Option<f64> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    xqalg::install();
     let scale = Scale::join_sides(150, 75);
 
     println!("E12: observability overhead, median of {REPS} runs (1 thread)");

@@ -83,7 +83,6 @@ fn committed_baseline(parallel_json: Option<&str>, mode: &str) -> Option<f64> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    xqalg::install();
     let scale = Scale::join_sides(150, 75);
     let parallel = xqbench::bench_section("parallel");
 

@@ -70,8 +70,6 @@ fn time_stream(sync: Option<SyncMode>, tag: &str) -> (f64, Option<(u64, u64)>) {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    xqalg::install();
-
     println!("E14: per-commit latency, {COMMITS} single-insert commits, median of {REPS} streams");
     println!("{:<10} {:>14} {:>10}", "sync", "per-commit", "vs none");
 

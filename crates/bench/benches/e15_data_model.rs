@@ -47,8 +47,6 @@ fn q8_engine(scale: &Scale) -> Engine {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    xqalg::install();
-
     // --- parse / serialize throughput -------------------------------
     let scale = Scale::join_sides(800, 400);
     let text = XmarkGen::new(8).generate_xml(&scale).expect("xmark xml");

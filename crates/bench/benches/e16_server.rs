@@ -120,7 +120,6 @@ fn drive(server: &Server, sessions: usize, requests: usize, write_every: usize) 
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    xqalg::install();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "E16: closed-loop server throughput, {ITEMS}-item document, {cores} core(s) available"

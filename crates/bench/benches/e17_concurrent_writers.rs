@@ -116,7 +116,6 @@ fn counter_of(server: &Server) -> u64 {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    xqalg::install();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "E17: closed-loop concurrent writers, {REQUESTS_PER_WRITER} writes/writer, \

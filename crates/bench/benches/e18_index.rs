@@ -73,7 +73,6 @@ fn time_query(e: &mut Engine, program: &xqsyn::CoreProgram, expect_rows: usize) 
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    xqalg::install();
     let program = xqsyn::compile(LOOKUP).expect("parse lookup");
 
     println!("E18: index selectivity crossover, {REPS}×{ITERS} runs per cell");

@@ -77,7 +77,6 @@ fn measure(t: usize, query: &str) -> (f64, usize) {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    xqalg::install();
     println!("E5: what an insert source costs, median of {REPS} samples per cell");
     println!(
         "  {:>6} {:>10} {:>12} {:>10} {:>12} {:>10} | {:>9} {:>9}",

@@ -58,7 +58,7 @@ fn service_engine() -> Engine {
     let auction = XmarkGen::new(6)
         .generate(&mut e.store, &scale)
         .expect("xmark");
-    e.bind("auction", vec![Item::Node(auction)]);
+    e.bind("auction", xqdm::seq![Item::Node(auction)]);
     e.load_document("log", "<log/>").unwrap();
     e
 }

@@ -14,9 +14,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 use xmarkgen::Scale;
-use xqalg::{compile_program, Compiler, QueryPlan};
 use xqbench::{run_planned, xmark_fixture, Q8_SNAP_VARIANT, Q8_VARIANT};
-use xqcore::CompiledProgram as _;
+use xqcore::alg::{compile_program, Compiler, QueryPlan};
 
 fn bench_guard(c: &mut Criterion) {
     let plain = xqsyn::compile(Q8_VARIANT).expect("compile plain");

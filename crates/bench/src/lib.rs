@@ -50,7 +50,7 @@ let $a :=
 return <item person="{ $p/name }">{ count($a) }</item>"#;
 
 /// Build an XMark store plus a fresh `purchasers` element; returns
-/// `(store, bindings)` ready for `xqalg::run_naive`/[`run_planned`].
+/// `(store, bindings)` ready for `xqcore::alg::run_naive`/[`run_planned`].
 pub fn xmark_fixture(seed: u64, scale: &Scale) -> (Store, Vec<(String, Sequence)>) {
     let mut store = Store::new();
     let auction = XmarkGen::new(seed)
@@ -66,16 +66,15 @@ pub fn xmark_fixture(seed: u64, scale: &Scale) -> (Store, Vec<(String, Sequence)
     )
 }
 
-/// Execute `planned` — `program` through `xqalg::compile_program` — with
+/// Execute `planned` — `program` through `xqcore::alg::compile_program` — with
 /// the given host bindings: the compiled counterpart of
-/// `xqalg::run_naive`, with the plan built outside the timed region.
+/// `xqcore::alg::run_naive`, with the plan built outside the timed region.
 pub fn run_planned(
-    planned: &xqalg::PlannedProgram,
+    planned: &xqcore::alg::PlannedProgram,
     program: &xqsyn::CoreProgram,
     store: &mut Store,
     bindings: &[(String, Sequence)],
 ) -> Sequence {
-    use xqcore::CompiledProgram as _;
     let mut evaluator = xqcore::Evaluator::new(Default::default(), program);
     for (name, value) in bindings {
         evaluator.bind_global(name.clone(), value.clone());

@@ -21,9 +21,9 @@
 //!    value (F may mention `$g` freely — it receives exactly the sequence
 //!    the nested loop would have produced, in the same order).
 
-use crate::plan::{BatchFilter, BatchPathPlan, BatchStep, GroupByPlan, JoinPlan, QueryPlan};
+use crate::alg::plan::{BatchFilter, BatchPathPlan, BatchStep, GroupByPlan, JoinPlan, QueryPlan};
+use crate::{Effect, EffectAnalysis};
 use std::cell::RefCell;
-use xqcore::{Effect, EffectAnalysis};
 use xqdm::atomic::{Atomic, CompareOp};
 use xqsyn::ast::{Axis, NodeTest};
 use xqsyn::core::{Core, CoreProgram};
@@ -41,7 +41,7 @@ pub struct Compiler {
     /// rewriting.
     simplified: RefCell<Vec<(Core, Core)>>,
     /// Were the store's secondary indexes available at plan time
-    /// ([`xqcore::planner::PlanOptions::index_available`])? Gates the
+    /// ([`crate::planner::PlanOptions::index_available`])? Gates the
     /// `,idx` eligibility hints on lowered chains; `false` (the default)
     /// reproduces the pre-index plans exactly.
     index_available: bool,
@@ -79,7 +79,7 @@ impl Compiler {
     }
 
     /// Consume the compiler, keeping its effect analysis (a
-    /// [`crate::pipeline::PlannedProgram`] holds it for analyzed
+    /// [`crate::alg::PlannedProgram`] holds it for analyzed
     /// re-rendering).
     pub fn into_analysis(self) -> EffectAnalysis {
         self.analysis
@@ -186,7 +186,7 @@ impl Compiler {
         {
             return self.compile(cached);
         }
-        let simplified = crate::rewrite::simplify(core, &self.analysis);
+        let simplified = crate::alg::rewrite::simplify(core, &self.analysis);
         let plan = self.compile(&simplified);
         let mut memo = self.simplified.borrow_mut();
         if memo.len() >= SIMPLIFY_MEMO_CAP {
@@ -794,7 +794,7 @@ mod tests {
         // existence path either — the predicated step stays interpreted.
         let plan = plan_for("$auction//person[@id = @ref]");
         assert!(
-            !matches!(&plan, QueryPlan::BatchPath(bp) if bp.steps.len() > 0
+            !matches!(&plan, QueryPlan::BatchPath(bp) if !bp.steps.is_empty()
                 && !bp.steps[0].filters.is_empty()),
             "non-literal comparison must not lower to a filter: {plan:?}"
         );

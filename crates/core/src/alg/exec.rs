@@ -18,10 +18,10 @@
 //!   general `=` over path keys, and untyped-vs-untyped general comparison
 //!   is string equality.
 
-use crate::plan::{BatchFilter, BatchPathPlan, BatchStep, GroupByPlan, JoinPlan, QueryPlan};
+use crate::alg::plan::{BatchFilter, BatchPathPlan, BatchStep, GroupByPlan, JoinPlan, QueryPlan};
+use crate::eval::resolve_test;
+use crate::{DynEnv, Evaluator};
 use std::collections::{HashMap, HashSet};
-use xqcore::eval::resolve_test;
-use xqcore::{DynEnv, Evaluator};
 use xqdm::item::{self, Item, Sequence};
 use xqdm::seq;
 use xqdm::{KernelTest, NodeId, Store, XdmError, XdmResult};

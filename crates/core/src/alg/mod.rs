@@ -1,4 +1,5 @@
-//! # xqalg — the algebraic compiler and optimizer for XQuery!
+//! The algebraic compiler and optimizer for XQuery! (the former `xqalg`
+//! crate, still re-exported under that name by the facade).
 //!
 //! Reproduces §4 of the paper: rule-based rewrites **guarded by the
 //! side-effect judgment** turn nested FLWOR loops into join plans when the
@@ -16,7 +17,7 @@
 //!   |matches|)`.
 //!
 //! ```
-//! use xqalg::Compiler;
+//! use xqcore::alg::Compiler;
 //!
 //! let program = xqsyn::compile(
 //!     "for $x in $xs for $y in $ys where $x/@k = $y/@k return $y",
@@ -33,27 +34,15 @@ pub mod rewrite;
 
 pub use compile::Compiler;
 pub use exec::execute;
-pub use pipeline::{compile_program, AlgPlanner, PlannedProgram};
+pub use pipeline::{compile_program, PlannedProgram};
 pub use plan::{GroupByPlan, JoinPlan, QueryPlan};
 pub use rewrite::simplify;
 
+use crate::{Evaluator, ProgramEnv};
 use std::sync::Arc;
-use xqcore::{Evaluator, ProgramEnv};
 use xqdm::item::Sequence;
 use xqdm::{Store, XdmResult};
 use xqsyn::CoreProgram;
-
-/// Register [`AlgPlanner`] as the process-wide default planner, making
-/// `xqcore::Engine::run_program` compile through this crate. Idempotent;
-/// the facade crate calls this from `Engine::new()`.
-pub fn install() {
-    xqcore::planner::install(Arc::new(AlgPlanner));
-}
-
-/// The default environment with a fixed seed.
-fn seeded(seed: u64) -> Arc<ProgramEnv> {
-    Arc::new(ProgramEnv::default().with_seed(seed))
-}
 
 /// Strict nested-loop evaluation of `program` with the given host bindings
 /// and a fixed seed, no compiler involved: the baseline of experiment E1
@@ -64,7 +53,8 @@ pub fn run_naive(
     bindings: &[(String, Sequence)],
     seed: u64,
 ) -> XdmResult<Sequence> {
-    let mut evaluator = Evaluator::new(seeded(seed), program);
+    let env = Arc::new(ProgramEnv::default().with_seed(seed));
+    let mut evaluator = Evaluator::new(env, program);
     for (name, value) in bindings {
         evaluator.bind_global(name.clone(), value.clone());
     }

@@ -1,22 +1,22 @@
 //! The compiled execution pipeline: whole programs (body, prolog
-//! variables, declared functions) compiled to plans, runnable behind
-//! `xqcore`'s [`CompiledProgram`] seam — this is what the engine executes
-//! by default once [`crate::install`] has run.
+//! variables, declared functions) compiled to plans — what
+//! [`Engine`](crate::Engine) caches and executes unless `set_compile(false)`
+//! selects the reference interpreter.
 //!
 //! A [`PlannedProgram`] owns one plan per program part. Function bodies
 //! whose plan actually optimized something are collected into a
-//! [`FnTable`] and installed as the evaluator's function executor for the
+//! `FnTable` and installed as the evaluator's function executor for the
 //! duration of the run, so a join inside a declared function runs as a
 //! hash join no matter where the call site sits. Functions whose bodies
 //! compiled to a bare `Iterate` are left to the interpreter — the plan
 //! would add indirection without changing a single instruction.
 
-use crate::compile::{compile_structural, Compiler};
-use crate::exec;
-use crate::plan::QueryPlan;
+use crate::alg::compile::{compile_structural, Compiler};
+use crate::alg::exec;
+use crate::alg::plan::QueryPlan;
+use crate::planner::PlanOptions;
+use crate::{DynEnv, EffectAnalysis, Evaluator};
 use std::sync::Arc;
-use xqcore::planner::{CompiledProgram, FunctionExecutor, PlanOptions, Planner};
-use xqcore::{DynEnv, EffectAnalysis, Evaluator};
 use xqdm::item::Sequence;
 use xqdm::{Store, XdmResult};
 use xqsyn::CoreProgram;
@@ -24,7 +24,7 @@ use xqsyn::CoreProgram;
 /// Compiled plans for the declared functions that benefited from
 /// compilation, consulted by the evaluator on every user-function call.
 #[derive(Default)]
-pub struct FnTable {
+pub(crate) struct FnTable {
     /// `(name, params, body plan, profile node-id base)` — linear scan;
     /// programs declare few functions and only the optimized ones land
     /// here.
@@ -33,18 +33,21 @@ pub struct FnTable {
 
 impl FnTable {
     /// No compiled functions at all?
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
     /// Number of functions with compiled bodies.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.entries.len()
     }
-}
 
-impl FunctionExecutor for FnTable {
-    fn try_call(
+    /// Try to run `name(args)` as a compiled plan. Returns `Err(args)` —
+    /// handing the (already evaluated) arguments back — when there is no
+    /// plan for that function, so the caller can interpret it. The
+    /// evaluator consults this after built-in dispatch and before falling
+    /// back to interpreting the declaration.
+    pub(crate) fn try_call(
         &self,
         evaluator: &mut Evaluator,
         store: &mut Store,
@@ -74,13 +77,15 @@ impl FunctionExecutor for FnTable {
     }
 }
 
-/// A whole program compiled to plans: the [`CompiledProgram`] the engine
-/// caches and executes.
+/// A whole program compiled to plans: what the engine caches and
+/// executes. Execution drives the given evaluator (its Δ-stack, snap-seed
+/// counter, globals, and statistics), so compiled and interpreted subtrees
+/// share one store/Δ discipline.
 ///
 /// Profile node ids are assigned per program section, in pre-order within
 /// each plan: the body starts at 0, each prolog variable's plan follows,
 /// then each compiled function's — so one flat
-/// [`Profile`](xqcore::obs::Profile) covers the whole program.
+/// [`Profile`](crate::obs::Profile) covers the whole program.
 pub struct PlannedProgram {
     /// `(name, plan, profile node-id base)` per prolog variable.
     variables: Vec<(String, QueryPlan, usize)>,
@@ -104,10 +109,11 @@ impl PlannedProgram {
     pub fn compiled_functions(&self) -> usize {
         self.functions.len()
     }
-}
 
-impl CompiledProgram for PlannedProgram {
-    fn execute(&self, evaluator: &mut Evaluator, store: &mut Store) -> XdmResult<Sequence> {
+    /// Run the plan: prolog variables first, then the body, inside the
+    /// implicit top-level snap — the compiled counterpart of
+    /// [`Evaluator::eval_program`].
+    pub fn execute(&self, evaluator: &mut Evaluator, store: &mut Store) -> XdmResult<Sequence> {
         if !self.functions.is_empty() {
             evaluator.set_function_executor(Some(self.functions.clone()));
         }
@@ -124,15 +130,20 @@ impl CompiledProgram for PlannedProgram {
         result
     }
 
-    fn explain(&self) -> String {
+    /// The paper-style plan printout with effect annotations.
+    pub fn explain(&self) -> String {
         self.explain.clone()
     }
 
-    fn is_optimized(&self) -> bool {
+    /// Did any rewrite fire anywhere in the program (body, prolog
+    /// variable, or declared function)?
+    pub fn is_optimized(&self) -> bool {
         self.optimized
     }
 
-    fn explain_analyzed(&self, profile: &xqcore::obs::Profile) -> String {
+    /// The plan printout annotated with live per-node counters from an
+    /// analyzed run (`Engine::explain_analyze`).
+    pub fn explain_analyzed(&self, profile: &crate::obs::Profile) -> String {
         // Unlike the plain EXPLAIN (which shows only optimized prolog
         // variables), the analyzed tree shows every variable: each one
         // executed and has counters worth reading.
@@ -158,7 +169,10 @@ impl CompiledProgram for PlannedProgram {
         out
     }
 
-    fn verify_profile(&self, profile: &xqcore::obs::Profile) -> Result<(), String> {
+    /// Cross-check a captured profile against this plan's shape (node-id
+    /// assignment, parent/child call and cardinality relations). Used by
+    /// the obs-invariants suite.
+    pub fn verify_profile(&self, profile: &crate::obs::Profile) -> Result<(), String> {
         self.body.verify_profile(profile, 0)?;
         for (name, plan, base) in &self.variables {
             plan.verify_profile(profile, *base)
@@ -269,20 +283,6 @@ fn assemble(
         analysis: compiler.into_analysis(),
         explain,
         optimized,
-    }
-}
-
-/// The [`Planner`] implementation the facade installs as the process-wide
-/// default.
-pub struct AlgPlanner;
-
-impl Planner for AlgPlanner {
-    fn plan(&self, program: &CoreProgram, opts: &PlanOptions) -> Arc<dyn CompiledProgram> {
-        Arc::new(compile_program_opts(program, opts))
-    }
-
-    fn plan_structural(&self, program: &CoreProgram) -> Arc<dyn CompiledProgram> {
-        Arc::new(compile_structural_program(program))
     }
 }
 

@@ -21,9 +21,9 @@
 //! no join descendant back to a single `Iterate`, so structural nodes only
 //! appear on the spine that leads to an optimized operator.
 
+use crate::EffectAnalysis;
+use crate::SnapMode;
 use std::fmt;
-use xqcore::EffectAnalysis;
-use xqcore::SnapMode;
 use xqsyn::ast::{Axis, NodeTest};
 use xqsyn::core::Core;
 
@@ -286,7 +286,7 @@ impl QueryPlan {
     pub fn render_analyzed(
         &self,
         analysis: &EffectAnalysis,
-        profile: &xqcore::obs::Profile,
+        profile: &crate::obs::Profile,
         base: usize,
     ) -> String {
         format!(
@@ -298,7 +298,7 @@ impl QueryPlan {
     fn render_node(
         &self,
         analysis: Option<&EffectAnalysis>,
-        profile: Option<&xqcore::obs::Profile>,
+        profile: Option<&crate::obs::Profile>,
         base: usize,
     ) -> String {
         // `par` marks a region the parallel gate admits for fan-out
@@ -306,14 +306,14 @@ impl QueryPlan {
         // (an inner snap or update) suppress the marker — the E8 guard
         // reused.
         let eff_loop = |core: &Core| match analysis {
-            Some(a) if xqcore::par::marks_par_loop(core, a) => {
+            Some(a) if crate::par::marks_par_loop(core, a) => {
                 format!("[{:?},par]", a.effect(core))
             }
             Some(a) => format!("[{:?}]", a.effect(core)),
             None => String::new(),
         };
         let eff_body = |core: &Core| match analysis {
-            Some(a) if xqcore::par::body_par(core, a) => format!("[{:?},par]", a.effect(core)),
+            Some(a) if crate::par::body_par(core, a) => format!("[{:?},par]", a.effect(core)),
             Some(a) => format!("[{:?}]", a.effect(core)),
             None => String::new(),
         };
@@ -407,9 +407,7 @@ impl QueryPlan {
                 // exactly like the interpreter loop the leaf used to show
                 // the marker on — keep the marker visible on the spine.
                 let par = match (analysis, body.as_ref()) {
-                    (Some(a), QueryPlan::Iterate(core)) if xqcore::par::body_par(core, a) => {
-                        "[par]"
-                    }
+                    (Some(a), QueryPlan::Iterate(core)) if crate::par::body_par(core, a) => "[par]",
                     _ => "",
                 };
                 let source_id = base + 1;
@@ -459,11 +457,7 @@ impl QueryPlan {
     /// fan out (`par_regions > 0` skips the node's relations: fanned-out
     /// iterations attribute to the parent, so child counters legitimately
     /// lag). The obs-invariants suite drives this.
-    pub fn verify_profile(
-        &self,
-        profile: &xqcore::obs::Profile,
-        base: usize,
-    ) -> Result<(), String> {
+    pub fn verify_profile(&self, profile: &crate::obs::Profile, base: usize) -> Result<(), String> {
         let n = profile.node(base);
         let label = match self {
             QueryPlan::Iterate(_) => "Iterate",
@@ -617,14 +611,14 @@ impl QueryPlan {
 }
 
 /// Append a node's live counters to the first line of its rendered text.
-fn annotate_head(text: &str, n: xqcore::obs::NodeStats) -> String {
+fn annotate_head(text: &str, n: crate::obs::NodeStats) -> String {
     let note = if n.calls == 0 {
         " (never executed)".to_string()
     } else {
         let mut note = format!(
             " (calls={} time={} rows={}→{} Δ={}/{}",
             n.calls,
-            xqcore::obs::fmt_ns(n.wall_ns),
+            crate::obs::fmt_ns(n.wall_ns),
             n.input_rows,
             n.output_rows,
             n.delta_incl,

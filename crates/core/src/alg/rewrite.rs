@@ -6,7 +6,7 @@
 //! subexpression to avoid changing the semantics for the query."
 //!
 //! This module implements that phase: classical XQuery simplifications,
-//! each guarded by the effect lattice from `xqcore::effects`. The guards
+//! each guarded by the effect lattice from [`crate::effects`]. The guards
 //! are the point — every rule below has a test showing the un-guarded
 //! version would be wrong:
 //!
@@ -19,7 +19,7 @@
 //! | empty-for | `for $x in () return B` → `()` | source is literally `()` |
 //! | singleton-for | `for $x in V return B` → `let $x := V return B` when `V` is a single item expression | `V` is a constant or constructor (cardinality exactly 1) |
 
-use xqcore::{Effect, EffectAnalysis};
+use crate::{Effect, EffectAnalysis};
 use xqdm::atomic::{arithmetic, Atomic};
 use xqdm::item::Item;
 use xqsyn::core::{Core, CoreName};
@@ -388,7 +388,7 @@ pub fn int(i: i64) -> Core {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xqcore::EffectAnalysis;
+    use crate::EffectAnalysis;
     use xqsyn::compile;
 
     fn simp(q: &str) -> Core {
@@ -543,7 +543,7 @@ mod tests {
         let prog = compile(q).unwrap();
         let a = EffectAnalysis::new(&prog);
         let simplified = simplify(&prog.body, &a);
-        let plan = crate::Compiler::new(&prog).compile(&simplified);
+        let plan = crate::alg::Compiler::new(&prog).compile(&simplified);
         assert!(plan.is_optimized(), "join lost after simplify");
     }
 }

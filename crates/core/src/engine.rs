@@ -5,11 +5,14 @@
 //! XQuery! programs (each with its implicit top-level snap), and inspect or
 //! serialize the resulting store.
 
+use crate::alg::pipeline::{compile_program_opts, compile_structural_program};
+use crate::alg::PlannedProgram;
 use crate::env::{DynEnv, ProgramEnv, Scope};
 use crate::eval::Evaluator;
-use crate::limits::Limits;
+use crate::limits::{self, Limits};
 use crate::obs;
-use crate::planner::{self, CompiledProgram, SharedPlanCache};
+use crate::planner::{self, SharedPlanCache};
+use crate::server::{Server, ServerConfig};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -74,7 +77,7 @@ pub struct Engine {
     last_profile: Option<obs::Profile>,
     /// The plan the most recent `explain_analyze` executed (for profile
     /// verification in tests).
-    last_plan: Option<Arc<dyn CompiledProgram>>,
+    last_plan: Option<Arc<PlannedProgram>>,
     /// Wall time of the most recent run, nanoseconds.
     last_run_ns: Option<u64>,
     /// fsync policy for the durable store (from `XQB_DURABILITY`; applied
@@ -96,7 +99,7 @@ impl Default for Engine {
 /// interpret), the cache key when one was computed, and the outcome token
 /// for the slow-query log and the EXPLAIN ANALYZE totals.
 struct Planned {
-    plan: Option<Arc<dyn CompiledProgram>>,
+    plan: Option<Arc<PlannedProgram>>,
     key: Option<(u64, u64)>,
     cache: &'static str,
 }
@@ -295,18 +298,16 @@ impl Engine {
 
     /// Parse a query under this engine's expression-nesting limit.
     fn compile_source(&self, query: &str) -> Result<CoreProgram, Error> {
-        match xqsyn::compile_with_limit(query, self.env.limits.max_parse_depth) {
-            Ok(p) => Ok(p),
-            Err(e) => {
-                // A parser depth trip is a resource-governance event like
-                // any other; the code is embedded in the message because
-                // ParseError carries no code field.
-                if e.message.contains("XQB0040") {
-                    self.env.metrics.limit_depth.add(1);
-                }
-                Err(Error::Parse(e))
-            }
+        xqsyn::compile_with_limit(query, self.env.limits.max_parse_depth)
+            .map_err(|e| self.parse_error(e))
+    }
+
+    /// A parser depth trip is a resource-governance event like any other.
+    fn parse_error(&self, e: ParseError) -> Error {
+        if limits::is_parse_depth_trip(&e) {
+            self.env.metrics.limit_depth.add(1);
         }
+        Error::Parse(e)
     }
 
     /// Register a module: its `declare function`s become available to
@@ -616,33 +617,30 @@ impl Engine {
     /// In compiled mode this analyzes the optimized plan; with compilation
     /// disabled it runs a structural (unoptimized) plan whose operators
     /// mirror interpretation one-for-one, so both modes report per-node
-    /// counters. Without any planner installed the program runs
-    /// uninstrumented and only the totals line is live.
+    /// counters.
     pub fn explain_analyze(&mut self, query: &str) -> Result<String, Error> {
         let program = self.compile_source(query)?;
         self.last_profile = None;
         self.last_plan = None;
-        let planned = if self.env.compile {
-            self.plan_for(&program)
+        let (planned, mode) = if self.env.compile {
+            (self.plan_for(&program), "compiled")
         } else {
-            Planned {
-                plan: planner::default_planner().map(|p| p.plan_structural(&self.linked(&program))),
+            let plan = compile_structural_program(&linked(&self.env, &program));
+            let planned = Planned {
+                plan: Some(Arc::new(plan)),
                 key: None,
                 cache: "uncompiled",
-            }
-        };
-        let mode = match (&planned.plan, self.env.compile) {
-            (Some(_), true) => "compiled",
-            (Some(_), false) => "interpreted",
-            (None, _) => "uninstrumented",
+            };
+            (planned, "interpreted")
         };
         let cache = planned.cache;
         let value = self.execute_program(planned, &program, true)?;
         let profile = self.last_profile.clone().unwrap_or_default();
-        let tree = match &self.last_plan {
-            Some(plan) => plan.explain_analyzed(&profile),
-            None => planner::render_unoptimized(&program),
-        };
+        let tree = self
+            .last_plan
+            .as_ref()
+            .map(|plan| plan.explain_analyzed(&profile))
+            .unwrap_or_default();
         let stats = self.last_stats.unwrap_or_default();
         let mut totals = format!(
             "totals: time={} rows={} snaps={} Δ={}/{} plan_nodes={} joins={} \
@@ -681,7 +679,7 @@ impl Engine {
     /// The plan the most recent [`Engine::explain_analyze`] executed
     /// (used by the obs-invariants suite to cross-check the profile
     /// against the plan shape).
-    pub fn analyzed_plan(&self) -> Option<&Arc<dyn CompiledProgram>> {
+    pub fn analyzed_plan(&self) -> Option<&Arc<PlannedProgram>> {
         self.last_plan.as_ref()
     }
 
@@ -690,17 +688,16 @@ impl Engine {
         self.last_run_ns
     }
 
-    /// Plan `program` through the installed planner, consulting the plan
-    /// cache first. No plan means "interpret": compilation disabled, or no
-    /// planner installed (bare `xqcore` without the facade).
+    /// Compile `program` ([`crate::alg`]), consulting the plan cache
+    /// first. No plan means "interpret": `set_compile(false)`.
     fn plan_for(&mut self, program: &CoreProgram) -> Planned {
-        let Some(planner) = planner::default_planner().filter(|_| self.env.compile) else {
+        if !self.env.compile {
             return Planned {
                 plan: None,
                 key: None,
                 cache: "uncompiled",
             };
-        };
+        }
         let key = self.plan_key(program);
         let (plan, cache) = match self.plans.get(key) {
             Some(plan) => {
@@ -713,9 +710,10 @@ impl Engine {
                 self.env.metrics.cache_misses.add(1);
                 let trace = self.env.trace.as_ref();
                 let span = trace.map(|sink| sink.begin("plan", None));
-                // Only a miss pays for the closed program the planner
+                // Only a miss pays for the closed program the compiler
                 // needs; a hit never copies a module function.
-                let plan = planner.plan(&self.linked(program), &self.plan_options());
+                let linked = linked(&self.env, program);
+                let plan = Arc::new(compile_program_opts(&linked, &plan_options(&self.store)));
                 if let (Some(sink), Some(id)) = (trace, span) {
                     sink.end(id);
                 }
@@ -727,19 +725,6 @@ impl Engine {
             plan: Some(plan),
             key: Some(key),
             cache,
-        }
-    }
-
-    /// `program` closed under the module functions it can reach: what the
-    /// planner and the checker are given.
-    fn linked(&self, program: &CoreProgram) -> CoreProgram {
-        Scope::new(self.env.clone(), program).link(program)
-    }
-
-    /// The store facts a plan may depend on.
-    fn plan_options(&self) -> planner::PlanOptions {
-        planner::PlanOptions {
-            index_available: self.store.index_enabled(),
         }
     }
 
@@ -791,16 +776,10 @@ impl Engine {
 
     /// The paper-style compiled plan for `query` (with effect
     /// annotations), without running it — `EXPLAIN` for XQuery!. Module
-    /// functions participate as they would in [`Engine::run`]. With no
-    /// planner installed the whole program is one `Iterate` node.
+    /// functions participate as they would in [`Engine::run`]. The
+    /// `xqb:explain` builtin prints the same text from inside a query.
     pub fn explain(&self, query: &str) -> Result<String, Error> {
-        let program = self.compile_source(query)?;
-        Ok(match planner::default_planner() {
-            Some(planner) => planner
-                .plan(&self.linked(&program), &self.plan_options())
-                .explain(),
-            None => planner::render_unoptimized(&program),
-        })
+        explain_query(&self.env, &self.store, query).map_err(|e| self.parse_error(e))
     }
 
     /// Enable or disable the store's secondary-index plane for planning
@@ -824,7 +803,7 @@ impl Engine {
         let program = self.compile_source(query)?;
         let host_vars: Vec<&str> = self.env.bindings().map(|(n, _)| n).collect();
         Ok(crate::check::check_program(
-            &self.linked(&program),
+            &linked(&self.env, &program),
             &host_vars,
         ))
     }
@@ -942,6 +921,13 @@ impl Engine {
         read_only(&self.env, program)
     }
 
+    /// Host this engine behind a multi-session [`Server`] (xqserve's
+    /// core): concurrent snapshot-isolated reads, serialized durable
+    /// writes, per-session admission control.
+    pub fn into_server(self, config: ServerConfig) -> Server {
+        Server::with_config(self, config)
+    }
+
     /// A fresh evaluator + environment pair for `program`, as a run of it
     /// here would start with: this engine's module functions, bindings,
     /// policy and seed position. Every run goes through this; tests and
@@ -1033,6 +1019,32 @@ impl EngineSnapshot {
     }
 }
 
+/// `program` closed under the module functions of `env` it can reach: what
+/// the compiler and the checker are given.
+fn linked(env: &Arc<ProgramEnv>, program: &CoreProgram) -> CoreProgram {
+    Scope::new(env.clone(), program).link(program)
+}
+
+/// The store facts a plan may depend on.
+fn plan_options(store: &Store) -> planner::PlanOptions {
+    planner::PlanOptions {
+        index_available: store.index_enabled(),
+    }
+}
+
+/// The plan a run of `query` under `env` against `store` would execute,
+/// printed: parsed under `env`'s nesting limit, closed under the module
+/// functions it can reach, compiled for `store`'s index availability.
+/// [`Engine::explain`] and the `xqb:explain` builtin are both this.
+pub(crate) fn explain_query(
+    env: &Arc<ProgramEnv>,
+    store: &Store,
+    query: &str,
+) -> Result<String, ParseError> {
+    let program = xqsyn::compile_with_limit(query, env.limits.max_parse_depth)?;
+    Ok(compile_program_opts(&linked(env, &program), &plan_options(store)).explain())
+}
+
 /// The shared body of the two `is_read_only` entry points: the body and
 /// every prolog variable initializer stay within the `Alloc` ceiling, with
 /// calls resolved as a run of `program` under `env` resolves them.
@@ -1052,6 +1064,27 @@ mod tests {
         let mut e = Engine::new();
         let r = e.run("1 + 2").unwrap();
         assert_eq!(r, vec![Item::integer(3)]);
+    }
+
+    #[test]
+    fn compiles_with_nothing_installed() {
+        // The engine owns its compiler: joins are recognized and analyzed
+        // runs are compiled in a process that did nothing but `new()`.
+        const JOIN: &str = "for $l in $doc/r/l/e for $r in $doc/r/r/e \
+                            where $l/@k = $r/@k return <m/>";
+        let mut e = Engine::new();
+        e.load_document(
+            "doc",
+            "<r><l><e k=\"1\"/><e k=\"2\"/></l><r><e k=\"2\"/></r></r>",
+        )
+        .unwrap();
+        assert!(e.explain(JOIN).unwrap().contains("Join"));
+        let analyzed = e.explain_analyze(JOIN).unwrap();
+        assert!(analyzed.contains("mode=compiled"), "{analyzed}");
+        assert!(analyzed.contains("joins=1"), "{analyzed}");
+        e.set_compile(false);
+        let analyzed = e.explain_analyze(JOIN).unwrap();
+        assert!(analyzed.contains("mode=interpreted"), "{analyzed}");
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub struct ProgramEnv {
     pub limits: Limits,
     /// Worker-thread budget for effect-free regions (1 = sequential).
     pub threads: usize,
-    /// Compile programs through the installed planner?
+    /// Compile programs to plans (`false`: the reference interpreter)?
     pub compile: bool,
     /// Slow-query threshold in milliseconds; `None` disables the log.
     pub slow_ms: Option<f64>,
@@ -167,7 +167,7 @@ impl Scope {
     }
 
     /// The shared environment underneath.
-    pub fn env(&self) -> &ProgramEnv {
+    pub fn env(&self) -> &Arc<ProgramEnv> {
         &self.env
     }
 

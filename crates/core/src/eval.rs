@@ -18,13 +18,13 @@
 //! specifies for a language with side effects (§2.4): every rule with two
 //! sub-expressions evaluates the first before the second.
 
+use crate::alg::pipeline::FnTable;
 use crate::apply::apply_delta;
 use crate::env::{DynEnv, Focus, ProgramEnv, Scope};
 use crate::functions;
 use crate::limits::{self, LimitGuard, TripKind};
 use crate::obs;
 use crate::par::{self, PureCtx, Worker, PAR_MIN_ITEMS};
-use crate::planner::FunctionExecutor;
 use crate::update::{Delta, UpdateRequest};
 use std::sync::Arc;
 use std::time::Instant;
@@ -112,9 +112,9 @@ pub struct Evaluator {
     snap_counter: u64,
     depth: usize,
     stats: EvalStats,
-    /// Hook running calls to functions whose bodies compiled to a plan
-    /// (installed by a `CompiledProgram` for the duration of its run).
-    function_executor: Option<Arc<dyn FunctionExecutor>>,
+    /// The declared functions whose bodies compiled to a plan (installed
+    /// by a `PlannedProgram` for the duration of its run).
+    function_executor: Option<Arc<FnTable>>,
     /// Observability state (trace spans, per-node profiling). `None` — the
     /// default — is the zero-cost-when-off fast path: every hook below is
     /// a single `Option` discriminant check.
@@ -201,17 +201,12 @@ impl Evaluator {
         self.stats
     }
 
-    /// The armed cooperative limit guard (shared with parallel workers).
-    pub fn guard(&self) -> &LimitGuard {
-        &self.guard
-    }
-
     /// One cooperative limit check: a unit of fuel, a periodic deadline
     /// poll, and trip observation. Plan executors call this once per plan
     /// node; the interpreter once per `eval` step. A single branch when no
     /// fuel/deadline/memory limit is armed.
     #[inline]
-    pub fn limit_tick(&self) -> XdmResult<()> {
+    pub(crate) fn limit_tick(&self) -> XdmResult<()> {
         self.guard.tick()
     }
 
@@ -222,7 +217,7 @@ impl Evaluator {
     /// order and the first failing item's error wins: what a sequential
     /// loop over a pure `f` would have produced. The caller guarantees
     /// [`Evaluator::par_candidate`] admitted everything `f` evaluates.
-    pub fn fan_out<T, F>(
+    pub(crate) fn fan_out<T, F>(
         &mut self,
         store: &Store,
         env: &DynEnv,
@@ -252,7 +247,7 @@ impl Evaluator {
     /// the interpreter's loop charges every iteration's value against the
     /// memory budget, while a plan loop (`plan_body`) charges nothing but
     /// enters the body's plan node — one tick — per iteration.
-    pub fn par_for(
+    pub(crate) fn par_for(
         &mut self,
         store: &Store,
         env: &DynEnv,
@@ -288,7 +283,7 @@ impl Evaluator {
     /// The parallel gate: is fan-out enabled (threads ≥ 2) *and* is `body`
     /// provably safe to evaluate on workers sharing `&Store`? See
     /// [`crate::par::par_safe`] for the judgment itself.
-    pub fn par_candidate(&self, body: &Core) -> bool {
+    pub(crate) fn par_candidate(&self, body: &Core) -> bool {
         self.scope.env().threads >= 2 && par::par_safe(body, &self.scope)
     }
 
@@ -296,14 +291,14 @@ impl Evaluator {
     /// engine persists the counter across runs so that two snaps — in the
     /// same run or in different runs of one engine — never reuse a
     /// nondeterministic application seed.
-    pub fn with_snap_counter(mut self, counter: u64) -> Self {
+    pub(crate) fn with_snap_counter(mut self, counter: u64) -> Self {
         self.snap_counter = counter;
         self
     }
 
     /// The per-snap seed counter after the snaps closed so far (see
     /// [`Evaluator::with_snap_counter`]).
-    pub fn snap_counter(&self) -> u64 {
+    pub(crate) fn snap_counter(&self) -> u64 {
         self.snap_counter
     }
 
@@ -340,9 +335,9 @@ impl Evaluator {
     /// applied in ordered mode with the next snap seed on success and
     /// discarded on error. This is the shared program-scope harness for
     /// both the interpreter ([`Evaluator::eval_program`]) and compiled
-    /// plans (`xqalg`'s `CompiledProgram::execute`) — sharing it is what
+    /// plans (`PlannedProgram::execute`) — sharing it is what
     /// guarantees the two paths agree on stats, seeds, and Δ discipline.
-    pub fn run_in_program_scope<F>(&mut self, store: &mut Store, f: F) -> XdmResult<Sequence>
+    pub(crate) fn run_in_program_scope<F>(&mut self, store: &mut Store, f: F) -> XdmResult<Sequence>
     where
         F: FnOnce(&mut Evaluator, &mut Store, &mut DynEnv) -> XdmResult<Sequence> + Send,
     {
@@ -396,9 +391,9 @@ impl Evaluator {
     }
 
     /// Open a Δ scope (as `snap` does) without evaluating anything. For
-    /// plan executors (`xqalg`) that drive `eval` directly and need a
-    /// surrounding snapshot scope; pair with [`Evaluator::end_snap_scope`]
-    /// or [`Evaluator::apply_snap_scope`]. Counts toward the max-snap-depth
+    /// plan executors ([`crate::alg::exec`]) that drive `eval` directly and
+    /// need a surrounding snapshot scope; pair with [`Evaluator::end_snap_scope`]
+    /// or `apply_snap_scope`. Counts toward the max-snap-depth
     /// statistic exactly as an explicit `snap` does.
     pub fn begin_snap_scope(&mut self) {
         self.delta_stack.push(Delta::new());
@@ -418,7 +413,7 @@ impl Evaluator {
     /// next snap seed, updating the snap statistics — the exact tail of
     /// the `Core::Snap` evaluation rule. Compiled `Snap` plan nodes go
     /// through here so their seed draw and stats match interpretation.
-    pub fn apply_snap_scope(&mut self, store: &mut Store, mode: SnapMode) -> XdmResult<()> {
+    pub(crate) fn apply_snap_scope(&mut self, store: &mut Store, mode: SnapMode) -> XdmResult<()> {
         let delta = self.delta_stack.pop().expect("unbalanced apply_snap_scope");
         self.stats.snaps_closed += 1;
         self.stats.requests_applied += delta.len() as u64;
@@ -430,15 +425,15 @@ impl Evaluator {
         r
     }
 
-    /// Install (or clear) the hook that executes compiled function bodies.
-    pub fn set_function_executor(&mut self, executor: Option<Arc<dyn FunctionExecutor>>) {
+    /// Install (or clear) the table of compiled function bodies.
+    pub(crate) fn set_function_executor(&mut self, executor: Option<Arc<FnTable>>) {
         self.function_executor = executor;
     }
 
     /// Enter a nested evaluation frame from outside `eval` (plan executors
     /// calling back into compiled function bodies), enforcing the same
     /// recursion limit. Pair with [`Evaluator::exit_nested`] on success.
-    pub fn enter_nested(&mut self) -> XdmResult<()> {
+    pub(crate) fn enter_nested(&mut self) -> XdmResult<()> {
         self.depth += 1;
         let max_depth = self.scope.env().limits.max_depth;
         if self.depth > max_depth {
@@ -450,24 +445,24 @@ impl Evaluator {
     }
 
     /// Leave the frame entered by [`Evaluator::enter_nested`].
-    pub fn exit_nested(&mut self) {
+    pub(crate) fn exit_nested(&mut self) {
         self.depth -= 1;
     }
 
     /// Record the execution of one compiled plan node.
-    pub fn note_plan_node(&mut self) {
+    pub(crate) fn note_plan_node(&mut self) {
         self.stats.plan_nodes_executed += 1;
     }
 
     /// Record the execution of one join operator.
-    pub fn note_join(&mut self) {
+    pub(crate) fn note_join(&mut self) {
         self.stats.joins_executed += 1;
     }
 
     /// Record one batch step-kernel invocation that produced `nodes`
     /// nodes (pre-dedup). Feeds both the run statistics and, when
     /// profiling, the innermost plan node's `batch=` counters.
-    pub fn note_batch(&mut self, nodes: u64) {
+    pub(crate) fn note_batch(&mut self, nodes: u64) {
         self.stats.batch_steps += 1;
         self.stats.batch_nodes += nodes;
     }
@@ -476,7 +471,7 @@ impl Evaluator {
     /// (post-containment-filter, pre-dedup). Feeds both the run
     /// statistics and, when profiling, the innermost plan node's `idx=`
     /// counters.
-    pub fn note_idx(&mut self, hits: u64) {
+    pub(crate) fn note_idx(&mut self, hits: u64) {
         self.stats.idx_scans += 1;
         self.stats.idx_hits += hits;
     }
@@ -484,7 +479,7 @@ impl Evaluator {
     /// The evaluation's scratch arena (document-order sort workspace and
     /// batch-kernel buffers), for plan executors that call the store
     /// kernels directly.
-    pub fn scratch_mut(&mut self) -> &mut Scratch {
+    pub(crate) fn scratch_mut(&mut self) -> &mut Scratch {
         &mut self.scratch
     }
 
@@ -495,32 +490,32 @@ impl Evaluator {
     /// Attach a trace sink: snap scopes evaluated from here on emit
     /// begin/end span events, parented under `parent` (typically the
     /// engine's per-run span).
-    pub fn set_trace(&mut self, sink: Arc<obs::TraceSink>, parent: Option<u64>) {
+    pub(crate) fn set_trace(&mut self, sink: Arc<obs::TraceSink>, parent: Option<u64>) {
         self.obs.get_or_insert_with(EvalObs::new).trace = Some((sink, parent));
     }
 
     /// Turn on per-plan-node profiling: [`Evaluator::node_enter`] /
     /// [`Evaluator::node_exit`] record into a fresh [`obs::Profile`],
     /// retrievable with [`Evaluator::take_profile`].
-    pub fn enable_profiling(&mut self) {
+    pub(crate) fn enable_profiling(&mut self) {
         self.obs.get_or_insert_with(EvalObs::new).profile = Some(obs::Profile::default());
     }
 
     /// Is per-node profiling on? Plan executors check this once per node
     /// and skip the enter/exit bookkeeping entirely when it is off.
-    pub fn profiling(&self) -> bool {
+    pub(crate) fn profiling(&self) -> bool {
         self.obs.as_ref().is_some_and(|o| o.profile.is_some())
     }
 
     /// The profile recorded since [`Evaluator::enable_profiling`], if any.
-    pub fn take_profile(&mut self) -> Option<obs::Profile> {
+    pub(crate) fn take_profile(&mut self) -> Option<obs::Profile> {
         self.obs.as_mut().and_then(|o| o.profile.take())
     }
 
     /// Open a profiled-node frame. Pair with [`Evaluator::node_exit`] on
     /// *every* path out of the node, success or error, or the self/child
     /// attribution of enclosing frames skews.
-    pub fn node_enter(&mut self) {
+    pub(crate) fn node_enter(&mut self) {
         let emitted0 = self.stats.requests_emitted;
         let par_regions0 = self.stats.par_regions;
         let par_items0 = self.stats.par_items;
@@ -548,7 +543,7 @@ impl Evaluator {
 
     /// Report the input cardinality of the innermost open profiled node
     /// (loop source length, join outer length, condition rows).
-    pub fn note_input(&mut self, rows: u64) {
+    pub(crate) fn note_input(&mut self, rows: u64) {
         if let Some(o) = self.obs.as_mut() {
             if let Some(frame) = o.frames.last_mut() {
                 frame.input_rows += rows;
@@ -559,7 +554,7 @@ impl Evaluator {
     /// Close the innermost profiled-node frame and record it under plan
     /// node `id`: one call, inclusive wall time, input/output cardinality,
     /// inclusive and self Δ emissions, and par attribution.
-    pub fn node_exit(&mut self, id: usize, output_rows: u64) {
+    pub(crate) fn node_exit(&mut self, id: usize, output_rows: u64) {
         let emitted_now = self.stats.requests_emitted;
         let par_regions_now = self.stats.par_regions;
         let par_items_now = self.stats.par_items;
@@ -992,7 +987,8 @@ impl EvalCtx for Full<'_> {
         args: Vec<Sequence>,
     ) -> Result<XdmResult<Sequence>, Vec<Sequence>> {
         if functions::is_parse_xml(name) {
-            return Ok(functions::parse_xml(self.store, args));
+            let max_depth = self.ev.scope.env().limits.max_xml_depth;
+            return Ok(functions::parse_xml(self.store, args, max_depth));
         }
         match self.ev.function_executor.clone() {
             Some(executor) => executor.try_call(self.ev, self.store, name, args),
@@ -1290,7 +1286,9 @@ fn rule<C: EvalCtx>(cx: &mut C, env: &mut DynEnv, expr: &Core) -> XdmResult<Sequ
             for a in args {
                 values.push(cx.eval(env, a)?);
             }
-            if let Some(result) = functions::dispatch(name, values.clone(), cx.store(), env) {
+            if let Some(result) =
+                functions::dispatch(name, values.clone(), cx.store(), cx.scope(), env)
+            {
                 return result;
             }
             let values = match cx.call_unshared(name, values) {
@@ -1464,7 +1462,7 @@ fn resolve_insert_anchor(
 /// Gather the nodes of `axis` from `origin` that satisfy `test`, in axis
 /// order (reverse axes deliver nearest-first, which is what positional
 /// predicates count along).
-pub fn gather_axis(
+pub(crate) fn gather_axis(
     store: &Store,
     origin: NodeId,
     axis: Axis,
@@ -1584,7 +1582,7 @@ pub fn gather_axis(
 /// interner: one hash lookup per *step*, integer compares per *node*.
 /// Valid only for that store; an interner miss on a name test yields
 /// `Name(None)`, which matches nothing.
-pub fn resolve_test(store: &Store, test: &NodeTest) -> KernelTest {
+pub(crate) fn resolve_test(store: &Store, test: &NodeTest) -> KernelTest {
     match test {
         NodeTest::Name(wanted) => KernelTest::name(store.symbols(), wanted),
         NodeTest::Wildcard => KernelTest::Wildcard,

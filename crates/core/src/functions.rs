@@ -7,7 +7,7 @@
 //! default function namespace. Arguments arrive fully evaluated, left to
 //! right, per the paper's function-call rule.
 
-use crate::env::DynEnv;
+use crate::env::{DynEnv, Scope};
 use xqdm::atomic::{value_compare, Atomic, CompareOp};
 use xqdm::item::{self, Item, Sequence};
 use xqdm::seq;
@@ -23,10 +23,11 @@ pub fn dispatch(
     name: &str,
     args: Vec<Sequence>,
     store: &Store,
+    scope: &Scope,
     env: &DynEnv,
 ) -> Option<XdmResult<Sequence>> {
     // Internal / constructor functions keyed on the full prefixed name.
-    if let Some(r) = dispatch_prefixed(name, &args, store) {
+    if let Some(r) = dispatch_prefixed(name, &args, store, scope) {
         return Some(r);
     }
     let local = name.strip_prefix("fn:").unwrap_or(name);
@@ -41,14 +42,15 @@ pub fn is_parse_xml(name: &str) -> bool {
     name.strip_prefix("fn:").unwrap_or(name) == "parse-xml"
 }
 
-/// `fn:parse-xml`: the parsed document's nodes are allocated in `store`.
-pub fn parse_xml(store: &mut Store, args: Vec<Sequence>) -> XdmResult<Sequence> {
+/// `fn:parse-xml`: the parsed document's nodes are allocated in `store`;
+/// `max_depth` is the run's element-nesting bound (`Limits::max_xml_depth`).
+pub fn parse_xml(store: &mut Store, args: Vec<Sequence>, max_depth: usize) -> XdmResult<Sequence> {
     let mut it = args.into_iter();
     if it.len() != 1 {
         return Err(wrong_arity("parse-xml", it.len()));
     }
     let s = opt_string(it.next().expect("one argument"), store)?;
-    let doc = xqdm::xml::parse_document(store, &s)?;
+    let doc = xqdm::xml::parse_document_with_limit(store, &s, max_depth)?;
     Ok(seq![Item::Node(doc)])
 }
 
@@ -508,7 +510,12 @@ fn call(local: &str, args: Vec<Sequence>, store: &Store, env: &DynEnv) -> XdmRes
 }
 
 /// Internal / constructor functions keyed on the full prefixed name.
-fn dispatch_prefixed(name: &str, args: &[Sequence], store: &Store) -> Option<XdmResult<Sequence>> {
+fn dispatch_prefixed(
+    name: &str,
+    args: &[Sequence],
+    store: &Store,
+    scope: &Scope,
+) -> Option<XdmResult<Sequence>> {
     if name == "xqb:panic" {
         // Failure-injection hook: panics mid-evaluation so tests can
         // exercise the engine's panic isolation (catch + store rollback).
@@ -564,20 +571,20 @@ fn dispatch_prefixed(name: &str, args: &[Sequence], store: &Store) -> Option<Xdm
         });
     }
     if name == "xqb:explain" {
-        // EXPLAIN from inside the language: compile the argument query
-        // through the installed planner and return the paper-style plan.
+        // EXPLAIN from inside the language: `Engine::explain` of the
+        // argument query on the engine running this one. A syntax error
+        // is `XPST0003`; only the parser's nesting bound is a limit trip.
         let arg = args.first().cloned().unwrap_or_default();
         return Some((|| {
             let query = item::exactly_one(arg)?.string_value(store)?;
-            let program = xqsyn::compile(&query).map_err(|e| {
-                XdmError::new("XQB0040", format!("xqb:explain: cannot parse query: {e}"))
+            let text = crate::engine::explain_query(scope.env(), store, &query).map_err(|e| {
+                let code = if crate::limits::is_parse_depth_trip(&e) {
+                    "XQB0040"
+                } else {
+                    "XPST0003"
+                };
+                XdmError::new(code, format!("xqb:explain: cannot parse query: {e}"))
             })?;
-            let text = match crate::planner::default_planner() {
-                Some(planner) => planner
-                    .plan(&program, &crate::planner::PlanOptions::default())
-                    .explain(),
-                None => crate::planner::render_unoptimized(&program),
-            };
             Ok(seq![Item::string(text)])
         })());
     }

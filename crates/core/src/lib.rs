@@ -16,8 +16,11 @@
 //! * the side-effect judgment that guards optimizer rewritings
 //!   ([`effects::EffectAnalysis`]), including the call-graph "monadic"
 //!   fixpoint of §5;
-//! * a built-in function library and a host-facing [`engine::Engine`]
-//!   facade.
+//! * the §4 algebraic compiler ([`alg`]): guarded rewrites, join plans and
+//!   their physical operators — the pipeline [`engine::Engine`] runs every
+//!   program through unless `set_compile(false)` selects the reference
+//!   interpreter;
+//! * a built-in function library and the host-facing [`engine::Engine`].
 //!
 //! ## Quick example
 //!
@@ -34,6 +37,7 @@
 //! assert_eq!(engine.serialize(&n).unwrap(), "1");
 //! ```
 
+pub mod alg;
 pub mod apply;
 pub mod check;
 pub mod conflict;
@@ -59,9 +63,7 @@ pub use eval::{EvalStats, Evaluator};
 pub use limits::{LimitGuard, Limits, TripKind};
 pub use obs::{Gauge, MetricsSnapshot, NodeStats, Profile, Registry, TraceSink};
 pub use par::{par_safe, threads_from_env, MAX_THREADS, PAR_MIN_ITEMS};
-pub use planner::{
-    program_fingerprint, CompiledProgram, FunctionExecutor, Planner, SharedPlanCache,
-};
+pub use planner::{program_fingerprint, SharedPlanCache};
 pub use server::{
     CommitRecord, ConflictPolicy, RequestKind, Response, Server, ServerConfig, ServerStats, Session,
 };

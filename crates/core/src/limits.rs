@@ -98,6 +98,13 @@ pub fn depth_error(limit: usize) -> XdmError {
     )
 }
 
+/// Did the query parser stop on its nesting bound
+/// ([`Limits::max_parse_depth`])? The `XQB0040` code is embedded in the
+/// message because `ParseError` carries no code field.
+pub(crate) fn is_parse_depth_trip(e: &xqsyn::ParseError) -> bool {
+    e.message.contains("XQB0040")
+}
+
 /// Error constructor for a fuel trip (`XQB0041`).
 pub fn fuel_error(limit: u64) -> XdmError {
     XdmError::new(

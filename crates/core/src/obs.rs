@@ -507,8 +507,8 @@ pub struct SlowQuery {
     pub fingerprint: String,
     /// Wall time in milliseconds.
     pub millis: f64,
-    /// Plan-cache outcome: `"hit"`, `"miss"`, or `"uncompiled"` (planner
-    /// disabled or absent).
+    /// Plan-cache outcome: `"hit"`, `"miss"`, or `"uncompiled"`
+    /// (`set_compile(false)`).
     pub cache: &'static str,
     /// Δ-application mode of the implicit top-level snap (always
     /// `"ordered"`; recorded so the log format survives future modes).

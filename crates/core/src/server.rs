@@ -924,10 +924,7 @@ mod tests {
 
     #[test]
     fn shared_cache_hits_across_sessions() {
-        // Bare xqcore has no planner installed, so plans (and hence cache
-        // traffic) only exist under the facade; the cross-session hit
-        // assertion lives in tests/server_isolation.rs. Here: two
-        // sessions answering the same query stays correct either way.
+        // A query planned by one session is a cache hit for the next.
         let server = server_with_doc();
         let a = server.open_session().unwrap();
         let b = server.open_session().unwrap();
@@ -935,11 +932,8 @@ mod tests {
         let (hits_before, misses_before) = server.plan_cache().stats();
         b.execute("count($doc/log/*)").unwrap();
         let (hits_after, misses_after) = server.plan_cache().stats();
-        if crate::planner::default_planner().is_some() {
-            assert!(hits_after > hits_before);
-        } else {
-            assert_eq!((hits_after, misses_after), (hits_before, misses_before));
-        }
+        assert!(hits_after > hits_before);
+        assert_eq!(misses_after, misses_before);
     }
 
     // `stats_reflect_traffic` lives in tests/server_stats.rs: the counters

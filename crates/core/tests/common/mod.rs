@@ -1,13 +1,13 @@
 //! Shared by the optimizer's test binaries.
 
 use std::sync::Arc;
-use xqalg::compile_program;
-use xqcore::{CompiledProgram, Evaluator, ProgramEnv};
+use xqcore::alg::compile_program;
+use xqcore::{Evaluator, ProgramEnv};
 use xqdm::item::Sequence;
 use xqdm::Store;
 use xqsyn::CoreProgram;
 
-/// The compiled counterpart of `xqalg::run_naive`: compile the whole
+/// The compiled counterpart of `xqcore::alg::run_naive`: compile the whole
 /// program through the pipeline the engine uses and execute it with the
 /// given host bindings under seed 0. Returns the value and whether any
 /// rewrite fired.

@@ -7,7 +7,7 @@ mod common;
 
 use common::run_compiled;
 use xmarkgen::{Scale, XmarkGen};
-use xqalg::{run_naive, Compiler};
+use xqcore::alg::{run_naive, Compiler};
 use xqdm::item::{Item, Sequence};
 use xqdm::{NodeId, Store};
 use xqsyn::CoreProgram;

@@ -4,7 +4,7 @@
 mod common;
 
 use common::run_compiled;
-use xqalg::{execute, run_naive, Compiler, QueryPlan};
+use xqcore::alg::{execute, run_naive, Compiler, QueryPlan};
 use xqcore::{apply_delta, DynEnv, Evaluator, SnapMode};
 use xqdm::item::Item;
 use xqdm::Store;

@@ -7,7 +7,7 @@ mod common;
 
 use common::run_compiled;
 use proptest::prelude::*;
-use xqalg::{run_naive, Compiler};
+use xqcore::alg::{run_naive, Compiler};
 use xqdm::item::Item;
 use xqdm::{QName, Store};
 

@@ -81,7 +81,7 @@ proptest! {
         for q in CORPUS {
             let program = xqsyn::compile(q).expect("compile");
             let analysis = EffectAnalysis::new(&program);
-            let simplified = xqalg::simplify(&program.body, &analysis);
+            let simplified = xqcore::alg::simplify(&program.body, &analysis);
             let (v1, s1) = run_body(&program, &program.body, &keys);
             let (v2, s2) = run_body(&program, &simplified, &keys);
             prop_assert_eq!(&v1, &v2, "value mismatch for {}", q);

@@ -8,42 +8,10 @@
 
 use std::sync::Arc;
 use xqcore::obs::{self, TraceSink};
-use xqcore::planner::{self, CompiledProgram, PlanOptions, Planner};
-use xqcore::{Engine, Evaluator, RequestKind, Server};
-use xqdm::{Sequence, Store, XdmResult};
-use xqsyn::CoreProgram;
-
-/// `xqcore` on its own has no planner, and without one every run reports
-/// `uncompiled`. This one "compiles" a program to its interpretation, which
-/// is enough to send runs through the plan cache.
-struct Interpreting(CoreProgram);
-
-impl CompiledProgram for Interpreting {
-    fn execute(&self, evaluator: &mut Evaluator, store: &mut Store) -> XdmResult<Sequence> {
-        evaluator.eval_program(store, &self.0)
-    }
-    fn explain(&self) -> String {
-        planner::render_unoptimized(&self.0)
-    }
-    fn is_optimized(&self) -> bool {
-        false
-    }
-}
-
-struct InterpretingPlanner;
-
-impl Planner for InterpretingPlanner {
-    fn plan(&self, program: &CoreProgram, _: &PlanOptions) -> Arc<dyn CompiledProgram> {
-        Arc::new(Interpreting(program.clone()))
-    }
-    fn plan_structural(&self, program: &CoreProgram) -> Arc<dyn CompiledProgram> {
-        self.plan(program, &PlanOptions::default())
-    }
-}
+use xqcore::{Engine, RequestKind, Server};
 
 #[test]
 fn forked_runs_are_logged_and_traced() {
-    planner::install(Arc::new(InterpretingPlanner));
     let trace_path = std::env::temp_dir().join(format!("xqb-slowlog-{}.jsonl", std::process::id()));
     let sink = Arc::new(TraceSink::to_path(trace_path.to_str().unwrap()).unwrap());
 

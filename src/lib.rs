@@ -12,8 +12,7 @@
 //! |-------|----------|
 //! | [`xqdm`] | XML data model: store, node ids, document order, XML parser |
 //! | [`xqsyn`] | lexer/parser, surface AST, normalization to the core language |
-//! | [`xqcore`] | dynamic semantics: evaluator, Δ lists, `snap`, built-ins |
-//! | [`xqalg`] | algebraic compiler: join rewrites guarded by effects |
+//! | [`xqcore`] | the engine: dynamic semantics (evaluator, Δ lists, `snap`, built-ins) and, as [`xqcore::alg`], the algebraic compiler (join rewrites guarded by effects) |
 //! | [`xmarkgen`] | deterministic XMark-shaped data generator |
 //!
 //! ## Quickstart
@@ -34,65 +33,18 @@
 pub mod analyze_golden;
 
 pub use xmarkgen;
-pub use xqalg;
 pub use xqcore;
+/// The §4 algebraic compiler. It lives in [`xqcore`] — the engine calls it
+/// directly — and keeps its historical crate name here.
+pub use xqcore::alg as xqalg;
 pub use xqdm;
 pub use xqsyn;
 
 pub use xqcore::{
-    CommitRecord, ConflictPolicy, Error, RequestKind, Response, Server, ServerConfig, ServerStats,
-    Session, SnapMode,
+    CommitRecord, ConflictPolicy, Engine, Error, RequestKind, Response, Server, ServerConfig,
+    ServerStats, Session, SnapMode,
 };
 pub use xqdm::{Atomic, CapturedDelta, Footprint, Item, RecoveryReport, Sequence, Store, SyncMode};
-
-/// The full engine: [`xqcore::Engine`] with the [`xqalg`] compiled
-/// execution pipeline installed.
-///
-/// Constructing this type registers the algebraic planner as the
-/// process-wide default, so `run`/`run_program` compile queries to plans
-/// (joins, structural nodes) with per-subtree interpretation fallback.
-/// Derefs to [`xqcore::Engine`] — every engine method is available
-/// directly. Call `set_compile(false)` to force pure interpretation.
-pub struct Engine(pub xqcore::Engine);
-
-impl Engine {
-    /// Create an engine with the compiled pipeline installed.
-    pub fn new() -> Self {
-        xqalg::install();
-        Engine(xqcore::Engine::new())
-    }
-
-    /// Set the base seed for nondeterministic snap ordering.
-    pub fn with_seed(self, seed: u64) -> Self {
-        Engine(self.0.with_seed(seed))
-    }
-
-    /// Host this engine behind a multi-session [`Server`] (xqserve's
-    /// core): concurrent snapshot-isolated reads, serialized durable
-    /// writes, per-session admission control.
-    pub fn into_server(self, config: ServerConfig) -> Server {
-        Server::with_config(self.0, config)
-    }
-}
-
-impl Default for Engine {
-    fn default() -> Self {
-        Engine::new()
-    }
-}
-
-impl std::ops::Deref for Engine {
-    type Target = xqcore::Engine;
-    fn deref(&self) -> &xqcore::Engine {
-        &self.0
-    }
-}
-
-impl std::ops::DerefMut for Engine {
-    fn deref_mut(&mut self) -> &mut xqcore::Engine {
-        &mut self.0
-    }
-}
 
 /// Convenience: run a standalone query with no documents bound.
 pub fn eval(query: &str) -> Result<Sequence, Error> {

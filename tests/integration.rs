@@ -3,7 +3,6 @@
 
 use xquery_bang::xmarkgen::{Scale, XmarkGen};
 use xquery_bang::xqalg::{compile_program, run_naive, Compiler};
-use xquery_bang::xqcore::CompiledProgram;
 use xquery_bang::{Engine, Item};
 
 /// Full pipeline: generate XMark as *text*, parse it through the XML
@@ -190,4 +189,29 @@ return audit($t)"#;
         compiler.analysis().function_effect("audit", 1),
         Some(xquery_bang::xqcore::Effect::Effectful)
     );
+}
+
+#[test]
+fn explain_builtin_is_engine_explain() {
+    // `xqb:explain` prints what `Engine::explain` prints on the engine
+    // running it: module functions linked in, `,idx` hints when the store
+    // has its index plane.
+    let mut e = Engine::new();
+    e.load_document(
+        "doc",
+        r#"<r><ls><e k="1"/><e k="2"/></ls><rs><e k="2"/></rs></r>"#,
+    )
+    .unwrap();
+    e.load_module(
+        "declare function f() {
+           for $l in $doc/r/ls/e for $r in $doc/r/rs/e
+           where $l/@k = $r/@k return $r
+         };",
+    )
+    .unwrap();
+    let direct = e.explain("f()").unwrap();
+    assert!(direct.contains("declare function f") && direct.contains("Join"));
+    assert!(direct.contains(",idx"), "{direct}");
+    let r = e.run(r#"xqb:explain("f()")"#).unwrap();
+    assert_eq!(e.serialize(&r).unwrap(), direct);
 }

@@ -304,6 +304,45 @@ fn hostile_deep_document_is_a_load_error() {
     assert_eq!(e.serialize(&v).unwrap(), "3");
 }
 
+/// The parsers a *query* can reach — `fn:parse-xml`, `xqb:explain` — obey
+/// the run's `Limits` like `load_document` and `run` do, not a fresh read
+/// of the process environment: one level past the bound is `XQB0040`, and
+/// the store is left as the run found it (to the fingerprint for `explain`,
+/// which allocates nothing; to the live nodes for `parse-xml`, whose swept
+/// slots land on the free list the fingerprint covers).
+#[test]
+fn in_language_parsers_obey_the_run_limits() {
+    let mut e = Engine::new();
+    e.set_limits(Limits {
+        max_xml_depth: 8,
+        max_parse_depth: 32,
+        ..Limits::default()
+    });
+    e.load_document("doc", DOC).unwrap();
+    let nested_xml = |n: usize| format!("{}{}", "<d>".repeat(n), "</d>".repeat(n));
+    let nested_query = |n: usize| format!("{}1{}", "(".repeat(n), ")".repeat(n));
+
+    let v = e
+        .run(&format!("count(parse-xml('{}')//d)", nested_xml(8)))
+        .unwrap();
+    assert_eq!(e.serialize(&v).unwrap(), "8");
+    e.run(&format!("xqb:explain('{}')", nested_query(4)))
+        .unwrap();
+
+    let before = (e.store.fingerprint(), e.store.len(), doc_xml(&e));
+    let hostile = format!("xqb:explain('{}')", nested_query(100));
+    assert_eq!(eval_code(e.run(&hostile)).as_deref(), Some("XQB0040"));
+    assert_eq!(e.store.fingerprint(), before.0);
+    let hostile = format!("parse-xml('{}')", nested_xml(9));
+    assert_eq!(eval_code(e.run(&hostile)).as_deref(), Some("XQB0040"));
+    assert_eq!((e.store.len(), doc_xml(&e)), (before.1, before.2));
+    // A plain syntax error is not a limit trip.
+    assert_eq!(
+        eval_code(e.run("xqb:explain('for $x in')")).as_deref(),
+        Some("XPST0003")
+    );
+}
+
 /// Limit trips bump the matching `engine.limit_trips.*` counter.
 #[test]
 fn limit_trips_are_counted() {

@@ -4,7 +4,7 @@
 //! produced them:
 //!
 //! 1. Per-node cardinalities satisfy the structural relations checked by
-//!    `CompiledProgram::verify_profile` (a `Seq`'s children run as often
+//!    `PlannedProgram::verify_profile` (a `Seq`'s children run as often
 //!    as the `Seq`, a `For` body runs once per source row, child output
 //!    cardinalities sum to parent outputs, …).
 //! 2. Σ per-node `delta_self` over the whole profile equals the run's

@@ -51,7 +51,7 @@ fn session_script(s: usize, rounds: usize) -> Vec<String> {
 /// Drive `sessions` worker threads through their scripts concurrently;
 /// returns the server for post-hoc inspection.
 fn run_mixed_workload(sessions: usize, rounds: usize) -> Server {
-    let server = Server::new(fresh_engine().0);
+    let server = Server::new(fresh_engine());
     let start = Arc::new(Barrier::new(sessions));
     let workers: Vec<_> = (0..sessions)
         .map(|s| {
@@ -280,7 +280,7 @@ fn execute_with_retry(
 }
 
 fn run_scripted_schedule(scripts: Vec<Vec<usize>>) -> Server {
-    let server = Server::new(fresh_engine().0);
+    let server = Server::new(fresh_engine());
     let start = Arc::new(Barrier::new(scripts.len()));
     let workers: Vec<_> = scripts
         .into_iter()
@@ -326,7 +326,7 @@ proptest! {
 
 #[test]
 fn read_only_sessions_never_commit() {
-    let server = Server::new(fresh_engine().0);
+    let server = Server::new(fresh_engine());
     let s = server.open_session().unwrap();
     let before = server.fingerprint();
     for _ in 0..5 {

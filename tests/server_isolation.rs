@@ -24,7 +24,7 @@ use xquery_bang::{Engine, RequestKind, Server, ServerConfig};
 fn server_with_log() -> Server {
     let mut e = Engine::new();
     e.load_document("doc", "<log/>").unwrap();
-    Server::new(e.0)
+    Server::new(e)
 }
 
 // ----------------------------------------------------------------------
@@ -193,7 +193,7 @@ fn write_path_and_read_path_share_one_cache() {
     // writer engine plans it (and vice versa): one cache, all sessions.
     let mut e = Engine::new();
     e.load_document("doc", "<log/>").unwrap();
-    let server = Server::new(e.0);
+    let server = Server::new(e);
     let s = server.open_session().unwrap();
     s.execute("count($doc/log/e)").unwrap(); // read path plans it
     let (_, misses) = server.plan_cache().stats();
@@ -263,7 +263,7 @@ fn shadowing_agrees_across_routing_planning_and_evaluation() {
     let mut e = Engine::new();
     e.load_document("doc", "<log/>").unwrap();
     e.load_module(MODULE).unwrap();
-    let server = Server::new(e.0);
+    let server = Server::new(e);
     let s = server.open_session().unwrap();
     let misses = || server.plan_cache().stats().1;
 
@@ -296,7 +296,7 @@ fn shadowing_agrees_across_routing_planning_and_evaluation() {
     for query in ["pure()", "declare function pure() { \"own\" }; pure()"] {
         let program = e.compile(query).unwrap();
         let (mut ev, _) = e.evaluator(&program);
-        let direct = ev.eval_program(&mut e.0.store, &program).unwrap();
+        let direct = ev.eval_program(&mut e.store, &program).unwrap();
         assert_eq!(direct, e.run(query).unwrap(), "{query}");
     }
 }
@@ -406,7 +406,7 @@ fn backpressure_rejects_with_xqb0051_and_recovers() {
         max_inflight: 0, // every request rejected
         ..ServerConfig::default()
     };
-    let server = Server::with_config(e.0, config);
+    let server = Server::with_config(e, config);
     let s = server.open_session().unwrap();
     match s.execute("1 + 1") {
         Err(xqcore::Error::Eval(err)) => assert_eq!(err.code, xqcore::server::ERR_BACKPRESSURE),
