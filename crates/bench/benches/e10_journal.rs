@@ -14,9 +14,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::time::Duration;
-use xqbench::{chained_inserts_delta, renames_delta};
 use xqcore::{apply_delta, Delta, SnapMode};
 use xqdm::Store;
+use xqexp::{chained_inserts_delta, renames_delta};
 
 type Fixture = fn(&mut Store, usize) -> Delta;
 

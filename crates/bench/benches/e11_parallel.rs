@@ -25,8 +25,8 @@
 
 use std::time::Instant;
 use xmarkgen::Scale;
-use xqbench::{xmark_fixture, Q8_PURE_VARIANT, Q8_SNAP_VARIANT};
 use xqcore::Engine;
+use xqexp::{xmark_fixture, Q8_PURE_VARIANT, Q8_SNAP_VARIANT};
 
 const REPS: usize = 5;
 const THREADS: &[usize] = &[1, 2, 4, 8];
@@ -195,6 +195,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     json.push_str(", \"par_regions\": 0}\n  }");
 
-    xqbench::splice_bench_section("parallel", &json)?;
+    xqexp::splice_bench_section("parallel", &json)?;
     Ok(())
 }

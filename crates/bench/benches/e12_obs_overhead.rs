@@ -23,8 +23,8 @@
 
 use std::time::Instant;
 use xmarkgen::Scale;
-use xqbench::{xmark_fixture, Q8_PURE_VARIANT, Q8_VARIANT};
 use xqcore::Engine;
+use xqexp::{xmark_fixture, Q8_PURE_VARIANT, Q8_VARIANT};
 
 const REPS: usize = 7;
 
@@ -109,7 +109,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Disabled-path cost vs the committed PR-3 baselines.
-    let parallel = xqbench::bench_section("parallel");
+    let parallel = xqexp::bench_section("parallel");
     obs.push_str("    \"disabled_vs_pr3_baseline\": {");
     println!("\ndisabled-path cost vs committed PR-3 baselines (target ≤ 1.02):");
     for (i, (mode, now)) in [
@@ -144,6 +144,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     obs.push_str("}\n  }");
 
-    xqbench::splice_bench_section("obs_overhead", &obs)?;
+    xqexp::splice_bench_section("obs_overhead", &obs)?;
     Ok(())
 }

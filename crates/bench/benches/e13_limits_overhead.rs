@@ -22,8 +22,8 @@
 
 use std::time::Instant;
 use xmarkgen::Scale;
-use xqbench::{xmark_fixture, Q8_PURE_VARIANT};
 use xqcore::{Engine, Limits};
+use xqexp::{xmark_fixture, Q8_PURE_VARIANT};
 
 const REPS: usize = 7;
 
@@ -84,7 +84,7 @@ fn committed_baseline(parallel_json: Option<&str>, mode: &str) -> Option<f64> {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scale = Scale::join_sides(150, 75);
-    let parallel = xqbench::bench_section("parallel");
+    let parallel = xqexp::bench_section("parallel");
 
     println!("E13: limit-guard overhead on XMark Q8 pure, median of {REPS} runs (1 thread)");
     println!(
@@ -153,6 +153,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     section.push_str("\n  }");
 
-    xqbench::splice_bench_section("limits_overhead", &section)?;
+    xqexp::splice_bench_section("limits_overhead", &section)?;
     Ok(())
 }

@@ -104,6 +104,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     section.push_str("\n  }");
 
-    xqbench::splice_bench_section("durability", &section)?;
+    xqexp::splice_bench_section("durability", &section)?;
     Ok(())
 }

@@ -76,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for _ in 0..REPS {
         let mut e = q8_engine(&scale);
         let t0 = Instant::now();
-        let out = e.run(xqbench::Q8_VARIANT)?;
+        let out = e.run(xqexp::Q8_VARIANT)?;
         q8_s.push(t0.elapsed().as_secs_f64());
         rows = out.len();
         let stats = e.last_stats().expect("stats");
@@ -102,6 +102,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          {{\"persons\": 800, \"closed_auctions\": 400, \"engine_s\": {q8:.6}, \
          \"pr6_engine_s\": {PR6_Q8_800_S}, \"speedup\": {speedup:.2}}}\n  }}"
     );
-    xqbench::splice_bench_section("data_model", &section)?;
+    xqexp::splice_bench_section("data_model", &section)?;
     Ok(())
 }

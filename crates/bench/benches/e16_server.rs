@@ -44,9 +44,9 @@ fn build_server(sessions: usize) -> Server {
     items.push_str("</items><log/></site>");
     let mut e = Engine::new().with_seed(16);
     e.load_document("doc", &items).expect("load");
+    e.set_threads(1); // isolate inter-session scaling from intra-query parallelism
     let config = ServerConfig {
         max_sessions: sessions + 1,
-        threads: 1, // isolate inter-session scaling from intra-query parallelism
         ..ServerConfig::default()
     };
     Server::with_config(e, config)
@@ -205,6 +205,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         read4 / read1
     ));
 
-    xqbench::splice_bench_section("server", &section)?;
+    xqexp::splice_bench_section("server", &section)?;
     Ok(())
 }

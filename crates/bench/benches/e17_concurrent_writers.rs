@@ -36,9 +36,9 @@ fn build_server(writers: usize, occ: bool) -> Server {
     doc.push_str("</site>");
     let mut e = Engine::new().with_seed(17);
     e.load_document("doc", &doc).expect("load");
+    e.set_threads(1); // isolate inter-writer scaling from intra-query parallelism
     let config = ServerConfig {
         max_sessions: writers + 1,
-        threads: 1, // isolate inter-writer scaling from intra-query parallelism
         occ_writers: occ,
         ..ServerConfig::default()
     };
@@ -199,6 +199,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     section.push_str("\n  }");
 
-    xqbench::splice_bench_section("concurrency", &section)?;
+    xqexp::splice_bench_section("concurrency", &section)?;
     Ok(())
 }

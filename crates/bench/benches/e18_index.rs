@@ -129,7 +129,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // idx hint.
     let mut gated = Engine::new();
     gated.set_compile(true);
-    let tree = xqbench::element_tree(&mut gated.store, 4000)?;
+    let tree = xqexp::element_tree(&mut gated.store, 4000)?;
     gated.bind("doc", xqdm::seq![Item::Node(tree)]);
     let unselective = xqsyn::compile("$doc//node")?;
     let explain = gated.explain("$doc//node").expect("explain");
@@ -162,6 +162,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         LOOKUP.replace('"', "\\\""),
         rows_json.join(",\n      ")
     );
-    xqbench::splice_bench_section("index", &section)?;
+    xqexp::splice_bench_section("index", &section)?;
     Ok(())
 }

@@ -11,8 +11,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 use xmarkgen::Scale;
-use xqbench::{run_planned, xmark_fixture, Q8_VARIANT};
 use xqcore::alg::{compile_program, run_naive};
+use xqexp::{run_planned, xmark_fixture, Q8_VARIANT};
 
 fn bench_q8(c: &mut Criterion) {
     let program = xqsyn::compile(Q8_VARIANT).expect("compile Q8");

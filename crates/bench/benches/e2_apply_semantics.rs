@@ -11,9 +11,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::time::Duration;
-use xqbench::{chained_inserts_delta, conflicting_delta, renames_delta};
 use xqcore::{apply_delta, verify_conflict_free, SnapMode};
 use xqdm::Store;
+use xqexp::{chained_inserts_delta, conflicting_delta, renames_delta};
 
 fn bench_apply(c: &mut Criterion) {
     let mut group = c.benchmark_group("e2_apply_semantics");

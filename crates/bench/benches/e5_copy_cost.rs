@@ -17,9 +17,9 @@
 //! `BENCH.json` (other sections are preserved).
 
 use std::time::Instant;
-use xqbench::element_tree;
 use xqcore::Engine;
 use xqdm::{Item, QName};
+use xqexp::element_tree;
 
 /// Samples per cell; the median is reported.
 const REPS: usize = 9;
@@ -118,6 +118,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{{\n    \"experiment\": \"e5_copy_cost\",\n    \"rows\": [\n      {}\n    ]\n  }}",
         rows.join(",\n      ")
     );
-    xqbench::splice_bench_section("copy_cost", &section)?;
+    xqexp::splice_bench_section("copy_cost", &section)?;
     Ok(())
 }

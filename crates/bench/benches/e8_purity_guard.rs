@@ -14,8 +14,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 use xmarkgen::Scale;
-use xqbench::{run_planned, xmark_fixture, Q8_SNAP_VARIANT, Q8_VARIANT};
 use xqcore::alg::{compile_program, Compiler, QueryPlan};
+use xqexp::{run_planned, xmark_fixture, Q8_SNAP_VARIANT, Q8_VARIANT};
 
 fn bench_guard(c: &mut Criterion) {
     let plain = xqsyn::compile(Q8_VARIANT).expect("compile plain");

@@ -19,7 +19,8 @@
 //!   is string equality.
 
 use crate::alg::plan::{BatchFilter, BatchPathPlan, BatchStep, GroupByPlan, JoinPlan, QueryPlan};
-use crate::eval::resolve_test;
+use crate::eval::{resolve_test, EvalCtx};
+use crate::par::Worker;
 use crate::{DynEnv, Evaluator};
 use std::collections::{HashMap, HashSet};
 use xqdm::item::{self, Item, Sequence};
@@ -92,6 +93,7 @@ fn run_node(
             let mut out = Sequence::new();
             for_each_match(join, evaluator, store, env, |ev, store, env, _outer, _| {
                 let v = ev.eval(store, env, &join.body)?;
+                ev.limit_charge(&v)?;
                 out.extend(v);
                 Ok(())
             })?;
@@ -108,7 +110,9 @@ fn run_node(
             let mut out = Sequence::new();
             let mut child = base + 1;
             for p in items {
-                out.extend(execute_at(p, child, evaluator, store, env)?);
+                let v = execute_at(p, child, evaluator, store, env)?;
+                evaluator.limit_charge(&v)?;
+                out.extend(v);
                 child += p.node_count();
             }
             Ok(out)
@@ -156,7 +160,9 @@ fn run_node(
                     env.pop_var();
                 }
                 env.pop_var();
-                out.extend(r?);
+                let v = r?;
+                evaluator.limit_charge(&v)?;
+                out.extend(v);
             }
             Ok(out)
         }
@@ -534,12 +540,16 @@ fn execute_group_by(
                     env.push_var(join.inner_var.clone(), seq![inner[idx].clone()]);
                     let v = ev.eval(store, env, &join.body);
                     env.pop_var();
-                    grouped.extend(v?);
+                    let v = v?;
+                    ev.limit_charge(&v)?;
+                    grouped.extend(v);
                 }
                 env.push_var(group.group_var.clone(), grouped);
                 let v = ev.eval(store, env, &group.ret);
                 env.pop_var();
-                out.extend(v?);
+                let v = v?;
+                ev.limit_charge(&v)?;
+                out.extend(v);
                 Ok(())
             })();
             env.pop_var();
@@ -686,7 +696,7 @@ fn par_hash_join(
         let r = worker.eval(wenv, &join.body);
         wenv.pop_var();
         wenv.pop_var();
-        r
+        charged(worker, r)
     })?;
     probed.map(|()| merged)
 }
@@ -710,17 +720,26 @@ fn par_group_by(
                 wenv.push_var(join.inner_var.clone(), seq![inner.clone()]);
                 let v = worker.eval(wenv, &join.body);
                 wenv.pop_var();
-                grouped.extend(v?);
+                grouped.extend(charged(worker, v)?);
             }
             wenv.push_var(group.group_var.clone(), grouped);
             let v = worker.eval(wenv, &group.ret);
             wenv.pop_var();
-            v
+            charged(worker, v)
         })();
         wenv.pop_var();
         r
     })?;
     probed.map(|()| merged)
+}
+
+/// A worker's share of the accumulation charge: what the sequential join
+/// loops charge through [`Evaluator::limit_charge`], so the memory
+/// threshold does not depend on the thread count.
+fn charged(worker: &Worker<'_>, value: XdmResult<Sequence>) -> XdmResult<Sequence> {
+    let v = value?;
+    worker.guard().charge(v.len() as u64)?;
+    Ok(v)
 }
 
 /// Evaluate a join key for one binding: the atomized string values.

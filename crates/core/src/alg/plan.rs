@@ -302,21 +302,16 @@ impl QueryPlan {
         base: usize,
     ) -> String {
         // `par` marks a region the parallel gate admits for fan-out
-        // (DESIGN.md §9): effect-free and par-transparent. Impure bodies
-        // (an inner snap or update) suppress the marker — the E8 guard
-        // reused.
-        let eff_loop = |core: &Core| match analysis {
-            Some(a) if crate::par::marks_par_loop(core, a) => {
-                format!("[{:?},par]", a.effect(core))
-            }
+        // (DESIGN.md §9) — `Facts::par_safe`, the predicate the executor
+        // asks at run time, over the same analysis: on a join body the
+        // body itself, on an `Iterate` leaf any `for` loop inside it.
+        let eff = |core: &Core, par: fn(&EffectAnalysis, &Core) -> bool| match analysis {
+            Some(a) if par(a, core) => format!("[{:?},par]", a.effect(core)),
             Some(a) => format!("[{:?}]", a.effect(core)),
             None => String::new(),
         };
-        let eff_body = |core: &Core| match analysis {
-            Some(a) if crate::par::body_par(core, a) => format!("[{:?},par]", a.effect(core)),
-            Some(a) => format!("[{:?}]", a.effect(core)),
-            None => String::new(),
-        };
+        let eff_loop = |core: &Core| eff(core, EffectAnalysis::has_par_loop);
+        let eff_body = |core: &Core| eff(core, |a, body| a.facts(body).par_safe());
         // `batch` marks a subexpression lowered to the batch step kernels
         // (DESIGN.md §14): a whole chain leaf, a join source, or a join
         // key evaluated by symbol-id compare instead of interpretation.
@@ -407,7 +402,7 @@ impl QueryPlan {
                 // exactly like the interpreter loop the leaf used to show
                 // the marker on — keep the marker visible on the spine.
                 let par = match (analysis, body.as_ref()) {
-                    (Some(a), QueryPlan::Iterate(core)) if crate::par::body_par(core, a) => "[par]",
+                    (Some(a), QueryPlan::Iterate(core)) if a.facts(core).par_safe() => "[par]",
                     _ => "",
                 };
                 let source_id = base + 1;

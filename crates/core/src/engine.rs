@@ -7,6 +7,7 @@
 
 use crate::alg::pipeline::{compile_program_opts, compile_structural_program};
 use crate::alg::PlannedProgram;
+use crate::effects::Facts;
 use crate::env::{DynEnv, ProgramEnv, Scope};
 use crate::eval::Evaluator;
 use crate::limits::{self, Limits};
@@ -863,13 +864,13 @@ impl Engine {
 
     /// Drain only the write footprint of the attached capture (see
     /// [`Store::take_write_footprint`]).
-    pub fn take_write_footprint(&mut self) -> Option<Footprint> {
+    pub(crate) fn take_write_footprint(&mut self) -> Option<Footprint> {
         self.store.take_write_footprint()
     }
 
     /// The snap counter (per-run deterministic seed stream position;
     /// advanced once per snap applied).
-    pub fn snap_counter(&self) -> u64 {
+    pub(crate) fn snap_counter(&self) -> u64 {
         self.snap_counter
     }
 
@@ -877,13 +878,13 @@ impl Engine {
     /// forked transaction's Δ is rebased onto this engine, the fork's
     /// snap consumption must land on the live counter too, exactly as a
     /// serial execution here would have.
-    pub fn advance_snap_counter(&mut self, n: u64) {
+    pub(crate) fn advance_snap_counter(&mut self, n: u64) {
         self.snap_counter += n;
     }
 
     /// Stamp the next WAL commit with an interleaved-committer record
     /// (no-op without a durable store).
-    pub fn note_committer(&mut self, session: u64, base_epoch: u64) {
+    pub(crate) fn note_committer(&mut self, session: u64, base_epoch: u64) {
         self.store.wal_note_committer(session, base_epoch);
     }
 
@@ -905,20 +906,6 @@ impl Engine {
                 Err(e)
             }
         }
-    }
-
-    /// Would `program` leave the committed store as it found it? True iff
-    /// the body *and* every prolog variable initializer pass the
-    /// [`crate::par::within_ceiling`] judgment (DESIGN.md §9) at
-    /// [`Effect::Alloc`](crate::Effect::Alloc) under this engine's module
-    /// functions: no update request is emitted or applied, and the
-    /// transitive transparency walk finds no `snap`, tracing or par-opaque
-    /// builtin. Node construction is allowed — this is the server's
-    /// snapshot-read gate, and a query that passes executes on a private
-    /// COW fork of a pinned snapshot, where the nodes it allocates die
-    /// with the fork instead of being committed.
-    pub fn is_read_only(&self, program: &CoreProgram) -> bool {
-        read_only(&self.env, program)
     }
 
     /// Host this engine behind a multi-session [`Server`] (xqserve's
@@ -972,10 +959,22 @@ impl EngineSnapshot {
         &self.store
     }
 
-    /// [`Engine::is_read_only`], judged against the snapshot's module
-    /// functions — so classification needs no engine lock.
-    pub fn is_read_only(&self, program: &CoreProgram) -> bool {
-        read_only(&self.env, program)
+    /// Parse a query under the snapshotted expression-nesting limit.
+    pub(crate) fn compile(&self, query: &str) -> Result<CoreProgram, ParseError> {
+        xqsyn::compile_with_limit(query, self.env.limits.max_parse_depth)
+    }
+
+    /// What a run of `program` may do — body and prolog initializers
+    /// joined — with calls resolved as a run under the snapshot's module
+    /// functions resolves them (DESIGN.md §9). The server routes on this
+    /// one value ([`Facts::snapshot_read`], [`Facts::occ_safe`]); judging
+    /// it against the snapshot needs no engine lock, and the walk visits
+    /// only the program's own expressions: what the functions it calls may
+    /// do was settled when they were declared.
+    pub fn facts(&self, program: &CoreProgram) -> Facts {
+        Scope::new(self.env.clone(), program)
+            .effects()
+            .program_facts(program)
     }
 
     /// The snapshotted snap counter (the OCC commit pipeline uses the
@@ -983,39 +982,6 @@ impl EngineSnapshot {
     /// live engine after a rebase).
     pub fn snap_counter(&self) -> u64 {
         self.snap_counter
-    }
-
-    /// May `program` take the optimistic concurrent-writer path? The
-    /// footprint/rebase machinery assumes the run is deterministic given
-    /// its base snapshot and is fully described by its redo ops, so it
-    /// rejects programs that
-    ///
-    /// * use `snap nondeterministic` or `snap conflict-detection`
-    ///   (their outcome depends on the per-run seed stream, which is
-    ///   engine-global state the fork cannot reserve in advance), or
-    /// * call a par-opaque builtin (`xqb:stats`, `xqb:fingerprint`, …:
-    ///   observers of engine-global state outside the store).
-    ///
-    /// Such programs still commit — through the serialized pessimistic
-    /// path, exactly as before this optimization.
-    pub fn occ_safe(&self, program: &CoreProgram) -> bool {
-        use xqsyn::ast::SnapMode;
-        use xqsyn::Core;
-        let mut ok = true;
-        let mut check = |e: &Core| match e {
-            Core::Snap(SnapMode::Nondeterministic | SnapMode::ConflictDetection, _) => ok = false,
-            Core::Call(name, _) if crate::functions::is_par_opaque(name) => ok = false,
-            _ => {}
-        };
-        program.body.walk(&mut check);
-        for (_, init) in &program.variables {
-            init.walk(&mut check);
-        }
-        let scope = Scope::new(self.env.clone(), program);
-        for f in program.functions.iter().chain(scope.module_functions()) {
-            f.body.walk(&mut check);
-        }
-        ok
     }
 }
 
@@ -1043,16 +1009,6 @@ pub(crate) fn explain_query(
 ) -> Result<String, ParseError> {
     let program = xqsyn::compile_with_limit(query, env.limits.max_parse_depth)?;
     Ok(compile_program_opts(&linked(env, &program), &plan_options(store)).explain())
-}
-
-/// The shared body of the two `is_read_only` entry points: the body and
-/// every prolog variable initializer stay within the `Alloc` ceiling, with
-/// calls resolved as a run of `program` under `env` resolves them.
-fn read_only(env: &Arc<ProgramEnv>, program: &CoreProgram) -> bool {
-    let scope = Scope::new(env.clone(), program);
-    let reads_only =
-        |e: &xqsyn::Core| crate::par::within_ceiling(crate::effects::Effect::Alloc, e, &scope);
-    reads_only(&program.body) && program.variables.iter().all(|(_, init)| reads_only(init))
 }
 
 #[cfg(test)]

@@ -210,6 +210,14 @@ impl Evaluator {
         self.guard.tick()
     }
 
+    /// Charge a value a plan loop is about to accumulate against the memory
+    /// budget (`XQB0043`) — what the interpreter's `Seq`/`For` rules charge
+    /// per member/iteration, so compiled and interpreted runs trip alike.
+    #[inline]
+    pub(crate) fn limit_charge(&self, value: &Sequence) -> XdmResult<()> {
+        self.guard.charge(value.len() as u64)
+    }
+
     /// Fan `items` out over the worker pool (DESIGN.md §9): `f` runs once
     /// per item on a [`Worker`] — the same evaluation rules over `&Store`,
     /// starting at this evaluator's nesting depth and sharing its limit
@@ -244,9 +252,9 @@ impl Evaluator {
     /// gate rejects `body` (the caller then loops sequentially). Each
     /// iteration costs the limit guard what the sequential loop it replaces
     /// would have, so limit thresholds do not depend on the thread count:
-    /// the interpreter's loop charges every iteration's value against the
-    /// memory budget, while a plan loop (`plan_body`) charges nothing but
-    /// enters the body's plan node — one tick — per iteration.
+    /// every iteration's value is charged against the memory budget, and
+    /// a plan loop (`plan_body`) also enters the body's plan node — one
+    /// tick — per iteration.
     pub(crate) fn par_for(
         &mut self,
         store: &Store,
@@ -273,16 +281,15 @@ impl Evaluator {
             }
             wenv.pop_var();
             let v = r?;
-            if !plan_body {
-                worker.guard().charge(v.len() as u64)?;
-            }
+            worker.guard().charge(v.len() as u64)?;
             Ok(v)
         }))
     }
 
     /// The parallel gate: is fan-out enabled (threads ≥ 2) *and* is `body`
-    /// provably safe to evaluate on workers sharing `&Store`? See
-    /// [`crate::par::par_safe`] for the judgment itself.
+    /// provably safe to evaluate on workers sharing `&Store`
+    /// ([`crate::par::par_safe`]: one pass over `body`, calls answered from
+    /// the scope's precomputed function facts)?
     pub(crate) fn par_candidate(&self, body: &Core) -> bool {
         self.scope.env().threads >= 2 && par::par_safe(body, &self.scope)
     }

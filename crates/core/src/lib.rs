@@ -13,9 +13,9 @@
 //!   semantics — ordered, nondeterministic, conflict-detection
 //!   ([`apply::apply_delta`], [`conflict::verify_conflict_free`] — the
 //!   latter in linear time with a pair of hash tables, as §4.1 claims);
-//! * the side-effect judgment that guards optimizer rewritings
-//!   ([`effects::EffectAnalysis`]), including the call-graph "monadic"
-//!   fixpoint of §5;
+//! * the side-effect judgment that guards optimizer rewritings and every
+//!   routing gate ([`effects::EffectAnalysis`], [`effects::Facts`]),
+//!   including the call-graph "monadic" fixpoint of §5;
 //! * the §4 algebraic compiler ([`alg`]): guarded rewrites, join plans and
 //!   their physical operators — the pipeline [`engine::Engine`] runs every
 //!   program through unless `set_compile(false)` selects the reference
@@ -56,7 +56,7 @@ pub mod update;
 pub use apply::apply_delta;
 pub use check::{check_program, Diagnostic, Severity};
 pub use conflict::verify_conflict_free;
-pub use effects::{Effect, EffectAnalysis};
+pub use effects::{Effect, EffectAnalysis, Facts};
 pub use engine::{Engine, EngineSnapshot, Error};
 pub use env::{DynEnv, Focus, ProgramEnv, Scope};
 pub use eval::{EvalStats, Evaluator};

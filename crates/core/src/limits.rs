@@ -36,15 +36,12 @@ use xqdm::error::{XdmError, XdmResult};
 /// nested plan execution). Matches the 64 MiB dedicated eval stack.
 pub const DEFAULT_MAX_DEPTH: usize = 512;
 
+/// Default maximum element nesting depth accepted by the XML parser
+/// (iterative, so this bounds pathological documents, not the stack).
+pub use xqdm::xml::DEFAULT_MAX_XML_DEPTH;
 /// Default maximum expression nesting depth accepted by the `xqsyn`
-/// recursive-descent parser. Deep enough for any realistic query, shallow
-/// enough that parsing never overflows a 2 MiB thread stack.
-pub const DEFAULT_MAX_PARSE_DEPTH: usize = 200;
-
-/// Default maximum element nesting depth accepted by the XML parser. The
-/// parser itself is iterative (cannot overflow the stack); this bounds
-/// pathological documents before they bloat the store.
-pub const DEFAULT_MAX_XML_DEPTH: usize = 4096;
+/// recursive-descent parser.
+pub use xqsyn::DEFAULT_MAX_PARSE_DEPTH;
 
 /// How many ticks pass between deadline polls. `Instant::now()` is a
 /// syscall-ish operation; polling every tick would dominate the hot path.

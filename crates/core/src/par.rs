@@ -6,14 +6,14 @@
 //! parallelism. This module supplies the three pieces the evaluator and
 //! the plan executor share:
 //!
-//! * the **gate** ([`within_ceiling`]; [`par_safe`] is its `Pure`
-//!   instance): a loop body may fan out only when the effect lattice rates
-//!   it `Pure` *and* a structural walk (transitive through called
-//!   functions) finds no construct the rating hides — `fn:parse-xml`
-//!   allocates store nodes behind its read-only rating, `fn:trace` has
-//!   observable output order, and a `snap` over pure code draws seeds and
-//!   bumps snap statistics. The server's snapshot-read gate is the same
-//!   judgment with the ceiling at `Alloc`;
+//! * the **gate** ([`par_safe`]): a loop body may fan out only when the
+//!   static judgment ([`crate::effects::Facts`], transitive through called
+//!   functions by its fixpoint) rates it `Pure` *and* flags nothing the
+//!   rating hides — `fn:parse-xml` allocates store nodes behind its
+//!   read-only rating, `fn:trace` has observable output order, and a
+//!   `snap` over pure code draws seeds and bumps snap statistics. The
+//!   server's snapshot-read gate is the same value read with the ceiling
+//!   at `Alloc`;
 //! * the **worker** ([`Worker`]): the evaluator's own rules
 //!   (`eval::EvalCtx`) instantiated over a *shared* `&Store`, so workers
 //!   need no store locking at all (the store has no interior mutability;
@@ -33,12 +33,10 @@
 //! raised; later iterations may run wastefully but — being pure — leave no
 //! trace).
 
-use crate::effects::{Effect, EffectAnalysis};
-use crate::env::{DynEnv, FnKey, Scope};
+use crate::env::{DynEnv, Scope};
 use crate::eval::EvalCtx;
 use crate::functions;
 use crate::limits::LimitGuard;
-use std::collections::HashSet;
 use xqdm::item::{Item, Sequence};
 use xqdm::{NodeId, Scratch, Store, XdmError, XdmResult};
 use xqsyn::core::Core;
@@ -68,91 +66,13 @@ pub fn threads_from_env() -> usize {
         .unwrap_or(1)
 }
 
-/// The one safety judgment every gate consults (the E8 purity guard,
-/// reused and sharpened): `body`'s effect rating is at most `ceiling`
-/// **and** it is structurally transparent ([`par_transparent`])
-/// transitively through every user function it can call, as `scope`
-/// resolves them. Two ceilings are in use:
-///
-/// * [`Effect::Pure`] — worker fan-out ([`par_safe`]): workers share
-///   `&Store`, so the body may not even allocate;
-/// * [`Effect::Alloc`] — the server's snapshot-read gate
-///   (`Engine::is_read_only`): the request owns a private COW fork, so
-///   constructing nodes is harmless — they die with the fork — while
-///   emitting or applying update requests is still a write.
-pub fn within_ceiling(ceiling: Effect, body: &Core, scope: &Scope) -> bool {
-    if scope.effects().effect(body) > ceiling {
-        return false;
-    }
-    transparent_rec(body, scope, &mut HashSet::new())
-}
-
-/// May `body` be evaluated by parallel workers sharing `&Store`?
-/// [`within_ceiling`] at [`Effect::Pure`]: the body neither allocates, nor
-/// appends update requests, nor applies them. Every fan-out layer
-/// (interpreter loop, plan executor, join sides) asks this.
+/// May `body` be evaluated by parallel workers sharing `&Store`, calls
+/// resolved as `scope` resolves them? [`Facts::par_safe`](crate::Facts::par_safe)
+/// of the one static judgment ([`crate::effects`]): every fan-out layer
+/// (interpreter loop, plan executor, join sides) asks this, and EXPLAIN's
+/// `par` marker asks the same predicate.
 pub fn par_safe(body: &Core, scope: &Scope) -> bool {
-    within_ceiling(Effect::Pure, body, scope)
-}
-
-fn transparent_rec(expr: &Core, scope: &Scope, visited: &mut HashSet<FnKey>) -> bool {
-    if !par_transparent(expr) {
-        return false;
-    }
-    let mut callees: Vec<FnKey> = Vec::new();
-    expr.walk(&mut |e| {
-        if let Core::Call(name, args) = e {
-            callees.push((name.clone(), args.len()));
-        }
-    });
-    for key in callees {
-        if let Some(f) = scope.function(&key.0, key.1) {
-            if visited.insert(key) && !transparent_rec(&f.body, scope, visited) {
-                return false;
-            }
-        }
-        // Unknown non-builtins were already rated Effectful by the
-        // analysis, so the ceiling rejected them before reaching here.
-    }
-    true
-}
-
-/// Expression-level transparency: no call to a par-opaque built-in
-/// ([`functions::is_par_opaque`]) and no `snap` (even over pure code a
-/// snap draws an application seed and counts toward the snap statistics,
-/// which must match the sequential run exactly). Does **not** chase user
-/// function calls — [`within_ceiling`] does.
-pub fn par_transparent(expr: &Core) -> bool {
-    let mut ok = true;
-    expr.walk(&mut |e| match e {
-        Core::Call(name, _) if functions::is_par_opaque(name) => ok = false,
-        Core::Snap(..) => ok = false,
-        _ => {}
-    });
-    ok
-}
-
-/// Would `body` be admitted by the parallel gate, judged from the effect
-/// analysis alone? Used by EXPLAIN to annotate join bodies; advisory in
-/// the rare case where a called pure function hides a par-opaque built-in
-/// (the runtime gate still rejects it).
-pub fn body_par(body: &Core, analysis: &EffectAnalysis) -> bool {
-    analysis.effect(body) == Effect::Pure && par_transparent(body)
-}
-
-/// Does `core` contain a `for` loop whose body the parallel gate would
-/// admit (see [`body_par`] for the advisory caveat)? Used by EXPLAIN to
-/// put the `par` marker on `Iterate` leaves.
-pub fn marks_par_loop(core: &Core, analysis: &EffectAnalysis) -> bool {
-    let mut found = false;
-    core.walk(&mut |e| {
-        if let Core::For { body, .. } = e {
-            if body_par(body, analysis) {
-                found = true;
-            }
-        }
-    });
-    found
+    scope.effects().facts(body).par_safe()
 }
 
 /// What a fan-out hands every worker, by copy: the read-only slice of the
@@ -377,14 +297,17 @@ mod tests {
     use xqdm::seq;
     use xqsyn::compile;
 
-    fn gate(src: &str) -> bool {
-        gate_at(Effect::Pure, src)
+    /// The facts of the whole body expression, as a loop body would be
+    /// judged.
+    fn facts(src: &str) -> crate::Facts {
+        let prog = compile(src).expect("compile");
+        Scope::new(Arc::default(), &prog)
+            .effects()
+            .facts(&prog.body)
     }
 
-    fn gate_at(ceiling: Effect, src: &str) -> bool {
-        let prog = compile(src).expect("compile");
-        // Gate judged on the whole body expression, as a loop body would be.
-        within_ceiling(ceiling, &prog.body, &Scope::new(Arc::default(), &prog))
+    fn gate(src: &str) -> bool {
+        facts(src).par_safe()
     }
 
     /// An evaluator with a budget of `threads` workers.
@@ -396,7 +319,7 @@ mod tests {
 
     #[test]
     fn alloc_ceiling_admits_construction_and_nothing_more() {
-        let alloc = |src| gate_at(Effect::Alloc, src);
+        let alloc = |src| facts(src).snapshot_read();
         assert!(alloc("$x/a[@id = 3] + count($y)"));
         assert!(alloc(
             "for $p in $s return <item n=\"{$p/@n}\">{ count($p/*) }</item>"
@@ -406,9 +329,9 @@ mod tests {
         // Pending and Effectful stay above the ceiling, constructor or not.
         assert!(!alloc("insert { <a/> } into { $x }"));
         assert!(!alloc("(<a/>, snap { delete { $x } })"));
-        // The transparency walk is the same one: snap, tracing and the
-        // par-opaque built-ins are rejected at either ceiling, also behind
-        // a constructor in a function body.
+        // The flags are the same ones: snap, tracing and the par-opaque
+        // built-ins are rejected at either ceiling, also behind a
+        // constructor in a function body.
         assert!(!alloc("snap { <a/> }"));
         assert!(!alloc("<a>{ parse-xml(\"<b/>\") }</a>"));
         assert!(!alloc(
@@ -416,36 +339,75 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn gate_admits_pure_rejects_impure() {
-        assert!(gate("$x/a[@id = 3] + count($y)"));
-        assert!(gate("for $i in 1 to 9 return $i * $i"));
+    /// The gate corpus: `(prolog, loop body, admitted)`.
+    const GATE_CORPUS: &[(&str, &str, bool)] = &[
+        ("", "$x/a[@id = 3] + count($y)", true),
+        ("", "for $i in 1 to 9 return $i * $i", true),
         // Alloc, Pending, Effectful: all rejected.
-        assert!(!gate("<a/>"));
-        assert!(!gate("insert { <a/> } into { $x }"));
-        assert!(!gate("snap { delete { $x } }"));
+        ("", "<a/>", false),
+        ("", "insert { <a/> } into { $x }", false),
+        ("", "snap { delete { $x/a } }", false),
         // Pure-rated but par-opaque.
-        assert!(!gate("parse-xml(\"<a/>\")"));
-        assert!(!gate("trace($x, \"label\")"));
+        ("", "parse-xml(\"<a/>\")", false),
+        ("", "trace($x, \"label\")", false),
         // A snap over pure code is Pure on the lattice but draws seeds.
-        assert!(!gate("snap { 1 + 2 }"));
-    }
+        ("", "snap { 1 + 2 }", false),
+        // Through function bodies: a clean one...
+        (
+            "declare function f($n) { $n * 2 };",
+            "for $i in $s return f($i)",
+            true,
+        ),
+        // ...parse-xml and trace hiding behind a pure-rated one...
+        (
+            "declare function f($n) { parse-xml(\"<a/>\") };",
+            "for $i in $s return f($i)",
+            false,
+        ),
+        (
+            "declare function f($x) { trace($x, \"t\") };",
+            "f($x)",
+            false,
+        ),
+        // ...and behind one more level of calls.
+        (
+            "declare function g() { parse-xml(\"<a/>\") };
+             declare function f($n) { g() };",
+            "f(1)",
+            false,
+        ),
+    ];
 
     #[test]
-    fn gate_chases_function_bodies() {
-        assert!(gate(
-            "declare function f($n) { $n * 2 }; for $i in $s return f($i)"
-        ));
-        // parse-xml hides behind a pure-rated function body.
-        assert!(!gate(
-            "declare function f($n) { parse-xml(\"<a/>\") }; for $i in $s return f($i)"
-        ));
-        // ...and behind one more level of calls.
-        assert!(!gate(
-            "declare function g() { parse-xml(\"<a/>\") };
-             declare function f($n) { g() };
-             f(1)"
-        ));
+    fn gate_admits_pure_and_transparent_bodies_only() {
+        for (prolog, body, admitted) in GATE_CORPUS {
+            assert_eq!(gate(&format!("{prolog} {body}")), *admitted, "{body}");
+        }
+    }
+
+    /// EXPLAIN's `par` marker and the run-time gate are one predicate:
+    /// over the corpus, each body under a loop wide enough to fan out, a
+    /// plan shows the marker exactly when running it at 4 threads opens a
+    /// parallel region.
+    #[test]
+    fn explain_marks_par_exactly_where_a_run_fans_out() {
+        for (prolog, body, admitted) in GATE_CORPUS {
+            let mut e = crate::Engine::new();
+            e.set_threads(4);
+            e.load_document("d", "<r><a id=\"3\">1</a><b/><b/></r>")
+                .unwrap();
+            for (var, path) in [("x", "$d/r"), ("y", "$d/r/b"), ("s", "(1, 2, 3)")] {
+                let value = e.run(path).unwrap();
+                e.bind(var, value);
+            }
+            let query = format!("{prolog} for $k in 1 to 8 return ({body})");
+            let plan = e.explain(&query).unwrap();
+            let marked = plan.contains("par]");
+            e.explain_analyze(&query).unwrap();
+            let fanned = e.last_stats().unwrap().par_regions > 0;
+            assert_eq!(marked, fanned, "{query}:\n{plan}");
+            assert_eq!(marked, *admitted, "{query}:\n{plan}");
+        }
     }
 
     #[test]

@@ -18,14 +18,17 @@
 //!   [`ConflictPolicy::LastWriterWins`] reducer when only name/value
 //!   aspects collide. Only the validate+rebase step holds the engine
 //!   mutex, so write *evaluation* scales with sessions. Programs the
-//!   footprint machinery cannot vouch for (nondeterministic or
-//!   conflict-detection snaps, par-opaque builtins) fall back to the
-//!   fully serialized pessimistic path, as does the whole server when
+//!   footprint machinery cannot vouch for — those that can reach a
+//!   nondeterministic or conflict-detection snap or a par-opaque builtin
+//!   ([`Facts::occ_safe`](crate::Facts::occ_safe), the same static
+//!   judgment that routed the request) — fall back to the fully
+//!   serialized pessimistic path, as does the whole server when
 //!   [`ServerConfig::occ_writers`] is off.
 //! * **Reads run concurrently.** A query the PR-3 effect judgment rates
-//!   `Pure` or `Alloc` ([`Engine::is_read_only`]: it emits and applies no
-//!   update request, though it may construct nodes) pins the latest epoch
-//!   and executes against a private fork of that snapshot — it never
+//!   `Pure` or `Alloc` ([`Facts::snapshot_read`](crate::Facts::snapshot_read):
+//!   it emits and applies no update request, though it may construct
+//!   nodes) pins the latest epoch and executes against a private fork of
+//!   that snapshot — it never
 //!   takes the engine lock, commits landing meanwhile cannot move the
 //!   data under it, and whatever it allocated is dropped with the fork.
 //!   The pin is released when the request finishes; superseded epochs
@@ -38,16 +41,18 @@
 //! Sessions share one fingerprint-keyed [`SharedPlanCache`] — installed in
 //! the hosted engine, inherited by every snapshot and fork of it — so a
 //! query planned by any session is a plan-cache hit for every other. They
-//! also share the engine's one [`ProgramEnv`](crate::env::ProgramEnv): a
-//! fork runs under the same limits, thread budget, slow-query threshold
-//! and trace sink as the writer. Request accounting lands in the global
-//! metrics registry under `server.*` (counters, gauges, latency
-//! histograms); [`Server::stats`] reads them back as one struct.
+//! also share the engine's one [`ProgramEnv`](crate::env::ProgramEnv) —
+//! the server has no resource policy of its own: a request is parsed and a
+//! fork runs under the hosted engine's limits, thread budget, slow-query
+//! threshold and trace sink, exactly as the writer does. Request
+//! accounting lands in the global metrics registry under `server.*`
+//! (counters, gauges, latency histograms); [`Server::stats`] reads them
+//! back as one struct.
 
 use crate::engine::{Engine, EngineSnapshot, Error};
-use crate::limits::Limits;
 use crate::obs;
 use crate::planner::SharedPlanCache;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -96,7 +101,9 @@ impl ConflictPolicy {
     }
 }
 
-/// Server admission and resource policy.
+/// Server admission and commit policy. Resource policy (limits, thread
+/// budget) is the hosted engine's: set it there before
+/// [`Engine::into_server`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
     /// Most sessions open at once (`XQB0050` beyond).
@@ -104,11 +111,6 @@ pub struct ServerConfig {
     /// Most requests in flight at once across all sessions (`XQB0051`
     /// beyond).
     pub max_inflight: usize,
-    /// Per-request resource limits (fuel, deadline, depth, memory) —
-    /// installed into the writer engine and every reader fork.
-    pub limits: Limits,
-    /// Worker-thread budget each request may use for effect-free regions.
-    pub threads: usize,
     /// Optimistic concurrent writers (DESIGN.md §16). Off: every write
     /// serializes its whole evaluation under the engine mutex (PR-8
     /// behavior).
@@ -121,7 +123,7 @@ pub struct ServerConfig {
     /// Committed write footprints retained for validation. A base epoch
     /// older than the ring's coverage forces a retry (indistinguishable
     /// from a conflict), so this bounds validator memory, not
-    /// correctness.
+    /// correctness. [`Server::commit_log`] retains as many records.
     pub footprint_ring: usize,
 }
 
@@ -130,8 +132,6 @@ impl Default for ServerConfig {
         ServerConfig {
             max_sessions: 64,
             max_inflight: 32,
-            limits: Limits::from_env(),
-            threads: crate::par::threads_from_env(),
             occ_writers: true,
             conflict_policy: ConflictPolicy::default(),
             max_retries: 8,
@@ -305,7 +305,8 @@ struct Inner {
     sessions: AtomicUsize,
     next_session: AtomicU64,
     inflight: AtomicUsize,
-    commits: Mutex<Vec<CommitRecord>>,
+    /// The most recent `footprint_ring` commits, oldest first.
+    commits: Mutex<VecDeque<CommitRecord>>,
     metrics: ServerMetrics,
 }
 
@@ -323,15 +324,14 @@ impl Server {
         Server::with_config(engine, ServerConfig::default())
     }
 
-    /// Host `engine` behind `config`. The engine's limits, thread budget,
-    /// and plan cache are taken over by the server; everything else in
-    /// its environment (modules, bindings, slow-query threshold, trace
-    /// sink) is kept, and the writer path and every reader fork share it.
+    /// Host `engine` behind `config`. Only the engine's plan cache is
+    /// replaced (by the cross-session one); its whole environment —
+    /// limits, thread budget, modules, bindings, slow-query threshold,
+    /// trace sink — is kept, and the writer path and every reader fork
+    /// share it.
     pub fn with_config(mut engine: Engine, config: ServerConfig) -> Server {
         let cache = SharedPlanCache::new();
         engine.set_shared_plan_cache(cache.clone());
-        engine.set_limits(config.limits);
-        engine.set_threads(config.threads);
         // The live engine captures the write footprint of every commit
         // (no read tracing — only forks validate reads), feeding the
         // validation ring for both commit paths.
@@ -347,7 +347,7 @@ impl Server {
                 sessions: AtomicUsize::new(0),
                 next_session: AtomicU64::new(1),
                 inflight: AtomicUsize::new(0),
-                commits: Mutex::new(Vec::new()),
+                commits: Mutex::new(VecDeque::new()),
                 metrics: ServerMetrics::from_global(),
             }),
         }
@@ -386,13 +386,15 @@ impl Server {
         self.inner.versions.pin_latest().store().fingerprint()
     }
 
-    /// Every commit so far, in commit (= epoch) order.
+    /// The most recent commits, in commit (= epoch) order: at most
+    /// [`ServerConfig::footprint_ring`] records (1 024 by default) — the
+    /// retention the validator already keeps — so a long-lived server
+    /// does not hold every write's query text and response forever. A
+    /// replay that wants the whole history must read it before that many
+    /// commits have landed.
     pub fn commit_log(&self) -> Vec<CommitRecord> {
-        self.inner
-            .commits
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        let commits = self.inner.commits.lock().unwrap_or_else(|e| e.into_inner());
+        commits.iter().cloned().collect()
     }
 
     /// The cross-session plan cache.
@@ -564,37 +566,37 @@ impl Session {
     /// publishes a new epoch — even when it returns an error, since snaps
     /// closed before an error are commitment (§2.3).
     pub fn execute(&self, query: &str) -> Result<Response, Error> {
-        let _slot = InflightSlot::admit(&self.inner)?;
-        let program = {
-            // Parse outside any lock; the parse-depth limit applies.
-            let limits = self.inner.config.limits;
-            xqsyn::compile_with_limit(query, limits.max_parse_depth).map_err(Error::Parse)?
+        let inner = &self.inner;
+        let _slot = InflightSlot::admit(inner)?;
+        let note_pins = || {
+            let pinned = inner.versions.pinned() as i64;
+            inner.metrics.snapshot_pins.set(pinned);
         };
-        // Classify against the latest snapshot's module functions — no
-        // engine lock. A commit between classification and execution is
-        // harmless: the rating depends only on the function bodies, and
-        // module registration goes through `with_engine` (the writer).
-        let pin = self.inner.versions.pin_latest();
-        self.inner
-            .metrics
-            .snapshot_pins
-            .set(self.inner.versions.pinned() as i64);
-        if pin.is_read_only(&program) {
-            let r = self.execute_read(&pin, &program);
-            drop(pin);
-            self.inner
-                .metrics
-                .snapshot_pins
-                .set(self.inner.versions.pinned() as i64);
-            r
-        } else {
-            drop(pin);
-            self.inner
-                .metrics
-                .snapshot_pins
-                .set(self.inner.versions.pinned() as i64);
-            self.execute_write(query, &program)
+        // Parse and classify against the latest snapshot's environment —
+        // its nesting limit, its module functions — with no engine lock.
+        // A commit between classification and execution is harmless: the
+        // facts depend only on the function bodies, and module
+        // registration goes through `with_engine` (the writer).
+        let pin = inner.versions.pin_latest();
+        note_pins();
+        let classified = pin.compile(query).map(|program| {
+            let facts = pin.facts(&program);
+            (program, facts)
+        });
+        if let Ok((program, facts)) = &classified {
+            if facts.snapshot_read() {
+                let response = self.execute_read(&pin, program);
+                drop(pin);
+                note_pins();
+                return response;
+            }
         }
+        // A writer pins afresh for every attempt.
+        drop(pin);
+        note_pins();
+        let (program, facts) = classified.map_err(Error::Parse)?;
+        let optimistic = inner.config.occ_writers && facts.occ_safe();
+        self.execute_write(query, &program, optimistic)
     }
 
     fn execute_read(
@@ -625,24 +627,26 @@ impl Session {
         }
     }
 
-    /// The writer path. With OCC on and an OCC-safe program: evaluate on
-    /// a forked snapshot, validate the Δ's footprint, rebase under the
-    /// engine lock; retry on conflict up to `max_retries`, then abort
-    /// with `XQB0052`. Everything else serializes its whole evaluation.
-    fn execute_write(&self, query: &str, program: &xqsyn::CoreProgram) -> Result<Response, Error> {
+    /// The writer path. `optimistic` (OCC on and an OCC-safe program, as
+    /// [`Session::execute`] judged once): evaluate on a forked snapshot,
+    /// validate the Δ's footprint, rebase under the engine lock; retry on
+    /// conflict up to `max_retries`, then abort with `XQB0052`. Everything
+    /// else serializes its whole evaluation.
+    fn execute_write(
+        &self,
+        query: &str,
+        program: &xqsyn::CoreProgram,
+        optimistic: bool,
+    ) -> Result<Response, Error> {
         let inner = &self.inner;
         let started = Instant::now();
         inner.metrics.requests_write.add(1);
         let mut retries = 0usize;
         let outcome = loop {
-            if !inner.config.occ_writers {
+            if !optimistic {
                 break self.commit_pessimistic(query, program);
             }
             let pin = inner.versions.pin_latest();
-            if !pin.occ_safe(program) {
-                drop(pin);
-                break self.commit_pessimistic(query, program);
-            }
             match self.try_commit_optimistic(query, program, &pin) {
                 Ok(done) => break done,
                 Err(_conflict_aspects) => {
@@ -783,17 +787,18 @@ impl Session {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .push(epoch, writes);
-        inner
-            .commits
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(CommitRecord {
-                epoch,
-                session: self.id,
-                query: query.to_string(),
-                body: logged,
-                fingerprint,
-            });
+        let mut commits = inner.commits.lock().unwrap_or_else(|e| e.into_inner());
+        if commits.len() >= inner.config.footprint_ring.max(1) {
+            commits.pop_front();
+        }
+        commits.push_back(CommitRecord {
+            epoch,
+            session: self.id,
+            query: query.to_string(),
+            body: logged,
+            fingerprint,
+        });
+        drop(commits);
         outcome.map(|body| Response {
             kind: RequestKind::Write,
             epoch,
@@ -1101,6 +1106,36 @@ mod tests {
         );
     }
 
+    #[test]
+    fn the_hosted_engine_keeps_its_resource_policy() {
+        // The server has no limits or thread budget of its own: what the
+        // engine was given before `into_server` governs every request,
+        // reads (forks) and writes (the live engine) alike, parse included.
+        let mut e = Engine::new();
+        e.load_document("doc", "<log/>").unwrap();
+        e.set_limits(crate::Limits {
+            fuel: Some(50),
+            max_parse_depth: 8,
+            ..crate::Limits::default()
+        });
+        let server = e.into_server(ServerConfig::default());
+        let s = server.open_session().unwrap();
+        for query in [
+            "count(for $i in 1 to 100000 return $i + 1)",
+            "(insert { <e/> } into { $doc/log }, for $i in 1 to 100000 return $i + 1)",
+        ] {
+            match s.execute(query) {
+                Err(Error::Eval(e)) => assert_eq!(e.code, "XQB0041", "{query}"),
+                other => panic!("{query}: expected a fuel trip, got {other:?}"),
+            }
+        }
+        match s.execute("((((((((((1))))))))))") {
+            Err(Error::Parse(e)) => assert!(e.message.contains("XQB0040"), "{e}"),
+            other => panic!("expected a parse-depth trip, got {other:?}"),
+        }
+        assert_eq!(server.stats().snapshot_pins, 0);
+    }
+
     // -----------------------------------------------------------------
     // Optimistic concurrent writers (DESIGN.md §16)
     // -----------------------------------------------------------------
@@ -1341,6 +1376,59 @@ mod tests {
         s.execute("(insert { <f/> } into { $doc/c }, xqb:stats())")
             .unwrap();
         assert_eq!(server.stats().conflicts, before.conflicts);
+    }
+
+    #[test]
+    fn unreachable_unordered_snaps_leave_a_write_optimistic() {
+        // The module holds a nondeterministic snap, but the increment
+        // cannot reach it: OCC eligibility is about what the program can
+        // run, not about what the engine has loaded.
+        let server = counter_server(ServerConfig::default());
+        server.with_engine(|e| {
+            e.load_module(
+                "declare function shuffle() {
+                   snap nondeterministic { insert { <e/> } into { $doc/c } } };",
+            )
+            .unwrap()
+        });
+        // An optimistic writer evaluates on a fork and needs the engine
+        // lock only to commit; a pessimistic one evaluates under it. With
+        // the lock held, only the former gets as far as planning.
+        let held = server.inner.engine.lock().unwrap();
+        let (_, misses) = server.plan_cache().stats();
+        let writer = {
+            let server = server.clone();
+            std::thread::spawn(move || server.open_session().unwrap().execute(INCR))
+        };
+        let deadline = Instant::now() + std::time::Duration::from_secs(20);
+        while server.plan_cache().stats().1 == misses {
+            assert!(
+                Instant::now() < deadline,
+                "the writer waited for the engine lock before evaluating"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        drop(held);
+        assert_eq!(writer.join().unwrap().unwrap().kind, RequestKind::Write);
+        let s = server.open_session().unwrap();
+        assert_eq!(s.execute("string($doc/c)").unwrap().body, "1");
+    }
+
+    #[test]
+    fn commit_log_retains_the_footprint_ring() {
+        let server = counter_server(ServerConfig {
+            footprint_ring: 8,
+            ..ServerConfig::default()
+        });
+        let s = server.open_session().unwrap();
+        for _ in 0..24 {
+            s.execute(INCR).unwrap();
+        }
+        let log = server.commit_log();
+        assert_eq!(log.len(), 8);
+        assert_eq!(log[0].epoch, 17);
+        assert_eq!(log[7].epoch, server.epoch());
+        assert_eq!(log[7].fingerprint, server.fingerprint());
     }
 
     #[test]

@@ -12,26 +12,18 @@ use crate::node::{NodeId, NodeKind};
 use crate::qname::QName;
 use crate::store::Store;
 
-/// Default cap on XML element nesting depth (`XQB_MAX_XML_DEPTH` overrides).
+/// Default cap on XML element nesting depth; the `_with_limit` entry
+/// points take an explicit one (the engine passes its
+/// `Limits::max_xml_depth`, which is where `XQB_MAX_XML_DEPTH` is read).
 ///
 /// The element parser is iterative, so the cap is not about the thread
 /// stack — it is a resource-governance bound: a maliciously deep document
 /// is reported as `XQB0040` instead of ballooning the open-element stack.
 pub const DEFAULT_MAX_XML_DEPTH: usize = 4096;
 
-/// Read the XML depth cap from `XQB_MAX_XML_DEPTH`, falling back to
-/// [`DEFAULT_MAX_XML_DEPTH`]. Zero and unparsable values are ignored.
-pub fn max_xml_depth_from_env() -> usize {
-    std::env::var("XQB_MAX_XML_DEPTH")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&d| d > 0)
-        .unwrap_or(DEFAULT_MAX_XML_DEPTH)
-}
-
 /// Parse an XML document into `store`, returning the new document node.
 pub fn parse_document(store: &mut Store, input: &str) -> XdmResult<NodeId> {
-    parse_document_with_limit(store, input, max_xml_depth_from_env())
+    parse_document_with_limit(store, input, DEFAULT_MAX_XML_DEPTH)
 }
 
 /// [`parse_document`] with an explicit element-nesting depth limit.
@@ -67,7 +59,7 @@ pub fn parse_document_with_limit(
 /// Parse an XML *fragment* (possibly multiple top-level elements and text)
 /// into parentless nodes. Useful in tests and the data generator.
 pub fn parse_fragment(store: &mut Store, input: &str) -> XdmResult<Vec<NodeId>> {
-    parse_fragment_with_limit(store, input, max_xml_depth_from_env())
+    parse_fragment_with_limit(store, input, DEFAULT_MAX_XML_DEPTH)
 }
 
 /// [`parse_fragment`] with an explicit element-nesting depth limit.

@@ -378,40 +378,6 @@ impl Core {
             other => other.for_each_child(|c| c.collect_free(bound, out)),
         }
     }
-
-    /// Does this expression syntactically contain a `snap`? (The building
-    /// block of the paper's "innermost snap is pure" optimizer judgment;
-    /// the full judgment, which also chases function calls, lives in
-    /// `xqcore::effects`.)
-    pub fn contains_snap(&self) -> bool {
-        let mut found = false;
-        self.walk(&mut |c| {
-            if matches!(c, Core::Snap(..)) {
-                found = true;
-            }
-        });
-        found
-    }
-
-    /// Does this expression syntactically contain an update operator
-    /// (insert/delete/replace/rename)? `copy` is *not* an update: it only
-    /// allocates (paper §3.4 distinguishes allocation from effects).
-    pub fn contains_update(&self) -> bool {
-        let mut found = false;
-        self.walk(&mut |c| {
-            if matches!(
-                c,
-                Core::Insert { .. }
-                    | Core::Delete(_)
-                    | Core::Replace(..)
-                    | Core::ReplaceValue(..)
-                    | Core::Rename(..)
-            ) {
-                found = true;
-            }
-        });
-        found
-    }
 }
 
 /// A user-declared function, normalized.
@@ -442,25 +408,6 @@ pub struct CoreProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn contains_snap_and_update() {
-        let e = Core::Seq(vec![
-            Core::int(1),
-            Core::Snap(
-                SnapMode::Ordered,
-                Core::Delete(Core::Var("x".into()).boxed()).boxed(),
-            ),
-        ]);
-        assert!(e.contains_snap());
-        assert!(e.contains_update());
-        let pure = Core::Arith(ArithOp::Add, Core::int(1).boxed(), Core::int(2).boxed());
-        assert!(!pure.contains_snap());
-        assert!(!pure.contains_update());
-        // copy alone is not an update
-        let cp = Core::Copy(Core::Var("x".into()).boxed());
-        assert!(!cp.contains_update());
-    }
 
     #[test]
     fn free_vars_respects_binders() {

@@ -31,13 +31,13 @@ pub use ast::{Declaration, Expr, Program};
 pub use core::{Core, CoreFunction, CoreProgram};
 pub use normalize::normalize_program;
 pub use parser::{
-    max_parse_depth_from_env, parse_expr, parse_expr_with_limit, parse_program,
-    parse_program_with_limit, ParseError, DEFAULT_MAX_PARSE_DEPTH,
+    parse_expr, parse_expr_with_limit, parse_program, parse_program_with_limit, ParseError,
+    DEFAULT_MAX_PARSE_DEPTH,
 };
 
 /// Parse and normalize a full XQuery! program (prolog + body) in one step.
 pub fn compile(input: &str) -> Result<CoreProgram, ParseError> {
-    compile_with_limit(input, max_parse_depth_from_env())
+    compile_with_limit(input, DEFAULT_MAX_PARSE_DEPTH)
 }
 
 /// [`compile`] with an explicit expression-nesting depth limit.

@@ -23,25 +23,17 @@ pub use crate::cursor::ParseError;
 /// costs several native frames); a malicious `((((…1…))))` must become a
 /// parse error (`XQB0040`), not a stack overflow. Deep enough for any
 /// realistic query, shallow enough for a 2 MiB thread stack. Override per
-/// call with [`parse_program_with_limit`] / [`parse_expr_with_limit`], or
-/// process-wide with the `XQB_MAX_PARSE_DEPTH` env var.
+/// call with [`parse_program_with_limit`] / [`parse_expr_with_limit`]
+/// (the engine passes its `Limits::max_parse_depth`, which is where
+/// `XQB_MAX_PARSE_DEPTH` is read).
 pub const DEFAULT_MAX_PARSE_DEPTH: usize = 200;
-
-/// [`DEFAULT_MAX_PARSE_DEPTH`], overridden by `XQB_MAX_PARSE_DEPTH`.
-pub fn max_parse_depth_from_env() -> usize {
-    std::env::var("XQB_MAX_PARSE_DEPTH")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .map(|d| d.max(1))
-        .unwrap_or(DEFAULT_MAX_PARSE_DEPTH)
-}
 
 /// Stack size for the dedicated parse thread. The recursive-descent tower
 /// costs several native frames per nesting level (tens of KiB each in
 /// debug builds), so [`DEFAULT_MAX_PARSE_DEPTH`] levels need far more
 /// headroom than the 2 MiB default of test threads. 16 MiB fits the
-/// default limit with a wide margin; raising `XQB_MAX_PARSE_DEPTH` far
-/// beyond the default needs a correspondingly larger value here.
+/// default limit with a wide margin; raising the limit far beyond the
+/// default needs a correspondingly larger value here.
 const PARSE_STACK_BYTES: usize = 16 << 20;
 
 /// Run `f` on a scoped thread with a parse-sized stack (mirrors the
@@ -89,7 +81,7 @@ fn with_parse_stack<R: Send>(f: impl FnOnce() -> R + Send) -> R {
 
 /// Parse a complete main module (prolog + body).
 pub fn parse_program(input: &str) -> PResult<Program> {
-    parse_program_with_limit(input, max_parse_depth_from_env())
+    parse_program_with_limit(input, DEFAULT_MAX_PARSE_DEPTH)
 }
 
 /// [`parse_program`] with an explicit nesting-depth limit.
@@ -114,7 +106,7 @@ pub fn parse_program_with_limit(input: &str, max_depth: usize) -> PResult<Progra
 
 /// Parse a standalone expression (no prolog).
 pub fn parse_expr(input: &str) -> PResult<Expr> {
-    parse_expr_with_limit(input, max_parse_depth_from_env())
+    parse_expr_with_limit(input, DEFAULT_MAX_PARSE_DEPTH)
 }
 
 /// [`parse_expr`] with an explicit nesting-depth limit.

@@ -177,7 +177,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         t_snap_compiled.as_secs_f64(),
         t_snap_interp.as_secs_f64(),
     );
-    xqbench::splice_bench_section("pipeline", &json)?;
+    xqexp::splice_bench_section("pipeline", &json)?;
 
     println!(
         "\nNaive is O(|person| * |closed_auction|); the outer-join/group-by\n\

@@ -11,7 +11,7 @@ use crate::{Engine, Item};
 use xmarkgen::{Scale, XmarkGen};
 use xqdm::QName;
 
-/// The §4.3 XMark Q8 variant (same shape as `xqbench::Q8_VARIANT`): the
+/// The §4.3 XMark Q8 variant (same shape as `xqexp::Q8_VARIANT`): the
 /// paper's optimization target, with an insert in the inner branch.
 const Q8_VARIANT: &str = r#"
 for $p in $auction//person

@@ -33,7 +33,6 @@ use std::net::{TcpListener, TcpStream};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use xquery_bang::xqcore::Limits;
 use xquery_bang::{ConflictPolicy, Engine, Error, Server, ServerConfig};
 
 /// Longest command line accepted, newline included (`QUERY <len>` needs
@@ -151,26 +150,28 @@ fn build_server(opts: &Options) -> Result<Server, String> {
             .load_document(var, &xml)
             .map_err(|e| format!("cannot parse {file}: {e}"))?;
     }
-    let mut limits = Limits::from_env();
-    if let Some(fuel) = opts.fuel {
-        limits.fuel = Some(fuel);
+    Ok(host(engine, opts))
+}
+
+/// Host `engine` behind the admission and commit policy `opts` asks for.
+/// Resource policy is the engine's own (`Engine::new` read `XQB_THREADS`
+/// and the `Limits` variables): the flags override it there, once.
+fn host(mut engine: Engine, opts: &Options) -> Server {
+    let mut limits = *engine.limits();
+    limits.fuel = opts.fuel.or(limits.fuel);
+    limits.deadline_ms = opts.deadline_ms.or(limits.deadline_ms);
+    engine.set_limits(limits);
+    if let Some(threads) = opts.threads {
+        engine.set_threads(threads);
     }
-    if let Some(ms) = opts.deadline_ms {
-        limits.deadline_ms = Some(ms);
-    }
-    let config = ServerConfig {
+    engine.into_server(ServerConfig {
         max_sessions: opts.max_sessions,
         max_inflight: opts.max_inflight,
-        limits,
-        threads: opts
-            .threads
-            .unwrap_or_else(xquery_bang::xqcore::threads_from_env),
         occ_writers: opts.occ_writers,
         conflict_policy: opts.conflict_policy,
         max_retries: opts.max_retries,
         ..ServerConfig::default()
-    };
-    Ok(engine.into_server(config))
+    })
 }
 
 /// Write one framed response: `{head} {len}\n{body}`.
@@ -421,19 +422,7 @@ fn self_test(opts: &Options) -> Result<(), String> {
     engine
         .load_document("doc", "<log/>")
         .map_err(|e| e.to_string())?;
-    let config = ServerConfig {
-        max_sessions: opts.max_sessions,
-        max_inflight: opts.max_inflight,
-        limits: Limits::from_env(),
-        threads: opts
-            .threads
-            .unwrap_or_else(xquery_bang::xqcore::threads_from_env),
-        occ_writers: opts.occ_writers,
-        conflict_policy: opts.conflict_policy,
-        max_retries: opts.max_retries,
-        ..ServerConfig::default()
-    };
-    let server = engine.into_server(config);
+    let server = host(engine, opts);
     let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| e.to_string())?;
     let addr = listener.local_addr().map_err(|e| e.to_string())?;
     let accept = std::thread::spawn({

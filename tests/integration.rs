@@ -113,7 +113,7 @@ return <item person="{ $p/name }">{ count($a) }</item>"#;
     let (mut s2, b2, p2) = setup();
     let t = std::time::Instant::now();
     let planned = compile_program(&program);
-    let v2 = xqbench::run_planned(&planned, &program, &mut s2, &b2);
+    let v2 = xqexp::run_planned(&planned, &program, &mut s2, &b2);
     let opt_time = t.elapsed();
 
     assert!(planned.is_optimized());

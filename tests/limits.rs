@@ -57,13 +57,25 @@ fn limit_error_codes_at_1_and_8_threads() {
         (fuel, "for $i in 1 to 100000 return $i + 1", "XQB0041"),
         (deadline, "for $i in 1 to 100000 return $i + 1", "XQB0042"),
         (memory, "count((1 to 100000))", "XQB0043"),
+        // Compiled loops accumulate like the interpreter's and are charged
+        // like them: a plan-level `for` over a batched path (6 000 items),
+        // and a hash join (40 × 40 matches), fanned out at 8 threads.
+        (memory, "for $i in 1 to 2000 return $doc/x/*", "XQB0043"),
+        (
+            memory,
+            "for $l in $big/r/e for $r in $big/r/e where $l/@k = $r/@k return $l",
+            "XQB0043",
+        ),
     ];
+    let big = format!("<r>{}</r>", "<e k=\"1\"/>".repeat(40));
     for threads in [1usize, 8] {
         for (limits, query, code) in cases {
             let mut e = Engine::new();
             e.set_threads(threads);
-            e.set_limits(*limits);
             e.load_document("doc", DOC).unwrap();
+            e.load_document("big", &big).unwrap();
+            e.set_limits(*limits);
+            let before = e.store.fingerprint();
             match e.run(query) {
                 Err(Error::Eval(x)) => assert_eq!(
                     x.code, *code,
@@ -71,6 +83,11 @@ fn limit_error_codes_at_1_and_8_threads() {
                 ),
                 other => panic!("{query} at {threads} thread(s): expected {code}, got {other:?}"),
             }
+            assert_eq!(
+                e.store.fingerprint(),
+                before,
+                "{query} at {threads} thread(s): a trip must leave the store unchanged"
+            );
             // The engine is not poisoned: the same engine still answers
             // (with the tripping limit disarmed — limits persist per
             // engine, so a 0 ms deadline would trip every later run too).

@@ -5,7 +5,9 @@
 //! engine three ways:
 //!
 //! 1. **Static oracle** — `explain` shows the `par` marker exactly when
-//!    the generator says the body is gate-admissible.
+//!    the generator says the body is gate-admissible, and exactly when
+//!    the run fans out: marker and run-time gate are one predicate, also
+//!    through declared functions.
 //! 2. **Pure-marked** bodies really are effect-free: the run finishes
 //!    with an empty pending-update list (`requests_applied == 0`) and
 //!    an unchanged store fingerprint (every bound document serializes
@@ -24,6 +26,8 @@ use xquery_bang::{Engine, Error};
 struct Body {
     text: String,
     gate_admits: bool,
+    /// Function declarations the body calls.
+    prolog: &'static str,
 }
 
 fn body_strategy() -> impl Strategy<Value = Body> {
@@ -32,22 +36,27 @@ fn body_strategy() -> impl Strategy<Value = Body> {
         (1u8..9).prop_map(|k| Body {
             text: format!("number($e/@v) + {k}"),
             gate_admits: true,
+            prolog: "",
         }),
         (1u8..9).prop_map(|k| Body {
             text: format!("concat(string($e/@v), \"-{k}\")"),
             gate_admits: true,
+            prolog: "",
         }),
         (1u8..5).prop_map(|k| Body {
             text: format!("for $i in 1 to {k} return number($e/@v) * $i"),
             gate_admits: true,
+            prolog: "",
         }),
         (1u8..99).prop_map(|k| Body {
             text: format!("if (number($e/@v) > {k}) then \"hi\" else \"lo\""),
             gate_admits: true,
+            prolog: "",
         }),
         Just(Body {
             text: "count($e/@v) + count($log/log)".to_string(),
             gate_admits: true,
+            prolog: "",
         }),
         // --- gate-rejected ---
         // A snap over *pure* code: Pure-adjacent but structurally
@@ -56,21 +65,25 @@ fn body_strategy() -> impl Strategy<Value = Body> {
         Just(Body {
             text: "snap { number($e/@v) }".to_string(),
             gate_admits: false,
+            prolog: "",
         }),
         // An effectful snap in the body.
         Just(Body {
             text: "snap insert { <x/> } into { $log/log }".to_string(),
             gate_admits: false,
+            prolog: "",
         }),
         // A bare pending update (applied by the implicit top-level snap).
         Just(Body {
             text: "(insert { <x/> } into { $log/log }, \"i\")".to_string(),
             gate_admits: false,
+            prolog: "",
         }),
         // Node construction: Alloc on the lattice, needs `&mut Store`.
         Just(Body {
             text: "element hit { string($e/@v) }".to_string(),
             gate_admits: false,
+            prolog: "",
         }),
         // Metrics introspection: reads the shared registry mid-flight,
         // so the gate refuses it (the *value* stays deterministic — the
@@ -78,6 +91,25 @@ fn body_strategy() -> impl Strategy<Value = Body> {
         Just(Body {
             text: "number($e/@v) + count(xqb:stats()) - 1".to_string(),
             gate_admits: false,
+            prolog: "",
+        }),
+        // Behind declared functions the verdict is the same one: the
+        // judgment is closed over calls, and EXPLAIN reads that judgment.
+        Just(Body {
+            text: "twice(number($e/@v))".to_string(),
+            gate_admits: true,
+            prolog: "declare function twice($n) { $n * 2 };",
+        }),
+        Just(Body {
+            text: "string(probe($e/@v))".to_string(),
+            gate_admits: false,
+            prolog: "declare function probe($x) { inner($x) };
+                     declare function inner($x) { trace($x, \"probe\") };",
+        }),
+        Just(Body {
+            text: "count(stamp($e))".to_string(),
+            gate_admits: false,
+            prolog: "declare function stamp($x) { snap { $x } };",
         }),
     ]
 }
@@ -128,7 +160,7 @@ proptest! {
         body in body_strategy(),
     ) {
         let doc = data_doc(&vals);
-        let query = format!("for $e in $doc/root/e return {}", body.text);
+        let query = format!("{} for $e in $doc/root/e return {}", body.prolog, body.text);
 
         let mut par8 = fresh_engine(8, true, &doc);
 
@@ -163,9 +195,10 @@ proptest! {
                 serialize_binding(&par8, "log"), log_before,
                 "pure-marked body changed $log: `{}`", &body.text
             );
-            prop_assert!(
+            prop_assert_eq!(
                 stats.par_regions > 0,
-                "admitted body did not fan out at threads=8: `{}` {:?}",
+                shows_par(&plan),
+                "marked body did not fan out at threads=8: `{}` {:?}",
                 &body.text, stats
             );
 
@@ -183,8 +216,9 @@ proptest! {
             let r8 = par8.run(&query);
             let stats = par8.last_stats().unwrap();
             prop_assert_eq!(
-                stats.par_regions, 0,
-                "gate-rejected body fanned out: `{}` {:?}", &body.text, stats
+                stats.par_regions > 0,
+                shows_par(&plan),
+                "marker and run-time gate disagree on `{}` {:?}:\n{}", &body.text, stats, &plan
             );
 
             let mut seq = fresh_engine(1, false, &doc);
@@ -244,9 +278,13 @@ fn gate_is_strictly_tighter_than_the_effect_lattice() {
             "(xqb:reset-stats(), number($e/@v))",
             "reset-stats mutates the shared metrics registry",
         ),
+        ("probe($e)", "a called function reaches trace"),
     ] {
         let plan = e
-            .explain(&format!("for $e in $doc/root/e return {body}"))
+            .explain(&format!(
+                "declare function probe($x) {{ trace($x, \"t\") }};
+                 for $e in $doc/root/e return {body}"
+            ))
             .unwrap();
         assert!(
             !shows_par(&plan),
