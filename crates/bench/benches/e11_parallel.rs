@@ -71,7 +71,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .unwrap_or(1);
     let scale = Scale::join_sides(150, 75);
     let mut json = String::from("{\n    \"experiment\": \"e11_parallel\",\n");
-    json.push_str(&format!("    \"cores\": {cores},\n"));
     json.push_str("    \"scale\": {\"persons\": 150, \"closed_auctions\": 75},\n");
 
     // The pure variant must carry the par marker on the compiled plan…

@@ -182,7 +182,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let mut section = String::from("{\n");
-    section.push_str(&format!("    \"cores\": {cores},\n"));
     section.push_str(&format!("    \"items\": {ITEMS}"));
     for (tag, run) in &rows {
         let key = tag.replace('-', "_");

@@ -185,7 +185,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let mut section = String::from("{\n");
-    section.push_str(&format!("    \"cores\": {cores},\n"));
     section.push_str(&format!(
         "    \"requests_per_writer\": {REQUESTS_PER_WRITER}"
     ));

@@ -195,17 +195,40 @@ pub fn bench_section(key: &str) -> Option<String> {
     Some(section.1)
 }
 
+/// `section` — a JSON object opened by `{` on a line of its own — with the
+/// host facts every committed number must carry as its first two members:
+/// `cores` (what this host can run in parallel) and `commit` (`git
+/// describe --always --dirty` of the tree that produced the numbers).
+fn stamped(section: &str) -> String {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let commit = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map_or_else(
+            || "unknown".to_string(),
+            |o| String::from_utf8_lossy(&o.stdout).trim().to_string(),
+        );
+    let members = section
+        .trim_end()
+        .strip_prefix("{\n")
+        .expect("a BENCH.json section is an object opened by `{` on its own line");
+    format!("{{\n    \"cores\": {cores},\n    \"commit\": \"{commit}\",\n{members}")
+}
+
 /// Replace BENCH.json's top-level section `key` with `section` (appended
-/// when new; the file is created when missing). `section` is a JSON
-/// value whose continuation lines are already indented for a top-level
-/// member. Every other section is left as it is.
+/// when new; the file is created when missing), stamped with this host's
+/// `cores` and the tree's `commit`. `section` is a JSON object whose
+/// continuation lines are already indented for a top-level member. Every
+/// other section is left as it is.
 pub fn splice_bench_section(key: &str, section: &str) -> std::io::Result<()> {
     let path = bench_json_path();
     let mut members = match std::fs::read_to_string(&path) {
         Ok(text) => bench_members(&text),
         Err(_) => vec![("schema".to_string(), "\"xquery-bang-bench/1\"".to_string())],
     };
-    let section = section.trim_end().to_string();
+    let section = stamped(section);
     match members.iter_mut().find(|(k, _)| k == key) {
         Some(member) => member.1 = section,
         None => members.push((key.to_string(), section)),
@@ -266,6 +289,16 @@ mod tests {
             .filter(|&n| store.name(n).unwrap().is_some())
             .count();
         assert_eq!(elems + 1, 100); // +1 for the root itself
+    }
+
+    #[test]
+    fn sections_are_stamped_with_host_facts() {
+        let s = super::stamped("{\n    \"x\": 1\n  }\n");
+        let lines: Vec<&str> = s.lines().collect();
+        assert_eq!(lines[0], "{");
+        assert!(lines[1].starts_with("    \"cores\": "), "{s}");
+        assert!(lines[2].starts_with("    \"commit\": \""), "{s}");
+        assert_eq!(&lines[3..], ["    \"x\": 1", "  }"]);
     }
 
     #[test]

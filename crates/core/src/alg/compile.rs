@@ -23,23 +23,13 @@
 
 use crate::alg::plan::{BatchFilter, BatchPathPlan, BatchStep, GroupByPlan, JoinPlan, QueryPlan};
 use crate::{Effect, EffectAnalysis};
-use std::cell::RefCell;
 use xqdm::atomic::{Atomic, CompareOp};
 use xqsyn::ast::{Axis, NodeTest};
 use xqsyn::core::{Core, CoreProgram};
 
-/// How many `(input, simplified)` pairs [`Compiler::compile_simplified`]
-/// memoizes. A program compiles a handful of distinct expressions (body,
-/// prolog initializers, function bodies); a small bound suffices.
-const SIMPLIFY_MEMO_CAP: usize = 8;
-
 /// The plan compiler: effect analysis + rewrite rules.
 pub struct Compiler {
     analysis: EffectAnalysis,
-    /// Memo for the simplify pass: re-running `run_program` (or compiling
-    /// the same expression twice within one program) does no redundant
-    /// rewriting.
-    simplified: RefCell<Vec<(Core, Core)>>,
     /// Were the store's secondary indexes available at plan time
     /// ([`crate::planner::PlanOptions::index_available`])? Gates the
     /// `,idx` eligibility hints on lowered chains; `false` (the default)
@@ -52,7 +42,6 @@ impl Compiler {
     pub fn new(program: &CoreProgram) -> Self {
         Compiler {
             analysis: EffectAnalysis::new(program),
-            simplified: RefCell::new(Vec::new()),
             index_available: false,
         }
     }
@@ -61,7 +50,6 @@ impl Compiler {
     pub fn empty() -> Self {
         Compiler {
             analysis: EffectAnalysis::empty(),
-            simplified: RefCell::new(Vec::new()),
             index_available: false,
         }
     }
@@ -174,26 +162,11 @@ impl Compiler {
             None => QueryPlan::Iterate(core.clone()),
         }
     }
+
     /// Run the guarded syntactic rewriting phase (§4.2) first, then
-    /// compile — the full Galax-style pipeline. The simplified form is
-    /// memoized per input expression.
+    /// compile — the full Galax-style pipeline.
     pub fn compile_simplified(&self, core: &Core) -> QueryPlan {
-        if let Some((_, cached)) = self
-            .simplified
-            .borrow()
-            .iter()
-            .find(|(input, _)| input == core)
-        {
-            return self.compile(cached);
-        }
-        let simplified = crate::alg::rewrite::simplify(core, &self.analysis);
-        let plan = self.compile(&simplified);
-        let mut memo = self.simplified.borrow_mut();
-        if memo.len() >= SIMPLIFY_MEMO_CAP {
-            memo.remove(0);
-        }
-        memo.push((core.clone(), simplified));
-        plan
+        self.compile(&crate::alg::rewrite::simplify(core, &self.analysis))
     }
 
     /// Shared guards for both rewrites; returns the (outer_key, inner_key)

@@ -117,9 +117,10 @@ impl PlannedProgram {
         if !self.functions.is_empty() {
             evaluator.set_function_executor(Some(self.functions.clone()));
         }
-        let result = evaluator.run_in_program_scope(store, |ev, store, env| {
+        let result = evaluator.run_in_program_scope(store, |ev, store| {
             // Prolog variables in order, then the body — all inside the
             // implicit top-level snap, like `Evaluator::eval_program`.
+            let env = &mut DynEnv::new();
             for (name, plan, base) in &self.variables {
                 let v = exec::execute_at(plan, *base, ev, store, env)?;
                 ev.bind_global(name.clone(), v);
@@ -197,9 +198,7 @@ pub fn compile_program(program: &CoreProgram) -> PlannedProgram {
 /// `index_available` is set, eligible batch steps carry `,idx` hints for
 /// the executor's index scans.
 pub fn compile_program_opts(program: &CoreProgram, opts: &PlanOptions) -> PlannedProgram {
-    assemble(program, opts.index_available, |compiler, core| {
-        compiler.compile_simplified(core)
-    })
+    assemble(program, opts.index_available, Compiler::compile_simplified)
 }
 
 /// Compile a whole program to *structural* plans only (see

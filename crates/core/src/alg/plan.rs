@@ -466,7 +466,7 @@ impl QueryPlan {
             QueryPlan::Snap { .. } => "Snap",
         };
         let fail = |what: String| Err(format!("node {base} ({label}): {what}"));
-        let check = n.calls > 0 && n.par_regions == 0;
+        let check = n.calls > 0 && n.incl.par_regions == 0;
         match self {
             QueryPlan::Iterate(_)
             | QueryPlan::BatchPath(_)
@@ -616,17 +616,14 @@ fn annotate_head(text: &str, n: crate::obs::NodeStats) -> String {
             crate::obs::fmt_ns(n.wall_ns),
             n.input_rows,
             n.output_rows,
-            n.delta_incl,
+            n.incl.requests_emitted,
             n.delta_self,
         );
-        if n.par_regions > 0 {
-            note.push_str(&format!(" par={}/{}", n.par_regions, n.par_items));
-        }
-        if n.batch_steps > 0 {
-            note.push_str(&format!(" batch={}/{}", n.batch_steps, n.batch_nodes));
-        }
-        if n.idx_scans > 0 {
-            note.push_str(&format!(" idx={}/{}", n.idx_scans, n.idx_hits));
+        // A strategy shows only where it was used.
+        for (label, events, items) in n.incl.strategy_pairs() {
+            if events > 0 {
+                note.push_str(&format!(" {label}={events}/{items}"));
+            }
         }
         note.push(')');
         note

@@ -11,15 +11,16 @@ use crate::effects::Facts;
 use crate::env::{DynEnv, ProgramEnv, Scope};
 use crate::eval::Evaluator;
 use crate::limits::{self, Limits};
-use crate::obs;
+use crate::obs::{self, CounterId, HistogramId};
 use crate::planner::{self, SharedPlanCache};
 use crate::server::{Server, ServerConfig};
 use std::path::Path;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use xqdm::item::{Item, Sequence};
 use xqdm::seq;
 use xqdm::{CapturedDelta, Footprint, NodeId, RecoveryReport, Store, SyncMode, XdmResult};
+use xqsyn::core::Core;
 use xqsyn::cursor::ParseError;
 use xqsyn::CoreProgram;
 
@@ -71,23 +72,12 @@ pub struct Engine {
     /// Compiled plans by [`Engine::plan_key`]. This engine's own until
     /// [`Engine::set_shared_plan_cache`] installs another; forks share it.
     plans: Arc<SharedPlanCache>,
-    cache_hits: u64,
-    cache_misses: u64,
-    last_stats: Option<EvalStats>,
-    /// Per-node profile of the most recent `explain_analyze` run.
-    last_profile: Option<obs::Profile>,
-    /// The plan the most recent `explain_analyze` executed (for profile
-    /// verification in tests).
-    last_plan: Option<Arc<PlannedProgram>>,
-    /// Wall time of the most recent run, nanoseconds.
-    last_run_ns: Option<u64>,
+    /// The account of the most recent run (or module load).
+    last_run: Option<RunReport>,
     /// fsync policy for the durable store (from `XQB_DURABILITY`; applied
     /// when a store is opened/saved, and live-switchable via
     /// [`Engine::set_durability`]).
     durability: SyncMode,
-    /// (records, bytes) of the most recent durable commit — `(0, 0)`
-    /// after a read-only run. `None` until a commit happens.
-    last_wal: Option<(u64, u64)>,
 }
 
 impl Default for Engine {
@@ -103,6 +93,39 @@ struct Planned {
     plan: Option<Arc<PlannedProgram>>,
     key: Option<(u64, u64)>,
     cache: &'static str,
+}
+
+impl Planned {
+    /// No plan looked up, none compiled: the interpreter runs the program.
+    const INTERPRET: Planned = Planned {
+        plan: None,
+        key: None,
+        cache: "uncompiled",
+    };
+}
+
+/// The account of one run — what the paper's judgment returns beside the
+/// value (DESIGN.md §10). `Engine::execute_program` produces it; the
+/// metrics flush, the slow-query record and EXPLAIN ANALYZE's rendering
+/// consume it; [`Engine::last_run`] keeps the latest.
+pub struct RunReport {
+    /// What the evaluator counted. `None` after a panic: the state of an
+    /// evaluator that panicked is not trusted.
+    pub stats: Option<EvalStats>,
+    /// Wall time, nanoseconds.
+    pub elapsed_ns: u64,
+    /// Plan-cache outcome: `"hit"`, `"miss"`, or `"uncompiled"`
+    /// (`set_compile(false)`, module loads).
+    pub cache: &'static str,
+    /// The plan-cache key, when a lookup computed one.
+    pub key: Option<(u64, u64)>,
+    /// `(records, bytes)` this run committed to the redo log; `(0, 0)`
+    /// for a read-only run or without a durable store.
+    pub wal: (u64, u64),
+    /// Per-plan-node counters ([`Engine::explain_analyze`] only).
+    pub profile: Option<obs::Profile>,
+    /// The plan that ran; `None` when the program was interpreted.
+    pub plan: Option<Arc<PlannedProgram>>,
 }
 
 impl Engine {
@@ -151,14 +174,8 @@ impl Engine {
             env,
             snap_counter,
             plans,
-            cache_hits: 0,
-            cache_misses: 0,
-            last_stats: None,
-            last_profile: None,
-            last_plan: None,
-            last_run_ns: None,
+            last_run: None,
             durability: SyncMode::default(),
-            last_wal: None,
         }
     }
 
@@ -188,8 +205,11 @@ impl Engine {
             };
             env.bind(&name, seq![Item::Node(root)]);
         }
-        env.metrics.wal_replayed.add(report.replayed_commits);
-        env.metrics.wal_tail_dropped.add(report.tail_dropped);
+        let m = obs::global();
+        m.counter(CounterId::WalReplayed)
+            .add(report.replayed_commits);
+        m.counter(CounterId::WalTailDropped)
+            .add(report.tail_dropped);
         for w in &report.warnings {
             eprintln!("warning: durable store recovery: {w}");
         }
@@ -217,14 +237,15 @@ impl Engine {
         self.durability
     }
 
-    /// Flush redo ops recorded since the last durable point. Called at
-    /// every engine commit point (end of a run — success *or* error,
-    /// since closed snaps are commitment either way — and after document
-    /// and module loads); a no-op without an attached store. Installs a
+    /// Flush redo ops recorded since the last durable point, returning the
+    /// `(records, bytes)` appended — `(0, 0)` when there was nothing to
+    /// flush or no store is attached. Called at every engine commit point
+    /// (end of a run — success *or* error, since closed snaps are
+    /// commitment either way — and after document loads). Installs a
     /// compacted checkpoint when one is due.
-    fn commit_wal(&mut self) -> XdmResult<()> {
+    fn commit_wal(&mut self) -> XdmResult<(u64, u64)> {
         if !self.store.has_wal() || self.store.frame_depth() != 0 {
-            return Ok(());
+            return Ok((0, 0));
         }
         let trace = self.env.trace.as_ref();
         let span = trace.map(|sink| sink.begin("wal_commit", None));
@@ -233,26 +254,23 @@ impl Engine {
         if let (Some(sink), Some(id)) = (trace, span) {
             sink.end(id);
         }
-        match committed? {
-            Some(receipt) => {
-                let m = &self.env.metrics;
-                m.wal_commits.add(1);
-                m.wal_records.add(receipt.records);
-                m.wal_bytes.add(receipt.bytes);
-                if receipt.fsynced {
-                    m.wal_fsyncs.add(1);
-                }
-                let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                m.wal_commit_ns.record(ns);
-                self.last_wal = Some((receipt.records, receipt.bytes));
-                if self.store.checkpoint_due() {
-                    self.store.checkpoint()?;
-                    m.wal_checkpoints.add(1);
-                }
-            }
-            None => self.last_wal = Some((0, 0)),
+        let Some(receipt) = committed? else {
+            return Ok((0, 0));
+        };
+        let m = obs::global();
+        m.counter(CounterId::WalCommits).add(1);
+        m.counter(CounterId::WalRecords).add(receipt.records);
+        m.counter(CounterId::WalBytes).add(receipt.bytes);
+        if receipt.fsynced {
+            m.counter(CounterId::WalFsyncs).add(1);
         }
-        Ok(())
+        m.histogram(HistogramId::WalCommitNs)
+            .record(obs::elapsed_ns(started));
+        if self.store.checkpoint_due() {
+            self.store.checkpoint()?;
+            m.counter(CounterId::WalCheckpoints).add(1);
+        }
+        Ok((receipt.records, receipt.bytes))
     }
 
     /// Attach a trace-span sink (normally set from `XQB_TRACE` at
@@ -286,82 +304,59 @@ impl Engine {
         self.env_mut().limits = limits;
     }
 
-    /// Builder form of [`Engine::set_limits`].
-    pub fn with_limits(mut self, limits: Limits) -> Self {
-        self.set_limits(limits);
-        self
-    }
-
     /// The resource limits in force.
     pub fn limits(&self) -> &Limits {
         &self.env.limits
     }
 
-    /// Parse a query under this engine's expression-nesting limit.
-    fn compile_source(&self, query: &str) -> Result<CoreProgram, Error> {
-        xqsyn::compile_with_limit(query, self.env.limits.max_parse_depth)
-            .map_err(|e| self.parse_error(e))
-    }
-
-    /// A parser depth trip is a resource-governance event like any other.
-    fn parse_error(&self, e: ParseError) -> Error {
-        if limits::is_parse_depth_trip(&e) {
-            self.env.metrics.limit_depth.add(1);
-        }
-        Error::Parse(e)
-    }
-
-    /// Register a module: its `declare function`s become available to
-    /// every subsequent [`Engine::run`], and its `declare variable`s are
-    /// evaluated *now* (inside their own implicit snap) and installed as
-    /// persistent bindings — so module state like the paper's §2.5
-    /// counter survives across service calls. A body, if present, is
-    /// evaluated and its value discarded.
+    /// Register a library module — a prolog-only program: its `declare
+    /// function`s become available to every subsequent [`Engine::run`],
+    /// and its `declare variable`s are evaluated *now* (each inside its own
+    /// implicit snap) and installed as persistent bindings — so module
+    /// state like the paper's §2.5 counter survives across service calls.
+    /// A program with a body is not a module and is rejected (`XPST0003`).
     ///
-    /// Loading is all-or-nothing: if any initializer fails (or panics),
-    /// the store is rolled back and the engine's function table and
-    /// bindings are restored, so no half-loaded module is ever visible.
+    /// Loading is a run like any other — same frame, same trace span, same
+    /// accounting ([`Engine::last_run`], `engine.runs`, limit trips) — but
+    /// all-or-nothing: if any initializer fails (or panics), the store is
+    /// rolled back and the engine's function table and bindings are
+    /// restored, so no half-loaded module is ever visible.
     pub fn load_module(&mut self, source: &str) -> Result<(), Error> {
-        let program = self.compile_source(source)?;
+        let program = self.compile(source)?;
+        if program.body != Core::Seq(Vec::new()) {
+            return Err(Error::Eval(xqdm::XdmError::new(
+                "XPST0003",
+                "a library module is prolog-only; run a program with a body through Engine::run",
+            )));
+        }
         let before = self.env.clone();
         // Functions first, so variable initializers may call them (and
         // functions from earlier modules).
         self.env_mut().declare(&program.functions);
-        let (mut evaluator, _) = self.evaluator(&program);
-        let depth = self.store.frame_depth();
-        self.store.begin_frame();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut values = Vec::with_capacity(program.variables.len());
-            for (name, init) in &program.variables {
-                let mut env = DynEnv::new();
-                let value = evaluator.eval_query(&mut self.store, &mut env, init)?;
-                evaluator.bind_global(name.clone(), value.clone());
-                values.push(value);
-            }
-            Ok(values)
-        }));
-        self.snap_counter = evaluator.snap_counter();
-        drop(evaluator);
-        let failed = match outcome {
-            Ok(Ok(values)) => {
-                self.store.commit_frame();
+        let (result, report) =
+            self.run_frame(&program, Planned::INTERPRET, false, true, |ev, store| {
+                let mut values = Vec::with_capacity(program.variables.len());
+                for (name, init) in &program.variables {
+                    let value = ev.eval_query(store, &mut DynEnv::new(), init)?;
+                    ev.bind_global(name.clone(), value.clone());
+                    values.push(value);
+                }
+                Ok(values)
+            });
+        self.last_run = Some(report);
+        match result {
+            Ok(values) => {
                 let env = self.env_mut();
                 for ((name, _), value) in program.variables.iter().zip(values) {
                     env.bind(name, value);
                 }
-                // Module loads are engine commit points too (their
-                // variable initializers may have updated the store).
-                return self.commit_wal().map_err(Error::Eval);
+                Ok(())
             }
-            Ok(Err(e)) => e,
-            Err(_panic) => Error::Eval(xqdm::XdmError::new(
-                "XQB0030",
-                "evaluation panicked; store rolled back to the pre-load state",
-            )),
-        };
-        self.unwind_frames_to(depth);
-        self.env = before;
-        Err(failed)
+            Err(e) => {
+                self.env = before;
+                Err(Error::Eval(e))
+            }
+        }
     }
 
     /// Roll back every frame opened at or above `depth` (the innermost
@@ -383,11 +378,20 @@ impl Engine {
             .collect()
     }
 
-    /// Statistics from the most recent successful [`Engine::run`] /
-    /// [`Engine::run_program`]: snaps closed (≥ 1, the implicit one),
-    /// update requests applied, deepest snap nesting.
+    /// The account of the most recent [`Engine::run`] /
+    /// [`Engine::run_program`] / [`Engine::explain_analyze`] /
+    /// [`Engine::load_module`], whatever its outcome: statistics, wall
+    /// time, plan-cache outcome, WAL receipt, the plan that ran and — after
+    /// an analyzed run only — its per-node profile.
+    pub fn last_run(&self) -> Option<&RunReport> {
+        self.last_run.as_ref()
+    }
+
+    /// Statistics of the most recent run ([`RunReport::stats`]): snaps
+    /// closed (≥ 1, the implicit one), update requests applied, deepest
+    /// snap nesting.
     pub fn last_stats(&self) -> Option<EvalStats> {
-        self.last_stats
+        self.last_run.as_ref()?.stats
     }
 
     /// Fix the seed used for nondeterministic snap application.
@@ -404,7 +408,7 @@ impl Engine {
             xml,
             self.env.limits.max_xml_depth,
         )
-        .inspect_err(|e| self.env.metrics.note_limit_trip(e.code));
+        .inspect_err(|e| obs::global().note_limit_trip(e.code));
         // Loading a document is an engine commit point: flush its nodes
         // to the redo log even when the parse failed partway, so a
         // recovered store always matches the in-memory one.
@@ -429,7 +433,7 @@ impl Engine {
     /// The query body (and prolog variable initializers) run inside the
     /// implicit top-level snap; all effects are applied when this returns.
     pub fn run(&mut self, query: &str) -> Result<Sequence, Error> {
-        let program = self.compile_source(query)?;
+        let program = self.compile(query)?;
         Ok(self.run_program(&program)?)
     }
 
@@ -446,25 +450,47 @@ impl Engine {
     /// mutating is not trusted as commitment.
     pub fn run_program(&mut self, program: &CoreProgram) -> XdmResult<Sequence> {
         let planned = self.plan_for(program);
-        self.execute_program(planned, program, false)
+        let (result, report) = self.execute_program(planned, program, false);
+        self.last_run = Some(report);
+        result
     }
 
-    /// Run `program` inside the PR-1 panic/undo frame, flushing run
-    /// metrics (and the slow-query log) whatever the outcome. With
-    /// `profile` set, per-node counters are captured into
-    /// [`Engine::last_profile`]. The shared body of [`Engine::run_program`]
-    /// and [`Engine::explain_analyze`].
+    /// Run `program` — its plan when there is one, the interpreter
+    /// otherwise — and return the value with the run's account. With
+    /// `profile` set, per-node counters are captured into the report. The
+    /// shared body of [`Engine::run_program`] and
+    /// [`Engine::explain_analyze`].
     fn execute_program(
         &mut self,
         planned: Planned,
         program: &CoreProgram,
         profile: bool,
-    ) -> XdmResult<Sequence> {
-        let Planned {
-            plan: compiled,
-            key,
-            cache,
-        } = planned;
+    ) -> (XdmResult<Sequence>, RunReport) {
+        let plan = planned.plan.clone();
+        // Compiled and interpreted paths share the evaluator (and hence the
+        // Δ-stack, seed counter, and statistics), and run inside the same
+        // panic/undo frame.
+        self.run_frame(program, planned, profile, false, |ev, store| match &plan {
+            Some(plan) => plan.execute(ev, store),
+            None => ev.eval_program(store, program),
+        })
+    }
+
+    /// The one run frame: evaluate `body` on a fresh evaluator for
+    /// `program` under a `run` trace span, inside the PR-1 panic/undo
+    /// frame; flush the WAL; account for the run whatever the outcome
+    /// ([`Engine::finish_run`]) and return its [`RunReport`]. An evaluation
+    /// error keeps the snaps that closed before it — or, with
+    /// `all_or_nothing` (module loads), rolls the store back as a panic
+    /// always does.
+    fn run_frame<T>(
+        &mut self,
+        program: &CoreProgram,
+        planned: Planned,
+        profile: bool,
+        all_or_nothing: bool,
+        body: impl FnOnce(&mut Evaluator, &mut Store) -> XdmResult<T>,
+    ) -> (XdmResult<T>, RunReport) {
         let (mut evaluator, _) = self.evaluator(program);
         let trace = self.env.trace.clone();
         let run_span = trace.as_ref().map(|sink| sink.begin("run", None));
@@ -478,53 +504,39 @@ impl Engine {
         self.store.begin_frame();
         let started = Instant::now();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // Compiled and interpreted paths share the evaluator (and
-            // hence the Δ-stack, seed counter, and statistics), and run
-            // inside the same panic/undo frame.
-            match &compiled {
-                Some(plan) => plan.execute(&mut evaluator, &mut self.store),
-                None => evaluator.eval_program(&mut self.store, program),
-            }
+            body(&mut evaluator, &mut self.store)
         }));
-        let elapsed = started.elapsed();
+        let elapsed_ns = obs::elapsed_ns(started);
         if let (Some(sink), Some(id)) = (&trace, run_span) {
             sink.end(id);
             sink.flush();
         }
         self.snap_counter = evaluator.snap_counter();
-        let mut run_stats = None;
+        let (stats, profile) = match &outcome {
+            Ok(_) => (Some(evaluator.stats()), evaluator.take_profile()),
+            Err(_panic) => (None, None),
+        };
+        drop(evaluator);
         let mut result = match outcome {
-            Ok(result) => {
-                let stats = evaluator.stats();
-                run_stats = Some(stats);
-                self.last_stats = Some(stats);
-                // `last_profile`/`last_plan` always describe the most
-                // recent run — a plain run clears any stale analyze state.
-                self.last_profile = if profile {
-                    evaluator.take_profile()
-                } else {
-                    None
-                };
-                self.last_plan = if profile { compiled.clone() } else { None };
-                match result {
-                    Ok(value) => {
-                        self.store.commit_frame();
-                        Ok(value)
-                    }
-                    Err(e) => {
-                        // Keep committed snaps, then sweep constructed
-                        // nodes the failed run left unreachable.
-                        let allocs = self.store.frame_allocations();
-                        self.store.commit_frame();
-                        drop(evaluator);
-                        match self
-                            .store
-                            .reclaim_unreachable(&allocs, &self.binding_roots())
-                        {
-                            Ok(_) => Err(e),
-                            Err(sweep) => Err(sweep),
-                        }
-                    }
+            Ok(Ok(value)) => {
+                self.store.commit_frame();
+                Ok(value)
+            }
+            Ok(Err(e)) if all_or_nothing => {
+                self.unwind_frames_to(depth);
+                Err(e)
+            }
+            Ok(Err(e)) => {
+                // Keep committed snaps, then sweep constructed nodes the
+                // failed run left unreachable.
+                let allocs = self.store.frame_allocations();
+                self.store.commit_frame();
+                match self
+                    .store
+                    .reclaim_unreachable(&allocs, &self.binding_roots())
+                {
+                    Ok(_) => Err(e),
+                    Err(sweep) => Err(sweep),
                 }
             }
             Err(_panic) => {
@@ -536,59 +548,52 @@ impl Engine {
             }
         };
         // Durable point: whatever this run committed (on error, every snap
-        // closed before the failure; on panic, nothing — the rollback
+        // closed before the failure; after a rollback, nothing — it
         // already discarded the pending redo ops) is flushed to the log
         // now. A flush failure becomes the run's error, but never masks
         // an evaluation error that is already being reported.
-        if let Err(wal) = self.commit_wal() {
+        let wal = self.commit_wal().unwrap_or_else(|wal| {
             if result.is_ok() {
                 result = Err(wal);
             }
-        }
-        if let Err(e) = &result {
-            // Resource-governance trips get their own counters on top of
-            // the generic engine.errors bump in finish_run.
-            self.env.metrics.note_limit_trip(e.code);
-        }
-        self.finish_run(program, key, cache, run_stats, elapsed, result.is_err());
-        result
+            (0, 0)
+        });
+        let report = RunReport {
+            stats,
+            elapsed_ns,
+            cache: planned.cache,
+            key: planned.key,
+            wal,
+            profile,
+            plan: planned.plan,
+        };
+        self.finish_run(program, &report, result.as_ref().err());
+        (result, report)
     }
 
-    /// Flush one run's statistics into the global registry and, when the
-    /// run crossed the slow-query threshold, record a [`obs::SlowQuery`].
-    /// Runs on every outcome — success, error, and panic (where `stats`
-    /// is `None` because the evaluator's state is not trusted).
+    /// Flush one run's account into the global registry — one relaxed add
+    /// per counter, no lock — and, when the run crossed the slow-query
+    /// threshold, record a [`obs::SlowQuery`]. Runs on every outcome —
+    /// success, error (resource-governance trips get their own counters on
+    /// top of `engine.errors`), and panic.
     fn finish_run(
-        &mut self,
+        &self,
         program: &CoreProgram,
-        key: Option<(u64, u64)>,
-        cache: &'static str,
-        stats: Option<EvalStats>,
-        elapsed: Duration,
-        errored: bool,
+        report: &RunReport,
+        error: Option<&xqdm::XdmError>,
     ) {
-        let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        self.last_run_ns = Some(ns);
-        let m = &self.env.metrics;
-        m.runs.add(1);
-        if errored {
-            m.errors.add(1);
+        let m = obs::global();
+        m.counter(CounterId::Runs).add(1);
+        if let Some(e) = error {
+            m.counter(CounterId::Errors).add(1);
+            m.note_limit_trip(e.code);
         }
-        m.run_ns.record(ns);
-        if let Some(s) = stats {
-            m.snaps_closed.add(s.snaps_closed);
-            m.requests_emitted.add(s.requests_emitted);
-            m.requests_applied.add(s.requests_applied);
-            m.plan_nodes.add(s.plan_nodes_executed);
-            m.joins.add(s.joins_executed);
-            m.par_regions.add(s.par_regions);
-            m.par_items.add(s.par_items);
-            m.batch_steps.add(s.batch_steps);
-            m.batch_nodes.add(s.batch_nodes);
-            m.idx_scans.add(s.idx_scans);
-            m.idx_hits.add(s.idx_hits);
+        m.histogram(HistogramId::RunNs).record(report.elapsed_ns);
+        let stats = report.stats.unwrap_or_default();
+        for (counter, n) in stats.counters() {
+            m.counter(counter).add(n);
         }
-        let millis = elapsed.as_secs_f64() * 1e3;
+        let millis = report.elapsed_ns as f64 / 1e6;
         if self
             .env
             .slow_ms
@@ -596,16 +601,15 @@ impl Engine {
         {
             // An interpreted run looked nothing up, so it has no key yet;
             // it is only computed on this (rare) path.
-            let (h1, h2) = key.unwrap_or_else(|| self.plan_key(program));
-            m.slow_queries.add(1);
-            obs::global().record_slow(obs::SlowQuery {
+            let (h1, h2) = report.key.unwrap_or_else(|| self.plan_key(program));
+            m.record_slow(obs::SlowQuery {
                 fingerprint: format!("{h1:016x}{h2:016x}"),
                 millis,
-                cache,
+                cache: report.cache,
                 snap_mode: "ordered",
                 threads: self.env.threads,
-                snaps_closed: stats.map_or(0, |s| s.snaps_closed),
-                requests_applied: stats.map_or(0, |s| s.requests_applied),
+                snaps_closed: stats.snaps_closed,
+                requests_applied: stats.requests_applied,
             });
         }
     }
@@ -620,95 +624,69 @@ impl Engine {
     /// mirror interpretation one-for-one, so both modes report per-node
     /// counters.
     pub fn explain_analyze(&mut self, query: &str) -> Result<String, Error> {
-        let program = self.compile_source(query)?;
-        self.last_profile = None;
-        self.last_plan = None;
+        let program = self.compile(query)?;
         let (planned, mode) = if self.env.compile {
             (self.plan_for(&program), "compiled")
         } else {
             let plan = compile_structural_program(&linked(&self.env, &program));
             let planned = Planned {
                 plan: Some(Arc::new(plan)),
-                key: None,
-                cache: "uncompiled",
+                ..Planned::INTERPRET
             };
             (planned, "interpreted")
         };
-        let cache = planned.cache;
-        let value = self.execute_program(planned, &program, true)?;
-        let profile = self.last_profile.clone().unwrap_or_default();
-        let tree = self
-            .last_plan
-            .as_ref()
-            .map(|plan| plan.explain_analyzed(&profile))
-            .unwrap_or_default();
-        let stats = self.last_stats.unwrap_or_default();
+        let (result, report) = self.execute_program(planned, &program, true);
+        let rendered = result.map(|value| self.render_analyzed(&report, value.len(), mode));
+        self.last_run = Some(report);
+        Ok(rendered?)
+    }
+
+    /// The analyzed plan tree of `report` and its `totals:` line.
+    fn render_analyzed(&self, report: &RunReport, rows: usize, mode: &str) -> String {
+        let tree = match (&report.plan, &report.profile) {
+            (Some(plan), Some(profile)) => plan.explain_analyzed(profile),
+            _ => String::new(),
+        };
+        let stats = report.stats.unwrap_or_default();
+        let [par, _batch, idx] = stats.strategy_pairs();
         let mut totals = format!(
-            "totals: time={} rows={} snaps={} Δ={}/{} plan_nodes={} joins={} \
-             par={}/{} cache={cache} threads={} mode={mode}",
-            obs::fmt_ns(self.last_run_ns.unwrap_or(0)),
-            value.len(),
+            "totals: time={} rows={rows} snaps={} Δ={}/{} plan_nodes={} joins={} \
+             par={}/{} cache={} threads={} mode={mode}",
+            obs::fmt_ns(report.elapsed_ns),
             stats.snaps_closed,
             stats.requests_emitted,
             stats.requests_applied,
             stats.plan_nodes_executed,
             stats.joins_executed,
-            stats.par_regions,
-            stats.par_items,
+            par.1,
+            par.2,
+            report.cache,
             self.env.threads,
         );
         // Index scans only show when the executor actually chose one, so
         // index-free runs keep their historical totals line.
-        if stats.idx_scans > 0 {
-            totals.push_str(&format!(" idx={}/{}", stats.idx_scans, stats.idx_hits));
+        if idx.1 > 0 {
+            totals.push_str(&format!(" idx={}/{}", idx.1, idx.2));
         }
         // Only durable sessions carry the WAL token, so the goldens for
         // in-memory runs are unchanged.
         if self.store.has_wal() {
-            let (records, bytes) = self.last_wal.unwrap_or((0, 0));
+            let (records, bytes) = report.wal;
             totals.push_str(&format!(" wal={records}r/{bytes}B"));
         }
-        Ok(format!("{tree}\n{totals}"))
-    }
-
-    /// The per-node profile captured by the most recent
-    /// [`Engine::explain_analyze`].
-    pub fn last_profile(&self) -> Option<&obs::Profile> {
-        self.last_profile.as_ref()
-    }
-
-    /// The plan the most recent [`Engine::explain_analyze`] executed
-    /// (used by the obs-invariants suite to cross-check the profile
-    /// against the plan shape).
-    pub fn analyzed_plan(&self) -> Option<&Arc<PlannedProgram>> {
-        self.last_plan.as_ref()
-    }
-
-    /// Wall time of the most recent run, in nanoseconds.
-    pub fn last_run_ns(&self) -> Option<u64> {
-        self.last_run_ns
+        format!("{tree}\n{totals}")
     }
 
     /// Compile `program` ([`crate::alg`]), consulting the plan cache
     /// first. No plan means "interpret": `set_compile(false)`.
-    fn plan_for(&mut self, program: &CoreProgram) -> Planned {
+    fn plan_for(&self, program: &CoreProgram) -> Planned {
         if !self.env.compile {
-            return Planned {
-                plan: None,
-                key: None,
-                cache: "uncompiled",
-            };
+            return Planned::INTERPRET;
         }
         let key = self.plan_key(program);
         let (plan, cache) = match self.plans.get(key) {
-            Some(plan) => {
-                self.cache_hits += 1;
-                self.env.metrics.cache_hits.add(1);
-                (plan, "hit")
-            }
+            Some(plan) => (plan, "hit"),
             None => {
-                self.cache_misses += 1;
-                self.env.metrics.cache_misses.add(1);
                 let trace = self.env.trace.as_ref();
                 let span = trace.map(|sink| sink.begin("plan", None));
                 // Only a miss pays for the closed program the compiler
@@ -758,14 +736,11 @@ impl Engine {
         self.env_mut().compile = enabled;
     }
 
-    /// Is compiled execution currently enabled?
-    pub fn compile_enabled(&self) -> bool {
-        self.env.compile
-    }
-
-    /// Plan-cache hits and misses since construction.
+    /// Hits and misses of this engine's plan cache — counted by the cache,
+    /// so once [`Engine::set_shared_plan_cache`] installed a shared one,
+    /// across every engine holding it.
     pub fn plan_cache_stats(&self) -> (u64, u64) {
-        (self.cache_hits, self.cache_misses)
+        self.plans.stats()
     }
 
     /// Plan into and hit from `cache` instead of this engine's own, so
@@ -780,7 +755,7 @@ impl Engine {
     /// functions participate as they would in [`Engine::run`]. The
     /// `xqb:explain` builtin prints the same text from inside a query.
     pub fn explain(&self, query: &str) -> Result<String, Error> {
-        explain_query(&self.env, &self.store, query).map_err(|e| self.parse_error(e))
+        explain_query(&self.env, &self.store, query).map_err(parse_error)
     }
 
     /// Enable or disable the store's secondary-index plane for planning
@@ -793,7 +768,7 @@ impl Engine {
 
     /// Compile a query without running it (for repeated execution).
     pub fn compile(&self, query: &str) -> Result<CoreProgram, Error> {
-        self.compile_source(query)
+        parse(&self.env, query)
     }
 
     /// Statically check a query against this engine's bindings: undefined
@@ -801,7 +776,7 @@ impl Engine {
     /// (see [`crate::check`]). Module functions count as declared.
     pub fn check(&self, query: &str) -> Result<Vec<crate::check::Diagnostic>, Error> {
         // Module functions participate exactly as program-level ones do.
-        let program = self.compile_source(query)?;
+        let program = self.compile(query)?;
         let host_vars: Vec<&str> = self.env.bindings().map(|(n, _)| n).collect();
         Ok(crate::check::check_program(
             &linked(&self.env, &program),
@@ -960,8 +935,8 @@ impl EngineSnapshot {
     }
 
     /// Parse a query under the snapshotted expression-nesting limit.
-    pub(crate) fn compile(&self, query: &str) -> Result<CoreProgram, ParseError> {
-        xqsyn::compile_with_limit(query, self.env.limits.max_parse_depth)
+    pub(crate) fn compile(&self, query: &str) -> Result<CoreProgram, Error> {
+        parse(&self.env, query)
     }
 
     /// What a run of `program` may do — body and prolog initializers
@@ -983,6 +958,21 @@ impl EngineSnapshot {
     pub fn snap_counter(&self) -> u64 {
         self.snap_counter
     }
+}
+
+/// Parse `query` under `env`'s expression-nesting limit.
+fn parse(env: &ProgramEnv, query: &str) -> Result<CoreProgram, Error> {
+    xqsyn::compile_with_limit(query, env.limits.max_parse_depth).map_err(parse_error)
+}
+
+/// A parser depth trip is a resource-governance event like any other:
+/// every surface that turns a [`ParseError`] into an engine error — an
+/// engine's own parses, a server session's — does it here.
+fn parse_error(e: ParseError) -> Error {
+    if limits::is_parse_depth_trip(&e) {
+        obs::global().counter(CounterId::LimitDepth).add(1);
+    }
+    Error::Parse(e)
 }
 
 /// `program` closed under the module functions of `env` it can reach: what

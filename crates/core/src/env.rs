@@ -12,7 +12,7 @@
 
 use crate::effects::EffectAnalysis;
 use crate::limits::Limits;
-use crate::obs::{EngineMetrics, TraceSink};
+use crate::obs::TraceSink;
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::{Arc, OnceLock};
 use xqdm::{Item, Sequence, XdmError, XdmResult};
@@ -55,8 +55,6 @@ pub struct ProgramEnv {
     pub slow_ms: Option<f64>,
     /// Trace-span sink.
     pub trace: Option<Arc<TraceSink>>,
-    /// Pre-resolved global-registry handles for the per-run flush.
-    pub metrics: EngineMetrics,
 }
 
 impl Default for ProgramEnv {
@@ -76,7 +74,6 @@ impl Default for ProgramEnv {
             compile: true,
             slow_ms: None,
             trace: None,
-            metrics: EngineMetrics::from_global(),
         }
     }
 }

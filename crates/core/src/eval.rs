@@ -23,7 +23,7 @@ use crate::apply::apply_delta;
 use crate::env::{DynEnv, Focus, ProgramEnv, Scope};
 use crate::functions;
 use crate::limits::{self, LimitGuard, TripKind};
-use crate::obs;
+use crate::obs::{self, CounterId};
 use crate::par::{self, PureCtx, Worker, PAR_MIN_ITEMS};
 use crate::update::{Delta, UpdateRequest};
 use std::sync::Arc;
@@ -101,6 +101,66 @@ pub struct EvalStats {
     pub idx_hits: u64,
 }
 
+impl EvalStats {
+    /// Which registry counter each field feeds — the per-run flush is a
+    /// loop over this. `max_snap_depth` is a high-water mark, not a count,
+    /// and feeds none.
+    pub(crate) fn counters(&self) -> [(CounterId, u64); 11] {
+        [
+            (CounterId::SnapsClosed, self.snaps_closed),
+            (CounterId::RequestsEmitted, self.requests_emitted),
+            (CounterId::RequestsApplied, self.requests_applied),
+            (CounterId::PlanNodes, self.plan_nodes_executed),
+            (CounterId::Joins, self.joins_executed),
+            (CounterId::ParRegions, self.par_regions),
+            (CounterId::ParItems, self.par_items),
+            (CounterId::BatchSteps, self.batch_steps),
+            (CounterId::BatchNodes, self.batch_nodes),
+            (CounterId::IdxScans, self.idx_scans),
+            (CounterId::IdxHits, self.idx_hits),
+        ]
+    }
+
+    /// The strategy counters as the `label=events/items` pairs EXPLAIN
+    /// ANALYZE prints: `par=regions/items`, `batch=steps/nodes`,
+    /// `idx=scans/hits`.
+    pub(crate) fn strategy_pairs(&self) -> [(&'static str, u64, u64); 3] {
+        [
+            ("par", self.par_regions, self.par_items),
+            ("batch", self.batch_steps, self.batch_nodes),
+            ("idx", self.idx_scans, self.idx_hits),
+        ]
+    }
+
+    /// Combine two accounts counter by counter (the deeper nesting wins).
+    fn zip(&self, o: &EvalStats, f: impl Fn(u64, u64) -> u64) -> EvalStats {
+        EvalStats {
+            snaps_closed: f(self.snaps_closed, o.snaps_closed),
+            requests_emitted: f(self.requests_emitted, o.requests_emitted),
+            requests_applied: f(self.requests_applied, o.requests_applied),
+            max_snap_depth: self.max_snap_depth.max(o.max_snap_depth),
+            plan_nodes_executed: f(self.plan_nodes_executed, o.plan_nodes_executed),
+            joins_executed: f(self.joins_executed, o.joins_executed),
+            par_regions: f(self.par_regions, o.par_regions),
+            par_items: f(self.par_items, o.par_items),
+            batch_steps: f(self.batch_steps, o.batch_steps),
+            batch_nodes: f(self.batch_nodes, o.batch_nodes),
+            idx_scans: f(self.idx_scans, o.idx_scans),
+            idx_hits: f(self.idx_hits, o.idx_hits),
+        }
+    }
+
+    /// What was counted between the snapshot `earlier` and this one.
+    fn since(&self, earlier: &EvalStats) -> EvalStats {
+        self.zip(earlier, |now, then| now - then)
+    }
+
+    /// This account and `other`, added up.
+    fn plus(&self, other: &EvalStats) -> EvalStats {
+        self.zip(other, |a, b| a + b)
+    }
+}
+
 /// The evaluator: one program's [`Scope`] over the engine's shared
 /// [`ProgramEnv`], and the Δ stack.
 pub struct Evaluator {
@@ -130,23 +190,15 @@ pub struct Evaluator {
     scratch: Scratch,
 }
 
-/// One open profiled plan node: enough to compute inclusive wall time and
-/// the self-vs-children split of Δ emissions on exit.
+/// One open profiled plan node: enough to compute inclusive wall time,
+/// what the evaluator counted while it ran, and the self-vs-children split
+/// of Δ emissions on exit.
 struct NodeFrame {
     start: Instant,
-    /// `stats.requests_emitted` at entry.
-    emitted0: u64,
+    /// The evaluator's statistics at entry.
+    at_entry: EvalStats,
     /// Sum of the *inclusive* emissions of direct profiled children.
     child_emitted: u64,
-    /// `stats.par_regions` / `stats.par_items` at entry.
-    par_regions0: u64,
-    par_items0: u64,
-    /// `stats.batch_steps` / `stats.batch_nodes` at entry.
-    batch_steps0: u64,
-    batch_nodes0: u64,
-    /// `stats.idx_scans` / `stats.idx_hits` at entry.
-    idx_scans0: u64,
-    idx_hits0: u64,
     /// Input cardinality reported via [`Evaluator::note_input`].
     input_rows: u64,
 }
@@ -328,7 +380,8 @@ impl Evaluator {
         store: &mut Store,
         program: &CoreProgram,
     ) -> XdmResult<Sequence> {
-        self.run_in_program_scope(store, move |ev, store, env| {
+        self.run_in_program_scope(store, move |ev, store| {
+            let env = &mut DynEnv::new();
             for (name, init) in &program.variables {
                 let v = ev.eval(store, env, init)?;
                 ev.bind_global(name.clone(), v);
@@ -337,16 +390,19 @@ impl Evaluator {
         })
     }
 
-    /// Run `f` the way a whole program runs: on the dedicated big-stack
-    /// thread, inside the implicit top-level snap (§2.3), whose Δ is
-    /// applied in ordered mode with the next snap seed on success and
-    /// discarded on error. This is the shared program-scope harness for
-    /// both the interpreter ([`Evaluator::eval_program`]) and compiled
-    /// plans (`PlannedProgram::execute`) — sharing it is what
-    /// guarantees the two paths agree on stats, seeds, and Δ discipline.
+    /// Run `f` the way a whole program runs: under a freshly armed limit
+    /// guard, on the dedicated big-stack thread, inside the implicit
+    /// top-level snap (§2.3), whose Δ is applied in ordered mode with the
+    /// next snap seed on success and discarded on error. This is the one
+    /// program-scope harness — the interpreter
+    /// ([`Evaluator::eval_program`]), compiled plans
+    /// (`PlannedProgram::execute`) and module initializers
+    /// ([`Evaluator::eval_query`]) all enter through it, which is what
+    /// guarantees they agree on limits, spans, stats, seeds, and Δ
+    /// discipline.
     pub(crate) fn run_in_program_scope<F>(&mut self, store: &mut Store, f: F) -> XdmResult<Sequence>
     where
-        F: FnOnce(&mut Evaluator, &mut Store, &mut DynEnv) -> XdmResult<Sequence> + Send,
+        F: FnOnce(&mut Evaluator, &mut Store) -> XdmResult<Sequence> + Send,
     {
         // Re-arm the guard so fuel, memory, and the wall-clock deadline
         // measure this run alone (and a trip from a previous run on the
@@ -358,8 +414,7 @@ impl Evaluator {
             // counted toward max_snap_depth (only explicit snaps are).
             self.delta_stack.push(Delta::new());
             self.obs_span_begin("snap:implicit");
-            let mut env = DynEnv::new();
-            match f(&mut *self, store, &mut env) {
+            match f(&mut *self, store) {
                 Ok(value) => {
                     self.apply_snap_scope(store, SnapMode::Ordered)?;
                     Ok(value)
@@ -372,29 +427,15 @@ impl Evaluator {
         })
     }
 
-    /// Evaluate one expression inside an implicit snap (convenience for
-    /// query fragments).
+    /// Evaluate one expression inside an implicit snap of its own, under
+    /// the caller's environment (module initializers; query fragments).
     pub fn eval_query(
         &mut self,
         store: &mut Store,
         env: &mut DynEnv,
         expr: &Core,
     ) -> XdmResult<Sequence> {
-        self.guard = LimitGuard::new(&self.scope.env().limits);
-        with_eval_stack(move || {
-            self.delta_stack.push(Delta::new());
-            self.obs_span_begin("snap:implicit");
-            match self.eval(store, env, expr) {
-                Ok(value) => {
-                    self.apply_snap_scope(store, SnapMode::Ordered)?;
-                    Ok(value)
-                }
-                Err(e) => {
-                    self.end_snap_scope();
-                    Err(e)
-                }
-            }
-        })
+        self.run_in_program_scope(store, move |ev, store| ev.eval(store, env, expr))
     }
 
     /// Open a Δ scope (as `snap` does) without evaluating anything. For
@@ -523,25 +564,13 @@ impl Evaluator {
     /// *every* path out of the node, success or error, or the self/child
     /// attribution of enclosing frames skews.
     pub(crate) fn node_enter(&mut self) {
-        let emitted0 = self.stats.requests_emitted;
-        let par_regions0 = self.stats.par_regions;
-        let par_items0 = self.stats.par_items;
-        let batch_steps0 = self.stats.batch_steps;
-        let batch_nodes0 = self.stats.batch_nodes;
-        let idx_scans0 = self.stats.idx_scans;
-        let idx_hits0 = self.stats.idx_hits;
+        let at_entry = self.stats;
         if let Some(o) = self.obs.as_mut() {
             if o.profile.is_some() {
                 o.frames.push(NodeFrame {
                     start: Instant::now(),
-                    emitted0,
+                    at_entry,
                     child_emitted: 0,
-                    par_regions0,
-                    par_items0,
-                    batch_steps0,
-                    batch_nodes0,
-                    idx_scans0,
-                    idx_hits0,
                     input_rows: 0,
                 });
             }
@@ -560,22 +589,15 @@ impl Evaluator {
 
     /// Close the innermost profiled-node frame and record it under plan
     /// node `id`: one call, inclusive wall time, input/output cardinality,
-    /// inclusive and self Δ emissions, and par attribution.
+    /// self Δ emissions, and everything the evaluator counted since entry.
     pub(crate) fn node_exit(&mut self, id: usize, output_rows: u64) {
-        let emitted_now = self.stats.requests_emitted;
-        let par_regions_now = self.stats.par_regions;
-        let par_items_now = self.stats.par_items;
-        let batch_steps_now = self.stats.batch_steps;
-        let batch_nodes_now = self.stats.batch_nodes;
-        let idx_scans_now = self.stats.idx_scans;
-        let idx_hits_now = self.stats.idx_hits;
+        let now = self.stats;
         let Some(o) = self.obs.as_mut() else { return };
         let Some(frame) = o.frames.pop() else { return };
-        let wall_ns = u64::try_from(frame.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let delta_incl = emitted_now - frame.emitted0;
-        let delta_self = delta_incl - frame.child_emitted;
+        let wall_ns = obs::elapsed_ns(frame.start);
+        let incl = now.since(&frame.at_entry);
         if let Some(parent) = o.frames.last_mut() {
-            parent.child_emitted += delta_incl;
+            parent.child_emitted += incl.requests_emitted;
         }
         if let Some(profile) = o.profile.as_mut() {
             let n = profile.node_mut(id);
@@ -583,14 +605,8 @@ impl Evaluator {
             n.wall_ns += wall_ns;
             n.input_rows += frame.input_rows;
             n.output_rows += output_rows;
-            n.delta_incl += delta_incl;
-            n.delta_self += delta_self;
-            n.par_regions += par_regions_now - frame.par_regions0;
-            n.par_items += par_items_now - frame.par_items0;
-            n.batch_steps += batch_steps_now - frame.batch_steps0;
-            n.batch_nodes += batch_nodes_now - frame.batch_nodes0;
-            n.idx_scans += idx_scans_now - frame.idx_scans0;
-            n.idx_hits += idx_hits_now - frame.idx_hits0;
+            n.delta_self += incl.requests_emitted - frame.child_emitted;
+            n.incl = n.incl.plus(&incl);
         }
     }
 

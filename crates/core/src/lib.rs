@@ -57,7 +57,7 @@ pub use apply::apply_delta;
 pub use check::{check_program, Diagnostic, Severity};
 pub use conflict::verify_conflict_free;
 pub use effects::{Effect, EffectAnalysis, Facts};
-pub use engine::{Engine, EngineSnapshot, Error};
+pub use engine::{Engine, EngineSnapshot, Error, RunReport};
 pub use env::{DynEnv, Focus, ProgramEnv, Scope};
 pub use eval::{EvalStats, Evaluator};
 pub use limits::{LimitGuard, Limits, TripKind};

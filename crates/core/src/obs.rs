@@ -4,17 +4,19 @@
 //!
 //! Three layers, cheapest first:
 //!
-//! * **Registry** — named monotonic [`Counter`]s and log₂-bucketed
-//!   [`Histogram`]s. The hot path is a relaxed atomic add on a
-//!   pre-resolved handle; the name→handle map is only locked at
-//!   registration and snapshot time ("lock-free-ish"). The engine flushes
-//!   its per-run [`EvalStats`](crate::eval::EvalStats) deltas here after
-//!   every run, and `xqb:stats()` / `xqb:reset-stats()` expose the
+//! * **[`Registry`]** — monotonic [`Counter`]s, [`Gauge`]s and
+//!   log₂-bucketed [`Histogram`]s, each declared by one row of a static
+//!   table ([`CounterId`], [`GaugeId`], [`HistogramId`]) and stored in a
+//!   fixed array indexed by that id: an update is one relaxed atomic add,
+//!   no lock and no lookup. The engine flushes each run's
+//!   [`EvalStats`] here ([`EvalStats::counters`] says which field feeds
+//!   which counter), and `xqb:stats()` / `xqb:reset-stats()` expose the
 //!   [`global`] registry to queries.
 //! * **[`Profile`]** — per-plan-node counters (calls, wall time,
-//!   input/output cardinality, Δ requests, par attribution) captured only
-//!   when the engine runs under `explain_analyze`. When profiling is off
-//!   the evaluator's per-node hook is a single `Option` check.
+//!   input/output cardinality, and the [`EvalStats`] that accrued while
+//!   the node ran) captured only when the engine runs under
+//!   `explain_analyze`. When profiling is off the evaluator's per-node
+//!   hook is a single `Option` check.
 //! * **[`TraceSink`]** — JSON-lines span events (begin/end with parent
 //!   ids) written to the path named by `XQB_TRACE`. Spans cover the
 //!   engine run, planning, and every snap scope — not every plan node, so
@@ -24,10 +26,11 @@
 //! so the CI smoke test and the conformance suite validate exactly what
 //! the sink writes.
 
+use crate::eval::EvalStats;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 // ----------------------------------------------------------------------
@@ -37,10 +40,13 @@ use std::time::Instant;
 /// A monotonic counter. Updates are relaxed atomic adds; readers see a
 /// value at least as fresh as the last `add` that happened-before the
 /// read.
-#[derive(Default)]
 pub struct Counter(AtomicU64);
 
 impl Counter {
+    const fn new() -> Self {
+        Counter(AtomicU64::new(0))
+    }
+
     /// Add `n`.
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
@@ -59,10 +65,13 @@ impl Counter {
 /// An instantaneous level — in-flight requests, open sessions, snapshot
 /// pins. Unlike a [`Counter`] it moves both ways and may be overwritten;
 /// the snapshot reports its current value, not an accumulation.
-#[derive(Default)]
 pub struct Gauge(std::sync::atomic::AtomicI64);
 
 impl Gauge {
+    const fn new() -> Self {
+        Gauge(std::sync::atomic::AtomicI64::new(0))
+    }
+
     /// Raise the level by `n`.
     pub fn add(&self, n: i64) {
         self.0.fetch_add(n, Ordering::Relaxed);
@@ -104,16 +113,20 @@ pub struct Histogram {
 
 impl Default for Histogram {
     fn default() -> Self {
+        Histogram::new()
+    }
+}
+
+impl Histogram {
+    const fn new() -> Self {
         Histogram {
-            buckets: [(); HIST_BUCKETS].map(|()| AtomicU64::new(0)),
+            buckets: [const { AtomicU64::new(0) }; HIST_BUCKETS],
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
     }
-}
 
-impl Histogram {
     /// Record one sample.
     pub fn record(&self, v: u64) {
         let bucket = if v == 0 {
@@ -187,48 +200,198 @@ pub struct HistSnapshot {
 // registry
 // ----------------------------------------------------------------------
 
+/// Declares one kind of metric: the id enum, its `ALL` list (slot order)
+/// and each id's registry name. A metric is declared by one row in one of
+/// the three invocations below and nowhere else; `snapshot`, `to_json`,
+/// `reset` and `xqb:stats()` iterate `ALL`. docs/OBSERVABILITY.md's table
+/// is compared against these rows by a test.
+macro_rules! metric_ids {
+    ($(#[$doc:meta])* $ty:ident { $($(#[$vdoc:meta])* $variant:ident = $name:literal,)+ }) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $ty { $($(#[$vdoc])* $variant,)+ }
+
+        impl $ty {
+            /// Every declared id, in slot order.
+            pub const ALL: &'static [$ty] = &[$($ty::$variant,)+];
+
+            /// The metric's registry name.
+            pub const fn name(self) -> &'static str {
+                match self { $($ty::$variant => $name,)+ }
+            }
+        }
+    };
+}
+
+metric_ids! {
+    /// The declared [`Counter`]s.
+    CounterId {
+        /// Runs started (successful or not; module loads included).
+        Runs = "engine.runs",
+        /// Runs that returned an error.
+        Errors = "engine.errors",
+        /// Cumulative [`EvalStats::snaps_closed`].
+        SnapsClosed = "engine.snaps_closed",
+        /// Cumulative Δ requests emitted.
+        RequestsEmitted = "engine.requests_emitted",
+        /// Cumulative Δ requests applied.
+        RequestsApplied = "engine.requests_applied",
+        /// Compiled plan nodes executed.
+        PlanNodes = "engine.plan_nodes",
+        /// Join operators executed.
+        Joins = "engine.joins",
+        /// Regions that fanned out.
+        ParRegions = "engine.par_regions",
+        /// Items evaluated inside those regions.
+        ParItems = "engine.par_items",
+        /// Batch step-kernel invocations.
+        BatchSteps = "engine.batch_steps",
+        /// Nodes those kernels produced (pre-dedup).
+        BatchNodes = "engine.batch_nodes",
+        /// Index-driven path steps executed.
+        IdxScans = "engine.idx.scans",
+        /// Nodes those index scans emitted (pre-dedup).
+        IdxHits = "engine.idx.hits",
+        /// Plan-cache hits.
+        CacheHits = "engine.cache_hits",
+        /// Plan-cache misses.
+        CacheMisses = "engine.cache_misses",
+        /// Runs, parses and document loads stopped by a depth limit
+        /// (`XQB0040`; DESIGN.md §12).
+        LimitDepth = "engine.limit_trips.depth",
+        /// Runs stopped by fuel exhaustion (`XQB0041`).
+        LimitFuel = "engine.limit_trips.fuel",
+        /// Runs stopped by the wall-clock deadline (`XQB0042`).
+        LimitDeadline = "engine.limit_trips.deadline",
+        /// Runs stopped by the memory budget (`XQB0043`).
+        LimitMemory = "engine.limit_trips.memory",
+        /// Worker-thread spawns the OS refused (the chunk ran inline
+        /// instead; docs/LIMITS.md).
+        ParSpawnFallback = "engine.par_spawn_fallback",
+        /// Slow-query log entries recorded.
+        SlowQueries = "engine.slow_queries",
+        /// Durable commits flushed to the redo log (docs/DURABILITY.md).
+        WalCommits = "engine.wal.commits",
+        /// Redo records across those commits.
+        WalRecords = "engine.wal.records",
+        /// Bytes appended to the log, framing included.
+        WalBytes = "engine.wal.bytes",
+        /// Commits that fsynced (sync-mode dependent).
+        WalFsyncs = "engine.wal.fsyncs",
+        /// Compacted checkpoints installed.
+        WalCheckpoints = "engine.wal.checkpoints",
+        /// Corrupt log tails dropped during recovery (each one a graceful
+        /// degradation, never an abort).
+        WalTailDropped = "engine.wal.tail_dropped",
+        /// Committed batches replayed at startup recovery.
+        WalReplayed = "engine.wal.replayed_commits",
+        /// Read requests a server served.
+        ServerReads = "server.requests.read",
+        /// Write requests a server served.
+        ServerWrites = "server.requests.write",
+        /// Server requests that returned an evaluation error.
+        ServerErrors = "server.errors",
+        /// `XQB0050` session-limit rejections.
+        ServerRejectedSessions = "server.rejected.sessions",
+        /// `XQB0051` backpressure rejections.
+        ServerRejectedBackpressure = "server.rejected.backpressure",
+        /// Optimistic commits that failed validation.
+        ServerConflicts = "server.commit.conflicts",
+        /// Automatic conflict retries performed.
+        ServerRetries = "server.commit.retries",
+    }
+}
+
+metric_ids! {
+    /// The declared [`Gauge`]s.
+    GaugeId {
+        /// Sessions currently open.
+        ServerSessions = "server.sessions",
+        /// Requests currently in flight.
+        ServerInflight = "server.inflight",
+        /// Snapshot pins currently held.
+        ServerSnapshotPins = "server.snapshot_pins",
+    }
+}
+
+metric_ids! {
+    /// The declared [`Histogram`]s.
+    HistogramId {
+        /// Per-run wall time (nanoseconds).
+        RunNs = "engine.run_ns",
+        /// Per-commit WAL flush latency (nanoseconds).
+        WalCommitNs = "engine.wal.commit_ns",
+        /// Server read-request latency (nanoseconds).
+        ServerReadNs = "server.read_ns",
+        /// Server write-request latency (nanoseconds).
+        ServerWriteNs = "server.write_ns",
+    }
+}
+
 /// How many slow-query records the registry retains (newest win).
 pub const SLOW_LOG_CAP: usize = 64;
 
-/// A named-metrics registry plus the slow-query ring. One process-wide
-/// instance lives behind [`global`]; tests may construct private ones.
-#[derive(Default)]
+/// One slot per declared metric — fixed arrays of atomics indexed by id,
+/// so an update is one relaxed add with no lock and no lookup — plus the
+/// slow-query ring. One process-wide instance lives behind [`global`];
+/// tests may construct private ones.
 pub struct Registry {
-    counters: Mutex<BTreeMap<String, Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
-    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
+    counters: [Counter; CounterId::ALL.len()],
+    gauges: [Gauge; GaugeId::ALL.len()],
+    histograms: [Histogram; HistogramId::ALL.len()],
     slow_log: Mutex<VecDeque<SlowQuery>>,
 }
 
+impl Default for Registry {
+    fn default() -> Self {
+        Registry::new()
+    }
+}
+
 impl Registry {
-    /// A fresh, empty registry.
-    pub fn new() -> Self {
-        Registry::default()
+    /// A fresh registry: every declared metric at zero.
+    pub const fn new() -> Self {
+        Registry {
+            counters: [const { Counter::new() }; CounterId::ALL.len()],
+            gauges: [const { Gauge::new() }; GaugeId::ALL.len()],
+            histograms: [const { Histogram::new() }; HistogramId::ALL.len()],
+            slow_log: Mutex::new(VecDeque::new()),
+        }
     }
 
-    /// The counter named `name`, registering it (at zero) on first use.
-    /// Callers on hot paths should resolve once and keep the handle.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock().expect("counter registry poisoned");
-        map.entry(name.to_string()).or_default().clone()
+    /// The counter `id` names.
+    pub fn counter(&self, id: CounterId) -> &Counter {
+        &self.counters[id as usize]
     }
 
-    /// The gauge named `name`, registering it (at zero) on first use.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock().expect("gauge registry poisoned");
-        map.entry(name.to_string()).or_default().clone()
+    /// The gauge `id` names.
+    pub fn gauge(&self, id: GaugeId) -> &Gauge {
+        &self.gauges[id as usize]
     }
 
-    /// The histogram named `name`, registering it on first use.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.histograms.lock().expect("histogram registry poisoned");
-        map.entry(name.to_string()).or_default().clone()
+    /// The histogram `id` names.
+    pub fn histogram(&self, id: HistogramId) -> &Histogram {
+        &self.histograms[id as usize]
+    }
+
+    /// Bump the limit-trip counter matching `code`, if it is one of the
+    /// `XQB004x` resource-governance codes.
+    pub fn note_limit_trip(&self, code: &str) {
+        let id = match code {
+            "XQB0040" => CounterId::LimitDepth,
+            "XQB0041" => CounterId::LimitFuel,
+            "XQB0042" => CounterId::LimitDeadline,
+            "XQB0043" => CounterId::LimitMemory,
+            _ => return,
+        };
+        self.counter(id).add(1);
     }
 
     /// Record a slow query (ring of [`SLOW_LOG_CAP`] entries) and emit its
     /// JSON line to stderr.
     pub fn record_slow(&self, entry: SlowQuery) {
         eprintln!("{}", entry.to_json());
+        self.counter(CounterId::SlowQueries).add(1);
         let mut ring = self.slow_log.lock().expect("slow log poisoned");
         if ring.len() >= SLOW_LOG_CAP {
             ring.pop_front();
@@ -246,250 +409,74 @@ impl Registry {
             .collect()
     }
 
-    /// A point-in-time copy of every registered metric.
+    /// A point-in-time copy of every declared metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let counters = self
-            .counters
-            .lock()
-            .expect("counter registry poisoned")
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect();
-        let gauges = self
-            .gauges
-            .lock()
-            .expect("gauge registry poisoned")
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect();
-        let histograms = self
-            .histograms
-            .lock()
-            .expect("histogram registry poisoned")
-            .iter()
-            .map(|(k, v)| (k.clone(), v.snapshot()))
-            .collect();
         MetricsSnapshot {
-            counters,
-            gauges,
-            histograms,
+            counters: CounterId::ALL
+                .iter()
+                .map(|&id| (id.name(), self.counter(id).get()))
+                .collect(),
+            gauges: GaugeId::ALL
+                .iter()
+                .map(|&id| (id.name(), self.gauge(id).get()))
+                .collect(),
+            histograms: HistogramId::ALL
+                .iter()
+                .map(|&id| (id.name(), self.histogram(id).snapshot()))
+                .collect(),
         }
     }
 
-    /// Zero every counter and histogram and clear the slow-query ring.
-    /// Registered names stay registered (handles remain valid).
+    /// Zero every metric and clear the slow-query ring.
     pub fn reset(&self) {
-        for c in self
-            .counters
-            .lock()
-            .expect("counter registry poisoned")
-            .values()
-        {
-            c.reset();
-        }
-        for g in self
-            .gauges
-            .lock()
-            .expect("gauge registry poisoned")
-            .values()
-        {
-            g.reset();
-        }
-        for h in self
-            .histograms
-            .lock()
-            .expect("histogram registry poisoned")
-            .values()
-        {
-            h.reset();
-        }
+        self.counters.iter().for_each(Counter::reset);
+        self.gauges.iter().for_each(Gauge::reset);
+        self.histograms.iter().for_each(Histogram::reset);
         self.slow_log.lock().expect("slow log poisoned").clear();
     }
 }
 
-/// A point-in-time copy of a registry's metrics, name-sorted.
+/// A point-in-time copy of a registry's metrics, name-sorted. Every
+/// declared metric is present, at zero until something moved it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Counter values by name.
-    pub counters: BTreeMap<String, u64>,
+    pub counters: BTreeMap<&'static str, u64>,
     /// Gauge levels by name.
-    pub gauges: BTreeMap<String, i64>,
+    pub gauges: BTreeMap<&'static str, i64>,
     /// Histogram aggregates by name.
-    pub histograms: BTreeMap<String, HistSnapshot>,
+    pub histograms: BTreeMap<&'static str, HistSnapshot>,
 }
 
 impl MetricsSnapshot {
     /// Render as a single JSON object (`xqb:stats()` returns this string):
     /// `{"counters":{...},"gauges":{...},"histograms":{"name":{"count":..,"sum":..,"max":..}}}`.
-    /// The `gauges` member is omitted while no gauge is registered, so
-    /// engine-only stats keep their original shape.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("{}:{v}", json_string(k)));
+        fn members<V>(map: &BTreeMap<&'static str, V>, value: impl Fn(&V) -> String) -> String {
+            let members: Vec<String> = map
+                .iter()
+                .map(|(k, v)| format!("{}:{}", json_string(k), value(v)))
+                .collect();
+            members.join(",")
         }
-        if !self.gauges.is_empty() {
-            s.push_str("},\"gauges\":{");
-            for (i, (k, v)) in self.gauges.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!("{}:{v}", json_string(k)));
-            }
-        }
-        s.push_str("},\"histograms\":{");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{}:{{\"count\":{},\"sum\":{},\"max\":{}}}",
-                json_string(k),
-                h.count,
-                h.sum,
-                h.max
-            ));
-        }
-        s.push_str("}}");
-        s
+        format!(
+            "{{\"counters\":{{{}}},\"gauges\":{{{}}},\"histograms\":{{{}}}}}",
+            members(&self.counters, u64::to_string),
+            members(&self.gauges, i64::to_string),
+            members(&self.histograms, |h| format!(
+                "{{\"count\":{},\"sum\":{},\"max\":{}}}",
+                h.count, h.sum, h.max
+            )),
+        )
     }
 }
 
-static GLOBAL: OnceLock<Registry> = OnceLock::new();
+static GLOBAL: Registry = Registry::new();
 
 /// The process-wide registry: the one the engine flushes into and
 /// `xqb:stats()` reads.
 pub fn global() -> &'static Registry {
-    GLOBAL.get_or_init(Registry::new)
-}
-
-/// Pre-resolved handles for the engine's per-run flush: one relaxed
-/// atomic add per field per run, no map lookups on the hot path. Resolved
-/// once per [`ProgramEnv`](crate::env::ProgramEnv) and shared with it.
-#[derive(Clone)]
-pub struct EngineMetrics {
-    /// `engine.runs` — runs started (successful or not).
-    pub runs: Arc<Counter>,
-    /// `engine.errors` — runs that returned an error.
-    pub errors: Arc<Counter>,
-    /// `engine.snaps_closed` — cumulative [`EvalStats::snaps_closed`](crate::eval::EvalStats).
-    pub snaps_closed: Arc<Counter>,
-    /// `engine.requests_emitted` — cumulative Δ requests emitted.
-    pub requests_emitted: Arc<Counter>,
-    /// `engine.requests_applied` — cumulative Δ requests applied.
-    pub requests_applied: Arc<Counter>,
-    /// `engine.plan_nodes` — compiled plan nodes executed.
-    pub plan_nodes: Arc<Counter>,
-    /// `engine.joins` — join operators executed.
-    pub joins: Arc<Counter>,
-    /// `engine.par_regions` — regions that fanned out.
-    pub par_regions: Arc<Counter>,
-    /// `engine.par_items` — items evaluated inside those regions.
-    pub par_items: Arc<Counter>,
-    /// `engine.batch_steps` — batch step-kernel invocations.
-    pub batch_steps: Arc<Counter>,
-    /// `engine.batch_nodes` — nodes those kernels produced (pre-dedup).
-    pub batch_nodes: Arc<Counter>,
-    /// `engine.idx.scans` — index-driven path steps executed.
-    pub idx_scans: Arc<Counter>,
-    /// `engine.idx.hits` — nodes those index scans emitted (pre-dedup).
-    pub idx_hits: Arc<Counter>,
-    /// `engine.cache_hits` — plan-cache hits.
-    pub cache_hits: Arc<Counter>,
-    /// `engine.cache_misses` — plan-cache misses.
-    pub cache_misses: Arc<Counter>,
-    /// `engine.limit_trips.depth` — runs stopped by the recursion-depth
-    /// limit (`XQB0040`; DESIGN.md §12).
-    pub limit_depth: Arc<Counter>,
-    /// `engine.limit_trips.fuel` — runs stopped by fuel exhaustion
-    /// (`XQB0041`).
-    pub limit_fuel: Arc<Counter>,
-    /// `engine.limit_trips.deadline` — runs stopped by the wall-clock
-    /// deadline (`XQB0042`).
-    pub limit_deadline: Arc<Counter>,
-    /// `engine.limit_trips.memory` — runs stopped by the memory budget
-    /// (`XQB0043`).
-    pub limit_memory: Arc<Counter>,
-    /// `engine.par_spawn_fallback` — worker-thread spawns the OS refused
-    /// (the chunk ran inline instead; docs/LIMITS.md).
-    pub par_spawn_fallback: Arc<Counter>,
-    /// `engine.slow_queries` — slow-query log entries recorded.
-    pub slow_queries: Arc<Counter>,
-    /// `engine.run_ns` — per-run wall time histogram (nanoseconds).
-    pub run_ns: Arc<Histogram>,
-    /// `engine.wal.commits` — durable commits flushed to the redo log
-    /// (docs/DURABILITY.md).
-    pub wal_commits: Arc<Counter>,
-    /// `engine.wal.records` — redo records across those commits.
-    pub wal_records: Arc<Counter>,
-    /// `engine.wal.bytes` — bytes appended to the log, framing included.
-    pub wal_bytes: Arc<Counter>,
-    /// `engine.wal.fsyncs` — commits that fsynced (sync-mode dependent).
-    pub wal_fsyncs: Arc<Counter>,
-    /// `engine.wal.checkpoints` — compacted checkpoints installed.
-    pub wal_checkpoints: Arc<Counter>,
-    /// `engine.wal.tail_dropped` — corrupt log tails dropped during
-    /// recovery (each one a graceful degradation, never an abort).
-    pub wal_tail_dropped: Arc<Counter>,
-    /// `engine.wal.replayed_commits` — committed batches replayed at
-    /// startup recovery.
-    pub wal_replayed: Arc<Counter>,
-    /// `engine.wal.commit_ns` — per-commit flush latency histogram.
-    pub wal_commit_ns: Arc<Histogram>,
-}
-
-impl EngineMetrics {
-    /// Resolve every handle against the [`global`] registry.
-    pub fn from_global() -> Self {
-        let g = global();
-        EngineMetrics {
-            runs: g.counter("engine.runs"),
-            errors: g.counter("engine.errors"),
-            snaps_closed: g.counter("engine.snaps_closed"),
-            requests_emitted: g.counter("engine.requests_emitted"),
-            requests_applied: g.counter("engine.requests_applied"),
-            plan_nodes: g.counter("engine.plan_nodes"),
-            joins: g.counter("engine.joins"),
-            par_regions: g.counter("engine.par_regions"),
-            par_items: g.counter("engine.par_items"),
-            batch_steps: g.counter("engine.batch_steps"),
-            batch_nodes: g.counter("engine.batch_nodes"),
-            idx_scans: g.counter("engine.idx.scans"),
-            idx_hits: g.counter("engine.idx.hits"),
-            cache_hits: g.counter("engine.cache_hits"),
-            cache_misses: g.counter("engine.cache_misses"),
-            limit_depth: g.counter("engine.limit_trips.depth"),
-            limit_fuel: g.counter("engine.limit_trips.fuel"),
-            limit_deadline: g.counter("engine.limit_trips.deadline"),
-            limit_memory: g.counter("engine.limit_trips.memory"),
-            par_spawn_fallback: g.counter("engine.par_spawn_fallback"),
-            slow_queries: g.counter("engine.slow_queries"),
-            run_ns: g.histogram("engine.run_ns"),
-            wal_commits: g.counter("engine.wal.commits"),
-            wal_records: g.counter("engine.wal.records"),
-            wal_bytes: g.counter("engine.wal.bytes"),
-            wal_fsyncs: g.counter("engine.wal.fsyncs"),
-            wal_checkpoints: g.counter("engine.wal.checkpoints"),
-            wal_tail_dropped: g.counter("engine.wal.tail_dropped"),
-            wal_replayed: g.counter("engine.wal.replayed_commits"),
-            wal_commit_ns: g.histogram("engine.wal.commit_ns"),
-        }
-    }
-
-    /// Bump the limit-trip counter matching `code`, if it is one of the
-    /// `XQB004x` resource-governance codes.
-    pub fn note_limit_trip(&self, code: &str) {
-        match code {
-            "XQB0040" => self.limit_depth.add(1),
-            "XQB0041" => self.limit_fuel.add(1),
-            "XQB0042" => self.limit_deadline.add(1),
-            "XQB0043" => self.limit_memory.add(1),
-            _ => {}
-        }
-    }
+    &GLOBAL
 }
 
 // ----------------------------------------------------------------------
@@ -556,23 +543,13 @@ pub struct NodeStats {
     pub input_rows: u64,
     /// Output cardinality: items the node returned, summed over calls.
     pub output_rows: u64,
-    /// Δ requests emitted while the node (or any descendant) ran.
-    pub delta_incl: u64,
     /// Δ requests attributable to this node alone (inclusive minus the
     /// children's inclusive counts).
     pub delta_self: u64,
-    /// Parallel regions begun while the node ran (inclusive).
-    pub par_regions: u64,
-    /// Items fanned out in those regions (inclusive).
-    pub par_items: u64,
-    /// Batch step-kernel invocations while the node ran (inclusive).
-    pub batch_steps: u64,
-    /// Nodes those kernels produced, pre-dedup (inclusive).
-    pub batch_nodes: u64,
-    /// Index-driven path steps while the node ran (inclusive).
-    pub idx_scans: u64,
-    /// Nodes those index scans emitted, pre-dedup (inclusive).
-    pub idx_hits: u64,
+    /// What the evaluator counted while the node (or any descendant) ran,
+    /// summed over calls: `incl.requests_emitted` is the node's inclusive Δ,
+    /// and the strategy counters are its `par=` / `batch=` / `idx=`.
+    pub incl: EvalStats,
 }
 
 /// Per-node statistics for one analyzed run, indexed by plan-node id.
@@ -843,6 +820,11 @@ pub fn validate_spans(events: &[SpanEvent]) -> Result<usize, String> {
 // rendering helpers
 // ----------------------------------------------------------------------
 
+/// Nanoseconds since `started`, saturating.
+pub fn elapsed_ns(started: Instant) -> u64 {
+    u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
 /// Human-readable nanoseconds (`742ns`, `13.2µs`, `4.71ms`, `1.20s`).
 pub fn fmt_ns(ns: u64) -> String {
     let ns_f = ns as f64;
@@ -902,37 +884,66 @@ mod tests {
     #[test]
     fn counters_add_snapshot_reset() {
         let r = Registry::new();
-        let c = r.counter("x.count");
+        let c = r.counter(CounterId::Runs);
         c.add(3);
-        r.counter("x.count").add(2);
+        r.counter(CounterId::Runs).add(2);
         assert_eq!(c.get(), 5);
         let snap = r.snapshot();
-        assert_eq!(snap.counters["x.count"], 5);
+        assert_eq!(snap.counters["engine.runs"], 5);
         r.reset();
         assert_eq!(c.get(), 0);
-        // The handle stays live across reset.
+        // The slot stays live across reset.
         c.add(1);
-        assert_eq!(r.snapshot().counters["x.count"], 1);
+        assert_eq!(r.snapshot().counters["engine.runs"], 1);
     }
 
     #[test]
     fn gauges_move_both_ways_and_render() {
         let r = Registry::new();
-        let g = r.gauge("x.level");
+        let g = r.gauge(GaugeId::ServerInflight);
         g.add(5);
         g.sub(2);
         assert_eq!(g.get(), 3);
-        assert_eq!(r.snapshot().gauges["x.level"], 3);
+        assert_eq!(r.snapshot().gauges["server.inflight"], 3);
         assert!(r
             .snapshot()
             .to_json()
-            .contains("\"gauges\":{\"x.level\":3}"));
+            .contains("\"gauges\":{\"server.inflight\":3,"));
         r.reset();
         assert_eq!(g.get(), 0);
         g.set(-1);
-        assert_eq!(r.snapshot().gauges["x.level"], -1);
-        // Gauge-free snapshots keep the original two-member shape.
-        assert!(!Registry::new().snapshot().to_json().contains("gauges"));
+        assert_eq!(r.snapshot().gauges["server.inflight"], -1);
+    }
+
+    #[test]
+    fn every_declared_metric_is_in_every_snapshot() {
+        // Declared means present: a fresh registry lists each id at zero,
+        // and no two ids share a name (the maps would come up short).
+        let snap = Registry::new().snapshot();
+        assert_eq!(snap.counters.len(), CounterId::ALL.len());
+        assert_eq!(snap.gauges.len(), GaugeId::ALL.len());
+        assert_eq!(snap.histograms.len(), HistogramId::ALL.len());
+        assert!(snap.counters.values().all(|&v| v == 0));
+    }
+
+    #[test]
+    fn note_limit_trip_maps_codes_to_counters() {
+        let r = Registry::new();
+        for code in [
+            "XQB0040", "XQB0041", "XQB0041", "XQB0042", "XQB0043", "FOAR0001",
+        ] {
+            r.note_limit_trip(code);
+        }
+        let c = r.snapshot().counters;
+        assert_eq!(
+            (
+                c["engine.limit_trips.depth"],
+                c["engine.limit_trips.fuel"],
+                c["engine.limit_trips.deadline"],
+                c["engine.limit_trips.memory"]
+            ),
+            (1, 2, 1, 1)
+        );
     }
 
     #[test]
@@ -962,14 +973,41 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_json_shape() {
+    fn snapshot_json_is_pinned() {
+        // Key order and spelling are what `xqb:stats()` consumers parse.
         let r = Registry::new();
-        r.counter("a").add(7);
-        r.histogram("h").record(5);
-        let json = r.snapshot().to_json();
-        assert!(json.starts_with("{\"counters\":{"));
-        assert!(json.contains("\"a\":7"));
-        assert!(json.contains("\"h\":{\"count\":1,\"sum\":5,\"max\":5}"));
+        r.counter(CounterId::Runs).add(7);
+        r.gauge(GaugeId::ServerSessions).set(2);
+        r.histogram(HistogramId::RunNs).record(5);
+        assert_eq!(
+            r.snapshot().to_json(),
+            "{\"counters\":{\"engine.batch_nodes\":0,\"engine.batch_steps\":0,\
+             \"engine.cache_hits\":0,\"engine.cache_misses\":0,\"engine.errors\":0,\
+             \"engine.idx.hits\":0,\"engine.idx.scans\":0,\"engine.joins\":0,\
+             \"engine.limit_trips.deadline\":0,\"engine.limit_trips.depth\":0,\
+             \"engine.limit_trips.fuel\":0,\"engine.limit_trips.memory\":0,\
+             \"engine.par_items\":0,\"engine.par_regions\":0,\
+             \"engine.par_spawn_fallback\":0,\"engine.plan_nodes\":0,\
+             \"engine.requests_applied\":0,\"engine.requests_emitted\":0,\
+             \"engine.runs\":7,\"engine.slow_queries\":0,\"engine.snaps_closed\":0,\
+             \"engine.wal.bytes\":0,\"engine.wal.checkpoints\":0,\"engine.wal.commits\":0,\
+             \"engine.wal.fsyncs\":0,\"engine.wal.records\":0,\
+             \"engine.wal.replayed_commits\":0,\"engine.wal.tail_dropped\":0,\
+             \"server.commit.conflicts\":0,\"server.commit.retries\":0,\"server.errors\":0,\
+             \"server.rejected.backpressure\":0,\"server.rejected.sessions\":0,\
+             \"server.requests.read\":0,\"server.requests.write\":0},\
+             \"gauges\":{\"server.inflight\":0,\"server.sessions\":2,\
+             \"server.snapshot_pins\":0},\
+             \"histograms\":{\"engine.run_ns\":{\"count\":1,\"sum\":5,\"max\":5},\
+             \"engine.wal.commit_ns\":{\"count\":0,\"sum\":0,\"max\":0},\
+             \"server.read_ns\":{\"count\":0,\"sum\":0,\"max\":0},\
+             \"server.write_ns\":{\"count\":0,\"sum\":0,\"max\":0}}}"
+        );
+    }
+
+    #[test]
+    fn json_strings_are_escaped() {
+        assert_eq!(json_string("a\"b\\c\n\u{1}"), "\"a\\\"b\\\\c\\n\\u0001\"");
     }
 
     #[test]
@@ -1037,10 +1075,11 @@ mod tests {
             snaps_closed: 2,
             requests_applied: 3,
         };
-        let j = q.to_json();
-        assert!(j.contains("\"fingerprint\":\"00ff\""));
-        assert!(j.contains("\"millis\":12.500"));
-        assert!(j.contains("\"cache\":\"hit\""));
-        assert!(j.contains("\"threads\":4"));
+        assert_eq!(
+            q.to_json(),
+            "{\"slow_query\":{\"fingerprint\":\"00ff\",\"millis\":12.500,\"cache\":\"hit\",\
+             \"snap_mode\":\"ordered\",\"threads\":4,\"snaps_closed\":2,\
+             \"requests_applied\":3}}"
+        );
     }
 }

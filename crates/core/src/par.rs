@@ -37,6 +37,7 @@ use crate::env::{DynEnv, Scope};
 use crate::eval::EvalCtx;
 use crate::functions;
 use crate::limits::LimitGuard;
+use crate::obs::{self, CounterId};
 use xqdm::item::{Item, Sequence};
 use xqdm::{NodeId, Scratch, Store, XdmError, XdmResult};
 use xqsyn::core::Core;
@@ -258,7 +259,7 @@ where
         }
     });
     if spawn_failed {
-        ctx.scope.env().metrics.par_spawn_fallback.add(1);
+        obs::global().counter(CounterId::ParSpawnFallback).add(1);
         let (mut worker, mut fenv) = (Worker::new(ctx), env.clone());
         for (i, slot) in results.iter_mut().enumerate() {
             if slot.is_none() {

@@ -9,6 +9,7 @@
 //! (`tests/differential.rs`) enforces this.
 
 use crate::alg::PlannedProgram;
+use crate::obs::{self, CounterId};
 use std::sync::Arc;
 use xqsyn::CoreProgram;
 
@@ -82,20 +83,20 @@ impl SharedPlanCache {
         Arc::new(SharedPlanCache::default())
     }
 
-    /// The plan for `key`, counting a hit or a miss.
+    /// The plan for `key`, counting a hit or a miss — here and nowhere
+    /// else: in this cache's own [`SharedPlanCache::stats`] and in the
+    /// process-wide `engine.cache_hits` / `engine.cache_misses`.
     pub fn get(&self, key: (u64, u64)) -> Option<Arc<PlannedProgram>> {
         use std::sync::atomic::Ordering;
         let plans = self.plans.lock().unwrap_or_else(|e| e.into_inner());
-        match plans.get(&key) {
-            Some(plan) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(plan.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let plan = plans.get(&key).cloned();
+        let (own, global) = match plan {
+            Some(_) => (&self.hits, CounterId::CacheHits),
+            None => (&self.misses, CounterId::CacheMisses),
+        };
+        own.fetch_add(1, Ordering::Relaxed);
+        obs::global().counter(global).add(1);
+        plan
     }
 
     /// Install the plan for `key` (idempotent: concurrent planners of the

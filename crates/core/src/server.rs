@@ -50,7 +50,7 @@
 //! back as one struct.
 
 use crate::engine::{Engine, EngineSnapshot, Error};
-use crate::obs;
+use crate::obs::{self, CounterId, GaugeId, HistogramId};
 use crate::planner::SharedPlanCache;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -192,41 +192,19 @@ pub struct CommitRecord {
     pub fingerprint: u64,
 }
 
-/// Pre-resolved `server.*` metric handles (one registry probe at
-/// construction, relaxed atomics per request).
-struct ServerMetrics {
-    requests_read: Arc<obs::Counter>,
-    requests_write: Arc<obs::Counter>,
-    errors: Arc<obs::Counter>,
-    rejected_sessions: Arc<obs::Counter>,
-    rejected_backpressure: Arc<obs::Counter>,
-    conflicts: Arc<obs::Counter>,
-    retries: Arc<obs::Counter>,
-    read_ns: Arc<obs::Histogram>,
-    write_ns: Arc<obs::Histogram>,
-    sessions: Arc<obs::Gauge>,
-    inflight: Arc<obs::Gauge>,
-    snapshot_pins: Arc<obs::Gauge>,
+/// Count one `server.*` event.
+fn count(id: CounterId) {
+    obs::global().counter(id).add(1);
 }
 
-impl ServerMetrics {
-    fn from_global() -> Self {
-        let g = obs::global();
-        ServerMetrics {
-            requests_read: g.counter("server.requests.read"),
-            requests_write: g.counter("server.requests.write"),
-            errors: g.counter("server.errors"),
-            rejected_sessions: g.counter("server.rejected.sessions"),
-            rejected_backpressure: g.counter("server.rejected.backpressure"),
-            conflicts: g.counter("server.commit.conflicts"),
-            retries: g.counter("server.commit.retries"),
-            read_ns: g.histogram("server.read_ns"),
-            write_ns: g.histogram("server.write_ns"),
-            sessions: g.gauge("server.sessions"),
-            inflight: g.gauge("server.inflight"),
-            snapshot_pins: g.gauge("server.snapshot_pins"),
-        }
-    }
+/// Publish a `server.*` level.
+fn level(id: GaugeId, value: usize) {
+    obs::global().gauge(id).set(value as i64);
+}
+
+/// Record the time since `started` in a `server.*` latency histogram.
+fn timing(id: HistogramId, started: Instant) {
+    obs::global().histogram(id).record(obs::elapsed_ns(started));
 }
 
 /// The committed-write-footprint ring: one `(epoch, write footprint)`
@@ -307,7 +285,6 @@ struct Inner {
     inflight: AtomicUsize,
     /// The most recent `footprint_ring` commits, oldest first.
     commits: Mutex<VecDeque<CommitRecord>>,
-    metrics: ServerMetrics,
 }
 
 /// The server handle. Cheap to clone (an `Arc`); clones share the
@@ -348,7 +325,6 @@ impl Server {
                 next_session: AtomicU64::new(1),
                 inflight: AtomicUsize::new(0),
                 commits: Mutex::new(VecDeque::new()),
-                metrics: ServerMetrics::from_global(),
             }),
         }
     }
@@ -360,7 +336,7 @@ impl Server {
         let prev = inner.sessions.fetch_add(1, Ordering::SeqCst);
         if prev >= inner.config.max_sessions {
             inner.sessions.fetch_sub(1, Ordering::SeqCst);
-            inner.metrics.rejected_sessions.add(1);
+            count(CounterId::ServerRejectedSessions);
             return Err(Error::Eval(XdmError::new(
                 ERR_SESSIONS,
                 format!(
@@ -369,7 +345,7 @@ impl Server {
                 ),
             )));
         }
-        inner.metrics.sessions.set(prev as i64 + 1);
+        level(GaugeId::ServerSessions, prev + 1);
         Ok(Session {
             inner: inner.clone(),
             id: inner.next_session.fetch_add(1, Ordering::Relaxed),
@@ -432,7 +408,9 @@ impl Server {
     /// shared-cache and version-chain state.
     pub fn stats(&self) -> ServerStats {
         let inner = &self.inner;
-        let m = &inner.metrics;
+        let m = obs::global();
+        let counted = |id| m.counter(id).get();
+        let quantile = |id, q| m.histogram(id).quantile(q);
         let (cache_hits, cache_misses) = inner.cache.stats();
         ServerStats {
             epoch: inner.versions.latest_epoch(),
@@ -441,19 +419,19 @@ impl Server {
             snapshot_pins: inner.versions.pinned(),
             versions_retained: inner.versions.retained(),
             versions_retired: inner.versions.retired(),
-            reads: m.requests_read.get(),
-            writes: m.requests_write.get(),
-            errors: m.errors.get(),
-            rejected_sessions: m.rejected_sessions.get(),
-            rejected_backpressure: m.rejected_backpressure.get(),
-            conflicts: m.conflicts.get(),
-            retries: m.retries.get(),
+            reads: counted(CounterId::ServerReads),
+            writes: counted(CounterId::ServerWrites),
+            errors: counted(CounterId::ServerErrors),
+            rejected_sessions: counted(CounterId::ServerRejectedSessions),
+            rejected_backpressure: counted(CounterId::ServerRejectedBackpressure),
+            conflicts: counted(CounterId::ServerConflicts),
+            retries: counted(CounterId::ServerRetries),
             cache_hits,
             cache_misses,
-            read_p50_ns: m.read_ns.quantile(0.50),
-            read_p99_ns: m.read_ns.quantile(0.99),
-            write_p50_ns: m.write_ns.quantile(0.50),
-            write_p99_ns: m.write_ns.quantile(0.99),
+            read_p50_ns: quantile(HistogramId::ServerReadNs, 0.50),
+            read_p99_ns: quantile(HistogramId::ServerReadNs, 0.99),
+            write_p50_ns: quantile(HistogramId::ServerWriteNs, 0.50),
+            write_p99_ns: quantile(HistogramId::ServerWriteNs, 0.99),
         }
     }
 }
@@ -568,10 +546,7 @@ impl Session {
     pub fn execute(&self, query: &str) -> Result<Response, Error> {
         let inner = &self.inner;
         let _slot = InflightSlot::admit(inner)?;
-        let note_pins = || {
-            let pinned = inner.versions.pinned() as i64;
-            inner.metrics.snapshot_pins.set(pinned);
-        };
+        let note_pins = || level(GaugeId::ServerSnapshotPins, inner.versions.pinned());
         // Parse and classify against the latest snapshot's environment —
         // its nesting limit, its module functions — with no engine lock.
         // A commit between classification and execution is harmless: the
@@ -594,7 +569,7 @@ impl Session {
         // A writer pins afresh for every attempt.
         drop(pin);
         note_pins();
-        let (program, facts) = classified.map_err(Error::Parse)?;
+        let (program, facts) = classified?;
         let optimistic = inner.config.occ_writers && facts.occ_safe();
         self.execute_write(query, &program, optimistic)
     }
@@ -604,13 +579,11 @@ impl Session {
         pin: &xqdm::Pinned<EngineSnapshot>,
         program: &xqsyn::CoreProgram,
     ) -> Result<Response, Error> {
-        let inner = &self.inner;
         let mut reader = pin.reader();
         let started = Instant::now();
         let result = reader.run_program(program);
-        let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        inner.metrics.read_ns.record(ns);
-        inner.metrics.requests_read.add(1);
+        timing(HistogramId::ServerReadNs, started);
+        count(CounterId::ServerReads);
         match result {
             Ok(value) => {
                 let body = reader.serialize(&value).map_err(Error::Eval)?;
@@ -621,7 +594,7 @@ impl Session {
                 })
             }
             Err(e) => {
-                inner.metrics.errors.add(1);
+                count(CounterId::ServerErrors);
                 Err(Error::Eval(e))
             }
         }
@@ -640,7 +613,7 @@ impl Session {
     ) -> Result<Response, Error> {
         let inner = &self.inner;
         let started = Instant::now();
-        inner.metrics.requests_write.add(1);
+        count(CounterId::ServerWrites);
         let mut retries = 0usize;
         let outcome = loop {
             if !optimistic {
@@ -650,7 +623,7 @@ impl Session {
             match self.try_commit_optimistic(query, program, &pin) {
                 Ok(done) => break done,
                 Err(_conflict_aspects) => {
-                    inner.metrics.conflicts.add(1);
+                    count(CounterId::ServerConflicts);
                     if retries >= inner.config.max_retries {
                         break Err(Error::Eval(XdmError::new(
                             ERR_CONFLICT,
@@ -663,7 +636,7 @@ impl Session {
                         )));
                     }
                     retries += 1;
-                    inner.metrics.retries.add(1);
+                    count(CounterId::ServerRetries);
                     // Exponential backoff before re-evaluating: under hot
                     // contention every loser retries at once, and the next
                     // commit re-conflicts them all (thundering herd); the
@@ -673,10 +646,9 @@ impl Session {
                 }
             }
         };
-        let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        inner.metrics.write_ns.record(ns);
+        timing(HistogramId::ServerWriteNs, started);
         if outcome.is_err() {
-            inner.metrics.errors.add(1);
+            count(CounterId::ServerErrors);
         }
         outcome
     }
@@ -810,10 +782,7 @@ impl Session {
 impl Drop for Session {
     fn drop(&mut self) {
         let prev = self.inner.sessions.fetch_sub(1, Ordering::SeqCst);
-        self.inner
-            .metrics
-            .sessions
-            .set(prev.saturating_sub(1) as i64);
+        level(GaugeId::ServerSessions, prev.saturating_sub(1));
     }
 }
 
@@ -828,7 +797,7 @@ impl<'a> InflightSlot<'a> {
         let prev = inner.inflight.fetch_add(1, Ordering::SeqCst);
         if prev >= inner.config.max_inflight {
             inner.inflight.fetch_sub(1, Ordering::SeqCst);
-            inner.metrics.rejected_backpressure.add(1);
+            count(CounterId::ServerRejectedBackpressure);
             return Err(Error::Eval(XdmError::new(
                 ERR_BACKPRESSURE,
                 format!(
@@ -837,7 +806,7 @@ impl<'a> InflightSlot<'a> {
                 ),
             )));
         }
-        inner.metrics.inflight.set(prev as i64 + 1);
+        level(GaugeId::ServerInflight, prev + 1);
         Ok(InflightSlot { inner })
     }
 }
@@ -845,10 +814,7 @@ impl<'a> InflightSlot<'a> {
 impl Drop for InflightSlot<'_> {
     fn drop(&mut self) {
         let prev = self.inner.inflight.fetch_sub(1, Ordering::SeqCst);
-        self.inner
-            .metrics
-            .inflight
-            .set(prev.saturating_sub(1) as i64);
+        level(GaugeId::ServerInflight, prev.saturating_sub(1));
     }
 }
 
@@ -1458,6 +1424,45 @@ mod tests {
         assert_eq!(
             (stats.conflicts, stats.retries),
             (before.conflicts, before.retries)
+        );
+    }
+
+    #[test]
+    fn stats_json_is_pinned() {
+        // The `STATS` reply: key set, spelling and order are wire format
+        // (`xqbench` reads `versions_retained`, `cache_hits`,
+        // `cache_misses`, `conflicts`, `retries` and `writes` from it).
+        let stats = ServerStats {
+            epoch: 1,
+            sessions: 2,
+            inflight: 3,
+            snapshot_pins: 4,
+            versions_retained: 5,
+            versions_retired: 6,
+            reads: 7,
+            writes: 8,
+            errors: 9,
+            rejected_sessions: 10,
+            rejected_backpressure: 11,
+            conflicts: 12,
+            retries: 13,
+            cache_hits: 14,
+            cache_misses: 15,
+            read_p50_ns: 16,
+            read_p99_ns: 17,
+            write_p50_ns: 18,
+            write_p99_ns: 19,
+        };
+        assert_eq!(
+            stats.to_json(),
+            "{\"epoch\":1,\"sessions\":2,\"inflight\":3,\"snapshot_pins\":4,\
+             \"versions_retained\":5,\"versions_retired\":6,\
+             \"reads\":7,\"writes\":8,\"errors\":9,\
+             \"rejected_sessions\":10,\"rejected_backpressure\":11,\
+             \"conflicts\":12,\"retries\":13,\
+             \"cache_hits\":14,\"cache_misses\":15,\
+             \"read_p50_ns\":16,\"read_p99_ns\":17,\
+             \"write_p50_ns\":18,\"write_p99_ns\":19}"
         );
     }
 }

@@ -154,19 +154,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          interpreted {t_snap_interp:.2?}"
     );
 
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let commit = std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map_or_else(
-            || "unknown".to_string(),
-            |o| String::from_utf8_lossy(&o.stdout).trim().to_string(),
-        );
     let json = format!(
-        "{{\n    \"bench\": \"xmark_q8_pipeline\",\n    \"cores\": {cores},\n    \
-         \"commit\": \"{commit}\",\n    \"rows\": [\n{}\n    ],\n    \
+        "{{\n    \"bench\": \"xmark_q8_pipeline\",\n    \"rows\": [\n{}\n    ],\n    \
          \"plan_cache\": {{\"first_run_s\": {:.6}, \"cached_run_s\": {:.6}, \
          \"hits\": {hits}, \"misses\": {misses}}},\n    \
          \"snap_variant\": {{\"persons\": {}, \"compiled_s\": {:.6}, \"interpreted_s\": {:.6}}}\n  }}",

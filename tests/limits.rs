@@ -293,7 +293,7 @@ fn hostile_deep_query_is_a_parse_error() {
     // Depth trips at the parse surface are counted like eval-time ones.
     assert!(
         xquery_bang::xqcore::obs::global()
-            .counter("engine.limit_trips.depth")
+            .counter(xquery_bang::xqcore::obs::CounterId::LimitDepth)
             .get()
             >= 1
     );
@@ -364,7 +364,9 @@ fn in_language_parsers_obey_the_run_limits() {
 #[test]
 fn limit_trips_are_counted() {
     let g = xquery_bang::xqcore::obs::global();
-    let before = g.counter("engine.limit_trips.fuel").get();
+    let before = g
+        .counter(xquery_bang::xqcore::obs::CounterId::LimitFuel)
+        .get();
     let mut e = Engine::new();
     e.set_limits(Limits {
         fuel: Some(50),
@@ -376,7 +378,9 @@ fn limit_trips_are_counted() {
         Some("XQB0041")
     );
     assert!(
-        g.counter("engine.limit_trips.fuel").get() > before,
+        g.counter(xquery_bang::xqcore::obs::CounterId::LimitFuel)
+            .get()
+            > before,
         "fuel trip must be counted"
     );
 }

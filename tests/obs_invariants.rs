@@ -85,8 +85,9 @@ fn analyze_and_check(engine: &mut Engine, query: &str, label: &str) -> u64 {
         panic!("explain_analyze failed ({label}) for {query}: {e}");
     });
     let stats = engine.last_stats().expect("stats after analyze");
-    let profile = engine.last_profile().expect("profile after analyze");
-    let plan = engine.analyzed_plan().expect("plan after analyze");
+    let run = engine.last_run().expect("report after analyze");
+    let profile = run.profile.as_ref().expect("profile after analyze");
+    let plan = run.plan.as_ref().expect("plan after analyze");
 
     // 1. Structural dataflow relations hold.
     if let Err(e) = plan.verify_profile(profile) {
@@ -171,9 +172,9 @@ fn analyze_profile_coherent_under_parallel_fanout() {
         report.contains("par="),
         "par attribution missing from analyzed tree:\n{report}"
     );
-    let plan = e.analyzed_plan().unwrap().clone();
-    let profile = e.last_profile().unwrap();
-    plan.verify_profile(profile).unwrap();
+    let run = e.last_run().unwrap();
+    let profile = run.profile.as_ref().unwrap();
+    run.plan.as_ref().unwrap().verify_profile(profile).unwrap();
     assert_eq!(profile.total_delta_self(), stats.requests_emitted);
 }
 
@@ -248,12 +249,101 @@ fn analyze_executes_for_real() {
 fn plain_runs_do_not_profile() {
     let mut e = Engine::new();
     e.explain_analyze("1 + 1").unwrap();
-    assert!(e.last_profile().is_some());
+    assert!(e.last_run().unwrap().profile.is_some());
     e.run("2 + 2").unwrap();
     assert!(
-        e.last_profile().is_none(),
+        e.last_run().unwrap().profile.is_none(),
         "plain run must clear/skip profiling"
     );
+}
+
+/// `last_run()` describes the latest run and nothing of the ones before:
+/// analyze, plain run, analyze — each report is that run's own.
+#[test]
+fn last_run_describes_only_the_latest_run() {
+    let mut e = Engine::new();
+    e.load_document("log", "<log/>").unwrap();
+    let insert = "snap insert { <x/> } into { $log/log }";
+
+    e.explain_analyze(insert).unwrap();
+    let first = e.last_run().unwrap();
+    assert_eq!(first.cache, "miss");
+    assert_eq!(first.stats.unwrap().requests_applied, 1);
+    assert!(first.profile.is_some());
+
+    e.run("count($log/log/x)").unwrap();
+    let plain = e.last_run().unwrap();
+    assert_eq!(plain.cache, "miss");
+    assert_eq!(plain.stats.unwrap().requests_applied, 0);
+    assert!(plain.profile.is_none(), "a plain run captures no profile");
+    assert_eq!(e.last_stats(), plain.stats);
+
+    e.explain_analyze(insert).unwrap();
+    let second = e.last_run().unwrap();
+    assert_eq!(second.cache, "hit", "same program, planned by the first");
+    assert_eq!(second.stats.unwrap().requests_applied, 1);
+    let profile = second.profile.as_ref().unwrap();
+    assert_eq!(
+        profile.total_delta_self(),
+        1,
+        "the second analyze's profile is its own, not an accumulation"
+    );
+    assert!(second.plan.is_some());
+    // A failed run is described too — its error keeps no stale profile.
+    assert!(e.run("1 div 0").is_err());
+    let failed = e.last_run().unwrap();
+    assert!(failed.profile.is_none());
+    assert_eq!(failed.stats.unwrap().requests_applied, 0);
+}
+
+/// The profile law: on a successful profiled run of a program without
+/// prolog variables, everything the evaluator counted was counted while
+/// the body's root node was open — so the root's inclusive strategy
+/// counters (`par=`, `batch=`, `idx=`) and Δ equal the run's `EvalStats`,
+/// whether or not the run fanned out.
+#[test]
+fn root_profile_node_accounts_for_the_whole_run() {
+    let doc: String = std::iter::once("<root>".to_string())
+        .chain((0..40).map(|i| format!("<b id=\"b{i}\"><e v=\"{i}\"/></b>")))
+        .chain(std::iter::once("</root>".to_string()))
+        .collect();
+    let queries = [
+        "for $b in $doc/root/b return $b/e",
+        "for $e in $doc/root/b/e return number($e/@v) * 2",
+        "count($doc//b[@id = \"b7\"])",
+        "for $l in $doc/root/b for $r in $doc/root/b where $l/@id = $r/@id return <m/>",
+    ];
+    for compile in [true, false] {
+        for threads in [1usize, 4] {
+            for query in queries {
+                let mut e = Engine::new();
+                e.set_compile(compile);
+                e.set_threads(threads);
+                e.load_document("doc", &doc).unwrap();
+                e.explain_analyze(query).unwrap();
+                let run = e.last_run().unwrap();
+                let stats = run.stats.unwrap();
+                let root = run.profile.as_ref().unwrap().node(0).incl;
+                let label = format!("compile={compile} threads={threads} {query}");
+                assert_eq!(
+                    (root.par_regions, root.par_items),
+                    (stats.par_regions, stats.par_items),
+                    "par: {label}"
+                );
+                assert_eq!(
+                    (root.batch_steps, root.batch_nodes),
+                    (stats.batch_steps, stats.batch_nodes),
+                    "batch: {label}"
+                );
+                assert_eq!(
+                    (root.idx_scans, root.idx_hits),
+                    (stats.idx_scans, stats.idx_hits),
+                    "idx: {label}"
+                );
+                assert_eq!(root.requests_emitted, stats.requests_emitted, "Δ: {label}");
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -310,8 +400,9 @@ proptest! {
             }
             e.explain_analyze(query).expect("analyze");
             let stats = e.last_stats().unwrap();
-            let profile = e.last_profile().unwrap();
-            let plan = e.analyzed_plan().unwrap();
+            let run = e.last_run().unwrap();
+            let profile = run.profile.as_ref().unwrap();
+            let plan = run.plan.as_ref().unwrap();
             prop_assert!(plan.verify_profile(profile).is_ok(),
                 "inconsistent profile (compile={}): {:?}",
                 compile, plan.verify_profile(profile));
