@@ -22,6 +22,7 @@
 //!    the nested loop would have produced, in the same order).
 
 use crate::alg::plan::{BatchFilter, BatchPathPlan, BatchStep, GroupByPlan, JoinPlan, QueryPlan};
+use crate::eval::descendant_fusion;
 use crate::{Effect, EffectAnalysis};
 use xqdm::atomic::{Atomic, CompareOp};
 use xqsyn::ast::{Axis, NodeTest};
@@ -359,7 +360,7 @@ fn try_batch_path(core: &Core, index_available: bool) -> Option<BatchPathPlan> {
         Core::DocOrder(inner) => inner,
         other => other,
     };
-    let mut steps_rev: Vec<BatchStep> = Vec::new();
+    let mut steps: Vec<BatchStep> = Vec::new();
     let mut cur = chain;
     while let Core::MapStep {
         base,
@@ -368,49 +369,29 @@ fn try_batch_path(core: &Core, index_available: bool) -> Option<BatchPathPlan> {
         predicates,
     } = cur
     {
-        let filters: Option<Vec<BatchFilter>> = predicates.iter().map(batch_filter).collect();
-        match filters {
-            Some(filters) => {
-                steps_rev.push(BatchStep {
-                    axis: *axis,
-                    test: test.clone(),
-                    filters,
-                });
-                cur = base;
-            }
-            // A non-batchable predicate (positional, general comparison
-            // over non-literals, call): this and everything below it
-            // stays interpreted as the chain's input.
-            None => break,
-        }
+        // A non-batchable predicate (positional, general comparison over
+        // non-literals, call): this and everything below it stays
+        // interpreted as the chain's input.
+        let Some(filters) = predicates.iter().map(batch_filter).collect() else {
+            break;
+        };
+        // `//T` is one descendant walk, not a materialized
+        // descendant-or-self step.
+        let (axis, next) = match descendant_fusion(base, *axis, predicates) {
+            Some(origin) => (Axis::Descendant, origin),
+            None => (*axis, &**base),
+        };
+        steps.push(BatchStep {
+            axis,
+            test: test.clone(),
+            filters,
+        });
+        cur = next;
     }
-    if steps_rev.is_empty() {
+    if steps.is_empty() {
         return None;
     }
-    steps_rev.reverse();
-    // Peephole: the `//` desugaring `descendant-or-self::node()/child::T`
-    // is exactly `descendant::T` (a node is a person-child of $a-or-below
-    // iff it is a person descendant of $a). Fusing drops the step that
-    // materializes — and doc-order-sorts — every node under the origin.
-    let mut steps: Vec<BatchStep> = Vec::with_capacity(steps_rev.len());
-    for s in steps_rev {
-        if s.axis == Axis::Child
-            && steps.last().is_some_and(|p: &BatchStep| {
-                p.axis == Axis::DescendantOrSelf
-                    && matches!(p.test, NodeTest::AnyKind)
-                    && p.filters.is_empty()
-            })
-        {
-            steps.pop();
-            steps.push(BatchStep {
-                axis: Axis::Descendant,
-                test: s.test,
-                filters: s.filters,
-            });
-        } else {
-            steps.push(s);
-        }
-    }
+    steps.reverse();
     let idx = index_available && steps.iter().any(step_idx_eligible);
     Some(BatchPathPlan {
         input: cur.clone(),

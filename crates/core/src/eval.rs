@@ -35,31 +35,7 @@ use xqdm::store::InsertAnchor;
 use xqdm::{KernelTest, NodeId, NodeKind, QName, Scratch, Store, XdmError, XdmResult};
 use xqsyn::ast::{Axis, NodeCompOp, NodeTest, Quantifier, SnapMode};
 use xqsyn::core::{Core, CoreInsertLoc, CoreName, CoreProgram};
-
-/// Stack size for the evaluation thread. User functions may recurse, and
-/// a runaway recursion should surface as an error (`XQB0040`), not a stack
-/// overflow: the configurable depth limit ([`limits::Limits::max_depth`], default
-/// [`limits::DEFAULT_MAX_DEPTH`]) counts `eval` nesting, and
-/// [`Evaluator::eval_program`] / [`Evaluator::eval_query`] run on a
-/// dedicated thread whose stack comfortably fits the default depth even
-/// with debug-build frame sizes. Raising the limit far beyond the default
-/// needs a correspondingly larger stack.
-const EVAL_STACK_BYTES: usize = 64 << 20;
-
-/// Run `f` on a scoped thread with a large stack, so deep (but bounded)
-/// query recursion cannot overflow a small caller stack — the 2 MiB default
-/// of test threads in particular.
-fn with_eval_stack<R: Send>(f: impl FnOnce() -> R + Send) -> R {
-    std::thread::scope(|scope| {
-        std::thread::Builder::new()
-            .name("xquery-eval".into())
-            .stack_size(EVAL_STACK_BYTES)
-            .spawn_scoped(scope, f)
-            .expect("spawn evaluation thread")
-            .join()
-            .unwrap_or_else(|p| std::panic::resume_unwind(p))
-    })
-}
+use xqsyn::stack::with_deep_stack;
 
 /// Execution statistics for one evaluation (experiment instrumentation
 /// and host diagnostics).
@@ -391,7 +367,9 @@ impl Evaluator {
     }
 
     /// Run `f` the way a whole program runs: under a freshly armed limit
-    /// guard, on the dedicated big-stack thread, inside the implicit
+    /// guard, on a deep native stack (`xqsyn::stack::with_deep_stack`: a
+    /// runaway recursion meets the `XQB0040` depth limit, not the end of
+    /// the stack), inside the implicit
     /// top-level snap (§2.3), whose Δ is applied in ordered mode with the
     /// next snap seed on success and discarded on error. This is the one
     /// program-scope harness — the interpreter
@@ -408,7 +386,7 @@ impl Evaluator {
         // measure this run alone (and a trip from a previous run on the
         // same evaluator does not leak into this one).
         self.guard = LimitGuard::new(&self.scope.env().limits);
-        with_eval_stack(move || {
+        with_deep_stack(move || {
             // The implicit snap also covers prolog variable initializers, so
             // side-effecting initializers behave like the body. It is not
             // counted toward max_snap_depth (only explicit snaps are).
@@ -1281,16 +1259,34 @@ fn rule<C: EvalCtx>(cx: &mut C, env: &mut DynEnv, expr: &Core) -> XdmResult<Sequ
             test,
             predicates,
         } => {
+            let (base, axis) = match descendant_fusion(base, *axis, predicates) {
+                Some(origin) => (origin, Axis::Descendant),
+                None => (&**base, *axis),
+            };
             let origins = cx.eval(env, base)?;
             let mut out = Sequence::new();
             for origin in &origins {
                 let n = require_node(origin.clone())?;
-                let axis_nodes = gather_axis(cx.store(), n, *axis, test)?;
+                let axis_nodes = gather_axis(cx.store(), n, axis, test)?;
                 let mut items: Sequence = axis_nodes.into_iter().map(Item::Node).collect();
                 for pred in predicates {
                     items = filter_positional(cx, env, items, pred)?;
                 }
                 out.extend(items);
+            }
+            // From at most one origin a forward axis already yields document
+            // order without duplicates (the rule `run_batch_steps` applies
+            // to its kernels); only several origins can interleave.
+            let forward = matches!(
+                axis,
+                Axis::Child
+                    | Axis::Descendant
+                    | Axis::DescendantOrSelf
+                    | Axis::Attribute
+                    | Axis::SelfAxis
+            );
+            if forward && origins.len() <= 1 {
+                return Ok(out);
             }
             doc_ordered(cx, &out)
         }
@@ -1309,11 +1305,10 @@ fn rule<C: EvalCtx>(cx: &mut C, env: &mut DynEnv, expr: &Core) -> XdmResult<Sequ
             for a in args {
                 values.push(cx.eval(env, a)?);
             }
-            if let Some(result) =
-                functions::dispatch(name, values.clone(), cx.store(), cx.scope(), env)
-            {
-                return result;
-            }
+            let values = match functions::dispatch(name, values, cx.store(), cx.scope(), env) {
+                Ok(result) => return result,
+                Err(values) => values,
+            };
             let values = match cx.call_unshared(name, values) {
                 Ok(result) => return result,
                 Err(values) => values,
@@ -1352,6 +1347,92 @@ fn doc_ordered<C: EvalCtx>(cx: &mut C, items: &[Item]) -> XdmResult<Sequence> {
     let mut nodes = item::all_nodes(items)?;
     cx.doc_order(&mut nodes)?;
     Ok(nodes.into_iter().map(Item::Node).collect())
+}
+
+/// The `//T` fusion, for the interpreter's `MapStep` rule and the batch
+/// lowering alike (DESIGN.md §14). The desugared
+/// `descendant-or-self::node()/child::T[p]` selects exactly what
+/// `descendant::T[p]` selects from the same origins — a node is a `T`
+/// child of `$a`-or-below iff it is a `T` descendant of `$a` — provided no
+/// predicate can tell one parent's children from the whole walk: none may
+/// evaluate to a number (a position test) or call `position()` / `last()`,
+/// and none may have an effect, whose order would follow the walk. Given
+/// the step `axis::T[predicates]` over `base`, returns the origin of the
+/// fused `descendant::T[predicates]` step, or `None` when it does not
+/// apply.
+pub(crate) fn descendant_fusion<'a>(
+    base: &'a Core,
+    axis: Axis,
+    predicates: &[Core],
+) -> Option<&'a Core> {
+    let Core::MapStep {
+        base: origin,
+        axis: Axis::DescendantOrSelf,
+        test: NodeTest::AnyKind,
+        predicates: own,
+    } = base
+    else {
+        return None;
+    };
+    (axis == Axis::Child && own.is_empty() && predicates.iter().all(position_blind))
+        .then_some(&**origin)
+}
+
+/// Is predicate `p` blind to where its context node stands among others:
+/// never a number, no `position()` / `last()`, and — so that evaluating it
+/// in another order changes nothing — no constructor, update, `snap`,
+/// user function or order-revealing built-in (`functions::is_par_opaque`)?
+fn position_blind(p: &Core) -> bool {
+    let mut blind = never_numeric(p);
+    p.walk(&mut |e| {
+        blind &= match e {
+            Core::Call(name, _) => {
+                let local = name.strip_prefix("fn:").unwrap_or(name);
+                functions::is_builtin(name)
+                    && !functions::is_par_opaque(name)
+                    && !matches!(local, "position" | "last")
+            }
+            Core::ElemCtor { .. }
+            | Core::AttrCtor { .. }
+            | Core::TextCtor(_)
+            | Core::DocCtor(_)
+            | Core::Copy(_)
+            | Core::Insert { .. }
+            | Core::Delete(_)
+            | Core::Replace(..)
+            | Core::ReplaceValue(..)
+            | Core::Rename(..)
+            | Core::Snap(..) => false,
+            _ => true,
+        }
+    });
+    blind
+}
+
+/// Can `p`'s value never be a single number, whatever the data? Decided by
+/// its outermost operator: comparisons, logic and quantifiers yield a
+/// boolean, path steps yield nodes.
+fn never_numeric(p: &Core) -> bool {
+    match p {
+        Core::GeneralComp(..)
+        | Core::ValueComp(..)
+        | Core::NodeComp(..)
+        | Core::And(..)
+        | Core::Or(..)
+        | Core::Quantified { .. }
+        | Core::MapStep { .. }
+        | Core::DocOrder(_)
+        | Core::Union(..) => true,
+        Core::Const(a) => !a.is_numeric(),
+        Core::Seq(members) => members.iter().all(never_numeric),
+        Core::If(_, then, els) => never_numeric(then) && never_numeric(els),
+        Core::Let { body, .. } => never_numeric(body),
+        Core::Call(name, _) => matches!(
+            name.strip_prefix("fn:").unwrap_or(name),
+            "not" | "exists" | "empty" | "boolean" | "true" | "false"
+        ),
+        _ => false,
+    }
 }
 
 /// Positional predicate filtering (XPath semantics): a numeric
@@ -1509,15 +1590,27 @@ pub(crate) fn gather_axis(
                 push(store, c, &mut out)?;
             }
         }
-        Axis::Descendant => {
-            for c in store.descendants(origin)? {
-                push(store, c, &mut out)?;
+        Axis::Descendant | Axis::DescendantOrSelf => {
+            if axis == Axis::DescendantOrSelf {
+                push(store, origin, &mut out)?;
             }
-        }
-        Axis::DescendantOrSelf => {
-            push(store, origin, &mut out)?;
-            for c in store.descendants(origin)? {
-                push(store, c, &mut out)?;
+            // Depth-first with one open child list per tree level: only
+            // the matches are kept, and the walk's own memory follows the
+            // tree's depth, not its size or fan-out.
+            let mut levels = vec![store.children(origin)?.iter()];
+            while let Some(level) = levels.last_mut() {
+                match level.next() {
+                    Some(&n) => {
+                        push(store, n, &mut out)?;
+                        let kids = store.children(n)?;
+                        if !kids.is_empty() {
+                            levels.push(kids.iter());
+                        }
+                    }
+                    None => {
+                        levels.pop();
+                    }
+                }
             }
         }
         Axis::Attribute => {
@@ -1770,6 +1863,44 @@ mod tests {
         assert_eq!(prec, vec![ns[1], ns[0]]);
         let foll = gather_axis(&s, ns[0], Axis::FollowingSibling, &NodeTest::AnyKind).unwrap();
         assert_eq!(foll, vec![ns[1], ns[3]]);
+    }
+
+    #[test]
+    fn descendant_fusion_only_where_no_predicate_can_tell() {
+        let fuses = |q: &str| match xqsyn::compile(q).unwrap().body {
+            Core::MapStep {
+                base,
+                axis,
+                predicates,
+                ..
+            } => descendant_fusion(&base, axis, &predicates).is_some(),
+            other => panic!("{q}: {other:?}"),
+        };
+        for q in [
+            "$d//x",
+            "$d//x[y]",
+            "$d//x[@a = 'v']",
+            "$d//x[q > 3]",
+            "$d//x[not(y)][q]",
+            "$d//x[y[1]]",
+        ] {
+            assert!(fuses(q), "{q} should fuse");
+        }
+        for q in [
+            "$d//x[1]",
+            "$d//x[last()]",
+            "$d//x[position() = 2]",
+            "$d//x[$n]",
+            "$d//x[count(y)]",
+            "$d//x[y][1]",
+            "$d//x[f(.) = 1]",
+            "$d//x[trace(y, 't')]",
+            "$d//x[<a/>]",
+            "$d//@a",
+            "$d/descendant-or-self::y/x",
+        ] {
+            assert!(!fuses(q), "{q} must not fuse");
+        }
     }
 
     #[test]

@@ -15,26 +15,27 @@ use xqdm::{Store, XdmError, XdmResult};
 
 /// Dispatch a built-in call. Every built-in served here merely reads the
 /// store, so the full evaluator and the parallel workers share this one
-/// entry point. Returns `None` when `name` is not such a built-in: a
-/// user-declared function, or [`is_parse_xml`] — the one built-in that
-/// needs `&mut Store`, which only the full evaluator can run
-/// ([`parse_xml`]).
+/// entry point. The arguments are moved in, never copied; `Err(args)`
+/// hands them back when `name` is not such a built-in: a user-declared
+/// function, or [`is_parse_xml`] — the one built-in that needs
+/// `&mut Store`, which only the full evaluator can run ([`parse_xml`]).
 pub fn dispatch(
     name: &str,
     args: Vec<Sequence>,
     store: &Store,
     scope: &Scope,
     env: &DynEnv,
-) -> Option<XdmResult<Sequence>> {
+) -> Result<XdmResult<Sequence>, Vec<Sequence>> {
     // Internal / constructor functions keyed on the full prefixed name.
-    if let Some(r) = dispatch_prefixed(name, &args, store, scope) {
-        return Some(r);
-    }
+    let args = match dispatch_prefixed(name, args, store, scope) {
+        Ok(result) => return Ok(result),
+        Err(args) => args,
+    };
     let local = name.strip_prefix("fn:").unwrap_or(name);
     if !is_builtin_local(local) || local == "parse-xml" {
-        return None;
+        return Err(args);
     }
-    Some(call(local, args, store, env))
+    Ok(call(local, args, store, env))
 }
 
 /// Does `name` call `fn:parse-xml`?
@@ -512,10 +513,10 @@ fn call(local: &str, args: Vec<Sequence>, store: &Store, env: &DynEnv) -> XdmRes
 /// Internal / constructor functions keyed on the full prefixed name.
 fn dispatch_prefixed(
     name: &str,
-    args: &[Sequence],
+    args: Vec<Sequence>,
     store: &Store,
     scope: &Scope,
-) -> Option<XdmResult<Sequence>> {
+) -> Result<XdmResult<Sequence>, Vec<Sequence>> {
     if name == "xqb:panic" {
         // Failure-injection hook: panics mid-evaluation so tests can
         // exercise the engine's panic isolation (catch + store rollback).
@@ -526,7 +527,7 @@ fn dispatch_prefixed(
         // Snapshot the process-wide metrics registry as one JSON string.
         // Reads ambient mutable state, so the parallel gate rejects it
         // (is_par_opaque) even though the effect lattice rates it Pure.
-        return Some(if args.is_empty() {
+        return Ok(if args.is_empty() {
             Ok(seq![Item::string(
                 crate::obs::global().snapshot().to_json(),
             )])
@@ -540,7 +541,7 @@ fn dispatch_prefixed(
     if name == "xqb:reset-stats" {
         // Zero every global counter/histogram and clear the slow-query
         // ring; returns the empty sequence.
-        return Some(if args.is_empty() {
+        return Ok(if args.is_empty() {
             crate::obs::global().reset();
             Ok(seq![])
         } else {
@@ -558,7 +559,7 @@ fn dispatch_prefixed(
         // recovery tests, the REPL, and differential tests compare the
         // same value. Pure over the store argument, so the parallel gate
         // does not need to reject it.
-        return Some(if args.is_empty() {
+        return Ok(if args.is_empty() {
             Ok(seq![Item::string(format!("{:016x}", store.fingerprint()))])
         } else {
             Err(XdmError::new(
@@ -574,8 +575,8 @@ fn dispatch_prefixed(
         // EXPLAIN from inside the language: `Engine::explain` of the
         // argument query on the engine running this one. A syntax error
         // is `XPST0003`; only the parser's nesting bound is a limit trip.
-        let arg = args.first().cloned().unwrap_or_default();
-        return Some((|| {
+        let arg = args.into_iter().next().unwrap_or_default();
+        return Ok((|| {
             let query = item::exactly_one(arg)?.string_value(store)?;
             let text = crate::engine::explain_query(scope.env(), store, &query).map_err(|e| {
                 let code = if crate::limits::is_parse_depth_trip(&e) {
@@ -591,9 +592,10 @@ fn dispatch_prefixed(
     if matches!(name, "fs:intersect" | "fs:except") {
         // The normalization targets of `intersect` / `except`: node
         // identity semantics, document-order deduplicated result.
-        let a = args.first().cloned().unwrap_or_default();
-        let b = args.get(1).cloned().unwrap_or_default();
-        return Some((|| {
+        let mut args = args.into_iter();
+        let a = args.next().unwrap_or_default();
+        let b = args.next().unwrap_or_default();
+        return Ok((|| {
             let left = item::all_nodes(&a)?;
             let right: std::collections::HashSet<_> = item::all_nodes(&b)?.into_iter().collect();
             let keep = name == "fs:intersect";
@@ -609,9 +611,9 @@ fn dispatch_prefixed(
         name,
         "fs:avt" | "xs:integer" | "xs:string" | "xs:double" | "xs:boolean"
     ) {
-        return None;
+        return Err(args);
     }
-    let v = args.first().cloned().unwrap_or_default();
+    let v = args.into_iter().next().unwrap_or_default();
     let result = match name {
         "fs:avt" => (|| {
             // Attribute-value-template rule: atomize the enclosed
@@ -640,7 +642,7 @@ fn dispatch_prefixed(
         })(),
         _ => unreachable!(),
     };
-    Some(result)
+    Ok(result)
 }
 
 // ----------------------------------------------------------------------

@@ -41,16 +41,11 @@ use crate::obs::{self, CounterId};
 use xqdm::item::{Item, Sequence};
 use xqdm::{NodeId, Scratch, Store, XdmError, XdmResult};
 use xqsyn::core::Core;
+use xqsyn::stack::DEEP_STACK_BYTES;
 
 /// Fewest source items worth fanning out — below this, spawn cost
 /// dominates any conceivable body.
 pub const PAR_MIN_ITEMS: usize = 4;
-
-/// Stack size for parallel workers: pure evaluation recurses like the main
-/// evaluation thread (same depth limit, [`crate::limits::Limits::max_depth`]),
-/// so workers get the same headroom. The reservation is virtual; pages
-/// commit lazily.
-const PAR_STACK_BYTES: usize = 64 << 20;
 
 /// Upper bound on configured worker counts (a typo like `XQB_THREADS=800`
 /// should not try to spawn 800 threads per loop).
@@ -235,9 +230,12 @@ where
             let chunk_items = &items[lo..hi];
             let f = &f;
             let mut wenv = env.clone();
+            // Workers recurse under the same depth limit
+            // ([`crate::limits::Limits::max_depth`]) as the evaluation
+            // they split, so they get the same headroom.
             let spawned = std::thread::Builder::new()
                 .name(format!("xqb-par-{w}"))
-                .stack_size(PAR_STACK_BYTES)
+                .stack_size(DEEP_STACK_BYTES)
                 .spawn_scoped(scope, move || {
                     let mut worker = Worker::new(ctx);
                     for (j, it) in chunk_items.iter().enumerate() {

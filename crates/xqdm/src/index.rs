@@ -21,18 +21,31 @@
 //!   per scan (an index bucket is store-global; containment filters it
 //!   to the scan's origin subtrees).
 //!
-//! Sharing follows the store's COW discipline: the outer maps and every
-//! bucket sit behind [`Arc`]s, so [`crate::Store::snapshot`] forks the
-//! whole plane by reference-count bumps and a writer unshares only the
-//! buckets it touches (plus, once per fork, the outer map of `Arc`s).
+//! Sharing follows the store's COW discipline, at a grain fine enough
+//! that a commit's index work does not grow with the index: each map is
+//! split into [`SHARDS`] shards behind [`Arc`]s, a bucket holding one id
+//! keeps it inline, and a bigger bucket keeps its ids in sorted chunks of
+//! at most [`CHUNK`], each behind an `Arc`. [`crate::Store::snapshot`]
+//! forks the whole plane by one reference-count bump per map; a writer
+//! then unshares only the shard table, one shard, and the chunk it
+//! touches. (Were a whole map or a whole bucket unshared per write, a log
+//! that gains one uniquely-valued `<entry id=…>` per commit would copy
+//! O(entries) per commit.)
 //! The plane is *derived* — it never feeds the store fingerprint or any
 //! on-disk format.
 
 use crate::node::{NodeId, NodeKind};
 use crate::pages::Pages;
 use crate::symbols::QNameId;
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
+
+/// Shards per map: a write unshares one shard, 1/`SHARDS` of the map.
+const SHARDS: usize = 64;
+/// Most ids in one bucket chunk: a write unshares one chunk.
+const CHUNK: usize = 256;
 
 /// FNV-1a over an attribute value: the bucket key of the value index.
 /// Stable across processes (same constants as the store fingerprint).
@@ -46,16 +59,193 @@ pub(crate) fn value_hash(value: &str) -> u64 {
     h
 }
 
-type Bucket = Arc<HashSet<NodeId>>;
+/// One index bucket: the ids under one key, ascending. A lone id — the
+/// bucket of every distinct attribute value — is held inline, so cloning
+/// a shard copies it without touching memory elsewhere; more ids sit in
+/// [`Chunks`].
+#[derive(Debug, Clone)]
+pub(crate) enum Bucket {
+    One(NodeId),
+    Many(Arc<Chunks>),
+}
+
+impl Bucket {
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Bucket::One(_) => 1,
+            Bucket::Many(c) => c.len,
+        }
+    }
+
+    /// The ids, ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let (one, many) = match self {
+            Bucket::One(id) => (Some(*id), None),
+            Bucket::Many(c) => (None, Some(c.iter())),
+        };
+        one.into_iter().chain(many.into_iter().flatten())
+    }
+
+    fn insert(&mut self, id: NodeId) {
+        match self {
+            Bucket::One(x) if *x == id => {}
+            Bucket::One(x) => {
+                let mut c = Chunks::default();
+                c.insert(*x);
+                c.insert(id);
+                *self = Bucket::Many(Arc::new(c));
+            }
+            Bucket::Many(c) => Arc::make_mut(c).insert(id),
+        }
+    }
+
+    /// Remove `id`; true when the bucket is left empty.
+    fn remove(&mut self, id: NodeId) -> bool {
+        match self {
+            Bucket::One(x) => *x == id,
+            Bucket::Many(c) => {
+                let c = Arc::make_mut(c);
+                c.remove(id);
+                c.len == 0
+            }
+        }
+    }
+}
+
+/// Set equality: the representation depends on history, the ids do not.
+impl PartialEq for Bucket {
+    fn eq(&self, other: &Bucket) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+/// A bucket's ids, ascending, in COW chunks of at most [`CHUNK`] ids.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Chunks {
+    len: usize,
+    chunks: Vec<Arc<Vec<NodeId>>>,
+}
+
+impl Chunks {
+    fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.chunks.iter().flat_map(|c| c.iter().copied())
+    }
+
+    /// The chunk `id` belongs in: the last one starting at or below it.
+    fn chunk_of(&self, id: NodeId) -> usize {
+        self.chunks
+            .partition_point(|c| c[0] <= id)
+            .saturating_sub(1)
+    }
+
+    fn insert(&mut self, id: NodeId) {
+        if self.chunks.is_empty() {
+            self.chunks.push(Arc::new(vec![id]));
+            self.len = 1;
+            return;
+        }
+        let i = self.chunk_of(id);
+        let Err(pos) = self.chunks[i].binary_search(&id) else {
+            return;
+        };
+        let full = self.chunks[i].len() >= CHUNK;
+        if full && i + 1 == self.chunks.len() && pos == CHUNK {
+            // Ids mostly arrive ascending: past a full last chunk, open a
+            // new one rather than split.
+            let mut chunk = Vec::with_capacity(CHUNK);
+            chunk.push(id);
+            self.chunks.push(Arc::new(chunk));
+        } else {
+            let chunk = Arc::make_mut(&mut self.chunks[i]);
+            chunk.insert(pos, id);
+            if full {
+                let upper = chunk.split_off(chunk.len() / 2);
+                self.chunks.insert(i + 1, Arc::new(upper));
+            }
+        }
+        self.len += 1;
+    }
+
+    fn remove(&mut self, id: NodeId) {
+        if self.chunks.is_empty() {
+            return;
+        }
+        let i = self.chunk_of(id);
+        let Ok(pos) = self.chunks[i].binary_search(&id) else {
+            return;
+        };
+        let chunk = Arc::make_mut(&mut self.chunks[i]);
+        chunk.remove(pos);
+        if chunk.is_empty() {
+            self.chunks.remove(i);
+        }
+        self.len -= 1;
+    }
+}
+
+/// Buckets by key, in [`SHARDS`] COW shards chosen by a fixed hash of
+/// the key (so two maps with the same entries shard them alike).
+#[derive(Debug, Clone)]
+struct ShardedMap<K> {
+    shards: Arc<Vec<Arc<HashMap<K, Bucket>>>>,
+}
+
+impl<K> Default for ShardedMap<K> {
+    fn default() -> Self {
+        ShardedMap {
+            shards: Arc::new((0..SHARDS).map(|_| Arc::new(HashMap::new())).collect()),
+        }
+    }
+}
+
+impl<K: Hash + Eq> PartialEq for ShardedMap<K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.shards == other.shards
+    }
+}
+
+impl<K: Hash + Eq + Clone> ShardedMap<K> {
+    fn shard(key: &K) -> usize {
+        let mut h = DefaultHasher::new();
+        key.hash(&mut h);
+        (h.finish() % SHARDS as u64) as usize
+    }
+
+    fn get(&self, key: &K) -> Option<&Bucket> {
+        self.shards[Self::shard(key)].get(key)
+    }
+
+    fn insert(&mut self, key: K, id: NodeId) {
+        let shard = Arc::make_mut(&mut Arc::make_mut(&mut self.shards)[Self::shard(&key)]);
+        match shard.entry(key) {
+            Entry::Vacant(v) => {
+                v.insert(Bucket::One(id));
+            }
+            Entry::Occupied(o) => o.into_mut().insert(id),
+        }
+    }
+
+    fn remove(&mut self, key: K, id: NodeId) {
+        let s = Self::shard(&key);
+        if !self.shards[s].contains_key(&key) {
+            return;
+        }
+        let shard = Arc::make_mut(&mut Arc::make_mut(&mut self.shards)[s]);
+        // Empty buckets are dropped so a rebuilt plane compares equal.
+        if shard.get_mut(&key).is_some_and(|b| b.remove(id)) {
+            shard.remove(&key);
+        }
+    }
+}
 
 /// The store's secondary-index plane. Cheap to clone (Arc bumps); see
 /// the module docs for the COW contract.
 #[derive(Debug, Clone)]
 pub(crate) struct IndexPlane {
     /// Alive elements by interned name.
-    by_name: Arc<HashMap<QNameId, Bucket>>,
+    by_name: ShardedMap<QNameId>,
     /// Alive attributes by (interned name, value hash).
-    by_attr: Arc<HashMap<(QNameId, u64), Bucket>>,
+    by_attr: ShardedMap<(QNameId, u64)>,
     /// Alive element count — the cost gate's selectivity denominator.
     elements: usize,
     /// Planner availability. Maintenance is unconditional (it is O(1)
@@ -69,36 +259,11 @@ pub(crate) struct IndexPlane {
 impl Default for IndexPlane {
     fn default() -> Self {
         IndexPlane {
-            by_name: Arc::new(HashMap::new()),
-            by_attr: Arc::new(HashMap::new()),
+            by_name: ShardedMap::default(),
+            by_attr: ShardedMap::default(),
             elements: 0,
             enabled: true,
             epoch: 0,
-        }
-    }
-}
-
-fn bucket_insert<K: std::hash::Hash + Eq + Copy>(
-    map: &mut Arc<HashMap<K, Bucket>>,
-    key: K,
-    id: NodeId,
-) {
-    let map = Arc::make_mut(map);
-    Arc::make_mut(map.entry(key).or_default()).insert(id);
-}
-
-fn bucket_remove<K: std::hash::Hash + Eq + Copy>(
-    map: &mut Arc<HashMap<K, Bucket>>,
-    key: K,
-    id: NodeId,
-) {
-    let map = Arc::make_mut(map);
-    if let Some(b) = map.get_mut(&key) {
-        let set = Arc::make_mut(b);
-        set.remove(&id);
-        // Empty buckets are dropped so a rebuilt plane compares equal.
-        if set.is_empty() {
-            map.remove(&key);
         }
     }
 }
@@ -132,11 +297,11 @@ impl IndexPlane {
     pub(crate) fn note_birth(&mut self, kind: &NodeKind, id: NodeId) {
         match kind {
             NodeKind::Element { name, .. } => {
-                bucket_insert(&mut self.by_name, *name, id);
+                self.by_name.insert(*name, id);
                 self.elements += 1;
             }
             NodeKind::Attribute { name, value } => {
-                bucket_insert(&mut self.by_attr, (*name, value_hash(value)), id);
+                self.by_attr.insert((*name, value_hash(value)), id);
             }
             _ => {}
         }
@@ -147,11 +312,11 @@ impl IndexPlane {
     pub(crate) fn note_death(&mut self, kind: &NodeKind, id: NodeId) {
         match kind {
             NodeKind::Element { name, .. } => {
-                bucket_remove(&mut self.by_name, *name, id);
+                self.by_name.remove(*name, id);
                 self.elements -= 1;
             }
             NodeKind::Attribute { name, value } => {
-                bucket_remove(&mut self.by_attr, (*name, value_hash(value)), id);
+                self.by_attr.remove((*name, value_hash(value)), id);
             }
             _ => {}
         }
@@ -160,16 +325,16 @@ impl IndexPlane {
     /// An element was renamed (`from` → `to`).
     pub(crate) fn move_element(&mut self, from: QNameId, to: QNameId, id: NodeId) {
         if from != to {
-            bucket_remove(&mut self.by_name, from, id);
-            bucket_insert(&mut self.by_name, to, id);
+            self.by_name.remove(from, id);
+            self.by_name.insert(to, id);
         }
     }
 
     /// An attribute's bucket key changed (rename or value write).
     pub(crate) fn move_attr(&mut self, from: (QNameId, u64), to: (QNameId, u64), id: NodeId) {
         if from != to {
-            bucket_remove(&mut self.by_attr, from, id);
-            bucket_insert(&mut self.by_attr, to, id);
+            self.by_attr.remove(from, id);
+            self.by_attr.insert(to, id);
         }
     }
 
@@ -180,8 +345,8 @@ impl IndexPlane {
     }
 
     /// The name bucket, if any.
-    pub(crate) fn name_bucket(&self, name: QNameId) -> Option<&HashSet<NodeId>> {
-        self.by_name.get(&name).map(|b| b.as_ref())
+    pub(crate) fn name_bucket(&self, name: QNameId) -> Option<&Bucket> {
+        self.by_name.get(&name)
     }
 
     /// Size of a value bucket (hash collisions inflate this by design;
@@ -191,8 +356,8 @@ impl IndexPlane {
     }
 
     /// The value bucket, if any. Callers must re-check the exact value.
-    pub(crate) fn attr_bucket(&self, name: QNameId, vh: u64) -> Option<&HashSet<NodeId>> {
-        self.by_attr.get(&(name, vh)).map(|b| b.as_ref())
+    pub(crate) fn attr_bucket(&self, name: QNameId, vh: u64) -> Option<&Bucket> {
+        self.by_attr.get(&(name, vh))
     }
 
     /// Rebuild from scratch over the slot space, preserving the
@@ -216,8 +381,8 @@ impl IndexPlane {
     pub(crate) fn matches_rebuild(&self, nodes: &Pages) -> bool {
         let fresh = IndexPlane::rebuild(nodes, self.enabled, self.epoch);
         self.elements == fresh.elements
-            && *self.by_name == *fresh.by_name
-            && *self.by_attr == *fresh.by_attr
+            && self.by_name == fresh.by_name
+            && self.by_attr == fresh.by_attr
     }
 }
 
@@ -266,5 +431,112 @@ mod tests {
         assert_eq!(s.index_epoch(), e0 + 1);
         s.set_indexing(true);
         assert_eq!(s.index_epoch(), e0 + 2);
+    }
+
+    #[test]
+    fn a_bucket_is_a_set_whatever_its_chunking() {
+        // Ascending ids fill chunks; a shuffled order splits them.
+        let n = (CHUNK * 5) as u32;
+        let mut ascending = Chunks::default();
+        let mut shuffled = Chunks::default();
+        for i in 0..n {
+            ascending.insert(NodeId(i));
+            shuffled.insert(NodeId(i.wrapping_mul(7919) % n));
+        }
+        shuffled.insert(NodeId(3)); // already present
+        assert_eq!(ascending.len, n as usize);
+        assert!(ascending.chunks.iter().all(|c| c.len() == CHUNK));
+        assert!(shuffled
+            .chunks
+            .iter()
+            .all(|c| !c.is_empty() && c.len() <= CHUNK));
+        let (mut ascending, mut shuffled) = (
+            Bucket::Many(Arc::new(ascending)),
+            Bucket::Many(Arc::new(shuffled)),
+        );
+        assert_eq!(ascending, shuffled);
+        assert!(ascending.iter().eq((0..n).map(NodeId)));
+
+        for i in (0..n).filter(|i| !i.is_multiple_of(3)) {
+            ascending.remove(NodeId(i));
+            shuffled.remove(NodeId(n - 1 - i));
+        }
+        ascending.remove(NodeId(n + 1)); // absent
+        assert!(ascending
+            .iter()
+            .eq((0..n).filter(|i| i.is_multiple_of(3)).map(NodeId)));
+        let left: Vec<NodeId> = shuffled.iter().collect();
+        assert_eq!(
+            left.len(),
+            (0..n).filter(|i| (n - 1 - i).is_multiple_of(3)).count()
+        );
+        for (k, id) in left.iter().enumerate() {
+            // Only the last removal empties the bucket.
+            assert_eq!(shuffled.remove(*id), k + 1 == left.len());
+        }
+
+        // One id is held inline and compares equal to one chunked id.
+        let mut one = Bucket::One(NodeId(7));
+        assert!(!one.remove(NodeId(8)));
+        one.insert(NodeId(7));
+        assert_eq!(one.len(), 1);
+        let mut chunked = Chunks::default();
+        chunked.insert(NodeId(7));
+        assert_eq!(one, Bucket::Many(Arc::new(chunked)));
+        one.insert(NodeId(2));
+        assert!(one.iter().eq([NodeId(2), NodeId(7)]));
+        assert!(!one.remove(NodeId(7)));
+        assert!(one.remove(NodeId(2)));
+    }
+
+    #[test]
+    fn a_write_after_a_fork_unshares_one_shard_and_one_chunk() {
+        // One element name with many ids and many distinct attribute
+        // values: the shapes of a growing log.
+        let mut plane = IndexPlane::default();
+        let mut symbols = crate::symbols::Symbols::default();
+        let entry = symbols.intern_parts(None, "entry");
+        let id = symbols.intern_parts(None, "id");
+        for i in 0..(CHUNK as u32 * 8) {
+            plane.by_name.insert(entry, NodeId(i));
+            plane.by_attr.insert((id, u64::from(i)), NodeId(i));
+        }
+        let fork = plane.clone();
+        let next = NodeId(CHUNK as u32 * 8);
+        plane.note_birth(
+            &NodeKind::Element {
+                name: entry,
+                attributes: Vec::new(),
+                children: Vec::new(),
+            },
+            next,
+        );
+        plane.by_attr.insert((id, 1 << 40), next);
+
+        fn unshared<K>(a: &ShardedMap<K>, b: &ShardedMap<K>) -> usize {
+            a.shards
+                .iter()
+                .zip(b.shards.iter())
+                .filter(|(x, y)| !Arc::ptr_eq(x, y))
+                .count()
+        }
+        assert_eq!(unshared(&plane.by_name, &fork.by_name), 1);
+        assert_eq!(unshared(&plane.by_attr, &fork.by_attr), 1);
+        let (now, then) = (
+            plane.by_name.get(&entry).unwrap(),
+            fork.by_name.get(&entry).unwrap(),
+        );
+        assert_eq!(now.len(), then.len() + 1);
+        // The appended id opened a chunk; every full one is still shared.
+        let (Bucket::Many(now), Bucket::Many(then)) = (now, then) else {
+            panic!("a bucket of many ids is chunked");
+        };
+        let shared = now
+            .chunks
+            .iter()
+            .zip(then.chunks.iter())
+            .filter(|(x, y)| Arc::ptr_eq(x, y))
+            .count();
+        assert_eq!(shared, then.chunks.len());
     }
 }

@@ -119,15 +119,15 @@ impl Store {
         }
     }
 
-    /// Append every alive element named `name` to `out` — store-global
-    /// and unordered; callers filter by containment against their scan
-    /// origins and doc-order sort the result. Traces a NAME read per
-    /// hit when a read-tracing capture is attached, but planners must
-    /// not *select* index scans while tracing: the absence of a match
-    /// is an existence read no per-node footprint can express.
+    /// Append every alive element named `name` to `out` — store-global,
+    /// in id order (not document order); callers filter by containment
+    /// against their scan origins and doc-order sort the result. Traces
+    /// a NAME read per hit when a read-tracing capture is attached, but
+    /// planners must not *select* index scans while tracing: the absence
+    /// of a match is an existence read no per-node footprint can express.
     pub fn index_name_nodes(&self, name: QNameId, out: &mut Vec<NodeId>) {
         if let Some(bucket) = self.slots.index().name_bucket(name) {
-            for &id in bucket {
+            for id in bucket.iter() {
                 self.trace_read(id, aspect::NAME);
                 out.push(id);
             }
@@ -147,7 +147,7 @@ impl Store {
     /// [`Store::index_name_nodes`].
     pub fn index_attr_nodes(&self, name: QNameId, value: &str, out: &mut Vec<NodeId>) {
         if let Some(bucket) = self.slots.index().attr_bucket(name, value_hash(value)) {
-            for &id in bucket {
+            for id in bucket.iter() {
                 if let Some(NodeData {
                     kind: NodeKind::Attribute { value: v, .. },
                     alive: true,

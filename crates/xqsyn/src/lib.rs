@@ -26,6 +26,7 @@ pub mod markup;
 pub mod normalize;
 pub mod parser;
 pub mod pretty;
+pub mod stack;
 
 pub use ast::{Declaration, Expr, Program};
 pub use core::{Core, CoreFunction, CoreProgram};

@@ -14,70 +14,22 @@
 
 use crate::ast::*;
 use crate::cursor::{Cursor, PResult};
+use crate::stack::with_deep_stack;
 use xqdm::atomic::{ArithOp, CompareOp};
 
 pub use crate::cursor::ParseError;
 
 /// Default maximum expression nesting depth. The parser recurses once per
 /// nesting level (through the whole precedence tower, so one paren level
-/// costs several native frames); a malicious `((((…1…))))` must become a
-/// parse error (`XQB0040`), not a stack overflow. Deep enough for any
-/// realistic query, shallow enough for a 2 MiB thread stack. Override per
-/// call with [`parse_program_with_limit`] / [`parse_expr_with_limit`]
-/// (the engine passes its `Limits::max_parse_depth`, which is where
-/// `XQB_MAX_PARSE_DEPTH` is read).
+/// costs several native frames — tens of KiB each in debug builds); a
+/// malicious `((((…1…))))` must become a parse error (`XQB0040`), not a
+/// stack overflow. Deep enough for any realistic query; parsing runs under
+/// [`with_deep_stack`], whose stack fits this limit with a wide margin.
+/// Override per call with [`parse_program_with_limit`] /
+/// [`parse_expr_with_limit`] (the engine passes its
+/// `Limits::max_parse_depth`, which is where `XQB_MAX_PARSE_DEPTH` is
+/// read).
 pub const DEFAULT_MAX_PARSE_DEPTH: usize = 200;
-
-/// Stack size for the dedicated parse thread. The recursive-descent tower
-/// costs several native frames per nesting level (tens of KiB each in
-/// debug builds), so [`DEFAULT_MAX_PARSE_DEPTH`] levels need far more
-/// headroom than the 2 MiB default of test threads. 16 MiB fits the
-/// default limit with a wide margin; raising the limit far beyond the
-/// default needs a correspondingly larger value here.
-const PARSE_STACK_BYTES: usize = 16 << 20;
-
-/// Run `f` on a scoped thread with a parse-sized stack (mirrors the
-/// evaluator's `with_eval_stack`). If the OS refuses to spawn a thread,
-/// fall back to parsing inline on the caller's stack — the depth limit
-/// still bounds recursion, just with less native headroom.
-fn with_parse_stack<R: Send>(f: impl FnOnce() -> R + Send) -> R {
-    // `spawn_scoped` consumes its closure even when it fails, so the
-    // function and result travel through Options the worker borrows; after
-    // the scope the borrows are back and we can tell what happened.
-    let mut func = Some(f);
-    let mut slot: Option<R> = None;
-    let mut panic_payload = None;
-    {
-        let func_ref = &mut func;
-        let slot_ref = &mut slot;
-        std::thread::scope(|scope| {
-            let worker = move || {
-                if let Some(g) = func_ref.take() {
-                    *slot_ref = Some(g());
-                }
-            };
-            if let Ok(handle) = std::thread::Builder::new()
-                .name("xquery-parse".into())
-                .stack_size(PARSE_STACK_BYTES)
-                .spawn_scoped(scope, worker)
-            {
-                if let Err(p) = handle.join() {
-                    panic_payload = Some(p);
-                }
-            }
-        });
-    }
-    if let Some(p) = panic_payload {
-        std::panic::resume_unwind(p);
-    }
-    match (slot, func) {
-        (Some(r), _) => r,
-        // Spawn failed: parse inline on the caller's stack. The depth
-        // limit still bounds recursion, just with less native headroom.
-        (None, Some(g)) => g(),
-        (None, None) => unreachable!("parse worker neither returned nor panicked"),
-    }
-}
 
 /// Parse a complete main module (prolog + body).
 pub fn parse_program(input: &str) -> PResult<Program> {
@@ -86,7 +38,7 @@ pub fn parse_program(input: &str) -> PResult<Program> {
 
 /// [`parse_program`] with an explicit nesting-depth limit.
 pub fn parse_program_with_limit(input: &str, max_depth: usize) -> PResult<Program> {
-    with_parse_stack(move || {
+    with_deep_stack(move || {
         let mut p = Parser {
             cur: Cursor::new(input),
             depth: 0,
@@ -111,7 +63,7 @@ pub fn parse_expr(input: &str) -> PResult<Expr> {
 
 /// [`parse_expr`] with an explicit nesting-depth limit.
 pub fn parse_expr_with_limit(input: &str, max_depth: usize) -> PResult<Expr> {
-    with_parse_stack(move || {
+    with_deep_stack(move || {
         let mut p = Parser {
             cur: Cursor::new(input),
             depth: 0,

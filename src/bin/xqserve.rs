@@ -14,7 +14,8 @@
 //!
 //! On connect the server sends one banner line:
 //! `XQSERVE 1 session=<id> epoch=<n>` — or `ERR XQB0050 <len>` + body and
-//! closes when the session limit is reached. Then, per request:
+//! closes when the session limit is reached or the OS refuses the
+//! connection's handler thread. Then, per request:
 //!
 //! | request                       | response                            |
 //! |-------------------------------|-------------------------------------|
@@ -33,6 +34,7 @@ use std::net::{TcpListener, TcpStream};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use xquery_bang::xqsyn::stack::spawn_deep;
 use xquery_bang::{ConflictPolicy, Engine, Error, Server, ServerConfig};
 
 /// Longest command line accepted, newline included (`QUERY <len>` needs
@@ -174,11 +176,12 @@ fn host(mut engine: Engine, opts: &Options) -> Server {
     })
 }
 
-/// Write one framed response: `{head} {len}\n{body}`.
+/// Write one framed response, `{head} {len}\n{body}`, as one write: a
+/// head sent apart from its body would wait for the peer's delayed ACK.
 fn frame(stream: &mut TcpStream, head: &str, body: &str) -> std::io::Result<()> {
-    stream.write_all(format!("{head} {}\n", body.len()).as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    let mut reply = format!("{head} {}\n", body.len());
+    reply.push_str(body);
+    stream.write_all(reply.as_bytes())
 }
 
 fn error_code(e: &Error) -> &str {
@@ -194,6 +197,9 @@ fn handle_connection(
     server: &Server,
     shutdown: &AtomicBool,
 ) -> std::io::Result<()> {
+    // Every reply is one complete write; holding it back for coalescing
+    // could only delay it.
+    stream.set_nodelay(true)?;
     let session = match server.open_session() {
         Ok(s) => s,
         Err(e) => {
@@ -213,7 +219,6 @@ fn handle_connection(
         )
         .as_bytes(),
     )?;
-    stream.flush()?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut line = String::new();
     loop {
@@ -312,9 +317,12 @@ fn reap_finished(handles: &mut Vec<std::thread::JoinHandle<()>>) {
 
 /// The accept loop: one thread per connection, until `SHUTDOWN` (the
 /// flag is re-checked after every accepted connection; the shutting-down
-/// handler wakes the loop by connecting once). Handlers that have finished
-/// are joined at every accept, so the handles retained are those of live
-/// connections.
+/// handler wakes the loop by connecting once). A handler thread carries
+/// the deep stack parsing and evaluation need (`xqsyn::stack`), so its
+/// requests run on it without spawning; if the OS refuses the thread,
+/// that connection alone is answered `XQB0050` and closed. Handlers that
+/// have finished are joined at every accept, so the handles retained are
+/// those of live connections.
 fn serve(listener: TcpListener, server: Server) -> std::io::Result<()> {
     let shutdown = Arc::new(AtomicBool::new(false));
     let addr = listener.local_addr()?;
@@ -325,10 +333,13 @@ fn serve(listener: TcpListener, server: Server) -> std::io::Result<()> {
         }
         let stream = stream?;
         reap_finished(&mut handles);
+        // A spawn that fails drops its closure, stream included: keep a
+        // second handle to answer on.
+        let refusal = stream.try_clone();
         let server = server.clone();
         let shutdown = shutdown.clone();
         let wake_addr = addr;
-        handles.push(std::thread::spawn(move || {
+        let spawned = spawn_deep("xqserve-conn", move || {
             let was_shutdown = {
                 let r = handle_connection(stream, &server, &shutdown);
                 if let Err(e) = r {
@@ -340,7 +351,20 @@ fn serve(listener: TcpListener, server: Server) -> std::io::Result<()> {
                 // Unblock the accept loop so it can observe the flag.
                 let _ = TcpStream::connect(wake_addr);
             }
-        }));
+        });
+        match spawned {
+            Ok(handle) => handles.push(handle),
+            Err(e) => {
+                eprintln!("xqserve: cannot start a connection handler: {e}");
+                if let Ok(mut stream) = refusal {
+                    let _ = frame(
+                        &mut stream,
+                        "ERR XQB0050",
+                        &format!("cannot start a session handler: {e}"),
+                    );
+                }
+            }
+        }
         PEAK_RETAINED_HANDLES.fetch_max(handles.len(), Ordering::Relaxed);
     }
     for h in handles {
@@ -442,7 +466,21 @@ fn self_test(opts: &Options) -> Result<(), String> {
         "read sees commit",
     )?;
 
-    // 2. concurrent sessions: readers on their own connections while the
+    // 2. no per-reply stall: 50 round trips of a one-byte reply take well
+    //    under a second. A head written apart from its body waits for the
+    //    client's delayed ACK, ~40 ms per reply.
+    let started = std::time::Instant::now();
+    for _ in 0..50 {
+        let (head, body) = c.query("1")?;
+        expect(head[..2] == ["OK", "read"] && body == "1", "round trip")?;
+    }
+    let took = started.elapsed();
+    expect(
+        took < std::time::Duration::from_secs(1),
+        &format!("50 sequential round trips took {took:?}"),
+    )?;
+
+    // 3. concurrent sessions: readers on their own connections while the
     //    first connection keeps writing.
     let readers: Vec<_> = (0..3)
         .map(|_| {
@@ -467,7 +505,7 @@ fn self_test(opts: &Options) -> Result<(), String> {
         r.join().map_err(|_| "reader panicked")??;
     }
 
-    // 3. an error reply keeps the connection usable.
+    // 4. an error reply keeps the connection usable.
     let (head, _) = c.query("1 div 0")?;
     expect(head[0] == "ERR", "error frames as ERR")?;
     let (head, body) = c.query("count($doc/log/e)")?;
@@ -476,7 +514,7 @@ fn self_test(opts: &Options) -> Result<(), String> {
         "connection survives error",
     )?;
 
-    // 4. hostile framing: a length no honest client sends, and a command
+    // 5. hostile framing: a length no honest client sends, and a command
     //    line that never ends. Each is refused with XQB-PROTO and only that
     //    connection closes; the first session keeps answering.
     let oversized_line = "A".repeat(MAX_LINE_BYTES);
@@ -500,13 +538,13 @@ fn self_test(opts: &Options) -> Result<(), String> {
         )?;
     }
 
-    // 5. connection churn: handler threads are joined as they finish.
+    // 6. connection churn: handler threads are joined as they finish.
     for _ in 0..1000 {
         let (head, _) = Client::connect(addr)?.request("QUIT", None)?;
         expect(head == ["BYE"], "churned connection quits")?;
     }
 
-    // 6. stats and shutdown.
+    // 7. stats and shutdown.
     let (head, body) = c.request("STATS", None)?;
     expect(head[..2] == ["OK", "stats"], "stats frame")?;
     expect(

@@ -186,6 +186,54 @@ fn conformance_style_queries_agree() {
     );
 }
 
+/// `//T` evaluated as one descendant walk — fused whenever no predicate can
+/// tell the desugared `descendant-or-self::node()/child::T` apart from it —
+/// agrees with the per-parent reading everywhere: positional predicates
+/// (which must not fuse), a numeric variable, value, existence and
+/// comparison filters, aggregates over the step, attributes, and `x` nested
+/// inside `x`. The per-section loops fan out at 2 and 8 threads.
+#[test]
+fn descendant_paths_agree() {
+    let section = |k: usize| {
+        format!(
+            r#"<s n="{k}">
+                 <x a="v"><y/><q>{q1}</q><p>1</p>
+                   <x><q>1</q><p>2</p><y><x a="w"><q>9</q><y/></x></y></x>
+                   <x a="v"><p>3</p></x>
+                 </x>
+                 <x a="w"><q>{q2}</q><p>4</p></x>
+                 <z><x a="v"><q>7</q><y><y/></y></x><x/></z>
+               </s>"#,
+            q1 = k + 2,
+            q2 = 6 - k,
+        )
+    };
+    let doc = format!("<r>{}</r>", (0..4).map(section).collect::<String>());
+    differential(
+        &[("doc", &doc)],
+        &[],
+        &[
+            "$doc//x[1]",
+            "$doc//x[last()]",
+            "$doc//x[position() = 2]",
+            "let $n := 2 return $doc//x[$n]",
+            r#"$doc//x[@a = "v"]"#,
+            "$doc//x[y]",
+            "$doc//x[q > 3]",
+            "$doc//x[y][1]",
+            "count($doc//x)",
+            "count($doc//x[q > 3])",
+            "sum($doc//x/p)",
+            "$doc//@a",
+            "$doc//x//y",
+            "for $x in $doc//x[q > 3] return string($x/q)",
+            "for $s in $doc/r/s return count($s//x[q > 3])",
+            "for $s in $doc/r/s return $s//x[1]",
+            "for $s in $doc/r/s return sum($s//x/p)",
+        ],
+    );
+}
+
 /// ISSUE 10: the same query answered three ways — index-selected scan,
 /// batch kernel walk, plain interpretation — must be observably
 /// identical, in all three snap modes, including when the updates in

@@ -299,6 +299,66 @@ fn hostile_deep_query_is_a_parse_error() {
     );
 }
 
+/// The recursion and parse-depth cases above once more, the way a server
+/// connection meets them: through `Session::execute` on a deep-stack
+/// thread, where parsing and evaluation run inline on the thread's own
+/// stack (and `xqb:explain`'s parse, nested inside an evaluation, on a
+/// fresh one). Same codes, no stack overflow, store unchanged — to the
+/// fingerprint for the cases that allocate nothing, to the document for
+/// the updating ones (their swept `<s/>` slots land on the free list the
+/// fingerprint covers, as on the engine path above).
+#[test]
+fn depth_limits_hold_inline_on_a_deep_stack_thread() {
+    let mut e = Engine::new();
+    e.load_document("doc", DOC).unwrap();
+    let server = e.into_server(xquery_bang::ServerConfig::default());
+    let nested = |n: usize| format!("{}1{}", "(".repeat(n), ")".repeat(n));
+    let mut cases = vec![
+        (
+            "declare function loop($n) { loop($n + 1) }; loop(0)".to_string(),
+            true,
+        ),
+        (
+            "declare function f($n) { f($n) + 1 }; f(1)".to_string(),
+            true,
+        ),
+        (format!("xqb:explain('{}')", nested(300)), true),
+        (nested(100_000), true),
+    ];
+    for mode in ["ordered", "nondeterministic", "conflict-detection"] {
+        let spin = format!(
+            "declare function spin($n) {{
+               (insert {{ <s/> }} into {{ $doc/x }}, spin($n + 1)) }};
+             snap {mode} {{ spin(0) }}"
+        );
+        cases.push((spin, false));
+    }
+    xquery_bang::xqsyn::stack::spawn_deep("session", move || {
+        let session = server.open_session().unwrap();
+        let read = |q: &str| session.execute(q).unwrap().body;
+        let (fingerprint, doc) = (read("xqb:fingerprint()"), read("serialize($doc)"));
+        for (query, allocates_nothing) in &cases {
+            let shown = &query[..query.len().min(60)];
+            match session.execute(query) {
+                Err(Error::Eval(x)) => assert_eq!(x.code, "XQB0040", "{shown}"),
+                Err(Error::Parse(p)) => assert!(p.message.contains("XQB0040"), "{shown}: {p}"),
+                Ok(r) => panic!("{shown}: expected XQB0040, got {:?}", r.body),
+            }
+            assert_eq!(read("serialize($doc)"), doc, "{shown}: document changed");
+            if *allocates_nothing {
+                assert_eq!(
+                    read("xqb:fingerprint()"),
+                    fingerprint,
+                    "{shown}: store changed"
+                );
+            }
+        }
+    })
+    .unwrap()
+    .join()
+    .unwrap();
+}
+
 /// Hostile *document* input: a 1M-deep element chain is an XQB0040 load
 /// error, never a stack overflow.
 #[test]

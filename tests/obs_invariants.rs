@@ -421,28 +421,40 @@ proptest! {
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// System allocator with a per-thread allocation counter. Thread-local so
-/// concurrently running tests in this binary cannot pollute the count.
+/// System allocator with per-thread counters of allocations and of the
+/// bytes they request (a reallocation counts once, with its new size).
+/// Thread-local so concurrently running tests in this binary cannot
+/// pollute the count.
 struct CountingAlloc;
 
 thread_local! {
     static TL_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static TL_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 fn thread_allocs() -> u64 {
     TL_ALLOCS.with(|c| c.get())
 }
 
+fn thread_bytes() -> u64 {
+    TL_BYTES.with(|c| c.get())
+}
+
+fn note_alloc(bytes: usize) {
+    let _ = TL_ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = TL_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = TL_ALLOCS.try_with(|c| c.set(c.get() + 1));
+        note_alloc(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = TL_ALLOCS.try_with(|c| c.set(c.get() + 1));
+        note_alloc(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -514,4 +526,87 @@ fn warm_scratch_sort_and_kernels_allocate_nothing() {
         grew, 0,
         "steady-state sort/kernel pass allocated {grew} times; scratch reuse regressed"
     );
+}
+
+/// Run `f` on a deep-stack thread, where parsing and evaluation run inline
+/// (`xqsyn::stack`): the thread-local counters then see every allocation
+/// an engine run makes.
+fn on_deep_thread<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    xquery_bang::xqsyn::stack::spawn_deep("pin", f)
+        .expect("spawn a deep-stack thread")
+        .join()
+        .expect("pinned run panicked")
+}
+
+/// `//T[p]` under a call is one descendant walk that keeps only its
+/// matches: interpreted, `count($d//entry[v > 3])` makes the same number of
+/// allocations whether the document beside the entries holds 1 k or 16 k
+/// filler nodes. Materializing every descendant and sorting them with one
+/// order-key vector per node made the count grow with the filler.
+#[test]
+fn descendant_step_allocations_do_not_follow_the_document_size() {
+    let allocs = |filler: usize, entries: usize| {
+        let entries_xml: String = (0..entries)
+            .map(|i| format!("<entry><v>{i}</v></entry>"))
+            .collect();
+        let doc = format!(
+            "<d><pad>{}</pad><list>{entries_xml}</list></d>",
+            "<f/>".repeat(filler)
+        );
+        on_deep_thread(move || {
+            let mut e = Engine::new();
+            e.set_compile(false);
+            e.set_threads(1);
+            e.load_document("d", &doc).unwrap();
+            let before = thread_allocs();
+            let v = e.run("count($d//entry[v > 3])").unwrap();
+            let made = thread_allocs() - before;
+            assert_eq!(e.serialize(&v).unwrap(), (entries - 4).to_string());
+            made
+        })
+    };
+    let small = allocs(1_000, 8);
+    let large = allocs(16_000, 8);
+    assert_eq!(
+        small, large,
+        "allocations grew with non-matching filler: {small} at 1 k, {large} at 16 k"
+    );
+    // Non-vacuity: the counter sees the evaluation — more matches, more
+    // allocations.
+    assert!(allocs(1_000, 16) > small);
+}
+
+/// Built-in calls take their arguments by move: `count($big)` allocates no
+/// copy of `$big` beyond the one reading the variable makes, compiled and
+/// interpreted.
+#[test]
+fn builtin_calls_do_not_copy_their_arguments() {
+    use xquery_bang::Item;
+    const N: i64 = 50_000;
+    for compile in [false, true] {
+        let (read, counted) = on_deep_thread(move || {
+            let mut e = Engine::new();
+            e.set_compile(compile);
+            e.bind("big", (0..N).map(Item::integer).collect());
+            let mut bytes = |query: &str| {
+                // Warm: a compiled run plans once, on its first call.
+                e.run(query).unwrap();
+                let before = thread_bytes();
+                let value = e.run(query).unwrap();
+                let made = thread_bytes() - before;
+                drop(value);
+                made
+            };
+            (bytes("$big"), bytes("count($big)"))
+        });
+        assert!(
+            read >= N as u64 * 16,
+            "reading $big copied only {read} bytes (compile={compile})"
+        );
+        assert!(
+            counted < read + N as u64,
+            "count($big) allocated {counted} bytes against {read} for reading $big \
+             alone (compile={compile}): the call copied its argument"
+        );
+    }
 }

@@ -14,8 +14,8 @@
 //!    same value twice even when commits land mid-request.
 //! 3. **Proptest interleavings** — random read/write schedules across
 //!    several sessions; every read must match the state of *some*
-//!    committed version (checked through the commit log's per-epoch
-//!    fingerprint chain).
+//!    committed version (epoch *k* holds *k* entries, and the commit log
+//!    numbers every write densely).
 
 use std::sync::{Arc, Barrier};
 use xquery_bang::xqcore;
@@ -326,7 +326,7 @@ mod interleavings {
         // Split a random schedule across 2 worker sessions; afterwards
         // every read must have observed the state of some committed
         // version: body == epoch (epoch k holds exactly k entries), and
-        // the commit log's fingerprint chain must replay serially.
+        // the commit log must hold every write in epoch order.
         #[test]
         fn random_interleavings_read_committed_versions(sched in schedule()) {
             let ops: Vec<Op> = sched
@@ -378,16 +378,19 @@ mod interleavings {
                 }
             }
             // Every committed epoch is on the log, densely numbered, and
-            // the final fingerprint is the latest snapshot's.
+            // the latest snapshot holds every write.
             let log = server.commit_log();
             let writes = ops.iter().filter(|o| matches!(o, Op::Write)).count();
             prop_assert_eq!(log.len(), writes);
             for (i, c) in log.iter().enumerate() {
                 prop_assert_eq!(c.epoch, i as u64 + 1);
             }
-            if let Some(last) = log.last() {
-                prop_assert_eq!(last.fingerprint, server.fingerprint());
-            }
+            let session = server.open_session().map_err(|e| TestCaseError::fail(e.to_string()))?;
+            let r = session
+                .execute("count($doc/log/e)")
+                .map_err(|e| TestCaseError::fail(e.to_string()))?;
+            prop_assert_eq!(r.body, writes.to_string());
+            drop(session);
             prop_assert_eq!(server.stats().snapshot_pins, 0);
         }
     }
