@@ -13,7 +13,7 @@
 //! A Δ is conflict-free when none of the following hold:
 //!
 //! 1. **rename/rename**: two renames of the same node to different names
-//!    (last-writer-wins makes the result order-dependent);
+//!    (whichever applies last wins, so the result is order-dependent);
 //! 2. **insert/insert (same node)**: the same node appears in the payload
 //!    of two inserts (whichever applies second fails its parentless
 //!    precondition — which one fails depends on order);

@@ -14,9 +14,7 @@
 //!   Δs rebase onto the live engine and commit through the WAL (log order
 //!   still equals epoch order); conflicting Δs retry from a fresh
 //!   snapshot, bounded by [`ServerConfig::max_retries`], then abort with
-//!   the retryable `XQB0052` — or are waived by the
-//!   [`ConflictPolicy::LastWriterWins`] reducer when only name/value
-//!   aspects collide. Only the validate+rebase step holds the engine
+//!   the retryable `XQB0052`. Only the validate+rebase step holds the engine
 //!   mutex, so write *evaluation* scales with sessions. Programs the
 //!   footprint machinery cannot vouch for — those that can reach a
 //!   nondeterministic or conflict-detection snap or a par-opaque builtin
@@ -67,40 +65,6 @@ pub const ERR_BACKPRESSURE: &str = "XQB0051";
 /// a commit since its base epoch and bounded retry was exhausted.
 pub const ERR_CONFLICT: &str = "XQB0052";
 
-/// What to do when a Δ's read footprint intersects a committed write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConflictPolicy {
-    /// Retry from a fresh snapshot; abort with `XQB0052` once
-    /// [`ServerConfig::max_retries`] is exhausted.
-    #[default]
-    Abort,
-    /// Waive conflicts confined to name/value aspects (rename, text and
-    /// attribute-value sets): the later committer's values win, exactly
-    /// as if its transaction had run second serially. Structural
-    /// conflicts (children/attribute lists, parent links) still retry —
-    /// blind last-writer-wins on tree shape would lose subtrees.
-    LastWriterWins,
-}
-
-impl ConflictPolicy {
-    /// Parse a wire/flag token (`abort` / `lww` / `last-writer-wins`).
-    pub fn parse(s: &str) -> Option<ConflictPolicy> {
-        match s {
-            "abort" => Some(ConflictPolicy::Abort),
-            "lww" | "last-writer-wins" => Some(ConflictPolicy::LastWriterWins),
-            _ => None,
-        }
-    }
-
-    /// Wire token.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ConflictPolicy::Abort => "abort",
-            ConflictPolicy::LastWriterWins => "lww",
-        }
-    }
-}
-
 /// Server admission and commit policy. Resource policy (limits, thread
 /// budget) is the hosted engine's: set it there before
 /// [`Engine::into_server`].
@@ -115,8 +79,6 @@ pub struct ServerConfig {
     /// serializes its whole evaluation under the engine mutex (PR-8
     /// behavior).
     pub occ_writers: bool,
-    /// Conflict resolution for optimistic commits.
-    pub conflict_policy: ConflictPolicy,
     /// Conflicting commits retry from a fresh snapshot this many times
     /// before aborting with `XQB0052`.
     pub max_retries: usize,
@@ -133,7 +95,6 @@ impl Default for ServerConfig {
             max_sessions: 64,
             max_inflight: 32,
             occ_writers: true,
-            conflict_policy: ConflictPolicy::default(),
             max_retries: 8,
             footprint_ring: 1024,
         }
@@ -684,23 +645,13 @@ impl Session {
         let mut engine = inner.engine.lock().unwrap_or_else(|e| e.into_inner());
         {
             let ring = inner.ring.lock().unwrap_or_else(|e| e.into_inner());
-            if let Err(bits) = ring.validate(base_epoch, &delta) {
-                // Last-writer-wins may waive pure value collisions: the
-                // rebase re-applies this Δ's renames/sets on top, which
-                // is exactly the serial order "them first, us second".
-                let structural = bits & !(aspect::NAME | aspect::VALUE);
-                if !(inner.config.conflict_policy == ConflictPolicy::LastWriterWins
-                    && structural == 0)
-                {
-                    return Err(bits);
-                }
-            }
+            ring.validate(base_epoch, &delta)?;
         }
         engine.note_committer(self.id, base_epoch);
         if let Err(e) = engine.apply_captured(&delta) {
             // A precondition failed on the live store: some commit since
             // the base invalidated an op in a way footprints admit
-            // (LWW waivers, untraced mutator-internal reads). Treat as a
+            // (untraced mutator-internal reads). Treat as a
             // conflict and retry — unless nothing can have interleaved,
             // in which case the Δ itself is unreplayable and retrying
             // would loop forever.
@@ -1276,51 +1227,6 @@ mod tests {
             .parse()
             .unwrap();
         assert_eq!(got, rounds * 2);
-    }
-
-    #[test]
-    fn last_writer_wins_waives_value_conflicts() {
-        // Under lww a stale value-set commits anyway — the increment that
-        // validated against an outdated counter overwrites the newer one,
-        // exactly as if it had run second serially. The counter then
-        // *undercounts*: that lost update is the policy's documented
-        // trade, and the abort policy's raison d'être.
-        let server = counter_server(ServerConfig {
-            conflict_policy: ConflictPolicy::LastWriterWins,
-            max_retries: 0,
-            ..ServerConfig::default()
-        });
-        let main = server.open_session().unwrap();
-        let mut lost = 0u64;
-        let mut rounds = 0u64;
-        for _ in 0..30 {
-            let slow = {
-                let server = server.clone();
-                std::thread::spawn(move || {
-                    let s = server.open_session().unwrap();
-                    s.execute(SLOW_INCR)
-                })
-            };
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            main.execute(INCR).unwrap();
-            // Never XQB0052: value-only collisions are waived.
-            slow.join().unwrap().unwrap();
-            rounds += 1;
-            let got: u64 = main
-                .execute("string($doc/c)")
-                .unwrap()
-                .body
-                .parse()
-                .unwrap();
-            lost = rounds * 2 - got;
-            if lost > 0 {
-                break;
-            }
-        }
-        assert!(
-            lost > 0,
-            "no waived lost update in {rounds} rounds of forced collision"
-        );
     }
 
     #[test]

@@ -52,8 +52,7 @@ pub enum UpdateRequest {
     /// `setValue(node, string)` — `replace value of`: overwrite the
     /// string value of a text or attribute node in place. The only
     /// request whose store write is pure value-aspect (no tree-shape
-    /// change), which is what lets the server's last-writer-wins
-    /// conflict policy waive it.
+    /// change), so it conflicts only with writers that read that value.
     SetValue {
         /// The text or attribute node to overwrite.
         node: NodeId,

@@ -89,8 +89,8 @@ impl Store {
     /// attached, or an undo frame is still open (an open frame means the
     /// ops are not yet commitment — the paper's §2.3 rule). The ops leave
     /// the forward buffer whether or not the write succeeds: after an I/O
-    /// error the log's tail is torn and appending them again would only
-    /// bury them behind it.
+    /// error the log refuses every later commit with `XQB0060` until the
+    /// store is reopened.
     pub fn wal_commit(&mut self) -> XdmResult<Option<CommitReceipt>> {
         if self.journal.in_frame() {
             return Ok(None);
@@ -102,8 +102,7 @@ impl Store {
         w.commit(&ops)
     }
 
-    /// Is an automatic checkpoint due (commit count since the last one
-    /// reached `XQB_CHECKPOINT_EVERY`)?
+    /// Is an automatic checkpoint due (256 commits since the last one)?
     pub fn checkpoint_due(&self) -> bool {
         self.wal.as_deref().is_some_and(Wal::checkpoint_due)
     }

@@ -36,6 +36,8 @@ pub const SNAP_MAGIC: &[u8; 8] = b"XQSNAP01";
 const MAX_RECORD: u32 = 64 << 20;
 /// `SyncMode::Batch` fsyncs at most once per this many commits.
 const BATCH_EVERY: u64 = 32;
+/// An automatic checkpoint is installed every this many commits.
+const CHECKPOINT_EVERY: u64 = 256;
 
 /// When to fsync the redo log (set via `Engine::set_durability`, the
 /// `XQB_DURABILITY` env var, or [`Store::open_durable`]).
@@ -615,18 +617,14 @@ pub struct Wal {
     pending_info: Option<(u64, u64)>,
     commits_since_sync: u64,
     commits_since_checkpoint: u64,
-    /// Checkpoint after this many commits (`XQB_CHECKPOINT_EVERY`;
-    /// 0 disables automatic checkpoints).
-    checkpoint_every: u64,
-    /// Fault injection (`XQB_WAL_CRASH_AT`): abort the process once this
-    /// many cumulative log bytes have been written, leaving a genuinely
-    /// torn record behind. Counted across truncations, so offsets are
-    /// stable even when checkpoints shrink the file.
-    crash_after: Option<u64>,
-    bytes_written: u64,
-    /// Fault injection (`XQB_WAL_CRASH_CHECKPOINT`): 1 aborts between
-    /// checkpoint rename and log truncation; 2 aborts mid-snapshot-write.
-    crash_checkpoint: u8,
+    /// Length of the log file: where the next record goes, and what a
+    /// failed append cuts the file back to.
+    len: u64,
+    /// Has anything been appended since the log was opened?
+    appended: bool,
+    /// Set by a failed append: the store has moved past what the file
+    /// holds, so every later write is refused until the store is reopened.
+    poisoned: bool,
 }
 
 fn io_err(context: &str, e: std::io::Error) -> XdmError {
@@ -634,6 +632,20 @@ fn io_err(context: &str, e: std::io::Error) -> XdmError {
         "XQB0060",
         format!("durable store I/O error ({context}): {e}"),
     )
+}
+
+fn poisoned() -> XdmError {
+    XdmError::new(
+        "XQB0060",
+        "durable store refuses writes after a failed log append; reopen the store",
+    )
+}
+
+/// Append one framed log record to `out`: payload length, CRC32, payload.
+fn frame(out: &mut Vec<u8>, payload: &[u8]) {
+    put_u32(out, payload.len() as u32);
+    put_u32(out, crc32(payload));
+    out.extend_from_slice(payload);
 }
 
 impl Wal {
@@ -645,21 +657,6 @@ impl Wal {
     /// Path of the checkpoint snapshot inside `dir`.
     pub fn checkpoint_path(dir: &Path) -> PathBuf {
         dir.join("checkpoint.bin")
-    }
-
-    fn env_knobs() -> (u64, Option<u64>, u8) {
-        let every = std::env::var("XQB_CHECKPOINT_EVERY")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(256);
-        let crash_at = std::env::var("XQB_WAL_CRASH_AT")
-            .ok()
-            .and_then(|v| v.parse().ok());
-        let crash_ckpt = std::env::var("XQB_WAL_CRASH_CHECKPOINT")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        (every, crash_at, crash_ckpt)
     }
 
     /// Open (creating or appending to) the log in `dir`; `existing_lsn`
@@ -695,11 +692,11 @@ impl Wal {
                 .map_err(|e| io_err("seek", e))?;
             file.write_all(LOG_MAGIC)
                 .map_err(|e| io_err("write header", e))?;
+            start = LOG_MAGIC.len() as u64;
         } else {
             file.seek(SeekFrom::Start(start))
                 .map_err(|e| io_err("seek", e))?;
         }
-        let (checkpoint_every, crash_after, crash_checkpoint) = Self::env_knobs();
         Ok(Wal {
             dir: dir.to_path_buf(),
             file,
@@ -708,10 +705,9 @@ impl Wal {
             pending_info: None,
             commits_since_sync: 0,
             commits_since_checkpoint: 0,
-            checkpoint_every,
-            crash_after,
-            bytes_written: 0,
-            crash_checkpoint,
+            len: start,
+            appended: false,
+            poisoned: false,
         })
     }
 
@@ -741,69 +737,79 @@ impl Wal {
     /// Has anything been appended since this log was opened? (Gates the
     /// shutdown seal: re-opening a store read-only must not dirty it.)
     pub(crate) fn dirty_since_open(&self) -> bool {
-        self.bytes_written > 0
+        self.appended
     }
 
-    /// Write one framed record, honoring the crash-injection threshold:
-    /// if this write would cross `crash_after` cumulative bytes, only the
-    /// prefix up to the threshold reaches the file (a genuinely torn
-    /// record) and the process aborts.
-    fn write_record(&mut self, payload: &[u8]) -> XdmResult<()> {
-        let mut framed = Vec::with_capacity(payload.len() + 8);
-        put_u32(&mut framed, payload.len() as u32);
-        put_u32(&mut framed, crc32(payload));
-        framed.extend_from_slice(payload);
-        if let Some(limit) = self.crash_after {
-            let remaining = limit.saturating_sub(self.bytes_written) as usize;
-            if framed.len() > remaining {
-                let _ = self.file.write_all(&framed[..remaining]);
-                let _ = self.file.sync_data();
-                std::process::abort();
-            }
+    /// Append `bytes` at the end of the log, fsyncing when `fsync` is
+    /// set. Any I/O error cuts the file back to its length before the
+    /// append and poisons the log: the store already holds what the
+    /// bytes describe, and a later record written behind a torn one would
+    /// be dropped by recovery as part of a corrupt tail.
+    fn append(&mut self, bytes: &[u8], fsync: bool) -> XdmResult<()> {
+        if self.poisoned {
+            return Err(poisoned());
         }
-        self.file
-            .write_all(&framed)
-            .map_err(|e| io_err("append record", e))?;
-        self.bytes_written += framed.len() as u64;
+        let written = self
+            .file
+            .write_all(bytes)
+            .map_err(|e| io_err("append record", e))
+            .and_then(|()| {
+                if fsync {
+                    self.file.sync_data().map_err(|e| io_err("fsync", e))
+                } else {
+                    Ok(())
+                }
+            });
+        if let Err(e) = written {
+            let _ = self.file.set_len(self.len);
+            let _ = self.file.seek(SeekFrom::Start(self.len));
+            self.poisoned = true;
+            return Err(e);
+        }
+        self.len += bytes.len() as u64;
+        self.appended = true;
         Ok(())
     }
 
-    /// Append `ops` and a commit marker; fsync per the sync mode. A no-op
-    /// (returns `None`) when `ops` is empty — read-only runs cost nothing.
+    /// Append `ops` and a commit marker as one write; fsync per the sync
+    /// mode. A no-op (returns `None`) when `ops` is empty — read-only runs
+    /// cost nothing.
     pub(crate) fn commit(&mut self, ops: &RedoBuf) -> XdmResult<Option<CommitReceipt>> {
         if ops.len() == 0 {
             self.pending_info = None;
             return Ok(None);
         }
-        let before = self.bytes_written;
+        let mut batch = Vec::new();
         if let Some((session, base_epoch)) = self.pending_info.take() {
             let mut payload = vec![TAG_INFO];
             put_u64(&mut payload, session);
             put_u64(&mut payload, base_epoch);
-            self.write_record(&payload)?;
+            frame(&mut batch, &payload);
         }
         for payload in ops.records() {
-            self.write_record(payload)?;
+            frame(&mut batch, payload);
         }
-        self.lsn += 1;
+        let lsn = self.lsn + 1;
         let mut marker = vec![TAG_COMMIT];
-        put_u64(&mut marker, self.lsn);
-        self.write_record(&marker)?;
-        self.commits_since_sync += 1;
-        self.commits_since_checkpoint += 1;
+        put_u64(&mut marker, lsn);
+        frame(&mut batch, &marker);
         let fsynced = match self.sync {
             SyncMode::Always => true,
-            SyncMode::Batch => self.commits_since_sync >= BATCH_EVERY,
+            SyncMode::Batch => self.commits_since_sync + 1 >= BATCH_EVERY,
             SyncMode::Off => false,
         };
-        if fsynced {
-            self.file.sync_data().map_err(|e| io_err("fsync", e))?;
-            self.commits_since_sync = 0;
-        }
+        self.append(&batch, fsynced)?;
+        self.lsn = lsn;
+        self.commits_since_sync = if fsynced {
+            0
+        } else {
+            self.commits_since_sync + 1
+        };
+        self.commits_since_checkpoint += 1;
         Ok(Some(CommitReceipt {
-            lsn: self.lsn,
+            lsn,
             records: ops.len() as u64,
-            bytes: self.bytes_written - before,
+            bytes: batch.len() as u64,
             fsynced,
         }))
     }
@@ -813,16 +819,14 @@ impl Wal {
     pub(crate) fn seal(&mut self, fingerprint: u64) -> XdmResult<()> {
         let mut payload = vec![TAG_SEAL];
         put_u64(&mut payload, fingerprint);
-        self.write_record(&payload)?;
-        if !matches!(self.sync, SyncMode::Off) {
-            self.file.sync_data().map_err(|e| io_err("fsync seal", e))?;
-        }
-        Ok(())
+        let mut record = Vec::new();
+        frame(&mut record, &payload);
+        self.append(&record, !matches!(self.sync, SyncMode::Off))
     }
 
     /// Is an automatic checkpoint due?
     pub(crate) fn checkpoint_due(&self) -> bool {
-        self.checkpoint_every > 0 && self.commits_since_checkpoint >= self.checkpoint_every
+        self.commits_since_checkpoint >= CHECKPOINT_EVERY
     }
 
     /// Install `snapshot` as the new checkpoint and truncate the log:
@@ -831,15 +835,12 @@ impl Wal {
     /// truncation is safe: replay skips commits with `lsn ≤` the
     /// snapshot's, so nothing is applied twice.
     pub(crate) fn install_checkpoint(&mut self, snapshot: &[u8]) -> XdmResult<()> {
+        if self.poisoned {
+            return Err(poisoned());
+        }
         let tmp = self.dir.join("checkpoint.tmp");
         {
             let mut f = File::create(&tmp).map_err(|e| io_err("create checkpoint.tmp", e))?;
-            if self.crash_checkpoint == 2 {
-                // Torn snapshot write: half the body, then abort.
-                let _ = f.write_all(&snapshot[..snapshot.len() / 2]);
-                let _ = f.sync_data();
-                std::process::abort();
-            }
             f.write_all(snapshot)
                 .map_err(|e| io_err("write checkpoint", e))?;
             f.sync_data().map_err(|e| io_err("fsync checkpoint", e))?;
@@ -849,14 +850,10 @@ impl Wal {
         if let Ok(d) = File::open(&self.dir) {
             let _ = d.sync_all();
         }
-        if self.crash_checkpoint == 1 {
-            // Crash in the checkpoint-crossing window: snapshot installed,
-            // log not yet truncated.
-            std::process::abort();
-        }
         self.file
             .set_len(LOG_MAGIC.len() as u64)
             .map_err(|e| io_err("truncate log", e))?;
+        self.len = LOG_MAGIC.len() as u64;
         self.file
             .seek(SeekFrom::Start(LOG_MAGIC.len() as u64))
             .map_err(|e| io_err("seek", e))?;
@@ -1200,5 +1197,29 @@ mod tests {
         h2.u32(42);
         assert_eq!(first, h2.finish());
         assert_ne!(first, Fnv64::new().finish());
+    }
+
+    #[test]
+    fn a_failed_append_refuses_every_later_commit() {
+        let dir = std::env::temp_dir().join(format!("xqb_wal_poison_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let log = Wal::log_path(&dir);
+        let mut wal = Wal::open(&dir, SyncMode::Always, 0, None).unwrap();
+        let mut ops = RedoBuf::default();
+        ops.push(&RedoOp::Detach { node: NodeId(1) }, &Symbols::new());
+        wal.commit(&ops).unwrap();
+        let committed = std::fs::read(&log).unwrap();
+
+        // A read-only handle makes the next append fail.
+        let writable = std::mem::replace(&mut wal.file, File::open(&log).unwrap());
+        assert!(wal.commit(&ops).is_err());
+        // With the writable handle back, the log still refuses: a commit
+        // appended now would follow a batch the store holds and the file
+        // does not.
+        wal.file = writable;
+        let err = wal.commit(&ops).unwrap_err();
+        assert_eq!(err.code, "XQB0060");
+        assert_eq!(std::fs::read(&log).unwrap(), committed);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -310,8 +310,7 @@ pub enum Expr {
     /// `replace` splices a fresh copy next to the target and deletes the
     /// target); this is XQuery Update's "replace value of", kept because
     /// it preserves node identity and gives the store a pure value-aspect
-    /// write — the footprint the server's last-writer-wins conflict
-    /// policy can safely waive.
+    /// write — a footprint that conflicts only with readers of that value.
     ReplaceValue(Box<Expr>, Box<Expr>),
     /// `rename { e1 } to { e2 }`
     Rename(Box<Expr>, Box<Expr>),

@@ -17,10 +17,8 @@
 //! * **The §2.3 archive pattern** — when a tenant's log reaches the
 //!   threshold, the same query snapshots the count, archives it, and
 //!   empties the log.
-//! * **Session state, two ways** — per-tenant `<state/>` values updated
-//!   with `replace value of` under the default abort policy (serializable:
-//!   every bump counted) and, in a second run, under last-writer-wins
-//!   (waived: later commits silently overwrite — the documented trade).
+//! * **Session state** — per-tenant `<state/>` values updated with
+//!   `replace value of`: serializable, every bump counted.
 //! * **Serial-equivalence** — after the storm, the commit log replayed
 //!   one query at a time on a fresh engine reproduces the server's final
 //!   fingerprint exactly.
@@ -28,13 +26,13 @@
 //! Run with: `cargo run --example logging_tenant`
 
 use std::sync::{Arc, Barrier};
-use xquery_bang::{ConflictPolicy, Engine, Error, Server, ServerConfig, Session};
+use xquery_bang::{Engine, Error, Server, ServerConfig, Session};
 
 const TENANTS: usize = 3;
 const REQUESTS_PER_TENANT: usize = 12;
 const MAXLOG: usize = 4;
 
-fn build_server(policy: ConflictPolicy) -> Server {
+fn build_server() -> Server {
     let mut engine = Engine::new();
     // One shared id counter (§2.5) plus per-tenant log/archive/state.
     engine
@@ -48,10 +46,7 @@ fn build_server(policy: ConflictPolicy) -> Server {
             )
             .unwrap();
     }
-    engine.into_server(ServerConfig {
-        conflict_policy: policy,
-        ..ServerConfig::default()
-    })
+    engine.into_server(ServerConfig::default())
 }
 
 /// A client retry loop: XQB0052 is the server saying "a conflicting Δ
@@ -107,8 +102,8 @@ fn handle_request(session: &Session, tenant: usize, user: usize) -> u64 {
     id
 }
 
-fn run_storm(policy: ConflictPolicy) -> (Server, Vec<u64>) {
-    let server = build_server(policy);
+fn run_storm() -> (Server, Vec<u64>) {
+    let server = build_server();
     let start = Arc::new(Barrier::new(TENANTS));
     let workers: Vec<_> = (0..TENANTS)
         .map(|t| {
@@ -131,10 +126,7 @@ fn run_storm(policy: ConflictPolicy) -> (Server, Vec<u64>) {
 }
 
 fn main() {
-    // ------------------------------------------------------------------
-    // Run 1: default abort policy — fully serializable.
-    // ------------------------------------------------------------------
-    let (server, mut ids) = run_storm(ConflictPolicy::Abort);
+    let (server, mut ids) = run_storm();
     let total = TENANTS * REQUESTS_PER_TENANT;
 
     // Unique gapless ids: the shared counter never lost an update even
@@ -190,50 +182,13 @@ fn main() {
     );
 
     let stats = server.stats();
-    println!("abort policy:");
     println!(
-        "  tenants={TENANTS} requests={total} commits={}",
+        "tenants={TENANTS} requests={total} commits={}",
         server.epoch()
     );
     println!(
-        "  conflicts={} retries={} (stats are process-wide)",
+        "conflicts={} retries={} (stats are process-wide)",
         stats.conflicts, stats.retries
-    );
-
-    // ------------------------------------------------------------------
-    // Run 2: last-writer-wins — value collisions are waived, so the
-    // counter *may* undercount; everything structural stays intact.
-    // ------------------------------------------------------------------
-    let (server, ids) = run_storm(ConflictPolicy::LastWriterWins);
-    let distinct: std::collections::HashSet<u64> = ids.iter().copied().collect();
-    let probe = server.open_session().unwrap();
-    for t in 0..TENANTS {
-        let archived: u64 = submit(
-            &probe,
-            &format!("sum($tenant{t}/tenant/archive/archived/@entries)"),
-        )
-        .parse()
-        .unwrap();
-        let in_log: u64 = submit(&probe, &format!("count($tenant{t}/tenant/log/logentry)"))
-            .parse()
-            .unwrap();
-        // Structural writes (appends, archive sweeps) are never waived:
-        // conservation still holds under lww.
-        assert_eq!(
-            archived + in_log,
-            REQUESTS_PER_TENANT as u64,
-            "tenant {t} conservation under lww"
-        );
-    }
-    println!("last-writer-wins policy:");
-    println!(
-        "  requests={total} distinct_ids={} duplicated_ids={} (waived lost updates)",
-        distinct.len(),
-        total - distinct.len()
-    );
-    assert!(
-        distinct.len() <= total,
-        "lww can only merge ids, not invent them"
     );
     println!("ok");
 }

@@ -35,7 +35,7 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use xquery_bang::xqsyn::stack::spawn_deep;
-use xquery_bang::{ConflictPolicy, Engine, Error, Server, ServerConfig};
+use xquery_bang::{Engine, Error, Server, ServerConfig};
 
 /// Longest command line accepted, newline included (`QUERY <len>` needs
 /// under 30 bytes).
@@ -57,7 +57,6 @@ fn usage() -> &'static str {
        --max-inflight <N>        concurrent request cap, XQB0051 beyond (32)\n\
        --no-occ                  serialize every write under the engine lock\n\
                                  (disables optimistic concurrent writers)\n\
-       --conflict-policy <P>     abort (default) or lww / last-writer-wins\n\
        --max-retries <N>         conflict retries before XQB0052 (8)\n\
        --threads <N>             per-request worker threads ($XQB_THREADS or 1)\n\
        --fuel <N>                per-request step budget (XQB0041)\n\
@@ -74,7 +73,6 @@ struct Options {
     max_sessions: usize,
     max_inflight: usize,
     occ_writers: bool,
-    conflict_policy: ConflictPolicy,
     max_retries: usize,
     threads: Option<usize>,
     fuel: Option<u64>,
@@ -90,7 +88,6 @@ fn parse_args() -> Result<Options, String> {
         max_sessions: 64,
         max_inflight: 32,
         occ_writers: true,
-        conflict_policy: ConflictPolicy::Abort,
         max_retries: 8,
         threads: None,
         fuel: None,
@@ -121,13 +118,6 @@ fn parse_args() -> Result<Options, String> {
             "--max-sessions" => opts.max_sessions = parse_num(&mut args, "--max-sessions")?,
             "--max-inflight" => opts.max_inflight = parse_num(&mut args, "--max-inflight")?,
             "--no-occ" => opts.occ_writers = false,
-            "--conflict-policy" => {
-                let v = args
-                    .next()
-                    .ok_or("missing argument for --conflict-policy")?;
-                opts.conflict_policy = ConflictPolicy::parse(&v)
-                    .ok_or_else(|| format!("bad value \"{v}\" for --conflict-policy"))?;
-            }
             "--max-retries" => opts.max_retries = parse_num(&mut args, "--max-retries")?,
             "--threads" => opts.threads = Some(parse_num(&mut args, "--threads")?),
             "--fuel" => opts.fuel = Some(parse_num(&mut args, "--fuel")?),
@@ -170,7 +160,6 @@ fn host(mut engine: Engine, opts: &Options) -> Server {
         max_sessions: opts.max_sessions,
         max_inflight: opts.max_inflight,
         occ_writers: opts.occ_writers,
-        conflict_policy: opts.conflict_policy,
         max_retries: opts.max_retries,
         ..ServerConfig::default()
     })

@@ -41,8 +41,8 @@ pub use xqdm;
 pub use xqsyn;
 
 pub use xqcore::{
-    CommitRecord, ConflictPolicy, Engine, Error, RequestKind, Response, Server, ServerConfig,
-    ServerStats, Session, SnapMode,
+    CommitRecord, Engine, Error, RequestKind, Response, Server, ServerConfig, ServerStats, Session,
+    SnapMode,
 };
 pub use xqdm::{Atomic, CapturedDelta, Footprint, Item, RecoveryReport, Sequence, Store, SyncMode};
 

@@ -17,9 +17,10 @@
 //! silently. The converse (detector conflicts, worlds agree anyway) is
 //! allowed — the detector is conservative, not complete.
 //!
-//! The last-writer-wins waiver is pinned separately: for value-only
-//! collisions the rebased world must equal "Q2's value sets win", and
-//! structural collisions must never be waivable.
+//! The aspect masks are pinned separately: a value set or a rename
+//! collides on the name/value aspects alone (and a blind rebase of such
+//! a pair keeps the later writer's value), a structural edit carries a
+//! structural aspect.
 
 use proptest::prelude::*;
 use xquery_bang::xqdm::footprint::aspect;
@@ -151,12 +152,26 @@ fn blind_appends_to_one_container_commute() {
 }
 
 // ---------------------------------------------------------------------
-// Last-writer-wins pins: exact outcomes for the waivable aspect class.
+// Aspect-mask pins: which aspects a colliding pair reports, and what a
+// blind rebase of a value/name-only collision would commit. The blind
+// replay is last-writer-wins — Δ2's stale value lands over Δ1's — which
+// is exactly the lost update the server refuses by aborting the pair.
 // ---------------------------------------------------------------------
 
-/// Run the LWW scenario: Q2 forks first, Q1 commits, Δ2 rebases with a
-/// waived value/name collision. Returns (aspect bits, live engine).
-fn lww_rebase(q1: &str, q2: &str) -> (u8, Engine) {
+/// Q2 forks first, Q1 commits; the aspects Δ2's reads share with Δ1's
+/// writes.
+fn collision(q1: &str, q2: &str) -> u8 {
+    let mut live = arena_engine();
+    let (delta2, _) = capture_on_fork(&live, q2);
+    live.begin_capture(true);
+    live.run(q1).unwrap();
+    let delta1 = live.take_capture().unwrap();
+    delta2.reads().conflict_aspects(delta1.writes())
+}
+
+/// Q2 forks first, Q1 commits, then Δ2 replays blindly over the
+/// collision. Returns (aspect bits, live engine).
+fn blind_rebase(q1: &str, q2: &str) -> (u8, Engine) {
     let mut live = arena_engine();
     let (delta2, ok2) = capture_on_fork(&live, q2);
     assert!(ok2);
@@ -177,9 +192,9 @@ fn string_of(e: &mut Engine, q: &str) -> String {
 #[test]
 fn lww_counter_set_keeps_the_later_writers_value() {
     // Q1 sets the counter to 100; Δ2 computed 10+1 = 11 against the
-    // base. The waived rebase applies Δ2's stale value — the defined
-    // LWW outcome is 11, never 101 and never 100.
-    let (bits, mut live) = lww_rebase(
+    // base. The blind rebase applies Δ2's stale value: 11, never 101
+    // and never 100.
+    let (bits, mut live) = blind_rebase(
         "replace value of { $doc/r/c/text() } with { 100 }",
         "replace value of { $doc/r/c/text() } with { $doc/r/c + 1 }",
     );
@@ -189,7 +204,7 @@ fn lww_counter_set_keeps_the_later_writers_value() {
 
 #[test]
 fn lww_attribute_set_keeps_the_later_writers_value() {
-    let (bits, mut live) = lww_rebase(
+    let (bits, mut live) = blind_rebase(
         "replace value of { $doc/r/x/@id } with { \"first\" }",
         "replace value of { $doc/r/x/@id } with { concat(string($doc/r/x/@id), \"+2\") }",
     );
@@ -199,7 +214,7 @@ fn lww_attribute_set_keeps_the_later_writers_value() {
 
 #[test]
 fn lww_rename_keeps_the_later_writers_name() {
-    let (bits, mut live) = lww_rebase(
+    let (bits, mut live) = blind_rebase(
         "rename { $doc/r/tag } to { \"one\" }",
         "rename { ($doc/r/*)[4] } to { \"two\" }",
     );
@@ -211,16 +226,11 @@ fn lww_rename_keeps_the_later_writers_name() {
 #[test]
 fn structural_collisions_are_never_waivable() {
     // Q2 read the children list Q1 rewrote: the intersection carries
-    // CHILDREN, which the LWW policy must refuse to waive.
-    let mut live = arena_engine();
-    let (delta2, _) = capture_on_fork(
-        &live,
+    // CHILDREN, not only a name or value aspect.
+    let bits = collision(
+        "delete { ($doc/r/items/item)[1] }",
         "replace { ($doc/r/items/item)[last()] } with { <item n=\"mine\"/> }",
     );
-    live.begin_capture(true);
-    live.run("delete { ($doc/r/items/item)[1] }").unwrap();
-    let delta1 = live.take_capture().unwrap();
-    let bits = delta2.reads().conflict_aspects(delta1.writes());
     assert_ne!(
         bits & !(aspect::NAME | aspect::VALUE),
         0,

@@ -1,11 +1,13 @@
 //! Durable-store tests (ISSUE 6; docs/DURABILITY.md).
 //!
-//! The central invariant, exercised here in-process and by the
-//! `crash_probe` example across real process kills: after *any* crash or
-//! log corruption, recovery reconstructs a store whose fingerprint equals
-//! some committed prefix of the workload — never a torn, reordered, or
-//! invented state — and corrupt tails are dropped with a warning, never
-//! an abort.
+//! The central invariant: after *any* crash or log corruption, recovery
+//! reconstructs a store whose fingerprint equals some committed prefix of
+//! the workload — never a torn, reordered, or invented state — and
+//! corrupt tails are dropped with a warning, never an abort. These tests
+//! pin single cases of it (a torn tail, a checkpoint crossing, a stale
+//! `checkpoint.tmp`, random workloads cut or flipped once);
+//! `tests/crash_recovery.rs` sweeps every byte of the logs of three
+//! workloads, the multi-session server's among them.
 
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -216,6 +218,49 @@ fn checkpoint_roundtrip_and_crossing_crash() {
     );
     assert_eq!(store.fingerprint(), fp_after_two);
     drop(store);
+    cleanup(&dir);
+}
+
+#[test]
+fn stale_checkpoint_tmp_is_ignored_then_replaced() {
+    let ops = [0, 1, 0, 3];
+    // A finished checkpoint of the workload, and the log it would have
+    // truncated.
+    let done = temp_dir("tmp_done");
+    let (log, snapshot) = {
+        let mut e = Engine::new();
+        e.open_store(&done).unwrap();
+        apply_workload(&mut e, &ops);
+        let log = std::fs::read(done.join("wal.log")).unwrap();
+        e.store.checkpoint().unwrap().expect("checkpoint installed");
+        (log, std::fs::read(done.join("checkpoint.bin")).unwrap())
+    };
+
+    // A crash halfway through writing that snapshot: half of it in
+    // checkpoint.tmp, no checkpoint.bin, the log untouched.
+    let dir = temp_dir("tmp_stale");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("wal.log"), &log).unwrap();
+    std::fs::write(dir.join("checkpoint.tmp"), &snapshot[..snapshot.len() / 2]).unwrap();
+    let (mut store, report) = Store::open_durable(&dir, SyncMode::Always).unwrap();
+    assert!(!report.from_checkpoint, "report: {report:?}");
+    assert_eq!(report.tail_dropped, 0, "report: {report:?}");
+    assert_eq!(
+        Some(&store.fingerprint()),
+        prefix_fingerprints(&ops).last(),
+        "recovery must land on the whole log"
+    );
+
+    // The next checkpoint writes over the stale file and installs it.
+    store.checkpoint().unwrap().expect("checkpoint installed");
+    assert!(!dir.join("checkpoint.tmp").exists());
+    assert_eq!(std::fs::read(dir.join("checkpoint.bin")).unwrap(), snapshot);
+    drop(store);
+    let (store, report) = Store::open_durable(&dir, SyncMode::Always).unwrap();
+    assert!(report.from_checkpoint, "report: {report:?}");
+    assert_eq!(Some(&store.fingerprint()), prefix_fingerprints(&ops).last());
+    drop(store);
+    cleanup(&done);
     cleanup(&dir);
 }
 
