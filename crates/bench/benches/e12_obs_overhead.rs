@@ -36,7 +36,6 @@ fn median(mut v: Vec<f64>) -> f64 {
 fn q8_engine(scale: &Scale, compile: bool) -> Engine {
     let mut e = Engine::new().with_seed(11);
     e.set_compile(compile);
-    e.set_threads(1);
     let (store, bindings) = xmark_fixture(8, scale);
     e.store = store;
     for (name, seq) in bindings {

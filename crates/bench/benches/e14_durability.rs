@@ -44,7 +44,6 @@ fn time_stream(sync: Option<SyncMode>, tag: &str) -> (f64, Option<(u64, u64)>) {
     let mut smoke = None;
     for rep in 0..REPS {
         let mut e = Engine::new().with_seed(14);
-        e.set_threads(1);
         let dir = temp_dir(tag, rep);
         if let Some(mode) = sync {
             e.set_durability(mode);

@@ -44,7 +44,6 @@ fn build_server(sessions: usize) -> Server {
     items.push_str("</items><log/></site>");
     let mut e = Engine::new().with_seed(16);
     e.load_document("doc", &items).expect("load");
-    e.set_threads(1); // isolate inter-session scaling from intra-query parallelism
     let config = ServerConfig {
         max_sessions: sessions + 1,
         ..ServerConfig::default()

@@ -36,7 +36,6 @@ fn build_server(writers: usize, occ: bool) -> Server {
     doc.push_str("</site>");
     let mut e = Engine::new().with_seed(17);
     e.load_document("doc", &doc).expect("load");
-    e.set_threads(1); // isolate inter-writer scaling from intra-query parallelism
     let config = ServerConfig {
         max_sessions: writers + 1,
         occ_writers: occ,

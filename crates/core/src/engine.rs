@@ -74,9 +74,8 @@ pub struct Engine {
     plans: Arc<SharedPlanCache>,
     /// The account of the most recent run (or module load).
     last_run: Option<RunReport>,
-    /// fsync policy for the durable store (from `XQB_DURABILITY`; applied
-    /// when a store is opened/saved, and live-switchable via
-    /// [`Engine::set_durability`]).
+    /// fsync policy for the durable store (applied when a store is
+    /// opened/saved, and live-switchable via [`Engine::set_durability`]).
     durability: SyncMode,
 }
 
@@ -129,36 +128,17 @@ pub struct RunReport {
 }
 
 impl Engine {
-    /// A fresh engine with an empty store. The one place the process
-    /// environment is read: `XQB_THREADS`, the `Limits` variables,
-    /// `XQB_TRACE`, `XQB_SLOW_MS`, `XQB_DURABILITY`, and `XQB_STORE_PATH` —
-    /// with which the durable store at that directory is recovered and
-    /// attached (a failure warns and falls back to in-memory — a bad
-    /// store file must not brick the engine).
+    /// A fresh engine with an empty in-memory store and the default
+    /// policy. Everything else — a durable store, threads, limits, tracing
+    /// — is set by the host through the setters below; the engine reads
+    /// nothing from its process.
     pub fn new() -> Self {
-        let mut env = ProgramEnv::default();
-        env.limits = Limits::from_env();
-        env.threads = crate::par::threads_from_env();
-        env.trace = obs::TraceSink::from_env();
-        env.slow_ms = std::env::var("XQB_SLOW_MS")
-            .ok()
-            .and_then(|v| v.parse().ok());
-        let mut engine = Engine::over(Store::new(), Arc::new(env), 0, SharedPlanCache::new());
-        engine.durability = std::env::var("XQB_DURABILITY")
-            .ok()
-            .and_then(|v| SyncMode::parse(&v))
-            .unwrap_or_default();
-        if let Ok(path) = std::env::var("XQB_STORE_PATH") {
-            if !path.is_empty() {
-                if let Err(e) = engine.open_store(&path) {
-                    eprintln!(
-                        "warning: cannot open durable store at {path}: {e}; \
-                         continuing in-memory"
-                    );
-                }
-            }
-        }
-        engine
+        Engine::over(
+            Store::new(),
+            Arc::new(ProgramEnv::default()),
+            0,
+            SharedPlanCache::new(),
+        )
     }
 
     /// An engine over `store` with nothing run yet: the shared shape of a
@@ -223,8 +203,7 @@ impl Engine {
         self.store.save_durable(dir, self.durability)
     }
 
-    /// Set the fsync-on-commit policy (`always` / `batch` / `off`; also
-    /// settable via the `XQB_DURABILITY` env var at construction).
+    /// Set the fsync-on-commit policy (`always` / `batch` / `off`).
     /// Applies immediately to an attached store and to stores opened
     /// later.
     pub fn set_durability(&mut self, sync: SyncMode) {
@@ -273,8 +252,7 @@ impl Engine {
         Ok((receipt.records, receipt.bytes))
     }
 
-    /// Attach a trace-span sink (normally set from `XQB_TRACE` at
-    /// construction; tests and hosts may install one directly).
+    /// Attach a trace-span sink (the binaries' `--trace <FILE>`).
     pub fn set_trace(&mut self, sink: Arc<obs::TraceSink>) {
         self.env_mut().trace = Some(sink);
     }

@@ -58,9 +58,10 @@ pub struct ProgramEnv {
 }
 
 impl Default for ProgramEnv {
-    /// No functions, no bindings, default policy. Reads no environment
-    /// variable — [`Engine::new`](crate::Engine::new) is the one place
-    /// that does.
+    /// No functions, no bindings, default policy: one thread, default
+    /// limits, compiled plans, no slow-query log, no trace sink. What
+    /// [`Engine::new`](crate::Engine::new) starts from; hosts change it
+    /// through the engine's setters.
     fn default() -> Self {
         ProgramEnv {
             functions: Vec::new(),

@@ -62,7 +62,7 @@ pub use env::{DynEnv, Focus, ProgramEnv, Scope};
 pub use eval::{EvalStats, Evaluator};
 pub use limits::{LimitGuard, Limits, TripKind};
 pub use obs::{Gauge, MetricsSnapshot, NodeStats, Profile, Registry, TraceSink};
-pub use par::{par_safe, threads_from_env, MAX_THREADS, PAR_MIN_ITEMS};
+pub use par::{par_safe, MAX_THREADS, PAR_MIN_ITEMS};
 pub use planner::{program_fingerprint, SharedPlanCache};
 pub use server::{CommitRecord, RequestKind, Response, Server, ServerConfig, ServerStats, Session};
 pub use update::{Delta, UpdateRequest};

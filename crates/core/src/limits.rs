@@ -13,8 +13,8 @@
 //! | `XQB0042` | wall-clock deadline                     |
 //! | `XQB0043` | materialized-sequence / Δ memory budget |
 //!
-//! [`Limits`] is the plain config (engine builders, `XQB_*` env vars,
-//! `xqbang` flags, REPL `:limits`). [`LimitGuard`] is the cheap runtime
+//! [`Limits`] is the plain config (`Engine::set_limits`, the binaries'
+//! flags, REPL `:limits`). [`LimitGuard`] is the cheap runtime
 //! check shared by every execution surface — interpreted evaluator,
 //! compiled executor, and parallel workers. The guard is `Clone` and all
 //! state is atomic, so one guard is shared across sibling workers: the
@@ -161,29 +161,6 @@ impl Default for Limits {
 }
 
 impl Limits {
-    /// Defaults overridden by `XQB_MAX_DEPTH`, `XQB_MAX_PARSE_DEPTH`,
-    /// `XQB_MAX_XML_DEPTH`, `XQB_FUEL`, `XQB_MEMORY_ITEMS`, and
-    /// `XQB_DEADLINE_MS`. Unset or unparseable variables keep the default.
-    pub fn from_env() -> Self {
-        fn get<T: std::str::FromStr>(name: &str) -> Option<T> {
-            std::env::var(name).ok()?.trim().parse().ok()
-        }
-        let mut l = Limits::default();
-        if let Some(d) = get::<usize>("XQB_MAX_DEPTH") {
-            l.max_depth = d.max(1);
-        }
-        if let Some(d) = get::<usize>("XQB_MAX_PARSE_DEPTH") {
-            l.max_parse_depth = d.max(1);
-        }
-        if let Some(d) = get::<usize>("XQB_MAX_XML_DEPTH") {
-            l.max_xml_depth = d.max(1);
-        }
-        l.fuel = get::<u64>("XQB_FUEL").or(l.fuel);
-        l.memory_items = get::<u64>("XQB_MEMORY_ITEMS").or(l.memory_items);
-        l.deadline_ms = get::<u64>("XQB_DEADLINE_MS").or(l.deadline_ms);
-        l
-    }
-
     /// True when any of fuel, memory, or deadline is armed (the limits
     /// that require runtime ticking; depth is checked structurally).
     pub fn needs_guard(&self) -> bool {
@@ -434,19 +411,6 @@ mod tests {
         });
         g.note_trip(TripKind::Depth);
         assert_eq!(g.tick().unwrap_err().code, "XQB0040");
-    }
-
-    #[test]
-    fn env_parsing() {
-        // Serialized via a unique var set; avoid cross-test env races by
-        // only asserting on vars this test sets.
-        std::env::set_var("XQB_FUEL", "1234");
-        std::env::set_var("XQB_MAX_DEPTH", "77");
-        let l = Limits::from_env();
-        assert_eq!(l.fuel, Some(1234));
-        assert_eq!(l.max_depth, 77);
-        std::env::remove_var("XQB_FUEL");
-        std::env::remove_var("XQB_MAX_DEPTH");
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!   `explain_analyze`. When profiling is off the evaluator's per-node
 //!   hook is a single `Option` check.
 //! * **[`TraceSink`]** — JSON-lines span events (begin/end with parent
-//!   ids) written to the path named by `XQB_TRACE`. Spans cover the
+//!   ids) written to the file the host attaches (`Engine::set_trace`,
+//!   the binaries' `--trace`). Spans cover the
 //!   engine run, planning, and every snap scope — not every plan node, so
 //!   trace volume stays proportional to query structure, not data size.
 //!
@@ -30,7 +31,7 @@ use crate::eval::EvalStats;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 // ----------------------------------------------------------------------
@@ -483,8 +484,8 @@ pub fn global() -> &'static Registry {
 // slow-query log
 // ----------------------------------------------------------------------
 
-/// One slow-query record (threshold set by `XQB_SLOW_MS` or
-/// `Engine::set_slow_query_threshold`).
+/// One slow-query record (threshold set by
+/// `Engine::set_slow_query_threshold`, the binaries' `--slow-ms`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlowQuery {
     /// The run's 128-bit plan-cache key, rendered as hex: the program's
@@ -618,27 +619,13 @@ pub struct TraceSink {
 
 impl TraceSink {
     /// A sink writing to the file at `path` (truncated).
-    pub fn to_path(path: &str) -> std::io::Result<TraceSink> {
+    pub fn to_path(path: impl AsRef<std::path::Path>) -> std::io::Result<TraceSink> {
         let file = std::fs::File::create(path)?;
         Ok(TraceSink {
             out: Mutex::new(Box::new(std::io::BufWriter::new(file))),
             next_id: AtomicU64::new(1),
             t0: Instant::now(),
         })
-    }
-
-    /// The sink named by the `XQB_TRACE` environment variable, if set.
-    /// An unwritable path is reported to stderr and disables tracing
-    /// rather than failing the engine.
-    pub fn from_env() -> Option<Arc<TraceSink>> {
-        let path = std::env::var("XQB_TRACE").ok()?;
-        match TraceSink::to_path(&path) {
-            Ok(sink) => Some(Arc::new(sink)),
-            Err(e) => {
-                eprintln!("XQB_TRACE: cannot open {path}: {e}");
-                None
-            }
-        }
     }
 
     /// Begin a span; returns its id for [`TraceSink::end`] and for child

@@ -47,20 +47,9 @@ use xqsyn::stack::DEEP_STACK_BYTES;
 /// dominates any conceivable body.
 pub const PAR_MIN_ITEMS: usize = 4;
 
-/// Upper bound on configured worker counts (a typo like `XQB_THREADS=800`
+/// Upper bound on configured worker counts (a typo like `--threads 800`
 /// should not try to spawn 800 threads per loop).
 pub const MAX_THREADS: usize = 64;
-
-/// The thread count the `XQB_THREADS` environment variable requests, or 1
-/// (sequential) when unset or unparsable. Read at engine construction;
-/// override per engine with `Engine::set_threads`.
-pub fn threads_from_env() -> usize {
-    std::env::var("XQB_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .map(|n| n.clamp(1, MAX_THREADS))
-        .unwrap_or(1)
-}
 
 /// May `body` be evaluated by parallel workers sharing `&Store`, calls
 /// resolved as `scope` resolves them? [`Facts::par_safe`](crate::Facts::par_safe)

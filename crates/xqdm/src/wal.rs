@@ -40,7 +40,7 @@ const BATCH_EVERY: u64 = 32;
 const CHECKPOINT_EVERY: u64 = 256;
 
 /// When to fsync the redo log (set via `Engine::set_durability`, the
-/// `XQB_DURABILITY` env var, or [`Store::open_durable`]).
+/// binaries' `--durability` flag, or [`Store::open_durable`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyncMode {
     /// fsync after every commit marker: a completed commit survives both
@@ -55,7 +55,7 @@ pub enum SyncMode {
 }
 
 impl SyncMode {
-    /// Parse `"always"` / `"batch"` / `"off"` (the `XQB_DURABILITY`
+    /// Parse `"always"` / `"batch"` / `"off"` (the `--durability`
     /// values); `None` for anything else.
     pub fn parse(s: &str) -> Option<SyncMode> {
         match s {

@@ -14,7 +14,7 @@ use crate::store::Store;
 
 /// Default cap on XML element nesting depth; the `_with_limit` entry
 /// points take an explicit one (the engine passes its
-/// `Limits::max_xml_depth`, which is where `XQB_MAX_XML_DEPTH` is read).
+/// `Limits::max_xml_depth`, set through `Engine::set_limits`).
 ///
 /// The element parser is iterative, so the cap is not about the thread
 /// stack — it is a resource-governance bound: a maliciously deep document

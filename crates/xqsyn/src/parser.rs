@@ -27,8 +27,7 @@ pub use crate::cursor::ParseError;
 /// [`with_deep_stack`], whose stack fits this limit with a wide margin.
 /// Override per call with [`parse_program_with_limit`] /
 /// [`parse_expr_with_limit`] (the engine passes its
-/// `Limits::max_parse_depth`, which is where `XQB_MAX_PARSE_DEPTH` is
-/// read).
+/// `Limits::max_parse_depth`, set through `Engine::set_limits`).
 pub const DEFAULT_MAX_PARSE_DEPTH: usize = 200;
 
 /// Parse a complete main module (prolog + body).

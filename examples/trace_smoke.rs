@@ -1,21 +1,21 @@
-//! Smoke-check for `XQB_TRACE` structured tracing (run by CI): set the
-//! env var before the engine exists, run a few queries — including
-//! nested snaps, a compiled join, and an error — then parse the JSON
-//! trace back and validate that every span closes and nests properly.
+//! Smoke-check for structured tracing (run by CI): attach a trace sink to
+//! an engine, run a few queries — including nested snaps, a compiled
+//! join, and an error — then parse the JSON trace back and validate that
+//! every span closes and nests properly.
 //!
 //! Exits non-zero (panics) if the trace is unparseable or malformed.
 //!
 //! Run with: `cargo run --example trace_smoke`
 
+use std::sync::Arc;
 use xquery_bang::{xqcore::obs, Engine};
 
 fn main() {
     let path = std::env::temp_dir().join(format!("xqb_trace_{}.jsonl", std::process::id()));
-    // Must be set before Engine::new — the sink is resolved at
-    // construction time.
-    std::env::set_var("XQB_TRACE", &path);
+    let sink = obs::TraceSink::to_path(&path).expect("trace file created");
 
     let mut engine = Engine::new();
+    engine.set_trace(Arc::new(sink));
     engine.load_document("log", "<log/>").unwrap();
     engine
         .load_document("left", r#"<left><e k="a"/><e k="b"/></left>"#)

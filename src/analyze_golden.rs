@@ -38,7 +38,6 @@ return if (count($xs) > 3)
 /// `cache=miss` and keeps Q8's inserts from leaking between cases.
 fn q8_engine() -> Engine {
     let mut engine = Engine::new();
-    engine.set_threads(1);
     let doc = XmarkGen::new(42)
         .generate(&mut engine.store, &Scale::join_sides(12, 8))
         .expect("generate xmark fixture");
@@ -50,7 +49,6 @@ fn q8_engine() -> Engine {
 
 fn sink_engine() -> Engine {
     let mut engine = Engine::new();
-    engine.set_threads(1);
     let sink = engine.store.new_element(QName::local("sink"));
     engine.bind("sink", xqdm::seq![Item::Node(sink)]);
     engine

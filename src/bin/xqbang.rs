@@ -11,180 +11,63 @@
 //! Exit code 0 on success, 1 on any parse/evaluation error.
 
 use std::process::ExitCode;
+use xquery_bang::cli;
 use xquery_bang::xmarkgen::{Scale, XmarkGen};
-use xquery_bang::xqcore::Limits;
-use xquery_bang::{Engine, Item};
+use xquery_bang::Item;
 
-struct Options {
-    query: Option<String>,
-    query_file: Option<String>,
-    documents: Vec<(String, String)>,
-    xmark: Vec<(String, f64)>,
-    show_plan: bool,
-    analyze: bool,
-    pretty: bool,
-    check_only: bool,
-    store: Option<String>,
-    threads: Option<usize>,
-    max_depth: Option<usize>,
-    fuel: Option<u64>,
-    deadline_ms: Option<u64>,
-    memory_items: Option<u64>,
-}
+const USAGE: &str = "usage: xqbang [OPTIONS] [QUERY_FILE]";
+const FLAGS: &str = "  \
+  -q, --query <XQUERY>      run an inline query instead of a file
+  -d, --doc <VAR>=<FILE>    parse FILE and bind its document to $VAR
+  --xmark <VAR>=<FACTOR>    bind $VAR to a generated XMark document
+  --plan                    print the compiled plan instead of running
+  --analyze                 run the query and print the plan annotated
+                            with live per-node counters (EXPLAIN ANALYZE)
+  --pretty                  indent XML output
+  --check                   static-check the query, do not run it
+";
 
-fn usage() -> &'static str {
-    "usage: xqbang [OPTIONS] [QUERY_FILE]\n\
-     \n\
-     options:\n\
-       -q, --query <XQUERY>      run an inline query instead of a file\n\
-       -d, --doc <VAR>=<FILE>    parse FILE and bind its document to $VAR\n\
-       --xmark <VAR>=<FACTOR>    bind $VAR to a generated XMark document\n\
-       --store <DIR>             open (or create) the durable store at DIR:\n\
-                                 committed updates persist in its redo log,\n\
-                                 recovered documents bind to $doc, $doc2, ...\n\
-                                 (default: $XQB_STORE_PATH; fsync policy from\n\
-                                 $XQB_DURABILITY = always|batch|off)\n\
-       --plan                    print the compiled plan instead of running\n\
-       --analyze                 run the query and print the plan annotated\n\
-                                 with live per-node counters (EXPLAIN ANALYZE)\n\
-       --pretty                  indent XML output\n\
-       --check                   static-check the query, do not run it\n\
-       --threads <N>             worker threads for effect-free regions\n\
-                                 (default: $XQB_THREADS or 1)\n\
-       --max-depth <N>           recursion-depth limit (XQB0040;\n\
-                                 default: $XQB_MAX_DEPTH or 512)\n\
-       --fuel <N>                evaluation-step budget (XQB0041;\n\
-                                 default: $XQB_FUEL or unlimited)\n\
-       --deadline-ms <N>         wall-clock deadline in ms (XQB0042;\n\
-                                 default: $XQB_DEADLINE_MS or unlimited)\n\
-       --memory-items <N>        materialized-item budget (XQB0043;\n\
-                                 default: $XQB_MEMORY_ITEMS or unlimited)\n\
-       -h, --help                this message"
-}
-
-fn parse_args() -> Result<Options, String> {
-    let mut opts = Options {
-        query: None,
-        query_file: None,
-        documents: Vec::new(),
-        xmark: Vec::new(),
-        store: None,
-        show_plan: false,
-        analyze: false,
-        pretty: false,
-        check_only: false,
-        threads: None,
-        max_depth: None,
-        fuel: None,
-        deadline_ms: None,
-        memory_items: None,
-    };
-    fn parse_num<T: std::str::FromStr>(
-        args: &mut impl Iterator<Item = String>,
-        flag: &str,
-    ) -> Result<T, String> {
-        let v = args
-            .next()
-            .ok_or_else(|| format!("missing argument for {flag}"))?;
-        v.parse()
-            .map_err(|_| format!("bad value \"{v}\" for {flag}"))
-    }
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "-h" | "--help" => return Err(usage().to_string()),
-            "--plan" => opts.show_plan = true,
-            "--analyze" => opts.analyze = true,
-            "--pretty" => opts.pretty = true,
-            "--check" => opts.check_only = true,
-            "--store" => {
-                opts.store = Some(args.next().ok_or("missing argument for --store")?);
-            }
-            "-q" | "--query" => {
-                opts.query = Some(args.next().ok_or("missing argument for --query")?);
-            }
-            "--threads" => {
-                let n = args.next().ok_or("missing argument for --threads")?;
-                opts.threads = Some(n.parse().map_err(|_| format!("bad thread count \"{n}\""))?);
-            }
-            "--max-depth" => opts.max_depth = Some(parse_num(&mut args, "--max-depth")?),
-            "--fuel" => opts.fuel = Some(parse_num(&mut args, "--fuel")?),
-            "--deadline-ms" => opts.deadline_ms = Some(parse_num(&mut args, "--deadline-ms")?),
-            "--memory-items" => opts.memory_items = Some(parse_num(&mut args, "--memory-items")?),
-            "-d" | "--doc" => {
-                let spec = args.next().ok_or("missing argument for --doc")?;
-                let (var, file) = spec.split_once('=').ok_or("expected --doc VAR=FILE")?;
-                opts.documents.push((var.to_string(), file.to_string()));
-            }
-            "--xmark" => {
-                let spec = args.next().ok_or("missing argument for --xmark")?;
-                let (var, factor) = spec.split_once('=').ok_or("expected --xmark VAR=FACTOR")?;
-                let factor: f64 = factor
-                    .parse()
-                    .map_err(|_| format!("bad factor \"{factor}\""))?;
-                opts.xmark.push((var.to_string(), factor));
-            }
-            other if !other.starts_with('-') && opts.query_file.is_none() => {
-                opts.query_file = Some(other.to_string());
-            }
-            other => return Err(format!("unknown option \"{other}\"\n\n{}", usage())),
-        }
-    }
-    if opts.query.is_none() && opts.query_file.is_none() {
-        return Err(format!("no query given\n\n{}", usage()));
-    }
-    Ok(opts)
+/// Split a `VAR=...` flag value.
+fn binding(spec: &str) -> Result<(&str, &str), String> {
+    spec.split_once('=')
+        .ok_or(format!("expected VAR=... in \"{spec}\""))
 }
 
 fn run() -> Result<(), String> {
-    let opts = parse_args()?;
-    let query = match (&opts.query, &opts.query_file) {
-        (Some(q), _) => q.clone(),
-        (None, Some(f)) => {
-            std::fs::read_to_string(f).map_err(|e| format!("cannot read {f}: {e}"))?
-        }
-        _ => unreachable!("checked in parse_args"),
+    let args = cli::parse(USAGE, FLAGS, std::env::args().skip(1))?;
+    let query = match (args.value("--query"), args.positional.as_slice()) {
+        (_, [_, _, ..]) => return Err("more than one query file".to_string()),
+        (Some(q), _) => q.to_string(),
+        (None, [f]) => std::fs::read_to_string(f).map_err(|e| format!("cannot read {f}: {e}"))?,
+        (None, []) => return Err(format!("no query given\n\n{}", cli::help(USAGE, FLAGS))),
     };
+    let documents: Vec<_> = args
+        .values("--doc")
+        .map(binding)
+        .collect::<Result<_, _>>()?;
+    let xmark: Vec<_> = args
+        .values("--xmark")
+        .map(binding)
+        .collect::<Result<_, _>>()?;
 
-    let mut engine = Engine::new();
-    if let Some(dir) = &opts.store {
-        engine
-            .open_store(dir)
-            .map_err(|e| format!("cannot open store {dir}: {e}"))?;
-    }
-    if let Some(n) = opts.threads {
-        engine.set_threads(n);
-    }
-    // Flags override the env-derived defaults knob by knob.
-    let mut limits: Limits = *engine.limits();
-    if let Some(d) = opts.max_depth {
-        limits.max_depth = d.max(1);
-    }
-    if opts.fuel.is_some() {
-        limits.fuel = opts.fuel;
-    }
-    if opts.deadline_ms.is_some() {
-        limits.deadline_ms = opts.deadline_ms;
-    }
-    if opts.memory_items.is_some() {
-        limits.memory_items = opts.memory_items;
-    }
-    engine.set_limits(limits);
-    for (var, file) in &opts.documents {
+    let mut engine = cli::engine(&args)?;
+    for (var, file) in documents {
         let xml = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
         engine
             .load_document(var, &xml)
             .map_err(|e| format!("{file}: {e}"))?;
     }
-    for (var, factor) in &opts.xmark {
-        let scale = Scale::factor(*factor);
+    for (var, factor) in xmark {
+        let factor: f64 = factor
+            .parse()
+            .map_err(|_| format!("bad factor \"{factor}\""))?;
         let doc = XmarkGen::new(42)
-            .generate(&mut engine.store, &scale)
+            .generate(&mut engine.store, &Scale::factor(factor))
             .map_err(|e| e.to_string())?;
         engine.bind(var, xqdm::seq![Item::Node(doc)]);
     }
 
-    if opts.check_only {
+    if args.has("--check") {
         let diags = engine.check(&query).map_err(|e| e.to_string())?;
         if diags.is_empty() {
             println!("ok: no findings");
@@ -207,14 +90,14 @@ fn run() -> Result<(), String> {
         return Ok(());
     }
 
-    if opts.show_plan {
+    if args.has("--plan") {
         // The engine's EXPLAIN: the annotated plan the compiled pipeline
         // would execute, including declared-function sections.
         println!("{}", engine.explain(&query).map_err(|e| e.to_string())?);
         return Ok(());
     }
 
-    if opts.analyze {
+    if args.has("--analyze") {
         // EXPLAIN ANALYZE: the query really runs (effects apply), then the
         // plan prints with live per-node counters and a totals line.
         println!(
@@ -225,7 +108,7 @@ fn run() -> Result<(), String> {
     }
 
     let result = engine.run(&query).map_err(|e| e.to_string())?;
-    let rendered = if opts.pretty {
+    let rendered = if args.has("--pretty") {
         let mut parts = Vec::with_capacity(result.len());
         for it in &result {
             parts.push(match it {

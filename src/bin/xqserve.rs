@@ -34,8 +34,9 @@ use std::net::{TcpListener, TcpStream};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use xquery_bang::cli::{self, Args};
 use xquery_bang::xqsyn::stack::spawn_deep;
-use xquery_bang::{Engine, Error, Server, ServerConfig};
+use xquery_bang::{Error, Server, ServerConfig};
 
 /// Longest command line accepted, newline included (`QUERY <len>` needs
 /// under 30 bytes).
@@ -43,126 +44,45 @@ const MAX_LINE_BYTES: usize = 4 << 10;
 /// Largest `QUERY` body accepted.
 const MAX_QUERY_BYTES: usize = 16 << 20;
 
-fn usage() -> &'static str {
-    "usage: xqserve [OPTIONS]\n\
-     \n\
-     options:\n\
-       --addr <HOST:PORT>        listen address (default 127.0.0.1:0;\n\
-                                 port 0 picks a free port, printed at start)\n\
-       --store <DIR>             open (or create) the durable store at DIR\n\
-                                 (default: $XQB_STORE_PATH; fsync policy from\n\
-                                 $XQB_DURABILITY = always|batch|off)\n\
-       -d, --doc <VAR>=<FILE>    parse FILE and bind its document to $VAR\n\
-       --max-sessions <N>        concurrent session cap, XQB0050 beyond (64)\n\
-       --max-inflight <N>        concurrent request cap, XQB0051 beyond (32)\n\
-       --no-occ                  serialize every write under the engine lock\n\
-                                 (disables optimistic concurrent writers)\n\
-       --max-retries <N>         conflict retries before XQB0052 (8)\n\
-       --threads <N>             per-request worker threads ($XQB_THREADS or 1)\n\
-       --fuel <N>                per-request step budget (XQB0041)\n\
-       --deadline-ms <N>         per-request wall-clock deadline (XQB0042)\n\
-       --self-test               start on a free port, run a protocol and\n\
-                                 concurrency round-trip against it, exit\n\
-       -h, --help                this message"
+const USAGE: &str = "usage: xqserve [OPTIONS]";
+const FLAGS: &str = "  \
+  --addr <HOST:PORT>        listen address (default 127.0.0.1:0;
+                            port 0 picks a free port, printed at start)
+  -d, --doc <VAR>=<FILE>    parse FILE and bind its document to $VAR
+  --max-sessions <N>        concurrent session cap, XQB0050 beyond (64)
+  --max-inflight <N>        concurrent request cap, XQB0051 beyond (32)
+  --no-occ                  serialize every write under the engine lock
+                            (disables optimistic concurrent writers)
+  --max-retries <N>         conflict retries before XQB0052 (8)
+  --self-test               start on a free port, run a protocol and
+                            concurrency round-trip against it, exit
+";
+
+/// The admission and commit policy `args` ask for.
+fn server_config(args: &Args) -> Result<ServerConfig, String> {
+    let default = ServerConfig::default();
+    Ok(ServerConfig {
+        max_sessions: args.num("--max-sessions")?.unwrap_or(default.max_sessions),
+        max_inflight: args.num("--max-inflight")?.unwrap_or(default.max_inflight),
+        occ_writers: !args.has("--no-occ"),
+        max_retries: args.num("--max-retries")?.unwrap_or(default.max_retries),
+        ..default
+    })
 }
 
-struct Options {
-    addr: String,
-    store: Option<String>,
-    documents: Vec<(String, String)>,
-    max_sessions: usize,
-    max_inflight: usize,
-    occ_writers: bool,
-    max_retries: usize,
-    threads: Option<usize>,
-    fuel: Option<u64>,
-    deadline_ms: Option<u64>,
-    self_test: bool,
-}
-
-fn parse_args() -> Result<Options, String> {
-    let mut opts = Options {
-        addr: "127.0.0.1:0".to_string(),
-        store: None,
-        documents: Vec::new(),
-        max_sessions: 64,
-        max_inflight: 32,
-        occ_writers: true,
-        max_retries: 8,
-        threads: None,
-        fuel: None,
-        deadline_ms: None,
-        self_test: false,
-    };
-    fn parse_num<T: std::str::FromStr>(
-        args: &mut impl Iterator<Item = String>,
-        flag: &str,
-    ) -> Result<T, String> {
-        let v = args
-            .next()
-            .ok_or_else(|| format!("missing argument for {flag}"))?;
-        v.parse()
-            .map_err(|_| format!("bad value \"{v}\" for {flag}"))
-    }
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "-h" | "--help" => return Err(usage().to_string()),
-            "--addr" => opts.addr = args.next().ok_or("missing argument for --addr")?,
-            "--store" => opts.store = Some(args.next().ok_or("missing argument for --store")?),
-            "-d" | "--doc" => {
-                let spec = args.next().ok_or("missing argument for --doc")?;
-                let (var, file) = spec.split_once('=').ok_or("expected --doc VAR=FILE")?;
-                opts.documents.push((var.to_string(), file.to_string()));
-            }
-            "--max-sessions" => opts.max_sessions = parse_num(&mut args, "--max-sessions")?,
-            "--max-inflight" => opts.max_inflight = parse_num(&mut args, "--max-inflight")?,
-            "--no-occ" => opts.occ_writers = false,
-            "--max-retries" => opts.max_retries = parse_num(&mut args, "--max-retries")?,
-            "--threads" => opts.threads = Some(parse_num(&mut args, "--threads")?),
-            "--fuel" => opts.fuel = Some(parse_num(&mut args, "--fuel")?),
-            "--deadline-ms" => opts.deadline_ms = Some(parse_num(&mut args, "--deadline-ms")?),
-            "--self-test" => opts.self_test = true,
-            other => return Err(format!("unknown option {other}\n\n{}", usage())),
-        }
-    }
-    Ok(opts)
-}
-
-fn build_server(opts: &Options) -> Result<Server, String> {
-    let mut engine = Engine::new();
-    if let Some(dir) = &opts.store {
-        engine
-            .open_store(dir)
-            .map_err(|e| format!("cannot open store {dir}: {e}"))?;
-    }
-    for (var, file) in &opts.documents {
+fn build_server(args: &Args) -> Result<Server, String> {
+    let config = server_config(args)?;
+    let mut engine = cli::engine(args)?;
+    for spec in args.values("--doc") {
+        let (var, file) = spec
+            .split_once('=')
+            .ok_or(format!("expected VAR=FILE in \"{spec}\""))?;
         let xml = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
         engine
             .load_document(var, &xml)
             .map_err(|e| format!("cannot parse {file}: {e}"))?;
     }
-    Ok(host(engine, opts))
-}
-
-/// Host `engine` behind the admission and commit policy `opts` asks for.
-/// Resource policy is the engine's own (`Engine::new` read `XQB_THREADS`
-/// and the `Limits` variables): the flags override it there, once.
-fn host(mut engine: Engine, opts: &Options) -> Server {
-    let mut limits = *engine.limits();
-    limits.fuel = opts.fuel.or(limits.fuel);
-    limits.deadline_ms = opts.deadline_ms.or(limits.deadline_ms);
-    engine.set_limits(limits);
-    if let Some(threads) = opts.threads {
-        engine.set_threads(threads);
-    }
-    engine.into_server(ServerConfig {
-        max_sessions: opts.max_sessions,
-        max_inflight: opts.max_inflight,
-        occ_writers: opts.occ_writers,
-        max_retries: opts.max_retries,
-        ..ServerConfig::default()
-    })
+    Ok(engine.into_server(config))
 }
 
 /// Write one framed response, `{head} {len}\n{body}`, as one write: a
@@ -430,12 +350,13 @@ fn expect(cond: bool, what: &str) -> Result<(), String> {
     }
 }
 
-fn self_test(opts: &Options) -> Result<(), String> {
-    let mut engine = Engine::new();
+fn self_test(args: &Args) -> Result<(), String> {
+    let config = server_config(args)?;
+    let mut engine = cli::engine(args)?;
     engine
         .load_document("doc", "<log/>")
         .map_err(|e| e.to_string())?;
-    let server = host(engine, opts);
+    let server = engine.into_server(config);
     let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| e.to_string())?;
     let addr = listener.local_addr().map_err(|e| e.to_string())?;
     let accept = std::thread::spawn({
@@ -556,45 +477,30 @@ fn self_test(opts: &Options) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if opts.self_test {
-        return match self_test(&opts) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let server = match build_server(&opts) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("xqserve: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let listener = match TcpListener::bind(&opts.addr) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("xqserve: cannot bind {}: {e}", opts.addr);
-            return ExitCode::FAILURE;
-        }
-    };
-    match listener.local_addr() {
-        Ok(addr) => println!("xqserve listening on {addr}"),
-        Err(_) => println!("xqserve listening on {}", opts.addr),
-    }
-    match serve(listener, server) {
+    match run() {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("xqserve: {e}");
+            eprintln!("{e}");
             ExitCode::FAILURE
         }
     }
+}
+
+fn run() -> Result<(), String> {
+    let args = cli::parse(USAGE, FLAGS, std::env::args().skip(1))?;
+    if let Some(arg) = args.positional.first() {
+        return Err(format!("unexpected argument \"{arg}\""));
+    }
+    if args.has("--self-test") {
+        return self_test(&args);
+    }
+    let server = build_server(&args).map_err(|e| format!("xqserve: {e}"))?;
+    let addr = args.value("--addr").unwrap_or("127.0.0.1:0");
+    let listener =
+        TcpListener::bind(addr).map_err(|e| format!("xqserve: cannot bind {addr}: {e}"))?;
+    match listener.local_addr() {
+        Ok(bound) => println!("xqserve listening on {bound}"),
+        Err(_) => println!("xqserve listening on {addr}"),
+    }
+    serve(listener, server).map_err(|e| format!("xqserve: {e}"))
 }

@@ -31,6 +31,7 @@
 
 #[doc(hidden)]
 pub mod analyze_golden;
+pub mod cli;
 
 pub use xmarkgen;
 pub use xqcore;

@@ -556,7 +556,6 @@ fn descendant_step_allocations_do_not_follow_the_document_size() {
         on_deep_thread(move || {
             let mut e = Engine::new();
             e.set_compile(false);
-            e.set_threads(1);
             e.load_document("d", &doc).unwrap();
             let before = thread_allocs();
             let v = e.run("count($d//entry[v > 3])").unwrap();

@@ -6,8 +6,8 @@
 //!
 //! This is the concurrent analogue of `tests/differential.rs`: there the
 //! compiled plan must match the interpreter; here the interleaved
-//! execution must match its own serial commit order. Runs under whatever
-//! `XQB_THREADS` the CI matrix sets (both legs).
+//! execution must match its own serial commit order. Every workload runs
+//! on servers whose engines have 1 and 4 worker threads ([`THREADS`]).
 
 use proptest::prelude::*;
 use std::sync::{Arc, Barrier};
@@ -15,8 +15,13 @@ use xquery_bang::{Engine, Error, RequestKind, Server};
 
 const INITIAL_DOC: &str = "<site><items/><log/><counter>0</counter><tag/></site>";
 
-fn fresh_engine() -> Engine {
+/// The worker-thread budgets every server workload runs at: sequential,
+/// and fanned out (reader forks inherit the budget).
+const THREADS: [usize; 2] = [1, 4];
+
+fn fresh_engine(threads: usize) -> Engine {
     let mut e = Engine::new();
+    e.set_threads(threads);
     e.load_document("doc", INITIAL_DOC).unwrap();
     e
 }
@@ -50,8 +55,8 @@ fn session_script(s: usize, rounds: usize) -> Vec<String> {
 
 /// Drive `sessions` worker threads through their scripts concurrently;
 /// returns the server for post-hoc inspection.
-fn run_mixed_workload(sessions: usize, rounds: usize) -> Server {
-    let server = Server::new(fresh_engine());
+fn run_mixed_workload(sessions: usize, rounds: usize, threads: usize) -> Server {
+    let server = Server::new(fresh_engine(threads));
     let start = Arc::new(Barrier::new(sessions));
     let workers: Vec<_> = (0..sessions)
         .map(|s| {
@@ -91,7 +96,7 @@ fn assert_replays_serially(server: &Server) -> Engine {
     for (i, c) in log.iter().enumerate() {
         assert_eq!(c.epoch, i as u64 + 1);
     }
-    let mut replica = fresh_engine();
+    let mut replica = fresh_engine(1);
     for c in &log {
         match replica.run(&c.query) {
             Ok(value) => {
@@ -141,32 +146,38 @@ fn assert_replays_serially(server: &Server) -> Engine {
 #[test]
 fn mixed_workload_replays_serially_in_commit_order() {
     let sessions = 4;
-    let server = run_mixed_workload(sessions, 6);
-    assert!(!server.commit_log().is_empty());
-    let mut replica = assert_replays_serially(&server);
+    for threads in THREADS {
+        let server = run_mixed_workload(sessions, 6, threads);
+        assert!(!server.commit_log().is_empty());
+        let mut replica = assert_replays_serially(&server);
 
-    // Per-session writes committed in program order: each session's item
-    // sequence numbers appear as 0!,1!,... without reordering.
-    for s in 0..sessions {
-        let q = format!("for $i in $doc/site/items/item[@s=\"{s}\"] return string($i/@n)");
-        let ns = replica.run(&q).unwrap();
-        let ns = replica.serialize(&ns).unwrap();
-        let expected: Vec<String> = (0..6).map(|n| format!("{n}!")).collect();
-        assert_eq!(ns, expected.join(" "), "session {s} write order");
+        // Per-session writes committed in program order: each session's
+        // item sequence numbers appear as 0!,1!,... without reordering.
+        for s in 0..sessions {
+            let q = format!("for $i in $doc/site/items/item[@s=\"{s}\"] return string($i/@n)");
+            let ns = replica.run(&q).unwrap();
+            let ns = replica.serialize(&ns).unwrap();
+            let expected: Vec<String> = (0..6).map(|n| format!("{n}!")).collect();
+            assert_eq!(
+                ns,
+                expected.join(" "),
+                "session {s} write order at {threads} threads"
+            );
+        }
     }
 }
 
 #[test]
 fn same_script_twice_yields_identical_commit_effects() {
-    // Two independent servers under the same concurrent workload may
-    // interleave differently, but each one's own replay must hold, and
-    // their per-session effects must agree (the schedule only permutes
-    // commit order between sessions, never within one).
-    let a = run_mixed_workload(3, 4);
-    let b = run_mixed_workload(3, 4);
+    // Two independent servers under the same concurrent workload — one
+    // sequential, one fanning out — may interleave differently, but each
+    // one's own replay must hold, and their per-session effects must agree
+    // (the schedule only permutes commit order between sessions, never
+    // within one).
+    let [a, b] = THREADS.map(|threads| run_mixed_workload(3, 4, threads));
     assert_eq!(a.commit_log().len(), b.commit_log().len());
     let final_a = {
-        let mut r = fresh_engine();
+        let mut r = fresh_engine(1);
         for c in a.commit_log() {
             let _ = r.run(&c.query);
         }
@@ -175,7 +186,7 @@ fn same_script_twice_yields_identical_commit_effects() {
             .unwrap()
     };
     let final_b = {
-        let mut r = fresh_engine();
+        let mut r = fresh_engine(1);
         for c in b.commit_log() {
             let _ = r.run(&c.query);
         }
@@ -271,8 +282,8 @@ fn execute_with_retry(
     panic!("64 client retries exhausted for {query}");
 }
 
-fn run_scripted_schedule(scripts: Vec<Vec<usize>>) -> Server {
-    let server = Server::new(fresh_engine());
+fn run_scripted_schedule(scripts: Vec<Vec<usize>>, threads: usize) -> Server {
+    let server = Server::new(fresh_engine(threads));
     let start = Arc::new(Barrier::new(scripts.len()));
     let workers: Vec<_> = scripts
         .into_iter()
@@ -305,20 +316,22 @@ proptest! {
             2..5,
         )
     ) {
-        let server = run_scripted_schedule(scripts);
-        let mut replica = assert_replays_serially(&server);
-        // The serial replica agrees with the live server on the shared
-        // counter — every read-modify-write survived intact.
-        let counter = replica.run("string($doc/site/counter)").unwrap();
-        let counter = replica.serialize(&counter).unwrap();
-        let session = server.open_session().unwrap();
-        prop_assert_eq!(counter, session.execute("string($doc/site/counter)").unwrap().body);
+        for threads in THREADS {
+            let server = run_scripted_schedule(scripts.clone(), threads);
+            let mut replica = assert_replays_serially(&server);
+            // The serial replica agrees with the live server on the shared
+            // counter — every read-modify-write survived intact.
+            let counter = replica.run("string($doc/site/counter)").unwrap();
+            let counter = replica.serialize(&counter).unwrap();
+            let session = server.open_session().unwrap();
+            prop_assert_eq!(counter, session.execute("string($doc/site/counter)").unwrap().body);
+        }
     }
 }
 
 #[test]
 fn read_only_sessions_never_commit() {
-    let server = Server::new(fresh_engine());
+    let server = Server::new(fresh_engine(1));
     let s = server.open_session().unwrap();
     let before = server.fingerprint();
     for _ in 0..5 {
