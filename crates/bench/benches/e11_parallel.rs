@@ -1,16 +1,23 @@
 //! E11 — parallel evaluation of effect-free regions (DESIGN.md §9).
 //!
-//! Three measurements, one claim: when the purity gate admits a loop
-//! body, worker threads buy wall-clock time *without changing any
-//! observable*; when it rejects one, the engine provably stays
-//! sequential.
+//! The engine has one fan-out, a `for` loop whose body the purity gate
+//! admits; joins and group-bys run sequentially. One claim: where the gate
+//! admits a loop, worker threads buy wall-clock time *without changing any
+//! observable*; where it rejects one, or no loop is left, the engine
+//! provably stays sequential.
 //!
 //! * **Q8-pure × threads** — the XMark Q8 variant with its updates
 //!   stripped (`Q8_PURE_VARIANT`), evaluated at 1/2/4/8 threads on both
 //!   pipelines. The interpreted pipeline runs the paper's naive nested
-//!   loop, so the fan-out parallelizes the quadratic scan; the compiled
-//!   pipeline parallelizes the per-row group-by bodies on top of the
-//!   hash join.
+//!   loop, so the fan-out parallelizes the quadratic scan. The compiled
+//!   pipeline turns it into an outer-join/group-by, which runs
+//!   sequentially at every thread count: `par_regions == 0` and no `par`
+//!   in EXPLAIN, asserted. Its `"1"` member is the baseline e12 and e13
+//!   compare against.
+//! * **Pure loop × threads** — the compiled plan `For` over an `Iterate`
+//!   body (`PURE_LOOP`), the row that defends the fan-out on the compiled
+//!   pipeline: it must fan out at ≥ 2 threads and carry the `[par]`
+//!   binder in EXPLAIN.
 //! * **Q8-snap (impure)** — the `snap insert` variant: the gate must
 //!   refuse it (`par_regions == 0` even at 8 threads, and EXPLAIN shows
 //!   no `par` marker). Asserted, not just measured.
@@ -18,10 +25,10 @@
 //!   impure shape: timed at 1 and 4 threads to show the thread knob is
 //!   inert on impure code.
 //!
-//! Custom harness (no Criterion): medians over fixed repetitions, a
-//! human-readable table on stdout, and the machine-readable `parallel`
-//! section of the canonical `BENCH.json` (the PR-3 baseline e12 and e13
-//! compare against; other sections are preserved).
+//! Every row asserts the same value at every thread count. Custom harness
+//! (no Criterion): medians over fixed repetitions, a human-readable table
+//! on stdout, and the machine-readable `parallel` section of the canonical
+//! `BENCH.json` (other sections are preserved).
 
 use std::time::Instant;
 use xmarkgen::Scale;
@@ -30,6 +37,11 @@ use xqexp::{xmark_fixture, Q8_PURE_VARIANT, Q8_SNAP_VARIANT};
 
 const REPS: usize = 5;
 const THREADS: &[usize] = &[1, 2, 4, 8];
+
+/// A pure `for` whose body the compiled pipeline leaves to the
+/// interpreter (an `Iterate` leaf): one descendant scan per person.
+const PURE_LOOP: &str =
+    "for $p in $auction//person return count($auction//closed_auction[buyer/@person = $p/@id])";
 
 fn median(mut v: Vec<f64>) -> f64 {
     v.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -65,6 +77,51 @@ fn time_q8(scale: &Scale, compile: bool, threads: usize, query: &str) -> (f64, S
     (median(times), result, par_regions)
 }
 
+/// Time `query` on one pipeline at every thread count in [`THREADS`],
+/// printing a table row per count. Asserts that a run fans out exactly
+/// when `fans_out` and threads ≥ 2, and that every run's value equals
+/// `value` (set by the first run when `None`). Returns the row's JSON
+/// object and the speedup over 1 thread at each count.
+fn thread_row(
+    scale: &Scale,
+    compile: bool,
+    query: &str,
+    name: &str,
+    fans_out: bool,
+    value: &mut Option<String>,
+) -> (String, Vec<f64>) {
+    println!(
+        "{:<14} {:>8} {:>12} {:>9} {:>12}",
+        "pipeline", "threads", "median", "speedup", "par_regions"
+    );
+    let (mut cells, mut speedups) = (Vec::new(), Vec::new());
+    let mut base = 0.0;
+    for &threads in THREADS {
+        let (t, v, par_regions) = time_q8(scale, compile, threads, query);
+        if threads == 1 {
+            base = t;
+        }
+        assert_eq!(
+            par_regions > 0,
+            fans_out && threads >= 2,
+            "{name} at {threads} threads: par_regions = {par_regions}"
+        );
+        // Bit-for-bit identical values across every configuration.
+        match value {
+            None => *value = Some(v),
+            Some(b) => assert_eq!(b, &v, "{name}×{threads} changed the result"),
+        }
+        let speedup = base / t;
+        println!(
+            "{name:<14} {threads:>8} {:>9.2} ms {speedup:>8.2}x {par_regions:>12}",
+            t * 1e3
+        );
+        cells.push(format!("\"{threads}\": {t:.6}"));
+        speedups.push(speedup);
+    }
+    (format!("{{{}}}", cells.join(", ")), speedups)
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -73,62 +130,39 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut json = String::from("{\n    \"experiment\": \"e11_parallel\",\n");
     json.push_str("    \"scale\": {\"persons\": 150, \"closed_auctions\": 75},\n");
 
-    // The pure variant must carry the par marker on the compiled plan…
+    // The compiled Q8 plan is a join, which never fans out: no marker.
     let probe = q8_engine(&scale, true, 8);
     let plan = probe.explain(Q8_PURE_VARIANT)?;
     assert!(
-        plan.contains(",par"),
-        "pure Q8 variant must carry a par marker:\n{plan}"
+        !plan.contains(",par"),
+        "compiled pure Q8 must carry no par marker:\n{plan}"
     );
 
     // --- Q8-pure × threads, both pipelines -----------------------------
     println!("E11: XMark Q8 pure variant, median of {REPS} runs ({cores} core(s) available)");
-    println!(
-        "{:<14} {:>8} {:>12} {:>9} {:>12}",
-        "pipeline", "threads", "median", "speedup", "par_regions"
-    );
     let mut baseline_value = None;
     let mut interpreted_speedup_4 = 1.0;
     for &compile in &[false, true] {
         let name = if compile { "compiled" } else { "interpreted" };
-        let mut base = 0.0;
-        json.push_str(&format!("    \"q8_pure_{name}\": {{"));
-        for (i, &threads) in THREADS.iter().enumerate() {
-            let (t, value, par_regions) = time_q8(&scale, compile, threads, Q8_PURE_VARIANT);
-            if threads == 1 {
-                base = t;
-                assert_eq!(par_regions, 0, "{name}: sequential run must not fan out");
-            } else {
-                assert!(
-                    par_regions > 0,
-                    "{name}: pure Q8 did not fan out at {threads} threads"
-                );
-            }
-            // Bit-for-bit identical values across every configuration.
-            match &baseline_value {
-                None => baseline_value = Some(value),
-                Some(b) => assert_eq!(b, &value, "{name}×{threads} changed the result"),
-            }
-            let speedup = base / t;
-            if !compile && threads == 4 {
-                interpreted_speedup_4 = speedup;
-            }
-            println!(
-                "{name:<14} {threads:>8} {:>9.2} ms {speedup:>8.2}x {par_regions:>12}",
-                t * 1e3
-            );
-            if i > 0 {
-                json.push_str(", ");
-            }
-            json.push_str(&format!("\"{threads}\": {:.6}", t));
+        // The interpreted nested loop fans out; the compiled join does not.
+        let (row, speedups) = thread_row(
+            &scale,
+            compile,
+            Q8_PURE_VARIANT,
+            name,
+            !compile,
+            &mut baseline_value,
+        );
+        if !compile {
+            interpreted_speedup_4 = speedups[2];
         }
-        json.push_str("},\n");
+        json.push_str(&format!("    \"q8_pure_{name}\": {row},\n"));
     }
     json.push_str(&format!(
         "    \"interpreted_speedup_at_4_threads\": {interpreted_speedup_4:.3},\n"
     ));
     // The speedup claim is a statement about parallel hardware; on a
-    // single-core host the same run instead demonstrates that the
+    // host with fewer cores the same run instead demonstrates that the
     // machinery adds no observable overhead (and no observable anything
     // else — values asserted identical above).
     if cores >= 4 {
@@ -139,6 +173,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     } else {
         println!("(speedup assertion skipped: {cores} core(s) < 4 — nothing to parallelize onto)");
     }
+
+    // --- Pure loop × threads: the compiled pipeline's fan-out ----------
+    let probe = q8_engine(&scale, true, 8);
+    let plan = probe.explain(PURE_LOOP)?;
+    assert!(
+        plan.contains("For $p[par]") && plan.contains("Iterate["),
+        "the pure loop must be a compiled For marked [par] over an Iterate body:\n{plan}"
+    );
+    println!("\nCompiled pure `for` over an Iterate body, median of {REPS} runs");
+    let (row, speedups) = thread_row(&scale, true, PURE_LOOP, "compiled", true, &mut None);
+    json.push_str(&format!("    \"pure_loop_compiled\": {row},\n"));
+    json.push_str(&format!(
+        "    \"pure_loop_speedup_at_2_threads\": {:.3},\n",
+        speedups[1]
+    ));
 
     // --- Q8-snap: the impure variant provably stays sequential ---------
     let probe = q8_engine(&scale, true, 8);

@@ -19,8 +19,7 @@
 //!   is string equality.
 
 use crate::alg::plan::{BatchFilter, BatchPathPlan, BatchStep, GroupByPlan, JoinPlan, QueryPlan};
-use crate::eval::{resolve_test, EvalCtx};
-use crate::par::Worker;
+use crate::eval::resolve_test;
 use crate::{DynEnv, Evaluator};
 use std::collections::{HashMap, HashSet};
 use xqdm::item::{self, Item, Sequence};
@@ -87,9 +86,6 @@ fn run_node(
         QueryPlan::BatchPath(bp) => exec_batch_path(bp, true, evaluator, store, env),
         QueryPlan::HashJoin(join) => {
             evaluator.note_join();
-            if evaluator.par_candidate(&join.body) {
-                return par_hash_join(join, evaluator, store, env);
-            }
             let mut out = Sequence::new();
             for_each_match(join, evaluator, store, env, |ev, store, env, _outer, _| {
                 let v = ev.eval(store, env, &join.body)?;
@@ -101,9 +97,6 @@ fn run_node(
         }
         QueryPlan::OuterJoinGroupBy(group) => {
             evaluator.note_join();
-            if evaluator.par_candidate(&group.join.body) && evaluator.par_candidate(&group.ret) {
-                return par_group_by(group, evaluator, store, env);
-            }
             execute_group_by(group, evaluator, store, env)
         }
         QueryPlan::Seq(items) => {
@@ -636,110 +629,6 @@ fn drive_join(
         per_outer(evaluator, store, env, o, &matches, &inner)?;
     }
     Ok(())
-}
-
-/// One outer binding with its inner matches in nested-loop order,
-/// collected before fan-out.
-struct ProbeRow {
-    outer: Item,
-    matches: Vec<Item>,
-}
-
-/// [`drive_join`] with the match rows collected instead of consumed, for
-/// the parallel joins. The error, if any, is handed back beside the rows
-/// that *precede* it in the sequential evaluation order, so running their
-/// (pure) bodies first and surfacing it only if every body succeeds
-/// reproduces the sequential first-error exactly. (A source or inner-key
-/// error precedes every row: sequentially, the whole build finishes
-/// before any probe body runs.)
-fn probe_rows(
-    join: &JoinPlan,
-    evaluator: &mut Evaluator,
-    store: &mut Store,
-    env: &mut DynEnv,
-) -> (Vec<ProbeRow>, XdmResult<()>) {
-    let mut rows = Vec::new();
-    let probed = drive_join(
-        join,
-        evaluator,
-        store,
-        env,
-        |_, _, _, outer, matches, inner| {
-            rows.push(ProbeRow {
-                outer: outer.clone(),
-                matches: matches.iter().map(|&idx| inner[idx].clone()).collect(),
-            });
-            Ok(())
-        },
-    );
-    (rows, probed)
-}
-
-/// Hash join with a pure body: probe rows collected sequentially (key
-/// expressions may error; bodies cannot leave a trace), then every
-/// (outer, inner) match pair evaluated on the worker pool in nested-loop
-/// order.
-fn par_hash_join(
-    join: &JoinPlan,
-    evaluator: &mut Evaluator,
-    store: &mut Store,
-    env: &mut DynEnv,
-) -> XdmResult<Sequence> {
-    let (rows, probed) = probe_rows(join, evaluator, store, env);
-    let pairs: Vec<(&Item, &Item)> = rows
-        .iter()
-        .flat_map(|row| row.matches.iter().map(move |inner| (&row.outer, inner)))
-        .collect();
-    let merged = evaluator.fan_out(store, env, &pairs, |worker, wenv, _i, (outer, inner)| {
-        wenv.push_var(join.outer_var.clone(), seq![(*outer).clone()]);
-        wenv.push_var(join.inner_var.clone(), seq![(*inner).clone()]);
-        let r = worker.eval(wenv, &join.body);
-        wenv.pop_var();
-        wenv.pop_var();
-        charged(worker, r)
-    })?;
-    probed.map(|()| merged)
-}
-
-/// Outer-join/group-by with pure body *and* return: one worker task per
-/// outer binding (body over its matches, grouped sequence bound for the
-/// return), results concatenated in outer order.
-fn par_group_by(
-    group: &GroupByPlan,
-    evaluator: &mut Evaluator,
-    store: &mut Store,
-    env: &mut DynEnv,
-) -> XdmResult<Sequence> {
-    let join = &group.join;
-    let (rows, probed) = probe_rows(join, evaluator, store, env);
-    let merged = evaluator.fan_out(store, env, &rows, |worker, wenv, _i, row| {
-        wenv.push_var(join.outer_var.clone(), seq![row.outer.clone()]);
-        let r = (|| {
-            let mut grouped = Sequence::new();
-            for inner in &row.matches {
-                wenv.push_var(join.inner_var.clone(), seq![inner.clone()]);
-                let v = worker.eval(wenv, &join.body);
-                wenv.pop_var();
-                grouped.extend(charged(worker, v)?);
-            }
-            wenv.push_var(group.group_var.clone(), grouped);
-            let v = worker.eval(wenv, &group.ret);
-            wenv.pop_var();
-            charged(worker, v)
-        })();
-        wenv.pop_var();
-        r
-    })?;
-    probed.map(|()| merged)
-}
-
-/// A worker's share of the accumulation charge: what the sequential join
-/// loops charge through [`Evaluator::limit_charge`], so the memory
-/// threshold does not depend on the thread count.
-fn charged(worker: &Worker<'_>, value: XdmResult<Sequence>) -> XdmResult<Sequence> {
-    let v = value?;
-    worker.guard().charge(v.len() as u64)?;
-    Ok(v)
 }
 
 /// Evaluate a join key for one binding: the atomized string values.

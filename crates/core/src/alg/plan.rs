@@ -301,17 +301,15 @@ impl QueryPlan {
         profile: Option<&crate::obs::Profile>,
         base: usize,
     ) -> String {
-        // `par` marks a region the parallel gate admits for fan-out
-        // (DESIGN.md §9) — `Facts::par_safe`, the predicate the executor
-        // asks at run time, over the same analysis: on a join body the
-        // body itself, on an `Iterate` leaf any `for` loop inside it.
-        let eff = |core: &Core, par: fn(&EffectAnalysis, &Core) -> bool| match analysis {
-            Some(a) if par(a, core) => format!("[{:?},par]", a.effect(core)),
+        // `par` marks an expression a run fans out in (DESIGN.md §9): one
+        // holding a `for` loop whose body passes `Facts::par_safe`, the
+        // predicate `Evaluator::par_for` asks at run time, over the same
+        // analysis. Joins themselves run sequentially.
+        let eff = |core: &Core| match analysis {
+            Some(a) if a.has_par_loop(core) => format!("[{:?},par]", a.effect(core)),
             Some(a) => format!("[{:?}]", a.effect(core)),
             None => String::new(),
         };
-        let eff_loop = |core: &Core| eff(core, EffectAnalysis::has_par_loop);
-        let eff_body = |core: &Core| eff(core, |a, body| a.facts(body).par_safe());
         // `batch` marks a subexpression lowered to the batch step kernels
         // (DESIGN.md §14): a whole chain leaf, a join source, or a join
         // key evaluated by symbol-id compare instead of interpretation.
@@ -324,7 +322,7 @@ impl QueryPlan {
             None => "",
         };
         let text = match self {
-            QueryPlan::Iterate(core) => format!("Iterate{} {{ {core} }}", eff_loop(core)),
+            QueryPlan::Iterate(core) => format!("Iterate{} {{ {core} }}", eff(core)),
             QueryPlan::BatchPath(bp) => {
                 let idx = if bp.idx { ",idx" } else { "" };
                 let eff = match analysis {
@@ -337,7 +335,7 @@ impl QueryPlan {
                 "MapFromItem{eb} {{ {body} }}\n(Join( MapFromItem{{[{o}:Input]{ob}}}\n   \
                  ({osrc}),\n       MapFromItem{{[{i}:Input]{ib}}}\n   ({isrc}))\n  on {{ \
                  Input#{i}/{ikey}{ikb} = Input#{o}/{okey}{okb} }}\n)",
-                eb = eff_body(&j.body),
+                eb = eff(&j.body),
                 body = j.body,
                 o = j.outer_var,
                 ob = bmark(&j.outer_batch),
@@ -355,12 +353,12 @@ impl QueryPlan {
                  ]\n  ( LeftOuterJoin( MapFromItem{{[{o}:Input]{ob}}}\n     \
                  ({osrc}),\n                   MapFromItem{{[{i}:Input]{ib}}}\n     \
                  ({isrc}))\n    on {{ Input#{i}/{ikey}{ikb} = Input#{o}/{okey}{okb} }}\n  )\n)",
-                er = eff_body(&g.ret),
+                er = eff(&g.ret),
                 ret = g.ret,
                 o = g.join.outer_var,
                 ob = bmark(&g.join.outer_batch),
                 body = g.join.body,
-                eb = eff_body(&g.join.body),
+                eb = eff(&g.join.body),
                 osrc = g.join.outer_source,
                 i = g.join.inner_var,
                 ib = bmark(&g.join.inner_batch),

@@ -24,7 +24,7 @@ use crate::env::{DynEnv, Focus, ProgramEnv, Scope};
 use crate::functions;
 use crate::limits::{self, LimitGuard, TripKind};
 use crate::obs::{self, CounterId};
-use crate::par::{self, PureCtx, Worker, PAR_MIN_ITEMS};
+use crate::par::{self, PureCtx, PAR_MIN_ITEMS};
 use crate::update::{Delta, UpdateRequest};
 use std::sync::Arc;
 use std::time::Instant;
@@ -246,42 +246,13 @@ impl Evaluator {
         self.guard.charge(value.len() as u64)
     }
 
-    /// Fan `items` out over the worker pool (DESIGN.md §9): `f` runs once
-    /// per item on a [`Worker`] — the same evaluation rules over `&Store`,
-    /// starting at this evaluator's nesting depth and sharing its limit
-    /// guard — with a private clone of `env`. Values come back in input
-    /// order and the first failing item's error wins: what a sequential
-    /// loop over a pure `f` would have produced. The caller guarantees
-    /// [`Evaluator::par_candidate`] admitted everything `f` evaluates.
-    pub(crate) fn fan_out<T, F>(
-        &mut self,
-        store: &Store,
-        env: &DynEnv,
-        items: &[T],
-        f: F,
-    ) -> XdmResult<Sequence>
-    where
-        T: Sync,
-        F: Fn(&mut Worker<'_>, &mut DynEnv, usize, &T) -> XdmResult<Sequence> + Sync,
-    {
-        self.stats.par_regions += 1;
-        self.stats.par_items += items.len() as u64;
-        let ctx = PureCtx {
-            scope: &self.scope,
-            guard: &self.guard,
-            store,
-            depth: self.depth,
-        };
-        par::merge_in_order(par::par_map(ctx, env, items, f))
-    }
-
-    /// The `for` loop's fan-out, for the interpreter's `Core::For` rule and
-    /// the compiled plan `For` alike: `None` when `src` is too short or the
-    /// gate rejects `body` (the caller then loops sequentially). Each
-    /// iteration costs the limit guard what the sequential loop it replaces
-    /// would have, so limit thresholds do not depend on the thread count:
-    /// every iteration's value is charged against the memory budget, and
-    /// a plan loop (`plan_body`) also enters the body's plan node — one
+    /// The one fan-out (DESIGN.md §9), for the interpreter's `Core::For`
+    /// rule and the compiled plan `For` alike: `None` when `src` is too
+    /// short, threads < 2 or `body` fails the gate ([`par::par_safe`]); the
+    /// caller then loops sequentially. Otherwise [`par::par_map`] returns
+    /// what that loop would have, and each iteration costs the limit guard
+    /// what it would have: its value is charged against the memory budget,
+    /// and a plan loop (`plan_body`) also enters the body's plan node — one
     /// tick — per iteration.
     pub(crate) fn par_for(
         &mut self,
@@ -292,10 +263,21 @@ impl Evaluator {
         body: &Core,
         plan_body: bool,
     ) -> Option<XdmResult<Sequence>> {
-        if src.len() < PAR_MIN_ITEMS || !self.par_candidate(body) {
+        if src.len() < PAR_MIN_ITEMS
+            || self.scope.env().threads < 2
+            || !par::par_safe(body, &self.scope)
+        {
             return None;
         }
-        Some(self.fan_out(store, env, src, |worker, wenv, i, it| {
+        self.stats.par_regions += 1;
+        self.stats.par_items += src.len() as u64;
+        let ctx = PureCtx {
+            scope: &self.scope,
+            guard: &self.guard,
+            store,
+            depth: self.depth,
+        };
+        Some(par::par_map(ctx, env, src, |worker, wenv, i, it| {
             if plan_body {
                 worker.guard().tick()?;
             }
@@ -312,14 +294,6 @@ impl Evaluator {
             worker.guard().charge(v.len() as u64)?;
             Ok(v)
         }))
-    }
-
-    /// The parallel gate: is fan-out enabled (threads ≥ 2) *and* is `body`
-    /// provably safe to evaluate on workers sharing `&Store`
-    /// ([`crate::par::par_safe`]: one pass over `body`, calls answered from
-    /// the scope's precomputed function facts)?
-    pub(crate) fn par_candidate(&self, body: &Core) -> bool {
-        self.scope.env().threads >= 2 && par::par_safe(body, &self.scope)
     }
 
     /// Resume the per-snap seed counter from a previous evaluation. The
@@ -893,9 +867,9 @@ impl Evaluator {
 /// What the evaluation rules need from whoever runs them. Every operator
 /// has one rule ([`rule`]), written against this context and instantiated
 /// twice (DESIGN.md §9): by [`Full`] — an [`Evaluator`] with the
-/// `&mut Store` it may write — and by the parallel [`Worker`], which holds
-/// `&Store` only. The required methods are the whole difference between
-/// the two.
+/// `&mut Store` it may write — and by the parallel [`par::Worker`], which
+/// holds `&Store` only. The required methods are the whole difference
+/// between the two.
 pub(crate) trait EvalCtx: Sized {
     /// The store, for reading.
     fn store(&self) -> &Store;

@@ -23,14 +23,14 @@
 //!   `&mut Store` ([`GATE_BUG`]);
 //! * the **fan-out driver** ([`par_map`]): contiguous chunks over a scoped
 //!   worker pool (`std::thread::scope`, no dependencies), one [`Worker`]
-//!   per chunk, per-item results collected in input order.
+//!   per chunk, per-item results concatenated in input order.
 //!
 //! Sequential semantics are preserved bit-for-bit: values and their order
 //! (chunks are contiguous and reassembled in input order), Δ statistics
 //! (a `Pure` body touches neither the Δ stack nor the snap counters), and
-//! error codes ([`merge_in_order`] surfaces the error of the *first*
-//! failing iteration, which is the one the sequential loop would have
-//! raised; later iterations may run wastefully but — being pure — leave no
+//! error codes ([`par_map`] surfaces the error of the *first* failing
+//! iteration, which is the one the sequential loop would have raised;
+//! later iterations may run wastefully but — being pure — leave no
 //! trace).
 
 use crate::env::{DynEnv, Scope};
@@ -53,16 +53,16 @@ pub const MAX_THREADS: usize = 64;
 
 /// May `body` be evaluated by parallel workers sharing `&Store`, calls
 /// resolved as `scope` resolves them? [`Facts::par_safe`](crate::Facts::par_safe)
-/// of the one static judgment ([`crate::effects`]): every fan-out layer
-/// (interpreter loop, plan executor, join sides) asks this, and EXPLAIN's
-/// `par` marker asks the same predicate.
+/// of the one static judgment ([`crate::effects`]): the one fan-out, a
+/// `for` loop interpreted or compiled, asks this, and EXPLAIN's `par`
+/// marker asks the same predicate.
 pub fn par_safe(body: &Core, scope: &Scope) -> bool {
     scope.effects().facts(body).par_safe()
 }
 
 /// What a fan-out hands every worker, by copy: the read-only slice of the
 /// `Evaluator` that started it, and the store — shared, so a worker cannot
-/// write. `Evaluator::fan_out` builds one.
+/// write. `Evaluator::par_for` builds one.
 #[derive(Clone, Copy)]
 pub(crate) struct PureCtx<'a> {
     /// The functions and globals the program can name, and under them the
@@ -169,7 +169,8 @@ fn gate_bug(what: &str) -> XdmError {
 }
 
 /// Fan `items` out over at most `ctx`'s thread budget of scoped workers
-/// and collect the per-item results **in input order**. Each thread runs
+/// and concatenate the per-item values **in input order**; the first
+/// failing item's error wins, as in a sequential loop. Each thread runs
 /// one [`Worker`] over one contiguous chunk with a clone of `env` (workers
 /// never see each other's bindings), so within-chunk evaluation order
 /// equals sequential order. A panicking worker propagates its panic to
@@ -187,21 +188,13 @@ pub(crate) fn par_map<T, F>(
     env: &DynEnv,
     items: &[T],
     f: F,
-) -> Vec<XdmResult<Sequence>>
+) -> XdmResult<Sequence>
 where
     T: Sync,
     F: Fn(&mut Worker<'_>, &mut DynEnv, usize, &T) -> XdmResult<Sequence> + Sync,
 {
     let n = items.len();
-    let workers = ctx.scope.env().threads.clamp(1, MAX_THREADS).min(n);
-    if workers <= 1 {
-        let (mut worker, mut env) = (Worker::new(ctx), env.clone());
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, it)| f(&mut worker, &mut env, i, it))
-            .collect();
-    }
+    let workers = ctx.scope.env().threads.clamp(1, MAX_THREADS).min(n).max(1);
     let chunk = n.div_ceil(workers);
     let mut results: Vec<Option<XdmResult<Sequence>>> = (0..n).map(|_| None).collect();
     let mut spawn_failed = false;
@@ -260,18 +253,9 @@ where
         results.iter().all(Option::is_some),
         "parallel worker left an item slot unfilled"
     );
-    results
-        .into_iter()
-        .map(|r| r.expect("parallel worker left an item slot unfilled"))
-        .collect()
-}
-
-/// Concatenate per-item results in input order; the first error — the one
-/// the sequential loop would have raised — wins.
-pub(crate) fn merge_in_order(results: Vec<XdmResult<Sequence>>) -> XdmResult<Sequence> {
     let mut out = Sequence::new();
     for r in results {
-        out.extend(r?);
+        out.extend(r.expect("parallel worker left an item slot unfilled")?);
     }
     Ok(out)
 }
@@ -298,11 +282,23 @@ mod tests {
         facts(src).par_safe()
     }
 
-    /// An evaluator with a budget of `threads` workers.
-    fn evaluator_with_threads(threads: usize) -> Evaluator {
+    /// [`par_map`] over `items` with a budget of `threads` workers.
+    fn run_par_map<T, F>(threads: usize, items: &[T], f: F) -> XdmResult<Sequence>
+    where
+        T: Sync,
+        F: Fn(&mut Worker<'_>, &mut DynEnv, usize, &T) -> XdmResult<Sequence> + Sync,
+    {
         let mut env = ProgramEnv::default();
         env.threads = threads;
-        Evaluator::new(Arc::new(env), &compile("()").unwrap())
+        let scope = Scope::new(Arc::new(env), &compile("()").unwrap());
+        let (store, guard) = (Store::new(), LimitGuard::unlimited());
+        let ctx = PureCtx {
+            scope: &scope,
+            guard: &guard,
+            store: &store,
+            depth: 0,
+        };
+        par_map(ctx, &DynEnv::new(), items, f)
     }
 
     #[test]
@@ -373,53 +369,87 @@ mod tests {
         }
     }
 
-    /// EXPLAIN's `par` marker and the run-time gate are one predicate:
-    /// over the corpus, each body under a loop wide enough to fan out, a
+    /// Join plans beside the corpus: a join or group-by runs sequentially,
+    /// so its body or return fans out only through a `for` loop inside it.
+    /// `(query, plan operator, fans out)`.
+    const JOIN_ROWS: &[(&str, &str, bool)] = &[
+        (
+            "for $l in $d/r/e for $r in $d/r/f where $l/@k = $r/@k return $r",
+            "(Join(",
+            false,
+        ),
+        (
+            "for $p in $d/r/e let $a := for $t in $d/r/f where $t/@k = $p/@k
+             return $t return (count($a), count($a/@k))",
+            "(GroupBy",
+            false,
+        ),
+        (
+            "for $l in $d/r/e for $r in $d/r/f where $l/@k = $r/@k
+             return sum(for $i in 1 to 8 return $i * $r/@k)",
+            "(Join(",
+            true,
+        ),
+    ];
+
+    /// EXPLAIN's `par` marker and the run-time gate are one predicate: a
     /// plan shows the marker exactly when running it at 4 threads opens a
-    /// parallel region.
+    /// parallel region, with the 1-thread run's value either way. The
+    /// rows: each corpus body under a loop wide enough to fan out (any
+    /// plan operator will do), and [`JOIN_ROWS`].
     #[test]
     fn explain_marks_par_exactly_where_a_run_fans_out() {
-        for (prolog, body, admitted) in GATE_CORPUS {
-            let mut e = crate::Engine::new();
-            e.set_threads(4);
-            e.load_document("d", "<r><a id=\"3\">1</a><b/><b/></r>")
-                .unwrap();
-            for (var, path) in [("x", "$d/r"), ("y", "$d/r/b"), ("s", "(1, 2, 3)")] {
-                let value = e.run(path).unwrap();
-                e.bind(var, value);
-            }
+        let corpus = GATE_CORPUS.iter().map(|(prolog, body, admitted)| {
             let query = format!("{prolog} for $k in 1 to 8 return ({body})");
-            let plan = e.explain(&query).unwrap();
-            let marked = plan.contains("par]");
-            e.explain_analyze(&query).unwrap();
-            let fanned = e.last_stats().unwrap().par_regions > 0;
-            assert_eq!(marked, fanned, "{query}:\n{plan}");
-            assert_eq!(marked, *admitted, "{query}:\n{plan}");
+            (query, "", *admitted)
+        });
+        let joins = JOIN_ROWS
+            .iter()
+            .map(|&(q, op, fans)| (q.to_string(), op, fans));
+        let es: String = (1..=6).map(|k| format!("<e k=\"{k}\"/>")).collect();
+        let fs = "<f k=\"1\"/><f k=\"3\"/><f k=\"3\"/><f k=\"6\"/>";
+        let doc = format!("<r><a id=\"3\">1</a><b/><b/>{es}{fs}</r>");
+        for (query, operator, admitted) in corpus.chain(joins) {
+            let run = |threads| {
+                let mut e = crate::Engine::new();
+                e.set_threads(threads);
+                e.load_document("d", &doc).unwrap();
+                for (var, path) in [("x", "$d/r"), ("y", "$d/r/b"), ("s", "(1, 2, 3)")] {
+                    let value = e.run(path).unwrap();
+                    e.bind(var, value);
+                }
+                let plan = e.explain(&query).unwrap();
+                let value = e.run(&query).unwrap();
+                let fanned = e.last_stats().unwrap().par_regions > 0;
+                (plan, e.serialize(&value).unwrap(), fanned)
+            };
+            let (_, sequential, _) = run(1);
+            let (plan, value, fanned) = run(4);
+            assert!(plan.contains(operator), "{query}:\n{plan}");
+            assert_eq!(plan.contains("par]"), fanned, "{query}:\n{plan}");
+            assert_eq!(fanned, admitted, "{query}:\n{plan}");
+            assert_eq!(value, sequential, "{query}");
         }
     }
 
     #[test]
-    fn fan_out_preserves_input_order_and_first_error() {
-        let (store, env) = (Store::new(), DynEnv::new());
+    fn par_map_preserves_input_order_and_first_error() {
         let items: Vec<i64> = (0..100).collect();
-        let mut ev = evaluator_with_threads(8);
-        let merged = ev
-            .fan_out(&store, &env, &items, |_worker, _env, i, it| {
-                assert_eq!(*it as usize, i);
-                Ok(seq![Item::integer(*it * 2)])
-            })
-            .unwrap();
+        let merged = run_par_map(8, &items, |_worker, _env, i, it| {
+            assert_eq!(*it as usize, i);
+            Ok(seq![Item::integer(*it * 2)])
+        })
+        .unwrap();
         assert_eq!(merged.len(), 100);
         assert_eq!(merged[41], Item::integer(82));
 
         // Two failing items: the earlier one's error surfaces.
-        let err = ev
-            .fan_out(&store, &env, &items, |_worker, _env, _i, it| match *it {
-                97 => Err(XdmError::new("E-LATE", "late")),
-                13 => Err(XdmError::new("E-EARLY", "early")),
-                _ => Ok(seq![]),
-            })
-            .unwrap_err();
+        let err = run_par_map(8, &items, |_worker, _env, _i, it| match *it {
+            97 => Err(XdmError::new("E-LATE", "late")),
+            13 => Err(XdmError::new("E-EARLY", "early")),
+            _ => Ok(seq![]),
+        })
+        .unwrap_err();
         assert_eq!(err.code, "E-EARLY");
     }
 
@@ -562,10 +592,8 @@ mod tests {
 
     #[test]
     fn worker_count_is_clamped() {
-        let (store, env) = (Store::new(), DynEnv::new());
         let items = [1i64, 2, 3];
-        let mut ev = evaluator_with_threads(usize::MAX);
-        let r = ev.fan_out(&store, &env, &items, |_w, _e, _i, it| {
+        let r = run_par_map(usize::MAX, &items, |_w, _e, _i, it| {
             Ok(seq![Item::integer(*it)])
         });
         assert_eq!(r.unwrap().len(), 3);

@@ -146,7 +146,13 @@ pub fn engine(args: &Args) -> Result<Engine, String> {
         memory_items: args.num("--memory-items")?,
         ..defaults
     });
-    engine.set_slow_query_threshold(args.num("--slow-ms")?);
+    // NaN would compare false against every run and silently log nothing.
+    let slow_ms: Option<f64> = args.num("--slow-ms")?;
+    if slow_ms.is_some_and(|ms| !(0.0..f64::INFINITY).contains(&ms)) {
+        let v = args.value("--slow-ms").unwrap_or_default();
+        return Err(format!("bad value \"{v}\" for --slow-ms"));
+    }
+    engine.set_slow_query_threshold(slow_ms);
     if let Some(path) = args.value("--trace") {
         let sink =
             TraceSink::to_path(path).map_err(|e| format!("cannot open trace {path}: {e}"))?;

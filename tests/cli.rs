@@ -110,6 +110,10 @@ fn bad_engine_flags_are_startup_errors() {
     assert!(cli::engine(&args(&["--trace", "/nonexistent/dir/t.jsonl"])).is_err());
     assert!(cli::engine(&args(&["--durability", "never"])).is_err());
     assert!(cli::engine(&args(&["--fuel", "lots"])).is_err());
+    for ms in ["nan", "inf", "-1"] {
+        let err = cli::engine(&args(&["--slow-ms", ms])).err();
+        assert_eq!(err, Some(format!("bad value \"{ms}\" for --slow-ms")));
+    }
     assert!(cli::parse("usage: test", "", ["--fuel".to_string()]).is_err());
     assert!(cli::parse("usage: test", "", ["--bogus".to_string()]).is_err());
 }

@@ -59,7 +59,8 @@ fn limit_error_codes_at_1_and_8_threads() {
         (memory, "count((1 to 100000))", "XQB0043"),
         // Compiled loops accumulate like the interpreter's and are charged
         // like them: a plan-level `for` over a batched path (6 000 items),
-        // and a hash join (40 × 40 matches), fanned out at 8 threads.
+        // fanned out at 8 threads, and a hash join (40 × 40 matches),
+        // which runs sequentially at any thread count.
         (memory, "for $i in 1 to 2000 return $doc/x/*", "XQB0043"),
         (
             memory,
