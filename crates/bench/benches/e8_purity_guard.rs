@@ -15,24 +15,61 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 use xmarkgen::Scale;
 use xqcore::alg::{compile_program, Compiler, QueryPlan};
+use xqcore::{Effect, EffectAnalysis};
 use xqexp::{run_planned, xmark_fixture, Q8_SNAP_VARIANT, Q8_VARIANT};
+use xqsyn::core::Core;
+
+/// The `Iterate` leaves of `plan`, in plan order. Panics on a join or
+/// group-by node: the rewrite the `snap insert` must suppress.
+fn iterate_leaves<'p>(plan: &'p QueryPlan, out: &mut Vec<&'p Core>) {
+    match plan {
+        QueryPlan::Iterate(core) => out.push(core),
+        QueryPlan::HashJoin(_) | QueryPlan::OuterJoinGroupBy(_) => {
+            panic!("snap insert admitted a join rewrite:\n{}", plan.render())
+        }
+        QueryPlan::BatchPath(_) => {}
+        QueryPlan::Seq(items) => items.iter().for_each(|p| iterate_leaves(p, out)),
+        QueryPlan::Let { value, body, .. }
+        | QueryPlan::For {
+            source: value,
+            body,
+            ..
+        } => {
+            iterate_leaves(value, out);
+            iterate_leaves(body, out);
+        }
+        QueryPlan::If { cond, then, els } => [cond, then, els]
+            .into_iter()
+            .for_each(|p| iterate_leaves(p, out)),
+        QueryPlan::Snap { body, .. } => iterate_leaves(body, out),
+    }
+}
 
 fn bench_guard(c: &mut Criterion) {
     let plain = xqsyn::compile(Q8_VARIANT).expect("compile plain");
     let snapped = xqsyn::compile(Q8_SNAP_VARIANT).expect("compile snapped");
 
-    // Pin the optimizer decisions the experiment is about.
+    // Pin the optimizer decisions the experiment is about: the plain
+    // variant becomes the outer-join/group-by; the snapped one keeps its
+    // loops, with the `snap insert` evaluated in an effectful leaf.
     assert!(matches!(
         Compiler::new(&plain).compile(&plain.body),
         QueryPlan::OuterJoinGroupBy(_)
     ));
-    assert!(matches!(
-        Compiler::new(&snapped).compile(&snapped.body),
-        QueryPlan::Iterate(_)
-    ));
     let plain_plan = compile_program(&plain);
     let snapped_plan = compile_program(&snapped);
     assert!(plain_plan.is_optimized() && !snapped_plan.is_optimized());
+    let analysis = EffectAnalysis::new(&snapped);
+    let mut leaves = Vec::new();
+    iterate_leaves(snapped_plan.body_plan(), &mut leaves);
+    assert!(
+        leaves
+            .iter()
+            .any(|core| analysis.effect(core) == Effect::Effectful
+                && core.to_string().contains("snap ordered { insert")),
+        "no Iterate[Effectful] leaf holds the snap insert:\n{}",
+        snapped_plan.explain()
+    );
 
     let mut group = c.benchmark_group("e8_purity_guard");
     group

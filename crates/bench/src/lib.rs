@@ -301,6 +301,25 @@ mod tests {
         assert_eq!(&lines[3..], ["    \"x\": 1", "  }"]);
     }
 
+    /// Every committed number carries its host facts: `cargo bench -p
+    /// xqexp` regenerates each object section through `stamped`.
+    #[test]
+    fn committed_sections_are_stamped() {
+        let text = std::fs::read_to_string(bench_json_path()).expect("read BENCH.json");
+        for (key, value) in bench_members(&text) {
+            if !value.starts_with('{') {
+                continue;
+            }
+            let lines: Vec<&str> = value.lines().skip(1).take(2).collect();
+            assert!(
+                lines.len() == 2
+                    && lines[0].starts_with("    \"cores\": ")
+                    && lines[1].starts_with("    \"commit\": \""),
+                "BENCH.json section \"{key}\" is not stamped: {lines:?}"
+            );
+        }
+    }
+
     #[test]
     fn members_split_at_top_level_only() {
         let text = "{\n  \"schema\": \"s/1\",\n  \"a\": {\n    \"x\": {\"1\": 2},\n    \"y\": 3\n  },\n  \"b\": {\n    \"x\": 4\n  }\n}\n";

@@ -67,30 +67,34 @@ fn prefix_fingerprints(ops: &[u8]) -> Vec<u64> {
 
 #[test]
 fn commit_recover_roundtrip() {
-    let dir = temp_dir("roundtrip");
-    let expected = {
-        let mut e = Engine::new();
-        e.open_store(&dir).unwrap();
-        apply_workload(&mut e, &[0, 1, 2, 3, 0, 1]);
-        e.store.fingerprint()
-    };
+    let ops = [0, 1, 2, 3, 0, 1];
     // The store also matches the purely in-memory run of the same steps.
-    assert_eq!(
-        expected,
-        *prefix_fingerprints(&[0, 1, 2, 3, 0, 1]).last().unwrap()
-    );
+    let in_memory = *prefix_fingerprints(&ops).last().unwrap();
+    // `Batch` fsyncs every 32 commits and `Off` never does; the log holds
+    // every commit either way, so a reopen in the same OS replays them all.
+    for mode in [SyncMode::Always, SyncMode::Batch, SyncMode::Off] {
+        let dir = temp_dir("roundtrip");
+        let expected = {
+            let mut e = Engine::new();
+            e.set_durability(mode);
+            e.open_store(&dir).unwrap();
+            apply_workload(&mut e, &ops);
+            e.store.fingerprint()
+        };
+        assert_eq!(expected, in_memory, "{mode:?}");
 
-    let mut e = Engine::new();
-    let report = e.open_store(&dir).unwrap();
-    assert_eq!(e.store.fingerprint(), expected);
-    assert!(report.replayed_commits >= 1, "report: {report:?}");
-    assert_eq!(report.tail_dropped, 0, "clean log: {report:?}");
-    // Recovery re-binds recovered document roots, so the store is
-    // immediately queryable.
-    let n = e.run("count($doc/site/*)").unwrap();
-    let m = e.run("count($doc/site/*)").unwrap();
-    assert_eq!(n, m);
-    cleanup(&dir);
+        let mut e = Engine::new();
+        let report = e.open_store(&dir).unwrap();
+        assert_eq!(e.store.fingerprint(), expected, "{mode:?}");
+        assert!(report.replayed_commits >= 1, "{mode:?}: {report:?}");
+        assert_eq!(report.tail_dropped, 0, "{mode:?}: clean log: {report:?}");
+        // Recovery re-binds recovered document roots, so the store is
+        // immediately queryable.
+        let n = e.run("count($doc/site/*)").unwrap();
+        let m = e.run("count($doc/site/*)").unwrap();
+        assert_eq!(n, m);
+        cleanup(&dir);
+    }
 }
 
 #[test]
