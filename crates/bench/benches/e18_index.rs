@@ -13,9 +13,20 @@
 //!
 //! Acceptance (ISSUE 10): at the 800-person row the indexed scan is
 //! ≥5× the batch walk, and the indexed curve is sublinear in store
-//! size. A final probe shows the *cost gate*: a query whose name bucket
-//! is ~100% of the element population keeps the batch kernels even with
-//! the index available (idx hint present, zero idx scans at runtime).
+//! size.
+//!
+//! The *cost gate* weighs a step's bucket against the kernel walk from
+//! that step's origins, so two probes pin the other side of the
+//! crossover:
+//!
+//! * **per-origin rows** — one small step from each of many origins
+//!   (`$p/name`, `$p//name` per person). The store-wide bucket is as big
+//!   as the whole answer while each origin's walk reads a handful of
+//!   nodes, so the indexed engine must stay on the kernels: at most
+//!   [`MAX_PER_ORIGIN_RATIO`] × the batch time at every size.
+//! * **fat bucket** — a query whose name bucket is ~100% of the element
+//!   population keeps the batch kernels even with the index available
+//!   (idx hint present, zero idx scans at runtime).
 //!
 //! Output: a table on stdout and the `index` section of the
 //! canonical `BENCH.json` (other sections are preserved).
@@ -36,6 +47,20 @@ const MIN_SPEEDUP: f64 = 3.0;
 
 const LOOKUP: &str = r#"$auction//person[@id = "person7"]"#;
 
+/// Per-origin shapes: a child and a descendant step from each person.
+const PER_ORIGIN: [(&str, &str); 2] = [
+    ("child", "for $p in $auction//person return $p/name"),
+    ("descendant", "for $p in $auction//person return $p//name"),
+];
+/// Timed repetitions per per-origin sample: each run walks every person.
+const PER_ORIGIN_ITERS: usize = 20;
+/// Alternating samples per per-origin (size, shape) cell and strategy.
+const PAIR_REPS: usize = 9;
+/// Per-origin tripwire: the indexed engine may cost at most this multiple
+/// of the batch engine (the store-wide gate it replaced read 41× and
+/// 217× at 800 persons on a 2-core host).
+const MAX_PER_ORIGIN_RATIO: f64 = 1.5;
+
 fn median(mut v: Vec<f64>) -> f64 {
     v.sort_by(|a, b| a.partial_cmp(b).unwrap());
     v[v.len() / 2]
@@ -54,22 +79,46 @@ fn engine(scale: &Scale, compile: bool, indexing: bool) -> Engine {
     e
 }
 
-/// Median per-run seconds for `program` on `e`, verifying every run
-/// returns exactly `expect_rows` items.
+/// Per-run seconds of one sample: `iters` runs of `program` on `e`,
+/// each verified to return exactly `expect_rows` items.
+fn sample(e: &mut Engine, program: &xqsyn::CoreProgram, iters: usize, expect_rows: usize) -> f64 {
+    let t0 = Instant::now();
+    for _ in 0..iters {
+        let out = e.run_program(program).expect("run");
+        assert_eq!(out.len(), expect_rows, "wrong row count");
+    }
+    t0.elapsed().as_secs_f64() / iters as f64
+}
+
+/// Median per-run seconds for `program` on `e` over [`REPS`] samples of
+/// [`ITERS`] runs, verifying every run returns exactly `expect_rows` items.
 fn time_query(e: &mut Engine, program: &xqsyn::CoreProgram, expect_rows: usize) -> f64 {
     // One warmup: plan-cache fill, interner warm, scratch allocated.
-    let out = e.run_program(program).expect("warmup");
-    assert_eq!(out.len(), expect_rows, "wrong row count");
-    let mut samples = Vec::with_capacity(REPS);
-    for _ in 0..REPS {
-        let t0 = Instant::now();
-        for _ in 0..ITERS {
-            let out = e.run_program(program).expect("run");
-            assert_eq!(out.len(), expect_rows);
-        }
-        samples.push(t0.elapsed().as_secs_f64() / ITERS as f64);
+    sample(e, program, 1, expect_rows);
+    median(
+        (0..REPS)
+            .map(|_| sample(e, program, ITERS, expect_rows))
+            .collect(),
+    )
+}
+
+/// Median per-run seconds of `program` on `a` and on `b`, sampled
+/// alternately ([`PAIR_REPS`] samples of [`PER_ORIGIN_ITERS`] runs each)
+/// so host noise lands on both sides of the ratio alike.
+fn time_pair(
+    a: &mut Engine,
+    b: &mut Engine,
+    program: &xqsyn::CoreProgram,
+    expect_rows: usize,
+) -> (f64, f64) {
+    sample(a, program, 1, expect_rows);
+    sample(b, program, 1, expect_rows);
+    let (mut ta, mut tb) = (Vec::new(), Vec::new());
+    for _ in 0..PAIR_REPS {
+        ta.push(sample(a, program, PER_ORIGIN_ITERS, expect_rows));
+        tb.push(sample(b, program, PER_ORIGIN_ITERS, expect_rows));
     }
-    median(samples)
+    (median(ta), median(tb))
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -122,11 +171,41 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "indexed lookup not sublinear: {growth:.1}x time for 8x store"
     );
 
+    // --- cost gate: per-origin steps stay on the kernels -------------
+    println!("\n  per-origin steps, {PAIR_REPS}×{PER_ORIGIN_ITERS} alternating runs per cell");
+    println!(
+        "  {:>8} {:>11} {:>8} {:>12} {:>12} {:>9}",
+        "persons", "shape", "rows", "indexed_us", "batch_us", "idx/batch"
+    );
+    let mut per_origin = Vec::new();
+    for &(persons, closed) in &sizes {
+        let scale = Scale::join_sides(persons, closed);
+        let mut indexed = engine(&scale, true, true);
+        let mut batch = engine(&scale, true, false);
+        for (shape, query) in PER_ORIGIN {
+            let program = xqsyn::compile(query)?;
+            let rows = batch.run_program(&program)?.len();
+            let (t_idx, t_batch) = time_pair(&mut indexed, &mut batch, &program, rows);
+            let ratio = t_idx / t_batch;
+            println!(
+                "  {persons:>8} {shape:>11} {rows:>8} {:>12.3} {:>12.3} {ratio:>8.2}x",
+                t_idx * 1e6,
+                t_batch * 1e6
+            );
+            assert!(
+                ratio <= MAX_PER_ORIGIN_RATIO,
+                "per-origin {shape} step at {persons} persons: indexed {ratio:.2}x \
+                 the batch walk (bound {MAX_PER_ORIGIN_RATIO}x)"
+            );
+            per_origin.push((persons, shape, query, rows, t_idx, t_batch, ratio));
+        }
+    }
+
     // --- cost gate: unselective name bucket keeps the batch kernels --
     // Every element in this tree is named `node`: the bucket is ~100%
-    // of the population, far past the selectivity threshold, so the
-    // executor's gate refuses the scan even though the plan carries the
-    // idx hint.
+    // of the population, so the walk from the root finishes within its
+    // allowance and the executor never scans, even though the plan
+    // carries the idx hint.
     let mut gated = Engine::new();
     gated.set_compile(true);
     let tree = xqexp::element_tree(&mut gated.store, 4000)?;
@@ -154,13 +233,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             )
         })
         .collect();
+    let per_origin_json: Vec<String> = per_origin
+        .iter()
+        .map(|(p, shape, query, rows, ti, tb, r)| {
+            format!(
+                "{{\"persons\": {p}, \"shape\": \"{shape}\", \"query\": \"{query}\", \
+                 \"rows\": {rows}, \"indexed_s\": {ti:.9}, \"batch_s\": {tb:.9}, \
+                 \"indexed_over_batch\": {r:.2}}}"
+            )
+        })
+        .collect();
     let section = format!(
         "{{\n    \"bench\": \"selective_id_lookup\",\n    \"query\": \"{}\",\n    \
          \"rows\": [\n      {}\n    ],\n    \"indexed_growth_100_to_800\": {growth:.2},\n    \
+         \"per_origin\": [\n      {}\n    ],\n    \
          \"cost_gate\": {{\"query\": \"$doc//node\", \"elements\": {gate_rows}, \
          \"idx_hint_planned\": true, \"idx_scans_taken\": 0}}\n  }}",
         LOOKUP.replace('"', "\\\""),
-        rows_json.join(",\n      ")
+        rows_json.join(",\n      "),
+        per_origin_json.join(",\n      ")
     );
     xqexp::splice_bench_section("index", &section)?;
     Ok(())

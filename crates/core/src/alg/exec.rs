@@ -24,8 +24,8 @@ use crate::{DynEnv, Evaluator};
 use std::collections::{HashMap, HashSet};
 use xqdm::item::{self, Item, Sequence};
 use xqdm::seq;
-use xqdm::{KernelTest, NodeId, Store, XdmError, XdmResult};
-use xqsyn::ast::{Axis, NodeTest};
+use xqdm::{KernelTest, NodeId, QNameId, Store, XdmError, XdmResult};
+use xqsyn::ast::Axis;
 use xqsyn::core::Core;
 
 /// Execute a plan inside the caller's current Δ scope. Pending updates the
@@ -222,8 +222,9 @@ fn exec_batch_path(
 /// Drive a step chain over `cur` in place, using `next` as the step
 /// output buffer (both are caller-owned so key probes can recycle them).
 /// When `allow_idx` is set (the planner saw an index-eligible step with
-/// indexes available), each step first offers itself to [`try_index_scan`];
-/// the runtime gates there keep a stale `,idx` plan correct.
+/// indexes available), each step weighs its index bucket against the
+/// kernel walk from `cur` (see [`index_bucket`]); the runtime gates there
+/// keep a stale `,idx` plan correct.
 fn run_batch_steps(
     steps: &[BatchStep],
     allow_idx: bool,
@@ -234,32 +235,32 @@ fn run_batch_steps(
 ) -> XdmResult<()> {
     for step in steps {
         next.clear();
-        let used_idx = allow_idx && try_index_scan(step, store, cur, next)?;
+        let test = resolve_test(store, &step.test);
+        let used_idx = match allow_idx.then(|| index_bucket(step, test, store)).flatten() {
+            None => {
+                kernel_step(step.axis, test, usize::MAX, evaluator, store, cur, next)?;
+                false
+            }
+            // The cost gate: the walk from `cur` may visit
+            // `KERNEL_VISITS_PER_ENTRY` nodes per bucket entry; a walk
+            // that needs more reads less from the bucket.
+            Some((bucket, len)) => {
+                let allowance = len.saturating_mul(KERNEL_VISITS_PER_ENTRY);
+                if kernel_step(step.axis, test, allowance, evaluator, store, cur, next)? {
+                    false
+                } else {
+                    next.clear();
+                    scan_bucket(step.axis, test, bucket, store, cur, next)?;
+                    true
+                }
+            }
+        };
         // From at most one origin, every kernel emits in DFS order:
         // already document-ordered and duplicate-free, so the per-step
         // normalization sort can be skipped. (With several origins,
         // nesting lets outputs interleave or repeat, so we must sort.
         // Index buckets hash in arbitrary order: always sort.)
         let sorted = !used_idx && cur.len() <= 1;
-        if !used_idx {
-            let test = resolve_test(store, &step.test);
-            match step.axis {
-                Axis::Child => store.batch_children_into(cur, test, next)?,
-                Axis::Descendant => {
-                    store.batch_descendants_into(cur, test, false, evaluator.scratch_mut(), next)?
-                }
-                Axis::DescendantOrSelf => {
-                    store.batch_descendants_into(cur, test, true, evaluator.scratch_mut(), next)?
-                }
-                Axis::Attribute => store.batch_attributes_into(cur, test, next)?,
-                // The compiler only lowers the four kernel axes.
-                _ => {
-                    return Err(XdmError::precondition(
-                        "batch step on an axis without a kernel",
-                    ))
-                }
-            }
-        }
         for filter in &step.filters {
             let mut keep = 0;
             for i in 0..next.len() {
@@ -329,36 +330,90 @@ fn exists_chain(
     Ok(!cur.is_empty())
 }
 
-/// Index buckets beyond this fraction of the element population fall
-/// back to the batch kernels: a whole-store heuristic (the kernel's true
-/// cost is per-subtree), tuned by the E18 selectivity crossover.
-const IDX_COST_FACTOR: usize = 4;
-
-/// Try to answer one step from the secondary indexes instead of a kernel
-/// walk. Returns `Ok(false)` — leaving `next` empty for the kernel path —
-/// whenever the scan is unavailable (indexing disabled, OCC read tracing
-/// active) or unprofitable (cost gate). On `Ok(true)`, `next` holds the
-/// step's result *before* doc-order normalization.
-///
-/// The OCC gate exists because a bucket probe reads "no node anywhere has
-/// this name/value", a whole-store fact the per-node read footprint can't
-/// express; falling back keeps optimistic commits sound.
-fn try_index_scan(
-    step: &BatchStep,
+/// Answer one step with a store kernel that may visit at most
+/// `allowance` nodes (`usize::MAX`: unbounded). Returns `Ok(false)` when
+/// the walk would exceed the allowance; `next` then holds a partial
+/// answer the caller discards.
+fn kernel_step(
+    axis: Axis,
+    test: KernelTest,
+    allowance: usize,
+    evaluator: &mut Evaluator,
     store: &Store,
     cur: &[NodeId],
     next: &mut Vec<NodeId>,
 ) -> XdmResult<bool> {
+    match axis {
+        Axis::Child => {
+            // The child walk's cost is known up front: Σ child-list lengths.
+            if allowance < usize::MAX {
+                let mut visits = 0usize;
+                for &origin in cur {
+                    visits += store.children(origin)?.len();
+                    if visits > allowance {
+                        return Ok(false);
+                    }
+                }
+            }
+            store.batch_children_into(cur, test, next)?;
+            Ok(true)
+        }
+        Axis::Descendant => {
+            store.batch_descendants_into(cur, test, false, allowance, evaluator.scratch_mut(), next)
+        }
+        Axis::DescendantOrSelf => {
+            store.batch_descendants_into(cur, test, true, allowance, evaluator.scratch_mut(), next)
+        }
+        Axis::Attribute => {
+            store.batch_attributes_into(cur, test, next)?;
+            Ok(true)
+        }
+        // The compiler only lowers the four kernel axes.
+        _ => Err(XdmError::precondition(
+            "batch step on an axis without a kernel",
+        )),
+    }
+}
+
+/// The cost gate's exchange rate: one index-bucket entry (a parent
+/// probe, a hash lookup, and its share of the doc-order sort every scan
+/// needs) costs about as much as this many kernel node visits. E18's
+/// rows sit far from the crossover it sets — the selective lookup's walk
+/// is thousands of times its allowance, a per-origin walk a small
+/// fraction — so they pin which side each shape lands on, not the value.
+const KERNEL_VISITS_PER_ENTRY: usize = 8;
+
+/// The index bucket a step could be read from.
+enum Bucket<'s> {
+    /// Owners of the attributes `@name = "value"`.
+    Attr(QNameId, &'s str),
+    /// Every element named by the step's name test.
+    Name(QNameId),
+    /// The name is interned nowhere in the store: the answer is empty.
+    Absent,
+}
+
+/// The bucket that could answer `step`, with its length, or `None` when
+/// no scan is available: indexing disabled, OCC read tracing active, an
+/// axis the scan does not serve, or a test other than an exact name.
+///
+/// The OCC gate exists because a bucket probe reads "no node anywhere has
+/// this name/value", a whole-store fact the per-node read footprint can't
+/// express; falling back keeps optimistic commits sound.
+fn index_bucket<'s>(
+    step: &'s BatchStep,
+    test: KernelTest,
+    store: &Store,
+) -> Option<(Bucket<'s>, usize)> {
     if !store.index_enabled() || store.tracing_reads() {
-        return Ok(false);
+        return None;
     }
     if !matches!(
         step.axis,
         Axis::Child | Axis::Descendant | Axis::DescendantOrSelf
     ) {
-        return Ok(false);
+        return None;
     }
-    let budget = store.indexed_elements() / IDX_COST_FACTOR;
     // Prefer the attribute-value index: an equality bucket is almost
     // always narrower than a name bucket.
     let attr_drive = step.filters.iter().find_map(|f| match f {
@@ -366,50 +421,55 @@ fn try_index_scan(
         _ => None,
     });
     if let Some((name, value)) = attr_drive {
-        let Some(qid) = store.symbols().lookup_lexical(name) else {
-            // Name never interned: no such attribute exists anywhere.
-            return Ok(true);
-        };
-        if store.index_attr_len(qid, value) > budget {
-            return Ok(false);
-        }
-        let mut owners = Vec::new();
-        store.index_attr_nodes(qid, value, &mut owners);
-        let test = resolve_test(store, &step.test);
-        let mut memo = HashMap::new();
-        let origins: HashSet<NodeId> = cur.iter().copied().collect();
-        for attr in owners {
-            let Some(element) = store.parent(attr)? else {
-                continue;
-            };
-            if store.kernel_matches(element, false, test)?
-                && on_axis(store, &origins, &mut memo, step.axis, element)?
-            {
-                next.push(element);
+        return Some(match store.symbols().lookup_lexical(name) {
+            Some(qid) => (Bucket::Attr(qid, value), store.index_attr_len(qid, value)),
+            None => (Bucket::Absent, 0),
+        });
+    }
+    let KernelTest::Name(name) = test else {
+        return None;
+    };
+    Some(match name {
+        Some(qid) => (Bucket::Name(qid), store.index_name_len(qid)),
+        None => (Bucket::Absent, 0),
+    })
+}
+
+/// Answer `step` from `bucket`: keep the entries that pass the step's
+/// test and lie on its axis from some node of `cur`. `next` holds the
+/// result *before* doc-order normalization.
+fn scan_bucket(
+    axis: Axis,
+    test: KernelTest,
+    bucket: Bucket,
+    store: &Store,
+    cur: &[NodeId],
+    next: &mut Vec<NodeId>,
+) -> XdmResult<()> {
+    let mut candidates = Vec::new();
+    match bucket {
+        Bucket::Attr(qid, value) => {
+            let mut owners = Vec::new();
+            store.index_attr_nodes(qid, value, &mut owners);
+            for attr in owners {
+                if let Some(element) = store.parent(attr)? {
+                    if store.kernel_matches(element, false, test)? {
+                        candidates.push(element);
+                    }
+                }
             }
         }
-        return Ok(true);
+        Bucket::Name(qid) => store.index_name_nodes(qid, &mut candidates),
+        Bucket::Absent => return Ok(()),
     }
-    // Name-test drive: only worthwhile for an exact name.
-    let NodeTest::Name(wanted) = &step.test else {
-        return Ok(false);
-    };
-    let Some(qid) = store.symbols().lookup_lexical(wanted) else {
-        return Ok(true);
-    };
-    if store.index_name_len(qid) > budget {
-        return Ok(false);
-    }
-    let mut named = Vec::new();
-    store.index_name_nodes(qid, &mut named);
     let mut memo = HashMap::new();
     let origins: HashSet<NodeId> = cur.iter().copied().collect();
-    for n in named {
-        if on_axis(store, &origins, &mut memo, step.axis, n)? {
+    for n in candidates {
+        if on_axis(store, &origins, &mut memo, axis, n)? {
             next.push(n);
         }
     }
-    Ok(true)
+    Ok(())
 }
 
 /// Does `node` lie on `axis` from any origin? Child needs one parent

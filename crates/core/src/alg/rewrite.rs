@@ -13,7 +13,7 @@
 //! | rule | rewrite | guard |
 //! |------|---------|-------|
 //! | dead-let | `let $x := V return B` → `B` when `B` doesn't use `$x` | `V` produces no update requests (dropping it must not change Δ) |
-//! | let-inline | single-use `let $x := V return B` → `B[V/$x]` | `V` pure *and* `B` applies no snap (a snap between binding and use would change what `V` reads) |
+//! | let-inline | single-use `let $x := V return B` → `B[V/$x]` | `V` pure *and* `B` applies no snap (a snap between binding and use would change what `V` reads); `V` is no `for` (a bound FLWOR is what the join compiler unnests, §4.3) |
 //! | const-fold | `1 + 2` → `3`, comparisons, EBV-known `if` | operands constant; never folds expressions that could error differently |
 //! | if-fold | `if (true()) then A else B` → `A` | condition constant; the dropped branch must produce no updates (it was never evaluated anyway — the guard is only needed because folding erases the *possibility* of reporting its errors, which XQuery 1.0 permits) |
 //! | empty-for | `for $x in () return B` → `()` | source is literally `()` |
@@ -54,7 +54,13 @@ fn rewrite_node(core: Core, a: &EffectAnalysis) -> Core {
                 return *body;
             }
             // ---- let-inline (single use, pure value, snap-free body) ----
-            if uses == 1 && a.effect(&value) == Effect::Pure && a.effect(&body).order_free() {
+            // A FLWOR value stays bound: inlined into the body it becomes
+            // a nested loop the join compiler cannot unnest (paper §4.3).
+            if uses == 1
+                && a.effect(&value) == Effect::Pure
+                && a.effect(&body).order_free()
+                && !matches!(*value, Core::For { .. } | Core::SortedFor { .. })
+            {
                 return substitute(&body, &var, &value);
             }
             Core::Let { var, value, body }
@@ -442,6 +448,23 @@ mod tests {
     #[test]
     fn single_use_pure_let_inlines() {
         assert_eq!(simp("let $x := 5 return $x + 1"), int(6));
+    }
+
+    #[test]
+    fn single_use_flwor_let_is_kept() {
+        // Inlining the correlated FLWOR into `count(...)` would hide the
+        // outer-join + group-by shape from the join compiler.
+        let c = simp(
+            "for $p in $s/p let $a := for $t in $u/t where $t/@k = $p/@k return $t \
+             return count($a)",
+        );
+        let Core::For { body, .. } = c else {
+            panic!("outer for lost: {c:?}")
+        };
+        assert!(
+            matches!(*body, Core::Let { .. }),
+            "FLWOR let inlined: {body:?}"
+        );
     }
 
     #[test]

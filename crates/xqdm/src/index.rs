@@ -246,8 +246,6 @@ pub(crate) struct IndexPlane {
     by_name: ShardedMap<QNameId>,
     /// Alive attributes by (interned name, value hash).
     by_attr: ShardedMap<(QNameId, u64)>,
-    /// Alive element count — the cost gate's selectivity denominator.
-    elements: usize,
     /// Planner availability. Maintenance is unconditional (it is O(1)
     /// per affected mutation); this flag only gates plan selection.
     enabled: bool,
@@ -261,7 +259,6 @@ impl Default for IndexPlane {
         IndexPlane {
             by_name: ShardedMap::default(),
             by_attr: ShardedMap::default(),
-            elements: 0,
             enabled: true,
             epoch: 0,
         }
@@ -287,18 +284,12 @@ impl IndexPlane {
         self.epoch
     }
 
-    /// Alive element count.
-    pub(crate) fn elements(&self) -> usize {
-        self.elements
-    }
-
     /// A node came alive (allocation, or an undone collection): insert
     /// its index entries.
     pub(crate) fn note_birth(&mut self, kind: &NodeKind, id: NodeId) {
         match kind {
             NodeKind::Element { name, .. } => {
                 self.by_name.insert(*name, id);
-                self.elements += 1;
             }
             NodeKind::Attribute { name, value } => {
                 self.by_attr.insert((*name, value_hash(value)), id);
@@ -313,7 +304,6 @@ impl IndexPlane {
         match kind {
             NodeKind::Element { name, .. } => {
                 self.by_name.remove(*name, id);
-                self.elements -= 1;
             }
             NodeKind::Attribute { name, value } => {
                 self.by_attr.remove((*name, value_hash(value)), id);
@@ -380,9 +370,7 @@ impl IndexPlane {
     /// would? (Availability state is ignored — it is not derived.)
     pub(crate) fn matches_rebuild(&self, nodes: &Pages) -> bool {
         let fresh = IndexPlane::rebuild(nodes, self.enabled, self.epoch);
-        self.elements == fresh.elements
-            && self.by_name == fresh.by_name
-            && self.by_attr == fresh.by_attr
+        self.by_name == fresh.by_name && self.by_attr == fresh.by_attr
     }
 }
 

@@ -100,11 +100,6 @@ impl Store {
         self.slots.index().epoch()
     }
 
-    /// Alive element count — the cost gate's selectivity denominator.
-    pub fn indexed_elements(&self) -> usize {
-        self.slots.index().elements()
-    }
-
     /// Number of alive elements named `name` anywhere in the store
     /// (0 when none — bucket absence *is* an exact answer).
     pub fn index_name_len(&self, name: QNameId) -> usize {
@@ -406,22 +401,39 @@ impl Store {
     /// Uses the scratch gather buffer as the DFS stack, so steady-state
     /// traversal allocates nothing. Same output contract as
     /// [`Store::batch_children_into`].
+    ///
+    /// `allowance` caps the nodes the walk may test (`usize::MAX`:
+    /// unbounded). Returns `Ok(true)` when the walk finished, and
+    /// `Ok(false)` as soon as it would test one node more than allowed;
+    /// `out` then holds a partial answer the caller must discard. The
+    /// executor's index cost gate uses this to try the walk first.
     pub fn batch_descendants_into(
         &self,
         input: &[NodeId],
         test: KernelTest,
         or_self: bool,
+        mut allowance: usize,
         scratch: &mut Scratch,
         out: &mut Vec<NodeId>,
-    ) -> XdmResult<()> {
+    ) -> XdmResult<bool> {
         let stack = &mut scratch.gather;
         for &origin in input {
-            if or_self && self.kernel_matches(origin, false, test)? {
-                out.push(origin);
+            if or_self {
+                let Some(left) = allowance.checked_sub(1) else {
+                    return Ok(false);
+                };
+                allowance = left;
+                if self.kernel_matches(origin, false, test)? {
+                    out.push(origin);
+                }
             }
             stack.clear();
             stack.extend(self.children(origin)?.iter().rev());
             while let Some(n) = stack.pop() {
+                let Some(left) = allowance.checked_sub(1) else {
+                    return Ok(false);
+                };
+                allowance = left;
                 if self.kernel_matches(n, false, test)? {
                     out.push(n);
                 }
@@ -430,7 +442,7 @@ impl Store {
                 }
             }
         }
-        Ok(())
+        Ok(true)
     }
 
     /// Attribute-axis kernel: the principal node kind is attribute. Same

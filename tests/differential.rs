@@ -304,6 +304,74 @@ fn index_selection_agrees_across_strategies() {
     }
 }
 
+/// The index cost gate weighs a step's bucket against the kernel walk
+/// from *that step's* origins, pinned here by counters rather than
+/// timings. Per-origin steps under small subtrees read a few nodes each,
+/// so they stay on the kernels even though their name bucket is a small
+/// share of the store; a value-driven child step under a wide parent
+/// reads one bucket entry instead of every sibling, so it scans.
+#[test]
+fn index_gate_weighs_the_step_origins() {
+    // Seven elements per person: the `name` bucket is 1/7 of the store.
+    let mut doc = String::from("<site>");
+    for i in 0..40 {
+        doc.push_str(&format!(
+            "<person id=\"p{i}\"><name>n{i}</name><email/><phone/>\
+             <address><city>c{i}</city><zip/></address></person>"
+        ));
+    }
+    doc.push_str("</site>");
+    let mut log = String::from("<log>");
+    for i in 0..1200 {
+        log.push_str(&format!("<entry id=\"e{i}\"/>"));
+    }
+    log.push_str("</log>");
+    let shapes = [
+        // A child step from one origin, once per person.
+        ("for $p in $doc/site/person return $p/name", false),
+        // A descendant step from small subtrees.
+        ("for $p in $doc/site/person return $p//name", false),
+        // A value-driven child step under a 1 200-entry parent.
+        (r#"$log/log/entry[@id = "e17"]"#, true),
+    ];
+    for mode in ["ordered ", "nondeterministic ", "conflict-detection "] {
+        let mut variants = Vec::new();
+        for (label, compile, indexing) in [
+            ("interpreted", false, false),
+            ("batch", true, false),
+            ("indexed", true, true),
+        ] {
+            let mut e = Engine::new().with_seed(0x6a7e);
+            e.set_compile(compile);
+            e.set_indexing(indexing);
+            e.load_document("doc", &doc).unwrap();
+            e.load_document("log", &log).unwrap();
+            variants.push((label, e));
+        }
+        for (shape, scans) in shapes {
+            let q = format!("snap {mode}{{ {shape} }}");
+            let mut outs = Vec::new();
+            for (label, e) in &mut variants {
+                let v = e
+                    .run(&q)
+                    .unwrap_or_else(|err| panic!("{label}: {q} failed: {err}"));
+                outs.push((label.to_string(), e.serialize(&v).unwrap()));
+            }
+            for (label, out) in &outs[1..] {
+                assert_eq!(out, &outs[0].1, "strategy divergence for {q} ({label})");
+            }
+            let (_, indexed) = variants.last().unwrap();
+            let stats = indexed.last_stats().unwrap();
+            if scans {
+                assert!(stats.idx_scans >= 1, "gate refused a 1-entry bucket: {q}");
+            } else {
+                assert_eq!(stats.idx_scans, 0, "gate scanned per origin: {q}");
+            }
+        }
+        assert!(variants.last().unwrap().1.store.index_verify());
+    }
+}
+
 #[test]
 fn updates_agree_in_all_snap_modes() {
     for mode in ["", "ordered ", "nondeterministic ", "conflict-detection "] {

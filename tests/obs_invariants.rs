@@ -508,7 +508,7 @@ fn warm_scratch_sort_and_kernels_allocate_nothing() {
             store.batch_children_into(&[root], entry_test, out).unwrap();
             out.clear();
             store
-                .batch_descendants_into(&[root], entry_test, false, scratch, out)
+                .batch_descendants_into(&[root], entry_test, false, usize::MAX, scratch, out)
                 .unwrap();
             store.sort_and_dedup_with(out, scratch).unwrap();
         };

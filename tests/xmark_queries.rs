@@ -124,6 +124,25 @@ fn q8_original_purchase_counts() {
     assert_eq!(total, SCALE.closed_auctions.to_string());
 }
 
+/// Q8 whose `return` uses `$a` once: the bound FLWOR must stay a `let`
+/// (not be inlined into `count(...)`), so the join compiler still sees
+/// the paper's §4.3 outer-join + group-by shape and runs one hash join.
+#[test]
+fn q8_single_use_let_compiles_to_a_join() {
+    let q = r#"for $p in $auction/site/people/person
+               let $a := for $t in $auction/site/closed_auctions/closed_auction
+                         where $t/buyer/@person = $p/@id
+                         return $t
+               return count($a)"#;
+    let mut e = engine(&SCALE, 11);
+    let out = run(&mut e, q);
+    let stats = e.last_stats().unwrap();
+    assert_eq!(stats.joins_executed, 1, "Q8 ran without a join: {stats:?}");
+    let mut i = engine(&SCALE, 11);
+    i.set_compile(false);
+    assert_eq!(out, run(&mut i, q), "join changed the value");
+}
+
 /// XMark Q9-like join through items.
 #[test]
 fn q9_buyer_item_join() {
