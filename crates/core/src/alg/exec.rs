@@ -394,18 +394,14 @@ enum Bucket<'s> {
 }
 
 /// The bucket that could answer `step`, with its length, or `None` when
-/// no scan is available: indexing disabled, OCC read tracing active, an
-/// axis the scan does not serve, or a test other than an exact name.
-///
-/// The OCC gate exists because a bucket probe reads "no node anywhere has
-/// this name/value", a whole-store fact the per-node read footprint can't
-/// express; falling back keeps optimistic commits sound.
+/// no scan is available: indexing disabled, an axis the scan does not
+/// serve, or a test other than an exact name.
 fn index_bucket<'s>(
     step: &'s BatchStep,
     test: KernelTest,
     store: &Store,
 ) -> Option<(Bucket<'s>, usize)> {
-    if !store.index_enabled() || store.tracing_reads() {
+    if !store.index_enabled() {
         return None;
     }
     if !matches!(

@@ -102,7 +102,7 @@ pub struct BatchPathPlan {
     /// were available at plan time and at least one step has an
     /// index-servable shape (a name test on an element axis, or an
     /// `[@a = "v"]` filter). Rendered as `,idx`; the executor still
-    /// applies its runtime cost and OCC gates per scan.
+    /// applies its runtime cost gate per scan.
     pub idx: bool,
 }
 

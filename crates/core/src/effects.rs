@@ -29,14 +29,13 @@
 //! The level is not all the engine's gates need to know — a `snap` over
 //! pure code is `Pure` yet draws a seed, `fn:parse-xml` is rated `Pure`
 //! yet allocates — so the judgment's result is a [`Facts`]: the level plus
-//! three monotone flags, joined in the same fixpoint. Worker fan-out,
-//! snapshot-read routing, OCC eligibility and EXPLAIN's `par` marker are
-//! predicates over that one value; nothing else in the engine walks a
+//! two monotone flags, joined in the same fixpoint. Worker fan-out,
+//! snapshot-read routing and EXPLAIN's `par` marker are predicates over
+//! that one value; nothing else in the engine walks a
 //! `Core` to decide a static property.
 
 use crate::functions;
 use std::collections::HashMap;
-use xqsyn::ast::SnapMode;
 use xqsyn::core::{Core, CoreFunction, CoreProgram};
 
 /// The effect lattice (derives `Ord`: variants are declared bottom-up).
@@ -74,10 +73,10 @@ impl Effect {
 }
 
 /// Everything the engine statically knows about an expression or a
-/// declared function: its level on the lattice plus three monotone flags
+/// declared function: its level on the lattice plus two monotone flags
 /// the level alone hides. One value, one walk (`facts_with`), closed over
 /// calls by the same fixpoint — every gate in the engine is a predicate
-/// over it (DESIGN.md §9, §15, §16) and nothing else.
+/// over it (DESIGN.md §9, §15) and nothing else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Facts {
     /// The level on the effect lattice.
@@ -89,13 +88,10 @@ impl Facts {
     /// Reaches a `snap` of any mode. Even over pure code a snap draws an
     /// application seed and counts toward the snap statistics.
     pub const SNAP: u8 = 1;
-    /// Reaches `snap nondeterministic` or `snap conflict-detection`: the
-    /// outcome depends on the engine's seed stream.
-    pub const UNORDERED_SNAP: u8 = 2;
     /// Reaches a [`functions::is_par_opaque`] built-in: rated `Pure`, yet
     /// it allocates, prints, or observes engine-global state outside the
     /// store.
-    pub const OPAQUE: u8 = 4;
+    pub const OPAQUE: u8 = 2;
 
     /// Nothing known to happen: the bottom of the lattice, no flag.
     pub const PURE: Facts = Facts::at(Effect::Pure);
@@ -103,7 +99,7 @@ impl Facts {
     /// updating flags belong in signatures; absent one we stay sound).
     pub const UNKNOWN: Facts = Facts {
         level: Effect::Effectful,
-        flags: Facts::SNAP | Facts::UNORDERED_SNAP | Facts::OPAQUE,
+        flags: Facts::SNAP | Facts::OPAQUE,
     };
 
     const fn at(level: Effect) -> Facts {
@@ -136,14 +132,6 @@ impl Facts {
     /// requests is still a write.
     pub fn snapshot_read(self) -> bool {
         self.level <= Effect::Alloc && !self.has(Facts::SNAP | Facts::OPAQUE)
-    }
-
-    /// May a write take the optimistic path? Footprint validation and
-    /// rebase assume the run is deterministic given its base snapshot and
-    /// fully described by its redo ops: no draw from the seed stream, no
-    /// observer of state outside the store.
-    pub fn occ_safe(self) -> bool {
-        !self.has(Facts::UNORDERED_SNAP | Facts::OPAQUE)
     }
 }
 
@@ -255,7 +243,7 @@ fn facts_with(expr: &Core, funcs: &HashMap<(String, usize), Facts>) -> Facts {
         | Core::Replace(..)
         | Core::ReplaceValue(..)
         | Core::Rename(..) => Facts::at(Effect::Pending),
-        Core::Snap(mode, body) => {
+        Core::Snap(_, body) => {
             // A snap *applies* its body's pending updates. If the body can't
             // produce any, the snap applies an empty Δ and its level is as
             // benign as its body's — but it is still a snap.
@@ -264,9 +252,6 @@ fn facts_with(expr: &Core, funcs: &HashMap<(String, usize), Facts>) -> Facts {
                 b.level = Effect::Effectful;
             }
             b.flags |= Facts::SNAP;
-            if *mode != SnapMode::Ordered {
-                b.flags |= Facts::UNORDERED_SNAP;
-            }
             return b;
         }
         // Built-ins never touch the store beyond reading, and the
@@ -383,13 +368,13 @@ mod tests {
         assert_eq!(a.facts(&prog.body), Facts::UNKNOWN);
     }
 
-    /// The level and which of (`SNAP`, `UNORDERED_SNAP`, `OPAQUE`) are set.
-    fn summary(f: Facts) -> (Effect, [bool; 3]) {
-        let flags = [Facts::SNAP, Facts::UNORDERED_SNAP, Facts::OPAQUE];
+    /// The level and which of (`SNAP`, `OPAQUE`) are set.
+    fn summary(f: Facts) -> (Effect, [bool; 2]) {
+        let flags = [Facts::SNAP, Facts::OPAQUE];
         (f.level, flags.map(|flag| f.has(flag)))
     }
 
-    fn body_facts(src: &str) -> (Effect, [bool; 3]) {
+    fn body_facts(src: &str) -> (Effect, [bool; 2]) {
         let prog = compile(src).expect("compile");
         summary(EffectAnalysis::new(&prog).facts(&prog.body))
     }
@@ -399,25 +384,22 @@ mod tests {
         use Effect::*;
         for (src, want) in [
             // Direct.
-            ("1 + 2", (Pure, [false, false, false])),
-            ("snap { 1 }", (Pure, [true, false, false])),
-            ("snap { <a/> }", (Alloc, [true, false, false])),
-            ("snap { delete { $x } }", (Effectful, [true, false, false])),
+            ("1 + 2", (Pure, [false, false])),
+            ("snap { 1 }", (Pure, [true, false])),
+            ("snap { <a/> }", (Alloc, [true, false])),
+            ("snap { delete { $x } }", (Effectful, [true, false])),
             (
                 "snap nondeterministic { delete { $x } }",
-                (Effectful, [true, true, false]),
+                (Effectful, [true, false]),
             ),
-            ("snap conflict-detection { 1 }", (Pure, [true, true, false])),
-            ("trace($x, \"t\")", (Pure, [false, false, true])),
-            (
-                "<a>{ parse-xml(\"<b/>\") }</a>",
-                (Alloc, [false, false, true]),
-            ),
-            ("count(xqb:stats())", (Pure, [false, false, true])),
+            ("snap conflict-detection { 1 }", (Pure, [true, false])),
+            ("trace($x, \"t\")", (Pure, [false, true])),
+            ("<a>{ parse-xml(\"<b/>\") }</a>", (Alloc, [false, true])),
+            ("count(xqb:stats())", (Pure, [false, true])),
             // A flag anywhere in the expression reaches its root.
             (
                 "for $i in 1 to 3 return if ($i) then snap { $i } else trace($i, \"t\")",
-                (Pure, [true, false, true]),
+                (Pure, [true, true]),
             ),
             // Through a call chain: what `f` reaches, a call to `f` reaches.
             (
@@ -425,19 +407,19 @@ mod tests {
                  declare function g() { (h(), trace(1, \"t\")) };
                  declare function f() { g() };
                  f()",
-                (Pure, [true, true, true]),
+                (Pure, [true, true]),
             ),
             // ...and only a call does: declaring is not reaching.
             (
                 "declare function h() { snap nondeterministic { 1 } }; 1",
-                (Pure, [false, false, false]),
+                (Pure, [false, false]),
             ),
             // Through mutual recursion, whichever side holds the construct.
             (
                 "declare function even($n) { if ($n = 0) then true() else odd($n - 1) };
                  declare function odd($n) { if ($n = 0) then snap { false() } else even($n - 1) };
                  even(4)",
-                (Pure, [true, false, false]),
+                (Pure, [true, false]),
             ),
         ] {
             assert_eq!(body_facts(src), want, "{src}");
@@ -449,18 +431,18 @@ mod tests {
         let gates = |src: &str| {
             let prog = compile(src).expect("compile");
             let f = EffectAnalysis::new(&prog).program_facts(&prog);
-            (f.par_safe(), f.snapshot_read(), f.occ_safe())
+            (f.par_safe(), f.snapshot_read())
         };
-        assert_eq!(gates("count($x)"), (true, true, true));
-        assert_eq!(gates("<a/>"), (false, true, true));
-        assert_eq!(gates("delete { $x }"), (false, false, true));
-        assert_eq!(gates("snap { 1 }"), (false, false, true));
-        assert_eq!(gates("snap nondeterministic { 1 }"), (false, false, false));
-        assert_eq!(gates("(delete { $x }, xqb:stats())"), (false, false, false));
+        assert_eq!(gates("count($x)"), (true, true));
+        assert_eq!(gates("<a/>"), (false, true));
+        assert_eq!(gates("delete { $x }"), (false, false));
+        assert_eq!(gates("snap { 1 }"), (false, false));
+        assert_eq!(gates("snap nondeterministic { 1 }"), (false, false));
+        assert_eq!(gates("(delete { $x }, xqb:stats())"), (false, false));
         // A prolog initializer is part of the run.
         assert_eq!(
             gates("declare variable $v := trace(1, \"t\"); $v"),
-            (false, false, false)
+            (false, false)
         );
     }
 
@@ -481,12 +463,12 @@ mod tests {
             let prog = compile(src).unwrap();
             summary(Scope::new(env.clone(), &prog).effects().facts(&prog.body))
         };
-        assert_eq!(facts("f()"), (Effect::Pure, [true, true, true]));
+        assert_eq!(facts("f()"), (Effect::Pure, [true, true]));
         // The program's own `f` is the one a call means — also a call made
         // from inside a module function.
         let local = "declare function f() { 1 };";
-        assert_eq!(facts(&format!("{local} f()")), (Effect::Pure, [false; 3]));
-        assert_eq!(facts(&format!("{local} via()")), (Effect::Pure, [false; 3]));
+        assert_eq!(facts(&format!("{local} f()")), (Effect::Pure, [false; 2]));
+        assert_eq!(facts(&format!("{local} via()")), (Effect::Pure, [false; 2]));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use xqdm::item::{Item, Sequence};
 use xqdm::seq;
-use xqdm::{CapturedDelta, Footprint, NodeId, RecoveryReport, Store, SyncMode, XdmResult};
+use xqdm::{NodeId, RecoveryReport, Store, SyncMode, XdmResult};
 use xqsyn::core::Core;
 use xqsyn::cursor::ParseError;
 use xqsyn::CoreProgram;
@@ -795,72 +795,6 @@ impl Engine {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Δ capture & rebase (optimistic concurrent writers; DESIGN.md §16)
-    // ------------------------------------------------------------------
-
-    /// Attach a Δ capture to the store (see [`Store::begin_capture`]).
-    pub fn begin_capture(&mut self, trace_reads: bool) {
-        self.store.begin_capture(trace_reads);
-    }
-
-    /// Is a Δ capture attached?
-    pub fn capturing(&self) -> bool {
-        self.store.capturing()
-    }
-
-    /// Drain the attached capture's recording (see
-    /// [`Store::take_capture`]).
-    pub fn take_capture(&mut self) -> Option<CapturedDelta> {
-        self.store.take_capture()
-    }
-
-    /// Drain only the write footprint of the attached capture (see
-    /// [`Store::take_write_footprint`]).
-    pub(crate) fn take_write_footprint(&mut self) -> Option<Footprint> {
-        self.store.take_write_footprint()
-    }
-
-    /// The snap counter (per-run deterministic seed stream position;
-    /// advanced once per snap applied).
-    pub(crate) fn snap_counter(&self) -> u64 {
-        self.snap_counter
-    }
-
-    /// Advance the snap counter by `n` without running anything: after a
-    /// forked transaction's Δ is rebased onto this engine, the fork's
-    /// snap consumption must land on the live counter too, exactly as a
-    /// serial execution here would have.
-    pub(crate) fn advance_snap_counter(&mut self, n: u64) {
-        self.snap_counter += n;
-    }
-
-    /// Stamp the next WAL commit with an interleaved-committer record
-    /// (no-op without a durable store).
-    pub(crate) fn note_committer(&mut self, session: u64, base_epoch: u64) {
-        self.store.wal_note_committer(session, base_epoch);
-    }
-
-    /// Rebase a validated [`CapturedDelta`] onto this engine's store and
-    /// make it durable: the replay runs inside an undo frame (a failing
-    /// op rolls the store back exactly and surfaces the error — the
-    /// server treats that as a conflict), then the WAL flushes as for any
-    /// committed run.
-    pub fn apply_captured(&mut self, delta: &CapturedDelta) -> XdmResult<()> {
-        self.store.begin_frame();
-        match self.store.apply_captured(delta) {
-            Ok(()) => {
-                self.store.commit_frame();
-                self.commit_wal()?;
-                Ok(())
-            }
-            Err(e) => {
-                self.store.rollback_frame();
-                Err(e)
-            }
-        }
-    }
-
     /// Host this engine behind a multi-session [`Server`] (xqserve's
     /// core): concurrent snapshot-isolated reads, serialized durable
     /// writes, per-session admission control.
@@ -920,7 +854,7 @@ impl EngineSnapshot {
     /// What a run of `program` may do — body and prolog initializers
     /// joined — with calls resolved as a run under the snapshot's module
     /// functions resolves them (DESIGN.md §9). The server routes on this
-    /// one value ([`Facts::snapshot_read`], [`Facts::occ_safe`]); judging
+    /// one value ([`Facts::snapshot_read`]); judging
     /// it against the snapshot needs no engine lock, and the walk visits
     /// only the program's own expressions: what the functions it calls may
     /// do was settled when they were declared.
@@ -928,13 +862,6 @@ impl EngineSnapshot {
         Scope::new(self.env.clone(), program)
             .effects()
             .program_facts(program)
-    }
-
-    /// The snapshotted snap counter (the OCC commit pipeline uses the
-    /// difference between a fork's counter and its base to advance the
-    /// live engine after a rebase).
-    pub fn snap_counter(&self) -> u64 {
-        self.snap_counter
     }
 }
 

@@ -296,10 +296,6 @@ metric_ids! {
         ServerRejectedSessions = "server.rejected.sessions",
         /// `XQB0051` backpressure rejections.
         ServerRejectedBackpressure = "server.rejected.backpressure",
-        /// Optimistic commits that failed validation.
-        ServerConflicts = "server.commit.conflicts",
-        /// Automatic conflict retries performed.
-        ServerRetries = "server.commit.retries",
     }
 }
 
@@ -980,7 +976,7 @@ mod tests {
              \"engine.wal.bytes\":0,\"engine.wal.checkpoints\":0,\"engine.wal.commits\":0,\
              \"engine.wal.fsyncs\":0,\"engine.wal.records\":0,\
              \"engine.wal.replayed_commits\":0,\"engine.wal.tail_dropped\":0,\
-             \"server.commit.conflicts\":0,\"server.commit.retries\":0,\"server.errors\":0,\
+             \"server.errors\":0,\
              \"server.rejected.backpressure\":0,\"server.rejected.sessions\":0,\
              \"server.requests.read\":0,\"server.requests.write\":0},\
              \"gauges\":{\"server.inflight\":0,\"server.sessions\":2,\

@@ -1,27 +1,13 @@
 //! The multi-session server core (DESIGN.md §15, §16): one durable
-//! engine, many concurrent sessions, snapshot-isolated reads, optimistic
-//! concurrent writers.
+//! engine, many concurrent sessions, snapshot-isolated reads, serialized
+//! writers.
 //!
 //! The concurrency contract:
 //!
-//! * **Writes validate, then serialize only their commit.** A writer
-//!   evaluates against a private fork of its pinned base epoch while
-//!   recording its Δ — redo ops plus read/write footprints
-//!   ([`xqdm::CapturedDelta`], the paper's conflict-detection snap
-//!   semantics lifted across transactions, DESIGN.md §16). At commit the
-//!   detector checks the Δ's *read* footprint against the *write*
-//!   footprint of every Δ committed since the base epoch: non-conflicting
-//!   Δs rebase onto the live engine and commit through the WAL (log order
-//!   still equals epoch order); conflicting Δs retry from a fresh
-//!   snapshot, bounded by [`ServerConfig::max_retries`], then abort with
-//!   the retryable `XQB0052`. Only the validate+rebase step holds the engine
-//!   mutex, so write *evaluation* scales with sessions. Programs the
-//!   footprint machinery cannot vouch for — those that can reach a
-//!   nondeterministic or conflict-detection snap or a par-opaque builtin
-//!   ([`Facts::occ_safe`](crate::Facts::occ_safe), the same static
-//!   judgment that routed the request) — fall back to the fully
-//!   serialized pessimistic path, as does the whole server when
-//!   [`ServerConfig::occ_writers`] is off.
+//! * **Writes serialize.** A write evaluates on the live engine under the
+//!   engine mutex, then publishes a new epoch and logs its commit before
+//!   the mutex drops, so log order equals epoch order. There is one
+//!   writer path (DESIGN.md §16).
 //! * **Reads run concurrently.** A query the PR-3 effect judgment rates
 //!   `Pure` or `Alloc` ([`Facts::snapshot_read`](crate::Facts::snapshot_read):
 //!   it emits and applies no update request, though it may construct
@@ -54,20 +40,17 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use xqdm::footprint::aspect;
-use xqdm::{Footprint, VersionSet, XdmError};
+use xqdm::{VersionSet, XdmError};
 
 /// Session-limit rejection: `open_session` past `max_sessions`.
 pub const ERR_SESSIONS: &str = "XQB0050";
 /// Backpressure rejection: a request past `max_inflight`.
 pub const ERR_BACKPRESSURE: &str = "XQB0051";
-/// Commit-conflict rejection (retryable): the Δ's footprint intersected
-/// a commit since its base epoch and bounded retry was exhausted.
-pub const ERR_CONFLICT: &str = "XQB0052";
+/// Commits [`Server::commit_log`] retains, newest last.
+pub const COMMIT_LOG_RETAIN: usize = 1024;
 
-/// Server admission and commit policy. Resource policy (limits, thread
-/// budget) is the hosted engine's: set it there before
-/// [`Engine::into_server`].
+/// Server admission policy. Resource policy (limits, thread budget) is
+/// the hosted engine's: set it there before [`Engine::into_server`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
     /// Most sessions open at once (`XQB0050` beyond).
@@ -75,18 +58,10 @@ pub struct ServerConfig {
     /// Most requests in flight at once across all sessions (`XQB0051`
     /// beyond).
     pub max_inflight: usize,
-    /// Optimistic concurrent writers (DESIGN.md §16). Off: every write
-    /// serializes its whole evaluation under the engine mutex (PR-8
-    /// behavior).
+    /// Accepted and ignored: every write serializes under the engine
+    /// mutex. The optimistic writers it once switched on were deleted
+    /// (DESIGN.md §16); the field stays so callers that set it build.
     pub occ_writers: bool,
-    /// Conflicting commits retry from a fresh snapshot this many times
-    /// before aborting with `XQB0052`.
-    pub max_retries: usize,
-    /// Committed write footprints retained for validation. A base epoch
-    /// older than the ring's coverage forces a retry (indistinguishable
-    /// from a conflict), so this bounds validator memory, not
-    /// correctness. [`Server::commit_log`] retains as many records.
-    pub footprint_ring: usize,
 }
 
 impl Default for ServerConfig {
@@ -95,8 +70,6 @@ impl Default for ServerConfig {
             max_sessions: 64,
             max_inflight: 32,
             occ_writers: true,
-            max_retries: 8,
-            footprint_ring: 1024,
         }
     }
 }
@@ -168,83 +141,18 @@ fn timing(id: HistogramId, started: Instant) {
     obs::global().histogram(id).record(obs::elapsed_ns(started));
 }
 
-/// The committed-write-footprint ring: one `(epoch, write footprint)`
-/// entry per published epoch, contiguous, trimmed to
-/// [`ServerConfig::footprint_ring`] entries. Pushed under the engine
-/// mutex, so entry order is epoch order.
-struct FootprintRing {
-    entries: Vec<(u64, Footprint)>,
-    cap: usize,
-}
-
-impl FootprintRing {
-    fn new(cap: usize) -> FootprintRing {
-        FootprintRing {
-            entries: Vec::new(),
-            cap: cap.max(1),
-        }
-    }
-
-    fn push(&mut self, epoch: u64, writes: Footprint) {
-        self.entries.push((epoch, writes));
-        if self.entries.len() > self.cap {
-            let excess = self.entries.len() - self.cap;
-            self.entries.drain(..excess);
-        }
-    }
-
-    /// Validate a Δ built against `base_epoch`: `Ok(())` when it may
-    /// rebase, `Err(aspects)` with the first colliding aspect mask when
-    /// it conflicts. A base older than the ring's coverage is
-    /// indistinguishable from a conflict (the missing footprints might
-    /// have collided), so it conflicts on every aspect.
-    fn validate(&self, base_epoch: u64, delta: &xqdm::CapturedDelta) -> Result<(), u8> {
-        let since: Vec<&(u64, Footprint)> = self
-            .entries
-            .iter()
-            .filter(|(e, _)| *e > base_epoch)
-            .collect();
-        if since.is_empty() {
-            return Ok(());
-        }
-        // Every epoch in (base, latest] must be present: entries are
-        // contiguous, so it suffices that the oldest retained entry is
-        // no newer than base+1.
-        if self.entries.first().map(|(e, _)| *e) > Some(base_epoch + 1) {
-            return Err(aspect::ALL);
-        }
-        // A Δ with a whole-store write effect (explicit gc) cannot prove
-        // it commutes with anything committed meanwhile.
-        if delta.writes().is_global() {
-            return Err(aspect::ALL);
-        }
-        for (_, writes) in since {
-            let bits = delta.reads().conflict_aspects(writes);
-            if bits != 0 {
-                return Err(bits);
-            }
-        }
-        Ok(())
-    }
-}
-
 struct Inner {
-    /// The writer path: validation + rebase (or, for pessimistic runs,
-    /// the whole evaluation) serializes here.
+    /// The writer path: every write's whole evaluation serializes here.
     engine: Mutex<Engine>,
     /// Published snapshots; readers pin, writers publish.
     versions: VersionSet<EngineSnapshot>,
-    /// Committed write footprints, for OCC validation. Locked only while
-    /// the engine mutex is held (commit) or for a read-only scan
-    /// (validation), never the other way around.
-    ring: Mutex<FootprintRing>,
     /// The cross-session plan cache (the one installed into `engine`).
     cache: Arc<SharedPlanCache>,
     config: ServerConfig,
     sessions: AtomicUsize,
     next_session: AtomicU64,
     inflight: AtomicUsize,
-    /// The most recent `footprint_ring` commits, oldest first.
+    /// The most recent [`COMMIT_LOG_RETAIN`] commits, oldest first.
     commits: Mutex<VecDeque<CommitRecord>>,
 }
 
@@ -270,16 +178,11 @@ impl Server {
     pub fn with_config(mut engine: Engine, config: ServerConfig) -> Server {
         let cache = SharedPlanCache::new();
         engine.set_shared_plan_cache(cache.clone());
-        // The live engine captures the write footprint of every commit
-        // (no read tracing — only forks validate reads), feeding the
-        // validation ring for both commit paths.
-        engine.begin_capture(false);
         let versions = VersionSet::new(engine.snapshot_state());
         Server {
             inner: Arc::new(Inner {
                 engine: Mutex::new(engine),
                 versions,
-                ring: Mutex::new(FootprintRing::new(config.footprint_ring)),
                 cache,
                 config,
                 sessions: AtomicUsize::new(0),
@@ -324,11 +227,10 @@ impl Server {
     }
 
     /// The most recent commits, in commit (= epoch) order: at most
-    /// [`ServerConfig::footprint_ring`] records (1 024 by default) — the
-    /// retention the validator already keeps — so a long-lived server
-    /// does not hold every write's query text and response forever. A
-    /// replay that wants the whole history must read it before that many
-    /// commits have landed.
+    /// [`COMMIT_LOG_RETAIN`] records, so a long-lived server does not
+    /// hold every write's query text and response forever. A replay that
+    /// wants the whole history must read it before that many commits have
+    /// landed.
     pub fn commit_log(&self) -> Vec<CommitRecord> {
         let commits = self.inner.commits.lock().unwrap_or_else(|e| e.into_inner());
         commits.iter().cloned().collect()
@@ -350,18 +252,7 @@ impl Server {
     pub fn with_engine<R>(&self, f: impl FnOnce(&mut Engine) -> R) -> R {
         let mut engine = self.inner.engine.lock().unwrap_or_else(|e| e.into_inner());
         let r = f(&mut engine);
-        // Host-side setup can change anything — bindings and module
-        // functions included, which footprints don't cover — so its ring
-        // entry is globally conflicting: every Δ in flight across it
-        // revalidates from a fresh snapshot.
-        let mut writes = engine.take_write_footprint().unwrap_or_default();
-        writes.set_global();
-        let epoch = self.inner.versions.publish(engine.snapshot_state());
-        self.inner
-            .ring
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(epoch, writes);
+        self.inner.versions.publish(engine.snapshot_state());
         r
     }
 
@@ -385,8 +276,6 @@ impl Server {
             errors: counted(CounterId::ServerErrors),
             rejected_sessions: counted(CounterId::ServerRejectedSessions),
             rejected_backpressure: counted(CounterId::ServerRejectedBackpressure),
-            conflicts: counted(CounterId::ServerConflicts),
-            retries: counted(CounterId::ServerRetries),
             cache_hits,
             cache_misses,
             read_p50_ns: quantile(HistogramId::ServerReadNs, 0.50),
@@ -422,11 +311,6 @@ pub struct ServerStats {
     pub rejected_sessions: u64,
     /// `XQB0051` backpressure rejections.
     pub rejected_backpressure: u64,
-    /// Optimistic commits that failed validation (each is retried or
-    /// aborted with `XQB0052`).
-    pub conflicts: u64,
-    /// Automatic conflict retries performed.
-    pub retries: u64,
     /// Shared plan-cache hits across all sessions.
     pub cache_hits: u64,
     /// Shared plan-cache misses across all sessions.
@@ -449,7 +333,6 @@ impl ServerStats {
              \"versions_retained\":{},\"versions_retired\":{},\
              \"reads\":{},\"writes\":{},\"errors\":{},\
              \"rejected_sessions\":{},\"rejected_backpressure\":{},\
-             \"conflicts\":{},\"retries\":{},\
              \"cache_hits\":{},\"cache_misses\":{},\
              \"read_p50_ns\":{},\"read_p99_ns\":{},\
              \"write_p50_ns\":{},\"write_p99_ns\":{}}}",
@@ -464,8 +347,6 @@ impl ServerStats {
             self.errors,
             self.rejected_sessions,
             self.rejected_backpressure,
-            self.conflicts,
-            self.retries,
             self.cache_hits,
             self.cache_misses,
             self.read_p50_ns,
@@ -527,12 +408,10 @@ impl Session {
                 return response;
             }
         }
-        // A writer pins afresh for every attempt.
         drop(pin);
         note_pins();
-        let (program, facts) = classified?;
-        let optimistic = inner.config.occ_writers && facts.occ_safe();
-        self.execute_write(query, &program, optimistic)
+        let (program, _) = classified?;
+        self.execute_write(query, &program)
     }
 
     fn execute_read(
@@ -561,52 +440,19 @@ impl Session {
         }
     }
 
-    /// The writer path. `optimistic` (OCC on and an OCC-safe program, as
-    /// [`Session::execute`] judged once): evaluate on a forked snapshot,
-    /// validate the Δ's footprint, rebase under the engine lock; retry on
-    /// conflict up to `max_retries`, then abort with `XQB0052`. Everything
-    /// else serializes its whole evaluation.
-    fn execute_write(
-        &self,
-        query: &str,
-        program: &xqsyn::CoreProgram,
-        optimistic: bool,
-    ) -> Result<Response, Error> {
+    /// The writer path: evaluate on the live engine under the mutex,
+    /// then publish and log the commit.
+    fn execute_write(&self, query: &str, program: &xqsyn::CoreProgram) -> Result<Response, Error> {
         let inner = &self.inner;
         let started = Instant::now();
         count(CounterId::ServerWrites);
-        let mut retries = 0usize;
-        let outcome = loop {
-            if !optimistic {
-                break self.commit_pessimistic(query, program);
-            }
-            let pin = inner.versions.pin_latest();
-            match self.try_commit_optimistic(query, program, &pin) {
-                Ok(done) => break done,
-                Err(_conflict_aspects) => {
-                    count(CounterId::ServerConflicts);
-                    if retries >= inner.config.max_retries {
-                        break Err(Error::Eval(XdmError::new(
-                            ERR_CONFLICT,
-                            format!(
-                                "commit conflict: Δ footprint intersects a commit since \
-                                 epoch {} ({} retries exhausted); retry the query",
-                                pin.epoch(),
-                                retries
-                            ),
-                        )));
-                    }
-                    retries += 1;
-                    count(CounterId::ServerRetries);
-                    // Exponential backoff before re-evaluating: under hot
-                    // contention every loser retries at once, and the next
-                    // commit re-conflicts them all (thundering herd); the
-                    // spread lets one writer land per window.
-                    let exp = u32::try_from(retries.min(6)).unwrap_or(6);
-                    std::thread::sleep(std::time::Duration::from_micros(100 << exp));
-                }
-            }
+        let mut engine = inner.engine.lock().unwrap_or_else(|e| e.into_inner());
+        let outcome = match engine.run_program(program) {
+            Ok(value) => engine.serialize(&value).map_err(Error::Eval),
+            Err(e) => Err(Error::Eval(e)),
         };
+        let outcome = self.publish_commit(inner, &engine, query, outcome);
+        drop(engine);
         timing(HistogramId::ServerWriteNs, started);
         if outcome.is_err() {
             count(CounterId::ServerErrors);
@@ -614,88 +460,16 @@ impl Session {
         outcome
     }
 
-    /// One optimistic attempt. `Ok` carries the request's final outcome
-    /// (including evaluation errors — those commit their closed snaps and
-    /// do not retry); `Err` carries the conflicting aspect mask and means
-    /// "evaluate again from a fresh snapshot".
-    fn try_commit_optimistic(
-        &self,
-        query: &str,
-        program: &xqsyn::CoreProgram,
-        pin: &xqdm::Pinned<EngineSnapshot>,
-    ) -> Result<Result<Response, Error>, u8> {
-        let inner = &self.inner;
-        let base_epoch = pin.epoch();
-        let mut fork = pin.reader();
-        fork.begin_capture(true);
-        let result = fork.run_program(program);
-        // Serialize on the fork, *before* draining the capture: the
-        // response body is evaluator-visible output, so the reads that
-        // shaped it belong in the validated footprint.
-        let outcome = match result {
-            Ok(value) => fork.serialize(&value).map_err(Error::Eval),
-            Err(e) => Err(Error::Eval(e)),
-        };
-        let delta = fork.take_capture().expect("fork capture attached");
-        let fork_snaps = fork.snap_counter().saturating_sub(pin.snap_counter());
-        drop(fork);
-
-        // Validate + rebase + publish, all under the engine mutex; the
-        // ring lock nests inside it.
-        let mut engine = inner.engine.lock().unwrap_or_else(|e| e.into_inner());
-        {
-            let ring = inner.ring.lock().unwrap_or_else(|e| e.into_inner());
-            ring.validate(base_epoch, &delta)?;
-        }
-        engine.note_committer(self.id, base_epoch);
-        if let Err(e) = engine.apply_captured(&delta) {
-            // A precondition failed on the live store: some commit since
-            // the base invalidated an op in a way footprints admit
-            // (untraced mutator-internal reads). Treat as a
-            // conflict and retry — unless nothing can have interleaved,
-            // in which case the Δ itself is unreplayable and retrying
-            // would loop forever.
-            if inner.versions.latest_epoch() == base_epoch {
-                drop(engine);
-                return Ok(Err(Error::Eval(e)));
-            }
-            return Err(aspect::ALL);
-        }
-        engine.advance_snap_counter(fork_snaps);
-        let live_writes = engine.take_write_footprint().unwrap_or_default();
-        Ok(self.publish_commit(inner, &mut engine, query, outcome, live_writes))
-    }
-
-    /// The PR-8 fully serialized writer: evaluate on the live engine
-    /// under the mutex. Taken when OCC is off or the program is not
-    /// OCC-safe; never conflicts.
-    fn commit_pessimistic(
-        &self,
-        query: &str,
-        program: &xqsyn::CoreProgram,
-    ) -> Result<Response, Error> {
-        let inner = &self.inner;
-        let mut engine = inner.engine.lock().unwrap_or_else(|e| e.into_inner());
-        let result = engine.run_program(program);
-        let outcome = match result {
-            Ok(value) => engine.serialize(&value).map_err(Error::Eval),
-            Err(e) => Err(Error::Eval(e)),
-        };
-        let live_writes = engine.take_write_footprint().unwrap_or_default();
-        self.publish_commit(inner, &mut engine, query, outcome, live_writes)
-    }
-
     /// Publish the post-run state whatever the outcome: an errored run
-    /// keeps its closed snaps, so readers must see them. Publishing,
-    /// the ring push, and logging happen under the engine lock, so the
-    /// commit log's order is the epoch order.
+    /// keeps its closed snaps, so readers must see them. Publishing and
+    /// logging happen under the engine lock, so the commit log's order is
+    /// the epoch order.
     fn publish_commit(
         &self,
         inner: &Inner,
-        engine: &mut Engine,
+        engine: &Engine,
         query: &str,
         outcome: Result<String, Error>,
-        writes: Footprint,
     ) -> Result<Response, Error> {
         let logged = match &outcome {
             Ok(body) => Ok(body.clone()),
@@ -703,13 +477,8 @@ impl Session {
             Err(Error::Parse(_)) => unreachable!("program already parsed"),
         };
         let epoch = inner.versions.publish(engine.snapshot_state());
-        inner
-            .ring
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(epoch, writes);
         let mut commits = inner.commits.lock().unwrap_or_else(|e| e.into_inner());
-        if commits.len() >= inner.config.footprint_ring.max(1) {
+        if commits.len() >= COMMIT_LOG_RETAIN {
             commits.pop_front();
         }
         commits.push_back(CommitRecord {
@@ -1051,83 +820,30 @@ mod tests {
     }
 
     // -----------------------------------------------------------------
-    // Optimistic concurrent writers (DESIGN.md §16)
+    // One writer path (DESIGN.md §16)
     // -----------------------------------------------------------------
 
-    /// Run `q` on a scratch engine under capture and hand back its Δ.
-    fn capture_of(e: &mut Engine, q: &str) -> xqdm::CapturedDelta {
-        e.begin_capture(true);
-        let _ = e.run(q);
-        e.take_capture().expect("capture attached")
-    }
-
-    #[test]
-    fn footprint_ring_validates_and_evicts() {
+    fn counter_server() -> Server {
         let mut e = Engine::new();
         e.load_document("doc", "<c>0</c>").unwrap();
-        // A value-set on the counter text: reads the counter, writes its
-        // value aspect.
-        let incr = capture_of(
-            &mut e,
-            "replace value of { $doc/c/text() } with { $doc/c + 1 }",
-        );
-        // A pure read of the counter (empty write footprint).
-        let reader = capture_of(&mut e, "string($doc/c)");
-        assert!(reader.writes().is_empty());
-        // A query that never touched the document.
-        let blind = capture_of(&mut e, "1 + 1");
-
-        let mut ring = FootprintRing::new(2);
-        ring.push(1, incr.writes().clone());
-        // The reader saw the counter at base 0; epoch 1 rewrote it.
-        let bits = ring.validate(0, &reader).unwrap_err();
-        assert_eq!(bits & !(aspect::NAME | aspect::VALUE), 0, "value-only");
-        // From base 1 nothing newer exists to conflict with.
-        assert!(ring.validate(1, &reader).is_ok());
-        // A Δ that read nothing commutes with anything covered.
-        assert!(ring.validate(0, &blind).is_ok());
-        // Eviction: once the base predates ring coverage, validation
-        // must conservatively conflict — even for an empty read set.
-        ring.push(2, Footprint::default());
-        ring.push(3, Footprint::default());
-        assert_eq!(ring.entries.len(), 2);
-        assert_eq!(ring.validate(0, &blind).unwrap_err(), aspect::ALL);
-        assert!(ring.validate(2, &reader).is_ok());
-    }
-
-    fn counter_server(config: ServerConfig) -> Server {
-        let mut e = Engine::new();
-        e.load_document("doc", "<c>0</c>").unwrap();
-        Server::with_config(e, config)
+        Server::new(e)
     }
 
     const INCR: &str = "replace value of { $doc/c/text() } with { $doc/c + 1 }";
-    /// An increment that evaluates slowly, widening the window in which
-    /// another committer can land between its pin and its validation.
-    const SLOW_INCR: &str =
-        "(sum(1 to 300000)[. < 0], replace value of { $doc/c/text() } with { $doc/c + 1 })";
 
     #[test]
     fn concurrent_increments_never_lose_updates() {
         // The classic lost-update litmus: N sessions × K read-modify-write
-        // increments. Backward validation forces every stale increment to
-        // retry, so the final value is exactly N*K.
-        let server = counter_server(ServerConfig::default());
+        // increments. Writers serialize under the engine mutex, so the
+        // final value is exactly N*K.
+        let server = counter_server();
         let threads: Vec<_> = (0..4)
             .map(|_| {
                 let server = server.clone();
                 std::thread::spawn(move || {
                     let s = server.open_session().unwrap();
                     for _ in 0..8 {
-                        // XQB0052 is the documented retryable abort: a
-                        // client that still wants the write re-submits.
-                        loop {
-                            match s.execute(INCR) {
-                                Ok(_) => break,
-                                Err(Error::Eval(e)) if e.code == ERR_CONFLICT => {}
-                                Err(other) => panic!("unexpected error {other}"),
-                            }
-                        }
+                        s.execute(INCR).unwrap();
                     }
                 })
             })
@@ -1145,195 +861,51 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_retries_abort_with_xqb0052() {
-        // max_retries = 0: the first conflict aborts. A slow writer pins,
-        // evaluates while the main thread commits a colliding increment,
-        // then fails validation.
-        let server = counter_server(ServerConfig {
-            max_retries: 0,
-            ..ServerConfig::default()
-        });
-        let main = server.open_session().unwrap();
-        let before = server.stats();
-        let mut committed = 0u64;
-        let mut aborted = 0;
-        for _ in 0..30 {
-            let slow = {
+    fn reads_never_wait_for_the_writer_lock() {
+        // A write holds the engine mutex for its whole evaluation; a read
+        // must answer from its pinned snapshot while it is held.
+        let server = counter_server();
+        let s = server.open_session().unwrap();
+        s.execute(INCR).unwrap();
+        let before = server.epoch();
+        let (epoch, body) = server.with_engine(|_| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let reader = {
                 let server = server.clone();
                 std::thread::spawn(move || {
                     let s = server.open_session().unwrap();
-                    s.execute(SLOW_INCR)
+                    tx.send(s.execute("string($doc/c)")).unwrap();
                 })
             };
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            main.execute(INCR).unwrap();
-            committed += 1;
-            match slow.join().unwrap() {
-                Err(Error::Eval(e)) => {
-                    assert_eq!(e.code, ERR_CONFLICT);
-                    aborted += 1;
-                }
-                Ok(_) => committed += 1,
-                other => panic!("unexpected outcome {other:?}"),
-            }
-            if aborted > 0 {
-                break;
-            }
-        }
-        assert!(aborted > 0, "no conflict in 30 rounds of forced collision");
-        // Metrics are process-global (one obs registry), so compare
-        // against the snapshot taken before this test's traffic.
-        assert!(server.stats().conflicts > before.conflicts);
-        // XQB0052 aborts left no partial effects: the counter equals the
-        // number of successful commits.
-        let got: u64 = main
-            .execute("string($doc/c)")
-            .unwrap()
-            .body
-            .parse()
-            .unwrap();
-        assert_eq!(got, committed);
-    }
-
-    #[test]
-    fn bounded_retry_recovers_from_conflicts() {
-        // Default max_retries: the slow loser re-evaluates from a fresh
-        // snapshot and lands; nothing surfaces to the client.
-        let server = counter_server(ServerConfig::default());
-        let main = server.open_session().unwrap();
-        let before = server.stats();
-        let mut rounds = 0u64;
-        for _ in 0..10 {
-            let slow = {
-                let server = server.clone();
-                std::thread::spawn(move || {
-                    let s = server.open_session().unwrap();
-                    s.execute(SLOW_INCR)
-                })
-            };
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            main.execute(INCR).unwrap();
-            slow.join().unwrap().unwrap();
-            rounds += 1;
-            if server.stats().retries > before.retries {
-                break;
-            }
-        }
-        // Every round ran both increments to completion, conflicts or not.
-        let got: u64 = main
-            .execute("string($doc/c)")
-            .unwrap()
-            .body
-            .parse()
-            .unwrap();
-        assert_eq!(got, rounds * 2);
-    }
-
-    #[test]
-    fn occ_unsafe_programs_take_the_pessimistic_path() {
-        // A nondeterministic snap cannot be footprint-validated (its
-        // replay could legitimately differ), so the write serializes
-        // under the engine lock and never conflicts.
-        let server = counter_server(ServerConfig::default());
-        let s = server.open_session().unwrap();
-        let before = server.stats();
-        s.execute("snap nondeterministic { insert { <e/> } into { $doc/c } }")
-            .unwrap();
-        assert_eq!(s.execute("count($doc/c/e)").unwrap().body, "1");
-        assert_eq!(server.stats().conflicts, before.conflicts);
-        // Same for par-opaque builtins observed mid-query.
-        s.execute("(insert { <f/> } into { $doc/c }, xqb:stats())")
-            .unwrap();
-        assert_eq!(server.stats().conflicts, before.conflicts);
-    }
-
-    #[test]
-    fn unreachable_unordered_snaps_leave_a_write_optimistic() {
-        // The module holds a nondeterministic snap, but the increment
-        // cannot reach it: OCC eligibility is about what the program can
-        // run, not about what the engine has loaded.
-        let server = counter_server(ServerConfig::default());
-        server.with_engine(|e| {
-            e.load_module(
-                "declare function shuffle() {
-                   snap nondeterministic { insert { <e/> } into { $doc/c } } };",
-            )
-            .unwrap()
+            let r = rx
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .expect("a read waited for the writer lock")
+                .unwrap();
+            reader.join().unwrap();
+            assert_eq!(r.kind, RequestKind::Read);
+            (r.epoch, r.body)
         });
-        // An optimistic writer evaluates on a fork and needs the engine
-        // lock only to commit; a pessimistic one evaluates under it. With
-        // the lock held, only the former gets as far as planning.
-        let held = server.inner.engine.lock().unwrap();
-        let (_, misses) = server.plan_cache().stats();
-        let writer = {
-            let server = server.clone();
-            std::thread::spawn(move || server.open_session().unwrap().execute(INCR))
-        };
-        let deadline = Instant::now() + std::time::Duration::from_secs(20);
-        while server.plan_cache().stats().1 == misses {
-            assert!(
-                Instant::now() < deadline,
-                "the writer waited for the engine lock before evaluating"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        drop(held);
-        assert_eq!(writer.join().unwrap().unwrap().kind, RequestKind::Write);
-        let s = server.open_session().unwrap();
-        assert_eq!(s.execute("string($doc/c)").unwrap().body, "1");
+        assert_eq!((epoch, body.as_str()), (before, "1"));
     }
 
     #[test]
-    fn commit_log_retains_the_footprint_ring() {
-        let server = counter_server(ServerConfig {
-            footprint_ring: 8,
-            ..ServerConfig::default()
-        });
+    fn commit_log_keeps_the_latest_commits() {
+        let server = counter_server();
         let s = server.open_session().unwrap();
-        for _ in 0..24 {
+        for _ in 0..COMMIT_LOG_RETAIN + 16 {
             s.execute(INCR).unwrap();
         }
         let log = server.commit_log();
-        assert_eq!(log.len(), 8);
+        assert_eq!(log.len(), COMMIT_LOG_RETAIN);
         assert_eq!(log[0].epoch, 17);
-        assert_eq!(log[7].epoch, server.epoch());
-    }
-
-    #[test]
-    fn occ_off_serializes_every_write() {
-        let server = counter_server(ServerConfig {
-            occ_writers: false,
-            ..ServerConfig::default()
-        });
-        let before = server.stats();
-        let threads: Vec<_> = (0..2)
-            .map(|_| {
-                let server = server.clone();
-                std::thread::spawn(move || {
-                    let s = server.open_session().unwrap();
-                    for _ in 0..4 {
-                        s.execute(INCR).unwrap();
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let s = server.open_session().unwrap();
-        assert_eq!(s.execute("string($doc/c)").unwrap().body, "8");
-        let stats = server.stats();
-        assert_eq!(
-            (stats.conflicts, stats.retries),
-            (before.conflicts, before.retries)
-        );
+        assert_eq!(log[COMMIT_LOG_RETAIN - 1].epoch, server.epoch());
     }
 
     #[test]
     fn stats_json_is_pinned() {
         // The `STATS` reply: key set, spelling and order are wire format
         // (`xqbench` reads `versions_retained`, `cache_hits`,
-        // `cache_misses`, `conflicts`, `retries` and `writes` from it).
+        // `cache_misses` and `writes` from it, and a missing key as 0).
         let stats = ServerStats {
             epoch: 1,
             sessions: 2,
@@ -1346,14 +918,12 @@ mod tests {
             errors: 9,
             rejected_sessions: 10,
             rejected_backpressure: 11,
-            conflicts: 12,
-            retries: 13,
-            cache_hits: 14,
-            cache_misses: 15,
-            read_p50_ns: 16,
-            read_p99_ns: 17,
-            write_p50_ns: 18,
-            write_p99_ns: 19,
+            cache_hits: 12,
+            cache_misses: 13,
+            read_p50_ns: 14,
+            read_p99_ns: 15,
+            write_p50_ns: 16,
+            write_p99_ns: 17,
         };
         assert_eq!(
             stats.to_json(),
@@ -1361,10 +931,9 @@ mod tests {
              \"versions_retained\":5,\"versions_retired\":6,\
              \"reads\":7,\"writes\":8,\"errors\":9,\
              \"rejected_sessions\":10,\"rejected_backpressure\":11,\
-             \"conflicts\":12,\"retries\":13,\
-             \"cache_hits\":14,\"cache_misses\":15,\
-             \"read_p50_ns\":16,\"read_p99_ns\":17,\
-             \"write_p50_ns\":18,\"write_p99_ns\":19}"
+             \"cache_hits\":12,\"cache_misses\":13,\
+             \"read_p50_ns\":14,\"read_p99_ns\":15,\
+             \"write_p50_ns\":16,\"write_p99_ns\":17}"
         );
     }
 }

@@ -50,9 +50,8 @@ pub enum UpdateRequest {
         name: QName,
     },
     /// `setValue(node, string)` — `replace value of`: overwrite the
-    /// string value of a text or attribute node in place. The only
-    /// request whose store write is pure value-aspect (no tree-shape
-    /// change), so it conflicts only with writers that read that value.
+    /// string value of a text or attribute node in place (no tree-shape
+    /// change).
     SetValue {
         /// The text or attribute node to overwrite.
         node: NodeId,

@@ -1,8 +1,8 @@
-//! On a server every request but a lock-path write runs on a fork of a
-//! pinned snapshot, and a fork inherits its engine's environment: with a
-//! slow-query threshold and a trace sink installed before the server is
-//! built, snapshot reads and optimistic writes are logged and traced like
-//! lock-path writes, and all three plan into one cache. The slow-query
+//! On a server every read runs on a fork of a pinned snapshot, and a
+//! fork inherits its engine's environment: with a slow-query threshold and
+//! a trace sink installed before the server is built, snapshot reads are
+//! logged and traced like writes on the live engine, and both plan into
+//! one cache. The slow-query
 //! ring lives in the process-global registry (`xqcore::obs::global`), so
 //! this is the only test in its binary.
 
@@ -24,10 +24,9 @@ fn forked_runs_are_logged_and_traced() {
     obs::global().reset();
 
     const READ: &str = "count($doc/log/*)";
-    // (query, routing, plan-cache outcome): a snapshot read, an optimistic
-    // write, a write the footprint machinery cannot vouch for (it runs on
-    // the live engine under the lock), and the first read again — planned
-    // by one fork, a hit on the next.
+    // (query, routing, plan-cache outcome): a snapshot read, two writes
+    // (both run on the live engine under the lock), and the first read
+    // again — planned by one fork, a hit on the next.
     let requests = [
         (READ, RequestKind::Read, "miss"),
         (

@@ -33,13 +33,11 @@ fn stats_reflect_traffic() {
     let json = after.to_json();
     assert!(json.starts_with("{\"epoch\":"));
     assert!(json.contains("\"read_p50_ns\":"));
-    assert!(json.contains("\"conflicts\":"));
-    assert!(json.contains("\"retries\":"));
     drop(s);
 
     // Concurrent sessions whose writes touch disjoint subtrees: every
-    // insert validates on its first try, commits exactly one epoch, and
-    // the session's next read already sees it. The barrier starts all
+    // insert commits exactly one epoch, and the session's next read
+    // already sees it. The barrier starts all
     // sessions together, so their writes overlap.
     let before = server.stats();
     let start = Barrier::new(SESSIONS);
@@ -60,11 +58,6 @@ fn stats_reflect_traffic() {
     });
     let after = server.stats();
     let writes = (SESSIONS * INSERTS) as u64;
-    assert_eq!(
-        after.conflicts, before.conflicts,
-        "disjoint writers conflicted"
-    );
-    assert_eq!(after.retries, before.retries);
     assert_eq!(after.writes, before.writes + writes);
     assert_eq!(after.reads, before.reads + writes);
     assert_eq!(after.epoch, before.epoch + writes);

@@ -5,7 +5,7 @@
 //! (`store/slots.rs`) that change a node's name, value or liveness move
 //! its entries in the same call, and forward execution, undo-journal
 //! replay and log replay all write slots through them, so the plane is
-//! exact across snap rollback, OCC retry and crash recovery (checkpoint
+//! exact across snap rollback and crash recovery (checkpoint
 //! load rebuilds from the slots).
 //!
 //! Three components:

@@ -23,7 +23,6 @@
 
 pub mod atomic;
 pub mod error;
-pub mod footprint;
 pub(crate) mod index;
 pub mod item;
 pub mod node;
@@ -37,7 +36,6 @@ pub mod xml;
 
 pub use atomic::Atomic;
 pub use error::{XdmError, XdmResult};
-pub use footprint::{CapturedDelta, Footprint};
 pub use item::{Item, Sequence};
 pub use node::{NodeId, NodeKind};
 pub use qname::QName;

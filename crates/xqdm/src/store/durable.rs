@@ -50,7 +50,9 @@ impl Store {
     /// last committed state.
     pub fn detach_wal(&mut self) {
         self.wal = None;
-        self.consumer_detached();
+        // Forward ops nobody is left to drain must not survive into the
+        // next log's stream.
+        self.journal.forward = Default::default();
     }
 
     /// Is a durable log attached?
@@ -73,14 +75,6 @@ impl Store {
     /// The attached log's fsync policy, if any.
     pub fn durability(&self) -> Option<SyncMode> {
         self.wal.as_deref().map(Wal::sync_mode)
-    }
-
-    /// Stamp the next WAL commit with an interleaved-committer info
-    /// record `(session, base_epoch)` (no-op without a log).
-    pub fn wal_note_committer(&mut self, session: u64, base_epoch: u64) {
-        if let Some(w) = &mut self.wal {
-            w.note_committer(session, base_epoch);
-        }
     }
 
     /// Make every forward op recorded since the last commit durable:

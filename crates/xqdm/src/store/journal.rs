@@ -2,12 +2,11 @@
 //! (failure atomicity, DESIGN.md §7; "Mutation chokepoint").
 //!
 //! While at least one frame is open, `Store::apply` records the inverse
-//! of every slot write it makes; while a redo log or a Δ capture is
-//! attached it also records the forward op and, for a capture, the write
-//! marks. One [`Mark`] per open frame remembers where all three buffers
-//! stood, so a rollback undoes the slot writes and forgets the frame's
-//! forward ops and marks in one step — nothing uncommitted ever reaches
-//! the log or a captured Δ. `apply_delta` (crate `xqcore`) opens a frame
+//! of every slot write it makes; while a redo log is attached it also
+//! records the forward op. One [`Mark`] per open frame remembers where
+//! both buffers stood, so a rollback undoes the slot writes and forgets
+//! the frame's forward ops in one step — nothing uncommitted ever
+//! reaches the log. `apply_delta` (crate `xqcore`) opens a frame
 //! around each snap application so a failed update leaves the store
 //! exactly as it was; the engine opens an outer frame around each run so
 //! a panic can be unwound to the pre-call store.
@@ -55,12 +54,11 @@ pub(super) enum UndoEntry {
     Retired { id: NodeId, data: Box<NodeData> },
 }
 
-/// Where the three buffers stood when a frame opened.
+/// Where both buffers stood when a frame opened.
 #[derive(Debug, Clone, Copy)]
 struct Mark {
     undo: usize,
     forward: (usize, usize),
-    writes: usize,
 }
 
 /// Journal capacity retained across outermost commits: the journal is
@@ -76,18 +74,14 @@ pub(super) struct Journal {
     undo: Vec<UndoEntry>,
     /// One mark per open frame.
     frames: Vec<Mark>,
-    /// Forward ops recorded since a consumer last drained them: the redo
-    /// log at [`Store::wal_commit`], else the capture at
-    /// [`Store::take_capture`]. Empty while neither is attached.
+    /// Forward ops recorded since the redo log last drained them at
+    /// [`Store::wal_commit`]. Empty while no log is attached.
     pub(super) forward: RedoBuf,
-    /// Write-footprint marks for the attached capture.
-    pub(super) writes: Vec<(NodeId, u8)>,
 }
 
 impl Journal {
     /// The journal state a fork starts from: inverses and frames are
-    /// copied, forward ops and write marks stay with the original's
-    /// consumers.
+    /// copied, forward ops stay with the original's log.
     pub(super) fn fork(&self) -> Journal {
         Journal {
             undo: self.undo.clone(),
@@ -125,7 +119,6 @@ impl Store {
         j.frames.push(Mark {
             undo: j.undo.len(),
             forward: j.forward.mark(),
-            writes: j.writes.len(),
         });
     }
 
@@ -151,8 +144,7 @@ impl Store {
     /// have already committed. The store is restored exactly: node slots,
     /// the free list, parent links, sibling positions, order keys and the
     /// index plane all return to their pre-frame state, and the frame's
-    /// forward ops and write marks are forgotten. Panics if no frame is
-    /// open.
+    /// forward ops are forgotten. Panics if no frame is open.
     pub fn rollback_frame(&mut self) {
         let mark = self
             .journal
@@ -164,7 +156,6 @@ impl Store {
             self.undo_entry(entry);
         }
         self.journal.forward.truncate(mark.forward);
-        self.journal.writes.truncate(mark.writes);
     }
 
     /// Replay one inverse through the slot writers (reverse order is the

@@ -31,8 +31,6 @@ mod tests;
 
 pub use read::{KernelTest, Scratch};
 
-use crate::error::XdmResult;
-use crate::footprint::{Capture, CapturedDelta, Footprint};
 use crate::node::NodeId;
 use crate::symbols::Symbols;
 use crate::wal::Wal;
@@ -76,11 +74,6 @@ pub struct Store {
     /// present, every successful mutation records its forward op;
     /// [`Store::wal_commit`] makes them durable.
     wal: Option<Box<Wal>>,
-    /// Δ capture for optimistic concurrency (DESIGN.md §16). While
-    /// present, every successful mutation records its forward op and
-    /// write footprint, and (when read tracing is on) every accessor
-    /// records its read footprint; see [`Store::begin_capture`].
-    capture: Option<Box<Capture>>,
     /// Interned names: node slots hold [`crate::QNameId`]s and
     /// [`crate::SymbolId`]s into this append-only table (DESIGN.md §14).
     symbols: Symbols,
@@ -96,7 +89,6 @@ impl Clone for Store {
             slots: self.slots.clone(),
             journal: self.journal.fork(),
             wal: None,
-            capture: None,
             symbols: self.symbols.clone(),
         }
     }
@@ -155,7 +147,6 @@ impl Store {
             slots: self.slots.clone(),
             journal: Journal::default(),
             wal: None,
-            capture: None,
             symbols: self.symbols.clone(),
         }
     }
@@ -174,99 +165,5 @@ impl Store {
     /// The store's symbol table (read access: name lookups, resolution).
     pub fn symbols(&self) -> &Symbols {
         &self.symbols
-    }
-
-    /// Is any forward-op consumer attached (redo log or Δ capture)?
-    fn logging(&self) -> bool {
-        self.wal.is_some() || self.capture.is_some()
-    }
-
-    /// A consumer was detached: forward ops nobody is left to drain must
-    /// not survive into the next consumer's stream.
-    fn consumer_detached(&mut self) {
-        if !self.logging() {
-            self.journal.forward = Default::default();
-        }
-    }
-
-    /// Record an evaluator-visible read of `aspects` of `id` (no-op
-    /// unless a read-tracing capture is attached). `&self` on purpose:
-    /// effect-free parallel regions read through shared `&Store`.
-    #[inline]
-    fn trace_read(&self, id: NodeId, aspects: u8) {
-        if let Some(c) = &self.capture {
-            c.trace_read(id, aspects);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Δ capture (optimistic concurrency; DESIGN.md §16)
-    // ------------------------------------------------------------------
-
-    /// Attach a Δ capture: every subsequent mutation records its forward
-    /// op and write footprint; with `trace_reads`, every evaluator-visible
-    /// accessor records its read footprint too. Forked transaction
-    /// stores capture with read tracing; the live store captures without
-    /// it (only committed write footprints are needed there).
-    pub fn begin_capture(&mut self, trace_reads: bool) {
-        self.capture = Some(Box::new(Capture::new(trace_reads)));
-    }
-
-    /// Is a Δ capture attached?
-    pub fn capturing(&self) -> bool {
-        self.capture.is_some()
-    }
-
-    /// Detach the Δ capture, discarding anything recorded for it.
-    pub fn end_capture(&mut self) {
-        self.capture = None;
-        self.journal.writes.clear();
-        self.consumer_detached();
-    }
-
-    /// Drain everything recorded since the last take (or since
-    /// [`Store::begin_capture`]) into a [`CapturedDelta`], leaving the
-    /// capture attached and reset for the next transaction.
-    ///
-    /// Panics on a durable store: there the forward ops belong to the
-    /// redo log, which drains them at [`Store::wal_commit`]. A Δ to be
-    /// replayed is recorded on a fork, which never has a log; a durable
-    /// store reports what it wrote through
-    /// [`Store::take_write_footprint`].
-    pub fn take_capture(&mut self) -> Option<CapturedDelta> {
-        assert!(
-            self.wal.is_none(),
-            "take_capture on a durable store: its forward ops belong to the redo log"
-        );
-        let capture = self.capture.as_mut()?;
-        let ops = std::mem::take(&mut self.journal.forward);
-        Some(capture.take(ops, self.journal.writes.drain(..)))
-    }
-
-    /// Drain only the write footprint recorded since the last take,
-    /// leaving the capture attached and reset for the next transaction:
-    /// what a committing store publishes for others to validate against.
-    /// The forward ops stay with the redo log; without one they are
-    /// dropped.
-    pub fn take_write_footprint(&mut self) -> Option<Footprint> {
-        let capture = self.capture.as_mut()?;
-        if self.wal.is_none() {
-            self.journal.forward.truncate((0, 0));
-        }
-        Some(capture.take_writes(self.journal.writes.drain(..)))
-    }
-
-    /// Replay a captured Δ onto this store through `Store::apply`,
-    /// remapping the Δ's fork-local allocations onto fresh live
-    /// allocations (classic OCC rebase). Ops referencing base-snapshot
-    /// nodes keep their ids — base ids are stable across the fork. Every
-    /// precondition is re-validated against the live store; an error
-    /// means the Δ does not apply here (the caller treats it as a
-    /// conflict and rolls back its enclosing frame). Because the live
-    /// free list and the op sequence fully determine allocation, the
-    /// resulting state is bit-identical to running the transaction
-    /// serially at this point in the commit order.
-    pub fn apply_captured(&mut self, delta: &CapturedDelta) -> XdmResult<()> {
-        self.replay(delta.ops.records(), true)
     }
 }

@@ -1,42 +1,35 @@
 //! The mutation chokepoint (DESIGN.md "Mutation chokepoint").
 //!
 //! Every change to a store is a [`RedoOp`] handed to [`Store::apply`],
-//! which owns the whole sequence: record the forward op and its write
-//! footprint (when a consumer is attached), validate the paper's
+//! which owns the whole sequence: record the forward op (when a redo log
+//! is attached), validate the paper's
 //! preconditions (§3.2: update requests are *partial* functions on
 //! stores), perform the raw slot writes and journal their inverses. The
 //! public constructors and update applications are typed one-line
-//! wrappers; log recovery and Δ rebase are one loop over decoded ops.
+//! wrappers; log recovery is one loop over decoded ops.
 
 use super::journal::UndoEntry;
 use super::{InsertAnchor, Store};
 use crate::error::{XdmError, XdmResult};
-use crate::footprint::aspect;
 use crate::node::{NodeId, NodeKind};
 use crate::qname::QName;
 use crate::symbols::QNameId;
 use crate::wal::RedoOp;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Gap spacing for freshly (re)numbered sibling order keys.
 const OKEY_STRIDE: u64 = 1 << 32;
 
 impl Store {
     /// Apply one forward op. On `Err` the op changed nothing and left no
-    /// trace in the log, the capture or the journal.
+    /// trace in the log or the journal.
     pub(crate) fn apply(&mut self, op: RedoOp<'_>) -> XdmResult<()> {
         // Record first, while the op still owns its payload (the slot
         // writes below consume it); an op that fails or turns out to be a
         // no-op is forgotten again.
         let forward = self.journal.forward.mark();
-        let writes = self.journal.writes.len();
-        let born = match &op {
-            RedoOp::Alloc { id, .. } => Some(*id),
-            _ => None,
-        };
-        if self.logging() {
+        if self.wal.is_some() {
             self.journal.forward.push(&op, &self.symbols);
-            self.mark_footprint(&op);
         }
         let changed = match op {
             RedoOp::Alloc { id, kind } => self.alloc_at(id, kind),
@@ -52,66 +45,10 @@ impl Store {
             RedoOp::SetAttrValue { node, value } => self.set_value(node, value, false),
             RedoOp::Collect { ids } => self.retire(&ids),
         };
-        match changed {
-            // Later writes to a node this capture allocated are
-            // fork-private: no mark.
-            Ok(true) => {
-                if let (Some(id), Some(capture)) = (born, &mut self.capture) {
-                    capture.note_fresh(id);
-                }
-            }
-            _ => {
-                self.journal.forward.truncate(forward);
-                self.journal.writes.truncate(writes);
-            }
+        if !matches!(changed, Ok(true)) {
+            self.journal.forward.truncate(forward);
         }
         changed.map(drop)
-    }
-
-    /// The write footprint of `op` for the attached Δ capture: which
-    /// aspects of which base-snapshot nodes it changes. Writes to nodes
-    /// the capture itself allocated are dropped — no committed
-    /// transaction can have observed them.
-    fn mark_footprint(&mut self, op: &RedoOp<'_>) {
-        let Some(capture) = &self.capture else {
-            return;
-        };
-        let writes = &mut self.journal.writes;
-        let mut mark = |id: NodeId, aspects: u8| {
-            if !capture.is_fresh(id) {
-                writes.push((id, aspects));
-            }
-        };
-        match op {
-            RedoOp::Alloc { .. } => {}
-            RedoOp::Insert { seq, parent, .. } => {
-                mark(*parent, aspect::CHILDREN);
-                seq.iter().for_each(|&n| mark(n, aspect::PARENT));
-            }
-            RedoOp::AttachAttr { element, attr } => {
-                mark(*element, aspect::ATTRS);
-                mark(*attr, aspect::PARENT);
-            }
-            RedoOp::Detach { node } => {
-                mark(*node, aspect::PARENT);
-                if let Some(parent) = self.slots.get(*node).and_then(|d| d.parent) {
-                    // Conservative: the entry may be in either list.
-                    mark(parent, aspect::CHILDREN | aspect::ATTRS);
-                }
-            }
-            RedoOp::Rename { node, .. } => mark(*node, aspect::NAME),
-            RedoOp::SetText { node, .. } | RedoOp::SetAttrValue { node, .. } => {
-                mark(*node, aspect::VALUE)
-            }
-            RedoOp::Collect { ids } => {
-                // Reclaiming a base-snapshot node is a whole-store effect
-                // for conflict purposes: its slot re-enters the free list
-                // and may be re-allocated under a different identity.
-                if let Some(&id) = ids.iter().find(|&&id| !capture.is_fresh(id)) {
-                    writes.push((id, aspect::WHOLE_STORE));
-                }
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -192,7 +129,7 @@ impl Store {
                 }
             }
         }
-        let children = self.children_raw(parent)?;
+        let children = self.children(parent)?;
         let index = match anchor {
             InsertAnchor::First => 0,
             InsertAnchor::Last => children.len(),
@@ -227,12 +164,12 @@ impl Store {
         // The i-th child of `parent`, re-read each time: the loop below
         // writes order keys between reads.
         let child = |s: &Store, i: usize| -> NodeId {
-            s.children_raw(parent).expect("insertion parent is alive")[i]
+            s.children(parent).expect("insertion parent is alive")[i]
         };
         let okey = |s: &Store, i: usize| -> u64 {
             s.slots.get(child(s, i)).expect("child slot exists").okey
         };
-        let total = self.children_raw(parent).map_or(0, <[NodeId]>::len);
+        let total = self.children(parent).map_or(0, <[NodeId]>::len);
         let lo = if index == 0 { 0 } else { okey(self, index - 1) };
         let hi = if index + count == total {
             u64::MAX
@@ -263,7 +200,7 @@ impl Store {
         if self.slots.alive(attr)?.parent.is_some() {
             return Err(XdmError::precondition("attribute already has a parent"));
         }
-        let attrs = self.attributes_raw(element)?;
+        let attrs = self.attributes(element)?;
         let okey = match attrs.last() {
             Some(&last) => self.slots.alive(last)?.okey.saturating_add(OKEY_STRIDE),
             None => OKEY_STRIDE,
@@ -278,7 +215,7 @@ impl Store {
             }
         };
         for &existing in attrs {
-            if self.name_id_raw(existing)? == Some(name) {
+            if self.name_id(existing)? == Some(name) {
                 return Err(XdmError::precondition(format!(
                     "duplicate attribute \"{}\"",
                     self.symbols.qname_string(name)
@@ -313,9 +250,9 @@ impl Store {
             return Ok(false);
         };
         let find = |list: &[NodeId]| list.iter().position(|&c| c == node);
-        let (in_attributes, index) = match find(self.children_raw(parent)?) {
+        let (in_attributes, index) = match find(self.children(parent)?) {
             Some(i) => (false, i),
-            None => match find(self.attributes_raw(parent)?) {
+            None => match find(self.attributes(parent)?) {
                 Some(i) => (true, i),
                 None => {
                     return Err(XdmError::precondition(format!(
@@ -524,12 +461,6 @@ impl Store {
     /// Deep-copy the subtree rooted at `node`, returning the parentless
     /// copy's id. Attributes are copied along with elements.
     pub fn deep_copy(&mut self, node: NodeId) -> XdmResult<NodeId> {
-        // A copy observes everything about the source node, and it
-        // bypasses the public accessors — trace the read here.
-        self.trace_read(
-            node,
-            aspect::NAME | aspect::VALUE | aspect::CHILDREN | aspect::ATTRS,
-        );
         // Names are already interned in this store, so copies alloc with
         // the source's ids directly — no resolve/re-intern round trip.
         match self.slots.alive(node)?.kind.clone() {
@@ -591,21 +522,48 @@ impl Store {
     /// Reclaim exactly the nodes of `candidates` that are alive and not
     /// reachable from `roots`. Unlike [`Store::collect_garbage`] this never
     /// touches other unreachable nodes, so pre-existing detached garbage
-    /// (observable via [`Store::stats`]) is preserved. Returns the number
-    /// of reclaimed slots.
+    /// (observable via [`Store::stats`]) is preserved — and so is every
+    /// candidate above such a node, whose parent link would otherwise
+    /// dangle. Returns the number of reclaimed slots.
     pub fn reclaim_unreachable(
         &mut self,
         candidates: &[NodeId],
         roots: &[NodeId],
     ) -> XdmResult<usize> {
         let reachable = self.reachable_set(roots)?;
+        let mut doomed: HashSet<NodeId> = candidates
+            .iter()
+            .copied()
+            .filter(|&id| self.is_alive(id) && !reachable.contains(&id))
+            .collect();
+        // A doomed node holding a survivor survives, and so does every
+        // doomed ancestor above it.
+        let mut holders = Vec::new();
+        for &id in &doomed {
+            let (children, attributes) = (self.children(id)?, self.attributes(id)?);
+            if children
+                .iter()
+                .chain(attributes)
+                .any(|n| !doomed.contains(n))
+            {
+                holders.push(id);
+            }
+        }
+        for mut id in holders {
+            while doomed.remove(&id) {
+                match self.parent(id)? {
+                    Some(parent) => id = parent,
+                    None => break,
+                }
+            }
+        }
         // A slot allocated, collected and allocated again is a candidate
         // twice.
         let mut seen = HashSet::new();
         let ids: Vec<NodeId> = candidates
             .iter()
             .copied()
-            .filter(|&id| self.is_alive(id) && !reachable.contains(&id) && seen.insert(id))
+            .filter(|&id| doomed.contains(&id) && seen.insert(id))
             .collect();
         let reclaimed = ids.len();
         self.apply(RedoOp::Collect { ids: ids.into() })?;
@@ -613,34 +571,18 @@ impl Store {
     }
 
     // ------------------------------------------------------------------
-    // Replay (log recovery and Δ rebase)
+    // Replay (log recovery)
     // ------------------------------------------------------------------
 
-    /// Decode and apply a stream of op records (see [`crate::wal::RedoBuf`]).
-    ///
-    /// Log recovery (`rebase` off) applies the ops as logged: the same
-    /// history reproduces every allocation, so each `Alloc` asserts its
-    /// logged id. A Δ rebase maps each allocation of the recording fork
-    /// onto the slot this store allocates for it and rewrites later ops
-    /// through that map; ids of base-snapshot nodes are stable across the
-    /// fork and pass through unchanged.
+    /// Decode and apply a stream of op records (see [`crate::wal::RedoBuf`])
+    /// as logged: the same history reproduces every allocation, so each
+    /// `Alloc` asserts its logged id.
     ///
     /// The caller wraps the call in an undo frame: an `Err` (undecodable
     /// record, failed precondition) leaves the earlier ops applied.
-    pub(crate) fn replay<'r>(
-        &mut self,
-        records: impl Iterator<Item = &'r [u8]>,
-        rebase: bool,
-    ) -> XdmResult<()> {
-        let mut map: HashMap<NodeId, NodeId> = HashMap::new();
+    pub(crate) fn replay<'r>(&mut self, records: impl Iterator<Item = &'r [u8]>) -> XdmResult<()> {
         for payload in records {
-            let mut op = RedoOp::decode(payload, &mut self.symbols)?;
-            if rebase {
-                if let RedoOp::Alloc { id, .. } = &op {
-                    map.insert(*id, self.slots.next_id());
-                }
-                op.remap(|id| map.get(&id).copied().unwrap_or(id));
-            }
+            let op = RedoOp::decode(payload, &mut self.symbols)?;
             self.apply(op)?;
         }
         Ok(())

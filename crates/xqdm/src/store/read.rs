@@ -4,7 +4,6 @@
 
 use super::{Store, StoreStats};
 use crate::error::{XdmError, XdmResult};
-use crate::footprint::{aspect, Capture};
 use crate::index::value_hash;
 use crate::node::{NodeData, NodeId, NodeKind};
 use crate::qname::QName;
@@ -116,16 +115,10 @@ impl Store {
 
     /// Append every alive element named `name` to `out` — store-global,
     /// in id order (not document order); callers filter by containment
-    /// against their scan origins and doc-order sort the result. Traces
-    /// a NAME read per hit when a read-tracing capture is attached, but
-    /// planners must not *select* index scans while tracing: the absence
-    /// of a match is an existence read no per-node footprint can express.
+    /// against their scan origins and doc-order sort the result.
     pub fn index_name_nodes(&self, name: QNameId, out: &mut Vec<NodeId>) {
         if let Some(bucket) = self.slots.index().name_bucket(name) {
-            for id in bucket.iter() {
-                self.trace_read(id, aspect::NAME);
-                out.push(id);
-            }
+            out.extend(bucket.iter());
         }
     }
 
@@ -138,8 +131,7 @@ impl Store {
     /// Append every alive attribute node named `name` whose value
     /// equals `value` *exactly* to `out` (the hash bucket is re-checked
     /// here, so collisions cost a string compare, never a wrong
-    /// answer). Same contract and tracing caveats as
-    /// [`Store::index_name_nodes`].
+    /// answer). Same contract as [`Store::index_name_nodes`].
     pub fn index_attr_nodes(&self, name: QNameId, value: &str, out: &mut Vec<NodeId>) {
         if let Some(bucket) = self.slots.index().attr_bucket(name, value_hash(value)) {
             for id in bucket.iter() {
@@ -150,19 +142,11 @@ impl Store {
                 }) = self.slots.get(id)
                 {
                     if v == value {
-                        self.trace_read(id, aspect::NAME | aspect::VALUE);
                         out.push(id);
                     }
                 }
             }
         }
-    }
-
-    /// Is a read-tracing Δ capture attached? The executor refuses
-    /// index scans while tracing (see [`Store::index_name_nodes`]) and
-    /// falls back to the batch kernels, whose footprints are exact.
-    pub fn tracing_reads(&self) -> bool {
-        self.capture.as_deref().is_some_and(Capture::is_tracing)
     }
 
     /// Does the plane hold exactly the entries a from-scratch rebuild
@@ -173,36 +157,20 @@ impl Store {
 
     // ------------------------------------------------------------------
     // Accessors
-    //
-    // The public accessors trace their reads into an attached Δ capture
-    // (DESIGN.md §16): each records which *aspect* of the node shaped the
-    // answer. `Store::apply` validates through the `_raw` variants —
-    // replaying a Δ re-validates preconditions and recomputes splice
-    // positions on the live store, so those reads need no validation.
     // ------------------------------------------------------------------
 
     /// The node's kind and payload.
     pub fn kind(&self, id: NodeId) -> XdmResult<&NodeKind> {
-        self.trace_read(
-            id,
-            aspect::NAME | aspect::VALUE | aspect::CHILDREN | aspect::ATTRS,
-        );
         Ok(&self.slots.alive(id)?.kind)
     }
 
     /// The node's parent, if attached.
     pub fn parent(&self, id: NodeId) -> XdmResult<Option<NodeId>> {
-        self.trace_read(id, aspect::PARENT);
         Ok(self.slots.alive(id)?.parent)
     }
 
     /// The node's children (empty for non-containers).
     pub fn children(&self, id: NodeId) -> XdmResult<&[NodeId]> {
-        self.trace_read(id, aspect::CHILDREN);
-        self.children_raw(id)
-    }
-
-    pub(super) fn children_raw(&self, id: NodeId) -> XdmResult<&[NodeId]> {
         Ok(match &self.slots.alive(id)?.kind {
             NodeKind::Document { children } | NodeKind::Element { children, .. } => children,
             _ => &[],
@@ -211,11 +179,6 @@ impl Store {
 
     /// The node's attribute nodes (empty for non-elements).
     pub fn attributes(&self, id: NodeId) -> XdmResult<&[NodeId]> {
-        self.trace_read(id, aspect::ATTRS);
-        self.attributes_raw(id)
-    }
-
-    pub(super) fn attributes_raw(&self, id: NodeId) -> XdmResult<&[NodeId]> {
         Ok(match &self.slots.alive(id)?.kind {
             NodeKind::Element { attributes, .. } => attributes,
             _ => &[],
@@ -232,11 +195,6 @@ impl Store {
     /// The node's interned name (elements and attributes; `None`
     /// otherwise). Within one store, equal ids ⇔ equal lexical names.
     pub fn name_id(&self, id: NodeId) -> XdmResult<Option<QNameId>> {
-        self.trace_read(id, aspect::NAME);
-        self.name_id_raw(id)
-    }
-
-    pub(super) fn name_id_raw(&self, id: NodeId) -> XdmResult<Option<QNameId>> {
         Ok(match &self.slots.alive(id)?.kind {
             NodeKind::Element { name, .. } | NodeKind::Attribute { name, .. } => Some(*name),
             _ => None,
@@ -250,10 +208,6 @@ impl Store {
         let wanted = match self.symbols.lookup(name) {
             Some(s) => s,
             None => {
-                // Even an interner miss is a read of the attribute list:
-                // a committed Δ attaching this attribute would change the
-                // answer, so the miss path must stay validated.
-                self.trace_read(element, aspect::ATTRS);
                 self.slots.alive(element)?; // preserve dangling-id errors
                 return Ok(None);
             }
@@ -271,7 +225,6 @@ impl Store {
     /// The XDM string value: concatenated descendant text for containers,
     /// content for the leaf kinds.
     pub fn string_value(&self, id: NodeId) -> XdmResult<String> {
-        self.trace_read(id, aspect::VALUE);
         match &self.slots.alive(id)?.kind {
             NodeKind::Attribute { value, .. } => Ok(value.clone()),
             NodeKind::Text { content } | NodeKind::Comment { content } => Ok(content.clone()),
@@ -291,7 +244,6 @@ impl Store {
     fn collect_text(&self, id: NodeId, out: &mut String) -> XdmResult<()> {
         let mut stack: Vec<NodeId> = vec![id];
         while let Some(n) = stack.pop() {
-            self.trace_read(n, aspect::VALUE | aspect::CHILDREN);
             match &self.slots.alive(n)?.kind {
                 NodeKind::Text { content } => out.push_str(content),
                 NodeKind::Document { children } | NodeKind::Element { children, .. } => {
@@ -343,9 +295,6 @@ impl Store {
         principal_attr: bool,
         test: KernelTest,
     ) -> XdmResult<bool> {
-        // A node's kind *category* is fixed at birth, so kind tests read
-        // nothing mutable; only the name comparison does.
-        self.trace_read(node, aspect::NAME);
         let kind = &self.slots.alive(node)?.kind;
         Ok(match test {
             KernelTest::AnyKind => true,

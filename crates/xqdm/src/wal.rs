@@ -78,10 +78,10 @@ impl std::fmt::Display for SyncMode {
 }
 
 /// One logical forward operation: the request [`Store::apply`] executes
-/// and, encoded, the record the redo log and a [`crate::CapturedDelta`]
-/// carry. In memory it is transient and store-relative — names are
-/// interned ids of the applying store, id lists may be borrowed — so a
-/// mutation with no consumer attached builds nothing. It becomes
+/// and, encoded, the record the redo log carries. In memory it is
+/// transient and store-relative — names are interned ids of the applying
+/// store, id lists may be borrowed — so a mutation with no log attached
+/// builds nothing. It becomes
 /// store-independent at the byte boundary: [`RedoOp::encode`] resolves
 /// names lexically into the pinned `wal_v1` record format and
 /// [`RedoOp::decode`] interns them into the replaying store. Order keys
@@ -308,9 +308,11 @@ const TAG_OP: u8 = 1;
 const TAG_COMMIT: u8 = 2;
 const TAG_SEAL: u8 = 3;
 /// Interleaved-committer info: which server session committed the batch
-/// that follows, and against which base epoch it validated (ISSUE 9).
-/// Purely diagnostic — replay counts these but applies nothing, and a
-/// torn info record drops the tail exactly like any other record.
+/// that follows, and against which base epoch it validated. Written only
+/// by the optimistic writers of earlier binaries (DESIGN.md §16); still
+/// decoded so their logs recover. Purely diagnostic — replay counts these
+/// but applies nothing, and a torn info record drops the tail exactly
+/// like any other record.
 const TAG_INFO: u8 = 4;
 
 // Op tags (first byte after TAG_OP).
@@ -488,37 +490,10 @@ impl RedoOp<'_> {
         }
         Ok(op)
     }
-
-    /// Rewrite every node id the op mentions through `f` (Δ rebase).
-    pub(crate) fn remap(&mut self, f: impl Fn(NodeId) -> NodeId) {
-        match self {
-            RedoOp::Alloc { id, .. } => *id = f(*id),
-            RedoOp::Insert {
-                seq,
-                parent,
-                anchor,
-            } => {
-                seq.to_mut().iter_mut().for_each(|n| *n = f(*n));
-                *parent = f(*parent);
-                if let InsertAnchor::After(n) = anchor {
-                    *n = f(*n);
-                }
-            }
-            RedoOp::AttachAttr { element, attr } => {
-                *element = f(*element);
-                *attr = f(*attr);
-            }
-            RedoOp::Detach { node }
-            | RedoOp::Rename { node, .. }
-            | RedoOp::SetText { node, .. }
-            | RedoOp::SetAttrValue { node, .. } => *node = f(*node),
-            RedoOp::Collect { ids } => ids.to_mut().iter_mut().for_each(|n| *n = f(*n)),
-        }
-    }
 }
 
-/// Encoded forward ops awaiting a consumer: the store's forward buffer
-/// and the op stream of a [`crate::CapturedDelta`]. Each record is a
+/// Encoded forward ops awaiting the redo log: the store's forward
+/// buffer. Each record is a
 /// little-endian `u32` length followed by that many payload bytes —
 /// exactly the payload a log record carries, so a commit only adds the
 /// checksum framing.
@@ -596,8 +571,8 @@ pub struct RecoveryReport {
     pub tail_dropped: u64,
     /// Whether the store was seeded from `checkpoint.bin`.
     pub from_checkpoint: bool,
-    /// Interleaved-committer info records seen in the log (written by the
-    /// server's concurrent-writer commits; see docs/SERVER.md).
+    /// Interleaved-committer info records seen in the log (written only
+    /// by earlier binaries' optimistic writers; see DESIGN.md §16).
     pub committer_records: u64,
     /// Human-readable warnings, one per graceful degradation.
     pub warnings: Vec<String>,
@@ -612,9 +587,6 @@ pub struct Wal {
     sync: SyncMode,
     /// LSN of the last commit marker written.
     lsn: u64,
-    /// Committer info `(session, base_epoch)` to stamp onto the next
-    /// commit (set by the server before a concurrent-writer commit).
-    pending_info: Option<(u64, u64)>,
     commits_since_sync: u64,
     commits_since_checkpoint: u64,
     /// Length of the log file: where the next record goes, and what a
@@ -702,7 +674,6 @@ impl Wal {
             file,
             sync,
             lsn: existing_lsn,
-            pending_info: None,
             commits_since_sync: 0,
             commits_since_checkpoint: 0,
             len: start,
@@ -727,11 +698,6 @@ impl Wal {
 
     pub(crate) fn sync_mode(&self) -> SyncMode {
         self.sync
-    }
-
-    /// Stamp the next commit with an interleaved-committer info record.
-    pub(crate) fn note_committer(&mut self, session: u64, base_epoch: u64) {
-        self.pending_info = Some((session, base_epoch));
     }
 
     /// Has anything been appended since this log was opened? (Gates the
@@ -776,16 +742,9 @@ impl Wal {
     /// cost nothing.
     pub(crate) fn commit(&mut self, ops: &RedoBuf) -> XdmResult<Option<CommitReceipt>> {
         if ops.len() == 0 {
-            self.pending_info = None;
             return Ok(None);
         }
         let mut batch = Vec::new();
-        if let Some((session, base_epoch)) = self.pending_info.take() {
-            let mut payload = vec![TAG_INFO];
-            put_u64(&mut payload, session);
-            put_u64(&mut payload, base_epoch);
-            frame(&mut batch, &payload);
-        }
         for payload in ops.records() {
             frame(&mut batch, payload);
         }
@@ -996,7 +955,7 @@ fn replay_log(
                     // decode or apply rolls back exactly.
                     store.begin_frame();
                     let n = batch.len() as u64;
-                    match store.replay(batch.drain(..), false) {
+                    match store.replay(batch.drain(..)) {
                         Ok(()) => {
                             store.commit_frame();
                             report.replayed_commits += 1;

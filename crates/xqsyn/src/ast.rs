@@ -309,8 +309,7 @@ pub enum Expr {
     /// text or attribute node in place. Not in the paper's Fig. 1 (its
     /// `replace` splices a fresh copy next to the target and deletes the
     /// target); this is XQuery Update's "replace value of", kept because
-    /// it preserves node identity and gives the store a pure value-aspect
-    /// write — a footprint that conflicts only with readers of that value.
+    /// it preserves node identity.
     ReplaceValue(Box<Expr>, Box<Expr>),
     /// `rename { e1 } to { e2 }`
     Rename(Box<Expr>, Box<Expr>),

@@ -51,21 +51,16 @@ const FLAGS: &str = "  \
   -d, --doc <VAR>=<FILE>    parse FILE and bind its document to $VAR
   --max-sessions <N>        concurrent session cap, XQB0050 beyond (64)
   --max-inflight <N>        concurrent request cap, XQB0051 beyond (32)
-  --no-occ                  serialize every write under the engine lock
-                            (disables optimistic concurrent writers)
-  --max-retries <N>         conflict retries before XQB0052 (8)
   --self-test               start on a free port, run a protocol and
                             concurrency round-trip against it, exit
 ";
 
-/// The admission and commit policy `args` ask for.
+/// The admission policy `args` ask for.
 fn server_config(args: &Args) -> Result<ServerConfig, String> {
     let default = ServerConfig::default();
     Ok(ServerConfig {
         max_sessions: args.num("--max-sessions")?.unwrap_or(default.max_sessions),
         max_inflight: args.num("--max-inflight")?.unwrap_or(default.max_inflight),
-        occ_writers: !args.has("--no-occ"),
-        max_retries: args.num("--max-retries")?.unwrap_or(default.max_retries),
         ..default
     })
 }

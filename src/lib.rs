@@ -45,7 +45,7 @@ pub use xqcore::{
     CommitRecord, Engine, Error, RequestKind, Response, Server, ServerConfig, ServerStats, Session,
     SnapMode,
 };
-pub use xqdm::{Atomic, CapturedDelta, Footprint, Item, RecoveryReport, Sequence, Store, SyncMode};
+pub use xqdm::{Atomic, Item, RecoveryReport, Sequence, Store, SyncMode};
 
 /// Convenience: run a standalone query with no documents bound.
 pub fn eval(query: &str) -> Result<Sequence, Error> {

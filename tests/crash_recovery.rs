@@ -16,16 +16,15 @@
 //!   multi-session server: commit order across sessions is free, so every
 //!   session's recovered writes form a gapless in-order prefix of its
 //!   script;
-//! * **occ** — three optimistic writers bumping one counter, one of them
-//!   failing every third request after its snap closed (the orphan sweep's
-//!   `Collect` rides in the rebased batch): per-writer prefixes, and the
-//!   counter equals the number of surviving ticks.
+//! * **contended** — three concurrent writers bumping one counter, one of
+//!   them failing every third request after its snap closed (the orphan
+//!   sweep's `Collect` rides in its logged batch): per-writer prefixes,
+//!   and the counter equals the number of surviving ticks.
 //!
 //! A run ends by drop (a clean shutdown: final commit and seal) or by
 //! `std::mem::forget` (a kill: neither). Either way its whole log must
-//! recover in full with no tail dropped, and an OCC log must carry
-//! interleaved-committer records. The server and OCC workloads run three
-//! times each: a fresh run is a fresh interleaving.
+//! recover in full with no tail dropped. The server and contended
+//! workloads run three times each: a fresh run is a fresh interleaving.
 
 use std::collections::HashSet;
 use std::io::Write;
@@ -70,10 +69,10 @@ impl Ending {
     }
 }
 
-/// A workload's oracle over one recovered store and its report. `whole`
-/// when the store was recovered from a run's whole log, which must
-/// recover in full. `Err` says what is wrong.
-type Oracle<'a> = dyn Fn(Store, &RecoveryReport, bool) -> Result<(), String> + 'a;
+/// A workload's oracle over one recovered store. `whole` when the store
+/// was recovered from a run's whole log, which must recover in full.
+/// `Err` says what is wrong.
+type Oracle<'a> = dyn Fn(Store, bool) -> Result<(), String> + 'a;
 
 /// Make `path` hold exactly `bytes`. Overwritten in place, not opened
 /// with `O_TRUNC`: on ext4 a truncate-to-zero forces the rewrite to disk
@@ -102,7 +101,7 @@ fn check_log(dir: &Path, what: &str, oracle: &Oracle) -> usize {
     let wal = dir.join("wal.log");
     let log = std::fs::read(&wal).unwrap();
     let whole = recover(dir).and_then(|(store, report)| match report.tail_dropped {
-        0 => oracle(store, &report, true),
+        0 => oracle(store, true),
         _ => Err(format!("a tail was dropped: {:?}", report.warnings)),
     });
     if let Err(e) = whole {
@@ -112,9 +111,9 @@ fn check_log(dir: &Path, what: &str, oracle: &Oracle) -> usize {
     let mut judged = HashSet::new();
     let mut judge = |bytes: &[u8]| {
         write_state(&wal, bytes);
-        let (store, report) = recover(dir)?;
+        let (store, _) = recover(dir)?;
         if judged.insert(store.fingerprint()) {
-            oracle(store, &report, false)
+            oracle(store, false)
         } else {
             Ok(())
         }
@@ -176,10 +175,8 @@ fn scripted(e: &mut Engine, mut after_commit: impl FnMut(&mut Engine, usize)) ->
 
 /// The scripted oracle: the recovered store is one the workload passed
 /// through at a commit point — the last one for a whole log.
-fn committed_prefix(
-    prefixes: &[u64],
-) -> impl Fn(Store, &RecoveryReport, bool) -> Result<(), String> + '_ {
-    move |store, _, whole| {
+fn committed_prefix(prefixes: &[u64]) -> impl Fn(Store, bool) -> Result<(), String> + '_ {
+    move |store, whole| {
         let fingerprint = store.fingerprint();
         if whole && Some(&fingerprint) != prefixes.last() {
             Err(format!("{fingerprint:016x} is not the final state"))
@@ -287,10 +284,10 @@ fn checkpoint_crossings_recover_the_checkpointed_state() {
 // ----------------------------------------------------------------------
 
 const WRITERS: usize = 3;
-/// Server and OCC runs, each a fresh interleaving.
+/// Server and contended runs, each a fresh interleaving.
 const SCHEDULES: usize = 3;
 const SERVER_ROUNDS: usize = 8;
-const OCC_ROUNDS: usize = 6;
+const CONTENDED_ROUNDS: usize = 6;
 
 /// Three writers append sequenced `<e s n/>` elements while a reader
 /// pins snapshot after snapshot.
@@ -328,13 +325,13 @@ fn server_run(server: &Server) {
     });
 }
 
-/// Three optimistic writers each commit `OCC_ROUNDS` times a counter
-/// bump (a value read-modify-write every other writer conflicts with)
+/// Three concurrent writers each commit `CONTENDED_ROUNDS` times a
+/// counter bump (a value read-modify-write of the one shared counter)
 /// and one `<tick s n/>`. Every third request of writer 0 also
 /// constructs nodes and then fails after its snap closed: the snap
-/// persists, the orphans are swept, and the rebased batch carries that
+/// persists, the orphans are swept, and its logged batch carries that
 /// `Collect`.
-fn occ_run(server: &Server) {
+fn contended_run(server: &Server) {
     let start = Barrier::new(WRITERS);
     std::thread::scope(|scope| {
         for w in 0..WRITERS {
@@ -342,7 +339,7 @@ fn occ_run(server: &Server) {
             scope.spawn(move || {
                 let session = server.open_session().unwrap();
                 start.wait();
-                for n in 0..OCC_ROUNDS {
+                for n in 0..CONTENDED_ROUNDS {
                     let bump = "replace value of { $doc/site/c/text() } with { $doc/site/c + 1 }";
                     let tick = format!(
                         "insert {{ <tick s=\"{w}\" n=\"{n}\"/> }} into {{ $doc/site/ticks }}"
@@ -353,14 +350,10 @@ fn occ_run(server: &Server) {
                     } else {
                         format!("(snap {bump}, {tick})")
                     };
-                    loop {
-                        match session.execute(&q) {
-                            Ok(_) => break,
-                            // Exhausted retries: retryable by contract.
-                            Err(Error::Eval(e)) if e.code == "XQB0052" => {}
-                            Err(Error::Eval(e)) if fails && e.code == "FOER0000" => break,
-                            Err(e) => panic!("{q}: {e}"),
-                        }
+                    match session.execute(&q) {
+                        Ok(_) => {}
+                        Err(Error::Eval(e)) if fails && e.code == "FOER0000" => {}
+                        Err(e) => panic!("{q}: {e}"),
                     }
                 }
             });
@@ -423,12 +416,13 @@ fn session_prefixes(
     Ok(Some((e, total)))
 }
 
-fn server_oracle(store: Store, _: &RecoveryReport, whole: bool) -> Result<(), String> {
+fn server_oracle(store: Store, whole: bool) -> Result<(), String> {
     session_prefixes(store, "$doc/log/e", SERVER_ROUNDS, whole).map(drop)
 }
 
-fn occ_oracle(store: Store, report: &RecoveryReport, whole: bool) -> Result<(), String> {
-    let Some((mut e, ticks)) = session_prefixes(store, "$doc/site/ticks/tick", OCC_ROUNDS, whole)?
+fn contended_oracle(store: Store, whole: bool) -> Result<(), String> {
+    let Some((mut e, ticks)) =
+        session_prefixes(store, "$doc/site/ticks/tick", CONTENDED_ROUNDS, whole)?
     else {
         return Ok(());
     };
@@ -437,9 +431,6 @@ fn occ_oracle(store: Store, report: &RecoveryReport, whole: bool) -> Result<(), 
         return Err(format!(
             "counter {counter} but {ticks} ticks: a lost or doubled increment"
         ));
-    }
-    if whole && report.committer_records == 0 {
-        return Err("no interleaved-committer records in a whole OCC log".to_string());
     }
     Ok(())
 }
@@ -469,6 +460,11 @@ fn server_workload_recovers_every_cut_and_flip() {
 }
 
 #[test]
-fn occ_workload_recovers_every_cut_and_flip() {
-    concurrent_battery("occ", "<site><c>0</c><ticks/></site>", occ_run, &occ_oracle);
+fn contended_workload_recovers_every_cut_and_flip() {
+    concurrent_battery(
+        "contended",
+        "<site><c>0</c><ticks/></site>",
+        contended_run,
+        &contended_oracle,
+    );
 }

@@ -79,6 +79,37 @@ fn wal_v1_fixture_replays_bit_identically() {
     );
 }
 
+/// A log written by the optimistic writers this server no longer has
+/// (two sessions alternating six commits on a durable server, DESIGN.md
+/// §16) stamps each commit with an interleaved-committer info record.
+/// Recovery still decodes those records — counted, never applied — and
+/// rebuilds the store the writing server ended on.
+#[test]
+fn wal_info_fixture_recovers() {
+    const WAL_INFO_FP: u64 = 0x10672044a5e24b3e;
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/wal_info");
+    let dir = std::env::temp_dir().join(format!("xqb_walinfo_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for entry in std::fs::read_dir(fixture).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+    }
+    let (store, report) = Store::open_durable(&dir, SyncMode::Always).unwrap();
+    let got = store.fingerprint();
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(report.tail_dropped, 0, "{report:?}");
+    assert!(
+        report.committer_records > 0,
+        "no info record decoded: {report:?}"
+    );
+    assert_eq!(
+        got, WAL_INFO_FP,
+        "info-record WAL recovery drifted: {got:#018x} != {WAL_INFO_FP:#018x}"
+    );
+}
+
 /// Serialize → parse → serialize over the XMark corpus: byte-identical.
 #[test]
 fn xmark_serialization_is_a_fixpoint() {

@@ -13,8 +13,7 @@
 //!   (rollback exactness) in all three snap modes;
 //! * one random script of every mutation form under random nested frames
 //!   round-trips: rolled back it leaves no trace, run durably it reopens
-//!   to the same store, captured on a fork it rebases onto the base as if
-//!   run there and replays from the base's log.
+//!   to the same store.
 
 use proptest::prelude::*;
 use xquery_bang::xqdm::item::deep_equal_nodes;
@@ -336,11 +335,9 @@ proptest! {
 
     // The mutation chokepoint's contract, for every op form at once: one
     // random script under random nested frames is (a) undone exactly by a
-    // rollback, (b) reproduced by its redo log, and (c) reproduced by
-    // rebasing its captured Δ — onto a durable base, whose own log then
-    // reproduces the rebase.
+    // rollback and (b) reproduced by its redo log.
     #[test]
-    fn scripts_round_trip_through_undo_log_and_capture(
+    fn scripts_round_trip_through_undo_and_log(
         prefix in proptest::collection::vec(gc_op_strategy(), 0..40),
         steps in proptest::collection::vec(step_strategy(), 0..80),
     ) {
@@ -374,28 +371,6 @@ proptest! {
         run_steps(&mut durable, &mut durable_pool, &steps);
         prop_assert_eq!(durable.fingerprint(), direct.fingerprint());
         drop(durable);
-        prop_assert_eq!(reopened_fingerprint(&dir), direct.fingerprint());
-
-        // (c) The script captured on a fork of a durable base, then
-        // rebased onto that base.
-        let dir = temp_dir("rebase");
-        let (mut live, _) = Store::open_durable(&dir, SyncMode::Off).unwrap();
-        let mut live_pool = vec![live.new_element(QName::local("root"))];
-        for op in &prefix {
-            run_op(&mut live, &mut live_pool, op);
-        }
-        live.wal_commit().unwrap();
-        let mut fork = live.snapshot();
-        fork.begin_capture(true);
-        run_steps(&mut fork, &mut live_pool, &steps);
-        let delta = fork.take_capture().unwrap();
-        prop_assert_eq!(fork.fingerprint(), direct.fingerprint());
-        live.begin_frame();
-        live.apply_captured(&delta).unwrap();
-        live.commit_frame();
-        prop_assert_eq!(live.fingerprint(), direct.fingerprint());
-        prop_assert!(live.index_verify(), "index diverged after rebase");
-        drop(live);
         prop_assert_eq!(reopened_fingerprint(&dir), direct.fingerprint());
     }
 

@@ -67,8 +67,8 @@ fn run_mixed_workload(sessions: usize, rounds: usize, threads: usize) -> Server 
                 start.wait();
                 for query in session_script(s, rounds) {
                     // Errored writes are part of the workload; everything
-                    // else must succeed, resubmitting on XQB0052.
-                    let result = execute_with_retry(&session, &query);
+                    // else must succeed.
+                    let result = session.execute(&query);
                     if query.contains("1 div 0") {
                         assert!(result.is_err(), "scripted failure must fail: {query}");
                     } else {
@@ -87,8 +87,8 @@ fn run_mixed_workload(sessions: usize, rounds: usize, threads: usize) -> Server 
 /// The serializability check: replay the server's commit log, one query
 /// at a time, on a fresh engine. Every write response and the final store
 /// fingerprint must reproduce bit-for-bit — i.e. the concurrent
-/// (OCC-interleaved) execution is equivalent to the serial execution in
-/// commit-log order. Returns the replica for follow-up queries.
+/// execution is equivalent to the serial execution in commit-log order.
+/// Returns the replica for follow-up queries.
 fn assert_replays_serially(server: &Server) -> Engine {
     let log = server.commit_log();
     // Epochs are dense and in log order (publishing happens under the
@@ -129,8 +129,8 @@ fn assert_replays_serially(server: &Server) -> Engine {
         server.fingerprint(),
         "final replica state must equal the server's latest snapshot"
     );
-    // ISSUE 10: however many OCC retries, rollbacks, and errored commits
-    // the schedule forced, the incrementally-maintained index plane must
+    // However many rollbacks and errored commits the schedule forced,
+    // the incrementally-maintained index plane must
     // equal a from-scratch rebuild — on the live writer and the replica.
     assert!(
         server.with_engine(|e| e.store.index_verify()),
@@ -201,10 +201,9 @@ fn same_script_twice_yields_identical_commit_effects() {
 // Random multi-writer schedules (ISSUE 9): proptest over per-session
 // scripts drawn from a template pool engineered to collide — shared
 // counter read-modify-writes, renames of one node, blind appends,
-// structural replaces, errored commits, pessimistically-routed
-// nondeterministic snaps, and (ISSUE 14) constructors inserted, returned
-// by a write, and returned by a read. Whatever the interleaving and however many
-// OCC retries it forces, the commit log must replay serially.
+// structural replaces, errored commits, nondeterministic snaps, and
+// constructors inserted, returned by a write, and returned by a read.
+// Whatever the interleaving, the commit log must replay serially.
 // ---------------------------------------------------------------------
 
 /// Query templates; `s`/`n` discriminate the writer and its step so
@@ -212,14 +211,13 @@ fn same_script_twice_yields_identical_commit_effects() {
 fn template(t: usize, s: usize, n: usize) -> String {
     match t % 11 {
         // Shared-counter increment: reads the counter value every other
-        // writer sets — the canonical conflict.
+        // writer sets — the canonical lost-update race.
         0 => "replace value of { $doc/site/counter/text() } \
               with { $doc/site/counter + 1 }"
             .to_string(),
-        // Blind append into a shared container: commutes (untraced
-        // mutator-internal reads), never conflicts.
+        // Blind append into a shared container.
         1 => format!("insert {{ <item s=\"{s}\" n=\"{n}\"/> }} into {{ $doc/site/items }}"),
-        // Rename of one shared node: a name-aspect collision.
+        // Rename of one shared node.
         2 => format!("rename {{ ($doc/site/*)[4] }} to {{ \"t{s}x{n}\" }}"),
         // Structural replace of the writer's own latest item attribute;
         // reads the shared children list on the way.
@@ -232,14 +230,14 @@ fn template(t: usize, s: usize, n: usize) -> String {
         4 => format!(
             "(snap insert {{ <err s=\"{s}\" n=\"{n}\"/> }} into {{ $doc/site/log }}, 1 div 0)"
         ),
-        // Nondeterministic snap: occ-unsafe, exercises the pessimistic
-        // route inside the same schedule.
+        // Nondeterministic snap: draws from the engine's seed stream
+        // inside the same schedule.
         5 => format!(
             "snap nondeterministic {{ insert {{ <p s=\"{s}\" n=\"{n}\"/> }} \
              into {{ $doc/site/log }} }}"
         ),
         // Read-modify-write that folds the items count into the counter:
-        // conflicts with appends *and* increments.
+        // races with appends *and* increments.
         6 => "replace value of { $doc/site/counter/text() } \
               with { $doc/site/counter + count($doc/site/items/item) }"
             .to_string(),
@@ -264,24 +262,6 @@ fn template(t: usize, s: usize, n: usize) -> String {
     }
 }
 
-/// `replace` on a missing target (template 3 before the session's first
-/// append) fails with a precondition error; both that and XQB0052-after-
-/// exhausted-retries are legitimate schedule outcomes. Re-submitting on
-/// conflict is the documented client contract: returns the first reply
-/// that is not XQB0052, and panics after 64 of them in a row.
-fn execute_with_retry(
-    session: &xquery_bang::Session,
-    query: &str,
-) -> Result<xquery_bang::Response, Error> {
-    for _ in 0..64 {
-        match session.execute(query) {
-            Err(Error::Eval(e)) if e.code == "XQB0052" => continue,
-            other => return other,
-        }
-    }
-    panic!("64 client retries exhausted for {query}");
-}
-
 fn run_scripted_schedule(scripts: Vec<Vec<usize>>, threads: usize) -> Server {
     let server = Server::new(fresh_engine(threads));
     let start = Arc::new(Barrier::new(scripts.len()));
@@ -295,7 +275,10 @@ fn run_scripted_schedule(scripts: Vec<Vec<usize>>, threads: usize) -> Server {
                 let session = server.open_session().unwrap();
                 start.wait();
                 for (n, t) in script.into_iter().enumerate() {
-                    let _ = execute_with_retry(&session, &template(t, s, n));
+                    // `replace` on a missing target (template 3 before the
+                    // session's first append) fails with a precondition
+                    // error: a legitimate schedule outcome.
+                    let _ = session.execute(&template(t, s, n));
                 }
             })
         })

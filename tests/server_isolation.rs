@@ -255,7 +255,7 @@ fn plan_cache_misses_when_index_availability_changes() {
 #[test]
 fn shadowing_agrees_across_routing_planning_and_evaluation() {
     // "A program's own `f` wins over a module's `f`" has one statement
-    // (`xqcore::Scope`); routing, the OCC gate, the plan cache and the
+    // (`xqcore::Scope`); routing, the plan cache and the
     // evaluator all ask it, so they cannot disagree about which `f` a
     // call means.
     const MODULE: &str = "declare function pure() { count($doc/log/e) };
