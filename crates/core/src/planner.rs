@@ -26,7 +26,7 @@ pub struct PlanOptions {
 }
 
 /// Fingerprint a program for the plan cache by streaming its debug
-/// representation through two independently-seeded hashers — no
+/// representation once through two independently-seeded hashers — no
 /// allocation of the full repr, and 128 bits make accidental collisions
 /// (which would silently run the wrong plan) implausible. `Core` holds
 /// `f64` literals, so it cannot derive `Hash` directly.
@@ -41,20 +41,22 @@ pub(crate) fn fingerprint_of(value: &impl std::fmt::Debug) -> (u64, u64) {
     use std::fmt::Write as _;
     use std::hash::Hasher as _;
 
-    struct HashWriter<'a>(&'a mut DefaultHasher);
-    impl std::fmt::Write for HashWriter<'_> {
+    /// Feeds every formatted chunk to both hashers. SipHash's `write`
+    /// does not depend on where the chunks split, so each key is the one
+    /// a pass of its own would give.
+    struct BothHashers(DefaultHasher, DefaultHasher);
+    impl std::fmt::Write for BothHashers {
         fn write_str(&mut self, s: &str) -> std::fmt::Result {
             self.0.write(s.as_bytes());
+            self.1.write(s.as_bytes());
             Ok(())
         }
     }
 
-    let mut h1 = DefaultHasher::new();
-    let mut h2 = DefaultHasher::new();
-    h2.write_u64(0x9e37_79b9_7f4a_7c15);
-    let _ = write!(HashWriter(&mut h1), "{value:?}");
-    let _ = write!(HashWriter(&mut h2), "{value:?}");
-    (h1.finish(), h2.finish())
+    let mut hashers = BothHashers(DefaultHasher::new(), DefaultHasher::new());
+    hashers.1.write_u64(0x9e37_79b9_7f4a_7c15);
+    let _ = write!(hashers, "{value:?}");
+    (hashers.0.finish(), hashers.1.finish())
 }
 
 /// The most plans a [`SharedPlanCache`] keeps before it is wholesale

@@ -589,3 +589,96 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Snapshot isolation under generated schedules
+// ---------------------------------------------------------------------------
+
+/// The operations of [`op_strategy`] that only grow the store.
+fn grow_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (0u8..20).prop_map(Op::NewElement),
+        "[a-z]{0,6}".prop_map(Op::NewText),
+        (0u8..6, 0u8..8).prop_map(|(name, value)| Op::NewAttr { name, value }),
+        (any::<usize>(), any::<usize>())
+            .prop_map(|(parent, child)| Op::AppendChild { parent, child }),
+    ]
+}
+
+/// Every retained snapshot still shows the store it was taken from, and
+/// its index plane is still what a rebuild would give.
+fn check_snapshots(retained: &[(Store, u64)]) {
+    for (k, (snap, fingerprint)) in retained.iter().enumerate() {
+        assert_eq!(snap.fingerprint(), *fingerprint, "snapshot {k} drifted");
+        assert!(snap.index_verify(), "snapshot {k}: index diverged");
+    }
+}
+
+/// Snapshot isolation under generated schedules. Each case grows a store
+/// past a page of slots, then interleaves random operations, snapshots,
+/// releases and rolled-back growth bursts. The writer's appends and pops
+/// cross leaf boundaries and its writes land in leaves and pages that
+/// snapshots share. A reference store runs the same operations and never
+/// takes a snapshot.
+#[test]
+fn snapshots_stay_isolated_under_generated_schedules() {
+    let (grow, ops) = (grow_strategy(), op_strategy());
+    for case in 0..5 {
+        // Pinned: the shim's generator keyed on this name and the case.
+        let mut rng = TestRng::for_case("snapshots_stay_isolated", case);
+        // The writer, then the reference; each with its node pool.
+        let mut stores: [(Store, Vec<NodeId>); 2] = std::array::from_fn(|_| {
+            let mut store = Store::new();
+            let root = store.new_element(QName::local("root"));
+            (store, vec![root])
+        });
+        let apply = |stores: &mut [(Store, Vec<NodeId>); 2], op: &Op| {
+            for (store, pool) in stores.iter_mut() {
+                run_op(store, pool, op);
+            }
+        };
+        // A prefix that stops short of, on or past the first page end.
+        for _ in 0..1_200 + rng.below(250) {
+            apply(&mut stores, &grow.generate(&mut rng));
+        }
+        let mut retained: Vec<(Store, u64)> = Vec::new();
+        for _ in 0..500 {
+            match rng.below(40) {
+                0..=2 => {
+                    let writer = &stores[0].0;
+                    retained.push((writer.snapshot(), writer.fingerprint()));
+                }
+                3 if !retained.is_empty() => {
+                    check_snapshots(&retained);
+                    retained.swap_remove(rng.below(retained.len()));
+                }
+                4 => {
+                    // Growth undone in the same breath: pops that empty
+                    // the tail take leaves back out of their pages.
+                    let burst: Vec<Op> = (0..1 + rng.below(90))
+                        .map(|_| grow.generate(&mut rng))
+                        .collect();
+                    for (store, pool) in stores.iter_mut() {
+                        store.begin_frame();
+                        let mut burst_pool = pool.clone();
+                        for op in &burst {
+                            run_op(store, &mut burst_pool, op);
+                        }
+                        store.rollback_frame();
+                    }
+                }
+                _ => apply(&mut stores, &ops.generate(&mut rng)),
+            }
+        }
+        check_snapshots(&retained);
+        let [(writer, pool), (reference, reference_pool)] = &stores;
+        assert_eq!(pool, reference_pool, "case {case}: allocation diverged");
+        assert_eq!(
+            writer.fingerprint(),
+            reference.fingerprint(),
+            "case {case}: snapshots changed what the writer computed"
+        );
+        assert!(writer.index_verify(), "case {case}: writer index diverged");
+        assert!(writer.page_count() >= 2, "case {case}: stayed in one page");
+    }
+}

@@ -239,3 +239,55 @@ fn order_by_price() {
         assert!(w[0] <= w[1], "not sorted: {prices:?}");
     }
 }
+
+/// The query texts above, for the plan-cache key pin below.
+const QUERY_TEXTS: [&str; 9] = [
+    r#"for $b in $auction/site/people/person[@id = "person0"] return string($b/name)"#,
+    "count(for $b in $auction/site/open_auctions/open_auction
+           return <increase>{ string($b/bidder[1]/increase) }</increase>)",
+    "count(for $i in $auction/site/closed_auctions/closed_auction
+           where $i/price >= 40 return $i/price)",
+    "count(for $b in $auction//site/regions return $b//item)",
+    r#"for $p in $auction/site/people/person
+       let $a := for $t in $auction/site/closed_auctions/closed_auction
+                 where $t/buyer/@person = $p/@id
+                 return $t
+       return <item person="{ $p/name }">{ count($a) }</item>"#,
+    r#"count(for $t in $auction//closed_auction
+             for $i in $auction//item
+             where $t/itemref/@item = $i/@id
+             return <hit/>)"#,
+    r#"for $p in $auction//person
+       for $t in $auction//closed_auction
+       where $t/buyer/@person = $p/@id
+       return insert { <buyer person="{$t/buyer/@person}" itemid="{$t/itemref/@item}" /> }
+              into { $purchasers/purchasers }"#,
+    "every $p in $auction//person satisfies exists($p/@id)",
+    "for $t in $auction//closed_auction order by xs:double($t/price) return string($t/price)",
+];
+
+/// The plan-cache key streams a program's `Debug` text once into both of
+/// its hashers. It must equal the key of one full pass per hasher.
+#[test]
+fn plan_cache_key_equals_the_two_pass_key() {
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::Hasher;
+    use xquery_bang::xqcore::planner::program_fingerprint;
+
+    let mut e = engine(&SCALE, 11);
+    e.load_document("purchasers", "<purchasers/>").unwrap();
+    for q in QUERY_TEXTS {
+        let program = e.compile(q).unwrap();
+        let text = format!("{program:?}");
+        let mut h1 = DefaultHasher::new();
+        let mut h2 = DefaultHasher::new();
+        h2.write_u64(0x9e37_79b9_7f4a_7c15);
+        h1.write(text.as_bytes());
+        h2.write(text.as_bytes());
+        assert_eq!(
+            program_fingerprint(&program),
+            (h1.finish(), h2.finish()),
+            "{q}"
+        );
+    }
+}
