@@ -6,8 +6,9 @@
 //! entry, and the outermost commit clears the journal in O(entries).
 //!
 //! This bench quantifies that insurance premium by comparing the journaled
-//! entry point against a raw request loop with no frame open (journaling is
-//! a no-op when no frame is active, so the raw loop records nothing).
+//! entry point against a raw `Store::apply` loop with no frame open
+//! (journaling is a no-op when no frame is active, so the raw loop records
+//! nothing).
 //! Target: < 15% overhead on the e2-style rename and chained-insert Δs.
 //! The rollback benches bound the *failure* path: undoing a fully-applied
 //! journal is the worst case, and should stay linear in |Δ|.
@@ -67,18 +68,18 @@ fn bench_journal(c: &mut Criterion) {
                     );
                 },
             );
-            // Baseline: the same requests with no frame open, so every
+            // Baseline: the same ops with no frame open, so every
             // journaling() check is false and nothing is recorded.
             group.bench_with_input(BenchmarkId::new(format!("{name}-raw"), k), &k, |b, &k| {
                 b.iter_batched(
                     || {
                         let mut store = Store::new();
                         let delta = fixture(&mut store, k);
-                        (store, delta.into_requests())
+                        (store, delta)
                     },
-                    |(mut store, requests)| {
-                        for req in &requests {
-                            req.apply(&mut store).expect("apply");
+                    |(mut store, delta)| {
+                        for op in delta {
+                            store.apply(op).expect("apply");
                         }
                     },
                     criterion::BatchSize::LargeInput,
@@ -94,12 +95,12 @@ fn bench_journal(c: &mut Criterion) {
                         || {
                             let mut store = Store::new();
                             let delta = fixture(&mut store, k);
-                            (store, delta.into_requests())
+                            (store, delta)
                         },
-                        |(mut store, requests)| {
+                        |(mut store, delta)| {
                             store.begin_frame();
-                            for req in &requests {
-                                req.apply(&mut store).expect("apply");
+                            for op in delta {
+                                store.apply(op).expect("apply");
                             }
                             store.rollback_frame();
                         },

@@ -59,12 +59,12 @@ fn bench_apply(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("verify-clean", k), &k, |b, &k| {
             let mut store = Store::new();
             let delta = renames_delta(&mut store, k);
-            b.iter(|| verify_conflict_free(&delta).expect("clean"));
+            b.iter(|| verify_conflict_free(&store, &delta).expect("clean"));
         });
         group.bench_with_input(BenchmarkId::new("verify-conflict", k), &k, |b, &k| {
             let mut store = Store::new();
             let delta = conflicting_delta(&mut store, k);
-            b.iter(|| verify_conflict_free(&delta).expect_err("conflict"));
+            b.iter(|| verify_conflict_free(&store, &delta).expect_err("conflict"));
         });
     }
     group.finish();

@@ -9,7 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::time::Duration;
-use xqdm::{NodeId, QName, Store};
+use xqdm::{NodeId, QName, RedoOp, Store};
 
 /// A store with `n` children under a root, then all children detached:
 /// maximal garbage relative to the root.
@@ -25,7 +25,7 @@ fn detach_heavy_store(n: usize) -> (Store, NodeId) {
         kids.push(c);
     }
     for c in kids {
-        store.detach(c).unwrap();
+        store.apply(RedoOp::Detach { node: c }).unwrap();
     }
     (store, root)
 }
@@ -61,7 +61,7 @@ fn bench_gc(c: &mut Criterion) {
                     // implies on wide nodes (reported as such in
                     // EXPERIMENTS.md).
                     for c in kids.into_iter().rev() {
-                        store.detach(c).unwrap();
+                        store.apply(RedoOp::Detach { node: c }).unwrap();
                     }
                     store
                 },

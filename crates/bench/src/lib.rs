@@ -5,10 +5,10 @@
 //! bench file reads like the experiment protocol it implements.
 
 use xmarkgen::{Scale, XmarkGen};
-use xqcore::update::{Delta, UpdateRequest};
+use xqcore::Delta;
 use xqdm::item::{Item, Sequence};
 use xqdm::store::InsertAnchor;
-use xqdm::{NodeId, QName, Store, XdmResult};
+use xqdm::{NodeId, QName, RedoOp, Store, XdmResult};
 
 /// The §4.3 XMark Q8 variant, verbatim from the paper (modulo `$purchasers`
 /// pointing at an element we create).
@@ -90,11 +90,9 @@ pub fn run_planned(
 pub fn renames_delta(store: &mut Store, k: usize) -> Delta {
     (0..k)
         .map(|i| {
-            let n = store.new_element(QName::local(format!("n{i}")));
-            UpdateRequest::Rename {
-                node: n,
-                name: QName::local(format!("r{i}")),
-            }
+            let node = store.new_element(QName::local(format!("n{i}")));
+            let name = store.intern_qname(&QName::local(format!("r{i}")));
+            RedoOp::Rename { node, name }
         })
         .collect()
 }
@@ -109,8 +107,8 @@ pub fn chained_inserts_delta(store: &mut Store, k: usize) -> (NodeId, Delta) {
     let mut anchor = first;
     for _ in 0..k {
         let c = store.new_element(QName::local("c"));
-        delta.push(UpdateRequest::Insert {
-            nodes: vec![c],
+        delta.push(RedoOp::Insert {
+            seq: vec![c].into(),
             parent,
             anchor: InsertAnchor::After(anchor),
         });
@@ -123,15 +121,11 @@ pub fn chained_inserts_delta(store: &mut Store, k: usize) -> (NodeId, Delta) {
 /// verifier: it must scan everything).
 pub fn conflicting_delta(store: &mut Store, k: usize) -> Delta {
     let mut delta = renames_delta(store, k);
-    let victim = store.new_element(QName::local("victim"));
-    delta.push(UpdateRequest::Rename {
-        node: victim,
-        name: QName::local("a"),
-    });
-    delta.push(UpdateRequest::Rename {
-        node: victim,
-        name: QName::local("b"),
-    });
+    let node = store.new_element(QName::local("victim"));
+    for name in ["a", "b"] {
+        let name = store.intern_qname(&QName::local(name));
+        delta.push(RedoOp::Rename { node, name });
+    }
     delta
 }
 
@@ -259,14 +253,14 @@ mod tests {
         let mut store = Store::new();
         let d = renames_delta(&mut store, 100);
         assert_eq!(d.len(), 100);
-        assert!(verify_conflict_free(&d).is_ok());
+        assert!(verify_conflict_free(&store, &d).is_ok());
     }
 
     #[test]
     fn chained_inserts_are_conflict_free_and_apply() {
         let mut store = Store::new();
         let (parent, d) = chained_inserts_delta(&mut store, 50);
-        assert!(verify_conflict_free(&d).is_ok());
+        assert!(verify_conflict_free(&store, &d).is_ok());
         xqcore::apply_delta(&mut store, d, xqcore::SnapMode::Ordered, 0).unwrap();
         assert_eq!(store.children(parent).unwrap().len(), 51);
     }
@@ -275,7 +269,7 @@ mod tests {
     fn conflicting_delta_is_detected() {
         let mut store = Store::new();
         let d = conflicting_delta(&mut store, 100);
-        assert!(verify_conflict_free(&d).is_err());
+        assert!(verify_conflict_free(&store, &d).is_err());
     }
 
     #[test]

@@ -19,20 +19,19 @@
 //! sub-expressions evaluates the first before the second.
 
 use crate::alg::pipeline::FnTable;
-use crate::apply::apply_delta;
+use crate::delta::{apply_delta, Delta};
 use crate::env::{DynEnv, Focus, ProgramEnv, Scope};
 use crate::functions;
 use crate::limits::{self, LimitGuard, TripKind};
 use crate::obs::{self, CounterId};
 use crate::par::{self, PureCtx, PAR_MIN_ITEMS};
-use crate::update::{Delta, UpdateRequest};
 use std::sync::Arc;
 use std::time::Instant;
 use xqdm::atomic::{arithmetic, negate, value_compare, Atomic, CompareOp};
 use xqdm::item::{self, Item, Sequence};
 use xqdm::seq;
 use xqdm::store::InsertAnchor;
-use xqdm::{KernelTest, NodeId, NodeKind, QName, Scratch, Store, XdmError, XdmResult};
+use xqdm::{KernelTest, NodeId, NodeKind, QName, RedoOp, Scratch, Store, XdmError, XdmResult};
 use xqsyn::ast::{Axis, NodeCompOp, NodeTest, Quantifier, SnapMode};
 use xqsyn::core::{Core, CoreInsertLoc, CoreName, CoreProgram};
 use xqsyn::stack::with_deep_stack;
@@ -604,7 +603,7 @@ impl Evaluator {
     /// Append an update request to the innermost Δ — the single chokepoint
     /// for every update operator, so `requests_emitted` counts every
     /// request exactly once regardless of execution strategy.
-    fn push_request(&mut self, req: UpdateRequest) -> XdmResult<()> {
+    fn push_request(&mut self, req: RedoOp<'static>) -> XdmResult<()> {
         // Pending-update lists are the other unbounded buffer a runaway
         // query can grow; each entry costs one unit of memory budget.
         self.guard.charge(1)?;
@@ -684,8 +683,8 @@ impl Evaluator {
                 let target = self.eval(store, env, location.target())?;
                 let t = item::exactly_one_node(target)?;
                 let (parent, anchor) = resolve_insert_anchor(store, location, t)?;
-                self.push_request(UpdateRequest::Insert {
-                    nodes,
+                self.push_request(RedoOp::Insert {
+                    seq: nodes.into(),
                     parent,
                     anchor,
                 })?;
@@ -697,7 +696,7 @@ impl Evaluator {
                 // deletes a whole sequence ($log/logentry), so we accept a
                 // node sequence and emit one request per node, in order.
                 for n in item::all_nodes(&v)? {
-                    self.push_request(UpdateRequest::Delete { node: n })?;
+                    self.push_request(RedoOp::Detach { node: n })?;
                 }
                 Ok(seq![])
             }
@@ -713,10 +712,10 @@ impl Evaluator {
                     .ok_or_else(|| XdmError::precondition("replace target has no parent"))?;
                 if matches!(store.kind(node)?, NodeKind::Attribute { .. }) {
                     // Attribute targets: the replacement must be attribute
-                    // nodes, attached to the owner element (attribute order
-                    // is insignificant, so no anchor is involved). The
-                    // delete precedes the attach so a same-named
-                    // replacement does not trip the duplicate check.
+                    // nodes, attached to the owner element (attribute lists
+                    // only append, so no anchor is involved). The detach
+                    // precedes the attaches so a same-named replacement
+                    // does not trip the duplicate check.
                     for &n in &nodeseq {
                         if !matches!(store.kind(n)?, NodeKind::Attribute { .. }) {
                             return Err(XdmError::type_error(
@@ -724,29 +723,32 @@ impl Evaluator {
                             ));
                         }
                     }
-                    self.push_request(UpdateRequest::Delete { node })?;
-                    self.push_request(UpdateRequest::InsertAttributes {
-                        nodes: nodeseq,
-                        element: parent,
-                    })?;
+                    self.push_request(RedoOp::Detach { node })?;
+                    for attr in nodeseq {
+                        self.push_request(RedoOp::AttachAttr {
+                            element: parent,
+                            attr,
+                        })?;
+                    }
                 } else {
-                    self.push_request(UpdateRequest::Insert {
-                        nodes: nodeseq,
+                    self.push_request(RedoOp::Insert {
+                        seq: nodeseq.into(),
                         parent,
                         anchor: InsertAnchor::After(node),
                     })?;
-                    self.push_request(UpdateRequest::Delete { node })?;
+                    self.push_request(RedoOp::Detach { node })?;
                 }
                 Ok(seq![])
             }
             Core::ReplaceValue(target, with) => {
-                // One setValue request: the target node keeps its
+                // One value-setting request: the target node keeps its
                 // identity, only its string value changes. The source is
                 // atomized and space-joined like attribute content.
                 let tv = self.eval(store, env, target)?;
                 let node = item::exactly_one_node(tv)?;
-                match store.kind(node)? {
-                    NodeKind::Text { .. } | NodeKind::Attribute { .. } => {}
+                let text = match store.kind(node)? {
+                    NodeKind::Text { .. } => true,
+                    NodeKind::Attribute { .. } => false,
                     // An update-family error (XQB0010 block), not a type
                     // error: the expression is well-typed, the target's
                     // node kind just has no settable value.
@@ -759,15 +761,20 @@ impl Evaluator {
                             ),
                         ));
                     }
-                }
+                };
                 let wv = self.eval(store, env, with)?;
                 let parts: Vec<String> = item::atomize(&wv, store)?
                     .into_iter()
                     .map(|a| a.string_value())
                     .collect();
-                self.push_request(UpdateRequest::SetValue {
-                    node,
-                    value: parts.join(" "),
+                let value = parts.join(" ");
+                self.push_request(if text {
+                    RedoOp::SetText {
+                        node,
+                        content: value,
+                    }
+                } else {
+                    RedoOp::SetAttrValue { node, value }
                 })?;
                 Ok(seq![])
             }
@@ -779,7 +786,8 @@ impl Evaluator {
                 let qname = QName::parse(&name_str).ok_or_else(|| {
                     XdmError::value("XQDY0074", format!("\"{name_str}\" is not a valid QName"))
                 })?;
-                self.push_request(UpdateRequest::Rename { node, name: qname })?;
+                let name = store.intern_qname(&qname);
+                self.push_request(RedoOp::Rename { node, name })?;
                 Ok(seq![])
             }
             Core::Copy(e) => {

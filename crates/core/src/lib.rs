@@ -7,11 +7,13 @@
 //!   store1` as a big-step evaluator over the normalized core language
 //!   ([`eval::Evaluator`]), with the paper's strict left-to-right
 //!   evaluation order;
-//! * pending update lists Δ ([`update::Delta`]) and the update requests of
-//!   §3.2, kept on the **stack of update lists** described in §4.1;
+//! * pending update lists Δ ([`delta::Delta`]): the update requests of
+//!   §3.2 are the store's own ops ([`xqdm::RedoOp`], the vocabulary
+//!   `Store::apply` executes and the redo log encodes), kept on the
+//!   **stack of update lists** described in §4.1;
 //! * the **`snap`** operator with free nesting, and the three Δ-application
 //!   semantics — ordered, nondeterministic, conflict-detection
-//!   ([`apply::apply_delta`], [`conflict::verify_conflict_free`] — the
+//!   ([`delta::apply_delta`], [`delta::verify_conflict_free`] — the
 //!   latter in linear time with a pair of hash tables, as §4.1 claims);
 //! * the side-effect judgment that guards optimizer rewritings and every
 //!   routing gate ([`effects::EffectAnalysis`], [`effects::Facts`]),
@@ -38,9 +40,8 @@
 //! ```
 
 pub mod alg;
-pub mod apply;
 pub mod check;
-pub mod conflict;
+pub mod delta;
 pub mod effects;
 pub mod engine;
 pub mod env;
@@ -51,11 +52,9 @@ pub mod obs;
 pub mod par;
 pub mod planner;
 pub mod server;
-pub mod update;
 
-pub use apply::apply_delta;
 pub use check::{check_program, Diagnostic, Severity};
-pub use conflict::verify_conflict_free;
+pub use delta::{apply_delta, verify_conflict_free, Delta};
 pub use effects::{Effect, EffectAnalysis, Facts};
 pub use engine::{Engine, EngineSnapshot, Error, RunReport};
 pub use env::{DynEnv, Focus, ProgramEnv, Scope};
@@ -65,5 +64,4 @@ pub use obs::{Gauge, MetricsSnapshot, NodeStats, Profile, Registry, TraceSink};
 pub use par::{par_safe, MAX_THREADS, PAR_MIN_ITEMS};
 pub use planner::{program_fingerprint, SharedPlanCache};
 pub use server::{CommitRecord, RequestKind, Response, Server, ServerConfig, ServerStats, Session};
-pub use update::{Delta, UpdateRequest};
 pub use xqsyn::ast::SnapMode;

@@ -20,9 +20,9 @@
 //! * a failed run leaks nothing: constructed nodes that ended up reachable
 //!   from no host binding are swept before the error returns.
 
-use xqcore::{apply_delta, Delta, Engine, Error, SnapMode, UpdateRequest};
+use xqcore::{apply_delta, Delta, Engine, Error, SnapMode};
 use xqdm::store::InsertAnchor;
-use xqdm::QName;
+use xqdm::{QName, RedoOp};
 
 fn engine_with(xml: &str) -> Engine {
     let mut e = Engine::new();
@@ -159,17 +159,18 @@ fn rollback_inside_nested_snap_leaves_outer_scope_usable() {
     ev.begin_snap_scope();
     let good = e.store.new_element(QName::local("good"));
     let bad = e.store.new_element(QName::local("bad"));
-    let mut inner = Delta::new();
-    inner.push(UpdateRequest::Insert {
-        nodes: vec![good],
-        parent: x,
-        anchor: InsertAnchor::Last,
-    });
-    inner.push(UpdateRequest::Insert {
-        nodes: vec![bad],
-        parent: text,
-        anchor: InsertAnchor::Last,
-    });
+    let inner: Delta = vec![
+        RedoOp::Insert {
+            seq: vec![good].into(),
+            parent: x,
+            anchor: InsertAnchor::Last,
+        },
+        RedoOp::Insert {
+            seq: vec![bad].into(),
+            parent: text,
+            anchor: InsertAnchor::Last,
+        },
+    ];
     let mut inner_delta = ev.end_snap_scope();
     inner_delta.extend(inner);
     let err = apply_delta(
@@ -185,12 +186,11 @@ fn rollback_inside_nested_snap_leaves_outer_scope_usable() {
     assert_eq!(e.store.parent(good).unwrap(), None);
 
     // The outer scope continues, collects its own Δ, and commits.
-    let mut outer = Delta::new();
-    outer.push(UpdateRequest::Insert {
-        nodes: vec![outer_node],
+    let outer: Delta = vec![RedoOp::Insert {
+        seq: vec![outer_node].into(),
         parent: x,
         anchor: InsertAnchor::Last,
-    });
+    }];
     // (requests recorded while the scope was open would land here too)
     let _ = ev.end_snap_scope();
     apply_delta(&mut e.store, outer, SnapMode::Ordered, ev.next_apply_seed()).unwrap();

@@ -256,15 +256,69 @@ fn filter_positional_on_plain_sequences() {
 
 #[test]
 fn conflict_detection_allows_attribute_replacements_on_distinct_elements() {
+    // Renaming replacements: a same-named one frees and claims one
+    // attribute slot, which conflicts (next test).
     let mut e = engine_with("<r><x a=\"1\"/><y a=\"2\"/></r>");
     e.run(
         "snap conflict-detection {
-           replace { $doc/r/x/@a } with { attribute a { \"10\" } },
-           replace { $doc/r/y/@a } with { attribute a { \"20\" } } }",
+           replace { $doc/r/x/@a } with { attribute b { \"10\" } },
+           replace { $doc/r/y/@a } with { attribute b { \"20\" } } }",
     )
     .unwrap();
-    assert_eq!(run(&mut e, "string($doc/r/x/@a)"), "10");
-    assert_eq!(run(&mut e, "string($doc/r/y/@a)"), "20");
+    assert_eq!(run(&mut e, "string($doc/r/x/@b)"), "10");
+    assert_eq!(run(&mut e, "string($doc/r/y/@b)"), "20");
+}
+
+#[test]
+fn conflict_detection_rejects_a_same_named_attribute_replacement() {
+    // The detach frees (e, a) and the attach claims it: applied
+    // attach-first the Δ fails on the duplicate name, so it is
+    // order-dependent (conflict rule 6), whatever ordered mode does.
+    let q = |mode: &str| {
+        format!(
+            "let $e := <e a=\"1\"/> return
+               (snap {mode} {{ replace {{ $e/@a }} with {{ attribute a {{ \"2\" }} }} }}, $e)"
+        )
+    };
+    let mut e = Engine::new();
+    let err = e.run(&q("conflict-detection")).unwrap_err();
+    assert!(
+        matches!(&err, Error::Eval(x) if x.code == "XQB0010"),
+        "{err}"
+    );
+    assert_eq!(run(&mut e, &q("ordered")), "<e a=\"2\"/>");
+    // Renaming another attribute onto the freed name conflicts too.
+    let err = e
+        .run(
+            "let $e := <e a=\"1\" b=\"2\"/> return snap conflict-detection {
+               delete { $e/@a }, rename { $e/@b } to { \"a\" } }",
+        )
+        .unwrap_err();
+    assert!(
+        matches!(&err, Error::Eval(x) if x.code == "XQB0010"),
+        "{err}"
+    );
+}
+
+#[test]
+fn renaming_an_attribute_onto_a_sibling_name_fails() {
+    let mut e = Engine::new();
+    let err = e
+        .run(
+            "let $e := <e a=\"1\" b=\"2\"/> return
+               (snap { rename { $e/@a } to \"b\" }, $e)",
+        )
+        .unwrap_err();
+    assert!(
+        matches!(&err, Error::Eval(x) if x.code == "XQB0002"),
+        "{err}"
+    );
+    // The store is unchanged: the document keeps both attributes.
+    let mut e = engine_with("<r><x a=\"1\" b=\"2\"/></r>");
+    assert!(e.run("snap rename { $doc/r/x/@a } to { \"b\" }").is_err());
+    assert_eq!(run(&mut e, "$doc"), "<r><x a=\"1\" b=\"2\"/></r>");
+    // Renaming to its own name is no duplicate.
+    run(&mut e, "snap rename { $doc/r/x/@a } to { \"a\" }");
 }
 
 #[test]

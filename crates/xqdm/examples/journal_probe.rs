@@ -7,16 +7,16 @@
 //! `cargo run --release -p xqdm --example journal_probe`
 
 use std::time::Instant;
-use xqdm::{QName, Store};
+use xqdm::{QName, QNameId, RedoOp, Store};
 
-fn build(k: usize) -> (Store, Vec<xqdm::NodeId>, Vec<QName>) {
+fn build(k: usize) -> (Store, Vec<xqdm::NodeId>, Vec<QNameId>) {
     let mut s = Store::new();
     let mut nodes = Vec::new();
     let mut names = Vec::new();
     // Interleave node and request-name allocations like renames_delta does.
     for i in 0..k {
         nodes.push(s.new_element(QName::local(format!("n{i}"))));
-        names.push(QName::local(format!("r{i}")));
+        names.push(s.intern_qname(&QName::local(format!("r{i}"))));
     }
     (s, nodes, names)
 }
@@ -35,8 +35,8 @@ fn main() {
         {
             let (mut s, nodes, names) = build(K);
             let t = Instant::now();
-            for (&n, name) in nodes.iter().zip(&names) {
-                s.apply_rename(n, name.clone()).unwrap();
+            for (&n, &name) in nodes.iter().zip(&names) {
+                s.apply(RedoOp::Rename { node: n, name }).unwrap();
             }
             let e = t.elapsed().as_nanos();
             raw_total += e;
@@ -47,8 +47,8 @@ fn main() {
             let t = Instant::now();
             s.begin_frame();
             s.journal_reserve(K);
-            for (&n, name) in nodes.iter().zip(&names) {
-                s.apply_rename(n, name.clone()).unwrap();
+            for (&n, &name) in nodes.iter().zip(&names) {
+                s.apply(RedoOp::Rename { node: n, name }).unwrap();
             }
             s.commit_frame();
             let e = t.elapsed().as_nanos();

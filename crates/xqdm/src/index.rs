@@ -379,6 +379,7 @@ mod tests {
     use super::*;
     use crate::qname::QName;
     use crate::store::Store;
+    use crate::wal::RedoOp;
 
     #[test]
     fn value_hash_is_fnv1a() {
@@ -397,12 +398,17 @@ mod tests {
         s.attach_attribute(b, x).unwrap();
         assert!(s.index_verify());
 
-        s.apply_rename(b, QName::local("c")).unwrap();
-        s.set_attribute_value(x, "2").unwrap();
+        let name = s.intern_qname(&QName::local("c"));
+        s.apply(RedoOp::Rename { node: b, name }).unwrap();
+        s.apply(RedoOp::SetAttrValue {
+            node: x,
+            value: "2".into(),
+        })
+        .unwrap();
         assert!(s.index_verify());
 
         // Collect the whole forest away.
-        s.detach(b).unwrap();
+        s.apply(RedoOp::Detach { node: b }).unwrap();
         s.collect_garbage(&[a]).unwrap();
         assert!(s.index_verify());
     }

@@ -42,7 +42,7 @@ pub use qname::QName;
 pub use store::{KernelTest, Scratch, Store};
 pub use symbols::{QNameId, SymbolId, Symbols};
 pub use version::{Pinned, VersionSet};
-pub use wal::{CommitReceipt, RecoveryReport, SyncMode};
+pub use wal::{CommitReceipt, RecoveryReport, RedoOp, SyncMode};
 
 // Parallel evaluation of effect-free regions (xqcore's DESIGN.md §9
 // feature) shares the store across scoped worker threads as `&Store`.

@@ -5,10 +5,12 @@
 //!
 //! 1. **XDM accessors and constructors** — `parent`, `children`,
 //!    `attributes`, `node_name`, `string_value`, plus `new_element` & co.;
-//! 2. **Update-request applications** — `apply_insert`, `detach` (the
-//!    paper's delete-as-detach), `apply_rename`, each a *partial function*
-//!    whose preconditions mirror §3.2 (inserted nodes must be parentless,
-//!    the insertion anchor must be a child of the parent, no cycles);
+//! 2. **Update-request applications** — `Store::apply` of a
+//!    [`crate::RedoOp`] (`Insert`, `AttachAttr`, `Detach` — the paper's
+//!    delete-as-detach —, `Rename`, `SetText`, `SetAttrValue`), each a
+//!    *partial function* whose preconditions mirror §3.2 (inserted nodes
+//!    must be parentless, the insertion anchor must be a child of the
+//!    parent, no cycles, one attribute per name);
 //! 3. **Housekeeping the paper flags as the hard parts** (§4.1): document
 //!    order over a mutable forest, and garbage accounting for nodes that
 //!    are detached and unreachable yet persistent.

@@ -4,8 +4,9 @@
 //! which owns the whole sequence: record the forward op (when a redo log
 //! is attached), validate the paper's
 //! preconditions (§3.2: update requests are *partial* functions on
-//! stores), perform the raw slot writes and journal their inverses. The
-//! public constructors and update applications are typed one-line
+//! stores), perform the raw slot writes and journal their inverses.
+//! `apply` is also the public update entry point: a pending update list
+//! Δ is a list of these ops. The constructors are typed one-line
 //! wrappers; log recovery is one loop over decoded ops.
 
 use super::journal::UndoEntry;
@@ -21,9 +22,11 @@ use std::collections::HashSet;
 const OKEY_STRIDE: u64 = 1 << 32;
 
 impl Store {
-    /// Apply one forward op. On `Err` the op changed nothing and left no
-    /// trace in the log or the journal.
-    pub(crate) fn apply(&mut self, op: RedoOp<'_>) -> XdmResult<()> {
+    /// Apply one forward op — an update request of §3.2, a partial
+    /// function on stores whose preconditions [`RedoOp`]'s variants list.
+    /// On `Err` the op changed nothing and left no trace in the log or the
+    /// journal.
+    pub fn apply(&mut self, op: RedoOp<'_>) -> XdmResult<()> {
         // Record first, while the op still owns its payload (the slot
         // writes below consume it); an op that fails or turns out to be a
         // no-op is forgotten again.
@@ -272,9 +275,21 @@ impl Store {
     }
 
     fn rename(&mut self, id: NodeId, name: QNameId) -> XdmResult<bool> {
-        match &self.slots.alive(id)?.kind {
-            NodeKind::Element { .. } | NodeKind::Attribute { .. } => {}
-            k => {
+        let d = self.slots.alive(id)?;
+        match (&d.kind, d.parent) {
+            (NodeKind::Attribute { .. }, Some(owner)) => {
+                // As `attach` checks: one owner, one attribute per name.
+                for &other in self.attributes(owner)? {
+                    if other != id && self.name_id(other)? == Some(name) {
+                        return Err(XdmError::precondition(format!(
+                            "duplicate attribute \"{}\"",
+                            self.symbols.qname_string(name)
+                        )));
+                    }
+                }
+            }
+            (NodeKind::Element { .. } | NodeKind::Attribute { .. }, _) => {}
+            (k, _) => {
                 return Err(XdmError::precondition(format!(
                     "cannot rename a {} node",
                     k.kind_name()
@@ -291,11 +306,7 @@ impl Store {
         match (&self.slots.alive(id)?.kind, text) {
             (NodeKind::Text { .. }, true) | (NodeKind::Attribute { .. }, false) => {}
             (k, _) => {
-                let op = if text {
-                    "set_text"
-                } else {
-                    "set_attribute_value"
-                };
+                let op = if text { "SetText" } else { "SetAttrValue" };
                 return Err(XdmError::precondition(format!(
                     "{op} on a {} node",
                     k.kind_name()
@@ -388,12 +399,16 @@ impl Store {
     }
 
     // ------------------------------------------------------------------
-    // Update-request applications (paper §3.2: partial functions on stores)
+    // Update helpers
     // ------------------------------------------------------------------
 
     /// Append `child` as the last child of `parent`.
     pub fn append_child(&mut self, parent: NodeId, child: NodeId) -> XdmResult<()> {
-        self.apply_insert(&[child], parent, InsertAnchor::Last)
+        self.apply(RedoOp::Insert {
+            seq: std::slice::from_ref(&child).into(),
+            parent,
+            anchor: InsertAnchor::Last,
+        })
     }
 
     /// Attach `attr` (an attribute node) to `element`.
@@ -404,54 +419,10 @@ impl Store {
         self.apply(RedoOp::AttachAttr { element, attr })
     }
 
-    /// Apply `insert(nodeseq, nodepar, nodepos)`: splice the nodes of `seq`
-    /// into `parent`'s children at `anchor`.
-    ///
-    /// Preconditions (the paper's, plus cycle safety):
-    /// * every node of `seq` is alive, parentless, and not an attribute or
-    ///   document node;
-    /// * `parent` is a container (document or element);
-    /// * an `After(pos)` anchor names a current child of `parent`;
-    /// * no node of `seq` is `parent` itself or an ancestor of `parent`.
-    pub fn apply_insert(
-        &mut self,
-        seq: &[NodeId],
-        parent: NodeId,
-        anchor: InsertAnchor,
-    ) -> XdmResult<()> {
-        self.apply(RedoOp::Insert {
-            seq: seq.into(),
-            parent,
-            anchor,
-        })
-    }
-
-    /// Apply `delete(node)` with the paper's **detach** semantics (§3.1):
-    /// the node is removed from its parent's child/attribute list but stays
-    /// alive and queryable; detaching an already-detached node is a no-op.
-    pub fn detach(&mut self, node: NodeId) -> XdmResult<()> {
-        self.apply(RedoOp::Detach { node })
-    }
-
-    /// Apply `rename(node, name)`. Precondition: the node is an element or
-    /// attribute.
-    pub fn apply_rename(&mut self, node: NodeId, name: QName) -> XdmResult<()> {
-        let name = self.symbols.intern_qname(&name);
-        self.apply(RedoOp::Rename { node, name })
-    }
-
-    /// Replace the content of a text node, keeping its identity: the
-    /// application of `replace value of` on a text target.
-    pub fn set_text(&mut self, node: NodeId, content: impl Into<String>) -> XdmResult<()> {
-        let content = content.into();
-        self.apply(RedoOp::SetText { node, content })
-    }
-
-    /// Replace the value of an attribute node, keeping its identity: the
-    /// application of `replace value of` on an attribute target.
-    pub fn set_attribute_value(&mut self, node: NodeId, value: impl Into<String>) -> XdmResult<()> {
-        let value = value.into();
-        self.apply(RedoOp::SetAttrValue { node, value })
+    /// Intern `name` into this store's symbol table: the id a
+    /// [`RedoOp::Rename`] against this store carries.
+    pub fn intern_qname(&mut self, name: &QName) -> QNameId {
+        self.symbols.intern_qname(name)
     }
 
     // ------------------------------------------------------------------

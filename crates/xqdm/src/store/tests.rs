@@ -3,11 +3,26 @@
 //! exact rollback.
 
 use super::*;
+use crate::wal::RedoOp;
 use crate::QName;
 use std::cmp::Ordering;
 
 fn q(s: &str) -> QName {
     QName::local(s)
+}
+
+fn insert(seq: &[NodeId], parent: NodeId, anchor: InsertAnchor) -> RedoOp<'_> {
+    RedoOp::Insert {
+        seq: seq.into(),
+        parent,
+        anchor,
+    }
+}
+
+/// A rename of `node` to the local name `name`, interned in `s`.
+fn rename_to(s: &mut Store, node: NodeId, name: &str) -> RedoOp<'static> {
+    let name = s.intern_qname(&q(name));
+    RedoOp::Rename { node, name }
 }
 
 /// Build `<a><b>hi</b><c x="1"/></a>` and return (store, a, b, c, text).
@@ -46,9 +61,9 @@ fn insert_anchors() {
     let c1 = s.new_element(q("c1"));
     let c2 = s.new_element(q("c2"));
     let c3 = s.new_element(q("c3"));
-    s.apply_insert(&[c2], p, InsertAnchor::Last).unwrap();
-    s.apply_insert(&[c1], p, InsertAnchor::First).unwrap();
-    s.apply_insert(&[c3], p, InsertAnchor::After(c2)).unwrap();
+    s.apply(insert(&[c2], p, InsertAnchor::Last)).unwrap();
+    s.apply(insert(&[c1], p, InsertAnchor::First)).unwrap();
+    s.apply(insert(&[c3], p, InsertAnchor::After(c2))).unwrap();
     assert_eq!(s.children(p).unwrap(), &[c1, c2, c3]);
 }
 
@@ -57,7 +72,7 @@ fn insert_sequence_preserves_order() {
     let mut s = Store::new();
     let p = s.new_element(q("p"));
     let xs: Vec<NodeId> = (0..5).map(|i| s.new_element(q(&format!("x{i}")))).collect();
-    s.apply_insert(&xs, p, InsertAnchor::Last).unwrap();
+    s.apply(insert(&xs, p, InsertAnchor::Last)).unwrap();
     assert_eq!(s.children(p).unwrap(), &xs[..]);
 }
 
@@ -67,19 +82,19 @@ fn insert_preconditions() {
     let d = s.new_element(q("d"));
     // b already has a parent.
     assert_eq!(
-        s.apply_insert(&[b], d, InsertAnchor::Last)
+        s.apply(insert(&[b], d, InsertAnchor::Last))
             .unwrap_err()
             .code,
         "XQB0002"
     );
     // anchor not a child of parent
-    assert!(s.apply_insert(&[d], a, InsertAnchor::After(d)).is_err());
+    assert!(s.apply(insert(&[d], a, InsertAnchor::After(d))).is_err());
     // inserting into a text node
     let t2 = s.new_text("t");
-    assert!(s.apply_insert(&[d], t2, InsertAnchor::Last).is_err());
+    assert!(s.apply(insert(&[d], t2, InsertAnchor::Last)).is_err());
     // attribute as child
     let at = s.new_attribute(q("y"), "2");
-    assert!(s.apply_insert(&[at], a, InsertAnchor::Last).is_err());
+    assert!(s.apply(insert(&[at], a, InsertAnchor::Last)).is_err());
 }
 
 #[test]
@@ -87,34 +102,34 @@ fn insert_rejects_cycles() {
     let (mut s, a, b, _c, _t) = sample();
     // detach a's subtree root "a" has no parent; inserting a into b (its
     // own descendant) must fail.
-    assert!(s.apply_insert(&[a], b, InsertAnchor::Last).is_err());
+    assert!(s.apply(insert(&[a], b, InsertAnchor::Last)).is_err());
     // And self-insertion.
     let e = s.new_element(q("e"));
-    assert!(s.apply_insert(&[e], e, InsertAnchor::Last).is_err());
+    assert!(s.apply(insert(&[e], e, InsertAnchor::Last)).is_err());
 }
 
 #[test]
 fn detach_semantics() {
     let (mut s, a, b, c, t) = sample();
-    s.detach(b).unwrap();
+    s.apply(RedoOp::Detach { node: b }).unwrap();
     assert_eq!(s.children(a).unwrap(), &[c]);
     assert_eq!(s.parent(b).unwrap(), None);
     // Paper §3.1: a detached node can still be queried...
     assert_eq!(s.string_value(b).unwrap(), "hi");
     assert_eq!(s.parent(t).unwrap(), Some(b));
     // ...and inserted somewhere else.
-    s.apply_insert(&[b], c, InsertAnchor::Last).unwrap();
+    s.apply(insert(&[b], c, InsertAnchor::Last)).unwrap();
     assert_eq!(s.parent(b).unwrap(), Some(c));
     // Detaching a detached node is a no-op.
     let d = s.new_element(q("d"));
-    s.detach(d).unwrap();
+    s.apply(RedoOp::Detach { node: d }).unwrap();
 }
 
 #[test]
 fn detach_attribute() {
     let (mut s, _a, _b, c, _t) = sample();
     let x = s.attribute_by_name(c, "x").unwrap().unwrap();
-    s.detach(x).unwrap();
+    s.apply(RedoOp::Detach { node: x }).unwrap();
     assert_eq!(s.attributes(c).unwrap(), &[]);
     assert_eq!(s.parent(x).unwrap(), None);
     assert_eq!(s.string_value(x).unwrap(), "1");
@@ -123,12 +138,35 @@ fn detach_attribute() {
 #[test]
 fn rename() {
     let (mut s, a, _b, c, t) = sample();
-    s.apply_rename(a, q("z")).unwrap();
+    let op = rename_to(&mut s, a, "z");
+    s.apply(op).unwrap();
     assert_eq!(s.name(a).unwrap().unwrap().local, "z");
     let x = s.attribute_by_name(c, "x").unwrap().unwrap();
-    s.apply_rename(x, q("y")).unwrap();
+    let op = rename_to(&mut s, x, "y");
+    s.apply(op).unwrap();
     assert_eq!(s.attribute_by_name(c, "y").unwrap(), Some(x));
-    assert!(s.apply_rename(t, q("nope")).is_err());
+    let op = rename_to(&mut s, t, "nope");
+    assert!(s.apply(op).is_err());
+}
+
+#[test]
+fn renaming_an_attribute_onto_a_sibling_name_fails() {
+    let mut s = Store::new();
+    let e = s.new_element(q("e"));
+    let a = s.new_attribute(q("a"), "1");
+    let b = s.new_attribute(q("b"), "2");
+    s.attach_attribute(e, a).unwrap();
+    s.attach_attribute(e, b).unwrap();
+    let before = s.fingerprint();
+    let op = rename_to(&mut s, a, "b");
+    assert_eq!(s.apply(op).unwrap_err().code, "XQB0002");
+    assert_eq!(s.fingerprint(), before);
+    // Renaming to its own name, or once detached, is fine.
+    let op = rename_to(&mut s, a, "a");
+    s.apply(op).unwrap();
+    s.apply(RedoOp::Detach { node: a }).unwrap();
+    let op = rename_to(&mut s, a, "b");
+    s.apply(op).unwrap();
 }
 
 #[test]
@@ -141,7 +179,7 @@ fn deep_copy_is_detached_and_equal_shaped() {
     assert_eq!(s.children(copy).unwrap().len(), 2);
     // Mutating the copy leaves the original alone.
     let nc = s.children(copy).unwrap()[0];
-    s.detach(nc).unwrap();
+    s.apply(RedoOp::Detach { node: nc }).unwrap();
     assert_eq!(s.children(a).unwrap().len(), 2);
 }
 
@@ -177,8 +215,8 @@ fn order_tracks_mutation() {
     s.append_child(p, c2).unwrap();
     assert_eq!(s.cmp_doc_order(c1, c2).unwrap(), Ordering::Less);
     // Move c1 after c2.
-    s.detach(c1).unwrap();
-    s.apply_insert(&[c1], p, InsertAnchor::After(c2)).unwrap();
+    s.apply(RedoOp::Detach { node: c1 }).unwrap();
+    s.apply(insert(&[c1], p, InsertAnchor::After(c2))).unwrap();
     assert_eq!(s.cmp_doc_order(c1, c2).unwrap(), Ordering::Greater);
 }
 
@@ -200,7 +238,7 @@ fn descendants_preorder() {
 #[test]
 fn garbage_accounting_and_collection() {
     let (mut s, a, b, _c, _t) = sample();
-    s.detach(b).unwrap();
+    s.apply(RedoOp::Detach { node: b }).unwrap();
     // Root set = {a}: b's subtree (b + text) is garbage.
     let st = s.stats(&[a]).unwrap();
     assert_eq!(st.alive, 5);
@@ -239,19 +277,27 @@ fn dangling_ids_error() {
     s.collect_garbage(&[a]).unwrap();
     assert_eq!(s.kind(b).unwrap_err().code, "XQB0001");
     assert!(s.parent(b).is_err());
-    assert!(s.detach(b).is_err());
+    assert!(s.apply(RedoOp::Detach { node: b }).is_err());
 }
 
 #[test]
 fn set_text_and_attribute_value() {
     let (mut s, _a, _b, c, t) = sample();
-    s.set_text(t, "bye").unwrap();
+    let set_text = |node, content: &str| RedoOp::SetText {
+        node,
+        content: content.into(),
+    };
+    let set_value = |node, value: &str| RedoOp::SetAttrValue {
+        node,
+        value: value.into(),
+    };
+    s.apply(set_text(t, "bye")).unwrap();
     assert_eq!(s.string_value(t).unwrap(), "bye");
     let x = s.attribute_by_name(c, "x").unwrap().unwrap();
-    s.set_attribute_value(x, "2").unwrap();
+    s.apply(set_value(x, "2")).unwrap();
     assert_eq!(s.string_value(x).unwrap(), "2");
-    assert!(s.set_text(c, "no").is_err());
-    assert!(s.set_attribute_value(t, "no").is_err());
+    assert!(s.apply(set_text(c, "no")).is_err());
+    assert!(s.apply(set_value(t, "no")).is_err());
 }
 
 #[test]
@@ -269,7 +315,7 @@ fn gap_keys_survive_pathological_insertion_order() {
         } else {
             InsertAnchor::After(expected[at - 1])
         };
-        s.apply_insert(&[c], p, anchor).unwrap();
+        s.apply(insert(&[c], p, anchor)).unwrap();
         expected.insert(at, c);
     }
     assert_eq!(s.children(p).unwrap(), &expected[..]);
@@ -290,7 +336,8 @@ fn gap_keys_force_renumbering() {
     s.append_child(p, first).unwrap();
     for i in 0..100 {
         let c = s.new_element(q(&format!("c{i}")));
-        s.apply_insert(&[c], p, InsertAnchor::After(first)).unwrap();
+        s.apply(insert(&[c], p, InsertAnchor::After(first)))
+            .unwrap();
     }
     let children = s.children(p).unwrap().to_vec();
     assert_eq!(children.len(), 101);
@@ -305,8 +352,8 @@ fn gap_keys_force_renumbering() {
 #[test]
 fn scan_and_gap_order_agree_after_moves() {
     let (mut s, a, b, c, t) = sample();
-    s.detach(b).unwrap();
-    s.apply_insert(&[b], a, InsertAnchor::After(c)).unwrap();
+    s.apply(RedoOp::Detach { node: b }).unwrap();
+    s.apply(insert(&[b], a, InsertAnchor::After(c))).unwrap();
     for &x in &[a, b, c, t] {
         for &y in &[a, b, c, t] {
             assert_eq!(
@@ -375,7 +422,8 @@ fn rollback_survives_renumbering() {
     s.begin_frame();
     for i in 0..100 {
         let c = s.new_element(q(&format!("c{i}")));
-        s.apply_insert(&[c], p, InsertAnchor::After(first)).unwrap();
+        s.apply(insert(&[c], p, InsertAnchor::After(first)))
+            .unwrap();
     }
     s.rollback_frame();
     assert_eq!(observable(&s), before);
@@ -431,7 +479,7 @@ fn string_value_survives_million_deep_chain() {
 #[test]
 fn reclaim_unreachable_is_targeted() {
     let (mut s, a, b, _c, _t) = sample();
-    s.detach(b).unwrap(); // pre-existing garbage: b + its text
+    s.apply(RedoOp::Detach { node: b }).unwrap(); // pre-existing garbage: b + its text
     let orphan = s.new_element(q("orphan"));
     let kept = s.new_element(q("kept"));
     s.append_child(a, kept).unwrap();
@@ -473,9 +521,10 @@ fn failed_and_no_op_mutations_log_nothing() {
     s.append_child(b, t).unwrap();
     let loose = s.new_element(q("loose"));
     s.wal_commit().unwrap();
-    assert!(s.apply_insert(&[b], a, InsertAnchor::Last).is_err());
-    assert!(s.apply_rename(t, q("nope")).is_err());
-    s.detach(loose).unwrap(); // already parentless: a no-op
+    assert!(s.apply(insert(&[b], a, InsertAnchor::Last)).is_err());
+    let op = rename_to(&mut s, t, "nope");
+    assert!(s.apply(op).is_err());
+    s.apply(RedoOp::Detach { node: loose }).unwrap(); // already parentless: a no-op
     assert_eq!(s.journal.forward.len(), 0);
     drop(s);
     let _ = std::fs::remove_dir_all(&dir);
@@ -483,9 +532,8 @@ fn failed_and_no_op_mutations_log_nothing() {
 
 #[test]
 fn failed_collect_is_atomic() {
-    use crate::wal::RedoOp;
     let (mut s, a, b, _c, _t) = sample();
-    s.detach(b).unwrap();
+    s.apply(RedoOp::Detach { node: b }).unwrap();
     let before = s.fingerprint();
     // A repeated id fails on its second visit, a dead one on its first:
     // neither may retire the ids before it.

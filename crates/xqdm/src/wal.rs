@@ -77,42 +77,93 @@ impl std::fmt::Display for SyncMode {
     }
 }
 
-/// One logical forward operation: the request [`Store::apply`] executes
-/// and, encoded, the record the redo log carries. In memory it is
-/// transient and store-relative — names are interned ids of the applying
-/// store, id lists may be borrowed — so a mutation with no log attached
-/// builds nothing. It becomes
-/// store-independent at the byte boundary: [`RedoOp::encode`] resolves
-/// names lexically into the pinned `wal_v1` record format and
-/// [`RedoOp::decode`] interns them into the replaying store. Order keys
-/// are deliberately *not* part of an op — replay goes through `apply`,
-/// which recomputes them (and the free list, and therefore every node
-/// id) deterministically from the same history.
+/// One logical forward operation: what [`Store::apply`] executes, what a
+/// pending update list Δ holds (paper §3.2: each op is a partial function
+/// on stores) and, encoded, the record the redo log carries. In memory it
+/// is store-relative — names are interned ids of the applying store, id
+/// lists may be borrowed — so a mutation with no log attached builds
+/// nothing. It becomes store-independent at the byte boundary:
+/// [`RedoOp::encode`] resolves names lexically into the pinned `wal_v1`
+/// record format and [`RedoOp::decode`] interns them into the replaying
+/// store. Order keys are deliberately *not* part of an op — replay goes
+/// through `apply`, which recomputes them (and the free list, and
+/// therefore every node id) deterministically from the same history.
+///
+/// The six update ops are public; `Alloc` and `Collect` are the store's
+/// own (constructors and garbage collection build them) and cannot be
+/// constructed outside this crate, so a Δ holds update ops only.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum RedoOp<'a> {
+pub enum RedoOp<'a> {
     /// Slot `id` comes alive with the at-birth payload `kind` (containers
     /// are born empty). `id` must be the store's next free slot: trivially
     /// true going forward, the corruption check on log replay.
-    Alloc { id: NodeId, kind: NodeKind },
-    /// `seq` is spliced into `parent` at `anchor`.
+    #[non_exhaustive]
+    Alloc {
+        /// The slot born.
+        id: NodeId,
+        /// Its at-birth payload.
+        kind: NodeKind,
+    },
+    /// `insert(nodeseq, nodepar, nodepos)`: `seq` is spliced into
+    /// `parent`'s children at `anchor`. Preconditions: every node of `seq`
+    /// is alive, parentless, and not an attribute or document node;
+    /// `parent` is a container; an `After(pos)` anchor is a child of
+    /// `parent`; no node of `seq` is `parent` or one of its ancestors.
     Insert {
+        /// The nodes to splice, in order.
         seq: Cow<'a, [NodeId]>,
+        /// The insertion parent.
         parent: NodeId,
+        /// Where among `parent`'s children.
         anchor: InsertAnchor,
     },
-    /// `attr` is pushed onto `element`'s attribute list.
-    AttachAttr { element: NodeId, attr: NodeId },
-    /// `node` is detached from its parent.
-    Detach { node: NodeId },
-    /// `node` is renamed to `name`.
-    Rename { node: NodeId, name: QNameId },
-    /// A text node's content is replaced.
-    SetText { node: NodeId, content: String },
-    /// An attribute node's value is replaced.
-    SetAttrValue { node: NodeId, value: String },
+    /// `attr` is pushed onto `element`'s attribute list. Preconditions:
+    /// `attr` is a parentless attribute, `element` an element without an
+    /// attribute of that name.
+    AttachAttr {
+        /// The owner element.
+        element: NodeId,
+        /// The parentless attribute node.
+        attr: NodeId,
+    },
+    /// `delete(node)` with the paper's detach semantics (§3.1): `node` is
+    /// detached from its parent but stays alive and queryable; detaching
+    /// a parentless node changes nothing.
+    Detach {
+        /// The node to detach.
+        node: NodeId,
+    },
+    /// `rename(node, name)`. Preconditions: `node` is an element or an
+    /// attribute, and an attribute's owner has no other attribute named
+    /// `name`.
+    Rename {
+        /// The element or attribute.
+        node: NodeId,
+        /// The new name, interned in the applying store
+        /// ([`Store::intern_qname`]).
+        name: QNameId,
+    },
+    /// `replace value of` on a text node: its content is replaced.
+    SetText {
+        /// The text node.
+        node: NodeId,
+        /// The new content.
+        content: String,
+    },
+    /// `replace value of` on an attribute node: its value is replaced.
+    SetAttrValue {
+        /// The attribute node.
+        node: NodeId,
+        /// The new value.
+        value: String,
+    },
     /// Exactly these slots are reclaimed, in this order (the order fixes
     /// the free list, hence future allocation).
-    Collect { ids: Cow<'a, [NodeId]> },
+    #[non_exhaustive]
+    Collect {
+        /// The slots reclaimed.
+        ids: Cow<'a, [NodeId]>,
+    },
 }
 
 // ----------------------------------------------------------------------

@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use xquery_bang::xqdm::SyncMode;
+use xquery_bang::xqdm::{RedoOp, SyncMode};
 use xquery_bang::{Engine, Store};
 
 /// A fresh, unique temp directory per test case (avoids collisions across
@@ -279,7 +279,7 @@ fn undo_journal_capacity_stays_bounded_across_10k_commits() {
         let child = store.new_element(QName::local(format!("c{}", i % 7)));
         store.append_child(root, child).unwrap();
         if i % 3 == 0 {
-            store.detach(child).unwrap();
+            store.apply(RedoOp::Detach { node: child }).unwrap();
         }
         store.commit_frame();
         max_cap = max_cap.max(store.journal_capacity());

@@ -18,7 +18,7 @@
 use proptest::prelude::*;
 use xquery_bang::xqdm::item::deep_equal_nodes;
 use xquery_bang::xqdm::store::InsertAnchor;
-use xquery_bang::xqdm::{NodeId, QName, Store, SyncMode};
+use xquery_bang::xqdm::{NodeId, QName, RedoOp, Store, SyncMode};
 
 /// One scripted operation, with indices resolved modulo the live node set.
 #[derive(Debug, Clone)]
@@ -131,16 +131,26 @@ fn run_op(store: &mut Store, nodes: &mut Vec<NodeId>, op: &Op) {
                 let _ = store.attach_attribute(o, a);
             }
             Op::SetAttrValue { node, value } => {
-                let _ = store.set_attribute_value(pick(*node), format!("v{value}"));
+                let _ = store.apply(RedoOp::SetAttrValue {
+                    node: pick(*node),
+                    value: format!("v{value}"),
+                });
             }
             Op::SetText { node, text } => {
-                let _ = store.set_text(pick(*node), format!("t{text}"));
+                let _ = store.apply(RedoOp::SetText {
+                    node: pick(*node),
+                    content: format!("t{text}"),
+                });
             }
             Op::Detach(n) => {
-                let _ = store.detach(pick(*n));
+                let _ = store.apply(RedoOp::Detach { node: pick(*n) });
             }
             Op::Rename { node, name } => {
-                let _ = store.apply_rename(pick(*node), QName::local(format!("r{name}")));
+                let name = store.intern_qname(&QName::local(format!("r{name}")));
+                let _ = store.apply(RedoOp::Rename {
+                    node: pick(*node),
+                    name,
+                });
             }
             Op::DeepCopy(n) => {
                 if let Ok(c) = store.deep_copy(pick(*n)) {
@@ -151,8 +161,12 @@ fn run_op(store: &mut Store, nodes: &mut Vec<NodeId>, op: &Op) {
                 let (n, a) = (pick(*node), pick(*anchor));
                 if n != a && store.parent(a).ok().flatten().is_some() {
                     let parent = store.parent(a).unwrap().unwrap();
-                    if store.detach(n).is_ok() {
-                        let _ = store.apply_insert(&[n], parent, InsertAnchor::After(a));
+                    if store.apply(RedoOp::Detach { node: n }).is_ok() {
+                        let _ = store.apply(RedoOp::Insert {
+                            seq: vec![n].into(),
+                            parent,
+                            anchor: InsertAnchor::After(a),
+                        });
                     }
                 }
             }
@@ -309,7 +323,7 @@ proptest! {
         renames in proptest::collection::vec((any::<usize>(), 0u8..12), 1..8),
         mode_pick in 0u8..3,
     ) {
-        use xquery_bang::xqcore::{apply_delta, Delta, SnapMode, UpdateRequest};
+        use xquery_bang::xqcore::{apply_delta, Delta, SnapMode};
         let (mut store, nodes) = run_script(&ops);
         let pick_element = |store: &Store, i: usize| -> NodeId {
             (0..nodes.len())
@@ -320,9 +334,9 @@ proptest! {
         let delta: Delta = renames
             .iter()
             .enumerate()
-            .map(|(slot, (i, name))| UpdateRequest::Rename {
+            .map(|(slot, (i, name))| RedoOp::Rename {
                 node: pick_element(&store, *i),
-                name: QName::local(format!("d{name}x{slot}")),
+                name: store.intern_qname(&QName::local(format!("d{name}x{slot}"))),
             })
             .collect();
         let mode = [SnapMode::Ordered, SnapMode::Nondeterministic, SnapMode::ConflictDetection]
@@ -474,7 +488,7 @@ proptest! {
         let (mut store, nodes) = run_script(&ops);
         let n = nodes[pick % nodes.len()];
         let before = store.string_value(n).unwrap();
-        store.detach(n).unwrap();
+        store.apply(RedoOp::Detach { node: n }).unwrap();
         // Paper §3.1: detach does not erase.
         prop_assert!(store.is_alive(n));
         prop_assert_eq!(store.string_value(n).unwrap(), before);
@@ -487,7 +501,7 @@ proptest! {
         req_specs in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..10),
         poison_slot in any::<usize>()
     ) {
-        use xquery_bang::xqcore::{apply_delta, Delta, SnapMode, UpdateRequest};
+        use xquery_bang::xqcore::{apply_delta, Delta, SnapMode};
         let (mut store, nodes) = run_script(&ops);
 
         // An element pick: scan forward from the index until a named
@@ -502,17 +516,17 @@ proptest! {
         // Valid requests (renames, appends of fresh elements) with one
         // guaranteed-failing poison — an insert into a text node — spliced
         // in at a random position.
-        let mut requests = Vec::new();
+        let mut requests: Delta = Vec::new();
         for (slot, (i, kind)) in req_specs.iter().enumerate() {
             if kind % 2 == 0 {
-                requests.push(UpdateRequest::Rename {
+                requests.push(RedoOp::Rename {
                     node: pick_element(&store, *i),
-                    name: QName::local(format!("q{slot}")),
+                    name: store.intern_qname(&QName::local(format!("q{slot}"))),
                 });
             } else {
                 let fresh = store.new_element(QName::local(format!("f{slot}")));
-                requests.push(UpdateRequest::Insert {
-                    nodes: vec![fresh],
+                requests.push(RedoOp::Insert {
+                    seq: vec![fresh].into(),
                     parent: pick_element(&store, *i),
                     anchor: InsertAnchor::Last,
                 });
@@ -520,8 +534,8 @@ proptest! {
         }
         let poison_parent = store.new_text("poison");
         let poison_child = store.new_element(QName::local("p"));
-        requests.insert(poison_slot % (requests.len() + 1), UpdateRequest::Insert {
-            nodes: vec![poison_child],
+        requests.insert(poison_slot % (requests.len() + 1), RedoOp::Insert {
+            seq: vec![poison_child].into(),
             parent: poison_parent,
             anchor: InsertAnchor::Last,
         });
@@ -530,7 +544,7 @@ proptest! {
         // allocated above: they are pre-state, so rollback preserves them.
         let mut tracked = nodes.clone();
         for req in &requests {
-            if let UpdateRequest::Insert { nodes: payload, parent, .. } = req {
+            if let RedoOp::Insert { seq: payload, parent, .. } = req {
                 tracked.extend(payload.iter().copied());
                 tracked.push(*parent);
             }
@@ -544,7 +558,7 @@ proptest! {
             (SnapMode::Nondeterministic, poison_slot as u64),
             (SnapMode::ConflictDetection, 0u64),
         ] {
-            let delta: Delta = requests.iter().cloned().collect();
+            let delta = requests.clone();
             // The poison always fails its precondition (XQB0002); in
             // conflict-detection mode verification may reject first
             // (XQB0010). Either way the store must come back untouched.
