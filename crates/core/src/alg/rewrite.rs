@@ -13,7 +13,7 @@
 //! | rule | rewrite | guard |
 //! |------|---------|-------|
 //! | dead-let | `let $x := V return B` → `B` when `B` doesn't use `$x` | `V` produces no update requests (dropping it must not change Δ) |
-//! | let-inline | single-use `let $x := V return B` → `B[V/$x]` | `V` pure *and* `B` applies no snap (a snap between binding and use would change what `V` reads); `V` is no `for` (a bound FLWOR is what the join compiler unnests, §4.3) |
+//! | let-inline | single-use `let $x := V return B` → `B[V/$x]` | `V` pure *and* `B` applies no snap (a snap between binding and use would change what `V` reads); `V` is no `for` (a bound FLWOR is what the join compiler unnests, §4.3); no binder in `B` rebinds a variable `V` mentions (no renaming: a captured `V` stays bound) |
 //! | const-fold | `1 + 2` → `3`, comparisons, EBV-known `if` | operands constant; never folds expressions that could error differently |
 //! | if-fold | `if (true()) then A else B` → `A` | condition constant; the dropped branch must produce no updates (it was never evaluated anyway — the guard is only needed because folding erases the *possibility* of reporting its errors, which XQuery 1.0 permits) |
 //! | empty-for | `for $x in () return B` → `()` | source is literally `()` |
@@ -22,7 +22,7 @@
 use crate::{Effect, EffectAnalysis};
 use xqdm::atomic::{arithmetic, Atomic};
 use xqdm::item::Item;
-use xqsyn::core::{Core, CoreName};
+use xqsyn::core::Core;
 
 /// Apply the guarded rewrites bottom-up until a fixpoint (bounded — each
 /// pass strictly shrinks or leaves the tree unchanged).
@@ -41,7 +41,7 @@ pub fn simplify(core: &Core, analysis: &EffectAnalysis) -> Core {
 /// One bottom-up pass.
 fn pass(core: &Core, a: &EffectAnalysis) -> Core {
     // Rebuild with simplified children first.
-    let rebuilt = map_children(core, &mut |c| pass(c, a));
+    let rebuilt = core.map_children(|c, _| pass(c, a));
     rewrite_node(rebuilt, a)
 }
 
@@ -56,10 +56,13 @@ fn rewrite_node(core: Core, a: &EffectAnalysis) -> Core {
             // ---- let-inline (single use, pure value, snap-free body) ----
             // A FLWOR value stays bound: inlined into the body it becomes
             // a nested loop the join compiler cannot unnest (paper §4.3).
+            // A value whose variable a body binder rebinds stays bound too:
+            // there is no renaming, so the inline is refused.
             if uses == 1
                 && a.effect(&value) == Effect::Pure
                 && a.effect(&body).order_free()
                 && !matches!(*value, Core::For { .. } | Core::SortedFor { .. })
+                && !captures(&body, &value)
             {
                 return substitute(&body, &var, &value);
             }
@@ -135,246 +138,43 @@ fn is_singleton(core: &Core) -> bool {
 
 /// Count free uses of `$var` in `body` (stopping at shadowing binders).
 fn count_var_uses(body: &Core, var: &str) -> usize {
-    match body {
-        Core::Var(v) => usize::from(v == var),
-        Core::For {
-            var: v,
-            position,
-            source,
-            body: b,
-        } => {
-            let mut n = count_var_uses(source, var);
-            let shadowed = v == var || position.as_deref() == Some(var);
-            if !shadowed {
-                n += count_var_uses(b, var);
-            }
-            n
-        }
-        Core::Let {
-            var: v,
-            value,
-            body: b,
-        } => {
-            let mut n = count_var_uses(value, var);
-            if v != var {
-                n += count_var_uses(b, var);
-            }
-            n
-        }
-        Core::Quantified {
-            var: v,
-            source,
-            satisfies,
-            ..
-        } => {
-            let mut n = count_var_uses(source, var);
-            if v != var {
-                n += count_var_uses(satisfies, var);
-            }
-            n
-        }
-        Core::SortedFor {
-            var: v,
-            source,
-            keys,
-            body: b,
-        } => {
-            let mut n = count_var_uses(source, var);
-            if v != var {
-                for k in keys {
-                    n += count_var_uses(&k.key, var);
-                }
-                n += count_var_uses(b, var);
-            }
-            n
-        }
-        other => {
-            let mut n = 0;
-            other.for_each_child(|c| n += count_var_uses(c, var));
-            n
-        }
+    if let Core::Var(v) = body {
+        return usize::from(v == var);
     }
+    let shadows = body.binds().contains(&Some(var));
+    let mut n = 0;
+    body.for_each_child_scoped(|c, in_scope| {
+        if !(in_scope && shadows) {
+            n += count_var_uses(c, var);
+        }
+    });
+    n
 }
 
-/// Substitute `value` for free `$var` in `body` (capture is impossible:
-/// the value comes from an enclosing scope, and our binders use source
-/// names that cannot capture because we only substitute *pure* values that
-/// reference strictly outer variables).
+/// Substitute `value` for free `$var` in `body`, stopping at shadowing
+/// binders. The caller guarantees no binder in `body` captures a free
+/// variable of `value` (see [`captures`]).
 fn substitute(body: &Core, var: &str, value: &Core) -> Core {
-    match body {
-        Core::Var(v) if v == var => value.clone(),
-        Core::For {
-            var: v,
-            position,
-            source,
-            body: b,
-        } => {
-            let source = substitute(source, var, value).boxed();
-            let shadowed = v == var || position.as_deref() == Some(var);
-            let b = if shadowed {
-                b.clone()
-            } else {
-                substitute(b, var, value).boxed()
-            };
-            Core::For {
-                var: v.clone(),
-                position: position.clone(),
-                source,
-                body: b,
-            }
-        }
-        Core::Let {
-            var: v,
-            value: val,
-            body: b,
-        } => {
-            let val = substitute(val, var, value).boxed();
-            let b = if v == var {
-                b.clone()
-            } else {
-                substitute(b, var, value).boxed()
-            };
-            Core::Let {
-                var: v.clone(),
-                value: val,
-                body: b,
-            }
-        }
-        Core::Quantified {
-            quantifier,
-            var: v,
-            source,
-            satisfies,
-        } => {
-            let source = substitute(source, var, value).boxed();
-            let satisfies = if v == var {
-                satisfies.clone()
-            } else {
-                substitute(satisfies, var, value).boxed()
-            };
-            Core::Quantified {
-                quantifier: *quantifier,
-                var: v.clone(),
-                source,
-                satisfies,
-            }
-        }
-        other => map_children(other, &mut |c| substitute(c, var, value)),
+    if matches!(body, Core::Var(v) if v == var) {
+        return value.clone();
     }
+    let shadows = body.binds().contains(&Some(var));
+    body.map_children(|c, in_scope| {
+        if in_scope && shadows {
+            c.clone()
+        } else {
+            substitute(c, var, value)
+        }
+    })
 }
 
-/// Rebuild an expression with each direct child mapped through `f`.
-/// (Binder-aware callers handle binding constructs before delegating.)
-#[allow(clippy::redundant_closure)] // `f` is `&mut impl FnMut`; the closures reborrow it
-fn map_children(core: &Core, f: &mut impl FnMut(&Core) -> Core) -> Core {
-    use xqsyn::core::{CoreInsertLoc, CoreOrderSpec};
-    match core {
-        Core::Const(_) | Core::Var(_) | Core::ContextItem => core.clone(),
-        Core::Seq(items) => Core::Seq(items.iter().map(|c| f(c)).collect()),
-        Core::For {
-            var,
-            position,
-            source,
-            body,
-        } => Core::For {
-            var: var.clone(),
-            position: position.clone(),
-            source: f(source).boxed(),
-            body: f(body).boxed(),
-        },
-        Core::Let { var, value, body } => Core::Let {
-            var: var.clone(),
-            value: f(value).boxed(),
-            body: f(body).boxed(),
-        },
-        Core::If(c, t, e) => Core::If(f(c).boxed(), f(t).boxed(), f(e).boxed()),
-        Core::Quantified {
-            quantifier,
-            var,
-            source,
-            satisfies,
-        } => Core::Quantified {
-            quantifier: *quantifier,
-            var: var.clone(),
-            source: f(source).boxed(),
-            satisfies: f(satisfies).boxed(),
-        },
-        Core::SortedFor {
-            var,
-            source,
-            keys,
-            body,
-        } => Core::SortedFor {
-            var: var.clone(),
-            source: f(source).boxed(),
-            keys: keys
-                .iter()
-                .map(|k| CoreOrderSpec {
-                    key: f(&k.key),
-                    ascending: k.ascending,
-                })
-                .collect(),
-            body: f(body).boxed(),
-        },
-        Core::Arith(op, a, b) => Core::Arith(*op, f(a).boxed(), f(b).boxed()),
-        Core::Neg(e) => Core::Neg(f(e).boxed()),
-        Core::GeneralComp(op, a, b) => Core::GeneralComp(*op, f(a).boxed(), f(b).boxed()),
-        Core::ValueComp(op, a, b) => Core::ValueComp(*op, f(a).boxed(), f(b).boxed()),
-        Core::NodeComp(op, a, b) => Core::NodeComp(*op, f(a).boxed(), f(b).boxed()),
-        Core::And(a, b) => Core::And(f(a).boxed(), f(b).boxed()),
-        Core::Or(a, b) => Core::Or(f(a).boxed(), f(b).boxed()),
-        Core::Union(a, b) => Core::Union(f(a).boxed(), f(b).boxed()),
-        Core::Range(a, b) => Core::Range(f(a).boxed(), f(b).boxed()),
-        Core::MapStep {
-            base,
-            axis,
-            test,
-            predicates,
-        } => Core::MapStep {
-            base: f(base).boxed(),
-            axis: *axis,
-            test: test.clone(),
-            predicates: predicates.iter().map(|c| f(c)).collect(),
-        },
-        Core::DocOrder(e) => Core::DocOrder(f(e).boxed()),
-        Core::Predicate { base, pred } => Core::Predicate {
-            base: f(base).boxed(),
-            pred: f(pred).boxed(),
-        },
-        Core::Call(name, args) => Core::Call(name.clone(), args.iter().map(|c| f(c)).collect()),
-        Core::ElemCtor { name, content } => Core::ElemCtor {
-            name: map_name(name, f),
-            content: f(content).boxed(),
-        },
-        Core::AttrCtor { name, content } => Core::AttrCtor {
-            name: map_name(name, f),
-            content: f(content).boxed(),
-        },
-        Core::TextCtor(e) => Core::TextCtor(f(e).boxed()),
-        Core::DocCtor(e) => Core::DocCtor(f(e).boxed()),
-        Core::Insert { source, location } => Core::Insert {
-            source: f(source).boxed(),
-            location: match location {
-                CoreInsertLoc::First(t) => CoreInsertLoc::First(f(t).boxed()),
-                CoreInsertLoc::Last(t) => CoreInsertLoc::Last(f(t).boxed()),
-                CoreInsertLoc::Before(t) => CoreInsertLoc::Before(f(t).boxed()),
-                CoreInsertLoc::After(t) => CoreInsertLoc::After(f(t).boxed()),
-            },
-        },
-        Core::Delete(e) => Core::Delete(f(e).boxed()),
-        Core::Replace(t, w) => Core::Replace(f(t).boxed(), f(w).boxed()),
-        Core::ReplaceValue(t, w) => Core::ReplaceValue(f(t).boxed(), f(w).boxed()),
-        Core::Rename(t, n) => Core::Rename(f(t).boxed(), f(n).boxed()),
-        Core::Copy(e) => Core::Copy(f(e).boxed()),
-        Core::Snap(mode, e) => Core::Snap(*mode, f(e).boxed()),
-    }
-}
-
-fn map_name(name: &CoreName, f: &mut impl FnMut(&Core) -> Core) -> CoreName {
-    match name {
-        CoreName::Fixed(s) => CoreName::Fixed(s.clone()),
-        CoreName::Computed(e) => CoreName::Computed(f(e).boxed()),
-    }
+/// Does some binder in `body` rebind a free variable of `value`? Then
+/// substituting `value` under it would read the wrong binding.
+fn captures(body: &Core, value: &Core) -> bool {
+    let free = value.free_vars();
+    let mut hit = false;
+    body.walk(&mut |c| hit |= c.binds().into_iter().flatten().any(|b| free.contains(b)));
+    hit
 }
 
 /// Convenience used in tests: fold a constant sequence value, if the
@@ -535,6 +335,49 @@ mod tests {
         // shadows it in the body.
         let c = simp("let $x := 1 return let $x := $x + 1 return $x");
         assert_eq!(c, int(2));
+    }
+
+    #[test]
+    fn order_by_variable_shadows_the_inlined_let() {
+        // The loop's own `$x` (key and body) is not the let's `$x`.
+        assert_eq!(
+            simp("let $x := 5 return ($x, for $x in (3,1,2) order by $x return $x)"),
+            simp("(5, for $x in (3,1,2) order by $x return $x)")
+        );
+    }
+
+    #[test]
+    fn let_inline_refuses_a_capturing_binder() {
+        // GUARD: each body rebinds `$y`, which the value `$y` reads;
+        // inlining would read the inner binding instead.
+        for q in [
+            "let $x := $y return (for $y in (7,8) return $x)",
+            "for $y in (1,2) return let $x := $y * 10 return (for $y in (7,8) return $x)",
+            "let $x := $y return (some $y in (7,8) satisfies $x = 1)",
+            "let $x := $y return (for $z at $y in (7,8) return $x)",
+        ] {
+            let mut kept = false;
+            simp(q).walk(&mut |c| kept |= matches!(c, Core::Let { var, .. } if var == "x"));
+            assert!(kept, "let $x inlined under a capturing binder: {q}");
+        }
+        // With a constant for the outer `$y` nothing is captured, and the
+        // whole chain folds to the right value.
+        for (q, folded) in [
+            (
+                "let $y := 1 return let $x := $y return (for $y in (7,8) return $x)",
+                "for $y in (7,8) return 1",
+            ),
+            (
+                "let $y := 1 return let $x := $y return (some $y in (7,8) satisfies $x = 1)",
+                "some $y in (7,8) satisfies 1 = 1",
+            ),
+            (
+                "let $y := 1 return let $x := $y return (for $z at $y in (7,8) return $x)",
+                "for $z at $y in (7,8) return 1",
+            ),
+        ] {
+            assert_eq!(simp(q), simp(folded), "{q}");
+        }
     }
 
     #[test]

@@ -114,7 +114,7 @@ pub fn check_program(program: &CoreProgram, host_vars: &[&str]) -> Vec<Diagnosti
         analysis: &analysis,
     };
     for f in &program.functions {
-        let mut scope: Vec<String> = f.params.clone();
+        let mut scope: Vec<&str> = f.params.iter().map(String::as_str).collect();
         // Function bodies see parameters + globals (all declared globals:
         // declaration order is not enforced for function bodies, matching
         // the evaluator, which resolves globals at call time).
@@ -137,124 +137,85 @@ struct Context<'a> {
     analysis: &'a EffectAnalysis,
 }
 
-fn check_expr(
-    expr: &Core,
-    scope: &mut Vec<String>,
+fn check_expr<'a>(
+    expr: &'a Core,
+    scope: &mut Vec<&'a str>,
     globals: &HashSet<String>,
     cx: &Context<'_>,
     diags: &mut Vec<Diagnostic>,
 ) {
     match expr {
-        Core::Var(name) => {
-            if !scope.iter().any(|v| v == name) && !globals.contains(name) {
-                diags.push(Diagnostic::error(
-                    "XPST0008",
-                    format!("undefined variable ${name}"),
-                ));
-            }
+        Core::Var(name) if !scope.contains(&name.as_str()) && !globals.contains(name) => {
+            diags.push(Diagnostic::error(
+                "XPST0008",
+                format!("undefined variable ${name}"),
+            ));
         }
-        Core::Call(name, args) => {
+        Core::Call(name, args)
             if !functions::is_builtin(name)
-                && !cx.declared.contains_key(&(name.clone(), args.len()))
-            {
-                let other_arities: Vec<usize> = cx
-                    .declared
-                    .keys()
-                    .filter(|(n, _)| n == name)
-                    .map(|(_, a)| *a)
-                    .collect();
-                let hint = if other_arities.is_empty() {
-                    String::new()
-                } else {
-                    format!(" (declared with arity {other_arities:?})")
-                };
-                diags.push(Diagnostic::error(
-                    "XPST0017",
-                    format!("undefined function {name}#{}{hint}", args.len()),
-                ));
-            }
-            for a in args {
-                check_expr(a, scope, globals, cx, diags);
-            }
+                && !cx.declared.contains_key(&(name.clone(), args.len())) =>
+        {
+            let other_arities: Vec<usize> = cx
+                .declared
+                .keys()
+                .filter(|(n, _)| n == name)
+                .map(|(_, a)| *a)
+                .collect();
+            let hint = if other_arities.is_empty() {
+                String::new()
+            } else {
+                format!(" (declared with arity {other_arities:?})")
+            };
+            diags.push(Diagnostic::error(
+                "XPST0017",
+                format!("undefined function {name}#{}{hint}", args.len()),
+            ));
         }
-        Core::For {
-            var,
-            position,
-            source,
-            body,
-        } => {
-            check_expr(source, scope, globals, cx, diags);
-            scope.push(var.clone());
-            if let Some(p) = position {
-                scope.push(p.clone());
-            }
-            check_expr(body, scope, globals, cx, diags);
-            if position.is_some() {
-                scope.pop();
-            }
-            scope.pop();
-        }
-        Core::Let { var, value, body } => {
-            check_expr(value, scope, globals, cx, diags);
-            scope.push(var.clone());
-            check_expr(body, scope, globals, cx, diags);
-            scope.pop();
-        }
-        Core::Quantified {
-            var,
-            source,
-            satisfies,
-            ..
-        } => {
-            check_expr(source, scope, globals, cx, diags);
-            if cx.analysis.effect(satisfies) == Effect::Effectful {
-                diags.push(Diagnostic::warning(
-                    "XQB0101",
-                    "quantifier condition applies effects; short-circuiting makes the \
-                     number of applications data-dependent"
-                        .to_string(),
-                ));
-            }
-            scope.push(var.clone());
-            check_expr(satisfies, scope, globals, cx, diags);
-            scope.pop();
-        }
-        Core::SortedFor {
-            var,
-            source,
-            keys,
-            body,
-        } => {
-            check_expr(source, scope, globals, cx, diags);
-            scope.push(var.clone());
-            for k in keys {
-                check_expr(&k.key, scope, globals, cx, diags);
-            }
-            check_expr(body, scope, globals, cx, diags);
-            scope.pop();
-        }
-        Core::MapStep {
-            base, predicates, ..
-        } => {
-            check_expr(base, scope, globals, cx, diags);
-            for p in predicates {
-                if cx.analysis.effect(p) == Effect::Effectful {
-                    diags.push(Diagnostic::warning(
-                        "XQB0102",
-                        "path predicate applies effects (snap); it runs once per \
-                         candidate node in document order"
-                            .to_string(),
-                    ));
-                }
-                check_expr(p, scope, globals, cx, diags);
-            }
-        }
-        Core::Predicate { base, pred } => {
-            check_expr(base, scope, globals, cx, diags);
-            check_expr(pred, scope, globals, cx, diags);
-        }
-        other => other.for_each_child(|c| check_expr(c, scope, globals, cx, diags)),
+        _ => {}
     }
+    // A quantifier's condition and a step's predicates are the children
+    // after the first; an applied effect there runs a data-dependent
+    // number of times.
+    let order_warning = match expr {
+        Core::Quantified { .. } => Some((
+            "XQB0101",
+            "quantifier condition applies effects; short-circuiting makes the \
+             number of applications data-dependent",
+        )),
+        Core::MapStep { .. } => Some((
+            "XQB0102",
+            "path predicate applies effects (snap); it runs once per \
+             candidate node in document order",
+        )),
+        _ => None,
+    };
+    expr.for_each_child_scoped(|child, in_scope| {
+        if let (true, Some((code, message))) = (in_scope, order_warning) {
+            if cx.analysis.effect(child) == Effect::Effectful {
+                diags.push(Diagnostic::warning(code, message.to_string()));
+            }
+        }
+        check_scoped(expr, child, in_scope, scope, globals, cx, diags);
+    });
+}
+
+/// Check `child` of `parent`, with `parent`'s bound variables in scope
+/// when `in_scope` says they cover it.
+fn check_scoped<'a>(
+    parent: &'a Core,
+    child: &'a Core,
+    in_scope: bool,
+    scope: &mut Vec<&'a str>,
+    globals: &HashSet<String>,
+    cx: &Context<'_>,
+    diags: &mut Vec<Diagnostic>,
+) {
+    let depth = scope.len();
+    if in_scope {
+        scope.extend(parent.binds().into_iter().flatten());
+    }
+    check_expr(child, scope, globals, cx, diags);
+    scope.truncate(depth);
 }
 
 /// Only the errors from [`check_program`].

@@ -232,8 +232,25 @@ impl Core {
         self.for_each_child(|c| c.walk(f));
     }
 
+    /// The variables this node binds: `for`'s variable and position, and
+    /// the variable of `let`, `some`/`every` and `for … order by`. They
+    /// are in scope in every child except the first (the source or bound
+    /// value, which [`Core::for_each_child`] visits first). This is the
+    /// one statement of Core's scoping rule; every scope-aware traversal
+    /// reads it through [`Core::for_each_child_scoped`] or
+    /// [`Core::map_children`].
+    pub fn binds(&self) -> [Option<&str>; 2] {
+        match self {
+            Core::For { var, position, .. } => [Some(var), position.as_deref()],
+            Core::Let { var, .. } | Core::Quantified { var, .. } | Core::SortedFor { var, .. } => {
+                [Some(var), None]
+            }
+            _ => [None, None],
+        }
+    }
+
     /// Apply `f` to each direct sub-expression.
-    pub fn for_each_child(&self, mut f: impl FnMut(&Core)) {
+    pub fn for_each_child<'a>(&'a self, mut f: impl FnMut(&'a Core)) {
         match self {
             Core::Const(_) | Core::Var(_) | Core::ContextItem => {}
             Core::MapStep {
@@ -310,73 +327,165 @@ impl Core {
         }
     }
 
+    /// [`Core::for_each_child`], also telling `f` whether this node's
+    /// [`Core::binds`] variables are in scope in the child: in every child
+    /// after the first.
+    pub fn for_each_child_scoped<'a>(&'a self, mut f: impl FnMut(&'a Core, bool)) {
+        let mut in_scope = false;
+        self.for_each_child(|c| {
+            f(c, in_scope);
+            in_scope = true;
+        });
+    }
+
+    /// Rebuild this node with each direct child mapped through `f`, which
+    /// is told, as in [`Core::for_each_child_scoped`], whether this node's
+    /// [`Core::binds`] variables are in scope in the child. Children are
+    /// mapped in [`Core::for_each_child`] order.
+    pub fn map_children(&self, mut f: impl FnMut(&Core, bool) -> Core) -> Core {
+        let mut in_scope = false;
+        let g = &mut |c: &Core| {
+            let mapped = f(c, in_scope);
+            in_scope = true;
+            mapped
+        };
+        match self {
+            Core::Const(_) | Core::Var(_) | Core::ContextItem => self.clone(),
+            Core::Seq(items) => Core::Seq(items.iter().map(&mut *g).collect()),
+            Core::For {
+                var,
+                position,
+                source,
+                body,
+            } => Core::For {
+                var: var.clone(),
+                position: position.clone(),
+                source: g(source).boxed(),
+                body: g(body).boxed(),
+            },
+            Core::Let { var, value, body } => Core::Let {
+                var: var.clone(),
+                value: g(value).boxed(),
+                body: g(body).boxed(),
+            },
+            Core::If(c, t, e) => Core::If(g(c).boxed(), g(t).boxed(), g(e).boxed()),
+            Core::Quantified {
+                quantifier,
+                var,
+                source,
+                satisfies,
+            } => Core::Quantified {
+                quantifier: *quantifier,
+                var: var.clone(),
+                source: g(source).boxed(),
+                satisfies: g(satisfies).boxed(),
+            },
+            Core::SortedFor {
+                var,
+                source,
+                keys,
+                body,
+            } => Core::SortedFor {
+                var: var.clone(),
+                source: g(source).boxed(),
+                keys: keys
+                    .iter()
+                    .map(|k| CoreOrderSpec {
+                        key: g(&k.key),
+                        ascending: k.ascending,
+                    })
+                    .collect(),
+                body: g(body).boxed(),
+            },
+            Core::Arith(op, a, b) => Core::Arith(*op, g(a).boxed(), g(b).boxed()),
+            Core::Neg(e) => Core::Neg(g(e).boxed()),
+            Core::GeneralComp(op, a, b) => Core::GeneralComp(*op, g(a).boxed(), g(b).boxed()),
+            Core::ValueComp(op, a, b) => Core::ValueComp(*op, g(a).boxed(), g(b).boxed()),
+            Core::NodeComp(op, a, b) => Core::NodeComp(*op, g(a).boxed(), g(b).boxed()),
+            Core::And(a, b) => Core::And(g(a).boxed(), g(b).boxed()),
+            Core::Or(a, b) => Core::Or(g(a).boxed(), g(b).boxed()),
+            Core::Union(a, b) => Core::Union(g(a).boxed(), g(b).boxed()),
+            Core::Range(a, b) => Core::Range(g(a).boxed(), g(b).boxed()),
+            Core::MapStep {
+                base,
+                axis,
+                test,
+                predicates,
+            } => Core::MapStep {
+                base: g(base).boxed(),
+                axis: *axis,
+                test: test.clone(),
+                predicates: predicates.iter().map(&mut *g).collect(),
+            },
+            Core::DocOrder(e) => Core::DocOrder(g(e).boxed()),
+            Core::Predicate { base, pred } => Core::Predicate {
+                base: g(base).boxed(),
+                pred: g(pred).boxed(),
+            },
+            Core::Call(name, args) => Core::Call(name.clone(), args.iter().map(&mut *g).collect()),
+            Core::ElemCtor { name, content } => Core::ElemCtor {
+                name: map_name(name, g),
+                content: g(content).boxed(),
+            },
+            Core::AttrCtor { name, content } => Core::AttrCtor {
+                name: map_name(name, g),
+                content: g(content).boxed(),
+            },
+            Core::TextCtor(e) => Core::TextCtor(g(e).boxed()),
+            Core::DocCtor(e) => Core::DocCtor(g(e).boxed()),
+            Core::Insert { source, location } => Core::Insert {
+                source: g(source).boxed(),
+                location: match location {
+                    CoreInsertLoc::First(t) => CoreInsertLoc::First(g(t).boxed()),
+                    CoreInsertLoc::Last(t) => CoreInsertLoc::Last(g(t).boxed()),
+                    CoreInsertLoc::Before(t) => CoreInsertLoc::Before(g(t).boxed()),
+                    CoreInsertLoc::After(t) => CoreInsertLoc::After(g(t).boxed()),
+                },
+            },
+            Core::Delete(e) => Core::Delete(g(e).boxed()),
+            Core::Replace(t, w) => Core::Replace(g(t).boxed(), g(w).boxed()),
+            Core::ReplaceValue(t, w) => Core::ReplaceValue(g(t).boxed(), g(w).boxed()),
+            Core::Rename(t, n) => Core::Rename(g(t).boxed(), g(n).boxed()),
+            Core::Copy(e) => Core::Copy(g(e).boxed()),
+            Core::Snap(mode, e) => Core::Snap(*mode, g(e).boxed()),
+        }
+    }
+
     /// The free variables of this expression (referenced but not bound by
-    /// an enclosing `for`/`let`/quantifier within it). Used by the
-    /// optimizer's independence guards: an inner join branch may only be
-    /// hoisted out of a loop when it does not mention the loop variable.
+    /// an enclosing binder within it). Used by the optimizer's
+    /// independence guards: an inner join branch may only be hoisted out
+    /// of a loop when it does not mention the loop variable.
     pub fn free_vars(&self) -> std::collections::HashSet<String> {
         let mut out = std::collections::HashSet::new();
         self.collect_free(&mut Vec::new(), &mut out);
         out
     }
 
-    fn collect_free(&self, bound: &mut Vec<String>, out: &mut std::collections::HashSet<String>) {
-        match self {
-            Core::Var(v) => {
-                if !bound.iter().any(|b| b == v) {
-                    out.insert(v.clone());
-                }
+    fn collect_free<'a>(
+        &'a self,
+        bound: &mut Vec<&'a str>,
+        out: &mut std::collections::HashSet<String>,
+    ) {
+        if let Core::Var(v) = self {
+            if !bound.contains(&v.as_str()) {
+                out.insert(v.clone());
             }
-            Core::For {
-                var,
-                position,
-                source,
-                body,
-            } => {
-                source.collect_free(bound, out);
-                bound.push(var.clone());
-                if let Some(p) = position {
-                    bound.push(p.clone());
-                }
-                body.collect_free(bound, out);
-                if position.is_some() {
-                    bound.pop();
-                }
-                bound.pop();
-            }
-            Core::Let { var, value, body } => {
-                value.collect_free(bound, out);
-                bound.push(var.clone());
-                body.collect_free(bound, out);
-                bound.pop();
-            }
-            Core::Quantified {
-                var,
-                source,
-                satisfies,
-                ..
-            } => {
-                source.collect_free(bound, out);
-                bound.push(var.clone());
-                satisfies.collect_free(bound, out);
-                bound.pop();
-            }
-            Core::SortedFor {
-                var,
-                source,
-                keys,
-                body,
-            } => {
-                source.collect_free(bound, out);
-                bound.push(var.clone());
-                for k in keys {
-                    k.key.collect_free(bound, out);
-                }
-                body.collect_free(bound, out);
-                bound.pop();
-            }
-            other => other.for_each_child(|c| c.collect_free(bound, out)),
         }
+        self.for_each_child_scoped(|c, in_scope| {
+            let depth = bound.len();
+            if in_scope {
+                bound.extend(self.binds().into_iter().flatten());
+            }
+            c.collect_free(bound, out);
+            bound.truncate(depth);
+        });
+    }
+}
+
+fn map_name(name: &CoreName, f: &mut impl FnMut(&Core) -> Core) -> CoreName {
+    match name {
+        CoreName::Fixed(s) => CoreName::Fixed(s.clone()),
+        CoreName::Computed(e) => CoreName::Computed(f(e).boxed()),
     }
 }
 
@@ -433,6 +542,85 @@ mod tests {
             body: Core::Var("x".into()).boxed(),
         };
         assert!(e.free_vars().contains("x"));
+    }
+
+    #[test]
+    fn binds_scopes_over_every_child_but_the_first() {
+        fn next(c: &mut std::vec::IntoIter<Core>) -> Box<Core> {
+            c.next().expect("child").boxed()
+        }
+        // (bound names, children, node built from its children in
+        // `for_each_child` order)
+        type Row = (&'static [&'static str], usize, fn(Vec<Core>) -> Core);
+        let rows: [Row; 5] = [
+            (&["v"], 2, |c| {
+                let mut c = c.into_iter();
+                Core::For {
+                    var: "v".into(),
+                    position: None,
+                    source: next(&mut c),
+                    body: next(&mut c),
+                }
+            }),
+            (&["v", "p"], 2, |c| {
+                let mut c = c.into_iter();
+                Core::For {
+                    var: "v".into(),
+                    position: Some("p".into()),
+                    source: next(&mut c),
+                    body: next(&mut c),
+                }
+            }),
+            (&["v"], 2, |c| {
+                let mut c = c.into_iter();
+                Core::Let {
+                    var: "v".into(),
+                    value: next(&mut c),
+                    body: next(&mut c),
+                }
+            }),
+            (&["v"], 2, |c| {
+                let mut c = c.into_iter();
+                Core::Quantified {
+                    quantifier: Quantifier::Every,
+                    var: "v".into(),
+                    source: next(&mut c),
+                    satisfies: next(&mut c),
+                }
+            }),
+            (&["v"], 4, |c| {
+                let mut c = c.into_iter();
+                Core::SortedFor {
+                    var: "v".into(),
+                    source: next(&mut c),
+                    keys: vec![
+                        CoreOrderSpec {
+                            key: *next(&mut c),
+                            ascending: true,
+                        },
+                        CoreOrderSpec {
+                            key: *next(&mut c),
+                            ascending: false,
+                        },
+                    ],
+                    body: next(&mut c),
+                }
+            }),
+        ];
+        for (names, arity, build) in rows {
+            let node = build(vec![Core::int(0); arity]);
+            let bound: Vec<&str> = node.binds().into_iter().flatten().collect();
+            assert_eq!(bound, names, "{node:?}");
+            for name in names {
+                for i in 0..arity {
+                    let mut children = vec![Core::int(0); arity];
+                    children[i] = Core::Var((*name).into());
+                    let node = build(children);
+                    assert_eq!(node.free_vars().contains(*name), i == 0, "{node:?}");
+                }
+            }
+        }
+        assert_eq!(Core::Seq(vec![]).binds(), [None, None]);
     }
 
     #[test]
