@@ -73,10 +73,13 @@ pub fn check_program(program: &CoreProgram, host_vars: &[&str]) -> Vec<Diagnosti
                 format!("function {name}#{arity} declared {count} times"),
             ));
         }
-        if functions::is_builtin(name) {
+        if functions::builtin(name, *arity).is_some() {
             diags.push(Diagnostic::warning(
                 "XQB0103",
-                format!("declared function {name}#{arity} shadows a built-in"),
+                format!(
+                    "declared function {name}#{arity} is never called: \
+                     the built-in takes precedence"
+                ),
             ));
         }
     }
@@ -152,7 +155,7 @@ fn check_expr<'a>(
             ));
         }
         Core::Call(name, args)
-            if !functions::is_builtin(name)
+            if functions::builtin(name, args.len()).is_none()
                 && !cx.declared.contains_key(&(name.clone(), args.len())) =>
         {
             let other_arities: Vec<usize> = cx
@@ -166,10 +169,8 @@ fn check_expr<'a>(
             } else {
                 format!(" (declared with arity {other_arities:?})")
             };
-            diags.push(Diagnostic::error(
-                "XPST0017",
-                format!("undefined function {name}#{}{hint}", args.len()),
-            ));
+            let error = functions::unresolved(name, args.len());
+            diags.push(Diagnostic::error(error.code, error.message + &hint));
         }
         _ => {}
     }
@@ -290,8 +291,31 @@ mod tests {
 
     #[test]
     fn builtin_shadowing_warns() {
+        // A row wins at its arities: a declared count#1 is never called.
         let d = check("declare function count($x) { 0 }; count(())", &[]);
-        assert!(codes(&d).contains(&"XQB0103"));
+        assert_eq!(codes(&d), vec!["XQB0103"]);
+        assert!(
+            d[0].message.contains("takes precedence"),
+            "{}",
+            d[0].message
+        );
+    }
+
+    #[test]
+    fn builtin_arity_decides_the_call() {
+        // At an arity with no row the declaration is called, and no row is
+        // shadowed.
+        let d = check(
+            "declare function count($a, $b, $c) { 0 }; count(1, 2, 3)",
+            &[],
+        );
+        assert!(d.is_empty(), "{d:?}");
+        // An undeclared call at an arity with no row fails the run.
+        let d = check("count(1, 2)", &[]);
+        assert_eq!(codes(&d), vec!["XPST0017"]);
+        assert!(d[0]
+            .message
+            .contains("wrong number of arguments (2) for fn:count"));
     }
 
     #[test]

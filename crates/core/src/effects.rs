@@ -34,7 +34,7 @@
 //! that one value; nothing else in the engine walks a
 //! `Core` to decide a static property.
 
-use crate::functions;
+use crate::functions::{self, Kind};
 use std::collections::HashMap;
 use xqsyn::core::{Core, CoreFunction, CoreProgram};
 
@@ -88,9 +88,9 @@ impl Facts {
     /// Reaches a `snap` of any mode. Even over pure code a snap draws an
     /// application seed and counts toward the snap statistics.
     pub const SNAP: u8 = 1;
-    /// Reaches a [`functions::is_par_opaque`] built-in: rated `Pure`, yet
-    /// it allocates, prints, or observes engine-global state outside the
-    /// store.
+    /// Reaches a [`Kind::Opaque`] or [`Kind::MutStore`] built-in: rated
+    /// `Pure`, yet it allocates, prints, or observes engine-global state
+    /// outside the store.
     pub const OPAQUE: u8 = 2;
 
     /// Nothing known to happen: the bottom of the lattice, no flag.
@@ -257,18 +257,20 @@ fn facts_with(expr: &Core, funcs: &HashMap<(String, usize), Facts>) -> Facts {
         // Built-ins never touch the store beyond reading, and the
         // constructor-ish ones don't allocate nodes either — except the
         // few the flag exists for.
-        Core::Call(name, _) if functions::is_builtin(name) => Facts {
-            level: Effect::Pure,
-            flags: if functions::is_par_opaque(name) {
-                Facts::OPAQUE
-            } else {
-                0
+        Core::Call(name, args) => match functions::builtin(name, args.len()) {
+            Some(f) => match f.kind {
+                Kind::Read | Kind::Position => Facts::PURE,
+                Kind::Opaque | Kind::MutStore => Facts {
+                    level: Effect::Pure,
+                    flags: Facts::OPAQUE,
+                },
+                Kind::Panic => Facts::UNKNOWN,
             },
+            None => funcs
+                .get(&(name.clone(), args.len()))
+                .copied()
+                .unwrap_or(Facts::UNKNOWN),
         },
-        Core::Call(name, args) => funcs
-            .get(&(name.clone(), args.len()))
-            .copied()
-            .unwrap_or(Facts::UNKNOWN),
         _ => Facts::PURE,
     };
     expr.for_each_child(|c| acc = acc.join(facts_with(c, funcs)));

@@ -21,7 +21,7 @@
 use crate::alg::pipeline::FnTable;
 use crate::delta::{apply_delta, Delta};
 use crate::env::{DynEnv, Focus, ProgramEnv, Scope};
-use crate::functions;
+use crate::functions::{self, Kind};
 use crate::limits::{self, LimitGuard, TripKind};
 use crate::obs::{self, CounterId};
 use crate::par::{self, PureCtx, PAR_MIN_ITEMS};
@@ -899,8 +899,11 @@ pub(crate) trait EvalCtx: Sized {
         src: &[Item],
         body: &Core,
     ) -> Option<XdmResult<Sequence>>;
-    /// The half of the call rule that needs more than `&Store`:
-    /// `fn:parse-xml` and compiled function bodies. `Err(args)` hands the
+    /// The half of the call rule that needs more than `&Store`, for a
+    /// built-in: the [`Kind::MutStore`] row, `fn:parse-xml`.
+    fn call_mut_store(&mut self, args: Vec<Sequence>) -> XdmResult<Sequence>;
+    /// The half of the call rule that needs more than `&Store`, for a
+    /// declared function: its compiled body. `Err(args)` hands the
     /// arguments back for the declared body to be interpreted.
     fn call_unshared(
         &mut self,
@@ -964,15 +967,16 @@ impl EvalCtx for Full<'_> {
         self.ev.par_for(self.store, env, binders, src, body, false)
     }
 
+    fn call_mut_store(&mut self, args: Vec<Sequence>) -> XdmResult<Sequence> {
+        let max_depth = self.ev.scope.env().limits.max_xml_depth;
+        functions::parse_xml(self.store, args, max_depth)
+    }
+
     fn call_unshared(
         &mut self,
         name: &str,
         args: Vec<Sequence>,
     ) -> Result<XdmResult<Sequence>, Vec<Sequence>> {
-        if functions::is_parse_xml(name) {
-            let max_depth = self.ev.scope.env().limits.max_xml_depth;
-            return Ok(functions::parse_xml(self.store, args, max_depth));
-        }
         match self.ev.function_executor.clone() {
             Some(executor) => executor.try_call(self.ev, self.store, name, args),
             None => Err(args),
@@ -1287,19 +1291,18 @@ fn rule<C: EvalCtx>(cx: &mut C, env: &mut DynEnv, expr: &Core) -> XdmResult<Sequ
             for a in args {
                 values.push(cx.eval(env, a)?);
             }
-            let values = match functions::dispatch(name, values, cx.store(), cx.scope(), env) {
-                Ok(result) => return result,
-                Err(values) => values,
-            };
+            if let Some(f) = functions::builtin(name, args.len()) {
+                return match f.kind {
+                    Kind::MutStore => cx.call_mut_store(values),
+                    _ => functions::call(f, values, cx.store(), cx.scope(), env),
+                };
+            }
             let values = match cx.call_unshared(name, values) {
                 Ok(result) => return result,
                 Err(values) => values,
             };
             let Some(func) = cx.scope().function(name, args.len()).cloned() else {
-                return Err(XdmError::new(
-                    "XPST0017",
-                    format!("undefined function {name}#{}", args.len()),
-                ));
+                return Err(functions::unresolved(name, args.len()));
             };
             // Function bodies see only their parameters and globals —
             // build a fresh environment rather than exposing the
@@ -1363,16 +1366,14 @@ pub(crate) fn descendant_fusion<'a>(
 /// Is predicate `p` blind to where its context node stands among others:
 /// never a number, no `position()` / `last()`, and — so that evaluating it
 /// in another order changes nothing — no constructor, update, `snap`,
-/// user function or order-revealing built-in (`functions::is_par_opaque`)?
+/// user function or order-revealing built-in: every call is a
+/// [`Kind::Read`] row.
 fn position_blind(p: &Core) -> bool {
     let mut blind = never_numeric(p);
     p.walk(&mut |e| {
         blind &= match e {
-            Core::Call(name, _) => {
-                let local = name.strip_prefix("fn:").unwrap_or(name);
-                functions::is_builtin(name)
-                    && !functions::is_par_opaque(name)
-                    && !matches!(local, "position" | "last")
+            Core::Call(name, args) => {
+                functions::builtin(name, args.len()).is_some_and(|f| f.kind == Kind::Read)
             }
             Core::ElemCtor { .. }
             | Core::AttrCtor { .. }
@@ -1409,10 +1410,9 @@ fn never_numeric(p: &Core) -> bool {
         Core::Seq(members) => members.iter().all(never_numeric),
         Core::If(_, then, els) => never_numeric(then) && never_numeric(els),
         Core::Let { body, .. } => never_numeric(body),
-        Core::Call(name, _) => matches!(
-            name.strip_prefix("fn:").unwrap_or(name),
-            "not" | "exists" | "empty" | "boolean" | "true" | "false"
-        ),
+        Core::Call(name, args) => {
+            functions::builtin(name, args.len()).is_some_and(functions::Builtin::boolean)
+        }
         _ => false,
     }
 }

@@ -2,10 +2,14 @@
 //!
 //! The F&O subset that the paper's queries (and any realistic XQuery
 //! workload) need: sequence functions, aggregates, string functions,
-//! numerics, node functions, and the `xs:` constructor casts. Dispatch is
-//! by local name and arity — the `fn:` prefix is optional, as in XQuery's
-//! default function namespace. Arguments arrive fully evaluated, left to
-//! right, per the paper's function-call rule.
+//! numerics, node functions, and the `xs:` constructor casts. Arguments
+//! arrive fully evaluated, left to right, per the paper's function-call
+//! rule.
+//!
+//! Every built-in is one row of [`BUILTINS`]: a name, an arity range and
+//! a [`Kind`]. Whether a call is built-in, and what it may do, is asked
+//! of the row [`builtin`] finds for the call's name *and* arity — by the
+//! call rule, the effect judgment, the checker and the `//` fusion alike.
 
 use crate::env::{DynEnv, Scope};
 use xqdm::atomic::{value_compare, Atomic, CompareOp};
@@ -13,163 +17,232 @@ use xqdm::item::{self, Item, Sequence};
 use xqdm::seq;
 use xqdm::{Store, XdmError, XdmResult};
 
-/// Dispatch a built-in call. Every built-in served here merely reads the
-/// store, so the full evaluator and the parallel workers share this one
-/// entry point. The arguments are moved in, never copied; `Err(args)`
-/// hands them back when `name` is not such a built-in: a user-declared
-/// function, or [`is_parse_xml`] — the one built-in that needs
-/// `&mut Store`, which only the full evaluator can run ([`parse_xml`]).
-pub fn dispatch(
-    name: &str,
-    args: Vec<Sequence>,
-    store: &Store,
-    scope: &Scope,
-    env: &DynEnv,
-) -> Result<XdmResult<Sequence>, Vec<Sequence>> {
-    // Internal / constructor functions keyed on the full prefixed name.
-    let args = match dispatch_prefixed(name, args, store, scope) {
-        Ok(result) => return Ok(result),
-        Err(args) => args,
+/// What a built-in may do besides reading its arguments and the store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// Reads the store and the focus item only.
+    Read,
+    /// Reads the focus position (`fn:position`, `fn:last`), so a path
+    /// predicate calling it cannot be evaluated over a fused `//` walk.
+    Position,
+    /// Rated `Pure`, yet the parallel gate must reject it: `fn:trace`
+    /// writes to stderr, whose line order a fan-out would scramble, and
+    /// `xqb:stats` / `xqb:reset-stats` read or clear registry state a
+    /// fan-out would make nondeterministic.
+    Opaque,
+    /// Needs `&mut Store` (`fn:parse-xml` allocates the parsed document),
+    /// so only the full evaluator runs it (`parse_xml`); as opaque to
+    /// the parallel gate as [`Kind::Opaque`].
+    MutStore,
+    /// The failure-injection hook `xqb:panic`: it panics at any arity, so
+    /// tests can exercise the engine's panic isolation (catch + store
+    /// rollback), and is rated like an unresolved call.
+    Panic,
+}
+
+/// One row of [`BUILTINS`].
+#[derive(Debug)]
+pub struct Builtin {
+    /// An `fn:` function's local name (a call may omit the prefix), else
+    /// the prefixed name.
+    pub name: &'static str,
+    /// The fewest arguments it takes.
+    pub min: usize,
+    /// The most arguments it takes; [`MANY`] for a variadic one.
+    pub max: usize,
+    /// What a call may do.
+    pub kind: Kind,
+    id: Id,
+}
+
+/// The `max` of a variadic built-in.
+pub const MANY: usize = usize::MAX;
+
+impl Builtin {
+    /// Is the value always one boolean, so that a path predicate calling
+    /// it is never a position test?
+    pub(crate) fn boolean(&self) -> bool {
+        matches!(
+            self.id,
+            Id::Not | Id::Exists | Id::Empty | Id::Boolean | Id::True | Id::False
+        )
+    }
+}
+
+/// Declares [`BUILTINS`], one row per line, with the `Id` each row's
+/// body is matched on and the name `match` [`builtin`] looks rows up by.
+macro_rules! builtins {
+    ($($name:literal => $id:ident, $min:literal, $max:expr, $kind:ident;)*) => {
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        enum Id {
+            $($id),*
+        }
+
+        /// Every built-in function, one row per name.
+        pub const BUILTINS: &[Builtin] = &[$(Builtin {
+            name: $name,
+            min: $min,
+            max: $max,
+            kind: Kind::$kind,
+            id: Id::$id,
+        }),*];
+
+        /// The row named `key`: one `match`, not a scan.
+        fn row(key: &str) -> Option<&'static Builtin> {
+            let id = match key {
+                $($name => Id::$id,)*
+                _ => return None,
+            };
+            Some(&BUILTINS[id as usize])
+        }
     };
-    let local = name.strip_prefix("fn:").unwrap_or(name);
-    if !is_builtin_local(local) || local == "parse-xml" {
-        return Err(args);
-    }
-    Ok(call(local, args, store, env))
 }
 
-/// Does `name` call `fn:parse-xml`?
-pub fn is_parse_xml(name: &str) -> bool {
-    name.strip_prefix("fn:").unwrap_or(name) == "parse-xml"
+builtins! {
+    // sequences
+    "count" => Count, 1, 1, Read;
+    "empty" => Empty, 1, 1, Read;
+    "exists" => Exists, 1, 1, Read;
+    "not" => Not, 1, 1, Read;
+    "boolean" => Boolean, 1, 1, Read;
+    "distinct-values" => DistinctValues, 1, 1, Read;
+    "reverse" => Reverse, 1, 1, Read;
+    "subsequence" => Subsequence, 2, 3, Read;
+    "insert-before" => InsertBefore, 3, 3, Read;
+    "remove" => Remove, 2, 2, Read;
+    "index-of" => IndexOf, 2, 2, Read;
+    "exactly-one" => ExactlyOne, 1, 1, Read;
+    "zero-or-one" => ZeroOrOne, 1, 1, Read;
+    "one-or-more" => OneOrMore, 1, 1, Read;
+    "head" => Head, 1, 1, Read;
+    "tail" => Tail, 1, 1, Read;
+    // focus
+    "position" => Position, 0, 0, Position;
+    "last" => Last, 0, 0, Position;
+    // strings
+    "string" => String, 0, 1, Read;
+    "string-length" => StringLength, 0, 1, Read;
+    "data" => Data, 1, 1, Read;
+    "number" => Number, 0, 1, Read;
+    "concat" => Concat, 2, MANY, Read;
+    "string-join" => StringJoin, 2, 2, Read;
+    "contains" => Contains, 2, 2, Read;
+    "starts-with" => StartsWith, 2, 2, Read;
+    "ends-with" => EndsWith, 2, 2, Read;
+    "substring" => Substring, 2, 3, Read;
+    "substring-before" => SubstringBefore, 2, 2, Read;
+    "substring-after" => SubstringAfter, 2, 2, Read;
+    "upper-case" => UpperCase, 1, 1, Read;
+    "lower-case" => LowerCase, 1, 1, Read;
+    "normalize-space" => NormalizeSpace, 0, 1, Read;
+    "translate" => Translate, 3, 3, Read;
+    // numerics and aggregates
+    "sum" => Sum, 1, 2, Read;
+    "avg" => Avg, 1, 1, Read;
+    "min" => Min, 1, 1, Read;
+    "max" => Max, 1, 1, Read;
+    "abs" => Abs, 1, 1, Read;
+    "round" => Round, 1, 1, Read;
+    "floor" => Floor, 1, 1, Read;
+    "ceiling" => Ceiling, 1, 1, Read;
+    // nodes
+    "name" => Name, 0, 1, Read;
+    "local-name" => LocalName, 0, 1, Read;
+    "root" => Root, 0, 1, Read;
+    "deep-equal" => DeepEqual, 2, 2, Read;
+    "serialize" => Serialize, 1, 1, Read;
+    "parse-xml" => ParseXml, 1, 1, MutStore;
+    // misc
+    "true" => True, 0, 0, Read;
+    "false" => False, 0, 0, Read;
+    "error" => Error, 0, 1, Read;
+    "trace" => Trace, 2, 2, Opaque;
+    // casts
+    "xs:integer" => XsInteger, 1, 1, Read;
+    "xs:string" => XsString, 1, 1, Read;
+    "xs:double" => XsDouble, 1, 1, Read;
+    "xs:boolean" => XsBoolean, 1, 1, Read;
+    // normalization targets: attribute value templates, `intersect`, `except`
+    "fs:avt" => Avt, 1, 1, Read;
+    "fs:intersect" => Intersect, 2, 2, Read;
+    "fs:except" => Except, 2, 2, Read;
+    // engine introspection
+    "xqb:explain" => Explain, 1, 1, Read;
+    "xqb:fingerprint" => Fingerprint, 0, 0, Read;
+    "xqb:stats" => Stats, 0, 0, Opaque;
+    "xqb:reset-stats" => ResetStats, 0, 0, Opaque;
+    "xqb:panic" => Panic, 0, MANY, Panic;
 }
 
-/// `fn:parse-xml`: the parsed document's nodes are allocated in `store`;
-/// `max_depth` is the run's element-nesting bound (`Limits::max_xml_depth`).
-pub fn parse_xml(store: &mut Store, args: Vec<Sequence>, max_depth: usize) -> XdmResult<Sequence> {
-    let mut it = args.into_iter();
-    if it.len() != 1 {
-        return Err(wrong_arity("parse-xml", it.len()));
-    }
-    let s = opt_string(it.next().expect("one argument"), store)?;
+/// The built-in a call of `name` with `arity` arguments runs, if any —
+/// the `fn:` prefix is optional, as in XQuery's default function
+/// namespace.
+///
+/// The resolution order, for every consumer: a row wins at its arities,
+/// as every program that runs relies on — a declared function of the same
+/// name and arity is never called (the checker warns, `XQB0103`). At any
+/// other arity the call goes to the declared functions like any other
+/// (a declared `count#3` is called), and a call that resolves to neither
+/// raises `XPST0017` (`unresolved`).
+pub fn builtin(name: &str, arity: usize) -> Option<&'static Builtin> {
+    row(name.strip_prefix("fn:").unwrap_or(name)).filter(|f| (f.min..=f.max).contains(&arity))
+}
+
+/// The `XPST0017` of a call that is neither a built-in nor declared at its
+/// arity; "wrong number of arguments" when the name has a row.
+pub(crate) fn unresolved(name: &str, arity: usize) -> XdmError {
+    let message = match row(name.strip_prefix("fn:").unwrap_or(name)) {
+        Some(f) if f.name.contains(':') => {
+            format!("wrong number of arguments ({arity}) for {}", f.name)
+        }
+        Some(f) => format!("wrong number of arguments ({arity}) for fn:{}", f.name),
+        None => format!("undefined function {name}#{arity}"),
+    };
+    XdmError::new("XPST0017", message)
+}
+
+/// `fn:parse-xml`, the [`Kind::MutStore`] row: the parsed document's nodes
+/// are allocated in `store`; `max_depth` is the run's element-nesting
+/// bound (`Limits::max_xml_depth`).
+pub(crate) fn parse_xml(
+    store: &mut Store,
+    args: Vec<Sequence>,
+    max_depth: usize,
+) -> XdmResult<Sequence> {
+    let s = opt_string(args.into_iter().next().unwrap_or_default(), store)?;
     let doc = xqdm::xml::parse_document_with_limit(store, &s, max_depth)?;
     Ok(seq![Item::Node(doc)])
 }
 
-/// Built-ins the effect lattice rates `Pure` but which the parallel gate
-/// must still reject: `fn:parse-xml` allocates store nodes behind its
-/// read-only rating, `fn:trace` writes to stderr, whose line order a
-/// fan-out would scramble, and `xqb:stats`/`xqb:reset-stats` read or
-/// clear ambient registry state a fan-out would make nondeterministic.
-pub fn is_par_opaque(name: &str) -> bool {
-    matches!(
-        name.strip_prefix("fn:").unwrap_or(name),
-        "parse-xml" | "trace" | "xqb:stats" | "xqb:reset-stats"
-    )
-}
-
-/// Is `name` (possibly `fn:`-prefixed, or a special `fs:`/`xs:` name) a
-/// built-in?
-pub fn is_builtin(name: &str) -> bool {
-    matches!(
-        name,
-        "fs:avt"
-            | "fs:intersect"
-            | "fs:except"
-            | "xs:integer"
-            | "xs:string"
-            | "xs:double"
-            | "xs:boolean"
-            | "xqb:explain"
-            | "xqb:stats"
-            | "xqb:reset-stats"
-            | "xqb:fingerprint"
-    ) || is_builtin_local(name.strip_prefix("fn:").unwrap_or(name))
-}
-
-fn is_builtin_local(local: &str) -> bool {
-    const NAMES: &[&str] = &[
-        "count",
-        "empty",
-        "exists",
-        "not",
-        "boolean",
-        "string",
-        "string-length",
-        "data",
-        "number",
-        "concat",
-        "string-join",
-        "contains",
-        "starts-with",
-        "ends-with",
-        "substring",
-        "substring-before",
-        "substring-after",
-        "upper-case",
-        "lower-case",
-        "normalize-space",
-        "translate",
-        "sum",
-        "avg",
-        "min",
-        "max",
-        "abs",
-        "round",
-        "floor",
-        "ceiling",
-        "distinct-values",
-        "reverse",
-        "subsequence",
-        "insert-before",
-        "remove",
-        "index-of",
-        "exactly-one",
-        "zero-or-one",
-        "one-or-more",
-        "last",
-        "position",
-        "name",
-        "local-name",
-        "root",
-        "true",
-        "false",
-        "deep-equal",
-        "error",
-        "trace",
-        "head",
-        "tail",
-        "parse-xml",
-        "serialize",
-    ];
-    NAMES.contains(&local)
-}
-
-fn wrong_arity(name: &str, n: usize) -> XdmError {
-    XdmError::new(
-        "XPST0017",
-        format!("wrong number of arguments ({n}) for fn:{name}"),
-    )
-}
-
-fn call(local: &str, args: Vec<Sequence>, store: &Store, env: &DynEnv) -> XdmResult<Sequence> {
+/// Run built-in `f` with `args` — as many as its row allows — over
+/// `&Store`, which every row but the [`Kind::MutStore`] one ([`parse_xml`])
+/// needs at most, so the full evaluator and the parallel workers share
+/// this one entry point.
+pub(crate) fn call(
+    f: &Builtin,
+    args: Vec<Sequence>,
+    store: &Store,
+    scope: &Scope,
+    env: &DynEnv,
+) -> XdmResult<Sequence> {
     let nargs = args.len();
     let mut it = args.into_iter();
     let mut next = move || it.next().unwrap_or_default();
 
-    match (local, nargs) {
+    match f.id {
         // ---------- sequences ----------
-        ("count", 1) => Ok(seq![Item::integer(next().len() as i64)]),
-        ("empty", 1) => Ok(seq![Item::boolean(next().is_empty())]),
-        ("exists", 1) => Ok(seq![Item::boolean(!next().is_empty())]),
-        ("not", 1) => Ok(seq![Item::boolean(!item::effective_boolean(
+        Id::Count => Ok(seq![Item::integer(next().len() as i64)]),
+        Id::Empty => Ok(seq![Item::boolean(next().is_empty())]),
+        Id::Exists => Ok(seq![Item::boolean(!next().is_empty())]),
+        Id::Not => Ok(seq![Item::boolean(!item::effective_boolean(
             &next(),
             store,
         )?)]),
-        ("boolean", 1) => Ok(seq![Item::boolean(item::effective_boolean(
+        Id::Boolean => Ok(seq![Item::boolean(item::effective_boolean(
             &next(),
             store,
         )?)]),
-        ("distinct-values", 1) => {
+        Id::DistinctValues => {
             let atoms = item::atomize(&next(), store)?;
             let mut out: Vec<Atomic> = Vec::new();
             for a in atoms {
@@ -182,12 +255,12 @@ fn call(local: &str, args: Vec<Sequence>, store: &Store, env: &DynEnv) -> XdmRes
             }
             Ok(out.into_iter().map(Item::Atomic).collect())
         }
-        ("reverse", 1) => {
+        Id::Reverse => {
             let mut v = next();
             v.reverse();
             Ok(v)
         }
-        ("subsequence", 2 | 3) => {
+        Id::Subsequence => {
             let seq = next();
             let start = one_double(next(), store)?.round() as i64;
             let end = if nargs == 3 {
@@ -205,7 +278,7 @@ fn call(local: &str, args: Vec<Sequence>, store: &Store, env: &DynEnv) -> XdmRes
                 .map(|(_, x)| x)
                 .collect())
         }
-        ("insert-before", 3) => {
+        Id::InsertBefore => {
             let seq = next();
             let pos = one_integer(next(), store)?.max(1) as usize;
             let ins = next();
@@ -214,7 +287,7 @@ fn call(local: &str, args: Vec<Sequence>, store: &Store, env: &DynEnv) -> XdmRes
             out.splice(at..at, ins);
             Ok(out.into())
         }
-        ("remove", 2) => {
+        Id::Remove => {
             let seq = next();
             let pos = one_integer(next(), store)?;
             Ok(seq
@@ -224,7 +297,7 @@ fn call(local: &str, args: Vec<Sequence>, store: &Store, env: &DynEnv) -> XdmRes
                 .map(|(_, x)| x)
                 .collect())
         }
-        ("index-of", 2) => {
+        Id::IndexOf => {
             let seq = item::atomize(&next(), store)?;
             let target = one_atomic(next(), store)?;
             Ok(seq
@@ -234,7 +307,7 @@ fn call(local: &str, args: Vec<Sequence>, store: &Store, env: &DynEnv) -> XdmRes
                 .map(|(i, _)| Item::integer((i + 1) as i64))
                 .collect())
         }
-        ("exactly-one", 1) => {
+        Id::ExactlyOne => {
             let v = next();
             if v.len() == 1 {
                 Ok(v)
@@ -245,7 +318,7 @@ fn call(local: &str, args: Vec<Sequence>, store: &Store, env: &DynEnv) -> XdmRes
                 ))
             }
         }
-        ("zero-or-one", 1) => {
+        Id::ZeroOrOne => {
             let v = next();
             if v.len() <= 1 {
                 Ok(v)
@@ -256,7 +329,7 @@ fn call(local: &str, args: Vec<Sequence>, store: &Store, env: &DynEnv) -> XdmRes
                 ))
             }
         }
-        ("one-or-more", 1) => {
+        Id::OneOrMore => {
             let v = next();
             if v.is_empty() {
                 Err(XdmError::value("FORG0004", "fn:one-or-more called with ()"))
@@ -264,29 +337,29 @@ fn call(local: &str, args: Vec<Sequence>, store: &Store, env: &DynEnv) -> XdmRes
                 Ok(v)
             }
         }
-        ("head", 1) => Ok(next().into_iter().take(1).collect()),
-        ("tail", 1) => Ok(next().into_iter().skip(1).collect()),
+        Id::Head => Ok(next().into_iter().take(1).collect()),
+        Id::Tail => Ok(next().into_iter().skip(1).collect()),
         // ---------- focus ----------
-        ("position", 0) => Ok(seq![Item::integer(env.focus()?.position as i64)]),
-        ("last", 0) => Ok(seq![Item::integer(env.focus()?.size as i64)]),
+        Id::Position => Ok(seq![Item::integer(env.focus()?.position as i64)]),
+        Id::Last => Ok(seq![Item::integer(env.focus()?.size as i64)]),
         // ---------- strings ----------
-        ("string", 0 | 1) => {
+        Id::String => {
             let v = if nargs == 0 { focus_seq(env)? } else { next() };
             match item::zero_or_one(v)? {
                 None => Ok(seq![Item::string("")]),
                 Some(x) => Ok(seq![Item::string(x.string_value(store)?)]),
             }
         }
-        ("string-length", 0 | 1) => {
+        Id::StringLength => {
             let v = if nargs == 0 { focus_seq(env)? } else { next() };
             let s = opt_string(v, store)?;
             Ok(seq![Item::integer(s.chars().count() as i64)])
         }
-        ("data", 1) => Ok(item::atomize(&next(), store)?
+        Id::Data => Ok(item::atomize(&next(), store)?
             .into_iter()
             .map(Item::Atomic)
             .collect()),
-        ("number", 0 | 1) => {
+        Id::Number => {
             let v = if nargs == 0 { focus_seq(env)? } else { next() };
             let d = match item::zero_or_one(v)? {
                 None => f64::NAN,
@@ -294,18 +367,16 @@ fn call(local: &str, args: Vec<Sequence>, store: &Store, env: &DynEnv) -> XdmRes
             };
             Ok(seq![Item::double(d)])
         }
-        ("concat", n) if n >= 2 => {
+        Id::Concat => {
             let mut out = String::new();
-            for _ in 0..n {
-                let v = next();
-                match item::zero_or_one(v)? {
-                    None => {}
-                    Some(x) => out.push_str(&x.string_value(store)?),
+            for _ in 0..nargs {
+                if let Some(x) = item::zero_or_one(next())? {
+                    out.push_str(&x.string_value(store)?);
                 }
             }
             Ok(seq![Item::string(out)])
         }
-        ("string-join", 2) => {
+        Id::StringJoin => {
             let seq = next();
             let sep = opt_string(next(), store)?;
             let parts: Vec<String> = seq
@@ -314,19 +385,19 @@ fn call(local: &str, args: Vec<Sequence>, store: &Store, env: &DynEnv) -> XdmRes
                 .collect::<XdmResult<_>>()?;
             Ok(seq![Item::string(parts.join(&sep))])
         }
-        ("contains", 2) => {
+        Id::Contains => {
             let (a, b) = (opt_string(next(), store)?, opt_string(next(), store)?);
             Ok(seq![Item::boolean(a.contains(&b))])
         }
-        ("starts-with", 2) => {
+        Id::StartsWith => {
             let (a, b) = (opt_string(next(), store)?, opt_string(next(), store)?);
             Ok(seq![Item::boolean(a.starts_with(&b))])
         }
-        ("ends-with", 2) => {
+        Id::EndsWith => {
             let (a, b) = (opt_string(next(), store)?, opt_string(next(), store)?);
             Ok(seq![Item::boolean(a.ends_with(&b))])
         }
-        ("substring", 2 | 3) => {
+        Id::Substring => {
             let s = opt_string(next(), store)?;
             let start = one_double(next(), store)?.round() as i64;
             let end = if nargs == 3 {
@@ -345,13 +416,13 @@ fn call(local: &str, args: Vec<Sequence>, store: &Store, env: &DynEnv) -> XdmRes
                 .collect();
             Ok(seq![Item::string(out)])
         }
-        ("substring-before", 2) => {
+        Id::SubstringBefore => {
             let (a, b) = (opt_string(next(), store)?, opt_string(next(), store)?);
             Ok(seq![Item::string(
                 a.find(&b).map(|i| a[..i].to_string()).unwrap_or_default(),
             )])
         }
-        ("substring-after", 2) => {
+        Id::SubstringAfter => {
             let (a, b) = (opt_string(next(), store)?, opt_string(next(), store)?);
             Ok(seq![Item::string(
                 a.find(&b)
@@ -359,20 +430,20 @@ fn call(local: &str, args: Vec<Sequence>, store: &Store, env: &DynEnv) -> XdmRes
                     .unwrap_or_default(),
             )])
         }
-        ("upper-case", 1) => Ok(seq![Item::string(
+        Id::UpperCase => Ok(seq![Item::string(
             opt_string(next(), store)?.to_uppercase(),
         )]),
-        ("lower-case", 1) => Ok(seq![Item::string(
+        Id::LowerCase => Ok(seq![Item::string(
             opt_string(next(), store)?.to_lowercase(),
         )]),
-        ("normalize-space", 0 | 1) => {
+        Id::NormalizeSpace => {
             let v = if nargs == 0 { focus_seq(env)? } else { next() };
             let s = opt_string(v, store)?;
             Ok(seq![Item::string(
                 s.split_whitespace().collect::<Vec<_>>().join(" "),
             )])
         }
-        ("translate", 3) => {
+        Id::Translate => {
             let s = opt_string(next(), store)?;
             let from: Vec<char> = opt_string(next(), store)?.chars().collect();
             let to: Vec<char> = opt_string(next(), store)?.chars().collect();
@@ -386,7 +457,7 @@ fn call(local: &str, args: Vec<Sequence>, store: &Store, env: &DynEnv) -> XdmRes
             Ok(seq![Item::string(out)])
         }
         // ---------- numerics / aggregates ----------
-        ("sum", 1 | 2) => {
+        Id::Sum => {
             let atoms = item::atomize(&next(), store)?;
             if atoms.is_empty() {
                 return if nargs == 2 {
@@ -397,7 +468,7 @@ fn call(local: &str, args: Vec<Sequence>, store: &Store, env: &DynEnv) -> XdmRes
             }
             sum_numeric(&atoms)
         }
-        ("avg", 1) => {
+        Id::Avg => {
             let atoms = item::atomize(&next(), store)?;
             if atoms.is_empty() {
                 return Ok(seq![]);
@@ -406,12 +477,12 @@ fn call(local: &str, args: Vec<Sequence>, store: &Store, env: &DynEnv) -> XdmRes
             let total = sum_numeric(&atoms)?[0].atomize(store)?.to_double()?;
             Ok(seq![Item::double(total / n)])
         }
-        ("min" | "max", 1) => {
+        Id::Min | Id::Max => {
             let atoms = item::atomize(&next(), store)?;
             if atoms.is_empty() {
                 return Ok(seq![]);
             }
-            let op = if local == "max" {
+            let op = if f.id == Id::Max {
                 CompareOp::Gt
             } else {
                 CompareOp::Lt
@@ -425,46 +496,46 @@ fn call(local: &str, args: Vec<Sequence>, store: &Store, env: &DynEnv) -> XdmRes
             }
             Ok(seq![Item::Atomic(best)])
         }
-        ("abs" | "round" | "floor" | "ceiling", 1) => match item::zero_or_one(next())? {
+        Id::Abs | Id::Round | Id::Floor | Id::Ceiling => match item::zero_or_one(next())? {
             None => Ok(seq![]),
             Some(x) => match x.atomize(store)? {
-                Atomic::Integer(i) => Ok(seq![Item::integer(if local == "abs" {
+                Atomic::Integer(i) => Ok(seq![Item::integer(if f.id == Id::Abs {
                     i.abs()
                 } else {
                     i
                 })]),
                 a => {
                     let d = a.to_double()?;
-                    let r = match local {
-                        "abs" => d.abs(),
-                        "round" => (d + 0.5).floor(),
-                        "floor" => d.floor(),
-                        "ceiling" => d.ceil(),
-                        _ => unreachable!(),
+                    let r = match f.id {
+                        Id::Abs => d.abs(),
+                        Id::Round => (d + 0.5).floor(),
+                        Id::Floor => d.floor(),
+                        _ => d.ceil(),
                     };
                     Ok(seq![Item::double(r)])
                 }
             },
         },
         // ---------- nodes ----------
-        ("name" | "local-name", 0 | 1) => {
+        Id::Name | Id::LocalName => {
             let v = if nargs == 0 { focus_seq(env)? } else { next() };
             match item::zero_or_one(v)? {
                 None => Ok(seq![Item::string("")]),
                 Some(Item::Node(n)) => {
                     let s = match store.name(n)? {
                         None => String::new(),
-                        Some(q) if local == "local-name" => q.local,
+                        Some(q) if f.id == Id::LocalName => q.local,
                         Some(q) => q.to_string(),
                     };
                     Ok(seq![Item::string(s)])
                 }
                 Some(Item::Atomic(_)) => Err(XdmError::type_error(format!(
-                    "fn:{local} expects a node argument"
+                    "fn:{} expects a node argument",
+                    f.name
                 ))),
             }
         }
-        ("root", 0 | 1) => {
+        Id::Root => {
             let v = if nargs == 0 { focus_seq(env)? } else { next() };
             match item::zero_or_one(v)? {
                 None => Ok(seq![]),
@@ -474,11 +545,11 @@ fn call(local: &str, args: Vec<Sequence>, store: &Store, env: &DynEnv) -> XdmRes
                 }
             }
         }
-        ("deep-equal", 2) => {
+        Id::DeepEqual => {
             let (a, b) = (next(), next());
             Ok(seq![Item::boolean(item::deep_equal(&a, &b, store)?)])
         }
-        ("serialize", 1) => {
+        Id::Serialize => {
             let v = next();
             let mut out = String::new();
             for it in &v {
@@ -489,10 +560,11 @@ fn call(local: &str, args: Vec<Sequence>, store: &Store, env: &DynEnv) -> XdmRes
             }
             Ok(seq![Item::string(out)])
         }
+        Id::ParseXml => unreachable!("fn:parse-xml needs &mut Store: see parse_xml"),
         // ---------- misc ----------
-        ("true", 0) => Ok(seq![Item::boolean(true)]),
-        ("false", 0) => Ok(seq![Item::boolean(false)]),
-        ("error", 0 | 1) => {
+        Id::True => Ok(seq![Item::boolean(true)]),
+        Id::False => Ok(seq![Item::boolean(false)]),
+        Id::Error => {
             let msg = if nargs == 0 {
                 "fn:error called".to_string()
             } else {
@@ -500,84 +572,58 @@ fn call(local: &str, args: Vec<Sequence>, store: &Store, env: &DynEnv) -> XdmRes
             };
             Err(XdmError::new("FOER0000", msg))
         }
-        ("trace", 2) => {
+        Id::Trace => {
             let v = next();
             let label = opt_string(next(), store)?;
             eprintln!("trace[{label}]: {} item(s)", v.len());
             Ok(v)
         }
-        (other, n) => Err(wrong_arity(other, n)),
-    }
-}
-
-/// Internal / constructor functions keyed on the full prefixed name.
-fn dispatch_prefixed(
-    name: &str,
-    args: Vec<Sequence>,
-    store: &Store,
-    scope: &Scope,
-) -> Result<XdmResult<Sequence>, Vec<Sequence>> {
-    if name == "xqb:panic" {
-        // Failure-injection hook: panics mid-evaluation so tests can
-        // exercise the engine's panic isolation (catch + store rollback).
-        // Deliberately a panic, not an error — that is the point.
-        panic!("xqb:panic() called");
-    }
-    if name == "xqb:stats" {
-        // Snapshot the process-wide metrics registry as one JSON string.
-        // Reads ambient mutable state, so the parallel gate rejects it
-        // (is_par_opaque) even though the effect lattice rates it Pure.
-        return Ok(if args.is_empty() {
-            Ok(seq![Item::string(
-                crate::obs::global().snapshot().to_json(),
-            )])
-        } else {
-            Err(XdmError::new(
-                "XPST0017",
-                format!("wrong number of arguments ({}) for xqb:stats", args.len()),
-            ))
-        });
-    }
-    if name == "xqb:reset-stats" {
-        // Zero every global counter/histogram and clear the slow-query
-        // ring; returns the empty sequence.
-        return Ok(if args.is_empty() {
-            crate::obs::global().reset();
-            Ok(seq![])
-        } else {
-            Err(XdmError::new(
-                "XPST0017",
-                format!(
-                    "wrong number of arguments ({}) for xqb:reset-stats",
-                    args.len()
-                ),
-            ))
-        });
-    }
-    if name == "xqb:fingerprint" {
-        // The canonical store hash (Store::fingerprint, hex-rendered):
-        // recovery tests, the REPL, and differential tests compare the
-        // same value. Pure over the store argument, so the parallel gate
-        // does not need to reject it.
-        return Ok(if args.is_empty() {
-            Ok(seq![Item::string(format!("{:016x}", store.fingerprint()))])
-        } else {
-            Err(XdmError::new(
-                "XPST0017",
-                format!(
-                    "wrong number of arguments ({}) for xqb:fingerprint",
-                    args.len()
-                ),
-            ))
-        });
-    }
-    if name == "xqb:explain" {
-        // EXPLAIN from inside the language: `Engine::explain` of the
-        // argument query on the engine running this one. A syntax error
-        // is `XPST0003`; only the parser's nesting bound is a limit trip.
-        let arg = args.into_iter().next().unwrap_or_default();
-        return Ok((|| {
-            let query = item::exactly_one(arg)?.string_value(store)?;
+        // ---------- casts ----------
+        Id::XsInteger => match item::zero_or_one(next())? {
+            None => Ok(seq![]),
+            Some(x) => Ok(seq![Item::integer(x.atomize(store)?.to_integer()?)]),
+        },
+        Id::XsString => match item::zero_or_one(next())? {
+            None => Ok(seq![]),
+            Some(x) => Ok(seq![Item::string(x.string_value(store)?)]),
+        },
+        Id::XsDouble => match item::zero_or_one(next())? {
+            None => Ok(seq![]),
+            Some(x) => Ok(seq![Item::double(x.atomize(store)?.to_double()?)]),
+        },
+        Id::XsBoolean => match item::zero_or_one(next())? {
+            None => Ok(seq![]),
+            Some(x) => Ok(seq![Item::boolean(x.atomize(store)?.to_boolean()?)]),
+        },
+        // ---------- normalization targets ----------
+        Id::Avt => {
+            // Attribute-value-template rule: atomize the enclosed
+            // expression's value and join with single spaces.
+            let parts: Vec<String> = item::atomize(&next(), store)?
+                .into_iter()
+                .map(|a| a.string_value())
+                .collect();
+            Ok(seq![Item::string(parts.join(" "))])
+        }
+        Id::Intersect | Id::Except => {
+            // Node identity semantics, document-order deduplicated result.
+            let (a, b) = (next(), next());
+            let left = item::all_nodes(&a)?;
+            let right: std::collections::HashSet<_> = item::all_nodes(&b)?.into_iter().collect();
+            let keep = f.id == Id::Intersect;
+            let mut nodes: Vec<_> = left
+                .into_iter()
+                .filter(|n| right.contains(n) == keep)
+                .collect();
+            store.sort_and_dedup(&mut nodes)?;
+            Ok(nodes.into_iter().map(Item::Node).collect())
+        }
+        // ---------- engine introspection ----------
+        Id::Explain => {
+            // EXPLAIN from inside the language: `Engine::explain` of the
+            // argument query on the engine running this one. A syntax error
+            // is `XPST0003`; only the parser's nesting bound is a limit trip.
+            let query = item::exactly_one(next())?.string_value(store)?;
             let text = crate::engine::explain_query(scope.env(), store, &query).map_err(|e| {
                 let code = if crate::limits::is_parse_depth_trip(&e) {
                     "XQB0040"
@@ -587,62 +633,22 @@ fn dispatch_prefixed(
                 XdmError::new(code, format!("xqb:explain: cannot parse query: {e}"))
             })?;
             Ok(seq![Item::string(text)])
-        })());
+        }
+        // The canonical store hash (`Store::fingerprint`, hex-rendered):
+        // recovery tests, the REPL, and differential tests compare it.
+        Id::Fingerprint => Ok(seq![Item::string(format!("{:016x}", store.fingerprint()))]),
+        // The process-wide metrics registry as one JSON string.
+        Id::Stats => Ok(seq![Item::string(
+            crate::obs::global().snapshot().to_json(),
+        )]),
+        // Zero every global counter/histogram and clear the slow-query ring.
+        Id::ResetStats => {
+            crate::obs::global().reset();
+            Ok(seq![])
+        }
+        // Deliberately a panic, not an error — that is the point.
+        Id::Panic => panic!("xqb:panic() called"),
     }
-    if matches!(name, "fs:intersect" | "fs:except") {
-        // The normalization targets of `intersect` / `except`: node
-        // identity semantics, document-order deduplicated result.
-        let mut args = args.into_iter();
-        let a = args.next().unwrap_or_default();
-        let b = args.next().unwrap_or_default();
-        return Ok((|| {
-            let left = item::all_nodes(&a)?;
-            let right: std::collections::HashSet<_> = item::all_nodes(&b)?.into_iter().collect();
-            let keep = name == "fs:intersect";
-            let mut nodes: Vec<_> = left
-                .into_iter()
-                .filter(|n| right.contains(n) == keep)
-                .collect();
-            store.sort_and_dedup(&mut nodes)?;
-            Ok(nodes.into_iter().map(Item::Node).collect())
-        })());
-    }
-    if !matches!(
-        name,
-        "fs:avt" | "xs:integer" | "xs:string" | "xs:double" | "xs:boolean"
-    ) {
-        return Err(args);
-    }
-    let v = args.into_iter().next().unwrap_or_default();
-    let result = match name {
-        "fs:avt" => (|| {
-            // Attribute-value-template rule: atomize the enclosed
-            // expression's value and join with single spaces.
-            let parts: Vec<String> = item::atomize(&v, store)?
-                .into_iter()
-                .map(|a| a.string_value())
-                .collect();
-            Ok(seq![Item::string(parts.join(" "))])
-        })(),
-        "xs:integer" => (|| match item::zero_or_one(v)? {
-            None => Ok(seq![]),
-            Some(x) => Ok(seq![Item::integer(x.atomize(store)?.to_integer()?)]),
-        })(),
-        "xs:double" => (|| match item::zero_or_one(v)? {
-            None => Ok(seq![]),
-            Some(x) => Ok(seq![Item::double(x.atomize(store)?.to_double()?)]),
-        })(),
-        "xs:string" => (|| match item::zero_or_one(v)? {
-            None => Ok(seq![]),
-            Some(x) => Ok(seq![Item::string(x.string_value(store)?)]),
-        })(),
-        "xs:boolean" => (|| match item::zero_or_one(v)? {
-            None => Ok(seq![]),
-            Some(x) => Ok(seq![Item::boolean(x.atomize(store)?.to_boolean()?)]),
-        })(),
-        _ => unreachable!(),
-    };
-    Ok(result)
 }
 
 // ----------------------------------------------------------------------

@@ -35,7 +35,6 @@
 
 use crate::env::{DynEnv, Scope};
 use crate::eval::EvalCtx;
-use crate::functions;
 use crate::limits::LimitGuard;
 use crate::obs::{self, CounterId};
 use xqdm::item::{Item, Sequence};
@@ -139,14 +138,15 @@ impl EvalCtx for Worker<'_> {
         None
     }
 
+    fn call_mut_store(&mut self, _args: Vec<Sequence>) -> XdmResult<Sequence> {
+        Err(gate_bug("fn:parse-xml"))
+    }
+
     fn call_unshared(
         &mut self,
-        name: &str,
+        _name: &str,
         args: Vec<Sequence>,
     ) -> Result<XdmResult<Sequence>, Vec<Sequence>> {
-        if functions::is_parse_xml(name) {
-            return Ok(Err(gate_bug("fn:parse-xml")));
-        }
         Err(args)
     }
 

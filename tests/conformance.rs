@@ -8,6 +8,7 @@
 //! semantics), and negative tests for `XQB0030` engine isolation /
 //! rollback with parallel evaluation enabled.
 
+use xquery_bang::xqcore::functions::{BUILTINS, MANY};
 use xquery_bang::{Engine, Error};
 
 const DOC: &str = r#"<site>
@@ -324,6 +325,12 @@ fn error_codes() {
         ("xqb:stats(1)", "XPST0017"),
         ("xqb:reset-stats(\"x\")", "XPST0017"),
         ("xqb:fingerprint(1)", "XPST0017"),
+        // A call is built-in only at an arity its row allows; no argument
+        // is defaulted or dropped.
+        ("xs:integer()", "XPST0017"),
+        ("xs:string(\"a\", \"b\")", "XPST0017"),
+        ("xqb:explain(\"1\", \"2\")", "XPST0017"),
+        ("fs:intersect(1)", "XPST0017"),
         ("1 + \"a\"", "XPTY0004"),
         ("xs:integer(\"zz\")", "FORG0001"),
         ("sum((\"a\", \"b\"))", "FORG0001"),
@@ -458,4 +465,35 @@ fn parallel_region_error_matches_sequential() {
         "parallel error diverges from sequential"
     );
     assert_eq!(results[0].0, "FOAR0001");
+}
+
+/// docs/LANGUAGE.md §9 and `functions::BUILTINS` name the same built-ins
+/// at the same arities: every row is documented, every documented
+/// `name#arity` is a row.
+#[test]
+fn documented_builtins_are_the_table() {
+    let table: std::collections::BTreeSet<String> = BUILTINS
+        .iter()
+        .map(|f| match (f.min, f.max) {
+            (min, MANY) => format!("{}#{min}+", f.name),
+            (min, max) if min == max => format!("{}#{min}", f.name),
+            (min, max) => format!("{}#{min}-{max}", f.name),
+        })
+        .collect();
+    let language = include_str!("../docs/LANGUAGE.md");
+    let section = &language[language.find("## 9.").unwrap()..language.find("## 10.").unwrap()];
+    // Code spans are the odd pieces between backticks.
+    let documented: std::collections::BTreeSet<String> = section
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .filter(|span| span.contains('#'))
+        .map(str::to_string)
+        .collect();
+    let undocumented: Vec<_> = table.difference(&documented).collect();
+    let unknown: Vec<_> = documented.difference(&table).collect();
+    assert!(
+        undocumented.is_empty() && unknown.is_empty(),
+        "rows not in docs/LANGUAGE.md §9: {undocumented:?}; documented but no row: {unknown:?}"
+    );
 }

@@ -18,7 +18,10 @@
 //! A generated binder battery (pinned seed, vendored proptest RNG) feeds
 //! programs of nested, shadowing `let` / `for` / `for … at` / `some` /
 //! `every` / `order by` binders through the same matrix, and checks that
-//! the static checker's `XPST0008` predicts the interpreter's.
+//! the static checker's `XPST0008` predicts the interpreter's. A generated
+//! builtin battery (pinned seed) calls every built-in row at each arity
+//! from one below to one above its range, through the same matrix, and
+//! checks that the checker's `XPST0017` predicts the interpreter's.
 //!
 //! A `proptest` section generalizes the fixed corpus with randomly
 //! generated join-shaped programs and data, additionally asserting the
@@ -28,6 +31,7 @@
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use xquery_bang::xmarkgen::{Scale, XmarkGen};
+use xquery_bang::xqcore::functions::{Kind, BUILTINS, MANY};
 use xquery_bang::{Engine, Error, Item};
 
 /// The thread counts the determinism matrix exercises.
@@ -804,6 +808,106 @@ fn shadowed_and_captured_variables_agree() {
             }
         }
     }
+}
+
+/// A call is built-in only at an arity its row allows; at any other arity
+/// the declared function of that name is called. A declared `exists#2`
+/// is then not the boolean built-in: its numeric value is a position
+/// test, which the `//` fusion must not evaluate over one walk (`1`).
+#[test]
+fn declared_functions_take_the_arities_no_row_has() {
+    let doc = "<r><a><x/><x/></a><b><x/></b></r>";
+    let rows = [
+        (
+            "declare function count($a, $b, $c) { $a + $b + $c }; count(1, 2, 3)",
+            "6",
+        ),
+        (
+            "declare function exists($a, $b) { 1 }; count($doc//x[exists(1, 2)])",
+            "2",
+        ),
+    ];
+    let queries: Vec<&str> = rows.iter().map(|&(q, _)| q).collect();
+    differential(&[("doc", doc)], &[], &queries);
+    // `differential` holds every strategy to the reference; pin its value.
+    let mut e = Engine::new();
+    e.set_compile(false);
+    e.load_document("doc", doc).unwrap();
+    for (q, want) in rows {
+        let r = e.run(q).unwrap();
+        assert_eq!(e.serialize(&r).unwrap(), want, "{q}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Generated builtin battery
+// ---------------------------------------------------------------------------
+
+/// The builtin battery's pinned generator key: changing it changes every
+/// argument list.
+const BUILTIN_SEED: &str = "builtin_battery/v1";
+/// Most arguments a call to a variadic built-in (`concat`) gets.
+const VARIADIC_CAP: usize = 4;
+/// The typed argument pool: integers, strings, the empty sequence and a
+/// node path. No argument raises an error of its own.
+const ARGUMENTS: &[&str] = &["1", "7", "\"a\"", "\"b c\"", "()", "$doc//x"];
+/// The document the node path reads.
+const BUILTIN_DOC: &str = "<r><a><x>1</x><x>2</x></a><b><x>3</x></b></r>";
+
+/// One call per row of `functions::BUILTINS` at each arity from one below
+/// its fewest to one above its most arguments, arguments drawn from
+/// [`ARGUMENTS`]. `xqb:panic` panics by design and is left out; an
+/// opaque row's value may read state outside the store (`xqb:stats`), so
+/// only its count is compared.
+fn builtin_battery() -> Vec<String> {
+    let mut rng = TestRng::for_case(BUILTIN_SEED, 0);
+    let mut programs = Vec::new();
+    for f in BUILTINS.iter().filter(|f| f.kind != Kind::Panic) {
+        let top = if f.max == MANY {
+            VARIADIC_CAP
+        } else {
+            f.max + 1
+        };
+        for arity in f.min.saturating_sub(1)..=top {
+            let args: Vec<&str> = (0..arity)
+                .map(|_| ARGUMENTS[rng.below(ARGUMENTS.len())])
+                .collect();
+            let call = format!("{}({})", f.name, args.join(", "));
+            programs.push(if f.kind == Kind::Opaque {
+                format!("count({call})")
+            } else {
+                call
+            });
+        }
+    }
+    programs
+}
+
+#[test]
+fn generated_builtin_calls_agree_across_strategies() {
+    let programs = builtin_battery();
+    let queries: Vec<&str> = programs.iter().map(String::as_str).collect();
+    differential(&[("doc", BUILTIN_DOC)], &[], &queries);
+}
+
+/// `Engine::check` reports `XPST0017` exactly when the interpreter raises
+/// it, on every call of the battery.
+#[test]
+fn checker_and_interpreter_agree_on_builtin_arity() {
+    let mut e = Engine::new();
+    e.set_compile(false);
+    e.load_document("doc", BUILTIN_DOC).unwrap();
+    let (mut rejected, mut accepted) = (0, 0);
+    for q in builtin_battery() {
+        let checked = e.check(&q).unwrap().iter().any(|d| d.code == "XPST0017");
+        let raised = matches!(e.run(&q), Err(Error::Eval(x)) if x.code == "XPST0017");
+        assert_eq!(checked, raised, "checker and interpreter disagree on {q}");
+        *if raised { &mut rejected } else { &mut accepted } += 1;
+    }
+    assert!(
+        rejected > 0 && accepted > 0,
+        "{rejected} calls rejected, {accepted} accepted"
+    );
 }
 
 // ---------------------------------------------------------------------------
