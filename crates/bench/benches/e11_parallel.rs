@@ -1,248 +1,191 @@
-//! E11 — parallel evaluation of effect-free regions (DESIGN.md §9).
+//! E11 — does intra-query fan-out (DESIGN.md §9) still earn its place?
 //!
-//! The engine has one fan-out, a `for` loop whose body the purity gate
-//! admits; joins and group-bys run sequentially. One claim: where the gate
-//! admits a loop, worker threads buy wall-clock time *without changing any
-//! observable*; where it rejects one, or no loop is left, the engine
-//! provably stays sequential.
+//! Every row runs one query at 2 worker threads (A) against 1 thread (B),
+//! read with [`xqexp::paired`]: `PAIRS` pairs, the side that runs first
+//! alternating, each measurement on a fresh engine (the store build is
+//! not timed). A ratio below 1 is a 2-thread gain; `wins` counts the pairs
+//! the 2-thread run won. Every run of a row must print the same value.
 //!
-//! * **Q8-pure × threads** — the XMark Q8 variant with its updates
-//!   stripped (`Q8_PURE_VARIANT`), evaluated at 1/2/4/8 threads on both
-//!   pipelines. The interpreted pipeline runs the paper's naive nested
-//!   loop, so the fan-out parallelizes the quadratic scan. The compiled
-//!   pipeline turns it into an outer-join/group-by, which runs
-//!   sequentially at every thread count: `par_regions == 0` and no `par`
-//!   in EXPLAIN, asserted. Its `"1"` member is the baseline e12 and e13
-//!   compare against.
-//! * **Pure loop × threads** — the compiled plan `For` over an `Iterate`
-//!   body (`PURE_LOOP`), the row that defends the fan-out on the compiled
-//!   pipeline: it must fan out at ≥ 2 threads and carry the `[par]`
-//!   binder in EXPLAIN.
-//! * **Q8-snap (impure)** — the `snap insert` variant: the gate must
-//!   refuse it (`par_regions == 0` even at 8 threads, and EXPLAIN shows
-//!   no `par` marker). Asserted, not just measured.
-//! * **E3 logging workload** — per-item `snap insert` loop, the other
-//!   impure shape: timed at 1 and 4 threads to show the thread knob is
-//!   inert on impure code.
+//! The rows are E11's after the predicate unnesting (the XMark Q8 pure
+//! variant interpreted and compiled, its predicate form, the Q8 `snap`
+//! variant and the E3 logging loop), every query the EXPLAIN goldens mark
+//! `par`, and the cheap per-person loop at 800 and 25 500 persons.
 //!
-//! Every row asserts the same value at every thread count. Custom harness
-//! (no Criterion): medians over fixed repetitions, a human-readable table
-//! on stdout, and the machine-readable `parallel` section of the canonical
+//! Output: a table on stdout and the `parallel` section of the canonical
 //! `BENCH.json` (other sections are preserved).
 
-use std::time::Instant;
 use xmarkgen::Scale;
 use xqcore::Engine;
-use xqexp::{xmark_fixture, Q8_PURE_VARIANT, Q8_SNAP_VARIANT};
+use xqexp::{paired, seconds, xmark_fixture, Q8_PURE_VARIANT, Q8_SNAP_VARIANT};
 
-const REPS: usize = 5;
-const THREADS: &[usize] = &[1, 2, 4, 8];
+const PAIRS: usize = 10;
 
-/// A pure `for` whose body the compiled pipeline leaves to the
-/// interpreter (an `Iterate` leaf): one descendant scan per person.
-const PURE_LOOP: &str =
+/// The Q8 join written as a path predicate; the rewriter unnests it into
+/// the outer-join + group-by the FLWOR form compiles to.
+const PREDICATE_FORM: &str =
     "for $p in $auction//person return count($auction//closed_auction[buyer/@person = $p/@id])";
 
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    v[v.len() / 2]
+/// The goldens' pure loop body: a cheap per-person loop that no rewrite
+/// removes.
+const CHEAP_LOOP: &str = "for $p in $auction/site/people/person
+     return concat(string($p/name), \":\", count($p/watches))";
+
+/// `docs/explain.golden`'s pure FLWOR.
+const SQUARES: &str = "for $i in 1 to 10 return $i * $i";
+
+/// `docs/explain.golden`'s join with an effectful inner side: the inner
+/// `for $r` loop is the one marked `par`.
+const EFFECTFUL_INNER: &str = "for $l in $left/e
+     for $r in snap { delete { $trash/e }, $right/e }
+     where $l/@k = $r/@k
+     return $r";
+
+/// `docs/analyze.golden`'s structural mix, whose `for $i` is marked `par`.
+const STRUCTURAL_MIX: &str = "let $xs := for $i in 1 to 5 return $i * $i
+     return if (count($xs) > 3)
+            then (snap { insert { <big/> } into { $sink } }, sum($xs))
+            else 0";
+
+/// The E3 logging loop: one `snap insert` per item.
+const LOGGING: &str =
+    "for $i in 1 to 2000 return snap insert { <entry n=\"{$i}\"/> } into { $logdoc/log }";
+
+/// What a row's engine holds.
+enum Data {
+    Xmark(Scale),
+    Sides(usize),
+    Docs,
 }
 
-/// Engine with the XMark fixture bound to `$auction`/`$purchasers`.
-fn q8_engine(scale: &Scale, compile: bool, threads: usize) -> Engine {
+fn engine(data: &Data, compile: bool, threads: usize) -> Engine {
     let mut e = Engine::new().with_seed(11);
     e.set_compile(compile);
     e.set_threads(threads);
-    let (store, bindings) = xmark_fixture(8, scale);
-    e.store = store;
-    for (name, seq) in bindings {
-        e.bind(&name, seq);
+    match data {
+        Data::Xmark(scale) => {
+            let (store, bindings) = xmark_fixture(8, scale);
+            e.store = store;
+            for (name, seq) in bindings {
+                e.bind(&name, seq);
+            }
+        }
+        Data::Sides(n) => {
+            let side = |tag: &str| -> String {
+                let es: String = (0..*n)
+                    .map(|i| format!("<e n=\"{tag}{i}\" k=\"k{}\"/>", i % 50))
+                    .collect();
+                format!("<r>{es}</r>")
+            };
+            for (name, xml) in [
+                ("l", side("l")),
+                ("r", side("r")),
+                ("t", "<r><e/><e/></r>".to_string()),
+            ] {
+                e.load_document(name, &xml).expect("load");
+            }
+            for (var, path) in [("left", "$l/r"), ("right", "$r/r"), ("trash", "$t/r")] {
+                let v = e.run(path).expect("bind");
+                e.bind(var, v);
+            }
+        }
+        Data::Docs => {
+            e.load_document("logdoc", "<log/>").expect("load");
+            e.load_document("s", "<sink/>").expect("load");
+            let v = e.run("$s/sink").expect("bind");
+            e.bind("sink", v);
+        }
     }
     e
 }
 
-/// Median seconds for `query` on a fresh engine per repetition.
-fn time_q8(scale: &Scale, compile: bool, threads: usize, query: &str) -> (f64, String, u64) {
-    let mut times = Vec::with_capacity(REPS);
-    let mut result = String::new();
-    let mut par_regions = 0;
-    for _ in 0..REPS {
-        let mut e = q8_engine(scale, compile, threads);
-        let t0 = Instant::now();
-        let v = e.run(query).expect("q8 run");
-        times.push(t0.elapsed().as_secs_f64());
-        result = e.serialize(&v).expect("serialize");
-        par_regions = e.last_stats().unwrap().par_regions;
+/// One timed run of `query` at `threads` on a fresh engine; checks the
+/// value against the row's first one.
+fn run(data: &Data, compile: bool, threads: usize, query: &str, value: &mut Option<String>) -> f64 {
+    let mut e = engine(data, compile, threads);
+    let mut out = None;
+    let t = seconds(|| out = Some(e.run(query).expect("run")));
+    let v = e.serialize(&out.expect("ran")).expect("serialize");
+    match value {
+        Some(first) => assert_eq!(first, &v, "{query} changed value at {threads} threads"),
+        None => *value = Some(v),
     }
-    (median(times), result, par_regions)
-}
-
-/// Time `query` on one pipeline at every thread count in [`THREADS`],
-/// printing a table row per count. Asserts that a run fans out exactly
-/// when `fans_out` and threads ≥ 2, and that every run's value equals
-/// `value` (set by the first run when `None`). Returns the row's JSON
-/// object and the speedup over 1 thread at each count.
-fn thread_row(
-    scale: &Scale,
-    compile: bool,
-    query: &str,
-    name: &str,
-    fans_out: bool,
-    value: &mut Option<String>,
-) -> (String, Vec<f64>) {
-    println!(
-        "{:<14} {:>8} {:>12} {:>9} {:>12}",
-        "pipeline", "threads", "median", "speedup", "par_regions"
-    );
-    let (mut cells, mut speedups) = (Vec::new(), Vec::new());
-    let mut base = 0.0;
-    for &threads in THREADS {
-        let (t, v, par_regions) = time_q8(scale, compile, threads, query);
-        if threads == 1 {
-            base = t;
-        }
-        assert_eq!(
-            par_regions > 0,
-            fans_out && threads >= 2,
-            "{name} at {threads} threads: par_regions = {par_regions}"
-        );
-        // Bit-for-bit identical values across every configuration.
-        match value {
-            None => *value = Some(v),
-            Some(b) => assert_eq!(b, &v, "{name}×{threads} changed the result"),
-        }
-        let speedup = base / t;
-        println!(
-            "{name:<14} {threads:>8} {:>9.2} ms {speedup:>8.2}x {par_regions:>12}",
-            t * 1e3
-        );
-        cells.push(format!("\"{threads}\": {t:.6}"));
-        speedups.push(speedup);
-    }
-    (format!("{{{}}}", cells.join(", ")), speedups)
+    t
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let scale = Scale::join_sides(150, 75);
-    let mut json = String::from("{\n    \"experiment\": \"e11_parallel\",\n");
-    json.push_str("    \"scale\": {\"persons\": 150, \"closed_auctions\": 75},\n");
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let q8 = || Data::Xmark(Scale::join_sides(800, 400));
+    let rows: Vec<(&str, Data, bool, &str)> = vec![
+        ("q8_pure_interpreted_800", q8(), false, Q8_PURE_VARIANT),
+        ("q8_pure_compiled_800", q8(), true, Q8_PURE_VARIANT),
+        ("predicate_form_compiled_800", q8(), true, PREDICATE_FORM),
+        ("q8_snap_compiled_800", q8(), true, Q8_SNAP_VARIANT),
+        ("e3_logging_2000", Data::Docs, true, LOGGING),
+        ("golden_squares", Data::Docs, true, SQUARES),
+        (
+            "golden_effectful_inner_200",
+            Data::Sides(200),
+            true,
+            EFFECTFUL_INNER,
+        ),
+        ("golden_structural_mix", Data::Docs, false, STRUCTURAL_MIX),
+        ("cheap_loop_800", q8(), true, CHEAP_LOOP),
+        (
+            "cheap_loop_25500",
+            Data::Xmark(Scale::join_sides(25_500, 400)),
+            true,
+            CHEAP_LOOP,
+        ),
+    ];
 
-    // The compiled Q8 plan is a join, which never fans out: no marker.
-    let probe = q8_engine(&scale, true, 8);
-    let plan = probe.explain(Q8_PURE_VARIANT)?;
+    // After the unnesting the predicate form is a join: no `par` loop.
+    let plan = engine(&q8(), true, 2).explain(PREDICATE_FORM)?;
     assert!(
-        !plan.contains(",par"),
-        "compiled pure Q8 must carry no par marker:\n{plan}"
+        plan.contains("LeftOuterJoin") && !plan.contains("par]"),
+        "the predicate form must compile to an unmarked outer join:\n{plan}"
     );
 
-    // --- Q8-pure × threads, both pipelines -----------------------------
-    println!("E11: XMark Q8 pure variant, median of {REPS} runs ({cores} core(s) available)");
-    let mut baseline_value = None;
-    let mut interpreted_speedup_4 = 1.0;
-    for &compile in &[false, true] {
-        let name = if compile { "compiled" } else { "interpreted" };
-        // The interpreted nested loop fans out; the compiled join does not.
-        let (row, speedups) = thread_row(
-            &scale,
-            compile,
-            Q8_PURE_VARIANT,
-            name,
-            !compile,
-            &mut baseline_value,
-        );
-        if !compile {
-            interpreted_speedup_4 = speedups[2];
-        }
-        json.push_str(&format!("    \"q8_pure_{name}\": {row},\n"));
-    }
-    json.push_str(&format!(
-        "    \"interpreted_speedup_at_4_threads\": {interpreted_speedup_4:.3},\n"
-    ));
-    // The speedup claim is a statement about parallel hardware; on a
-    // host with fewer cores the same run instead demonstrates that the
-    // machinery adds no observable overhead (and no observable anything
-    // else — values asserted identical above).
-    if cores >= 4 {
-        assert!(
-            interpreted_speedup_4 >= 1.5,
-            "expected ≥1.5× at 4 threads on {cores} cores, got {interpreted_speedup_4:.2}×"
-        );
-    } else {
-        println!("(speedup assertion skipped: {cores} core(s) < 4 — nothing to parallelize onto)");
-    }
-
-    // --- Pure loop × threads: the compiled pipeline's fan-out ----------
-    let probe = q8_engine(&scale, true, 8);
-    let plan = probe.explain(PURE_LOOP)?;
-    assert!(
-        plan.contains("For $p[par]") && plan.contains("Iterate["),
-        "the pure loop must be a compiled For marked [par] over an Iterate body:\n{plan}"
-    );
-    println!("\nCompiled pure `for` over an Iterate body, median of {REPS} runs");
-    let (row, speedups) = thread_row(&scale, true, PURE_LOOP, "compiled", true, &mut None);
-    json.push_str(&format!("    \"pure_loop_compiled\": {row},\n"));
-    json.push_str(&format!(
-        "    \"pure_loop_speedup_at_2_threads\": {:.3},\n",
-        speedups[1]
-    ));
-
-    // --- Q8-snap: the impure variant provably stays sequential ---------
-    let probe = q8_engine(&scale, true, 8);
-    let plan = probe.explain(Q8_SNAP_VARIANT)?;
-    assert!(
-        !plan.contains(",par"),
-        "impure Q8 snap variant must carry no par marker:\n{plan}"
-    );
-    let (t_snap, _, par_regions) = time_q8(&scale, true, 8, Q8_SNAP_VARIANT);
-    assert_eq!(
-        par_regions, 0,
-        "snap-inside-loop variant fanned out — gate broken"
-    );
+    println!("E11: 2 threads (A) vs 1 thread (B), {PAIRS} pairs, {cores} core(s)");
     println!(
-        "\nQ8 snap variant @8 threads: {:.2} ms, par_regions = 0, no `par` in EXPLAIN",
-        t_snap * 1e3
+        "{:<30} {:>12} {:>12} {:>30}",
+        "row", "1 thread", "2 threads", "A/B [q1, q3] wins"
     );
-    json.push_str(&format!(
-        "    \"q8_snap_8threads\": {{\"seconds\": {t_snap:.6}, \"par_regions\": 0, \"explain_has_par\": false}},\n"
-    ));
-
-    // --- E3 logging workload: thread knob inert on impure code ---------
-    let n = 2_000usize;
-    let log_query = format!(
-        "for $i in 1 to {n} return snap insert {{ <entry n=\"{{$i}}\"/> }} into {{ $logdoc/log }}"
-    );
-    json.push_str("    \"e3_logging\": {");
-    println!("\nE3 logging workload ({n} per-item snaps):");
-    for (i, &threads) in [1usize, 4].iter().enumerate() {
-        let mut times = Vec::with_capacity(REPS);
-        let mut entries = 0;
-        for _ in 0..REPS {
-            let mut e = Engine::new().with_seed(11);
-            e.set_threads(threads);
-            e.load_document("logdoc", "<log/>").unwrap();
-            let t0 = Instant::now();
-            e.run(&log_query).expect("logging run");
-            times.push(t0.elapsed().as_secs_f64());
-            assert_eq!(e.last_stats().unwrap().par_regions, 0);
-            let c = e.run("count($logdoc/log/entry)").unwrap();
-            entries = e.serialize(&c).unwrap().parse::<usize>().unwrap();
-        }
-        assert_eq!(entries, n);
-        let t = median(times);
-        println!(
-            "  threads={threads}: {:.2} ms (sequential by the gate)",
-            t * 1e3
+    let mut json = format!("{{\n    \"pairs\": {PAIRS},\n");
+    for (i, (name, data, compile, query)) in rows.iter().enumerate() {
+        let value = std::cell::RefCell::new(None);
+        let (mut one, mut two) = (Vec::new(), Vec::new());
+        let p = paired(
+            PAIRS,
+            || {
+                let t = run(data, *compile, 2, query, &mut value.borrow_mut());
+                two.push(t);
+                t
+            },
+            || {
+                let t = run(data, *compile, 1, query, &mut value.borrow_mut());
+                one.push(t);
+                t
+            },
         );
-        if i > 0 {
-            json.push_str(", ");
-        }
-        json.push_str(&format!("\"{threads}\": {t:.6}"));
+        let median = |mut v: Vec<f64>| {
+            v.sort_by(f64::total_cmp);
+            v[v.len() / 2]
+        };
+        let (t1, t2) = (median(one), median(two));
+        println!(
+            "{name:<30} {:>9.3} ms {:>9.3} ms {:>30}",
+            t1 * 1e3,
+            t2 * 1e3,
+            p.summary()
+        );
+        let sep = if i + 1 < rows.len() { "," } else { "" };
+        json.push_str(&format!(
+            "    \"{name}\": {{\"one_thread_s\": {t1:.6}, \"two_threads_s\": {t2:.6}, \
+             \"two_vs_one\": {}}}{sep}\n",
+            p.json()
+        ));
     }
-    json.push_str(", \"par_regions\": 0}\n  }");
-
+    json.push_str("  }");
     xqexp::splice_bench_section("parallel", &json)?;
     Ok(())
 }

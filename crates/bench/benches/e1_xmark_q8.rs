@@ -12,9 +12,11 @@
 //!
 //! Expected shape: naive time grows ~quadratically with the scale knob
 //! (both sides grow together), engine ~linearly; the ratio therefore
-//! grows ~linearly. Absolute numbers are ours, not Galax's. Two probes
-//! follow: a plan-cache hit against its miss, and the join compiled
-//! inside an explicit `snap` body against forced interpretation.
+//! grows ~linearly. Absolute numbers are ours, not Galax's. Three probes
+//! follow: a plan-cache hit against its miss, the join compiled inside
+//! an explicit `snap` body against forced interpretation, and the join
+//! written as a path predicate, compiled against interpreted in
+//! [`xqexp::paired`] runs.
 //!
 //! Output: a table on stdout and the `pipeline` section of the
 //! canonical `BENCH.json` (other sections are preserved).
@@ -36,6 +38,12 @@ snap {
   where $t/buyer/@person = $p/@id
   return insert { <buyer person="{$t/buyer/@person}"/> } into { $purchasers }
 }"#;
+
+/// The join of the FLWOR Q8 written as a path predicate. The rewriter
+/// hoists the predicate into the `let`-bound FLWOR this bench's join
+/// rows compile, so it runs as the same outer join + group-by.
+const Q8_PREDICATE: &str =
+    "for $p in $auction//person return count($auction//closed_auction[buyer/@person = $p/@id])";
 
 /// Fresh-store runs per cell; the median is reported.
 const REPS: usize = 3;
@@ -138,17 +146,48 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          interpreted {t_snap_interp:.2?}"
     );
 
+    // The predicate form, compiled (A) against the interpreter's nested
+    // loop (B), which is what its plan ran before the unnesting: a `For`
+    // over an `Iterate` body. Paired, fresh engines, at 800 persons.
+    let scale = Scale::join_sides(800, 400);
+    let plan = engine(&scale).explain(Q8_PREDICATE)?;
+    assert!(
+        plan.contains("LeftOuterJoin") && plan.contains("GroupBy") && !plan.contains("Iterate"),
+        "the predicate form must unnest:\n{plan}"
+    );
+    let value = std::cell::RefCell::new(None::<String>);
+    let run = |compile: bool| {
+        let mut e = engine(&scale);
+        e.set_compile(compile);
+        let mut out = None;
+        let t = xqexp::seconds(|| out = Some(e.run(Q8_PREDICATE).expect("predicate form")));
+        assert_eq!(e.last_stats().expect("stats").joins_executed > 0, compile);
+        let v = e.serialize(&out.expect("ran")).expect("serialize");
+        let mut first = value.borrow_mut();
+        assert_eq!(first.get_or_insert_with(|| v.clone()), &v, "values differ");
+        t
+    };
+    let predicate = xqexp::paired(10, || run(true), || run(false));
+    println!(
+        "  predicate form @800: compiled / interpreted = {} (ratio [q1, q3] wins), \
+         {:.0}x faster",
+        predicate.summary(),
+        1.0 / predicate.ratio
+    );
+
     let section = format!(
         "{{\n    \"bench\": \"xmark_q8_pipeline\",\n    \"rows\": [\n      {}\n    ],\n    \
          \"plan_cache\": {{\"first_run_s\": {:.6}, \"cached_run_s\": {:.6}, \
          \"hits\": {hits}, \"misses\": {misses}}},\n    \
          \"snap_variant\": {{\"persons\": {persons}, \"compiled_s\": {:.6}, \
-         \"interpreted_s\": {:.6}}}\n  }}",
+         \"interpreted_s\": {:.6}}},\n    \
+         \"predicate_form_800\": {{\"compiled_vs_interpreted\": {}}}\n  }}",
         rows.join(",\n      "),
         t_first.as_secs_f64(),
         t_cached.as_secs_f64(),
         t_snap_compiled.as_secs_f64(),
         t_snap_interp.as_secs_f64(),
+        predicate.json(),
     );
     xqexp::splice_bench_section("pipeline", &section)?;
     Ok(())

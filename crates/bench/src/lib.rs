@@ -155,6 +155,76 @@ pub fn element_tree(store: &mut Store, n: usize) -> XdmResult<NodeId> {
     Ok(root)
 }
 
+/// What [`paired`] read from `n` pairs of one A and one B measurement.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Paired {
+    /// The median of the per-pair ratios A / B: below 1, A is faster.
+    pub ratio: f64,
+    /// The lower quartile of the per-pair ratios.
+    pub q1: f64,
+    /// The upper quartile of the per-pair ratios.
+    pub q3: f64,
+    /// Pairs in which A measured less than B; a tie counts for neither.
+    pub wins: usize,
+    /// Pairs run.
+    pub n: usize,
+}
+
+impl Paired {
+    /// `ratio [q1, q3] wins/n`, as the tables in EXPERIMENTS.md print it.
+    pub fn summary(&self) -> String {
+        format!(
+            "{:.3} [{:.3}, {:.3}] {}/{}",
+            self.ratio, self.q1, self.q3, self.wins, self.n
+        )
+    }
+
+    /// The reading as a JSON object.
+    pub fn json(&self) -> String {
+        format!(
+            "{{\"ratio\": {:.6}, \"q1\": {:.6}, \"q3\": {:.6}, \"wins\": {}, \"n\": {}}}",
+            self.ratio, self.q1, self.q3, self.wins, self.n
+        )
+    }
+}
+
+/// Run `n` pairs of one measurement of `a` and one of `b` (each returns
+/// what it measured, e.g. seconds), alternating which side runs first so
+/// drift and warm-up fall on both alike, and read the per-pair ratios
+/// A / B: their median, quartiles and A's wins out of `n`.
+pub fn paired(n: usize, mut a: impl FnMut() -> f64, mut b: impl FnMut() -> f64) -> Paired {
+    assert!(n > 0, "paired needs at least one pair");
+    let mut ratios = Vec::with_capacity(n);
+    let mut wins = 0;
+    for i in 0..n {
+        let (x, y) = if i % 2 == 0 {
+            let x = a();
+            (x, b())
+        } else {
+            let y = b();
+            (a(), y)
+        };
+        wins += usize::from(x < y);
+        ratios.push(x / y);
+    }
+    ratios.sort_by(f64::total_cmp);
+    let at = |q: f64| ratios[((n - 1) as f64 * q).round() as usize];
+    Paired {
+        ratio: at(0.5),
+        q1: at(0.25),
+        q3: at(0.75),
+        wins,
+        n,
+    }
+}
+
+/// Seconds one call of `f` takes.
+pub fn seconds(f: impl FnOnce()) -> f64 {
+    let t0 = std::time::Instant::now();
+    f();
+    t0.elapsed().as_secs_f64()
+}
+
 // ----------------------------------------------------------------------
 // BENCH.json: the one committed results file. Each experiment owns one
 // top-level section and replaces only that.
@@ -283,6 +353,51 @@ mod tests {
             .filter(|&n| store.name(n).unwrap().is_some())
             .count();
         assert_eq!(elems + 1, 100); // +1 for the root itself
+    }
+
+    /// `paired` over scripted measurements: each side pops its next
+    /// value, and a shared log records the order the sides ran in.
+    fn scripted(n: usize, a: &[f64], b: &[f64]) -> (Paired, Vec<char>) {
+        let log = std::cell::RefCell::new(Vec::new());
+        let (mut ai, mut bi) = (a.iter(), b.iter());
+        let p = paired(
+            n,
+            || {
+                log.borrow_mut().push('a');
+                *ai.next().unwrap()
+            },
+            || {
+                log.borrow_mut().push('b');
+                *bi.next().unwrap()
+            },
+        );
+        (p, log.into_inner())
+    }
+
+    #[test]
+    fn paired_alternates_order_and_counts_no_ties() {
+        let (p, order) = scripted(4, &[1.0; 4], &[1.0; 4]);
+        assert_eq!(order, ['a', 'b', 'b', 'a', 'a', 'b', 'b', 'a']);
+        assert_eq!((p.ratio, p.q1, p.q3, p.wins, p.n), (1.0, 1.0, 1.0, 0, 4));
+    }
+
+    #[test]
+    fn paired_reads_a_clear_win() {
+        let (p, _) = scripted(10, &[1.0; 10], &[2.0; 10]);
+        assert_eq!((p.ratio, p.wins), (0.5, 10));
+        let (p, _) = scripted(10, &[3.0; 10], &[1.0; 10]);
+        assert_eq!((p.ratio, p.wins), (3.0, 0));
+    }
+
+    #[test]
+    fn paired_reads_noise_as_a_spread_around_one() {
+        let a = [1.0, 1.2, 0.9, 1.1, 1.0, 0.8, 1.3, 1.0, 1.1, 0.9];
+        let b = [1.1, 1.0, 1.0, 1.0, 1.2, 1.0, 1.0, 0.9, 1.0, 1.0];
+        let (p, _) = scripted(10, &a, &b);
+        assert_eq!(p.wins, 5);
+        assert!(p.q1 < 1.0 && 1.0 < p.q3, "{p:?}");
+        assert!((0.9..=1.1).contains(&p.ratio), "{p:?}");
+        assert!(p.summary().ends_with(" 5/10"), "{}", p.summary());
     }
 
     #[test]

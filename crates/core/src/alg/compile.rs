@@ -793,6 +793,80 @@ mod tests {
         }
     }
 
+    /// The plan the engine builds: rewriting phase, then compilation.
+    fn simplified_plan(query: &str) -> QueryPlan {
+        let prog = xq_compile(query).expect("parse");
+        Compiler::new(&prog).compile_simplified(&prog.body)
+    }
+
+    /// Correlated path predicates the rewriter unnests: each becomes the
+    /// outer join + group-by, with no `Iterate` left under `For $p`.
+    const UNNESTED: &[&str] = &[
+        "for $p in $auction//person
+         return count($auction//closed_auction[buyer/@person = $p/@id])",
+        "for $p in $auction//person
+         where exists($auction//closed_auction[buyer/@person = $p/@id])
+         return $p/name",
+        "for $p in $auction//person
+         return if (empty($auction//closed_auction[buyer/@person = $p/@id]))
+                then string($p/@id) else ()",
+        // A predicate nested in the right side of the hoisted one.
+        "for $p in $auction//person
+         return count($auction//closed_auction[buyer/@person =
+                      $auction//person[@id = $p/@id]/@id])",
+        // Two predicates in one loop.
+        "for $p in $auction//person
+         return (count($auction//closed_auction[buyer/@person = $p/@id]),
+                 count($auction//closed_auction[seller/@person = $p/@id]))",
+    ];
+
+    /// Occurrences the guards refuse: each stays a predicate in an
+    /// `Iterate` leaf of the loop.
+    const REFUSED: &[&str] = &[
+        // Positional: the last predicate is a position test.
+        "for $p in $auction//person
+         return count($auction//closed_auction[buyer/@person = $p/@id][1])",
+        // A declared function in the predicate.
+        "declare function local:id($x) { $x/@id };
+         for $p in $auction//person
+         return count($auction//closed_auction[buyer/@person = local:id($p)])",
+        // The right side reads the context item.
+        "for $p in $auction//person
+         return count($auction//closed_auction[buyer/@person = concat($p/@id, .)])",
+        // Inside an `if` branch, evaluated on some iterations only.
+        "for $p in $auction//person
+         return if ($p/@id) then count($auction//closed_auction[buyer/@person = $p/@id])
+                else 0",
+    ];
+
+    #[test]
+    fn correlated_predicates_unnest_to_outer_join_group_by() {
+        for q in UNNESTED {
+            let plan = simplified_plan(q);
+            let rendered = plan.render();
+            assert!(
+                matches!(plan, QueryPlan::OuterJoinGroupBy(_)),
+                "{q}:\n{rendered}"
+            );
+            assert!(!rendered.contains("Iterate"), "{q}:\n{rendered}");
+        }
+    }
+
+    #[test]
+    fn guarded_predicates_stay_in_the_loop() {
+        for q in REFUSED {
+            let plan = simplified_plan(q);
+            let rendered = plan.render();
+            assert!(!plan.is_optimized(), "{q}:\n{rendered}");
+            assert!(
+                rendered
+                    .lines()
+                    .any(|l| l.contains("Iterate") && l.contains("closed_auction[")),
+                "{q}:\n{rendered}"
+            );
+        }
+    }
+
     #[test]
     fn q8_join_sides_and_keys_are_batched() {
         let plan = plan_for(Q8_VARIANT);

@@ -18,9 +18,11 @@
 //! | if-fold | `if (true()) then A else B` → `A` | condition constant; the dropped branch must produce no updates (it was never evaluated anyway — the guard is only needed because folding erases the *possibility* of reporting its errors, which XQuery 1.0 permits) |
 //! | empty-for | `for $x in () return B` → `()` | source is literally `()` |
 //! | singleton-for | `for $x in V return B` → `let $x := V return B` when `V` is a single item expression | `V` is a constant or constructor (cardinality exactly 1) |
+//! | predicate-unnest | `for $v in S return B[P[L = R]]` → `for $v in S return let $a := (for $t in P where $t/L = R return $t) return B[$a]`, the shape the join compiler unnests (§4.3) | no `at` variable; `B` applies no snap; the occurrence is evaluated on every iteration (not in an `if` branch, quantifier, nested loop body, predicate or `and`/`or` operand); the predicate is a general `=`, pure, position-blind (no `position()`/`last()`, no declared function, never numeric); `L` reads only the context item; `R` reads `$v` and not the focus; `P` is a pure path that reads neither the focus nor `$v`; `P` and `R` read no variable bound between the `for` and the occurrence |
 
+use crate::eval::position_blind;
 use crate::{Effect, EffectAnalysis};
-use xqdm::atomic::{arithmetic, Atomic};
+use xqdm::atomic::{arithmetic, Atomic, CompareOp};
 use xqdm::item::Item;
 use xqsyn::core::Core;
 
@@ -103,6 +105,17 @@ fn rewrite_node(core: Core, a: &EffectAnalysis) -> Core {
                     body,
                 };
             }
+            // ---- predicate-unnest ----
+            if position.is_none() {
+                if let Some(body) = unnest_predicate(&var, &body, a) {
+                    return Core::For {
+                        var,
+                        position,
+                        source,
+                        body: body.boxed(),
+                    };
+                }
+            }
             Core::For {
                 var,
                 position,
@@ -175,6 +188,228 @@ fn captures(body: &Core, value: &Core) -> bool {
     let mut hit = false;
     body.walk(&mut |c| hit |= c.binds().into_iter().flatten().any(|b| free.contains(b)));
     hit
+}
+
+/// The first character of the variables predicate-unnest invents. A
+/// parsed variable name starts with a letter or `_`, so no query can
+/// name, shadow or capture one.
+const FRESH: char = '~';
+
+/// Hoist the first `P[L = R]` in the body of `for $v` that [`hoistable`]
+/// admits into `let $a := for $t in P where $t/L = R return $t`, directly
+/// under the `for`, the occurrence becoming `$a`. The filter and the loop
+/// keep the same items in the same order: `P` is a path, whose value is
+/// in document order with no duplicates, and a position-blind predicate
+/// does not care which origin node a step reached an item from.
+fn unnest_predicate(v: &str, body: &Core, a: &EffectAnalysis) -> Option<Core> {
+    // `P` and `R` now run before whatever precedes the occurrence in
+    // the body, so nothing there may apply updates they could read.
+    if !a.effect(body).order_free() {
+        return None;
+    }
+    let mut path = Vec::new();
+    let (source, pred) = find(body, v, &mut Vec::new(), a, &mut path)?;
+    let n = fresh_index(body);
+    let (group, item) = (format!("{FRESH}a{n}"), format!("{FRESH}t{n}"));
+    let flwor = Core::For {
+        var: item.clone(),
+        position: None,
+        source: source.boxed(),
+        body: Core::If(
+            refocus(pred, &Core::Var(item.clone())).boxed(),
+            Core::Var(item).boxed(),
+            Core::empty().boxed(),
+        )
+        .boxed(),
+    };
+    Some(Core::Let {
+        value: flwor.boxed(),
+        body: replace_at(body, &path, &Core::Var(group.clone())).boxed(),
+        var: group,
+    })
+}
+
+/// Search `e`, in evaluation order, for an occurrence [`hoistable`]
+/// admits, descending only into the operands evaluated whenever `e` is:
+/// not an `if` branch (XQuery 1.0 §3.10: an unselected branch raises no
+/// error), a loop or quantifier body, a predicate, or an `and`/`or`
+/// operand. `path` receives the child indices that lead to it; `between`
+/// holds the variables bound on the way.
+fn find<'e>(
+    e: &'e Core,
+    v: &str,
+    between: &mut Vec<&'e str>,
+    a: &EffectAnalysis,
+    path: &mut Vec<usize>,
+) -> Option<(Core, &'e Core)> {
+    if let Some(found) = hoistable(e, v, between, a) {
+        return Some(found);
+    }
+    let every_time = match e {
+        Core::And(..) | Core::Or(..) => 0,
+        Core::If(..)
+        | Core::For { .. }
+        | Core::Quantified { .. }
+        | Core::SortedFor { .. }
+        | Core::MapStep { .. }
+        | Core::Predicate { .. } => 1,
+        _ => usize::MAX,
+    };
+    let mut found = None;
+    let mut i = 0;
+    e.for_each_child_scoped(|c, in_scope| {
+        if found.is_none() && i < every_time {
+            let depth = between.len();
+            if in_scope {
+                between.extend(e.binds().into_iter().flatten());
+            }
+            path.push(i);
+            found = find(c, v, between, a, path);
+            if found.is_none() {
+                path.pop();
+            }
+            between.truncate(depth);
+        }
+        i += 1;
+    });
+    found
+}
+
+/// Is `e` a `P[L = R]` that predicate-unnest may hoist out of `for $v`,
+/// past the variables `between`? Then its `P` and its predicate.
+fn hoistable<'e>(
+    e: &'e Core,
+    v: &str,
+    between: &[&str],
+    a: &EffectAnalysis,
+) -> Option<(Core, &'e Core)> {
+    let pred = match e {
+        Core::MapStep { predicates, .. } => predicates.last()?,
+        Core::Predicate { base, pred } if matches!(**base, Core::MapStep { .. }) => pred,
+        _ => return None,
+    };
+    let Core::GeneralComp(CompareOp::Eq, x, y) = pred else {
+        return None;
+    };
+    let (fx, fy) = (x.free_vars(), y.free_vars());
+    let (l, r, free_r) = if fx.is_empty() {
+        (x, y, fy)
+    } else if fy.is_empty() {
+        (y, x, fx)
+    } else {
+        return None;
+    };
+    let outside = |free: &std::collections::HashSet<String>| {
+        !free.iter().any(|n| between.contains(&n.as_str()))
+    };
+    if !free_r.contains(v)
+        || !outside(&free_r)
+        || reads_focus(l, false)
+        || reads_focus(r, true)
+        || !position_blind(pred)
+    {
+        return None;
+    }
+    let source = match e {
+        Core::MapStep {
+            base,
+            axis,
+            test,
+            predicates,
+        } => Core::MapStep {
+            base: base.clone(),
+            axis: *axis,
+            test: test.clone(),
+            predicates: predicates[..predicates.len() - 1].to_vec(),
+        },
+        Core::Predicate { base, .. } => (**base).clone(),
+        _ => unreachable!("matched above"),
+    };
+    let free_p = source.free_vars();
+    (!free_p.contains(v)
+        && outside(&free_p)
+        && !reads_focus(&source, true)
+        && a.facts(&source).par_safe())
+    .then_some((source, pred))
+}
+
+/// How many of `e`'s children (in [`Core::for_each_child`] order) are
+/// evaluated under `e`'s own focus: all but a step's or a filter's
+/// predicates, which set their own.
+fn same_focus(e: &Core) -> usize {
+    match e {
+        Core::MapStep { .. } | Core::Predicate { .. } => 1,
+        _ => usize::MAX,
+    }
+}
+
+/// Does `e` read its focus: implicitly, through a zero-argument call
+/// (`string()`, `name()`, `position()`), or — when `explicit` — as `.`?
+fn reads_focus(e: &Core, explicit: bool) -> bool {
+    match e {
+        Core::ContextItem => return explicit,
+        Core::Call(_, args) if args.is_empty() => return true,
+        _ => {}
+    }
+    let (mut reads, mut i) = (false, 0);
+    e.for_each_child(|c| {
+        reads |= i < same_focus(e) && reads_focus(c, explicit);
+        i += 1;
+    });
+    reads
+}
+
+/// `e` with `with` in place of every `.` that reads `e`'s own focus.
+fn refocus(e: &Core, with: &Core) -> Core {
+    if matches!(e, Core::ContextItem) {
+        return with.clone();
+    }
+    let mut i = 0;
+    e.map_children(|c, _| {
+        i += 1;
+        if i > same_focus(e) {
+            c.clone()
+        } else {
+            refocus(c, with)
+        }
+    })
+}
+
+/// `e` with `with` in place of the sub-expression `path` leads to.
+fn replace_at(e: &Core, path: &[usize], with: &Core) -> Core {
+    let Some((&at, rest)) = path.split_first() else {
+        return with.clone();
+    };
+    let mut i = 0;
+    e.map_children(|c, _| {
+        i += 1;
+        if i - 1 == at {
+            replace_at(c, rest, with)
+        } else {
+            c.clone()
+        }
+    })
+}
+
+/// A number no invented variable in `e` carries, so the pair named after
+/// it neither captures nor is captured by any variable `e` mentions.
+fn fresh_index(e: &Core) -> usize {
+    let mut next = 0;
+    e.walk(&mut |c| {
+        let named = match c {
+            Core::Var(name) => [Some(name.as_str()), None],
+            _ => c.binds(),
+        };
+        for name in named.into_iter().flatten() {
+            if let Some(n) = name
+                .strip_prefix(FRESH)
+                .and_then(|s| s.get(1..)?.parse::<usize>().ok())
+            {
+                next = next.max(n + 1);
+            }
+        }
+    });
+    next
 }
 
 /// Convenience used in tests: fold a constant sequence value, if the
@@ -393,6 +628,57 @@ mod tests {
             let twice = simplify(&once, &a);
             assert_eq!(once, twice, "not idempotent for {q}");
         }
+    }
+
+    /// Does simplifying `q` hoist a predicate (bind an invented variable)?
+    fn hoists(q: &str) -> bool {
+        let mut found = false;
+        simp(q).walk(&mut |c| {
+            found |= matches!(c, Core::Let { var, .. } if var.starts_with(FRESH));
+        });
+        found
+    }
+
+    #[test]
+    fn predicate_unnest_hoists_only_where_the_guards_hold() {
+        let ca = "$d//ca[b/@p = $p/@id]";
+        for q in [
+            format!("for $p in $d//p return count({ca})"),
+            format!("for $p in $d//p let $n := count({ca}) return ($n, $n)"),
+            format!("for $p in $d//p return ($d//ca)[b/@p = $p/@id]"),
+        ] {
+            assert!(hoists(&q), "{q}");
+        }
+        for q in [
+            // An `at` variable, an `and` operand, a quantifier body, a
+            // nested loop body, and a snap earlier in the body.
+            format!("for $p at $i in $d//p return count({ca})"),
+            format!("for $p in $d//p return ($p/@x and exists({ca}))"),
+            format!("for $p in $d//p return some $x in (1, 2) satisfies exists({ca})"),
+            format!("for $p in $d//p return for $q in $d//q return count({ca})"),
+            format!("for $p in $d//p return (snap {{ delete {{ $d//x }} }}, count({ca}))"),
+            // `R` reads a variable bound between the loop and the
+            // occurrence; `P` reads the loop variable; `R` does not.
+            "for $p in $d//p let $k := $p/@id return (count($d//ca[b/@p = $k]), $k)".into(),
+            "for $p in $d//p return count($p//ca[b/@p = $p/@id])".into(),
+            "for $p in $d//p return count($d//ca[b/@p = $d/@id])".into(),
+            // A zero-argument call reads the focus on either side.
+            "for $p in $d//p return count($d//ca[string() = $p/@id])".into(),
+            "for $p in $d//p return count($d//ca[b/@p = concat($p/@id, string())])".into(),
+        ] {
+            assert!(!hoists(&q), "{q}");
+        }
+    }
+
+    #[test]
+    fn invented_variables_are_fresh_per_hoist() {
+        let c = simp(
+            "for $p in $d//p return (count($d//ca[b/@p = $p/@id]), count($d//ca[s/@p = $p/@id]))",
+        );
+        let mut names = Vec::new();
+        c.walk(&mut |e| names.extend(e.binds().into_iter().flatten().map(str::to_string)));
+        names.sort();
+        assert_eq!(names, ["p", "~a0", "~a1", "~t0", "~t1"]);
     }
 
     #[test]
