@@ -24,10 +24,9 @@ return <item person="{ $p/name }">{ count($a) }</item>"#;
 
 /// The Q8 variant stripped of its updates: the same join/group shape,
 /// but the per-person work is pure (no constructors, no pending
-/// updates), so the parallel gate (DESIGN.md §9) admits the loop body.
-/// `$a` is used twice so the simplifier cannot inline the `let` away —
-/// the outer-join/group-by shape survives to plan recognition.
-/// Workload for experiment E11.
+/// updates). `$a` is used twice so the simplifier cannot inline the
+/// `let` away — the outer-join/group-by shape survives to plan
+/// recognition. Workload for experiments E12 and E13.
 pub const Q8_PURE_VARIANT: &str = r#"
 for $p in $auction//person
 let $a :=
@@ -259,6 +258,19 @@ pub fn bench_section(key: &str) -> Option<String> {
     Some(section.1)
 }
 
+/// The number at `"field": <n>` inside the object `"row": {…}` of a
+/// committed BENCH.json section (no JSON parser: the shape is ours). How
+/// a bench reads its own previous reading of a row.
+pub fn committed_field(section: &str, row: &str, field: &str) -> Option<f64> {
+    let key = format!("\"{row}\": {{");
+    let obj = &section[section.find(&key)? + key.len()..];
+    let obj = &obj[..obj.find('}')?];
+    let key = format!("\"{field}\": ");
+    let value = &obj[obj.find(&key)? + key.len()..];
+    let end = value.find([',', '}']).unwrap_or(value.len());
+    value[..end].trim().parse().ok()
+}
+
 /// `section` — a JSON object opened by `{` on a line of its own — with the
 /// host facts every committed number must carry as its first two members:
 /// `cores` (what this host can run in parallel) and `commit` (`git
@@ -427,6 +439,16 @@ mod tests {
                 "BENCH.json section \"{key}\" is not stamped: {lines:?}"
             );
         }
+    }
+
+    #[test]
+    fn committed_fields_are_read_from_their_own_row() {
+        let section = "{\n    \"a\": {\"x\": 1.5, \"y\": 2},\n    \"b\": {\"x\": 3}\n  }";
+        assert_eq!(committed_field(section, "a", "x"), Some(1.5));
+        assert_eq!(committed_field(section, "a", "y"), Some(2.0));
+        assert_eq!(committed_field(section, "b", "x"), Some(3.0));
+        assert_eq!(committed_field(section, "b", "y"), None);
+        assert_eq!(committed_field(section, "c", "x"), None);
     }
 
     #[test]

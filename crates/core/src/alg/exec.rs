@@ -130,18 +130,6 @@ fn run_node(
             let body_id = source_id + source.node_count();
             let src = execute_at(source, source_id, evaluator, store, env)?;
             evaluator.note_input(src.len() as u64);
-            // Pure bodies fan out through the interpreter's own `Core::For`
-            // helper (they collapsed to an `Iterate` leaf at compile time,
-            // so the same gate applies to the same core expression).
-            // Fanned-out iterations attribute to *this* node's profile
-            // frame: the body node records no calls, but each iteration
-            // still pays its `limit_tick`.
-            if let QueryPlan::Iterate(core) = body.as_ref() {
-                let binders = (var.as_str(), position.as_deref());
-                if let Some(r) = evaluator.par_for(store, env, binders, &src, core, true) {
-                    return r;
-                }
-            }
             let mut out = Sequence::new();
             for (i, it) in src.into_iter().enumerate() {
                 env.push_var(var.clone(), seq![it]);

@@ -301,12 +301,7 @@ impl QueryPlan {
         profile: Option<&crate::obs::Profile>,
         base: usize,
     ) -> String {
-        // `par` marks an expression a run fans out in (DESIGN.md §9): one
-        // holding a `for` loop whose body passes `Facts::par_safe`, the
-        // predicate `Evaluator::par_for` asks at run time, over the same
-        // analysis. Joins themselves run sequentially.
         let eff = |core: &Core| match analysis {
-            Some(a) if a.has_par_loop(core) => format!("[{:?},par]", a.effect(core)),
             Some(a) => format!("[{:?}]", a.effect(core)),
             None => String::new(),
         };
@@ -396,17 +391,10 @@ impl QueryPlan {
                     .as_ref()
                     .map(|p| format!(" at ${p}"))
                     .unwrap_or_default();
-                // A plan-level `For` with a pure Iterate body fans out
-                // exactly like the interpreter loop the leaf used to show
-                // the marker on — keep the marker visible on the spine.
-                let par = match (analysis, body.as_ref()) {
-                    (Some(a), QueryPlan::Iterate(core)) if a.facts(core).par_safe() => "[par]",
-                    _ => "",
-                };
                 let source_id = base + 1;
                 let body_id = source_id + source.node_count();
                 format!(
-                    "For ${var}{pos}{par} In {{\n{}\n}} Do {{\n{}\n}}",
+                    "For ${var}{pos} In {{\n{}\n}} Do {{\n{}\n}}",
                     indent(&source.render_node(analysis, profile, source_id), 2),
                     indent(&body.render_node(analysis, profile, body_id), 2),
                 )
@@ -446,10 +434,8 @@ impl QueryPlan {
     /// node-id assignment and the parent/child call & cardinality
     /// relations every structural operator guarantees. Only sound for
     /// *successful* runs (an error aborts mid-operator, legitimately
-    /// leaving later siblings with fewer calls) and for nodes that did not
-    /// fan out (`par_regions > 0` skips the node's relations: fanned-out
-    /// iterations attribute to the parent, so child counters legitimately
-    /// lag). The obs-invariants suite drives this.
+    /// leaving later siblings with fewer calls). The obs-invariants suite
+    /// drives this.
     pub fn verify_profile(&self, profile: &crate::obs::Profile, base: usize) -> Result<(), String> {
         let n = profile.node(base);
         let label = match self {
@@ -464,7 +450,7 @@ impl QueryPlan {
             QueryPlan::Snap { .. } => "Snap",
         };
         let fail = |what: String| Err(format!("node {base} ({label}): {what}"));
-        let check = n.calls > 0 && n.incl.par_regions == 0;
+        let check = n.calls > 0;
         match self {
             QueryPlan::Iterate(_)
             | QueryPlan::BatchPath(_)

@@ -645,7 +645,7 @@ mod tests {
         for q in [
             format!("for $p in $d//p return count({ca})"),
             format!("for $p in $d//p let $n := count({ca}) return ($n, $n)"),
-            format!("for $p in $d//p return ($d//ca)[b/@p = $p/@id]"),
+            "for $p in $d//p return ($d//ca)[b/@p = $p/@id]".to_string(),
         ] {
             assert!(hoists(&q), "{q}");
         }

@@ -29,10 +29,9 @@
 //! The level is not all the engine's gates need to know — a `snap` over
 //! pure code is `Pure` yet draws a seed, `fn:parse-xml` is rated `Pure`
 //! yet allocates — so the judgment's result is a [`Facts`]: the level plus
-//! two monotone flags, joined in the same fixpoint. Worker fan-out,
-//! snapshot-read routing and EXPLAIN's `par` marker are predicates over
-//! that one value; nothing else in the engine walks a
-//! `Core` to decide a static property.
+//! two monotone flags, joined in the same fixpoint. The rewriter's purity
+//! guards and snapshot-read routing are predicates over that one value;
+//! nothing else in the engine walks a `Core` to decide a static property.
 
 use crate::functions::{self, Kind};
 use std::collections::HashMap;
@@ -119,15 +118,16 @@ impl Facts {
         self.flags & flags != 0
     }
 
-    /// May parallel workers sharing `&Store` evaluate this? It neither
-    /// allocates, nor emits update requests, nor applies them, and reaches
-    /// nothing the level hides.
+    /// Is this pure with nothing the level hides? It neither allocates,
+    /// nor emits update requests, nor applies them, nor reaches a `snap`
+    /// or an opaque built-in: evaluating it earlier, later, more often or
+    /// from a shared `&Store` changes nothing observable.
     pub fn par_safe(self) -> bool {
         self.level <= Effect::Pure && !self.has(Facts::SNAP | Facts::OPAQUE)
     }
 
     /// May the server answer this from a private fork of a pinned snapshot?
-    /// The fan-out judgment one level up: constructing nodes is harmless
+    /// [`Facts::par_safe`] one level up: constructing nodes is harmless
     /// there — they die with the fork — while emitting or applying update
     /// requests is still a write.
     pub fn snapshot_read(self) -> bool {
@@ -213,19 +213,6 @@ impl EffectAnalysis {
     pub fn function_effect(&self, name: &str, arity: usize) -> Option<Effect> {
         let facts = self.functions.get(&(name.to_string(), arity))?;
         Some(facts.level)
-    }
-
-    /// Does `expr` contain a `for` loop whose body is [`Facts::par_safe`] —
-    /// the loops an evaluation of `expr` fans out? EXPLAIN's `par` marker
-    /// on an `Iterate` leaf.
-    pub fn has_par_loop(&self, expr: &Core) -> bool {
-        let mut found = false;
-        expr.walk(&mut |e| {
-            if let Core::For { body, .. } = e {
-                found = found || self.facts(body).par_safe();
-            }
-        });
-        found
     }
 }
 
@@ -446,6 +433,79 @@ mod tests {
             gates("declare variable $v := trace(1, \"t\"); $v"),
             (false, false)
         );
+    }
+
+    #[test]
+    fn alloc_ceiling_admits_construction_and_nothing_more() {
+        let alloc = |src: &str| {
+            let prog = compile(src).expect("compile");
+            EffectAnalysis::new(&prog).facts(&prog.body).snapshot_read()
+        };
+        assert!(alloc("$x/a[@id = 3] + count($y)"));
+        assert!(alloc(
+            "for $p in $s return <item n=\"{$p/@n}\">{ count($p/*) }</item>"
+        ));
+        assert!(alloc("copy { $x }"));
+        assert!(alloc("declare function mk($n) { <e>{$n}</e> }; mk(1)"));
+        // Pending and Effectful stay above the ceiling, constructor or not.
+        assert!(!alloc("insert { <a/> } into { $x }"));
+        assert!(!alloc("(<a/>, snap { delete { $x } })"));
+        // The flags are the same ones: snap, tracing and the opaque
+        // built-ins are rejected at either ceiling, also behind a
+        // constructor in a function body.
+        assert!(!alloc("snap { <a/> }"));
+        assert!(!alloc("<a>{ parse-xml(\"<b/>\") }</a>"));
+        assert!(!alloc(
+            "declare function mk() { <a>{ snap { 1 } }</a> }; mk()"
+        ));
+    }
+
+    /// `(prolog, body, pure)`: what [`Facts::par_safe`] admits.
+    const PURITY_CORPUS: &[(&str, &str, bool)] = &[
+        ("", "$x/a[@id = 3] + count($y)", true),
+        ("", "for $i in 1 to 9 return $i * $i", true),
+        // Alloc, Pending, Effectful: all rejected.
+        ("", "<a/>", false),
+        ("", "insert { <a/> } into { $x }", false),
+        ("", "snap { delete { $x/a } }", false),
+        // Pure-rated but opaque.
+        ("", "parse-xml(\"<a/>\")", false),
+        ("", "trace($x, \"label\")", false),
+        // A snap over pure code is Pure on the lattice but draws seeds.
+        ("", "snap { 1 + 2 }", false),
+        // Through function bodies: a clean one...
+        (
+            "declare function f($n) { $n * 2 };",
+            "for $i in $s return f($i)",
+            true,
+        ),
+        // ...parse-xml and trace hiding behind a pure-rated one...
+        (
+            "declare function f($n) { parse-xml(\"<a/>\") };",
+            "for $i in $s return f($i)",
+            false,
+        ),
+        (
+            "declare function f($x) { trace($x, \"t\") };",
+            "f($x)",
+            false,
+        ),
+        // ...and behind one more level of calls.
+        (
+            "declare function g() { parse-xml(\"<a/>\") };
+             declare function f($n) { g() };",
+            "f(1)",
+            false,
+        ),
+    ];
+
+    #[test]
+    fn purity_admits_pure_and_transparent_bodies_only() {
+        for (prolog, body, pure) in PURITY_CORPUS {
+            let prog = compile(&format!("{prolog} {body}")).expect("compile");
+            let facts = EffectAnalysis::new(&prog).facts(&prog.body);
+            assert_eq!(facts.par_safe(), *pure, "{body}");
+        }
     }
 
     #[test]

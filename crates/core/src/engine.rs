@@ -129,7 +129,7 @@ pub struct RunReport {
 
 impl Engine {
     /// A fresh engine with an empty in-memory store and the default
-    /// policy. Everything else — a durable store, threads, limits, tracing
+    /// policy. Everything else — a durable store, limits, tracing
     /// — is set by the host through the setters below; the engine reads
     /// nothing from its process.
     pub fn new() -> Self {
@@ -262,18 +262,6 @@ impl Engine {
     /// registry's slow-query ring and logged as JSON to stderr.
     pub fn set_slow_query_threshold(&mut self, millis: Option<f64>) {
         self.env_mut().slow_ms = millis;
-    }
-
-    /// Set the worker-thread budget for effect-free regions (see
-    /// DESIGN.md §9); 1 disables parallelism. Clamped to
-    /// [`crate::par::MAX_THREADS`].
-    pub fn set_threads(&mut self, threads: usize) {
-        self.env_mut().threads = threads.clamp(1, crate::par::MAX_THREADS);
-    }
-
-    /// The configured worker-thread budget.
-    pub fn threads(&self) -> usize {
-        self.env.threads
     }
 
     /// Install resource limits (depth, fuel, deadline, memory; DESIGN.md
@@ -584,8 +572,6 @@ impl Engine {
                 fingerprint: format!("{h1:016x}{h2:016x}"),
                 millis,
                 cache: report.cache,
-                snap_mode: "ordered",
-                threads: self.env.threads,
                 snaps_closed: stats.snaps_closed,
                 requests_applied: stats.requests_applied,
             });
@@ -626,20 +612,17 @@ impl Engine {
             _ => String::new(),
         };
         let stats = report.stats.unwrap_or_default();
-        let [par, _batch, idx] = stats.strategy_pairs();
+        let [_batch, idx] = stats.strategy_pairs();
         let mut totals = format!(
             "totals: time={} rows={rows} snaps={} Δ={}/{} plan_nodes={} joins={} \
-             par={}/{} cache={} threads={} mode={mode}",
+             cache={} mode={mode}",
             obs::fmt_ns(report.elapsed_ns),
             stats.snaps_closed,
             stats.requests_emitted,
             stats.requests_applied,
             stats.plan_nodes_executed,
             stats.joins_executed,
-            par.1,
-            par.2,
             report.cache,
-            self.env.threads,
         );
         // Index scans only show when the executor actually chose one, so
         // index-free runs keep their historical totals line.

@@ -47,8 +47,6 @@ pub struct ProgramEnv {
     pub seed: u64,
     /// Resource limits for every run, parse and document load.
     pub limits: Limits,
-    /// Worker-thread budget for effect-free regions (1 = sequential).
-    pub threads: usize,
     /// Compile programs to plans (`false`: the reference interpreter)?
     pub compile: bool,
     /// Slow-query threshold in milliseconds; `None` disables the log.
@@ -58,8 +56,7 @@ pub struct ProgramEnv {
 }
 
 impl Default for ProgramEnv {
-    /// No functions, no bindings, default policy: one thread, default
-    /// limits, compiled plans, no slow-query log, no trace sink. What
+    /// No functions, no bindings, default policy: default limits, compiled plans, no slow-query log, no trace sink. What
     /// [`Engine::new`](crate::Engine::new) starts from; hosts change it
     /// through the engine's setters.
     fn default() -> Self {
@@ -71,7 +68,6 @@ impl Default for ProgramEnv {
             bindings: HashMap::new(),
             seed: 0x5eed,
             limits: Limits::default(),
-            threads: 1,
             compile: true,
             slow_ms: None,
             trace: None,

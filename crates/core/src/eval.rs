@@ -22,9 +22,8 @@ use crate::alg::pipeline::FnTable;
 use crate::delta::{apply_delta, Delta};
 use crate::env::{DynEnv, Focus, ProgramEnv, Scope};
 use crate::functions::{self, Kind};
-use crate::limits::{self, LimitGuard, TripKind};
+use crate::limits::{self, LimitGuard};
 use crate::obs::{self, CounterId};
-use crate::par::{self, PureCtx, PAR_MIN_ITEMS};
 use std::sync::Arc;
 use std::time::Instant;
 use xqdm::atomic::{arithmetic, negate, value_compare, Atomic, CompareOp};
@@ -43,7 +42,7 @@ pub struct EvalStats {
     /// Snap scopes closed (including the implicit top-level one).
     pub snaps_closed: u64,
     /// Update requests *emitted* (appended to some Δ). A semantic counter:
-    /// identical across interpreted/compiled/parallel execution. On a
+    /// identical across interpreted and compiled execution. On a
     /// successful run it equals [`EvalStats::requests_applied`] — every
     /// pending request is applied exactly once when its snap closes; the
     /// two diverge only on error paths, where open scopes discard their Δ.
@@ -56,12 +55,6 @@ pub struct EvalStats {
     pub plan_nodes_executed: u64,
     /// Hash-join / outer-join-group-by operators executed.
     pub joins_executed: u64,
-    /// Effect-free regions that actually fanned out over worker threads.
-    /// A *strategy* counter (like `plan_nodes_executed`): it varies with
-    /// the thread setting and is excluded from determinism comparisons.
-    pub par_regions: u64,
-    /// Items evaluated inside those regions (strategy counter).
-    pub par_items: u64,
     /// Batch path-step kernel invocations (strategy counter: 0 under
     /// pure interpretation).
     pub batch_steps: u64,
@@ -80,15 +73,13 @@ impl EvalStats {
     /// Which registry counter each field feeds — the per-run flush is a
     /// loop over this. `max_snap_depth` is a high-water mark, not a count,
     /// and feeds none.
-    pub(crate) fn counters(&self) -> [(CounterId, u64); 11] {
+    pub(crate) fn counters(&self) -> [(CounterId, u64); 9] {
         [
             (CounterId::SnapsClosed, self.snaps_closed),
             (CounterId::RequestsEmitted, self.requests_emitted),
             (CounterId::RequestsApplied, self.requests_applied),
             (CounterId::PlanNodes, self.plan_nodes_executed),
             (CounterId::Joins, self.joins_executed),
-            (CounterId::ParRegions, self.par_regions),
-            (CounterId::ParItems, self.par_items),
             (CounterId::BatchSteps, self.batch_steps),
             (CounterId::BatchNodes, self.batch_nodes),
             (CounterId::IdxScans, self.idx_scans),
@@ -97,11 +88,9 @@ impl EvalStats {
     }
 
     /// The strategy counters as the `label=events/items` pairs EXPLAIN
-    /// ANALYZE prints: `par=regions/items`, `batch=steps/nodes`,
-    /// `idx=scans/hits`.
-    pub(crate) fn strategy_pairs(&self) -> [(&'static str, u64, u64); 3] {
+    /// ANALYZE prints: `batch=steps/nodes`, `idx=scans/hits`.
+    pub(crate) fn strategy_pairs(&self) -> [(&'static str, u64, u64); 2] {
         [
-            ("par", self.par_regions, self.par_items),
             ("batch", self.batch_steps, self.batch_nodes),
             ("idx", self.idx_scans, self.idx_hits),
         ]
@@ -116,8 +105,6 @@ impl EvalStats {
             max_snap_depth: self.max_snap_depth.max(o.max_snap_depth),
             plan_nodes_executed: f(self.plan_nodes_executed, o.plan_nodes_executed),
             joins_executed: f(self.joins_executed, o.joins_executed),
-            par_regions: f(self.par_regions, o.par_regions),
-            par_items: f(self.par_items, o.par_items),
             batch_steps: f(self.batch_steps, o.batch_steps),
             batch_nodes: f(self.batch_nodes, o.batch_nodes),
             idx_scans: f(self.idx_scans, o.idx_scans),
@@ -140,7 +127,7 @@ impl EvalStats {
 /// [`ProgramEnv`], and the Δ stack.
 pub struct Evaluator {
     /// What the program can name, and under it the run policy (seed,
-    /// limits, thread budget).
+    /// limits).
     scope: Scope,
     delta_stack: Vec<Delta>,
     /// Per-snap seed counter for the nondeterministic application order.
@@ -243,56 +230,6 @@ impl Evaluator {
     #[inline]
     pub(crate) fn limit_charge(&self, value: &Sequence) -> XdmResult<()> {
         self.guard.charge(value.len() as u64)
-    }
-
-    /// The one fan-out (DESIGN.md §9), for the interpreter's `Core::For`
-    /// rule and the compiled plan `For` alike: `None` when `src` is too
-    /// short, threads < 2 or `body` fails the gate ([`par::par_safe`]); the
-    /// caller then loops sequentially. Otherwise [`par::par_map`] returns
-    /// what that loop would have, and each iteration costs the limit guard
-    /// what it would have: its value is charged against the memory budget,
-    /// and a plan loop (`plan_body`) also enters the body's plan node — one
-    /// tick — per iteration.
-    pub(crate) fn par_for(
-        &mut self,
-        store: &Store,
-        env: &DynEnv,
-        (var, position): (&str, Option<&str>),
-        src: &[Item],
-        body: &Core,
-        plan_body: bool,
-    ) -> Option<XdmResult<Sequence>> {
-        if src.len() < PAR_MIN_ITEMS
-            || self.scope.env().threads < 2
-            || !par::par_safe(body, &self.scope)
-        {
-            return None;
-        }
-        self.stats.par_regions += 1;
-        self.stats.par_items += src.len() as u64;
-        let ctx = PureCtx {
-            scope: &self.scope,
-            guard: &self.guard,
-            store,
-            depth: self.depth,
-        };
-        Some(par::par_map(ctx, env, src, |worker, wenv, i, it| {
-            if plan_body {
-                worker.guard().tick()?;
-            }
-            wenv.push_var(var, seq![it.clone()]);
-            if let Some(p) = position {
-                wenv.push_var(p, seq![Item::integer((i + 1) as i64)]);
-            }
-            let r = worker.eval(wenv, body);
-            if position.is_some() {
-                wenv.pop_var();
-            }
-            wenv.pop_var();
-            let v = r?;
-            worker.guard().charge(v.len() as u64)?;
-            Ok(v)
-        }))
     }
 
     /// Resume the per-snap seed counter from a previous evaluation. The
@@ -437,7 +374,6 @@ impl Evaluator {
         let max_depth = self.scope.env().limits.max_depth;
         if self.depth > max_depth {
             self.depth -= 1;
-            self.guard.note_trip(TripKind::Depth);
             return Err(limits::depth_error(max_depth));
         }
         Ok(())
@@ -616,7 +552,7 @@ impl Evaluator {
     }
 
     /// The core judgment. Left-to-right, store-threading, Δ-appending: the
-    /// shared rules ([`EvalCtx::eval`]) instantiated with `&mut Store`.
+    /// rules ([`Full::eval`]) over this evaluator and `store`.
     pub fn eval(
         &mut self,
         store: &mut Store,
@@ -872,119 +808,36 @@ impl Evaluator {
     }
 }
 
-/// What the evaluation rules need from whoever runs them. Every operator
-/// has one rule ([`rule`]), written against this context and instantiated
-/// twice (DESIGN.md §9): by [`Full`] — an [`Evaluator`] with the
-/// `&mut Store` it may write — and by the parallel [`par::Worker`], which
-/// holds `&Store` only. The required methods are the whole difference
-/// between the two.
-pub(crate) trait EvalCtx: Sized {
-    /// The store, for reading.
-    fn store(&self) -> &Store;
-    /// The functions and globals the program can name.
-    fn scope(&self) -> &Scope;
-    /// The run's armed limit guard.
-    fn guard(&self) -> &LimitGuard;
-    /// The current `eval` nesting depth.
-    fn depth_mut(&mut self) -> &mut usize;
-    /// Sort `nodes` into document order and deduplicate, reusing the
-    /// context's scratch buffers.
-    fn doc_order(&mut self, nodes: &mut Vec<NodeId>) -> XdmResult<()>;
-    /// A `for` loop over `src` offers itself for fan-out; `None` declines
-    /// and the rule loops sequentially.
-    fn par_for(
-        &mut self,
-        env: &DynEnv,
-        binders: (&str, Option<&str>),
-        src: &[Item],
-        body: &Core,
-    ) -> Option<XdmResult<Sequence>>;
-    /// The half of the call rule that needs more than `&Store`, for a
-    /// built-in: the [`Kind::MutStore`] row, `fn:parse-xml`.
-    fn call_mut_store(&mut self, args: Vec<Sequence>) -> XdmResult<Sequence>;
-    /// The half of the call rule that needs more than `&Store`, for a
-    /// declared function: its compiled body. `Err(args)` hands the
-    /// arguments back for the declared body to be interpreted.
-    fn call_unshared(
-        &mut self,
-        name: &str,
-        args: Vec<Sequence>,
-    ) -> Result<XdmResult<Sequence>, Vec<Sequence>>;
-    /// Constructors, `copy`, update operators and `snap`.
-    fn effectful(&mut self, env: &mut DynEnv, expr: &Core) -> XdmResult<Sequence>;
-
-    /// One step of the judgment: the recursion-depth check (`XQB0040`),
-    /// one tick of the limit guard, then `expr`'s rule.
-    fn eval(&mut self, env: &mut DynEnv, expr: &Core) -> XdmResult<Sequence> {
-        let max_depth = self.scope().env().limits.max_depth;
-        *self.depth_mut() += 1;
-        let r = if *self.depth_mut() > max_depth {
-            self.guard().note_trip(TripKind::Depth);
-            Err(limits::depth_error(max_depth))
-        } else {
-            self.guard().tick().and_then(|()| rule(self, env, expr))
-        };
-        *self.depth_mut() -= 1;
-        r
-    }
-}
-
-/// The full instantiation of the rules: an evaluator and the store it
-/// reads, allocates in and applies Δ to.
+/// What the evaluation rules run over: an evaluator and the store it
+/// reads, allocates in and applies Δ to (DESIGN.md §9).
 struct Full<'a> {
     ev: &'a mut Evaluator,
     store: &'a mut Store,
 }
 
-impl EvalCtx for Full<'_> {
+impl Full<'_> {
+    /// The store, for reading.
     fn store(&self) -> &Store {
         self.store
     }
 
-    fn scope(&self) -> &Scope {
-        &self.ev.scope
-    }
-
+    /// The run's armed limit guard.
     fn guard(&self) -> &LimitGuard {
         &self.ev.guard
     }
 
-    fn depth_mut(&mut self) -> &mut usize {
-        &mut self.ev.depth
-    }
-
-    fn doc_order(&mut self, nodes: &mut Vec<NodeId>) -> XdmResult<()> {
-        self.store.sort_and_dedup_with(nodes, &mut self.ev.scratch)
-    }
-
-    fn par_for(
-        &mut self,
-        env: &DynEnv,
-        binders: (&str, Option<&str>),
-        src: &[Item],
-        body: &Core,
-    ) -> Option<XdmResult<Sequence>> {
-        self.ev.par_for(self.store, env, binders, src, body, false)
-    }
-
-    fn call_mut_store(&mut self, args: Vec<Sequence>) -> XdmResult<Sequence> {
-        let max_depth = self.ev.scope.env().limits.max_xml_depth;
-        functions::parse_xml(self.store, args, max_depth)
-    }
-
-    fn call_unshared(
-        &mut self,
-        name: &str,
-        args: Vec<Sequence>,
-    ) -> Result<XdmResult<Sequence>, Vec<Sequence>> {
-        match self.ev.function_executor.clone() {
-            Some(executor) => executor.try_call(self.ev, self.store, name, args),
-            None => Err(args),
-        }
-    }
-
-    fn effectful(&mut self, env: &mut DynEnv, expr: &Core) -> XdmResult<Sequence> {
-        self.ev.eval_effectful(self.store, env, expr)
+    /// One step of the judgment: the recursion-depth check (`XQB0040`),
+    /// one tick of the limit guard, then `expr`'s rule.
+    fn eval(&mut self, env: &mut DynEnv, expr: &Core) -> XdmResult<Sequence> {
+        let max_depth = self.ev.scope.env().limits.max_depth;
+        self.ev.depth += 1;
+        let r = if self.ev.depth > max_depth {
+            Err(limits::depth_error(max_depth))
+        } else {
+            self.ev.guard.tick().and_then(|()| rule(self, env, expr))
+        };
+        self.ev.depth -= 1;
+        r
     }
 }
 
@@ -996,15 +849,15 @@ fn optional_atom(v: Sequence, store: &Store) -> XdmResult<Option<Atomic>> {
 /// The rule of each operator — the paper's
 /// `store0; dynEnv ⊢ Expr ⇒ value; Δ; store1`, one arm per operator.
 /// Sub-expressions evaluate strictly left to right through `cx.eval`.
-/// The operators that can run over `&Store` are spelled out here, once,
-/// for both instantiations; the rest go to [`EvalCtx::effectful`]. The
-/// match has no wildcard, so a new `Core` variant has to pick a side.
-fn rule<C: EvalCtx>(cx: &mut C, env: &mut DynEnv, expr: &Core) -> XdmResult<Sequence> {
+/// The operators that only read the store are spelled out here; the ones
+/// that allocate, emit or apply Δ go to [`Evaluator::eval_effectful`].
+/// The match has no wildcard, so a new `Core` variant has to pick a side.
+fn rule(cx: &mut Full<'_>, env: &mut DynEnv, expr: &Core) -> XdmResult<Sequence> {
     match expr {
         Core::Const(a) => Ok(seq![Item::Atomic(a.clone())]),
         Core::Var(name) => match env.var(name) {
             Ok(v) => Ok(v.clone()),
-            Err(e) => cx.scope().global(name).cloned().ok_or(e),
+            Err(e) => cx.ev.scope.global(name).cloned().ok_or(e),
         },
         Core::ContextItem => Ok(seq![env.focus()?.item.clone()]),
         // The paper's sequence rule: e1 fully evaluated before e2,
@@ -1024,12 +877,7 @@ fn rule<C: EvalCtx>(cx: &mut C, env: &mut DynEnv, expr: &Core) -> XdmResult<Sequ
             source,
             body,
         } => {
-            // The source evaluates sequentially (it may have effects); an
-            // effect-free body may then fan out (DESIGN.md §9).
             let src = cx.eval(env, source)?;
-            if let Some(r) = cx.par_for(env, (var, position.as_deref()), &src, body) {
-                return r;
-            }
             let mut out = Sequence::new();
             for (i, it) in src.into_iter().enumerate() {
                 env.push_var(var.clone(), seq![it]);
@@ -1293,15 +1141,23 @@ fn rule<C: EvalCtx>(cx: &mut C, env: &mut DynEnv, expr: &Core) -> XdmResult<Sequ
             }
             if let Some(f) = functions::builtin(name, args.len()) {
                 return match f.kind {
-                    Kind::MutStore => cx.call_mut_store(values),
-                    _ => functions::call(f, values, cx.store(), cx.scope(), env),
+                    Kind::MutStore => {
+                        let max_depth = cx.ev.scope.env().limits.max_xml_depth;
+                        functions::parse_xml(cx.store, values, max_depth)
+                    }
+                    _ => functions::call(f, values, cx.store, &cx.ev.scope, env),
                 };
             }
-            let values = match cx.call_unshared(name, values) {
-                Ok(result) => return result,
-                Err(values) => values,
+            // A declared function whose body compiled runs its plan; the
+            // others, and every call when interpreting, run the body here.
+            let values = match cx.ev.function_executor.clone() {
+                Some(executor) => match executor.try_call(cx.ev, cx.store, name, values) {
+                    Ok(result) => return result,
+                    Err(values) => values,
+                },
+                None => values,
             };
-            let Some(func) = cx.scope().function(name, args.len()).cloned() else {
+            let Some(func) = cx.ev.scope.function(name, args.len()).cloned() else {
                 return Err(functions::unresolved(name, args.len()));
             };
             // Function bodies see only their parameters and globals —
@@ -1323,14 +1179,15 @@ fn rule<C: EvalCtx>(cx: &mut C, env: &mut DynEnv, expr: &Core) -> XdmResult<Sequ
         | Core::Replace(..)
         | Core::ReplaceValue(..)
         | Core::Rename(..)
-        | Core::Snap(..) => cx.effectful(env, expr),
+        | Core::Snap(..) => cx.ev.eval_effectful(cx.store, env, expr),
     }
 }
 
 /// The nodes of `items` in document order, duplicates removed (`ddo`).
-fn doc_ordered<C: EvalCtx>(cx: &mut C, items: &[Item]) -> XdmResult<Sequence> {
+fn doc_ordered(cx: &mut Full<'_>, items: &[Item]) -> XdmResult<Sequence> {
     let mut nodes = item::all_nodes(items)?;
-    cx.doc_order(&mut nodes)?;
+    cx.store
+        .sort_and_dedup_with(&mut nodes, &mut cx.ev.scratch)?;
     Ok(nodes.into_iter().map(Item::Node).collect())
 }
 
@@ -1420,8 +1277,8 @@ fn never_numeric(p: &Core) -> bool {
 /// Positional predicate filtering (XPath semantics): a numeric
 /// predicate value tests the context position; anything else is an
 /// effective-boolean-value test.
-fn filter_positional<C: EvalCtx>(
-    cx: &mut C,
+fn filter_positional(
+    cx: &mut Full<'_>,
     env: &mut DynEnv,
     items: Sequence,
     pred: &Core,

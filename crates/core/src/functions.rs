@@ -25,14 +25,12 @@ pub enum Kind {
     /// Reads the focus position (`fn:position`, `fn:last`), so a path
     /// predicate calling it cannot be evaluated over a fused `//` walk.
     Position,
-    /// Rated `Pure`, yet the parallel gate must reject it: `fn:trace`
-    /// writes to stderr, whose line order a fan-out would scramble, and
-    /// `xqb:stats` / `xqb:reset-stats` read or clear registry state a
-    /// fan-out would make nondeterministic.
+    /// Rated `Pure`, yet no rewrite may move, repeat or drop it:
+    /// `fn:trace` writes to stderr, whose line order would change, and
+    /// `xqb:stats` / `xqb:reset-stats` read or clear registry state.
     Opaque,
-    /// Needs `&mut Store` (`fn:parse-xml` allocates the parsed document),
-    /// so only the full evaluator runs it (`parse_xml`); as opaque to
-    /// the parallel gate as [`Kind::Opaque`].
+    /// Needs `&mut Store` (`fn:parse-xml` allocates the parsed document,
+    /// `parse_xml`); as opaque to the purity verdict as [`Kind::Opaque`].
     MutStore,
     /// The failure-injection hook `xqb:panic`: it panics at any arity, so
     /// tests can exercise the engine's panic isolation (catch + store
@@ -216,8 +214,7 @@ pub(crate) fn parse_xml(
 
 /// Run built-in `f` with `args` — as many as its row allows — over
 /// `&Store`, which every row but the [`Kind::MutStore`] one ([`parse_xml`])
-/// needs at most, so the full evaluator and the parallel workers share
-/// this one entry point.
+/// needs at most.
 pub(crate) fn call(
     f: &Builtin,
     args: Vec<Sequence>,

@@ -49,7 +49,6 @@ pub mod eval;
 pub mod functions;
 pub mod limits;
 pub mod obs;
-pub mod par;
 pub mod planner;
 pub mod server;
 
@@ -61,7 +60,6 @@ pub use env::{DynEnv, Focus, ProgramEnv, Scope};
 pub use eval::{EvalStats, Evaluator};
 pub use limits::{LimitGuard, Limits, TripKind};
 pub use obs::{Gauge, MetricsSnapshot, NodeStats, Profile, Registry, TraceSink};
-pub use par::{par_safe, MAX_THREADS, PAR_MIN_ITEMS};
 pub use planner::{program_fingerprint, SharedPlanCache};
 pub use server::{CommitRecord, RequestKind, Response, Server, ServerConfig, ServerStats, Session};
 pub use xqsyn::ast::SnapMode;

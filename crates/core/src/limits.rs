@@ -14,20 +14,16 @@
 //! | `XQB0043` | materialized-sequence / Δ memory budget |
 //!
 //! [`Limits`] is the plain config (`Engine::set_limits`, the binaries'
-//! flags, REPL `:limits`). [`LimitGuard`] is the cheap runtime
-//! check shared by every execution surface — interpreted evaluator,
-//! compiled executor, and parallel workers. The guard is `Clone` and all
-//! state is atomic, so one guard is shared across sibling workers: the
-//! first worker to exceed a limit trips the guard and every sibling's next
-//! [`LimitGuard::tick`] observes the trip and unwinds with the same error
-//! class (cooperative first-exceeder cancellation).
+//! flags, REPL `:limits`). [`LimitGuard`] is the cheap runtime check the
+//! one evaluator owns, ticked by the interpreted rules and the compiled
+//! executor alike. The first limit to trip stays tripped: every later
+//! [`LimitGuard::tick`] unwinds with the same error class.
 //!
 //! When no fuel/deadline/memory limit is armed, `tick()` is a single
 //! branch on an inline bool — measured ≤2% on the XMark Q8 hot path
 //! (`e13_limits_overhead`).
 
-use std::sync::atomic::{AtomicI64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 use xqdm::error::{XdmError, XdmResult};
@@ -47,8 +43,7 @@ pub use xqsyn::DEFAULT_MAX_PARSE_DEPTH;
 /// syscall-ish operation; polling every tick would dominate the hot path.
 const DEADLINE_POLL_MASK: u64 = 0x3FF; // every 1024 ticks
 
-/// Which limit tripped first. Stored in the shared guard so sibling
-/// workers report the same class as the first exceeder.
+/// Which limit tripped first; sticky until the guard is re-armed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum TripKind {
@@ -65,16 +60,6 @@ pub enum TripKind {
 }
 
 impl TripKind {
-    fn from_u8(v: u8) -> TripKind {
-        match v {
-            1 => TripKind::Depth,
-            2 => TripKind::Fuel,
-            3 => TripKind::Deadline,
-            4 => TripKind::Memory,
-            _ => TripKind::None,
-        }
-    }
-
     /// The error code raised for this trip class.
     pub fn code(self) -> &'static str {
         match self {
@@ -168,68 +153,53 @@ impl Limits {
     }
 }
 
+/// Cheap cooperative limit check for one run.
+///
+/// The hot-path cost when nothing is armed is one inline bool test.
 #[derive(Debug)]
-struct GuardShared {
+pub struct LimitGuard {
+    active: bool,
     /// Remaining fuel. `i64::MAX` when unlimited (never reaches zero in
     /// practice: ~292 years of ticks at 1 GHz).
-    fuel: AtomicI64,
+    fuel: Cell<i64>,
     fuel_budget: u64,
     /// Initial `fuel` value, so the first tick can be recognized without
     /// a separate counter (the deadline is polled deterministically on
     /// the first tick — `deadline_ms = 0` trips immediately).
     fuel_init: i64,
     /// Remaining memory budget in items; `i64::MAX` when unlimited.
-    memory: AtomicI64,
+    memory: Cell<i64>,
     memory_budget: u64,
     /// Absolute deadline, armed when the guard is created.
     deadline: Option<Instant>,
     deadline_ms: u64,
-    /// Depth limit, for reporting sibling-observed depth trips.
-    depth_limit: usize,
     /// First limit class to trip; sticky until re-armed.
-    tripped: AtomicU8,
-}
-
-/// Cheap cooperative limit check, shared across execution surfaces and
-/// worker threads. Cloning shares the underlying state.
-///
-/// The hot-path cost when nothing is armed is one inline bool test —
-/// `active` lives on the guard itself, not behind the `Arc`.
-#[derive(Debug, Clone)]
-pub struct LimitGuard {
-    active: bool,
-    inner: Arc<GuardShared>,
+    tripped: Cell<TripKind>,
 }
 
 impl LimitGuard {
     /// Build a guard for one run of a query. The wall-clock deadline is
     /// anchored **now**, so construct the guard when the run starts.
     pub fn new(limits: &Limits) -> Self {
-        let fuel_budget = limits.fuel.unwrap_or(0);
-        let memory_budget = limits.memory_items.unwrap_or(0);
-        let deadline_ms = limits.deadline_ms.unwrap_or(0);
         let fuel_init = match limits.fuel {
             Some(f) => i64::try_from(f).unwrap_or(i64::MAX),
             None => i64::MAX,
         };
         LimitGuard {
             active: limits.needs_guard(),
-            inner: Arc::new(GuardShared {
-                fuel: AtomicI64::new(fuel_init),
-                fuel_budget,
-                fuel_init,
-                memory: AtomicI64::new(match limits.memory_items {
-                    Some(m) => i64::try_from(m).unwrap_or(i64::MAX),
-                    None => i64::MAX,
-                }),
-                memory_budget,
-                deadline: limits
-                    .deadline_ms
-                    .map(|ms| Instant::now() + Duration::from_millis(ms)),
-                deadline_ms,
-                depth_limit: limits.max_depth,
-                tripped: AtomicU8::new(TripKind::None as u8),
+            fuel: Cell::new(fuel_init),
+            fuel_budget: limits.fuel.unwrap_or(0),
+            fuel_init,
+            memory: Cell::new(match limits.memory_items {
+                Some(m) => i64::try_from(m).unwrap_or(i64::MAX),
+                None => i64::MAX,
             }),
+            memory_budget: limits.memory_items.unwrap_or(0),
+            deadline: limits
+                .deadline_ms
+                .map(|ms| Instant::now() + Duration::from_millis(ms)),
+            deadline_ms: limits.deadline_ms.unwrap_or(0),
+            tripped: Cell::new(TripKind::None),
         }
     }
 
@@ -239,7 +209,7 @@ impl LimitGuard {
     }
 
     /// One evaluation step: burns a unit of fuel, periodically polls the
-    /// deadline, and observes trips recorded by sibling workers.
+    /// deadline, and repeats an earlier trip.
     #[inline]
     pub fn tick(&self) -> XdmResult<()> {
         if !self.active {
@@ -251,22 +221,21 @@ impl LimitGuard {
     // Not `#[cold]`: when any limit is armed this *is* the per-step hot
     // path; only the disabled fast path above should be favoured.
     fn tick_slow(&self) -> XdmResult<()> {
-        let g = &*self.inner;
-        let t = g.tripped.load(Ordering::Relaxed);
-        if t != TripKind::None as u8 {
-            return Err(self.trip_error(TripKind::from_u8(t)));
+        if self.tripped.get() != TripKind::None {
+            return Err(self.trip_error(self.tripped.get()));
         }
-        // One atomic RMW per tick: the fuel counter doubles as the pace
-        // for deadline polls (it decrements every tick even when fuel is
-        // unlimited, starting from i64::MAX).
-        let remaining = g.fuel.fetch_sub(1, Ordering::Relaxed);
+        // The fuel counter doubles as the pace for deadline polls (it
+        // decrements every tick even when fuel is unlimited, starting from
+        // i64::MAX).
+        let remaining = self.fuel.get();
+        self.fuel.set(remaining - 1);
         if remaining <= 0 {
             return Err(self.trip(TripKind::Fuel));
         }
-        if let Some(deadline) = g.deadline {
+        if let Some(deadline) = self.deadline {
             // Poll on the very first tick (deterministic: a 0 ms deadline
             // trips before any work) and then every 1024 fuel units.
-            let poll = remaining == g.fuel_init || remaining as u64 & DEADLINE_POLL_MASK == 0;
+            let poll = remaining == self.fuel_init || remaining as u64 & DEADLINE_POLL_MASK == 0;
             if poll && Instant::now() >= deadline {
                 return Err(self.trip(TripKind::Deadline));
             }
@@ -286,51 +255,39 @@ impl LimitGuard {
 
     #[cold]
     fn charge_slow(&self, n: u64) -> XdmResult<()> {
-        let g = &*self.inner;
-        if g.memory_budget == 0 {
+        if self.memory_budget == 0 {
             return Ok(());
         }
-        let t = g.tripped.load(Ordering::Relaxed);
-        if t != TripKind::None as u8 {
-            return Err(self.trip_error(TripKind::from_u8(t)));
+        if self.tripped.get() != TripKind::None {
+            return Err(self.trip_error(self.tripped.get()));
         }
         let take = i64::try_from(n).unwrap_or(i64::MAX);
-        if g.memory.fetch_sub(take, Ordering::Relaxed) - take < 0 {
+        let left = self.memory.get().saturating_sub(take);
+        self.memory.set(left);
+        if left < 0 {
             return Err(self.trip(TripKind::Memory));
         }
         Ok(())
     }
 
-    /// Record a trip observed outside the guard (e.g. the structural
-    /// depth check) so sibling workers cancel with the same class.
-    pub fn note_trip(&self, kind: TripKind) {
-        let _ = self.inner.tripped.compare_exchange(
-            TripKind::None as u8,
-            kind as u8,
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        );
-    }
-
     /// Which limit class tripped, if any.
     pub fn tripped(&self) -> TripKind {
-        TripKind::from_u8(self.inner.tripped.load(Ordering::Relaxed))
+        self.tripped.get()
     }
 
     fn trip(&self, kind: TripKind) -> XdmError {
-        self.note_trip(kind);
-        // Report the winning class: a sibling may have tripped first.
-        self.trip_error(self.tripped())
+        self.tripped.set(kind);
+        self.trip_error(kind)
     }
 
     fn trip_error(&self, kind: TripKind) -> XdmError {
-        let g = &*self.inner;
         match kind {
-            TripKind::Depth => depth_error(g.depth_limit),
-            TripKind::Fuel => fuel_error(g.fuel_budget),
-            TripKind::Deadline => deadline_error(g.deadline_ms),
-            TripKind::Memory => memory_error(g.memory_budget),
-            TripKind::None => XdmError::new("XQB0000", "no limit tripped".to_string()),
+            TripKind::Fuel => fuel_error(self.fuel_budget),
+            TripKind::Deadline => deadline_error(self.deadline_ms),
+            TripKind::Memory => memory_error(self.memory_budget),
+            TripKind::Depth | TripKind::None => {
+                unreachable!("the guard trips on fuel, deadline and memory only")
+            }
         }
     }
 }
@@ -388,29 +345,6 @@ mod tests {
         g.charge(40).unwrap();
         let err = g.charge(1).unwrap_err();
         assert_eq!(err.code, "XQB0043");
-    }
-
-    #[test]
-    fn shared_trip_is_observed_by_clones() {
-        let g = LimitGuard::new(&Limits {
-            fuel: Some(1),
-            ..Limits::default()
-        });
-        let sibling = g.clone();
-        g.tick().unwrap();
-        assert_eq!(g.tick().unwrap_err().code, "XQB0041");
-        // The sibling's next tick sees the trip without burning fuel.
-        assert_eq!(sibling.tick().unwrap_err().code, "XQB0041");
-    }
-
-    #[test]
-    fn note_trip_wins_for_depth() {
-        let g = LimitGuard::new(&Limits {
-            fuel: Some(1_000),
-            ..Limits::default()
-        });
-        g.note_trip(TripKind::Depth);
-        assert_eq!(g.tick().unwrap_err().code, "XQB0040");
     }
 
     #[test]

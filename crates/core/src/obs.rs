@@ -241,10 +241,6 @@ metric_ids! {
         PlanNodes = "engine.plan_nodes",
         /// Join operators executed.
         Joins = "engine.joins",
-        /// Regions that fanned out.
-        ParRegions = "engine.par_regions",
-        /// Items evaluated inside those regions.
-        ParItems = "engine.par_items",
         /// Batch step-kernel invocations.
         BatchSteps = "engine.batch_steps",
         /// Nodes those kernels produced (pre-dedup).
@@ -266,9 +262,6 @@ metric_ids! {
         LimitDeadline = "engine.limit_trips.deadline",
         /// Runs stopped by the memory budget (`XQB0043`).
         LimitMemory = "engine.limit_trips.memory",
-        /// Worker-thread spawns the OS refused (the chunk ran inline
-        /// instead; docs/LIMITS.md).
-        ParSpawnFallback = "engine.par_spawn_fallback",
         /// Slow-query log entries recorded.
         SlowQueries = "engine.slow_queries",
         /// Durable commits flushed to the redo log (docs/DURABILITY.md).
@@ -494,11 +487,6 @@ pub struct SlowQuery {
     /// Plan-cache outcome: `"hit"`, `"miss"`, or `"uncompiled"`
     /// (`set_compile(false)`).
     pub cache: &'static str,
-    /// Δ-application mode of the implicit top-level snap (always
-    /// `"ordered"`; recorded so the log format survives future modes).
-    pub snap_mode: &'static str,
-    /// Worker-thread budget the run used.
-    pub threads: usize,
     /// Snaps closed during the run.
     pub snaps_closed: u64,
     /// Update requests applied during the run.
@@ -510,14 +498,8 @@ impl SlowQuery {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"slow_query\":{{\"fingerprint\":\"{}\",\"millis\":{:.3},\"cache\":\"{}\",\
-             \"snap_mode\":\"{}\",\"threads\":{},\"snaps_closed\":{},\"requests_applied\":{}}}}}",
-            self.fingerprint,
-            self.millis,
-            self.cache,
-            self.snap_mode,
-            self.threads,
-            self.snaps_closed,
-            self.requests_applied
+             \"snaps_closed\":{},\"requests_applied\":{}}}}}",
+            self.fingerprint, self.millis, self.cache, self.snaps_closed, self.requests_applied
         )
     }
 }
@@ -969,8 +951,7 @@ mod tests {
              \"engine.idx.hits\":0,\"engine.idx.scans\":0,\"engine.joins\":0,\
              \"engine.limit_trips.deadline\":0,\"engine.limit_trips.depth\":0,\
              \"engine.limit_trips.fuel\":0,\"engine.limit_trips.memory\":0,\
-             \"engine.par_items\":0,\"engine.par_regions\":0,\
-             \"engine.par_spawn_fallback\":0,\"engine.plan_nodes\":0,\
+             \"engine.plan_nodes\":0,\
              \"engine.requests_applied\":0,\"engine.requests_emitted\":0,\
              \"engine.runs\":7,\"engine.slow_queries\":0,\"engine.snaps_closed\":0,\
              \"engine.wal.bytes\":0,\"engine.wal.checkpoints\":0,\"engine.wal.commits\":0,\
@@ -1053,16 +1034,13 @@ mod tests {
             fingerprint: "00ff".into(),
             millis: 12.5,
             cache: "hit",
-            snap_mode: "ordered",
-            threads: 4,
             snaps_closed: 2,
             requests_applied: 3,
         };
         assert_eq!(
             q.to_json(),
             "{\"slow_query\":{\"fingerprint\":\"00ff\",\"millis\":12.500,\"cache\":\"hit\",\
-             \"snap_mode\":\"ordered\",\"threads\":4,\"snaps_closed\":2,\
-             \"requests_applied\":3}}"
+             \"snaps_closed\":2,\"requests_applied\":3}}"
         );
     }
 }

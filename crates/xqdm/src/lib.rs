@@ -44,11 +44,12 @@ pub use symbols::{QNameId, SymbolId, Symbols};
 pub use version::{Pinned, VersionSet};
 pub use wal::{CommitReceipt, RecoveryReport, RedoOp, SyncMode};
 
-// Parallel evaluation of effect-free regions (xqcore's DESIGN.md §9
-// feature) shares the store across scoped worker threads as `&Store`.
-// That is sound only while these types stay plain data — no `Rc`, no
-// `Cell`/`RefCell`, no raw pointers. These assertions turn any future
-// interior-mutability regression into a compile error at its source.
+// The server's sessions read one published snapshot from many threads
+// (xqcore's DESIGN.md §15), so a store is shared as `&Store` across
+// threads. That is sound only while these types stay plain data — no
+// `Rc`, no `Cell`/`RefCell`, no raw pointers. These assertions turn any
+// future interior-mutability regression into a compile error at its
+// source.
 const _: () = {
     const fn assert_send_sync<T: ?Sized + Send + Sync>() {}
     assert_send_sync::<Store>();

@@ -11,7 +11,6 @@
 //!                        attached (later updates append to its redo log)
 //!   :plan <query>        show the optimizer's plan for a query
 //!   :analyze <query>     run a query and show the plan with live counters
-//!   :threads [n]         show or set worker threads for pure regions
 //!   :limits [k v]        show resource limits, or set one knob: depth,
 //!                        fuel, deadline-ms, memory-items ("off" disarms)
 //!   :quit                exit
@@ -69,9 +68,7 @@ fn main() {
     let mut engine = Engine::new();
     let stdin = std::io::stdin();
     let mut out = std::io::stdout();
-    println!(
-        "XQuery! shell — :load, :xmark, :open, :save, :plan, :analyze, :threads, :limits, :quit"
-    );
+    println!("XQuery! shell — :load, :xmark, :open, :save, :plan, :analyze, :limits, :quit");
     loop {
         print!("xq!> ");
         out.flush().ok();
@@ -162,20 +159,6 @@ fn main() {
                     engine.store.fingerprint()
                 ),
                 Err(e) => eprintln!("cannot save store: {e}"),
-            }
-            continue;
-        }
-        if line == ":threads" {
-            println!("{}", engine.threads());
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix(":threads ") {
-            match rest.trim().parse::<usize>() {
-                Ok(n) => {
-                    engine.set_threads(n);
-                    println!("threads = {}", engine.threads());
-                }
-                Err(_) => eprintln!("usage: :threads <n>"),
             }
             continue;
         }

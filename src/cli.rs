@@ -19,7 +19,6 @@ pub const ENGINE_FLAGS: &str = "  \
                             recovered documents bind to $doc, $doc2, ...
   --durability <MODE>       fsync policy of the durable store:
                             always (default), batch or off
-  --threads <N>             worker threads for effect-free regions (1)
   --max-depth <N>           recursion-depth limit, XQB0040 beyond (512)
   --fuel <N>                evaluation-step budget per run, XQB0041
                             beyond (default unlimited)
@@ -132,9 +131,6 @@ pub fn engine(args: &Args) -> Result<Engine, String> {
     if let Some(mode) = args.value("--durability") {
         let sync = SyncMode::parse(mode).ok_or(format!("bad value \"{mode}\" for --durability"))?;
         engine.set_durability(sync);
-    }
-    if let Some(n) = args.num("--threads")? {
-        engine.set_threads(n);
     }
     let defaults = Limits::default();
     engine.set_limits(Limits {

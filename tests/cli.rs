@@ -7,11 +7,10 @@ use std::process::Command;
 use xquery_bang::cli::{self, ENGINE_FLAGS};
 use xquery_bang::SyncMode;
 
-/// The nine engine settings a binary can reach.
-const SETTINGS: [&str; 9] = [
+/// The eight engine settings a binary can reach.
+const SETTINGS: [&str; 8] = [
     "--store",
     "--durability",
-    "--threads",
     "--max-depth",
     "--fuel",
     "--deadline-ms",
@@ -45,7 +44,7 @@ fn each_engine_setting_is_one_row_in_the_table_and_in_each_help() {
             .lines()
             .filter(|l| l.starts_with("  --"))
             .count(),
-        9
+        8
     );
     for bin in [env!("CARGO_BIN_EXE_xqbang"), env!("CARGO_BIN_EXE_xqserve")] {
         let out = Command::new(bin).arg("--help").output().unwrap();
@@ -69,8 +68,6 @@ fn engine_flags_configure_the_engine_in_any_order() {
         store_s,
         "--durability",
         "off",
-        "--threads",
-        "4",
         "--max-depth",
         "0",
         "--fuel",
@@ -87,7 +84,6 @@ fn engine_flags_configure_the_engine_in_any_order() {
     let mut engine = cli::engine(&parsed).unwrap();
     assert_eq!(engine.durability(), SyncMode::Off);
     assert_eq!(engine.store.durability(), Some(SyncMode::Off));
-    assert_eq!(engine.threads(), 4);
     let limits = *engine.limits();
     assert_eq!(limits.max_depth, 1, "a zero depth is clamped to 1");
     assert_eq!(
@@ -116,6 +112,13 @@ fn bad_engine_flags_are_startup_errors() {
     }
     assert!(cli::parse("usage: test", "", ["--fuel".to_string()]).is_err());
     assert!(cli::parse("usage: test", "", ["--bogus".to_string()]).is_err());
+    // Evaluation is sequential: there is no thread setting to ask for.
+    for bin in [env!("CARGO_BIN_EXE_xqbang"), env!("CARGO_BIN_EXE_xqserve")] {
+        let out = Command::new(bin).args(["--threads", "2"]).output().unwrap();
+        assert!(!out.status.success(), "{bin} accepted --threads");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.starts_with("unknown option \"--threads\""), "{err}");
+    }
 }
 
 #[test]
@@ -124,7 +127,6 @@ fn exported_variables_reach_nothing() {
     let out = Command::new(env!("CARGO_BIN_EXE_xqbang"))
         .env("XQB_STORE_PATH", &store)
         .env("XQB_FUEL", "1")
-        .env("XQB_THREADS", "4")
         .env("XQB_TRACE", &trace)
         .args([
             "--analyze",
@@ -139,10 +141,7 @@ fn exported_variables_reach_nothing() {
         String::from_utf8_lossy(&out.stderr)
     );
     let report = String::from_utf8(out.stdout).unwrap();
-    assert!(
-        report.contains(" rows=1 ") && report.contains(" threads=1 "),
-        "{report}"
-    );
+    assert!(report.contains(" rows=1 "), "{report}");
     assert!(!store.exists(), "XQB_STORE_PATH opened a store");
     assert!(!trace.exists(), "XQB_TRACE opened a sink");
 }

@@ -3,10 +3,9 @@
 //! cheapest place to pin a behaviour or add a regression case — append
 //! a row to the area it belongs to.
 //!
-//! Beyond the value tables there are: an error-code table (checked at
-//! 1 and 8 worker threads — codes are part of the observable
-//! semantics), and negative tests for `XQB0030` engine isolation /
-//! rollback with parallel evaluation enabled.
+//! Beyond the value tables there are: an error-code table (codes are
+//! part of the observable semantics), and negative tests for `XQB0030`
+//! engine isolation / rollback.
 
 use xquery_bang::xqcore::functions::{BUILTINS, MANY};
 use xquery_bang::{Engine, Error};
@@ -256,9 +255,6 @@ fn snap_nesting() {
     );
 }
 
-/// Error codes are observable semantics: the same code must surface at
-/// 1 and 8 worker threads (the parallel gate may fan the enclosing loop
-/// out, but first-error-in-input-order is preserved).
 /// `xqb:stats()` / `xqb:reset-stats()` — metrics introspection from
 /// inside the language. The registry is process-global (other tests in
 /// this binary bump it concurrently), so assertions are shape-based
@@ -274,7 +270,7 @@ fn stats_builtins() {
             ("xqb:reset-stats()", ""),
             ("(xqb:reset-stats(), count(xqb:stats()))", "1"),
             // Both are callable inside a snap body: stats reads are
-            // impure (par-opaque) but not *pending* — no Δ involved.
+            // opaque but not *pending* — no Δ involved.
             ("count(snap { xqb:stats() })", "1"),
             ("(snap { xqb:reset-stats() }, \"done\")", "done"),
         ],
@@ -295,22 +291,13 @@ fn stats_builtins() {
         assert!(json.contains(key), "xqb:stats() missing {key}: {json}");
     }
 
-    // Inside a pure-looking loop body the stats read suppresses the
-    // parallel gate — same observable output at any thread count.
-    for threads in [1usize, 8] {
-        let mut e = Engine::new();
-        e.set_threads(threads);
-        e.load_document("doc", DOC).unwrap();
-        let v = e
-            .run("for $p in $doc//person return count(xqb:stats())")
-            .unwrap();
-        assert_eq!(e.serialize(&v).unwrap(), "1 1 1", "at {threads} thread(s)");
-        let stats = e.last_stats().unwrap();
-        assert_eq!(
-            stats.par_regions, 0,
-            "stats read in loop body must stay sequential at {threads} thread(s)"
-        );
-    }
+    // One snapshot string per iteration of a loop body.
+    let mut e = Engine::new();
+    e.load_document("doc", DOC).unwrap();
+    let v = e
+        .run("for $p in $doc//person return count(xqb:stats())")
+        .unwrap();
+    assert_eq!(e.serialize(&v).unwrap(), "1 1 1");
 }
 
 #[test]
@@ -335,26 +322,27 @@ fn error_codes() {
         ("xs:integer(\"zz\")", "FORG0001"),
         ("sum((\"a\", \"b\"))", "FORG0001"),
         ("snap { snap { 1 div 0 } }", "FOAR0001"),
-        // Errors inside a (parallelizable) pure loop body.
+        // Errors inside a pure loop body: the first failing iteration's,
+        // the poison value in the middle of the input.
         (
             "for $n in $doc//nums/n return 10 div (xs:integer($n) - 1)",
             "FOAR0001",
         ),
         ("for $i in 1 to 8 return 1 + \"a\"", "XPTY0004"),
+        (
+            "for $v in (1, 2, 3, 4, 0, 5, 0, 6) return 10 idiv $v",
+            "FOAR0001",
+        ),
     ];
-    for threads in [1usize, 8] {
-        for (query, code) in CASES {
-            let mut e = Engine::new();
-            e.set_threads(threads);
-            e.load_document("doc", DOC).unwrap();
-            match e.run(query) {
-                Err(Error::Eval(x)) => assert_eq!(
-                    x.code, *code,
-                    "wrong code for {query} at {threads} thread(s)"
-                ),
-                other => panic!("{query} at {threads} thread(s): expected {code}, got {other:?}"),
-            }
+    for (query, code) in CASES {
+        let mut e = Engine::new();
+        e.load_document("doc", DOC).unwrap();
+        let before = doc_xml(&e);
+        match e.run(query) {
+            Err(Error::Eval(x)) => assert_eq!(x.code, *code, "wrong code for {query}"),
+            other => panic!("{query}: expected {code}, got {other:?}"),
         }
+        assert_eq!(doc_xml(&e), before, "{query} changed the store");
     }
 }
 
@@ -363,24 +351,15 @@ fn doc_xml(e: &Engine) -> String {
     e.serialize(&b).unwrap()
 }
 
-/// XQB0030 isolation with parallel mode ON: a panic after a committed
-/// snap and a parallel region must roll the store back to the exact
-/// pre-run state and leave the engine usable — including for further
-/// parallel queries.
+/// XQB0030 isolation: a panic after a committed snap and a pure loop
+/// must roll the store back to the exact pre-run state and leave the
+/// engine usable.
 #[test]
-fn xqb0030_rollback_with_parallel_mode_enabled() {
+fn xqb0030_rollback_after_a_committed_snap() {
     let mut e = Engine::new();
-    e.set_threads(8);
     e.load_document("doc", DOC).unwrap();
-
-    // Warm the parallel path so the failure really happens in a run
-    // that fans out.
     e.run("for $p in $doc//person | $doc//n return string($p)")
         .unwrap();
-    assert!(
-        e.last_stats().unwrap().par_regions > 0,
-        "warm-up loop should have fanned out"
-    );
 
     let before = doc_xml(&e);
     let err = e.run(
@@ -394,27 +373,22 @@ fn xqb0030_rollback_with_parallel_mode_enabled() {
     );
     assert_eq!(doc_xml(&e), before, "rollback must undo the committed snap");
 
-    // Engine not poisoned: sequential and parallel queries still work.
+    // Engine not poisoned: updates and loops still work.
     e.run("snap insert { <ok/> } into { ($doc//people)[1] }")
         .unwrap();
     let r = e.run("count($doc//ok)").unwrap();
     assert_eq!(e.serialize(&r).unwrap(), "1");
-    // ≥ PAR_MIN_ITEMS items so the loop fans out again.
     let r = e
         .run("for $p in $doc//person | $doc//n return name($p)")
         .unwrap();
     assert_eq!(e.serialize(&r).unwrap(), "person person person n n n");
-    assert!(e.last_stats().unwrap().par_regions > 0);
 }
 
-/// A panic raised *from a loop body* with parallel mode on must also
-/// surface as XQB0030 with full rollback — whether the gate ran the
-/// loop sequentially (calls to unknown-effect builtins are rejected) or
-/// a worker's unwind was forwarded to the engine's isolation frame.
+/// A panic raised *from a loop body* must also surface as XQB0030 with
+/// full rollback.
 #[test]
-fn xqb0030_panic_in_loop_body_under_parallel_mode() {
+fn xqb0030_panic_in_loop_body() {
     let mut e = Engine::new();
-    e.set_threads(8);
     e.load_document("doc", DOC).unwrap();
     let before = doc_xml(&e);
     let err = e.run(
@@ -428,43 +402,6 @@ fn xqb0030_panic_in_loop_body_under_parallel_mode() {
     assert_eq!(doc_xml(&e), before);
     let r = e.run("count($doc//person)").unwrap();
     assert_eq!(e.serialize(&r).unwrap(), "3");
-}
-
-/// Divergence check: an error inside a parallel region must be the
-/// *same* error the sequential engine reports (first in input order),
-/// and the store must be identically rolled back.
-#[test]
-fn parallel_region_error_matches_sequential() {
-    // 8 items (≥ PAR_MIN_ITEMS, so the loop fans out) with the poison
-    // value in the middle of the input.
-    let data = r#"<root><e v="1"/><e v="2"/><e v="3"/><e v="4"/>
-                  <e v="0"/><e v="5"/><e v="0"/><e v="6"/></root>"#;
-    let query = "for $e in $data/root/e return 10 idiv xs:integer($e/@v)";
-    let mut results = Vec::new();
-    for threads in [1usize, 8] {
-        let mut e = Engine::new();
-        e.set_threads(threads);
-        e.load_document("data", data).unwrap();
-        let err = e.run(query);
-        let code = match err {
-            Err(Error::Eval(x)) => x.code.to_string(),
-            other => panic!("expected eval error at {threads} thread(s), got {other:?}"),
-        };
-        let b = e.binding("data").unwrap().clone();
-        let store = e.serialize(&b).unwrap();
-        if threads > 1 {
-            assert!(
-                e.last_stats().unwrap().par_regions > 0,
-                "loop with pure body must have fanned out before erroring"
-            );
-        }
-        results.push((code, store));
-    }
-    assert_eq!(
-        results[0], results[1],
-        "parallel error diverges from sequential"
-    );
-    assert_eq!(results[0].0, "FOAR0001");
 }
 
 /// docs/LANGUAGE.md §9 and `functions::BUILTINS` name the same built-ins

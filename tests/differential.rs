@@ -1,26 +1,24 @@
-//! Differential determinism harness: every query runs through a matrix
-//! of engine configurations — {compiled, interpreted} × {1, 2, 8} worker
-//! threads — and each variant must produce the identical value sequence,
+//! Differential determinism harness: every query runs on a compiled and
+//! an interpreted engine, and both must produce the identical value sequence,
 //! the identical serialized store, the identical snap/Δ statistics
 //! (`snaps_closed`, `requests_emitted`, `requests_applied`,
 //! `max_snap_depth`, which pin the Δ ordering and the per-snap seed
 //! draws), and identical error codes,
-//! in all three snap application modes. The sequential interpreter
-//! (threads = 1, `set_compile(false)`) is the reference semantics;
-//! everything else is an evaluation strategy that must be observably
-//! indistinguishable from it.
+//! in all three snap application modes. The interpreter
+//! (`set_compile(false)`) is the reference semantics; the compiled plan is
+//! an evaluation strategy that must be observably indistinguishable from
+//! it.
 //!
-//! `plan_nodes_executed` / `joins_executed` / `par_regions` / `par_items`
-//! are *strategy* counters — they legitimately differ across the matrix
-//! and are excluded from the comparison (a separate non-vacuity test
-//! asserts the parallel path really runs).
+//! `plan_nodes_executed` / `joins_executed` / `batch_*` / `idx_*` are
+//! *strategy* counters — they legitimately differ between the two and are
+//! excluded from the comparison.
 //!
 //! A generated binder battery (pinned seed, vendored proptest RNG) feeds
 //! programs of nested, shadowing `let` / `for` / `for … at` / `some` /
-//! `every` / `order by` binders through the same matrix, and checks that
+//! `every` / `order by` binders through the same pair, and checks that
 //! the static checker's `XPST0008` predicts the interpreter's. A generated
 //! builtin battery (pinned seed) calls every built-in row at each arity
-//! from one below to one above its range, through the same matrix, and
+//! from one below to one above its range, through the same pair, and
 //! checks that the checker's `XPST0017` predicts the interpreter's.
 //!
 //! A `proptest` section generalizes the fixed corpus with randomly
@@ -34,35 +32,26 @@ use xquery_bang::xmarkgen::{Scale, XmarkGen};
 use xquery_bang::xqcore::functions::{Kind, BUILTINS, MANY};
 use xquery_bang::{Engine, Error, Item};
 
-/// The thread counts the determinism matrix exercises.
-const THREAD_MATRIX: &[usize] = &[1, 2, 8];
-
 /// One engine configuration under test.
 struct Variant {
     label: String,
     engine: Engine,
 }
 
-/// The full matrix: {interpreted, compiled} × [`THREAD_MATRIX`], all with
-/// the same seed. The first variant (interpreted × 1 thread) is the
-/// reference.
+/// The interpreted reference and the compiled engine, with the same seed.
 fn matrix(seed: u64) -> Vec<Variant> {
-    let mut variants = Vec::new();
-    for &compile in &[false, true] {
-        for &threads in THREAD_MATRIX {
+    [false, true]
+        .into_iter()
+        .map(|compile| {
             let mut engine = Engine::new().with_seed(seed);
             engine.set_compile(compile);
-            engine.set_threads(threads);
-            variants.push(Variant {
-                label: format!(
-                    "{}×{threads}",
-                    if compile { "compiled" } else { "interpreted" }
-                ),
+            let label = if compile { "compiled" } else { "interpreted" };
+            Variant {
+                label: label.to_string(),
                 engine,
-            });
-        }
-    }
-    variants
+            }
+        })
+        .collect()
 }
 
 fn error_code(e: &Error) -> String {
@@ -74,7 +63,7 @@ fn error_code(e: &Error) -> String {
 
 /// Run `queries` in order on every matrix variant (same seed, same
 /// documents, same preloaded modules) and assert observable equivalence
-/// with the sequential-interpreter reference after every step.
+/// with the interpreter reference after every step.
 fn differential(docs: &[(&str, &str)], modules: &[&str], queries: &[&str]) {
     let mut variants = matrix(0xd1ff);
     for v in &mut variants {
@@ -105,7 +94,7 @@ fn differential(docs: &[(&str, &str)], modules: &[&str], queries: &[&str]) {
                         v.engine.last_stats().unwrap(),
                     );
                     // Semantic statistics only — strategy counters
-                    // (plan_nodes/joins/par_*) vary by design.
+                    // (plan_nodes/joins/batch/idx) vary by design.
                     assert_eq!(
                         sr.snaps_closed, sv.snaps_closed,
                         "snaps_closed for {q} ({})",
@@ -201,7 +190,7 @@ fn conformance_style_queries_agree() {
 /// agrees with the per-parent reading everywhere: positional predicates
 /// (which must not fuse), a numeric variable, value, existence and
 /// comparison filters, aggregates over the step, attributes, and `x` nested
-/// inside `x`. The per-section loops fan out at 2 and 8 threads.
+/// inside `x`.
 #[test]
 fn descendant_paths_agree() {
     let section = |k: usize| {
@@ -407,13 +396,23 @@ fn updates_agree_in_all_snap_modes() {
             ],
         );
     }
+    // A snap in a loop body closes once per iteration, compiled or not.
+    for compile in [false, true] {
+        let mut e = Engine::new();
+        e.set_compile(compile);
+        e.load_document("log", "<log/>").unwrap();
+        e.run("for $i in 1 to 40 return snap insert { <seen/> } into { $log/log }")
+            .unwrap();
+        let stats = e.last_stats().unwrap();
+        assert_eq!(stats.snaps_closed, 41, "40 inner snaps + top level");
+    }
 }
 
 /// ISSUE 14: constructor content and insert/replace sources adopt fresh
 /// trees instead of copying them. Every strategy runs the same evaluator
 /// for constructors, so what this row pins is that adoption composes with
 /// each of them — plan nodes around `Iterate` leaves, index scans feeding
-/// constructor content, worker fan-out of the pure parts — in all three
+/// constructor content — in all three
 /// snap modes (inserts target distinct parents, so conflict-detection
 /// accepts them).
 #[test]
@@ -709,53 +708,6 @@ fn correlated_predicates_agree_across_strategies() {
     }
 }
 
-/// The determinism matrix must not be vacuous: on a pure loop over
-/// enough items, every `threads ≥ 2` variant has to actually fan out
-/// (`par_regions > 0`), and the sequential variants must not.
-#[test]
-fn thread_matrix_actually_parallelizes() {
-    let mut variants = matrix(5);
-    let doc: String = std::iter::once("<root>".to_string())
-        .chain((0..40).map(|i| format!("<e v=\"{i}\"/>")))
-        .chain(std::iter::once("</root>".to_string()))
-        .collect();
-    for v in &mut variants {
-        v.engine.load_document("doc", &doc).unwrap();
-        let r = v
-            .engine
-            .run("for $e in $doc/root/e return number($e/@v) * 2")
-            .unwrap();
-        assert_eq!(r.len(), 40, "{}", v.label);
-        let stats = v.engine.last_stats().unwrap();
-        if v.engine.threads() >= 2 {
-            assert!(
-                stats.par_regions > 0,
-                "{}: pure loop did not fan out: {stats:?}",
-                v.label
-            );
-            assert!(stats.par_items >= 40, "{}: {stats:?}", v.label);
-        } else {
-            assert_eq!(stats.par_regions, 0, "{}: {stats:?}", v.label);
-        }
-    }
-
-    // An impure loop body (snap inside) must stay sequential at any
-    // thread count.
-    let mut eight = Engine::new();
-    eight.set_threads(8);
-    eight.load_document("doc", &doc).unwrap();
-    eight.load_document("log", "<log/>").unwrap();
-    eight
-        .run("for $e in $doc/root/e return snap insert { <seen/> } into { $log/log }")
-        .unwrap();
-    let stats = eight.last_stats().unwrap();
-    assert_eq!(
-        stats.par_regions, 0,
-        "snap-in-body loop must not parallelize: {stats:?}"
-    );
-    assert_eq!(stats.snaps_closed, 41, "40 inner snaps + top level");
-}
-
 #[test]
 fn compiled_engine_counts_joins_and_plan_nodes() {
     let mut e = Engine::new();
@@ -897,18 +849,11 @@ fn shadowed_and_captured_variables_agree() {
     let queries: Vec<&str> = rows.iter().map(|&(q, _)| q).collect();
     differential(&[], &[], &queries);
     for compile in [false, true] {
-        for threads in [1, 4] {
-            let mut e = Engine::new();
-            e.set_compile(compile);
-            e.set_threads(threads);
-            for (q, want) in rows {
-                let r = e.run(q).unwrap();
-                assert_eq!(
-                    e.serialize(&r).unwrap(),
-                    want,
-                    "{q} (compile={compile}, threads={threads})"
-                );
-            }
+        let mut e = Engine::new();
+        e.set_compile(compile);
+        for (q, want) in rows {
+            let r = e.run(q).unwrap();
+            assert_eq!(e.serialize(&r).unwrap(), want, "{q} (compile={compile})");
         }
     }
 }
@@ -1276,53 +1221,33 @@ fn prop_differential(
     let mut compiled = Engine::new().with_seed(7);
     let mut interpreted = Engine::new().with_seed(7);
     interpreted.set_compile(false);
-    // A parallel compiled engine rides along: same observables required.
-    let mut parallel = Engine::new().with_seed(7);
-    parallel.set_threads(8);
     for (n, x) in &docs {
         compiled.load_document(n, x).unwrap();
         interpreted.load_document(n, x).unwrap();
-        parallel.load_document(n, x).unwrap();
     }
     let vc = compiled.run(query).expect("compiled run");
     let vi = interpreted.run(query).expect("interpreted run");
-    let vp = parallel.run(query).expect("parallel run");
     prop_assert_eq!(
         compiled.serialize(&vc).unwrap(),
         interpreted.serialize(&vi).unwrap(),
         "value mismatch"
     );
-    prop_assert_eq!(
-        compiled.serialize(&vc).unwrap(),
-        parallel.serialize(&vp).unwrap(),
-        "parallel value mismatch"
-    );
     for (n, _) in &docs {
         let bc = compiled.binding(n).unwrap().clone();
         let bi = interpreted.binding(n).unwrap().clone();
-        let bp = parallel.binding(n).unwrap().clone();
         prop_assert_eq!(
             compiled.serialize(&bc).unwrap(),
             interpreted.serialize(&bi).unwrap(),
             "store mismatch"
         );
-        prop_assert_eq!(
-            compiled.serialize(&bc).unwrap(),
-            parallel.serialize(&bp).unwrap(),
-            "parallel store mismatch"
-        );
     }
-    let (sc, si, sp) = (
+    let (sc, si) = (
         compiled.last_stats().unwrap(),
         interpreted.last_stats().unwrap(),
-        parallel.last_stats().unwrap(),
     );
     prop_assert_eq!(sc.snaps_closed, si.snaps_closed);
     prop_assert_eq!(sc.requests_emitted, si.requests_emitted);
     prop_assert_eq!(sc.requests_applied, si.requests_applied);
-    prop_assert_eq!(sc.snaps_closed, sp.snaps_closed);
-    prop_assert_eq!(sc.requests_emitted, sp.requests_emitted);
-    prop_assert_eq!(sc.requests_applied, sp.requests_applied);
     if expect_join {
         prop_assert!(
             sc.joins_executed > 0,

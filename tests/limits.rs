@@ -1,6 +1,6 @@
 //! Resource-governance conformance (ISSUE 5): limit trips are ordinary
 //! dynamic errors — correct code, full rollback, engine usable after —
-//! at 1 and 8 worker threads, compiled and interpreted.
+//! compiled and interpreted.
 //!
 //! | code      | limit                        |
 //! |-----------|------------------------------|
@@ -31,10 +31,10 @@ fn eval_code(result: Result<xquery_bang::Sequence, Error>) -> Option<String> {
     }
 }
 
-/// The conformance table: (limits, query, expected code) at 1 and 8
-/// worker threads. Codes are part of the observable semantics.
+/// The conformance table: (limits, query, expected code). Codes are part
+/// of the observable semantics.
 #[test]
-fn limit_error_codes_at_1_and_8_threads() {
+fn limit_error_codes() {
     let depth = Limits::default();
     let fuel = Limits {
         fuel: Some(200),
@@ -55,12 +55,21 @@ fn limit_error_codes_at_1_and_8_threads() {
             "XQB0040",
         ),
         (fuel, "for $i in 1 to 100000 return $i + 1", "XQB0041"),
+        // Fuel is charged per evaluation *step*, not per materialized
+        // item: 64 iterations of a cheap body exceed 100 steps.
+        (
+            Limits {
+                fuel: Some(100),
+                ..Limits::default()
+            },
+            "for $i in 1 to 64 return sum(1 to 200)",
+            "XQB0041",
+        ),
         (deadline, "for $i in 1 to 100000 return $i + 1", "XQB0042"),
         (memory, "count((1 to 100000))", "XQB0043"),
         // Compiled loops accumulate like the interpreter's and are charged
         // like them: a plan-level `for` over a batched path (6 000 items),
-        // fanned out at 8 threads, and a hash join (40 × 40 matches),
-        // which runs sequentially at any thread count.
+        // and a hash join (40 × 40 matches).
         (memory, "for $i in 1 to 2000 return $doc/x/*", "XQB0043"),
         (
             memory,
@@ -69,33 +78,27 @@ fn limit_error_codes_at_1_and_8_threads() {
         ),
     ];
     let big = format!("<r>{}</r>", "<e k=\"1\"/>".repeat(40));
-    for threads in [1usize, 8] {
-        for (limits, query, code) in cases {
-            let mut e = Engine::new();
-            e.set_threads(threads);
-            e.load_document("doc", DOC).unwrap();
-            e.load_document("big", &big).unwrap();
-            e.set_limits(*limits);
-            let before = e.store.fingerprint();
-            match e.run(query) {
-                Err(Error::Eval(x)) => assert_eq!(
-                    x.code, *code,
-                    "wrong code for {query} at {threads} thread(s)"
-                ),
-                other => panic!("{query} at {threads} thread(s): expected {code}, got {other:?}"),
-            }
-            assert_eq!(
-                e.store.fingerprint(),
-                before,
-                "{query} at {threads} thread(s): a trip must leave the store unchanged"
-            );
-            // The engine is not poisoned: the same engine still answers
-            // (with the tripping limit disarmed — limits persist per
-            // engine, so a 0 ms deadline would trip every later run too).
-            e.set_limits(Limits::default());
-            let v = e.run("1 + 1").unwrap();
-            assert_eq!(e.serialize(&v).unwrap(), "2");
+    for (limits, query, code) in cases {
+        let mut e = Engine::new();
+        e.load_document("doc", DOC).unwrap();
+        e.load_document("big", &big).unwrap();
+        e.set_limits(*limits);
+        let before = e.store.fingerprint();
+        match e.run(query) {
+            Err(Error::Eval(x)) => assert_eq!(x.code, *code, "wrong code for {query}"),
+            other => panic!("{query}: expected {code}, got {other:?}"),
         }
+        assert_eq!(
+            e.store.fingerprint(),
+            before,
+            "{query}: a trip must leave the store unchanged"
+        );
+        // The engine is not poisoned: the same engine still answers
+        // (with the tripping limit disarmed — limits persist per
+        // engine, so a 0 ms deadline would trip every later run too).
+        e.set_limits(Limits::default());
+        let v = e.run("1 + 1").unwrap();
+        assert_eq!(e.serialize(&v).unwrap(), "2");
     }
 }
 
@@ -163,109 +166,6 @@ fn recursion_limit_rolls_back_in_all_snap_modes() {
         e.run("snap insert { <ok/> } into { $doc/x }").unwrap();
         let v = e.run("count($doc/x/ok)").unwrap();
         assert_eq!(e.serialize(&v).unwrap(), "1", "snap {mode}");
-    }
-}
-
-/// First-exceeder cancellation: a fuel trip inside a parallel region
-/// surfaces the same error class as sequential execution, and the trip
-/// counters record exactly one classified trip per failed run.
-#[test]
-fn parallel_workers_cancel_with_the_same_class() {
-    // Fuel is charged per evaluation *step* (not per materialized item),
-    // so the budget must be well under iterations × steps-per-body.
-    let limits = Limits {
-        fuel: Some(100),
-        ..Limits::default()
-    };
-    let query = "for $i in 1 to 64 return sum(1 to 200)";
-    let mut codes = Vec::new();
-    for threads in [1usize, 8] {
-        let mut e = Engine::new();
-        e.set_threads(threads);
-        e.set_limits(limits);
-        e.load_document("doc", DOC).unwrap();
-        let code = eval_code(e.run(query))
-            .unwrap_or_else(|| panic!("expected a fuel trip at {threads} thread(s)"));
-        codes.push(code);
-    }
-    assert_eq!(codes[0], "XQB0041");
-    assert_eq!(codes[0], codes[1], "thread count changed the limit class");
-}
-
-/// Arms one limit with a budget.
-type Knob = fn(u64) -> Limits;
-
-/// The smallest budget of `knob` under which `query` succeeds: fuel and
-/// memory are totals over the run (every tick and charge comes off one
-/// shared counter), so success is monotone in the budget and a binary
-/// search finds the threshold.
-fn smallest_sufficient(knob: Knob, query: &str, doc: &str, threads: usize, compiled: bool) -> u64 {
-    let succeeds = |budget: u64| {
-        let mut e = Engine::new();
-        e.set_threads(threads);
-        e.set_compile(compiled);
-        e.set_limits(knob(budget));
-        e.load_document("doc", doc).unwrap();
-        e.run(query).is_ok()
-    };
-    let (mut lo, mut hi) = (0u64, 1 << 20);
-    assert!(succeeds(hi), "{query}: no budget up to {hi} suffices");
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if succeeds(mid) {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    hi
-}
-
-/// A limit is a property of the query, not of the thread count: the
-/// fanned-out loop costs the guard exactly what the sequential loop does
-/// (DESIGN.md §9), so the smallest sufficient fuel and memory budgets are
-/// the same at 1 and 8 threads, compiled and interpreted. Every query
-/// fans out (≥ `PAR_MIN_ITEMS` source items, pure body) and materializes
-/// its results through `Seq`/`For`/path steps, which is where a worker
-/// that skipped a charge or a tick would show.
-#[test]
-fn limit_thresholds_do_not_depend_on_the_thread_count() {
-    let doc = format!(
-        "<r>{}</r>",
-        (0..50)
-            .map(|k| format!("<x k=\"{k}\"><y/><y/></x>"))
-            .collect::<String>()
-    );
-    let queries = [
-        "count(for $i in (1, 2, 3, 4, 5, 6, 7, 8) return for $j in $doc//x return $j)",
-        "for $x in $doc//x return
-           if (some $y in $x/y satisfies true()) then ($x/@k + 1) else ()",
-        "for $x in $doc//x return ($x/@k, $x/y, count($x/y))",
-        "for $x at $i in $doc//x return for $y in $x/y return ($i, $y)",
-        "declare function ys($x) { for $y in $x/y return $y };
-         for $x in $doc//x return count(ys($x))",
-    ];
-    let knobs: [(&str, Knob); 2] = [
-        ("fuel", |n| Limits {
-            fuel: Some(n),
-            ..Limits::default()
-        }),
-        ("memory_items", |n| Limits {
-            memory_items: Some(n),
-            ..Limits::default()
-        }),
-    ];
-    for query in queries {
-        for (name, knob) in knobs {
-            for compiled in [true, false] {
-                let at = |threads| smallest_sufficient(knob, query, &doc, threads, compiled);
-                assert_eq!(
-                    at(1),
-                    at(8),
-                    "smallest sufficient {name} at 1 vs 8 threads (compiled={compiled}): {query}"
-                );
-            }
-        }
     }
 }
 
@@ -490,10 +390,8 @@ proptest! {
     fn limit_trip_leaves_store_identical(
         fuel in 1u64..400,
         which in 0usize..UPDATING_POOL.len(),
-        threads in prop_oneof![Just(1usize), Just(8usize)],
     ) {
         let mut e = Engine::new();
-        e.set_threads(threads);
         e.set_limits(Limits { fuel: Some(fuel), ..Limits::default() });
         e.load_document("doc", DOC).unwrap();
         let before = doc_xml(&e);
@@ -506,8 +404,8 @@ proptest! {
                 );
                 prop_assert_eq!(
                     doc_xml(&e), before.clone(),
-                    "limit trip must roll back (fuel={}, q#{}, {} threads)",
-                    fuel, which, threads
+                    "limit trip must roll back (fuel={}, q#{})",
+                    fuel, which
                 );
             }
             Err(other) => prop_assert!(false, "unexpected error: {other}"),

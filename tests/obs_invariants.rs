@@ -13,8 +13,7 @@
 //! 3. On a successful run, `requests_emitted == requests_applied` (snap
 //!    scopes apply exactly what was collected).
 //! 4. The semantic counters are an *observable* of the program, not of
-//!    the evaluation strategy: identical across
-//!    {compiled, interpreted} × {1, 8} worker threads.
+//!    the evaluation strategy: identical compiled and interpreted.
 //!
 //! A proptest section generalizes 1–4 over randomly generated join-shaped
 //! updating programs.
@@ -68,10 +67,9 @@ fn corpus() -> Vec<(Vec<(&'static str, &'static str)>, &'static str)> {
     ]
 }
 
-fn engine_with(docs: &[(&str, &str)], compile: bool, threads: usize) -> Engine {
+fn engine_with(docs: &[(&str, &str)], compile: bool) -> Engine {
     let mut e = Engine::new().with_seed(0x0b5);
     e.set_compile(compile);
-    e.set_threads(threads);
     for (name, xml) in docs {
         e.load_document(name, xml).unwrap();
     }
@@ -111,123 +109,10 @@ fn analyze_and_check(engine: &mut Engine, query: &str, label: &str) -> u64 {
 #[test]
 fn analyze_counters_consistent_in_both_modes() {
     for (docs, query) in corpus() {
-        let compiled = analyze_and_check(&mut engine_with(&docs, true, 1), query, "compiled");
-        let interpreted =
-            analyze_and_check(&mut engine_with(&docs, false, 1), query, "interpreted");
+        let compiled = analyze_and_check(&mut engine_with(&docs, true), query, "compiled");
+        let interpreted = analyze_and_check(&mut engine_with(&docs, false), query, "interpreted");
         // 4. Semantic counter agreement across plan modes.
         assert_eq!(compiled, interpreted, "requests_emitted differ for {query}");
-    }
-}
-
-/// Invariant 4, thread axis: the PR-3 determinism matrix extended with a
-/// counter column — `requests_emitted` must not depend on the worker
-/// thread count, with or without compilation.
-#[test]
-fn analyze_counters_thread_invariant() {
-    for (docs, query) in corpus() {
-        let mut seen = Vec::new();
-        for compile in [true, false] {
-            for threads in [1usize, 8] {
-                let label = format!(
-                    "{}×{threads}",
-                    if compile { "compiled" } else { "interpreted" }
-                );
-                let emitted =
-                    analyze_and_check(&mut engine_with(&docs, compile, threads), query, &label);
-                seen.push((label, emitted));
-            }
-        }
-        let reference = seen[0].1;
-        for (label, emitted) in &seen {
-            assert_eq!(
-                *emitted, reference,
-                "requests_emitted for {query} diverged at {label}: {seen:?}"
-            );
-        }
-    }
-}
-
-/// Fanned-out pure loops still produce a coherent profile: the `For`
-/// node records its par attribution, `verify_profile` skips the relations
-/// the fan-out makes unknowable, and the Δ ledger stays exact.
-#[test]
-fn analyze_profile_coherent_under_parallel_fanout() {
-    let doc: String = std::iter::once("<root>".to_string())
-        .chain((0..40).map(|i| format!("<e v=\"{i}\"/>")))
-        .chain(std::iter::once("</root>".to_string()))
-        .collect();
-    let mut e = Engine::new();
-    e.set_compile(false); // structural plan: the For survives as a node
-    e.set_threads(8);
-    e.load_document("doc", &doc).unwrap();
-    let report = e
-        .explain_analyze("for $e in $doc/root/e return number($e/@v) * 2")
-        .unwrap();
-    let stats = e.last_stats().unwrap();
-    assert!(
-        stats.par_regions > 0,
-        "pure loop did not fan out: {stats:?}"
-    );
-    assert!(
-        report.contains("par="),
-        "par attribution missing from analyzed tree:\n{report}"
-    );
-    let run = e.last_run().unwrap();
-    let profile = run.profile.as_ref().unwrap();
-    run.plan.as_ref().unwrap().verify_profile(profile).unwrap();
-    assert_eq!(profile.total_delta_self(), stats.requests_emitted);
-}
-
-/// ISSUE 10 satellite: strategy counters (`batch=`, `idx=`) are
-/// determinism-exempt in *where* they attribute, but their totals must
-/// equal the 1-thread run — a batched spine under a `[par]` For-binder
-/// must not double-count steps across workers (workers interpret pure
-/// bodies and never touch the batch kernels; only the main thread
-/// counts). Pinned at both thread legs of the matrix.
-#[test]
-fn batch_and_idx_totals_are_thread_invariant() {
-    let doc: String = std::iter::once("<root>".to_string())
-        .chain((0..40).map(|i| format!("<b><e v=\"{i}\"/></b>")))
-        .chain(std::iter::once("</root>".to_string()))
-        .collect();
-    // Two spine shapes: a batched body under a For (runs per binding on
-    // the main thread), and a pure path body that fans out under [par]
-    // (workers interpret it — no batch counting at any thread count).
-    let queries = [
-        "for $b in $doc/root/b return $b/e",
-        "for $i in 1 to 8 return count($doc/root/b/e)",
-    ];
-    for (qi, query) in queries.iter().enumerate() {
-        let mut totals = Vec::new();
-        for threads in [1usize, 8] {
-            let mut e = Engine::new().with_seed(0x0b5);
-            e.set_compile(true);
-            e.set_threads(threads);
-            e.load_document("doc", &doc).unwrap();
-            e.explain_analyze(query).unwrap();
-            let stats = e.last_stats().unwrap();
-            totals.push((
-                threads,
-                stats.batch_steps,
-                stats.batch_nodes,
-                stats.idx_scans,
-                stats.idx_hits,
-            ));
-        }
-        let (_, steps1, nodes1, scans1, hits1) = totals[0];
-        if qi == 0 {
-            assert!(
-                steps1 + scans1 > 0,
-                "expected a batched/indexed spine in the 1-thread run of {query}: {totals:?}"
-            );
-        }
-        for &(threads, steps, nodes, scans, hits) in &totals {
-            assert_eq!(
-                (steps, nodes, scans, hits),
-                (steps1, nodes1, scans1, hits1),
-                "strategy counter totals for {query} diverged at {threads} threads: {totals:?}"
-            );
-        }
     }
 }
 
@@ -299,8 +184,8 @@ fn last_run_describes_only_the_latest_run() {
 /// The profile law: on a successful profiled run of a program without
 /// prolog variables, everything the evaluator counted was counted while
 /// the body's root node was open — so the root's inclusive strategy
-/// counters (`par=`, `batch=`, `idx=`) and Δ equal the run's `EvalStats`,
-/// whether or not the run fanned out.
+/// counters (`batch=`, `idx=`) and Δ equal the run's `EvalStats`. The
+/// compiled loop over a batched body really counts kernel work.
 #[test]
 fn root_profile_node_accounts_for_the_whole_run() {
     let doc: String = std::iter::once("<root>".to_string())
@@ -314,33 +199,31 @@ fn root_profile_node_accounts_for_the_whole_run() {
         "for $l in $doc/root/b for $r in $doc/root/b where $l/@id = $r/@id return <m/>",
     ];
     for compile in [true, false] {
-        for threads in [1usize, 4] {
-            for query in queries {
-                let mut e = Engine::new();
-                e.set_compile(compile);
-                e.set_threads(threads);
-                e.load_document("doc", &doc).unwrap();
-                e.explain_analyze(query).unwrap();
-                let run = e.last_run().unwrap();
-                let stats = run.stats.unwrap();
-                let root = run.profile.as_ref().unwrap().node(0).incl;
-                let label = format!("compile={compile} threads={threads} {query}");
-                assert_eq!(
-                    (root.par_regions, root.par_items),
-                    (stats.par_regions, stats.par_items),
-                    "par: {label}"
+        for query in queries {
+            let mut e = Engine::new();
+            e.set_compile(compile);
+            e.load_document("doc", &doc).unwrap();
+            e.explain_analyze(query).unwrap();
+            let run = e.last_run().unwrap();
+            let stats = run.stats.unwrap();
+            let root = run.profile.as_ref().unwrap().node(0).incl;
+            let label = format!("compile={compile} {query}");
+            assert_eq!(
+                (root.batch_steps, root.batch_nodes),
+                (stats.batch_steps, stats.batch_nodes),
+                "batch: {label}"
+            );
+            assert_eq!(
+                (root.idx_scans, root.idx_hits),
+                (stats.idx_scans, stats.idx_hits),
+                "idx: {label}"
+            );
+            assert_eq!(root.requests_emitted, stats.requests_emitted, "Δ: {label}");
+            if compile && query == queries[0] {
+                assert!(
+                    stats.batch_steps + stats.idx_scans > 0,
+                    "expected a batched/indexed spine: {label} {stats:?}"
                 );
-                assert_eq!(
-                    (root.batch_steps, root.batch_nodes),
-                    (stats.batch_steps, stats.batch_nodes),
-                    "batch: {label}"
-                );
-                assert_eq!(
-                    (root.idx_scans, root.idx_hits),
-                    (stats.idx_scans, stats.idx_hits),
-                    "idx: {label}"
-                );
-                assert_eq!(root.requests_emitted, stats.requests_emitted, "Δ: {label}");
             }
         }
     }
