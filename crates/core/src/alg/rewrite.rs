@@ -202,13 +202,13 @@ const FRESH: char = '~';
 /// in document order with no duplicates, and a position-blind predicate
 /// does not care which origin node a step reached an item from.
 fn unnest_predicate(v: &str, body: &Core, a: &EffectAnalysis) -> Option<Core> {
+    let mut path = Vec::new();
+    let (source, pred) = find(body, v, &mut Vec::new(), a, &mut path)?;
     // `P` and `R` now run before whatever precedes the occurrence in
     // the body, so nothing there may apply updates they could read.
     if !a.effect(body).order_free() {
         return None;
     }
-    let mut path = Vec::new();
-    let (source, pred) = find(body, v, &mut Vec::new(), a, &mut path)?;
     let n = fresh_index(body);
     let (group, item) = (format!("{FRESH}a{n}"), format!("{FRESH}t{n}"));
     let flwor = Core::For {
