@@ -60,12 +60,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
              return $r",
         ),
         (
-            "pure loop body: a For over an Iterate body",
+            "pure loop body: par marker (parallel fan-out eligible)",
             "for $p in $people/person
              return concat(string($p/name), \":\", count($p/watches))",
         ),
         (
-            "snap inside the loop body: an effectful Iterate body",
+            "snap inside the loop body: par suppressed, stays sequential",
             "for $p in $people/person
              return snap insert { <seen id=\"{$p/@id}\"/> } into { $log }",
         ),
