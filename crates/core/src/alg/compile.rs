@@ -22,6 +22,7 @@
 //!    the nested loop would have produced, in the same order).
 
 use crate::alg::plan::{BatchFilter, BatchPathPlan, BatchStep, GroupByPlan, JoinPlan, QueryPlan};
+use crate::alg::rewrite::{chain_from, is_path};
 use crate::eval::descendant_fusion;
 use crate::{Effect, EffectAnalysis};
 use xqdm::atomic::{Atomic, CompareOp};
@@ -209,11 +210,22 @@ impl Compiler {
         let k1_inner = f1.contains(inner_var);
         let k2_outer = f2.contains(outer_var);
         let k2_inner = f2.contains(inner_var);
-        match (k1_outer, k1_inner, k2_outer, k2_inner) {
-            (true, false, false, true) => Some((k1.clone(), k2.clone())),
-            (false, true, true, false) => Some((k2.clone(), k1.clone())),
-            _ => None,
-        }
+        let (outer_key, inner_key) = match (k1_outer, k1_inner, k2_outer, k2_inner) {
+            (true, false, false, true) => (k1, k2),
+            (false, true, true, false) => (k2, k1),
+            _ => return None,
+        };
+        // The join hashes string values, while `=` casts a typed side:
+        // `"03" = 3` holds. A step chain from the side's variable yields
+        // untyped nodes; with at least one step, an atomic binding raises
+        // as the nested loop's `where` would.
+        let node_keyed = |source, var: &str, key| {
+            chain_from(key, &Core::Var(var.to_string()))
+                && (is_path(source) || matches!(key, Core::MapStep { .. }))
+        };
+        (node_keyed(outer_source, outer_var, outer_key)
+            && node_keyed(inner_source, inner_var, inner_key))
+        .then(|| (outer_key.clone(), inner_key.clone()))
     }
 
     /// Pattern: for $o in E1 return for $i in E2 return if (k = k) then R
@@ -794,6 +806,41 @@ mod tests {
     }
 
     /// The plan the engine builds: rewriting phase, then compilation.
+    #[test]
+    fn only_untyped_keys_join() {
+        for (q, joined) in [
+            (
+                "for $x in $xs for $y in $ys where $x/@k = $y/@k return $y",
+                true,
+            ),
+            (
+                "for $x in $s//x for $y in $s//y where $x = $y return $y",
+                true,
+            ),
+            // `=` would cast the typed key; the hash compares strings.
+            (
+                "for $x in $s//x for $y in $s//y where $x/@k = $y/@k + 0 return $y",
+                false,
+            ),
+            (
+                "for $x in $s//x for $y in $s//y where string($x/@k) = $y/@k return $y",
+                false,
+            ),
+            // A bare variable over a non-path source may be atomic.
+            (
+                "for $x in $xs for $y in $s//y where $x = $y/@k return $y",
+                false,
+            ),
+            // A predicate in a key.
+            (
+                "for $x in $s//x for $y in $s//y where $x/a[1] = $y/@k return $y",
+                false,
+            ),
+        ] {
+            assert_eq!(plan_for(q).is_optimized(), joined, "{q}");
+        }
+    }
+
     fn simplified_plan(query: &str) -> QueryPlan {
         let prog = xq_compile(query).expect("parse");
         Compiler::new(&prog).compile_simplified(&prog.body)
@@ -810,10 +857,10 @@ mod tests {
         "for $p in $auction//person
          return if (empty($auction//closed_auction[buyer/@person = $p/@id]))
                 then string($p/@id) else ()",
-        // A predicate nested in the right side of the hoisted one.
+        // A predicate nested in a predicate of `P`.
         "for $p in $auction//person
-         return count($auction//closed_auction[buyer/@person =
-                      $auction//person[@id = $p/@id]/@id])",
+         return count($auction//closed_auction[itemref[starts-with(@item, 'item1')]]
+                                              [buyer/@person = $p/@id])",
         // Two predicates in one loop.
         "for $p in $auction//person
          return (count($auction//closed_auction[buyer/@person = $p/@id]),
@@ -833,6 +880,14 @@ mod tests {
         // The right side reads the context item.
         "for $p in $auction//person
          return count($auction//closed_auction[buyer/@person = concat($p/@id, .)])",
+        // A predicate nested in the right side, which is then no step
+        // chain from `$p`.
+        "for $p in $auction//person
+         return count($auction//closed_auction[buyer/@person =
+                      $auction//person[@id = $p/@id]/@id])",
+        // A typed right side: `=` would cast, the join compares strings.
+        "for $p in $auction//person
+         return count($auction//closed_auction[buyer/@person = $p/@id + 0])",
         // Inside an `if` branch, evaluated on some iterations only.
         "for $p in $auction//person
          return if ($p/@id) then count($auction//closed_auction[buyer/@person = $p/@id])

@@ -14,9 +14,12 @@
 //! * **Δ order** matches too: the per-match body runs with both variables
 //!   bound, in the same (outer, inner) order the nested loop would use, so
 //!   even the *ordered* snap semantics sees an identical update list.
-//! * String-keyed hashing is faithful because the guards only admit
-//!   general `=` over path keys, and untyped-vs-untyped general comparison
-//!   is string equality.
+//! * String-keyed hashing is faithful because the guards
+//!   (`Compiler::join_guards`) only admit general `=` between step chains
+//!   from each side's variable, whose atomized values are untyped, and
+//!   untyped-vs-untyped general comparison is string equality.
+//! * **Errors** match: one side's keys are evaluated only when the other
+//!   side has an item, as the nested loop evaluates its `where`.
 
 use crate::alg::plan::{BatchFilter, BatchPathPlan, BatchStep, GroupByPlan, JoinPlan, QueryPlan};
 use crate::eval::resolve_test;
@@ -612,7 +615,7 @@ fn drive_join(
         &Sequence,
     ) -> XdmResult<()>,
 ) -> XdmResult<()> {
-    // Each side evaluated exactly once (guards ensured this is sound).
+    // Each side evaluated at most once (guards ensured this is sound).
     let outer = eval_join_source(
         &join.outer_source,
         join.outer_batch.as_ref(),
@@ -620,6 +623,11 @@ fn drive_join(
         store,
         env,
     )?;
+    // The nested loop evaluates the inner side per outer item: with none,
+    // it must not run here either, nor raise its errors.
+    if outer.is_empty() {
+        return Ok(());
+    }
     let inner = eval_join_source(
         &join.inner_source,
         join.inner_batch.as_ref(),
@@ -647,18 +655,22 @@ fn drive_join(
         }
     }
 
-    // Probe.
+    // Probe. Over no inner item the nested loop never reads an outer key.
     let mut matches: Vec<usize> = Vec::new();
     for o in &outer {
-        let keys = eval_key(
-            evaluator,
-            store,
-            env,
-            &join.outer_var,
-            o,
-            &join.outer_key,
-            join.outer_key_steps.as_deref(),
-        )?;
+        let keys = if inner.is_empty() {
+            Vec::new()
+        } else {
+            eval_key(
+                evaluator,
+                store,
+                env,
+                &join.outer_var,
+                o,
+                &join.outer_key,
+                join.outer_key_steps.as_deref(),
+            )?
+        };
         matches.clear();
         for k in &keys {
             if let Some(idxs) = table.get(k) {

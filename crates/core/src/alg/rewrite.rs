@@ -18,16 +18,17 @@
 //! | if-fold | `if (true()) then A else B` → `A` | condition constant; the dropped branch must produce no updates (it was never evaluated anyway — the guard is only needed because folding erases the *possibility* of reporting its errors, which XQuery 1.0 permits) |
 //! | empty-for | `for $x in () return B` → `()` | source is literally `()` |
 //! | singleton-for | `for $x in V return B` → `let $x := V return B` when `V` is a single item expression | `V` is a constant or constructor (cardinality exactly 1) |
-//! | predicate-unnest | `for $v in S return B[P[L = R]]` → `for $v in S return let $a := (for $t in P where $t/L = R return $t) return B[$a]`, the shape the join compiler unnests (§4.3) | no `at` variable; `B` applies no snap; the occurrence is evaluated on every iteration (not in an `if` branch, quantifier, nested loop body, predicate or `and`/`or` operand); the predicate is a general `=`, pure, position-blind (no `position()`/`last()`, no declared function, never numeric); `L` reads only the context item; `R` reads `$v` and not the focus; `P` is a pure path that reads neither the focus nor `$v`; `P` and `R` read no variable bound between the `for` and the occurrence |
+//! | predicate-unnest | `for $v in S return B[P[L = R]]` → `for $v in S return let $a := (for $t in P where $t/L = R return $t) return B[$a]`, the shape the join compiler unnests (§4.3); every admitted occurrence of one loop at once | no `at` variable; `S` is a path (so `$v` is a node); `B` applies no snap; the occurrence is evaluated on every iteration (not in an `if` branch, quantifier, nested loop body, predicate or `and`/`or` operand); the predicate is a general `=` between `L`, a predicate-free step chain from `.`, and `R`, one from `$v` — both untyped nodes, so `=` compares string values as the join's hash keys do, and neither can raise; `P` is a pure path that reads neither the focus nor `$v`; `P` and `$v` are not bound between the `for` and the occurrence |
 
-use crate::eval::position_blind;
 use crate::{Effect, EffectAnalysis};
 use xqdm::atomic::{arithmetic, Atomic, CompareOp};
 use xqdm::item::Item;
 use xqsyn::core::Core;
 
-/// Apply the guarded rewrites bottom-up until a fixpoint (bounded — each
-/// pass strictly shrinks or leaves the tree unchanged).
+/// Apply the guarded rewrites bottom-up until a fixpoint, at most 8
+/// passes. Every rule but predicate-unnest shrinks the tree; that one
+/// grows it, but hoists all the occurrences a loop admits in one go and
+/// leaves none a later pass could admit.
 pub fn simplify(core: &Core, analysis: &EffectAnalysis) -> Core {
     let mut cur = core.clone();
     for _ in 0..8 {
@@ -106,16 +107,11 @@ fn rewrite_node(core: Core, a: &EffectAnalysis) -> Core {
                 };
             }
             // ---- predicate-unnest ----
-            if position.is_none() {
-                if let Some(body) = unnest_predicate(&var, &body, a) {
-                    return Core::For {
-                        var,
-                        position,
-                        source,
-                        body: body.boxed(),
-                    };
-                }
-            }
+            let body = if position.is_none() && is_path(&source) {
+                unnest_predicates(&var, *body, a).boxed()
+            } else {
+                body
+            };
             Core::For {
                 var,
                 position,
@@ -195,21 +191,24 @@ fn captures(body: &Core, value: &Core) -> bool {
 /// name, shadow or capture one.
 const FRESH: char = '~';
 
-/// Hoist the first `P[L = R]` in the body of `for $v` that [`hoistable`]
+/// Hoist every `P[L = R]` in the body of `for $v` that [`hoistable`]
 /// admits into `let $a := for $t in P where $t/L = R return $t`, directly
-/// under the `for`, the occurrence becoming `$a`. The filter and the loop
-/// keep the same items in the same order: `P` is a path, whose value is
-/// in document order with no duplicates, and a position-blind predicate
-/// does not care which origin node a step reached an item from.
-fn unnest_predicate(v: &str, body: &Core, a: &EffectAnalysis) -> Option<Core> {
+/// under the `for` and in evaluation order, each occurrence becoming its
+/// `$a`. The filter and the loop keep the same items in the same order:
+/// `P` is a path, whose value is in document order with no duplicates,
+/// and a predicate with no position in it does not care which origin
+/// node a step reached an item from.
+fn unnest_predicates(v: &str, body: Core, a: &EffectAnalysis) -> Core {
     let mut path = Vec::new();
-    let (source, pred) = find(body, v, &mut Vec::new(), a, &mut path)?;
+    let Some((source, pred)) = find(&body, v, &mut Vec::new(), a, &mut path) else {
+        return body;
+    };
     // `P` and `R` now run before whatever precedes the occurrence in
     // the body, so nothing there may apply updates they could read.
-    if !a.effect(body).order_free() {
-        return None;
+    if !a.effect(&body).order_free() {
+        return body;
     }
-    let n = fresh_index(body);
+    let n = fresh_index(&body);
     let (group, item) = (format!("{FRESH}a{n}"), format!("{FRESH}t{n}"));
     let flwor = Core::For {
         var: item.clone(),
@@ -222,11 +221,12 @@ fn unnest_predicate(v: &str, body: &Core, a: &EffectAnalysis) -> Option<Core> {
         )
         .boxed(),
     };
-    Some(Core::Let {
+    let rest = replace_at(&body, &path, &Core::Var(group.clone()));
+    Core::Let {
         value: flwor.boxed(),
-        body: replace_at(body, &path, &Core::Var(group.clone())).boxed(),
+        body: unnest_predicates(v, rest, a).boxed(),
         var: group,
-    })
+    }
 }
 
 /// Search `e`, in evaluation order, for an occurrence [`hoistable`]
@@ -291,23 +291,12 @@ fn hoistable<'e>(
     let Core::GeneralComp(CompareOp::Eq, x, y) = pred else {
         return None;
     };
-    let (fx, fy) = (x.free_vars(), y.free_vars());
-    let (l, r, free_r) = if fx.is_empty() {
-        (x, y, fy)
-    } else if fy.is_empty() {
-        (y, x, fx)
-    } else {
-        return None;
-    };
-    let outside = |free: &std::collections::HashSet<String>| {
-        !free.iter().any(|n| between.contains(&n.as_str()))
-    };
-    if !free_r.contains(v)
-        || !outside(&free_r)
-        || reads_focus(l, false)
-        || reads_focus(r, true)
-        || !position_blind(pred)
-    {
+    // Both sides untyped nodes: `=` compares their string values, which
+    // is what the join hashes, and neither side can raise an error the
+    // nested loop, over an empty `P`, would not have.
+    let var = Core::Var(v.to_string());
+    let sides = |l, r| chain_from(l, &Core::ContextItem) && chain_from(r, &var);
+    if !(sides(x, y) || sides(y, x)) || between.contains(&v) {
         return None;
     }
     let source = match e {
@@ -327,10 +316,29 @@ fn hoistable<'e>(
     };
     let free_p = source.free_vars();
     (!free_p.contains(v)
-        && outside(&free_p)
-        && !reads_focus(&source, true)
+        && !free_p.iter().any(|n| between.contains(&n.as_str()))
+        && !reads_focus(&source)
         && a.facts(&source).par_safe())
     .then_some((source, pred))
+}
+
+/// Is `e` a path, whose items are nodes?
+pub(crate) fn is_path(e: &Core) -> bool {
+    match e {
+        Core::MapStep { .. } => true,
+        Core::Predicate { base, .. } => is_path(base),
+        _ => false,
+    }
+}
+
+/// Is `e` `root` followed by zero or more steps without predicates?
+pub(crate) fn chain_from(e: &Core, root: &Core) -> bool {
+    match e {
+        Core::MapStep {
+            base, predicates, ..
+        } => predicates.is_empty() && chain_from(base, root),
+        _ => e == root,
+    }
 }
 
 /// How many of `e`'s children (in [`Core::for_each_child`] order) are
@@ -343,17 +351,17 @@ fn same_focus(e: &Core) -> usize {
     }
 }
 
-/// Does `e` read its focus: implicitly, through a zero-argument call
-/// (`string()`, `name()`, `position()`), or — when `explicit` — as `.`?
-fn reads_focus(e: &Core, explicit: bool) -> bool {
+/// Does `e` read its focus: as `.` or through a zero-argument call
+/// (`string()`, `name()`, `position()`)?
+fn reads_focus(e: &Core) -> bool {
     match e {
-        Core::ContextItem => return explicit,
+        Core::ContextItem => return true,
         Core::Call(_, args) if args.is_empty() => return true,
         _ => {}
     }
     let (mut reads, mut i) = (false, 0);
     e.for_each_child(|c| {
-        reads |= i < same_focus(e) && reads_focus(c, explicit);
+        reads |= i < same_focus(e) && reads_focus(c);
         i += 1;
     });
     reads
@@ -617,10 +625,16 @@ mod tests {
 
     #[test]
     fn simplify_is_idempotent() {
+        // More predicates in one loop than `simplify` has passes.
+        let counts: Vec<String> = (0..10)
+            .map(|i| format!("count($d//c{i}[k = $p/@id])"))
+            .collect();
+        let many = format!("for $p in $d//p return ({})", counts.join(", "));
         for q in [
             "1 + 2",
             "let $x := insert { <a/> } into { $t } return 42",
             "for $p in $s for $t in $u where $t/@a = $p/@b return $t",
+            &many,
         ] {
             let prog = compile(q).unwrap();
             let a = EffectAnalysis::new(&prog);
@@ -628,6 +642,11 @@ mod tests {
             let twice = simplify(&once, &a);
             assert_eq!(once, twice, "not idempotent for {q}");
         }
+        let mut hoisted = 0;
+        simp(&many).walk(&mut |c| {
+            hoisted += usize::from(matches!(c, Core::Let { var, .. } if var.starts_with(FRESH)));
+        });
+        assert_eq!(hoisted, 10);
     }
 
     /// Does simplifying `q` hoist a predicate (bind an invented variable)?
@@ -646,6 +665,7 @@ mod tests {
             format!("for $p in $d//p return count({ca})"),
             format!("for $p in $d//p let $n := count({ca}) return ($n, $n)"),
             "for $p in $d//p return ($d//ca)[b/@p = $p/@id]".to_string(),
+            "for $p in $d//p[@x] return count($d//ca/b[$p/@id = .])".to_string(),
         ] {
             assert!(hoists(&q), "{q}");
         }
@@ -665,6 +685,15 @@ mod tests {
             // A zero-argument call reads the focus on either side.
             "for $p in $d//p return count($d//ca[string() = $p/@id])".into(),
             "for $p in $d//p return count($d//ca[b/@p = concat($p/@id, string())])".into(),
+            // A side that is no step chain may be typed (`"03" = 3` is
+            // true, the join's string keys differ) or raise where the
+            // nested loop, over an empty `P`, would not.
+            "for $p in $d//p return count($d//ca[b/@p = $p/@id + 0])".into(),
+            "for $p in $d//p return count($d//ca[b/@p = number($p/@id)])".into(),
+            "for $p in $d//p return count($d//ca[b/@p = $d//p[@id = $p/@id]/@id])".into(),
+            "for $p in $d//p return count($d//ca[b[1]/@p = $p/@id])".into(),
+            // A loop over anything but a path may bind atomics.
+            "for $p in ($d//p, 1) return count($d//ca[b/@p = $p/@id])".into(),
         ] {
             assert!(!hoists(&q), "{q}");
         }
@@ -679,6 +708,14 @@ mod tests {
         c.walk(&mut |e| names.extend(e.binds().into_iter().flatten().map(str::to_string)));
         names.sort();
         assert_eq!(names, ["p", "~a0", "~a1", "~t0", "~t1"]);
+        // Hoisted in evaluation order, all in one pass.
+        let Core::For { body, .. } = &c else {
+            panic!("outer for lost: {c:?}")
+        };
+        assert!(
+            matches!(&**body, Core::Let { var, .. } if var == "~a0"),
+            "{body:?}"
+        );
     }
 
     #[test]

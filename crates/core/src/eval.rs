@@ -1225,7 +1225,7 @@ pub(crate) fn descendant_fusion<'a>(
 /// in another order changes nothing — no constructor, update, `snap`,
 /// user function or order-revealing built-in: every call is a
 /// [`Kind::Read`] row.
-pub(crate) fn position_blind(p: &Core) -> bool {
+fn position_blind(p: &Core) -> bool {
     let mut blind = never_numeric(p);
     p.walk(&mut |e| {
         blind &= match e {

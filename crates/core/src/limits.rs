@@ -43,33 +43,17 @@ pub use xqsyn::DEFAULT_MAX_PARSE_DEPTH;
 /// syscall-ish operation; polling every tick would dominate the hot path.
 const DEADLINE_POLL_MASK: u64 = 0x3FF; // every 1024 ticks
 
-/// Which limit tripped first; sticky until the guard is re-armed.
+/// The limit class a guard trips on; the first trip is sticky until the
+/// guard is re-armed. Depth is checked where recursion happens
+/// ([`depth_error`]), not by the guard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
 pub enum TripKind {
-    /// No trip recorded.
-    None = 0,
-    /// Recursion / nesting depth (`XQB0040`).
-    Depth = 1,
     /// Evaluation-step fuel (`XQB0041`).
-    Fuel = 2,
+    Fuel,
     /// Wall-clock deadline (`XQB0042`).
-    Deadline = 3,
+    Deadline,
     /// Memory budget (`XQB0043`).
-    Memory = 4,
-}
-
-impl TripKind {
-    /// The error code raised for this trip class.
-    pub fn code(self) -> &'static str {
-        match self {
-            TripKind::None => "XQB0000",
-            TripKind::Depth => "XQB0040",
-            TripKind::Fuel => "XQB0041",
-            TripKind::Deadline => "XQB0042",
-            TripKind::Memory => "XQB0043",
-        }
-    }
+    Memory,
 }
 
 /// Error constructor for a depth trip (`XQB0040`).
@@ -174,7 +158,7 @@ pub struct LimitGuard {
     deadline: Option<Instant>,
     deadline_ms: u64,
     /// First limit class to trip; sticky until re-armed.
-    tripped: Cell<TripKind>,
+    tripped: Cell<Option<TripKind>>,
 }
 
 impl LimitGuard {
@@ -199,7 +183,7 @@ impl LimitGuard {
                 .deadline_ms
                 .map(|ms| Instant::now() + Duration::from_millis(ms)),
             deadline_ms: limits.deadline_ms.unwrap_or(0),
-            tripped: Cell::new(TripKind::None),
+            tripped: Cell::new(None),
         }
     }
 
@@ -221,8 +205,8 @@ impl LimitGuard {
     // Not `#[cold]`: when any limit is armed this *is* the per-step hot
     // path; only the disabled fast path above should be favoured.
     fn tick_slow(&self) -> XdmResult<()> {
-        if self.tripped.get() != TripKind::None {
-            return Err(self.trip_error(self.tripped.get()));
+        if let Some(kind) = self.tripped.get() {
+            return Err(self.trip_error(kind));
         }
         // The fuel counter doubles as the pace for deadline polls (it
         // decrements every tick even when fuel is unlimited, starting from
@@ -258,8 +242,8 @@ impl LimitGuard {
         if self.memory_budget == 0 {
             return Ok(());
         }
-        if self.tripped.get() != TripKind::None {
-            return Err(self.trip_error(self.tripped.get()));
+        if let Some(kind) = self.tripped.get() {
+            return Err(self.trip_error(kind));
         }
         let take = i64::try_from(n).unwrap_or(i64::MAX);
         let left = self.memory.get().saturating_sub(take);
@@ -271,12 +255,12 @@ impl LimitGuard {
     }
 
     /// Which limit class tripped, if any.
-    pub fn tripped(&self) -> TripKind {
+    pub fn tripped(&self) -> Option<TripKind> {
         self.tripped.get()
     }
 
     fn trip(&self, kind: TripKind) -> XdmError {
-        self.tripped.set(kind);
+        self.tripped.set(Some(kind));
         self.trip_error(kind)
     }
 
@@ -285,9 +269,6 @@ impl LimitGuard {
             TripKind::Fuel => fuel_error(self.fuel_budget),
             TripKind::Deadline => deadline_error(self.deadline_ms),
             TripKind::Memory => memory_error(self.memory_budget),
-            TripKind::Depth | TripKind::None => {
-                unreachable!("the guard trips on fuel, deadline and memory only")
-            }
         }
     }
 }
@@ -305,7 +286,7 @@ mod tests {
             g.tick().unwrap();
         }
         g.charge(u64::MAX / 2).unwrap();
-        assert_eq!(g.tripped(), TripKind::None);
+        assert_eq!(g.tripped(), None);
     }
 
     #[test]
@@ -319,7 +300,7 @@ mod tests {
         }
         let err = g.tick().unwrap_err();
         assert_eq!(err.code, "XQB0041");
-        assert_eq!(g.tripped(), TripKind::Fuel);
+        assert_eq!(g.tripped(), Some(TripKind::Fuel));
         // Sticky: later ticks keep failing with the same class.
         assert_eq!(g.tick().unwrap_err().code, "XQB0041");
     }
@@ -345,13 +326,5 @@ mod tests {
         g.charge(40).unwrap();
         let err = g.charge(1).unwrap_err();
         assert_eq!(err.code, "XQB0043");
-    }
-
-    #[test]
-    fn trip_codes() {
-        assert_eq!(TripKind::Depth.code(), "XQB0040");
-        assert_eq!(TripKind::Fuel.code(), "XQB0041");
-        assert_eq!(TripKind::Deadline.code(), "XQB0042");
-        assert_eq!(TripKind::Memory.code(), "XQB0043");
     }
 }

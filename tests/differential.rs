@@ -631,11 +631,11 @@ fn correlated_predicates_agree_across_strategies() {
                     then string($p/@id) else ()",
             true,
         ),
-        // A predicate nested in a predicate.
+        // A predicate nested in a predicate, inside `P`.
         (
             "for $p in $auction//person
-             return count($auction//closed_auction[buyer/@person =
-                          $auction//person[@id = $p/@id]/@id])",
+             return count($auction//closed_auction[itemref[starts-with(@item, \"item1\")]]
+                                                  [buyer/@person = $p/@id])",
             true,
         ),
         // Two predicates in one loop.
@@ -662,6 +662,20 @@ fn correlated_predicates_agree_across_strategies() {
         (
             "for $p in $auction//person
              return count($auction//closed_auction[buyer/@person = concat($p/@id, .)])",
+            false,
+        ),
+        // Refused: a predicate nested in the right side, which is then
+        // no step chain from `$p`.
+        (
+            "for $p in $auction//person
+             return count($auction//closed_auction[buyer/@person =
+                          $auction//person[@id = $p/@id]/@id])",
+            false,
+        ),
+        // Refused: a typed right side.
+        (
+            "for $p in $auction//person
+             return count($auction//closed_auction[buyer/@person = string($p/@id)])",
             false,
         ),
         // Refused: inside an `if` branch.
@@ -706,6 +720,39 @@ fn correlated_predicates_agree_across_strategies() {
         assert_eq!(outs[1], outs[0], "batch vs interpreted: {q}");
         assert_eq!(outs[2], outs[0], "indexed vs interpreted: {q}");
     }
+}
+
+#[test]
+fn correlated_predicates_compare_by_type_across_strategies() {
+    // `=` casts an untyped side to the other side's type: "03", "3.0"
+    // and " 3" equal the number 3, "1" equals true(), and "x" against a
+    // number raises FORG0001. Only an untyped/untyped comparison is the
+    // string equality the join's keys hash, so only that one is joined.
+    let doc = r#"<d><x n="03"/><x n="3.0"/><x n=" 3"/><x n="3"/><x n="1"/>
+        <y b="1"/><y b="true"/><y b="0"/><p k="3"/><p k="1"/></d>"#;
+    differential(
+        &[("d", doc), ("e", r#"<d><p k="x"/></d>"#)],
+        &[],
+        &[
+            "for $p in $d//p return count($d//x[@n = $p/@k])",
+            "for $p in $d//p return count($d//x[@n = $p/@k + 0])",
+            "for $p in $d//p return count($d//x[$p/@k * 1 = @n])",
+            "for $p in $d//p return count($d//y[@b = exists($p/@k)])",
+            // Raises wherever the predicate runs, and nowhere else.
+            "for $p in $e//p return count($d//x[@n = $p/@k + 0])",
+            "for $p in $e//p return count($d//none[@n = $p/@k + 0])",
+            "for $p in $e//none return count((1, 2)/x[@n = $p/@k])",
+            // The FLWOR forms the join compiler matches directly.
+            "for $p in $d//p for $t in $d//x where $t/@n = $p/@k return string($t/@n)",
+            "for $p in $d//p
+             let $a := for $t in $d//x where $t/@n = $p/@k + 0 return $t
+             return count($a)",
+            "for $v in (1, 3) for $t in $d//x where $t/@n = $v return string($t/@n)",
+            "for $v in (1, 3) for $t in $d//x where $t/@n = $v/@k return 1",
+            "for $v in (1, 3) for $t in $d//none where $t/@n = $v/@k return 1",
+            "for $p in $d//none for $t in (1, 3) where $t/@n = $p/@k return 1",
+        ],
+    );
 }
 
 #[test]
