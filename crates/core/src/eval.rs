@@ -551,215 +551,26 @@ impl Evaluator {
         Ok(())
     }
 
-    /// The core judgment. Left-to-right, store-threading, Δ-appending: the
-    /// rules ([`Full::eval`]) over this evaluator and `store`.
+    /// The core judgment, one step of it: the recursion-depth check
+    /// (`XQB0040`), one tick of the limit guard, then `expr`'s [`rule`]
+    /// over this evaluator and `store`.
     pub fn eval(
         &mut self,
         store: &mut Store,
         env: &mut DynEnv,
         expr: &Core,
     ) -> XdmResult<Sequence> {
-        Full { ev: self, store }.eval(env, expr)
-    }
-
-    /// The rules only this evaluator can run: they allocate in the store
-    /// (constructors, `copy`), append to Δ (the update operators of
-    /// Appendix B) or apply it (`snap`). [`rule`] routes exactly these
-    /// operators here.
-    fn eval_effectful(
-        &mut self,
-        store: &mut Store,
-        env: &mut DynEnv,
-        expr: &Core,
-    ) -> XdmResult<Sequence> {
-        match expr {
-            Core::ElemCtor { name, content } => {
-                let qname = self.eval_ctor_name(store, env, name)?;
-                let mut items = Vec::new();
-                self.eval_content(store, env, content, &mut items)?;
-                let elem = store.new_element(qname);
-                append_content(store, elem, &items, /*allow_attrs=*/ true)?;
-                Ok(seq![Item::Node(elem)])
-            }
-            Core::AttrCtor { name, content } => {
-                let qname = self.eval_ctor_name(store, env, name)?;
-                let v = self.eval(store, env, content)?;
-                let parts: Vec<String> = item::atomize(&v, store)?
-                    .into_iter()
-                    .map(|a| a.string_value())
-                    .collect();
-                let attr = store.new_attribute(qname, parts.join(" "));
-                Ok(seq![Item::Node(attr)])
-            }
-            Core::TextCtor(content) => {
-                let v = self.eval(store, env, content)?;
-                if v.is_empty() {
-                    return Ok(seq![]);
-                }
-                let parts: Vec<String> = item::atomize(&v, store)?
-                    .into_iter()
-                    .map(|a| a.string_value())
-                    .collect();
-                let t = store.new_text(parts.join(" "));
-                Ok(seq![Item::Node(t)])
-            }
-            Core::DocCtor(content) => {
-                let mut items = Vec::new();
-                self.eval_content(store, env, content, &mut items)?;
-                let doc = store.new_document();
-                append_content(store, doc, &items, /*allow_attrs=*/ false)?;
-                Ok(seq![Item::Node(doc)])
-            }
-            // ---------------- update operators (Appendix B) ----------------
-            Core::Insert { source, location } => {
-                // Rule order: Expr1 (source), then Expr2 (target), then the
-                // InsertLocation judgment resolves (nodepar, nodepos).
-                let src = self.eval(store, env, source)?;
-                let nodes = content_to_nodes(store, &src)?;
-                let target = self.eval(store, env, location.target())?;
-                let t = item::exactly_one_node(target)?;
-                let (parent, anchor) = resolve_insert_anchor(store, location, t)?;
-                self.push_request(RedoOp::Insert {
-                    seq: nodes.into(),
-                    parent,
-                    anchor,
-                })?;
-                Ok(seq![])
-            }
-            Core::Delete(target) => {
-                let v = self.eval(store, env, target)?;
-                // The paper's rule shows a single node; its own §2.3 example
-                // deletes a whole sequence ($log/logentry), so we accept a
-                // node sequence and emit one request per node, in order.
-                for n in item::all_nodes(&v)? {
-                    self.push_request(RedoOp::Detach { node: n })?;
-                }
-                Ok(seq![])
-            }
-            Core::Replace(target, with) => {
-                // Appendix B: Δ3 = (Δ1, Δ2, insert(nodeseq, nodepar, node),
-                //                   delete(node))
-                let tv = self.eval(store, env, target)?;
-                let node = item::exactly_one_node(tv)?;
-                let wv = self.eval(store, env, with)?;
-                let nodeseq = content_to_nodes(store, &wv)?;
-                let parent = store
-                    .parent(node)?
-                    .ok_or_else(|| XdmError::precondition("replace target has no parent"))?;
-                if matches!(store.kind(node)?, NodeKind::Attribute { .. }) {
-                    // Attribute targets: the replacement must be attribute
-                    // nodes, attached to the owner element (attribute lists
-                    // only append, so no anchor is involved). The detach
-                    // precedes the attaches so a same-named replacement
-                    // does not trip the duplicate check.
-                    for &n in &nodeseq {
-                        if !matches!(store.kind(n)?, NodeKind::Attribute { .. }) {
-                            return Err(XdmError::type_error(
-                                "replacing an attribute requires attribute content",
-                            ));
-                        }
-                    }
-                    self.push_request(RedoOp::Detach { node })?;
-                    for attr in nodeseq {
-                        self.push_request(RedoOp::AttachAttr {
-                            element: parent,
-                            attr,
-                        })?;
-                    }
-                } else {
-                    self.push_request(RedoOp::Insert {
-                        seq: nodeseq.into(),
-                        parent,
-                        anchor: InsertAnchor::After(node),
-                    })?;
-                    self.push_request(RedoOp::Detach { node })?;
-                }
-                Ok(seq![])
-            }
-            Core::ReplaceValue(target, with) => {
-                // One value-setting request: the target node keeps its
-                // identity, only its string value changes. The source is
-                // atomized and space-joined like attribute content.
-                let tv = self.eval(store, env, target)?;
-                let node = item::exactly_one_node(tv)?;
-                let text = match store.kind(node)? {
-                    NodeKind::Text { .. } => true,
-                    NodeKind::Attribute { .. } => false,
-                    // An update-family error (XQB0010 block), not a type
-                    // error: the expression is well-typed, the target's
-                    // node kind just has no settable value.
-                    k => {
-                        let k = k.kind_name();
-                        return Err(XdmError::new(
-                            "XQB0011",
-                            format!(
-                                "replace value of requires a text or attribute target, got a {k} node"
-                            ),
-                        ));
-                    }
-                };
-                let wv = self.eval(store, env, with)?;
-                let parts: Vec<String> = item::atomize(&wv, store)?
-                    .into_iter()
-                    .map(|a| a.string_value())
-                    .collect();
-                let value = parts.join(" ");
-                self.push_request(if text {
-                    RedoOp::SetText {
-                        node,
-                        content: value,
-                    }
-                } else {
-                    RedoOp::SetAttrValue { node, value }
-                })?;
-                Ok(seq![])
-            }
-            Core::Rename(target, name) => {
-                let tv = self.eval(store, env, target)?;
-                let node = item::exactly_one_node(tv)?;
-                let nv = self.eval(store, env, name)?;
-                let name_str = item::exactly_one(nv)?.string_value(store)?;
-                let qname = QName::parse(&name_str).ok_or_else(|| {
-                    XdmError::value("XQDY0074", format!("\"{name_str}\" is not a valid QName"))
-                })?;
-                let name = store.intern_qname(&qname);
-                self.push_request(RedoOp::Rename { node, name })?;
-                Ok(seq![])
-            }
-            Core::Copy(e) => {
-                let v = self.eval(store, env, e)?;
-                // A fresh operand already is the parentless tree nobody
-                // else can reach that the copy would produce.
-                if yields_fresh(e) {
-                    return Ok(v);
-                }
-                let mut out = Sequence::with_capacity(v.len());
-                for it in v {
-                    out.push(match it {
-                        Item::Node(n) => Item::Node(store.deep_copy(n)?),
-                        atomic => atomic,
-                    });
-                }
-                Ok(out)
-            }
-            Core::Snap(mode, body) => {
-                // The snap rule: evaluate the body with a fresh Δ on top of
-                // the stack, pop it, apply it. Nested snaps close first —
-                // the recursion gives the paper's stack behavior for free.
-                self.begin_snap_scope();
-                match self.eval(store, env, body) {
-                    Ok(value) => {
-                        self.apply_snap_scope(store, *mode)?;
-                        Ok(value)
-                    }
-                    Err(e) => {
-                        self.end_snap_scope();
-                        Err(e)
-                    }
-                }
-            }
-            _ => unreachable!("rule() evaluates the pure operators itself"),
-        }
+        let max_depth = self.scope.env().limits.max_depth;
+        self.depth += 1;
+        let r = if self.depth > max_depth {
+            Err(limits::depth_error(max_depth))
+        } else {
+            self.guard
+                .tick()
+                .and_then(|()| rule(self, store, env, expr))
+        };
+        self.depth -= 1;
+        r
     }
 
     fn eval_ctor_name(
@@ -808,39 +619,6 @@ impl Evaluator {
     }
 }
 
-/// What the evaluation rules run over: an evaluator and the store it
-/// reads, allocates in and applies Δ to (DESIGN.md §9).
-struct Full<'a> {
-    ev: &'a mut Evaluator,
-    store: &'a mut Store,
-}
-
-impl Full<'_> {
-    /// The store, for reading.
-    fn store(&self) -> &Store {
-        self.store
-    }
-
-    /// The run's armed limit guard.
-    fn guard(&self) -> &LimitGuard {
-        &self.ev.guard
-    }
-
-    /// One step of the judgment: the recursion-depth check (`XQB0040`),
-    /// one tick of the limit guard, then `expr`'s rule.
-    fn eval(&mut self, env: &mut DynEnv, expr: &Core) -> XdmResult<Sequence> {
-        let max_depth = self.ev.scope.env().limits.max_depth;
-        self.ev.depth += 1;
-        let r = if self.ev.depth > max_depth {
-            Err(limits::depth_error(max_depth))
-        } else {
-            self.ev.guard.tick().and_then(|()| rule(self, env, expr))
-        };
-        self.ev.depth -= 1;
-        r
-    }
-}
-
 /// Atomize an operand that must be empty or a single item.
 fn optional_atom(v: Sequence, store: &Store) -> XdmResult<Option<Atomic>> {
     item::zero_or_one(v)?.map(|x| x.atomize(store)).transpose()
@@ -848,16 +626,19 @@ fn optional_atom(v: Sequence, store: &Store) -> XdmResult<Option<Atomic>> {
 
 /// The rule of each operator — the paper's
 /// `store0; dynEnv ⊢ Expr ⇒ value; Δ; store1`, one arm per operator.
-/// Sub-expressions evaluate strictly left to right through `cx.eval`.
-/// The operators that only read the store are spelled out here; the ones
-/// that allocate, emit or apply Δ go to [`Evaluator::eval_effectful`].
-/// The match has no wildcard, so a new `Core` variant has to pick a side.
-fn rule(cx: &mut Full<'_>, env: &mut DynEnv, expr: &Core) -> XdmResult<Sequence> {
+/// Sub-expressions evaluate strictly left to right through
+/// [`Evaluator::eval`], which reads, allocates in and applies Δ to `store`.
+fn rule(
+    ev: &mut Evaluator,
+    store: &mut Store,
+    env: &mut DynEnv,
+    expr: &Core,
+) -> XdmResult<Sequence> {
     match expr {
         Core::Const(a) => Ok(seq![Item::Atomic(a.clone())]),
         Core::Var(name) => match env.var(name) {
             Ok(v) => Ok(v.clone()),
-            Err(e) => cx.ev.scope.global(name).cloned().ok_or(e),
+            Err(e) => ev.scope.global(name).cloned().ok_or(e),
         },
         Core::ContextItem => Ok(seq![env.focus()?.item.clone()]),
         // The paper's sequence rule: e1 fully evaluated before e2,
@@ -865,8 +646,8 @@ fn rule(cx: &mut Full<'_>, env: &mut DynEnv, expr: &Core) -> XdmResult<Sequence>
         Core::Seq(items) => {
             let mut out = Sequence::new();
             for e in items {
-                let v = cx.eval(env, e)?;
-                cx.guard().charge(v.len() as u64)?;
+                let v = ev.eval(store, env, e)?;
+                ev.guard.charge(v.len() as u64)?;
                 out.extend(v);
             }
             Ok(out)
@@ -877,37 +658,37 @@ fn rule(cx: &mut Full<'_>, env: &mut DynEnv, expr: &Core) -> XdmResult<Sequence>
             source,
             body,
         } => {
-            let src = cx.eval(env, source)?;
+            let src = ev.eval(store, env, source)?;
             let mut out = Sequence::new();
             for (i, it) in src.into_iter().enumerate() {
                 env.push_var(var.clone(), seq![it]);
                 if let Some(p) = position {
                     env.push_var(p.clone(), seq![Item::integer((i + 1) as i64)]);
                 }
-                let r = cx.eval(env, body);
+                let r = ev.eval(store, env, body);
                 if position.is_some() {
                     env.pop_var();
                 }
                 env.pop_var();
                 let v = r?;
-                cx.guard().charge(v.len() as u64)?;
+                ev.guard.charge(v.len() as u64)?;
                 out.extend(v);
             }
             Ok(out)
         }
         Core::Let { var, value, body } => {
-            let v = cx.eval(env, value)?;
+            let v = ev.eval(store, env, value)?;
             env.push_var(var.clone(), v);
-            let r = cx.eval(env, body);
+            let r = ev.eval(store, env, body);
             env.pop_var();
             r
         }
         Core::If(cond, then, els) => {
-            let c = cx.eval(env, cond)?;
-            if item::effective_boolean(&c, cx.store())? {
-                cx.eval(env, then)
+            let c = ev.eval(store, env, cond)?;
+            if item::effective_boolean(&c, store)? {
+                ev.eval(store, env, then)
             } else {
-                cx.eval(env, els)
+                ev.eval(store, env, els)
             }
         }
         Core::Quantified {
@@ -916,13 +697,13 @@ fn rule(cx: &mut Full<'_>, env: &mut DynEnv, expr: &Core) -> XdmResult<Sequence>
             source,
             satisfies,
         } => {
-            let src = cx.eval(env, source)?;
+            let src = ev.eval(store, env, source)?;
             let mut result = matches!(quantifier, Quantifier::Every);
             for it in src {
                 env.push_var(var.clone(), seq![it]);
-                let s = cx.eval(env, satisfies);
+                let s = ev.eval(store, env, satisfies);
                 env.pop_var();
-                let holds = item::effective_boolean(&s?, cx.store())?;
+                let holds = item::effective_boolean(&s?, store)?;
                 match quantifier {
                     Quantifier::Some if holds => {
                         result = true;
@@ -943,7 +724,7 @@ fn rule(cx: &mut Full<'_>, env: &mut DynEnv, expr: &Core) -> XdmResult<Sequence>
             keys,
             body,
         } => {
-            let src = cx.eval(env, source)?;
+            let src = ev.eval(store, env, source)?;
             // Compute sort keys per binding (left-to-right, so key
             // expressions may have effects like any other expression).
             let mut keyed: Vec<(Vec<Option<Atomic>>, Item)> = Vec::with_capacity(src.len());
@@ -951,7 +732,7 @@ fn rule(cx: &mut Full<'_>, env: &mut DynEnv, expr: &Core) -> XdmResult<Sequence>
                 env.push_var(var.clone(), seq![it.clone()]);
                 let ks = keys
                     .iter()
-                    .map(|k| optional_atom(cx.eval(env, &k.key)?, cx.store()))
+                    .map(|k| optional_atom(ev.eval(store, env, &k.key)?, store))
                     .collect::<XdmResult<Vec<_>>>();
                 env.pop_var();
                 keyed.push((ks?, it));
@@ -973,52 +754,49 @@ fn rule(cx: &mut Full<'_>, env: &mut DynEnv, expr: &Core) -> XdmResult<Sequence>
             let mut out = Sequence::new();
             for (_, it) in keyed {
                 env.push_var(var.clone(), seq![it]);
-                let r = cx.eval(env, body);
+                let r = ev.eval(store, env, body);
                 env.pop_var();
                 out.extend(r?);
             }
             Ok(out)
         }
         Core::Arith(op, l, r) => {
-            let lv = cx.eval(env, l)?;
-            let rv = cx.eval(env, r)?;
-            let la = optional_atom(lv, cx.store())?;
-            let ra = optional_atom(rv, cx.store())?;
+            let lv = ev.eval(store, env, l)?;
+            let rv = ev.eval(store, env, r)?;
+            let la = optional_atom(lv, store)?;
+            let ra = optional_atom(rv, store)?;
             match (la, ra) {
                 (Some(a), Some(b)) => Ok(seq![Item::Atomic(arithmetic(*op, &a, &b)?)]),
                 _ => Ok(seq![]),
             }
         }
         Core::Neg(e) => {
-            let v = cx.eval(env, e)?;
-            match optional_atom(v, cx.store())? {
+            let v = ev.eval(store, env, e)?;
+            match optional_atom(v, store)? {
                 Some(a) => Ok(seq![Item::Atomic(negate(&a)?)]),
                 None => Ok(seq![]),
             }
         }
         Core::GeneralComp(op, l, r) => {
-            let lv = cx.eval(env, l)?;
-            let rv = cx.eval(env, r)?;
+            let lv = ev.eval(store, env, l)?;
+            let rv = ev.eval(store, env, r)?;
             Ok(seq![Item::boolean(item::general_compare_seqs(
-                *op,
-                &lv,
-                &rv,
-                cx.store(),
+                *op, &lv, &rv, store,
             )?)])
         }
         Core::ValueComp(op, l, r) => {
-            let lv = cx.eval(env, l)?;
-            let rv = cx.eval(env, r)?;
-            let la = optional_atom(lv, cx.store())?;
-            let ra = optional_atom(rv, cx.store())?;
+            let lv = ev.eval(store, env, l)?;
+            let rv = ev.eval(store, env, r)?;
+            let la = optional_atom(lv, store)?;
+            let ra = optional_atom(rv, store)?;
             match (la, ra) {
                 (Some(a), Some(b)) => Ok(seq![Item::boolean(value_compare(*op, &a, &b)?)]),
                 _ => Ok(seq![]),
             }
         }
         Core::NodeComp(op, l, r) => {
-            let lv = cx.eval(env, l)?;
-            let rv = cx.eval(env, r)?;
+            let lv = ev.eval(store, env, l)?;
+            let rv = ev.eval(store, env, r)?;
             let ln = item::zero_or_one(lv)?;
             let rn = item::zero_or_one(rv)?;
             match (ln, rn) {
@@ -1027,10 +805,10 @@ fn rule(cx: &mut Full<'_>, env: &mut DynEnv, expr: &Core) -> XdmResult<Sequence>
                     let res = match op {
                         NodeCompOp::Is => a == b,
                         NodeCompOp::Precedes => {
-                            cx.store().cmp_doc_order(a, b)? == std::cmp::Ordering::Less
+                            store.cmp_doc_order(a, b)? == std::cmp::Ordering::Less
                         }
                         NodeCompOp::Follows => {
-                            cx.store().cmp_doc_order(a, b)? == std::cmp::Ordering::Greater
+                            store.cmp_doc_order(a, b)? == std::cmp::Ordering::Greater
                         }
                     };
                     Ok(seq![Item::boolean(res)])
@@ -1039,38 +817,32 @@ fn rule(cx: &mut Full<'_>, env: &mut DynEnv, expr: &Core) -> XdmResult<Sequence>
             }
         }
         Core::And(l, r) => {
-            let lv = cx.eval(env, l)?;
-            if !item::effective_boolean(&lv, cx.store())? {
+            let lv = ev.eval(store, env, l)?;
+            if !item::effective_boolean(&lv, store)? {
                 return Ok(seq![Item::boolean(false)]);
             }
-            let rv = cx.eval(env, r)?;
-            Ok(seq![Item::boolean(item::effective_boolean(
-                &rv,
-                cx.store()
-            )?)])
+            let rv = ev.eval(store, env, r)?;
+            Ok(seq![Item::boolean(item::effective_boolean(&rv, store)?)])
         }
         Core::Or(l, r) => {
-            let lv = cx.eval(env, l)?;
-            if item::effective_boolean(&lv, cx.store())? {
+            let lv = ev.eval(store, env, l)?;
+            if item::effective_boolean(&lv, store)? {
                 return Ok(seq![Item::boolean(true)]);
             }
-            let rv = cx.eval(env, r)?;
-            Ok(seq![Item::boolean(item::effective_boolean(
-                &rv,
-                cx.store()
-            )?)])
+            let rv = ev.eval(store, env, r)?;
+            Ok(seq![Item::boolean(item::effective_boolean(&rv, store)?)])
         }
         Core::Union(l, r) => {
-            let mut lv = cx.eval(env, l)?;
-            let rv = cx.eval(env, r)?;
+            let mut lv = ev.eval(store, env, l)?;
+            let rv = ev.eval(store, env, r)?;
             lv.extend(rv);
-            doc_ordered(cx, &lv)
+            doc_ordered(ev, store, &lv)
         }
         Core::Range(l, r) => {
-            let lv = cx.eval(env, l)?;
-            let rv = cx.eval(env, r)?;
-            let la = optional_atom(lv, cx.store())?;
-            let ra = optional_atom(rv, cx.store())?;
+            let lv = ev.eval(store, env, l)?;
+            let rv = ev.eval(store, env, r)?;
+            let la = optional_atom(lv, store)?;
+            let ra = optional_atom(rv, store)?;
             match (la, ra) {
                 (Some(a), Some(b)) => {
                     let (a, b) = (a.to_integer()?, b.to_integer()?);
@@ -1081,7 +853,7 @@ fn rule(cx: &mut Full<'_>, env: &mut DynEnv, expr: &Core) -> XdmResult<Sequence>
                         .and_then(|d| d.checked_add(1))
                         .unwrap_or(i64::MAX)
                         .max(0) as u64;
-                    cx.guard().charge(span)?;
+                    ev.guard.charge(span)?;
                     Ok((a..=b).map(Item::integer).collect())
                 }
                 _ => Ok(seq![]),
@@ -1097,14 +869,14 @@ fn rule(cx: &mut Full<'_>, env: &mut DynEnv, expr: &Core) -> XdmResult<Sequence>
                 Some(origin) => (origin, Axis::Descendant),
                 None => (&**base, *axis),
             };
-            let origins = cx.eval(env, base)?;
+            let origins = ev.eval(store, env, base)?;
             let mut out = Sequence::new();
             for origin in &origins {
                 let n = require_node(origin.clone())?;
-                let axis_nodes = gather_axis(cx.store(), n, axis, test)?;
+                let axis_nodes = gather_axis(store, n, axis, test)?;
                 let mut items: Sequence = axis_nodes.into_iter().map(Item::Node).collect();
                 for pred in predicates {
-                    items = filter_positional(cx, env, items, pred)?;
+                    items = filter_positional(ev, store, env, items, pred)?;
                 }
                 out.extend(items);
             }
@@ -1122,42 +894,42 @@ fn rule(cx: &mut Full<'_>, env: &mut DynEnv, expr: &Core) -> XdmResult<Sequence>
             if forward && origins.len() <= 1 {
                 return Ok(out);
             }
-            doc_ordered(cx, &out)
+            doc_ordered(ev, store, &out)
         }
         Core::DocOrder(e) => {
-            let v = cx.eval(env, e)?;
-            doc_ordered(cx, &v)
+            let v = ev.eval(store, env, e)?;
+            doc_ordered(ev, store, &v)
         }
         Core::Predicate { base, pred } => {
-            let v = cx.eval(env, base)?;
-            filter_positional(cx, env, v, pred)
+            let v = ev.eval(store, env, base)?;
+            filter_positional(ev, store, env, v, pred)
         }
         Core::Call(name, args) => {
             // Arguments evaluate left to right (Appendix B's function
             // rule), whether the target is built-in or user-declared.
             let mut values = Vec::with_capacity(args.len());
             for a in args {
-                values.push(cx.eval(env, a)?);
+                values.push(ev.eval(store, env, a)?);
             }
             if let Some(f) = functions::builtin(name, args.len()) {
                 return match f.kind {
                     Kind::MutStore => {
-                        let max_depth = cx.ev.scope.env().limits.max_xml_depth;
-                        functions::parse_xml(cx.store, values, max_depth)
+                        let max_depth = ev.scope.env().limits.max_xml_depth;
+                        functions::parse_xml(store, values, max_depth)
                     }
-                    _ => functions::call(f, values, cx.store, &cx.ev.scope, env),
+                    _ => functions::call(f, values, store, &ev.scope, env),
                 };
             }
             // A declared function whose body compiled runs its plan; the
             // others, and every call when interpreting, run the body here.
-            let values = match cx.ev.function_executor.clone() {
-                Some(executor) => match executor.try_call(cx.ev, cx.store, name, values) {
+            let values = match ev.function_executor.clone() {
+                Some(executor) => match executor.try_call(ev, store, name, values) {
                     Ok(result) => return result,
                     Err(values) => values,
                 },
                 None => values,
             };
-            let Some(func) = cx.ev.scope.function(name, args.len()).cloned() else {
+            let Some(func) = ev.scope.function(name, args.len()).cloned() else {
                 return Err(functions::unresolved(name, args.len()));
             };
             // Function bodies see only their parameters and globals —
@@ -1167,27 +939,200 @@ fn rule(cx: &mut Full<'_>, env: &mut DynEnv, expr: &Core) -> XdmResult<Sequence>
             for (p, v) in func.params.iter().zip(values) {
                 fenv.push_var(p.clone(), v);
             }
-            cx.eval(&mut fenv, &func.body)
+            ev.eval(store, &mut fenv, &func.body)
         }
-        Core::ElemCtor { .. }
-        | Core::AttrCtor { .. }
-        | Core::TextCtor(_)
-        | Core::DocCtor(_)
-        | Core::Copy(_)
-        | Core::Insert { .. }
-        | Core::Delete(_)
-        | Core::Replace(..)
-        | Core::ReplaceValue(..)
-        | Core::Rename(..)
-        | Core::Snap(..) => cx.ev.eval_effectful(cx.store, env, expr),
+        Core::ElemCtor { name, content } => {
+            let qname = ev.eval_ctor_name(store, env, name)?;
+            let mut items = Vec::new();
+            ev.eval_content(store, env, content, &mut items)?;
+            let elem = store.new_element(qname);
+            append_content(store, elem, &items, /*allow_attrs=*/ true)?;
+            Ok(seq![Item::Node(elem)])
+        }
+        Core::AttrCtor { name, content } => {
+            let qname = ev.eval_ctor_name(store, env, name)?;
+            let v = ev.eval(store, env, content)?;
+            let parts: Vec<String> = item::atomize(&v, store)?
+                .into_iter()
+                .map(|a| a.string_value())
+                .collect();
+            let attr = store.new_attribute(qname, parts.join(" "));
+            Ok(seq![Item::Node(attr)])
+        }
+        Core::TextCtor(content) => {
+            let v = ev.eval(store, env, content)?;
+            if v.is_empty() {
+                return Ok(seq![]);
+            }
+            let parts: Vec<String> = item::atomize(&v, store)?
+                .into_iter()
+                .map(|a| a.string_value())
+                .collect();
+            let t = store.new_text(parts.join(" "));
+            Ok(seq![Item::Node(t)])
+        }
+        Core::DocCtor(content) => {
+            let mut items = Vec::new();
+            ev.eval_content(store, env, content, &mut items)?;
+            let doc = store.new_document();
+            append_content(store, doc, &items, /*allow_attrs=*/ false)?;
+            Ok(seq![Item::Node(doc)])
+        }
+        // ---------------- update operators (Appendix B) ----------------
+        Core::Insert { source, location } => {
+            // Rule order: Expr1 (source), then Expr2 (target), then the
+            // InsertLocation judgment resolves (nodepar, nodepos).
+            let src = ev.eval(store, env, source)?;
+            let nodes = content_to_nodes(store, &src)?;
+            let target = ev.eval(store, env, location.target())?;
+            let t = item::exactly_one_node(target)?;
+            let (parent, anchor) = resolve_insert_anchor(store, location, t)?;
+            ev.push_request(RedoOp::Insert {
+                seq: nodes.into(),
+                parent,
+                anchor,
+            })?;
+            Ok(seq![])
+        }
+        Core::Delete(target) => {
+            let v = ev.eval(store, env, target)?;
+            // The paper's rule shows a single node; its own §2.3 example
+            // deletes a whole sequence ($log/logentry), so we accept a
+            // node sequence and emit one request per node, in order.
+            for n in item::all_nodes(&v)? {
+                ev.push_request(RedoOp::Detach { node: n })?;
+            }
+            Ok(seq![])
+        }
+        Core::Replace(target, with) => {
+            // Appendix B: Δ3 = (Δ1, Δ2, insert(nodeseq, nodepar, node),
+            //                   delete(node))
+            let tv = ev.eval(store, env, target)?;
+            let node = item::exactly_one_node(tv)?;
+            let wv = ev.eval(store, env, with)?;
+            let nodeseq = content_to_nodes(store, &wv)?;
+            let parent = store
+                .parent(node)?
+                .ok_or_else(|| XdmError::precondition("replace target has no parent"))?;
+            if matches!(store.kind(node)?, NodeKind::Attribute { .. }) {
+                // Attribute targets: the replacement must be attribute
+                // nodes, attached to the owner element (attribute lists
+                // only append, so no anchor is involved). The detach
+                // precedes the attaches so a same-named replacement
+                // does not trip the duplicate check.
+                for &n in &nodeseq {
+                    if !matches!(store.kind(n)?, NodeKind::Attribute { .. }) {
+                        return Err(XdmError::type_error(
+                            "replacing an attribute requires attribute content",
+                        ));
+                    }
+                }
+                ev.push_request(RedoOp::Detach { node })?;
+                for attr in nodeseq {
+                    ev.push_request(RedoOp::AttachAttr {
+                        element: parent,
+                        attr,
+                    })?;
+                }
+            } else {
+                ev.push_request(RedoOp::Insert {
+                    seq: nodeseq.into(),
+                    parent,
+                    anchor: InsertAnchor::After(node),
+                })?;
+                ev.push_request(RedoOp::Detach { node })?;
+            }
+            Ok(seq![])
+        }
+        Core::ReplaceValue(target, with) => {
+            // One value-setting request: the target node keeps its
+            // identity, only its string value changes. The source is
+            // atomized and space-joined like attribute content.
+            let tv = ev.eval(store, env, target)?;
+            let node = item::exactly_one_node(tv)?;
+            let text = match store.kind(node)? {
+                NodeKind::Text { .. } => true,
+                NodeKind::Attribute { .. } => false,
+                // An update-family error (XQB0010 block), not a type
+                // error: the expression is well-typed, the target's
+                // node kind just has no settable value.
+                k => {
+                    let k = k.kind_name();
+                    return Err(XdmError::new(
+                        "XQB0011",
+                        format!(
+                            "replace value of requires a text or attribute target, got a {k} node"
+                        ),
+                    ));
+                }
+            };
+            let wv = ev.eval(store, env, with)?;
+            let parts: Vec<String> = item::atomize(&wv, store)?
+                .into_iter()
+                .map(|a| a.string_value())
+                .collect();
+            let value = parts.join(" ");
+            ev.push_request(if text {
+                RedoOp::SetText {
+                    node,
+                    content: value,
+                }
+            } else {
+                RedoOp::SetAttrValue { node, value }
+            })?;
+            Ok(seq![])
+        }
+        Core::Rename(target, name) => {
+            let tv = ev.eval(store, env, target)?;
+            let node = item::exactly_one_node(tv)?;
+            let nv = ev.eval(store, env, name)?;
+            let name_str = item::exactly_one(nv)?.string_value(store)?;
+            let qname = QName::parse(&name_str).ok_or_else(|| {
+                XdmError::value("XQDY0074", format!("\"{name_str}\" is not a valid QName"))
+            })?;
+            let name = store.intern_qname(&qname);
+            ev.push_request(RedoOp::Rename { node, name })?;
+            Ok(seq![])
+        }
+        Core::Copy(e) => {
+            let v = ev.eval(store, env, e)?;
+            // A fresh operand already is the parentless tree nobody
+            // else can reach that the copy would produce.
+            if yields_fresh(e) {
+                return Ok(v);
+            }
+            let mut out = Sequence::with_capacity(v.len());
+            for it in v {
+                out.push(match it {
+                    Item::Node(n) => Item::Node(store.deep_copy(n)?),
+                    atomic => atomic,
+                });
+            }
+            Ok(out)
+        }
+        Core::Snap(mode, body) => {
+            // The snap rule: evaluate the body with a fresh Δ on top of
+            // the stack, pop it, apply it. Nested snaps close first —
+            // the recursion gives the paper's stack behavior for free.
+            ev.begin_snap_scope();
+            match ev.eval(store, env, body) {
+                Ok(value) => {
+                    ev.apply_snap_scope(store, *mode)?;
+                    Ok(value)
+                }
+                Err(e) => {
+                    ev.end_snap_scope();
+                    Err(e)
+                }
+            }
+        }
     }
 }
 
 /// The nodes of `items` in document order, duplicates removed (`ddo`).
-fn doc_ordered(cx: &mut Full<'_>, items: &[Item]) -> XdmResult<Sequence> {
+fn doc_ordered(ev: &mut Evaluator, store: &mut Store, items: &[Item]) -> XdmResult<Sequence> {
     let mut nodes = item::all_nodes(items)?;
-    cx.store
-        .sort_and_dedup_with(&mut nodes, &mut cx.ev.scratch)?;
+    store.sort_and_dedup_with(&mut nodes, &mut ev.scratch)?;
     Ok(nodes.into_iter().map(Item::Node).collect())
 }
 
@@ -1278,7 +1223,8 @@ fn never_numeric(p: &Core) -> bool {
 /// predicate value tests the context position; anything else is an
 /// effective-boolean-value test.
 fn filter_positional(
-    cx: &mut Full<'_>,
+    ev: &mut Evaluator,
+    store: &mut Store,
     env: &mut DynEnv,
     items: Sequence,
     pred: &Core,
@@ -1303,12 +1249,12 @@ fn filter_positional(
             position: i + 1,
             size,
         });
-        let v = cx.eval(env, pred);
+        let v = ev.eval(store, env, pred);
         env.pop_focus();
         let v = v?;
         let keep = match v.as_slice() {
             [Item::Atomic(a)] if a.is_numeric() => a.to_double()? == (i + 1) as f64,
-            other => item::effective_boolean(other, cx.store())?,
+            other => item::effective_boolean(other, store)?,
         };
         if keep {
             out.push(it);

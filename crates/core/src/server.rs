@@ -15,8 +15,9 @@
 //!   that snapshot — it never
 //!   takes the engine lock, commits landing meanwhile cannot move the
 //!   data under it, and whatever it allocated is dropped with the fork.
-//!   The pin is released when the request finishes; superseded epochs
-//!   retire as soon as their last pin drops.
+//!   A pin is a clone of the latest version's `Arc`, taken under the
+//!   publication lock; releasing it takes no lock, and a superseded
+//!   version retires on the thread that drops its last pin.
 //! * **Admission is bounded.** Opening a session past `max_sessions` is
 //!   rejected with `XQB0050`; a request past `max_inflight` concurrent
 //!   requests is rejected with `XQB0051` (backpressure — the client
@@ -27,8 +28,8 @@
 //! query planned by any session is a plan-cache hit for every other. They
 //! also share the engine's one [`ProgramEnv`](crate::env::ProgramEnv) —
 //! the server has no resource policy of its own: a request is parsed and a
-//! fork runs under the hosted engine's limits, thread budget, slow-query
-//! threshold and trace sink, exactly as the writer does. Request
+//! fork runs under the hosted engine's limits, slow-query threshold and
+//! trace sink, exactly as the writer does. Request
 //! accounting lands in the global metrics registry under `server.*`
 //! (counters, gauges, latency histograms); [`Server::stats`] reads them
 //! back as one struct.
@@ -38,9 +39,9 @@ use crate::obs::{self, CounterId, GaugeId, HistogramId};
 use crate::planner::SharedPlanCache;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::time::Instant;
-use xqdm::{VersionSet, XdmError};
+use xqdm::XdmError;
 
 /// Session-limit rejection: `open_session` past `max_sessions`.
 pub const ERR_SESSIONS: &str = "XQB0050";
@@ -49,8 +50,8 @@ pub const ERR_BACKPRESSURE: &str = "XQB0051";
 /// Commits [`Server::commit_log`] retains, newest last.
 pub const COMMIT_LOG_RETAIN: usize = 1024;
 
-/// Server admission policy. Resource policy (limits, thread budget) is
-/// the hosted engine's: set it there before [`Engine::into_server`].
+/// Server admission policy. Resource policy (limits) is the hosted
+/// engine's: set it there before [`Engine::into_server`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
     /// Most sessions open at once (`XQB0050` beyond).
@@ -141,23 +142,47 @@ fn timing(id: HistogramId, started: Instant) {
     obs::global().histogram(id).record(obs::elapsed_ns(started));
 }
 
+/// One published version: the engine state at a commit point.
+struct Version {
+    epoch: u64,
+    state: EngineSnapshot,
+}
+
+/// The publication lock's contents: the latest version, and `Weak`s to
+/// the superseded ones, pruned at each publish and each [`Server::stats`].
+struct Published {
+    latest: Arc<Version>,
+    superseded: Vec<Weak<Version>>,
+}
+
+impl Published {
+    /// Forget the superseded versions no reader holds any more; the
+    /// number of versions still alive, the latest included.
+    fn prune(&mut self) -> usize {
+        self.superseded.retain(|v| v.strong_count() > 0);
+        1 + self.superseded.len()
+    }
+}
+
 struct Inner {
     /// The writer path: every write's whole evaluation serializes here.
     engine: Mutex<Engine>,
-    /// Published snapshots; readers pin, writers publish.
-    versions: VersionSet<EngineSnapshot>,
+    /// The publication lock: readers pin, writers publish.
+    published: Mutex<Published>,
     /// The cross-session plan cache (the one installed into `engine`).
     cache: Arc<SharedPlanCache>,
     config: ServerConfig,
     sessions: AtomicUsize,
     next_session: AtomicU64,
     inflight: AtomicUsize,
+    pins: AtomicUsize,
     /// The most recent [`COMMIT_LOG_RETAIN`] commits, oldest first.
     commits: Mutex<VecDeque<CommitRecord>>,
 }
 
 /// The server handle. Cheap to clone (an `Arc`); clones share the
-/// engine, the version chain, the plan cache, and the admission state.
+/// engine, the published versions, the plan cache, and the admission
+/// state.
 #[derive(Clone)]
 pub struct Server {
     inner: Arc<Inner>,
@@ -172,22 +197,29 @@ impl Server {
 
     /// Host `engine` behind `config`. Only the engine's plan cache is
     /// replaced (by the cross-session one); its whole environment —
-    /// limits, thread budget, modules, bindings, slow-query threshold,
-    /// trace sink — is kept, and the writer path and every reader fork
+    /// limits, modules, bindings, slow-query threshold, trace sink — is
+    /// kept, and the writer path and every reader fork
     /// share it.
     pub fn with_config(mut engine: Engine, config: ServerConfig) -> Server {
         let cache = SharedPlanCache::new();
         engine.set_shared_plan_cache(cache.clone());
-        let versions = VersionSet::new(engine.snapshot_state());
+        let latest = Arc::new(Version {
+            epoch: 0,
+            state: engine.snapshot_state(),
+        });
         Server {
             inner: Arc::new(Inner {
                 engine: Mutex::new(engine),
-                versions,
+                published: Mutex::new(Published {
+                    latest,
+                    superseded: Vec::new(),
+                }),
                 cache,
                 config,
                 sessions: AtomicUsize::new(0),
                 next_session: AtomicU64::new(1),
                 inflight: AtomicUsize::new(0),
+                pins: AtomicUsize::new(0),
                 commits: Mutex::new(VecDeque::new()),
             }),
         }
@@ -218,12 +250,12 @@ impl Server {
 
     /// The latest published epoch (0 until the first commit).
     pub fn epoch(&self) -> u64 {
-        self.inner.versions.latest_epoch()
+        self.inner.published().latest.epoch
     }
 
     /// Store fingerprint of the latest published snapshot.
     pub fn fingerprint(&self) -> u64 {
-        self.inner.versions.pin_latest().store().fingerprint()
+        self.inner.pin().store().fingerprint()
     }
 
     /// The most recent commits, in commit (= epoch) order: at most
@@ -252,7 +284,7 @@ impl Server {
     pub fn with_engine<R>(&self, f: impl FnOnce(&mut Engine) -> R) -> R {
         let mut engine = self.inner.engine.lock().unwrap_or_else(|e| e.into_inner());
         let r = f(&mut engine);
-        self.inner.versions.publish(engine.snapshot_state());
+        self.inner.publish(engine.snapshot_state());
         r
     }
 
@@ -264,13 +296,18 @@ impl Server {
         let counted = |id| m.counter(id).get();
         let quantile = |id, q| m.histogram(id).quantile(q);
         let (cache_hits, cache_misses) = inner.cache.stats();
+        let (epoch, retained) = {
+            let mut published = inner.published();
+            (published.latest.epoch, published.prune())
+        };
         ServerStats {
-            epoch: inner.versions.latest_epoch(),
+            epoch,
             sessions: inner.sessions.load(Ordering::SeqCst),
             inflight: inner.inflight.load(Ordering::SeqCst),
-            snapshot_pins: inner.versions.pinned(),
-            versions_retained: inner.versions.retained(),
-            versions_retired: inner.versions.retired(),
+            snapshot_pins: inner.pins.load(Ordering::SeqCst),
+            versions_retained: retained,
+            // One version per epoch, epoch 0 included.
+            versions_retired: epoch + 1 - retained as u64,
             reads: counted(CounterId::ServerReads),
             writes: counted(CounterId::ServerWrites),
             errors: counted(CounterId::ServerErrors),
@@ -388,37 +425,21 @@ impl Session {
     pub fn execute(&self, query: &str) -> Result<Response, Error> {
         let inner = &self.inner;
         let _slot = InflightSlot::admit(inner)?;
-        let note_pins = || level(GaugeId::ServerSnapshotPins, inner.versions.pinned());
         // Parse and classify against the latest snapshot's environment —
         // its nesting limit, its module functions — with no engine lock.
         // A commit between classification and execution is harmless: the
         // facts depend only on the function bodies, and module
         // registration goes through `with_engine` (the writer).
-        let pin = inner.versions.pin_latest();
-        note_pins();
-        let classified = pin.compile(query).map(|program| {
-            let facts = pin.facts(&program);
-            (program, facts)
-        });
-        if let Ok((program, facts)) = &classified {
-            if facts.snapshot_read() {
-                let response = self.execute_read(&pin, program);
-                drop(pin);
-                note_pins();
-                return response;
-            }
+        let pin = inner.pin();
+        let program = pin.compile(query)?;
+        if pin.facts(&program).snapshot_read() {
+            return self.execute_read(&pin, &program);
         }
         drop(pin);
-        note_pins();
-        let (program, _) = classified?;
         self.execute_write(query, &program)
     }
 
-    fn execute_read(
-        &self,
-        pin: &xqdm::Pinned<EngineSnapshot>,
-        program: &xqsyn::CoreProgram,
-    ) -> Result<Response, Error> {
+    fn execute_read(&self, pin: &Pin<'_>, program: &xqsyn::CoreProgram) -> Result<Response, Error> {
         let mut reader = pin.reader();
         let started = Instant::now();
         let result = reader.run_program(program);
@@ -429,7 +450,7 @@ impl Session {
                 let body = reader.serialize(&value).map_err(Error::Eval)?;
                 Ok(Response {
                     kind: RequestKind::Read,
-                    epoch: pin.epoch(),
+                    epoch: pin.version.epoch,
                     body,
                 })
             }
@@ -440,43 +461,19 @@ impl Session {
         }
     }
 
-    /// The writer path: evaluate on the live engine under the mutex,
-    /// then publish and log the commit.
+    /// The writer path: evaluate on the live engine under the mutex, then
+    /// publish the post-run state and log the commit before the mutex
+    /// drops, so the commit log's order is the epoch order. An errored run
+    /// publishes too: it keeps its closed snaps, so readers must see them.
     fn execute_write(&self, query: &str, program: &xqsyn::CoreProgram) -> Result<Response, Error> {
         let inner = &self.inner;
         let started = Instant::now();
         count(CounterId::ServerWrites);
         let mut engine = inner.engine.lock().unwrap_or_else(|e| e.into_inner());
-        let outcome = match engine.run_program(program) {
-            Ok(value) => engine.serialize(&value).map_err(Error::Eval),
-            Err(e) => Err(Error::Eval(e)),
-        };
-        let outcome = self.publish_commit(inner, &engine, query, outcome);
-        drop(engine);
-        timing(HistogramId::ServerWriteNs, started);
-        if outcome.is_err() {
-            count(CounterId::ServerErrors);
-        }
-        outcome
-    }
-
-    /// Publish the post-run state whatever the outcome: an errored run
-    /// keeps its closed snaps, so readers must see them. Publishing and
-    /// logging happen under the engine lock, so the commit log's order is
-    /// the epoch order.
-    fn publish_commit(
-        &self,
-        inner: &Inner,
-        engine: &Engine,
-        query: &str,
-        outcome: Result<String, Error>,
-    ) -> Result<Response, Error> {
-        let logged = match &outcome {
-            Ok(body) => Ok(body.clone()),
-            Err(Error::Eval(e)) => Err(e.code.to_string()),
-            Err(Error::Parse(_)) => unreachable!("program already parsed"),
-        };
-        let epoch = inner.versions.publish(engine.snapshot_state());
+        let outcome = engine
+            .run_program(program)
+            .and_then(|value| engine.serialize(&value));
+        let epoch = inner.publish(engine.snapshot_state());
         let mut commits = inner.commits.lock().unwrap_or_else(|e| e.into_inner());
         if commits.len() >= COMMIT_LOG_RETAIN {
             commits.pop_front();
@@ -485,10 +482,16 @@ impl Session {
             epoch,
             session: self.id,
             query: query.to_string(),
-            body: logged,
+            body: outcome.clone().map_err(|e| e.code.to_string()),
         });
         drop(commits);
-        outcome.map(|body| Response {
+        drop(engine);
+        timing(HistogramId::ServerWriteNs, started);
+        if outcome.is_err() {
+            count(CounterId::ServerErrors);
+        }
+        let body = outcome.map_err(Error::Eval)?;
+        Ok(Response {
             kind: RequestKind::Write,
             epoch,
             body,
@@ -500,6 +503,60 @@ impl Drop for Session {
     fn drop(&mut self) {
         let prev = self.inner.sessions.fetch_sub(1, Ordering::SeqCst);
         level(GaugeId::ServerSessions, prev.saturating_sub(1));
+    }
+}
+
+impl Inner {
+    fn published(&self) -> MutexGuard<'_, Published> {
+        self.published.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Pin the latest version for one request: one hold of the
+    /// publication lock, counted in `snapshot_pins` until the pin drops.
+    fn pin(&self) -> Pin<'_> {
+        let version = self.published().latest.clone();
+        let prev = self.pins.fetch_add(1, Ordering::SeqCst);
+        level(GaugeId::ServerSnapshotPins, prev + 1);
+        Pin {
+            inner: self,
+            version,
+        }
+    }
+
+    /// Publish `state` as the next epoch and return it. The superseded
+    /// version is dropped after the publication lock is released: unless
+    /// a reader still holds it, its pages free here.
+    fn publish(&self, state: EngineSnapshot) -> u64 {
+        let mut published = self.published();
+        let epoch = published.latest.epoch + 1;
+        let superseded =
+            std::mem::replace(&mut published.latest, Arc::new(Version { epoch, state }));
+        published.prune();
+        published.superseded.push(Arc::downgrade(&superseded));
+        drop(published);
+        drop(superseded);
+        epoch
+    }
+}
+
+/// A reader's hold on one published version. Dropping it takes no lock;
+/// the last pin of a superseded version retires it.
+struct Pin<'a> {
+    inner: &'a Inner,
+    version: Arc<Version>,
+}
+
+impl std::ops::Deref for Pin<'_> {
+    type Target = EngineSnapshot;
+    fn deref(&self) -> &EngineSnapshot {
+        &self.version.state
+    }
+}
+
+impl Drop for Pin<'_> {
+    fn drop(&mut self) {
+        let prev = self.inner.pins.fetch_sub(1, Ordering::SeqCst);
+        level(GaugeId::ServerSnapshotPins, prev.saturating_sub(1));
     }
 }
 
@@ -713,7 +770,7 @@ mod tests {
                 "(snap insert { <e/> } into { $doc/log }, <ack/>)",
             ),
             ("snap behind a constructor", "<r>{ stamp() }</r>"),
-            ("par-opaque builtin", "<r>{ parse-xml(\"<b/>\") }</r>"),
+            ("opaque builtin", "<r>{ parse-xml(\"<b/>\") }</r>"),
         ] {
             let epoch = server.epoch();
             let r = s.execute(query).unwrap();
@@ -755,6 +812,69 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    #[test]
+    fn pinned_reader_sees_pre_commit_fingerprint_for_whole_request() {
+        // The barriers force "reader pins, writer commits twice, reader
+        // keeps reading": the pin must hold the pre-commit state throughout.
+        let server = server_with_doc();
+        let pre_commit_fp = server.fingerprint();
+        let retired_before = server.stats().versions_retired;
+        let sync = Arc::new([(); 4].map(|()| std::sync::Barrier::new(2)));
+        let reader = std::thread::spawn({
+            let server = server.clone();
+            let sync = sync.clone();
+            move || {
+                let pin = server.inner.pin();
+                let first = pin.store().fingerprint();
+                sync[0].wait(); // pinned: let the writer commit
+                sync[1].wait(); // the writer has published two new epochs
+                let second = pin.store().fingerprint();
+                // A fork made from the same pin mid-request sees the pinned
+                // state too (the fork is COW, not a re-pin).
+                let mut fork = pin.reader();
+                let count = fork.run("count($doc/log/*)").unwrap();
+                let count = fork.serialize(&count).unwrap();
+                sync[2].wait(); // still pinned while the writer reads STATS
+                sync[3].wait();
+                (pin.version.epoch, first, second, count)
+            }
+        });
+
+        sync[0].wait();
+        let s = server.open_session().unwrap();
+        for i in 0..2 {
+            let w = s
+                .execute(&format!("insert {{ <e n=\"{i}\"/> }} into {{ $doc/log }}"))
+                .unwrap();
+            assert_eq!(w.epoch, i + 1, "each commit advances the epoch");
+        }
+        let post_commit_fp = server.fingerprint();
+        assert_ne!(pre_commit_fp, post_commit_fp, "commits changed the store");
+        sync[1].wait();
+        sync[2].wait();
+        // The pinned epoch 0 and the latest survive; the unpinned epoch 1
+        // retired when epoch 2 was published.
+        let held = server.stats();
+        assert_eq!((held.versions_retained, held.snapshot_pins), (2, 1));
+        sync[3].wait();
+
+        let (epoch, first, second, count) = reader.join().unwrap();
+        assert_eq!(epoch, 0, "reader pinned the pre-commit epoch");
+        assert_eq!(first, pre_commit_fp);
+        assert_eq!(
+            second, pre_commit_fp,
+            "pinned fingerprint unchanged across concurrent commits"
+        );
+        assert_eq!(count, "0", "forked reader queried the pinned snapshot");
+        // The latest epoch moved on; a new pin sees the committed state.
+        assert_eq!(server.epoch(), 2);
+        assert_eq!(server.fingerprint(), post_commit_fp);
+        // Epoch 0 retired with the reader's last pin.
+        let stats = server.stats();
+        assert_eq!((stats.versions_retained, stats.snapshot_pins), (1, 0));
+        assert_eq!(stats.versions_retired, retired_before + 2);
+    }
+
     // -----------------------------------------------------------------
     // One program environment (DESIGN.md §19)
     // -----------------------------------------------------------------
@@ -762,7 +882,7 @@ mod tests {
     #[test]
     fn environment_edits_reach_neither_forks_nor_pinned_snapshots() {
         let server = server_with_doc();
-        let pin = server.inner.versions.pin_latest();
+        let pin = server.inner.pin();
         let mut forked_before = pin.reader();
         server.with_engine(|e| {
             e.load_module("declare function greet() { \"hello\" };")
@@ -791,7 +911,7 @@ mod tests {
 
     #[test]
     fn the_hosted_engine_keeps_its_resource_policy() {
-        // The server has no limits or thread budget of its own: what the
+        // The server has no limits of its own: what the
         // engine was given before `into_server` governs every request,
         // reads (forks) and writes (the live engine) alike, parse included.
         let mut e = Engine::new();

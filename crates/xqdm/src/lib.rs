@@ -30,7 +30,6 @@ pub(crate) mod pages;
 pub mod qname;
 pub mod store;
 pub mod symbols;
-pub mod version;
 pub mod wal;
 pub mod xml;
 
@@ -41,7 +40,6 @@ pub use node::{NodeId, NodeKind};
 pub use qname::QName;
 pub use store::{KernelTest, Scratch, Store};
 pub use symbols::{QNameId, SymbolId, Symbols};
-pub use version::{Pinned, VersionSet};
 pub use wal::{CommitReceipt, RecoveryReport, RedoOp, SyncMode};
 
 // The server's sessions read one published snapshot from many threads

@@ -60,12 +60,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
              return $r",
         ),
         (
-            "pure loop body: par marker (parallel fan-out eligible)",
+            "pure loop body: one Iterate per binding, rated Pure",
             "for $p in $people/person
              return concat(string($p/name), \":\", count($p/watches))",
         ),
         (
-            "snap inside the loop body: par suppressed, stays sequential",
+            "snap inside the loop body: the Iterate is rated Effectful",
             "for $p in $people/person
              return snap insert { <seen id=\"{$p/@id}\"/> } into { $log }",
         ),

@@ -6,7 +6,9 @@
 //!    `std::sync::Barrier` force the exact interleaving "reader pins,
 //!    writer commits, reader keeps reading": the pinned snapshot's
 //!    `Store::fingerprint()` must equal the pre-commit fingerprint for
-//!    the whole request, however many commits land meanwhile.
+//!    the whole request, however many commits land meanwhile. The pin is
+//!    private to the server, so this layer is a unit test in
+//!    `crates/core/src/server.rs`.
 //! 2. **End-to-end reads under write pressure** — every server read
 //!    reports the epoch it pinned; with a workload where epoch *k*'s
 //!    store holds exactly *k* entries, each response body must equal its
@@ -25,65 +27,6 @@ fn server_with_log() -> Server {
     let mut e = Engine::new();
     e.load_document("doc", "<log/>").unwrap();
     Server::new(e)
-}
-
-// ----------------------------------------------------------------------
-// 1. barrier-deterministic pinning at the version layer
-// ----------------------------------------------------------------------
-
-#[test]
-fn pinned_reader_sees_pre_commit_fingerprint_for_whole_request() {
-    let mut engine = Engine::new();
-    engine.load_document("doc", "<log/>").unwrap();
-    let versions = xquery_bang::xqdm::VersionSet::new(engine.snapshot_state());
-    let pre_commit_fp = engine.store.fingerprint();
-
-    let sync = Arc::new([Barrier::new(2), Barrier::new(2), Barrier::new(2)]);
-    let reader = std::thread::spawn({
-        let versions = versions.clone();
-        let sync = sync.clone();
-        move || {
-            let pin = versions.pin_latest();
-            let first = pin.store().fingerprint();
-            sync[0].wait(); // pinned — let the writer commit
-            sync[1].wait(); // writer has published two new epochs
-            let second = pin.store().fingerprint();
-            // A fresh reader forked from the SAME pin mid-request also
-            // sees the pinned state (the fork is COW, not a re-pin).
-            let mut fork = pin.reader();
-            let count = fork.run("count($doc/log/*)").unwrap();
-            let count = fork.serialize(&count).unwrap();
-            sync[2].wait();
-            (pin.epoch(), first, second, count)
-        }
-    });
-
-    sync[0].wait(); // reader is pinned
-    for i in 0..2 {
-        engine
-            .run(&format!("insert {{ <e n=\"{i}\"/> }} into {{ $doc/log }}"))
-            .unwrap();
-        versions.publish(engine.snapshot_state());
-    }
-    let post_commit_fp = engine.store.fingerprint();
-    assert_ne!(pre_commit_fp, post_commit_fp, "commits changed the store");
-    sync[1].wait(); // both commits published while the reader held its pin
-    sync[2].wait();
-
-    let (epoch, first, second, count) = reader.join().unwrap();
-    assert_eq!(epoch, 0, "reader pinned the pre-commit epoch");
-    assert_eq!(first, pre_commit_fp);
-    assert_eq!(
-        second, pre_commit_fp,
-        "pinned fingerprint unchanged across concurrent commits"
-    );
-    assert_eq!(count, "0", "forked reader queried the pinned snapshot");
-    // The latest epoch moved on; a new pin sees the committed state.
-    assert_eq!(versions.latest_epoch(), 2);
-    assert_eq!(versions.pin_latest().store().fingerprint(), post_commit_fp);
-    // The superseded epochs retire once the reader's pin dropped.
-    assert_eq!(versions.retained(), 1);
-    assert_eq!(versions.pinned(), 0);
 }
 
 // ----------------------------------------------------------------------
