@@ -187,34 +187,41 @@ impl Paired {
     }
 }
 
+impl Paired {
+    /// Read `pairs` of (A, B) measurements: the per-pair ratios A / B,
+    /// their median and quartiles, and A's wins.
+    pub fn of(pairs: &[(f64, f64)]) -> Paired {
+        let n = pairs.len();
+        assert!(n > 0, "paired needs at least one pair");
+        let mut ratios: Vec<f64> = pairs.iter().map(|(x, y)| x / y).collect();
+        ratios.sort_by(f64::total_cmp);
+        let at = |q: f64| ratios[((n - 1) as f64 * q).round() as usize];
+        Paired {
+            ratio: at(0.5),
+            q1: at(0.25),
+            q3: at(0.75),
+            wins: pairs.iter().filter(|(x, y)| x < y).count(),
+            n,
+        }
+    }
+}
+
 /// Run `n` pairs of one measurement of `a` and one of `b` (each returns
 /// what it measured, e.g. seconds), alternating which side runs first so
-/// drift and warm-up fall on both alike, and read the per-pair ratios
-/// A / B: their median, quartiles and A's wins out of `n`.
+/// drift and warm-up fall on both alike, and read them ([`Paired::of`]).
 pub fn paired(n: usize, mut a: impl FnMut() -> f64, mut b: impl FnMut() -> f64) -> Paired {
-    assert!(n > 0, "paired needs at least one pair");
-    let mut ratios = Vec::with_capacity(n);
-    let mut wins = 0;
-    for i in 0..n {
-        let (x, y) = if i % 2 == 0 {
-            let x = a();
-            (x, b())
-        } else {
-            let y = b();
-            (a(), y)
-        };
-        wins += usize::from(x < y);
-        ratios.push(x / y);
-    }
-    ratios.sort_by(f64::total_cmp);
-    let at = |q: f64| ratios[((n - 1) as f64 * q).round() as usize];
-    Paired {
-        ratio: at(0.5),
-        q1: at(0.25),
-        q3: at(0.75),
-        wins,
-        n,
-    }
+    let pairs: Vec<(f64, f64)> = (0..n)
+        .map(|i| {
+            if i % 2 == 0 {
+                let x = a();
+                (x, b())
+            } else {
+                let y = b();
+                (a(), y)
+            }
+        })
+        .collect();
+    Paired::of(&pairs)
 }
 
 /// Seconds one call of `f` takes.

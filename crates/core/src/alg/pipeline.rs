@@ -91,10 +91,9 @@ pub struct PlannedProgram {
     variables: Vec<(String, QueryPlan, usize)>,
     body: QueryPlan,
     functions: Arc<FnTable>,
-    /// Kept for analyzed re-rendering (effect annotations are part of the
-    /// EXPLAIN tree, analyzed or not).
+    /// Kept for rendering (effect annotations are part of the EXPLAIN
+    /// tree, analyzed or not).
     analysis: EffectAnalysis,
-    explain: String,
     optimized: bool,
 }
 
@@ -131,9 +130,27 @@ impl PlannedProgram {
         result
     }
 
-    /// The paper-style plan printout with effect annotations.
+    /// The paper-style plan printout with effect annotations: the body,
+    /// then each optimized prolog variable and each compiled function.
+    /// Rendered on request — a cached plan carries no text.
     pub fn explain(&self) -> String {
-        self.explain.clone()
+        let mut out = self.body.render_annotated(&self.analysis);
+        for (name, plan, _) in &self.variables {
+            if plan.is_optimized() {
+                out.push_str(&format!(
+                    "\n\ndeclare variable ${name}:\n{}",
+                    plan.render_annotated(&self.analysis)
+                ));
+            }
+        }
+        for (name, params, plan, _) in &self.functions.entries {
+            out.push_str(&format!(
+                "\n\ndeclare function {name}({}):\n{}",
+                params_list(params),
+                plan.render_annotated(&self.analysis)
+            ));
+        }
+        out
     }
 
     /// Did any rewrite fire anywhere in the program (body, prolog
@@ -157,13 +174,8 @@ impl PlannedProgram {
         }
         for (name, params, plan, base) in &self.functions.entries {
             out.push_str(&format!(
-                "\n\ndeclare function {}({}):\n{}",
-                name,
-                params
-                    .iter()
-                    .map(|p| format!("${p}"))
-                    .collect::<Vec<_>>()
-                    .join(", "),
+                "\n\ndeclare function {name}({}):\n{}",
+                params_list(params),
                 plan.render_analyzed(&self.analysis, profile, *base)
             ));
         }
@@ -212,8 +224,8 @@ pub fn compile_structural_program(program: &CoreProgram) -> PlannedProgram {
 
 /// The shared program-assembly skeleton: plan the body and every prolog
 /// variable with `plan_expr`, assign pre-order profile node-id bases
-/// (body, then variables, then compiled functions), collect optimized
-/// function bodies, and pre-render the plain EXPLAIN text.
+/// (body, then variables, then compiled functions) and collect optimized
+/// function bodies.
 fn assemble(
     program: &CoreProgram,
     index_available: bool,
@@ -235,20 +247,9 @@ fn assemble(
         .collect();
 
     let mut fn_table = FnTable::default();
-    let mut fn_explains = Vec::new();
     for f in &program.functions {
         let plan = plan_expr(&compiler, &f.body);
         if plan.is_optimized() {
-            fn_explains.push(format!(
-                "declare function {}({}):\n{}",
-                f.name,
-                f.params
-                    .iter()
-                    .map(|p| format!("${p}"))
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                plan.render_annotated(compiler.analysis()),
-            ));
             let base = next_base;
             next_base += plan.node_count();
             fn_table
@@ -261,28 +262,22 @@ fn assemble(
         || variables.iter().any(|(_, p, _)| p.is_optimized())
         || !fn_table.is_empty();
 
-    let mut explain = body.render_annotated(compiler.analysis());
-    for (name, plan, _) in &variables {
-        if plan.is_optimized() {
-            explain.push_str(&format!(
-                "\n\ndeclare variable ${name}:\n{}",
-                plan.render_annotated(compiler.analysis())
-            ));
-        }
-    }
-    for fe in fn_explains {
-        explain.push_str("\n\n");
-        explain.push_str(&fe);
-    }
-
     PlannedProgram {
         variables,
         body,
         functions: Arc::new(fn_table),
         analysis: compiler.into_analysis(),
-        explain,
         optimized,
     }
+}
+
+/// `$a, $b` — a declared function's parameters as EXPLAIN prints them.
+fn params_list(params: &[String]) -> String {
+    params
+        .iter()
+        .map(|p| format!("${p}"))
+        .collect::<Vec<_>>()
+        .join(", ")
 }
 
 #[cfg(test)]

@@ -7,12 +7,11 @@
 
 use crate::alg::pipeline::{compile_program_opts, compile_structural_program};
 use crate::alg::PlannedProgram;
-use crate::effects::Facts;
 use crate::env::{DynEnv, ProgramEnv, Scope};
 use crate::eval::Evaluator;
 use crate::limits::{self, Limits};
 use crate::obs::{self, CounterId, HistogramId};
-use crate::planner::{self, SharedPlanCache};
+use crate::planner::{self, Prepared, SharedPlanCache};
 use crate::server::{Server, ServerConfig};
 use std::path::Path;
 use std::sync::Arc;
@@ -398,9 +397,20 @@ impl Engine {
     /// Parse, normalize and run an XQuery! program against the store.
     /// The query body (and prolog variable initializers) run inside the
     /// implicit top-level snap; all effects are applied when this returns.
+    /// A text run before under the same environment is not parsed again:
+    /// its [`Prepared`] entry in the plan cache carries the program and
+    /// its plan key.
     pub fn run(&mut self, query: &str) -> Result<Sequence, Error> {
-        let program = self.compile(query)?;
-        Ok(self.run_program(&program)?)
+        let prepared = prepare(&self.env, &self.store, &self.plans, query)?;
+        Ok(self.run_prepared(&prepared)?)
+    }
+
+    /// Run a prepared request. Its plan key is used when it holds for this
+    /// engine's environment and index state; otherwise the program is
+    /// fingerprinted here, as [`Engine::run_program`] does.
+    pub(crate) fn run_prepared(&mut self, prepared: &Prepared) -> XdmResult<Sequence> {
+        let key = prepared.key_for(&self.env, &self.store);
+        self.run_keyed(&prepared.program, key)
     }
 
     /// Run an already-compiled program.
@@ -415,7 +425,13 @@ impl Engine {
     /// `XQB0030` error is returned: a store that a panicking evaluation was
     /// mutating is not trusted as commitment.
     pub fn run_program(&mut self, program: &CoreProgram) -> XdmResult<Sequence> {
-        let planned = self.plan_for(program);
+        self.run_keyed(program, None)
+    }
+
+    /// Plan `program` under `key` (computed here when `None`), run it and
+    /// keep the run's account.
+    fn run_keyed(&mut self, program: &CoreProgram, key: Option<(u64, u64)>) -> XdmResult<Sequence> {
+        let planned = self.plan_for(program, key);
         let (result, report) = self.execute_program(planned, program, false);
         self.last_run = Some(report);
         result
@@ -567,7 +583,9 @@ impl Engine {
         {
             // An interpreted run looked nothing up, so it has no key yet;
             // it is only computed on this (rare) path.
-            let (h1, h2) = report.key.unwrap_or_else(|| self.plan_key(program));
+            let (h1, h2) = report
+                .key
+                .unwrap_or_else(|| plan_key(&self.env, &self.store, program));
             m.record_slow(obs::SlowQuery {
                 fingerprint: format!("{h1:016x}{h2:016x}"),
                 millis,
@@ -590,7 +608,7 @@ impl Engine {
     pub fn explain_analyze(&mut self, query: &str) -> Result<String, Error> {
         let program = self.compile(query)?;
         let (planned, mode) = if self.env.compile {
-            (self.plan_for(&program), "compiled")
+            (self.plan_for(&program, None), "compiled")
         } else {
             let plan = compile_structural_program(&linked(&self.env, &program));
             let planned = Planned {
@@ -639,12 +657,13 @@ impl Engine {
     }
 
     /// Compile `program` ([`crate::alg`]), consulting the plan cache
-    /// first. No plan means "interpret": `set_compile(false)`.
-    fn plan_for(&self, program: &CoreProgram) -> Planned {
+    /// first under `key` — the program's [`plan_key`], computed here when
+    /// the caller has none. No plan means "interpret": `set_compile(false)`.
+    fn plan_for(&self, program: &CoreProgram, key: Option<(u64, u64)>) -> Planned {
         if !self.env.compile {
             return Planned::INTERPRET;
         }
-        let key = self.plan_key(program);
+        let key = key.unwrap_or_else(|| plan_key(&self.env, &self.store, program));
         let (plan, cache) = match self.plans.get(key) {
             Some(plan) => (plan, "hit"),
             None => {
@@ -666,29 +685,6 @@ impl Engine {
             key: Some(key),
             cache,
         }
-    }
-
-    /// The plan-cache key of `program` on this engine: its fingerprint
-    /// and the module table's (so loading a module invalidates), folded
-    /// with the plan options and the store's index epoch — a plan compiled
-    /// with the index available (or for an earlier epoch) must never
-    /// satisfy a lookup made without it, or the cache, shared across
-    /// sessions, would serve stale `,idx` plans after a toggle. A program
-    /// that shadows a module function differs from one that does not in
-    /// its own fingerprint, so the two never share an entry.
-    fn plan_key(&self, program: &CoreProgram) -> (u64, u64) {
-        let (p1, p2) = planner::program_fingerprint(program);
-        let (m1, m2) = self.env.fingerprint();
-        let avail = u64::from(self.store.index_enabled());
-        (
-            p1 ^ m1.rotate_left(1) ^ avail.wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            p2 ^ m2.rotate_left(1)
-                ^ self
-                    .store
-                    .index_epoch()
-                    .wrapping_add(avail)
-                    .wrapping_mul(0x2545_f491_4f6c_dd1d),
-        )
     }
 
     /// Enable or disable compiled execution (enabled by default;
@@ -829,28 +825,76 @@ impl EngineSnapshot {
         &self.store
     }
 
-    /// Parse a query under the snapshotted expression-nesting limit.
-    pub(crate) fn compile(&self, query: &str) -> Result<CoreProgram, Error> {
-        parse(&self.env, query)
+    /// `query` prepared under the snapshotted environment and store — the
+    /// server's request path, with no engine lock.
+    pub(crate) fn prepare(&self, query: &str) -> Result<Arc<Prepared>, Error> {
+        prepare(&self.env, &self.store, &self.plans, query)
     }
+}
 
-    /// What a run of `program` may do — body and prolog initializers
-    /// joined — with calls resolved as a run under the snapshot's module
-    /// functions resolves them (DESIGN.md §9). The server routes on this
-    /// one value ([`Facts::snapshot_read`]); judging
-    /// it against the snapshot needs no engine lock, and the walk visits
-    /// only the program's own expressions: what the functions it calls may
-    /// do was settled when they were declared.
-    pub fn facts(&self, program: &CoreProgram) -> Facts {
-        Scope::new(self.env.clone(), program)
-            .effects()
-            .program_facts(program)
+/// `query` prepared under `env` against `store`: the entry `plans` holds
+/// for the text when it holds for both (DESIGN.md §15), else a new one —
+/// parsed under `env`'s nesting limit, classified, keyed — kept for the
+/// next request. A text that fails to parse is not kept.
+///
+/// The classification is what a run of the program may do — body and
+/// prolog initializers joined — with calls resolved as a run under `env`'s
+/// module functions resolves them (DESIGN.md §9). The server routes on
+/// this one value ([`Facts::snapshot_read`](crate::Facts::snapshot_read));
+/// the walk visits only the
+/// program's own expressions: what the functions it calls may do was
+/// settled when they were declared.
+fn prepare(
+    env: &Arc<ProgramEnv>,
+    store: &Store,
+    plans: &SharedPlanCache,
+    query: &str,
+) -> Result<Arc<Prepared>, Error> {
+    if let Some(entry) = plans.prepared(query, env, store) {
+        return Ok(entry);
     }
+    let trace = env.trace.as_ref();
+    let span = trace.map(|sink| sink.begin("parse", None));
+    let parsed = parse(env, query);
+    if let (Some(sink), Some(id)) = (trace, span) {
+        sink.end(id);
+    }
+    let program = parsed?;
+    let read = Scope::new(env.clone(), &program)
+        .effects()
+        .program_facts(&program)
+        .snapshot_read();
+    let key = env.compile.then(|| plan_key(env, store, &program));
+    let entry = Arc::new(Prepared::new(env, store, program, read, key));
+    plans.insert_prepared(query, entry.clone());
+    Ok(entry)
 }
 
 /// Parse `query` under `env`'s expression-nesting limit.
 fn parse(env: &ProgramEnv, query: &str) -> Result<CoreProgram, Error> {
     xqsyn::compile_with_limit(query, env.limits.max_parse_depth).map_err(parse_error)
+}
+
+/// The plan-cache key of `program` under `env` against `store`: its
+/// fingerprint and the module table's (so loading a module invalidates),
+/// folded with the plan options and the store's index epoch — a plan
+/// compiled with the index available (or for an earlier epoch) must never
+/// satisfy a lookup made without it, or the cache, shared across
+/// sessions, would serve stale `,idx` plans after a toggle. A program that
+/// shadows a module function differs from one that does not in its own
+/// fingerprint, so the two never share an entry.
+fn plan_key(env: &ProgramEnv, store: &Store, program: &CoreProgram) -> (u64, u64) {
+    let (p1, p2) = planner::program_fingerprint(program);
+    let (m1, m2) = env.fingerprint();
+    let avail = u64::from(store.index_enabled());
+    (
+        p1 ^ m1.rotate_left(1) ^ avail.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+        p2 ^ m2.rotate_left(1)
+            ^ store
+                .index_epoch()
+                .wrapping_add(avail)
+                .wrapping_mul(0x2545_f491_4f6c_dd1d),
+    )
 }
 
 /// A parser depth trip is a resource-governance event like any other:

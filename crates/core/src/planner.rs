@@ -1,6 +1,7 @@
 //! What the engine keeps around the compiler ([`crate::alg`]): the store
 //! facts a plan may depend on ([`PlanOptions`]), program fingerprints, and
-//! the fingerprint-keyed [`SharedPlanCache`].
+//! the [`SharedPlanCache`] — plans by fingerprint, and in front of them
+//! [`Prepared`] requests by query text.
 //!
 //! The contract every plan must honor is the paper's: a compiled program
 //! produces **the same value sequence, the same final store, and the same
@@ -9,8 +10,11 @@
 //! (`tests/differential.rs`) enforces this.
 
 use crate::alg::PlannedProgram;
+use crate::env::ProgramEnv;
 use crate::obs::{self, CounterId};
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, Weak};
+use xqdm::Store;
 use xqsyn::CoreProgram;
 
 /// Store facts the planner may exploit (but must degrade without): the
@@ -60,21 +64,90 @@ pub(crate) fn fingerprint_of(value: &impl std::fmt::Debug) -> (u64, u64) {
 }
 
 /// The most plans a [`SharedPlanCache`] keeps before it is wholesale
-/// cleared. A query workload repeats a bounded set of programs; an
-/// unbounded cache would leak under ad-hoc query streams.
+/// cleared, and likewise the most prepared texts. A query workload repeats
+/// a bounded set of programs; an unbounded cache would leak under ad-hoc
+/// query streams.
 pub const SHARED_PLAN_CACHE_CAP: usize = 256;
 
-/// The plan cache: thread-safe and fingerprint-keyed. Every engine holds
-/// one — its own until [`Engine::set_shared_plan_cache`](crate::Engine::set_shared_plan_cache)
+/// A query text made ready to run (DESIGN.md §15): the parsed program,
+/// whether it may run as a snapshot read, and its plan-cache key — what a
+/// request for a text the engine has already seen would otherwise
+/// recompute. It holds for the program environment it was made under
+/// and the store's index state then, and for nothing else
+/// ([`Prepared::holds_for`]).
+pub(crate) struct Prepared {
+    /// The environment the text was parsed, classified and keyed under.
+    /// A `Weak`: it keeps no superseded environment alive, yet its
+    /// allocation cannot be reused while the entry lives, and an edit of
+    /// an environment that only entries still point at moves it to a new
+    /// allocation (`Arc::make_mut`) — so pointer equality means "the same
+    /// environment, unedited".
+    env: Weak<ProgramEnv>,
+    /// The store's index availability and epoch the key was computed for.
+    index: (bool, u64),
+    /// The parsed, normalized program.
+    pub(crate) program: CoreProgram,
+    /// [`Facts::snapshot_read`](crate::Facts::snapshot_read) of the program
+    /// under `env`: the server's routing.
+    pub(crate) read: bool,
+    /// The plan-cache key under `env` and `index`; `None` when `env`
+    /// interprets (`set_compile(false)`).
+    key: Option<(u64, u64)>,
+}
+
+impl Prepared {
+    /// An entry for `program` as prepared under `env` against `store`.
+    pub(crate) fn new(
+        env: &Arc<ProgramEnv>,
+        store: &Store,
+        program: CoreProgram,
+        read: bool,
+        key: Option<(u64, u64)>,
+    ) -> Prepared {
+        Prepared {
+            env: Arc::downgrade(env),
+            index: index_state(store),
+            program,
+            read,
+            key,
+        }
+    }
+
+    /// Was this made under `env` for a store in `store`'s index state?
+    /// Then its program, verdict and key are what preparing the text
+    /// afresh would give.
+    pub(crate) fn holds_for(&self, env: &Arc<ProgramEnv>, store: &Store) -> bool {
+        std::ptr::eq(self.env.as_ptr(), Arc::as_ptr(env)) && self.index == index_state(store)
+    }
+
+    /// The plan-cache key, if this entry holds for `env` and `store` and
+    /// was keyed (a run there would compute the same one).
+    pub(crate) fn key_for(&self, env: &Arc<ProgramEnv>, store: &Store) -> Option<(u64, u64)> {
+        self.key.filter(|_| self.holds_for(env, store))
+    }
+}
+
+/// What of a store a plan key depends on: index availability and epoch.
+fn index_state(store: &Store) -> (bool, u64) {
+    (store.index_enabled(), store.index_epoch())
+}
+
+/// The plan cache: thread-safe, with two keys. Plans are keyed by
+/// fingerprint; in front of them, [`Prepared`] requests are keyed by
+/// query text, so a text seen before skips parsing, classification and
+/// the fingerprint, and reaches its plan through the prepared key. Every
+/// engine holds one cache — its own until
+/// [`Engine::set_shared_plan_cache`](crate::Engine::set_shared_plan_cache)
 /// installs another — and every fork of an engine holds its parent's, so
 /// on a server the write path and each concurrent snapshot reader consult
-/// the same map and a query planned by one session is a cache hit for
-/// every other. Plans are immutable (`Arc<PlannedProgram>`,
-/// `Send + Sync`), so sharing them across threads is free of locking
-/// beyond the map probe itself.
+/// the same maps and a query prepared and planned by one session is a hit
+/// for every other. Entries are immutable (`Arc`, `Send + Sync`), so
+/// sharing them across threads is free of locking beyond the map probe
+/// itself.
 #[derive(Default)]
 pub struct SharedPlanCache {
-    plans: std::sync::Mutex<std::collections::HashMap<(u64, u64), Arc<PlannedProgram>>>,
+    plans: Mutex<HashMap<(u64, u64), Arc<PlannedProgram>>>,
+    texts: Mutex<HashMap<Box<str>, Arc<Prepared>>>,
     hits: std::sync::atomic::AtomicU64,
     misses: std::sync::atomic::AtomicU64,
 }
@@ -111,6 +184,39 @@ impl SharedPlanCache {
         plans.entry(key).or_insert(plan);
     }
 
+    /// The entry prepared for `text`, if it holds for `env` and `store`.
+    /// Counts nothing: the plan lookup a run makes with the entry's key
+    /// is the one [`SharedPlanCache::get`] counts, as without the entry.
+    pub(crate) fn prepared(
+        &self,
+        text: &str,
+        env: &Arc<ProgramEnv>,
+        store: &Store,
+    ) -> Option<Arc<Prepared>> {
+        let texts = self.texts.lock().unwrap_or_else(|e| e.into_inner());
+        texts
+            .get(text)
+            .filter(|entry| entry.holds_for(env, store))
+            .cloned()
+    }
+
+    /// The entry kept for `text`, whether or not it still holds.
+    #[cfg(test)]
+    pub(crate) fn text_entry(&self, text: &str) -> Option<Arc<Prepared>> {
+        let texts = self.texts.lock().unwrap_or_else(|e| e.into_inner());
+        texts.get(text).cloned()
+    }
+
+    /// Keep `entry` for `text`, replacing a stale one; the same capacity
+    /// rule as the plans.
+    pub(crate) fn insert_prepared(&self, text: &str, entry: Arc<Prepared>) {
+        let mut texts = self.texts.lock().unwrap_or_else(|e| e.into_inner());
+        if texts.len() >= SHARED_PLAN_CACHE_CAP {
+            texts.clear();
+        }
+        texts.insert(text.into(), entry);
+    }
+
     /// `(hits, misses)` since construction.
     pub fn stats(&self) -> (u64, u64) {
         use std::sync::atomic::Ordering;
@@ -120,7 +226,7 @@ impl SharedPlanCache {
         )
     }
 
-    /// Number of cached plans.
+    /// Number of cached plans (prepared texts not included).
     pub fn len(&self) -> usize {
         self.plans.lock().unwrap_or_else(|e| e.into_inner()).len()
     }

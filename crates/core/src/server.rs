@@ -23,9 +23,9 @@
 //!   requests is rejected with `XQB0051` (backpressure — the client
 //!   retries, the server never queues unboundedly).
 //!
-//! Sessions share one fingerprint-keyed [`SharedPlanCache`] — installed in
-//! the hosted engine, inherited by every snapshot and fork of it — so a
-//! query planned by any session is a plan-cache hit for every other. They
+//! Sessions share one [`SharedPlanCache`] — installed in the hosted
+//! engine, inherited by every snapshot and fork of it — so a query text
+//! prepared and planned by any session is a hit for every other. They
 //! also share the engine's one [`ProgramEnv`](crate::env::ProgramEnv) —
 //! the server has no resource policy of its own: a request is parsed and a
 //! fork runs under the hosted engine's limits, slow-query threshold and
@@ -36,7 +36,7 @@
 
 use crate::engine::{Engine, EngineSnapshot, Error};
 use crate::obs::{self, CounterId, GaugeId, HistogramId};
-use crate::planner::SharedPlanCache;
+use crate::planner::{Prepared, SharedPlanCache};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
@@ -413,7 +413,8 @@ impl Session {
         self.id
     }
 
-    /// Parse, route, and run one query.
+    /// Prepare, route, and run one query: for a read, text → pin →
+    /// prepared entry → fork → run → serialize.
     ///
     /// Routing: a query whose body and prolog initializers provably
     /// request no update — node construction included, allocation alone
@@ -425,24 +426,25 @@ impl Session {
     pub fn execute(&self, query: &str) -> Result<Response, Error> {
         let inner = &self.inner;
         let _slot = InflightSlot::admit(inner)?;
-        // Parse and classify against the latest snapshot's environment —
-        // its nesting limit, its module functions — with no engine lock.
+        // Prepare against the latest snapshot's environment — its nesting
+        // limit, its module functions — with no engine lock: a text seen
+        // under that environment before is not parsed or classified again.
         // A commit between classification and execution is harmless: the
         // facts depend only on the function bodies, and module
         // registration goes through `with_engine` (the writer).
         let pin = inner.pin();
-        let program = pin.compile(query)?;
-        if pin.facts(&program).snapshot_read() {
-            return self.execute_read(&pin, &program);
+        let prepared = pin.prepare(query)?;
+        if prepared.read {
+            return self.execute_read(&pin, &prepared);
         }
         drop(pin);
-        self.execute_write(query, &program)
+        self.execute_write(query, &prepared)
     }
 
-    fn execute_read(&self, pin: &Pin<'_>, program: &xqsyn::CoreProgram) -> Result<Response, Error> {
+    fn execute_read(&self, pin: &Pin<'_>, prepared: &Prepared) -> Result<Response, Error> {
         let mut reader = pin.reader();
         let started = Instant::now();
-        let result = reader.run_program(program);
+        let result = reader.run_prepared(prepared);
         timing(HistogramId::ServerReadNs, started);
         count(CounterId::ServerReads);
         match result {
@@ -465,13 +467,15 @@ impl Session {
     /// publish the post-run state and log the commit before the mutex
     /// drops, so the commit log's order is the epoch order. An errored run
     /// publishes too: it keeps its closed snaps, so readers must see them.
-    fn execute_write(&self, query: &str, program: &xqsyn::CoreProgram) -> Result<Response, Error> {
+    /// The prepared entry's plan key serves when the live engine's
+    /// environment is the one it was prepared under.
+    fn execute_write(&self, query: &str, prepared: &Prepared) -> Result<Response, Error> {
         let inner = &self.inner;
         let started = Instant::now();
         count(CounterId::ServerWrites);
         let mut engine = inner.engine.lock().unwrap_or_else(|e| e.into_inner());
         let outcome = engine
-            .run_program(program)
+            .run_prepared(prepared)
             .and_then(|value| engine.serialize(&value));
         let epoch = inner.publish(engine.snapshot_state());
         let mut commits = inner.commits.lock().unwrap_or_else(|e| e.into_inner());
@@ -937,6 +941,161 @@ mod tests {
             other => panic!("expected a parse-depth trip, got {other:?}"),
         }
         assert_eq!(server.stats().snapshot_pins, 0);
+    }
+
+    // -----------------------------------------------------------------
+    // Prepared requests (DESIGN.md §15)
+    // -----------------------------------------------------------------
+
+    /// The entry the server's cache keeps for `query`.
+    fn entry(server: &Server, query: &str) -> Arc<Prepared> {
+        server
+            .plan_cache()
+            .text_entry(query)
+            .expect("a prepared entry")
+    }
+
+    #[test]
+    fn a_repeated_text_reuses_its_prepared_entry() {
+        let server = server_with_doc();
+        let s = server.open_session().unwrap();
+        const READ: &str = "count($doc/log/*)";
+        s.execute(READ).unwrap();
+        let first = entry(&server, READ);
+        let (hits, misses) = server.plan_cache().stats();
+        s.execute(READ).unwrap();
+        // No parse: the same entry served; its key found the plan, and
+        // that lookup is the one hit counted.
+        assert!(Arc::ptr_eq(&first, &entry(&server, READ)));
+        assert_eq!(server.plan_cache().stats(), (hits + 1, misses));
+        // A write reuses its entry too, and a commit (no environment
+        // edit) leaves the read's entry standing.
+        const WRITE: &str = "insert { <e/> } into { $doc/log }";
+        s.execute(WRITE).unwrap();
+        let write = entry(&server, WRITE);
+        assert_eq!(s.execute(WRITE).unwrap().kind, RequestKind::Write);
+        assert!(Arc::ptr_eq(&write, &entry(&server, WRITE)));
+        assert_eq!(s.execute(READ).unwrap().body, "2");
+        assert!(Arc::ptr_eq(&first, &entry(&server, READ)));
+    }
+
+    #[test]
+    fn a_text_that_fails_to_parse_is_not_kept() {
+        let server = server_with_doc();
+        let s = server.open_session().unwrap();
+        for _ in 0..2 {
+            assert!(matches!(s.execute("for $x in"), Err(Error::Parse(_))));
+        }
+        assert!(server.plan_cache().text_entry("for $x in").is_none());
+    }
+
+    #[test]
+    fn a_tightened_nesting_limit_reaches_a_prepared_text() {
+        let server = server_with_doc();
+        let s = server.open_session().unwrap();
+        const DEEP: &str = "((((((((((1))))))))))";
+        assert_eq!(s.execute(DEEP).unwrap().body, "1");
+        server.with_engine(|e| {
+            e.set_limits(crate::Limits {
+                max_parse_depth: 8,
+                ..crate::Limits::default()
+            })
+        });
+        match s.execute(DEEP) {
+            Err(Error::Parse(e)) => assert!(e.message.contains("XQB0040"), "{e}"),
+            other => panic!("the cached text must be parsed under the new limit: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_index_toggle_re_prepares_the_text() {
+        let server = server_with_doc();
+        let s = server.open_session().unwrap();
+        const SCAN: &str = "$doc/log/e";
+        // What the live engine, planning through the shared cache and
+        // its text tier, runs for `SCAN`.
+        let plan = || {
+            server.with_engine(|e| {
+                e.run(SCAN).unwrap();
+                e.last_run().unwrap().plan.as_ref().unwrap().explain()
+            })
+        };
+        s.execute(SCAN).unwrap();
+        let indexed = entry(&server, SCAN);
+        assert!(plan().contains(",idx"));
+        server.with_engine(|e| e.set_indexing(false));
+        let (_, misses) = server.plan_cache().stats();
+        s.execute(SCAN).unwrap();
+        assert!(!Arc::ptr_eq(&indexed, &entry(&server, SCAN)));
+        assert_eq!(server.plan_cache().stats().1, misses + 1, "re-planned");
+        assert!(!plan().contains(",idx"), "no stale ,idx plan");
+    }
+
+    #[test]
+    fn a_redeclared_module_function_reroutes_a_prepared_read() {
+        let server = server_with_doc();
+        server
+            .with_engine(|e| e.load_module("declare function f() { count($doc/log/*) };"))
+            .unwrap();
+        let s = server.open_session().unwrap();
+        assert_eq!(s.execute("f()").unwrap().kind, RequestKind::Read);
+        let first = entry(&server, "f()");
+        // A module load edits the environment, so the entry no longer
+        // holds. The first declaration of `f#0` wins (DESIGN.md §19), so
+        // `f()` is still the read it was.
+        server
+            .with_engine(|e| {
+                e.load_module("declare function f() { insert { <e/> } into { $doc/log } };")
+            })
+            .unwrap();
+        assert_eq!(s.execute("f()").unwrap().kind, RequestKind::Read);
+        assert!(!Arc::ptr_eq(&first, &entry(&server, "f()")));
+        // The same text under an engine whose `f` updates: a write.
+        server.with_engine(|e| {
+            let mut fresh = Engine::new();
+            fresh.load_document("doc", "<log/>").unwrap();
+            fresh
+                .load_module("declare function f() { insert { <e/> } into { $doc/log } };")
+                .unwrap();
+            fresh.set_shared_plan_cache(server.plan_cache().clone());
+            *e = fresh;
+        });
+        assert_eq!(s.execute("f()").unwrap().kind, RequestKind::Write);
+        assert_eq!(s.execute("count($doc/log/e)").unwrap().body, "1");
+    }
+
+    #[test]
+    fn a_fork_keeps_its_new_names_to_itself() {
+        let server = server_with_doc();
+        let s = server.open_session().unwrap();
+        let before = server.fingerprint();
+        let r = s.execute("<brand-new/>").unwrap();
+        assert_eq!(
+            (r.kind, r.body.as_str()),
+            (RequestKind::Read, "<brand-new/>")
+        );
+        let unknown = |store: &xqdm::Store| store.symbols().lookup("brand-new").is_none();
+        assert!(unknown(server.inner.pin().store()), "published snapshot");
+        assert!(
+            unknown(&server.inner.engine.lock().unwrap().store),
+            "writer"
+        );
+        assert_eq!(server.fingerprint(), before);
+        // A write interning the name gets an id of its own, and the store
+        // hashes as one that never saw the fork.
+        s.execute("insert { <brand-new/> } into { $doc/log }")
+            .unwrap();
+        let engine = server.inner.engine.lock().unwrap();
+        let id = engine.store.symbols().lookup("brand-new").unwrap();
+        assert_eq!(engine.store.symbols().resolve(id), "brand-new");
+        drop(engine);
+        let mut alone = Engine::new();
+        alone.load_document("doc", "<log/>").unwrap();
+        alone
+            .run("insert { <brand-new/> } into { $doc/log }")
+            .unwrap();
+        assert_eq!(server.fingerprint(), alone.store.fingerprint());
+        assert_eq!(s.execute("count($doc/log/brand-new)").unwrap().body, "1");
     }
 
     // -----------------------------------------------------------------

@@ -1,8 +1,8 @@
 //! On a server every read runs on a fork of a pinned snapshot, and a
 //! fork inherits its engine's environment: with a slow-query threshold and
 //! a trace sink installed before the server is built, snapshot reads are
-//! logged and traced like writes on the live engine, and both plan into
-//! one cache. The slow-query
+//! logged and traced like writes on the live engine, and both prepare
+//! and plan into one cache. The slow-query
 //! ring lives in the process-global registry (`xqcore::obs::global`), so
 //! this is the only test in its binary.
 
@@ -65,5 +65,10 @@ fn forked_runs_are_logged_and_traced() {
         .filter(|e| e.begin && e.name == "plan")
         .count();
     assert_eq!(plans, 3, "a plan span per cache miss");
+    let parses = events
+        .iter()
+        .filter(|e| e.begin && e.name == "parse")
+        .count();
+    assert_eq!(parses, 3, "a parse span per text not prepared before");
     let _ = std::fs::remove_file(&trace_path);
 }

@@ -355,7 +355,7 @@ impl Store {
         }
         let mut store = Store::new();
         store.slots = Slots::from_parts(nodes, free);
-        store.symbols = symbols;
+        store.symbols = std::sync::Arc::new(symbols);
         if store.fingerprint() != fingerprint {
             return Err(corrupt("fingerprint mismatch"));
         }

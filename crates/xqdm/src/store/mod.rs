@@ -38,6 +38,7 @@ use crate::symbols::Symbols;
 use crate::wal::Wal;
 use journal::Journal;
 use slots::Slots;
+use std::sync::Arc;
 
 /// Where an insertion lands among a parent's children (paper §3.1's
 /// `as first into` / `as last into` / `into` / `after` / `before` forms are
@@ -78,12 +79,15 @@ pub struct Store {
     wal: Option<Box<Wal>>,
     /// Interned names: node slots hold [`crate::QNameId`]s and
     /// [`crate::SymbolId`]s into this append-only table (DESIGN.md §14).
-    symbols: Symbols,
+    /// Shared with every snapshot and clone of this store; interning
+    /// copies it only for a name it has never held (`Store::intern_qname`).
+    symbols: Arc<Symbols>,
 }
 
 impl Clone for Store {
-    /// A cloned store is an in-memory fork: node slots, free list,
-    /// journal state and the symbol table are copied, but the redo log
+    /// A cloned store is an in-memory fork: node slots, free list and
+    /// journal state are copied, the symbol table is shared until either
+    /// side interns a new name, and the redo log
     /// stays with the original (two writers on one log would interleave
     /// histories).
     fn clone(&self) -> Self {
@@ -135,6 +139,10 @@ impl Store {
     /// later mutations of either side copy only the pages they touch.
     /// Node ids remain valid across the fork, so bindings and values
     /// taken against the live store resolve identically in the snapshot.
+    ///
+    /// The symbol table is shared by reference count, not copied: a fork
+    /// that constructs a name the store has never held copies the table
+    /// then, and only in its own store.
     ///
     /// The snapshot is a plain in-memory [`Store`]: no redo log (the log
     /// stays with the writer), no undo journal, clean frame state. The

@@ -17,6 +17,7 @@ use crate::qname::QName;
 use crate::symbols::QNameId;
 use crate::wal::RedoOp;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Gap spacing for freshly (re)numbered sibling order keys.
 const OKEY_STRIDE: u64 = 1 << 32;
@@ -358,7 +359,7 @@ impl Store {
 
     /// Create a new, parentless element node with no content.
     pub fn new_element(&mut self, name: QName) -> NodeId {
-        let name = self.symbols.intern_qname(&name);
+        let name = self.intern_qname(&name);
         self.alloc(NodeKind::Element {
             name,
             attributes: Vec::new(),
@@ -368,7 +369,7 @@ impl Store {
 
     /// Create a new, parentless attribute node.
     pub fn new_attribute(&mut self, name: QName, value: impl Into<String>) -> NodeId {
-        let name = self.symbols.intern_qname(&name);
+        let name = self.intern_qname(&name);
         self.alloc(NodeKind::Attribute {
             name,
             value: value.into(),
@@ -391,7 +392,11 @@ impl Store {
 
     /// Create a new, parentless processing-instruction node.
     pub fn new_pi(&mut self, target: impl Into<String>, content: impl Into<String>) -> NodeId {
-        let target = self.symbols.intern(&target.into());
+        let target = target.into();
+        let target = match self.symbols.lookup(&target) {
+            Some(id) => id,
+            None => Arc::make_mut(&mut self.symbols).intern(&target),
+        };
         self.alloc(NodeKind::Pi {
             target,
             content: content.into(),
@@ -420,9 +425,14 @@ impl Store {
     }
 
     /// Intern `name` into this store's symbol table: the id a
-    /// [`RedoOp::Rename`] against this store carries.
+    /// [`RedoOp::Rename`] against this store carries. A name the table
+    /// already holds is looked up; only a new one copies a table that a
+    /// snapshot still shares.
     pub fn intern_qname(&mut self, name: &QName) -> QNameId {
-        self.symbols.intern_qname(name)
+        match self.symbols.lookup_qname(name) {
+            Some(id) => id,
+            None => Arc::make_mut(&mut self.symbols).intern_qname(name),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -553,7 +563,9 @@ impl Store {
     /// record, failed precondition) leaves the earlier ops applied.
     pub(crate) fn replay<'r>(&mut self, records: impl Iterator<Item = &'r [u8]>) -> XdmResult<()> {
         for payload in records {
-            let op = RedoOp::decode(payload, &mut self.symbols)?;
+            // Recovery replays into a store no snapshot shares yet, so
+            // this borrows the table without copying it.
+            let op = RedoOp::decode(payload, Arc::make_mut(&mut self.symbols))?;
             self.apply(op)?;
         }
         Ok(())

@@ -549,3 +549,26 @@ fn failed_collect_is_atomic() {
     assert!(s.is_alive(b));
     assert_eq!(s.fingerprint(), before);
 }
+
+#[test]
+fn snapshots_share_the_symbol_table_until_a_new_name() {
+    let (s, ..) = sample();
+    let mut fork = s.snapshot();
+    assert!(
+        std::ptr::eq(s.symbols(), fork.symbols()),
+        "a snapshot copies no table"
+    );
+    // A name the table holds is looked up, not interned: still shared.
+    let known = fork.new_element(q("b"));
+    assert!(std::ptr::eq(s.symbols(), fork.symbols()));
+    // A new name copies the fork's table, and only the fork's.
+    let fresh = fork.new_element(q("brand-new"));
+    assert!(!std::ptr::eq(s.symbols(), fork.symbols()));
+    assert_eq!(s.symbols().lookup("brand-new"), None);
+    assert_eq!(fork.name(fresh).unwrap(), Some(q("brand-new")));
+    assert_eq!(fork.name(known).unwrap(), Some(q("b")));
+    // The copy kept every id the original handed out.
+    for name in ["a", "b", "c", "x"] {
+        assert_eq!(fork.symbols().lookup(name), s.symbols().lookup(name));
+    }
+}

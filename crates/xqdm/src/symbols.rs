@@ -5,8 +5,11 @@
 //! [`SymbolId`] (or an 8-byte [`QNameId`]) instead of one or two heap
 //! `String`s, and name tests in the hot path become integer compares.
 //! The table is append-only — symbols are never removed, so ids stay
-//! valid across undo rollback and garbage collection — and it is cloned
-//! along with the store, keeping cloned stores self-contained.
+//! valid across undo rollback and garbage collection. A store holds it
+//! behind an `Arc`: a snapshot or clone shares it, and a store copies it
+//! only when it interns a name the table has never held, so the copy
+//! holds every id the original handed out and cloned stores stay
+//! self-contained.
 //!
 //! Interning is *not* observable state: `Store::fingerprint()`, the WAL
 //! record format and the checkpoint snapshot all serialize lexical

@@ -4,6 +4,10 @@
 //! The read side builds an engine with one document, a module of 20
 //! functions and 8 host bindings, and times `Engine::snapshot_state()` and
 //! `EngineSnapshot::reader()` per call, then a whole request on a fork.
+//! The `point_read` row times `xqbench`'s `point_read` request in process:
+//! `Session::execute` of its 64 texts in turn, on a server over the XMark
+//! document `xqbench` generates, once every text has been prepared and
+//! planned (DESIGN.md §15).
 //! The write side times the §2 logging call on a durable `<log/>` store,
 //! once on an engine alone and once on an engine that holds the snapshot
 //! of its last commit, as a server that publishes every commit does: the
@@ -21,8 +25,9 @@
 
 use std::hint::black_box;
 use std::time::Instant;
+use xquery_bang::xmarkgen::{Scale, XmarkGen};
 use xquery_bang::xqsyn::stack::spawn_deep;
-use xquery_bang::{Engine, SyncMode};
+use xquery_bang::{Engine, ServerConfig, SyncMode};
 
 /// Commits per write-side row.
 const COMMITS: usize = 4_000;
@@ -85,6 +90,27 @@ fn read_side() {
     println!("reader() + run f3(1), plan-cache hit {request_ns:.0} ns");
 }
 
+fn point_read() {
+    let xml = XmarkGen::new(1)
+        .generate_xml(&Scale::factor(0.0314))
+        .unwrap();
+    let mut e = Engine::new();
+    e.load_document("auction", &xml).unwrap();
+    let server = e.into_server(ServerConfig::default());
+    let session = server.open_session().unwrap();
+    let texts: Vec<String> = (0..64)
+        .map(|k| format!("$auction//person[@id = \"person{k}\"]/name"))
+        .collect();
+    for text in &texts {
+        session.execute(text).unwrap();
+    }
+    let mut next = texts.iter().cycle();
+    let request_ns = per_call_ns(10_000, || {
+        black_box(session.execute(next.next().unwrap()).unwrap());
+    });
+    println!("point_read Session::execute, text seen before {request_ns:.0} ns");
+}
+
 /// Median microseconds of one logging commit on a fresh durable store,
 /// over [`COMMITS`] commits. With `hold_snapshot` the engine publishes a
 /// snapshot after every commit and keeps it until the next one.
@@ -130,6 +156,7 @@ fn write_side() {
 fn main() {
     spawn_deep("env_probe", || {
         read_side();
+        point_read();
         write_side();
     })
     .expect("spawn the probe thread")
