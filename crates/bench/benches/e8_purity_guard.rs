@@ -28,7 +28,9 @@ fn iterate_leaves<'p>(plan: &'p QueryPlan, out: &mut Vec<&'p Core>) {
             panic!("snap insert admitted a join rewrite:\n{}", plan.render())
         }
         QueryPlan::BatchPath(_) => {}
-        QueryPlan::Seq(items) => items.iter().for_each(|p| iterate_leaves(p, out)),
+        QueryPlan::Seq(items) | QueryPlan::Call { args: items, .. } => {
+            items.iter().for_each(|p| iterate_leaves(p, out))
+        }
         QueryPlan::Let { value, body, .. }
         | QueryPlan::For {
             source: value,

@@ -23,7 +23,8 @@
 
 use crate::alg::plan::{BatchFilter, BatchPathPlan, BatchStep, GroupByPlan, JoinPlan, QueryPlan};
 use crate::alg::rewrite::{chain_from, is_path};
-use crate::eval::descendant_fusion;
+use crate::eval::{descendant_fusion, position_blind};
+use crate::functions::{self, Kind};
 use crate::{Effect, EffectAnalysis};
 use xqdm::atomic::{Atomic, CompareOp};
 use xqsyn::ast::{Axis, NodeTest};
@@ -147,6 +148,19 @@ impl Compiler {
                     return QueryPlan::Snap {
                         mode: *mode,
                         body: Box::new(body_plan),
+                    };
+                }
+            }
+            // A built-in that only reads: its arguments are independent
+            // subplans, evaluated left to right as the call rule does.
+            Core::Call(name, args)
+                if functions::builtin(name, args.len()).is_some_and(|f| f.kind == Kind::Read) =>
+            {
+                let plans: Vec<QueryPlan> = args.iter().map(|a| self.compile(a)).collect();
+                if plans.iter().any(QueryPlan::is_specialized) {
+                    return QueryPlan::Call {
+                        name: name.clone(),
+                        args: plans,
                     };
                 }
             }
@@ -361,7 +375,7 @@ fn key_steps(key: &Core, var: &str) -> Option<Vec<BatchStep>> {
 
 /// Recognize a path-step chain whose every step has a store kernel
 /// (child / descendant / descendant-or-self / attribute axis) and whose
-/// predicates are all pure existence paths. Returns the lowered plan, or
+/// predicates are all position-blind (see [`batch_filter`]). Returns the lowered plan, or
 /// `None` to stay on the interpreted path. The chain's base can be any
 /// expression (it is evaluated once either way); an unsupported step
 /// simply becomes part of the base.
@@ -381,8 +395,8 @@ fn try_batch_path(core: &Core, index_available: bool) -> Option<BatchPathPlan> {
         predicates,
     } = cur
     {
-        // A non-batchable predicate (positional, general comparison over
-        // non-literals, call): this and everything below it stays
+        // A predicate that can see positions (a number, `position()`,
+        // `last()`) or has an effect: this and everything below it stays
         // interpreted as the chain's input.
         let Some(filters) = predicates.iter().map(batch_filter).collect() else {
             break;
@@ -432,12 +446,17 @@ fn step_idx_eligible(step: &BatchStep) -> bool {
 }
 
 /// Recognize one admissible predicate: a value filter first (the more
-/// specific shape), an existence path otherwise.
+/// specific shape), an existence path next, and any other predicate the
+/// `//` fusion admits — one no candidate's position can change — as a
+/// per-candidate [`BatchFilter::Pred`].
 fn batch_filter(pred: &Core) -> Option<BatchFilter> {
     if let Some(f) = attr_eq_filter(pred) {
         return Some(f);
     }
-    existence_chain(pred).map(BatchFilter::Exists)
+    if let Some(chain) = existence_chain(pred) {
+        return Some(BatchFilter::Exists(chain));
+    }
+    position_blind(pred).then(|| BatchFilter::Pred(pred.clone()))
 }
 
 /// A predicate admissible as a batch existence filter: a pure step chain
@@ -756,14 +775,28 @@ mod tests {
                 }]
             );
         }
-        // `@id = @ref` names no literal: not a value filter, and not an
-        // existence path either — the predicated step stays interpreted.
+        // `@id = @ref` names no literal: not a value filter but a
+        // per-candidate predicate, which never makes a step index-eligible
+        // (over a wildcard test only a value filter could).
         let plan = plan_for("$auction//person[@id = @ref]");
+        let QueryPlan::BatchPath(bp) = &plan else {
+            panic!("expected batch path, got {plan:?}");
+        };
         assert!(
-            !matches!(&plan, QueryPlan::BatchPath(bp) if !bp.steps.is_empty()
-                && !bp.steps[0].filters.is_empty()),
-            "non-literal comparison must not lower to a filter: {plan:?}"
+            matches!(bp.steps[0].filters.as_slice(), [BatchFilter::Pred(_)]),
+            "non-literal comparison must not become a value filter: {plan:?}"
         );
+        for (q, idx) in [
+            ("$auction//*[@id = @ref]", false),
+            (r#"$auction//*[@id = "person0"]"#, true),
+        ] {
+            let prog = xq_compile(q).expect("parse");
+            let plan = Compiler::new(&prog).with_index(true).compile(&prog.body);
+            let QueryPlan::BatchPath(bp) = &plan else {
+                panic!("expected batch path for {q}, got {plan:?}");
+            };
+            assert_eq!(bp.idx, idx, "{q}");
+        }
     }
 
     #[test]
@@ -867,8 +900,8 @@ mod tests {
                  count($auction//closed_auction[seller/@person = $p/@id]))",
     ];
 
-    /// Occurrences the guards refuse: each stays a predicate in an
-    /// `Iterate` leaf of the loop.
+    /// Occurrences the guards refuse: each stays a predicate evaluated
+    /// inside the loop's body, once per `$p`.
     const REFUSED: &[&str] = &[
         // Positional: the last predicate is a position test.
         "for $p in $auction//person
@@ -912,11 +945,15 @@ mod tests {
         for q in REFUSED {
             let plan = simplified_plan(q);
             let rendered = plan.render();
+            // Never a join, anywhere in the plan.
             assert!(!plan.is_optimized(), "{q}:\n{rendered}");
+            // The predicate runs in the body of the loop over `$p`.
+            let QueryPlan::For { var, body, .. } = &plan else {
+                panic!("expected the loop over $p:\n{rendered}");
+            };
+            assert_eq!(var, "p", "{q}:\n{rendered}");
             assert!(
-                rendered
-                    .lines()
-                    .any(|l| l.contains("Iterate") && l.contains("closed_auction[")),
+                body.render().contains("closed_auction["),
                 "{q}:\n{rendered}"
             );
         }

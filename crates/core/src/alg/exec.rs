@@ -22,7 +22,9 @@
 //!   side has an item, as the nested loop evaluates its `where`.
 
 use crate::alg::plan::{BatchFilter, BatchPathPlan, BatchStep, GroupByPlan, JoinPlan, QueryPlan};
+use crate::env::Focus;
 use crate::eval::resolve_test;
+use crate::functions;
 use crate::{DynEnv, Evaluator};
 use std::collections::{HashMap, HashSet};
 use xqdm::item::{self, Item, Sequence};
@@ -177,6 +179,24 @@ fn run_node(
                 }
             }
         }
+        QueryPlan::Call { name, args } => {
+            // The plan twin of the `Core::Call` rule for a built-in:
+            // arguments left to right, the first error wins, then the
+            // row's own body through the rule's dispatch.
+            let f = functions::builtin(name, args.len())
+                .ok_or_else(|| functions::unresolved(name, args.len()))?;
+            let mut values = Vec::with_capacity(args.len());
+            let mut child = base + 1;
+            let mut rows = 0;
+            for p in args {
+                let v = execute_at(p, child, evaluator, store, env)?;
+                rows += v.len() as u64;
+                values.push(v);
+                child += p.node_count();
+            }
+            evaluator.note_input(rows);
+            evaluator.call_builtin(f, values, store, env)
+        }
     }
 }
 
@@ -197,16 +217,29 @@ fn exec_batch_path(
     if note_input {
         evaluator.note_input(origins.len() as u64);
     }
-    // Same type error (and message) `Core::MapStep` raises per origin.
-    let mut cur: Vec<NodeId> = origins
-        .iter()
-        .map(|it| {
-            it.as_node()
-                .ok_or_else(|| XdmError::type_error("expected a node, got an atomic value"))
-        })
-        .collect::<XdmResult<_>>()?;
+    let mut cur: Vec<NodeId> = Vec::with_capacity(origins.len());
     let mut next: Vec<NodeId> = Vec::new();
-    run_batch_steps(&bp.steps, bp.idx, evaluator, store, &mut cur, &mut next)?;
+    for it in &origins {
+        let Some(n) = it.as_node() else {
+            // `Core::MapStep` raises this type error (and message) at the
+            // first atomic origin, having filtered the first step from
+            // every origin before it: a predicate error there comes first.
+            run_batch_steps(
+                &bp.steps[..1],
+                false,
+                evaluator,
+                store,
+                env,
+                &mut cur,
+                &mut next,
+            )?;
+            return Err(XdmError::type_error("expected a node, got an atomic value"));
+        };
+        cur.push(n);
+    }
+    run_batch_steps(
+        &bp.steps, bp.idx, evaluator, store, env, &mut cur, &mut next,
+    )?;
     Ok(cur.into_iter().map(Item::Node).collect())
 }
 
@@ -216,17 +249,49 @@ fn exec_batch_path(
 /// indexes available), each step weighs its index bucket against the
 /// kernel walk from `cur` (see [`index_bucket`]); the runtime gates there
 /// keep a stale `,idx` plan correct.
+///
+/// A step with a [`BatchFilter::Pred`] filter evaluates it in the
+/// interpreter's order, so that the first error raised is the
+/// interpreter's: from several origins it runs origin by origin, every
+/// filter over one origin's candidates before the next origin's; from
+/// one origin it puts an index bucket in document order first.
 fn run_batch_steps(
     steps: &[BatchStep],
     allow_idx: bool,
     evaluator: &mut Evaluator,
-    store: &Store,
+    store: &mut Store,
+    env: &mut DynEnv,
     cur: &mut Vec<NodeId>,
     next: &mut Vec<NodeId>,
 ) -> XdmResult<()> {
     for step in steps {
         next.clear();
         let test = resolve_test(store, &step.test);
+        let ordered = step
+            .filters
+            .iter()
+            .any(|f| matches!(f, BatchFilter::Pred(_)));
+        if ordered && cur.len() > 1 {
+            let mut one = Vec::new();
+            for &origin in cur.iter() {
+                one.clear();
+                kernel_step(
+                    step.axis,
+                    test,
+                    usize::MAX,
+                    evaluator,
+                    store,
+                    &[origin],
+                    &mut one,
+                )?;
+                evaluator.note_batch(one.len() as u64);
+                apply_filters(&step.filters, evaluator, store, env, &mut one)?;
+                next.extend_from_slice(&one);
+            }
+            store.sort_and_dedup_with(next, evaluator.scratch_mut())?;
+            std::mem::swap(cur, next);
+            continue;
+        }
         let used_idx = match allow_idx.then(|| index_bucket(step, test, store)).flatten() {
             None => {
                 kernel_step(step.axis, test, usize::MAX, evaluator, store, cur, next)?;
@@ -251,17 +316,14 @@ fn run_batch_steps(
         // normalization sort can be skipped. (With several origins,
         // nesting lets outputs interleave or repeat, so we must sort.
         // Index buckets hash in arbitrary order: always sort.)
-        let sorted = !used_idx && cur.len() <= 1;
-        for filter in &step.filters {
-            let mut keep = 0;
-            for i in 0..next.len() {
-                if filter_keeps(filter, evaluator, store, next[i])? {
-                    next[keep] = next[i];
-                    keep += 1;
-                }
-            }
-            next.truncate(keep);
+        let mut sorted = !used_idx && cur.len() <= 1;
+        if used_idx && ordered {
+            // From its one origin the interpreter meets the step's
+            // candidates in document order; so must a `Pred`.
+            store.sort_and_dedup_with(next, evaluator.scratch_mut())?;
+            sorted = true;
         }
+        apply_filters(&step.filters, evaluator, store, env, next)?;
         if used_idx {
             evaluator.note_idx(next.len() as u64);
         } else {
@@ -275,6 +337,28 @@ fn run_batch_steps(
     Ok(())
 }
 
+/// Keep the candidates that pass every filter, applying the filters in
+/// predicate order, each over the survivors of the one before.
+fn apply_filters(
+    filters: &[BatchFilter],
+    evaluator: &mut Evaluator,
+    store: &mut Store,
+    env: &mut DynEnv,
+    candidates: &mut Vec<NodeId>,
+) -> XdmResult<()> {
+    for filter in filters {
+        let mut keep = 0;
+        for i in 0..candidates.len() {
+            if filter_keeps(filter, evaluator, store, env, candidates[i])? {
+                candidates[keep] = candidates[i];
+                keep += 1;
+            }
+        }
+        candidates.truncate(keep);
+    }
+    Ok(())
+}
+
 /// Apply one step predicate to one candidate node. Re-checking an
 /// [`BatchFilter::AttrEq`] that already drove an index scan is
 /// idempotent — a deliberate simplification over tracking which filter
@@ -282,12 +366,26 @@ fn run_batch_steps(
 fn filter_keeps(
     filter: &BatchFilter,
     evaluator: &mut Evaluator,
-    store: &Store,
+    store: &mut Store,
+    env: &mut DynEnv,
     candidate: NodeId,
 ) -> XdmResult<bool> {
     match filter {
-        BatchFilter::Exists(chain) => exists_chain(chain, evaluator, store, candidate),
+        BatchFilter::Exists(chain) => exists_chain(chain, evaluator, store, env, candidate),
         BatchFilter::AttrEq { name, value } => attr_eq(store, candidate, name, value),
+        BatchFilter::Pred(pred) => {
+            // The predicate reads neither position nor size (the guard
+            // admits no `position()`, `last()` or number), so the focus
+            // only needs its item.
+            env.push_focus(Focus {
+                item: Item::Node(candidate),
+                position: 1,
+                size: 1,
+            });
+            let v = evaluator.eval(store, env, pred);
+            env.pop_focus();
+            item::effective_boolean(&v?, store)
+        }
     }
 }
 
@@ -312,12 +410,13 @@ fn attr_eq(store: &Store, element: NodeId, name: &str, value: &str) -> XdmResult
 fn exists_chain(
     chain: &[BatchStep],
     evaluator: &mut Evaluator,
-    store: &Store,
+    store: &mut Store,
+    env: &mut DynEnv,
     origin: NodeId,
 ) -> XdmResult<bool> {
     let mut cur = vec![origin];
     let mut next = Vec::new();
-    run_batch_steps(chain, false, evaluator, store, &mut cur, &mut next)?;
+    run_batch_steps(chain, false, evaluator, store, env, &mut cur, &mut next)?;
     Ok(!cur.is_empty())
 }
 
@@ -705,7 +804,7 @@ fn eval_key(
     if let (Some(steps), Item::Node(n)) = (batch, item) {
         let mut cur = vec![*n];
         let mut next = Vec::new();
-        run_batch_steps(steps, false, evaluator, store, &mut cur, &mut next)?;
+        run_batch_steps(steps, false, evaluator, store, env, &mut cur, &mut next)?;
         return cur.into_iter().map(|n| store.string_value(n)).collect();
     }
     env.push_var(var.to_string(), seq![item.clone()]);

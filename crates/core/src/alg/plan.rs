@@ -14,6 +14,10 @@
 //!   branches — the paper's point that the effect-free interior of an
 //!   innermost snap is where classical optimization is recovered.
 //!
+//! A built-in call whose arguments specialized is a [`QueryPlan::Call`]
+//! over their plans, so an aggregate over a path runs on the batch
+//! kernels instead of one interpreted leaf.
+//!
 //! Anything the rewrites cannot prove safe stays [`QueryPlan::Iterate`]
 //! (the naive nested-loop evaluation of the core expression) — that is
 //! exactly the paper's guard story: the preconditions, not the rewrite,
@@ -86,6 +90,16 @@ pub enum QueryPlan {
     /// symbol ids, then doc-order sorts and dedups — observably identical
     /// to step-at-a-time interpretation of the same chain.
     BatchPath(BatchPathPlan),
+    /// A call of a [`Kind::Read`](crate::functions::Kind::Read) built-in
+    /// whose arguments are plans: they execute left to right, then the
+    /// built-in runs over their values through the call rule's own
+    /// dispatch — the plan mirror of `Core::Call` (DESIGN.md §8).
+    Call {
+        /// The function name as written (`sum`, `fn:sum`).
+        name: String,
+        /// One plan per argument, in order.
+        args: Vec<QueryPlan>,
+    },
 }
 
 /// The batch lowering of a path-step chain.
@@ -141,6 +155,13 @@ pub enum BatchFilter {
         /// The literal value compared against.
         value: String,
     },
+    /// Any other predicate the interpreter's `//` fusion admits
+    /// (`eval::position_blind`): never a number, no `position()` /
+    /// `last()`, only [`Kind::Read`](crate::functions::Kind::Read) calls.
+    /// The evaluator runs it once per candidate with the candidate as its
+    /// focus, and its effective boolean value decides; it never drives an
+    /// index scan.
+    Pred(Core),
 }
 
 /// The join core shared by both optimized shapes.
@@ -213,6 +234,7 @@ impl QueryPlan {
                 cond.is_optimized() || then.is_optimized() || els.is_optimized()
             }
             QueryPlan::Snap { body, .. } => body.is_optimized(),
+            QueryPlan::Call { args, .. } => args.iter().any(QueryPlan::is_optimized),
         }
     }
 
@@ -231,6 +253,7 @@ impl QueryPlan {
                 cond.is_batched() || then.is_batched() || els.is_batched()
             }
             QueryPlan::Snap { body, .. } => body.is_batched(),
+            QueryPlan::Call { args, .. } => args.iter().any(QueryPlan::is_batched),
         }
     }
 
@@ -248,7 +271,9 @@ impl QueryPlan {
             | QueryPlan::BatchPath(_)
             | QueryPlan::HashJoin(_)
             | QueryPlan::OuterJoinGroupBy(_) => 0,
-            QueryPlan::Seq(items) => items.iter().map(QueryPlan::node_count).sum(),
+            QueryPlan::Seq(items) | QueryPlan::Call { args: items, .. } => {
+                items.iter().map(QueryPlan::node_count).sum()
+            }
             QueryPlan::Let { value, body, .. } => value.node_count() + body.node_count(),
             QueryPlan::For { source, body, .. } => source.node_count() + body.node_count(),
             QueryPlan::If { cond, then, els } => {
@@ -363,15 +388,14 @@ impl QueryPlan {
                 okey = strip_var(&g.join.outer_key, &g.join.outer_var),
                 okb = mark(g.join.outer_key_steps.is_some()),
             ),
-            QueryPlan::Seq(items) => {
-                let mut child = base + 1;
-                let mut parts: Vec<String> = Vec::with_capacity(items.len());
-                for p in items {
-                    parts.push(indent(&p.render_node(analysis, profile, child), 2));
-                    child += p.node_count();
-                }
-                format!("Seq [\n{}\n]", parts.join(",\n"))
-            }
+            QueryPlan::Seq(items) => format!(
+                "Seq [\n{}\n]",
+                render_children(items, analysis, profile, base)
+            ),
+            QueryPlan::Call { name, args } => format!(
+                "Call {name}(\n{}\n)",
+                render_children(args, analysis, profile, base)
+            ),
             QueryPlan::Let { var, value, body } => {
                 let value_id = base + 1;
                 let body_id = value_id + value.node_count();
@@ -448,6 +472,7 @@ impl QueryPlan {
             QueryPlan::For { .. } => "For",
             QueryPlan::If { .. } => "If",
             QueryPlan::Snap { .. } => "Snap",
+            QueryPlan::Call { .. } => "Call",
         };
         let fail = |what: String| Err(format!("node {base} ({label}): {what}"));
         let check = n.calls > 0;
@@ -585,8 +610,49 @@ impl QueryPlan {
                 }
                 body.verify_profile(profile, base + 1)
             }
+            QueryPlan::Call { args, .. } => {
+                let mut child = base + 1;
+                let mut in_sum = 0u64;
+                for p in args {
+                    let c = profile.node(child);
+                    if check && c.calls != n.calls {
+                        return fail(format!(
+                            "call argument {child} ran {} times, call {}",
+                            c.calls, n.calls
+                        ));
+                    }
+                    in_sum += c.output_rows;
+                    p.verify_profile(profile, child)?;
+                    child += p.node_count();
+                }
+                if check && in_sum != n.input_rows {
+                    return fail(format!(
+                        "call read {} rows, arguments produced {in_sum}",
+                        n.input_rows
+                    ));
+                }
+                Ok(())
+            }
         }
     }
+}
+
+/// Render a `Seq`'s members or a `Call`'s arguments, one per line, each
+/// with its pre-order profile id (the first child of `base` is
+/// `base + 1`).
+fn render_children(
+    items: &[QueryPlan],
+    analysis: Option<&EffectAnalysis>,
+    profile: Option<&crate::obs::Profile>,
+    base: usize,
+) -> String {
+    let mut child = base + 1;
+    let mut parts: Vec<String> = Vec::with_capacity(items.len());
+    for p in items {
+        parts.push(indent(&p.render_node(analysis, profile, child), 2));
+        child += p.node_count();
+    }
+    parts.join(",\n")
 }
 
 /// Append a node's live counters to the first line of its rendered text.

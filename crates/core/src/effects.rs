@@ -519,7 +519,7 @@ mod tests {
         )
         .unwrap();
         let mut env = ProgramEnv::default();
-        env.declare(&module.functions);
+        env.declare(&module.functions).unwrap();
         let env = Arc::new(env);
         let facts = |src: &str| {
             let prog = compile(src).unwrap();

@@ -279,7 +279,10 @@ impl Engine {
     /// and its `declare variable`s are evaluated *now* (each inside its own
     /// implicit snap) and installed as persistent bindings — so module
     /// state like the paper's §2.5 counter survives across service calls.
-    /// A program with a body is not a module and is rejected (`XPST0003`).
+    /// A program with a body is not a module and is rejected (`XPST0003`),
+    /// and so is a module declaring a function `(name, arity)` that is
+    /// already declared, by an earlier module or twice in this one
+    /// (`XQST0034`): the engine is left exactly as it was.
     ///
     /// Loading is a run like any other — same frame, same trace span, same
     /// accounting ([`Engine::last_run`], `engine.runs`, limit trips) — but
@@ -296,8 +299,13 @@ impl Engine {
         }
         let before = self.env.clone();
         // Functions first, so variable initializers may call them (and
-        // functions from earlier modules).
-        self.env_mut().declare(&program.functions);
+        // functions from earlier modules). A redeclaration (`XQST0034`)
+        // puts back the very environment the engine had, so what was
+        // prepared under it still holds.
+        if let Err(e) = self.env_mut().declare(&program.functions) {
+            self.env = before;
+            return Err(Error::Eval(e));
+        }
         let (result, report) =
             self.run_frame(&program, Planned::INTERPRET, false, true, |ev, store| {
                 let mut values = Vec::with_capacity(program.variables.len());

@@ -13,7 +13,7 @@
 use crate::effects::EffectAnalysis;
 use crate::limits::Limits;
 use crate::obs::TraceSink;
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 use xqdm::{Item, Sequence, XdmError, XdmResult};
 use xqsyn::core::{CoreFunction, CoreProgram};
@@ -33,7 +33,8 @@ fn key_of(f: &CoreFunction) -> FnKey {
 #[derive(Clone)]
 pub struct ProgramEnv {
     /// Module functions in load order (EXPLAIN lists them so), indexed by
-    /// `(name, arity)`. The first declaration of a key wins.
+    /// `(name, arity)`. A key is declared once: [`ProgramEnv::declare`]
+    /// refuses a second declaration.
     functions: Vec<Arc<CoreFunction>>,
     index: HashMap<FnKey, usize>,
     /// Effect ratings of `functions`, recomputed when the table changes.
@@ -83,19 +84,32 @@ impl ProgramEnv {
     }
 
     /// Add a module's functions and bring the effect analysis and the
-    /// table fingerprint up to date.
-    pub fn declare(&mut self, functions: &[CoreFunction]) {
+    /// table fingerprint up to date. A `(name, arity)` the table already
+    /// holds, or that the module declares twice, is `XQST0034` — the
+    /// checker's code for a duplicate within one program — and leaves the
+    /// table as it was: a module cannot replace a function that earlier
+    /// requests were routed and planned against.
+    pub fn declare(&mut self, functions: &[CoreFunction]) -> XdmResult<()> {
         if functions.is_empty() {
-            return;
+            return Ok(());
         }
+        let mut seen = HashSet::new();
         for f in functions {
-            if let Entry::Vacant(slot) = self.index.entry(key_of(f)) {
-                slot.insert(self.functions.len());
-                self.functions.push(Arc::new(f.clone()));
+            let key = key_of(f);
+            if self.index.contains_key(&key) || !seen.insert(key) {
+                return Err(XdmError::new(
+                    "XQST0034",
+                    format!("function {}#{} is already declared", f.name, f.params.len()),
+                ));
             }
         }
+        for f in functions {
+            self.index.insert(key_of(f), self.functions.len());
+            self.functions.push(Arc::new(f.clone()));
+        }
         self.effects = EffectAnalysis::for_functions(self.functions.iter().map(|f| &**f));
-        self.fingerprint = crate::planner::fingerprint_of(&self.functions);
+        self.fingerprint = xqsyn::core::fingerprint_of(&self.functions);
+        Ok(())
     }
 
     /// The module function `key` names.

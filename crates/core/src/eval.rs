@@ -384,6 +384,24 @@ impl Evaluator {
         self.depth -= 1;
     }
 
+    /// Run built-in `f` over its evaluated arguments: the one dispatch of
+    /// the call rule and of the plan's `Call` node.
+    pub(crate) fn call_builtin(
+        &self,
+        f: &functions::Builtin,
+        args: Vec<Sequence>,
+        store: &mut Store,
+        env: &DynEnv,
+    ) -> XdmResult<Sequence> {
+        match f.kind {
+            Kind::MutStore => {
+                let max_depth = self.scope.env().limits.max_xml_depth;
+                functions::parse_xml(store, args, max_depth)
+            }
+            _ => functions::call(f, args, store, &self.scope, env),
+        }
+    }
+
     /// Record the execution of one compiled plan node.
     pub(crate) fn note_plan_node(&mut self) {
         self.stats.plan_nodes_executed += 1;
@@ -912,13 +930,7 @@ fn rule(
                 values.push(ev.eval(store, env, a)?);
             }
             if let Some(f) = functions::builtin(name, args.len()) {
-                return match f.kind {
-                    Kind::MutStore => {
-                        let max_depth = ev.scope.env().limits.max_xml_depth;
-                        functions::parse_xml(store, values, max_depth)
-                    }
-                    _ => functions::call(f, values, store, &ev.scope, env),
-                };
+                return ev.call_builtin(f, values, store, env);
             }
             // A declared function whose body compiled runs its plan; the
             // others, and every call when interpreting, run the body here.
@@ -1170,7 +1182,7 @@ pub(crate) fn descendant_fusion<'a>(
 /// in another order changes nothing — no constructor, update, `snap`,
 /// user function or order-revealing built-in: every call is a
 /// [`Kind::Read`] row.
-fn position_blind(p: &Core) -> bool {
+pub(crate) fn position_blind(p: &Core) -> bool {
     let mut blind = never_numeric(p);
     p.walk(&mut |e| {
         blind &= match e {

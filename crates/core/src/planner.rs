@@ -29,38 +29,11 @@ pub struct PlanOptions {
     pub index_available: bool,
 }
 
-/// Fingerprint a program for the plan cache by streaming its debug
-/// representation once through two independently-seeded hashers — no
-/// allocation of the full repr, and 128 bits make accidental collisions
-/// (which would silently run the wrong plan) implausible. `Core` holds
-/// `f64` literals, so it cannot derive `Hash` directly.
+/// A program's share of its plan-cache key: the fingerprint computed once
+/// when the program was made ([`CoreProgram::fingerprint`]), so keying a
+/// program run many times hashes nothing.
 pub fn program_fingerprint(program: &CoreProgram) -> (u64, u64) {
-    fingerprint_of(program)
-}
-
-/// [`program_fingerprint`] for any part of a program (the environment
-/// fingerprints its module table with it).
-pub(crate) fn fingerprint_of(value: &impl std::fmt::Debug) -> (u64, u64) {
-    use std::collections::hash_map::DefaultHasher;
-    use std::fmt::Write as _;
-    use std::hash::Hasher as _;
-
-    /// Feeds every formatted chunk to both hashers. SipHash's `write`
-    /// does not depend on where the chunks split, so each key is the one
-    /// a pass of its own would give.
-    struct BothHashers(DefaultHasher, DefaultHasher);
-    impl std::fmt::Write for BothHashers {
-        fn write_str(&mut self, s: &str) -> std::fmt::Result {
-            self.0.write(s.as_bytes());
-            self.1.write(s.as_bytes());
-            Ok(())
-        }
-    }
-
-    let mut hashers = BothHashers(DefaultHasher::new(), DefaultHasher::new());
-    hashers.1.write_u64(0x9e37_79b9_7f4a_7c15);
-    let _ = write!(hashers, "{value:?}");
-    (hashers.0.finish(), hashers.1.finish())
+    program.fingerprint()
 }
 
 /// The most plans a [`SharedPlanCache`] keeps before it is wholesale

@@ -1040,16 +1040,19 @@ mod tests {
         let s = server.open_session().unwrap();
         assert_eq!(s.execute("f()").unwrap().kind, RequestKind::Read);
         let first = entry(&server, "f()");
-        // A module load edits the environment, so the entry no longer
-        // holds. The first declaration of `f#0` wins (DESIGN.md §19), so
-        // `f()` is still the read it was.
-        server
-            .with_engine(|e| {
-                e.load_module("declare function f() { insert { <e/> } into { $doc/log } };")
-            })
-            .unwrap();
+        // Redeclaring `f#0` is refused (DESIGN.md §19) and leaves the
+        // environment as it was: the entry still holds, and `f()` is
+        // still the read it was.
+        let refused = server.with_engine(|e| {
+            e.load_module("declare function f() { insert { <e/> } into { $doc/log } };")
+        });
+        match refused {
+            Err(Error::Eval(e)) => assert_eq!(e.code, "XQST0034"),
+            other => panic!("expected XQST0034, got {other:?}"),
+        }
         assert_eq!(s.execute("f()").unwrap().kind, RequestKind::Read);
-        assert!(!Arc::ptr_eq(&first, &entry(&server, "f()")));
+        assert!(Arc::ptr_eq(&first, &entry(&server, "f()")));
+        assert_eq!(s.execute("f()").unwrap().body, "0");
         // The same text under an engine whose `f` updates: a write.
         server.with_engine(|e| {
             let mut fresh = Engine::new();

@@ -99,12 +99,30 @@ fn compiled_plan_is_reusable_across_stores() {
 
 #[test]
 fn iterate_plan_matches_direct_evaluation() {
-    let q = "sum(for $x in $d//left/e return xs:integer($x/@k))";
+    let q = "sum(for $x in 1 to 3 return $x * 2)";
     let program = xqsyn::compile(q).unwrap();
     let plan = Compiler::new(&program).compile(&program.body);
     assert!(matches!(plan, QueryPlan::Iterate(_)));
     let (mut store, bindings) = two_sided_store();
     let (v, optimized) = run_compiled(&program, &mut store, &bindings);
     assert!(!optimized);
+    assert_eq!(v, vec![Item::integer(12)]);
+}
+
+#[test]
+fn call_plan_matches_direct_evaluation() {
+    let q = "sum(for $x in $d//left/e return xs:integer($x/@k))";
+    let program = xqsyn::compile(q).unwrap();
+    let plan = Compiler::new(&program).compile(&program.body);
+    assert!(
+        matches!(&plan, QueryPlan::Call { name, args } if name == "sum" && args.len() == 1),
+        "{plan:?}"
+    );
+    let (mut store, bindings) = two_sided_store();
+    let naive = run_naive(&program, &mut store, &bindings, 0).unwrap();
+    let (mut store, bindings) = two_sided_store();
+    let (v, optimized) = run_compiled(&program, &mut store, &bindings);
+    assert!(!optimized);
+    assert_eq!(v, naive);
     assert_eq!(v, vec![Item::integer(6)]);
 }

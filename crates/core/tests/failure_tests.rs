@@ -351,3 +351,38 @@ fn failed_module_load_is_all_or_nothing() {
     assert!(e.binding("a").is_none());
     assert!(e.binding("b").is_none());
 }
+
+/// A module redeclaring a function `(name, arity)` — one an earlier
+/// module declared, or one it declares twice itself — is `XQST0034`, and
+/// the load leaves no trace: the old body keeps answering and nothing
+/// else the module declared or initialized is visible.
+#[test]
+fn redeclaring_a_module_function_is_refused_whole() {
+    let code = |r: Result<(), Error>| match r {
+        Err(Error::Eval(x)) => x.code,
+        other => panic!("expected an evaluation error, got {other:?}"),
+    };
+    let mut e = engine_with("<x/>");
+    e.load_module("declare function f() { 1 };").unwrap();
+    let before = doc_xml(&e);
+    for module in [
+        "declare function g() { 2 };
+         declare function f() { 3 };
+         declare variable $v := (insert { <v/> } into { $doc/x }, 4);",
+        "declare function h() { 5 };
+         declare function h() { 6 };",
+    ] {
+        assert_eq!(code(e.load_module(module)), "XQST0034", "{module}");
+        assert_eq!(doc_xml(&e), before);
+        assert!(e.binding("v").is_none());
+        for absent in ["g()", "h()"] {
+            assert_eq!(code(e.run(absent).map(|_| ())), "XPST0017", "{absent}");
+        }
+        let v = e.run("f()").unwrap();
+        assert_eq!(e.serialize(&v).unwrap(), "1");
+    }
+    // Another arity is another function.
+    e.load_module("declare function f($n) { $n };").unwrap();
+    let v = e.run("(f(), f(7))").unwrap();
+    assert_eq!(e.serialize(&v).unwrap(), "1 7");
+}

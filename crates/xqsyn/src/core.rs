@@ -504,7 +504,15 @@ pub struct CoreFunction {
 /// and the body. Per §2.3 the body is implicitly wrapped in a top-level
 /// `snap` by the *evaluator* (kept out of the core tree so optimizers can
 /// see the program as written).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A program carries its [`fingerprint`](CoreProgram::fingerprint),
+/// computed once where it is made ([`CoreProgram::new`]), so a program
+/// run many times is hashed once. Fields edited afterwards keep the
+/// fingerprint of the program as made: a program closed under module
+/// functions (the compiler's input) is still keyed as the program it
+/// closes, and a host that rewrites a program rebuilds it with
+/// [`CoreProgram::new`].
+#[derive(Clone, PartialEq)]
 pub struct CoreProgram {
     /// `declare variable` initializers, in source order.
     pub variables: Vec<(String, Core)>,
@@ -512,6 +520,66 @@ pub struct CoreProgram {
     pub functions: Vec<CoreFunction>,
     /// The query body.
     pub body: Core,
+    fingerprint: (u64, u64),
+}
+
+impl CoreProgram {
+    /// The program with these parts, fingerprinted.
+    pub fn new(variables: Vec<(String, Core)>, functions: Vec<CoreFunction>, body: Core) -> Self {
+        let mut program = CoreProgram {
+            variables,
+            functions,
+            body,
+            fingerprint: (0, 0),
+        };
+        // The `Debug` text leaves the fingerprint out.
+        program.fingerprint = fingerprint_of(&program);
+        program
+    }
+
+    /// The program's share of a plan-cache key: [`fingerprint_of`] the
+    /// program, as computed when it was made.
+    pub fn fingerprint(&self) -> (u64, u64) {
+        self.fingerprint
+    }
+}
+
+impl std::fmt::Debug for CoreProgram {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CoreProgram")
+            .field("variables", &self.variables)
+            .field("functions", &self.functions)
+            .field("body", &self.body)
+            .finish()
+    }
+}
+
+/// Fingerprint a value by streaming its debug representation once through
+/// two independently-seeded hashers — no allocation of the full repr, and
+/// 128 bits make accidental collisions (which would silently run the wrong
+/// plan) implausible. `Core` holds `f64` literals, so it cannot derive
+/// `Hash` directly.
+pub fn fingerprint_of(value: &impl std::fmt::Debug) -> (u64, u64) {
+    use std::collections::hash_map::DefaultHasher;
+    use std::fmt::Write as _;
+    use std::hash::Hasher as _;
+
+    /// Feeds every formatted chunk to both hashers. SipHash's `write`
+    /// does not depend on where the chunks split, so each key is the one
+    /// a pass of its own would give.
+    struct BothHashers(DefaultHasher, DefaultHasher);
+    impl std::fmt::Write for BothHashers {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.0.write(s.as_bytes());
+            self.1.write(s.as_bytes());
+            Ok(())
+        }
+    }
+
+    let mut hashers = BothHashers(DefaultHasher::new(), DefaultHasher::new());
+    hashers.1.write_u64(0x9e37_79b9_7f4a_7c15);
+    let _ = write!(hashers, "{value:?}");
+    (hashers.0.finish(), hashers.1.finish())
 }
 
 #[cfg(test)]

@@ -38,11 +38,7 @@ pub fn normalize_program(prog: &ast::Program) -> CoreProgram {
             }),
         }
     }
-    CoreProgram {
-        variables,
-        functions,
-        body: normalize(&prog.body),
-    }
+    CoreProgram::new(variables, functions, normalize(&prog.body))
 }
 
 /// Normalize one expression.

@@ -7,7 +7,9 @@
 //! The `point_read` row times `xqbench`'s `point_read` request in process:
 //! `Session::execute` of its 64 texts in turn, on a server over the XMark
 //! document `xqbench` generates, once every text has been prepared and
-//! planned (DESIGN.md §15).
+//! planned (DESIGN.md §15). The `sum_prices` row times `mixed_sessions`'
+//! one aggregate text the same way, on the same document: a built-in
+//! call over an index-driven batch path (DESIGN.md §8).
 //! The write side times the §2 logging call on a durable `<log/>` store,
 //! once on an engine alone and once on an engine that holds the snapshot
 //! of its last commit, as a server that publishes every commit does: the
@@ -27,7 +29,7 @@ use std::hint::black_box;
 use std::time::Instant;
 use xquery_bang::xmarkgen::{Scale, XmarkGen};
 use xquery_bang::xqsyn::stack::spawn_deep;
-use xquery_bang::{Engine, ServerConfig, SyncMode};
+use xquery_bang::{Engine, Server, ServerConfig, SyncMode};
 
 /// Commits per write-side row.
 const COMMITS: usize = 4_000;
@@ -88,15 +90,25 @@ fn read_side() {
         black_box(snapshot.reader().run_program(&program).unwrap());
     });
     println!("reader() + run f3(1), plan-cache hit {request_ns:.0} ns");
+    // The same request as a text seen before: its prepared entry carries
+    // the program and its plan key.
+    let text_ns = per_call_ns(2_000, || {
+        black_box(snapshot.reader().run("f3(1)").unwrap());
+    });
+    println!("reader() + run \"f3(1)\" text, prepared {text_ns:.0} ns");
 }
 
-fn point_read() {
+/// A server over the XMark document `xqbench` generates.
+fn xmark_server() -> Server {
     let xml = XmarkGen::new(1)
         .generate_xml(&Scale::factor(0.0314))
         .unwrap();
     let mut e = Engine::new();
     e.load_document("auction", &xml).unwrap();
-    let server = e.into_server(ServerConfig::default());
+    e.into_server(ServerConfig::default())
+}
+
+fn point_read(server: &Server) {
     let session = server.open_session().unwrap();
     let texts: Vec<String> = (0..64)
         .map(|k| format!("$auction//person[@id = \"person{k}\"]/name"))
@@ -109,6 +121,20 @@ fn point_read() {
         black_box(session.execute(next.next().unwrap()).unwrap());
     });
     println!("point_read Session::execute, text seen before {request_ns:.0} ns");
+}
+
+/// `mixed_sessions`' aggregate text, one request after another.
+fn sum_prices(server: &Server) {
+    const SUM_PRICES: &str = "sum($auction//closed_auction/price)";
+    let session = server.open_session().unwrap();
+    session.execute(SUM_PRICES).unwrap();
+    let request_ns = per_call_ns(500, || {
+        black_box(session.execute(SUM_PRICES).unwrap());
+    });
+    println!(
+        "sum_prices Session::execute, text seen before {:.1} us",
+        request_ns / 1e3
+    );
 }
 
 /// Median microseconds of one logging commit on a fresh durable store,
@@ -156,7 +182,9 @@ fn write_side() {
 fn main() {
     spawn_deep("env_probe", || {
         read_side();
-        point_read();
+        let server = xmark_server();
+        point_read(&server);
+        sum_prices(&server);
         write_side();
     })
     .expect("spawn the probe thread")

@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
              return $r",
         ),
         (
-            "pure loop body: one Iterate per binding, rated Pure",
+            "pure loop body: built-in calls over batched paths, one per binding",
             "for $p in $people/person
              return concat(string($p/name), \":\", count($p/watches))",
         ),

@@ -985,6 +985,153 @@ fn generated_builtin_calls_agree_across_strategies() {
     differential(&[("doc", BUILTIN_DOC)], &[], &queries);
 }
 
+/// The document the `Call` / `Pred` rows read: nested `x`s with numeric
+/// and non-numeric `q`s, `item`s with quantities, and names.
+fn call_rows_doc() -> String {
+    let section = |k: usize| {
+        format!(
+            r#"<s n="{k}">
+                 <x a="v"><q>{q1}</q><p>1</p>
+                   <x><q>1</q><p>2</p><y><x a="w"><q>bad{k}</q></x></y></x>
+                 </x>
+                 <x a="w"><q>{q2}</q><p>4</p></x>
+                 <item><quantity>{k}</quantity><name>i{k}</name></item>
+                 <item><quantity>{q1}</quantity><name>j{k}</name></item>
+               </s>"#,
+            q1 = k + 2,
+            q2 = 6 - k,
+        )
+    };
+    format!("<r>{}</r>", (0..4).map(section).collect::<String>())
+}
+
+/// The outcome a variant shows for one query: the serialized value, or the
+/// error's code *and* message — the message names the value a cast
+/// refused, so it pins which candidate a predicate failed on first.
+fn outcome(e: &mut Engine, q: &str) -> String {
+    match e.run(q) {
+        Ok(v) => e.serialize(&v).unwrap(),
+        Err(Error::Eval(x)) => format!("error {x}"),
+        Err(other) => format!("error {}", error_code(&other)),
+    }
+}
+
+/// Built-in calls over batched paths (`QueryPlan::Call`) and predicates
+/// evaluated per candidate (`BatchFilter::Pred`) answer as the interpreter
+/// does: compiled and interpreted, index on and off, in all three snap
+/// modes — values, error codes and which candidate raised first. Every
+/// arity-1 `Read` built-in is called over a batchable path; positional
+/// predicates stay interpreted.
+#[test]
+fn builtin_calls_and_predicates_agree_across_strategies() {
+    let doc = call_rows_doc();
+    let bad = "<r><item><quantity>2</quantity></item><item><quantity>lots</quantity></item></r>";
+    // Filler enough that the index gate reads the three-entry `x` bucket.
+    let origins = format!(
+        "<r><s><x><p>1</p><q>bad-q0</q></x></s><s><x><p>bad-p1</p><q>1</q></x></s>{}</r>",
+        "<f/>".repeat(200)
+    );
+    // (query, the compiled plan runs a `Call`)
+    let mut rows: Vec<(String, bool)> = BUILTINS
+        .iter()
+        .filter(|f| f.kind == Kind::Read && (f.min..=f.max).contains(&1))
+        .flat_map(|f| {
+            ["$doc//x[q > 3]/p", "$doc/r/s[1]/@n", "$doc//none"]
+                .map(|path| (format!("{}({path})", f.name), true))
+        })
+        .collect();
+    let fixed: &[(&str, bool)] = &[
+        // Nested calls.
+        (
+            "for $x in $doc//x return concat(string($x/@a), \":\", count($x/q))",
+            true,
+        ),
+        (
+            "string-join(for $i in $doc//item return string($i/name), \",\")",
+            true,
+        ),
+        (
+            "concat(sum($doc//item/quantity), \"/\", count($doc//x[p]))",
+            true,
+        ),
+        // A predicate reading a variable, bound by `let` and by `for`.
+        ("let $n := 3 return count($doc//x[q > $n])", true),
+        (
+            "for $k in (1, 4) return count($doc//item[quantity > $k])",
+            true,
+        ),
+        // Predicates calling `error()`: raised wherever a candidate
+        // reaches it, and nowhere else.
+        ("count($doc//x[@a = \"v\" or error()])", true),
+        ("count($doc//none[boolean(error())])", true),
+        ("count($doc//item[quantity > 3 or error(\"never\")])", true),
+        // A typed right side.
+        ("count($doc//item[quantity + 0 > 3])", true),
+        ("count($doc//x[q * 1 = 4])", true),
+        // Over a constructed fragment.
+        (
+            "count(<a><item><quantity>5</quantity></item><item/></a>//item[quantity > 3])",
+            true,
+        ),
+        // The first candidate to fail decides the message: one origin,
+        // several origins, nested origins.
+        ("count($doc//x[xs:integer(q) > 0])", true),
+        ("count($doc/r/s//x[xs:integer(q) > 0])", true),
+        ("count($doc//x//x[xs:integer(q) > 0])", true),
+        ("count($doc//x[p][xs:integer(q) > 0])", true),
+        ("count(($doc/r/s[2], 1)//x[xs:integer(q) > 0])", true),
+        // Two predicates that can both fail, from two origins: the
+        // interpreter runs both over the first origin's candidates
+        // before the second origin's.
+        (
+            "count($o/r/s//x[xs:integer(p) > 0][xs:integer(q) > 0])",
+            true,
+        ),
+        // A node inserted ahead of the others joins its name bucket last;
+        // the predicate still meets it first.
+        (
+            "insert { <x><p>1</p><q>bad-first</q></x> } as first into { $o/r }",
+            false,
+        ),
+        ("count($o//x[xs:integer(q) > 0])", true),
+        // Error-code parity of the built-in itself.
+        ("sum($doc//item/name)", true),
+        ("sum($bad//item/quantity)", true),
+        ("count($bad//item[quantity > 3])", true),
+        ("avg($doc//x/q)", true),
+        // Positional predicates stay interpreted.
+        ("count($doc//x[1])", false),
+        ("count($doc//x[last()])", false),
+        ("$doc//x[position() = 2]/p", false),
+    ];
+    rows.extend(fixed.iter().map(|&(q, call)| (q.to_string(), call)));
+    for mode in ["ordered ", "nondeterministic ", "conflict-detection "] {
+        let mut variants: Vec<(String, Engine)> = Vec::new();
+        for compile in [false, true] {
+            for indexing in [false, true] {
+                let mut e = Engine::new().with_seed(0xca11);
+                e.set_compile(compile);
+                e.set_indexing(indexing);
+                e.load_document("doc", &doc).unwrap();
+                e.load_document("bad", bad).unwrap();
+                e.load_document("o", &origins).unwrap();
+                let label = format!("compile={compile} index={indexing}");
+                variants.push((label, e));
+            }
+        }
+        for (q, call) in &rows {
+            let wrapped = format!("snap {mode}{{ {q} }}");
+            let (reference, rest) = variants.split_first_mut().unwrap();
+            let expected = outcome(&mut reference.1, &wrapped);
+            for (label, e) in rest.iter_mut() {
+                assert_eq!(outcome(e, &wrapped), expected, "{label}: {wrapped}");
+            }
+            let plan = variants[3].1.explain(&wrapped).unwrap();
+            assert_eq!(plan.contains("Call "), *call, "{wrapped}:\n{plan}");
+        }
+    }
+}
+
 /// `Engine::check` reports `XPST0017` exactly when the interpreter raises
 /// it, on every call of the battery.
 #[test]

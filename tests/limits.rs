@@ -71,6 +71,18 @@ fn limit_error_codes() {
         // like them: a plan-level `for` over a batched path (6 000 items),
         // and a hash join (40 × 40 matches).
         (memory, "for $i in 1 to 2000 return $doc/x/*", "XQB0043"),
+        // A built-in call over such a loop: the plan's `Call` node runs
+        // the loop as its argument, ticking and charging as it goes.
+        (
+            fuel,
+            "count(for $i in 1 to 100000 return $doc/x/*)",
+            "XQB0041",
+        ),
+        (
+            memory,
+            "count(for $i in 1 to 2000 return $doc/x/*)",
+            "XQB0043",
+        ),
         (
             memory,
             "for $l in $big/r/e for $r in $big/r/e where $l/@k = $r/@k return $l",
@@ -125,6 +137,21 @@ fn compiled_and_interpreted_trip_the_same_class() {
         (
             Limits::default(),
             "declare function f($n) { f($n) + 1 }; f(1)",
+        ),
+        // Built-in calls whose arguments are plans.
+        (
+            Limits {
+                fuel: Some(100),
+                ..Limits::default()
+            },
+            "sum(for $i in 1 to 100000 return count($doc/x/*))",
+        ),
+        (
+            Limits {
+                memory_items: Some(500),
+                ..Limits::default()
+            },
+            "count(for $i in 1 to 1000 return $doc/x/*)",
         ),
     ];
     for (limits, query) in cases {

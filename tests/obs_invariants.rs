@@ -64,8 +64,22 @@ fn corpus() -> Vec<(Vec<(&'static str, &'static str)>, &'static str)> {
                        return (insert { <hit/> } into { $hits }, $s)
              return <row id=\"{$p/@id}\">{ count($g) }</row>",
         ),
+        // Built-in calls over batched paths: each argument runs once per
+        // call, and a call's input rows are its arguments' output rows.
+        (
+            vec![("people", PEOPLE)],
+            "for $p in $people/ps/p
+             return concat(string($p/@id), \":\", count($p/w))",
+        ),
+        (
+            vec![("people", PEOPLE)],
+            "sum(for $p in $people//p[w or @id = \"b\"] return count($p/w))",
+        ),
     ]
 }
+
+/// The document the built-in call rows read.
+const PEOPLE: &str = r#"<ps><p id="a"><w/><w/></p><p id="b"/><p id="c"><w/></p></ps>"#;
 
 fn engine_with(docs: &[(&str, &str)], compile: bool) -> Engine {
     let mut e = Engine::new().with_seed(0x0b5);
@@ -114,6 +128,19 @@ fn analyze_counters_consistent_in_both_modes() {
         // 4. Semantic counter agreement across plan modes.
         assert_eq!(compiled, interpreted, "requests_emitted differ for {query}");
     }
+}
+
+/// The call rows above are not vacuous: compiled, each argument is a
+/// profiled node of its own, run once per call.
+#[test]
+fn call_arguments_run_once_per_call() {
+    let q = "for $p in $people/ps/p return concat(string($p/@id), \":\", count($p/w))";
+    let mut e = engine_with(&[("people", PEOPLE)], true);
+    analyze_and_check(&mut e, q, "compiled");
+    let text = e.explain_analyze(q).unwrap();
+    assert!(text.contains("Call concat( (calls=3 "), "{text}");
+    assert!(text.contains("Call count( (calls=3 "), "{text}");
+    assert!(text.contains("Iterate[Pure] { \":\" } (calls=3 "), "{text}");
 }
 
 /// `explain_analyze` really executes the query: effects land in the
