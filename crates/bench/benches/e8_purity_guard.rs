@@ -28,22 +28,7 @@ fn iterate_leaves<'p>(plan: &'p QueryPlan, out: &mut Vec<&'p Core>) {
             panic!("snap insert admitted a join rewrite:\n{}", plan.render())
         }
         QueryPlan::BatchPath(_) => {}
-        QueryPlan::Seq(items) | QueryPlan::Call { args: items, .. } => {
-            items.iter().for_each(|p| iterate_leaves(p, out))
-        }
-        QueryPlan::Let { value, body, .. }
-        | QueryPlan::For {
-            source: value,
-            body,
-            ..
-        } => {
-            iterate_leaves(value, out);
-            iterate_leaves(body, out);
-        }
-        QueryPlan::If { cond, then, els } => [cond, then, els]
-            .into_iter()
-            .for_each(|p| iterate_leaves(p, out)),
-        QueryPlan::Snap { body, .. } => iterate_leaves(body, out),
+        QueryPlan::Rule(..) => plan.operands(0).for_each(|(p, _)| iterate_leaves(p, out)),
     }
 }
 

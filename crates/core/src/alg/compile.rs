@@ -21,7 +21,9 @@
 //!    value (F may mention `$g` freely — it receives exactly the sequence
 //!    the nested loop would have produced, in the same order).
 
-use crate::alg::plan::{BatchFilter, BatchPathPlan, BatchStep, GroupByPlan, JoinPlan, QueryPlan};
+use crate::alg::plan::{
+    BatchFilter, BatchPathPlan, BatchStep, GroupByPlan, JoinPlan, Op, QueryPlan,
+};
 use crate::alg::rewrite::{chain_from, is_path};
 use crate::eval::{descendant_fusion, position_blind};
 use crate::functions::{self, Kind};
@@ -78,11 +80,11 @@ impl Compiler {
 
     /// Compile a core expression to a plan. Join recognition is attempted
     /// at **every** subtree: first the two join rewrites on the node
-    /// itself, then structural recursion through the control operators
-    /// (`let`/`for`/`if`/sequence/`snap`) so joins nested inside snap
-    /// bodies, let-bound values, and branches are still found. A
-    /// structural subtree in which no rewrite fired collapses back to a
-    /// single [`QueryPlan::Iterate`] of the original expression — the
+    /// itself, then [`rule_node`] through the control operators
+    /// (`let`/`for`/`if`/sequence/`snap`/read-only built-in calls) so joins
+    /// nested inside snap bodies, let-bound values, branches and arguments
+    /// are still found. A rule node none of whose operands specialized
+    /// collapses back to a single leaf of the original expression — the
     /// per-subtree fallback that keeps unoptimizable code on the strict
     /// interpreted path.
     pub fn compile(&self, core: &Core) -> QueryPlan {
@@ -92,81 +94,10 @@ impl Compiler {
         if let Some(plan) = self.try_join(core) {
             return plan;
         }
-        match core {
-            Core::Seq(items) if !items.is_empty() => {
-                let plans: Vec<QueryPlan> = items.iter().map(|e| self.compile(e)).collect();
-                if plans.iter().any(QueryPlan::is_specialized) {
-                    return QueryPlan::Seq(plans);
-                }
-            }
-            Core::Let { var, value, body } => {
-                let value_plan = self.compile(value);
-                let body_plan = self.compile(body);
-                if value_plan.is_specialized() || body_plan.is_specialized() {
-                    return QueryPlan::Let {
-                        var: var.clone(),
-                        value: Box::new(value_plan),
-                        body: Box::new(body_plan),
-                    };
-                }
-            }
-            Core::For {
-                var,
-                position,
-                source,
-                body,
-            } => {
-                let source_plan = self.compile(source);
-                let body_plan = self.compile(body);
-                if source_plan.is_specialized() || body_plan.is_specialized() {
-                    return QueryPlan::For {
-                        var: var.clone(),
-                        position: position.clone(),
-                        source: Box::new(source_plan),
-                        body: Box::new(body_plan),
-                    };
-                }
-            }
-            Core::If(cond, then, els) => {
-                let cond_plan = self.compile(cond);
-                let then_plan = self.compile(then);
-                let els_plan = self.compile(els);
-                if cond_plan.is_specialized()
-                    || then_plan.is_specialized()
-                    || els_plan.is_specialized()
-                {
-                    return QueryPlan::If {
-                        cond: Box::new(cond_plan),
-                        then: Box::new(then_plan),
-                        els: Box::new(els_plan),
-                    };
-                }
-            }
-            Core::Snap(mode, body) => {
-                let body_plan = self.compile(body);
-                if body_plan.is_specialized() {
-                    return QueryPlan::Snap {
-                        mode: *mode,
-                        body: Box::new(body_plan),
-                    };
-                }
-            }
-            // A built-in that only reads: its arguments are independent
-            // subplans, evaluated left to right as the call rule does.
-            Core::Call(name, args)
-                if functions::builtin(name, args.len()).is_some_and(|f| f.kind == Kind::Read) =>
-            {
-                let plans: Vec<QueryPlan> = args.iter().map(|a| self.compile(a)).collect();
-                if plans.iter().any(QueryPlan::is_specialized) {
-                    return QueryPlan::Call {
-                        name: name.clone(),
-                        args: plans,
-                    };
-                }
-            }
-            _ => {}
+        match rule_node(core, true, |e| self.compile(e)) {
+            Some(node) if node.is_specialized() => node,
+            _ => self.leaf(core),
         }
-        self.leaf(core)
     }
 
     /// The leaf fallback: a pure path-step chain lowers to a
@@ -514,45 +445,46 @@ fn string_literal(core: &Core) -> Option<String> {
     }
 }
 
-/// Compile an expression to a *structural* plan: the control operators
-/// (`Seq`/`Let`/`For`/`If`/`Snap`) map to plan nodes one-for-one and every
-/// other expression stays an [`QueryPlan::Iterate`] leaf — no rewriting,
-/// no simplification, no collapse-back. Executing this plan is
-/// operator-for-operator identical to interpreting the expression, which
-/// is exactly what `explain_analyze` needs in interpreted mode: per-node
-/// counters for the evaluation that would have happened anyway.
-pub fn compile_structural(core: &Core) -> QueryPlan {
-    match core {
-        Core::Seq(items) if !items.is_empty() => {
-            QueryPlan::Seq(items.iter().map(compile_structural).collect())
-        }
-        Core::Let { var, value, body } => QueryPlan::Let {
-            var: var.clone(),
-            value: Box::new(compile_structural(value)),
-            body: Box::new(compile_structural(body)),
-        },
+/// The rule node of a control operator: `core`'s operator over its
+/// operands, each planned by `plan`; `None` when `core` is no control
+/// operator. A call is one only with `calls` set, and only of a built-in
+/// that just reads: its arguments are then independent operands,
+/// evaluated left to right as the call rule does.
+fn rule_node(core: &Core, calls: bool, plan: impl Fn(&Core) -> QueryPlan) -> Option<QueryPlan> {
+    let (op, operands): (Op, Vec<&Core>) = match core {
+        Core::Seq(items) if !items.is_empty() => (Op::Seq, items.iter().collect()),
+        Core::Let { var, value, body } => (Op::Let(var.clone()), vec![value, body]),
         Core::For {
             var,
             position,
             source,
             body,
-        } => QueryPlan::For {
-            var: var.clone(),
-            position: position.clone(),
-            source: Box::new(compile_structural(source)),
-            body: Box::new(compile_structural(body)),
-        },
-        Core::If(cond, then, els) => QueryPlan::If {
-            cond: Box::new(compile_structural(cond)),
-            then: Box::new(compile_structural(then)),
-            els: Box::new(compile_structural(els)),
-        },
-        Core::Snap(mode, body) => QueryPlan::Snap {
-            mode: *mode,
-            body: Box::new(compile_structural(body)),
-        },
-        _ => QueryPlan::Iterate(core.clone()),
-    }
+        } => (Op::For(var.clone(), position.clone()), vec![source, body]),
+        Core::If(cond, then, els) => (Op::If, vec![cond, then, els]),
+        Core::Snap(mode, body) => (Op::Snap(*mode), vec![body]),
+        Core::Call(name, args)
+            if calls
+                && functions::builtin(name, args.len()).is_some_and(|f| f.kind == Kind::Read) =>
+        {
+            (Op::Call(name.clone()), args.iter().collect())
+        }
+        _ => return None,
+    };
+    Some(QueryPlan::Rule(
+        op,
+        operands.into_iter().map(plan).collect(),
+    ))
+}
+
+/// Compile an expression to a *structural* plan: [`rule_node`] for every
+/// control operator but calls, every other expression an
+/// [`QueryPlan::Iterate`] leaf — no rewriting, no simplification, no
+/// collapse-back. Executing this plan is operator-for-operator identical
+/// to interpreting the expression, which is exactly what
+/// `explain_analyze` needs in interpreted mode: per-node counters for the
+/// evaluation that would have happened anyway.
+pub fn compile_structural(core: &Core) -> QueryPlan {
+    rule_node(core, false, compile_structural).unwrap_or_else(|| QueryPlan::Iterate(core.clone()))
 }
 
 /// Match `if (K1 = K2) then R else ()` — a normalized `where` clause with a
@@ -948,10 +880,13 @@ mod tests {
             // Never a join, anywhere in the plan.
             assert!(!plan.is_optimized(), "{q}:\n{rendered}");
             // The predicate runs in the body of the loop over `$p`.
-            let QueryPlan::For { var, body, .. } = &plan else {
+            let QueryPlan::Rule(Op::For(var, _), operands) = &plan else {
                 panic!("expected the loop over $p:\n{rendered}");
             };
             assert_eq!(var, "p", "{q}:\n{rendered}");
+            let [_, body] = operands.as_slice() else {
+                panic!("a For has a source and a body:\n{rendered}");
+            };
             assert!(
                 body.render().contains("closed_auction["),
                 "{q}:\n{rendered}"

@@ -21,10 +21,13 @@
 //! * **Errors** match: one side's keys are evaluated only when the other
 //!   side has an item, as the nested loop evaluates its `where`.
 
-use crate::alg::plan::{BatchFilter, BatchPathPlan, BatchStep, GroupByPlan, JoinPlan, QueryPlan};
+use crate::alg::plan::{
+    BatchFilter, BatchPathPlan, BatchStep, GroupByPlan, JoinPlan, Op, QueryPlan,
+};
 use crate::env::Focus;
-use crate::eval::resolve_test;
-use crate::functions;
+use crate::eval::{
+    args_rule, for_rule, if_rule, let_rule, resolve_test, seq_rule, snap_rule, Operand,
+};
 use crate::{DynEnv, Evaluator};
 use std::collections::{HashMap, HashSet};
 use xqdm::item::{self, Item, Sequence};
@@ -35,10 +38,10 @@ use xqsyn::core::Core;
 
 /// Execute a plan inside the caller's current Δ scope. Pending updates the
 /// plan body produces are appended to the evaluator's current scope,
-/// exactly as if the original core expression had been evaluated: the
-/// structural nodes mirror the evaluator's rules operator-for-operator
-/// (same binding discipline, same evaluation order, same Δ/seed draws), so
-/// compiled and interpreted subtrees interleave freely.
+/// exactly as if the original core expression had been evaluated: a rule
+/// node runs the evaluator's own rule for its operator (same binding
+/// discipline, same evaluation order, same Δ/seed draws), so compiled and
+/// interpreted subtrees interleave freely.
 pub fn execute(
     plan: &QueryPlan,
     evaluator: &mut Evaluator,
@@ -104,99 +107,56 @@ fn run_node(
             evaluator.note_join();
             execute_group_by(group, evaluator, store, env)
         }
-        QueryPlan::Seq(items) => {
-            let mut out = Sequence::new();
-            let mut child = base + 1;
-            for p in items {
-                let v = execute_at(p, child, evaluator, store, env)?;
-                evaluator.limit_charge(&v)?;
-                out.extend(v);
-                child += p.node_count();
+        QueryPlan::Rule(op, operands) => {
+            // The evaluator's own rule for the operator, over operands
+            // that are plan nodes (see the `Operand` impl below).
+            let malformed = || {
+                XdmError::precondition(format!(
+                    "a {} plan node over {} operands",
+                    op.name(),
+                    operands.len()
+                ))
+            };
+            if !op.admits(operands.len()) {
+                return Err(malformed());
             }
-            Ok(out)
-        }
-        QueryPlan::Let { var, value, body } => {
-            let value_id = base + 1;
-            let body_id = value_id + value.node_count();
-            let v = execute_at(value, value_id, evaluator, store, env)?;
-            evaluator.note_input(v.len() as u64);
-            env.push_var(var.clone(), v);
-            let r = execute_at(body, body_id, evaluator, store, env);
-            env.pop_var();
-            r
-        }
-        QueryPlan::For {
-            var,
-            position,
-            source,
-            body,
-        } => {
-            let source_id = base + 1;
-            let body_id = source_id + source.node_count();
-            let src = execute_at(source, source_id, evaluator, store, env)?;
-            evaluator.note_input(src.len() as u64);
-            let mut out = Sequence::new();
-            for (i, it) in src.into_iter().enumerate() {
-                env.push_var(var.clone(), seq![it]);
-                if let Some(p) = position {
-                    env.push_var(p.clone(), seq![Item::integer((i + 1) as i64)]);
-                }
-                let r = execute_at(body, body_id, evaluator, store, env);
-                if position.is_some() {
-                    env.pop_var();
-                }
-                env.pop_var();
-                let v = r?;
-                evaluator.limit_charge(&v)?;
-                out.extend(v);
-            }
-            Ok(out)
-        }
-        QueryPlan::If { cond, then, els } => {
-            let cond_id = base + 1;
-            let then_id = cond_id + cond.node_count();
-            let els_id = then_id + then.node_count();
-            let c = execute_at(cond, cond_id, evaluator, store, env)?;
-            evaluator.note_input(c.len() as u64);
-            if item::effective_boolean(&c, store)? {
-                execute_at(then, then_id, evaluator, store, env)
-            } else {
-                execute_at(els, els_id, evaluator, store, env)
-            }
-        }
-        QueryPlan::Snap { mode, body } => {
-            // The plan twin of the `Core::Snap` rule: same scope push, same
-            // apply (and seed draw) on success, same discard on error.
-            evaluator.begin_snap_scope();
-            match execute_at(body, base + 1, evaluator, store, env) {
-                Ok(value) => {
-                    evaluator.apply_snap_scope(store, *mode)?;
-                    Ok(value)
-                }
-                Err(e) => {
-                    evaluator.end_snap_scope();
-                    Err(e)
+            let mut it = plan.operands(base);
+            let mut next = || it.next().ok_or_else(malformed);
+            match op {
+                Op::Seq => seq_rule(evaluator, store, env, plan.operands(base)),
+                Op::Let(var) => let_rule(evaluator, store, env, var, next()?, next()?),
+                Op::For(var, position) => for_rule(
+                    evaluator,
+                    store,
+                    env,
+                    var,
+                    position.as_deref(),
+                    next()?,
+                    next()?,
+                ),
+                Op::If => if_rule(evaluator, store, env, next()?, next()?, next()?),
+                Op::Snap(mode) => snap_rule(evaluator, store, env, *mode, next()?),
+                Op::Call(name) => {
+                    let values = args_rule(evaluator, store, env, plan.operands(base))?;
+                    evaluator.call(store, env, name, values)
                 }
             }
         }
-        QueryPlan::Call { name, args } => {
-            // The plan twin of the `Core::Call` rule for a built-in:
-            // arguments left to right, the first error wins, then the
-            // row's own body through the rule's dispatch.
-            let f = functions::builtin(name, args.len())
-                .ok_or_else(|| functions::unresolved(name, args.len()))?;
-            let mut values = Vec::with_capacity(args.len());
-            let mut child = base + 1;
-            let mut rows = 0;
-            for p in args {
-                let v = execute_at(p, child, evaluator, store, env)?;
-                rows += v.len() as u64;
-                values.push(v);
-                child += p.node_count();
-            }
-            evaluator.note_input(rows);
-            evaluator.call_builtin(f, values, store, env)
-        }
+    }
+}
+
+/// A plan node with its profile id, as an operand of the evaluator's
+/// control rules: it runs through [`execute_at`], and the operator's node
+/// reports the rows it consumed.
+impl Operand for (&QueryPlan, usize) {
+    #[inline]
+    fn eval(self, ev: &mut Evaluator, store: &mut Store, env: &mut DynEnv) -> XdmResult<Sequence> {
+        execute_at(self.0, self.1, ev, store, env)
+    }
+
+    #[inline]
+    fn note_input(ev: &mut Evaluator, rows: u64) {
+        ev.note_input(rows);
     }
 }
 

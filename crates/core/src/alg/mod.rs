@@ -35,7 +35,7 @@ pub mod rewrite;
 pub use compile::Compiler;
 pub use exec::execute;
 pub use pipeline::{compile_program, PlannedProgram};
-pub use plan::{GroupByPlan, JoinPlan, QueryPlan};
+pub use plan::{GroupByPlan, JoinPlan, Op, QueryPlan};
 pub use rewrite::simplify;
 
 use crate::{Evaluator, ProgramEnv};

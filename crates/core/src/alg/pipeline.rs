@@ -318,7 +318,10 @@ mod tests {
         .unwrap();
         let planned = compile_program(&program);
         assert!(planned.is_optimized());
-        assert!(matches!(planned.body_plan(), QueryPlan::Snap { .. }));
+        assert!(matches!(
+            planned.body_plan(),
+            QueryPlan::Rule(crate::alg::plan::Op::Snap(_), _)
+        ));
         assert!(planned.explain().contains("Snap(ordered)"));
         assert!(planned.explain().contains("Join"));
     }

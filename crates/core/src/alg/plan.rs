@@ -1,30 +1,35 @@
 //! Logical query plans (paper §4.2–4.3).
 //!
 //! The plan language mirrors the operators the paper's compiled plan uses —
-//! `MapFromItem`, `GroupBy`, `LeftOuterJoin`, `Snap` — with two families of
-//! nodes:
+//! `MapFromItem`, `GroupBy`, `LeftOuterJoin`, `Snap` — with three families
+//! of nodes:
 //!
 //! * **Join nodes**, produced by the guarded rewrites:
 //!   [`QueryPlan::HashJoin`] (the §2.1 purchasers query) and
 //!   [`QueryPlan::OuterJoinGroupBy`] (the §4.3 XMark Q8 variant).
-//! * **Structural nodes** ([`QueryPlan::Seq`], [`QueryPlan::Let`],
-//!   [`QueryPlan::For`], [`QueryPlan::If`], [`QueryPlan::Snap`]), which
-//!   mirror the core control operators one-for-one so that join
-//!   recognition reaches *into* snap bodies, let-bound subqueries, and
-//!   branches — the paper's point that the effect-free interior of an
+//! * **Leaves**: [`QueryPlan::BatchPath`], a path run on the batch kernels,
+//!   and [`QueryPlan::Iterate`], a core expression the interpreter
+//!   evaluates.
+//! * **Rule nodes** ([`QueryPlan::Rule`]): a control operator ([`Op`]:
+//!   sequence, `let`, `for`, `if`, `snap`, a read-only built-in call) over
+//!   compiled operands, run by the evaluator's own rule for that operator
+//!   (`eval::for_rule` and its siblings), so join recognition reaches
+//!   *into* snap bodies, let-bound subqueries, branches and call
+//!   arguments — the paper's point that the effect-free interior of an
 //!   innermost snap is where classical optimization is recovered.
-//!
-//! A built-in call whose arguments specialized is a [`QueryPlan::Call`]
-//! over their plans, so an aggregate over a path runs on the batch
-//! kernels instead of one interpreted leaf.
 //!
 //! Anything the rewrites cannot prove safe stays [`QueryPlan::Iterate`]
 //! (the naive nested-loop evaluation of the core expression) — that is
 //! exactly the paper's guard story: the preconditions, not the rewrite,
-//! carry the semantics. The compiler collapses any structural subtree with
-//! no join descendant back to a single `Iterate`, so structural nodes only
-//! appear on the spine that leads to an optimized operator.
+//! carry the semantics. The compiler collapses any rule node with no
+//! specialized operand back to a single leaf, so rule nodes only appear
+//! on the spine that leads to an optimized operator.
+//!
+//! Every node has a pre-order id (the profile's index): a rule node's
+//! operands are numbered by [`QueryPlan::operands`], the one place that
+//! does the arithmetic.
 
+use crate::obs::NodeStats;
 use crate::EffectAnalysis;
 use crate::SnapMode;
 use std::fmt;
@@ -43,63 +48,70 @@ pub enum QueryPlan {
     /// `for $o in outer let $g := (for $i in inner where k(o)=k(i) return
     /// item) return body` as LeftOuterJoin + GroupBy + MapFromItem.
     OuterJoinGroupBy(GroupByPlan),
-    /// A sequence whose elements execute left to right, values and Δs
-    /// concatenated — the plan mirror of `Core::Seq`.
-    Seq(Vec<QueryPlan>),
-    /// `let $var := value return body` with compiled subplans.
-    Let {
-        /// The bound variable.
-        var: String,
-        /// The bound value's plan (executed once).
-        value: Box<QueryPlan>,
-        /// The body's plan, with `var` in scope.
-        body: Box<QueryPlan>,
-    },
-    /// `for $var [at $position] in source return body` with compiled
-    /// subplans; the body executes once per source item, in order.
-    For {
-        /// The loop variable.
-        var: String,
-        /// The positional variable, if declared.
-        position: Option<String>,
-        /// The source's plan (executed once).
-        source: Box<QueryPlan>,
-        /// The body's plan, executed per binding.
-        body: Box<QueryPlan>,
-    },
-    /// `if (cond) then … else …` with compiled subplans.
-    If {
-        /// The condition's plan (effective boolean value decides).
-        cond: Box<QueryPlan>,
-        /// The then-branch plan.
-        then: Box<QueryPlan>,
-        /// The else-branch plan.
-        els: Box<QueryPlan>,
-    },
-    /// An explicit `snap` scope: push a fresh Δ, execute the body plan,
-    /// apply under `mode` — identical Δ discipline to the interpreter.
-    Snap {
-        /// The Δ-application mode.
-        mode: SnapMode,
-        /// The body's plan.
-        body: Box<QueryPlan>,
-    },
     /// A pure path-step chain lowered to batch-at-a-time execution
     /// (DESIGN.md §14): each step maps the whole `Vec<NodeId>` batch
     /// through a store kernel with the name test resolved to interned
     /// symbol ids, then doc-order sorts and dedups — observably identical
     /// to step-at-a-time interpretation of the same chain.
     BatchPath(BatchPathPlan),
-    /// A call of a [`Kind::Read`](crate::functions::Kind::Read) built-in
-    /// whose arguments are plans: they execute left to right, then the
-    /// built-in runs over their values through the call rule's own
-    /// dispatch — the plan mirror of `Core::Call` (DESIGN.md §8).
-    Call {
-        /// The function name as written (`sum`, `fn:sum`).
-        name: String,
-        /// One plan per argument, in order.
-        args: Vec<QueryPlan>,
-    },
+    /// A control operator over compiled operands, run by the evaluator's
+    /// own rule for it, so that it behaves exactly as the interpreted
+    /// operator: same binding discipline, evaluation order, Δ and seed
+    /// draws (DESIGN.md §8). [`Op`] says what the operand list means.
+    Rule(Op, Vec<QueryPlan>),
+}
+
+/// The operator of a [`QueryPlan::Rule`] node, and what its operands are.
+/// A node whose operand count the operator does not [`Op::admits`] is
+/// malformed: executing it is an error.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Op {
+    /// `e1, …, en`: the operands are the members, run left to right,
+    /// values and Δs concatenated.
+    Seq,
+    /// `let $var := value return body`: operands `[value, body]`; the
+    /// value runs once.
+    Let(String),
+    /// `for $var [at $position] in source return body`: operands
+    /// `[source, body]`; the body runs once per source item, in order.
+    For(String, Option<String>),
+    /// `if (cond) then … else …`: operands `[cond, then, else]`; the
+    /// effective boolean value of the condition picks one branch.
+    If,
+    /// `snap mode { body }`: operands `[body]`, run under a fresh Δ that
+    /// is applied under the mode.
+    Snap(SnapMode),
+    /// A call of a [`Kind::Read`](crate::functions::Kind::Read) built-in,
+    /// by the name as written (`sum`, `fn:sum`): the operands are its
+    /// arguments, run left to right before the built-in runs over their
+    /// values.
+    Call(String),
+}
+
+impl Op {
+    /// Is `count` operands the right number for this operator? Any number
+    /// of members or arguments; one body; a `let`'s or `for`'s two; an
+    /// `if`'s three.
+    pub fn admits(&self, count: usize) -> bool {
+        match self {
+            Op::Seq | Op::Call(_) => true,
+            Op::Snap(_) => count == 1,
+            Op::Let(_) | Op::For(..) => count == 2,
+            Op::If => count == 3,
+        }
+    }
+
+    /// The operator's name in diagnostics.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Op::Seq => "Seq",
+            Op::Let(_) => "Let",
+            Op::For(..) => "For",
+            Op::If => "If",
+            Op::Snap(_) => "Snap",
+            Op::Call(_) => "Call",
+        }
+    }
 }
 
 /// The batch lowering of a path-step chain.
@@ -225,16 +237,8 @@ impl QueryPlan {
     /// [`QueryPlan::is_batched`].
     pub fn is_optimized(&self) -> bool {
         match self {
-            QueryPlan::Iterate(_) | QueryPlan::BatchPath(_) => false,
             QueryPlan::HashJoin(_) | QueryPlan::OuterJoinGroupBy(_) => true,
-            QueryPlan::Seq(items) => items.iter().any(QueryPlan::is_optimized),
-            QueryPlan::Let { value, body, .. } => value.is_optimized() || body.is_optimized(),
-            QueryPlan::For { source, body, .. } => source.is_optimized() || body.is_optimized(),
-            QueryPlan::If { cond, then, els } => {
-                cond.is_optimized() || then.is_optimized() || els.is_optimized()
-            }
-            QueryPlan::Snap { body, .. } => body.is_optimized(),
-            QueryPlan::Call { args, .. } => args.iter().any(QueryPlan::is_optimized),
+            _ => self.rule_operands().iter().any(QueryPlan::is_optimized),
         }
     }
 
@@ -242,45 +246,51 @@ impl QueryPlan {
     /// leaf, or a join with batched sources/keys?
     pub fn is_batched(&self) -> bool {
         match self {
-            QueryPlan::Iterate(_) => false,
             QueryPlan::BatchPath(_) => true,
             QueryPlan::HashJoin(j) => j.is_batched(),
             QueryPlan::OuterJoinGroupBy(g) => g.join.is_batched(),
-            QueryPlan::Seq(items) => items.iter().any(QueryPlan::is_batched),
-            QueryPlan::Let { value, body, .. } => value.is_batched() || body.is_batched(),
-            QueryPlan::For { source, body, .. } => source.is_batched() || body.is_batched(),
-            QueryPlan::If { cond, then, els } => {
-                cond.is_batched() || then.is_batched() || els.is_batched()
-            }
-            QueryPlan::Snap { body, .. } => body.is_batched(),
-            QueryPlan::Call { args, .. } => args.iter().any(QueryPlan::is_batched),
+            _ => self.rule_operands().iter().any(QueryPlan::is_batched),
         }
     }
 
     /// Did compilation specialize anything here — a join rewrite or a
-    /// batch lowering? The compiler keeps a structural spine only above
-    /// specialized nodes.
+    /// batch lowering? The compiler keeps a rule node only above
+    /// specialized operands.
     pub fn is_specialized(&self) -> bool {
         self.is_optimized() || self.is_batched()
     }
 
-    /// Number of plan nodes (diagnostics).
+    /// Number of plan nodes (diagnostics, and the profile's id space).
     pub fn node_count(&self) -> usize {
-        1 + match self {
-            QueryPlan::Iterate(_)
-            | QueryPlan::BatchPath(_)
-            | QueryPlan::HashJoin(_)
-            | QueryPlan::OuterJoinGroupBy(_) => 0,
-            QueryPlan::Seq(items) | QueryPlan::Call { args: items, .. } => {
-                items.iter().map(QueryPlan::node_count).sum()
-            }
-            QueryPlan::Let { value, body, .. } => value.node_count() + body.node_count(),
-            QueryPlan::For { source, body, .. } => source.node_count() + body.node_count(),
-            QueryPlan::If { cond, then, els } => {
-                cond.node_count() + then.node_count() + els.node_count()
-            }
-            QueryPlan::Snap { body, .. } => body.node_count(),
+        1 + self
+            .rule_operands()
+            .iter()
+            .map(QueryPlan::node_count)
+            .sum::<usize>()
+    }
+
+    /// A rule node's operands; none for every other node.
+    fn rule_operands(&self) -> &[QueryPlan] {
+        match self {
+            QueryPlan::Rule(_, operands) => operands,
+            _ => &[],
         }
+    }
+
+    /// A rule node's operands in order, each with its pre-order profile
+    /// id when this node's id is `base`: the first operand is `base + 1`,
+    /// each next one follows the nodes of the one before. Every other
+    /// node has none.
+    pub fn operands(&self, base: usize) -> impl Iterator<Item = (&QueryPlan, usize)> {
+        let mut next = base + 1;
+        let mut before: Option<&QueryPlan> = None;
+        self.rule_operands().iter().map(move |p| {
+            // An operand's id needs only the sizes of the ones before it.
+            if let Some(q) = before.replace(p) {
+                next += q.node_count();
+            }
+            (p, next)
+        })
     }
 
     /// The paper-style plan printout (§4.3 prints
@@ -388,62 +398,48 @@ impl QueryPlan {
                 okey = strip_var(&g.join.outer_key, &g.join.outer_var),
                 okb = mark(g.join.outer_key_steps.is_some()),
             ),
-            QueryPlan::Seq(items) => format!(
-                "Seq [\n{}\n]",
-                render_children(items, analysis, profile, base)
-            ),
-            QueryPlan::Call { name, args } => format!(
-                "Call {name}(\n{}\n)",
-                render_children(args, analysis, profile, base)
-            ),
-            QueryPlan::Let { var, value, body } => {
-                let value_id = base + 1;
-                let body_id = value_id + value.node_count();
-                format!(
-                    "Let ${var} := {{\n{}\n}} In {{\n{}\n}}",
-                    indent(&value.render_node(analysis, profile, value_id), 2),
-                    indent(&body.render_node(analysis, profile, body_id), 2),
-                )
-            }
-            QueryPlan::For {
-                var,
-                position,
-                source,
-                body,
-            } => {
-                let pos = position
-                    .as_ref()
-                    .map(|p| format!(" at ${p}"))
-                    .unwrap_or_default();
-                let source_id = base + 1;
-                let body_id = source_id + source.node_count();
-                format!(
-                    "For ${var}{pos} In {{\n{}\n}} Do {{\n{}\n}}",
-                    indent(&source.render_node(analysis, profile, source_id), 2),
-                    indent(&body.render_node(analysis, profile, body_id), 2),
-                )
-            }
-            QueryPlan::If { cond, then, els } => {
-                let cond_id = base + 1;
-                let then_id = cond_id + cond.node_count();
-                let els_id = then_id + then.node_count();
-                format!(
-                    "If {{\n{}\n}} Then {{\n{}\n}} Else {{\n{}\n}}",
-                    indent(&cond.render_node(analysis, profile, cond_id), 2),
-                    indent(&then.render_node(analysis, profile, then_id), 2),
-                    indent(&els.render_node(analysis, profile, els_id), 2),
-                )
-            }
-            QueryPlan::Snap { mode, body } => {
-                let label = match mode {
-                    SnapMode::Ordered => "ordered",
-                    SnapMode::Nondeterministic => "nondeterministic",
-                    SnapMode::ConflictDetection => "conflict-detection",
+            QueryPlan::Rule(op, _) => {
+                // `Let $x := {` value `} In {` body `}`: an opening line,
+                // then each operand preceded by the operator's separator
+                // (`,` between members and arguments), then a closing line.
+                let (open, seps, close): (String, &[&str], &str) = match op {
+                    Op::Seq => ("Seq [".into(), &[], "]"),
+                    Op::Call(name) => (format!("Call {name}("), &[], ")"),
+                    Op::Let(var) => (format!("Let ${var} := {{"), &["} In {"], "}"),
+                    Op::For(var, position) => {
+                        let pos = position
+                            .as_ref()
+                            .map(|p| format!(" at ${p}"))
+                            .unwrap_or_default();
+                        (format!("For ${var}{pos} In {{"), &["} Do {"], "}")
+                    }
+                    Op::If => ("If {".into(), &["} Then {", "} Else {"], "}"),
+                    Op::Snap(mode) => {
+                        let label = match mode {
+                            SnapMode::Ordered => "ordered",
+                            SnapMode::Nondeterministic => "nondeterministic",
+                            SnapMode::ConflictDetection => "conflict-detection",
+                        };
+                        (format!("Snap({label}) {{"), &[], "}")
+                    }
                 };
-                format!(
-                    "Snap({label}) {{\n{}\n}}",
-                    indent(&body.render_node(analysis, profile, base + 1), 2)
-                )
+                let mut text = open;
+                for (i, (p, id)) in self.operands(base).enumerate() {
+                    if i > 0 {
+                        match seps.get(i - 1) {
+                            Some(sep) => {
+                                text.push('\n');
+                                text.push_str(sep);
+                            }
+                            None => text.push(','),
+                        }
+                    }
+                    text.push('\n');
+                    text.push_str(&indent(&p.render_node(analysis, profile, id), 2));
+                }
+                text.push('\n');
+                text.push_str(close);
+                text
             }
         };
         match profile {
@@ -451,64 +447,44 @@ impl QueryPlan {
             None => text,
         }
     }
-}
 
-impl QueryPlan {
     /// Cross-check an analyzed run's profile against this plan's shape:
-    /// node-id assignment and the parent/child call & cardinality
-    /// relations every structural operator guarantees. Only sound for
-    /// *successful* runs (an error aborts mid-operator, legitimately
-    /// leaving later siblings with fewer calls). The obs-invariants suite
-    /// drives this.
+    /// node-id assignment and the parent/operand call & cardinality
+    /// relations every rule guarantees. Only sound for *successful* runs
+    /// (an error aborts mid-operator, legitimately leaving later operands
+    /// with fewer calls). The obs-invariants suite drives this.
     pub fn verify_profile(&self, profile: &crate::obs::Profile, base: usize) -> Result<(), String> {
-        let n = profile.node(base);
-        let label = match self {
-            QueryPlan::Iterate(_) => "Iterate",
-            QueryPlan::BatchPath(_) => "BatchPath",
-            QueryPlan::HashJoin(_) => "HashJoin",
-            QueryPlan::OuterJoinGroupBy(_) => "OuterJoinGroupBy",
-            QueryPlan::Seq(_) => "Seq",
-            QueryPlan::Let { .. } => "Let",
-            QueryPlan::For { .. } => "For",
-            QueryPlan::If { .. } => "If",
-            QueryPlan::Snap { .. } => "Snap",
-            QueryPlan::Call { .. } => "Call",
+        let QueryPlan::Rule(op, operands) = self else {
+            return Ok(());
         };
-        let fail = |what: String| Err(format!("node {base} ({label}): {what}"));
-        let check = n.calls > 0;
-        match self {
-            QueryPlan::Iterate(_)
-            | QueryPlan::BatchPath(_)
-            | QueryPlan::HashJoin(_)
-            | QueryPlan::OuterJoinGroupBy(_) => Ok(()),
-            QueryPlan::Seq(items) => {
-                let mut child = base + 1;
-                let mut out_sum = 0u64;
-                for p in items {
-                    let c = profile.node(child);
-                    if check && c.calls != n.calls {
+        let fail = |what: String| Err(format!("node {base} ({}): {what}", op.name()));
+        if !op.admits(operands.len()) {
+            return fail(format!("{} operands", operands.len()));
+        }
+        let n = profile.node(base);
+        let ids: Vec<usize> = self.operands(base).map(|(_, id)| id).collect();
+        let stats: Vec<NodeStats> = ids.iter().map(|&id| profile.node(id)).collect();
+        let out_sum: u64 = stats.iter().map(|s| s.output_rows).sum();
+        if n.calls > 0 {
+            match (op, stats.as_slice()) {
+                (Op::Seq | Op::Call(_), _) => {
+                    if let Some(i) = stats.iter().position(|s| s.calls != n.calls) {
                         return fail(format!(
-                            "seq child {child} ran {} times, parent {}",
-                            c.calls, n.calls
+                            "operand {} ran {} times, parent {}",
+                            ids[i], stats[i].calls, n.calls
                         ));
                     }
-                    out_sum += c.output_rows;
-                    p.verify_profile(profile, child)?;
-                    child += p.node_count();
+                    // A sequence returns its members' rows; a call reads
+                    // its arguments'.
+                    let (rows, what) = match op {
+                        Op::Seq => (n.output_rows, "output"),
+                        _ => (n.input_rows, "read"),
+                    };
+                    if rows != out_sum {
+                        return fail(format!("{what} {rows} rows, operands produced {out_sum}"));
+                    }
                 }
-                if check && out_sum != n.output_rows {
-                    return fail(format!(
-                        "seq children output {out_sum} rows, parent {}",
-                        n.output_rows
-                    ));
-                }
-                Ok(())
-            }
-            QueryPlan::Let { value, body, .. } => {
-                let value_id = base + 1;
-                let body_id = value_id + value.node_count();
-                let (v, b) = (profile.node(value_id), profile.node(body_id));
-                if check {
+                (Op::Let(_), [v, b]) => {
                     if v.calls != n.calls || b.calls != n.calls {
                         return fail(format!(
                             "let ran {} times, value {} / body {}",
@@ -528,14 +504,7 @@ impl QueryPlan {
                         ));
                     }
                 }
-                value.verify_profile(profile, value_id)?;
-                body.verify_profile(profile, body_id)
-            }
-            QueryPlan::For { source, body, .. } => {
-                let source_id = base + 1;
-                let body_id = source_id + source.node_count();
-                let (s, b) = (profile.node(source_id), profile.node(body_id));
-                if check {
+                (Op::For(..), [s, b]) => {
                     if s.calls != n.calls {
                         return fail(format!("for ran {} times, source {}", n.calls, s.calls));
                     }
@@ -558,17 +527,7 @@ impl QueryPlan {
                         ));
                     }
                 }
-                source.verify_profile(profile, source_id)?;
-                body.verify_profile(profile, body_id)
-            }
-            QueryPlan::If { cond, then, els } => {
-                let cond_id = base + 1;
-                let then_id = cond_id + cond.node_count();
-                let els_id = then_id + then.node_count();
-                let c = profile.node(cond_id);
-                let t = profile.node(then_id);
-                let e = profile.node(els_id);
-                if check {
+                (Op::If, [c, t, e]) => {
                     if c.calls != n.calls {
                         return fail(format!("if ran {} times, cond {}", n.calls, c.calls));
                     }
@@ -591,13 +550,7 @@ impl QueryPlan {
                         ));
                     }
                 }
-                cond.verify_profile(profile, cond_id)?;
-                then.verify_profile(profile, then_id)?;
-                els.verify_profile(profile, els_id)
-            }
-            QueryPlan::Snap { body, .. } => {
-                let b = profile.node(base + 1);
-                if check {
+                (Op::Snap(_), [b]) => {
                     if b.calls != n.calls {
                         return fail(format!("snap ran {} times, body {}", n.calls, b.calls));
                     }
@@ -608,51 +561,13 @@ impl QueryPlan {
                         ));
                     }
                 }
-                body.verify_profile(profile, base + 1)
-            }
-            QueryPlan::Call { args, .. } => {
-                let mut child = base + 1;
-                let mut in_sum = 0u64;
-                for p in args {
-                    let c = profile.node(child);
-                    if check && c.calls != n.calls {
-                        return fail(format!(
-                            "call argument {child} ran {} times, call {}",
-                            c.calls, n.calls
-                        ));
-                    }
-                    in_sum += c.output_rows;
-                    p.verify_profile(profile, child)?;
-                    child += p.node_count();
-                }
-                if check && in_sum != n.input_rows {
-                    return fail(format!(
-                        "call read {} rows, arguments produced {in_sum}",
-                        n.input_rows
-                    ));
-                }
-                Ok(())
+                // `admits` ruled out every other operand count.
+                _ => {}
             }
         }
+        self.operands(base)
+            .try_for_each(|(p, id)| p.verify_profile(profile, id))
     }
-}
-
-/// Render a `Seq`'s members or a `Call`'s arguments, one per line, each
-/// with its pre-order profile id (the first child of `base` is
-/// `base + 1`).
-fn render_children(
-    items: &[QueryPlan],
-    analysis: Option<&EffectAnalysis>,
-    profile: Option<&crate::obs::Profile>,
-    base: usize,
-) -> String {
-    let mut child = base + 1;
-    let mut parts: Vec<String> = Vec::with_capacity(items.len());
-    for p in items {
-        parts.push(indent(&p.render_node(analysis, profile, child), 2));
-        child += p.node_count();
-    }
-    parts.join(",\n")
 }
 
 /// Append a node's live counters to the first line of its rendered text.
@@ -735,17 +650,29 @@ mod tests {
             outer_key_steps: None,
             inner_key_steps: None,
         });
-        let snap = QueryPlan::Snap {
-            mode: SnapMode::Ordered,
-            body: Box::new(join),
-        };
+        let snap = QueryPlan::Rule(Op::Snap(SnapMode::Ordered), vec![join]);
         assert!(snap.is_optimized());
-        let seq = QueryPlan::Seq(vec![QueryPlan::Iterate(Core::int(1)), snap]);
+        let seq = QueryPlan::Rule(Op::Seq, vec![QueryPlan::Iterate(Core::int(1)), snap]);
         assert!(seq.is_optimized());
         assert_eq!(seq.node_count(), 4);
+        // Pre-order ids: the Seq is 0, its members 1 and 2, the join 3.
+        let ids: Vec<usize> = seq.operands(0).map(|(_, id)| id).collect();
+        assert_eq!(ids, [1, 2]);
         let rendered = seq.render();
         assert!(rendered.starts_with("Snap {"));
         assert!(rendered.contains("Snap(ordered)"));
         assert!(rendered.contains("Join"));
+    }
+
+    #[test]
+    fn a_rule_node_of_the_wrong_arity_is_refused_not_run() {
+        let one = || QueryPlan::Iterate(Core::int(1));
+        let bad = QueryPlan::Rule(Op::If, vec![one(), one()]);
+        let err = bad
+            .verify_profile(&crate::obs::Profile::default(), 0)
+            .unwrap_err();
+        assert!(err.contains("(If): 2 operands"), "{err}");
+        // Rendering never panics on it either.
+        assert!(bad.render().contains("If {"));
     }
 }

@@ -22,7 +22,6 @@
 
 use crate::{Effect, EffectAnalysis};
 use xqdm::atomic::{arithmetic, Atomic, CompareOp};
-use xqdm::item::Item;
 use xqsyn::core::Core;
 
 /// Apply the guarded rewrites bottom-up until a fixpoint, at most 8
@@ -418,15 +417,6 @@ fn fresh_index(e: &Core) -> usize {
         }
     });
     next
-}
-
-/// Convenience used in tests: fold a constant sequence value, if the
-/// expression is constant after simplification.
-pub fn as_const(core: &Core) -> Option<Item> {
-    match core {
-        Core::Const(a) => Some(Item::Atomic(a.clone())),
-        _ => None,
-    }
 }
 
 /// Helper for tests constructing constants.

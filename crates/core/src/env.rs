@@ -271,11 +271,6 @@ impl DynEnv {
             .ok_or_else(|| XdmError::new("XPST0008", format!("undefined variable ${name}")))
     }
 
-    /// Is a variable bound?
-    pub fn has_var(&self, name: &str) -> bool {
-        self.vars.iter().any(|(n, _)| n == name)
-    }
-
     /// Number of bindings (for balance assertions in tests).
     pub fn depth(&self) -> usize {
         self.vars.len()

@@ -327,9 +327,9 @@ impl Evaluator {
     }
 
     /// Open a Δ scope (as `snap` does) without evaluating anything. For
-    /// plan executors ([`crate::alg::exec`]) that drive `eval` directly and
-    /// need a surrounding snapshot scope; pair with [`Evaluator::end_snap_scope`]
-    /// or `apply_snap_scope`. Counts toward the max-snap-depth
+    /// callers that drive `eval` or [`crate::alg::execute`] directly and
+    /// need a surrounding snapshot scope; pair with
+    /// [`Evaluator::end_snap_scope`]. Counts toward the max-snap-depth
     /// statistic exactly as an explicit `snap` does.
     pub fn begin_snap_scope(&mut self) {
         self.delta_stack.push(Delta::new());
@@ -346,10 +346,9 @@ impl Evaluator {
     }
 
     /// Close the current Δ scope **and apply it** under `mode` with the
-    /// next snap seed, updating the snap statistics — the exact tail of
-    /// the `Core::Snap` evaluation rule. Compiled `Snap` plan nodes go
-    /// through here so their seed draw and stats match interpretation.
-    pub(crate) fn apply_snap_scope(&mut self, store: &mut Store, mode: SnapMode) -> XdmResult<()> {
+    /// next snap seed, updating the snap statistics — the tail of
+    /// [`snap_rule`] and of the implicit top-level snap.
+    fn apply_snap_scope(&mut self, store: &mut Store, mode: SnapMode) -> XdmResult<()> {
         let delta = self.delta_stack.pop().expect("unbalanced apply_snap_scope");
         self.stats.snaps_closed += 1;
         self.stats.requests_applied += delta.len() as u64;
@@ -384,22 +383,44 @@ impl Evaluator {
         self.depth -= 1;
     }
 
-    /// Run built-in `f` over its evaluated arguments: the one dispatch of
-    /// the call rule and of the plan's `Call` node.
-    pub(crate) fn call_builtin(
-        &self,
-        f: &functions::Builtin,
-        args: Vec<Sequence>,
+    /// Run function `name` over its evaluated arguments: a built-in
+    /// through its row, a declared function through its compiled plan when
+    /// its body compiled, else by evaluating its body. The one dispatch of
+    /// the call rule, interpreted or compiled.
+    pub(crate) fn call(
+        &mut self,
         store: &mut Store,
         env: &DynEnv,
+        name: &str,
+        values: Vec<Sequence>,
     ) -> XdmResult<Sequence> {
-        match f.kind {
-            Kind::MutStore => {
-                let max_depth = self.scope.env().limits.max_xml_depth;
-                functions::parse_xml(store, args, max_depth)
-            }
-            _ => functions::call(f, args, store, &self.scope, env),
+        let arity = values.len();
+        if let Some(f) = functions::builtin(name, arity) {
+            return match f.kind {
+                Kind::MutStore => {
+                    let max_depth = self.scope.env().limits.max_xml_depth;
+                    functions::parse_xml(store, values, max_depth)
+                }
+                _ => functions::call(f, values, store, &self.scope, env),
+            };
         }
+        let values = match self.function_executor.clone() {
+            Some(executor) => match executor.try_call(self, store, name, values) {
+                Ok(result) => return result,
+                Err(values) => values,
+            },
+            None => values,
+        };
+        let Some(func) = self.scope.function(name, arity).cloned() else {
+            return Err(functions::unresolved(name, arity));
+        };
+        // Function bodies see only their parameters and globals — build a
+        // fresh environment rather than exposing the caller's locals.
+        let mut fenv = DynEnv::new();
+        for (p, v) in func.params.iter().zip(values) {
+            fenv.push_var(p.clone(), v);
+        }
+        self.eval(store, &mut fenv, &func.body)
     }
 
     /// Record the execution of one compiled plan node.
@@ -659,56 +680,15 @@ fn rule(
             Err(e) => ev.scope.global(name).cloned().ok_or(e),
         },
         Core::ContextItem => Ok(seq![env.focus()?.item.clone()]),
-        // The paper's sequence rule: e1 fully evaluated before e2,
-        // values and Δs concatenated in order.
-        Core::Seq(items) => {
-            let mut out = Sequence::new();
-            for e in items {
-                let v = ev.eval(store, env, e)?;
-                ev.guard.charge(v.len() as u64)?;
-                out.extend(v);
-            }
-            Ok(out)
-        }
+        Core::Seq(items) => seq_rule(ev, store, env, items.iter()),
         Core::For {
             var,
             position,
             source,
             body,
-        } => {
-            let src = ev.eval(store, env, source)?;
-            let mut out = Sequence::new();
-            for (i, it) in src.into_iter().enumerate() {
-                env.push_var(var.clone(), seq![it]);
-                if let Some(p) = position {
-                    env.push_var(p.clone(), seq![Item::integer((i + 1) as i64)]);
-                }
-                let r = ev.eval(store, env, body);
-                if position.is_some() {
-                    env.pop_var();
-                }
-                env.pop_var();
-                let v = r?;
-                ev.guard.charge(v.len() as u64)?;
-                out.extend(v);
-            }
-            Ok(out)
-        }
-        Core::Let { var, value, body } => {
-            let v = ev.eval(store, env, value)?;
-            env.push_var(var.clone(), v);
-            let r = ev.eval(store, env, body);
-            env.pop_var();
-            r
-        }
-        Core::If(cond, then, els) => {
-            let c = ev.eval(store, env, cond)?;
-            if item::effective_boolean(&c, store)? {
-                ev.eval(store, env, then)
-            } else {
-                ev.eval(store, env, els)
-            }
-        }
+        } => for_rule(ev, store, env, var, position.as_deref(), &**source, &**body),
+        Core::Let { var, value, body } => let_rule(ev, store, env, var, &**value, &**body),
+        Core::If(cond, then, els) => if_rule(ev, store, env, &**cond, &**then, &**els),
         Core::Quantified {
             quantifier,
             var,
@@ -923,35 +903,8 @@ fn rule(
             filter_positional(ev, store, env, v, pred)
         }
         Core::Call(name, args) => {
-            // Arguments evaluate left to right (Appendix B's function
-            // rule), whether the target is built-in or user-declared.
-            let mut values = Vec::with_capacity(args.len());
-            for a in args {
-                values.push(ev.eval(store, env, a)?);
-            }
-            if let Some(f) = functions::builtin(name, args.len()) {
-                return ev.call_builtin(f, values, store, env);
-            }
-            // A declared function whose body compiled runs its plan; the
-            // others, and every call when interpreting, run the body here.
-            let values = match ev.function_executor.clone() {
-                Some(executor) => match executor.try_call(ev, store, name, values) {
-                    Ok(result) => return result,
-                    Err(values) => values,
-                },
-                None => values,
-            };
-            let Some(func) = ev.scope.function(name, args.len()).cloned() else {
-                return Err(functions::unresolved(name, args.len()));
-            };
-            // Function bodies see only their parameters and globals —
-            // build a fresh environment rather than exposing the
-            // caller's locals.
-            let mut fenv = DynEnv::new();
-            for (p, v) in func.params.iter().zip(values) {
-                fenv.push_var(p.clone(), v);
-            }
-            ev.eval(store, &mut fenv, &func.body)
+            let values = args_rule(ev, store, env, args.iter())?;
+            ev.call(store, env, name, values)
         }
         Core::ElemCtor { name, content } => {
             let qname = ev.eval_ctor_name(store, env, name)?;
@@ -1122,23 +1075,164 @@ fn rule(
             }
             Ok(out)
         }
-        Core::Snap(mode, body) => {
-            // The snap rule: evaluate the body with a fresh Δ on top of
-            // the stack, pop it, apply it. Nested snaps close first —
-            // the recursion gives the paper's stack behavior for free.
-            ev.begin_snap_scope();
-            match ev.eval(store, env, body) {
-                Ok(value) => {
-                    ev.apply_snap_scope(store, *mode)?;
-                    Ok(value)
-                }
-                Err(e) => {
-                    ev.end_snap_scope();
-                    Err(e)
-                }
-            }
+        Core::Snap(mode, body) => snap_rule(ev, store, env, *mode, &**body),
+    }
+}
+
+/// An operand of a control rule ([`seq_rule`], [`for_rule`], [`let_rule`],
+/// [`if_rule`], [`snap_rule`], [`args_rule`]): a core expression, which
+/// the interpreter evaluates, or a plan node with its profile id, which
+/// the plan executor runs (`alg::exec`). Each rule is written once, over
+/// this trait, so a compiled control operator *is* the interpreted one.
+pub(crate) trait Operand: Copy {
+    /// `store0; dynEnv ⊢ operand ⇒ value; Δ; store1`.
+    fn eval(self, ev: &mut Evaluator, store: &mut Store, env: &mut DynEnv) -> XdmResult<Sequence>;
+
+    /// Report to the profiler that the operator over operands of this
+    /// kind consumed `rows` rows: a plan node's input cardinality. A core
+    /// expression has no node of its own, so it reports nothing.
+    fn note_input(ev: &mut Evaluator, rows: u64);
+}
+
+impl Operand for &Core {
+    #[inline]
+    fn eval(self, ev: &mut Evaluator, store: &mut Store, env: &mut DynEnv) -> XdmResult<Sequence> {
+        ev.eval(store, env, self)
+    }
+
+    #[inline]
+    fn note_input(_: &mut Evaluator, _: u64) {}
+}
+
+/// The paper's sequence rule: e1 fully evaluated before e2, values and Δs
+/// concatenated in order, each member charged against the memory budget.
+pub(crate) fn seq_rule<O: Operand>(
+    ev: &mut Evaluator,
+    store: &mut Store,
+    env: &mut DynEnv,
+    members: impl IntoIterator<Item = O>,
+) -> XdmResult<Sequence> {
+    let mut out = Sequence::new();
+    for e in members {
+        let v = e.eval(ev, store, env)?;
+        ev.guard.charge(v.len() as u64)?;
+        out.extend(v);
+    }
+    Ok(out)
+}
+
+/// `for $var [at $position] in source return body`: the source once, then
+/// the body per item in order with `$var` (and `$position`) bound, each
+/// iteration's value charged against the memory budget.
+pub(crate) fn for_rule<O: Operand>(
+    ev: &mut Evaluator,
+    store: &mut Store,
+    env: &mut DynEnv,
+    var: &str,
+    position: Option<&str>,
+    source: O,
+    body: O,
+) -> XdmResult<Sequence> {
+    let src = source.eval(ev, store, env)?;
+    O::note_input(ev, src.len() as u64);
+    let mut out = Sequence::new();
+    for (i, it) in src.into_iter().enumerate() {
+        env.push_var(var, seq![it]);
+        if let Some(p) = position {
+            env.push_var(p, seq![Item::integer((i + 1) as i64)]);
+        }
+        let r = body.eval(ev, store, env);
+        if position.is_some() {
+            env.pop_var();
+        }
+        env.pop_var();
+        let v = r?;
+        ev.guard.charge(v.len() as u64)?;
+        out.extend(v);
+    }
+    Ok(out)
+}
+
+/// `let $var := value return body`: the value once, then the body with
+/// `$var` bound to it.
+pub(crate) fn let_rule<O: Operand>(
+    ev: &mut Evaluator,
+    store: &mut Store,
+    env: &mut DynEnv,
+    var: &str,
+    value: O,
+    body: O,
+) -> XdmResult<Sequence> {
+    let v = value.eval(ev, store, env)?;
+    O::note_input(ev, v.len() as u64);
+    env.push_var(var, v);
+    let r = body.eval(ev, store, env);
+    env.pop_var();
+    r
+}
+
+/// `if (cond) then … else …`: the condition's effective boolean value
+/// picks the one branch that runs.
+pub(crate) fn if_rule<O: Operand>(
+    ev: &mut Evaluator,
+    store: &mut Store,
+    env: &mut DynEnv,
+    cond: O,
+    then: O,
+    els: O,
+) -> XdmResult<Sequence> {
+    let c = cond.eval(ev, store, env)?;
+    O::note_input(ev, c.len() as u64);
+    if item::effective_boolean(&c, store)? {
+        then.eval(ev, store, env)
+    } else {
+        els.eval(ev, store, env)
+    }
+}
+
+/// The snap rule: evaluate the body with a fresh Δ on top of the stack,
+/// pop it, apply it under `mode` with the next seed; on an error the Δ is
+/// discarded. Nested snaps close first — the recursion gives the paper's
+/// stack behavior for free.
+pub(crate) fn snap_rule<O: Operand>(
+    ev: &mut Evaluator,
+    store: &mut Store,
+    env: &mut DynEnv,
+    mode: SnapMode,
+    body: O,
+) -> XdmResult<Sequence> {
+    ev.begin_snap_scope();
+    match body.eval(ev, store, env) {
+        Ok(value) => {
+            ev.apply_snap_scope(store, mode)?;
+            Ok(value)
+        }
+        Err(e) => {
+            ev.end_snap_scope();
+            Err(e)
         }
     }
+}
+
+/// A call's arguments, left to right (Appendix B's function rule), the
+/// first error winning, whether the target is built-in or user-declared;
+/// [`Evaluator::call`] then runs the function over their values.
+pub(crate) fn args_rule<O: Operand>(
+    ev: &mut Evaluator,
+    store: &mut Store,
+    env: &mut DynEnv,
+    args: impl IntoIterator<Item = O>,
+) -> XdmResult<Vec<Sequence>> {
+    let args = args.into_iter();
+    let mut values = Vec::with_capacity(args.size_hint().0);
+    let mut rows = 0;
+    for a in args {
+        let v = a.eval(ev, store, env)?;
+        rows += v.len() as u64;
+        values.push(v);
+    }
+    O::note_input(ev, rows);
+    Ok(values)
 }
 
 /// The nodes of `items` in document order, duplicates removed (`ddo`).

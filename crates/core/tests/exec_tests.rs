@@ -4,7 +4,7 @@
 mod common;
 
 use common::run_compiled;
-use xqcore::alg::{execute, run_naive, Compiler, QueryPlan};
+use xqcore::alg::{execute, run_naive, Compiler, Op, QueryPlan};
 use xqcore::{apply_delta, DynEnv, Evaluator, SnapMode};
 use xqdm::item::Item;
 use xqdm::Store;
@@ -115,7 +115,7 @@ fn call_plan_matches_direct_evaluation() {
     let program = xqsyn::compile(q).unwrap();
     let plan = Compiler::new(&program).compile(&program.body);
     assert!(
-        matches!(&plan, QueryPlan::Call { name, args } if name == "sum" && args.len() == 1),
+        matches!(&plan, QueryPlan::Rule(Op::Call(name), args) if name == "sum" && args.len() == 1),
         "{plan:?}"
     );
     let (mut store, bindings) = two_sided_store();
@@ -125,4 +125,25 @@ fn call_plan_matches_direct_evaluation() {
     assert!(!optimized);
     assert_eq!(v, naive);
     assert_eq!(v, vec![Item::integer(6)]);
+}
+
+#[test]
+fn a_rule_node_of_the_wrong_arity_is_an_error_not_a_panic() {
+    let program = xqsyn::compile("1").unwrap();
+    let leaf = || QueryPlan::Iterate(program.body.clone());
+    for plan in [
+        QueryPlan::Rule(Op::If, vec![leaf(), leaf()]),
+        QueryPlan::Rule(Op::Let("x".into()), vec![leaf(), leaf(), leaf()]),
+        QueryPlan::Rule(Op::Snap(SnapMode::Ordered), vec![]),
+    ] {
+        let (mut store, _) = two_sided_store();
+        let mut ev = Evaluator::new(Default::default(), &program);
+        let mut env = DynEnv::new();
+        ev.begin_snap_scope();
+        let err = execute(&plan, &mut ev, &mut store, &mut env).unwrap_err();
+        ev.end_snap_scope();
+        assert_eq!(err.code, "XQB0002", "{plan:?}: {err}");
+        // The node itself counted, none of its operands ran.
+        assert_eq!(ev.stats().plan_nodes_executed, 1, "{plan:?}");
+    }
 }

@@ -74,11 +74,6 @@ impl Scale {
     pub fn small() -> Scale {
         Scale::factor(0.005)
     }
-
-    /// f = 0.05 (~3.5k entities): bench scale.
-    pub fn medium() -> Scale {
-        Scale::factor(0.05)
-    }
 }
 
 /// The generator.

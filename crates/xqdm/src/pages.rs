@@ -321,7 +321,7 @@ mod tests {
     /// The full leaves, then the tail if it holds a slot.
     fn leaves(p: &Pages) -> Vec<&Leaf> {
         let full = p.pages.iter().flat_map(|page| page.iter().flatten());
-        let tail = (p.len % LEAF_LEN != 0).then_some(&p.tail);
+        let tail = (!p.len.is_multiple_of(LEAF_LEN)).then_some(&p.tail);
         full.chain(tail).collect()
     }
 

@@ -45,24 +45,9 @@ impl Store {
         self.wal = Some(wal);
     }
 
-    /// Detach the durable log, if any: the store becomes purely
-    /// in-memory again and the files in the store directory keep their
-    /// last committed state.
-    pub fn detach_wal(&mut self) {
-        self.wal = None;
-        // Forward ops nobody is left to drain must not survive into the
-        // next log's stream.
-        self.journal.forward = Default::default();
-    }
-
     /// Is a durable log attached?
     pub fn has_wal(&self) -> bool {
         self.wal.is_some()
-    }
-
-    /// The attached store directory, if any.
-    pub fn store_dir(&self) -> Option<&Path> {
-        self.wal.as_deref().map(Wal::dir)
     }
 
     /// Set the fsync policy of the attached log (no-op without one).

@@ -105,14 +105,6 @@ impl Store {
         self.slots.index().name_len(name)
     }
 
-    /// [`Store::index_name_len`] from a lexical name (tests, REPL).
-    pub fn index_name_len_lexical(&self, lexical: &str) -> usize {
-        match self.symbols.lookup_lexical(lexical) {
-            Some(q) => self.slots.index().name_len(q),
-            None => 0,
-        }
-    }
-
     /// Append every alive element named `name` to `out` — store-global,
     /// in id order (not document order); callers filter by containment
     /// against their scan origins and doc-order sort the result.

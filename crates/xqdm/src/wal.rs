@@ -733,11 +733,6 @@ impl Wal {
         })
     }
 
-    /// The store directory this log lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// The last committed log sequence number.
     pub fn lsn(&self) -> u64 {
         self.lsn

@@ -1016,7 +1016,7 @@ fn outcome(e: &mut Engine, q: &str) -> String {
     }
 }
 
-/// Built-in calls over batched paths (`QueryPlan::Call`) and predicates
+/// Built-in calls over batched paths (`Call` rule nodes) and predicates
 /// evaluated per candidate (`BatchFilter::Pred`) answer as the interpreter
 /// does: compiled and interpreted, index on and off, in all three snap
 /// modes — values, error codes and which candidate raised first. Every

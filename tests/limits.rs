@@ -116,51 +116,73 @@ fn limit_error_codes() {
 
 /// Compiled and interpreted execution must trip the *same limit class*
 /// for the same query and budget (the accounting differs per surface, the
-/// observable error code must not).
+/// observable error code must not). A row naming a plan operator asserts
+/// that the compiled plan holds it, so the row keeps covering that rule
+/// node. The memory budgets of the rows over `1 to 1000` lie above the
+/// range's own 1 000 items, so they trip while a loop or sequence
+/// accumulates, not at the range.
 #[test]
 fn compiled_and_interpreted_trip_the_same_class() {
-    let cases: &[(Limits, &str)] = &[
-        (
-            Limits {
-                fuel: Some(100),
-                ..Limits::default()
-            },
-            "for $i in 1 to 100000 return $i * 2",
-        ),
-        (
-            Limits {
-                memory_items: Some(500),
-                ..Limits::default()
-            },
-            "sum((1 to 50000))",
-        ),
+    let fuel = Limits {
+        fuel: Some(100),
+        ..Limits::default()
+    };
+    let memory = |items| Limits {
+        memory_items: Some(items),
+        ..Limits::default()
+    };
+    let cases: &[(Limits, &str, Option<&str>)] = &[
+        (fuel, "for $i in 1 to 100000 return $i * 2", None),
+        (memory(500), "sum((1 to 50000))", None),
         (
             Limits::default(),
             "declare function f($n) { f($n) + 1 }; f(1)",
+            None,
         ),
         // Built-in calls whose arguments are plans.
         (
-            Limits {
-                fuel: Some(100),
-                ..Limits::default()
-            },
+            fuel,
             "sum(for $i in 1 to 100000 return count($doc/x/*))",
+            Some("Call sum("),
         ),
         (
-            Limits {
-                memory_items: Some(500),
-                ..Limits::default()
-            },
+            memory(2500),
             "count(for $i in 1 to 1000 return $doc/x/*)",
+            Some("For $i In"),
+        ),
+        // One row per rule node a compiled plan can hold.
+        (
+            memory(2500),
+            "(count($doc/x/*), for $i in 1 to 1000 return $doc/x/*)",
+            Some("Seq ["),
+        ),
+        (
+            fuel,
+            "let $xs := $doc/x/* return for $i in 1 to 100000 return count($xs) + count($xs)",
+            Some("Let $xs := {"),
+        ),
+        (
+            fuel,
+            "if ($doc/x/*) then for $i in 1 to 100000 return $i * 2 else ()",
+            Some("If {"),
+        ),
+        (
+            memory(2500),
+            "snap { for $i in 1 to 1000 return $doc/x/* }",
+            Some("Snap(ordered) {"),
         ),
     ];
-    for (limits, query) in cases {
+    for (limits, query, operator) in cases {
         let mut codes = Vec::new();
         for compiled in [true, false] {
             let mut e = Engine::new();
             e.set_compile(compiled);
             e.set_limits(*limits);
             e.load_document("doc", DOC).unwrap();
+            if let (true, Some(op)) = (compiled, operator) {
+                let plan = e.explain(query).unwrap();
+                assert!(plan.contains(op), "{query}: no `{op}` in\n{plan}");
+            }
             let code = eval_code(e.run(query))
                 .unwrap_or_else(|| panic!("{query} (compiled={compiled}): expected limit error"));
             codes.push(code);

@@ -19,6 +19,8 @@
 //! updating programs.
 
 use proptest::prelude::*;
+use xquery_bang::xqalg::{Op, QueryPlan};
+use xquery_bang::xqcore::{NodeStats, Profile};
 use xquery_bang::Engine;
 
 /// Queries that exercise every structural plan node plus joins and Δ
@@ -141,6 +143,99 @@ fn call_arguments_run_once_per_call() {
     assert!(text.contains("Call concat( (calls=3 "), "{text}");
     assert!(text.contains("Call count( (calls=3 "), "{text}");
     assert!(text.contains("Iterate[Pure] { \":\" } (calls=3 "), "{text}");
+}
+
+/// A plan whose compiled body holds a rule node of every operator: a
+/// `Let` (its variable read twice, so let-inlining keeps it), a `Snap`, a
+/// `For`, an `If`, a `Seq` and two `Call`s, every one of them executed.
+const EVERY_RULE: &str = "let $ps := $people/ps/p
+return snap {
+  for $p in $ps
+  return if ($p/w) then (count($p/w), string($p/@id)) else count($ps)
+}";
+
+/// Every rule node of `plan` (whose id is `base`), pre-order, with its id.
+fn rule_nodes(plan: &QueryPlan, base: usize, out: &mut Vec<(usize, QueryPlan)>) {
+    if let QueryPlan::Rule(..) = plan {
+        out.push((base, plan.clone()));
+    }
+    for (p, id) in plan.operands(base) {
+        rule_nodes(p, id, out);
+    }
+}
+
+/// `verify_profile` is not vacuous: for every rule node of a real
+/// analyzed run, bumping one counter that one of the node's laws relates
+/// is rejected, and the rejection names that node. The laws: each
+/// operand's calls are tied to the node's (a `Seq` member, a call
+/// argument, a `let` value and body, a `for` source or `if` condition run
+/// once per call, a `for` body once per source row, an `if`'s branches
+/// once per call between them, a `snap` body once per call); a node's
+/// input rows are its operands' output (`Let`, `For`, `If`: the first
+/// operand's; `Call`: all of them); its output rows are its operands'
+/// (`Seq`: all of them; `Let`, `For`, `Snap`: the body's; `If`: the
+/// branches').
+#[test]
+fn verify_profile_rejects_each_broken_law() {
+    let mut e = engine_with(&[("people", PEOPLE)], true);
+    analyze_and_check(&mut e, EVERY_RULE, "compiled");
+    let run = e.last_run().unwrap();
+    let profile = run.profile.as_ref().unwrap();
+    let mut nodes = Vec::new();
+    rule_nodes(run.plan.as_ref().unwrap().body_plan(), 0, &mut nodes);
+    let mut ops: Vec<&str> = nodes
+        .iter()
+        .map(|(_, p)| match p {
+            QueryPlan::Rule(op, _) => op.name(),
+            _ => unreachable!(),
+        })
+        .collect();
+    ops.sort_unstable();
+    ops.dedup();
+    assert_eq!(ops, ["Call", "For", "If", "Let", "Seq", "Snap"]);
+
+    let mut rejected = 0;
+    for (id, node) in &nodes {
+        let QueryPlan::Rule(op, _) = node else {
+            unreachable!()
+        };
+        assert!(profile.node(*id).calls > 0, "node {id} never ran");
+        assert_eq!(node.verify_profile(profile, *id), Ok(()));
+        let mut tampers: Vec<(String, Profile)> = Vec::new();
+        let mut bumped = |what: String, at: usize, field: fn(&mut NodeStats) -> &mut u64| {
+            let mut t = profile.clone();
+            *field(t.node_mut(at)) += 1;
+            tampers.push((what, t));
+        };
+        for (_, operand) in node.operands(*id) {
+            bumped(format!("operand {operand} calls"), operand, |n| {
+                &mut n.calls
+            });
+        }
+        if !matches!(op, Op::Seq | Op::Snap(_)) {
+            bumped("input rows".into(), *id, |n| &mut n.input_rows);
+        }
+        if !matches!(op, Op::Call(_)) {
+            bumped("output rows".into(), *id, |n| &mut n.output_rows);
+        }
+        for (what, tampered) in tampers {
+            let err = node.verify_profile(&tampered, *id).expect_err(&format!(
+                "node {id} ({}) with one more {what} was accepted",
+                op.name()
+            ));
+            assert!(
+                err.starts_with(&format!("node {id} ({})", op.name())),
+                "{what}: {err}"
+            );
+            rejected += 1;
+        }
+    }
+    // Seq 3, Call 2 + 2, Let 4, For 4, If 5, Snap 2.
+    assert_eq!(rejected, 22);
+    // The whole program's check sees the same breakage.
+    let mut t = profile.clone();
+    t.node_mut(nodes[0].0).output_rows += 1;
+    assert!(run.plan.as_ref().unwrap().verify_profile(&t).is_err());
 }
 
 /// `explain_analyze` really executes the query: effects land in the
