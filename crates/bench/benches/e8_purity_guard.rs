@@ -19,12 +19,12 @@ use xqcore::{Effect, EffectAnalysis};
 use xqexp::{run_planned, xmark_fixture, Q8_SNAP_VARIANT, Q8_VARIANT};
 use xqsyn::core::Core;
 
-/// The `Iterate` leaves of `plan`, in plan order. Panics on a join or
-/// group-by node: the rewrite the `snap insert` must suppress.
+/// The `Iterate` leaves of `plan`, in plan order. Panics on a join node,
+/// grouped or not: the rewrite the `snap insert` must suppress.
 fn iterate_leaves<'p>(plan: &'p QueryPlan, out: &mut Vec<&'p Core>) {
     match plan {
         QueryPlan::Iterate(core) => out.push(core),
-        QueryPlan::HashJoin(_) | QueryPlan::OuterJoinGroupBy(_) => {
+        QueryPlan::Join(_) => {
             panic!("snap insert admitted a join rewrite:\n{}", plan.render())
         }
         QueryPlan::BatchPath(_) => {}
@@ -41,7 +41,7 @@ fn bench_guard(c: &mut Criterion) {
     // loops, with the `snap insert` evaluated in an effectful leaf.
     assert!(matches!(
         Compiler::new(&plain).compile(&plain.body),
-        QueryPlan::OuterJoinGroupBy(_)
+        QueryPlan::Join(j) if j.group.is_some()
     ));
     let plain_plan = compile_program(&plain);
     let snapped_plan = compile_program(&snapped);

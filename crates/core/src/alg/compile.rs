@@ -1,29 +1,29 @@
 //! Rule-based plan compilation with side-effect guards (paper §4.2–4.3).
 //!
-//! Two rewrites, each guarded by the preconditions the paper spells out:
+//! One rewrite, guarded by the preconditions the paper spells out:
+//! **join recognition** turns `for $o in E1 for $i in E2 where K(o) = K(i)
+//! return R` into a hash join ([`QueryPlan::Join`]) when
 //!
-//! 1. **Join recognition** — `for $o in E1 for $i in E2 where K(o) = K(i)
-//!    return R` becomes a hash join when
-//!    * `E2` is *independent* of `$o` (no free occurrence),
-//!    * `E1` and `E2` have no effects and produce no updates (they are
-//!      evaluated once instead of once per outer binding — the paper's
-//!      cardinality precondition),
-//!    * the keys are pure and each depends on exactly one side,
-//!    * nothing in the query **applies** updates (`snap`): pending updates
-//!      in `R` are fine ("inside an innermost snap ... can be evaluated in
-//!      any order"), an inner `snap` kills the rewrite — the paper's "if we
-//!      had used a snap insert ... the group-by optimization would be more
-//!      difficult to detect".
-//! 2. **Outer-join/group-by unnesting** — the §4.3 shape `for $o in E1
-//!    let $g := (for $i in E2 where K(o)=K(i) return R) return F` becomes
-//!    `MapFromItem{F}(GroupBy[o,{R}](LeftOuterJoin(E1, E2) on K))`, with
-//!    the same guards plus purity of `F`'s interaction with the grouped
-//!    value (F may mention `$g` freely — it receives exactly the sequence
-//!    the nested loop would have produced, in the same order).
+//! * `E2` is *independent* of `$o` (no free occurrence),
+//! * `E1` and `E2` have no effects and produce no updates (they are
+//!   evaluated once instead of once per outer binding — the paper's
+//!   cardinality precondition),
+//! * the keys are pure and each depends on exactly one side,
+//! * nothing in the query **applies** updates (`snap`): pending updates in
+//!   `R` are fine ("inside an innermost snap ... can be evaluated in any
+//!   order"), an inner `snap` kills the rewrite — the paper's "if we had
+//!   used a snap insert ... the group-by optimization would be more
+//!   difficult to detect".
+//!
+//! The §4.3 shape `for $o in E1 let $g := (for $i in E2 where K(o)=K(i)
+//! return R) return F` is the same join with a group: it becomes
+//! `MapFromItem{F}(GroupBy[o,{R}](LeftOuterJoin(E1, E2) on K))` under the
+//! same guards plus one more, that `F` applies no updates either (F may
+//! mention `$g` freely — it receives exactly the sequence the nested loop
+//! would have produced, in the same order). When `F` fails that guard, no
+//! join forms at all.
 
-use crate::alg::plan::{
-    BatchFilter, BatchPathPlan, BatchStep, GroupByPlan, JoinPlan, Op, QueryPlan,
-};
+use crate::alg::plan::{BatchFilter, BatchPathPlan, BatchStep, JoinPlan, JoinSide, Op, QueryPlan};
 use crate::alg::rewrite::{chain_from, is_path};
 use crate::eval::{descendant_fusion, position_blind};
 use crate::functions::{self, Kind};
@@ -79,8 +79,8 @@ impl Compiler {
     }
 
     /// Compile a core expression to a plan. Join recognition is attempted
-    /// at **every** subtree: first the two join rewrites on the node
-    /// itself, then [`rule_node`] through the control operators
+    /// at **every** subtree: first the join rewrite on the node itself,
+    /// then [`rule_node`] through the control operators
     /// (`let`/`for`/`if`/sequence/`snap`/read-only built-in calls) so joins
     /// nested inside snap bodies, let-bound values, branches and arguments
     /// are still found. A rule node none of whose operands specialized
@@ -88,9 +88,6 @@ impl Compiler {
     /// per-subtree fallback that keeps unoptimizable code on the strict
     /// interpreted path.
     pub fn compile(&self, core: &Core) -> QueryPlan {
-        if let Some(plan) = self.try_outer_join_group_by(core) {
-            return plan;
-        }
         if let Some(plan) = self.try_join(core) {
             return plan;
         }
@@ -116,8 +113,8 @@ impl Compiler {
         self.compile(&crate::alg::rewrite::simplify(core, &self.analysis))
     }
 
-    /// Shared guards for both rewrites; returns the (outer_key, inner_key)
-    /// pair oriented to (outer, inner).
+    /// The join's guards; returns the (outer_key, inner_key) pair oriented
+    /// to (outer, inner).
     #[allow(clippy::too_many_arguments)]
     fn join_guards(
         &self,
@@ -173,8 +170,9 @@ impl Compiler {
         .then(|| (outer_key.clone(), inner_key.clone()))
     }
 
-    /// Pattern: for $o in E1 return for $i in E2 return if (k = k) then R
-    /// else () — the normalized form of the §2.1 for-for-where query.
+    /// Pattern: `for $o in E1 [let $g :=] for $i in E2 return if (k = k)
+    /// then R else () [return F]` — the normalized form of the §2.1
+    /// for-for-where query, or with the `let` the §4.3 Q8 variant.
     fn try_join(&self, core: &Core) -> Option<QueryPlan> {
         let Core::For {
             var: outer_var,
@@ -185,114 +183,46 @@ impl Compiler {
         else {
             return None;
         };
-        let Core::For {
-            var: inner_var,
-            position: None,
-            source: inner_source,
-            body: inner_body,
-        } = body.as_ref()
-        else {
-            return None;
-        };
-        let (k1, k2, ret) = match_where_eq(inner_body)?;
-        let (outer_key, inner_key) = self.join_guards(
-            outer_var,
-            outer_source,
-            inner_var,
-            inner_source,
-            k1,
-            k2,
-            ret,
-        )?;
-        Some(QueryPlan::HashJoin(batch_join(
-            JoinPlan {
-                outer_var: outer_var.clone(),
-                outer_source: (**outer_source).clone(),
-                inner_var: inner_var.clone(),
-                inner_source: (**inner_source).clone(),
-                outer_key,
-                inner_key,
-                body: ret.clone(),
-                outer_batch: None,
-                inner_batch: None,
-                outer_key_steps: None,
-                inner_key_steps: None,
-            },
-            self.index_available,
-        )))
-    }
-
-    /// Pattern: for $o in E1 return let $g := (for $i in E2 return
-    /// if (k = k) then R else ()) return F — the §4.3 Q8 variant.
-    fn try_outer_join_group_by(&self, core: &Core) -> Option<QueryPlan> {
-        let Core::For {
-            var: outer_var,
-            position: None,
-            source: outer_source,
-            body,
-        } = core
-        else {
-            return None;
-        };
-        let Core::Let {
-            var: group_var,
-            value,
-            body: ret,
-        } = body.as_ref()
-        else {
-            return None;
+        let (group, inner) = match body.as_ref() {
+            Core::Let {
+                var,
+                value,
+                body: ret,
+            } => (Some((var, ret)), value.as_ref()),
+            other => (None, other),
         };
         let Core::For {
             var: inner_var,
             position: None,
             source: inner_source,
             body: inner_body,
-        } = value.as_ref()
+        } = inner
         else {
             return None;
         };
         let (k1, k2, r) = match_where_eq(inner_body)?;
         let (outer_key, inner_key) =
             self.join_guards(outer_var, outer_source, inner_var, inner_source, k1, k2, r)?;
-        // The outer return must not apply updates either (it runs once per
-        // outer binding in both plans, but an inner snap would let it
-        // observe R's effects mid-join).
-        if !self.analysis.effect(ret).order_free() {
+        // The group's return must not apply updates either: the join reads
+        // the inner side once, before any return runs, where the nested
+        // loop reads it again after each return's snap.
+        if group.is_some_and(|(_, ret)| !self.analysis.effect(ret).order_free()) {
             return None;
         }
-        Some(QueryPlan::OuterJoinGroupBy(GroupByPlan {
-            join: batch_join(
-                JoinPlan {
-                    outer_var: outer_var.clone(),
-                    outer_source: (**outer_source).clone(),
-                    inner_var: inner_var.clone(),
-                    inner_source: (**inner_source).clone(),
-                    outer_key,
-                    inner_key,
-                    body: r.clone(),
-                    outer_batch: None,
-                    inner_batch: None,
-                    outer_key_steps: None,
-                    inner_key_steps: None,
-                },
-                self.index_available,
-            ),
-            group_var: group_var.clone(),
-            ret: (**ret).clone(),
-        }))
+        let side = |var: &String, source: &Core, key| JoinSide {
+            var: var.clone(),
+            source: source.clone(),
+            batch: try_batch_path(source, self.index_available),
+            key_steps: key_steps(&key, var),
+            key,
+        };
+        Some(QueryPlan::Join(Box::new(JoinPlan {
+            outer: side(outer_var, outer_source, outer_key),
+            inner: side(inner_var, inner_source, inner_key),
+            body: r.clone(),
+            group: group.map(|(var, ret)| (var.clone(), (**ret).clone())),
+        })))
     }
-}
-
-/// Fill a join's batch lowerings: each source that is a pure step chain,
-/// and each key that is a pure step chain rooted at its own side's
-/// variable, gets the batch-kernel path at execution time. Purely
-/// physical — the join's semantics and guards are untouched.
-fn batch_join(mut j: JoinPlan, index_available: bool) -> JoinPlan {
-    j.outer_batch = try_batch_path(&j.outer_source, index_available);
-    j.inner_batch = try_batch_path(&j.inner_source, index_available);
-    j.outer_key_steps = key_steps(&j.outer_key, &j.outer_var);
-    j.inner_key_steps = key_steps(&j.inner_key, &j.inner_var);
-    j
 }
 
 /// The batch lowering of a join key: a pure step chain whose input is
@@ -512,6 +442,14 @@ mod tests {
         Compiler::new(&prog).compile(&prog.body)
     }
 
+    /// The join at the root of `plan`, when it has a group.
+    fn grouped(plan: &QueryPlan) -> Option<&JoinPlan> {
+        match plan {
+            QueryPlan::Join(j) if j.group.is_some() => Some(j),
+            _ => None,
+        }
+    }
+
     const Q_JOIN: &str = r#"
         for $p in $auction//person
         for $t in $auction//closed_auction
@@ -531,13 +469,14 @@ mod tests {
     fn paper_join_query_compiles_to_hash_join() {
         let plan = plan_for(Q_JOIN);
         match &plan {
-            QueryPlan::HashJoin(j) => {
-                assert_eq!(j.outer_var, "p");
-                assert_eq!(j.inner_var, "t");
+            QueryPlan::Join(j) => {
+                assert_eq!(j.outer.var, "p");
+                assert_eq!(j.inner.var, "t");
+                assert_eq!(j.group, None);
                 // Keys oriented correctly even though the where-clause
                 // wrote them inner-first.
-                assert!(j.outer_key.free_vars().contains("p"));
-                assert!(j.inner_key.free_vars().contains("t"));
+                assert!(j.outer.key.free_vars().contains("p"));
+                assert!(j.inner.key.free_vars().contains("t"));
             }
             other => panic!("expected hash join, got {other:?}"),
         }
@@ -546,13 +485,10 @@ mod tests {
     #[test]
     fn paper_q8_variant_compiles_to_outer_join_group_by() {
         let plan = plan_for(Q8_VARIANT);
-        match &plan {
-            QueryPlan::OuterJoinGroupBy(g) => {
-                assert_eq!(g.group_var, "a");
-                assert_eq!(g.join.outer_var, "p");
-            }
-            other => panic!("expected outer-join/group-by, got {other:?}"),
-        }
+        let j =
+            grouped(&plan).unwrap_or_else(|| panic!("expected outer-join/group-by, got {plan:?}"));
+        assert_eq!(j.group.as_ref().unwrap().0, "a");
+        assert_eq!(j.outer.var, "p");
         // The §4.3 printout shape.
         let rendered = plan.render();
         assert!(rendered.contains("GroupBy"));
@@ -564,18 +500,31 @@ mod tests {
     #[test]
     fn snap_in_body_suppresses_the_rewrite() {
         // §4.3: "if we had used a snap insert at line 5 of the source code,
-        // the group-by optimization would be more difficult to detect".
-        let q = r#"
+        // the group-by optimization would be more difficult to detect". A
+        // snap in the group's return is refused as well: it would observe
+        // the body's pending updates mid-join (and the inner loop alone is
+        // no join).
+        for q in [
+            r#"
             for $p in $auction//person
             let $a :=
               for $t in $auction//closed_auction
               where $t/buyer/@person = $p/@id
               return (snap insert { <buyer/> } into { $purchasers }, $t)
-            return <item>{ count($a) }</item>"#;
-        // No join — but the path sources still lower to batch chains.
-        let plan = plan_for(q);
-        assert!(!plan.is_optimized());
-        assert!(plan.is_batched());
+            return <item>{ count($a) }</item>"#,
+            r#"
+            for $p in $auction//person
+            let $a :=
+              for $t in $auction//closed_auction
+              where $t/buyer/@person = $p/@id
+              return $t
+            return (snap insert { <seen/> } into { $log }, count($a))"#,
+        ] {
+            // No join — but the path sources still lower to batch chains.
+            let plan = plan_for(q);
+            assert!(!plan.is_optimized(), "{q}:\n{}", plan.render());
+            assert!(plan.is_batched());
+        }
     }
 
     #[test]
@@ -864,10 +813,7 @@ mod tests {
         for q in UNNESTED {
             let plan = simplified_plan(q);
             let rendered = plan.render();
-            assert!(
-                matches!(plan, QueryPlan::OuterJoinGroupBy(_)),
-                "{q}:\n{rendered}"
-            );
+            assert!(grouped(&plan).is_some(), "{q}:\n{rendered}");
             assert!(!rendered.contains("Iterate"), "{q}:\n{rendered}");
         }
     }
@@ -897,19 +843,17 @@ mod tests {
     #[test]
     fn q8_join_sides_and_keys_are_batched() {
         let plan = plan_for(Q8_VARIANT);
-        let QueryPlan::OuterJoinGroupBy(g) = &plan else {
-            panic!("expected outer-join/group-by");
-        };
-        assert!(g.join.outer_batch.is_some(), "outer source should batch");
-        assert!(g.join.inner_batch.is_some(), "inner source should batch");
-        let okey = g.join.outer_key_steps.as_ref().expect("outer key steps");
-        let ikey = g.join.inner_key_steps.as_ref().expect("inner key steps");
+        let j = grouped(&plan).expect("expected outer-join/group-by");
+        assert!(j.outer.batch.is_some(), "outer source should batch");
+        assert!(j.inner.batch.is_some(), "inner source should batch");
+        let okey = j.outer.key_steps.as_ref().expect("outer key steps");
+        let ikey = j.inner.key_steps.as_ref().expect("inner key steps");
         // $t/buyer/@person and $p/@id respectively.
         assert_eq!(okey.len(), 1);
         assert_eq!(ikey.len(), 2);
         assert!(matches!(okey[0].axis, Axis::Attribute));
         assert!(matches!(ikey[1].axis, Axis::Attribute));
-        assert!(g.join.is_batched());
+        assert!(j.is_batched());
         assert!(plan.render().contains(",batch"));
     }
 }

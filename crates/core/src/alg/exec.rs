@@ -1,7 +1,7 @@
 //! Physical execution of query plans.
 //!
-//! The optimized plans use a **typed hash join** (paper §4.3): each input
-//! is evaluated exactly once, the inner side is hashed on its key's
+//! The join node is a **typed hash join** (paper §4.3): each input is
+//! evaluated exactly once, the inner side is hashed on its key's
 //! atomized string values, and each outer binding probes the table. This
 //! turns the naive `O(|outer| · |inner|)` nested loop into
 //! `O(|outer| + |inner| + |matches|)` — the complexity claim experiment E1
@@ -12,8 +12,9 @@
 //! * **Value order** matches the nested loop: outer-major, inner matches
 //!   in inner-sequence order (match indices are collected and sorted).
 //! * **Δ order** matches too: the per-match body runs with both variables
-//!   bound, in the same (outer, inner) order the nested loop would use, so
-//!   even the *ordered* snap semantics sees an identical update list.
+//!   bound, in the same (outer, inner) order the nested loop would use, and
+//!   a group's return runs after its outer item's matches, so even the
+//!   *ordered* snap semantics sees an identical update list.
 //! * String-keyed hashing is faithful because the guards
 //!   (`Compiler::join_guards`) only admit general `=` between step chains
 //!   from each side's variable, whose atomized values are untyped, and
@@ -21,9 +22,7 @@
 //! * **Errors** match: one side's keys are evaluated only when the other
 //!   side has an item, as the nested loop evaluates its `where`.
 
-use crate::alg::plan::{
-    BatchFilter, BatchPathPlan, BatchStep, GroupByPlan, JoinPlan, Op, QueryPlan,
-};
+use crate::alg::plan::{BatchFilter, BatchPathPlan, BatchStep, JoinPlan, JoinSide, Op, QueryPlan};
 use crate::env::Focus;
 use crate::eval::{
     args_rule, for_rule, if_rule, let_rule, resolve_test, seq_rule, snap_rule, Operand,
@@ -34,7 +33,6 @@ use xqdm::item::{self, Item, Sequence};
 use xqdm::seq;
 use xqdm::{KernelTest, NodeId, QNameId, Store, XdmError, XdmResult};
 use xqsyn::ast::Axis;
-use xqsyn::core::Core;
 
 /// Execute a plan inside the caller's current Δ scope. Pending updates the
 /// plan body produces are appended to the evaluator's current scope,
@@ -92,20 +90,9 @@ fn run_node(
     match plan {
         QueryPlan::Iterate(core) => evaluator.eval(store, env, core),
         QueryPlan::BatchPath(bp) => exec_batch_path(bp, true, evaluator, store, env),
-        QueryPlan::HashJoin(join) => {
+        QueryPlan::Join(join) => {
             evaluator.note_join();
-            let mut out = Sequence::new();
-            for_each_match(join, evaluator, store, env, |ev, store, env, _outer, _| {
-                let v = ev.eval(store, env, &join.body)?;
-                ev.limit_charge(&v)?;
-                out.extend(v);
-                Ok(())
-            })?;
-            Ok(out)
-        }
-        QueryPlan::OuterJoinGroupBy(group) => {
-            evaluator.note_join();
-            execute_group_by(group, evaluator, store, env)
+            execute_join(join, evaluator, store, env)
         }
         QueryPlan::Rule(op, operands) => {
             // The evaluator's own rule for the operator, over operands
@@ -567,64 +554,30 @@ fn contained(
     Ok(verdict)
 }
 
-/// Evaluate one join side: through its batch lowering when present,
-/// through the interpreter otherwise.
-fn eval_join_source(
-    source: &Core,
-    batch: Option<&BatchPathPlan>,
+/// Evaluate one join side's source: through its batch lowering when
+/// present, through the interpreter otherwise.
+fn eval_source(
+    side: &JoinSide,
     evaluator: &mut Evaluator,
     store: &mut Store,
     env: &mut DynEnv,
 ) -> XdmResult<Sequence> {
-    match batch {
+    match &side.batch {
         Some(bp) => exec_batch_path(bp, false, evaluator, store, env),
-        None => evaluator.eval(store, env, source),
+        None => evaluator.eval(store, env, &side.source),
     }
 }
 
-/// The hash-join driver shared by both optimized plans: evaluates both
-/// sides once, hashes the inner side, then invokes `on_match` for every
-/// (outer, inner) pair in nested-loop order. The callback receives the
-/// outer item and the inner matches are bound in `env` around each call.
-fn for_each_match(
+/// The join: per outer binding, the per-match body values in inner order.
+/// Without a group they are the output; with one they are bound to the
+/// group variable (empty when no inner item matches — the LEFT OUTER
+/// part) for the group's return, whose values are the output.
+fn execute_join(
     join: &JoinPlan,
     evaluator: &mut Evaluator,
     store: &mut Store,
     env: &mut DynEnv,
-    mut on_match: impl FnMut(&mut Evaluator, &mut Store, &mut DynEnv, &Item, usize) -> XdmResult<()>,
-) -> XdmResult<()> {
-    drive_join(
-        join,
-        evaluator,
-        store,
-        env,
-        |ev, store, env, outer, matches, inner| {
-            env.push_var(join.outer_var.clone(), seq![outer.clone()]);
-            let r = (|| {
-                for &idx in matches {
-                    env.push_var(join.inner_var.clone(), seq![inner[idx].clone()]);
-                    let r = on_match(ev, store, env, outer, idx);
-                    env.pop_var();
-                    r?;
-                }
-                Ok(())
-            })();
-            env.pop_var();
-            r
-        },
-    )
-}
-
-/// Outer-join + group-by: per outer binding, the grouped sequence is the
-/// concatenation of the per-match body values (empty when no matches —
-/// the LEFT OUTER part), bound to the group variable for the outer return.
-fn execute_group_by(
-    group: &GroupByPlan,
-    evaluator: &mut Evaluator,
-    store: &mut Store,
-    env: &mut DynEnv,
 ) -> XdmResult<Sequence> {
-    let join = &group.join;
     let mut out = Sequence::new();
     drive_join(
         join,
@@ -632,23 +585,29 @@ fn execute_group_by(
         store,
         env,
         |ev, store, env, outer, matches, inner| {
-            env.push_var(join.outer_var.clone(), seq![outer.clone()]);
+            env.push_var(join.outer.var.clone(), seq![outer.clone()]);
             let r = (|| {
                 let mut grouped = Sequence::new();
+                let values = match join.group {
+                    None => &mut out,
+                    Some(_) => &mut grouped,
+                };
                 for &idx in matches {
-                    env.push_var(join.inner_var.clone(), seq![inner[idx].clone()]);
+                    env.push_var(join.inner.var.clone(), seq![inner[idx].clone()]);
                     let v = ev.eval(store, env, &join.body);
                     env.pop_var();
                     let v = v?;
                     ev.limit_charge(&v)?;
-                    grouped.extend(v);
+                    values.extend(v);
                 }
-                env.push_var(group.group_var.clone(), grouped);
-                let v = ev.eval(store, env, &group.ret);
-                env.pop_var();
-                let v = v?;
-                ev.limit_charge(&v)?;
-                out.extend(v);
+                if let Some((var, ret)) = &join.group {
+                    env.push_var(var.clone(), grouped);
+                    let v = ev.eval(store, env, ret);
+                    env.pop_var();
+                    let v = v?;
+                    ev.limit_charge(&v)?;
+                    out.extend(v);
+                }
                 Ok(())
             })();
             env.pop_var();
@@ -675,40 +634,20 @@ fn drive_join(
     ) -> XdmResult<()>,
 ) -> XdmResult<()> {
     // Each side evaluated at most once (guards ensured this is sound).
-    let outer = eval_join_source(
-        &join.outer_source,
-        join.outer_batch.as_ref(),
-        evaluator,
-        store,
-        env,
-    )?;
+    let outer = eval_source(&join.outer, evaluator, store, env)?;
     // The nested loop evaluates the inner side per outer item: with none,
     // it must not run here either, nor raise its errors.
     if outer.is_empty() {
         return Ok(());
     }
-    let inner = eval_join_source(
-        &join.inner_source,
-        join.inner_batch.as_ref(),
-        evaluator,
-        store,
-        env,
-    )?;
+    let inner = eval_source(&join.inner, evaluator, store, env)?;
     // The join node's profile frame is innermost here: input = outer rows.
     evaluator.note_input(outer.len() as u64);
 
     // Build: key string -> inner indices, in inner order.
     let mut table: HashMap<String, Vec<usize>> = HashMap::new();
     for (idx, it) in inner.iter().enumerate() {
-        let keys = eval_key(
-            evaluator,
-            store,
-            env,
-            &join.inner_var,
-            it,
-            &join.inner_key,
-            join.inner_key_steps.as_deref(),
-        )?;
+        let keys = eval_key(&join.inner, it, evaluator, store, env)?;
         for k in keys {
             table.entry(k).or_default().push(idx);
         }
@@ -720,15 +659,7 @@ fn drive_join(
         let keys = if inner.is_empty() {
             Vec::new()
         } else {
-            eval_key(
-                evaluator,
-                store,
-                env,
-                &join.outer_var,
-                o,
-                &join.outer_key,
-                join.outer_key_steps.as_deref(),
-            )?
+            eval_key(&join.outer, o, evaluator, store, env)?
         };
         matches.clear();
         for k in &keys {
@@ -746,29 +677,27 @@ fn drive_join(
     Ok(())
 }
 
-/// Evaluate a join key for one binding: the atomized string values.
+/// Evaluate a side's join key for one binding: the atomized string values.
 ///
-/// With `batch` steps available and a node binding, the key path runs
+/// With key steps available and a node binding, the key path runs
 /// directly through the store kernels from that node — no environment
 /// push, no interpreter dispatch, no intermediate sequence. Atomizing an
 /// untyped node is exactly its string value, so the two paths agree.
 fn eval_key(
+    side: &JoinSide,
+    item: &Item,
     evaluator: &mut Evaluator,
     store: &mut Store,
     env: &mut DynEnv,
-    var: &str,
-    item: &Item,
-    key: &Core,
-    batch: Option<&[BatchStep]>,
 ) -> XdmResult<Vec<String>> {
-    if let (Some(steps), Item::Node(n)) = (batch, item) {
+    if let (Some(steps), Item::Node(n)) = (&side.key_steps, item) {
         let mut cur = vec![*n];
         let mut next = Vec::new();
         run_batch_steps(steps, false, evaluator, store, env, &mut cur, &mut next)?;
         return cur.into_iter().map(|n| store.string_value(n)).collect();
     }
-    env.push_var(var.to_string(), seq![item.clone()]);
-    let r = evaluator.eval(store, env, key);
+    env.push_var(side.var.clone(), seq![item.clone()]);
+    let r = evaluator.eval(store, env, &side.key);
     env.pop_var();
     let atoms = item::atomize(&r?, store)?;
     Ok(atoms.into_iter().map(|a| a.string_value()).collect())

@@ -11,8 +11,8 @@
 //! * [`plan::QueryPlan`] — the logical plan language, with the paper-style
 //!   `Snap { MapFromItem {...} (GroupBy [...] (LeftOuterJoin(...))) }`
 //!   printer;
-//! * [`exec`] — physical execution: typed hash join / left-outer
-//!   join + group-by, producing the same value *and the same pending
+//! * [`exec`] — physical execution: one typed hash join, with or without
+//!   a group (left outer join + group-by), producing the same value *and the same pending
 //!   update list* as the nested loop, in `O(|outer| + |inner| +
 //!   |matches|)`.
 //!
@@ -35,7 +35,7 @@ pub mod rewrite;
 pub use compile::Compiler;
 pub use exec::execute;
 pub use pipeline::{compile_program, PlannedProgram};
-pub use plan::{GroupByPlan, JoinPlan, Op, QueryPlan};
+pub use plan::{JoinPlan, JoinSide, Op, QueryPlan};
 pub use rewrite::simplify;
 
 use crate::{Evaluator, ProgramEnv};

@@ -5,9 +5,10 @@
 //!
 //! A [`PlannedProgram`] owns one plan per program part. Function bodies
 //! whose plan actually optimized something are collected into a
-//! `FnTable` and installed as the evaluator's function executor for the
-//! duration of the run, so a join inside a declared function runs as a
-//! hash join no matter where the call site sits. Functions whose bodies
+//! `FnTable`, which the evaluator's call rule consults for the duration
+//! of the run — it runs a listed body's plan in the call's own frame — so
+//! a join inside a declared function runs as a hash join no matter where
+//! the call site sits. Functions whose bodies
 //! compiled to a bare `Iterate` are left to the interpreter — the plan
 //! would add indirection without changing a single instruction.
 
@@ -22,7 +23,8 @@ use xqdm::{Store, XdmResult};
 use xqsyn::CoreProgram;
 
 /// Compiled plans for the declared functions that benefited from
-/// compilation, consulted by the evaluator on every user-function call.
+/// compilation, consulted by the evaluator's call rule on every
+/// user-function call.
 #[derive(Default)]
 pub(crate) struct FnTable {
     /// `(name, params, body plan, profile node-id base)` — linear scan;
@@ -42,38 +44,14 @@ impl FnTable {
         self.entries.len()
     }
 
-    /// Try to run `name(args)` as a compiled plan. Returns `Err(args)` —
-    /// handing the (already evaluated) arguments back — when there is no
-    /// plan for that function, so the caller can interpret it. The
-    /// evaluator consults this after built-in dispatch and before falling
-    /// back to interpreting the declaration.
-    pub(crate) fn try_call(
-        &self,
-        evaluator: &mut Evaluator,
-        store: &mut Store,
-        name: &str,
-        args: Vec<Sequence>,
-    ) -> Result<XdmResult<Sequence>, Vec<Sequence>> {
-        let Some((_, params, plan, base)) = self
-            .entries
+    /// The compiled body of `name` with `arity` parameters, with its
+    /// profile node-id base; `None` when that function's body runs
+    /// interpreted.
+    pub(crate) fn get(&self, name: &str, arity: usize) -> Option<(&QueryPlan, usize)> {
+        self.entries
             .iter()
-            .find(|(n, p, _, _)| n == name && p.len() == args.len())
-        else {
-            return Err(args);
-        };
-        Ok((|| {
-            // Same recursion accounting as an interpreted call.
-            evaluator.enter_nested()?;
-            // Function bodies see only their parameters and globals — a
-            // fresh environment, exactly like the interpreter's call rule.
-            let mut fenv = DynEnv::new();
-            for (p, v) in params.iter().zip(args) {
-                fenv.push_var(p.clone(), v);
-            }
-            let r = exec::execute_at(plan, *base, evaluator, store, &mut fenv);
-            evaluator.exit_nested();
-            r
-        })())
+            .find(|(n, p, _, _)| n == name && p.len() == arity)
+            .map(|(_, _, plan, base)| (plan, *base))
     }
 }
 

@@ -4,9 +4,10 @@
 //! `MapFromItem`, `GroupBy`, `LeftOuterJoin`, `Snap` — with three families
 //! of nodes:
 //!
-//! * **Join nodes**, produced by the guarded rewrites:
-//!   [`QueryPlan::HashJoin`] (the §2.1 purchasers query) and
-//!   [`QueryPlan::OuterJoinGroupBy`] (the §4.3 XMark Q8 variant).
+//! * **The join node**, produced by the guarded rewrite:
+//!   [`QueryPlan::Join`], a typed hash join of two [`JoinSide`]s — the
+//!   §2.1 purchasers query — whose optional group makes it the §4.3 XMark
+//!   Q8 variant, `MapFromItem∘GroupBy∘LeftOuterJoin`.
 //! * **Leaves**: [`QueryPlan::BatchPath`], a path run on the batch kernels,
 //!   and [`QueryPlan::Iterate`], a core expression the interpreter
 //!   evaluates.
@@ -42,12 +43,13 @@ pub enum QueryPlan {
     /// No rewrite applied: evaluate the core expression as-is (nested
     /// loops, strict left-to-right order). Always safe.
     Iterate(Core),
-    /// `for $o in outer, $i in inner where key(o) = key(i) return body`
-    /// as a typed hash join.
-    HashJoin(JoinPlan),
-    /// `for $o in outer let $g := (for $i in inner where k(o)=k(i) return
-    /// item) return body` as LeftOuterJoin + GroupBy + MapFromItem.
-    OuterJoinGroupBy(GroupByPlan),
+    /// `for $o in outer, $i in inner where key(o) = key(i) return body` as
+    /// a typed hash join; with a [`JoinPlan::group`], `for $o in outer let
+    /// $g := (for $i in inner where k(o)=k(i) return body) return ret` as
+    /// LeftOuterJoin + GroupBy + MapFromItem. Boxed: a join is several
+    /// times the size of any other node, and every operand slot of a rule
+    /// node is as large as the largest variant.
+    Join(Box<JoinPlan>),
     /// A pure path-step chain lowered to batch-at-a-time execution
     /// (DESIGN.md §14): each step maps the whole `Vec<NodeId>` batch
     /// through a store kernel with the name test resolved to interned
@@ -176,58 +178,51 @@ pub enum BatchFilter {
     Pred(Core),
 }
 
-/// The join core shared by both optimized shapes.
+/// One side of a join: a loop variable bound in turn to each item of a
+/// source evaluated once, and the join key over that variable.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JoinSide {
+    /// The loop variable.
+    pub var: String,
+    /// The loop source (evaluated once — for the inner side, the whole
+    /// point of the join).
+    pub source: Core,
+    /// The join key over `var`.
+    pub key: Core,
+    /// Batch lowering of `source`, when it is a pure step chain.
+    pub batch: Option<BatchPathPlan>,
+    /// Batch lowering of `key` relative to `var`: the build and probe
+    /// loops run these steps from each bound node instead of re-entering
+    /// the interpreter per binding.
+    pub key_steps: Option<Vec<BatchStep>>,
+}
+
+/// The join: for each outer item, the per-match `body` over each inner
+/// item whose key equals its key, in inner order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JoinPlan {
-    /// Outer loop variable.
-    pub outer_var: String,
-    /// Outer loop source (evaluated once).
-    pub outer_source: Core,
-    /// Inner loop variable.
-    pub inner_var: String,
-    /// Inner loop source (evaluated once — the whole point of the join).
-    pub inner_source: Core,
-    /// Join key over the outer variable.
-    pub outer_key: Core,
-    /// Join key over the inner variable.
-    pub inner_key: Core,
+    /// The outer loop, the probe side.
+    pub outer: JoinSide,
+    /// The inner loop, the build side.
+    pub inner: JoinSide,
     /// Per-match body (the `return` of the inner loop), with both
     /// variables in scope. May carry pending updates — the guards only
     /// exclude `snap`.
     pub body: Core,
-    /// Batch lowering of `outer_source`, when it is a pure step chain.
-    pub outer_batch: Option<BatchPathPlan>,
-    /// Batch lowering of `inner_source`, when it is a pure step chain.
-    pub inner_batch: Option<BatchPathPlan>,
-    /// Batch lowering of `outer_key` relative to `outer_var`: the probe
-    /// runs these steps from each outer node instead of re-entering the
-    /// interpreter per binding.
-    pub outer_key_steps: Option<Vec<BatchStep>>,
-    /// Batch lowering of `inner_key` relative to `inner_var` (build side).
-    pub inner_key_steps: Option<Vec<BatchStep>>,
+    /// `None`: the per-match values are the output. `Some((var, ret))`:
+    /// each outer item's per-match values, empty when it has no match (the
+    /// left outer join), are grouped under `var`, and `ret` — with the
+    /// outer variable and `var` in scope — is the output.
+    pub group: Option<(String, Core)>,
 }
 
 impl JoinPlan {
     /// Is any side's source or key batch-lowered?
     pub fn is_batched(&self) -> bool {
-        self.outer_batch.is_some()
-            || self.inner_batch.is_some()
-            || self.outer_key_steps.is_some()
-            || self.inner_key_steps.is_some()
+        [&self.outer, &self.inner]
+            .iter()
+            .any(|side| side.batch.is_some() || side.key_steps.is_some())
     }
-}
-
-/// The outer-join/group-by shape: joins like [`JoinPlan`], then groups the
-/// per-match values under `group_var` for each outer binding and evaluates
-/// `ret`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupByPlan {
-    /// The underlying join.
-    pub join: JoinPlan,
-    /// The `let` variable receiving the grouped sequence.
-    pub group_var: String,
-    /// The outer `return`, with `outer_var` and `group_var` in scope.
-    pub ret: Core,
 }
 
 impl QueryPlan {
@@ -237,7 +232,7 @@ impl QueryPlan {
     /// [`QueryPlan::is_batched`].
     pub fn is_optimized(&self) -> bool {
         match self {
-            QueryPlan::HashJoin(_) | QueryPlan::OuterJoinGroupBy(_) => true,
+            QueryPlan::Join(_) => true,
             _ => self.rule_operands().iter().any(QueryPlan::is_optimized),
         }
     }
@@ -247,8 +242,7 @@ impl QueryPlan {
     pub fn is_batched(&self) -> bool {
         match self {
             QueryPlan::BatchPath(_) => true,
-            QueryPlan::HashJoin(j) => j.is_batched(),
-            QueryPlan::OuterJoinGroupBy(g) => g.join.is_batched(),
+            QueryPlan::Join(j) => j.is_batched(),
             _ => self.rule_operands().iter().any(QueryPlan::is_batched),
         }
     }
@@ -361,43 +355,41 @@ impl QueryPlan {
                 };
                 format!("BatchPath{eff} {{ {} }}", bp.core)
             }
-            QueryPlan::HashJoin(j) => format!(
-                "MapFromItem{eb} {{ {body} }}\n(Join( MapFromItem{{[{o}:Input]{ob}}}\n   \
-                 ({osrc}),\n       MapFromItem{{[{i}:Input]{ib}}}\n   ({isrc}))\n  on {{ \
-                 Input#{i}/{ikey}{ikb} = Input#{o}/{okey}{okb} }}\n)",
-                eb = eff(&j.body),
-                body = j.body,
-                o = j.outer_var,
-                ob = bmark(&j.outer_batch),
-                osrc = j.outer_source,
-                i = j.inner_var,
-                ib = bmark(&j.inner_batch),
-                isrc = j.inner_source,
-                ikey = strip_var(&j.inner_key, &j.inner_var),
-                ikb = mark(j.inner_key_steps.is_some()),
-                okey = strip_var(&j.outer_key, &j.outer_var),
-                okb = mark(j.outer_key_steps.is_some()),
-            ),
-            QueryPlan::OuterJoinGroupBy(g) => format!(
-                "MapFromItem{er} {{\n  {ret}\n}}\n(GroupBy [ Input#{o}, {{ {body} }}{eb} \
-                 ]\n  ( LeftOuterJoin( MapFromItem{{[{o}:Input]{ob}}}\n     \
-                 ({osrc}),\n                   MapFromItem{{[{i}:Input]{ib}}}\n     \
-                 ({isrc}))\n    on {{ Input#{i}/{ikey}{ikb} = Input#{o}/{okey}{okb} }}\n  )\n)",
-                er = eff(&g.ret),
-                ret = g.ret,
-                o = g.join.outer_var,
-                ob = bmark(&g.join.outer_batch),
-                body = g.join.body,
-                eb = eff(&g.join.body),
-                osrc = g.join.outer_source,
-                i = g.join.inner_var,
-                ib = bmark(&g.join.inner_batch),
-                isrc = g.join.inner_source,
-                ikey = strip_var(&g.join.inner_key, &g.join.inner_var),
-                ikb = mark(g.join.inner_key_steps.is_some()),
-                okey = strip_var(&g.join.outer_key, &g.join.outer_var),
-                okb = mark(g.join.outer_key_steps.is_some()),
-            ),
+            QueryPlan::Join(j) => {
+                // The two sides and the key, a `Join` on its own or, with a
+                // group, a `LeftOuterJoin` nested one level under `GroupBy`.
+                let (open, lead) = match j.group {
+                    None => ("(Join( ", ""),
+                    Some(_) => ("  ( LeftOuterJoin( ", "  "),
+                };
+                let (o, i) = (&j.outer, &j.inner);
+                let join = format!(
+                    "{open}MapFromItem{{[{ov}:Input]{ob}}}\n{lead}   ({osrc}),\n{pad}\
+                     MapFromItem{{[{iv}:Input]{ib}}}\n{lead}   ({isrc}))\n{lead}  on {{ \
+                     Input#{iv}/{ikey}{ikb} = Input#{ov}/{okey}{okb} }}\n{lead})",
+                    pad = " ".repeat(open.len()),
+                    ov = o.var,
+                    ob = bmark(&o.batch),
+                    osrc = o.source,
+                    iv = i.var,
+                    ib = bmark(&i.batch),
+                    isrc = i.source,
+                    ikey = strip_var(&i.key, &i.var),
+                    ikb = mark(i.key_steps.is_some()),
+                    okey = strip_var(&o.key, &o.var),
+                    okb = mark(o.key_steps.is_some()),
+                );
+                match &j.group {
+                    None => format!("MapFromItem{} {{ {} }}\n{join}", eff(&j.body), j.body),
+                    Some((_, ret)) => format!(
+                        "MapFromItem{} {{\n  {ret}\n}}\n(GroupBy [ Input#{}, {{ {} }}{} ]\n{join}\n)",
+                        eff(ret),
+                        o.var,
+                        j.body,
+                        eff(&j.body),
+                    ),
+                }
+            }
             QueryPlan::Rule(op, _) => {
                 // `Let $x := {` value `} In {` body `}`: an opening line,
                 // then each operand preceded by the operator's separator
@@ -637,19 +629,19 @@ mod tests {
 
     #[test]
     fn structural_nodes_report_optimization_recursively() {
-        let join = QueryPlan::HashJoin(JoinPlan {
-            outer_var: "o".into(),
-            outer_source: Core::int(1),
-            inner_var: "i".into(),
-            inner_source: Core::int(2),
-            outer_key: Core::int(3),
-            inner_key: Core::int(4),
+        let side = |var: &str, n| JoinSide {
+            var: var.into(),
+            source: Core::int(n),
+            key: Core::int(n + 2),
+            batch: None,
+            key_steps: None,
+        };
+        let join = QueryPlan::Join(Box::new(JoinPlan {
+            outer: side("o", 1),
+            inner: side("i", 2),
             body: Core::int(5),
-            outer_batch: None,
-            inner_batch: None,
-            outer_key_steps: None,
-            inner_key_steps: None,
-        });
+            group: None,
+        }));
         let snap = QueryPlan::Rule(Op::Snap(SnapMode::Ordered), vec![join]);
         assert!(snap.is_optimized());
         let seq = QueryPlan::Rule(Op::Seq, vec![QueryPlan::Iterate(Core::int(1)), snap]);

@@ -18,6 +18,7 @@
 //! specifies for a language with side effects (§2.4): every rule with two
 //! sub-expressions evaluates the first before the second.
 
+use crate::alg::exec;
 use crate::alg::pipeline::FnTable;
 use crate::delta::{apply_delta, Delta};
 use crate::env::{DynEnv, Focus, ProgramEnv, Scope};
@@ -365,28 +366,11 @@ impl Evaluator {
         self.function_executor = executor;
     }
 
-    /// Enter a nested evaluation frame from outside `eval` (plan executors
-    /// calling back into compiled function bodies), enforcing the same
-    /// recursion limit. Pair with [`Evaluator::exit_nested`] on success.
-    pub(crate) fn enter_nested(&mut self) -> XdmResult<()> {
-        self.depth += 1;
-        let max_depth = self.scope.env().limits.max_depth;
-        if self.depth > max_depth {
-            self.depth -= 1;
-            return Err(limits::depth_error(max_depth));
-        }
-        Ok(())
-    }
-
-    /// Leave the frame entered by [`Evaluator::enter_nested`].
-    pub(crate) fn exit_nested(&mut self) {
-        self.depth -= 1;
-    }
-
     /// Run function `name` over its evaluated arguments: a built-in
-    /// through its row, a declared function through its compiled plan when
-    /// its body compiled, else by evaluating its body. The one dispatch of
-    /// the call rule, interpreted or compiled.
+    /// through its row; a declared function in a fresh environment that
+    /// binds its parameters, through its compiled plan when its body
+    /// compiled, else by evaluating its body. The one dispatch of the call
+    /// rule, interpreted or compiled.
     pub(crate) fn call(
         &mut self,
         store: &mut Store,
@@ -404,13 +388,6 @@ impl Evaluator {
                 _ => functions::call(f, values, store, &self.scope, env),
             };
         }
-        let values = match self.function_executor.clone() {
-            Some(executor) => match executor.try_call(self, store, name, values) {
-                Ok(result) => return result,
-                Err(values) => values,
-            },
-            None => values,
-        };
         let Some(func) = self.scope.function(name, arity).cloned() else {
             return Err(functions::unresolved(name, arity));
         };
@@ -420,7 +397,15 @@ impl Evaluator {
         for (p, v) in func.params.iter().zip(values) {
             fenv.push_var(p.clone(), v);
         }
-        self.eval(store, &mut fenv, &func.body)
+        let compiled = self.function_executor.clone();
+        match compiled.as_deref().and_then(|t| t.get(name, arity)) {
+            // The plan's frame counts toward the recursion limit as the
+            // body's `eval` frame does.
+            Some((plan, base)) => {
+                self.nested(|ev| exec::execute_at(plan, base, ev, store, &mut fenv))
+            }
+            None => self.eval(store, &mut fenv, &func.body),
+        }
     }
 
     /// Record the execution of one compiled plan node.
@@ -599,14 +584,19 @@ impl Evaluator {
         env: &mut DynEnv,
         expr: &Core,
     ) -> XdmResult<Sequence> {
+        self.nested(|ev| ev.guard.tick().and_then(|()| rule(ev, store, env, expr)))
+    }
+
+    /// Run `f` one frame deeper, or raise the recursion-depth error
+    /// (`XQB0040`) without running it when that frame passes the limit.
+    #[inline(always)]
+    fn nested(&mut self, f: impl FnOnce(&mut Self) -> XdmResult<Sequence>) -> XdmResult<Sequence> {
         let max_depth = self.scope.env().limits.max_depth;
         self.depth += 1;
         let r = if self.depth > max_depth {
             Err(limits::depth_error(max_depth))
         } else {
-            self.guard
-                .tick()
-                .and_then(|()| rule(self, store, env, expr))
+            f(self)
         };
         self.depth -= 1;
         r

@@ -52,7 +52,10 @@ where $x/@k = $y/@k
 return insert { <m/> } into { ($d//out)[1] }"#;
     let program = xqsyn::compile(q).unwrap();
     let plan = Compiler::new(&program).compile(&program.body);
-    assert!(matches!(plan, QueryPlan::HashJoin(_)));
+    assert!(matches!(
+        plan,
+        QueryPlan::Join(ref j) if j.group.is_none()
+    ));
 
     let (mut store, bindings) = two_sided_store();
     let mut ev = Evaluator::new(Default::default(), &program);

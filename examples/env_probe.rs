@@ -13,8 +13,13 @@
 //! The write side times the §2 logging call on a durable `<log/>` store,
 //! once on an engine alone and once on an engine that holds the snapshot
 //! of its last commit, as a server that publishes every commit does: the
-//! first write after a snapshot pays for copy-on-write. Numbers are
-//! printed, nothing is asserted.
+//! first write after a snapshot pays for copy-on-write. The last row is
+//! the heap the shared plan cache holds once `log_commit`'s 64 texts have
+//! each been run: its plans and its prepared texts, measured as the fall
+//! in live heap bytes when the cache is dropped (a counting global
+//! allocator keeps the live total; it adds one relaxed atomic add per
+//! allocation and per free to every row). Numbers are printed, nothing is
+//! asserted.
 //!
 //! Everything runs on one deep-stack thread (`xqsyn::stack::spawn_deep`),
 //! as `xqserve`'s connection handlers do: on a plain thread every
@@ -25,19 +30,58 @@
 //! cargo run --release --offline --example env_probe
 //! ```
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::time::Instant;
 use xquery_bang::xmarkgen::{Scale, XmarkGen};
+use xquery_bang::xqcore::SharedPlanCache;
 use xquery_bang::xqsyn::stack::spawn_deep;
 use xquery_bang::{Engine, Server, ServerConfig, SyncMode};
+
+/// System allocator that keeps the process's live heap bytes: an
+/// allocation adds its size, a free subtracts it, a reallocation adds the
+/// difference.
+struct CountingAlloc;
+
+/// A statistic only (it publishes no other data), hence `Relaxed`.
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is all that is added.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static COUNTING: CountingAlloc = CountingAlloc;
 
 /// Commits per write-side row.
 const COMMITS: usize = 4_000;
 
-/// The §2 logging call `xqbench`'s `log_commit` workload sends.
-const LOG_APPEND: &str = "let $l := $doc/log let $n := xs:integer($l/@next) return \
-     (replace value of { $l/@next } with { $n + 1 }, \
-     insert { <entry id=\"{$n}\" user=\"person7\"/> } into { $l }, $n)";
+/// Distinct texts of `xqbench`'s `log_commit` stream: one per person id.
+const LOG_TEXTS: usize = 64;
+
+/// The §2 logging call `xqbench`'s `log_commit` workload sends for
+/// `person`.
+fn log_append(person: usize) -> String {
+    format!(
+        "let $l := $doc/log let $n := xs:integer($l/@next) return \
+         (replace value of {{ $l/@next }} with {{ $n + 1 }}, \
+         insert {{ <entry id=\"{{$n}}\" user=\"person{person}\"/> }} into {{ $l }}, $n)"
+    )
+}
 
 /// Median over 7 rounds of the mean nanoseconds per call of `f`.
 fn per_call_ns(calls: u32, mut f: impl FnMut()) -> f64 {
@@ -150,7 +194,7 @@ fn commit_p50_us(sync: SyncMode, hold_snapshot: bool) -> f64 {
     e.set_durability(sync);
     e.open_store(&dir).unwrap();
     e.load_document("doc", "<log next=\"0\"/>").unwrap();
-    let program = e.compile(LOG_APPEND).unwrap();
+    let program = e.compile(&log_append(7)).unwrap();
     let mut held = None;
     let mut us: Vec<f64> = Vec::with_capacity(COMMITS);
     for _ in 0..COMMITS {
@@ -179,6 +223,30 @@ fn write_side() {
     }
 }
 
+/// The heap a shared plan cache holds after `log_commit`'s text stream
+/// (each of its texts, four times over): what dropping the cache frees.
+fn plan_cache_bytes() {
+    let mut e = Engine::new();
+    e.load_document("doc", "<log next=\"0\"/>").unwrap();
+    let cache = SharedPlanCache::new();
+    e.set_shared_plan_cache(cache.clone());
+    for _ in 0..4 {
+        for person in 0..LOG_TEXTS {
+            black_box(e.run(&log_append(person)).unwrap());
+        }
+    }
+    e.set_shared_plan_cache(SharedPlanCache::new());
+    let plans = cache.len();
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    drop(cache);
+    let held = before - LIVE_BYTES.load(Ordering::Relaxed);
+    println!(
+        "plan cache after log_commit's {LOG_TEXTS} texts: {plans} plans and their prepared \
+         texts hold {held} B ({} B per text)",
+        held / LOG_TEXTS as i64
+    );
+}
+
 fn main() {
     spawn_deep("env_probe", || {
         read_side();
@@ -186,6 +254,7 @@ fn main() {
         point_read(&server);
         sum_prices(&server);
         write_side();
+        plan_cache_bytes();
     })
     .expect("spawn the probe thread")
     .join()

@@ -171,7 +171,31 @@ fn compiled_and_interpreted_trip_the_same_class() {
             "snap { for $i in 1 to 1000 return $doc/x/* }",
             Some("Snap(ordered) {"),
         ),
+        // The join node, in both of its shapes: 40 × 40 matches.
+        (
+            memory(1000),
+            "for $l in $big/r/e for $r in $big/r/e where $l/@k = $r/@k return $l",
+            Some("(Join("),
+        ),
+        (
+            memory(1000),
+            "for $l in $big/r/e
+             let $g := for $r in $big/r/e where $l/@k = $r/@k return $r
+             return count($g)",
+            Some("(GroupBy ["),
+        ),
+        // A declared function whose body compiled: each call runs its
+        // plan, which recurses from the join's body.
+        (
+            Limits::default(),
+            "declare function f($n) {
+               for $l in $doc/x/* for $r in $doc/x/* where $l = $r return f($n + 1)
+             };
+             f(0)",
+            Some("declare function f($n):"),
+        ),
     ];
+    let big = format!("<r>{}</r>", "<e k=\"1\"/>".repeat(40));
     for (limits, query, operator) in cases {
         let mut codes = Vec::new();
         for compiled in [true, false] {
@@ -179,6 +203,7 @@ fn compiled_and_interpreted_trip_the_same_class() {
             e.set_compile(compiled);
             e.set_limits(*limits);
             e.load_document("doc", DOC).unwrap();
+            e.load_document("big", &big).unwrap();
             if let (true, Some(op)) = (compiled, operator) {
                 let plan = e.explain(query).unwrap();
                 assert!(plan.contains(op), "{query}: no `{op}` in\n{plan}");
