@@ -13,8 +13,9 @@
 //! in odd ones — with the seed `--seed + pair`, and reads each run's JSON
 //! last line. For every end-to-end metric `BENCHMARK.json` lists it prints
 //! each side's median, the median of the per-pair ratios B / A, their
-//! quartiles, B's wins out of N by the metric's direction, and a verdict
-//! ([`verdict`]).
+//! quartiles, B's wins out of N by the metric's direction, a verdict
+//! ([`verdict`]) and whether the median ratio lies inside the metric's
+//! `bound` ([`in_bound`]).
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode, Stdio};
@@ -32,8 +33,10 @@ const USAGE: &str = "usage: ab --a DIR --b DIR --workload NAME [--pairs N] [--se
 DIR is a release directory holding xqserve and xqbench. Runs N pairs
 (default 9) of T-second (default 18) untraced xqbench passes, alternating
 which side goes first, and prints per end-to-end metric the median ratio
-B/A [q1, q3], B's wins/N and the verdict: improved or regressed when B
-wins or loses at least N-1 of N >= 9 pairs, else no claim.";
+B/A [q1, q3], B's wins/N, the verdict and whether the median ratio is
+inside BENCHMARK.json's bound for the metric. The verdict is improved or
+regressed when B wins or loses at least N-1 of N >= 9 pairs and the
+medians differ by more than A's own interquartile spread, else no claim.";
 
 /// Which way a metric is better.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,12 +75,17 @@ impl Verdict {
 
 /// The verdict on B over `pairs` of (A, B) readings of one metric: B
 /// `improved` (or `regressed`) when it is better (or worse) in at least
-/// N − 1 of N ≥ [`MIN_PAIRS`] pairs; a tie counts for neither side.
+/// N − 1 of N ≥ [`MIN_PAIRS`] pairs, a tie counting for neither side, and
+/// the medians differ by more than A's own spread, the distance between
+/// its quartiles. Below that a difference is one A's runs show against
+/// each other, so it says nothing about the code.
 fn verdict(pairs: &[(f64, f64)], better: Better) -> Verdict {
     let n = pairs.len();
     let improved = pairs.iter().filter(|&&(a, b)| better.beats(b, a)).count();
     let regressed = pairs.iter().filter(|&&(a, b)| better.beats(a, b)).count();
-    if n < MIN_PAIRS {
+    let a: Vec<f64> = pairs.iter().map(|p| p.0).collect();
+    let difference = median(pairs.iter().map(|p| p.1)) - median(a.iter().copied());
+    if n < MIN_PAIRS || difference.abs() <= spread(&a) {
         Verdict::NoClaim
     } else if improved + 1 >= n {
         Verdict::Improved
@@ -114,8 +122,34 @@ fn median(values: impl Iterator<Item = f64>) -> f64 {
     values[values.len() / 2]
 }
 
+/// The distance between the quartiles of `values`, by the nearest-rank
+/// rule [`Paired::of`] reads its ratios' quartiles with.
+fn spread(values: &[f64]) -> f64 {
+    let mut values = values.to_vec();
+    values.sort_by(f64::total_cmp);
+    let at = |q: f64| values[((values.len() - 1) as f64 * q).round() as usize];
+    at(0.75) - at(0.25)
+}
+
+/// Is a median ratio B / A no worse than `bound` (a fraction of A, as
+/// BENCHMARK.json gives it) in the metric's direction?
+fn in_bound(ratio: f64, better: Better, bound: f64) -> bool {
+    match better {
+        Better::Lower => ratio <= 1.0 + bound,
+        Better::Higher => ratio >= 1.0 - bound,
+    }
+}
+
+/// One end-to-end metric as `BENCHMARK.json` declares it.
+struct Metric {
+    name: String,
+    better: Better,
+    /// How much worse than A the median of B may read.
+    bound: f64,
+}
+
 /// `BENCHMARK.json`'s end-to-end metrics, in its order.
-fn end_to_end() -> Vec<(String, Better)> {
+fn end_to_end() -> Vec<Metric> {
     let section = after_key(BENCHMARK_JSON, "end_to_end").expect("BENCHMARK.json has end_to_end");
     let section = &section[..section.find(']').expect("end_to_end is an array")];
     section
@@ -125,7 +159,11 @@ fn end_to_end() -> Vec<(String, Better)> {
                 "lower" => Better::Lower,
                 _ => Better::Higher,
             };
-            Some((string_field(row, "name")?.to_string(), better))
+            Some(Metric {
+                name: string_field(row, "name")?.to_string(),
+                better,
+                bound: number_field(row, "bound")?,
+            })
         })
         .collect()
 }
@@ -143,7 +181,7 @@ fn run(
     workload: &str,
     seed: u64,
     seconds: u64,
-    metrics: &[(String, Better)],
+    metrics: &[Metric],
 ) -> Result<Run, String> {
     let exe = dir.join("xqbench");
     let out = Command::new(&exe)
@@ -169,7 +207,7 @@ fn run(
     Ok(Run {
         values: metrics
             .iter()
-            .map(|(name, _)| number_field(after_key(last, name)?, "value"))
+            .map(|m| number_field(after_key(last, &m.name)?, "value"))
             .collect(),
         failed: number_field(last, "failed").unwrap_or(f64::NAN),
     })
@@ -263,10 +301,11 @@ fn main() -> ExitCode {
         failed(|r| &r.1),
     );
     println!(
-        "{:<16} {:>12} {:>12} {:>30} {:>7}  verdict",
-        "metric", "median A", "median B", "ratio B/A [q1, q3]", "B wins"
+        "{:<16} {:>12} {:>12} {:>30} {:>7}  {:<9} in bound",
+        "metric", "median A", "median B", "ratio B/A [q1, q3]", "B wins", "verdict"
     );
-    for (m, (name, better)) in metrics.iter().enumerate() {
+    for (m, metric) in metrics.iter().enumerate() {
+        let (name, better) = (&metric.name, metric.better);
         let pairs: Vec<(f64, f64)> = runs
             .iter()
             .filter_map(|(a, b)| Some((a.values[m]?, b.values[m]?)))
@@ -277,13 +316,19 @@ fn main() -> ExitCode {
         }
         let ratio = Paired::of(&pairs.iter().map(|&(a, b)| (b, a)).collect::<Vec<_>>());
         let wins = pairs.iter().filter(|&&(a, b)| better.beats(b, a)).count();
+        let bound = if in_bound(ratio.ratio, better, metric.bound) {
+            "yes"
+        } else {
+            "NO"
+        };
         println!(
-            "{name:<16} {:>12.4} {:>12.4} {:>30} {:>7}  {}",
+            "{name:<16} {:>12.4} {:>12.4} {:>30} {:>7}  {:<9} {bound} ({})",
             median(pairs.iter().map(|p| p.0)),
             median(pairs.iter().map(|p| p.1)),
             format!("{:.3} [{:.3}, {:.3}]", ratio.ratio, ratio.q1, ratio.q3),
             format!("{wins}/{}", pairs.len()),
-            verdict(&pairs, *better).as_str()
+            verdict(&pairs, better).as_str(),
+            metric.bound,
         );
     }
     ExitCode::SUCCESS
@@ -313,6 +358,46 @@ mod tests {
             verdict(&pairs(12, 8.0, 1), Better::Lower),
             Verdict::Improved
         );
+    }
+
+    /// A's readings spread over [9.5, 10.5] (quartiles 9.75 and 10.25),
+    /// B's each `delta` above A's.
+    fn spread_pairs(delta: f64) -> Vec<(f64, f64)> {
+        (0..9)
+            .map(|i| 9.5 + i as f64 / 8.0)
+            .map(|a| (a, a + delta))
+            .collect()
+    }
+
+    #[test]
+    fn a_difference_inside_a_own_spread_is_no_claim() {
+        // B loses every pair, yet by less than A's runs differ among
+        // themselves (an A/A run read peak RSS 1.007 this way).
+        assert_eq!(
+            verdict(&spread_pairs(0.07), Better::Lower),
+            Verdict::NoClaim
+        );
+        assert_eq!(verdict(&spread_pairs(0.5), Better::Lower), Verdict::NoClaim);
+        // Past the spread the same win count is a claim.
+        assert_eq!(
+            verdict(&spread_pairs(0.6), Better::Lower),
+            Verdict::Regressed
+        );
+        assert_eq!(
+            verdict(&spread_pairs(-0.6), Better::Lower),
+            Verdict::Improved
+        );
+        assert_eq!(spread(&[3.0, 1.0, 2.0, 5.0, 4.0]), 2.0);
+    }
+
+    #[test]
+    fn the_bound_is_read_in_the_metric_s_direction() {
+        assert!(in_bound(1.25, Better::Lower, 0.25));
+        assert!(!in_bound(1.26, Better::Lower, 0.25));
+        assert!(in_bound(0.5, Better::Lower, 0.1));
+        assert!(in_bound(0.75, Better::Higher, 0.25));
+        assert!(!in_bound(0.74, Better::Higher, 0.25));
+        assert!(in_bound(2.0, Better::Higher, 0.1));
     }
 
     #[test]
@@ -347,14 +432,17 @@ mod tests {
     #[test]
     fn benchmark_json_declares_the_four_metrics() {
         let metrics = end_to_end();
-        let named: Vec<(&str, Better)> = metrics.iter().map(|(n, b)| (n.as_str(), *b)).collect();
+        let named: Vec<(&str, Better, f64)> = metrics
+            .iter()
+            .map(|m| (m.name.as_str(), m.better, m.bound))
+            .collect();
         assert_eq!(
             named,
             [
-                ("setup_s", Better::Lower),
-                ("latency_p50_us", Better::Lower),
-                ("throughput_rps", Better::Higher),
-                ("peak_rss_mib", Better::Lower),
+                ("setup_s", Better::Lower, 0.25),
+                ("latency_p50_us", Better::Lower, 0.25),
+                ("throughput_rps", Better::Higher, 0.25),
+                ("peak_rss_mib", Better::Lower, 0.1),
             ]
         );
     }

@@ -35,11 +35,6 @@ use xqsyn::core::{Core, CoreProgram};
 /// The plan compiler: effect analysis + rewrite rules.
 pub struct Compiler {
     analysis: EffectAnalysis,
-    /// Were the store's secondary indexes available at plan time
-    /// ([`crate::planner::PlanOptions::index_available`])? Gates the
-    /// `,idx` eligibility hints on lowered chains; `false` (the default)
-    /// reproduces the pre-index plans exactly.
-    index_available: bool,
 }
 
 impl Compiler {
@@ -47,7 +42,6 @@ impl Compiler {
     pub fn new(program: &CoreProgram) -> Self {
         Compiler {
             analysis: EffectAnalysis::new(program),
-            index_available: false,
         }
     }
 
@@ -55,15 +49,7 @@ impl Compiler {
     pub fn empty() -> Self {
         Compiler {
             analysis: EffectAnalysis::empty(),
-            index_available: false,
         }
-    }
-
-    /// Declare whether the target store's secondary indexes are
-    /// available (see the field docs).
-    pub fn with_index(mut self, available: bool) -> Self {
-        self.index_available = available;
-        self
     }
 
     /// The effect analysis (exposed for diagnostics and tests).
@@ -101,8 +87,8 @@ impl Compiler {
     /// [`QueryPlan::BatchPath`] (batch-at-a-time kernels, DESIGN.md §14);
     /// anything else stays a strict [`QueryPlan::Iterate`].
     fn leaf(&self, core: &Core) -> QueryPlan {
-        match try_batch_path(core, self.index_available) {
-            Some(bp) => QueryPlan::BatchPath(bp),
+        match try_batch_path(core) {
+            Some(bp) => QueryPlan::BatchPath(Box::new(bp)),
             None => QueryPlan::Iterate(core.clone()),
         }
     }
@@ -212,7 +198,7 @@ impl Compiler {
         let side = |var: &String, source: &Core, key| JoinSide {
             var: var.clone(),
             source: source.clone(),
-            batch: try_batch_path(source, self.index_available),
+            batch: try_batch_path(source),
             key_steps: key_steps(&key, var),
             key,
         };
@@ -228,9 +214,10 @@ impl Compiler {
 /// The batch lowering of a join key: a pure step chain whose input is
 /// exactly the side's loop variable (the probe/build loops then run the
 /// kernels straight off each bound node). Keys run per single binding,
-/// where an index scan can never beat the direct kernel — no idx hint.
+/// where an index scan can never beat the direct kernel: the executor
+/// runs them with no scan, and EXPLAIN marks them `batch` only.
 fn key_steps(key: &Core, var: &str) -> Option<Vec<BatchStep>> {
-    let bp = try_batch_path(key, false)?;
+    let bp = try_batch_path(key)?;
     (bp.input == Core::Var(var.to_string())).then_some(bp.steps)
 }
 
@@ -240,7 +227,7 @@ fn key_steps(key: &Core, var: &str) -> Option<Vec<BatchStep>> {
 /// `None` to stay on the interpreted path. The chain's base can be any
 /// expression (it is evaluated once either way); an unsupported step
 /// simply becomes part of the base.
-fn try_batch_path(core: &Core, index_available: bool) -> Option<BatchPathPlan> {
+fn try_batch_path(core: &Core) -> Option<BatchPathPlan> {
     // A `DocOrder` wrapper is absorbed: every batch step already
     // doc-order-normalizes its output, so ddo-of-chain ≡ chain.
     let chain = match core {
@@ -279,31 +266,11 @@ fn try_batch_path(core: &Core, index_available: bool) -> Option<BatchPathPlan> {
         return None;
     }
     steps.reverse();
-    let idx = index_available && steps.iter().any(step_idx_eligible);
     Some(BatchPathPlan {
         input: cur.clone(),
         steps,
         core: core.clone(),
-        idx,
     })
-}
-
-/// Can the secondary indexes serve this step? An element-producing axis
-/// with either a name test (element-name index) or an `[@a = "v"]`
-/// filter (attribute-value index). The attribute axis is excluded: the
-/// value index is keyed by (name, value), never by name alone.
-fn step_idx_eligible(step: &BatchStep) -> bool {
-    if !matches!(
-        step.axis,
-        Axis::Child | Axis::Descendant | Axis::DescendantOrSelf
-    ) {
-        return false;
-    }
-    matches!(step.test, NodeTest::Name(_))
-        || step
-            .filters
-            .iter()
-            .any(|f| matches!(f, BatchFilter::AttrEq { .. }))
 }
 
 /// Recognize one admissible predicate: a value filter first (the more
@@ -325,7 +292,7 @@ fn batch_filter(pred: &Core) -> Option<BatchFilter> {
 /// numbers), so the interpreter's positional semantics degenerate to the
 /// non-empty test the kernels apply.
 fn existence_chain(pred: &Core) -> Option<Vec<BatchStep>> {
-    let bp = try_batch_path(pred, false)?;
+    let bp = try_batch_path(pred)?;
     matches!(bp.input, Core::ContextItem).then_some(bp.steps)
 }
 
@@ -671,35 +638,38 @@ mod tests {
             ("$auction//*[@id = @ref]", false),
             (r#"$auction//*[@id = "person0"]"#, true),
         ] {
-            let prog = xq_compile(q).expect("parse");
-            let plan = Compiler::new(&prog).with_index(true).compile(&prog.body);
+            let plan = plan_for(q);
             let QueryPlan::BatchPath(bp) = &plan else {
                 panic!("expected batch path for {q}, got {plan:?}");
             };
-            assert_eq!(bp.idx, idx, "{q}");
+            assert_eq!(bp.steps.iter().any(BatchStep::index_servable), idx, "{q}");
         }
     }
 
     #[test]
-    fn index_hints_require_availability() {
-        let prog = xq_compile(r#"$auction//person[@id = "p7"]"#).expect("parse");
-        let without = Compiler::new(&prog).compile(&prog.body);
-        let QueryPlan::BatchPath(bp) = &without else {
-            panic!("expected batch path");
-        };
-        assert!(!bp.idx, "no idx hint without index availability");
-        let with = Compiler::new(&prog).with_index(true).compile(&prog.body);
-        let QueryPlan::BatchPath(bp) = &with else {
-            panic!("expected batch path");
-        };
-        assert!(bp.idx, "idx hint expected when the index is available");
-        // Attribute-axis chains have no name-only index: no hint.
-        let prog = xq_compile("$auction/@id").expect("parse");
-        let plan = Compiler::new(&prog).with_index(true).compile(&prog.body);
+    fn index_servability_is_the_chain_shape_alone() {
+        // The compiler reads no store: one plan for every index state, and
+        // EXPLAIN marks it `,idx` only when the rendering store's plane is
+        // on.
+        let plan = plan_for(r#"$auction//person[@id = "p7"]"#);
         let QueryPlan::BatchPath(bp) = &plan else {
             panic!("expected batch path");
         };
-        assert!(!bp.idx, "attribute axis must not carry an idx hint");
+        assert!(bp.steps.iter().any(BatchStep::index_servable));
+        let analysis = EffectAnalysis::empty();
+        assert!(plan
+            .render_annotated(&analysis, true)
+            .contains(",batch,idx]"));
+        assert!(!plan.render_annotated(&analysis, false).contains(",idx"));
+        assert!(!plan.render().contains(",idx"));
+        // Attribute-axis chains have no name-only index: not servable.
+        let QueryPlan::BatchPath(bp) = plan_for("$auction/@id") else {
+            panic!("expected batch path");
+        };
+        assert!(
+            !bp.steps.iter().any(BatchStep::index_servable),
+            "attribute axis is not index-servable"
+        );
     }
 
     #[test]

@@ -184,18 +184,17 @@ fn exec_batch_path(
         };
         cur.push(n);
     }
-    run_batch_steps(
-        &bp.steps, bp.idx, evaluator, store, env, &mut cur, &mut next,
-    )?;
+    run_batch_steps(&bp.steps, true, evaluator, store, env, &mut cur, &mut next)?;
     Ok(cur.into_iter().map(Item::Node).collect())
 }
 
 /// Drive a step chain over `cur` in place, using `next` as the step
 /// output buffer (both are caller-owned so key probes can recycle them).
-/// When `allow_idx` is set (the planner saw an index-eligible step with
-/// indexes available), each step weighs its index bucket against the
-/// kernel walk from `cur` (see [`index_bucket`]); the runtime gates there
-/// keep a stale `,idx` plan correct.
+/// When `allow_idx` is set (a chain leaf or a join source; never a key or
+/// an existence filter, which start from one binding), each step the
+/// store's index plane can serve weighs its bucket against the kernel
+/// walk from `cur` (see [`index_bucket`]) — the one place index use is
+/// decided.
 ///
 /// A step with a [`BatchFilter::Pred`] filter evaluates it in the
 /// interpreter's order, so that the first error raised is the
@@ -431,20 +430,14 @@ enum Bucket<'s> {
 }
 
 /// The bucket that could answer `step`, with its length, or `None` when
-/// no scan is available: indexing disabled, an axis the scan does not
-/// serve, or a test other than an exact name.
+/// no scan is available: the store's index plane is off, or the step is
+/// not [`BatchStep::index_servable`].
 fn index_bucket<'s>(
     step: &'s BatchStep,
     test: KernelTest,
     store: &Store,
 ) -> Option<(Bucket<'s>, usize)> {
-    if !store.index_enabled() {
-        return None;
-    }
-    if !matches!(
-        step.axis,
-        Axis::Child | Axis::Descendant | Axis::DescendantOrSelf
-    ) {
+    if !store.index_enabled() || !step.index_servable() {
         return None;
     }
     // Prefer the attribute-value index: an equality bucket is almost

@@ -110,14 +110,17 @@ impl PlannedProgram {
 
     /// The paper-style plan printout with effect annotations: the body,
     /// then each optimized prolog variable and each compiled function.
-    /// Rendered on request — a cached plan carries no text.
-    pub fn explain(&self) -> String {
-        let mut out = self.body.render_annotated(&self.analysis);
+    /// Rendered on request — a cached plan carries no text — for a run
+    /// against `store`: index-servable chains are marked `,idx` when its
+    /// index plane is on.
+    pub fn explain(&self, store: &Store) -> String {
+        let indexed = store.index_enabled();
+        let mut out = self.body.render_annotated(&self.analysis, indexed);
         for (name, plan, _) in &self.variables {
             if plan.is_optimized() {
                 out.push_str(&format!(
                     "\n\ndeclare variable ${name}:\n{}",
-                    plan.render_annotated(&self.analysis)
+                    plan.render_annotated(&self.analysis, indexed)
                 ));
             }
         }
@@ -125,7 +128,7 @@ impl PlannedProgram {
             out.push_str(&format!(
                 "\n\ndeclare function {name}({}):\n{}",
                 params_list(params),
-                plan.render_annotated(&self.analysis)
+                plan.render_annotated(&self.analysis, indexed)
             ));
         }
         out
@@ -138,23 +141,26 @@ impl PlannedProgram {
     }
 
     /// The plan printout annotated with live per-node counters from an
-    /// analyzed run (`Engine::explain_analyze`).
-    pub fn explain_analyzed(&self, profile: &crate::obs::Profile) -> String {
+    /// analyzed run against `store` (`Engine::explain_analyze`).
+    pub fn explain_analyzed(&self, profile: &crate::obs::Profile, store: &Store) -> String {
         // Unlike the plain EXPLAIN (which shows only optimized prolog
         // variables), the analyzed tree shows every variable: each one
         // executed and has counters worth reading.
-        let mut out = self.body.render_analyzed(&self.analysis, profile, 0);
+        let indexed = store.index_enabled();
+        let mut out = self
+            .body
+            .render_analyzed(&self.analysis, profile, 0, indexed);
         for (name, plan, base) in &self.variables {
             out.push_str(&format!(
                 "\n\ndeclare variable ${name}:\n{}",
-                plan.render_analyzed(&self.analysis, profile, *base)
+                plan.render_analyzed(&self.analysis, profile, *base, indexed)
             ));
         }
         for (name, params, plan, base) in &self.functions.entries {
             out.push_str(&format!(
                 "\n\ndeclare function {name}({}):\n{}",
                 params_list(params),
-                plan.render_analyzed(&self.analysis, profile, *base)
+                plan.render_analyzed(&self.analysis, profile, *base, indexed)
             ));
         }
         out
@@ -179,16 +185,17 @@ impl PlannedProgram {
 
 /// Compile a whole program: simplify + plan the body, every prolog
 /// variable initializer, and every declared function body, with join
-/// recognition attempted at each subtree of each part.
+/// recognition attempted at each subtree of each part. The plan depends
+/// on the program alone: whether a step is read from the index plane is
+/// decided per scan.
 pub fn compile_program(program: &CoreProgram) -> PlannedProgram {
-    compile_program_opts(program, &PlanOptions::default())
+    assemble(program, Compiler::compile_simplified)
 }
 
-/// [`compile_program`] under explicit [`PlanOptions`]: when
-/// `index_available` is set, eligible batch steps carry `,idx` hints for
-/// the executor's index scans.
-pub fn compile_program_opts(program: &CoreProgram, opts: &PlanOptions) -> PlannedProgram {
-    assemble(program, opts.index_available, Compiler::compile_simplified)
+/// [`compile_program`]. The [`PlanOptions`] are accepted and ignored —
+/// no plan depends on the store — so callers that pass them build.
+pub fn compile_program_opts(program: &CoreProgram, _opts: &PlanOptions) -> PlannedProgram {
+    compile_program(program)
 }
 
 /// Compile a whole program to *structural* plans only (see
@@ -197,7 +204,7 @@ pub fn compile_program_opts(program: &CoreProgram, opts: &PlanOptions) -> Planne
 /// treat them. This is the plan `explain_analyze` executes when
 /// compilation is disabled.
 pub fn compile_structural_program(program: &CoreProgram) -> PlannedProgram {
-    assemble(program, false, |_, core| compile_structural(core))
+    assemble(program, |_, core| compile_structural(core))
 }
 
 /// The shared program-assembly skeleton: plan the body and every prolog
@@ -206,10 +213,9 @@ pub fn compile_structural_program(program: &CoreProgram) -> PlannedProgram {
 /// function bodies.
 fn assemble(
     program: &CoreProgram,
-    index_available: bool,
     plan_expr: impl Fn(&Compiler, &xqsyn::core::Core) -> QueryPlan,
 ) -> PlannedProgram {
-    let compiler = Compiler::new(program).with_index(index_available);
+    let compiler = Compiler::new(program);
     let body = plan_expr(&compiler, &program.body);
     let mut next_base = body.node_count();
 
@@ -278,8 +284,10 @@ mod tests {
         let planned = compile_program(&program);
         assert!(planned.is_optimized());
         assert_eq!(planned.compiled_functions(), 1);
-        assert!(planned.explain().contains("declare function pairs"));
-        assert!(planned.explain().contains("Join"));
+        assert!(planned
+            .explain(&Store::new())
+            .contains("declare function pairs"));
+        assert!(planned.explain(&Store::new()).contains("Join"));
     }
 
     #[test]
@@ -300,8 +308,8 @@ mod tests {
             planned.body_plan(),
             QueryPlan::Rule(crate::alg::plan::Op::Snap(_), _)
         ));
-        assert!(planned.explain().contains("Snap(ordered)"));
-        assert!(planned.explain().contains("Join"));
+        assert!(planned.explain(&Store::new()).contains("Snap(ordered)"));
+        assert!(planned.explain(&Store::new()).contains("Join"));
     }
 
     #[test]

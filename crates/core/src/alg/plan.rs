@@ -54,8 +54,10 @@ pub enum QueryPlan {
     /// (DESIGN.md §14): each step maps the whole `Vec<NodeId>` batch
     /// through a store kernel with the name test resolved to interned
     /// symbol ids, then doc-order sorts and dedups — observably identical
-    /// to step-at-a-time interpretation of the same chain.
-    BatchPath(BatchPathPlan),
+    /// to step-at-a-time interpretation of the same chain. Boxed, as a
+    /// join is: the chain holds its input and its whole expression, more
+    /// than twice the size of any unboxed variant.
+    BatchPath(Box<BatchPathPlan>),
     /// A control operator over compiled operands, run by the evaluator's
     /// own rule for it, so that it behaves exactly as the interpreted
     /// operator: same binding discipline, evaluation order, Δ and seed
@@ -126,12 +128,6 @@ pub struct BatchPathPlan {
     pub steps: Vec<BatchStep>,
     /// The original core expression (rendering and effect annotation).
     pub core: Core,
-    /// Index eligibility (DESIGN.md §17): the store's secondary indexes
-    /// were available at plan time and at least one step has an
-    /// index-servable shape (a name test on an element axis, or an
-    /// `[@a = "v"]` filter). Rendered as `,idx`; the executor still
-    /// applies its runtime cost gate per scan.
-    pub idx: bool,
 }
 
 /// One batched path step. Only the axes with store kernels appear here
@@ -148,6 +144,26 @@ pub struct BatchStep {
     /// filtering coincides with the interpreter's per-origin positional
     /// semantics.
     pub filters: Vec<BatchFilter>,
+}
+
+impl BatchStep {
+    /// Can the secondary indexes serve this step (DESIGN.md §17)? An
+    /// element-producing axis with either a name test (element-name
+    /// index) or an `[@a = "v"]` filter (attribute-value index). The
+    /// attribute axis is excluded: the value index is keyed by (name,
+    /// value), never by name alone. The one statement of the shape: the
+    /// executor asks it before each scan (behind the store's
+    /// `index_enabled()`), EXPLAIN before printing `,idx`.
+    pub fn index_servable(&self) -> bool {
+        matches!(
+            self.axis,
+            Axis::Child | Axis::Descendant | Axis::DescendantOrSelf
+        ) && (matches!(self.test, NodeTest::Name(_))
+            || self
+                .filters
+                .iter()
+                .any(|f| matches!(f, BatchFilter::AttrEq { .. })))
+    }
 }
 
 /// One batched predicate filter (see [`BatchStep::filters`]).
@@ -289,21 +305,24 @@ impl QueryPlan {
 
     /// The paper-style plan printout (§4.3 prints
     /// `Snap { MapFromItem {...} (GroupBy [...] (LeftOuterJoin(...))) }`).
-    /// The outermost `Snap` is the implicit top-level one.
+    /// The outermost `Snap` is the implicit top-level one. A plan alone
+    /// names no store, so no chain is marked `,idx`.
     pub fn render(&self) -> String {
         format!(
             "Snap {{\n{}\n}}",
-            indent(&self.render_node(None, None, 0), 2)
+            indent(&self.render_node(None, None, 0, false), 2)
         )
     }
 
     /// [`QueryPlan::render`] with effect annotations: every `Iterate` leaf
     /// and join body carries its place on the effect lattice, showing
-    /// *why* each guard admitted (or would reject) a rewrite.
-    pub fn render_annotated(&self, analysis: &EffectAnalysis) -> String {
+    /// *why* each guard admitted (or would reject) a rewrite. With
+    /// `indexed` (the rendering store's index plane is on), every
+    /// index-servable chain is marked `,idx`.
+    pub fn render_annotated(&self, analysis: &EffectAnalysis, indexed: bool) -> String {
         format!(
             "Snap {{\n{}\n}}",
-            indent(&self.render_node(Some(analysis), None, 0), 2)
+            indent(&self.render_node(Some(analysis), None, 0, indexed), 2)
         )
     }
 
@@ -317,10 +336,14 @@ impl QueryPlan {
         analysis: &EffectAnalysis,
         profile: &crate::obs::Profile,
         base: usize,
+        indexed: bool,
     ) -> String {
         format!(
             "Snap {{\n{}\n}}",
-            indent(&self.render_node(Some(analysis), Some(profile), base), 2)
+            indent(
+                &self.render_node(Some(analysis), Some(profile), base, indexed),
+                2
+            )
         )
     }
 
@@ -329,6 +352,7 @@ impl QueryPlan {
         analysis: Option<&EffectAnalysis>,
         profile: Option<&crate::obs::Profile>,
         base: usize,
+        indexed: bool,
     ) -> String {
         let eff = |core: &Core| match analysis {
             Some(a) => format!("[{:?}]", a.effect(core)),
@@ -338,17 +362,19 @@ impl QueryPlan {
         // (DESIGN.md §14): a whole chain leaf, a join source, or a join
         // key evaluated by symbol-id compare instead of interpretation.
         // `idx` additionally marks a chain the secondary indexes may
-        // serve (DESIGN.md §17) — the runtime cost gate decides per scan.
+        // serve while the store's plane is on (DESIGN.md §17) — the
+        // runtime cost gate decides per scan.
         let mark = |on: bool| if on { ",batch" } else { "" };
+        let idx = |bp: &BatchPathPlan| indexed && bp.steps.iter().any(BatchStep::index_servable);
         let bmark = |b: &Option<BatchPathPlan>| match b {
-            Some(bp) if bp.idx => ",batch,idx",
+            Some(bp) if idx(bp) => ",batch,idx",
             Some(_) => ",batch",
             None => "",
         };
         let text = match self {
             QueryPlan::Iterate(core) => format!("Iterate{} {{ {core} }}", eff(core)),
             QueryPlan::BatchPath(bp) => {
-                let idx = if bp.idx { ",idx" } else { "" };
+                let idx = if idx(bp) { ",idx" } else { "" };
                 let eff = match analysis {
                     Some(a) => format!("[{:?},batch{idx}]", a.effect(&bp.core)),
                     None => format!("[batch{idx}]"),
@@ -427,7 +453,7 @@ impl QueryPlan {
                         }
                     }
                     text.push('\n');
-                    text.push_str(&indent(&p.render_node(analysis, profile, id), 2));
+                    text.push_str(&indent(&p.render_node(analysis, profile, id, indexed), 2));
                 }
                 text.push('\n');
                 text.push_str(close);
@@ -619,6 +645,18 @@ fn strip_var(key: &Core, var: &str) -> String {
 mod tests {
     use super::*;
     use xqsyn::core::Core;
+
+    #[test]
+    fn a_plan_slot_is_no_larger_than_a_rule_node() {
+        // Every operand slot of a rule node is as large as the largest
+        // variant: the join and the batch chain are boxed so a slot is
+        // what a rule node needs, its operator and operand list (an
+        // `Iterate` leaf's expression is smaller still).
+        use std::mem::size_of;
+        assert_eq!(size_of::<QueryPlan>(), 80);
+        assert_eq!(size_of::<Op>() + size_of::<Vec<QueryPlan>>(), 72);
+        assert!(size_of::<Core>() <= 72);
+    }
 
     #[test]
     fn iterate_renders_with_snap_wrapper() {

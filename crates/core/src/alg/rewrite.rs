@@ -317,7 +317,7 @@ fn hoistable<'e>(
     (!free_p.contains(v)
         && !free_p.iter().any(|n| between.contains(&n.as_str()))
         && !reads_focus(&source)
-        && a.facts(&source).par_safe())
+        && a.facts(&source).strictly_pure())
     .then_some((source, pred))
 }
 

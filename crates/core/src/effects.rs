@@ -118,16 +118,16 @@ impl Facts {
         self.flags & flags != 0
     }
 
-    /// Is this pure with nothing the level hides? It neither allocates,
-    /// nor emits update requests, nor applies them, nor reaches a `snap`
-    /// or an opaque built-in: evaluating it earlier, later, more often or
-    /// from a shared `&Store` changes nothing observable.
-    pub fn par_safe(self) -> bool {
+    /// Is this pure with nothing the level hides — `Pure` on the lattice,
+    /// reaching no `snap` and no opaque built-in? It neither allocates,
+    /// nor emits update requests, nor applies them: evaluating it earlier,
+    /// later or more often changes nothing observable.
+    pub fn strictly_pure(self) -> bool {
         self.level <= Effect::Pure && !self.has(Facts::SNAP | Facts::OPAQUE)
     }
 
     /// May the server answer this from a private fork of a pinned snapshot?
-    /// [`Facts::par_safe`] one level up: constructing nodes is harmless
+    /// [`Facts::strictly_pure`] one level up: constructing nodes is harmless
     /// there — they die with the fork — while emitting or applying update
     /// requests is still a write.
     pub fn snapshot_read(self) -> bool {
@@ -420,7 +420,7 @@ mod tests {
         let gates = |src: &str| {
             let prog = compile(src).expect("compile");
             let f = EffectAnalysis::new(&prog).program_facts(&prog);
-            (f.par_safe(), f.snapshot_read())
+            (f.strictly_pure(), f.snapshot_read())
         };
         assert_eq!(gates("count($x)"), (true, true));
         assert_eq!(gates("<a/>"), (false, true));
@@ -460,7 +460,7 @@ mod tests {
         ));
     }
 
-    /// `(prolog, body, pure)`: what [`Facts::par_safe`] admits.
+    /// `(prolog, body, pure)`: what [`Facts::strictly_pure`] admits.
     const PURITY_CORPUS: &[(&str, &str, bool)] = &[
         ("", "$x/a[@id = 3] + count($y)", true),
         ("", "for $i in 1 to 9 return $i * $i", true),
@@ -504,7 +504,7 @@ mod tests {
         for (prolog, body, pure) in PURITY_CORPUS {
             let prog = compile(&format!("{prolog} {body}")).expect("compile");
             let facts = EffectAnalysis::new(&prog).facts(&prog.body);
-            assert_eq!(facts.par_safe(), *pure, "{body}");
+            assert_eq!(facts.strictly_pure(), *pure, "{body}");
         }
     }
 

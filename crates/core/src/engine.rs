@@ -5,7 +5,7 @@
 //! XQuery! programs (each with its implicit top-level snap), and inspect or
 //! serialize the resulting store.
 
-use crate::alg::pipeline::{compile_program_opts, compile_structural_program};
+use crate::alg::pipeline::{compile_program, compile_structural_program};
 use crate::alg::PlannedProgram;
 use crate::env::{DynEnv, ProgramEnv, Scope};
 use crate::eval::Evaluator;
@@ -68,7 +68,7 @@ pub struct Engine {
     /// Per-snap seed counter, persisted across runs so nondeterministic
     /// application orders are never replayed between successive queries.
     snap_counter: u64,
-    /// Compiled plans by [`Engine::plan_key`]. This engine's own until
+    /// Compiled plans by [`plan_key`]. This engine's own until
     /// [`Engine::set_shared_plan_cache`] installs another; forks share it.
     plans: Arc<SharedPlanCache>,
     /// The account of the most recent run (or module load).
@@ -84,24 +84,6 @@ impl Default for Engine {
     }
 }
 
-/// What planning a program came to: the plan to execute (`None` means
-/// interpret), the cache key when one was computed, and the outcome token
-/// for the slow-query log and the EXPLAIN ANALYZE totals.
-struct Planned {
-    plan: Option<Arc<PlannedProgram>>,
-    key: Option<(u64, u64)>,
-    cache: &'static str,
-}
-
-impl Planned {
-    /// No plan looked up, none compiled: the interpreter runs the program.
-    const INTERPRET: Planned = Planned {
-        plan: None,
-        key: None,
-        cache: "uncompiled",
-    };
-}
-
 /// The account of one run — what the paper's judgment returns beside the
 /// value (DESIGN.md §10). `Engine::execute_program` produces it; the
 /// metrics flush, the slow-query record and EXPLAIN ANALYZE's rendering
@@ -115,8 +97,6 @@ pub struct RunReport {
     /// Plan-cache outcome: `"hit"`, `"miss"`, or `"uncompiled"`
     /// (`set_compile(false)`, module loads).
     pub cache: &'static str,
-    /// The plan-cache key, when a lookup computed one.
-    pub key: Option<(u64, u64)>,
     /// `(records, bytes)` this run committed to the redo log; `(0, 0)`
     /// for a read-only run or without a durable store.
     pub wal: (u64, u64),
@@ -125,6 +105,10 @@ pub struct RunReport {
     /// The plan that ran; `None` when the program was interpreted.
     pub plan: Option<Arc<PlannedProgram>>,
 }
+
+/// The plan-cache outcome of a run that looked no plan up: the
+/// interpreter ran the program (`set_compile(false)`, module loads).
+const UNCOMPILED: &str = "uncompiled";
 
 impl Engine {
     /// A fresh engine with an empty in-memory store and the default
@@ -307,7 +291,7 @@ impl Engine {
             return Err(Error::Eval(e));
         }
         let (result, report) =
-            self.run_frame(&program, Planned::INTERPRET, false, true, |ev, store| {
+            self.run_frame(&program, None, UNCOMPILED, false, true, |ev, store| {
                 let mut values = Vec::with_capacity(program.variables.len());
                 for (name, init) in &program.variables {
                     let value = ev.eval_query(store, &mut DynEnv::new(), init)?;
@@ -406,19 +390,10 @@ impl Engine {
     /// The query body (and prolog variable initializers) run inside the
     /// implicit top-level snap; all effects are applied when this returns.
     /// A text run before under the same environment is not parsed again:
-    /// its [`Prepared`] entry in the plan cache carries the program and
-    /// its plan key.
+    /// its [`Prepared`] entry in the plan cache carries the program.
     pub fn run(&mut self, query: &str) -> Result<Sequence, Error> {
-        let prepared = prepare(&self.env, &self.store, &self.plans, query)?;
-        Ok(self.run_prepared(&prepared)?)
-    }
-
-    /// Run a prepared request. Its plan key is used when it holds for this
-    /// engine's environment and index state; otherwise the program is
-    /// fingerprinted here, as [`Engine::run_program`] does.
-    pub(crate) fn run_prepared(&mut self, prepared: &Prepared) -> XdmResult<Sequence> {
-        let key = prepared.key_for(&self.env, &self.store);
-        self.run_keyed(&prepared.program, key)
+        let prepared = prepare(&self.env, &self.plans, query)?;
+        Ok(self.run_program(&prepared.program)?)
     }
 
     /// Run an already-compiled program.
@@ -433,14 +408,8 @@ impl Engine {
     /// `XQB0030` error is returned: a store that a panicking evaluation was
     /// mutating is not trusted as commitment.
     pub fn run_program(&mut self, program: &CoreProgram) -> XdmResult<Sequence> {
-        self.run_keyed(program, None)
-    }
-
-    /// Plan `program` under `key` (computed here when `None`), run it and
-    /// keep the run's account.
-    fn run_keyed(&mut self, program: &CoreProgram, key: Option<(u64, u64)>) -> XdmResult<Sequence> {
-        let planned = self.plan_for(program, key);
-        let (result, report) = self.execute_program(planned, program, false);
+        let (plan, cache) = self.plan_for(program);
+        let (result, report) = self.execute_program(plan, cache, program, false);
         self.last_run = Some(report);
         result
     }
@@ -452,22 +421,31 @@ impl Engine {
     /// [`Engine::explain_analyze`].
     fn execute_program(
         &mut self,
-        planned: Planned,
+        plan: Option<Arc<PlannedProgram>>,
+        cache: &'static str,
         program: &CoreProgram,
         profile: bool,
     ) -> (XdmResult<Sequence>, RunReport) {
-        let plan = planned.plan.clone();
+        let compiled = plan.clone();
         // Compiled and interpreted paths share the evaluator (and hence the
         // Δ-stack, seed counter, and statistics), and run inside the same
         // panic/undo frame.
-        self.run_frame(program, planned, profile, false, |ev, store| match &plan {
-            Some(plan) => plan.execute(ev, store),
-            None => ev.eval_program(store, program),
-        })
+        self.run_frame(
+            program,
+            plan,
+            cache,
+            profile,
+            false,
+            |ev, store| match &compiled {
+                Some(plan) => plan.execute(ev, store),
+                None => ev.eval_program(store, program),
+            },
+        )
     }
 
     /// The one run frame: evaluate `body` on a fresh evaluator for
-    /// `program` under a `run` trace span, inside the PR-1 panic/undo
+    /// `program` (run by `plan` with plan-cache outcome `cache`, or
+    /// interpreted) under a `run` trace span, inside the PR-1 panic/undo
     /// frame; flush the WAL; account for the run whatever the outcome
     /// ([`Engine::finish_run`]) and return its [`RunReport`]. An evaluation
     /// error keeps the snaps that closed before it — or, with
@@ -476,7 +454,8 @@ impl Engine {
     fn run_frame<T>(
         &mut self,
         program: &CoreProgram,
-        planned: Planned,
+        plan: Option<Arc<PlannedProgram>>,
+        cache: &'static str,
         profile: bool,
         all_or_nothing: bool,
         body: impl FnOnce(&mut Evaluator, &mut Store) -> XdmResult<T>,
@@ -551,11 +530,10 @@ impl Engine {
         let report = RunReport {
             stats,
             elapsed_ns,
-            cache: planned.cache,
-            key: planned.key,
+            cache,
             wal,
             profile,
-            plan: planned.plan,
+            plan,
         };
         self.finish_run(program, &report, result.as_ref().err());
         (result, report)
@@ -589,11 +567,9 @@ impl Engine {
             .slow_ms
             .is_some_and(|threshold| millis >= threshold)
         {
-            // An interpreted run looked nothing up, so it has no key yet;
-            // it is only computed on this (rare) path.
-            let (h1, h2) = report
-                .key
-                .unwrap_or_else(|| plan_key(&self.env, &self.store, program));
+            // The key is derived here, on this rare path, from the two
+            // fingerprints the program and the environment carry.
+            let (h1, h2) = plan_key(&self.env, program);
             m.record_slow(obs::SlowQuery {
                 fingerprint: format!("{h1:016x}{h2:016x}"),
                 millis,
@@ -615,17 +591,13 @@ impl Engine {
     /// counters.
     pub fn explain_analyze(&mut self, query: &str) -> Result<String, Error> {
         let program = self.compile(query)?;
-        let (planned, mode) = if self.env.compile {
-            (self.plan_for(&program, None), "compiled")
+        let ((plan, cache), mode) = if self.env.compile {
+            (self.plan_for(&program), "compiled")
         } else {
             let plan = compile_structural_program(&linked(&self.env, &program));
-            let planned = Planned {
-                plan: Some(Arc::new(plan)),
-                ..Planned::INTERPRET
-            };
-            (planned, "interpreted")
+            ((Some(Arc::new(plan)), UNCOMPILED), "interpreted")
         };
-        let (result, report) = self.execute_program(planned, &program, true);
+        let (result, report) = self.execute_program(plan, cache, &program, true);
         let rendered = result.map(|value| self.render_analyzed(&report, value.len(), mode));
         self.last_run = Some(report);
         Ok(rendered?)
@@ -634,7 +606,7 @@ impl Engine {
     /// The analyzed plan tree of `report` and its `totals:` line.
     fn render_analyzed(&self, report: &RunReport, rows: usize, mode: &str) -> String {
         let tree = match (&report.plan, &report.profile) {
-            (Some(plan), Some(profile)) => plan.explain_analyzed(profile),
+            (Some(plan), Some(profile)) => plan.explain_analyzed(profile, &self.store),
             _ => String::new(),
         };
         let stats = report.stats.unwrap_or_default();
@@ -665,13 +637,14 @@ impl Engine {
     }
 
     /// Compile `program` ([`crate::alg`]), consulting the plan cache
-    /// first under `key` — the program's [`plan_key`], computed here when
-    /// the caller has none. No plan means "interpret": `set_compile(false)`.
-    fn plan_for(&self, program: &CoreProgram, key: Option<(u64, u64)>) -> Planned {
+    /// first under its [`plan_key`]; returns the plan and the cache
+    /// outcome token for the slow-query log and the EXPLAIN ANALYZE
+    /// totals. No plan means "interpret": `set_compile(false)`.
+    fn plan_for(&self, program: &CoreProgram) -> (Option<Arc<PlannedProgram>>, &'static str) {
         if !self.env.compile {
-            return Planned::INTERPRET;
+            return (None, UNCOMPILED);
         }
-        let key = key.unwrap_or_else(|| plan_key(&self.env, &self.store, program));
+        let key = plan_key(&self.env, program);
         let (plan, cache) = match self.plans.get(key) {
             Some(plan) => (plan, "hit"),
             None => {
@@ -680,7 +653,7 @@ impl Engine {
                 // Only a miss pays for the closed program the compiler
                 // needs; a hit never copies a module function.
                 let linked = linked(&self.env, program);
-                let plan = Arc::new(compile_program_opts(&linked, &plan_options(&self.store)));
+                let plan = Arc::new(compile_program(&linked));
                 if let (Some(sink), Some(id)) = (trace, span) {
                     sink.end(id);
                 }
@@ -688,11 +661,7 @@ impl Engine {
                 (plan, "miss")
             }
         };
-        Planned {
-            plan: Some(plan),
-            key: Some(key),
-            cache,
-        }
+        (Some(plan), cache)
     }
 
     /// Enable or disable compiled execution (enabled by default;
@@ -723,10 +692,10 @@ impl Engine {
         explain_query(&self.env, &self.store, query).map_err(parse_error)
     }
 
-    /// Enable or disable the store's secondary-index plane for planning
-    /// (DESIGN.md §17). Maintenance continues either way; toggling bumps
-    /// the index epoch, which is folded into the plan-cache keys so
-    /// cached `,idx` plans are never reused across a toggle.
+    /// Enable or disable the store's secondary-index plane (DESIGN.md
+    /// §17). Maintenance continues either way; the executor reads the
+    /// switch per scan, so no plan depends on it and a toggle re-plans
+    /// nothing.
     pub fn set_indexing(&mut self, enabled: bool) {
         self.store.set_indexing(enabled);
     }
@@ -833,17 +802,17 @@ impl EngineSnapshot {
         &self.store
     }
 
-    /// `query` prepared under the snapshotted environment and store — the
-    /// server's request path, with no engine lock.
+    /// `query` prepared under the snapshotted environment — the server's
+    /// request path, with no engine lock.
     pub(crate) fn prepare(&self, query: &str) -> Result<Arc<Prepared>, Error> {
-        prepare(&self.env, &self.store, &self.plans, query)
+        prepare(&self.env, &self.plans, query)
     }
 }
 
-/// `query` prepared under `env` against `store`: the entry `plans` holds
-/// for the text when it holds for both (DESIGN.md §15), else a new one —
-/// parsed under `env`'s nesting limit, classified, keyed — kept for the
-/// next request. A text that fails to parse is not kept.
+/// `query` prepared under `env`: the entry `plans` holds for the text
+/// when it holds for `env` (DESIGN.md §15), else a new one — parsed under
+/// `env`'s nesting limit and classified — kept for the next request. A
+/// text that fails to parse is not kept.
 ///
 /// The classification is what a run of the program may do — body and
 /// prolog initializers joined — with calls resolved as a run under `env`'s
@@ -854,11 +823,10 @@ impl EngineSnapshot {
 /// settled when they were declared.
 fn prepare(
     env: &Arc<ProgramEnv>,
-    store: &Store,
     plans: &SharedPlanCache,
     query: &str,
 ) -> Result<Arc<Prepared>, Error> {
-    if let Some(entry) = plans.prepared(query, env, store) {
+    if let Some(entry) = plans.prepared(query, env) {
         return Ok(entry);
     }
     let trace = env.trace.as_ref();
@@ -872,8 +840,7 @@ fn prepare(
         .effects()
         .program_facts(&program)
         .snapshot_read();
-    let key = env.compile.then(|| plan_key(env, store, &program));
-    let entry = Arc::new(Prepared::new(env, store, program, read, key));
+    let entry = Arc::new(Prepared::new(env, program, read));
     plans.insert_prepared(query, entry.clone());
     Ok(entry)
 }
@@ -883,26 +850,16 @@ fn parse(env: &ProgramEnv, query: &str) -> Result<CoreProgram, Error> {
     xqsyn::compile_with_limit(query, env.limits.max_parse_depth).map_err(parse_error)
 }
 
-/// The plan-cache key of `program` under `env` against `store`: its
-/// fingerprint and the module table's (so loading a module invalidates),
-/// folded with the plan options and the store's index epoch — a plan
-/// compiled with the index available (or for an earlier epoch) must never
-/// satisfy a lookup made without it, or the cache, shared across
-/// sessions, would serve stale `,idx` plans after a toggle. A program that
-/// shadows a module function differs from one that does not in its own
-/// fingerprint, so the two never share an entry.
-fn plan_key(env: &ProgramEnv, store: &Store, program: &CoreProgram) -> (u64, u64) {
+/// The plan-cache key of `program` under `env`: its fingerprint folded
+/// with the module table's (so loading a module invalidates), both
+/// computed when they were made, so deriving the key hashes nothing. No
+/// store state enters it: a plan holds for every index state. A program
+/// that shadows a module function differs from one that does not in its
+/// own fingerprint, so the two never share an entry.
+fn plan_key(env: &ProgramEnv, program: &CoreProgram) -> (u64, u64) {
     let (p1, p2) = planner::program_fingerprint(program);
     let (m1, m2) = env.fingerprint();
-    let avail = u64::from(store.index_enabled());
-    (
-        p1 ^ m1.rotate_left(1) ^ avail.wrapping_mul(0x9e37_79b9_7f4a_7c15),
-        p2 ^ m2.rotate_left(1)
-            ^ store
-                .index_epoch()
-                .wrapping_add(avail)
-                .wrapping_mul(0x2545_f491_4f6c_dd1d),
-    )
+    (p1 ^ m1.rotate_left(1), p2 ^ m2.rotate_left(1))
 }
 
 /// A parser depth trip is a resource-governance event like any other:
@@ -921,24 +878,18 @@ fn linked(env: &Arc<ProgramEnv>, program: &CoreProgram) -> CoreProgram {
     Scope::new(env.clone(), program).link(program)
 }
 
-/// The store facts a plan may depend on.
-fn plan_options(store: &Store) -> planner::PlanOptions {
-    planner::PlanOptions {
-        index_available: store.index_enabled(),
-    }
-}
-
 /// The plan a run of `query` under `env` against `store` would execute,
 /// printed: parsed under `env`'s nesting limit, closed under the module
-/// functions it can reach, compiled for `store`'s index availability.
-/// [`Engine::explain`] and the `xqb:explain` builtin are both this.
+/// functions it can reach, compiled, and rendered with `,idx` marks when
+/// `store`'s index plane is on. [`Engine::explain`] and the `xqb:explain`
+/// builtin are both this.
 pub(crate) fn explain_query(
     env: &Arc<ProgramEnv>,
     store: &Store,
     query: &str,
 ) -> Result<String, ParseError> {
     let program = xqsyn::compile_with_limit(query, env.limits.max_parse_depth)?;
-    Ok(compile_program_opts(&linked(env, &program), &plan_options(store)).explain())
+    Ok(compile_program(&linked(env, &program)).explain(store))
 }
 
 #[cfg(test)]

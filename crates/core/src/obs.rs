@@ -478,9 +478,9 @@ pub fn global() -> &'static Registry {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlowQuery {
     /// The run's 128-bit plan-cache key, rendered as hex: the program's
-    /// fingerprint folded with the module table's, index availability and
-    /// the index epoch — stable across runs of the same query text until
-    /// one of those changes.
+    /// fingerprint folded with the module table's — stable across runs of
+    /// the same query text until a module is loaded, whatever the index
+    /// state.
     pub fingerprint: String,
     /// Wall time in milliseconds.
     pub millis: f64,

@@ -1,7 +1,12 @@
-//! What the engine keeps around the compiler ([`crate::alg`]): the store
-//! facts a plan may depend on ([`PlanOptions`]), program fingerprints, and
-//! the [`SharedPlanCache`] — plans by fingerprint, and in front of them
-//! [`Prepared`] requests by query text.
+//! What the engine keeps around the compiler ([`crate::alg`]): program
+//! fingerprints and the [`SharedPlanCache`] — plans by fingerprint, and in
+//! front of them [`Prepared`] requests by query text.
+//!
+//! A plan, and so its cache key, depends only on the program and the
+//! module functions it can reach: no store state. Whether a batch step is
+//! read from the store's index plane is the executor's choice, made per
+//! scan (docs/INDEXES.md, gate 1), so toggling indexing invalidates
+//! nothing here.
 //!
 //! The contract every plan must honor is the paper's: a compiled program
 //! produces **the same value sequence, the same final store, and the same
@@ -14,18 +19,14 @@ use crate::env::ProgramEnv;
 use crate::obs::{self, CounterId};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, Weak};
-use xqdm::Store;
 use xqsyn::CoreProgram;
 
-/// Store facts the planner may exploit (but must degrade without): the
-/// engine snapshots these from the target store at plan time, and folds
-/// them into the plan-cache key so a plan is only ever reused against a
-/// store state it was compiled for.
+/// Options of [`compile_program_opts`](crate::alg::pipeline::compile_program_opts).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanOptions {
-    /// Is the store's secondary-index plane available? When true the
-    /// compiler may emit `,idx` scan hints (ISSUE 10); when false every
-    /// path chain lowers to the plain batch kernels.
+    /// Accepted and ignored: index use is decided per scan from the
+    /// store's `index_enabled()`, so no plan depends on it. The field
+    /// stays so callers that set it build.
     pub index_available: bool,
 }
 
@@ -42,73 +43,49 @@ pub fn program_fingerprint(program: &CoreProgram) -> (u64, u64) {
 /// query streams.
 pub const SHARED_PLAN_CACHE_CAP: usize = 256;
 
-/// A query text made ready to run (DESIGN.md §15): the parsed program,
-/// whether it may run as a snapshot read, and its plan-cache key — what a
-/// request for a text the engine has already seen would otherwise
-/// recompute. It holds for the program environment it was made under
-/// and the store's index state then, and for nothing else
+/// A query text made ready to run (DESIGN.md §15): the parsed program and
+/// whether it may run as a snapshot read — what a request for a text the
+/// engine has already seen would otherwise recompute. Its plan-cache key
+/// is derived at lookup from the two fingerprints already stored (the
+/// program's and the module table's). It holds for the program
+/// environment it was made under, and for nothing else
 /// ([`Prepared::holds_for`]).
 pub(crate) struct Prepared {
-    /// The environment the text was parsed, classified and keyed under.
+    /// The environment the text was parsed and classified under.
     /// A `Weak`: it keeps no superseded environment alive, yet its
     /// allocation cannot be reused while the entry lives, and an edit of
     /// an environment that only entries still point at moves it to a new
     /// allocation (`Arc::make_mut`) — so pointer equality means "the same
     /// environment, unedited".
     env: Weak<ProgramEnv>,
-    /// The store's index availability and epoch the key was computed for.
-    index: (bool, u64),
     /// The parsed, normalized program.
     pub(crate) program: CoreProgram,
     /// [`Facts::snapshot_read`](crate::Facts::snapshot_read) of the program
     /// under `env`: the server's routing.
     pub(crate) read: bool,
-    /// The plan-cache key under `env` and `index`; `None` when `env`
-    /// interprets (`set_compile(false)`).
-    key: Option<(u64, u64)>,
 }
 
 impl Prepared {
-    /// An entry for `program` as prepared under `env` against `store`.
-    pub(crate) fn new(
-        env: &Arc<ProgramEnv>,
-        store: &Store,
-        program: CoreProgram,
-        read: bool,
-        key: Option<(u64, u64)>,
-    ) -> Prepared {
+    /// An entry for `program` as prepared under `env`.
+    pub(crate) fn new(env: &Arc<ProgramEnv>, program: CoreProgram, read: bool) -> Prepared {
         Prepared {
             env: Arc::downgrade(env),
-            index: index_state(store),
             program,
             read,
-            key,
         }
     }
 
-    /// Was this made under `env` for a store in `store`'s index state?
-    /// Then its program, verdict and key are what preparing the text
-    /// afresh would give.
-    pub(crate) fn holds_for(&self, env: &Arc<ProgramEnv>, store: &Store) -> bool {
-        std::ptr::eq(self.env.as_ptr(), Arc::as_ptr(env)) && self.index == index_state(store)
+    /// Was this made under `env`? Then its program and verdict are what
+    /// preparing the text afresh would give.
+    pub(crate) fn holds_for(&self, env: &Arc<ProgramEnv>) -> bool {
+        std::ptr::eq(self.env.as_ptr(), Arc::as_ptr(env))
     }
-
-    /// The plan-cache key, if this entry holds for `env` and `store` and
-    /// was keyed (a run there would compute the same one).
-    pub(crate) fn key_for(&self, env: &Arc<ProgramEnv>, store: &Store) -> Option<(u64, u64)> {
-        self.key.filter(|_| self.holds_for(env, store))
-    }
-}
-
-/// What of a store a plan key depends on: index availability and epoch.
-fn index_state(store: &Store) -> (bool, u64) {
-    (store.index_enabled(), store.index_epoch())
 }
 
 /// The plan cache: thread-safe, with two keys. Plans are keyed by
 /// fingerprint; in front of them, [`Prepared`] requests are keyed by
-/// query text, so a text seen before skips parsing, classification and
-/// the fingerprint, and reaches its plan through the prepared key. Every
+/// query text, so a text seen before skips parsing and classification,
+/// and reaches its plan through the fingerprints its program carries. Every
 /// engine holds one cache — its own until
 /// [`Engine::set_shared_plan_cache`](crate::Engine::set_shared_plan_cache)
 /// installs another — and every fork of an engine holds its parent's, so
@@ -157,19 +134,14 @@ impl SharedPlanCache {
         plans.entry(key).or_insert(plan);
     }
 
-    /// The entry prepared for `text`, if it holds for `env` and `store`.
-    /// Counts nothing: the plan lookup a run makes with the entry's key
-    /// is the one [`SharedPlanCache::get`] counts, as without the entry.
-    pub(crate) fn prepared(
-        &self,
-        text: &str,
-        env: &Arc<ProgramEnv>,
-        store: &Store,
-    ) -> Option<Arc<Prepared>> {
+    /// The entry prepared for `text`, if it holds for `env`. Counts
+    /// nothing: the plan lookup a run of the entry's program makes is the
+    /// one [`SharedPlanCache::get`] counts, as without the entry.
+    pub(crate) fn prepared(&self, text: &str, env: &Arc<ProgramEnv>) -> Option<Arc<Prepared>> {
         let texts = self.texts.lock().unwrap_or_else(|e| e.into_inner());
         texts
             .get(text)
-            .filter(|entry| entry.holds_for(env, store))
+            .filter(|entry| entry.holds_for(env))
             .cloned()
     }
 

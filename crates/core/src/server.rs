@@ -444,7 +444,7 @@ impl Session {
     fn execute_read(&self, pin: &Pin<'_>, prepared: &Prepared) -> Result<Response, Error> {
         let mut reader = pin.reader();
         let started = Instant::now();
-        let result = reader.run_prepared(prepared);
+        let result = reader.run_program(&prepared.program);
         timing(HistogramId::ServerReadNs, started);
         count(CounterId::ServerReads);
         match result {
@@ -467,15 +467,13 @@ impl Session {
     /// publish the post-run state and log the commit before the mutex
     /// drops, so the commit log's order is the epoch order. An errored run
     /// publishes too: it keeps its closed snaps, so readers must see them.
-    /// The prepared entry's plan key serves when the live engine's
-    /// environment is the one it was prepared under.
     fn execute_write(&self, query: &str, prepared: &Prepared) -> Result<Response, Error> {
         let inner = &self.inner;
         let started = Instant::now();
         count(CounterId::ServerWrites);
         let mut engine = inner.engine.lock().unwrap_or_else(|e| e.into_inner());
         let outcome = engine
-            .run_prepared(prepared)
+            .run_program(&prepared.program)
             .and_then(|value| engine.serialize(&value));
         let epoch = inner.publish(engine.snapshot_state());
         let mut commits = inner.commits.lock().unwrap_or_else(|e| e.into_inner());
@@ -1008,27 +1006,40 @@ mod tests {
     }
 
     #[test]
-    fn an_index_toggle_re_prepares_the_text() {
+    fn an_index_toggle_re_prepares_nothing() {
+        // Index use is decided per scan: a toggle leaves the prepared
+        // entry and the plan standing, and no run reads a plane that is
+        // off.
         let server = server_with_doc();
         let s = server.open_session().unwrap();
-        const SCAN: &str = "$doc/log/e";
-        // What the live engine, planning through the shared cache and
-        // its text tier, runs for `SCAN`.
-        let plan = || {
+        s.execute("insert { for $i in 1 to 200 return <e id=\"e{$i}\"/> } into { $doc/log }")
+            .unwrap();
+        const SCAN: &str = r#"$doc/log/e[@id = "e17"]"#;
+        // The live engine's run of `SCAN` through the shared cache: its
+        // EXPLAIN and the index scans it took.
+        let run = || {
             server.with_engine(|e| {
-                e.run(SCAN).unwrap();
-                e.last_run().unwrap().plan.as_ref().unwrap().explain()
+                assert_eq!(e.run(SCAN).unwrap().len(), 1);
+                (e.explain(SCAN).unwrap(), e.last_stats().unwrap().idx_scans)
             })
         };
         s.execute(SCAN).unwrap();
-        let indexed = entry(&server, SCAN);
-        assert!(plan().contains(",idx"));
+        let prepared = entry(&server, SCAN);
+        let (explain, scans) = run();
+        assert!(explain.contains(",idx"), "{explain}");
+        assert!(scans > 0, "the selective lookup scans");
+        let misses = server.plan_cache().stats().1;
         server.with_engine(|e| e.set_indexing(false));
-        let (_, misses) = server.plan_cache().stats();
         s.execute(SCAN).unwrap();
-        assert!(!Arc::ptr_eq(&indexed, &entry(&server, SCAN)));
-        assert_eq!(server.plan_cache().stats().1, misses + 1, "re-planned");
-        assert!(!plan().contains(",idx"), "no stale ,idx plan");
+        let (explain, scans) = run();
+        assert!(!explain.contains(",idx"), "{explain}");
+        assert_eq!(scans, 0, "no scan while the plane is off");
+        server.with_engine(|e| e.set_indexing(true));
+        s.execute(SCAN).unwrap();
+        let (_, scans) = run();
+        assert!(scans > 0, "re-enabled, the lookup scans again");
+        assert_eq!(server.plan_cache().stats().1, misses, "re-planned nothing");
+        assert!(Arc::ptr_eq(&prepared, &entry(&server, SCAN)));
     }
 
     #[test]

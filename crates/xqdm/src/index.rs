@@ -11,7 +11,7 @@
 //! Three components:
 //!
 //! * **Element-name index** — `QNameId → {alive element ids}`. Backs the
-//!   `//T` descendant scans the planner marks `,idx`.
+//!   `//T` descendant scans EXPLAIN marks `,idx`.
 //! * **Attribute-value hash index** — `(QNameId, fnv64(value)) →
 //!   {alive attribute ids}`. Backs `T[@a = "v"]` point lookups; buckets
 //!   are keyed by a *hash* of the value, so lookups re-check the exact
@@ -246,12 +246,10 @@ pub(crate) struct IndexPlane {
     by_name: ShardedMap<QNameId>,
     /// Alive attributes by (interned name, value hash).
     by_attr: ShardedMap<(QNameId, u64)>,
-    /// Planner availability. Maintenance is unconditional (it is O(1)
-    /// per affected mutation); this flag only gates plan selection.
+    /// Availability to the executor's scans. Maintenance is
+    /// unconditional (it is O(1) per affected mutation); this flag only
+    /// gates whether a scan may read the plane.
     enabled: bool,
-    /// Bumped on every enable/disable toggle; folded into plan-cache
-    /// keys so a cached `,idx` plan can never outlive its index.
-    epoch: u64,
 }
 
 impl Default for IndexPlane {
@@ -260,28 +258,19 @@ impl Default for IndexPlane {
             by_name: ShardedMap::default(),
             by_attr: ShardedMap::default(),
             enabled: true,
-            epoch: 0,
         }
     }
 }
 
 impl IndexPlane {
-    /// Is the plane visible to the planner?
+    /// May a scan read the plane?
     pub(crate) fn enabled(&self) -> bool {
         self.enabled
     }
 
-    /// Toggle planner availability; bumps the epoch on a real change.
+    /// Switch the plane's availability to scans on or off.
     pub(crate) fn set_enabled(&mut self, on: bool) {
-        if self.enabled != on {
-            self.enabled = on;
-            self.epoch += 1;
-        }
-    }
-
-    /// The availability epoch (see field docs).
-    pub(crate) fn epoch(&self) -> u64 {
-        self.epoch
+        self.enabled = on;
     }
 
     /// A node came alive (allocation, or an undone collection): insert
@@ -352,10 +341,9 @@ impl IndexPlane {
 
     /// Rebuild from scratch over the slot space, preserving the
     /// availability state (checkpoint recovery, and the proptest oracle).
-    pub(crate) fn rebuild(nodes: &Pages, enabled: bool, epoch: u64) -> IndexPlane {
+    pub(crate) fn rebuild(nodes: &Pages, enabled: bool) -> IndexPlane {
         let mut plane = IndexPlane {
             enabled,
-            epoch,
             ..IndexPlane::default()
         };
         for (i, d) in nodes.iter().enumerate() {
@@ -369,7 +357,7 @@ impl IndexPlane {
     /// Does this plane hold exactly the entries a from-scratch rebuild
     /// would? (Availability state is ignored — it is not derived.)
     pub(crate) fn matches_rebuild(&self, nodes: &Pages) -> bool {
-        let fresh = IndexPlane::rebuild(nodes, self.enabled, self.epoch);
+        let fresh = IndexPlane::rebuild(nodes, self.enabled);
         self.by_name == fresh.by_name && self.by_attr == fresh.by_attr
     }
 }
@@ -411,20 +399,6 @@ mod tests {
         s.apply(RedoOp::Detach { node: b }).unwrap();
         s.collect_garbage(&[a]).unwrap();
         assert!(s.index_verify());
-    }
-
-    #[test]
-    fn toggling_availability_bumps_the_epoch_once_per_change() {
-        let mut s = Store::new();
-        assert!(s.index_enabled());
-        let e0 = s.index_epoch();
-        s.set_indexing(true); // no-op
-        assert_eq!(s.index_epoch(), e0);
-        s.set_indexing(false);
-        assert!(!s.index_enabled());
-        assert_eq!(s.index_epoch(), e0 + 1);
-        s.set_indexing(true);
-        assert_eq!(s.index_epoch(), e0 + 2);
     }
 
     #[test]

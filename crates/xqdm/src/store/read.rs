@@ -80,23 +80,18 @@ impl Store {
     // Secondary indexes (DESIGN.md §17; docs/INDEXES.md)
     // ------------------------------------------------------------------
 
-    /// Is the index plane available to the planner? Maintenance is
-    /// unconditional (O(1) per affected mutation); this flag only gates
-    /// `,idx` plan selection.
+    /// May the executor's scans read the index plane? Maintenance is
+    /// unconditional (O(1) per affected mutation); this flag is the one
+    /// place index use is decided (docs/INDEXES.md, gate 1), read per
+    /// scan, never at plan time.
     pub fn index_enabled(&self) -> bool {
         self.slots.index().enabled()
     }
 
-    /// Toggle planner availability of the index plane. A real change
-    /// bumps [`Store::index_epoch`], which plan caches fold into their
-    /// keys so a cached `,idx` plan never outlives its index.
+    /// Switch the index plane's availability to scans on or off. No plan
+    /// depends on it, so nothing cached is invalidated.
     pub fn set_indexing(&mut self, on: bool) {
         self.slots.set_indexing(on);
-    }
-
-    /// The index availability epoch (bumped per toggle).
-    pub fn index_epoch(&self) -> u64 {
-        self.slots.index().epoch()
     }
 
     /// Number of alive elements named `name` anywhere in the store

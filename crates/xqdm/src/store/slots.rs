@@ -50,7 +50,7 @@ impl Slots {
     /// state a checkpoint never carries, so it is rebuilt here.
     pub(super) fn from_parts(nodes: Vec<NodeData>, free: Vec<NodeId>) -> Slots {
         let nodes = Pages::from_vec(nodes);
-        let index = IndexPlane::rebuild(&nodes, true, 0);
+        let index = IndexPlane::rebuild(&nodes, true);
         Slots { nodes, free, index }
     }
 
@@ -121,7 +121,7 @@ impl Slots {
     // Writers that the index plane follows
     // ------------------------------------------------------------------
 
-    /// Toggle planner availability of the plane (not derived state).
+    /// Toggle the plane's availability to scans (not derived state).
     pub(super) fn set_indexing(&mut self, on: bool) {
         self.index.set_enabled(on);
     }

@@ -135,7 +135,7 @@ fn read_side() {
     });
     println!("reader() + run f3(1), plan-cache hit {request_ns:.0} ns");
     // The same request as a text seen before: its prepared entry carries
-    // the program and its plan key.
+    // the program, whose fingerprint keys the plan.
     let text_ns = per_call_ns(2_000, || {
         black_box(snapshot.reader().run("f3(1)").unwrap());
     });

@@ -629,6 +629,80 @@ fn xmark_queries_agree() {
     }
 }
 
+/// Index use is decided per scan, not at plan time: one compiled engine
+/// runs the XMark texts and path-battery shapes with indexing on, then
+/// off, then on again, through its one plan cache, in lockstep with an
+/// interpreted reference. Every value and error equals the
+/// interpreter's; no text is re-planned after the first pass; and the
+/// engine takes index scans in both passes with the plane on and none in
+/// the pass with it off.
+#[test]
+fn index_toggles_agree_with_the_interpreter_through_one_cache() {
+    let scale = Scale {
+        persons: 25,
+        items: 20,
+        closed_auctions: 15,
+        open_auctions: 10,
+    };
+    let texts = [
+        r#"for $b in $auction/site/people/person[@id = "person0"] return string($b/name)"#,
+        "count(for $b in $auction/site/open_auctions/open_auction
+               return <increase>{ string($b/bidder[1]/increase) }</increase>)",
+        "count(for $i in $auction/site/closed_auctions/closed_auction
+               where $i/price >= 40 return $i/price)",
+        "count(for $b in $auction//site/regions return $b//item)",
+        r#"for $p in $auction/site/people/person
+           let $a := for $t in $auction/site/closed_auctions/closed_auction
+                     where $t/buyer/@person = $p/@id
+                     return $t
+           return <item person="{ $p/name }">{ count($a) }</item>"#,
+        r#"for $p in $auction//person
+           for $t in $auction//closed_auction
+           where $t/buyer/@person = $p/@id
+           return insert { <buyer person="{$t/buyer/@person}"/> } into { $purchasers/purchasers }"#,
+        "count($purchasers/purchasers/buyer)",
+        "every $p in $auction//person satisfies exists($p/@id)",
+        // Path-battery shapes: child, descendant and descendant-or-self
+        // steps, by name and `*`, with and without a value filter, from
+        // one origin and from many.
+        r#"$auction//person[@id = "person3"]/name"#,
+        r#"$auction//*[@id = "item2"]/name"#,
+        r#"$auction/site/descendant-or-self::item[@id = "item5"]"#,
+        "for $o in $auction//person return $o//name",
+        "count($auction/site/regions//item/name)",
+        r#"$auction/site/people/person[@id = "no-such-id"]"#,
+        // An error: the interpreter's code and message.
+        r#"xs:integer($auction//person[@id = "person0"]/name)"#,
+    ];
+    let engine = |compile: bool| {
+        let mut e = Engine::new().with_seed(0x1d8);
+        e.set_compile(compile);
+        let doc = XmarkGen::new(17).generate(&mut e.store, &scale).unwrap();
+        e.bind("auction", xqdm::seq![Item::Node(doc)]);
+        e.load_document("purchasers", "<purchasers/>").unwrap();
+        e
+    };
+    let mut reference = engine(false);
+    let mut e = engine(true);
+    let mut planned = None;
+    for indexing in [true, false, true] {
+        e.set_indexing(indexing);
+        let mut scans = 0;
+        for q in texts {
+            let want = outcome(&mut reference, q);
+            assert_eq!(outcome(&mut e, q), want, "index={indexing}: {q}");
+            scans += e.last_stats().unwrap().idx_scans;
+        }
+        assert_eq!(scans > 0, indexing, "index={indexing}: {scans} scans");
+        let misses = e.plan_cache_stats().1;
+        assert_eq!(
+            *planned.get_or_insert(misses),
+            misses,
+            "a toggle re-planned"
+        );
+    }
+}
+
 /// Correlated path predicates: the rewriter hoists each admitted
 /// `P[L = R]` into a `let`-bound FLWOR the join compiler unnests, and
 /// refuses the rest. Every row prints byte-identical output interpreted,

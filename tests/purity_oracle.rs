@@ -1,5 +1,5 @@
 //! Purity-oracle property tests for the purity verdict
-//! (`Facts::par_safe`, DESIGN.md §9).
+//! (`Facts::strictly_pure`, DESIGN.md §9).
 //!
 //! Each generated loop body carries a *known* purity verdict from the
 //! generator itself. The tests then check that verdict against the
@@ -144,7 +144,7 @@ fn error_code(e: &Error) -> String {
 /// against the functions `prolog` declares.
 fn verdict(prolog: &str, body: &str) -> bool {
     let prog = xquery_bang::xqsyn::compile(&format!("{prolog} {body}")).unwrap();
-    EffectAnalysis::new(&prog).facts(&prog.body).par_safe()
+    EffectAnalysis::new(&prog).facts(&prog.body).strictly_pure()
 }
 
 proptest! {
@@ -260,7 +260,7 @@ fn gate_is_strictly_tighter_than_the_effect_lattice() {
         let prog = xquery_bang::xqsyn::compile(&format!("{prolog} {body}")).unwrap();
         let facts = EffectAnalysis::new(&prog).facts(&prog.body);
         assert_eq!(facts.level, Effect::Pure, "`{body}` on the lattice");
-        assert!(!facts.par_safe(), "`{body}` must be rejected ({why})");
+        assert!(!facts.strictly_pure(), "`{body}` must be rejected ({why})");
     }
     // …and the plain-pure control case is admitted.
     assert!(

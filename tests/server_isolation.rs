@@ -150,49 +150,56 @@ fn write_path_and_read_path_share_one_cache() {
 
 #[test]
 fn plan_cache_misses_when_index_availability_changes() {
-    // ISSUE 10 staleness bugfix: a plan compiled with `,idx` scans must
-    // not be served against a store state whose index plane is gone (or
-    // vice versa). Availability and the toggle epoch are folded into the
-    // fingerprint key, so each index state plans afresh.
+    // No stale index use: a plan never outlives an index state, because
+    // none depends on one. The executor reads the store's switch per scan
+    // (docs/INDEXES.md, gate 1), so a toggle re-plans nothing, a run with
+    // the plane off takes no scan however warm the cache, and a run after
+    // re-enabling scans again through the same plan.
     let server = server_with_log();
     let s = server.open_session().unwrap();
-    let query = "$doc/log/e";
+    s.execute(r#"insert { for $i in 1 to 200 return <e id="e{$i}"/> } into { $doc/log }"#)
+        .unwrap();
+    // A write publishes the live store's index state to reader sessions.
+    const PUBLISH: &str = "insert { <x/> } into { $doc/log }";
+    s.execute(PUBLISH).unwrap();
+    const LOOKUP: &str = r#"$doc/log/e[@id = "e17"]"#;
+    // The live engine's run of `LOOKUP` through the shared cache: its
+    // EXPLAIN and the index scans it took.
+    let run = || {
+        server.with_engine(|e| {
+            assert_eq!(e.run(LOOKUP).unwrap().len(), 1);
+            (
+                e.explain(LOOKUP).unwrap(),
+                e.last_stats().unwrap().idx_scans,
+            )
+        })
+    };
+    let body = s.execute(LOOKUP).unwrap().body;
+    let (explain, scans) = run();
     assert!(
-        server
-            .with_engine(|e| e.explain(query).unwrap())
-            .contains(",idx"),
-        "indexes are available by default, the plan carries idx hints"
+        explain.contains(",idx"),
+        "the plane is on by default: {explain}"
     );
-    s.execute(query).unwrap();
-    let (_, misses_indexed) = server.plan_cache().stats();
-    // Disable the index plane, then publish the new store state with a
-    // write so reader sessions pin it.
+    assert!(scans > 0, "the selective lookup scans");
+    let (hits, misses) = server.plan_cache().stats();
+
     server.with_engine(|e| e.set_indexing(false));
-    s.execute("insert { <e n=\"0\"/> } into { $doc/log }")
-        .unwrap();
+    s.execute(PUBLISH).unwrap();
+    assert_eq!(s.execute(LOOKUP).unwrap().body, body);
+    let (explain, scans) = run();
     assert!(
-        !server
-            .with_engine(|e| e.explain(query).unwrap())
-            .contains(",idx"),
-        "no idx hints once the plane is disabled"
+        !explain.contains(",idx"),
+        "no idx mark with the plane off: {explain}"
     );
-    s.execute(query).unwrap();
-    let (_, misses_unindexed) = server.plan_cache().stats();
-    assert!(
-        misses_unindexed > misses_indexed,
-        "index availability change must re-plan, not serve the stale ,idx plan"
-    );
-    // Re-enabling bumps the toggle epoch: a third distinct key, so the
-    // first epoch's entry is not resurrected either.
+    assert_eq!(scans, 0, "no scan with the plane off");
+
     server.with_engine(|e| e.set_indexing(true));
-    s.execute("insert { <e n=\"1\"/> } into { $doc/log }")
-        .unwrap();
-    s.execute(query).unwrap();
-    let (_, misses_reenabled) = server.plan_cache().stats();
-    assert!(
-        misses_reenabled > misses_unindexed,
-        "re-enable re-plans under the bumped index epoch"
-    );
+    s.execute(PUBLISH).unwrap();
+    assert_eq!(s.execute(LOOKUP).unwrap().body, body);
+    let (_, scans) = run();
+    assert!(scans > 0, "re-enabled, the lookup scans again");
+    // Two toggles, six runs, every one a hit: nothing was re-planned.
+    assert_eq!(server.plan_cache().stats(), (hits + 6, misses));
 }
 
 #[test]
