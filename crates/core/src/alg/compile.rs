@@ -23,7 +23,9 @@
 //! would have produced, in the same order). When `F` fails that guard, no
 //! join forms at all.
 
-use crate::alg::plan::{BatchFilter, BatchPathPlan, BatchStep, JoinPlan, JoinSide, Op, QueryPlan};
+use crate::alg::plan::{
+    chain_origin, BatchFilter, BatchPathPlan, BatchStep, JoinPlan, JoinSide, Op, QueryPlan,
+};
 use crate::alg::rewrite::{chain_from, is_path};
 use crate::eval::{descendant_fusion, position_blind};
 use crate::functions::{self, Kind};
@@ -42,13 +44,6 @@ impl Compiler {
     pub fn new(program: &CoreProgram) -> Self {
         Compiler {
             analysis: EffectAnalysis::new(program),
-        }
-    }
-
-    /// A compiler with no user functions in scope.
-    pub fn empty() -> Self {
-        Compiler {
-            analysis: EffectAnalysis::empty(),
         }
     }
 
@@ -88,7 +83,10 @@ impl Compiler {
     /// anything else stays a strict [`QueryPlan::Iterate`].
     fn leaf(&self, core: &Core) -> QueryPlan {
         match try_batch_path(core) {
-            Some(bp) => QueryPlan::BatchPath(Box::new(bp)),
+            Some(steps) => QueryPlan::BatchPath(Box::new(BatchPathPlan {
+                core: core.clone(),
+                steps,
+            })),
             None => QueryPlan::Iterate(core.clone()),
         }
     }
@@ -211,23 +209,24 @@ impl Compiler {
     }
 }
 
-/// The batch lowering of a join key: a pure step chain whose input is
+/// The batch lowering of a join key: a pure step chain whose origin is
 /// exactly the side's loop variable (the probe/build loops then run the
 /// kernels straight off each bound node). Keys run per single binding,
 /// where an index scan can never beat the direct kernel: the executor
 /// runs them with no scan, and EXPLAIN marks them `batch` only.
 fn key_steps(key: &Core, var: &str) -> Option<Vec<BatchStep>> {
-    let bp = try_batch_path(key)?;
-    (bp.input == Core::Var(var.to_string())).then_some(bp.steps)
+    let steps = try_batch_path(key)?;
+    matches!(chain_origin(key, &steps), Some(Core::Var(v)) if v == var).then_some(steps)
 }
 
 /// Recognize a path-step chain whose every step has a store kernel
 /// (child / descendant / descendant-or-self / attribute axis) and whose
-/// predicates are all position-blind (see [`batch_filter`]). Returns the lowered plan, or
-/// `None` to stay on the interpreted path. The chain's base can be any
-/// expression (it is evaluated once either way); an unsupported step
-/// simply becomes part of the base.
-fn try_batch_path(core: &Core) -> Option<BatchPathPlan> {
+/// predicates are all position-blind (see [`batch_filter`]). Returns the
+/// steps, outermost last, or `None` to stay on the interpreted path. What
+/// they leave of `core` is its [`chain_origin`]: any expression (it is
+/// evaluated once either way); an unsupported step simply becomes part
+/// of the origin.
+fn try_batch_path(core: &Core) -> Option<Vec<BatchStep>> {
     // A `DocOrder` wrapper is absorbed: every batch step already
     // doc-order-normalizes its output, so ddo-of-chain ≡ chain.
     let chain = match core {
@@ -245,7 +244,7 @@ fn try_batch_path(core: &Core) -> Option<BatchPathPlan> {
     {
         // A predicate that can see positions (a number, `position()`,
         // `last()`) or has an effect: this and everything below it stays
-        // interpreted as the chain's input.
+        // interpreted as the chain's origin.
         let Some(filters) = predicates.iter().map(batch_filter).collect() else {
             break;
         };
@@ -266,11 +265,8 @@ fn try_batch_path(core: &Core) -> Option<BatchPathPlan> {
         return None;
     }
     steps.reverse();
-    Some(BatchPathPlan {
-        input: cur.clone(),
-        steps,
-        core: core.clone(),
-    })
+    debug_assert!(chain_origin(core, &steps).is_some_and(|o| std::ptr::eq(o, cur)));
+    Some(steps)
 }
 
 /// Recognize one admissible predicate: a value filter first (the more
@@ -292,8 +288,8 @@ fn batch_filter(pred: &Core) -> Option<BatchFilter> {
 /// numbers), so the interpreter's positional semantics degenerate to the
 /// non-empty test the kernels apply.
 fn existence_chain(pred: &Core) -> Option<Vec<BatchStep>> {
-    let bp = try_batch_path(pred)?;
-    matches!(bp.input, Core::ContextItem).then_some(bp.steps)
+    let steps = try_batch_path(pred)?;
+    matches!(chain_origin(pred, &steps), Some(Core::ContextItem)).then_some(steps)
 }
 
 /// Recognize `[@name = "literal"]` (either operand order): the general
@@ -605,7 +601,7 @@ mod tests {
     #[test]
     fn value_predicates_become_attr_eq_filters() {
         // Both operand orders recognize, and a non-literal comparison
-        // falls back to the interpreted input.
+        // falls back to the interpreted origin.
         for q in [
             r#"$auction//person[@id = "person0"]"#,
             r#"$auction//person["person0" = @id]"#,
@@ -680,7 +676,7 @@ mod tests {
         match &plan {
             QueryPlan::BatchPath(bp) => {
                 // Only the tail step past the predicate is batched; the
-                // predicated step stays inside the interpreted input.
+                // predicated step stays inside the interpreted origin.
                 assert_eq!(bp.steps.len(), 1);
                 assert!(matches!(bp.steps[0].axis, Axis::Child));
             }

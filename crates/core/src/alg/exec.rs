@@ -1,11 +1,14 @@
 //! Physical execution of query plans.
 //!
-//! The join node is a **typed hash join** (paper §4.3): each input is
-//! evaluated exactly once, the inner side is hashed on its key's
-//! atomized string values, and each outer binding probes the table. This
-//! turns the naive `O(|outer| · |inner|)` nested loop into
+//! The join node is a **typed hash join** (paper §4.3), run by one
+//! function, `execute_join`: each input is evaluated exactly once, the
+//! inner side is hashed on its key's atomized string values, and each
+//! outer binding probes the table. This turns the naive
+//! `O(|outer| · |inner|)` nested loop into
 //! `O(|outer| + |inner| + |matches|)` — the complexity claim experiment E1
-//! reproduces.
+//! reproduces. A lowered chain, a leaf's or a join source's, runs through
+//! one function too, `exec_chain`: the interpreter evaluates its origin,
+//! the store kernels (or an index bucket) run its steps.
 //!
 //! Correctness notes:
 //!
@@ -22,7 +25,7 @@
 //! * **Errors** match: one side's keys are evaluated only when the other
 //!   side has an item, as the nested loop evaluates its `where`.
 
-use crate::alg::plan::{BatchFilter, BatchPathPlan, BatchStep, JoinPlan, JoinSide, Op, QueryPlan};
+use crate::alg::plan::{chain_origin, BatchFilter, BatchStep, JoinPlan, JoinSide, Op, QueryPlan};
 use crate::env::Focus;
 use crate::eval::{
     args_rule, for_rule, if_rule, let_rule, resolve_test, seq_rule, snap_rule, Operand,
@@ -33,6 +36,7 @@ use xqdm::item::{self, Item, Sequence};
 use xqdm::seq;
 use xqdm::{KernelTest, NodeId, QNameId, Store, XdmError, XdmResult};
 use xqsyn::ast::Axis;
+use xqsyn::core::Core;
 
 /// Execute a plan inside the caller's current Δ scope. Pending updates the
 /// plan body produces are appended to the evaluator's current scope,
@@ -89,7 +93,7 @@ fn run_node(
 ) -> XdmResult<Sequence> {
     match plan {
         QueryPlan::Iterate(core) => evaluator.eval(store, env, core),
-        QueryPlan::BatchPath(bp) => exec_batch_path(bp, true, evaluator, store, env),
+        QueryPlan::BatchPath(bp) => exec_chain(&bp.core, &bp.steps, true, evaluator, store, env),
         QueryPlan::Join(join) => {
             evaluator.note_join();
             execute_join(join, evaluator, store, env)
@@ -147,18 +151,22 @@ impl Operand for (&QueryPlan, usize) {
     }
 }
 
-/// Execute a batched path chain: evaluate the input once, then map the
-/// whole node batch through one store kernel per step, doc-order sorting
-/// and deduplicating after each — the exact per-step `ddo` the
-/// interpreter applies, so results are observably identical.
-fn exec_batch_path(
-    bp: &BatchPathPlan,
+/// Execute a lowered chain, `steps` over `core` (a chain leaf or a join
+/// source): evaluate its [`chain_origin`] once, then map the whole node
+/// batch through one store kernel per step, doc-order sorting and
+/// deduplicating after each — the exact per-step `ddo` the interpreter
+/// applies, so results are observably identical.
+fn exec_chain(
+    core: &Core,
+    steps: &[BatchStep],
     note_input: bool,
     evaluator: &mut Evaluator,
     store: &mut Store,
     env: &mut DynEnv,
 ) -> XdmResult<Sequence> {
-    let origins = evaluator.eval(store, env, &bp.input)?;
+    let origin = chain_origin(core, steps)
+        .ok_or_else(|| XdmError::precondition("a batch chain with more steps than levels"))?;
+    let origins = evaluator.eval(store, env, origin)?;
     // Only attribute input cardinality when this chain IS the profiled
     // plan node — as a join source, the join's own frame reports it.
     if note_input {
@@ -172,7 +180,7 @@ fn exec_batch_path(
             // first atomic origin, having filtered the first step from
             // every origin before it: a predicate error there comes first.
             run_batch_steps(
-                &bp.steps[..1],
+                &steps[..1],
                 false,
                 evaluator,
                 store,
@@ -184,7 +192,7 @@ fn exec_batch_path(
         };
         cur.push(n);
     }
-    run_batch_steps(&bp.steps, true, evaluator, store, env, &mut cur, &mut next)?;
+    run_batch_steps(steps, true, evaluator, store, env, &mut cur, &mut next)?;
     Ok(cur.into_iter().map(Item::Node).collect())
 }
 
@@ -556,15 +564,17 @@ fn eval_source(
     env: &mut DynEnv,
 ) -> XdmResult<Sequence> {
     match &side.batch {
-        Some(bp) => exec_batch_path(bp, false, evaluator, store, env),
+        Some(steps) => exec_chain(&side.source, steps, false, evaluator, store, env),
         None => evaluator.eval(store, env, &side.source),
     }
 }
 
-/// The join: per outer binding, the per-match body values in inner order.
-/// Without a group they are the output; with one they are bound to the
-/// group variable (empty when no inner item matches — the LEFT OUTER
-/// part) for the group's return, whose values are the output.
+/// The join: evaluate both sides once, hash the inner side on its key,
+/// and per outer binding run the per-match body over its matches in
+/// inner order. Without a group the per-match values are the output;
+/// with one they are bound to the group variable (empty when no inner
+/// item matches — the LEFT OUTER part) for the group's return, whose
+/// values are the output.
 fn execute_join(
     join: &JoinPlan,
     evaluator: &mut Evaluator,
@@ -572,66 +582,12 @@ fn execute_join(
     env: &mut DynEnv,
 ) -> XdmResult<Sequence> {
     let mut out = Sequence::new();
-    drive_join(
-        join,
-        evaluator,
-        store,
-        env,
-        |ev, store, env, outer, matches, inner| {
-            env.push_var(join.outer.var.clone(), seq![outer.clone()]);
-            let r = (|| {
-                let mut grouped = Sequence::new();
-                let values = match join.group {
-                    None => &mut out,
-                    Some(_) => &mut grouped,
-                };
-                for &idx in matches {
-                    env.push_var(join.inner.var.clone(), seq![inner[idx].clone()]);
-                    let v = ev.eval(store, env, &join.body);
-                    env.pop_var();
-                    let v = v?;
-                    ev.limit_charge(&v)?;
-                    values.extend(v);
-                }
-                if let Some((var, ret)) = &join.group {
-                    env.push_var(var.clone(), grouped);
-                    let v = ev.eval(store, env, ret);
-                    env.pop_var();
-                    let v = v?;
-                    ev.limit_charge(&v)?;
-                    out.extend(v);
-                }
-                Ok(())
-            })();
-            env.pop_var();
-            r
-        },
-    )?;
-    Ok(out)
-}
-
-/// Core join machinery: evaluate both sides once, hash the inner side,
-/// call `per_outer` with each outer item and its sorted match indices.
-fn drive_join(
-    join: &JoinPlan,
-    evaluator: &mut Evaluator,
-    store: &mut Store,
-    env: &mut DynEnv,
-    mut per_outer: impl FnMut(
-        &mut Evaluator,
-        &mut Store,
-        &mut DynEnv,
-        &Item,
-        &[usize],
-        &Sequence,
-    ) -> XdmResult<()>,
-) -> XdmResult<()> {
     // Each side evaluated at most once (guards ensured this is sound).
     let outer = eval_source(&join.outer, evaluator, store, env)?;
     // The nested loop evaluates the inner side per outer item: with none,
     // it must not run here either, nor raise its errors.
     if outer.is_empty() {
-        return Ok(());
+        return Ok(out);
     }
     let inner = eval_source(&join.inner, evaluator, store, env)?;
     // The join node's profile frame is innermost here: input = outer rows.
@@ -665,9 +621,35 @@ fn drive_join(
         // still contributes once).
         matches.sort_unstable();
         matches.dedup();
-        per_outer(evaluator, store, env, o, &matches, &inner)?;
+        env.push_var(join.outer.var.clone(), seq![o.clone()]);
+        let r = (|| {
+            let mut grouped = Sequence::new();
+            let values = match join.group {
+                None => &mut out,
+                Some(_) => &mut grouped,
+            };
+            for &idx in &matches {
+                env.push_var(join.inner.var.clone(), seq![inner[idx].clone()]);
+                let v = evaluator.eval(store, env, &join.body);
+                env.pop_var();
+                let v = v?;
+                evaluator.limit_charge(&v)?;
+                values.extend(v);
+            }
+            if let Some((var, ret)) = &join.group {
+                env.push_var(var.clone(), grouped);
+                let v = evaluator.eval(store, env, ret);
+                env.pop_var();
+                let v = v?;
+                evaluator.limit_charge(&v)?;
+                out.extend(v);
+            }
+            Ok(())
+        })();
+        env.pop_var();
+        r?;
     }
-    Ok(())
+    Ok(out)
 }
 
 /// Evaluate a side's join key for one binding: the atomized string values.

@@ -4,13 +4,16 @@
 //! selects the reference interpreter.
 //!
 //! A [`PlannedProgram`] owns one plan per program part. Function bodies
-//! whose plan actually optimized something are collected into a
-//! `FnTable`, which the evaluator's call rule consults for the duration
-//! of the run — it runs a listed body's plan in the call's own frame — so
-//! a join inside a declared function runs as a hash join no matter where
-//! the call site sits. Functions whose bodies
+//! whose plan specialized — a join, a batch chain, or a rule node over
+//! either, the test the compiler's collapse rule applies — are collected
+//! into a `FnTable`, which the evaluator's call rule consults for the
+//! duration of the run — it runs a listed body's plan in the call's own
+//! frame — so a join or a batch chain inside a declared function runs as
+//! one no matter where the call site sits. Functions whose bodies
 //! compiled to a bare `Iterate` are left to the interpreter — the plan
-//! would add indirection without changing a single instruction.
+//! would add indirection without changing a single instruction. EXPLAIN,
+//! its analyzed form and the profile check walk the plans in one order,
+//! the profile's: the body, each prolog variable, each compiled function.
 
 use crate::alg::compile::{compile_structural, Compiler};
 use crate::alg::exec;
@@ -22,13 +25,14 @@ use xqdm::item::Sequence;
 use xqdm::{Store, XdmResult};
 use xqsyn::CoreProgram;
 
-/// Compiled plans for the declared functions that benefited from
-/// compilation, consulted by the evaluator's call rule on every
+/// Compiled plans for the declared functions whose bodies specialized
+/// ([`QueryPlan::is_specialized`], the compiler's own collapse
+/// criterion), consulted by the evaluator's call rule on every
 /// user-function call.
 #[derive(Default)]
 pub(crate) struct FnTable {
     /// `(name, params, body plan, profile node-id base)` — linear scan;
-    /// programs declare few functions and only the optimized ones land
+    /// programs declare few functions and only the specialized ones land
     /// here.
     entries: Vec<(String, Vec<String>, QueryPlan, usize)>,
 }
@@ -72,7 +76,6 @@ pub struct PlannedProgram {
     /// Kept for rendering (effect annotations are part of the EXPLAIN
     /// tree, analyzed or not).
     analysis: EffectAnalysis,
-    optimized: bool,
 }
 
 impl PlannedProgram {
@@ -81,8 +84,8 @@ impl PlannedProgram {
         &self.body
     }
 
-    /// Number of declared functions whose bodies compiled to an optimized
-    /// plan.
+    /// Number of declared functions whose bodies compiled to a
+    /// specialized plan.
     pub fn compiled_functions(&self) -> usize {
         self.functions.len()
     }
@@ -108,6 +111,47 @@ impl PlannedProgram {
         result
     }
 
+    /// Every plan of the program in profile-id order — the body, each
+    /// prolog variable (with `all_variables` unset, only those a join
+    /// fired in), each compiled function — with the heading EXPLAIN
+    /// prints above it (the body has none) and its profile node-id base:
+    /// the one walk EXPLAIN, its analyzed form and the profile check
+    /// share.
+    fn sections(
+        &self,
+        all_variables: bool,
+    ) -> impl Iterator<Item = (Option<String>, &QueryPlan, usize)> {
+        let variables = self
+            .variables
+            .iter()
+            .filter(move |(_, plan, _)| all_variables || plan.is_optimized())
+            .map(|(name, plan, base)| (Some(format!("declare variable ${name}")), plan, *base));
+        let functions = self
+            .functions
+            .entries
+            .iter()
+            .map(|(name, params, plan, base)| {
+                let params: Vec<String> = params.iter().map(|p| format!("${p}")).collect();
+                let heading = format!("declare function {name}({})", params.join(", "));
+                (Some(heading), plan, *base)
+            });
+        std::iter::once((None, &self.body, 0))
+            .chain(variables)
+            .chain(functions)
+    }
+
+    /// The sections' texts, each but the body's under its heading.
+    fn render(&self, all_variables: bool, text: impl Fn(&QueryPlan, usize) -> String) -> String {
+        let texts: Vec<String> = self
+            .sections(all_variables)
+            .map(|(heading, plan, base)| match heading {
+                Some(heading) => format!("{heading}:\n{}", text(plan, base)),
+                None => text(plan, base),
+            })
+            .collect();
+        texts.join("\n\n")
+    }
+
     /// The paper-style plan printout with effect annotations: the body,
     /// then each optimized prolog variable and each compiled function.
     /// Rendered on request — a cached plan carries no text — for a run
@@ -115,71 +159,39 @@ impl PlannedProgram {
     /// index plane is on.
     pub fn explain(&self, store: &Store) -> String {
         let indexed = store.index_enabled();
-        let mut out = self.body.render_annotated(&self.analysis, indexed);
-        for (name, plan, _) in &self.variables {
-            if plan.is_optimized() {
-                out.push_str(&format!(
-                    "\n\ndeclare variable ${name}:\n{}",
-                    plan.render_annotated(&self.analysis, indexed)
-                ));
-            }
-        }
-        for (name, params, plan, _) in &self.functions.entries {
-            out.push_str(&format!(
-                "\n\ndeclare function {name}({}):\n{}",
-                params_list(params),
-                plan.render_annotated(&self.analysis, indexed)
-            ));
-        }
-        out
+        self.render(false, |plan, _| {
+            plan.render_annotated(&self.analysis, indexed)
+        })
     }
 
     /// Did any rewrite fire anywhere in the program (body, prolog
     /// variable, or declared function)?
     pub fn is_optimized(&self) -> bool {
-        self.optimized
+        self.sections(false).any(|(_, plan, _)| plan.is_optimized())
     }
 
     /// The plan printout annotated with live per-node counters from an
-    /// analyzed run against `store` (`Engine::explain_analyze`).
+    /// analyzed run against `store` (`Engine::explain_analyze`). Unlike
+    /// the plain EXPLAIN, it shows every prolog variable: each one
+    /// executed and has counters worth reading.
     pub fn explain_analyzed(&self, profile: &crate::obs::Profile, store: &Store) -> String {
-        // Unlike the plain EXPLAIN (which shows only optimized prolog
-        // variables), the analyzed tree shows every variable: each one
-        // executed and has counters worth reading.
         let indexed = store.index_enabled();
-        let mut out = self
-            .body
-            .render_analyzed(&self.analysis, profile, 0, indexed);
-        for (name, plan, base) in &self.variables {
-            out.push_str(&format!(
-                "\n\ndeclare variable ${name}:\n{}",
-                plan.render_analyzed(&self.analysis, profile, *base, indexed)
-            ));
-        }
-        for (name, params, plan, base) in &self.functions.entries {
-            out.push_str(&format!(
-                "\n\ndeclare function {name}({}):\n{}",
-                params_list(params),
-                plan.render_analyzed(&self.analysis, profile, *base, indexed)
-            ));
-        }
-        out
+        self.render(true, |plan, base| {
+            plan.render_analyzed(&self.analysis, profile, base, indexed)
+        })
     }
 
     /// Cross-check a captured profile against this plan's shape (node-id
     /// assignment, parent/child call and cardinality relations). Used by
     /// the obs-invariants suite.
     pub fn verify_profile(&self, profile: &crate::obs::Profile) -> Result<(), String> {
-        self.body.verify_profile(profile, 0)?;
-        for (name, plan, base) in &self.variables {
-            plan.verify_profile(profile, *base)
-                .map_err(|e| format!("declare variable ${name}: {e}"))?;
-        }
-        for (name, _, plan, base) in &self.functions.entries {
-            plan.verify_profile(profile, *base)
-                .map_err(|e| format!("declare function {name}: {e}"))?;
-        }
-        Ok(())
+        self.sections(true).try_for_each(|(heading, plan, base)| {
+            plan.verify_profile(profile, base)
+                .map_err(|e| match heading {
+                    Some(heading) => format!("{heading}: {e}"),
+                    None => e,
+                })
+        })
     }
 }
 
@@ -209,8 +221,8 @@ pub fn compile_structural_program(program: &CoreProgram) -> PlannedProgram {
 
 /// The shared program-assembly skeleton: plan the body and every prolog
 /// variable with `plan_expr`, assign pre-order profile node-id bases
-/// (body, then variables, then compiled functions) and collect optimized
-/// function bodies.
+/// (body, then variables, then compiled functions) and collect the
+/// specialized function bodies.
 fn assemble(
     program: &CoreProgram,
     plan_expr: impl Fn(&Compiler, &xqsyn::core::Core) -> QueryPlan,
@@ -233,7 +245,7 @@ fn assemble(
     let mut fn_table = FnTable::default();
     for f in &program.functions {
         let plan = plan_expr(&compiler, &f.body);
-        if plan.is_optimized() {
+        if plan.is_specialized() {
             let base = next_base;
             next_base += plan.node_count();
             fn_table
@@ -242,26 +254,12 @@ fn assemble(
         }
     }
 
-    let optimized = body.is_optimized()
-        || variables.iter().any(|(_, p, _)| p.is_optimized())
-        || !fn_table.is_empty();
-
     PlannedProgram {
         variables,
         body,
         functions: Arc::new(fn_table),
         analysis: compiler.into_analysis(),
-        optimized,
     }
-}
-
-/// `$a, $b` — a declared function's parameters as EXPLAIN prints them.
-fn params_list(params: &[String]) -> String {
-    params
-        .iter()
-        .map(|p| format!("${p}"))
-        .collect::<Vec<_>>()
-        .join(", ")
 }
 
 #[cfg(test)]
@@ -288,6 +286,28 @@ mod tests {
             .explain(&Store::new())
             .contains("declare function pairs"));
         assert!(planned.explain(&Store::new()).contains("Join"));
+    }
+
+    #[test]
+    fn a_body_with_no_join_compiles_when_it_specializes() {
+        // A batch chain, and a read-only built-in over one, run on the
+        // kernels (and the index) from a call site too; a join fired in
+        // neither, so the program is not optimized.
+        let program = xqsyn::compile(
+            r#"
+            declare function local:name($a) { $a//person[@id = "person7"]/name };
+            declare function local:total($a) { sum($a//closed_auction/price) };
+            declare function local:plain($n) { $n + 1 };
+            (local:name($auction), local:total($auction), local:plain(1))"#,
+        )
+        .unwrap();
+        let planned = compile_program(&program);
+        assert_eq!(planned.compiled_functions(), 2);
+        assert!(!planned.is_optimized());
+        let text = planned.explain(&Store::new());
+        assert!(text.contains("declare function local:name($a):\nSnap {\n  BatchPath"));
+        assert!(text.contains("declare function local:total($a):\nSnap {\n  Call sum("));
+        assert!(!text.contains("declare function local:plain"));
     }
 
     #[test]

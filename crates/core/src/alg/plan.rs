@@ -19,6 +19,12 @@
 //!   arguments — the paper's point that the effect-free interior of an
 //!   innermost snap is where classical optimization is recovered.
 //!
+//! A plan holds each expression once. A lowered chain — a leaf, a join
+//! source, a join key, an existence filter — is [`BatchStep`]s over an
+//! expression its owner already keeps, and what the steps leave of that
+//! expression, the origin the interpreter evaluates, is read off it by
+//! [`chain_origin`].
+//!
 //! Anything the rewrites cannot prove safe stays [`QueryPlan::Iterate`]
 //! (the naive nested-loop evaluation of the core expression) — that is
 //! exactly the paper's guard story: the preconditions, not the rewrite,
@@ -55,8 +61,8 @@ pub enum QueryPlan {
     /// through a store kernel with the name test resolved to interned
     /// symbol ids, then doc-order sorts and dedups — observably identical
     /// to step-at-a-time interpretation of the same chain. Boxed, as a
-    /// join is: the chain holds its input and its whole expression, more
-    /// than twice the size of any unboxed variant.
+    /// join is: the expression and its steps are 96 B, more than the
+    /// 80 B slot every other variant fits in.
     BatchPath(Box<BatchPathPlan>),
     /// A control operator over compiled operands, run by the evaluator's
     /// own rule for it, so that it behaves exactly as the interpreted
@@ -118,16 +124,41 @@ impl Op {
     }
 }
 
-/// The batch lowering of a path-step chain.
+/// The batch lowering of a path-step chain: the expression, and the
+/// steps that run its outermost levels. What the steps leave is the
+/// chain's origin, read off the expression by [`chain_origin`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchPathPlan {
-    /// The chain's origin expression (anything; evaluated once by the
-    /// interpreter, exactly as `Core::MapStep` evaluates its base).
-    pub input: Core,
+    /// The original core expression (origin, rendering and effect
+    /// annotation).
+    pub core: Core,
     /// The steps, applied left to right over the whole batch.
     pub steps: Vec<BatchStep>,
-    /// The original core expression (rendering and effect annotation).
-    pub core: Core,
+}
+
+/// The origin of a lowered chain: what is left of `core` once `steps`
+/// take its outermost levels. An outer `DocOrder` is peeled; each step is
+/// one `MapStep` level, except a descendant step over a `child::` level,
+/// the fused `//`, which spans that level and the
+/// `descendant-or-self::node()` below it. The origin is any expression,
+/// evaluated once by the interpreter exactly as `Core::MapStep` evaluates
+/// its base. `None` when `core` holds fewer levels than `steps`: no
+/// lowering builds such a pair.
+pub fn chain_origin<'a>(core: &'a Core, steps: &[BatchStep]) -> Option<&'a Core> {
+    let mut cur = match core {
+        Core::DocOrder(inner) => inner,
+        other => other,
+    };
+    for step in steps.iter().rev() {
+        let Core::MapStep { base, axis, .. } = cur else {
+            return None;
+        };
+        cur = match (step.axis, axis, &**base) {
+            (Axis::Descendant, Axis::Child, Core::MapStep { base: origin, .. }) => origin,
+            _ => base,
+        };
+    }
+    Some(cur)
 }
 
 /// One batched path step. Only the axes with store kernels appear here
@@ -195,7 +226,8 @@ pub enum BatchFilter {
 }
 
 /// One side of a join: a loop variable bound in turn to each item of a
-/// source evaluated once, and the join key over that variable.
+/// source evaluated once, and the join key over that variable. A lowered
+/// source or key is its steps alone, over the expression the side holds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JoinSide {
     /// The loop variable.
@@ -205,8 +237,9 @@ pub struct JoinSide {
     pub source: Core,
     /// The join key over `var`.
     pub key: Core,
-    /// Batch lowering of `source`, when it is a pure step chain.
-    pub batch: Option<BatchPathPlan>,
+    /// Batch lowering of `source`, when it is a pure step chain: the
+    /// steps over its [`chain_origin`].
+    pub batch: Option<Vec<BatchStep>>,
     /// Batch lowering of `key` relative to `var`: the build and probe
     /// loops run these steps from each bound node instead of re-entering
     /// the interpreter per binding.
@@ -365,16 +398,16 @@ impl QueryPlan {
         // serve while the store's plane is on (DESIGN.md §17) — the
         // runtime cost gate decides per scan.
         let mark = |on: bool| if on { ",batch" } else { "" };
-        let idx = |bp: &BatchPathPlan| indexed && bp.steps.iter().any(BatchStep::index_servable);
-        let bmark = |b: &Option<BatchPathPlan>| match b {
-            Some(bp) if idx(bp) => ",batch,idx",
+        let idx = |steps: &[BatchStep]| indexed && steps.iter().any(BatchStep::index_servable);
+        let bmark = |b: &Option<Vec<BatchStep>>| match b {
+            Some(steps) if idx(steps) => ",batch,idx",
             Some(_) => ",batch",
             None => "",
         };
         let text = match self {
             QueryPlan::Iterate(core) => format!("Iterate{} {{ {core} }}", eff(core)),
             QueryPlan::BatchPath(bp) => {
-                let idx = if idx(bp) { ",idx" } else { "" };
+                let idx = if idx(&bp.steps) { ",idx" } else { "" };
                 let eff = match analysis {
                     Some(a) => format!("[{:?},batch{idx}]", a.effect(&bp.core)),
                     None => format!("[batch{idx}]"),
@@ -654,8 +687,51 @@ mod tests {
         // `Iterate` leaf's expression is smaller still).
         use std::mem::size_of;
         assert_eq!(size_of::<QueryPlan>(), 80);
+        // A chain is its expression and its steps, no copy of either:
+        // boxed because 96 B overflows the slot.
+        assert_eq!(size_of::<BatchPathPlan>(), 96);
         assert_eq!(size_of::<Op>() + size_of::<Vec<QueryPlan>>(), 72);
         assert!(size_of::<Core>() <= 72);
+    }
+
+    #[test]
+    fn chain_origin_is_what_the_steps_leave() {
+        let parse = |q: &str| xqsyn::compile(q).unwrap().body;
+        // Each text, with its lowering's step count and its origin.
+        for (q, steps, origin) in [
+            ("$a/b/c", 2, "$a"),
+            // The fused `//`: one descendant step over two levels.
+            ("$a//b", 1, "$a"),
+            ("$a/descendant::b", 1, "$a"),
+            // `//` unfused before an attribute step: two steps.
+            ("$a//@id", 2, "$a"),
+            // A positional predicate stops the chain.
+            ("$a/b[1]/c", 1, "$a/b[1]"),
+            // The context-rooted shape of an existence filter.
+            ("address/city", 2, "."),
+        ] {
+            let prog = xqsyn::compile(q).unwrap();
+            let compiler = crate::alg::Compiler::new(&prog);
+            let wrapped = Core::DocOrder(Box::new(prog.body.clone()));
+            for core in [&prog.body, &wrapped] {
+                let QueryPlan::BatchPath(bp) = compiler.compile(core) else {
+                    panic!("{q} should lower to a batch chain");
+                };
+                assert_eq!(bp.steps.len(), steps, "{q}");
+                assert_eq!(
+                    chain_origin(&bp.core, &bp.steps),
+                    Some(&parse(origin)),
+                    "{q}"
+                );
+            }
+        }
+        // More steps than the expression has levels: no origin.
+        let one = BatchStep {
+            axis: Axis::Child,
+            test: NodeTest::AnyKind,
+            filters: Vec::new(),
+        };
+        assert_eq!(chain_origin(&parse("$a/b"), &[one.clone(), one]), None);
     }
 
     #[test]

@@ -527,7 +527,7 @@ pub struct NodeStats {
     pub delta_self: u64,
     /// What the evaluator counted while the node (or any descendant) ran,
     /// summed over calls: `incl.requests_emitted` is the node's inclusive Δ,
-    /// and the strategy counters are its `par=` / `batch=` / `idx=`.
+    /// and the strategy counters are its `batch=` / `idx=`.
     pub incl: EvalStats,
 }
 

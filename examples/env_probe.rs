@@ -9,7 +9,11 @@
 //! document `xqbench` generates, once every text has been prepared and
 //! planned (DESIGN.md §15). The `sum_prices` row times `mixed_sessions`'
 //! one aggregate text the same way, on the same document: a built-in
-//! call over an index-driven batch path (DESIGN.md §8).
+//! call over an index-driven batch path (DESIGN.md §8). The function
+//! rows time two texts that wrap a point read and that aggregate in a
+//! declared function, through `Session::execute`: a function body
+//! compiled to a batch chain runs its plan from the call site (DESIGN.md
+//! §8, EXPERIMENTS.md E23).
 //! The write side times the §2 logging call on a durable `<log/>` store,
 //! once on an engine alone and once on an engine that holds the snapshot
 //! of its last commit, as a server that publishes every commit does: the
@@ -181,6 +185,34 @@ fn sum_prices(server: &Server) {
     );
 }
 
+/// Texts that call a declared function whose body is a batch chain, one
+/// request after another.
+fn function_rows(server: &Server) {
+    const TEXTS: [(&str, &str); 2] = [
+        (
+            "local:name",
+            "declare function local:name($a) { $a//person[@id = \"person7\"]/name }; \
+             local:name($auction)",
+        ),
+        (
+            "local:total",
+            "declare function local:total($a) { sum($a//closed_auction/price) }; \
+             local:total($auction)",
+        ),
+    ];
+    let session = server.open_session().unwrap();
+    for (name, text) in TEXTS {
+        session.execute(text).unwrap();
+        let request_ns = per_call_ns(200, || {
+            black_box(session.execute(text).unwrap());
+        });
+        println!(
+            "{name} Session::execute, text seen before {:.1} us",
+            request_ns / 1e3
+        );
+    }
+}
+
 /// Median microseconds of one logging commit on a fresh durable store,
 /// over [`COMMITS`] commits. With `hold_snapshot` the engine publishes a
 /// snapshot after every commit and keeps it until the next one.
@@ -253,6 +285,7 @@ fn main() {
         let server = xmark_server();
         point_read(&server);
         sum_prices(&server);
+        function_rows(&server);
         write_side();
         plan_cache_bytes();
     })

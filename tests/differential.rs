@@ -492,6 +492,49 @@ fn join_inside_declared_function_agrees() {
     );
 }
 
+/// A declared function whose body specialized with no join — a batch
+/// chain, an index-servable lookup, a built-in over a chain, a loop over
+/// one — runs its compiled plan from the call site: values, Δ and errors
+/// agree with the interpreter in every snap mode.
+#[test]
+fn batch_only_function_bodies_agree_in_all_snap_modes() {
+    let doc = r#"<site>
+        <person id="p0"><name>n0</name><price>3</price></person>
+        <person id="p1"><name>n1</name><price>4.5</price></person>
+        <person id="p2"><name>n2</name><price>x</price></person>
+    </site>"#;
+    let functions = r#"
+        declare function local:name($a) { $a//person[@id = "p1"]/name };
+        declare function local:total($a) { sum($a//person/price) };
+        declare function local:mark($a) { for $p in $a//person return insert { <seen/> } into { $p } };"#;
+    for mode in ["ordered ", "nondeterministic ", "conflict-detection "] {
+        differential(
+            &[("doc", doc)],
+            &[],
+            &[
+                &format!("{functions} local:name($doc)"),
+                // `sum` over a chain whose last price is not a number.
+                &format!("{functions} local:total($doc)"),
+                &format!("{functions} local:total($doc/site/person[1])"),
+                // A chain from an atomic origin.
+                &format!("{functions} local:name(1)"),
+                &format!("{functions} snap {mode}{{ local:mark($doc) }}"),
+                "count($doc//seen)",
+            ],
+        );
+    }
+    // The compiled engine runs each body's plan, not the interpreter.
+    let text = Engine::new()
+        .explain(&format!("{functions} local:name(1)"))
+        .unwrap();
+    for f in ["local:name", "local:total", "local:mark"] {
+        assert!(
+            text.contains(&format!("declare function {f}($a):")),
+            "{text}"
+        );
+    }
+}
+
 #[test]
 fn module_functions_agree() {
     differential(
