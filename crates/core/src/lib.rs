@@ -59,7 +59,7 @@ pub use engine::{Engine, EngineSnapshot, Error, RunReport};
 pub use env::{DynEnv, Focus, ProgramEnv, Scope};
 pub use eval::{EvalStats, Evaluator};
 pub use limits::{LimitGuard, Limits, TripKind};
-pub use obs::{Gauge, MetricsSnapshot, NodeStats, Profile, Registry, TraceSink};
+pub use obs::{MetricsSnapshot, NodeStats, Profile, Registry, TraceSink};
 pub use planner::{program_fingerprint, SharedPlanCache};
 pub use server::{CommitRecord, RequestKind, Response, Server, ServerConfig, ServerStats, Session};
 pub use xqsyn::ast::SnapMode;

@@ -4,9 +4,9 @@
 //!
 //! Three layers, cheapest first:
 //!
-//! * **[`Registry`]** — monotonic [`Counter`]s, [`Gauge`]s and
+//! * **[`Registry`]** — the engine's monotonic [`Counter`]s and
 //!   log₂-bucketed [`Histogram`]s, each declared by one row of a static
-//!   table ([`CounterId`], [`GaugeId`], [`HistogramId`]) and stored in a
+//!   table ([`CounterId`], [`HistogramId`]) and stored in a
 //!   fixed array indexed by that id: an update is one relaxed atomic add,
 //!   no lock and no lookup. The engine flushes each run's
 //!   [`EvalStats`] here ([`EvalStats::counters`] says which field feeds
@@ -55,41 +55,6 @@ impl Counter {
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
-}
-
-/// An instantaneous level — in-flight requests, open sessions, snapshot
-/// pins. Unlike a [`Counter`] it moves both ways and may be overwritten;
-/// the snapshot reports its current value, not an accumulation.
-pub struct Gauge(std::sync::atomic::AtomicI64);
-
-impl Gauge {
-    const fn new() -> Self {
-        Gauge(std::sync::atomic::AtomicI64::new(0))
-    }
-
-    /// Raise the level by `n`.
-    pub fn add(&self, n: i64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Lower the level by `n`.
-    pub fn sub(&self, n: i64) {
-        self.0.fetch_sub(n, Ordering::Relaxed);
-    }
-
-    /// Overwrite the level.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Current level.
-    pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 
@@ -203,7 +168,7 @@ pub struct HistSnapshot {
 
 /// Declares one kind of metric: the id enum, its `ALL` list (slot order)
 /// and each id's registry name. A metric is declared by one row in one of
-/// the three invocations below and nowhere else; `snapshot`, `to_json`,
+/// the two invocations below and nowhere else; `snapshot`, `to_json`,
 /// `reset` and `xqb:stats()` iterate `ALL`. docs/OBSERVABILITY.md's table
 /// is compared against these rows by a test.
 macro_rules! metric_ids {
@@ -279,28 +244,6 @@ metric_ids! {
         WalTailDropped = "engine.wal.tail_dropped",
         /// Committed batches replayed at startup recovery.
         WalReplayed = "engine.wal.replayed_commits",
-        /// Read requests a server served.
-        ServerReads = "server.requests.read",
-        /// Write requests a server served.
-        ServerWrites = "server.requests.write",
-        /// Server requests that returned an evaluation error.
-        ServerErrors = "server.errors",
-        /// `XQB0050` session-limit rejections.
-        ServerRejectedSessions = "server.rejected.sessions",
-        /// `XQB0051` backpressure rejections.
-        ServerRejectedBackpressure = "server.rejected.backpressure",
-    }
-}
-
-metric_ids! {
-    /// The declared [`Gauge`]s.
-    GaugeId {
-        /// Sessions currently open.
-        ServerSessions = "server.sessions",
-        /// Requests currently in flight.
-        ServerInflight = "server.inflight",
-        /// Snapshot pins currently held.
-        ServerSnapshotPins = "server.snapshot_pins",
     }
 }
 
@@ -311,10 +254,6 @@ metric_ids! {
         RunNs = "engine.run_ns",
         /// Per-commit WAL flush latency (nanoseconds).
         WalCommitNs = "engine.wal.commit_ns",
-        /// Server read-request latency (nanoseconds).
-        ServerReadNs = "server.read_ns",
-        /// Server write-request latency (nanoseconds).
-        ServerWriteNs = "server.write_ns",
     }
 }
 
@@ -327,7 +266,6 @@ pub const SLOW_LOG_CAP: usize = 64;
 /// tests may construct private ones.
 pub struct Registry {
     counters: [Counter; CounterId::ALL.len()],
-    gauges: [Gauge; GaugeId::ALL.len()],
     histograms: [Histogram; HistogramId::ALL.len()],
     slow_log: Mutex<VecDeque<SlowQuery>>,
 }
@@ -343,7 +281,6 @@ impl Registry {
     pub const fn new() -> Self {
         Registry {
             counters: [const { Counter::new() }; CounterId::ALL.len()],
-            gauges: [const { Gauge::new() }; GaugeId::ALL.len()],
             histograms: [const { Histogram::new() }; HistogramId::ALL.len()],
             slow_log: Mutex::new(VecDeque::new()),
         }
@@ -352,11 +289,6 @@ impl Registry {
     /// The counter `id` names.
     pub fn counter(&self, id: CounterId) -> &Counter {
         &self.counters[id as usize]
-    }
-
-    /// The gauge `id` names.
-    pub fn gauge(&self, id: GaugeId) -> &Gauge {
-        &self.gauges[id as usize]
     }
 
     /// The histogram `id` names.
@@ -406,10 +338,6 @@ impl Registry {
                 .iter()
                 .map(|&id| (id.name(), self.counter(id).get()))
                 .collect(),
-            gauges: GaugeId::ALL
-                .iter()
-                .map(|&id| (id.name(), self.gauge(id).get()))
-                .collect(),
             histograms: HistogramId::ALL
                 .iter()
                 .map(|&id| (id.name(), self.histogram(id).snapshot()))
@@ -420,7 +348,6 @@ impl Registry {
     /// Zero every metric and clear the slow-query ring.
     pub fn reset(&self) {
         self.counters.iter().for_each(Counter::reset);
-        self.gauges.iter().for_each(Gauge::reset);
         self.histograms.iter().for_each(Histogram::reset);
         self.slow_log.lock().expect("slow log poisoned").clear();
     }
@@ -432,15 +359,13 @@ impl Registry {
 pub struct MetricsSnapshot {
     /// Counter values by name.
     pub counters: BTreeMap<&'static str, u64>,
-    /// Gauge levels by name.
-    pub gauges: BTreeMap<&'static str, i64>,
     /// Histogram aggregates by name.
     pub histograms: BTreeMap<&'static str, HistSnapshot>,
 }
 
 impl MetricsSnapshot {
     /// Render as a single JSON object (`xqb:stats()` returns this string):
-    /// `{"counters":{...},"gauges":{...},"histograms":{"name":{"count":..,"sum":..,"max":..}}}`.
+    /// `{"counters":{...},"histograms":{"name":{"count":..,"sum":..,"max":..}}}`.
     pub fn to_json(&self) -> String {
         fn members<V>(map: &BTreeMap<&'static str, V>, value: impl Fn(&V) -> String) -> String {
             let members: Vec<String> = map
@@ -450,9 +375,8 @@ impl MetricsSnapshot {
             members.join(",")
         }
         format!(
-            "{{\"counters\":{{{}}},\"gauges\":{{{}}},\"histograms\":{{{}}}}}",
+            "{{\"counters\":{{{}}},\"histograms\":{{{}}}}}",
             members(&self.counters, u64::to_string),
-            members(&self.gauges, i64::to_string),
             members(&self.histograms, |h| format!(
                 "{{\"count\":{},\"sum\":{},\"max\":{}}}",
                 h.count, h.sum, h.max
@@ -863,30 +787,11 @@ mod tests {
     }
 
     #[test]
-    fn gauges_move_both_ways_and_render() {
-        let r = Registry::new();
-        let g = r.gauge(GaugeId::ServerInflight);
-        g.add(5);
-        g.sub(2);
-        assert_eq!(g.get(), 3);
-        assert_eq!(r.snapshot().gauges["server.inflight"], 3);
-        assert!(r
-            .snapshot()
-            .to_json()
-            .contains("\"gauges\":{\"server.inflight\":3,"));
-        r.reset();
-        assert_eq!(g.get(), 0);
-        g.set(-1);
-        assert_eq!(r.snapshot().gauges["server.inflight"], -1);
-    }
-
-    #[test]
     fn every_declared_metric_is_in_every_snapshot() {
         // Declared means present: a fresh registry lists each id at zero,
         // and no two ids share a name (the maps would come up short).
         let snap = Registry::new().snapshot();
         assert_eq!(snap.counters.len(), CounterId::ALL.len());
-        assert_eq!(snap.gauges.len(), GaugeId::ALL.len());
         assert_eq!(snap.histograms.len(), HistogramId::ALL.len());
         assert!(snap.counters.values().all(|&v| v == 0));
     }
@@ -942,7 +847,6 @@ mod tests {
         // Key order and spelling are what `xqb:stats()` consumers parse.
         let r = Registry::new();
         r.counter(CounterId::Runs).add(7);
-        r.gauge(GaugeId::ServerSessions).set(2);
         r.histogram(HistogramId::RunNs).record(5);
         assert_eq!(
             r.snapshot().to_json(),
@@ -956,16 +860,9 @@ mod tests {
              \"engine.runs\":7,\"engine.slow_queries\":0,\"engine.snaps_closed\":0,\
              \"engine.wal.bytes\":0,\"engine.wal.checkpoints\":0,\"engine.wal.commits\":0,\
              \"engine.wal.fsyncs\":0,\"engine.wal.records\":0,\
-             \"engine.wal.replayed_commits\":0,\"engine.wal.tail_dropped\":0,\
-             \"server.errors\":0,\
-             \"server.rejected.backpressure\":0,\"server.rejected.sessions\":0,\
-             \"server.requests.read\":0,\"server.requests.write\":0},\
-             \"gauges\":{\"server.inflight\":0,\"server.sessions\":2,\
-             \"server.snapshot_pins\":0},\
+             \"engine.wal.replayed_commits\":0,\"engine.wal.tail_dropped\":0},\
              \"histograms\":{\"engine.run_ns\":{\"count\":1,\"sum\":5,\"max\":5},\
-             \"engine.wal.commit_ns\":{\"count\":0,\"sum\":0,\"max\":0},\
-             \"server.read_ns\":{\"count\":0,\"sum\":0,\"max\":0},\
-             \"server.write_ns\":{\"count\":0,\"sum\":0,\"max\":0}}}"
+             \"engine.wal.commit_ns\":{\"count\":0,\"sum\":0,\"max\":0}}}"
         );
     }
 

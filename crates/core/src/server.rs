@@ -29,13 +29,13 @@
 //! also share the engine's one [`ProgramEnv`](crate::env::ProgramEnv) —
 //! the server has no resource policy of its own: a request is parsed and a
 //! fork runs under the hosted engine's limits, slow-query threshold and
-//! trace sink, exactly as the writer does. Request
-//! accounting lands in the global metrics registry under `server.*`
-//! (counters, gauges, latency histograms); [`Server::stats`] reads them
-//! back as one struct.
+//! trace sink, exactly as the writer does. Each server keeps its own
+//! request account — counters, admission levels and latency histograms —
+//! and [`Server::stats`] reads only that, so two servers in one process
+//! never count each other's traffic.
 
 use crate::engine::{Engine, EngineSnapshot, Error};
-use crate::obs::{self, CounterId, GaugeId, HistogramId};
+use crate::obs::{self, Histogram};
 use crate::planner::{Prepared, SharedPlanCache};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -127,21 +127,6 @@ pub struct CommitRecord {
     pub body: Result<String, String>,
 }
 
-/// Count one `server.*` event.
-fn count(id: CounterId) {
-    obs::global().counter(id).add(1);
-}
-
-/// Publish a `server.*` level.
-fn level(id: GaugeId, value: usize) {
-    obs::global().gauge(id).set(value as i64);
-}
-
-/// Record the time since `started` in a `server.*` latency histogram.
-fn timing(id: HistogramId, started: Instant) {
-    obs::global().histogram(id).record(obs::elapsed_ns(started));
-}
-
 /// One published version: the engine state at a commit point.
 struct Version {
     epoch: u64,
@@ -176,6 +161,20 @@ struct Inner {
     next_session: AtomicU64,
     inflight: AtomicUsize,
     pins: AtomicUsize,
+    /// Read requests served.
+    reads: AtomicU64,
+    /// Write requests served.
+    writes: AtomicU64,
+    /// Requests that returned an evaluation error.
+    errors: AtomicU64,
+    /// `XQB0050` session-limit rejections.
+    rejected_sessions: AtomicU64,
+    /// `XQB0051` backpressure rejections.
+    rejected_backpressure: AtomicU64,
+    /// Read-request latency (nanoseconds).
+    read_ns: Histogram,
+    /// Write-request latency (nanoseconds).
+    write_ns: Histogram,
     /// The most recent [`COMMIT_LOG_RETAIN`] commits, oldest first.
     commits: Mutex<VecDeque<CommitRecord>>,
 }
@@ -220,6 +219,13 @@ impl Server {
                 next_session: AtomicU64::new(1),
                 inflight: AtomicUsize::new(0),
                 pins: AtomicUsize::new(0),
+                reads: AtomicU64::new(0),
+                writes: AtomicU64::new(0),
+                errors: AtomicU64::new(0),
+                rejected_sessions: AtomicU64::new(0),
+                rejected_backpressure: AtomicU64::new(0),
+                read_ns: Histogram::default(),
+                write_ns: Histogram::default(),
                 commits: Mutex::new(VecDeque::new()),
             }),
         }
@@ -232,7 +238,7 @@ impl Server {
         let prev = inner.sessions.fetch_add(1, Ordering::SeqCst);
         if prev >= inner.config.max_sessions {
             inner.sessions.fetch_sub(1, Ordering::SeqCst);
-            count(CounterId::ServerRejectedSessions);
+            inner.rejected_sessions.fetch_add(1, Ordering::Relaxed);
             return Err(Error::Eval(XdmError::new(
                 ERR_SESSIONS,
                 format!(
@@ -241,7 +247,6 @@ impl Server {
                 ),
             )));
         }
-        level(GaugeId::ServerSessions, prev + 1);
         Ok(Session {
             inner: inner.clone(),
             id: inner.next_session.fetch_add(1, Ordering::Relaxed),
@@ -288,13 +293,11 @@ impl Server {
         r
     }
 
-    /// A point-in-time view of the server's `server.*` metrics plus the
+    /// A point-in-time view of this server's own account plus the
     /// shared-cache and version-chain state.
     pub fn stats(&self) -> ServerStats {
         let inner = &self.inner;
-        let m = obs::global();
-        let counted = |id| m.counter(id).get();
-        let quantile = |id, q| m.histogram(id).quantile(q);
+        let counted = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let (cache_hits, cache_misses) = inner.cache.stats();
         let (epoch, retained) = {
             let mut published = inner.published();
@@ -308,90 +311,74 @@ impl Server {
             versions_retained: retained,
             // One version per epoch, epoch 0 included.
             versions_retired: epoch + 1 - retained as u64,
-            reads: counted(CounterId::ServerReads),
-            writes: counted(CounterId::ServerWrites),
-            errors: counted(CounterId::ServerErrors),
-            rejected_sessions: counted(CounterId::ServerRejectedSessions),
-            rejected_backpressure: counted(CounterId::ServerRejectedBackpressure),
+            reads: counted(&inner.reads),
+            writes: counted(&inner.writes),
+            errors: counted(&inner.errors),
+            rejected_sessions: counted(&inner.rejected_sessions),
+            rejected_backpressure: counted(&inner.rejected_backpressure),
             cache_hits,
             cache_misses,
-            read_p50_ns: quantile(HistogramId::ServerReadNs, 0.50),
-            read_p99_ns: quantile(HistogramId::ServerReadNs, 0.99),
-            write_p50_ns: quantile(HistogramId::ServerWriteNs, 0.50),
-            write_p99_ns: quantile(HistogramId::ServerWriteNs, 0.99),
+            read_p50_ns: inner.read_ns.quantile(0.50),
+            read_p99_ns: inner.read_ns.quantile(0.99),
+            write_p50_ns: inner.write_ns.quantile(0.50),
+            write_p99_ns: inner.write_ns.quantile(0.99),
         }
     }
 }
 
-/// A point-in-time server status report ([`Server::stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Latest published epoch.
-    pub epoch: u64,
-    /// Sessions currently open.
-    pub sessions: usize,
-    /// Requests currently in flight.
-    pub inflight: usize,
-    /// Snapshot pins currently held by in-flight reads.
-    pub snapshot_pins: usize,
-    /// Versions currently retained (latest + pinned ancestors).
-    pub versions_retained: usize,
-    /// Versions retired since startup.
-    pub versions_retired: u64,
-    /// Read requests served.
-    pub reads: u64,
-    /// Write requests served.
-    pub writes: u64,
-    /// Requests that returned an evaluation error.
-    pub errors: u64,
-    /// `XQB0050` session-limit rejections.
-    pub rejected_sessions: u64,
-    /// `XQB0051` backpressure rejections.
-    pub rejected_backpressure: u64,
-    /// Shared plan-cache hits across all sessions.
-    pub cache_hits: u64,
-    /// Shared plan-cache misses across all sessions.
-    pub cache_misses: u64,
-    /// Read-latency p50 (log₂-bucket estimate, nanoseconds).
-    pub read_p50_ns: u64,
-    /// Read-latency p99.
-    pub read_p99_ns: u64,
-    /// Write-latency p50.
-    pub write_p50_ns: u64,
-    /// Write-latency p99.
-    pub write_p99_ns: u64,
+/// Declares [`ServerStats`] from one list of fields: the struct, and its
+/// `to_json`, whose keys are the field names in list order.
+macro_rules! server_stats {
+    ($($(#[$doc:meta])* $field:ident: $ty:ty,)+) => {
+        /// A point-in-time server status report ([`Server::stats`]).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub struct ServerStats { $($(#[$doc])* pub $field: $ty,)+ }
+
+        impl ServerStats {
+            /// One JSON object, for the wire protocol's `STATS` reply.
+            pub fn to_json(&self) -> String {
+                let members = [$(format!("\"{}\":{}", stringify!($field), self.$field),)+];
+                format!("{{{}}}", members.join(","))
+            }
+        }
+    };
 }
 
-impl ServerStats {
-    /// One JSON object, for the wire protocol's `STATS` reply.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"epoch\":{},\"sessions\":{},\"inflight\":{},\"snapshot_pins\":{},\
-             \"versions_retained\":{},\"versions_retired\":{},\
-             \"reads\":{},\"writes\":{},\"errors\":{},\
-             \"rejected_sessions\":{},\"rejected_backpressure\":{},\
-             \"cache_hits\":{},\"cache_misses\":{},\
-             \"read_p50_ns\":{},\"read_p99_ns\":{},\
-             \"write_p50_ns\":{},\"write_p99_ns\":{}}}",
-            self.epoch,
-            self.sessions,
-            self.inflight,
-            self.snapshot_pins,
-            self.versions_retained,
-            self.versions_retired,
-            self.reads,
-            self.writes,
-            self.errors,
-            self.rejected_sessions,
-            self.rejected_backpressure,
-            self.cache_hits,
-            self.cache_misses,
-            self.read_p50_ns,
-            self.read_p99_ns,
-            self.write_p50_ns,
-            self.write_p99_ns,
-        )
-    }
+server_stats! {
+    /// Latest published epoch.
+    epoch: u64,
+    /// Sessions currently open.
+    sessions: usize,
+    /// Requests currently in flight.
+    inflight: usize,
+    /// Snapshot pins currently held by in-flight reads.
+    snapshot_pins: usize,
+    /// Versions currently retained (latest + pinned ancestors).
+    versions_retained: usize,
+    /// Versions retired since startup.
+    versions_retired: u64,
+    /// Read requests served.
+    reads: u64,
+    /// Write requests served.
+    writes: u64,
+    /// Requests that returned an evaluation error.
+    errors: u64,
+    /// `XQB0050` session-limit rejections.
+    rejected_sessions: u64,
+    /// `XQB0051` backpressure rejections.
+    rejected_backpressure: u64,
+    /// Shared plan-cache hits across all sessions.
+    cache_hits: u64,
+    /// Shared plan-cache misses across all sessions.
+    cache_misses: u64,
+    /// Read-latency p50 (log₂-bucket estimate, nanoseconds).
+    read_p50_ns: u64,
+    /// Read-latency p99.
+    read_p99_ns: u64,
+    /// Write-latency p50.
+    write_p50_ns: u64,
+    /// Write-latency p99.
+    write_p99_ns: u64,
 }
 
 /// One client session. `Send` — a connection handler owns it on its own
@@ -445,8 +432,9 @@ impl Session {
         let mut reader = pin.reader();
         let started = Instant::now();
         let result = reader.run_program(&prepared.program);
-        timing(HistogramId::ServerReadNs, started);
-        count(CounterId::ServerReads);
+        let inner = &self.inner;
+        inner.read_ns.record(obs::elapsed_ns(started));
+        inner.reads.fetch_add(1, Ordering::Relaxed);
         match result {
             Ok(value) => {
                 let body = reader.serialize(&value).map_err(Error::Eval)?;
@@ -457,7 +445,7 @@ impl Session {
                 })
             }
             Err(e) => {
-                count(CounterId::ServerErrors);
+                inner.errors.fetch_add(1, Ordering::Relaxed);
                 Err(Error::Eval(e))
             }
         }
@@ -470,7 +458,7 @@ impl Session {
     fn execute_write(&self, query: &str, prepared: &Prepared) -> Result<Response, Error> {
         let inner = &self.inner;
         let started = Instant::now();
-        count(CounterId::ServerWrites);
+        inner.writes.fetch_add(1, Ordering::Relaxed);
         let mut engine = inner.engine.lock().unwrap_or_else(|e| e.into_inner());
         let outcome = engine
             .run_program(&prepared.program)
@@ -488,9 +476,9 @@ impl Session {
         });
         drop(commits);
         drop(engine);
-        timing(HistogramId::ServerWriteNs, started);
+        inner.write_ns.record(obs::elapsed_ns(started));
         if outcome.is_err() {
-            count(CounterId::ServerErrors);
+            inner.errors.fetch_add(1, Ordering::Relaxed);
         }
         let body = outcome.map_err(Error::Eval)?;
         Ok(Response {
@@ -503,8 +491,7 @@ impl Session {
 
 impl Drop for Session {
     fn drop(&mut self) {
-        let prev = self.inner.sessions.fetch_sub(1, Ordering::SeqCst);
-        level(GaugeId::ServerSessions, prev.saturating_sub(1));
+        self.inner.sessions.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -517,8 +504,7 @@ impl Inner {
     /// publication lock, counted in `snapshot_pins` until the pin drops.
     fn pin(&self) -> Pin<'_> {
         let version = self.published().latest.clone();
-        let prev = self.pins.fetch_add(1, Ordering::SeqCst);
-        level(GaugeId::ServerSnapshotPins, prev + 1);
+        self.pins.fetch_add(1, Ordering::SeqCst);
         Pin {
             inner: self,
             version,
@@ -557,8 +543,7 @@ impl std::ops::Deref for Pin<'_> {
 
 impl Drop for Pin<'_> {
     fn drop(&mut self) {
-        let prev = self.inner.pins.fetch_sub(1, Ordering::SeqCst);
-        level(GaugeId::ServerSnapshotPins, prev.saturating_sub(1));
+        self.inner.pins.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -573,7 +558,7 @@ impl<'a> InflightSlot<'a> {
         let prev = inner.inflight.fetch_add(1, Ordering::SeqCst);
         if prev >= inner.config.max_inflight {
             inner.inflight.fetch_sub(1, Ordering::SeqCst);
-            count(CounterId::ServerRejectedBackpressure);
+            inner.rejected_backpressure.fetch_add(1, Ordering::Relaxed);
             return Err(Error::Eval(XdmError::new(
                 ERR_BACKPRESSURE,
                 format!(
@@ -582,15 +567,13 @@ impl<'a> InflightSlot<'a> {
                 ),
             )));
         }
-        level(GaugeId::ServerInflight, prev + 1);
         Ok(InflightSlot { inner })
     }
 }
 
 impl Drop for InflightSlot<'_> {
     fn drop(&mut self) {
-        let prev = self.inner.inflight.fetch_sub(1, Ordering::SeqCst);
-        level(GaugeId::ServerInflight, prev.saturating_sub(1));
+        self.inner.inflight.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -682,10 +665,6 @@ mod tests {
         assert!(hits_after > hits_before);
         assert_eq!(misses_after, misses_before);
     }
-
-    // `stats_reflect_traffic` lives in tests/server_stats.rs: the counters
-    // are process-global, so the exact before/after deltas it pins need a
-    // process in which no sibling test runs a server.
 
     // -----------------------------------------------------------------
     // Routing by effect ceiling (DESIGN.md §9, §15)

@@ -1,8 +1,6 @@
 //! `Server::stats` counts each request exactly once, on the side it was
-//! routed to. The counters live in the process-global metrics registry
-//! (`xqcore::obs::global`), so this is the only test in its binary: any
-//! other server running in the same process would move them under the
-//! before/after window.
+//! routed to. Each server keeps its own account, so the exact
+//! before/after deltas hold whatever else runs in the process.
 
 use std::sync::Barrier;
 use xqcore::{Engine, Server};

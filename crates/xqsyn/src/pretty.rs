@@ -1,8 +1,13 @@
 //! A compact, one-line pretty-printer for core expressions.
 //!
 //! Used by the algebraic plan printer (the paper prints its §4.3 plan with
-//! embedded expressions) and by diagnostics. The output is reparseable for
-//! simple expressions but primarily aims at *readability*.
+//! embedded expressions) and by diagnostics. Printing normalized Core and
+//! reading it back gives the same text and the same program
+//! (`tests/printer_law.rs`): an operand that binds looser than its
+//! position is parenthesized, a filter over a path is parenthesized so it
+//! does not read as a step predicate, and string constants escape `"` and
+//! `&`. The one internal form the parser does not read is `ddo(…)`, which
+//! only rewrites introduce.
 
 use crate::ast::{Axis, NodeCompOp, NodeTest, Quantifier, SnapMode};
 use crate::core::{Core, CoreInsertLoc, CoreName};
@@ -13,11 +18,16 @@ impl fmt::Display for Core {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Core::Const(a) => match a {
-                Atomic::String(s) => write!(f, "\"{s}\""),
+                Atomic::String(s) => {
+                    write!(f, "\"{}\"", s.replace('&', "&amp;").replace('"', "\"\""))
+                }
                 other => write!(f, "{}", other.string_value()),
             },
             Core::Var(v) => write!(f, "${v}"),
             Core::ContextItem => write!(f, "."),
+            // A one-member sequence is its member: the parser drops the
+            // parentheses around a single expression.
+            Core::Seq(items) if items.len() == 1 => write!(f, "{}", items[0]),
             Core::Seq(items) => {
                 write!(f, "(")?;
                 for (i, e) in items.iter().enumerate() {
@@ -74,7 +84,7 @@ impl fmt::Display for Core {
                 }
                 write!(f, " return {body}")
             }
-            Core::Arith(op, a, b) => write!(f, "({a} {op} {b})"),
+            Core::Arith(op, a, b) => write!(f, "({} {op} {})", Operand(a, 2), Operand(b, 2)),
             Core::Neg(e) => write!(f, "-({e})"),
             Core::GeneralComp(op, a, b) => {
                 let s = match op {
@@ -85,21 +95,27 @@ impl fmt::Display for Core {
                     xqdm::atomic::CompareOp::Gt => ">",
                     xqdm::atomic::CompareOp::Ge => ">=",
                 };
-                write!(f, "{a} {s} {b}")
+                write!(f, "{} {s} {}", Operand(a, 2), Operand(b, 2))
             }
-            Core::ValueComp(op, a, b) => write!(f, "{a} {} {b}", op.value_spelling()),
+            Core::ValueComp(op, a, b) => write!(
+                f,
+                "{} {} {}",
+                Operand(a, 2),
+                op.value_spelling(),
+                Operand(b, 2)
+            ),
             Core::NodeComp(op, a, b) => {
                 let s = match op {
                     NodeCompOp::Is => "is",
                     NodeCompOp::Precedes => "<<",
                     NodeCompOp::Follows => ">>",
                 };
-                write!(f, "{a} {s} {b}")
+                write!(f, "{} {s} {}", Operand(a, 2), Operand(b, 2))
             }
-            Core::And(a, b) => write!(f, "({a} and {b})"),
-            Core::Or(a, b) => write!(f, "({a} or {b})"),
-            Core::Union(a, b) => write!(f, "({a} | {b})"),
-            Core::Range(a, b) => write!(f, "({a} to {b})"),
+            Core::And(a, b) => write!(f, "({} and {})", Operand(a, 1), Operand(b, 1)),
+            Core::Or(a, b) => write!(f, "({} or {})", Operand(a, 1), Operand(b, 1)),
+            Core::Union(a, b) => write!(f, "({} | {})", Operand(a, 2), Operand(b, 2)),
+            Core::Range(a, b) => write!(f, "({} to {})", Operand(a, 2), Operand(b, 2)),
             Core::MapStep {
                 base,
                 axis,
@@ -109,7 +125,7 @@ impl fmt::Display for Core {
                 // Context-relative steps print without the "./" noise.
                 match &**base {
                     Core::ContextItem => write!(f, "{}", step_str(*axis, test))?,
-                    b => write!(f, "{b}/{}", step_str(*axis, test))?,
+                    b => write!(f, "{}/{}", Operand(b, 2), step_str(*axis, test))?,
                 }
                 for p in predicates {
                     write!(f, "[{p}]")?;
@@ -117,7 +133,14 @@ impl fmt::Display for Core {
                 Ok(())
             }
             Core::DocOrder(e) => write!(f, "ddo({e})"),
-            Core::Predicate { base, pred } => write!(f, "{base}[{pred}]"),
+            // A filter over a path of more than one step would read back as
+            // a predicate of its last step: `($d//p)[1]`, not `$d//p[1]`.
+            Core::Predicate { base, pred } => match &**base {
+                Core::MapStep { base: origin, .. } if **origin != Core::ContextItem => {
+                    write!(f, "({base})[{pred}]")
+                }
+                b => write!(f, "{}[{pred}]", Operand(b, 2)),
+            },
             Core::Call(name, args) => {
                 write!(f, "{name}(")?;
                 for (i, a) in args.iter().enumerate() {
@@ -160,6 +183,44 @@ impl fmt::Display for Core {
                 };
                 write!(f, "snap {m}{{ {e} }}")
             }
+        }
+    }
+}
+
+/// How loosely an expression binds as printed: 0 for the forms the
+/// grammar admits only where a whole expression may stand (FLWOR,
+/// quantifiers, conditionals, updates, `copy`, `snap`), 1 for comparisons,
+/// 2 for the rest, which are primaries or print their own parentheses.
+fn binding(e: &Core) -> u8 {
+    match e {
+        Core::Seq(items) if items.len() == 1 => binding(&items[0]),
+        Core::For { .. }
+        | Core::Let { .. }
+        | Core::If(..)
+        | Core::Quantified { .. }
+        | Core::SortedFor { .. }
+        | Core::Insert { .. }
+        | Core::Delete(_)
+        | Core::Replace(..)
+        | Core::ReplaceValue(..)
+        | Core::Rename(..)
+        | Core::Copy(_)
+        | Core::Snap(..) => 0,
+        Core::GeneralComp(..) | Core::ValueComp(..) | Core::NodeComp(..) => 1,
+        _ => 2,
+    }
+}
+
+/// An expression printed where the grammar needs one that binds at least
+/// as tightly as the given level, parenthesized when it binds looser.
+struct Operand<'a>(&'a Core, u8);
+
+impl fmt::Display for Operand<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if binding(self.0) < self.1 {
+            write!(f, "({})", self.0)
+        } else {
+            write!(f, "{}", self.0)
         }
     }
 }

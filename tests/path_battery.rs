@@ -13,127 +13,20 @@
 //! Each case first applies a few random updates, so node ids drift out
 //! of document order and the index plane's maintenance is exercised.
 //!
-//! Generation draws from the vendored proptest RNG keyed on [`SEED`], so
-//! every run replays the same [`CASES`] cases; a failure prints the case
+//! Generation draws from the vendored proptest RNG keyed on `corpus::paths::SEED`,
+//! so every run replays the same `CASES` cases; a failure prints the case
 //! number, the document and the query.
 
-use proptest::test_runner::TestRng;
+mod corpus;
+
+use corpus::paths::{case, CASES};
 use xquery_bang::Engine;
-
-/// The pinned generator key: changing it changes every case.
-const SEED: &str = "path_battery/v1";
-/// Generated (tree, path) cases per run.
-const CASES: u32 = 160;
-/// Element names: small, so name buckets collide across subtrees.
-const NAMES: [&str; 4] = ["a", "b", "c", "x"];
-/// Distinct `@a` values: enough that a value bucket is usually small.
-const VALUES: usize = 6;
-/// Most elements one tree may hold.
-const MAX_ELEMENTS: usize = 400;
-
-/// Append a random element subtree at `depth` to `xml`.
-fn gen_element(rng: &mut TestRng, depth: usize, budget: &mut usize, xml: &mut String) {
-    *budget = budget.saturating_sub(1);
-    let name = NAMES[rng.below(NAMES.len())];
-    xml.push('<');
-    xml.push_str(name);
-    if rng.below(2) == 0 {
-        xml.push_str(&format!(" a=\"v{}\"", rng.below(VALUES)));
-    }
-    xml.push('>');
-    // Fanout shrinks with depth; a few wide nodes near the root give the
-    // child-axis gate a parent worth scanning around.
-    let max_fanout = match depth {
-        0 => 24,
-        1 => 12,
-        2 | 3 => 5,
-        _ => 0,
-    };
-    let fanout = rng.below(max_fanout + 1);
-    for _ in 0..fanout {
-        if *budget == 0 {
-            break;
-        }
-        gen_element(rng, depth + 1, budget, xml);
-    }
-    xml.push_str("</");
-    xml.push_str(name);
-    xml.push('>');
-}
-
-/// A random document under a fixed `<r>` root.
-fn gen_tree(rng: &mut TestRng) -> String {
-    let mut xml = String::from("<r>");
-    let mut budget = MAX_ELEMENTS;
-    let roots = 1 + rng.below(3);
-    for _ in 0..roots {
-        gen_element(rng, 0, &mut budget, &mut xml);
-    }
-    xml.push_str("</r>");
-    xml
-}
-
-/// A random 1–3-step relative path: child, descendant or
-/// descendant-or-self, by name or `*`, with an optional `[@a = "v"]`.
-fn gen_path(rng: &mut TestRng) -> String {
-    let mut path = String::new();
-    for _ in 0..1 + rng.below(3) {
-        path.push_str(["/", "//", "/descendant-or-self::"][rng.below(3)]);
-        if rng.below(5) == 0 {
-            path.push('*');
-        } else {
-            path.push_str(NAMES[rng.below(NAMES.len())]);
-        }
-        if rng.below(2) == 0 {
-            path.push_str(&format!("[@a = \"v{}\"]", rng.below(VALUES)));
-        }
-    }
-    path
-}
-
-/// 1–3 random updates, applied in one snap before the query: inserted
-/// and renamed elements take ids out of document order (index buckets
-/// iterate by id, so a scan's output must really be sorted), and every
-/// update moves index entries the rebuild check then audits.
-fn gen_updates(rng: &mut TestRng) -> String {
-    let mut updates = Vec::new();
-    for _ in 0..1 + rng.below(3) {
-        let name = NAMES[rng.below(NAMES.len())];
-        let other = NAMES[rng.below(NAMES.len())];
-        let nth = 1 + rng.below(3);
-        let value = rng.below(VALUES);
-        updates.push(match rng.below(5) {
-            0 | 1 => format!(
-                "for $t in ($doc//{name})[{nth}] return insert {{ <{other} a=\"v{value}\"><{name}/></{other}> }} as first into {{ $t }}"
-            ),
-            2 => format!("for $t in ($doc//{name})[{nth}] return rename {{ $t }} to {{ \"{other}\" }}"),
-            3 => format!(
-                "for $t in ($doc//{name}[@a])[{nth}] return replace value of {{ $t/@a }} with {{ \"v{value}\" }}"
-            ),
-            _ => format!("for $t in ($doc//{name})[{nth}] return delete {{ $t }}"),
-        });
-    }
-    format!("snap {{ {} }}", updates.join(", "))
-}
-
-/// A query running the path from one origin (`$doc/r`) or from every
-/// `x` element (`for $o in $doc//x return $o…`).
-fn gen_query(rng: &mut TestRng) -> String {
-    let path = gen_path(rng);
-    match rng.below(2) {
-        0 => format!("$doc/r{path}"),
-        _ => format!("for $o in $doc//x return $o{path}"),
-    }
-}
 
 #[test]
 fn generated_paths_agree_across_strategies() {
     let (mut scanned, mut walked) = (0, 0);
-    for case in 0..CASES {
-        let mut rng = TestRng::for_case(SEED, case);
-        let doc = gen_tree(&mut rng);
-        let updates = gen_updates(&mut rng);
-        let query = gen_query(&mut rng);
+    for n in 0..CASES {
+        let (doc, updates, query) = case(n);
         let mut outs = Vec::new();
         let mut indexed = None;
         for (label, compile, indexing) in [
@@ -146,24 +39,24 @@ fn generated_paths_agree_across_strategies() {
             e.set_indexing(indexing);
             e.load_document("doc", &doc).unwrap();
             e.run(&updates)
-                .unwrap_or_else(|err| panic!("case {case}: {label} failed on {updates}: {err}"));
+                .unwrap_or_else(|err| panic!("case {n}: {label} failed on {updates}: {err}"));
             let v = e
                 .run(&query)
-                .unwrap_or_else(|err| panic!("case {case}: {label} failed on {query}: {err}"));
+                .unwrap_or_else(|err| panic!("case {n}: {label} failed on {query}: {err}"));
             outs.push((label, e.serialize(&v).unwrap()));
             indexed = Some(e);
         }
         for (label, out) in &outs[1..] {
             assert_eq!(
                 out, &outs[0].1,
-                "case {case}: {label} disagrees with interpreted\n  \
+                "case {n}: {label} disagrees with interpreted\n  \
                  updates: {updates}\n  query: {query}\n  doc: {doc}"
             );
         }
         let indexed = indexed.unwrap();
         assert!(
             indexed.store.index_verify(),
-            "case {case}: index diverged from a rebuild\n  query: {query}"
+            "case {n}: index diverged from a rebuild\n  query: {query}"
         );
         let stats = indexed.last_stats().unwrap();
         if stats.idx_scans > 0 {

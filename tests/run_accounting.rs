@@ -5,7 +5,7 @@
 //! single `#[test]` (nothing else in this binary moves a counter); the
 //! documentation table test only reads declarations.
 
-use xquery_bang::xqcore::obs::{self, CounterId, GaugeId, HistogramId};
+use xquery_bang::xqcore::obs::{self, CounterId, HistogramId};
 use xquery_bang::xqcore::Limits;
 use xquery_bang::{Engine, Error, ServerConfig};
 
@@ -112,7 +112,6 @@ fn documented_metrics_are_the_declared_metrics() {
     let declared: std::collections::BTreeSet<&str> = CounterId::ALL
         .iter()
         .map(|id| id.name())
-        .chain(GaugeId::ALL.iter().map(|id| id.name()))
         .chain(HistogramId::ALL.iter().map(|id| id.name()))
         .collect();
     // Table rows are `| `name` [/ `name`…] | meaning |`; the first cell

@@ -368,3 +368,72 @@ fn backpressure_rejects_with_xqb0051_and_recovers() {
     assert_eq!(server.stats().rejected_backpressure, 1);
     assert_eq!(server.stats().inflight, 0, "rejection releases the slot");
 }
+
+/// Two servers in one process keep separate accounts: reads, writes, an
+/// erroring query and a backpressure rejection on server A move A's
+/// `STATS` and leave B's counters and latency quantiles at zero.
+#[test]
+fn servers_keep_separate_accounts() {
+    let mut e = Engine::new();
+    e.load_document("doc", "<log/>").unwrap();
+    let config = ServerConfig {
+        max_inflight: 1,
+        ..ServerConfig::default()
+    };
+    let a = Server::with_config(e, config);
+    let b = server_with_log();
+    let s = a.open_session().unwrap();
+    s.execute("count($doc/log/e)").unwrap();
+    s.execute("insert { <e/> } into { $doc/log }").unwrap();
+    assert!(s.execute("1 div 0").is_err());
+    // The rejection: a writer holds A's one in-flight slot while it waits
+    // for the engine lock this thread holds.
+    let writer = a.open_session().unwrap();
+    std::thread::scope(|scope| {
+        let pending = a.with_engine(|_| {
+            let pending = scope.spawn(|| writer.execute("insert { <e/> } into { $doc/log }"));
+            while a.stats().inflight == 0 {
+                std::thread::yield_now();
+            }
+            match s.execute("1") {
+                Err(xqcore::Error::Eval(err)) => {
+                    assert_eq!(err.code, xqcore::server::ERR_BACKPRESSURE)
+                }
+                other => panic!("expected XQB0051, got {other:?}"),
+            }
+            pending
+        });
+        pending.join().unwrap().unwrap();
+    });
+    let busy = a.stats();
+    assert_eq!(
+        (
+            busy.reads,
+            busy.writes,
+            busy.errors,
+            busy.rejected_backpressure
+        ),
+        (2, 2, 1, 1)
+    );
+    assert!(busy.read_p50_ns > 0 && busy.write_p50_ns > 0);
+    let quiet = b.stats();
+    assert_eq!(
+        (
+            quiet.reads,
+            quiet.writes,
+            quiet.errors,
+            quiet.rejected_sessions,
+            quiet.rejected_backpressure
+        ),
+        (0, 0, 0, 0, 0)
+    );
+    assert_eq!(
+        (
+            quiet.read_p50_ns,
+            quiet.read_p99_ns,
+            quiet.write_p50_ns,
+            quiet.write_p99_ns
+        ),
+        (0, 0, 0, 0)
+    );
+}

@@ -4,6 +4,9 @@
 //! properties rather than absolute numbers (the generator is deterministic
 //! per seed, so spot values are pinned where meaningful).
 
+mod corpus;
+
+use corpus::xmark::{QUERY_TEXTS, SCALE, SEED};
 use xquery_bang::xmarkgen::{Scale, XmarkGen};
 use xquery_bang::{Engine, Item};
 
@@ -21,17 +24,10 @@ fn run(e: &mut Engine, q: &str) -> String {
     e.serialize(&r).unwrap()
 }
 
-const SCALE: Scale = Scale {
-    persons: 40,
-    items: 30,
-    closed_auctions: 25,
-    open_auctions: 15,
-};
-
 /// XMark Q1: the name of the person with id "person0".
 #[test]
 fn q1_person_by_id() {
-    let mut e = engine(&SCALE, 11);
+    let mut e = engine(&SCALE, SEED);
     let out = run(
         &mut e,
         r#"for $b in $auction/site/people/person[@id = "person0"]
@@ -46,7 +42,7 @@ fn q1_person_by_id() {
 /// XMark Q2 (shape): initial bids of each open auction.
 #[test]
 fn q2_initial_increases() {
-    let mut e = engine(&SCALE, 11);
+    let mut e = engine(&SCALE, SEED);
     let count = run(
         &mut e,
         "count(for $b in $auction/site/open_auctions/open_auction
@@ -60,7 +56,7 @@ fn q2_initial_increases() {
 /// XMark Q5 (shape): how many sold items cost more than 40.
 #[test]
 fn q5_expensive_items() {
-    let mut e = engine(&SCALE, 11);
+    let mut e = engine(&SCALE, SEED);
     let out = run(
         &mut e,
         "count(for $i in $auction/site/closed_auctions/closed_auction
@@ -82,7 +78,7 @@ fn q5_expensive_items() {
 /// XMark Q6: items in all regions.
 #[test]
 fn q6_items_per_region() {
-    let mut e = engine(&SCALE, 11);
+    let mut e = engine(&SCALE, SEED);
     assert_eq!(
         run(
             &mut e,
@@ -95,7 +91,7 @@ fn q6_items_per_region() {
 /// XMark Q7: pieces of prose (text/description-ish counts).
 #[test]
 fn q7_content_counts() {
-    let mut e = engine(&SCALE, 11);
+    let mut e = engine(&SCALE, SEED);
     let descriptions = run(&mut e, "count($auction//description)");
     assert_eq!(descriptions, SCALE.items.to_string());
 }
@@ -104,7 +100,7 @@ fn q7_content_counts() {
 /// paper's optimization target, in its pure form.
 #[test]
 fn q8_original_purchase_counts() {
-    let mut e = engine(&SCALE, 11);
+    let mut e = engine(&SCALE, SEED);
     let out = run(
         &mut e,
         r#"for $p in $auction/site/people/person
@@ -134,11 +130,11 @@ fn q8_single_use_let_compiles_to_a_join() {
                          where $t/buyer/@person = $p/@id
                          return $t
                return count($a)"#;
-    let mut e = engine(&SCALE, 11);
+    let mut e = engine(&SCALE, SEED);
     let out = run(&mut e, q);
     let stats = e.last_stats().unwrap();
     assert_eq!(stats.joins_executed, 1, "Q8 ran without a join: {stats:?}");
-    let mut i = engine(&SCALE, 11);
+    let mut i = engine(&SCALE, SEED);
     i.set_compile(false);
     assert_eq!(out, run(&mut i, q), "join changed the value");
 }
@@ -146,7 +142,7 @@ fn q8_single_use_let_compiles_to_a_join() {
 /// XMark Q9-like join through items.
 #[test]
 fn q9_buyer_item_join() {
-    let mut e = engine(&SCALE, 11);
+    let mut e = engine(&SCALE, SEED);
     let matched = run(
         &mut e,
         r#"count(for $t in $auction//closed_auction
@@ -161,7 +157,7 @@ fn q9_buyer_item_join() {
 /// Q8 as an *update* (the paper's §2.1 variant), then queried back.
 #[test]
 fn q8_update_variant_end_to_end() {
-    let mut e = engine(&SCALE, 11);
+    let mut e = engine(&SCALE, SEED);
     e.load_document("purchasers", "<purchasers/>").unwrap();
     e.run(
         r#"for $p in $auction//person
@@ -190,7 +186,7 @@ fn q8_update_variant_end_to_end() {
 /// Quantifiers over the auction document.
 #[test]
 fn quantified_queries() {
-    let mut e = engine(&SCALE, 11);
+    let mut e = engine(&SCALE, SEED);
     assert_eq!(
         run(
             &mut e,
@@ -210,7 +206,7 @@ fn quantified_queries() {
 /// Aggregates across the document.
 #[test]
 fn aggregate_queries() {
-    let mut e = engine(&SCALE, 11);
+    let mut e = engine(&SCALE, SEED);
     let avg = run(&mut e, "avg($auction//closed_auction/price)");
     let min = run(&mut e, "min($auction//closed_auction/price)");
     let max = run(&mut e, "max($auction//closed_auction/price)");
@@ -226,7 +222,7 @@ fn aggregate_queries() {
 /// Sorting with order by on generated data.
 #[test]
 fn order_by_price() {
-    let mut e = engine(&SCALE, 11);
+    let mut e = engine(&SCALE, SEED);
     let out = run(
         &mut e,
         "for $t in $auction//closed_auction
@@ -240,32 +236,6 @@ fn order_by_price() {
     }
 }
 
-/// The query texts above, for the plan-cache key pin below.
-const QUERY_TEXTS: [&str; 9] = [
-    r#"for $b in $auction/site/people/person[@id = "person0"] return string($b/name)"#,
-    "count(for $b in $auction/site/open_auctions/open_auction
-           return <increase>{ string($b/bidder[1]/increase) }</increase>)",
-    "count(for $i in $auction/site/closed_auctions/closed_auction
-           where $i/price >= 40 return $i/price)",
-    "count(for $b in $auction//site/regions return $b//item)",
-    r#"for $p in $auction/site/people/person
-       let $a := for $t in $auction/site/closed_auctions/closed_auction
-                 where $t/buyer/@person = $p/@id
-                 return $t
-       return <item person="{ $p/name }">{ count($a) }</item>"#,
-    r#"count(for $t in $auction//closed_auction
-             for $i in $auction//item
-             where $t/itemref/@item = $i/@id
-             return <hit/>)"#,
-    r#"for $p in $auction//person
-       for $t in $auction//closed_auction
-       where $t/buyer/@person = $p/@id
-       return insert { <buyer person="{$t/buyer/@person}" itemid="{$t/itemref/@item}" /> }
-              into { $purchasers/purchasers }"#,
-    "every $p in $auction//person satisfies exists($p/@id)",
-    "for $t in $auction//closed_auction order by xs:double($t/price) return string($t/price)",
-];
-
 /// The plan-cache key streams a program's `Debug` text once into both of
 /// its hashers. It must equal the key of one full pass per hasher.
 #[test]
@@ -274,7 +244,7 @@ fn plan_cache_key_equals_the_two_pass_key() {
     use std::hash::Hasher;
     use xquery_bang::xqcore::planner::program_fingerprint;
 
-    let mut e = engine(&SCALE, 11);
+    let mut e = engine(&SCALE, SEED);
     e.load_document("purchasers", "<purchasers/>").unwrap();
     for q in QUERY_TEXTS {
         let program = e.compile(q).unwrap();
