@@ -55,7 +55,7 @@ fn bench_guard(c: &mut Criterion) {
             .any(|core| analysis.effect(core) == Effect::Effectful
                 && core.to_string().contains("snap ordered { insert")),
         "no Iterate[Effectful] leaf holds the snap insert:\n{}",
-        snapped_plan.explain(&xqdm::Store::new())
+        snapped_plan.explain(&xqdm::Store::new(), &[])
     );
 
     let mut group = c.benchmark_group("e8_purity_guard");

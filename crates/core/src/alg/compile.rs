@@ -24,14 +24,15 @@
 //! join forms at all.
 
 use crate::alg::plan::{
-    chain_origin, BatchFilter, BatchPathPlan, BatchStep, JoinPlan, JoinSide, Op, QueryPlan,
+    attr_eq_parts, chain_origin, BatchFilter, BatchPathPlan, BatchStep, JoinPlan, JoinSide, Op,
+    QueryPlan,
 };
 use crate::alg::rewrite::{chain_from, is_path};
 use crate::eval::{descendant_fusion, position_blind};
 use crate::functions::{self, Kind};
 use crate::{Effect, EffectAnalysis};
-use xqdm::atomic::{Atomic, CompareOp};
-use xqsyn::ast::{Axis, NodeTest};
+use xqdm::atomic::CompareOp;
+use xqsyn::ast::Axis;
 use xqsyn::core::{Core, CoreProgram};
 
 /// The plan compiler: effect analysis + rewrite rules.
@@ -292,50 +293,12 @@ fn existence_chain(pred: &Core) -> Option<Vec<BatchStep>> {
     matches!(chain_origin(pred, &steps), Some(Core::ContextItem)).then_some(steps)
 }
 
-/// Recognize `[@name = "literal"]` (either operand order): the general
-/// comparison of a context-rooted attribute step against a string
-/// literal. The attribute atomizes untyped; untyped-vs-string general
-/// comparison is exact string equality, so the filter (and the value
-/// index behind it) is faithful.
+/// Recognize `[@name = V]` (either operand order, [`attr_eq_parts`]):
+/// the general comparison of a context-rooted attribute step against a
+/// value invariant over the chain, which the executor reads once per run
+/// of the chain.
 fn attr_eq_filter(pred: &Core) -> Option<BatchFilter> {
-    let Core::GeneralComp(CompareOp::Eq, a, b) = pred else {
-        return None;
-    };
-    let build = |name: Option<String>, value: Option<String>| {
-        Some(BatchFilter::AttrEq {
-            name: name?,
-            value: value?,
-        })
-    };
-    build(context_attr_name(a), string_literal(b))
-        .or_else(|| build(context_attr_name(b), string_literal(a)))
-}
-
-/// `@name` rooted at the context item (a `DocOrder` wrapper absorbed),
-/// with no predicates of its own.
-fn context_attr_name(core: &Core) -> Option<String> {
-    let chain = match core {
-        Core::DocOrder(inner) => inner.as_ref(),
-        other => other,
-    };
-    let Core::MapStep {
-        base,
-        axis: Axis::Attribute,
-        test: NodeTest::Name(name),
-        predicates,
-    } = chain
-    else {
-        return None;
-    };
-    (matches!(base.as_ref(), Core::ContextItem) && predicates.is_empty()).then(|| name.clone())
-}
-
-/// A string literal constant.
-fn string_literal(core: &Core) -> Option<String> {
-    match core {
-        Core::Const(Atomic::String(s)) => Some(s.clone()),
-        _ => None,
-    }
+    attr_eq_parts(pred).map(|_| BatchFilter::AttrEq(pred.clone()))
 }
 
 /// The rule node of a control operator: `core`'s operator over its
@@ -611,13 +574,29 @@ mod tests {
                 panic!("expected batch path for {q}, got {plan:?}");
             };
             assert_eq!(bp.steps.len(), 1);
-            assert_eq!(
-                bp.steps[0].filters,
-                vec![BatchFilter::AttrEq {
-                    name: "id".into(),
-                    value: "person0".into(),
-                }]
-            );
+            let [BatchFilter::AttrEq(pred)] = bp.steps[0].filters.as_slice() else {
+                panic!("expected one value filter for {q}, got {plan:?}");
+            };
+            assert_eq!(attr_eq_parts(pred), Some(("id", &Core::str("person0"))));
+        }
+        // A variable and a lifted literal are values too, read once per
+        // run of the chain.
+        let skeleton = xqsyn::Skeleton::of(r#"$auction//person[@id = "person0"]"#);
+        let lifted = xqsyn::compile_lifted(&skeleton, xqsyn::DEFAULT_MAX_PARSE_DEPTH).unwrap();
+        for (plan, value) in [
+            (
+                plan_for("$auction//person[@id = $id]"),
+                Core::Var("id".into()),
+            ),
+            (Compiler::new(&lifted).compile(&lifted.body), Core::Param(0)),
+        ] {
+            let QueryPlan::BatchPath(bp) = &plan else {
+                panic!("expected batch path, got {plan:?}");
+            };
+            let [BatchFilter::AttrEq(pred)] = bp.steps[0].filters.as_slice() else {
+                panic!("expected one value filter, got {plan:?}");
+            };
+            assert_eq!(attr_eq_parts(pred), Some(("id", &value)));
         }
         // `@id = @ref` names no literal: not a value filter but a
         // per-candidate predicate, which never makes a step index-eligible
@@ -654,9 +633,11 @@ mod tests {
         assert!(bp.steps.iter().any(BatchStep::index_servable));
         let analysis = EffectAnalysis::empty();
         assert!(plan
-            .render_annotated(&analysis, true)
+            .render_annotated(&analysis, true, &[])
             .contains(",batch,idx]"));
-        assert!(!plan.render_annotated(&analysis, false).contains(",idx"));
+        assert!(!plan
+            .render_annotated(&analysis, false, &[])
+            .contains(",idx"));
         assert!(!plan.render().contains(",idx"));
         // Attribute-axis chains have no name-only index: not servable.
         let QueryPlan::BatchPath(bp) = plan_for("$auction/@id") else {

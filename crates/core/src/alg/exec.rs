@@ -25,13 +25,17 @@
 //! * **Errors** match: one side's keys are evaluated only when the other
 //!   side has an item, as the nested loop evaluates its `where`.
 
-use crate::alg::plan::{chain_origin, BatchFilter, BatchStep, JoinPlan, JoinSide, Op, QueryPlan};
+use crate::alg::plan::{
+    attr_eq_parts, chain_origin, BatchFilter, BatchStep, JoinPlan, JoinSide, Op, QueryPlan,
+};
 use crate::env::Focus;
 use crate::eval::{
     args_rule, for_rule, if_rule, let_rule, resolve_test, seq_rule, snap_rule, Operand,
 };
 use crate::{DynEnv, Evaluator};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use xqdm::atomic::Atomic;
 use xqdm::item::{self, Item, Sequence};
 use xqdm::seq;
 use xqdm::{KernelTest, NodeId, QNameId, Store, XdmError, XdmResult};
@@ -221,10 +225,8 @@ fn run_batch_steps(
     for step in steps {
         next.clear();
         let test = resolve_test(store, &step.test);
-        let ordered = step
-            .filters
-            .iter()
-            .any(|f| matches!(f, BatchFilter::Pred(_)));
+        let filters = read_filters(&step.filters, evaluator, env);
+        let ordered = filters.iter().any(|f| matches!(f, Filter::Pred(_)));
         if ordered && cur.len() > 1 {
             let mut one = Vec::new();
             for &origin in cur.iter() {
@@ -239,14 +241,15 @@ fn run_batch_steps(
                     &mut one,
                 )?;
                 evaluator.note_batch(one.len() as u64);
-                apply_filters(&step.filters, evaluator, store, env, &mut one)?;
+                apply_filters(&filters, evaluator, store, env, &mut one)?;
                 next.extend_from_slice(&one);
             }
             store.sort_and_dedup_with(next, evaluator.scratch_mut())?;
             std::mem::swap(cur, next);
             continue;
         }
-        let used_idx = match allow_idx.then(|| index_bucket(step, test, store)).flatten() {
+        let bucket = allow_idx.then(|| index_bucket(step, &filters, test, store));
+        let used_idx = match bucket.flatten() {
             None => {
                 kernel_step(step.axis, test, usize::MAX, evaluator, store, cur, next)?;
                 false
@@ -277,7 +280,7 @@ fn run_batch_steps(
             store.sort_and_dedup_with(next, evaluator.scratch_mut())?;
             sorted = true;
         }
-        apply_filters(&step.filters, evaluator, store, env, next)?;
+        apply_filters(&filters, evaluator, store, env, next)?;
         if used_idx {
             evaluator.note_idx(next.len() as u64);
         } else {
@@ -291,10 +294,68 @@ fn run_batch_steps(
     Ok(())
 }
 
+/// A step's filter as one execution of its chain applies it: a
+/// [`BatchFilter::AttrEq`] with its value read.
+enum Filter<'p> {
+    /// A nested chain that must yield a node.
+    Exists(&'p [BatchStep]),
+    /// `@name` must carry exactly this string.
+    AttrEq(&'p str, Cow<'p, str>),
+    /// The predicate, run per candidate.
+    Pred(&'p Core),
+}
+
+/// Read `filters` for one execution of their chain: each
+/// [`BatchFilter::AttrEq`]'s value once, before the step runs. A value
+/// that reads as exactly one `xs:string` or `xs:untypedAtomic` makes an
+/// exact-string filter; any other value — a number, several items, a
+/// node, the empty sequence, an unbound variable — keeps the predicate,
+/// so general comparison's promotion, its existential reading and its
+/// errors are the interpreter's.
+fn read_filters<'p>(
+    filters: &'p [BatchFilter],
+    evaluator: &Evaluator,
+    env: &DynEnv,
+) -> Vec<Filter<'p>> {
+    filters
+        .iter()
+        .map(|filter| match filter {
+            BatchFilter::Exists(chain) => Filter::Exists(chain),
+            BatchFilter::Pred(pred) => Filter::Pred(pred),
+            BatchFilter::AttrEq(pred) => attr_eq_parts(pred)
+                .and_then(|(name, value)| {
+                    Some(Filter::AttrEq(name, exact_string(value, evaluator, env)?))
+                })
+                .unwrap_or(Filter::Pred(pred)),
+        })
+        .collect()
+}
+
+/// The string `value` — a constant, a lifted literal or a variable —
+/// reads as, when it is exactly one `xs:string` or `xs:untypedAtomic`.
+/// Reading it has no effect, and spends no fuel: the interpreter reads
+/// it inside the predicate's own step.
+fn exact_string<'p>(value: &'p Core, evaluator: &Evaluator, env: &DynEnv) -> Option<Cow<'p, str>> {
+    let one = |a: &Atomic| match a {
+        Atomic::String(s) | Atomic::Untyped(s) => Some(s.clone()),
+        _ => None,
+    };
+    match value {
+        // A constant is read where the plan holds it.
+        Core::Const(Atomic::String(s)) => Some(Cow::Borrowed(s)),
+        Core::Param(i) => one(evaluator.param(*i).ok()?).map(Cow::Owned),
+        Core::Var(name) => match evaluator.read_var(env, name).ok()?.as_slice() {
+            [Item::Atomic(a)] => one(a).map(Cow::Owned),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
 /// Keep the candidates that pass every filter, applying the filters in
 /// predicate order, each over the survivors of the one before.
 fn apply_filters(
-    filters: &[BatchFilter],
+    filters: &[Filter],
     evaluator: &mut Evaluator,
     store: &mut Store,
     env: &mut DynEnv,
@@ -314,20 +375,20 @@ fn apply_filters(
 }
 
 /// Apply one step predicate to one candidate node. Re-checking an
-/// [`BatchFilter::AttrEq`] that already drove an index scan is
-/// idempotent — a deliberate simplification over tracking which filter
-/// produced the bucket.
+/// exact-string filter that already drove an index scan is idempotent —
+/// a deliberate simplification over tracking which filter produced the
+/// bucket.
 fn filter_keeps(
-    filter: &BatchFilter,
+    filter: &Filter,
     evaluator: &mut Evaluator,
     store: &mut Store,
     env: &mut DynEnv,
     candidate: NodeId,
 ) -> XdmResult<bool> {
     match filter {
-        BatchFilter::Exists(chain) => exists_chain(chain, evaluator, store, env, candidate),
-        BatchFilter::AttrEq { name, value } => attr_eq(store, candidate, name, value),
-        BatchFilter::Pred(pred) => {
+        Filter::Exists(chain) => exists_chain(chain, evaluator, store, env, candidate),
+        Filter::AttrEq(name, value) => attr_eq(store, candidate, name, value),
+        Filter::Pred(pred) => {
             // The predicate reads neither position nor size (the guard
             // admits no `position()`, `last()` or number), so the focus
             // only needs its item.
@@ -437,11 +498,12 @@ enum Bucket<'s> {
     Absent,
 }
 
-/// The bucket that could answer `step`, with its length, or `None` when
-/// no scan is available: the store's index plane is off, or the step is
-/// not [`BatchStep::index_servable`].
+/// The bucket that could answer `step`, its filters read as `filters`,
+/// with its length, or `None` when no scan is available: the store's
+/// index plane is off, or the step is not [`BatchStep::index_servable`].
 fn index_bucket<'s>(
-    step: &'s BatchStep,
+    step: &BatchStep,
+    filters: &'s [Filter],
     test: KernelTest,
     store: &Store,
 ) -> Option<(Bucket<'s>, usize)> {
@@ -450,8 +512,8 @@ fn index_bucket<'s>(
     }
     // Prefer the attribute-value index: an equality bucket is almost
     // always narrower than a name bucket.
-    let attr_drive = step.filters.iter().find_map(|f| match f {
-        BatchFilter::AttrEq { name, value } => Some((name, value)),
+    let attr_drive = filters.iter().find_map(|f| match f {
+        Filter::AttrEq(name, value) => Some((*name, value.as_ref())),
         _ => None,
     });
     if let Some((name, value)) = attr_drive {

@@ -21,6 +21,7 @@ use crate::alg::plan::QueryPlan;
 use crate::planner::PlanOptions;
 use crate::{DynEnv, EffectAnalysis, Evaluator};
 use std::sync::Arc;
+use xqdm::atomic::Atomic;
 use xqdm::item::Sequence;
 use xqdm::{Store, XdmResult};
 use xqsyn::CoreProgram;
@@ -155,12 +156,15 @@ impl PlannedProgram {
     /// The paper-style plan printout with effect annotations: the body,
     /// then each optimized prolog variable and each compiled function.
     /// Rendered on request — a cached plan carries no text — for a run
-    /// against `store`: index-servable chains are marked `,idx` when its
-    /// index plane is on.
-    pub fn explain(&self, store: &Store) -> String {
+    /// against `store` with `params` bound: index-servable chains are
+    /// marked `,idx` when its index plane is on, and each lifted literal
+    /// prints as the value bound to its slot, so a lifted program
+    /// explains as the text it was lifted from (DESIGN.md §15; `&[]` for
+    /// a program with none).
+    pub fn explain(&self, store: &Store, params: &[Atomic]) -> String {
         let indexed = store.index_enabled();
         self.render(false, |plan, _| {
-            plan.render_annotated(&self.analysis, indexed)
+            plan.render_annotated(&self.analysis, indexed, params)
         })
     }
 
@@ -283,9 +287,9 @@ mod tests {
         assert!(planned.is_optimized());
         assert_eq!(planned.compiled_functions(), 1);
         assert!(planned
-            .explain(&Store::new())
+            .explain(&Store::new(), &[])
             .contains("declare function pairs"));
-        assert!(planned.explain(&Store::new()).contains("Join"));
+        assert!(planned.explain(&Store::new(), &[]).contains("Join"));
     }
 
     #[test]
@@ -304,7 +308,7 @@ mod tests {
         let planned = compile_program(&program);
         assert_eq!(planned.compiled_functions(), 2);
         assert!(!planned.is_optimized());
-        let text = planned.explain(&Store::new());
+        let text = planned.explain(&Store::new(), &[]);
         assert!(text.contains("declare function local:name($a):\nSnap {\n  BatchPath"));
         assert!(text.contains("declare function local:total($a):\nSnap {\n  Call sum("));
         assert!(!text.contains("declare function local:plain"));
@@ -328,8 +332,10 @@ mod tests {
             planned.body_plan(),
             QueryPlan::Rule(crate::alg::plan::Op::Snap(_), _)
         ));
-        assert!(planned.explain(&Store::new()).contains("Snap(ordered)"));
-        assert!(planned.explain(&Store::new()).contains("Join"));
+        assert!(planned
+            .explain(&Store::new(), &[])
+            .contains("Snap(ordered)"));
+        assert!(planned.explain(&Store::new(), &[]).contains("Join"));
     }
 
     #[test]

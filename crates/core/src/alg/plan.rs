@@ -40,8 +40,10 @@ use crate::obs::NodeStats;
 use crate::EffectAnalysis;
 use crate::SnapMode;
 use std::fmt;
+use xqdm::atomic::{Atomic, CompareOp};
 use xqsyn::ast::{Axis, NodeTest};
 use xqsyn::core::Core;
+use xqsyn::pretty::with_params;
 
 /// A compiled query plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -193,7 +195,7 @@ impl BatchStep {
             || self
                 .filters
                 .iter()
-                .any(|f| matches!(f, BatchFilter::AttrEq { .. })))
+                .any(|f| matches!(f, BatchFilter::AttrEq(_))))
     }
 }
 
@@ -205,17 +207,18 @@ pub enum BatchFilter {
     /// non-empty. Such predicates always yield nodes (never numbers),
     /// so positional semantics degenerate to the non-empty test.
     Exists(Vec<BatchStep>),
-    /// A value filter `[@name = "value"]`: the candidate survives iff it
-    /// carries an attribute `name` whose string value equals `value`
-    /// exactly (general comparison of an untyped attribute against a
-    /// string literal *is* string equality). This is the shape the
-    /// attribute-value hash index serves (DESIGN.md §17).
-    AttrEq {
-        /// The attribute's lexical name.
-        name: String,
-        /// The literal value compared against.
-        value: String,
-    },
+    /// A value filter `[@name = V]`, the predicate as written
+    /// ([`attr_eq_parts`] reads `name` and `V` off it). `V` is invariant
+    /// over the chain — a constant string, a lifted literal, or a
+    /// variable bound outside it — and is read once per execution of the
+    /// chain. Read as exactly one `xs:string` or `xs:untypedAtomic`, the
+    /// candidate survives iff it carries an attribute `name` whose string
+    /// value equals it exactly (general comparison of an untyped
+    /// attribute against a string *is* string equality); this is the
+    /// shape the attribute-value hash index serves (DESIGN.md §17). Read
+    /// as anything else, that execution runs the predicate as a
+    /// [`BatchFilter::Pred`].
+    AttrEq(Core),
     /// Any other predicate the interpreter's `//` fusion admits
     /// (`eval::position_blind`): never a number, no `position()` /
     /// `last()`, only [`Kind::Read`](crate::functions::Kind::Read) calls.
@@ -223,6 +226,47 @@ pub enum BatchFilter {
     /// focus, and its effective boolean value decides; it never drives an
     /// index scan.
     Pred(Core),
+}
+
+/// The attribute name and the compared operand of `[@name = V]` (either
+/// operand order): a general `=` between a predicate-free `@name` step
+/// from the context item (a `DocOrder` wrapper absorbed) and `V`, a
+/// constant string, a lifted literal or a variable. A variable there is
+/// bound outside any chain the predicate filters: a chain binds none.
+pub(crate) fn attr_eq_parts(pred: &Core) -> Option<(&str, &Core)> {
+    let Core::GeneralComp(CompareOp::Eq, a, b) = pred else {
+        return None;
+    };
+    let invariant = |core: &Core| {
+        matches!(
+            core,
+            Core::Const(Atomic::String(_)) | Core::Param(_) | Core::Var(_)
+        )
+    };
+    match (context_attr_name(a), context_attr_name(b)) {
+        (Some(name), None) if invariant(b) => Some((name, b)),
+        (None, Some(name)) if invariant(a) => Some((name, a)),
+        _ => None,
+    }
+}
+
+/// `@name` rooted at the context item (a `DocOrder` wrapper absorbed),
+/// with no predicates of its own.
+fn context_attr_name(core: &Core) -> Option<&str> {
+    let chain = match core {
+        Core::DocOrder(inner) => inner.as_ref(),
+        other => other,
+    };
+    let Core::MapStep {
+        base,
+        axis: Axis::Attribute,
+        test: NodeTest::Name(name),
+        predicates,
+    } = chain
+    else {
+        return None;
+    };
+    (matches!(base.as_ref(), Core::ContextItem) && predicates.is_empty()).then_some(name.as_str())
 }
 
 /// One side of a join: a loop variable bound in turn to each item of a
@@ -343,7 +387,7 @@ impl QueryPlan {
     pub fn render(&self) -> String {
         format!(
             "Snap {{\n{}\n}}",
-            indent(&self.render_node(None, None, 0, false), 2)
+            indent(&self.render_node(None, None, 0, false, &[]), 2)
         )
     }
 
@@ -351,11 +395,20 @@ impl QueryPlan {
     /// and join body carries its place on the effect lattice, showing
     /// *why* each guard admitted (or would reject) a rewrite. With
     /// `indexed` (the rendering store's index plane is on), every
-    /// index-servable chain is marked `,idx`.
-    pub fn render_annotated(&self, analysis: &EffectAnalysis, indexed: bool) -> String {
+    /// index-servable chain is marked `,idx`. A lifted literal prints as
+    /// its value in `params` (DESIGN.md §15).
+    pub fn render_annotated(
+        &self,
+        analysis: &EffectAnalysis,
+        indexed: bool,
+        params: &[Atomic],
+    ) -> String {
         format!(
             "Snap {{\n{}\n}}",
-            indent(&self.render_node(Some(analysis), None, 0, indexed), 2)
+            indent(
+                &self.render_node(Some(analysis), None, 0, indexed, params),
+                2
+            )
         )
     }
 
@@ -374,7 +427,7 @@ impl QueryPlan {
         format!(
             "Snap {{\n{}\n}}",
             indent(
-                &self.render_node(Some(analysis), Some(profile), base, indexed),
+                &self.render_node(Some(analysis), Some(profile), base, indexed, &[]),
                 2
             )
         )
@@ -386,7 +439,9 @@ impl QueryPlan {
         profile: Option<&crate::obs::Profile>,
         base: usize,
         indexed: bool,
+        params: &[Atomic],
     ) -> String {
+        let show = |core: &Core| with_params(core, params).to_string();
         let eff = |core: &Core| match analysis {
             Some(a) => format!("[{:?}]", a.effect(core)),
             None => String::new(),
@@ -405,14 +460,14 @@ impl QueryPlan {
             None => "",
         };
         let text = match self {
-            QueryPlan::Iterate(core) => format!("Iterate{} {{ {core} }}", eff(core)),
+            QueryPlan::Iterate(core) => format!("Iterate{} {{ {} }}", eff(core), show(core)),
             QueryPlan::BatchPath(bp) => {
                 let idx = if idx(&bp.steps) { ",idx" } else { "" };
                 let eff = match analysis {
                     Some(a) => format!("[{:?},batch{idx}]", a.effect(&bp.core)),
                     None => format!("[batch{idx}]"),
                 };
-                format!("BatchPath{eff} {{ {} }}", bp.core)
+                format!("BatchPath{eff} {{ {} }}", show(&bp.core))
             }
             QueryPlan::Join(j) => {
                 // The two sides and the key, a `Join` on its own or, with a
@@ -429,22 +484,27 @@ impl QueryPlan {
                     pad = " ".repeat(open.len()),
                     ov = o.var,
                     ob = bmark(&o.batch),
-                    osrc = o.source,
+                    osrc = show(&o.source),
                     iv = i.var,
                     ib = bmark(&i.batch),
-                    isrc = i.source,
-                    ikey = strip_var(&i.key, &i.var),
+                    isrc = show(&i.source),
+                    ikey = strip_var(&show(&i.key), &i.var),
                     ikb = mark(i.key_steps.is_some()),
-                    okey = strip_var(&o.key, &o.var),
+                    okey = strip_var(&show(&o.key), &o.var),
                     okb = mark(o.key_steps.is_some()),
                 );
                 match &j.group {
-                    None => format!("MapFromItem{} {{ {} }}\n{join}", eff(&j.body), j.body),
+                    None => format!(
+                        "MapFromItem{} {{ {} }}\n{join}",
+                        eff(&j.body),
+                        show(&j.body)
+                    ),
                     Some((_, ret)) => format!(
-                        "MapFromItem{} {{\n  {ret}\n}}\n(GroupBy [ Input#{}, {{ {} }}{} ]\n{join}\n)",
+                        "MapFromItem{} {{\n  {}\n}}\n(GroupBy [ Input#{}, {{ {} }}{} ]\n{join}\n)",
                         eff(ret),
+                        show(ret),
                         o.var,
-                        j.body,
+                        show(&j.body),
                         eff(&j.body),
                     ),
                 }
@@ -486,7 +546,10 @@ impl QueryPlan {
                         }
                     }
                     text.push('\n');
-                    text.push_str(&indent(&p.render_node(analysis, profile, id, indexed), 2));
+                    text.push_str(&indent(
+                        &p.render_node(analysis, profile, id, indexed, params),
+                        2,
+                    ));
                 }
                 text.push('\n');
                 text.push_str(close);
@@ -665,13 +728,12 @@ fn indent(s: &str, n: usize) -> String {
         .join("\n")
 }
 
-/// Render a key expression relative to its variable (`$t/buyer/@person`
+/// A printed key expression relative to its variable (`$t/buyer/@person`
 /// prints as `buyer/@person` after the `Input#t` prefix).
-fn strip_var(key: &Core, var: &str) -> String {
-    let s = key.to_string();
-    s.strip_prefix(&format!("${var}/"))
-        .map(str::to_string)
-        .unwrap_or(s)
+fn strip_var(key: &str, var: &str) -> String {
+    key.strip_prefix(&format!("${var}/"))
+        .unwrap_or(key)
+        .to_string()
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //!
 //! | rule | rewrite | guard |
 //! |------|---------|-------|
-//! | dead-let | `let $x := V return B` → `B` when `B` doesn't use `$x` | `V` produces no update requests (dropping it must not change Δ) |
+//! | dead-let | `let $x := V return B` → `B` when `B` doesn't use `$x` | `V` cannot raise: a constant, a lifted literal, or a variable an enclosing binder binds (dropping it must change neither Δ nor the error) |
 //! | let-inline | single-use `let $x := V return B` → `B[V/$x]` | `V` pure *and* `B` applies no snap (a snap between binding and use would change what `V` reads); `V` is no `for` (a bound FLWOR is what the join compiler unnests, §4.3); no binder in `B` rebinds a variable `V` mentions (no renaming: a captured `V` stays bound) |
 //! | const-fold | `1 + 2` → `3`, comparisons, EBV-known `if` | operands constant; never folds expressions that could error differently |
 //! | if-fold | `if (true()) then A else B` → `A` | condition constant; the dropped branch must produce no updates (it was never evaluated anyway — the guard is only needed because folding erases the *possibility* of reporting its errors, which XQuery 1.0 permits) |
@@ -31,7 +31,7 @@ use xqsyn::core::Core;
 pub fn simplify(core: &Core, analysis: &EffectAnalysis) -> Core {
     let mut cur = core.clone();
     for _ in 0..8 {
-        let next = pass(&cur, analysis);
+        let next = pass(&cur, analysis, &mut Vec::new());
         if next == cur {
             return next;
         }
@@ -40,19 +40,39 @@ pub fn simplify(core: &Core, analysis: &EffectAnalysis) -> Core {
     cur
 }
 
-/// One bottom-up pass.
-fn pass(core: &Core, a: &EffectAnalysis) -> Core {
+/// One bottom-up pass. `bound` holds the variables the binders around
+/// `core` bind.
+fn pass(core: &Core, a: &EffectAnalysis, bound: &mut Vec<String>) -> Core {
     // Rebuild with simplified children first.
-    let rebuilt = core.map_children(|c, _| pass(c, a));
-    rewrite_node(rebuilt, a)
+    let rebuilt = core.map_children(|c, in_scope| {
+        let depth = bound.len();
+        if in_scope {
+            bound.extend(core.binds().into_iter().flatten().map(str::to_string));
+        }
+        let simplified = pass(c, a, bound);
+        bound.truncate(depth);
+        simplified
+    });
+    rewrite_node(rebuilt, a, bound)
 }
 
-fn rewrite_node(core: Core, a: &EffectAnalysis) -> Core {
+/// Can evaluating `value` never raise? A constant, a lifted literal, and
+/// a read of a variable some binder in `bound` binds. Dropping such a
+/// value drops no error.
+fn cannot_raise(value: &Core, bound: &[String]) -> bool {
+    match value {
+        Core::Const(_) | Core::Param(_) => true,
+        Core::Var(v) => bound.contains(v),
+        _ => false,
+    }
+}
+
+fn rewrite_node(core: Core, a: &EffectAnalysis, bound: &[String]) -> Core {
     match core {
         // ---- dead-let ----
         Core::Let { var, value, body } => {
             let uses = count_var_uses(&body, &var);
-            if uses == 0 && a.effect(&value) <= Effect::Alloc {
+            if uses == 0 && cannot_raise(&value, bound) {
                 return *body;
             }
             // ---- let-inline (single use, pure value, snap-free body) ----
@@ -140,7 +160,11 @@ fn rewrite_node(core: Core, a: &EffectAnalysis) -> Core {
 fn is_singleton(core: &Core) -> bool {
     matches!(
         core,
-        Core::Const(_) | Core::ElemCtor { .. } | Core::AttrCtor { .. } | Core::DocCtor(_)
+        Core::Const(_)
+            | Core::Param(_)
+            | Core::ElemCtor { .. }
+            | Core::AttrCtor { .. }
+            | Core::DocCtor(_)
     )
 }
 
@@ -456,10 +480,27 @@ mod tests {
     }
 
     #[test]
-    fn dead_pure_let_is_eliminated() {
+    fn dead_let_that_cannot_raise_is_eliminated() {
         assert_eq!(simp("let $x := 1 + 2 return 42"), int(42));
-        // Allocating dead value also drops (nothing observes it).
-        assert_eq!(simp("let $x := <a/> return 42"), int(42));
+        // A bound variable's read cannot raise either.
+        assert_eq!(
+            simp("for $y in $s return let $x := $y return 42"),
+            simp("for $y in $s return 42")
+        );
+    }
+
+    #[test]
+    fn dead_let_that_may_raise_is_kept() {
+        // GUARD: dropping the value would drop its error — `7` where the
+        // interpreter raises FOAR0001 (or XPST0008 for the unbound `$z`).
+        for q in [
+            "let $y := 1 div 0 return 7",
+            "let $y := $z return 7",
+            "let $y := <a>{1 div 0}</a> return 7",
+        ] {
+            let c = simp(q);
+            assert!(matches!(c, Core::Let { .. }), "{q} must stay: {c:?}");
+        }
     }
 
     #[test]

@@ -16,12 +16,13 @@ use crate::server::{Server, ServerConfig};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
+use xqdm::atomic::Atomic;
 use xqdm::item::{Item, Sequence};
 use xqdm::seq;
 use xqdm::{NodeId, RecoveryReport, Store, SyncMode, XdmResult};
 use xqsyn::core::Core;
 use xqsyn::cursor::ParseError;
-use xqsyn::CoreProgram;
+use xqsyn::{CoreProgram, Skeleton};
 
 /// Engine errors: parse-time or evaluation-time.
 #[derive(Debug, Clone, PartialEq)]
@@ -389,11 +390,13 @@ impl Engine {
     /// Parse, normalize and run an XQuery! program against the store.
     /// The query body (and prolog variable initializers) run inside the
     /// implicit top-level snap; all effects are applied when this returns.
-    /// A text run before under the same environment is not parsed again:
-    /// its [`Prepared`] entry in the plan cache carries the program.
+    /// A text of a shape run before under the same environment is not
+    /// parsed again: its [`Prepared`] entry in the plan cache carries the
+    /// program, and the text's string literals are bound to its slots
+    /// (DESIGN.md §15).
     pub fn run(&mut self, query: &str) -> Result<Sequence, Error> {
-        let prepared = prepare(&self.env, &self.plans, query)?;
-        Ok(self.run_program(&prepared.program)?)
+        let (prepared, params) = prepare(&self.env, &self.plans, query)?;
+        Ok(self.run_bound(&prepared.program, params)?)
     }
 
     /// Run an already-compiled program.
@@ -408,39 +411,47 @@ impl Engine {
     /// `XQB0030` error is returned: a store that a panicking evaluation was
     /// mutating is not trusted as commitment.
     pub fn run_program(&mut self, program: &CoreProgram) -> XdmResult<Sequence> {
+        self.run_bound(program, Vec::new())
+    }
+
+    /// [`Engine::run_program`] with `program`'s [`Core::Param`] slots bound
+    /// to `params`: the one run entry of a prepared text, here and on a
+    /// server's sessions.
+    pub(crate) fn run_bound(
+        &mut self,
+        program: &CoreProgram,
+        params: Vec<Atomic>,
+    ) -> XdmResult<Sequence> {
         let (plan, cache) = self.plan_for(program);
-        let (result, report) = self.execute_program(plan, cache, program, false);
+        let (result, report) = self.execute_program(plan, cache, program, params, false);
         self.last_run = Some(report);
         result
     }
 
-    /// Run `program` — its plan when there is one, the interpreter
-    /// otherwise — and return the value with the run's account. With
-    /// `profile` set, per-node counters are captured into the report. The
-    /// shared body of [`Engine::run_program`] and
+    /// Run `program` with `params` bound — its plan when there is one, the
+    /// interpreter otherwise — and return the value with the run's
+    /// account. With `profile` set, per-node counters are captured into
+    /// the report. The shared body of [`Engine::run_bound`] and
     /// [`Engine::explain_analyze`].
     fn execute_program(
         &mut self,
         plan: Option<Arc<PlannedProgram>>,
         cache: &'static str,
         program: &CoreProgram,
+        params: Vec<Atomic>,
         profile: bool,
     ) -> (XdmResult<Sequence>, RunReport) {
         let compiled = plan.clone();
         // Compiled and interpreted paths share the evaluator (and hence the
         // Δ-stack, seed counter, and statistics), and run inside the same
         // panic/undo frame.
-        self.run_frame(
-            program,
-            plan,
-            cache,
-            profile,
-            false,
-            |ev, store| match &compiled {
+        self.run_frame(program, plan, cache, profile, false, |ev, store| {
+            ev.bind_params(params);
+            match &compiled {
                 Some(plan) => plan.execute(ev, store),
                 None => ev.eval_program(store, program),
-            },
-        )
+            }
+        })
     }
 
     /// The one run frame: evaluate `body` on a fresh evaluator for
@@ -597,7 +608,7 @@ impl Engine {
             let plan = compile_structural_program(&linked(&self.env, &program));
             ((Some(Arc::new(plan)), UNCOMPILED), "interpreted")
         };
-        let (result, report) = self.execute_program(plan, cache, &program, true);
+        let (result, report) = self.execute_program(plan, cache, &program, Vec::new(), true);
         let rendered = result.map(|value| self.render_analyzed(&report, value.len(), mode));
         self.last_run = Some(report);
         Ok(rendered?)
@@ -802,17 +813,19 @@ impl EngineSnapshot {
         &self.store
     }
 
-    /// `query` prepared under the snapshotted environment — the server's
-    /// request path, with no engine lock.
-    pub(crate) fn prepare(&self, query: &str) -> Result<Arc<Prepared>, Error> {
+    /// `query` prepared under the snapshotted environment, with the
+    /// parameters its literals bind — the server's request path, with no
+    /// engine lock.
+    pub(crate) fn prepare(&self, query: &str) -> Result<(Arc<Prepared>, Vec<Atomic>), Error> {
         prepare(&self.env, &self.plans, query)
     }
 }
 
-/// `query` prepared under `env`: the entry `plans` holds for the text
-/// when it holds for `env` (DESIGN.md §15), else a new one — parsed under
-/// `env`'s nesting limit and classified — kept for the next request. A
-/// text that fails to parse is not kept.
+/// `query` prepared under `env`, with the parameters its lifted literals
+/// bind: the entry `plans` holds for the text's shape when it holds for
+/// `env` (DESIGN.md §15), else a new one — parsed with its literals lifted
+/// under `env`'s nesting limit, and classified — kept for the next text
+/// of that shape. A text that fails to parse is not kept.
 ///
 /// The classification is what a run of the program may do — body and
 /// prolog initializers joined — with calls resolved as a run under `env`'s
@@ -825,24 +838,36 @@ fn prepare(
     env: &Arc<ProgramEnv>,
     plans: &SharedPlanCache,
     query: &str,
-) -> Result<Arc<Prepared>, Error> {
-    if let Some(entry) = plans.prepared(query, env) {
-        return Ok(entry);
+) -> Result<(Arc<Prepared>, Vec<Atomic>), Error> {
+    let skeleton = Skeleton::of(query);
+    if let Some(hit) = plans.prepared(&skeleton, env) {
+        return Ok(hit);
     }
     let trace = env.trace.as_ref();
     let span = trace.map(|sink| sink.begin("parse", None));
-    let parsed = parse(env, query);
+    let parsed = xqsyn::compile_lifted(&skeleton, env.limits.max_parse_depth);
     if let (Some(sink), Some(id)) = (trace, span) {
         sink.end(id);
     }
-    let program = parsed?;
+    let program = parsed.map_err(parse_error)?;
+    let lifted = xqsyn::lifted_slots(&program);
+    let params = bound(&skeleton, &lifted)?;
     let read = Scope::new(env.clone(), &program)
         .effects()
         .program_facts(&program)
         .snapshot_read();
     let entry = Arc::new(Prepared::new(env, program, read));
-    plans.insert_prepared(query, entry.clone());
-    Ok(entry)
+    plans.insert_prepared(&skeleton, &lifted, entry.clone());
+    Ok((entry, params))
+}
+
+/// The parameters `skeleton`'s text binds to the slots its parse
+/// `lifted`. A parse that lifted a slot decoded its literal as binding
+/// does, so this fails only if the two disagree.
+fn bound(skeleton: &Skeleton, lifted: &[usize]) -> XdmResult<Vec<Atomic>> {
+    skeleton
+        .bind(lifted)
+        .ok_or_else(|| xqdm::XdmError::precondition("a lifted literal that parsed does not bind"))
 }
 
 /// Parse `query` under `env`'s expression-nesting limit.
@@ -879,17 +904,21 @@ fn linked(env: &Arc<ProgramEnv>, program: &CoreProgram) -> CoreProgram {
 }
 
 /// The plan a run of `query` under `env` against `store` would execute,
-/// printed: parsed under `env`'s nesting limit, closed under the module
-/// functions it can reach, compiled, and rendered with `,idx` marks when
-/// `store`'s index plane is on. [`Engine::explain`] and the `xqb:explain`
-/// builtin are both this.
+/// printed: parsed with its literals lifted under `env`'s nesting limit,
+/// closed under the module functions it can reach, compiled, and rendered
+/// with each lifted literal as the value the text binds to it and with
+/// `,idx` marks when `store`'s index plane is on. [`Engine::explain`] and
+/// the `xqb:explain` builtin are both this.
 pub(crate) fn explain_query(
     env: &Arc<ProgramEnv>,
     store: &Store,
     query: &str,
 ) -> Result<String, ParseError> {
-    let program = xqsyn::compile_with_limit(query, env.limits.max_parse_depth)?;
-    Ok(compile_program(&linked(env, &program)).explain(store))
+    let skeleton = Skeleton::of(query);
+    let program = xqsyn::compile_lifted(&skeleton, env.limits.max_parse_depth)?;
+    let params = bound(&skeleton, &xqsyn::lifted_slots(&program))
+        .map_err(|e| ParseError::new(0, e.message))?;
+    Ok(compile_program(&linked(env, &program)).explain(store, &params))
 }
 
 #[cfg(test)]

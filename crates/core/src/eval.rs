@@ -151,6 +151,9 @@ pub struct Evaluator {
     /// every `sort_and_dedup_with` call so steady-state path evaluation
     /// stops allocating.
     scratch: Scratch,
+    /// The values of the program's [`Core::Param`] slots for this run
+    /// (DESIGN.md §15): empty for a program with none.
+    params: Vec<Atomic>,
 }
 
 /// One open profiled plan node: enough to compute inclusive wall time,
@@ -207,6 +210,29 @@ impl Evaluator {
             obs: None,
             guard,
             scratch: Scratch::new(),
+            params: Vec::new(),
+        }
+    }
+
+    /// Bind the program's [`Core::Param`] slots: slot `i` reads
+    /// `params[i]`.
+    pub(crate) fn bind_params(&mut self, params: Vec<Atomic>) {
+        self.params = params;
+    }
+
+    /// The value bound to slot `i` ([`Evaluator::bind_params`]).
+    pub(crate) fn param(&self, i: usize) -> XdmResult<&Atomic> {
+        self.params
+            .get(i)
+            .ok_or_else(|| XdmError::precondition(format!("parameter slot {i} is not bound")))
+    }
+
+    /// Read `$name`: its innermost binding in `env`, else this run's
+    /// global of that name, else `XPST0008`. A read has no effect.
+    pub(crate) fn read_var<'a>(&'a self, env: &'a DynEnv, name: &str) -> XdmResult<&'a Sequence> {
+        match env.var(name) {
+            Ok(v) => Ok(v),
+            Err(e) => self.scope.global(name).ok_or(e),
         }
     }
 
@@ -665,10 +691,8 @@ fn rule(
 ) -> XdmResult<Sequence> {
     match expr {
         Core::Const(a) => Ok(seq![Item::Atomic(a.clone())]),
-        Core::Var(name) => match env.var(name) {
-            Ok(v) => Ok(v.clone()),
-            Err(e) => ev.scope.global(name).cloned().ok_or(e),
-        },
+        Core::Param(i) => Ok(seq![Item::Atomic(ev.param(*i)?.clone())]),
+        Core::Var(name) => ev.read_var(env, name).cloned(),
         Core::ContextItem => Ok(seq![env.focus()?.item.clone()]),
         Core::Seq(items) => seq_rule(ev, store, env, items.iter()),
         Core::For {
@@ -1305,6 +1329,8 @@ fn never_numeric(p: &Core) -> bool {
         | Core::DocOrder(_)
         | Core::Union(..) => true,
         Core::Const(a) => !a.is_numeric(),
+        // A lifted literal is a string.
+        Core::Param(_) => true,
         Core::Seq(members) => members.iter().all(never_numeric),
         Core::If(_, then, els) => never_numeric(then) && never_numeric(els),
         Core::Let { body, .. } => never_numeric(body),

@@ -1,6 +1,6 @@
 //! What the engine keeps around the compiler ([`crate::alg`]): program
 //! fingerprints and the [`SharedPlanCache`] — plans by fingerprint, and in
-//! front of them [`Prepared`] requests by query text.
+//! front of them [`Prepared`] requests by query shape.
 //!
 //! A plan, and so its cache key, depends only on the program and the
 //! module functions it can reach: no store state. Whether a batch step is
@@ -19,7 +19,8 @@ use crate::env::ProgramEnv;
 use crate::obs::{self, CounterId};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, Weak};
-use xqsyn::CoreProgram;
+use xqdm::atomic::Atomic;
+use xqsyn::{CoreProgram, Skeleton};
 
 /// Options of [`compile_program_opts`](crate::alg::pipeline::compile_program_opts).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -43,9 +44,10 @@ pub fn program_fingerprint(program: &CoreProgram) -> (u64, u64) {
 /// query streams.
 pub const SHARED_PLAN_CACHE_CAP: usize = 256;
 
-/// A query text made ready to run (DESIGN.md §15): the parsed program and
-/// whether it may run as a snapshot read — what a request for a text the
-/// engine has already seen would otherwise recompute. Its plan-cache key
+/// A query text made ready to run (DESIGN.md §15): its program, with its
+/// string literals lifted into parameter slots, and whether it may run as
+/// a snapshot read — what a request for a text of a shape the engine has
+/// already seen would otherwise recompute. Its plan-cache key
 /// is derived at lookup from the two fingerprints already stored (the
 /// program's and the module table's). It holds for the program
 /// environment it was made under, and for nothing else
@@ -58,7 +60,7 @@ pub(crate) struct Prepared {
     /// allocation (`Arc::make_mut`) — so pointer equality means "the same
     /// environment, unedited".
     env: Weak<ProgramEnv>,
-    /// The parsed, normalized program.
+    /// The parsed, normalized program, literals lifted.
     pub(crate) program: CoreProgram,
     /// [`Facts::snapshot_read`](crate::Facts::snapshot_read) of the program
     /// under `env`: the server's routing.
@@ -82,11 +84,13 @@ impl Prepared {
     }
 }
 
-/// The plan cache: thread-safe, with two keys. Plans are keyed by
+/// The plan cache: thread-safe, with two tiers. Plans are keyed by
 /// fingerprint; in front of them, [`Prepared`] requests are keyed by
-/// query text, so a text seen before skips parsing and classification,
-/// and reaches its plan through the fingerprints its program carries. Every
-/// engine holds one cache — its own until
+/// query shape — the text's [`Skeleton`] and the texts of its pinned
+/// slots (DESIGN.md §15) — so a text whose shape was seen before skips
+/// parsing, classification and the fingerprint: it binds its lifted
+/// literals and reaches its plan through the fingerprints its program
+/// carries. Every engine holds one cache — its own until
 /// [`Engine::set_shared_plan_cache`](crate::Engine::set_shared_plan_cache)
 /// installs another — and every fork of an engine holds its parent's, so
 /// on a server the write path and each concurrent snapshot reader consult
@@ -97,9 +101,31 @@ impl Prepared {
 #[derive(Default)]
 pub struct SharedPlanCache {
     plans: Mutex<HashMap<(u64, u64), Arc<PlannedProgram>>>,
-    texts: Mutex<HashMap<Box<str>, Arc<Prepared>>>,
+    texts: Mutex<Shapes>,
     hits: std::sync::atomic::AtomicU64,
     misses: std::sync::atomic::AtomicU64,
+}
+
+/// The text tier: per skeleton text, its [`Shape`].
+#[derive(Default)]
+struct Shapes {
+    by_skeleton: HashMap<Box<str>, Shape>,
+    /// Entries across every shape.
+    entries: usize,
+}
+
+/// The prepared programs of one skeleton: which of its slots the lifting
+/// parse lifted, and the entry for each list of its pinned slots' texts.
+struct Shape {
+    lifted: Box<[usize]>,
+    by_pinned: HashMap<Box<[Box<str>]>, Arc<Prepared>>,
+}
+
+impl Shape {
+    /// The pinned share of `skeleton`'s key under this shape.
+    fn key(&self, skeleton: &Skeleton) -> Box<[Box<str>]> {
+        skeleton.pinned(&self.lifted).map(Box::from).collect()
+    }
 }
 
 impl SharedPlanCache {
@@ -134,32 +160,63 @@ impl SharedPlanCache {
         plans.entry(key).or_insert(plan);
     }
 
-    /// The entry prepared for `text`, if it holds for `env`. Counts
-    /// nothing: the plan lookup a run of the entry's program makes is the
-    /// one [`SharedPlanCache::get`] counts, as without the entry.
-    pub(crate) fn prepared(&self, text: &str, env: &Arc<ProgramEnv>) -> Option<Arc<Prepared>> {
+    /// The entry prepared for `skeleton`'s shape, if it holds for `env`,
+    /// with the parameters `skeleton`'s text binds. Counts nothing: the
+    /// plan lookup a run of the entry's program makes is the one
+    /// [`SharedPlanCache::get`] counts, as without the entry. `None` too
+    /// when a lifted literal does not decode: parsing the text reports it.
+    pub(crate) fn prepared(
+        &self,
+        skeleton: &Skeleton,
+        env: &Arc<ProgramEnv>,
+    ) -> Option<(Arc<Prepared>, Vec<Atomic>)> {
         let texts = self.texts.lock().unwrap_or_else(|e| e.into_inner());
-        texts
-            .get(text)
-            .filter(|entry| entry.holds_for(env))
-            .cloned()
+        let shape = texts.by_skeleton.get(skeleton.text())?;
+        let entry = shape
+            .by_pinned
+            .get(&shape.key(skeleton))
+            .filter(|entry| entry.holds_for(env))?;
+        Some((entry.clone(), skeleton.bind(&shape.lifted)?))
     }
 
-    /// The entry kept for `text`, whether or not it still holds.
+    /// The entry kept for `text`'s shape, whether or not it still holds.
     #[cfg(test)]
     pub(crate) fn text_entry(&self, text: &str) -> Option<Arc<Prepared>> {
+        let skeleton = Skeleton::of(text);
         let texts = self.texts.lock().unwrap_or_else(|e| e.into_inner());
-        texts.get(text).cloned()
+        let shape = texts.by_skeleton.get(skeleton.text())?;
+        shape.by_pinned.get(&shape.key(&skeleton)).cloned()
     }
 
-    /// Keep `entry` for `text`, replacing a stale one; the same capacity
-    /// rule as the plans.
-    pub(crate) fn insert_prepared(&self, text: &str, entry: Arc<Prepared>) {
+    /// Keep `entry` for `skeleton`'s shape, whose program lifted the slots
+    /// `lifted`, replacing a stale one; the same capacity rule as the
+    /// plans, over entries of every shape. A text whose pinned slots
+    /// parse so that other slots lift than its skeleton's first text
+    /// lifted is not kept: its shape's key does not reach it.
+    pub(crate) fn insert_prepared(
+        &self,
+        skeleton: &Skeleton,
+        lifted: &[usize],
+        entry: Arc<Prepared>,
+    ) {
         let mut texts = self.texts.lock().unwrap_or_else(|e| e.into_inner());
-        if texts.len() >= SHARED_PLAN_CACHE_CAP {
-            texts.clear();
+        if texts.entries >= SHARED_PLAN_CACHE_CAP {
+            *texts = Shapes::default();
         }
-        texts.insert(text.into(), entry);
+        let shape = texts
+            .by_skeleton
+            .entry(skeleton.text().into())
+            .or_insert_with(|| Shape {
+                lifted: lifted.into(),
+                by_pinned: HashMap::new(),
+            });
+        if *shape.lifted != *lifted {
+            return;
+        }
+        let key = shape.key(skeleton);
+        if shape.by_pinned.insert(key, entry).is_none() {
+            texts.entries += 1;
+        }
     }
 
     /// `(hits, misses)` since construction.

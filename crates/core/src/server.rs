@@ -41,6 +41,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::time::Instant;
+use xqdm::atomic::Atomic;
 use xqdm::XdmError;
 
 /// Session-limit rejection: `open_session` past `max_sessions`.
@@ -420,18 +421,23 @@ impl Session {
         // facts depend only on the function bodies, and module
         // registration goes through `with_engine` (the writer).
         let pin = inner.pin();
-        let prepared = pin.prepare(query)?;
+        let (prepared, params) = pin.prepare(query)?;
         if prepared.read {
-            return self.execute_read(&pin, &prepared);
+            return self.execute_read(&pin, &prepared, params);
         }
         drop(pin);
-        self.execute_write(query, &prepared)
+        self.execute_write(query, &prepared, params)
     }
 
-    fn execute_read(&self, pin: &Pin<'_>, prepared: &Prepared) -> Result<Response, Error> {
+    fn execute_read(
+        &self,
+        pin: &Pin<'_>,
+        prepared: &Prepared,
+        params: Vec<Atomic>,
+    ) -> Result<Response, Error> {
         let mut reader = pin.reader();
         let started = Instant::now();
-        let result = reader.run_program(&prepared.program);
+        let result = reader.run_bound(&prepared.program, params);
         let inner = &self.inner;
         inner.read_ns.record(obs::elapsed_ns(started));
         inner.reads.fetch_add(1, Ordering::Relaxed);
@@ -455,13 +461,18 @@ impl Session {
     /// publish the post-run state and log the commit before the mutex
     /// drops, so the commit log's order is the epoch order. An errored run
     /// publishes too: it keeps its closed snaps, so readers must see them.
-    fn execute_write(&self, query: &str, prepared: &Prepared) -> Result<Response, Error> {
+    fn execute_write(
+        &self,
+        query: &str,
+        prepared: &Prepared,
+        params: Vec<Atomic>,
+    ) -> Result<Response, Error> {
         let inner = &self.inner;
         let started = Instant::now();
         inner.writes.fetch_add(1, Ordering::Relaxed);
         let mut engine = inner.engine.lock().unwrap_or_else(|e| e.into_inner());
         let outcome = engine
-            .run_program(&prepared.program)
+            .run_bound(&prepared.program, params)
             .and_then(|value| engine.serialize(&value));
         let epoch = inner.publish(engine.snapshot_state());
         let mut commits = inner.commits.lock().unwrap_or_else(|e| e.into_inner());
@@ -954,6 +965,23 @@ mod tests {
         assert!(Arc::ptr_eq(&write, &entry(&server, WRITE)));
         assert_eq!(s.execute(READ).unwrap().body, "2");
         assert!(Arc::ptr_eq(&first, &entry(&server, READ)));
+    }
+
+    #[test]
+    fn texts_of_one_shape_share_one_entry() {
+        // Literals lift into parameter slots (DESIGN.md §15): the second
+        // text binds its own literal to the first one's program and plan.
+        let server = server_with_doc();
+        let s = server.open_session().unwrap();
+        s.execute("insert { (<e id=\"a\">1</e>, <e id=\"b\">2</e>) } into { $doc/log }")
+            .unwrap();
+        const A: &str = r#"string($doc/log/e[@id = "a"])"#;
+        const B: &str = r#"string($doc/log/e[@id = "b"])"#;
+        assert_eq!(s.execute(A).unwrap().body, "1");
+        let (hits, misses) = server.plan_cache().stats();
+        assert_eq!(s.execute(B).unwrap().body, "2");
+        assert!(Arc::ptr_eq(&entry(&server, A), &entry(&server, B)));
+        assert_eq!(server.plan_cache().stats(), (hits + 1, misses));
     }
 
     #[test]

@@ -84,6 +84,10 @@ impl Eval {
     fn rule(&mut self, env: &Env, e: &Core) -> Step {
         match e {
             Core::Const(a) => Ok((vec![Item::Atom(constant(a))], vec![])),
+            Core::Param(i) => match env.param(*i) {
+                Some(s) => Ok((vec![Item::Atom(Atom::Str(s.to_string()))], vec![])),
+                None => unsupported("an unbound parameter slot"),
+            },
             Core::Var(name) => match env.var(name) {
                 Some(v) => Ok((v.clone(), vec![])),
                 None => error("XPST0008"),

@@ -173,6 +173,8 @@ pub(crate) fn unsupported<T>(what: impl Into<String>) -> Result<T, Stuck> {
 pub struct Env {
     vars: Option<Rc<Binding>>,
     focus: Option<(Item, usize, usize)>,
+    /// The strings a lifted program's `Param` slots read, by slot.
+    params: Rc<[String]>,
 }
 
 #[derive(Debug)]
@@ -197,7 +199,21 @@ impl Env {
                 outer: self.vars.clone(),
             })),
             focus: self.focus.clone(),
+            params: self.params.clone(),
         }
+    }
+
+    /// This environment with a lifted program's slots bound: `Param(i)`
+    /// is the string `params[i]`.
+    pub fn with_params(&self, params: Vec<String>) -> Env {
+        Env {
+            params: params.into(),
+            ..self.clone()
+        }
+    }
+
+    pub(crate) fn param(&self, i: usize) -> Option<&str> {
+        self.params.get(i).map(String::as_str)
     }
 
     /// This environment with the focus on `item`, at `position` of `size`.

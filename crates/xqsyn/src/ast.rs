@@ -230,6 +230,10 @@ pub struct DirectElement {
 pub enum Expr {
     /// A literal value.
     Literal(Literal),
+    /// A string literal that spans exactly slot `i` of its text's
+    /// skeleton, read by a lifting parse ([`crate::lift`]): its value is
+    /// bound per run, not part of the program.
+    Param(usize),
     /// `$name`
     VarRef(String),
     /// `.`

@@ -51,6 +51,11 @@ pub struct CoreOrderSpec {
 pub enum Core {
     /// A constant atomic value.
     Const(Atomic),
+    /// A string literal lifted out of the query text: the value of slot
+    /// `i` of the text's skeleton, bound per run ([`crate::lift`]). Only
+    /// string literals lift, so its value is always one `xs:string`; the
+    /// program — and so its fingerprint — holds the slot, not the value.
+    Param(usize),
     /// Variable reference.
     Var(String),
     /// The context item.
@@ -252,7 +257,7 @@ impl Core {
     /// Apply `f` to each direct sub-expression.
     pub fn for_each_child<'a>(&'a self, mut f: impl FnMut(&'a Core)) {
         match self {
-            Core::Const(_) | Core::Var(_) | Core::ContextItem => {}
+            Core::Const(_) | Core::Param(_) | Core::Var(_) | Core::ContextItem => {}
             Core::MapStep {
                 base, predicates, ..
             } => {
@@ -350,7 +355,7 @@ impl Core {
             mapped
         };
         match self {
-            Core::Const(_) | Core::Var(_) | Core::ContextItem => self.clone(),
+            Core::Const(_) | Core::Param(_) | Core::Var(_) | Core::ContextItem => self.clone(),
             Core::Seq(items) => Core::Seq(items.iter().map(&mut *g).collect()),
             Core::For {
                 var,

@@ -22,6 +22,7 @@
 pub mod ast;
 pub mod core;
 pub mod cursor;
+pub mod lift;
 pub mod markup;
 pub mod normalize;
 pub mod parser;
@@ -30,6 +31,7 @@ pub mod stack;
 
 pub use ast::{Declaration, Expr, Program};
 pub use core::{Core, CoreFunction, CoreProgram};
+pub use lift::{compile_lifted, lifted_slots, Skeleton};
 pub use normalize::normalize_program;
 pub use parser::{
     parse_expr, parse_expr_with_limit, parse_program, parse_program_with_limit, ParseError,

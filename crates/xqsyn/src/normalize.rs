@@ -49,6 +49,7 @@ pub fn normalize(e: &Expr) -> Core {
             ast::Literal::Double(d) => Atomic::Double(*d),
             ast::Literal::String(s) => Atomic::String(s.clone()),
         }),
+        Expr::Param(i) => Core::Param(*i),
         Expr::VarRef(v) => Core::Var(v.clone()),
         Expr::ContextItem => Core::ContextItem,
         Expr::Sequence(items) => Core::Seq(items.iter().map(normalize).collect()),

@@ -37,11 +37,24 @@ pub fn parse_program(input: &str) -> PResult<Program> {
 
 /// [`parse_program`] with an explicit nesting-depth limit.
 pub fn parse_program_with_limit(input: &str, max_depth: usize) -> PResult<Program> {
+    parse_program_lifting(input, max_depth, &[])
+}
+
+/// [`parse_program_with_limit`], lifting every string literal that a
+/// primary expression reads over exactly one of `slots` (byte spans of
+/// `input`, quotes included, in text order) into [`Expr::Param`] of that
+/// slot's index ([`crate::lift`]).
+pub fn parse_program_lifting(
+    input: &str,
+    max_depth: usize,
+    slots: &[std::ops::Range<usize>],
+) -> PResult<Program> {
     with_deep_stack(move || {
         let mut p = Parser {
             cur: Cursor::new(input),
             depth: 0,
             max_depth,
+            slots,
         };
         let r = p.parse_program();
         let r = match r {
@@ -67,6 +80,7 @@ pub fn parse_expr_with_limit(input: &str, max_depth: usize) -> PResult<Expr> {
             cur: Cursor::new(input),
             depth: 0,
             max_depth,
+            slots: &[],
         };
         let r = p.parse_expr();
         let r = match r {
@@ -88,6 +102,9 @@ pub(crate) struct Parser<'a> {
     depth: usize,
     /// Depth at which parsing stops with an `XQB0040` error.
     max_depth: usize,
+    /// The skeleton slots a string-literal primary lifts when it spans
+    /// one exactly; empty for a plain parse.
+    slots: &'a [std::ops::Range<usize>],
 }
 
 impl<'a> Parser<'a> {
@@ -1035,8 +1052,13 @@ impl<'a> Parser<'a> {
                 return Ok(Expr::VarRef(v));
             }
             Some(b'"') | Some(b'\'') => {
+                let start = self.cur.pos;
                 let s = self.cur.read_string_literal()?;
-                return Ok(Expr::Literal(Literal::String(s)));
+                let slot = self.slots.binary_search_by_key(&start, |span| span.start);
+                return Ok(match slot {
+                    Ok(i) if self.slots[i].end == self.cur.pos => Expr::Param(i),
+                    _ => Expr::Literal(Literal::String(s)),
+                });
             }
             Some(b'(') => {
                 self.cur.eat("(");

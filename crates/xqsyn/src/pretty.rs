@@ -16,25 +16,63 @@ use xqdm::atomic::Atomic;
 
 impl fmt::Display for Core {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Core::Const(a) => match a {
-                Atomic::String(s) => {
-                    write!(f, "\"{}\"", s.replace('&', "&amp;").replace('"', "\"\""))
-                }
-                other => write!(f, "{}", other.string_value()),
+        Printed(self, &[]).fmt(f)
+    }
+}
+
+/// `core` printed with its [`Core::Param`] slots read from `params`: a
+/// slot prints as the literal bound to it, so a lifted program prints as
+/// the text it was lifted from. A slot `params` does not hold prints as
+/// `?i`.
+pub fn with_params<'a>(core: &'a Core, params: &'a [Atomic]) -> impl fmt::Display + 'a {
+    Printed(core, params)
+}
+
+/// An expression and the parameters its slots print as.
+struct Printed<'a>(&'a Core, &'a [Atomic]);
+
+impl<'a> Printed<'a> {
+    /// A sub-expression, printed under the same parameters.
+    fn at(&self, core: &'a Core) -> Printed<'a> {
+        Printed(core, self.1)
+    }
+
+    /// A sub-expression printed where the grammar needs one that binds at
+    /// least as tightly as `level`.
+    fn operand(&self, core: &'a Core, level: u8) -> Operand<'a> {
+        Operand(self.at(core), level)
+    }
+}
+
+/// A constant, as the literal that reads back as it.
+fn write_atomic(f: &mut fmt::Formatter<'_>, a: &Atomic) -> fmt::Result {
+    match a {
+        Atomic::String(s) => write!(f, "\"{}\"", s.replace('&', "&amp;").replace('"', "\"\"")),
+        other => write!(f, "{}", other.string_value()),
+    }
+}
+
+impl fmt::Display for Printed<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let p = |c| self.at(c);
+        match self.0 {
+            Core::Const(a) => write_atomic(f, a),
+            Core::Param(i) => match self.1.get(*i) {
+                Some(a) => write_atomic(f, a),
+                None => write!(f, "?{i}"),
             },
             Core::Var(v) => write!(f, "${v}"),
             Core::ContextItem => write!(f, "."),
             // A one-member sequence is its member: the parser drops the
             // parentheses around a single expression.
-            Core::Seq(items) if items.len() == 1 => write!(f, "{}", items[0]),
+            Core::Seq(items) if items.len() == 1 => write!(f, "{}", p(&items[0])),
             Core::Seq(items) => {
                 write!(f, "(")?;
                 for (i, e) in items.iter().enumerate() {
                     if i > 0 {
                         write!(f, ", ")?;
                     }
-                    write!(f, "{e}")?;
+                    write!(f, "{}", p(e))?;
                 }
                 write!(f, ")")
             }
@@ -45,13 +83,15 @@ impl fmt::Display for Core {
                 body,
             } => {
                 write!(f, "for ${var}")?;
-                if let Some(p) = position {
-                    write!(f, " at ${p}")?;
+                if let Some(pos) = position {
+                    write!(f, " at ${pos}")?;
                 }
-                write!(f, " in {source} return {body}")
+                write!(f, " in {} return {}", p(source), p(body))
             }
-            Core::Let { var, value, body } => write!(f, "let ${var} := {value} return {body}"),
-            Core::If(c, t, e) => write!(f, "if ({c}) then {t} else {e}"),
+            Core::Let { var, value, body } => {
+                write!(f, "let ${var} := {} return {}", p(value), p(body))
+            }
+            Core::If(c, t, e) => write!(f, "if ({}) then {} else {}", p(c), p(t), p(e)),
             Core::Quantified {
                 quantifier,
                 var,
@@ -62,7 +102,7 @@ impl fmt::Display for Core {
                     Quantifier::Some => "some",
                     Quantifier::Every => "every",
                 };
-                write!(f, "{q} ${var} in {source} satisfies {satisfies}")
+                write!(f, "{q} ${var} in {} satisfies {}", p(source), p(satisfies))
             }
             Core::SortedFor {
                 var,
@@ -70,7 +110,7 @@ impl fmt::Display for Core {
                 keys,
                 body,
             } => {
-                write!(f, "for ${var} in {source} order by ")?;
+                write!(f, "for ${var} in {} order by ", p(source))?;
                 for (i, k) in keys.iter().enumerate() {
                     if i > 0 {
                         write!(f, ", ")?;
@@ -78,14 +118,16 @@ impl fmt::Display for Core {
                     write!(
                         f,
                         "{}{}",
-                        k.key,
+                        p(&k.key),
                         if k.ascending { "" } else { " descending" }
                     )?;
                 }
-                write!(f, " return {body}")
+                write!(f, " return {}", p(body))
             }
-            Core::Arith(op, a, b) => write!(f, "({} {op} {})", Operand(a, 2), Operand(b, 2)),
-            Core::Neg(e) => write!(f, "-({e})"),
+            Core::Arith(op, a, b) => {
+                write!(f, "({} {op} {})", self.operand(a, 2), self.operand(b, 2))
+            }
+            Core::Neg(e) => write!(f, "-({})", p(e)),
             Core::GeneralComp(op, a, b) => {
                 let s = match op {
                     xqdm::atomic::CompareOp::Eq => "=",
@@ -95,14 +137,14 @@ impl fmt::Display for Core {
                     xqdm::atomic::CompareOp::Gt => ">",
                     xqdm::atomic::CompareOp::Ge => ">=",
                 };
-                write!(f, "{} {s} {}", Operand(a, 2), Operand(b, 2))
+                write!(f, "{} {s} {}", self.operand(a, 2), self.operand(b, 2))
             }
             Core::ValueComp(op, a, b) => write!(
                 f,
                 "{} {} {}",
-                Operand(a, 2),
+                self.operand(a, 2),
                 op.value_spelling(),
-                Operand(b, 2)
+                self.operand(b, 2)
             ),
             Core::NodeComp(op, a, b) => {
                 let s = match op {
@@ -110,12 +152,12 @@ impl fmt::Display for Core {
                     NodeCompOp::Precedes => "<<",
                     NodeCompOp::Follows => ">>",
                 };
-                write!(f, "{} {s} {}", Operand(a, 2), Operand(b, 2))
+                write!(f, "{} {s} {}", self.operand(a, 2), self.operand(b, 2))
             }
-            Core::And(a, b) => write!(f, "({} and {})", Operand(a, 1), Operand(b, 1)),
-            Core::Or(a, b) => write!(f, "({} or {})", Operand(a, 1), Operand(b, 1)),
-            Core::Union(a, b) => write!(f, "({} | {})", Operand(a, 2), Operand(b, 2)),
-            Core::Range(a, b) => write!(f, "({} to {})", Operand(a, 2), Operand(b, 2)),
+            Core::And(a, b) => write!(f, "({} and {})", self.operand(a, 1), self.operand(b, 1)),
+            Core::Or(a, b) => write!(f, "({} or {})", self.operand(a, 1), self.operand(b, 1)),
+            Core::Union(a, b) => write!(f, "({} | {})", self.operand(a, 2), self.operand(b, 2)),
+            Core::Range(a, b) => write!(f, "({} to {})", self.operand(a, 2), self.operand(b, 2)),
             Core::MapStep {
                 base,
                 axis,
@@ -125,21 +167,21 @@ impl fmt::Display for Core {
                 // Context-relative steps print without the "./" noise.
                 match &**base {
                     Core::ContextItem => write!(f, "{}", step_str(*axis, test))?,
-                    b => write!(f, "{}/{}", Operand(b, 2), step_str(*axis, test))?,
+                    b => write!(f, "{}/{}", self.operand(b, 2), step_str(*axis, test))?,
                 }
-                for p in predicates {
-                    write!(f, "[{p}]")?;
+                for pred in predicates {
+                    write!(f, "[{}]", p(pred))?;
                 }
                 Ok(())
             }
-            Core::DocOrder(e) => write!(f, "ddo({e})"),
+            Core::DocOrder(e) => write!(f, "ddo({})", p(e)),
             // A filter over a path of more than one step would read back as
             // a predicate of its last step: `($d//p)[1]`, not `$d//p[1]`.
             Core::Predicate { base, pred } => match &**base {
                 Core::MapStep { base: origin, .. } if **origin != Core::ContextItem => {
-                    write!(f, "({base})[{pred}]")
+                    write!(f, "({})[{}]", p(base), p(pred))
                 }
-                b => write!(f, "{}[{pred}]", Operand(b, 2)),
+                b => write!(f, "{}[{}]", self.operand(b, 2), p(pred)),
             },
             Core::Call(name, args) => {
                 write!(f, "{name}(")?;
@@ -147,18 +189,18 @@ impl fmt::Display for Core {
                     if i > 0 {
                         write!(f, ", ")?;
                     }
-                    write!(f, "{a}")?;
+                    write!(f, "{}", p(a))?;
                 }
                 write!(f, ")")
             }
             Core::ElemCtor { name, content } => {
-                write!(f, "element {} {{ {content} }}", name_str(name))
+                write!(f, "element {} {{ {} }}", self.name(name), p(content))
             }
             Core::AttrCtor { name, content } => {
-                write!(f, "attribute {} {{ {content} }}", name_str(name))
+                write!(f, "attribute {} {{ {} }}", self.name(name), p(content))
             }
-            Core::TextCtor(e) => write!(f, "text {{ {e} }}"),
-            Core::DocCtor(e) => write!(f, "document {{ {e} }}"),
+            Core::TextCtor(e) => write!(f, "text {{ {} }}", p(e)),
+            Core::DocCtor(e) => write!(f, "document {{ {} }}", p(e)),
             Core::Insert { source, location } => {
                 let (kw, t) = match location {
                     CoreInsertLoc::First(t) => ("as first into", t),
@@ -166,22 +208,22 @@ impl fmt::Display for Core {
                     CoreInsertLoc::Before(t) => ("before", t),
                     CoreInsertLoc::After(t) => ("after", t),
                 };
-                write!(f, "insert {{ {source} }} {kw} {{ {t} }}")
+                write!(f, "insert {{ {} }} {kw} {{ {} }}", p(source), p(t))
             }
-            Core::Delete(e) => write!(f, "delete {{ {e} }}"),
-            Core::Replace(t, w) => write!(f, "replace {{ {t} }} with {{ {w} }}"),
+            Core::Delete(e) => write!(f, "delete {{ {} }}", p(e)),
+            Core::Replace(t, w) => write!(f, "replace {{ {} }} with {{ {} }}", p(t), p(w)),
             Core::ReplaceValue(t, w) => {
-                write!(f, "replace value of {{ {t} }} with {{ {w} }}")
+                write!(f, "replace value of {{ {} }} with {{ {} }}", p(t), p(w))
             }
-            Core::Rename(t, n) => write!(f, "rename {{ {t} }} to {{ {n} }}"),
-            Core::Copy(e) => write!(f, "copy {{ {e} }}"),
+            Core::Rename(t, n) => write!(f, "rename {{ {} }} to {{ {} }}", p(t), p(n)),
+            Core::Copy(e) => write!(f, "copy {{ {} }}", p(e)),
             Core::Snap(mode, e) => {
                 let m = match mode {
                     SnapMode::Ordered => "ordered ",
                     SnapMode::Nondeterministic => "nondeterministic ",
                     SnapMode::ConflictDetection => "conflict-detection ",
                 };
-                write!(f, "snap {m}{{ {e} }}")
+                write!(f, "snap {m}{{ {} }}", p(e))
             }
         }
     }
@@ -213,11 +255,11 @@ fn binding(e: &Core) -> u8 {
 
 /// An expression printed where the grammar needs one that binds at least
 /// as tightly as the given level, parenthesized when it binds looser.
-struct Operand<'a>(&'a Core, u8);
+struct Operand<'a>(Printed<'a>, u8);
 
 impl fmt::Display for Operand<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if binding(self.0) < self.1 {
+        if binding(self.0 .0) < self.1 {
             write!(f, "({})", self.0)
         } else {
             write!(f, "{}", self.0)
@@ -225,10 +267,13 @@ impl fmt::Display for Operand<'_> {
     }
 }
 
-fn name_str(name: &CoreName) -> String {
-    match name {
-        CoreName::Fixed(s) => s.clone(),
-        CoreName::Computed(e) => format!("{{ {e} }}"),
+impl Printed<'_> {
+    /// A constructor's name: fixed, or a computed name expression.
+    fn name(&self, name: &CoreName) -> String {
+        match name {
+            CoreName::Fixed(s) => s.clone(),
+            CoreName::Computed(e) => format!("{{ {} }}", self.at(e)),
+        }
     }
 }
 

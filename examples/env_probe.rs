@@ -7,11 +7,14 @@
 //! The `point_read` row times `xqbench`'s `point_read` request in process:
 //! `Session::execute` of its 64 texts in turn, on a server over the XMark
 //! document `xqbench` generates, once every text has been prepared and
-//! planned (DESIGN.md §15). The `sum_prices` row times `mixed_sessions`'
+//! planned (DESIGN.md §15), and the `person_cycle` row every person's
+//! text in turn, as `mixed_sessions` sends them: more texts than the plan
+//! cache holds, all of one shape. The `sum_prices` row times `mixed_sessions`'
 //! one aggregate text the same way, on the same document: a built-in
 //! call over an index-driven batch path (DESIGN.md §8). The function
-//! rows time two texts that wrap a point read and that aggregate in a
-//! declared function, through `Session::execute`: a function body
+//! rows time three texts that wrap a point read (its id in the body, and
+//! passed as an argument) and an aggregate in a declared function,
+//! through `Session::execute`: a function body
 //! compiled to a batch chain runs its plan from the call site (DESIGN.md
 //! §8, EXPERIMENTS.md E23).
 //! The write side times the §2 logging call on a durable `<log/>` store,
@@ -156,19 +159,41 @@ fn xmark_server() -> Server {
     e.into_server(ServerConfig::default())
 }
 
-fn point_read(server: &Server) {
+/// Median nanoseconds per `Session::execute` of `texts` in turn, once
+/// each has run.
+fn cycle_ns(server: &Server, texts: &[String]) -> f64 {
     let session = server.open_session().unwrap();
-    let texts: Vec<String> = (0..64)
-        .map(|k| format!("$auction//person[@id = \"person{k}\"]/name"))
-        .collect();
-    for text in &texts {
+    for text in texts {
         session.execute(text).unwrap();
     }
     let mut next = texts.iter().cycle();
-    let request_ns = per_call_ns(10_000, || {
+    per_call_ns(10_000, || {
         black_box(session.execute(next.next().unwrap()).unwrap());
-    });
-    println!("point_read Session::execute, text seen before {request_ns:.0} ns");
+    })
+}
+
+/// `point_read`'s 64 texts in turn, then every person's text in turn as
+/// `mixed_sessions` sends them: more texts than the plan cache holds,
+/// one query shape (DESIGN.md §15).
+fn point_read(server: &Server) {
+    let text = |k| format!("$auction//person[@id = \"person{k}\"]/name");
+    let pool: Vec<String> = (0..64).map(text).collect();
+    let pool_ns = cycle_ns(server, &pool);
+    println!("point_read Session::execute, text seen before {pool_ns:.0} ns");
+    let session = server.open_session().unwrap();
+    let persons: usize = session
+        .execute("count($auction//person)")
+        .unwrap()
+        .body
+        .parse()
+        .unwrap();
+    let all: Vec<String> = (0..persons).map(text).collect();
+    let all_ns = cycle_ns(server, &all);
+    println!(
+        "person_cycle Session::execute, all {persons} person texts in turn {all_ns:.0} ns \
+         ({:.2}x point_read)",
+        all_ns / pool_ns
+    );
 }
 
 /// `mixed_sessions`' aggregate text, one request after another.
@@ -186,13 +211,20 @@ fn sum_prices(server: &Server) {
 }
 
 /// Texts that call a declared function whose body is a batch chain, one
-/// request after another.
+/// request after another: a point read with its id written in the body
+/// (`local:name`) and passed as an argument (`local:p`, an index filter
+/// whose value is known only at run time), and an aggregate.
 fn function_rows(server: &Server) {
-    const TEXTS: [(&str, &str); 2] = [
+    const TEXTS: [(&str, &str); 3] = [
         (
             "local:name",
             "declare function local:name($a) { $a//person[@id = \"person7\"]/name }; \
              local:name($auction)",
+        ),
+        (
+            "local:p",
+            "declare function local:p($a, $id) { $a//person[@id = $id]/name }; \
+             local:p($auction, \"person7\")",
         ),
         (
             "local:total",

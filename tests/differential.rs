@@ -1282,6 +1282,27 @@ fn generated_binders_agree_across_strategies() {
     differential(&[], &[], &queries);
 }
 
+/// The planted binder programs whose only read of an out-of-scope `$z`
+/// sits in a `let` nothing reads: the compiled engine used to drop that
+/// `let`, and the `XPST0008` with it, answering a value where the
+/// interpreter raises. With them, the arithmetic error such a `let` holds.
+const DEAD_LET_CASES: [u32; 11] = [20, 21, 82, 127, 145, 159, 167, 182, 213, 268, 281];
+
+#[test]
+fn a_dead_let_keeps_the_error_its_value_raises() {
+    let planted: Vec<String> = DEAD_LET_CASES
+        .iter()
+        .map(|&case| BinderGen::program(case, true))
+        .collect();
+    let mut queries: Vec<&str> = planted.iter().map(String::as_str).collect();
+    queries.push("let $y := 1 div 0 return 7");
+    differential(&[], &[], &queries);
+    let mut compiled = Engine::new();
+    for q in &queries {
+        assert!(compiled.run(q).is_err(), "{q} must raise compiled too");
+    }
+}
+
 /// `Engine::check` reports `XPST0008` exactly when the interpreter raises
 /// it, on the battery's programs and on programs with `$z` planted in
 /// and out of scope.

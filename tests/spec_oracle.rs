@@ -7,22 +7,21 @@
 //!
 //! Every row of the path battery, the binder battery, the XMark texts and
 //! the conformance tables that falls in the oracle's fragment runs on all
-//! three; their values, serialized documents and error codes must agree.
-//! A row the oracle does not define (`Stuck::Unsupported`) ends its
-//! sequence unchecked, and a floor per corpus on the rows checked keeps
-//! that from silently swallowing a corpus.
-//!
-//! One divergence is known and pinned by count, not hidden: the compiled
-//! engine drops a `let` whose variable is never read, and with it the
-//! error its value would raise, where the interpreter and the oracle
-//! raise it (`let $y := 1 div 0 return 7`). The planted binder programs
-//! that read `$z` out of scope inside such a `let` show it.
+//! of them; their values, serialized documents and error codes must
+//! agree. Each row runs twice on each side: as parsed, and with its
+//! string literals lifted into parameter slots (the engine's prepared
+//! path, DESIGN.md §15), the oracle reading each slot from the row's
+//! parameter list. A row the oracle does not define
+//! (`Stuck::Unsupported`) ends its sequence unchecked, and a floor per
+//! corpus on the rows checked keeps that from silently swallowing a
+//! corpus.
 
 mod corpus;
 
 use corpus::{binders, conformance, differential, paths, xmark};
 use xqspec::{Env, Failure, Item, NodeId, Store, Stuck};
 use xquery_bang::xmarkgen::XmarkGen;
+use xquery_bang::xqsyn::{self, CoreProgram, Skeleton};
 use xquery_bang::{Engine, Error};
 
 /// How a run ended, as both sides can report it: the serialized value,
@@ -36,21 +35,16 @@ struct Tally {
     rows: usize,
     /// Rows the oracle defined, so that they were compared.
     checked: usize,
-    /// Of those, rows where only the compiled engine succeeded where the
-    /// oracle raised: the dead-`let` divergence.
-    dead_let: usize,
 }
 
 impl Tally {
     fn add(&mut self, other: Tally) {
         self.rows += other.rows;
         self.checked += other.checked;
-        self.dead_let += other.dead_let;
     }
 
-    /// Assert at least `floor` rows were checked and exactly `dead_let`
-    /// of them showed the dead-`let` divergence.
-    fn assert(&self, corpus: &str, floor: usize, dead_let: usize) {
+    /// Assert at least `floor` rows were checked.
+    fn assert(&self, corpus: &str, floor: usize) {
         println!(
             "{corpus}: {} of {} rows checked against the oracle",
             self.checked, self.rows
@@ -61,7 +55,6 @@ impl Tally {
             self.checked,
             self.rows
         );
-        assert_eq!(self.dead_let, dead_let, "{corpus}: dead-let divergences");
     }
 }
 
@@ -73,69 +66,112 @@ struct Oracle {
     docs: Vec<(String, NodeId)>,
 }
 
-/// Run `texts` in order against `docs` on the oracle and on a compiled and
-/// an interpreted engine, comparing each text's outcome, until the oracle
-/// leaves its fragment; then compare the documents.
-fn check(docs: &[(&str, &str)], texts: &[&str]) -> Tally {
-    let mut tally = Tally {
-        rows: texts.len(),
-        ..Tally::default()
-    };
-    let mut oracle = Oracle {
-        store: Store::new(),
-        env: Env::new(),
-        docs: Vec::new(),
-    };
-    for (name, xml) in docs {
-        let doc = match oracle.store.parse_document(xml) {
-            Ok(doc) => doc,
-            Err(_) => return tally,
+impl Oracle {
+    /// An oracle store holding `docs`, or `None` when one is outside the
+    /// oracle's XML.
+    fn load(docs: &[(&str, &str)]) -> Option<Oracle> {
+        let mut oracle = Oracle {
+            store: Store::new(),
+            env: Env::new(),
+            docs: Vec::new(),
         };
-        oracle.env = oracle.env.bind(name, vec![Item::Node(doc)]);
-        oracle.docs.push((name.to_string(), doc));
+        for (name, xml) in docs {
+            let doc = oracle.store.parse_document(xml).ok()?;
+            oracle.env = oracle.env.bind(name, vec![Item::Node(doc)]);
+            oracle.docs.push((name.to_string(), doc));
+        }
+        Some(oracle)
     }
-    let mut compiled = Engine::new();
-    for (name, xml) in docs {
-        compiled.load_document(name, xml).unwrap();
-    }
-    // The interpreted engine is a fork of the loaded one: the same store
-    // and bindings, without parsing the documents twice.
-    let mut interpreted = compiled.snapshot_state().reader();
-    interpreted.set_compile(false);
-    let mut engines = [("compiled", compiled), ("interpreted", interpreted)];
-    let mut last = None;
-    for text in texts {
-        let Ok(program) = xquery_bang::xqsyn::compile(text) else {
-            break;
-        };
-        let store = std::mem::take(&mut oracle.store);
-        let expected: Outcome = match xqspec::run(store, &oracle.env, &program) {
+
+    /// Run `program` with its slots bound to `params`; `None` when it is
+    /// outside the fragment.
+    fn run(&mut self, program: &CoreProgram, params: Vec<String>) -> Option<Outcome> {
+        let store = std::mem::take(&mut self.store);
+        let env = self.env.with_params(params);
+        match xqspec::run(store, &env, program) {
             Ok((value, store)) => {
-                oracle.store = store;
-                Ok(oracle.store.serialize_value(&value))
+                self.store = store;
+                Some(Ok(self.store.serialize_value(&value)))
             }
             Err(Failure {
                 stuck: Stuck::Error(code),
                 store,
             }) => {
-                oracle.store = store;
-                Err(code)
+                self.store = store;
+                Some(Err(code))
             }
             Err(Failure {
                 stuck: Stuck::Unsupported(_),
                 ..
-            }) => break,
+            }) => None,
+        }
+    }
+}
+
+/// `text` with its literals lifted: the program and the strings its
+/// slots read.
+fn lifted(text: &str) -> (CoreProgram, Vec<String>) {
+    let skeleton = Skeleton::of(text);
+    let program = xqsyn::compile_lifted(&skeleton, xqsyn::DEFAULT_MAX_PARSE_DEPTH).unwrap();
+    let params = skeleton.bind(&xqsyn::lifted_slots(&program)).unwrap();
+    (program, params.iter().map(|a| a.string_value()).collect())
+}
+
+/// Run `texts` in order against `docs` on the oracle and on compiled and
+/// interpreted engines, each as parsed and with its literals lifted,
+/// comparing each text's outcome, until the oracle leaves its fragment;
+/// then compare the documents.
+fn check(docs: &[(&str, &str)], texts: &[&str]) -> Tally {
+    let mut tally = Tally {
+        rows: texts.len(),
+        ..Tally::default()
+    };
+    let (Some(mut plain), Some(mut lifting)) = (Oracle::load(docs), Oracle::load(docs)) else {
+        return tally;
+    };
+    let mut compiled = Engine::new();
+    for (name, xml) in docs {
+        compiled.load_document(name, xml).unwrap();
+    }
+    // The other engines are forks of the loaded one: the same store and
+    // bindings, without parsing the documents again.
+    let fork = |compile: bool| {
+        let mut engine = compiled.snapshot_state().reader();
+        engine.set_compile(compile);
+        engine
+    };
+    let (interpreted, unlifted) = (fork(false), fork(true));
+    // `Engine::run` lifts a text's literals; `run_program` runs the
+    // program as parsed.
+    let mut engines = [
+        ("compiled", compiled, true),
+        ("interpreted", interpreted, true),
+        ("compiled, unlifted", unlifted, false),
+    ];
+    let mut last = None;
+    for text in texts {
+        let Ok(program) = xqsyn::compile(text) else {
+            break;
         };
-        for (label, engine) in &mut engines {
-            let got: Outcome = match engine.run(text) {
+        let (lifted_program, params) = lifted(text);
+        let Some(expected) = plain.run(&program, Vec::new()) else {
+            break;
+        };
+        assert_eq!(
+            lifting.run(&lifted_program, params),
+            Some(expected.clone()),
+            "the oracle, lifted vs as parsed, on {text}"
+        );
+        for (label, engine, lifts) in &mut engines {
+            let run = match lifts {
+                true => engine.run(text),
+                false => engine.run_program(&program).map_err(Error::Eval),
+            };
+            let got: Outcome = match run {
                 Ok(v) => Ok(engine.serialize(&v).unwrap()),
                 Err(Error::Eval(e)) => Err(e.code.to_string()),
                 Err(Error::Parse(_)) => Err("parse".to_string()),
             };
-            if *label == "compiled" && got.is_ok() && expected.is_err() {
-                tally.dead_let += 1;
-                continue;
-            }
             assert_eq!(got, expected, "{label} engine vs oracle on {text}");
         }
         last = Some(text);
@@ -146,9 +182,14 @@ fn check(docs: &[(&str, &str)], texts: &[&str]) -> Tally {
     let Some(last) = last else {
         return tally;
     };
-    for (name, doc) in &oracle.docs {
-        let want = oracle.store.serialize(*doc);
-        for (label, engine) in &engines {
+    for (name, doc) in &plain.docs {
+        let want = plain.store.serialize(*doc);
+        assert_eq!(
+            lifting.store.serialize(*doc),
+            want,
+            "the oracle, lifted vs as parsed: ${name} after {last}"
+        );
+        for (label, engine, _) in &engines {
             let doc = engine.binding(name).unwrap().clone();
             assert_eq!(
                 engine.serialize(&doc).unwrap(),
@@ -167,19 +208,19 @@ fn path_battery_agrees_with_the_oracle() {
         let (doc, updates, query) = paths::case(n);
         tally.add(check(&[("doc", &doc)], &[&updates, &query]));
     }
-    tally.assert("path_battery", 320, 0);
+    tally.assert("path_battery", 320);
 }
 
 /// The binder battery's `binder_battery/v1` programs over `$x` and `$y`.
 #[test]
 fn binder_battery_agrees_with_the_oracle() {
-    binders(false).assert("binder_battery/v1", 300, 0);
+    binders(false).assert("binder_battery/v1", 300);
 }
 
 /// The same battery with `$z` planted in and out of scope.
 #[test]
 fn planted_binder_battery_agrees_with_the_oracle() {
-    binders(true).assert("binder_battery/v1, planted", 300, 11);
+    binders(true).assert("binder_battery/v1, planted", 300);
 }
 
 fn binders(plant: bool) -> Tally {
@@ -205,7 +246,7 @@ fn xmark_texts_agree_with_the_oracle() {
     for text in xmark::QUERY_TEXTS {
         tally.add(check(&docs, &[text]));
     }
-    tally.assert("xmark_queries", 16, 0);
+    tally.assert("xmark_queries", 16);
 }
 
 #[test]
@@ -218,8 +259,8 @@ fn conformance_rows_agree_with_the_oracle() {
     for (query, _) in rows.chain(conformance::ERRORS) {
         tally.add(check(&docs, &[query]));
     }
-    tally.assert("conformance", 82, 0);
-    check(&[("doc", differential::DOC)], differential::QUERIES).assert("differential", 11, 0);
+    tally.assert("conformance", 82);
+    check(&[("doc", differential::DOC)], differential::QUERIES).assert("differential", 11);
 }
 
 /// The paper's §2 logging service with its functions inlined: each call
