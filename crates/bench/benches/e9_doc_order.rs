@@ -13,10 +13,15 @@
 //! Expected shape: scan degrades linearly with fanout; gap-keys stay flat.
 //! `sort_and_dedup` (every path step's ddo pass) inherits the gap-key
 //! speedup.
+//!
+//! The **sort-dedup, one segment** row sorts the same reversed children
+//! of a *parsed* tree: its ids form one order segment (DESIGN.md §14), so
+//! the sort compares `u32` ids and builds no keys. Before timing, it
+//! checks that the id sort and the gap-key sort agree.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::time::Duration;
-use xqdm::{NodeId, QName, Store};
+use xqdm::{xml, NodeId, QName, Store};
 
 /// A root with `fanout` children, each with one text child.
 fn wide_tree(fanout: usize) -> (Store, Vec<NodeId>) {
@@ -31,6 +36,19 @@ fn wide_tree(fanout: usize) -> (Store, Vec<NodeId>) {
             c
         })
         .collect();
+    (store, kids)
+}
+
+/// [`wide_tree`]'s shape, parsed: one order segment.
+fn parsed_wide_tree(fanout: usize) -> (Store, Vec<NodeId>) {
+    let text: String = (0..fanout)
+        .map(|i| format!("<person{i}>x</person{i}>"))
+        .collect();
+    let mut store = Store::new();
+    let doc = xml::parse_document(&mut store, &format!("<people>{text}</people>")).unwrap();
+    let people = store.children(doc).unwrap()[0];
+    let kids = store.children(people).unwrap().to_vec();
+    assert_eq!(store.clean_segment_count(), 1);
     (store, kids)
 }
 
@@ -67,6 +85,24 @@ fn bench_doc_order(c: &mut Criterion) {
             });
             shuffled.reverse();
         });
+        let (parsed, parsed_kids) = parsed_wide_tree(fanout);
+        let reversed: Vec<NodeId> = parsed_kids.iter().rev().copied().collect();
+        let mut by_ids = reversed.clone();
+        parsed.sort_and_dedup(&mut by_ids).unwrap();
+        let mut by_keys = reversed.clone();
+        by_keys.sort_by(|&a, &b| parsed.cmp_doc_order_scan(a, b).unwrap());
+        assert_eq!(by_ids, by_keys, "the id sort left document order");
+        group.bench_with_input(
+            BenchmarkId::new("sort-dedup-one-segment", fanout),
+            &fanout,
+            |bch, _| {
+                bch.iter(|| {
+                    let mut v = reversed.clone();
+                    parsed.sort_and_dedup(&mut v).unwrap();
+                    v
+                });
+            },
+        );
     }
     group.finish();
 }

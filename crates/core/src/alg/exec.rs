@@ -38,6 +38,7 @@ use std::collections::{HashMap, HashSet};
 use xqdm::atomic::Atomic;
 use xqdm::item::{self, Item, Sequence};
 use xqdm::seq;
+use xqdm::store::Segment;
 use xqdm::{KernelTest, NodeId, QNameId, Store, XdmError, XdmResult};
 use xqsyn::ast::Axis;
 use xqsyn::core::Core;
@@ -272,7 +273,8 @@ fn run_batch_steps(
         // already document-ordered and duplicate-free, so the per-step
         // normalization sort can be skipped. (With several origins,
         // nesting lets outputs interleave or repeat, so we must sort.
-        // Index buckets hash in arbitrary order: always sort.)
+        // Index buckets are in id order: always sort, which costs one
+        // pass when the bucket lies in one clean order segment.)
         let mut sorted = !used_idx && cur.len() <= 1;
         if used_idx && ordered {
             // From its one origin the interpreter meets the step's
@@ -558,10 +560,29 @@ fn scan_bucket(
         Bucket::Name(qid) => store.index_name_nodes(qid, &mut candidates),
         Bucket::Absent => return Ok(()),
     }
-    let mut memo = HashMap::new();
-    let origins: HashSet<NodeId> = cur.iter().copied().collect();
+    // An origin that roots a clean order segment contains every other id
+    // of it, and candidates are elements (never attributes): such a
+    // candidate is on a descendant axis with no walk. The rest, and every
+    // candidate of the child axis, walk their parents.
+    let spans: Vec<Segment> = match axis {
+        Axis::Descendant | Axis::DescendantOrSelf => cur
+            .iter()
+            .filter_map(|&o| store.segment_rooted_at(o))
+            .collect(),
+        _ => Vec::new(),
+    };
+    let or_self = axis == Axis::DescendantOrSelf;
+    let mut walk: Option<(HashSet<NodeId>, HashMap<NodeId, bool>)> = None;
     for n in candidates {
-        if on_axis(store, &origins, &mut memo, axis, n)? {
+        let inside = spans
+            .iter()
+            .any(|s| s.contains(n) && (or_self || n != s.root()));
+        let on = inside || {
+            let (origins, memo) =
+                walk.get_or_insert_with(|| (cur.iter().copied().collect(), HashMap::new()));
+            on_axis(store, origins, memo, axis, n)?
+        };
+        if on {
             next.push(n);
         }
     }

@@ -175,13 +175,19 @@ impl PlannedProgram {
     }
 
     /// The plan printout annotated with live per-node counters from an
-    /// analyzed run against `store` (`Engine::explain_analyze`). Unlike
-    /// the plain EXPLAIN, it shows every prolog variable: each one
-    /// executed and has counters worth reading.
-    pub fn explain_analyzed(&self, profile: &crate::obs::Profile, store: &Store) -> String {
+    /// analyzed run against `store` with `params` bound
+    /// (`Engine::explain_analyze`). Unlike the plain EXPLAIN, it shows
+    /// every prolog variable: each one executed and has counters worth
+    /// reading.
+    pub fn explain_analyzed(
+        &self,
+        profile: &crate::obs::Profile,
+        store: &Store,
+        params: &[Atomic],
+    ) -> String {
         let indexed = store.index_enabled();
         self.render(true, |plan, base| {
-            plan.render_analyzed(&self.analysis, profile, base, indexed)
+            plan.render_analyzed(&self.analysis, profile, base, indexed, params)
         })
     }
 

@@ -423,11 +423,12 @@ impl QueryPlan {
         profile: &crate::obs::Profile,
         base: usize,
         indexed: bool,
+        params: &[Atomic],
     ) -> String {
         format!(
             "Snap {{\n{}\n}}",
             indent(
-                &self.render_node(Some(analysis), Some(profile), base, indexed, &[]),
+                &self.render_node(Some(analysis), Some(profile), base, indexed, params),
                 2
             )
         )

@@ -601,23 +601,34 @@ impl Engine {
     /// mirror interpretation one-for-one, so both modes report per-node
     /// counters.
     pub fn explain_analyze(&mut self, query: &str) -> Result<String, Error> {
-        let program = self.compile(query)?;
+        // The text is prepared as `run` prepares it, so the plan analyzed
+        // and its cache outcome are the ones a run of the text gets.
+        let (prepared, params) = prepare(&self.env, &self.plans, query)?;
+        let program = &prepared.program;
         let ((plan, cache), mode) = if self.env.compile {
-            (self.plan_for(&program), "compiled")
+            (self.plan_for(program), "compiled")
         } else {
-            let plan = compile_structural_program(&linked(&self.env, &program));
+            let plan = compile_structural_program(&linked(&self.env, program));
             ((Some(Arc::new(plan)), UNCOMPILED), "interpreted")
         };
-        let (result, report) = self.execute_program(plan, cache, &program, Vec::new(), true);
-        let rendered = result.map(|value| self.render_analyzed(&report, value.len(), mode));
+        let (result, report) = self.execute_program(plan, cache, program, params.clone(), true);
+        let rendered =
+            result.map(|value| self.render_analyzed(&report, value.len(), mode, &params));
         self.last_run = Some(report);
         Ok(rendered?)
     }
 
-    /// The analyzed plan tree of `report` and its `totals:` line.
-    fn render_analyzed(&self, report: &RunReport, rows: usize, mode: &str) -> String {
+    /// The analyzed plan tree of `report`, its lifted literals printed as
+    /// `params` binds them, and its `totals:` line.
+    fn render_analyzed(
+        &self,
+        report: &RunReport,
+        rows: usize,
+        mode: &str,
+        params: &[Atomic],
+    ) -> String {
         let tree = match (&report.plan, &report.profile) {
-            (Some(plan), Some(profile)) => plan.explain_analyzed(profile, &self.store),
+            (Some(plan), Some(profile)) => plan.explain_analyzed(profile, &self.store, params),
             _ => String::new(),
         };
         let stats = report.stats.unwrap_or_default();

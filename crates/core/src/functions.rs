@@ -455,23 +455,23 @@ pub(crate) fn call(
         }
         // ---------- numerics / aggregates ----------
         Id::Sum => {
-            let atoms = item::atomize(&next(), store)?;
-            if atoms.is_empty() {
+            let items = next();
+            if items.is_empty() {
                 return if nargs == 2 {
                     Ok(next())
                 } else {
                     Ok(seq![Item::integer(0)])
                 };
             }
-            sum_numeric(&atoms)
+            sum_items(&items, store)
         }
         Id::Avg => {
-            let atoms = item::atomize(&next(), store)?;
-            if atoms.is_empty() {
+            let items = next();
+            if items.is_empty() {
                 return Ok(seq![]);
             }
-            let n = atoms.len() as f64;
-            let total = sum_numeric(&atoms)?[0].atomize(store)?.to_double()?;
+            let n = items.len() as f64;
+            let total = sum_items(&items, store)?[0].atomize(store)?.to_double()?;
             Ok(seq![Item::double(total / n)])
         }
         Id::Min | Id::Max => {
@@ -683,6 +683,34 @@ fn coerce_comparable(a: Atomic) -> XdmResult<Atomic> {
             .ok_or_else(|| XdmError::value("FORG0001", format!("cannot cast \"{s}\" to double"))),
         other => Ok(other),
     }
+}
+
+/// [`sum_numeric`] of `items` atomized, without the atomized copies when
+/// a node is among them (the sum is then a double): each node's value is
+/// read borrowed where the store holds it as one string and parsed in
+/// place, and the additions run in item order, so the double is the one
+/// [`sum_numeric`] yields bit for bit. An item that will not add sends
+/// the whole sum down [`sum_numeric`]'s path, so the error raised is its.
+fn sum_items(items: &[Item], store: &Store) -> XdmResult<Sequence> {
+    let reference = || sum_numeric(&item::atomize(items, store)?);
+    if !items.iter().any(|i| matches!(i, Item::Node(_))) {
+        return reference();
+    }
+    let mut acc = 0.0;
+    for i in items {
+        let d = match i {
+            Item::Node(n) => match store.string_value_cow(*n) {
+                Ok(v) => xqdm::atomic::parse_double(&v),
+                Err(_) => None,
+            },
+            Item::Atomic(a) => a.to_double().ok(),
+        };
+        match d {
+            Some(d) => acc += d,
+            None => return reference(),
+        }
+    }
+    Ok(seq![Item::double(acc)])
 }
 
 /// Sum, preserving integer-ness when every operand is an integer.

@@ -16,10 +16,12 @@
 //!   {alive attribute ids}`. Backs `T[@a = "v"]` point lookups; buckets
 //!   are keyed by a *hash* of the value, so lookups re-check the exact
 //!   value (collisions cost a string compare, never a wrong answer).
-//! * **Structural parent index** — the store's parent links themselves,
-//!   consumed through the memoized containment checker the executor runs
-//!   per scan (an index bucket is store-global; containment filters it
-//!   to the scan's origin subtrees).
+//! * **Structural parent index** — the store's order segments and parent
+//!   links (an index bucket is store-global; containment filters it to
+//!   the scan's origin subtrees). A candidate inside a clean order
+//!   segment rooted at an origin is contained by an id-range check
+//!   ([`crate::store::Segment`], DESIGN.md §14); any other takes the
+//!   memoized parent walk the executor runs per scan, O(depth).
 //!
 //! Sharing follows the store's COW discipline, at a grain fine enough
 //! that a commit's index work does not grow with the index: each map is

@@ -32,6 +32,7 @@ mod slots;
 mod tests;
 
 pub use read::{KernelTest, Scratch};
+pub use slots::Segment;
 
 use crate::node::NodeId;
 use crate::symbols::Symbols;
@@ -175,5 +176,18 @@ impl Store {
     /// The store's symbol table (read access: name lookups, resolution).
     pub fn symbols(&self) -> &Symbols {
         &self.symbols
+    }
+
+    /// Keep the order segment of the freshly built, parentless tree under
+    /// `root` (DESIGN.md §14): one walk verifies it. The parsers call
+    /// this once a document is whole.
+    pub(crate) fn note_segment(&mut self, root: NodeId) {
+        self.slots.note_segment(root);
+    }
+
+    /// Derive every order segment afresh from the slots, as a checkpoint
+    /// load does; log replay calls it once the log is applied.
+    pub(crate) fn derive_segments(&mut self) {
+        self.slots.derive_segments();
     }
 }

@@ -2,12 +2,13 @@
 //! reads, the batch step kernels (DESIGN.md §14), document order and
 //! reachability. Nothing here writes a slot.
 
-use super::{Store, StoreStats};
+use super::{Segment, Store, StoreStats};
 use crate::error::{XdmError, XdmResult};
 use crate::index::value_hash;
 use crate::node::{NodeData, NodeId, NodeKind};
 use crate::qname::QName;
 use crate::symbols::{QNameId, Symbols};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashSet;
 
@@ -212,14 +213,31 @@ impl Store {
     /// The XDM string value: concatenated descendant text for containers,
     /// content for the leaf kinds.
     pub fn string_value(&self, id: NodeId) -> XdmResult<String> {
+        self.string_value_cow(id).map(Cow::into_owned)
+    }
+
+    /// [`Store::string_value`], borrowed where the store holds it as one
+    /// string: a leaf's content, or a container whose children are one
+    /// text node or none. Other containers concatenate into a new string.
+    pub fn string_value_cow(&self, id: NodeId) -> XdmResult<Cow<'_, str>> {
         match &self.slots.alive(id)?.kind {
-            NodeKind::Attribute { value, .. } => Ok(value.clone()),
-            NodeKind::Text { content } | NodeKind::Comment { content } => Ok(content.clone()),
-            NodeKind::Pi { content, .. } => Ok(content.clone()),
-            NodeKind::Document { .. } | NodeKind::Element { .. } => {
+            NodeKind::Attribute { value: s, .. }
+            | NodeKind::Text { content: s }
+            | NodeKind::Comment { content: s }
+            | NodeKind::Pi { content: s, .. } => Ok(Cow::Borrowed(s)),
+            NodeKind::Document { children } | NodeKind::Element { children, .. } => {
+                match children[..] {
+                    [] => return Ok(Cow::Borrowed("")),
+                    [c] => {
+                        if let NodeKind::Text { content } = &self.slots.alive(c)?.kind {
+                            return Ok(Cow::Borrowed(content));
+                        }
+                    }
+                    _ => {}
+                }
                 let mut out = String::new();
                 self.collect_text(id, &mut out)?;
-                Ok(out)
+                Ok(Cow::Owned(out))
             }
         }
     }
@@ -407,14 +425,33 @@ impl Store {
     /// Compare two nodes in document order. Nodes in different trees are
     /// ordered by their roots' ids (stable, implementation-defined, as the
     /// XDM allows). An attribute sorts after its owner element and before
-    /// the element's children, mirroring the XDM rule.
+    /// the element's children, mirroring the XDM rule. Two nodes of one
+    /// clean [`Segment`] compare by id; any other pair by gap keys.
     pub fn cmp_doc_order(&self, a: NodeId, b: NodeId) -> XdmResult<Ordering> {
         if a == b {
             return Ok(Ordering::Equal);
         }
+        if self.slots.segment_of(a).is_some_and(|s| s.contains(b)) {
+            return Ok(a.cmp(&b));
+        }
         let ka = self.order_key(a)?;
         let kb = self.order_key(b)?;
         Ok(ka.cmp(&kb))
+    }
+
+    /// The clean order segment rooted at `origin`, if there is one: each
+    /// of its other ids is a descendant of `origin` or an attribute of
+    /// one, so an index scan accepts such a candidate without walking
+    /// its ancestors.
+    pub fn segment_rooted_at(&self, origin: NodeId) -> Option<Segment> {
+        self.slots.segment_of(origin).filter(|s| s.root() == origin)
+    }
+
+    /// Number of clean order segments (for the tests that pin which
+    /// writers drop one).
+    #[doc(hidden)]
+    pub fn clean_segment_count(&self) -> usize {
+        self.slots.segment_count()
     }
 
     /// The document-order key of a node: root id, then for each ancestor
@@ -492,6 +529,11 @@ impl Store {
     /// [`Store::sort_and_dedup`] reusing the caller's scratch buffers:
     /// in steady state (sequence length not exceeding any prior call's)
     /// this performs no allocation at all.
+    ///
+    /// When every node lies in one clean [`Segment`] (an index bucket or
+    /// a step's output inside a parsed document), document order is id
+    /// order: the ids are sorted as integers, and an input that already
+    /// ascends is left as it is. Any other input takes the gap keys.
     pub fn sort_and_dedup_with(
         &self,
         nodes: &mut Vec<NodeId>,
@@ -505,6 +547,23 @@ impl Store {
                 return Ok(());
             }
             _ => {}
+        }
+        if let Some(seg) = self.slots.segment_of(nodes[0]) {
+            // A segment's ids are all alive, so the id path raises no
+            // dangling-id error the keyed one would.
+            let mut ascending = true;
+            let mut inside = true;
+            for w in nodes.windows(2) {
+                inside &= seg.contains(w[1]);
+                ascending &= w[0] < w[1];
+            }
+            if inside {
+                if !ascending {
+                    nodes.sort_unstable();
+                    nodes.dedup();
+                }
+                return Ok(());
+            }
         }
         while scratch.keyed.len() < nodes.len() {
             scratch.keyed.push((Vec::new(), NodeId(0)));

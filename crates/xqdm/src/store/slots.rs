@@ -1,14 +1,16 @@
-//! Node slots, the free list and the index plane: the raw slot writers
-//! (DESIGN.md "Mutation chokepoint").
+//! Node slots, the free list, the index plane and the order segments:
+//! the raw slot writers (DESIGN.md "Mutation chokepoint").
 //!
-//! The three fields of [`Slots`] are private to this module, so nothing
+//! The four fields of [`Slots`] are private to this module, so nothing
 //! else in the crate can change a node without going through one of the
 //! writers below. The writers that change a node's name, value or
 //! aliveness move its [`IndexPlane`] entries in the same call; the
 //! structural writers (parent links, child and attribute lists, order
-//! keys) touch nothing the plane derives from. Forward execution
-//! (`Store::apply`) and rollback (`Store::undo_entry`) both go through
-//! them, so the plane is exact in both directions by construction.
+//! keys) touch nothing the plane derives from. The writers that take a
+//! node out of its place — `unlink` a non-root, `retire`, `unbirth` —
+//! drop the [`Segment`] holding it. Forward execution (`Store::apply`)
+//! and rollback (`Store::undo_entry`) both go through them, so the plane
+//! and the segments are exact in both directions by construction.
 //!
 //! The writers validate nothing: `apply` checks every precondition
 //! first, and a writer handed a slot of the wrong kind panics.
@@ -18,6 +20,72 @@ use crate::index::{value_hash, IndexPlane};
 use crate::node::{NodeData, NodeId, NodeKind};
 use crate::pages::Pages;
 use crate::symbols::QNameId;
+use std::sync::Arc;
+
+/// An order segment (DESIGN.md §14): a tree whose ids `root..end` met a
+/// pre-order walk (attributes before children) in ascending order, every
+/// one of them `root` or a node of its subtree. Nodes never move
+/// relative to one another except by a detach, so until a writer takes
+/// one of them out of its place, id order inside the range *is* document
+/// order, and `root` contains every id in it. Nodes linked in later sit
+/// outside the range and leave it clean.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Segment {
+    root: u32,
+    end: u32,
+}
+
+impl Segment {
+    /// The segment's root: its lowest id, an ancestor of every other.
+    pub fn root(self) -> NodeId {
+        NodeId(self.root)
+    }
+
+    /// Is `id` one of the segment's nodes? Every one but the root is a
+    /// descendant of it, or an attribute of one.
+    #[inline]
+    pub fn contains(self, id: NodeId) -> bool {
+        (self.root..self.end).contains(&id.0)
+    }
+
+    /// Number of nodes in the segment.
+    fn len(self) -> u32 {
+        self.end - self.root
+    }
+}
+
+/// The segment a pre-order walk of the tree under `root` finds: the
+/// longest run `root, root + 1, …` the walk meets in that order. Nodes
+/// outside the run (linked in later, off the free list) are stepped over.
+/// The walk descends only to an alive node whose parent link names the
+/// node listing it, so every id it claims reaches `root` by parent links.
+fn walk_segment(nodes: &Pages, root: NodeId, stack: &mut Vec<NodeId>) -> Segment {
+    let mut end = root.0;
+    stack.clear();
+    stack.push(root);
+    while let Some(n) = stack.pop() {
+        if n.0 == end {
+            end += 1;
+        }
+        let (attributes, children): (&[NodeId], &[NodeId]) = match &nodes[n.index()].kind {
+            NodeKind::Document { children } => (&[], children),
+            NodeKind::Element {
+                attributes,
+                children,
+                ..
+            } => (attributes, children),
+            _ => continue,
+        };
+        let linked = |c: &&NodeId| {
+            nodes
+                .get(c.index())
+                .is_some_and(|d| d.alive && d.parent == Some(n))
+        };
+        stack.extend(children.iter().rev().filter(linked));
+        stack.extend(attributes.iter().rev().filter(linked));
+    }
+    Segment { root: root.0, end }
+}
 
 /// The slot space of one store.
 #[derive(Debug, Clone, Default)]
@@ -30,6 +98,10 @@ pub(super) struct Slots {
     free: Vec<NodeId>,
     /// Secondary indexes (DESIGN.md §17), COW-shared like the pages.
     index: IndexPlane,
+    /// The clean order segments, sorted by root and disjoint; derived
+    /// state like the plane. A fork shares the list; the first writer
+    /// that drops a segment copies it.
+    segments: Arc<Vec<Segment>>,
 }
 
 /// The payload left in a retired slot; the order key is kept so a
@@ -46,12 +118,84 @@ fn tombstone(okey: u64) -> NodeData {
 }
 
 impl Slots {
-    /// Rebuild from a checkpoint's flat slot image. The plane is derived
-    /// state a checkpoint never carries, so it is rebuilt here.
+    /// Rebuild from a checkpoint's flat slot image. The plane and the
+    /// segments are derived state a checkpoint never carries, so they
+    /// are rebuilt here.
     pub(super) fn from_parts(nodes: Vec<NodeData>, free: Vec<NodeId>) -> Slots {
         let nodes = Pages::from_vec(nodes);
         let index = IndexPlane::rebuild(&nodes, true);
-        Slots { nodes, free, index }
+        let mut slots = Slots {
+            nodes,
+            free,
+            index,
+            segments: Arc::default(),
+        };
+        slots.derive_segments();
+        slots
+    }
+
+    // ------------------------------------------------------------------
+    // Order segments (derived, like the plane)
+    // ------------------------------------------------------------------
+
+    /// Derive the segments afresh: one walk under every parentless alive
+    /// node. A run of one node says nothing and is not kept.
+    pub(super) fn derive_segments(&mut self) {
+        let mut found = Vec::new();
+        let mut stack = Vec::new();
+        for (i, d) in self.nodes.iter().enumerate() {
+            if d.alive && d.parent.is_none() {
+                let seg = walk_segment(&self.nodes, NodeId(i as u32), &mut stack);
+                if seg.len() > 1 {
+                    found.push(seg);
+                }
+            }
+        }
+        // Trees are disjoint, so are their runs; sorting is all it takes.
+        found.sort_unstable_by_key(|s| s.root);
+        self.segments = Arc::new(found);
+    }
+
+    /// Verify the tree under the parentless `root` with one walk and keep
+    /// the segment it finds (a parsed document's, when its slots came off
+    /// the end of the address space, is the whole tree).
+    pub(super) fn note_segment(&mut self, root: NodeId) {
+        let seg = walk_segment(&self.nodes, root, &mut Vec::new());
+        if seg.len() < 2 {
+            return;
+        }
+        let list = Arc::make_mut(&mut self.segments);
+        // Every id in the run is a node allocated after any segment that
+        // held its slot was dropped, so no clean segment overlaps it.
+        let at = list.partition_point(|s| s.root < seg.root);
+        debug_assert!(list.get(at).is_none_or(|s| s.root >= seg.end));
+        debug_assert!(at == 0 || list[at - 1].end <= seg.root);
+        list.insert(at, seg);
+    }
+
+    /// The clean segment holding `id`, if any.
+    #[inline]
+    pub(super) fn segment_of(&self, id: NodeId) -> Option<Segment> {
+        let at = self.segments.partition_point(|s| s.root <= id.0);
+        let seg = *self.segments.get(at.checked_sub(1)?)?;
+        seg.contains(id).then_some(seg)
+    }
+
+    /// Number of clean segments.
+    pub(super) fn segment_count(&self) -> usize {
+        self.segments.len()
+    }
+
+    /// Drop the segment holding `id` (a writer is taking it out of its
+    /// place); with `keep_root`, a segment rooted at `id` stays: the
+    /// whole run moves with its root.
+    fn dirty(&mut self, id: NodeId, keep_root: bool) {
+        let at = self.segments.partition_point(|s| s.root <= id.0);
+        let Some(i) = at.checked_sub(1) else { return };
+        let seg = self.segments[i];
+        if seg.contains(id) && !(keep_root && seg.root == id.0) {
+            Arc::make_mut(&mut self.segments).remove(i);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -154,6 +298,7 @@ impl Slots {
     /// when the slot was the newest, and a reused slot returns to the top
     /// of the free list.
     pub(super) fn unbirth(&mut self, id: NodeId, reused: bool) {
+        self.dirty(id, false);
         self.index.note_death(&self.nodes[id.index()].kind, id);
         if !reused && id.index() + 1 == self.nodes.len() {
             self.nodes.pop();
@@ -168,6 +313,7 @@ impl Slots {
 
     /// Retire an alive slot onto the free list, returning its payload.
     pub(super) fn retire(&mut self, id: NodeId) -> NodeData {
+        self.dirty(id, false);
         let okey = self.nodes[id.index()].okey;
         let data = std::mem::replace(&mut self.nodes[id.index()], tombstone(okey));
         self.index.note_death(&data.kind, id);
@@ -268,6 +414,7 @@ impl Slots {
         for i in index..index + count {
             let n = self.list_mut(parent, in_attributes)[i];
             self.nodes[n.index()].parent = None;
+            self.dirty(n, true);
         }
         self.list_mut(parent, in_attributes)
             .drain(index..index + count);

@@ -905,6 +905,9 @@ pub(crate) fn recover(dir: &Path, sync: SyncMode) -> XdmResult<(Store, RecoveryR
         let (applied_lsn, vlen) = replay_log(&bytes, &mut store, base_lsn, &mut report)?;
         last_lsn = applied_lsn;
         valid_len = Some(vlen);
+        // Replay rebuilt the parsed documents op by op, so their segments
+        // are derived again, as a checkpoint load derives them.
+        store.derive_segments();
     }
 
     let wal = Wal::open(dir, sync, last_lsn, valid_len)?;

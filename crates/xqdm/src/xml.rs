@@ -53,6 +53,7 @@ pub fn parse_document_with_limit(
             p.pos
         )));
     }
+    p.store.note_segment(doc);
     Ok(doc)
 }
 

@@ -11,7 +11,9 @@
 //! text in turn, as `mixed_sessions` sends them: more texts than the plan
 //! cache holds, all of one shape. The `sum_prices` row times `mixed_sessions`'
 //! one aggregate text the same way, on the same document: a built-in
-//! call over an index-driven batch path (DESIGN.md §8). The function
+//! call over an index-driven batch path (DESIGN.md §8); the `index_scan`
+//! row times `count($auction//person)`, the scan alone: a name bucket
+//! accepted by order segment and left in id order (DESIGN.md §14). The function
 //! rows time three texts that wrap a point read (its id in the body, and
 //! passed as an argument) and an aggregate in a declared function,
 //! through `Session::execute`: a function body
@@ -196,18 +198,24 @@ fn point_read(server: &Server) {
     );
 }
 
-/// `mixed_sessions`' aggregate text, one request after another.
-fn sum_prices(server: &Server) {
-    const SUM_PRICES: &str = "sum($auction//closed_auction/price)";
+/// `mixed_sessions`' aggregate text and a bare index scan, one request
+/// after another.
+fn scan_rows(server: &Server) {
+    const TEXTS: [(&str, &str); 2] = [
+        ("sum_prices", "sum($auction//closed_auction/price)"),
+        ("index_scan", "count($auction//person)"),
+    ];
     let session = server.open_session().unwrap();
-    session.execute(SUM_PRICES).unwrap();
-    let request_ns = per_call_ns(500, || {
-        black_box(session.execute(SUM_PRICES).unwrap());
-    });
-    println!(
-        "sum_prices Session::execute, text seen before {:.1} us",
-        request_ns / 1e3
-    );
+    for (name, text) in TEXTS {
+        session.execute(text).unwrap();
+        let request_ns = per_call_ns(500, || {
+            black_box(session.execute(text).unwrap());
+        });
+        println!(
+            "{name} Session::execute, text seen before {:.1} us",
+            request_ns / 1e3
+        );
+    }
 }
 
 /// Texts that call a declared function whose body is a batch chain, one
@@ -316,7 +324,7 @@ fn main() {
         read_side();
         let server = xmark_server();
         point_read(&server);
-        sum_prices(&server);
+        scan_rows(&server);
         function_rows(&server);
         write_side();
         plan_cache_bytes();

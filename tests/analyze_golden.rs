@@ -42,3 +42,26 @@ fn analyze_report_has_counters_in_both_modes() {
         "per-node annotations missing"
     );
 }
+
+/// EXPLAIN ANALYZE prepares its text as a run does: once a run has
+/// planned a text's shape, analyzing another text of that shape hits the
+/// plan cache, and the lifted literal prints as the analyzed text's own.
+#[test]
+fn analyze_hits_the_plan_a_run_of_its_shape_made() {
+    let mut e = xquery_bang::Engine::new();
+    e.load_document(
+        "auction",
+        "<site><people><person id=\"person1\"><name>A</name></person>\
+         <person id=\"person2\"><name>B</name></person></people></site>",
+    )
+    .unwrap();
+    e.run("$auction//person[@id = \"person1\"]/name").unwrap();
+    let out = e
+        .explain_analyze("$auction//person[@id = \"person2\"]/name")
+        .unwrap();
+    assert!(out.contains("cache=hit"), "{out}");
+    assert!(
+        out.contains("\"person2\"") && !out.contains("person1"),
+        "{out}"
+    );
+}

@@ -533,6 +533,61 @@ fn warm_scratch_sort_and_kernels_allocate_nothing() {
     );
 }
 
+/// Inside one order segment the document-order sort compares ids
+/// (DESIGN.md §14): a parsed document's nodes, shuffled and repeated, sort
+/// with no allocation at all, warm-up or not. Forking a store allocates
+/// no more with its segment than without one: the fork shares the list.
+#[test]
+fn segment_sort_and_fork_allocate_nothing() {
+    use xquery_bang::xqdm::{xml, NodeId, RedoOp, Scratch};
+    use xquery_bang::Store;
+
+    let text = format!(
+        "<root>{}</root>",
+        format!("<sec>{}</sec>", "<entry/>".repeat(8)).repeat(64)
+    );
+    let parsed = |text: &str| {
+        let mut store = Store::new();
+        let doc = xml::parse_document(&mut store, text).unwrap();
+        (store, doc)
+    };
+    let (store, doc) = parsed(&text);
+    assert_eq!(store.clean_segment_count(), 1);
+    let pool = store.descendants(doc).unwrap();
+    let shuffled: Vec<NodeId> = (0..pool.len() * 2)
+        .map(|i| pool[(i * 7 + 3) % pool.len()])
+        .collect();
+    let mut scratch = Scratch::new();
+    let mut nodes: Vec<NodeId> = Vec::with_capacity(shuffled.len());
+    let before = thread_allocs();
+    for _ in 0..10 {
+        nodes.clear();
+        nodes.extend_from_slice(&shuffled);
+        store.sort_and_dedup_with(&mut nodes, &mut scratch).unwrap();
+    }
+    let grew = thread_allocs() - before;
+    assert_eq!(grew, 0, "the id sort allocated {grew} times");
+    assert_eq!(nodes, pool);
+
+    // The same store with its segment dropped: a detach rolled back
+    // restores every slot but not the segment.
+    let (mut plain, _) = parsed(&text);
+    plain.begin_frame();
+    let leaf = *pool.last().unwrap();
+    plain.apply(RedoOp::Detach { node: leaf }).unwrap();
+    plain.rollback_frame();
+    assert_eq!(plain.clean_segment_count(), 0);
+    assert_eq!(plain.fingerprint(), store.fingerprint());
+    let fork_allocs = |s: &Store| {
+        let before = thread_allocs();
+        let fork = s.snapshot();
+        let made = thread_allocs() - before;
+        drop(fork);
+        made
+    };
+    assert_eq!(fork_allocs(&store), fork_allocs(&plain));
+}
+
 /// Run `f` on a deep-stack thread, where parsing and evaluation run inline
 /// (`xqsyn::stack`): the thread-local counters then see every allocation
 /// an engine run makes.

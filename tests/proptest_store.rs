@@ -208,19 +208,24 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 fn run_steps(store: &mut Store, nodes: &mut Vec<NodeId>, steps: &[Step]) {
     let base = store.frame_depth();
     for step in steps {
-        match step {
-            Step::Op(op) => run_op(store, nodes, op),
-            Step::Begin => store.begin_frame(),
-            Step::Commit if store.frame_depth() > base => store.commit_frame(),
-            Step::Rollback if store.frame_depth() > base => store.rollback_frame(),
-            Step::Commit | Step::Rollback => {}
-            Step::Sync => {
-                store.wal_commit().unwrap();
-            }
-        }
+        run_step(store, nodes, step, base);
     }
     while store.frame_depth() > base {
         store.commit_frame();
+    }
+}
+
+/// One step of a framed script whose frames start above depth `base`.
+fn run_step(store: &mut Store, nodes: &mut Vec<NodeId>, step: &Step, base: usize) {
+    match step {
+        Step::Op(op) => run_op(store, nodes, op),
+        Step::Begin => store.begin_frame(),
+        Step::Commit if store.frame_depth() > base => store.commit_frame(),
+        Step::Rollback if store.frame_depth() > base => store.rollback_frame(),
+        Step::Commit | Step::Rollback => {}
+        Step::Sync => {
+            store.wal_commit().unwrap();
+        }
     }
 }
 
@@ -695,4 +700,302 @@ fn snapshots_stay_isolated_under_generated_schedules() {
         assert!(writer.index_verify(), "case {case}: writer index diverged");
         assert!(writer.page_count() >= 2, "case {case}: stayed in one page");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Order segments: the id fast paths agree with the gap keys
+// ---------------------------------------------------------------------------
+
+/// A small document of random shape: nested elements with attributes,
+/// text and comments.
+fn xml_of(shape: &[u8]) -> String {
+    let mut out = String::from("<d>");
+    let mut open: Vec<u8> = Vec::new();
+    for &b in shape {
+        match b % 6 {
+            0 | 1 => {
+                out.push_str(&format!("<e{} a{}=\"v{}\">", b % 4, b % 3, b % 5));
+                open.push(b % 4);
+            }
+            2 => {
+                if let Some(e) = open.pop() {
+                    out.push_str(&format!("</e{e}>"));
+                }
+            }
+            3 => out.push_str(&format!("<f x=\"{b}\" y=\"1\"/>")),
+            4 => out.push_str(&format!("t{b}")),
+            _ => out.push_str("<!--c-->"),
+        }
+    }
+    while let Some(e) = open.pop() {
+        out.push_str(&format!("</e{e}>"));
+    }
+    out.push_str("</d>");
+    out
+}
+
+/// Parse a document of `shape` and add every node of it to the pool.
+fn parse_into(store: &mut Store, pool: &mut Vec<NodeId>, shape: &[u8]) -> NodeId {
+    let doc = xquery_bang::xqdm::xml::parse_document(store, &xml_of(shape)).unwrap();
+    pool.extend(tree_of(store, doc));
+    doc
+}
+
+/// `root` and every node under it, attributes included. Only links both
+/// ways count: `reclaim_unreachable` of a child leaves its id in the
+/// parent's list.
+fn tree_of(store: &Store, root: NodeId) -> Vec<NodeId> {
+    let mut out = Vec::new();
+    let mut stack = vec![root];
+    while let Some(n) = stack.pop() {
+        out.push(n);
+        let linked = |c: &&NodeId| store.is_alive(**c) && store.parent(**c).unwrap() == Some(n);
+        stack.extend(store.children(n).unwrap().iter().filter(linked));
+        stack.extend(store.attributes(n).unwrap().iter().filter(linked));
+    }
+    out
+}
+
+/// Every alive node of the trees the pool's alive nodes sit in.
+fn alive_nodes(store: &Store, pool: &[NodeId]) -> Vec<NodeId> {
+    let mut seen = std::collections::BTreeSet::new();
+    for &n in pool {
+        if store.is_alive(n) {
+            seen.extend(tree_of(store, store.root(n).unwrap()));
+        }
+    }
+    seen.into_iter().collect()
+}
+
+/// Is `o` the node `n` or an ancestor of it by parent links (an
+/// attribute's owner counts)?
+fn walk_contains(store: &Store, o: NodeId, n: NodeId) -> bool {
+    let mut at = Some(n);
+    while let Some(x) = at {
+        if x == o {
+            return true;
+        }
+        at = store.parent(x).unwrap();
+    }
+    false
+}
+
+/// `input` in document order by the scan comparison, duplicates dropped.
+fn key_sort(store: &Store, input: &[NodeId]) -> Vec<NodeId> {
+    let mut v = input.to_vec();
+    v.sort_by(|&x, &y| store.cmp_doc_order_scan(x, y).unwrap());
+    v.dedup();
+    v
+}
+
+/// The segment law over every pair of alive nodes: the id comparison
+/// equals the scan, segment containment implies the parent walk, and the
+/// sort equals the key sort — on the whole set, reversed, on picks with
+/// repeats, and on picks from one segment (the id path).
+fn check_segment_law(store: &Store, pool: &[NodeId], picks: &[usize]) {
+    let alive = alive_nodes(store, pool);
+    for &a in &alive {
+        let seg = store.segment_rooted_at(a);
+        for &b in &alive {
+            assert_eq!(
+                store.cmp_doc_order(a, b).unwrap(),
+                store.cmp_doc_order_scan(a, b).unwrap(),
+                "cmp_doc_order({a}, {b})"
+            );
+            let walk = walk_contains(store, a, b);
+            let fast = seg.is_some_and(|s| s.contains(b)) || walk;
+            assert_eq!(fast, walk, "segment at {a} claims {b}");
+        }
+    }
+    let picked: Vec<NodeId> = picks.iter().map(|&i| alive[i % alive.len()]).collect();
+    let first_seg = store
+        .segment_rooted_at(store.root(picked[0]).unwrap())
+        .filter(|s| s.contains(picked[0]));
+    let in_one: Vec<NodeId> = picked
+        .iter()
+        .copied()
+        .filter(|&n| first_seg.is_some_and(|s| s.contains(n)))
+        .collect();
+    let reversed: Vec<NodeId> = alive.iter().rev().copied().collect();
+    for input in [&alive, &reversed, &picked, &in_one] {
+        let mut sorted = input.clone();
+        store.sort_and_dedup(&mut sorted).unwrap();
+        assert_eq!(sorted, key_sort(store, input), "sort_and_dedup({input:?})");
+    }
+}
+
+/// One step of a segment script.
+#[derive(Debug, Clone)]
+enum SegStep {
+    Step(Step),
+    /// Parse another document (inside a frame, a rollback may undo it).
+    Parse(Vec<u8>),
+    /// Reopen the store from disk: from a fresh checkpoint when it has no
+    /// log yet, by replaying its log when it has one.
+    Reload,
+}
+
+fn seg_step_strategy() -> impl Strategy<Value = SegStep> {
+    (
+        0u8..24,
+        step_strategy(),
+        proptest::collection::vec(any::<u8>(), 0..16),
+    )
+        .prop_map(|(pick, step, shape)| match pick {
+            0 | 1 => SegStep::Parse(shape),
+            2 => SegStep::Reload,
+            _ => SegStep::Step(step),
+        })
+}
+
+/// Reopen `store` (between frames) from disk under `dir`.
+fn reload(store: &mut Store, dir: &std::path::Path) {
+    if !store.has_wal() {
+        store.save_durable(dir, SyncMode::Off).unwrap();
+    }
+    drop(std::mem::take(store));
+    let (reopened, report) = Store::open_durable(dir, SyncMode::Off).unwrap();
+    assert_eq!(report.tail_dropped, 0, "report: {report:?}");
+    *store = reopened;
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // Scripts that start from a parsed document and insert, delete,
+    // replace, rename, roll back, collect garbage (the next allocations
+    // reuse its slots), parse more documents and reload: after each, the
+    // segment fast paths agree with the gap keys and the parent walk.
+    #[test]
+    fn order_segments_agree_with_gap_keys(
+        shape in proptest::collection::vec(any::<u8>(), 0..24),
+        steps in proptest::collection::vec(seg_step_strategy(), 0..40),
+        picks in proptest::collection::vec(any::<usize>(), 1..24),
+    ) {
+        let dir = temp_dir("segments");
+        let mut store = Store::new();
+        let mut pool = Vec::new();
+        parse_into(&mut store, &mut pool, &shape);
+        prop_assert_eq!(store.clean_segment_count(), 1);
+        let base = store.frame_depth();
+        for step in &steps {
+            match step {
+                SegStep::Step(step) => run_step(&mut store, &mut pool, step, base),
+                SegStep::Parse(shape) => {
+                    parse_into(&mut store, &mut pool, shape);
+                }
+                SegStep::Reload if store.frame_depth() == base => reload(&mut store, &dir),
+                SegStep::Reload => {}
+            }
+        }
+        while store.frame_depth() > base {
+            store.commit_frame();
+        }
+        check_segment_law(&store, &pool, &picks);
+        reload(&mut store, &dir);
+        check_segment_law(&store, &pool, &picks);
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A detach inside a segment drops it; linking a foreign node under one of
+/// its nodes, detaching that node again, renames and value writes do not.
+#[test]
+fn a_detach_inside_a_segment_drops_it() {
+    let mut store = Store::new();
+    let mut pool = Vec::new();
+    let doc = parse_into(&mut store, &mut pool, &[0, 3, 4, 2, 1, 4]);
+    assert_eq!(store.clean_segment_count(), 1);
+    let seg = store
+        .segment_rooted_at(doc)
+        .expect("a parsed document is one segment");
+    assert!(pool.iter().all(|&n| seg.contains(n)));
+    let d = store.children(doc).unwrap()[0];
+    let foreign = store.new_element(QName::local("x"));
+    store.append_child(d, foreign).unwrap();
+    let f = store.children(d).unwrap()[1];
+    let name = store.intern_qname(&QName::local("g"));
+    store.apply(RedoOp::Rename { node: f, name }).unwrap();
+    let attr = store.attributes(f).unwrap()[0];
+    store
+        .apply(RedoOp::SetAttrValue {
+            node: attr,
+            value: "w".into(),
+        })
+        .unwrap();
+    store.apply(RedoOp::Detach { node: foreign }).unwrap();
+    pool.push(foreign);
+    assert_eq!(store.clean_segment_count(), 1, "no segment node moved");
+    check_segment_law(&store, &pool, &[0, 3, 5, 7]);
+    store.apply(RedoOp::Detach { node: f }).unwrap();
+    assert_eq!(store.clean_segment_count(), 0, "a detach inside it");
+    check_segment_law(&store, &pool, &[0, 3, 5, 7]);
+}
+
+/// A parse that a rollback undoes leaves no segment behind; the one
+/// before it stays.
+#[test]
+fn a_rolled_back_parse_drops_its_segment() {
+    let mut store = Store::new();
+    let mut pool = Vec::new();
+    parse_into(&mut store, &mut pool, &[0, 0, 4, 2, 3]);
+    store.begin_frame();
+    let mut undone = pool.clone();
+    parse_into(&mut store, &mut undone, &[1, 4, 5]);
+    assert_eq!(store.clean_segment_count(), 2);
+    store.rollback_frame();
+    assert_eq!(store.clean_segment_count(), 1, "the rolled-back parse's");
+    // The next parse takes the same ids again, in a different shape.
+    parse_into(&mut store, &mut pool, &[3, 3, 0, 4, 2]);
+    assert_eq!(store.clean_segment_count(), 2);
+    check_segment_law(&store, &pool, &[1, 2, 3, 4, 5, 6]);
+}
+
+/// Collecting a segment's nodes drops it, and a document parsed into the
+/// reused slots is verified afresh.
+#[test]
+fn a_reused_slot_drops_its_segment() {
+    let mut store = Store::new();
+    let mut pool = Vec::new();
+    let kept = parse_into(&mut store, &mut pool, &[0, 4, 2, 3]);
+    parse_into(&mut store, &mut pool, &[1, 1, 4, 2, 2, 5]);
+    assert_eq!(store.clean_segment_count(), 2);
+    assert!(store.collect_garbage(&[kept]).unwrap() > 0);
+    assert_eq!(store.clean_segment_count(), 1, "the collected document's");
+    pool.retain(|&n| store.is_alive(n));
+    // Off the free list, last in first out: the ids descend.
+    parse_into(&mut store, &mut pool, &[0, 3, 4]);
+    check_segment_law(&store, &pool, &[0, 2, 4, 6, 8]);
+}
+
+/// A checkpoint load and a log replay derive the segments again; a
+/// segment a detach dropped comes back as the run its walk still finds.
+#[test]
+fn a_checkpoint_reload_derives_segments_again() {
+    let dir = temp_dir("reload");
+    let mut store = Store::new();
+    let mut pool = Vec::new();
+    let doc = parse_into(&mut store, &mut pool, &[0, 3, 4, 2, 1, 4]);
+    reload(&mut store, &dir); // from the checkpoint
+    assert_eq!(store.clean_segment_count(), 1);
+    let second = parse_into(&mut store, &mut pool, &[0, 5, 2]);
+    assert_eq!(store.clean_segment_count(), 2);
+    reload(&mut store, &dir); // the second document from the log
+    assert_eq!(store.clean_segment_count(), 2);
+    let d = store.children(doc).unwrap()[0];
+    let last = *store.children(d).unwrap().last().unwrap();
+    store.apply(RedoOp::Detach { node: last }).unwrap();
+    assert_eq!(store.clean_segment_count(), 1);
+    reload(&mut store, &dir);
+    assert_eq!(
+        store.clean_segment_count(),
+        3,
+        "both documents and the detached subtree"
+    );
+    assert!(store.segment_rooted_at(doc).is_some());
+    assert!(store.segment_rooted_at(second).is_some());
+    check_segment_law(&store, &pool, &[0, 1, 2, 3, 4, 5, 6]);
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
 }
