@@ -563,20 +563,25 @@ fn scan_bucket(
     // An origin that roots a clean order segment contains every other id
     // of it, and candidates are elements (never attributes): such a
     // candidate is on a descendant axis with no walk. The rest, and every
-    // candidate of the child axis, walk their parents.
-    let spans: Vec<Segment> = match axis {
+    // candidate of the child axis, walk their parents. Clean segments are
+    // disjoint, so sorted by root only the last one rooted at or below a
+    // candidate can hold it.
+    let mut spans: Vec<Segment> = match axis {
         Axis::Descendant | Axis::DescendantOrSelf => cur
             .iter()
             .filter_map(|&o| store.segment_rooted_at(o))
             .collect(),
         _ => Vec::new(),
     };
+    spans.sort_unstable_by_key(|s| s.root());
     let or_self = axis == Axis::DescendantOrSelf;
     let mut walk: Option<(HashSet<NodeId>, HashMap<NodeId, bool>)> = None;
     for n in candidates {
-        let inside = spans
-            .iter()
-            .any(|s| s.contains(n) && (or_self || n != s.root()));
+        let at = spans.partition_point(|s| s.root() <= n);
+        let inside = at.checked_sub(1).is_some_and(|i| {
+            let s = spans[i];
+            s.contains(n) && (or_self || n != s.root())
+        });
         let on = inside || {
             let (origins, memo) =
                 walk.get_or_insert_with(|| (cur.iter().copied().collect(), HashMap::new()));

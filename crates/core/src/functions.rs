@@ -678,59 +678,41 @@ fn one_double(v: Sequence, store: &Store) -> XdmResult<f64> {
 /// In min/max, untyped values compare as doubles (the F&O rule).
 fn coerce_comparable(a: Atomic) -> XdmResult<Atomic> {
     match a {
-        Atomic::Untyped(s) => xqdm::atomic::parse_double(&s)
-            .map(Atomic::Double)
-            .ok_or_else(|| XdmError::value("FORG0001", format!("cannot cast \"{s}\" to double"))),
+        Atomic::Untyped(s) => untyped_double(&s).map(Atomic::Double),
         other => Ok(other),
     }
 }
 
-/// [`sum_numeric`] of `items` atomized, without the atomized copies when
-/// a node is among them (the sum is then a double): each node's value is
-/// read borrowed where the store holds it as one string and parsed in
-/// place, and the additions run in item order, so the double is the one
-/// [`sum_numeric`] yields bit for bit. An item that will not add sends
-/// the whole sum down [`sum_numeric`]'s path, so the error raised is its.
-fn sum_items(items: &[Item], store: &Store) -> XdmResult<Sequence> {
-    let reference = || sum_numeric(&item::atomize(items, store)?);
-    if !items.iter().any(|i| matches!(i, Item::Node(_))) {
-        return reference();
-    }
-    let mut acc = 0.0;
-    for i in items {
-        let d = match i {
-            Item::Node(n) => match store.string_value_cow(*n) {
-                Ok(v) => xqdm::atomic::parse_double(&v),
-                Err(_) => None,
-            },
-            Item::Atomic(a) => a.to_double().ok(),
-        };
-        match d {
-            Some(d) => acc += d,
-            None => return reference(),
-        }
-    }
-    Ok(seq![Item::double(acc)])
+/// An untyped value cast to a double, as min, max, sum and avg take it.
+fn untyped_double(s: &str) -> XdmResult<f64> {
+    xqdm::atomic::parse_double(s)
+        .ok_or_else(|| XdmError::value("FORG0001", format!("cannot cast \"{s}\" to double")))
 }
 
-/// Sum, preserving integer-ness when every operand is an integer.
-fn sum_numeric(atoms: &[Atomic]) -> XdmResult<Sequence> {
-    if atoms.iter().all(|a| matches!(a, Atomic::Integer(_))) {
+/// Sum, preserving integer-ness when every operand is an integer. A node
+/// adds as its untyped value, read borrowed where the store holds it as
+/// one string and parsed in place; the additions run in item order.
+fn sum_items(items: &[Item], store: &Store) -> XdmResult<Sequence> {
+    if items
+        .iter()
+        .all(|i| matches!(i, Item::Atomic(Atomic::Integer(_))))
+    {
         let mut acc: i64 = 0;
-        for a in atoms {
-            if let Atomic::Integer(i) = a {
+        for i in items {
+            if let Item::Atomic(Atomic::Integer(n)) = i {
                 acc = acc
-                    .checked_add(*i)
+                    .checked_add(*n)
                     .ok_or_else(|| XdmError::value("FOAR0002", "integer overflow in sum"))?;
             }
         }
         return Ok(seq![Item::integer(acc)]);
     }
     let mut acc = 0.0;
-    for a in atoms {
-        acc += match a {
-            Atomic::Untyped(_) => coerce_comparable(a.clone())?.to_double()?,
-            other => other.to_double()?,
+    for i in items {
+        acc += match i {
+            Item::Node(n) => untyped_double(&store.string_value_cow(*n)?)?,
+            Item::Atomic(Atomic::Untyped(s)) => untyped_double(s)?,
+            Item::Atomic(a) => a.to_double()?,
         };
     }
     Ok(seq![Item::double(acc)])

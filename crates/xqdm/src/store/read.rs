@@ -554,7 +554,10 @@ impl Store {
             let mut ascending = true;
             let mut inside = true;
             for w in nodes.windows(2) {
-                inside &= seg.contains(w[1]);
+                if !seg.contains(w[1]) {
+                    inside = false;
+                    break;
+                }
                 ascending &= w[0] < w[1];
             }
             if inside {
