@@ -27,6 +27,11 @@
 //! * **fat bucket** — a query whose name bucket is ~100% of the element
 //!   population keeps the batch kernels even with the index available
 //!   (idx hint present, zero idx scans at runtime).
+//! * **root scan** — `count($auction//person)`, a descendant step from
+//!   the document root, which roots a clean order segment: the gate
+//!   prices the walk by the segment's length and reads the bucket with
+//!   no trial walk. At the 800-person row the indexed engine must be at
+//!   least [`MIN_ROOT_SCAN_SPEEDUP`] × the batch walk.
 //!
 //! Output: a table on stdout and the `index` section of the
 //! canonical `BENCH.json` (other sections are preserved).
@@ -61,6 +66,11 @@ const PAIR_REPS: usize = 9;
 /// 217× at 800 persons on a 2-core host).
 const MAX_PER_ORIGIN_RATIO: f64 = 1.5;
 
+const ROOT_SCAN: &str = "count($auction//person)";
+/// Root-scan tripwire: ~26× measured at 800 persons on a 2-core host;
+/// a capped trial walk before every scan read 2.8× there.
+const MIN_ROOT_SCAN_SPEEDUP: f64 = 6.0;
+
 fn median(mut v: Vec<f64>) -> f64 {
     v.sort_by(|a, b| a.partial_cmp(b).unwrap());
     v[v.len() / 2]
@@ -76,6 +86,19 @@ fn engine(scale: &Scale, compile: bool, indexing: bool) -> Engine {
         .generate(&mut e.store, scale)
         .expect("generate xmark");
     e.bind("auction", xqdm::seq![Item::Node(auction)]);
+    e
+}
+
+/// An engine holding the XMark document at `scale` parsed from its text,
+/// so that the document roots one clean order segment; compiled, with
+/// the index plane on or off.
+fn parsed_engine(scale: &Scale, indexing: bool) -> Engine {
+    let xml = XmarkGen::new(8)
+        .generate_xml(scale)
+        .expect("generate xmark");
+    let mut e = Engine::new();
+    e.set_indexing(indexing);
+    e.load_document("auction", &xml).expect("parse xmark");
     e
 }
 
@@ -201,6 +224,45 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
+    // --- cost gate: a scan from the document root walks nothing -------
+    println!("\n  root scan {ROOT_SCAN}, {PAIR_REPS}×{PER_ORIGIN_ITERS} alternating runs per cell");
+    println!(
+        "  {:>8} {:>12} {:>12} {:>9}",
+        "persons", "indexed_us", "batch_us", "batch/idx"
+    );
+    let root_scan = xqsyn::compile(ROOT_SCAN)?;
+    // On a deep-stack thread, as a server runs a request: elsewhere every
+    // run starts one, and the rows would time that.
+    let root_rows = xqsyn::stack::spawn_deep("e18-root-scan", move || {
+        let mut root_rows = Vec::new();
+        for &(persons, closed) in &sizes {
+            let scale = Scale::join_sides(persons, closed);
+            let mut indexed = parsed_engine(&scale, true);
+            let mut batch = parsed_engine(&scale, false);
+            let (t_idx, t_batch) = time_pair(&mut indexed, &mut batch, &root_scan, 1);
+            assert!(
+                indexed.last_stats().expect("stats").idx_scans > 0,
+                "root scan at {persons} persons walked"
+            );
+            let speedup = t_batch / t_idx;
+            println!(
+                "  {persons:>8} {:>12.3} {:>12.3} {speedup:>8.1}x",
+                t_idx * 1e6,
+                t_batch * 1e6
+            );
+            root_rows.push((persons, t_idx, t_batch, speedup));
+        }
+        root_rows
+    })?
+    .join()
+    .expect("root-scan rows");
+    let &(_, _, _, root_speedup_800) = root_rows.last().unwrap();
+    assert!(
+        root_speedup_800 >= MIN_ROOT_SCAN_SPEEDUP,
+        "root scan at 800 persons: {root_speedup_800:.1}x vs batch \
+         (tripwire {MIN_ROOT_SCAN_SPEEDUP}x)"
+    );
+
     // --- cost gate: unselective name bucket keeps the batch kernels --
     // Every element in this tree is named `node`: the bucket is ~100%
     // of the population, so the walk from the root finishes within its
@@ -243,15 +305,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             )
         })
         .collect();
+    let root_json: Vec<String> = root_rows
+        .iter()
+        .map(|(p, ti, tb, s)| {
+            format!(
+                "{{\"persons\": {p}, \"indexed_s\": {ti:.9}, \"batch_s\": {tb:.9}, \
+                 \"speedup\": {s:.2}}}"
+            )
+        })
+        .collect();
     let section = format!(
         "{{\n    \"bench\": \"selective_id_lookup\",\n    \"query\": \"{}\",\n    \
          \"rows\": [\n      {}\n    ],\n    \"indexed_growth_100_to_800\": {growth:.2},\n    \
          \"per_origin\": [\n      {}\n    ],\n    \
+         \"root_scan\": {{\"query\": \"{ROOT_SCAN}\", \"rows\": [\n      {}\n    ]}},\n    \
          \"cost_gate\": {{\"query\": \"$doc//node\", \"elements\": {gate_rows}, \
          \"idx_hint_planned\": true, \"idx_scans_taken\": 0}}\n  }}",
         LOOKUP.replace('"', "\\\""),
         rows_json.join(",\n      "),
-        per_origin_json.join(",\n      ")
+        per_origin_json.join(",\n      "),
+        root_json.join(",\n      ")
     );
     xqexp::splice_bench_section("index", &section)?;
     Ok(())

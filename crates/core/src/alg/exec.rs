@@ -205,9 +205,8 @@ fn exec_chain(
 /// output buffer (both are caller-owned so key probes can recycle them).
 /// When `allow_idx` is set (a chain leaf or a join source; never a key or
 /// an existence filter, which start from one binding), each step the
-/// store's index plane can serve weighs its bucket against the kernel
-/// walk from `cur` (see [`index_bucket`]) — the one place index use is
-/// decided.
+/// store's index plane can serve ([`index_bucket`]) weighs its bucket
+/// against the kernel walk from `cur` ([`access`]).
 ///
 /// A step with a [`BatchFilter::Pred`] filter evaluates it in the
 /// interpreter's order, so that the first error raised is the
@@ -255,18 +254,23 @@ fn run_batch_steps(
                 kernel_step(step.axis, test, usize::MAX, evaluator, store, cur, next)?;
                 false
             }
-            // The cost gate: the walk from `cur` may visit
-            // `KERNEL_VISITS_PER_ENTRY` nodes per bucket entry; a walk
-            // that needs more reads less from the bucket.
+            // The cost gate: walk, read the bucket, or try the walk and
+            // read the bucket if it needs more than its allowance.
             Some((bucket, len)) => {
-                let allowance = len.saturating_mul(KERNEL_VISITS_PER_ENTRY);
-                if kernel_step(step.axis, test, allowance, evaluator, store, cur, next)? {
-                    false
-                } else {
+                let walked = match access(step.axis, cur, len, store)? {
+                    Access::Walk => {
+                        kernel_step(step.axis, test, usize::MAX, evaluator, store, cur, next)?
+                    }
+                    Access::Try(allowance) => {
+                        kernel_step(step.axis, test, allowance, evaluator, store, cur, next)?
+                    }
+                    Access::Scan => false,
+                };
+                if !walked {
                     next.clear();
                     scan_bucket(step.axis, test, bucket, store, cur, next)?;
-                    true
                 }
+                !walked
             }
         };
         // From at most one origin, every kernel emits in DFS order:
@@ -437,10 +441,11 @@ fn exists_chain(
     Ok(!cur.is_empty())
 }
 
-/// Answer one step with a store kernel that may visit at most
-/// `allowance` nodes (`usize::MAX`: unbounded). Returns `Ok(false)` when
-/// the walk would exceed the allowance; `next` then holds a partial
-/// answer the caller discards.
+/// Answer one step with a store kernel whose descendant walk may visit
+/// at most `allowance` nodes (`usize::MAX`: unbounded; the other axes'
+/// walks are never cut short). Returns `Ok(false)` when the walk would
+/// exceed the allowance; `next` then holds a partial answer the caller
+/// discards.
 fn kernel_step(
     axis: Axis,
     test: KernelTest,
@@ -451,17 +456,8 @@ fn kernel_step(
     next: &mut Vec<NodeId>,
 ) -> XdmResult<bool> {
     match axis {
+        // The child walk's cost is known up front; `access` weighed it.
         Axis::Child => {
-            // The child walk's cost is known up front: Σ child-list lengths.
-            if allowance < usize::MAX {
-                let mut visits = 0usize;
-                for &origin in cur {
-                    visits += store.children(origin)?.len();
-                    if visits > allowance {
-                        return Ok(false);
-                    }
-                }
-            }
             store.batch_children_into(cur, test, next)?;
             Ok(true)
         }
@@ -489,6 +485,61 @@ fn kernel_step(
 /// is thousands of times its allowance, a per-origin walk a small
 /// fraction — so they pin which side each shape lands on, not the value.
 const KERNEL_VISITS_PER_ENTRY: usize = 8;
+
+/// How a step reads its nodes when an index bucket could answer it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Access {
+    /// Walk from the origins: the walk costs no more than the bucket.
+    Walk,
+    /// Read the bucket: the walk costs more.
+    Scan,
+    /// The walk's cost is not known: walk with at most this many visits,
+    /// and read the bucket if that is not enough.
+    Try(usize),
+}
+
+/// The cost gate, the one place index use is decided: weigh the walk
+/// along `axis` from `cur` against a bucket of `bucket_len` entries, each
+/// worth [`KERNEL_VISITS_PER_ENTRY`] visits, without walking when the
+/// walk's cost is known.
+///
+/// * The child walk costs the origins' child-list lengths, exactly.
+/// * A descendant walk from origins that each root a clean order segment
+///   is priced by the segments' lengths: every node the walk visits in
+///   them, and their attributes, which it does not. Priced above the
+///   allowance, the bucket is read with no walk at all. Priced within
+///   it, the walk is still tried: nodes linked in under a segment after
+///   it was parsed sit outside it and are not priced.
+/// * Any other walk is tried.
+fn access(axis: Axis, cur: &[NodeId], bucket_len: usize, store: &Store) -> XdmResult<Access> {
+    let allowance = bucket_len.saturating_mul(KERNEL_VISITS_PER_ENTRY);
+    let mut price = 0usize;
+    match axis {
+        Axis::Child => {
+            for &origin in cur {
+                price += store.children(origin)?.len();
+                if price > allowance {
+                    return Ok(Access::Scan);
+                }
+            }
+            Ok(Access::Walk)
+        }
+        Axis::Descendant | Axis::DescendantOrSelf => {
+            for &origin in cur {
+                let Some(segment) = store.segment_rooted_at(origin) else {
+                    return Ok(Access::Try(allowance));
+                };
+                price += segment.len() as usize;
+            }
+            Ok(if price > allowance {
+                Access::Scan
+            } else {
+                Access::Try(allowance)
+            })
+        }
+        _ => Ok(Access::Walk),
+    }
+}
 
 /// The index bucket a step could be read from.
 enum Bucket<'s> {
@@ -764,4 +815,87 @@ fn eval_key(
     env.pop_var();
     let atoms = item::atomize(&r?, store)?;
     Ok(atoms.into_iter().map(|a| a.string_value()).collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use xqdm::xml::parse_document;
+    use xqdm::RedoOp;
+
+    /// A parsed `<r>` holding `n` `<x a="1"/>`: one order segment of
+    /// 2 + 2n nodes (document, `r`, each `x` and its attribute).
+    fn doc(store: &mut Store, n: usize) -> NodeId {
+        let d = parse_document(store, &format!("<r>{}</r>", r#"<x a="1"/>"#.repeat(n))).unwrap();
+        assert_eq!(
+            store.segment_rooted_at(d).unwrap().len() as usize,
+            2 + 2 * n
+        );
+        d
+    }
+
+    #[test]
+    fn a_clean_root_prices_without_walking() {
+        let mut store = Store::new();
+        let d = doc(&mut store, 100);
+        for axis in [Axis::Descendant, Axis::DescendantOrSelf] {
+            // 202 nodes against 10 entries' 80 visits: read the bucket.
+            assert_eq!(access(axis, &[d], 10, &store).unwrap(), Access::Scan);
+            // Within 100 entries' 800: the walk is tried, capped.
+            assert_eq!(access(axis, &[d], 100, &store).unwrap(), Access::Try(800));
+        }
+    }
+
+    #[test]
+    fn a_root_whose_segment_a_detach_dropped_is_tried() {
+        let mut store = Store::new();
+        let d = doc(&mut store, 100);
+        let r = store.children(d).unwrap()[0];
+        let x = store.children(r).unwrap()[7];
+        store.apply(RedoOp::Detach { node: x }).unwrap();
+        assert!(store.segment_rooted_at(d).is_none());
+        assert_eq!(
+            access(Axis::Descendant, &[d], 10, &store).unwrap(),
+            Access::Try(80)
+        );
+    }
+
+    #[test]
+    fn several_roots_sum_their_lengths() {
+        let mut store = Store::new();
+        let (a, b) = (doc(&mut store, 30), doc(&mut store, 30));
+        // 62 nodes each fit 80 visits; 124 together do not.
+        for one in [a, b] {
+            assert_eq!(
+                access(Axis::Descendant, &[one], 10, &store).unwrap(),
+                Access::Try(80)
+            );
+        }
+        assert_eq!(
+            access(Axis::Descendant, &[a, b], 10, &store).unwrap(),
+            Access::Scan
+        );
+    }
+
+    #[test]
+    fn a_non_root_origin_is_tried() {
+        let mut store = Store::new();
+        let d = doc(&mut store, 100);
+        let r = store.children(d).unwrap()[0];
+        for cur in [&[r][..], &[d, r]] {
+            assert_eq!(
+                access(Axis::Descendant, cur, 10, &store).unwrap(),
+                Access::Try(80)
+            );
+        }
+    }
+
+    #[test]
+    fn the_child_walk_costs_its_child_lists() {
+        let mut store = Store::new();
+        let d = doc(&mut store, 100);
+        let r = store.children(d).unwrap()[0];
+        assert_eq!(access(Axis::Child, &[r], 12, &store).unwrap(), Access::Scan);
+        assert_eq!(access(Axis::Child, &[r], 13, &store).unwrap(), Access::Walk);
+    }
 }

@@ -188,6 +188,12 @@ impl SharedPlanCache {
         shape.by_pinned.get(&shape.key(&skeleton)).cloned()
     }
 
+    /// Number of prepared texts, across every shape.
+    #[cfg(test)]
+    pub(crate) fn text_entries(&self) -> usize {
+        self.texts.lock().unwrap_or_else(|e| e.into_inner()).entries
+    }
+
     /// Keep `entry` for `skeleton`'s shape, whose program lifted the slots
     /// `lifted`, replacing a stale one; the same capacity rule as the
     /// plans, over entries of every shape. A text whose pinned slots

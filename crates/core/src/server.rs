@@ -982,6 +982,20 @@ mod tests {
         assert_eq!(s.execute(B).unwrap().body, "2");
         assert!(Arc::ptr_eq(&entry(&server, A), &entry(&server, B)));
         assert_eq!(server.plan_cache().stats(), (hits + 1, misses));
+        // A plain attribute value lifts too: 300 appends, one entry and
+        // one plan.
+        let cache = server.plan_cache();
+        let (entries, plans) = (cache.text_entries(), cache.len());
+        for k in 0..300 {
+            s.execute(&format!(r#"insert {{ <e n="{k}"/> }} into {{ $doc/log }}"#))
+                .unwrap();
+        }
+        assert_eq!(
+            (cache.text_entries(), cache.len()),
+            (entries + 1, plans + 1)
+        );
+        let last = s.execute(r#"string($doc/log/e[last()]/@n)"#).unwrap();
+        assert_eq!(last.body, "299");
     }
 
     #[test]

@@ -505,7 +505,9 @@ impl Store {
     /// touches other unreachable nodes, so pre-existing detached garbage
     /// (observable via [`Store::stats`]) is preserved — and so is every
     /// candidate above such a node, whose parent link would otherwise
-    /// dangle. Returns the number of reclaimed slots.
+    /// dangle, and every candidate below a node that survives, whose id
+    /// would otherwise stay in that node's child or attribute list.
+    /// Returns the number of reclaimed slots.
     pub fn reclaim_unreachable(
         &mut self,
         candidates: &[NodeId],
@@ -536,6 +538,20 @@ impl Store {
                     Some(parent) => id = parent,
                     None => break,
                 }
+            }
+        }
+        // A doomed node whose parent survives survives, and so does every
+        // doomed node below it: its id stays in that parent's list.
+        let mut held = Vec::new();
+        for &id in &doomed {
+            if self.parent(id)?.is_some_and(|p| !doomed.contains(&p)) {
+                held.push(id);
+            }
+        }
+        while let Some(id) = held.pop() {
+            if doomed.remove(&id) {
+                held.extend(self.children(id)?);
+                held.extend(self.attributes(id)?);
             }
         }
         // A slot allocated, collected and allocated again is a candidate

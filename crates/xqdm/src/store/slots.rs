@@ -48,8 +48,9 @@ impl Segment {
         (self.root..self.end).contains(&id.0)
     }
 
-    /// Number of nodes in the segment.
-    fn len(self) -> u32 {
+    /// Number of nodes in the segment, attributes included.
+    #[allow(clippy::len_without_is_empty)] // a kept segment has two or more
+    pub fn len(self) -> u32 {
         self.end - self.root
     }
 }

@@ -210,6 +210,8 @@ pub enum DirectContent {
 pub enum AttrChunk {
     /// Literal text.
     Text(String),
+    /// The whole value, lifted into this skeleton slot ([`crate::lift`]).
+    Param(usize),
     /// An enclosed expression.
     Enclosed(Expr),
 }

@@ -2,20 +2,26 @@
 //!
 //! A text's [`Skeleton`] is the text with the contents of every quoted
 //! span removed. A context-free scan finds the spans, knowing nothing of
-//! the grammar; they are the text's *slots*. A lifting parse
-//! ([`compile_lifted`]) turns each string-literal primary expression that
-//! spans one slot exactly into [`Core::Param`] of that slot, whose value
-//! is bound per run ([`Skeleton::bind`]). Every other slot is *pinned*: a
-//! quote in direct-constructor content or an attribute value, in a
-//! comment, or a span the scan cut across code. A pinned slot's text is
-//! part of the text's key ([`Skeleton::pinned`]).
+//! the grammar; they are the text's *slots*. A slot is *plain* when its
+//! contents hold no `{`, `}`, `&`, `<` and no whitespace but the space
+//! ([`plain`]); the skeleton keeps each slot as its empty literal (`""`),
+//! or as `"&"` when it is not plain. A lifting parse ([`compile_lifted`])
+//! turns each string-literal primary expression that spans one slot
+//! exactly, and each direct attribute value that spans a plain slot
+//! exactly, into [`Core::Param`] of that slot, whose value is bound per
+//! run ([`Skeleton::bind`]). Every other slot is *pinned*: a quote in
+//! direct-constructor content, an attribute value that is not plain, a
+//! quote in a comment, or a span the scan cut across code. A pinned
+//! slot's text is part of the text's key ([`Skeleton::pinned`]).
 //!
 //! The skeleton and the pinned texts give back the whole text but the
-//! lifted slots' contents, and what a lifted literal holds never changes
-//! how the rest of the text parses: the scan ends a span where the
-//! parser ends the literal (at the quote not doubled; an entity reference
-//! holds no quote). So two texts with one key are one program run with
-//! different parameters, and a key never stands for two programs.
+//! lifted slots' contents, and what a lifted slot holds never changes how
+//! the rest of the text parses: the scan ends a span where the parser
+//! ends the literal or the attribute value (at the quote not doubled; an
+//! entity reference holds no quote), and whether an attribute value is
+//! one plain text — no enclosed expression, no reference — is in the
+//! skeleton. So two texts with one key are one program run with different
+//! parameters, and a key never stands for two programs.
 
 use crate::core::{Core, CoreProgram};
 use crate::cursor::Cursor;
@@ -25,7 +31,8 @@ use std::ops::Range;
 use xqdm::atomic::Atomic;
 
 /// A query text and its skeleton: the text with each slot's contents
-/// removed, the slot kept as its empty literal (`""` or `''`).
+/// removed, the slot kept as its empty literal (`""` or `''`), or as
+/// `"&"` (`'&'`) when its contents are not [`plain`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Skeleton<'t> {
     source: &'t str,
@@ -54,6 +61,9 @@ impl<'t> Skeleton<'t> {
             };
             text.push_str(&source[copied..open]);
             text.push(char::from(quote));
+            if !plain(&source[open + 1..end - 1]) {
+                text.push('&');
+            }
             text.push(char::from(quote));
             slots.push(open..end);
             copied = end;
@@ -100,6 +110,17 @@ impl<'t> Skeleton<'t> {
         }
         Some(params)
     }
+}
+
+/// May a slot with these contents (quotes excluded) lift as a direct
+/// attribute value? Only when they read as written: no `{`, `}` (an
+/// enclosed expression, or an escaped brace), no `&` (a reference), no
+/// `<`, and no whitespace but the space, which attribute-value
+/// normalization would leave as it is.
+pub(crate) fn plain(contents: &str) -> bool {
+    !contents
+        .chars()
+        .any(|c| matches!(c, '{' | '}' | '&' | '<') || (c.is_whitespace() && c != ' '))
 }
 
 /// The value of the string literal `raw` (quotes included), decoded as
@@ -186,11 +207,25 @@ mod tests {
         let (skeleton, slots, pinned) = lifted(r#"$d//person[@id = "person7"]/name"#);
         assert_eq!(skeleton, r#"$d//person[@id = ""]/name"#);
         assert_eq!((slots, pinned), (vec![0], vec![]));
-        // Constructor content and attribute values are markup, not
-        // literals; a quote in a comment is no literal either.
+        // Constructor content is markup, not a literal; a quote in a
+        // comment is no literal either. A plain attribute value lifts.
         let (_, slots, pinned) = lifted(r#"<a b="x">"y"</a>, (: "z" :) "w""#);
-        assert_eq!(slots, vec![3]);
-        assert_eq!(pinned, [r#""x""#, r#""y""#, r#""z""#]);
+        assert_eq!(slots, vec![0, 3]);
+        assert_eq!(pinned, [r#""y""#, r#""z""#]);
+        // An attribute value that is not plain is pinned, and marked in
+        // the skeleton: it never shares a shape with a plain one.
+        for value in ["{$x}", "a{{b", "a&amp;b", "a\tb"] {
+            let text = format!(r#"<a b="{value}"/>"#);
+            let (skeleton, slots, pinned) = lifted(&text);
+            assert_eq!(skeleton, r#"<a b="&"/>"#, "{value}");
+            assert_eq!(slots, Vec::<usize>::new(), "{value}");
+            assert_eq!(pinned, [format!(r#""{value}""#)]);
+        }
+        let (skeleton, slots, _) = lifted(r#"<a b="x y" c=''/>"#);
+        assert_eq!(
+            (skeleton.as_str(), slots),
+            (r#"<a b="" c=''/>"#, vec![0, 1])
+        );
         // An enclosed expression's literal lifts.
         let (_, slots, _) = lifted(r#"<a>{ "x" }</a>"#);
         assert_eq!(slots, vec![0]);

@@ -121,8 +121,18 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Attribute value template: `"lit{expr}lit..."`.
+    /// Attribute value template: `"lit{expr}lit..."`. A value that spans
+    /// a [`plain`](crate::lift::plain) skeleton slot exactly reads as a
+    /// string literal does, so it lifts into that slot.
     fn parse_attr_value(&mut self) -> PResult<Vec<AttrChunk>> {
+        let open = self.cur.pos;
+        if let Some((i, end)) = self.slot_at(open) {
+            let contents = std::str::from_utf8(self.cur.slice(open + 1, end - 1));
+            if contents.is_ok_and(crate::lift::plain) {
+                self.cur.pos = end;
+                return Ok(vec![AttrChunk::Param(i)]);
+            }
+        }
         let quote = match self.cur.bump() {
             Some(q @ (b'"' | b'\'')) => q,
             _ => return self.cur.err("expected quoted attribute value"),

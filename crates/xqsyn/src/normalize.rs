@@ -307,19 +307,15 @@ fn normalize_direct(d: &ast::DirectElement) -> Core {
 /// `fs:avt` is the internal builtin that atomizes its argument and joins
 /// with single spaces (the XQuery AVT rule for enclosed expressions).
 fn normalize_avt(chunks: &[AttrChunk]) -> Core {
+    let chunk = |c: &AttrChunk| match c {
+        AttrChunk::Text(t) => Core::str(t.clone()),
+        AttrChunk::Param(i) => Core::Param(*i),
+        AttrChunk::Enclosed(e) => Core::Call("fs:avt".into(), vec![normalize(e)]),
+    };
     match chunks {
-        [AttrChunk::Text(t)] => return Core::str(t.clone()),
-        [AttrChunk::Enclosed(e)] => return Core::Call("fs:avt".into(), vec![normalize(e)]),
-        _ => {}
+        [one] => chunk(one),
+        _ => Core::Call("fn:concat".into(), chunks.iter().map(chunk).collect()),
     }
-    let parts: Vec<Core> = chunks
-        .iter()
-        .map(|c| match c {
-            AttrChunk::Text(t) => Core::str(t.clone()),
-            AttrChunk::Enclosed(e) => Core::Call("fs:avt".into(), vec![normalize(e)]),
-        })
-        .collect();
-    Core::Call("fn:concat".into(), parts)
 }
 
 #[cfg(test)]

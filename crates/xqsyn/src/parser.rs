@@ -102,12 +102,21 @@ pub(crate) struct Parser<'a> {
     depth: usize,
     /// Depth at which parsing stops with an `XQB0040` error.
     max_depth: usize,
-    /// The skeleton slots a string-literal primary lifts when it spans
-    /// one exactly; empty for a plain parse.
+    /// The skeleton slots a string-literal primary, or a direct attribute
+    /// value, lifts when it spans one exactly; empty for a plain parse.
     slots: &'a [std::ops::Range<usize>],
 }
 
 impl<'a> Parser<'a> {
+    /// The index and end of the skeleton slot that starts at `start`.
+    pub(crate) fn slot_at(&self, start: usize) -> Option<(usize, usize)> {
+        let i = self
+            .slots
+            .binary_search_by_key(&start, |span| span.start)
+            .ok()?;
+        Some((i, self.slots[i].end))
+    }
+
     // ------------------------------------------------------------------
     // Prolog
     // ------------------------------------------------------------------
@@ -1054,9 +1063,8 @@ impl<'a> Parser<'a> {
             Some(b'"') | Some(b'\'') => {
                 let start = self.cur.pos;
                 let s = self.cur.read_string_literal()?;
-                let slot = self.slots.binary_search_by_key(&start, |span| span.start);
-                return Ok(match slot {
-                    Ok(i) if self.slots[i].end == self.cur.pos => Expr::Param(i),
+                return Ok(match self.slot_at(start) {
+                    Some((i, end)) if end == self.cur.pos => Expr::Param(i),
                     _ => Expr::Literal(Literal::String(s)),
                 });
             }

@@ -18,7 +18,9 @@
 //! passed as an argument) and an aggregate in a declared function,
 //! through `Session::execute`: a function body
 //! compiled to a batch chain runs its plan from the call site (DESIGN.md
-//! §8, EXPERIMENTS.md E23).
+//! §8, EXPERIMENTS.md E23). The `append` row times `mixed_sessions`'
+//! append, `<e n="…"/>` with a new `n` in every text: a plain attribute
+//! value lifts, so every text is one shape (DESIGN.md §15).
 //! The write side times the §2 logging call on a durable `<log/>` store,
 //! once on an engine alone and once on an engine that holds the snapshot
 //! of its last commit, as a server that publishes every commit does: the
@@ -218,6 +220,26 @@ fn scan_rows(server: &Server) {
     }
 }
 
+/// `mixed_sessions`' append, each text with a new `n`, on a server over
+/// `xqbench`'s `<bench>` document.
+fn append_row() {
+    let mut e = Engine::new();
+    e.load_document("bench", "<bench><counter v=\"0\"/><s0/></bench>")
+        .unwrap();
+    let server = e.into_server(ServerConfig::default());
+    let session = server.open_session().unwrap();
+    let mut n = 0u64;
+    let request_ns = per_call_ns(1_000, || {
+        n += 1;
+        let text = format!("insert {{ <e n=\"{n}\"/> }} into {{ $bench/bench/s0 }}");
+        black_box(session.execute(&text).unwrap());
+    });
+    println!(
+        "append Session::execute, a new n in every text {:.1} us",
+        request_ns / 1e3
+    );
+}
+
 /// Texts that call a declared function whose body is a batch chain, one
 /// request after another: a point read with its id written in the body
 /// (`local:name`) and passed as an argument (`local:p`, an index filter
@@ -326,6 +348,7 @@ fn main() {
         point_read(&server);
         scan_rows(&server);
         function_rows(&server);
+        append_row();
         write_side();
         plan_cache_bytes();
     })

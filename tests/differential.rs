@@ -347,6 +347,99 @@ fn index_gate_weighs_the_step_origins() {
     }
 }
 
+/// The gate prices a descendant step from origins that root clean order
+/// segments by the segments' lengths, with no trial walk; any other
+/// origin still tries the walk. Each shape runs interpreted, batch and
+/// indexed in every snap mode: a clean root, a root whose segment a
+/// detach dropped, several roots, a non-root origin, two documents as
+/// one origin sequence, and a clean root with a node linked in under it
+/// after parsing (outside its segment, so the scan walks its parents).
+#[test]
+fn index_gate_prices_segment_roots() {
+    let mut doc = String::from("<site>");
+    for i in 0..40 {
+        doc.push_str(&format!(
+            "<person id=\"p{i}\"><name>n{i}</name><email/><phone/>\
+             <address><city>c{i}</city><zip/></address></person>"
+        ));
+    }
+    doc.push_str("</site>");
+    // Index buckets are store-wide: `$cut` names its people `label`, and
+    // `$a` and `$b` hold the only `x`s, 5 each, in 45 nodes.
+    let cut = doc.replace("name>", "label>");
+    let xs = |tag: &str| {
+        let body: String = (0..5).map(|i| format!("<y><x>{tag}{i}</x></y>")).collect();
+        format!("<r>{body}{}</r>", "<z/>".repeat(28))
+    };
+    let shapes = [
+        // A clean root: 402 nodes against 40 entries' 320 visits.
+        ("count($doc//name)", Some(true)),
+        ("$doc//name[. = \"n7\"]", Some(true)),
+        // Its segment dropped by a detach: the walk is tried, and fails.
+        ("count($cut//label)", Some(true)),
+        // Two roots that each fit 10 entries' 80 visits, but not together.
+        ("count($a//x)", Some(false)),
+        ("count(($a, $b)//x)", Some(true)),
+        ("($b, $a)//x", Some(true)),
+        ("($b, $a)//x[. = \"b3\"]", None),
+        // A non-root origin is tried.
+        ("count($doc/site//name)", Some(true)),
+        ("for $p in $doc/site/person return $p//name", Some(false)),
+        // A node linked in under the clean root after parsing.
+        (
+            "insert { <name>late</name> } into { $doc/site/person[3] }",
+            None,
+        ),
+        ("count($doc//name)", Some(true)),
+        ("$doc//name[. = \"late\"]", Some(true)),
+    ];
+    for mode in ["ordered ", "nondeterministic ", "conflict-detection "] {
+        let mut variants = Vec::new();
+        for (label, compile, indexing) in [
+            ("interpreted", false, false),
+            ("batch", true, false),
+            ("indexed", true, true),
+        ] {
+            let mut e = Engine::new().with_seed(0x5e6);
+            e.set_compile(compile);
+            e.set_indexing(indexing);
+            e.load_document("doc", &doc).unwrap();
+            e.load_document("cut", &cut).unwrap();
+            e.load_document("a", &xs("a")).unwrap();
+            e.load_document("b", &xs("b")).unwrap();
+            e.run("delete { $cut/site/person[5]/email }").unwrap();
+            variants.push((label, e));
+        }
+        for (shape, scans) in shapes {
+            let q = format!("snap {mode}{{ {shape} }}");
+            let mut outs = Vec::new();
+            for (label, e) in &mut variants {
+                let v = e
+                    .run(&q)
+                    .unwrap_or_else(|err| panic!("{label}: {q} failed: {err}"));
+                outs.push((label.to_string(), e.serialize(&v).unwrap()));
+            }
+            for (label, out) in &outs[1..] {
+                assert_eq!(out, &outs[0].1, "strategy divergence for {q} ({label})");
+            }
+            let (_, indexed) = variants.last().unwrap();
+            let taken = indexed.last_stats().unwrap().idx_scans;
+            match scans {
+                Some(true) => assert!(taken >= 1, "gate walked: {q}"),
+                Some(false) => assert_eq!(taken, 0, "gate scanned: {q}"),
+                None => {}
+            }
+        }
+        let docs = |e: &Engine| {
+            ["doc", "cut", "a", "b"].map(|d| e.serialize(e.binding(d).unwrap()).unwrap())
+        };
+        for (label, e) in &variants[1..] {
+            assert_eq!(docs(e), docs(&variants[0].1), "{label}");
+        }
+        assert!(variants.last().unwrap().1.store.index_verify());
+    }
+}
+
 #[test]
 fn updates_agree_in_all_snap_modes() {
     for mode in ["", "ordered ", "nondeterministic ", "conflict-detection "] {

@@ -145,11 +145,57 @@ fn perturbing_a_literal_changes_its_value_only() {
         perturbed(r#"$d//p[@id = "person7"]/name, concat('a', "b""c")"#),
         r#"$d//p[@id = "person8"]/name, concat("az", "b""cz")"#
     );
-    // Markup and comments are not literals.
+    // Constructor content and comments are not literals; a plain
+    // attribute value lifts, one that is not plain stays as written.
     assert_eq!(
         perturbed(r#"<a b="1">"2"</a> (: "3" :)"#),
-        r#"<a b="1">"2"</a> (: "3" :)"#
+        r#"<a b="2">"2"</a> (: "3" :)"#
     );
+    assert_eq!(
+        perturbed(r#"<a b="x{{" c="{$y}" d=""/>"#),
+        r#"<a b="x{{" c="{$y}" d="z"/>"#
+    );
+}
+
+/// Direct attribute values, plain and not: the law over each, and a
+/// cache warmed by a plain value never answers a text whose value in
+/// that place is not plain (`{{`, a reference, an enclosed expression,
+/// a tab): that text has its own skeleton and runs as written.
+#[test]
+fn attribute_values_obey_the_lifting_law() {
+    const VALUES: [&str; 6] = ["7", "", "a{{b}}", "a&amp;b", "{$x}", "a\tb"];
+    let texts: Vec<String> = VALUES
+        .iter()
+        .map(|v| {
+            format!(
+                r#"let $x := "v" return (<e n="{v}" m='k'/>, insert {{ <e n="{v}"/> }} into {{ $doc/r }})"#
+            )
+        })
+        .collect();
+    let mut base = Engine::new();
+    base.load_document("doc", "<r/>").unwrap();
+    let texts: Vec<&str> = texts.iter().map(String::as_str).collect();
+    law(&base, &["doc"], &texts);
+
+    let cache = SharedPlanCache::new();
+    let (mut e, mut parsed) = (Engine::new(), Engine::new());
+    e.set_shared_plan_cache(cache.clone());
+    let text = |v: &str| format!(r#"let $x := "v" return <e n="{v}"/>"#);
+    let first = e.run(&text("1")).unwrap();
+    assert_eq!(e.serialize(&first).unwrap(), r#"<e n="1"/>"#);
+    for v in VALUES {
+        let got = e.run(&text(v)).unwrap();
+        let want = parsed
+            .run_program(&xqsyn::compile(&text(v)).unwrap())
+            .unwrap();
+        assert_eq!(
+            e.serialize(&got).unwrap(),
+            parsed.serialize(&want).unwrap(),
+            "{v}"
+        );
+    }
+    // One shape for the plain values; one entry per value that is not.
+    assert_eq!(cache.len(), 5);
 }
 
 #[test]
@@ -310,8 +356,8 @@ fn texts_that_differ_in_a_pinned_slot_never_share_an_entry() {
         for (text, want) in [
             (r#"<a>"x"</a>"#, r#"<a>"x"</a>"#),
             (r#"<a>"y"</a>"#, r#"<a>"y"</a>"#),
-            (r#"<a b="x"/>"#, r#"<a b="x"/>"#),
-            (r#"<a b="y"/>"#, r#"<a b="y"/>"#),
+            (r#"<a b="x{{"/>"#, r#"<a b="x{"/>"#),
+            (r#"<a b="y{{"/>"#, r#"<a b="y{"/>"#),
             (r#"(: "x" :) 1"#, "1"),
         ] {
             let r = e.run(text).unwrap();

@@ -742,8 +742,7 @@ fn parse_into(store: &mut Store, pool: &mut Vec<NodeId>, shape: &[u8]) -> NodeId
 }
 
 /// `root` and every node under it, attributes included. Only links both
-/// ways count: `reclaim_unreachable` of a child leaves its id in the
-/// parent's list.
+/// ways count, as in the store's own segment walk.
 fn tree_of(store: &Store, root: NodeId) -> Vec<NodeId> {
     let mut out = Vec::new();
     let mut stack = vec![root];
@@ -998,4 +997,43 @@ fn a_checkpoint_reload_derives_segments_again() {
     check_segment_law(&store, &pool, &[0, 1, 2, 3, 4, 5, 6]);
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `reclaim_unreachable` keeps a candidate whose parent survives — a
+/// node that is no candidate, or a candidate holding a survivor — and
+/// everything under it: collected, its id would stay in the parent's
+/// child list, and a walk of the parent would meet a dangling id.
+#[test]
+fn reclaim_keeps_a_candidate_under_a_survivor() {
+    let mut store = Store::new();
+    let root = store.new_element(QName::local("root"));
+    let element = |store: &mut Store, name: &str| store.new_element(QName::local(name));
+    // `kept` is no candidate; `holder` is one, but holds `kept`.
+    let (holder, kept, doomed) = (
+        element(&mut store, "h"),
+        element(&mut store, "k"),
+        element(&mut store, "d"),
+    );
+    store.append_child(holder, kept).unwrap();
+    store.append_child(holder, doomed).unwrap();
+    let below = element(&mut store, "b");
+    store.append_child(doomed, below).unwrap();
+    // A parentless candidate tree goes whole.
+    let (garbage, leaf) = (element(&mut store, "g"), element(&mut store, "l"));
+    store.append_child(garbage, leaf).unwrap();
+    let candidates = [holder, doomed, below, garbage, leaf];
+    let reclaimed = store.reclaim_unreachable(&candidates, &[root]).unwrap();
+    let mut walked = 0;
+    let mut stack = vec![holder];
+    while let Some(n) = stack.pop() {
+        stack.extend(store.children(n).unwrap_or_else(|e| panic!("{e}")).iter());
+        walked += 1;
+    }
+    assert_eq!((walked, reclaimed), (4, 2));
+    assert!(store.is_alive(below));
+    assert!(!store.is_alive(garbage) && !store.is_alive(leaf));
+    // A new node takes a freed slot: nothing lists it.
+    let fresh = element(&mut store, "f");
+    assert!(!store.children(holder).unwrap().contains(&fresh));
+    assert_eq!(store.parent(fresh).unwrap(), None);
 }
