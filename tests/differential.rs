@@ -525,6 +525,77 @@ fn constructors_agree_in_all_snap_modes() {
     }
 }
 
+/// A join and a lowered chain as constructor content, under `copy {}`
+/// and as the origin of a fused `//`: where a constructed tree adopts
+/// what its content built and copies what it reached, compiled and
+/// interpreted runs, with the index on and off, agree on the value, the
+/// stores and the number of nodes they hold.
+#[test]
+fn joins_and_chains_in_content_agree() {
+    let left = r#"<left><e n="l0" k="k1"/><e n="l1" k="k2"/><e n="l2" k="k1"/></left>"#;
+    let right = r#"<right><e n="r0" k="k1"/><e n="r1" k="k3"/><e n="r2" k="k1"/></right>"#;
+    let join = |ret: &str| {
+        format!(
+            "for $l in $left/left/e for $r in $right/right/e \
+             where $l/@k = $r/@k return {ret}"
+        )
+    };
+    let m = join(r#"<m l="{$l/@n}" r="{$r/@n}"/>"#);
+    let shapes = [
+        format!("<r>{{ {m} }}</r>"),
+        format!("<r>{{ {}, $left/left/e[@k = \"k1\"] }}</r>", join("$r")),
+        format!("copy {{ {m} }}"),
+        "copy { $right/right/e[@k = \"k1\"] }".to_string(),
+        format!("count(({})//m)", join("<w><m/></w>")),
+        format!("let $j := ({m}) return (<r>{{ $j }}</r>, count($j))"),
+        format!(
+            "let $c := $left/left/e return <r>{{ $c, {} }}</r>",
+            join("<m/>")
+        ),
+        format!("insert {{ <r>{{ {m}, $left/left/e }}</r> }} into {{ $out/out }}"),
+        "$out".to_string(),
+    ];
+    for mode in ["ordered ", "nondeterministic ", "conflict-detection "] {
+        let mut variants = Vec::new();
+        for (label, compile, indexing) in [
+            ("interpreted", false, true),
+            ("batch", true, false),
+            ("indexed", true, true),
+        ] {
+            let mut e = Engine::new().with_seed(0xc0de);
+            e.set_compile(compile);
+            e.set_indexing(indexing);
+            for (name, xml) in [("left", left), ("right", right), ("out", "<out/>")] {
+                e.load_document(name, xml).unwrap();
+            }
+            variants.push((label, e));
+        }
+        let mut joins = 0;
+        for shape in &shapes {
+            let q = format!("snap {mode}{{ {shape} }}");
+            let mut outs = Vec::new();
+            for (label, e) in &mut variants {
+                let v = e
+                    .run(&q)
+                    .unwrap_or_else(|err| panic!("{label}: {q} failed: {err}"));
+                if *label == "indexed" {
+                    joins += e.last_stats().unwrap().joins_executed;
+                }
+                let docs =
+                    ["left", "right", "out"].map(|d| e.serialize(e.binding(d).unwrap()).unwrap());
+                outs.push((*label, e.serialize(&v).unwrap(), docs, e.store.len()));
+            }
+            for out in &outs[1..] {
+                assert_eq!(out.1, outs[0].1, "value for {q} ({})", out.0);
+                assert_eq!(out.2, outs[0].2, "stores after {q} ({})", out.0);
+                assert_eq!(out.3, outs[0].3, "node count after {q} ({})", out.0);
+            }
+        }
+        // Not vacuous: the compiled engine ran the join kernel somewhere.
+        assert!(joins > 0, "no shape ran a hash join ({mode})");
+    }
+}
+
 #[test]
 fn join_inside_snap_agrees() {
     let left = r#"<left><e n="l0" k="k1"/><e n="l1" k="k2"/><e n="l2" k="k1"/></left>"#;
